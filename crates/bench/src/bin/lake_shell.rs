@@ -184,9 +184,22 @@ impl Shell {
                     eprintln!("available: QM, Q1, Q2, Q3, Q4, Q5");
                 }
             },
-            _ => eprintln!("meta-commands: .explain, .mode, .network, .workload, .quit"),
+            Some(".caches") => print_caches(&self.engine),
+            _ => eprintln!("meta-commands: .explain, .mode, .network, .workload, .caches, .quit"),
         }
         true
+    }
+}
+
+/// The engine's three caches, one line each.
+fn print_caches(engine: &FederatedEngine) {
+    let stats = engine.cache_stats();
+    println!("== caches ==");
+    for (name, s) in [("plan", stats.plan), ("lift", stats.lift), ("sql-memo", stats.sql_memo)] {
+        println!(
+            "{name:<8} lookups {} hits {} misses {} stale {} evictions {}",
+            s.lookups, s.hits, s.misses, s.stale, s.evictions
+        );
     }
 }
 
@@ -286,13 +299,7 @@ fn run_serve(engine: &FederatedEngine, spec: &ServeSpec, obs: &ObsOut) -> ExitCo
     }
     println!("\n== server rollup ==\n{}", r.outcome.metrics.render());
     println!("== report ==\n{}", r.report.to_json());
-    if engine.config().plan_cache {
-        let s = engine.plan_cache_stats();
-        println!(
-            "== plan cache ==\nlookups {} hits {} misses {} evictions {} invalidations {}",
-            s.lookups, s.hits, s.misses, s.evictions, s.invalidations
-        );
-    }
+    print_caches(engine);
     if let Some(path) = &obs.prom_out {
         write_file("prometheus exposition", path, &r.outcome.metrics.prometheus());
     }

@@ -14,6 +14,7 @@ use crate::wrapper::{links_for, open_service, route_for, source_failures, total_
 use fedlake_netsim::clock::{shared_real, shared_virtual};
 use fedlake_netsim::Link;
 use fedlake_rdf::SharedInterner;
+use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
 use fedlake_sparql::binding::{decode_batch_row, decode_row, Row, RowSchema, SlotRow, Var};
 use fedlake_sparql::eval::sort_rows;
@@ -152,9 +153,11 @@ pub struct FederatedEngine {
     /// are stable across executions and lifted source results can be
     /// cached. Append-only — ids never change meaning once assigned.
     interner: SharedInterner,
-    /// Cross-execution cache of lifted source results (paired with
-    /// `interner`). Valid for the engine's lifetime: the engine owns the
-    /// lake, so source contents cannot change underneath it.
+    /// The source-result cache every one-shot leaf reads on both schedules
+    /// and in `serve` (paired with `interner`). Source contents *can*
+    /// change underneath the engine — [`FederatedEngine::lake_mut`] — so
+    /// entries are stamped with [`DataLake::source_version`] and checked
+    /// on every lookup (see [`crate::wrapper::LiftCache`]).
     lifts: crate::wrapper::SharedLiftCache,
     /// Session flight recorder: a bounded ring of query-lifecycle events
     /// across every execution and serve run of this engine. Disabled (a
@@ -167,6 +170,19 @@ pub struct FederatedEngine {
     /// health inputs. Probed only when [`PlanConfig::plan_cache`] is set;
     /// behind a mutex so `&self` planning paths can populate it.
     plan_cache: std::sync::Mutex<crate::plancache::PlanCache>,
+}
+
+/// The counters of an engine's three caches, in the one vocabulary of
+/// [`fedlake_relational::cache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCacheStats {
+    /// The normalized plan cache (all zero while
+    /// [`PlanConfig::plan_cache`] is off).
+    pub plan: CacheStats,
+    /// The source-result cache of lifted one-shot leaves.
+    pub lift: CacheStats,
+    /// The `query_cached` memos of the lake's relational sources, summed.
+    pub sql_memo: CacheStats,
 }
 
 /// Failures before the planner treats an endpoint as degraded — two full
@@ -184,7 +200,7 @@ impl FederatedEngine {
             health: SourceHealth::new(),
             health_threshold: DEFAULT_HEALTH_THRESHOLD,
             interner: SharedInterner::new(),
-            lifts: Arc::new(std::sync::Mutex::new(fedlake_rdf::FastMap::default())),
+            lifts: Arc::default(),
             recorder: if config.recorder {
                 crate::obs::FlightRecorder::recording()
             } else {
@@ -350,6 +366,22 @@ impl FederatedEngine {
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
 
+    /// Counter snapshot of all three caches: plans, lifted source results
+    /// and the sources' SQL memos.
+    pub fn cache_stats(&self) -> EngineCacheStats {
+        let mut sql_memo = CacheStats::default();
+        for source in self.lake.sources() {
+            if let crate::source::DataSource::Relational { db, .. } = source {
+                sql_memo += db.cache_stats();
+            }
+        }
+        EngineCacheStats {
+            plan: self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).cache_stats(),
+            lift: self.lifts.stats(),
+            sql_memo,
+        }
+    }
+
     /// Parses, plans and executes a SPARQL query.
     pub fn execute_sparql(&self, sparql: &str) -> Result<FedResult, FedError> {
         let query = parse_query(sparql)?;
@@ -457,7 +489,6 @@ impl FederatedEngine {
         // between batches, to stop at the same instant the reference
         // executor would.
         let batch_mode = self.config.batch && self.config.deadline.is_none() && want.is_none();
-        ctx.batch = batch_mode;
         if batch_mode {
             loop {
                 let step = if self.config.overlap {
@@ -664,7 +695,7 @@ impl FederatedEngine {
         &self.interner
     }
 
-    /// The cross-execution lift cache (shared with the serve loop).
+    /// The source-result cache (shared with the serve loop).
     pub(crate) fn lifts(&self) -> &crate::wrapper::SharedLiftCache {
         &self.lifts
     }

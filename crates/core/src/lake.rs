@@ -37,12 +37,17 @@ pub fn replica_endpoint_id(logical: &str, k: u32) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct DataLake {
     sources: Vec<DataSource>,
+    /// Per-source bookkeeping, parallel to `sources`.
+    meta: Vec<SourceMeta>,
+    /// Every source's molecule templates, contiguous per source and in
+    /// source order.
     mts: Vec<RdfMoleculeTemplate>,
     /// Logical source id → replica count (absent = 1, unreplicated).
     replicas: BTreeMap<String, u32>,
     /// The statistics catalog, collected at registration time and
-    /// recomputed by [`DataLake::refresh_templates`] (the invalidation
-    /// point after source mutation).
+    /// brought back in line per dirty source by
+    /// [`DataLake::refresh_templates`] (the invalidation point after
+    /// source mutation).
     stats: LakeStatistics,
     /// Catalog epoch: bumped by every catalog-affecting mutation
     /// (`add_source`, `source_mut`, `refresh_templates`, `set_replicas`,
@@ -54,6 +59,20 @@ pub struct DataLake {
     stats_epoch: u64,
 }
 
+/// What the lake tracks per source beside the source itself.
+#[derive(Debug, Clone, Copy, Default)]
+struct SourceMeta {
+    /// Data version: bumped by every [`DataLake::source_mut`], so two
+    /// reads under one version saw the same contents. Cached source
+    /// results are stamped with it (see [`crate::wrapper::LiftCache`]).
+    version: u64,
+    /// Handed out mutably (or its statistics drifted) since the catalog
+    /// last described it.
+    dirty: bool,
+    /// How many entries of `mts` are this source's.
+    templates: usize,
+}
+
 impl DataLake {
     /// Creates an empty lake.
     pub fn new() -> Self {
@@ -63,7 +82,9 @@ impl DataLake {
     /// Registers a source, indexes its molecule templates, and collects
     /// its statistics.
     pub fn add_source(&mut self, source: DataSource) {
-        self.mts.extend(source.molecule_templates());
+        let templates = source.molecule_templates();
+        self.meta.push(SourceMeta { templates: templates.len(), ..Default::default() });
+        self.mts.extend(templates);
         self.stats
             .sources
             .insert(source.id().to_string(), SourceStatistics::collect(&source));
@@ -79,7 +100,11 @@ impl DataLake {
 
     /// Looks up a source by id.
     pub fn source(&self, id: &str) -> Option<&DataSource> {
-        self.sources.iter().find(|s| s.id() == id)
+        self.index_of(id).map(|i| &self.sources[i])
+    }
+
+    fn index_of(&self, id: &str) -> Option<usize> {
+        self.sources.iter().position(|s| s.id() == id)
     }
 
     /// All molecule templates in the lake.
@@ -94,14 +119,29 @@ impl DataLake {
 
     /// Refreshes the molecule templates **and the statistics catalog**
     /// (after data/index changes): mutating a source invalidates its
-    /// statistics here.
+    /// statistics here. Only the sources handed out by
+    /// [`DataLake::source_mut`] since the last refresh are recollected —
+    /// statistics are per source by construction — and the result equals a
+    /// full rebuild.
     pub fn refresh_templates(&mut self) {
-        self.mts = self
-            .sources
-            .iter()
-            .flat_map(DataSource::molecule_templates)
-            .collect();
-        self.stats = LakeStatistics::collect(&self.sources);
+        if self.meta.iter().all(|m| m.dirty) {
+            // Planted drift may have added or dropped catalog entries.
+            self.stats.sources.clear();
+        }
+        let mut at = 0;
+        for (source, meta) in self.sources.iter().zip(&mut self.meta) {
+            if meta.dirty {
+                let fresh = source.molecule_templates();
+                let stale = at..at + meta.templates;
+                meta.templates = fresh.len();
+                self.mts.splice(stale, fresh);
+                self.stats
+                    .sources
+                    .insert(source.id().to_string(), SourceStatistics::collect(source));
+                meta.dirty = false;
+            }
+            at += meta.templates;
+        }
         self.epoch += 1;
         self.stats_epoch = self.epoch;
     }
@@ -116,7 +156,8 @@ impl DataLake {
     /// the data: chaos/observability tests mutate a source's statistics
     /// post-collection to plant a cardinality mis-estimate the watchdog
     /// must then catch. Production refreshes go through
-    /// [`DataLake::refresh_templates`], which overwrites any drift.
+    /// [`DataLake::refresh_templates`], which overwrites any drift: every
+    /// source counts as dirty from here on.
     pub fn statistics_mut(&mut self) -> &mut LakeStatistics {
         // Planted drift *is* the catalog from here on: bump the epoch (so
         // cached plans priced on the old numbers are invalidated) and
@@ -124,6 +165,7 @@ impl DataLake {
         // drifted numbers, which is the point of the drift helpers).
         self.epoch += 1;
         self.stats_epoch = self.epoch;
+        self.meta.iter_mut().for_each(|m| m.dirty = true);
         &mut self.stats
     }
 
@@ -137,10 +179,21 @@ impl DataLake {
     /// and statistics are only recomputed there. Until that happens the
     /// lake reports [`DataLake::statistics_fresh`]` == false` and
     /// cost-based planning refuses to price plans against the drifted
-    /// catalog.
+    /// catalog. Handing the source out is what counts as the mutation:
+    /// its data version moves and it is recollected by the next refresh,
+    /// whether or not the caller changes anything.
     pub fn source_mut(&mut self, id: &str) -> Option<&mut DataSource> {
         self.epoch += 1;
-        self.sources.iter_mut().find(|s| s.id() == id)
+        let i = self.index_of(id)?;
+        self.meta[i].version += 1;
+        self.meta[i].dirty = true;
+        Some(&mut self.sources[i])
+    }
+
+    /// The data version of a source: equal versions imply equal contents,
+    /// so a result computed under one may be served under the same one.
+    pub fn source_version(&self, id: &str) -> Option<u64> {
+        self.index_of(id).map(|i| self.meta[i].version)
     }
 
     /// The catalog epoch: moves on every catalog-affecting mutation, so
@@ -311,6 +364,107 @@ mod tests {
         lake.set_replicas("a", 2);
         assert!(lake.epoch() > before);
         assert!(lake.statistics_fresh());
+    }
+
+    fn relational(id: &str) -> DataSource {
+        use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
+        let mut db = fedlake_relational::Database::new(id);
+        db.execute("CREATE TABLE item (id TEXT PRIMARY KEY, kind TEXT)").unwrap();
+        db.execute("INSERT INTO item VALUES ('i0', 'k0')").unwrap();
+        let mapping = DatasetMapping::new(id).with_table(
+            TableMapping::new(
+                "item",
+                format!("http://v/{id}/Item"),
+                IriTemplate::new(format!("http://d/{id}/item/{{}}")),
+                "id",
+            )
+            .with_literal("kind", "http://v/kind"),
+        );
+        DataSource::relational(id, db, mapping)
+    }
+
+    /// The catalog a full rebuild over the current sources would produce.
+    fn assert_catalog_is_current(lake: &DataLake, ctx: &str) {
+        assert_eq!(
+            lake.statistics(),
+            &LakeStatistics::collect(lake.sources()),
+            "{ctx}: statistics"
+        );
+        let full: Vec<_> =
+            lake.sources().iter().flat_map(DataSource::molecule_templates).collect();
+        assert_eq!(lake.molecule_templates(), full, "{ctx}: molecule templates");
+        assert!(lake.statistics_fresh(), "{ctx}");
+    }
+
+    #[test]
+    fn incremental_refresh_equals_a_full_rebuild() {
+        let mut rng = fedlake_prng::Prng::seed_from_u64(0xCA7A_1061);
+        let mut lake = DataLake::new();
+        lake.add_source(relational("r0"));
+        lake.add_source(DataSource::sparql("g0", typed_graph("http://v/A")));
+        lake.add_source(relational("r1"));
+        lake.add_source(DataSource::sparql("g1", typed_graph("http://v/B")));
+        for step in 0..60 {
+            // One to three writes, to any mix of sources, then one refresh.
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let id = ["r0", "g0", "r1", "g1"][rng.gen_range(0..4usize)];
+                let version = lake.source_version(id).unwrap();
+                match lake.source_mut(id).unwrap() {
+                    DataSource::Relational { db, .. } => db
+                        .insert_row(
+                            "item",
+                            vec![
+                                fedlake_relational::Value::text(format!("s{step}-{}", rng.next_u64())),
+                                fedlake_relational::Value::text(format!("k{}", rng.gen_range(0..4))),
+                            ],
+                        )
+                        .unwrap(),
+                    // A new class now and then, so a source's template
+                    // count changes under its neighbours.
+                    DataSource::Sparql { graph, .. } => {
+                        graph.insert_terms(
+                            Term::iri(format!("http://d/{step}")),
+                            Term::iri(fedlake_rdf::vocab::rdf::TYPE),
+                            Term::iri(format!("http://v/C{}", rng.gen_range(0..6))),
+                        );
+                    }
+                }
+                assert_eq!(lake.source_version(id), Some(version + 1));
+                assert!(!lake.statistics_fresh());
+            }
+            let epoch = lake.epoch();
+            lake.refresh_templates();
+            assert_eq!(lake.epoch(), epoch + 1);
+            assert_catalog_is_current(&lake, &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn refresh_overwrites_planted_drift() {
+        let mut lake = DataLake::new();
+        lake.add_source(relational("r0"));
+        lake.add_source(DataSource::sparql("g0", typed_graph("http://v/A")));
+        let drift = lake.statistics_mut();
+        drift.source_mut("r0").unwrap().scale(1000);
+        drift.sources.remove("g0");
+        drift.sources.insert("ghost".into(), SourceStatistics::default());
+        // No source was handed out: the drift alone marks every source.
+        lake.refresh_templates();
+        assert_catalog_is_current(&lake, "after drift");
+    }
+
+    #[test]
+    fn a_source_mut_that_changes_nothing_refreshes_to_the_same_catalog() {
+        let mut lake = DataLake::new();
+        lake.add_source(relational("r0"));
+        lake.add_source(DataSource::sparql("g0", typed_graph("http://v/A")));
+        let (stats, mts) = (lake.statistics().clone(), lake.molecule_templates().to_vec());
+        assert!(lake.source_mut("g0").is_some());
+        assert!(lake.source_mut("nope").is_none());
+        assert_eq!(lake.source_version("g0"), Some(1), "the hand-out is the mutation");
+        assert_eq!(lake.source_version("r0"), Some(0));
+        lake.refresh_templates();
+        assert_eq!((lake.statistics(), lake.molecule_templates()), (&stats, &mts[..]));
     }
 
     #[test]

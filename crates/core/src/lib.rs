@@ -80,7 +80,8 @@ pub use config::{
     EngineJoin, FilterPlacement, MergeTranslation, PlanConfig, PlanMode, RetryPolicy,
 };
 pub use decompose::DecompositionStrategy;
-pub use engine::{FedResult, FedStats, FederatedEngine};
+pub use engine::{EngineCacheStats, FedResult, FedStats, FederatedEngine};
+pub use fedlake_relational::cache::CacheStats;
 pub use fedlake_netsim::{FaultPlan, FaultPlans, LinkFault, OutageGroup};
 pub use error::FedError;
 pub use fedplan::ReplicaRoute;

@@ -67,11 +67,8 @@ pub struct ExecCtx {
     /// and failover lifecycle events through it (disabled — a single
     /// branch per hook — unless [`crate::PlanConfig::recorder`] is set).
     pub recorder: crate::obs::QueryRecorder,
-    /// True when the engine drives this execution in batches: wrapper
-    /// streams materialize results column-major so morsels slice out as
-    /// contiguous id copies instead of row-by-row gathers.
-    pub batch: bool,
-    /// Engine-owned cache of lifted source results, shared across
+    /// The source-result cache one-shot leaves read (see
+    /// [`crate::wrapper::LiftCache`]), shared across the engine's
     /// executions. Must always be paired with the interner the cached ids
     /// were interned into — the engine passes both from the same session;
     /// a fresh context gets an empty cache, which is trivially consistent.
@@ -98,18 +95,11 @@ impl ExecCtx {
             sched: EventQueue::new(),
             trace: crate::obs::TraceSink::disabled(),
             recorder: crate::obs::QueryRecorder::disabled(),
-            batch: false,
-            lifts: Arc::new(std::sync::Mutex::new(FastMap::default())),
+            lifts: Arc::default(),
         }
     }
 
-    /// Marks this execution as batch-driven (see [`ExecCtx::batch`]).
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Installs the engine's cross-execution lift cache (see
+    /// Installs the engine's source-result cache (see
     /// [`ExecCtx::lifts`] for the pairing invariant with the interner).
     pub fn with_lifts(mut self, lifts: crate::wrapper::SharedLiftCache) -> Self {
         self.lifts = lifts;

@@ -10,19 +10,20 @@
 //!   [`crate::ir`]: the canonical AST text and the full planner
 //!   configuration. Conservative by construction: different text ⇒
 //!   different key, so a hit can never cross queries or configs.
-//! * **Validation** — each entry remembers the lake epoch it was planned
-//!   under and an FNV digest of the health inputs (failure counts +
-//!   threshold) over exactly the replica endpoints its plan touches. A
-//!   lookup revalidates both, so `source_mut` / `refresh_templates` /
-//!   `set_replicas` (epoch bump) or a health flip on a *relevant*
-//!   endpoint invalidates exactly the affected entries, while unrelated
-//!   churn leaves them live. The health-view generation is a fast path:
-//!   if it has not moved since the entry was validated, the digest is
-//!   known unchanged and is not recomputed.
-//! * **Bounds** — at most [`PLAN_CACHE_CAPACITY`] entries; eviction is
-//!   least-recently-used by a monotone lookup tick, which is unique per
-//!   entry, so eviction order is deterministic even over an unordered
-//!   map.
+//! * **Validation** — the workspace's one cache contract
+//!   ([`fedlake_relational::cache`]): an entry is stamped with the lake
+//!   epoch it was planned under, and a lookup under another epoch
+//!   (`source_mut` / `refresh_templates` / `set_replicas` /
+//!   `statistics_mut`) is a stale miss that drops it. On top of the
+//!   epoch, each entry remembers an FNV digest of the health inputs
+//!   (failure counts + threshold) over exactly the replica endpoints its
+//!   plan touches, so a health flip on a *relevant* endpoint invalidates
+//!   exactly the affected entries while unrelated churn leaves them live.
+//!   The health-view generation is a fast path: if it has not moved since
+//!   the entry was validated, the digest is known unchanged and is not
+//!   recomputed.
+//! * **Bounds** — [`fedlake_relational::cache::CACHE_CAPACITY`] entries,
+//!   deterministic LRU.
 //!
 //! The cache is engine-internal: [`crate::FederatedEngine::plan`] probes
 //! it when [`crate::PlanConfig::plan_cache`] is set and
@@ -33,10 +34,8 @@ use crate::fedplan::FedPlan;
 use crate::health::HealthView;
 use crate::lake::DataLake;
 use crate::planner::PlannedQuery;
-
-/// Maximum resident entries; far above any workload mix in the repo, so
-/// evictions only occur under adversarial key churn.
-pub const PLAN_CACHE_CAPACITY: usize = 256;
+use fedlake_relational::cache::{CacheStats, VersionedCache};
+use std::sync::Arc;
 
 /// Monotone counters for every cache outcome. `lookups == hits + misses`
 /// always holds; `invalidations` counts misses caused by epoch/health
@@ -52,7 +51,7 @@ pub struct PlanCacheStats {
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
     /// Entries dropped because the lake epoch or the relevant health
-    /// digest moved (a subset of `misses`).
+    /// digest moved (a subset of `misses`; [`CacheStats::stale`]).
     pub invalidations: u64,
 }
 
@@ -68,22 +67,18 @@ pub struct PlanOrigin {
     pub fingerprint: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
-    lake_epoch: u64,
     health_generation: u64,
     health_digest: u64,
-    sources: Vec<String>,
+    sources: Arc<[String]>,
     planned: PlannedQuery,
-    tick: u64,
 }
 
 /// The bounded, deterministic normalized-plan cache.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: fedlake_rdf::FastMap<(u64, u64), Entry>,
-    tick: u64,
-    stats: PlanCacheStats,
+    entries: VersionedCache<(u64, u64), Entry, fedlake_rdf::BuildFastHasher>,
 }
 
 impl PlanCache {
@@ -102,9 +97,21 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
+    /// Counter snapshot in the shared cache vocabulary.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.entries.stats()
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        self.stats
+        let s = self.entries.stats();
+        PlanCacheStats {
+            lookups: s.lookups,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            invalidations: s.stale,
+        }
     }
 
     /// Drops every entry (configuration change); counters are
@@ -124,32 +131,19 @@ impl PlanCache {
         health_generation: u64,
         digest: impl FnOnce(&[String]) -> u64,
     ) -> Option<PlannedQuery> {
-        self.stats.lookups += 1;
-        let Some(entry) = self.entries.get_mut(&key) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        let mut valid = entry.lake_epoch == lake_epoch;
-        if valid && entry.health_generation != health_generation {
-            valid = digest(&entry.sources) == entry.health_digest;
-            if valid {
+        let entry = self.entries.lookup_if(&key, lake_epoch, |entry| {
+            if entry.health_generation != health_generation {
+                if digest(&entry.sources) != entry.health_digest {
+                    return false;
+                }
                 entry.health_generation = health_generation;
             }
-        }
-        if !valid {
-            self.entries.remove(&key);
-            self.stats.invalidations += 1;
-            self.stats.misses += 1;
-            return None;
-        }
-        self.tick += 1;
-        entry.tick = self.tick;
-        self.stats.hits += 1;
-        Some(entry.planned.clone())
+            true
+        })?;
+        Some(entry.planned)
     }
 
-    /// Inserts a cold-planned query, evicting the least-recently-used
-    /// entry when full. Ticks are unique, so the victim is deterministic.
+    /// Inserts a cold-planned query.
     pub fn insert(
         &mut self,
         key: (u64, u64),
@@ -159,25 +153,10 @@ impl PlanCache {
         sources: Vec<String>,
         planned: PlannedQuery,
     ) {
-        if self.entries.len() >= PLAN_CACHE_CAPACITY && !self.entries.contains_key(&key) {
-            if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| *k)
-            {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.tick += 1;
         self.entries.insert(
             key,
-            Entry {
-                lake_epoch,
-                health_generation,
-                health_digest,
-                sources,
-                planned,
-                tick: self.tick,
-            },
+            lake_epoch,
+            Entry { health_generation, health_digest, sources: sources.into(), planned },
         );
     }
 }
@@ -230,8 +209,8 @@ pub fn health_digest(lake: &DataLake, view: &HealthView, sources: &[String]) -> 
 mod tests {
     use super::*;
     use crate::planner::{PlanReport, PlannedQuery};
+    use fedlake_relational::cache::CACHE_CAPACITY;
     use fedlake_sparql::binding::{RowSchema, Var};
-    use std::sync::Arc;
 
     fn planned(tag: &str) -> PlannedQuery {
         PlannedQuery {
@@ -285,13 +264,13 @@ mod tests {
     #[test]
     fn eviction_is_lru_and_bounded() {
         let mut cache = PlanCache::new();
-        for i in 0..PLAN_CACHE_CAPACITY as u64 {
+        for i in 0..CACHE_CAPACITY as u64 {
             cache.insert((i, 0), 0, 0, 0, Vec::new(), planned("x"));
         }
         // Touch entry 0 so entry 1 becomes the LRU victim.
         assert!(cache.lookup((0, 0), 0, 0, |_| 0).is_some());
         cache.insert((u64::MAX, 0), 0, 0, 0, Vec::new(), planned("y"));
-        assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(cache.len(), CACHE_CAPACITY);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup((0, 0), 0, 0, |_| 0).is_some(), "touched entry survives");
         assert!(cache.lookup((1, 0), 0, 0, |_| 0).is_none(), "LRU entry evicted");

@@ -448,6 +448,13 @@ impl FederatedEngine {
             metrics.gauge_set("serve.plancache.evictions", pc.evictions);
             metrics.gauge_set("serve.plancache.invalidations", pc.invalidations);
         }
+        // The source-result cache is always in play; same gauge semantics.
+        let lc = self.lifts().stats();
+        metrics.gauge_set("serve.liftcache.lookups", lc.lookups);
+        metrics.gauge_set("serve.liftcache.hits", lc.hits);
+        metrics.gauge_set("serve.liftcache.misses", lc.misses);
+        metrics.gauge_set("serve.liftcache.stale", lc.stale);
+        metrics.gauge_set("serve.liftcache.evictions", lc.evictions);
 
         Ok(ServeOutcome {
             outcomes: outcomes.into_iter().map(|o| o.expect("every job finalized")).collect(),

@@ -23,7 +23,8 @@ use crate::translate::{sql_single, Lift, OutputBinding, StarPart};
 use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
 use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_netsim::{EventTime, Link};
-use fedlake_rdf::{Dictionary, FastMap, TermId};
+use fedlake_rdf::{BuildFastHasher, Dictionary, FastMap, TermId};
+use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
 use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, SlotRow};
 use fedlake_sparql::eval::eval_bgp;
@@ -127,48 +128,47 @@ pub fn open_service<'a>(
     route: SourceRoute,
     rows_per_message: usize,
 ) -> Result<BoxedOp<'a>, FedError> {
-    let source = lake
+    let (source, version) = lake
         .source(&node.source_id)
+        .zip(lake.source_version(&node.source_id))
         .ok_or_else(|| FedError::NoSuchSource(node.source_id.clone()))?;
-    match (&node.kind, source) {
+    let request = match (&node.kind, source) {
         (ServiceKind::Sparql { star, filters }, DataSource::Sparql { graph, .. }) => {
-            Ok(Box::new(SparqlStream {
-                graph,
-                star: star.clone(),
-                filters: filters.clone(),
-                route,
-                rows_per_message,
-                state: None,
-                flight: None,
-            }))
+            LeafRequest::Sparql { graph, star: star.clone(), filters: filters.clone() }
         }
         (ServiceKind::Sql { request, .. }, DataSource::Relational { db, .. }) => match request {
-            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => Ok(Box::new(SqlStream {
-                db,
-                sql: q.sql.clone(),
-                outputs: q.outputs.clone(),
-                route,
-                rows_per_message,
-                state: None,
-                flight: None,
-            })),
-            SqlRequest::MergedNaive { outer, inner, join } => Ok(Box::new(NaiveStream {
-                db,
-                outer_sql: outer.sql.clone(),
-                outer_outputs: outer.outputs.clone(),
-                inner: inner.clone(),
-                join: join.clone(),
-                route,
-                rows_per_message,
-                state: None,
-                flight: None,
-            })),
+            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => {
+                LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone() }
+            }
+            SqlRequest::MergedNaive { outer, inner, join } => {
+                return Ok(Box::new(NaiveStream {
+                    db,
+                    outer_sql: outer.sql.clone(),
+                    outer_outputs: outer.outputs.clone(),
+                    inner: inner.clone(),
+                    join: join.clone(),
+                    route,
+                    rows_per_message,
+                    state: None,
+                    flight: None,
+                }))
+            }
         },
-        (kind, src) => Err(FedError::Internal(format!(
-            "service kind {kind:?} does not match source {}",
-            src.id()
-        ))),
-    }
+        (kind, src) => {
+            return Err(FedError::Internal(format!(
+                "service kind {kind:?} does not match source {}",
+                src.id()
+            )))
+        }
+    };
+    Ok(Box::new(LeafStream {
+        request,
+        version,
+        route,
+        rows_per_message,
+        computing: None,
+        delivery: None,
+    }))
 }
 
 /// The backoff pause actually charged before the next attempt: the full
@@ -429,7 +429,10 @@ fn lift_value(v: &Value, ob: &OutputBinding, dict: &mut Dictionary) -> TermId {
 }
 
 /// Lifts a SQL result set directly into slot rows, interning each lifted
-/// term. The slot of each output column is resolved once, not per row,
+/// term — the row-major lift of *dependent* requests (bind-join key
+/// batches, the naive N+1 wrapper), whose results are consumed row by row
+/// and never shared; one-shot leaves lift column-major into the
+/// [`LiftCache`]. The slot of each output column is resolved once, not per row,
 /// and each column memoizes the values it has already lifted: the lift is
 /// a pure function of `(value, binding)`, and relational columns repeat
 /// heavily (foreign keys, categories), so a memo hit skips IRI minting
@@ -481,8 +484,8 @@ pub fn lift_result(
         .collect()
 }
 
-/// Columnar lift for the batch-driven executor: one `TermId` buffer per
-/// slot, written column-at-a-time with the same per-column value memo as
+/// Columnar lift of a SQL result: one `TermId` buffer per slot, written
+/// column-at-a-time with the same per-column value memo as
 /// [`lift_result`]. Produces exactly the ids [`lift_result`] would assign
 /// to each cell — only the interning *order* (and therefore the raw id
 /// numbering) differs, which nothing downstream observes: ids never leave
@@ -524,16 +527,16 @@ fn lift_result_cols(
             };
         }
     }
-    LiftedSource { cols, rows: n, sql_cost: None }
+    LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
 }
 
-/// One source's materialized, lifted result: column-major `TermId`
-/// buffers, one per schema slot, plus the source-side cost counters the
-/// simulation charges per execution. Cached by the engine across
-/// executions of the same planned query (ids stay valid because the
-/// engine's interner is append-only and shared with every execution);
-/// serving a hit re-charges the stored cost so the *simulated* execution
-/// is byte-identical to a cold run — only wall-clock time changes.
+/// One source's answer to a one-shot request, materialized and lifted:
+/// column-major `TermId` buffers, one per schema slot, plus the
+/// source-side cost counters the simulation charges per execution (`None`
+/// for a SPARQL source, whose charge follows from the star's shape and the
+/// row count). The ids stay valid for as long as the interner they were
+/// interned into — the engine's is append-only and shared with every
+/// execution.
 #[derive(Debug)]
 pub struct LiftedSource {
     cols: Vec<Vec<TermId>>,
@@ -541,12 +544,35 @@ pub struct LiftedSource {
     sql_cost: Option<fedlake_relational_cost::CostStats>,
 }
 
-/// Engine-owned cache of lifted source results, keyed by the schema's
-/// slot-layout fingerprint plus a per-stream signature (source id,
-/// request text, output bindings). Valid for the engine's lifetime: the
-/// engine owns the lake, so source contents cannot change underneath it.
-pub type SharedLiftCache =
-    Arc<std::sync::Mutex<fedlake_rdf::FastMap<(u64, String), Arc<LiftedSource>>>>;
+/// *The* source-result cache: every one-shot leaf, on both schedules and in
+/// `serve`, reads its lifted result from here. Keyed by the schema's
+/// slot-layout fingerprint plus the leaf's request signature (source id,
+/// request text, output bindings) and held to the contract of
+/// [`fedlake_relational::cache`]: an entry is stamped with the
+/// [`DataLake::source_version`] it was computed from, `source_mut(id)`
+/// bumps that version, and a lookup under another version is a counted
+/// stale miss that drops the entry. A hit skips the source's evaluation and
+/// the lift but re-charges the stored cost counters, so the *simulated*
+/// execution is the one a miss would have produced — only host time
+/// changes. Must be paired with the interner its ids were interned into.
+#[derive(Debug, Default)]
+pub struct LiftCache(std::sync::Mutex<LiftEntries>);
+
+type LiftEntries = VersionedCache<(u64, String), Arc<LiftedSource>, BuildFastHasher>;
+
+impl LiftCache {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LiftEntries> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        self.lock().stats()
+    }
+}
+
+/// The engine's handle on its [`LiftCache`].
+pub type SharedLiftCache = Arc<LiftCache>;
 
 /// Fingerprint of a schema's slot layout: FNV-1a over the slot-ordered
 /// variable names. Cached column buffers are indexed by slot, so two
@@ -566,121 +592,142 @@ pub(crate) fn schema_fingerprint(schema: &RowSchema) -> u64 {
     h
 }
 
-fn lift_cache_get(ctx: &ExecCtx, key: &(u64, String)) -> Option<Arc<LiftedSource>> {
-    ctx.lifts.lock().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
-}
-
-fn lift_cache_put(ctx: &ExecCtx, key: (u64, String), value: Arc<LiftedSource>) {
-    ctx.lifts.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value);
-}
-
-/// Column-major delivery cursor over a (possibly shared) lifted result:
-/// morsels slice out as contiguous id copies — no per-row allocation
-/// anywhere between the source and the operator tree.
-struct ColumnStore {
-    data: Arc<LiftedSource>,
-    cursor: usize,
-}
-
-impl ColumnStore {
-    fn new(data: Arc<LiftedSource>) -> Self {
-        ColumnStore { data, cursor: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.rows - self.cursor
-    }
-
-    /// Slices the next `take` rows out as a dense batch.
-    fn take_batch(&mut self, take: usize) -> RowBatch {
-        let start = self.cursor;
-        self.cursor += take;
-        RowBatch::from_cols(
-            self.data.cols.iter().map(|c| c[start..self.cursor].to_vec()).collect(),
-        )
-    }
-
-    /// Gathers the next row (the row-pull compatibility path: a stream
-    /// materialized columnar can still serve an operator that pulls rows).
-    fn take_row(&mut self) -> SlotRow {
-        let mut out = SlotRow::unbound(self.data.cols.len());
-        for (slot, c) in self.data.cols.iter().enumerate() {
-            out.set(slot, c[self.cursor]);
-        }
-        self.cursor += 1;
-        out
-    }
-}
-
-/// Materialized payload of a [`Delivery`]: row-major for the row-pull
-/// executor (and sources that produce rows anyway), column-major when the
-/// batch-driven executor asked the stream to materialize that way.
+/// Materialized payload of a [`Delivery`]: the shared lifted columns of a
+/// one-shot leaf (with this stream's cursor), or owned rows for dependent
+/// requests, whose results are never shared.
 enum Materialized {
     Rows(VecDeque<SlotRow>),
-    Cols(ColumnStore),
+    Cols { data: Arc<LiftedSource>, cursor: usize },
 }
 
-/// Shared message-batched delivery of a materialized result.
+impl Materialized {
+    fn remaining(&self) -> usize {
+        match self {
+            Materialized::Rows(rows) => rows.len(),
+            Materialized::Cols { data, cursor } => data.rows - cursor,
+        }
+    }
+
+    fn take_row(&mut self) -> SlotRow {
+        match self {
+            Materialized::Rows(rows) => rows.pop_front().expect("rows remain"),
+            Materialized::Cols { data, cursor } => {
+                let mut out = SlotRow::unbound(data.cols.len());
+                for (slot, c) in data.cols.iter().enumerate() {
+                    out.set(slot, c[*cursor]);
+                }
+                *cursor += 1;
+                out
+            }
+        }
+    }
+
+    /// The next `take` rows as a dense batch: contiguous id copies out of
+    /// shared columns, a gather out of owned rows.
+    fn take_batch(&mut self, take: usize, width: usize) -> RowBatch {
+        match self {
+            Materialized::Rows(rows) => {
+                let mut batch = RowBatch::with_capacity(width, take);
+                for row in rows.drain(..take) {
+                    batch.push_row(&row);
+                }
+                batch
+            }
+            Materialized::Cols { data, cursor } => {
+                let start = *cursor;
+                *cursor += take;
+                RowBatch::from_cols(
+                    data.cols.iter().map(|c| c[start..*cursor].to_vec()).collect(),
+                )
+            }
+        }
+    }
+}
+
+/// One message in flight on the overlapped schedule: the completion event
+/// plus how many rows it carries (none for an empty-result notification).
+/// `err` is set when the retry budget was exhausted; the error surfaces
+/// only once the failure time is due, exactly when the serialized schedule
+/// would have observed it.
+struct Flight {
+    ev: EventTime,
+    rows: usize,
+    err: Option<FedError>,
+}
+
+/// Message-batched delivery of a materialized result, on either schedule.
+/// Rows are handed out in order from `data`; `ready` counts those whose
+/// message has landed. The serialized pulls block on each transfer; the
+/// overlapped polls keep at most one message in flight on the link and
+/// report `Poll::Pending` while it is in the air, letting the engine drain
+/// *other* sources in the meantime. Message boundaries, the empty-result
+/// notification and the retry accounting are the same either way — only
+/// *when* the link time passes differs.
 struct Delivery {
     data: Materialized,
-    batch_left: usize,
+    ready: usize,
+    inflight: Option<Flight>,
     empty_notified: bool,
 }
 
 impl Delivery {
-    fn new(rows: Vec<SlotRow>) -> Self {
-        Delivery {
-            data: Materialized::Rows(rows.into()),
-            batch_left: 0,
-            empty_notified: false,
-        }
+    fn of(data: Materialized) -> Self {
+        Delivery { data, ready: 0, inflight: None, empty_notified: false }
     }
 
-    fn new_columnar(store: ColumnStore) -> Self {
-        Delivery { data: Materialized::Cols(store), batch_left: 0, empty_notified: false }
+    fn new(rows: Vec<SlotRow>) -> Self {
+        Delivery::of(Materialized::Rows(rows.into()))
+    }
+
+    /// A delivery whose empty-result notification is considered already
+    /// sent (the NaiveStream inner buffers: the per-binding round trip
+    /// was its own message).
+    fn pre_notified(rows: Vec<SlotRow>) -> Self {
+        Delivery { empty_notified: true, ..Delivery::new(rows) }
     }
 
     fn remaining(&self) -> usize {
-        match &self.data {
-            Materialized::Rows(rows) => rows.len(),
-            Materialized::Cols(store) => store.remaining(),
-        }
+        self.data.remaining()
     }
 
-    /// Pulls the next row, transferring a message (with retries) when the
-    /// current batch is exhausted. Returns `None` when drained (after the
-    /// empty-result notification message when there were no rows at all).
+    /// Serialized: transfers the next message (with retries) when the
+    /// landed one is used up. `false` when drained — after the empty-result
+    /// notification message when there were no rows at all.
+    fn pull_ready(
+        &mut self,
+        route: &SourceRoute,
+        rows_per_message: usize,
+        ctx: &mut ExecCtx,
+    ) -> Result<bool, FedError> {
+        if self.ready == 0 {
+            let n = self.remaining().min(rows_per_message);
+            if n == 0 && self.empty_notified {
+                return Ok(false);
+            }
+            self.empty_notified = true;
+            transfer_with_retry(route, n, ctx)?;
+            self.ready = n;
+        }
+        Ok(self.ready > 0)
+    }
+
     fn pull(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Option<SlotRow>, FedError> {
-        if self.remaining() == 0 {
-            if !self.empty_notified {
-                self.empty_notified = true;
-                transfer_with_retry(route, 0, ctx)?;
-            }
+        if !self.pull_ready(route, rows_per_message, ctx)? {
             return Ok(None);
         }
-        if self.batch_left == 0 {
-            let n = self.remaining().min(rows_per_message);
-            transfer_with_retry(route, n, ctx)?;
-            self.batch_left = n;
-        }
-        self.batch_left -= 1;
-        self.empty_notified = true;
-        Ok(Some(match &mut self.data {
-            Materialized::Rows(rows) => rows.pop_front().expect("rows remain"),
-            Materialized::Cols(store) => store.take_row(),
-        }))
+        self.ready -= 1;
+        Ok(Some(self.data.take_row()))
     }
 
-    /// Batched pull: delivers the remainder of the current message chunk
-    /// (capped at `max`) as one [`RowBatch`]. Message boundaries are
-    /// identical to [`Delivery::pull`] — a batch never spans a chunk, so
-    /// the per-link transfer order is the same row for row; only how many
-    /// rows the caller receives per call changes.
+    /// Batched pull: the remainder of the landed message (capped at `max`)
+    /// as one [`RowBatch`]. A batch never spans a message, so the per-link
+    /// transfer order is the same row for row; only how many rows the
+    /// caller receives per call changes.
     fn pull_batch(
         &mut self,
         route: &SourceRoute,
@@ -688,136 +735,70 @@ impl Delivery {
         max: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Option<RowBatch>, FedError> {
-        if self.remaining() == 0 {
-            if !self.empty_notified {
-                self.empty_notified = true;
-                transfer_with_retry(route, 0, ctx)?;
-            }
+        if !self.pull_ready(route, rows_per_message, ctx)? {
             return Ok(None);
         }
-        if self.batch_left == 0 {
-            let n = self.remaining().min(rows_per_message);
-            transfer_with_retry(route, n, ctx)?;
-            self.batch_left = n;
-        }
-        self.empty_notified = true;
-        let take = self.batch_left.min(max.max(1));
-        let batch = match &mut self.data {
-            Materialized::Rows(rows) => {
-                let mut batch = RowBatch::with_capacity(ctx.schema.len(), take);
-                for _ in 0..take {
-                    let row = rows.pop_front().expect("batch_left rows remain");
-                    batch.push_row(&row);
-                }
-                batch
-            }
-            Materialized::Cols(store) => store.take_batch(take),
-        };
-        self.batch_left -= take;
-        Ok(Some(batch))
-    }
-}
-
-/// One message in flight on the overlapped schedule: the completion event
-/// plus the rows it carries (none for a request or an empty-result
-/// notification). `err` is set when the retry budget was exhausted; the
-/// error surfaces only once the failure time is due, exactly when the
-/// serialized schedule would have observed it.
-struct Flight {
-    ev: EventTime,
-    rows: Vec<SlotRow>,
-    err: Option<FedError>,
-}
-
-/// The overlapped counterpart of [`Delivery`]: a bounded prefetch queue
-/// with at most one message in flight on the link at a time. Rows become
-/// deliverable when their message's completion event is due; while a
-/// message is in the air the owner reports `Poll::Pending`, letting the
-/// engine drain *other* sources in the meantime.
-struct FlightDelivery {
-    rows: VecDeque<SlotRow>,
-    ready: VecDeque<SlotRow>,
-    inflight: Option<Flight>,
-    empty_notified: bool,
-}
-
-impl FlightDelivery {
-    fn new(rows: Vec<SlotRow>) -> Self {
-        FlightDelivery {
-            rows: rows.into(),
-            ready: VecDeque::new(),
-            inflight: None,
-            empty_notified: false,
-        }
+        let take = self.ready.min(max.max(1));
+        self.ready -= take;
+        Ok(Some(self.data.take_batch(take, ctx.schema.len())))
     }
 
-    /// A delivery whose empty-result notification is considered already
-    /// sent (the NaiveStream inner buffers: the per-binding round trip
-    /// was its own message).
-    fn pre_notified(rows: Vec<SlotRow>) -> Self {
-        FlightDelivery { empty_notified: true, ..FlightDelivery::new(rows) }
-    }
-
-    fn launch(
+    /// Overlapped: lands the message in flight once it is due and launches
+    /// the next one only when a poll observes no landed rows left, so
+    /// launch times, link occupancy and event ordering do not depend on
+    /// how many rows a poll takes. `Ready` means `self.ready > 0`.
+    fn poll_ready(
         &mut self,
-        batch: Vec<SlotRow>,
-        n: usize,
         route: &SourceRoute,
+        rows_per_message: usize,
         ctx: &mut ExecCtx,
-    ) {
-        let (time, err) =
-            match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx) {
+    ) -> Result<Poll<()>, FedError> {
+        loop {
+            if self.ready > 0 {
+                return Ok(Poll::Ready(()));
+            }
+            if let Some(f) = &self.inflight {
+                if f.ev.time > ctx.clock.now() {
+                    return Ok(Poll::Pending(f.ev));
+                }
+                let f = self.inflight.take().expect("checked above");
+                ctx.sched.complete(f.ev);
+                if let Some(e) = f.err {
+                    return Err(e);
+                }
+                self.ready = f.rows;
+                continue;
+            }
+            let n = self.remaining().min(rows_per_message);
+            if n == 0 && self.empty_notified {
+                return Ok(Poll::Done);
+            }
+            self.empty_notified = true;
+            let (time, err) = match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx)
+            {
                 Ok(done) => (done, None),
                 Err((t, e)) => (t, Some(e)),
             };
-        self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: batch, err });
+            self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: n, err });
+        }
     }
 
-    /// Non-blocking pull mirroring [`Delivery::pull`]'s message protocol:
-    /// same message boundaries, same empty-result notification, same
-    /// retry accounting — only *when* the link time passes differs.
     fn poll(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Poll<SlotRow>, FedError> {
-        loop {
-            if let Some(row) = self.ready.pop_front() {
-                self.empty_notified = true;
-                return Ok(Poll::Ready(row));
+        Ok(match self.poll_ready(route, rows_per_message, ctx)? {
+            Poll::Ready(()) => {
+                self.ready -= 1;
+                Poll::Ready(self.data.take_row())
             }
-            if let Some(f) = &self.inflight {
-                if f.ev.time > ctx.clock.now() {
-                    return Ok(Poll::Pending(f.ev));
-                }
-                let f = self.inflight.take().expect("checked above");
-                ctx.sched.complete(f.ev);
-                if let Some(e) = f.err {
-                    return Err(e);
-                }
-                self.ready.extend(f.rows);
-                continue;
-            }
-            if self.rows.is_empty() {
-                if !self.empty_notified {
-                    self.empty_notified = true;
-                    self.launch(Vec::new(), 0, route, ctx);
-                    continue;
-                }
-                return Ok(Poll::Done);
-            }
-            let n = self.rows.len().min(rows_per_message);
-            let batch: Vec<SlotRow> = self.rows.drain(..n).collect();
-            self.launch(batch, n, route, ctx);
-        }
+            Poll::Pending(ev) => Poll::Pending(ev),
+            Poll::Done => Poll::Done,
+        })
     }
 
-    /// Batched poll mirroring [`FlightDelivery::poll`]: drains the ready
-    /// queue (capped at `max`) as one [`RowBatch`]. The next message
-    /// launches only when a poll observes the ready queue empty — the
-    /// identical condition to the row poll — so launch times, link
-    /// occupancy and event ordering are unchanged.
     fn poll_batch(
         &mut self,
         route: &SourceRoute,
@@ -825,399 +806,216 @@ impl FlightDelivery {
         max: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            if !self.ready.is_empty() {
-                self.empty_notified = true;
-                let take = self.ready.len().min(max.max(1));
-                let mut batch = RowBatch::with_capacity(ctx.schema.len(), take);
-                for _ in 0..take {
-                    let row = self.ready.pop_front().expect("checked non-empty");
-                    batch.push_row(&row);
-                }
-                return Ok(Poll::Ready(batch));
+        Ok(match self.poll_ready(route, rows_per_message, ctx)? {
+            Poll::Ready(()) => {
+                let take = self.ready.min(max.max(1));
+                self.ready -= take;
+                Poll::Ready(self.data.take_batch(take, ctx.schema.len()))
             }
-            if let Some(f) = &self.inflight {
-                if f.ev.time > ctx.clock.now() {
-                    return Ok(Poll::Pending(f.ev));
-                }
-                let f = self.inflight.take().expect("checked above");
-                ctx.sched.complete(f.ev);
-                if let Some(e) = f.err {
-                    return Err(e);
-                }
-                self.ready.extend(f.rows);
-                continue;
-            }
-            if self.rows.is_empty() {
-                if !self.empty_notified {
-                    self.empty_notified = true;
-                    self.launch(Vec::new(), 0, route, ctx);
-                    continue;
-                }
-                return Ok(Poll::Done);
-            }
-            let n = self.rows.len().min(rows_per_message);
-            let batch: Vec<SlotRow> = self.rows.drain(..n).collect();
-            self.launch(batch, n, route, ctx);
-        }
+            Poll::Pending(ev) => Poll::Pending(ev),
+            Poll::Done => Poll::Done,
+        })
     }
 }
 
-/// The overlapped state of a one-shot service stream (SQL or SPARQL):
-/// first the request round trip plus the source-side evaluation complete
-/// as one scheduled event, then the result streams through a
-/// [`FlightDelivery`].
-enum SourceFlight {
-    Computing { ev: EventTime, rows: Vec<SlotRow>, err: Option<FedError> },
-    Delivering(FlightDelivery),
+/// What a one-shot leaf asks of its source.
+enum LeafRequest<'a> {
+    Sql { db: &'a Database, sql: String, outputs: Vec<OutputBinding> },
+    Sparql {
+        graph: &'a fedlake_rdf::Graph,
+        star: crate::decompose::StarSubquery,
+        filters: Vec<fedlake_sparql::expr::Expr>,
+    },
 }
 
-impl SourceFlight {
-    fn poll(
-        this: &mut Option<SourceFlight>,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Poll<SlotRow>, FedError> {
-        loop {
-            match this.as_mut().expect("launched before polling") {
-                SourceFlight::Computing { ev, rows, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
-                    }
-                    ctx.sched.complete(*ev);
-                    if let Some(e) = err.take() {
-                        return Err(e);
-                    }
-                    let rows = std::mem::take(rows);
-                    *this = Some(SourceFlight::Delivering(FlightDelivery::new(rows)));
+impl LeafRequest<'_> {
+    /// The request's cache signature at `logical`. SQL: the text already
+    /// pins the selected columns and the output var names pin their
+    /// SPARQL-side binding order. SPARQL: the triple patterns written
+    /// positionally (vars by name, ground terms by display form) plus any
+    /// source-side filters. The slot layout is keyed separately.
+    fn signature(&self, logical: &str) -> String {
+        match self {
+            LeafRequest::Sql { sql, outputs, .. } => {
+                let mut sig = String::with_capacity(sql.len() + logical.len() + 32);
+                for part in ["sql:", logical, ":", sql] {
+                    sig.push_str(part);
                 }
-                SourceFlight::Delivering(d) => {
-                    return d.poll(route, rows_per_message, ctx);
-                }
-            }
-        }
-    }
-
-    /// Batched counterpart of [`SourceFlight::poll`]: identical state
-    /// machine, batched delivery once the source's computation lands.
-    fn poll_batch(
-        this: &mut Option<SourceFlight>,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        max: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            match this.as_mut().expect("launched before polling") {
-                SourceFlight::Computing { ev, rows, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
-                    }
-                    ctx.sched.complete(*ev);
-                    if let Some(e) = err.take() {
-                        return Err(e);
-                    }
-                    let rows = std::mem::take(rows);
-                    *this = Some(SourceFlight::Delivering(FlightDelivery::new(rows)));
-                }
-                SourceFlight::Delivering(d) => {
-                    return d.poll_batch(route, rows_per_message, max, ctx);
-                }
-            }
-        }
-    }
-}
-
-/// Streams a single SQL request's answers.
-struct SqlStream<'a> {
-    db: &'a Database,
-    sql: String,
-    outputs: Vec<OutputBinding>,
-    route: SourceRoute,
-    rows_per_message: usize,
-    state: Option<Delivery>,
-    flight: Option<SourceFlight>,
-}
-
-impl SqlStream<'_> {
-    /// Schedules the request round trip and the source's evaluation on
-    /// the link timeline — the overlapped mirror of the serialized
-    /// initialization in [`FedOp::next`], charge for charge.
-    fn launch(&self, ctx: &mut ExecCtx) -> Result<SourceFlight, FedError> {
-        ctx.stats.sql_queries += 1;
-        match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
-            Ok(done_req) => {
-                let rs = self.db.query_cached(&self.sql)?;
-                let done = self
-                    .route
-                    .active_link()
-                    .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), done_req);
-                let rows =
-                    lift_result(&rs, &self.outputs, &ctx.schema, &mut ctx.interner.lock());
-                ctx.stats.service_rows += rows.len() as u64;
-                if ctx.trace.is_enabled() {
-                    ctx.trace.source_span(
-                        SpanKind::Compute,
-                        self.route.active_endpoint(),
-                        "sql evaluation",
-                        done_req,
-                        done,
-                        rows.len() as u64,
-                    );
-                }
-                Ok(SourceFlight::Computing { ev: ctx.sched.schedule(done), rows, err: None })
-            }
-            Err((t, e)) => Ok(SourceFlight::Computing {
-                ev: ctx.sched.schedule(t),
-                rows: Vec::new(),
-                err: Some(e),
-            }),
-        }
-    }
-}
-
-impl SqlStream<'_> {
-    /// Serialized first-call initialization: ship the query (one request
-    /// message, retried on faults) and let the source compute; its work
-    /// is priced by the cost model. Shared by the row and batch pulls,
-    /// so both charge identically.
-    fn ensure_state(&mut self, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        if self.state.is_none() {
-            ctx.stats.sql_queries += 1;
-            transfer_with_retry(&self.route, 0, ctx)?;
-            // Column-major lift, cached across executions of the same
-            // planned query. A hit skips the source's scan and the lift
-            // but re-charges the stored cost counters, so the simulated
-            // execution is identical either way; both the row and the
-            // batch executor read from the same materialization.
-            // Key signature: the SQL text already pins the selected columns,
-            // the output var names pin their SPARQL-side binding order, and
-            // the schema fingerprint pins the slot layout. No Debug
-            // formatting.
-            let mut sig =
-                String::with_capacity(self.sql.len() + self.route.logical.len() + 32);
-            sig.push_str("sql:");
-            sig.push_str(&self.route.logical);
-            sig.push(':');
-            sig.push_str(&self.sql);
-            for ob in &self.outputs {
-                sig.push(':');
-                sig.push_str(ob.var.name());
-            }
-            let key = (schema_fingerprint(&ctx.schema), sig);
-            let lifted = match lift_cache_get(ctx, &key) {
-                Some(hit) => hit,
-                None => {
-                    let rs = self.db.query_cached(&self.sql)?;
-                    let mut fresh = lift_result_cols(
-                        &rs,
-                        &self.outputs,
-                        &ctx.schema,
-                        &mut ctx.interner.lock(),
-                    );
-                    fresh.sql_cost = Some(convert_cost(&rs.cost));
-                    let fresh = Arc::new(fresh);
-                    lift_cache_put(ctx, key, Arc::clone(&fresh));
-                    fresh
-                }
-            };
-            let cost = lifted.sql_cost.as_ref().expect("sql lift carries cost");
-            let work = ctx.cost.rdb_time(cost);
-            ctx.clock.advance(work);
-            ctx.stats.service_rows += lifted.rows as u64;
-            if ctx.trace.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    self.route.active_endpoint(),
-                    "sql evaluation",
-                    now - work,
-                    now,
-                    lifted.rows as u64,
-                );
-            }
-            self.state = Some(Delivery::new_columnar(ColumnStore::new(lifted)));
-        }
-        Ok(())
-    }
-}
-
-impl FedOp for SqlStream<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
-        delivery.pull(&self.route, self.rows_per_message, ctx)
-    }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
-        delivery.pull_batch(&self.route, self.rows_per_message, max, ctx)
-    }
-
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx)?);
-        }
-        SourceFlight::poll(&mut self.flight, &self.route, self.rows_per_message, ctx)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx)?);
-        }
-        SourceFlight::poll_batch(&mut self.flight, &self.route, self.rows_per_message, max, ctx)
-    }
-}
-
-/// Streams a SPARQL star's answers from an RDF source.
-struct SparqlStream<'a> {
-    graph: &'a fedlake_rdf::Graph,
-    star: crate::decompose::StarSubquery,
-    filters: Vec<fedlake_sparql::expr::Expr>,
-    route: SourceRoute,
-    rows_per_message: usize,
-    state: Option<Delivery>,
-    flight: Option<SourceFlight>,
-}
-
-impl SparqlStream<'_> {
-    fn launch(&self, ctx: &mut ExecCtx) -> SourceFlight {
-        match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
-            Ok(done_req) => {
-                let rows = eval_bgp(&self.star.triples, self.graph, vec![Row::new()]);
-                let rows: Vec<Row> = rows
-                    .into_iter()
-                    .filter(|r| self.filters.iter().all(|f| f.test(r)))
-                    .collect();
-                let done = self.route.active_link().schedule_busy(
-                    ctx.cost.sparql_time(self.star.triples.len(), rows.len() as u64),
-                    done_req,
-                );
-                ctx.stats.service_rows += rows.len() as u64;
-                if ctx.trace.is_enabled() {
-                    ctx.trace.source_span(
-                        SpanKind::Compute,
-                        self.route.active_endpoint(),
-                        "sparql evaluation",
-                        done_req,
-                        done,
-                        rows.len() as u64,
-                    );
-                }
-                let mut dict = ctx.interner.lock();
-                let encoded: Vec<SlotRow> = rows
-                    .iter()
-                    .map(|r| encode_row(r, &ctx.schema, &mut dict))
-                    .collect();
-                drop(dict);
-                SourceFlight::Computing { ev: ctx.sched.schedule(done), rows: encoded, err: None }
-            }
-            Err((t, e)) => SourceFlight::Computing {
-                ev: ctx.sched.schedule(t),
-                rows: Vec::new(),
-                err: Some(e),
-            },
-        }
-    }
-}
-
-impl SparqlStream<'_> {
-    /// Serialized first-call initialization, shared by the row and batch
-    /// pulls: request round trip, star evaluation at the source, filter
-    /// pushdown, interning of the surviving rows.
-    fn ensure_state(&mut self, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        if self.state.is_none() {
-            transfer_with_retry(&self.route, 0, ctx)?;
-            // Star evaluation and encoding cached across executions, like
-            // the SQL side; the evaluation charge depends only on the star
-            // shape and the answer count, both stored with the hit.
-            // Key signature: triple patterns written positionally (vars by
-            // name, ground terms by display form) plus any engine-side
-            // filters; cheaper than Debug-formatting the whole subquery.
-            let mut sig = String::with_capacity(64);
-            sig.push_str("sparql:");
-            sig.push_str(&self.route.logical);
-            for t in &self.star.triples {
-                for pos in [&t.s, &t.p, &t.o] {
+                for ob in outputs {
                     sig.push(':');
-                    match pos {
-                        fedlake_sparql::ast::VarOrTerm::Var(v) => {
-                            sig.push('?');
-                            sig.push_str(v.name());
-                        }
-                        fedlake_sparql::ast::VarOrTerm::Term(t) => {
-                            let _ = write!(sig, "{t}");
+                    sig.push_str(ob.var.name());
+                }
+                sig
+            }
+            LeafRequest::Sparql { star, filters, .. } => {
+                let mut sig = format!("sparql:{logical}");
+                for t in &star.triples {
+                    for pos in [&t.s, &t.p, &t.o] {
+                        match pos {
+                            fedlake_sparql::ast::VarOrTerm::Var(v) => {
+                                let _ = write!(sig, ":?{}", v.name());
+                            }
+                            fedlake_sparql::ast::VarOrTerm::Term(t) => {
+                                let _ = write!(sig, ":{t}");
+                            }
                         }
                     }
                 }
-            }
-            for f in &self.filters {
-                let _ = write!(sig, ":{f:?}");
-            }
-            let key = (schema_fingerprint(&ctx.schema), sig);
-            let lifted = match lift_cache_get(ctx, &key) {
-                Some(hit) => hit,
-                None => {
-                    let rows = eval_bgp(&self.star.triples, self.graph, vec![Row::new()]);
-                    let rows: Vec<Row> = rows
-                        .into_iter()
-                        .filter(|r| self.filters.iter().all(|f| f.test(r)))
-                        .collect();
-                    let mut cols =
-                        vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
-                    let mut dict = ctx.interner.lock();
-                    for (i, r) in rows.iter().enumerate() {
-                        let encoded = encode_row(r, &ctx.schema, &mut dict);
-                        for (slot, id) in encoded.slots().iter().enumerate() {
-                            cols[slot][i] = *id;
-                        }
-                    }
-                    drop(dict);
-                    let fresh = Arc::new(LiftedSource {
-                        cols,
-                        rows: rows.len(),
-                        sql_cost: None,
-                    });
-                    lift_cache_put(ctx, key, Arc::clone(&fresh));
-                    fresh
+                for f in filters {
+                    let _ = write!(sig, ":{f:?}");
                 }
-            };
-            let work = ctx
-                .cost
-                .sparql_time(self.star.triples.len(), lifted.rows as u64);
-            ctx.clock.advance(work);
-            ctx.stats.service_rows += lifted.rows as u64;
-            if ctx.trace.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    self.route.active_endpoint(),
-                    "sparql evaluation",
-                    now - work,
-                    now,
-                    lifted.rows as u64,
-                );
+                sig
             }
-            self.state = Some(Delivery::new_columnar(ColumnStore::new(lifted)));
         }
-        Ok(())
+    }
+
+    /// Evaluates the request at the source and lifts the answer — what a
+    /// cache miss costs in host time.
+    fn evaluate(&self, ctx: &ExecCtx) -> Result<LiftedSource, FedError> {
+        match self {
+            LeafRequest::Sql { db, sql, outputs } => {
+                let rs = db.query_cached(sql)?;
+                Ok(lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock()))
+            }
+            LeafRequest::Sparql { graph, star, filters } => {
+                let rows: Vec<Row> = eval_bgp(&star.triples, graph, vec![Row::new()])
+                    .into_iter()
+                    .filter(|r| filters.iter().all(|f| f.test(r)))
+                    .collect();
+                let mut cols = vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
+                let mut dict = ctx.interner.lock();
+                for (i, r) in rows.iter().enumerate() {
+                    let encoded = encode_row(r, &ctx.schema, &mut dict);
+                    for (slot, id) in encoded.slots().iter().enumerate() {
+                        cols[slot][i] = *id;
+                    }
+                }
+                Ok(LiftedSource { cols, rows: rows.len(), sql_cost: None })
+            }
+        }
+    }
+
+    /// The simulated source-side time of producing `lifted` — charged on
+    /// every execution, hit or miss, from what the entry stores.
+    fn work(&self, lifted: &LiftedSource, cost: &fedlake_netsim::CostModel) -> Duration {
+        match self {
+            LeafRequest::Sql { .. } => {
+                cost.rdb_time(lifted.sql_cost.as_ref().expect("sql lift carries cost"))
+            }
+            LeafRequest::Sparql { star, .. } => {
+                cost.sparql_time(star.triples.len(), lifted.rows as u64)
+            }
+        }
     }
 }
 
-impl FedOp for SparqlStream<'_> {
+/// Streams a one-shot request's answers: one SQL query or one SPARQL star.
+struct LeafStream<'a> {
+    request: LeafRequest<'a>,
+    /// The source's data version when the stream was opened: what a cached
+    /// result must have been computed from to be served.
+    version: u64,
+    route: SourceRoute,
+    rows_per_message: usize,
+    /// Overlapped schedule: the request round trip plus the source's
+    /// evaluation, in flight as one scheduled event (with the error an
+    /// exhausted route surfaces once that event is due).
+    computing: Option<(EventTime, Option<FedError>)>,
+    delivery: Option<Delivery>,
+}
+
+impl LeafStream<'_> {
+    /// The one lookup-or-fill path of every one-shot leaf.
+    fn lifted(&self, ctx: &ExecCtx) -> Result<Arc<LiftedSource>, FedError> {
+        let key = (schema_fingerprint(&ctx.schema), self.request.signature(&self.route.logical));
+        if let Some(hit) = ctx.lifts.lock().lookup(&key, self.version) {
+            return Ok(hit);
+        }
+        let fresh = Arc::new(self.request.evaluate(ctx)?);
+        ctx.lifts.lock().insert(key, self.version, Arc::clone(&fresh));
+        Ok(fresh)
+    }
+
+    /// First-call initialization on either schedule: ship the request (one
+    /// message, retried on faults), let the source compute — its work is
+    /// priced by the cost model — and set up the delivery. Serialized, both
+    /// advance the shared clock; overlapped, both occupy the link's
+    /// timeline and complete as one scheduled event, charge for charge.
+    fn open(&mut self, ctx: &mut ExecCtx, overlap: bool) -> Result<(), FedError> {
+        if self.delivery.is_some() {
+            return Ok(());
+        }
+        if matches!(self.request, LeafRequest::Sql { .. }) {
+            ctx.stats.sql_queries += 1;
+        }
+        let requested = if overlap {
+            match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
+                Ok(done) => Some(done),
+                Err((t, e)) => {
+                    self.computing = Some((ctx.sched.schedule(t), Some(e)));
+                    self.delivery = Some(Delivery::new(Vec::new()));
+                    return Ok(());
+                }
+            }
+        } else {
+            transfer_with_retry(&self.route, 0, ctx)?;
+            None
+        };
+        let lifted = self.lifted(ctx)?;
+        let work = self.request.work(&lifted, &ctx.cost);
+        let (from, to) = match requested {
+            Some(at) => (at, self.route.active_link().schedule_busy(work, at)),
+            None => {
+                ctx.clock.advance(work);
+                let now = ctx.clock.now();
+                (now - work, now)
+            }
+        };
+        ctx.stats.service_rows += lifted.rows as u64;
+        if ctx.trace.is_enabled() {
+            ctx.trace.source_span(
+                SpanKind::Compute,
+                self.route.active_endpoint(),
+                match self.request {
+                    LeafRequest::Sql { .. } => "sql evaluation",
+                    LeafRequest::Sparql { .. } => "sparql evaluation",
+                },
+                from,
+                to,
+                lifted.rows as u64,
+            );
+        }
+        if overlap {
+            self.computing = Some((ctx.sched.schedule(to), None));
+        }
+        self.delivery = Some(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }));
+        Ok(())
+    }
+
+    /// Overlapped: opens the stream and waits out the request + evaluation
+    /// event; `None` once the result is deliverable.
+    fn poll_open<T>(&mut self, ctx: &mut ExecCtx) -> Result<Option<Poll<T>>, FedError> {
+        self.open(ctx, true)?;
+        if let Some((ev, err)) = &mut self.computing {
+            if ev.time > ctx.clock.now() {
+                return Ok(Some(Poll::Pending(*ev)));
+            }
+            ctx.sched.complete(*ev);
+            let err = err.take();
+            self.computing = None;
+            if let Some(e) = err {
+                return Err(e);
+            }
+        }
+        Ok(None)
+    }
+
+}
+
+impl FedOp for LeafStream<'_> {
     fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
+        self.open(ctx, false)?;
+        let delivery = self.delivery.as_mut().expect("opened above");
         delivery.pull(&self.route, self.rows_per_message, ctx)
     }
 
@@ -1226,16 +1024,17 @@ impl FedOp for SparqlStream<'_> {
         ctx: &mut ExecCtx,
         max: usize,
     ) -> Result<Option<RowBatch>, FedError> {
-        self.ensure_state(ctx)?;
-        let delivery = self.state.as_mut().expect("initialized above");
+        self.open(ctx, false)?;
+        let delivery = self.delivery.as_mut().expect("opened above");
         delivery.pull_batch(&self.route, self.rows_per_message, max, ctx)
     }
 
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx));
+        if let Some(waiting) = self.poll_open(ctx)? {
+            return Ok(waiting);
         }
-        SourceFlight::poll(&mut self.flight, &self.route, self.rows_per_message, ctx)
+        let delivery = self.delivery.as_mut().expect("opened above");
+        delivery.poll(&self.route, self.rows_per_message, ctx)
     }
 
     fn poll_next_batch(
@@ -1243,10 +1042,11 @@ impl FedOp for SparqlStream<'_> {
         ctx: &mut ExecCtx,
         max: usize,
     ) -> Result<Poll<RowBatch>, FedError> {
-        if self.flight.is_none() {
-            self.flight = Some(self.launch(ctx));
+        if let Some(waiting) = self.poll_open(ctx)? {
+            return Ok(waiting);
         }
-        SourceFlight::poll_batch(&mut self.flight, &self.route, self.rows_per_message, max, ctx)
+        let delivery = self.delivery.as_mut().expect("opened above");
+        delivery.poll_batch(&self.route, self.rows_per_message, max, ctx)
     }
 }
 
@@ -1276,7 +1076,7 @@ struct NaiveState {
 /// plus (when the key extracts) a scheduled inner round trip.
 struct NaiveFlight {
     outer: VecDeque<SlotRow>,
-    buffer: FlightDelivery,
+    buffer: Delivery,
     /// Whether any inner buffer was ever installed — the overlapped form
     /// of the serialized `!produced_any && !buffer.empty_notified` test:
     /// the final empty-result notification fires exactly when the outer
@@ -1475,9 +1275,8 @@ impl FedOp for NaiveStream<'_> {
             // Retrieving the next outer binding is itself a message.
             transfer_with_retry(&self.route, 1, ctx)?;
             let merged = self.inner_rows(&outer_row, ctx)?;
-            let state = self.state.as_mut().expect("initialized");
-            state.buffer = Delivery::new(merged);
-            state.buffer.empty_notified = true; // inner already messaged
+            // The inner round trip already was this binding's message.
+            self.state.as_mut().expect("initialized").buffer = Delivery::pre_notified(merged);
         }
     }
 
@@ -1523,7 +1322,7 @@ impl FedOp for NaiveStream<'_> {
             };
             self.flight = Some(NaiveFlight {
                 outer: VecDeque::new(),
-                buffer: FlightDelivery::pre_notified(Vec::new()),
+                buffer: Delivery::pre_notified(Vec::new()),
                 installed_inner: false,
                 stage,
             });
@@ -1546,7 +1345,7 @@ impl FedOp for NaiveStream<'_> {
                             flight.stage = NaiveStage::Idle;
                         }
                         NaiveNext::Inner(rows) => {
-                            flight.buffer = FlightDelivery::pre_notified(rows);
+                            flight.buffer = Delivery::pre_notified(rows);
                             flight.stage = NaiveStage::Idle;
                         }
                         NaiveNext::Notified => flight.stage = NaiveStage::Finished,

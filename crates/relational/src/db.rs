@@ -1,5 +1,6 @@
 //! The database facade: catalog plus SQL entry point.
 
+use crate::cache::{CacheStats, VersionedCache};
 use crate::error::SqlError;
 use crate::exec::{execute, CostStats};
 use crate::explain::explain;
@@ -42,13 +43,16 @@ impl ResultSet {
 pub struct Database {
     name: String,
     tables: HashMap<String, Table>,
+    /// Bumped by every mutation; the version the memo's entries are
+    /// stamped with.
+    version: u64,
     /// Materialized results of previously executed `SELECT`s, keyed by the
-    /// SQL text. Sources in a federation answer the same subqueries over
-    /// and over (replica failover, repeated executions, benchmark loops);
-    /// serving the memoized result — cost statistics included, so the
-    /// simulated charge is identical — skips the re-scan. Any mutation
-    /// clears the cache.
-    cache: Mutex<HashMap<String, Arc<ResultSet>>>,
+    /// SQL text and stamped with the catalog `version` they were computed
+    /// from (see [`crate::cache`]). Sources in a federation answer the same
+    /// subqueries over and over (replica failover, repeated executions,
+    /// benchmark loops); serving the memoized result — cost statistics
+    /// included, so the simulated charge is identical — skips the re-scan.
+    cache: Mutex<VersionedCache<String, Arc<ResultSet>>>,
 }
 
 impl Clone for Database {
@@ -59,7 +63,8 @@ impl Clone for Database {
         Database {
             name: self.name.clone(),
             tables: self.tables.clone(),
-            cache: Mutex::new(HashMap::new()),
+            version: self.version,
+            cache: Mutex::default(),
         }
     }
 }
@@ -67,15 +72,16 @@ impl Clone for Database {
 impl Database {
     /// Creates an empty database.
     pub fn new(name: impl Into<String>) -> Self {
-        Database {
-            name: name.into(),
-            tables: HashMap::new(),
-            cache: Mutex::new(HashMap::new()),
-        }
+        Database { name: name.into(), ..Default::default() }
     }
 
-    fn invalidate_cache(&mut self) {
-        self.cache.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+    fn memo(&self) -> std::sync::MutexGuard<'_, VersionedCache<String, Arc<ResultSet>>> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counters of the `query_cached` memo.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.memo().stats()
     }
 
     /// The database name.
@@ -95,7 +101,7 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Insert { table, rows } => {
-                self.invalidate_cache();
+                self.version += 1;
                 let t = self
                     .tables
                     .get_mut(&table)
@@ -155,30 +161,23 @@ impl Database {
 
     /// Like [`Database::query`], but memoized: the first execution of a
     /// given `SELECT` materializes and caches its full result (rows *and*
-    /// cost statistics); later executions of the same SQL text share it.
+    /// cost statistics); later executions of the same SQL text share it
+    /// until the next mutation, whose version bump makes the entry stale.
     /// Callers must charge the returned `cost` exactly as for an uncached
     /// run — a cache hit changes wall-clock time only, never the simulated
     /// execution. Errors are not cached.
     pub fn query_cached(&self, sql: &str) -> Result<Arc<ResultSet>, SqlError> {
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(sql)
-        {
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.memo().lookup(sql, self.version) {
+            return Ok(hit);
         }
         let rs = Arc::new(self.query(sql)?);
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(sql.to_string(), Arc::clone(&rs));
+        self.memo().insert(sql.to_string(), self.version, Arc::clone(&rs));
         Ok(rs)
     }
 
     /// Creates a table from a schema.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), SqlError> {
-        self.invalidate_cache();
+        self.version += 1;
         if self.tables.contains_key(&schema.name) {
             return Err(SqlError::AlreadyExists(schema.name));
         }
@@ -195,7 +194,7 @@ impl Database {
         columns: &[String],
         unique: bool,
     ) -> Result<(), SqlError> {
-        self.invalidate_cache();
+        self.version += 1;
         let t = self
             .tables
             .get_mut(table)
@@ -205,7 +204,7 @@ impl Database {
 
     /// Inserts a row through the typed API.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<(), SqlError> {
-        self.invalidate_cache();
+        self.version += 1;
         let t = self
             .tables
             .get_mut(table)
@@ -440,6 +439,26 @@ mod tests {
             .unwrap();
         let third = db.query_cached(sql).unwrap();
         assert_eq!(third.rows.len(), fresh.rows.len() + 1);
+        let s = db.cache_stats();
+        assert_eq!((s.lookups, s.hits, s.misses, s.stale), (3, 1, 2, 1));
+    }
+
+    #[test]
+    fn memo_is_bounded_and_a_clone_starts_cold() {
+        use crate::cache::CACHE_CAPACITY;
+        let db = lake_db();
+        // One distinct text per bind-join style key batch.
+        let batch = |i: usize| format!("SELECT id FROM gene WHERE id IN ('g{i}')");
+        for i in 0..CACHE_CAPACITY + 10 {
+            db.query_cached(&batch(i)).unwrap();
+        }
+        db.query_cached(&batch(CACHE_CAPACITY + 9)).unwrap();
+        db.query_cached(&batch(0)).unwrap();
+        let s = db.cache_stats();
+        assert_eq!(s.lookups, CACHE_CAPACITY as u64 + 12);
+        assert_eq!(s.hits, 1, "the newest batch is resident, the oldest was evicted");
+        assert_eq!(s.evictions, 11);
+        assert_eq!(db.clone().cache_stats(), CacheStats::default());
     }
 
     #[test]

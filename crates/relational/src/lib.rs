@@ -31,6 +31,7 @@
 //! assert_eq!(rs.rows.len(), 1);
 //! ```
 
+pub mod cache;
 pub mod db;
 pub mod error;
 pub mod exec;
@@ -44,6 +45,7 @@ pub mod stats;
 pub mod storage;
 pub mod value;
 
+pub use cache::{CacheStats, VersionedCache};
 pub use db::{Database, ResultSet};
 pub use error::SqlError;
 pub use exec::CostStats;

@@ -139,6 +139,22 @@ FEDLAKE_PLAN_CACHE=1 CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test -q --offline --
 echo "== chaos suite, plan-cached + cost-based (CHAOS_ITERS=${CHAOS_ITERS:-32}) =="
 FEDLAKE_PLAN_CACHE=1 FEDLAKE_COST=1 CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test -q --offline --test chaos_federation
 
+# One cache contract: a warm engine must see every write — answers equal
+# to the oracle and to a fresh engine, FedStats included — across the
+# three planners, both schedules, solo and served. Then the benchmark's
+# own mutate/requery loop in smoke mode, which must not fail an operation.
+echo "== cache invalidation =="
+cargo test -q --offline --test cache_invalidation
+
+echo "== fedbench smoke (run --quick --workload mutate_requery) =="
+smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
+    run --quick --workload mutate_requery)"
+echo "$smoke" | tail -n 1 | grep -q '"failed": 0' || {
+    echo "$smoke"
+    echo "fedbench smoke: failed operations"
+    exit 1
+}
+
 echo "== serve smoke (lake_shell --serve, fixed seed) =="
 cargo run -q --offline --release -p fedlake-bench --bin lake_shell -- \
     --serve --scale 0.02 --seed 7 --clients 4 --queries-per-client 1 \
@@ -173,4 +189,4 @@ fi
 echo "== cargo clippy -D warnings (offline) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "tier-1: OK"
+echo "tier-1: OK (wall time ${SECONDS}s)"

@@ -11,9 +11,11 @@
 //! cache is keyed by the schema's *slot-layout fingerprint* (not the
 //! schema `Arc`'s address, which the allocator may reuse after a plan is
 //! dropped), so cached and uncached sessions can interleave freely while
-//! the reference executor stays cold.
+//! the reference executor stays cold — and its entries are stamped with
+//! the source's data version, so a write between serve runs is seen.
 
-use fedlake_core::{FederatedEngine, PlanConfig, PlanMode};
+use fedlake_core::obs::Metric;
+use fedlake_core::{DataSource, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
 use fedlake_serve::{run, solo_golden, sorted_csv, Mix, ServeSpec};
@@ -114,7 +116,7 @@ fn every_seed_matches_the_solo_golden() {
 fn lift_cache_sessions_interleave_safely() {
     let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
     let lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
-    let engine = FederatedEngine::new(lake.clone(), config());
+    let mut engine = FederatedEngine::new(lake.clone(), config());
 
     // Interleave two plan shapes that share a source (Q3 and Q5 both
     // read Diseasome) across repeated plan/execute/drop cycles, warming
@@ -160,6 +162,59 @@ fn lift_cache_sessions_interleave_safely() {
             out.label
         );
     }
+
+    // One mutation between serve runs: every source is handed out (which
+    // moves its version whatever the caller then does) and chebi really
+    // changes. The next run finds what it cached stale, re-lifts it and
+    // matches a cold engine over the mutated lake.
+    let before = engine.cache_stats().lift;
+    let ids: Vec<String> = lake.sources().iter().map(|s| s.id().to_string()).collect();
+    for id in &ids {
+        engine.lake_mut().source_mut(id).expect("listed source");
+    }
+    match engine.lake_mut().source_mut("chebi") {
+        Some(DataSource::Relational { db, .. }) => db
+            .insert_row(
+                "compound",
+                vec![
+                    fedlake_relational::Value::text("late-c"),
+                    fedlake_relational::Value::text("late acid"),
+                    fedlake_relational::Value::text("checked"),
+                    fedlake_relational::Value::Int(1),
+                    fedlake_relational::Value::Double(99.5),
+                ],
+            )
+            .unwrap(),
+        _ => panic!("chebi is relational"),
+    }
+    engine.lake_mut().refresh_templates();
+    let mutated = engine.lake().clone();
+    let r = run(&engine, &s).unwrap();
+    for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
+        let golden = solo_golden(&mutated, config(), &inst.sparql).unwrap();
+        assert_eq!(
+            sorted_csv(&out.vars, &out.rows),
+            sorted_csv(&golden.vars, &golden.rows),
+            "{}: serve after a write must match a cold engine on the mutated lake",
+            out.label
+        );
+    }
+    let after = engine.cache_stats().lift;
+    assert!(after.stale > before.stale, "the write must be noticed: {before:?} -> {after:?}");
+    assert_eq!(after.lookups, after.hits + after.misses, "{after:?}");
+    let gauge = |name: &str| match r.outcome.metrics.get(name) {
+        Some(Metric::Gauge { last, .. }) => last,
+        other => panic!("{name}: {other:?}"),
+    };
+    assert_eq!(gauge("serve.liftcache.lookups"), after.lookups);
+    assert_eq!(gauge("serve.liftcache.hits"), after.hits);
+    assert_eq!(gauge("serve.liftcache.stale"), after.stale);
+
+    // With nothing written in between, the same run is all hits.
+    run(&engine, &s).unwrap();
+    let settled = engine.cache_stats().lift;
+    assert_eq!((settled.misses, settled.stale), (after.misses, after.stale), "{settled:?}");
+    assert!(settled.hits > after.hits);
 }
 
 /// `FEDLAKE_SERVE=1` smoke: the fixed-seed mini-load tier-1 runs. Small
