@@ -20,10 +20,11 @@ use crate::obs::SpanKind;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
 use crate::translate::{sql_single, Lift, OutputBinding, StarPart};
-use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
+use fedlake_mapping::lift::{term_to_value, value_key_in};
+use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_netsim::{EventTime, Link};
-use fedlake_rdf::{BuildFastHasher, Dictionary, FastMap, TermId};
+use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
 use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, SlotRow};
@@ -418,27 +419,43 @@ pub fn convert_cost(c: &fedlake_relational::CostStats) -> fedlake_relational_cos
     }
 }
 
-/// Lifts one relational value through its output binding and interns the
-/// resulting term.
-fn lift_value(v: &Value, ob: &OutputBinding, dict: &mut Dictionary) -> TermId {
-    let term = match &ob.lift {
-        Lift::SubjectIri(t) | Lift::RefIri(t) => fedlake_rdf::Term::iri(t.apply(&value_key(v))),
-        Lift::Literal(dt) => value_to_term(v, *dt),
-    };
-    dict.intern(term)
+/// The two buffers a lift reuses for every cell: the key text of a
+/// non-text value, and the IRI being minted.
+#[derive(Default)]
+struct LiftScratch {
+    key: String,
+    iri: String,
+}
+
+/// Lifts one non-NULL relational value through its output binding and
+/// interns the resulting term by its parts: the id is the one
+/// `intern(Term::iri(template.apply(&value_key(v))))` resp.
+/// `intern(value_to_term(v, dt))` assigns, but no `Term` or `String` is
+/// built unless the term is new to the dictionary.
+fn lift_value(
+    v: &Value,
+    ob: &OutputBinding,
+    scratch: &mut LiftScratch,
+    dict: &mut Dictionary,
+) -> TermId {
+    let LiftScratch { key, iri } = scratch;
+    let key = value_key_in(v, key);
+    match &ob.lift {
+        Lift::SubjectIri(t) | Lift::RefIri(t) => {
+            iri.clear();
+            t.apply_into(key, iri);
+            dict.intern_iri(iri)
+        }
+        Lift::Literal(dt) => dict.intern_literal(key, None, xsd_for(*dt)),
+    }
 }
 
 /// Lifts a SQL result set directly into slot rows, interning each lifted
 /// term — the row-major lift of *dependent* requests (bind-join key
 /// batches, the naive N+1 wrapper), whose results are consumed row by row
 /// and never shared; one-shot leaves lift column-major into the
-/// [`LiftCache`]. The slot of each output column is resolved once, not per row,
-/// and each column memoizes the values it has already lifted: the lift is
-/// a pure function of `(value, binding)`, and relational columns repeat
-/// heavily (foreign keys, categories), so a memo hit skips IRI minting
-/// and term interning entirely — the ids are identical either way. Text
-/// and integer keys cover the lake's schemas; rarer value kinds take the
-/// direct path.
+/// [`LiftCache`]. The slot of each output column is resolved once, not
+/// per row.
 pub fn lift_result(
     rs: &ResultSet,
     outputs: &[OutputBinding],
@@ -446,38 +463,15 @@ pub fn lift_result(
     dict: &mut Dictionary,
 ) -> Vec<SlotRow> {
     let slots: Vec<Option<usize>> = outputs.iter().map(|ob| schema.slot(&ob.var)).collect();
-    let mut text_memo: Vec<FastMap<&str, TermId>> =
-        (0..outputs.len()).map(|_| FastMap::default()).collect();
-    let mut int_memo: Vec<FastMap<i64, TermId>> =
-        (0..outputs.len()).map(|_| FastMap::default()).collect();
+    let mut scratch = LiftScratch::default();
     rs.rows
         .iter()
         .map(|row| {
             let mut out = SlotRow::unbound(schema.len());
-            for (i, ob) in outputs.iter().enumerate() {
-                let Some(slot) = slots[i] else { continue };
-                let v = &row[i];
-                let id = match v {
-                    Value::Null => continue,
-                    Value::Text(s) => match text_memo[i].get(s.as_str()) {
-                        Some(&id) => id,
-                        None => {
-                            let id = lift_value(v, ob, dict);
-                            text_memo[i].insert(s, id);
-                            id
-                        }
-                    },
-                    Value::Int(n) => match int_memo[i].get(n) {
-                        Some(&id) => id,
-                        None => {
-                            let id = lift_value(v, ob, dict);
-                            int_memo[i].insert(*n, id);
-                            id
-                        }
-                    },
-                    _ => lift_value(v, ob, dict),
-                };
-                out.set(slot, id);
+            for ((v, ob), slot) in row.iter().zip(outputs).zip(&slots) {
+                if let (Some(slot), false) = (*slot, v.is_null()) {
+                    out.set(slot, lift_value(v, ob, &mut scratch, dict));
+                }
             }
             out
         })
@@ -485,8 +479,7 @@ pub fn lift_result(
 }
 
 /// Columnar lift of a SQL result: one `TermId` buffer per slot, written
-/// column-at-a-time with the same per-column value memo as
-/// [`lift_result`]. Produces exactly the ids [`lift_result`] would assign
+/// column-at-a-time. Produces exactly the ids [`lift_result`] would assign
 /// to each cell — only the interning *order* (and therefore the raw id
 /// numbering) differs, which nothing downstream observes: ids never leave
 /// the execution, and every consumer compares or decodes them.
@@ -498,33 +491,13 @@ fn lift_result_cols(
 ) -> LiftedSource {
     let n = rs.rows.len();
     let mut cols = vec![vec![TermId::UNBOUND; n]; schema.len()];
+    let mut scratch = LiftScratch::default();
     for (i, ob) in outputs.iter().enumerate() {
         let Some(slot) = schema.slot(&ob.var) else { continue };
-        let col = &mut cols[slot];
-        let mut text_memo: FastMap<&str, TermId> = FastMap::default();
-        let mut int_memo: FastMap<i64, TermId> = FastMap::default();
-        for (r, row) in rs.rows.iter().enumerate() {
-            let v = &row[i];
-            col[r] = match v {
-                Value::Null => continue,
-                Value::Text(s) => match text_memo.get(s.as_str()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = lift_value(v, ob, dict);
-                        text_memo.insert(s, id);
-                        id
-                    }
-                },
-                Value::Int(k) => match int_memo.get(k) {
-                    Some(&id) => id,
-                    None => {
-                        let id = lift_value(v, ob, dict);
-                        int_memo.insert(*k, id);
-                        id
-                    }
-                },
-                _ => lift_value(v, ob, dict),
-            };
+        for (cell, row) in cols[slot].iter_mut().zip(&rs.rows) {
+            if !row[i].is_null() {
+                *cell = lift_value(&row[i], ob, &mut scratch, dict);
+            }
         }
     }
     LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
@@ -1851,6 +1824,97 @@ mod tests {
     fn decode(c: &ExecCtx, rows: &[SlotRow]) -> Vec<Row> {
         let dict = c.interner.lock();
         rows.iter().map(|r| decode_row(r, &c.schema, &dict)).collect()
+    }
+
+    /// Both lifts assign the same id to every cell, and it is the id the
+    /// whole-term route (`value_key` → `apply` → `Term` → `intern`, kept
+    /// for the oracle lift in `mapping/lift.rs`) assigns — for every value
+    /// kind, repeated values, keys that need escaping, and NULLs.
+    #[test]
+    fn both_lifts_assign_the_ids_of_the_whole_term_route() {
+        use fedlake_mapping::lift::{value_key, value_to_term};
+        use fedlake_relational::DataType;
+        let gene = IriTemplate::new("http://d/gene/{}");
+        let page = IriTemplate::new("http://d/{}.html");
+        let lifts = [
+            Lift::SubjectIri(gene.clone()),
+            Lift::RefIri(page.clone()),
+            Lift::Literal(DataType::Text),
+            Lift::Literal(DataType::Int),
+            Lift::Literal(DataType::Double),
+            Lift::Literal(DataType::Bool),
+            // A text column lifted as an integer literal, as a mapping may ask.
+            Lift::Literal(DataType::Int),
+        ];
+        let vars: Vec<String> = (0..lifts.len()).map(|i| format!("v{i}")).collect();
+        let outputs: Vec<OutputBinding> = lifts
+            .iter()
+            .zip(&vars)
+            .map(|(lift, v)| OutputBinding { var: Var::new(v.as_str()), lift: lift.clone() })
+            .collect();
+        let row = |k: &str, n: i64, d: f64, b: bool| {
+            vec![
+                Value::text(k),
+                Value::Int(n),
+                Value::text(k),
+                Value::Int(n),
+                Value::Double(d),
+                Value::Bool(b),
+                Value::text(n.to_string()),
+            ]
+        };
+        let mut rows = vec![
+            row("g1", 7, 1.5, true),
+            row("a b/c%é", -7, -0.0, false),
+            row("g1", 7, 1e21, true),
+            row("7", 42, 2.0, false),
+        ];
+        rows.push(vec![Value::Null; lifts.len()]);
+        rows[1][3] = Value::Null;
+        let rs = ResultSet {
+            columns: vars.clone(),
+            rows,
+            cost: Default::default(),
+            explain: None,
+        };
+        // One extra slot no output binds, and slots in another order than
+        // the columns.
+        let schema = RowSchema::new(
+            ["unused"].into_iter().chain(vars.iter().rev().map(String::as_str)).map(Var::new),
+        );
+
+        let mut dict = Dictionary::new();
+        let by_row = lift_result(&rs, &outputs, &schema, &mut dict);
+        let terms_after_rows = dict.len();
+        let by_col = lift_result_cols(&rs, &outputs, &schema, &mut dict);
+        assert_eq!(dict.len(), terms_after_rows, "the columnar lift met only known terms");
+        assert_eq!((by_row.len(), by_col.rows), (rs.rows.len(), rs.rows.len()));
+        for (r, row) in rs.rows.iter().enumerate() {
+            for (i, ob) in outputs.iter().enumerate() {
+                let slot = schema.slot(&ob.var).unwrap();
+                let expected = match (&row[i], &ob.lift) {
+                    (Value::Null, _) => None,
+                    (v, Lift::SubjectIri(t) | Lift::RefIri(t)) => {
+                        Some(fedlake_rdf::Term::iri(t.apply(&value_key(v))))
+                    }
+                    (v, Lift::Literal(dt)) => Some(value_to_term(v, *dt)),
+                };
+                // `id()` never interns: the term must already be there,
+                // under the id both lifts wrote.
+                let expected = expected
+                    .map(|t| dict.id(&t).unwrap_or_else(|| panic!("{t} not interned")));
+                assert_eq!(by_row[r].get(slot), expected, "row-major, row {r} column {i}");
+                let cell = by_col.cols[slot][r];
+                let cell = (cell != TermId::UNBOUND).then_some(cell);
+                assert_eq!(cell, expected, "columnar, row {r} column {i}");
+            }
+            assert_eq!(by_row[r].get(0), None);
+            assert_eq!(by_col.cols[0][r], TermId::UNBOUND);
+        }
+        // Interning the whole terms afterwards adds nothing either.
+        dict.intern(fedlake_rdf::Term::iri(gene.apply("a b/c%é")));
+        dict.intern(value_to_term(&Value::Double(1e21), DataType::Double));
+        assert_eq!(dict.len(), terms_after_rows);
     }
 
     #[test]

@@ -65,6 +65,22 @@ pub fn value_key(v: &Value) -> String {
     }
 }
 
+/// [`value_key`] without the copy: text is borrowed where it lies, any
+/// other value is written into `buf` (cleared first).
+pub fn value_key_in<'a>(v: &'a Value, buf: &'a mut String) -> &'a str {
+    use std::fmt::Write as _;
+    buf.clear();
+    // Writing to a `String` cannot fail.
+    let _ = match v {
+        Value::Text(s) => return s,
+        Value::Int(i) => write!(buf, "{i}"),
+        Value::Double(d) => write!(buf, "{d}"),
+        Value::Bool(b) => write!(buf, "{b}"),
+        Value::Null => Ok(()),
+    };
+    buf
+}
+
 /// Lifts a relational value to an RDF literal term.
 pub fn value_to_term(v: &Value, dt: fedlake_relational::DataType) -> Term {
     let lexical = value_key(v);

@@ -26,20 +26,26 @@ impl IriTemplate {
             !suffix.contains("{}"),
             "IRI template {pattern:?} must contain exactly one '{{}}'"
         );
-        IriTemplate { prefix: prefix.clone(), suffix }
+        IriTemplate { prefix, suffix }
     }
 
     /// Mints an IRI for `key`, percent-encoding characters unsafe in IRIs.
     pub fn apply(&self, key: &str) -> String {
+        let mut out =
+            String::with_capacity(self.prefix.len() + key.len() + self.suffix.len());
+        self.apply_into(key, &mut out);
+        out
+    }
+
+    /// Appends the IRI [`IriTemplate::apply`] mints for `key` to `out`, so
+    /// a caller minting one IRI per lifted value can reuse one buffer.
+    pub fn apply_into(&self, key: &str, out: &mut String) {
         // Built by hand (not `format!`): minting runs once per lifted
         // value on the wrapper's hot path, and the fmt machinery costs
         // more than the copies themselves.
-        let mut out =
-            String::with_capacity(self.prefix.len() + key.len() + self.suffix.len());
         out.push_str(&self.prefix);
-        encode_into(key, &mut out);
+        encode_into(key, out);
         out.push_str(&self.suffix);
-        out
     }
 
     /// Recovers the key from an IRI minted by this template.
@@ -90,7 +96,7 @@ fn decode(s: &str) -> String {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
+        if bytes[i] == b'%' && i + 2 < bytes.len() {
             if let (Some(h), Some(l)) = (
                 bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
                 bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),

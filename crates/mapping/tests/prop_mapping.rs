@@ -2,7 +2,7 @@
 //! hostile keys, and the value↔term lifting bijection. Deterministically
 //! seeded via the in-repo PRNG.
 
-use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
+use fedlake_mapping::lift::{term_to_value, value_key, value_key_in, value_to_term};
 use fedlake_mapping::IriTemplate;
 use fedlake_prng::Prng;
 use fedlake_relational::{DataType, Value};
@@ -37,6 +37,38 @@ fn template_roundtrip() {
         assert!(!iri.contains([' ', '"', '<', '>', '\n', '\t']), "unsafe IRI {iri}");
         let extracted = t.extract(&iri);
         assert_eq!(extracted.as_deref(), Some(key.as_str()));
+    }
+}
+
+/// `apply_into` appends exactly what `apply` returns, whatever the buffer
+/// already holds, and keys that end in what looks like a cut-off escape
+/// (`%`, `%4`) round-trip like any other.
+#[test]
+fn apply_into_equals_apply_and_truncated_escapes_roundtrip() {
+    let mut rng = Prng::seed_from_u64(0x3a99_0006);
+    let templates =
+        [IriTemplate::new("http://lake/entity/{}"), IriTemplate::new("http://lake/e/{}.html")];
+    let mut buf = String::new();
+    for round in 0..256 {
+        let t = &templates[round % 2];
+        let mut key = rand_key(&mut rng, 0, 24);
+        key.push_str(["%", "%4", "%4G", "%41", "é%", "/ %", "x"][rng.gen_range(0usize..7)]);
+        let iri = t.apply(&key);
+        assert_eq!(t.extract(&iri).as_deref(), Some(key.as_str()), "round-trip of {key:?}");
+        // Reused buffer, cleared by the caller …
+        buf.clear();
+        t.apply_into(&key, &mut buf);
+        assert_eq!(buf, iri);
+        // … or appended to.
+        t.apply_into(&key, &mut buf);
+        assert_eq!(buf, format!("{iri}{iri}"));
+    }
+    // IRIs this template did not mint: a cut-off escape is kept verbatim,
+    // a complete one is decoded.
+    let t = &templates[0];
+    let foreign = [("abc%", "abc%"), ("abc%4", "abc%4"), ("%4G", "%4G"), ("%41bc", "Abc"), ("%", "%")];
+    for (tail, key) in foreign {
+        assert_eq!(t.extract(&format!("http://lake/entity/{tail}")).as_deref(), Some(key));
     }
 }
 
@@ -96,5 +128,11 @@ fn value_key_stability() {
         let i = rng.next_u64() as i64;
         assert_eq!(value_key(&Value::Text(s.clone())), s);
         assert_eq!(value_key(&Value::Int(i)), i.to_string());
+        // The borrowing form agrees for every kind, whatever the buffer held.
+        let mut buf = s.clone();
+        let d = Value::Double(rng.gen_range(-1e12..1e12));
+        for v in [Value::Text(s), Value::Int(i), d, Value::Bool(i % 2 == 0), Value::Null] {
+            assert_eq!(value_key_in(&v, &mut buf), value_key(&v));
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! compact (12 bytes per triple per index) and makes joins and comparisons
 //! integer comparisons.
 
-use crate::hash::FastMap;
-use crate::term::Term;
+use crate::hash::BuildFastHasher;
+use crate::term::{Literal, Term};
+use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A compact identifier for an interned RDF term.
@@ -24,14 +25,66 @@ impl TermId {
     }
 }
 
+/// A term by its borrowed parts: what the by-parts entry points look up
+/// with, and what a whole [`Term`] is reduced to before it is hashed or
+/// compared — so there is one hash function and one equality (the derived
+/// ones), and interning by parts cannot disagree with interning the term.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Parts<'a> {
+    Iri(&'a str),
+    Blank(&'a str),
+    Literal { lexical: &'a str, lang: Option<&'a str>, datatype: Option<&'a str> },
+}
+
+impl<'a> Parts<'a> {
+    fn of(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(v) => Parts::Iri(v),
+            Term::Blank(v) => Parts::Blank(v),
+            Term::Literal(l) => Parts::Literal {
+                lexical: &l.lexical,
+                lang: l.lang.as_deref(),
+                datatype: l.datatype.as_deref(),
+            },
+        }
+    }
+
+    fn content_hash(self) -> u64 {
+        BuildFastHasher.hash_one(self)
+    }
+
+    fn to_term(self) -> Term {
+        match self {
+            Parts::Iri(v) => Term::Iri(v.to_string()),
+            Parts::Blank(v) => Term::Blank(v.to_string()),
+            Parts::Literal { lexical, lang, datatype } => Term::Literal(Literal {
+                lexical: lexical.to_string(),
+                lang: lang.map(str::to_string),
+                datatype: datatype.map(str::to_string),
+            }),
+        }
+    }
+}
+
+/// Marks a free slot of the id table; also [`TermId::UNBOUND`], which is
+/// therefore never handed out.
+const FREE: u32 = u32::MAX;
+
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
 ///
 /// Ids are dense and allocated in insertion order, so they can be used to
-/// index side tables.
+/// index side tables. Each term is stored once, in `terms`, next to the
+/// content hash it was found by; the reverse direction is an open-addressed
+/// table of ids (linear probing, at most half full) that compares the
+/// stored hash before it looks at a string. Growing the table re-seats
+/// the ids from the stored hashes, so a string is hashed exactly once — by
+/// the lookup that interned it — and a clone copies three vectors.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Term>,
-    ids: FastMap<Term, TermId>,
+    hashes: Vec<u64>,
+    /// Power-of-two length (or empty); a slot holds an id or [`FREE`].
+    table: Vec<u32>,
 }
 
 impl Dictionary {
@@ -40,22 +93,97 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Interns `term`, returning its id. Idempotent.
+    /// Interns `term`, returning its id. Idempotent. The term is moved in:
+    /// a first sighting stores it as is, a repeat drops it.
     pub fn intern(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.ids.get(&term) {
-            return id;
+        let hash = Parts::of(&term).content_hash();
+        match self.find(Parts::of(&term), hash) {
+            Some(id) => id,
+            None => self.push(term, hash),
         }
+    }
+
+    /// Interns the IRI `iri` — the same id [`Dictionary::intern`] gives
+    /// `Term::iri(iri)` — allocating only when it is new.
+    pub fn intern_iri(&mut self, iri: &str) -> TermId {
+        self.intern_parts(Parts::Iri(iri))
+    }
+
+    /// Interns a literal by its parts — the same id
+    /// [`Dictionary::intern`] gives the assembled `Term::Literal` —
+    /// allocating only when it is new.
+    pub fn intern_literal(
+        &mut self,
+        lexical: &str,
+        lang: Option<&str>,
+        datatype: Option<&str>,
+    ) -> TermId {
+        self.intern_parts(Parts::Literal { lexical, lang, datatype })
+    }
+
+    fn intern_parts(&mut self, parts: Parts<'_>) -> TermId {
+        let hash = parts.content_hash();
+        match self.find(parts, hash) {
+            Some(id) => id,
+            None => self.push(parts.to_term(), hash),
+        }
+    }
+
+    fn find(&self, parts: Parts<'_>, hash: u64) -> Option<TermId> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.table[slot];
+            if id == FREE {
+                return None;
+            }
+            if self.hashes[id as usize] == hash && parts == Parts::of(&self.terms[id as usize]) {
+                return Some(TermId(id));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Stores a term `find` did not find.
+    fn push(&mut self, term: Term, hash: u64) -> TermId {
         let raw = u32::try_from(self.terms.len()).expect("dictionary overflow");
-        assert!(raw != u32::MAX, "dictionary overflow");
-        let id = TermId(raw);
-        self.terms.push(term.clone());
-        self.ids.insert(term, id);
-        id
+        assert!(raw != FREE, "dictionary overflow");
+        if (self.terms.len() + 1) * 2 > self.table.len() {
+            self.grow();
+        }
+        let slot = self.free_slot(hash);
+        self.table[slot] = raw;
+        self.terms.push(term);
+        self.hashes.push(hash);
+        TermId(raw)
+    }
+
+    /// Where the probe sequence of `hash` meets its first free slot.
+    fn free_slot(&self, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.table[slot] != FREE {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Doubles the id table and re-seats every id from its stored hash.
+    fn grow(&mut self) {
+        self.table = vec![FREE; (self.table.len() * 2).max(16)];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let slot = self.free_slot(hash);
+            self.table[slot] = id as u32;
+        }
     }
 
     /// Looks up the id of `term` without interning it.
     pub fn id(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        let parts = Parts::of(term);
+        self.find(parts, parts.content_hash())
     }
 
     /// Resolves an id back to its term.

@@ -1,8 +1,9 @@
 //! The one cache contract: versioned, bounded, counted.
 //!
 //! Every cache in the workspace — the SQL memo behind
-//! [`crate::Database::query_cached`], the engine's lifted source results
-//! and its normalized plans — is a [`VersionedCache`]. An entry is stamped
+//! [`crate::Database::query_cached`], the engine's lifted source results,
+//! its normalized plans and each table's column statistics
+//! ([`crate::stats::column_stats`]) — is a [`VersionedCache`]. An entry is stamped
 //! with the version of whatever it was computed from; a lookup presents the
 //! owner's *current* version, and an entry stamped with another one is a
 //! counted `stale` miss that drops the entry on the spot, so the refill
@@ -50,7 +51,7 @@ impl std::ops::AddAssign for CacheStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<V> {
     version: u64,
     tick: u64,
@@ -58,8 +59,11 @@ struct Slot<V> {
 }
 
 /// A bounded map whose entries are only served to the version they were
-/// computed from. See the module documentation for the contract.
-#[derive(Debug)]
+/// computed from. See the module documentation for the contract. A clone
+/// carries the entries and the counters along; whether that is sound is
+/// the owner's call (it is when the clone's version keeps meaning the same
+/// data, as a table's row count does).
+#[derive(Debug, Clone)]
 pub struct VersionedCache<K, V, S = RandomState> {
     slots: HashMap<K, Slot<V>, S>,
     tick: u64,

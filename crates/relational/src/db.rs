@@ -43,8 +43,8 @@ impl ResultSet {
 pub struct Database {
     name: String,
     tables: HashMap<String, Table>,
-    /// Bumped by every mutation; the version the memo's entries are
-    /// stamped with.
+    /// Bumped by every mutation that was applied (a rejected write leaves
+    /// it alone); the version the memo's entries are stamped with.
     version: u64,
     /// Materialized results of previously executed `SELECT`s, keyed by the
     /// SQL text and stamped with the catalog `version` they were computed
@@ -101,14 +101,17 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Insert { table, rows } => {
-                self.version += 1;
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
-                for row in rows {
-                    t.insert(row)?;
+                let before = t.len();
+                let inserted = rows.into_iter().try_for_each(|row| t.insert(row).map(drop));
+                // Rows before a failing one stay applied.
+                if t.len() != before {
+                    self.version += 1;
                 }
+                inserted?;
                 Ok(ResultSet::empty())
             }
             Statement::Select(stmt) => self.run_select(&stmt),
@@ -177,12 +180,12 @@ impl Database {
 
     /// Creates a table from a schema.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), SqlError> {
-        self.version += 1;
         if self.tables.contains_key(&schema.name) {
             return Err(SqlError::AlreadyExists(schema.name));
         }
         let name = schema.name.clone();
         self.tables.insert(name, Table::new(schema)?);
+        self.version += 1;
         Ok(())
     }
 
@@ -194,22 +197,23 @@ impl Database {
         columns: &[String],
         unique: bool,
     ) -> Result<(), SqlError> {
-        self.version += 1;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        t.create_index(name, columns, unique)
+        t.create_index(name, columns, unique)?;
+        self.version += 1;
+        Ok(())
     }
 
     /// Inserts a row through the typed API.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<(), SqlError> {
-        self.version += 1;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
         t.insert(row)?;
+        self.version += 1;
         Ok(())
     }
 
@@ -349,6 +353,34 @@ mod tests {
     }
 
     #[test]
+    fn inlj_applies_the_inner_scans_own_access_path() {
+        let mut db = lake_db();
+        // g3 maps to exactly one disease. The inner table is both probed
+        // through its key index by the join and restricted by an index
+        // path of its own, which then acts as a filter on fetched rows.
+        for (restriction, rows) in [
+            ("gd.gene = 'g3'", 1),
+            ("gd.gene = 'g4'", 0),
+            ("gd.gene IN ('g3', 'g4')", 1),
+            ("gd.gene IN ('g4', 'g5')", 0),
+            ("gd.gene >= 'g3'", 1),
+            ("gd.gene > 'g3'", 0),
+            ("gd.gene <= 'g3'", 1),
+            ("gd.gene < 'g3'", 0),
+        ] {
+            let sql = format!(
+                "SELECT gd.disease FROM gene g JOIN gene_disease gd ON g.id = gd.gene \
+                 WHERE g.id = 'g3' AND {restriction}"
+            );
+            let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            assert!(plan.contains("IndexNestedLoopJoin"), "{restriction}: {plan}");
+            let rs = db.query(&sql).unwrap();
+            assert_eq!(rs.rows.len(), rows, "{restriction}");
+            assert_eq!(rs.cost.index_probes, 2, "one for g, one INLJ probe into gd");
+        }
+    }
+
+    #[test]
     fn order_and_limit() {
         let db = lake_db();
         let rs = db
@@ -441,6 +473,54 @@ mod tests {
         assert_eq!(third.rows.len(), fresh.rows.len() + 1);
         let s = db.cache_stats();
         assert_eq!((s.lookups, s.hits, s.misses, s.stale), (3, 1, 2, 1));
+    }
+
+    #[test]
+    fn a_rejected_write_invalidates_nothing() {
+        let mut db = lake_db();
+        let sql = "SELECT id FROM gene WHERE species = 'Homo sapiens'";
+        let first = db.query_cached(sql).unwrap();
+        let passes = db.table("gene").unwrap().stats_cache_stats().misses;
+        assert!(passes > 0, "planning the equality consulted the column statistics");
+
+        // Unknown table, arity, type, NOT NULL, unique, duplicate DDL.
+        assert!(db.insert_row("nope", vec![Value::Int(1)]).is_err());
+        assert!(db.insert_row("gene", vec![Value::text("g100")]).is_err());
+        assert!(db
+            .insert_row("gene", vec![Value::Int(1), Value::Null, Value::Null])
+            .is_err());
+        assert!(db
+            .insert_row("gene", vec![Value::Null, Value::Null, Value::Null])
+            .is_err());
+        assert!(db
+            .insert_row("gene", vec![Value::text("g1"), Value::Null, Value::Null])
+            .is_err());
+        assert!(db.execute("INSERT INTO gene VALUES ('g1', 'dup', 'x')").is_err());
+        assert!(db.execute("INSERT INTO nope VALUES (1)").is_err());
+        assert!(db.execute("CREATE TABLE gene (id TEXT PRIMARY KEY)").is_err());
+        assert!(db.create_index("nope", "i", &["id".into()], false).is_err());
+        assert!(db.create_index("gene", "i", &["nope".into()], false).is_err());
+
+        let again = db.query_cached(sql).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "the memo entry is still current");
+        let s = db.cache_stats();
+        assert_eq!((s.lookups, s.hits, s.stale), (2, 1, 0));
+        // The statistics are still served from the cache, not recomputed.
+        let gene = db.table("gene").unwrap();
+        let hits = gene.stats_cache_stats().hits;
+        db.query(sql).unwrap();
+        let after = gene.stats_cache_stats();
+        assert_eq!(after.misses, passes);
+        assert!(after.hits > hits);
+        assert_eq!(after.stale, 0);
+
+        // A multi-row INSERT that fails on its second row applied the first.
+        assert!(db
+            .execute("INSERT INTO gene VALUES ('g200', 'late', 'Homo sapiens'), ('g1', 'dup', 'x')")
+            .is_err());
+        let third = db.query_cached(sql).unwrap();
+        assert_eq!(third.rows.len(), first.rows.len() + 1);
+        assert_eq!(db.cache_stats().stale, 1);
     }
 
     #[test]

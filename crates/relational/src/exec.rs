@@ -49,7 +49,8 @@ impl CostStats {
     }
 }
 
-/// An intermediate relation: alias-qualified schema plus row data.
+/// A materialized relation: alias-qualified schema plus owned row data.
+/// Only `Project` and the operators above it produce one.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// Column descriptors.
@@ -58,11 +59,66 @@ pub struct Relation {
     pub rows: Vec<Vec<Value>>,
 }
 
-impl Relation {
-    /// Index of a column in this relation's schema.
-    pub fn col_index(&self, c: &ColumnRef) -> Option<usize> {
-        self.schema.iter().position(|s| s == c)
+/// One base table taking part in an intermediate relation.
+struct Part<'t> {
+    alias: String,
+    table: &'t Table,
+}
+
+/// A column of an intermediate relation: which part, and which offset in
+/// that part's base-table rows.
+#[derive(Debug, Clone, Copy)]
+struct Pos {
+    part: usize,
+    col: usize,
+}
+
+/// An intermediate relation below `Project`: nothing is copied, a row is
+/// one borrowed base-table row slice per joined alias. Row `r` occupies
+/// `rows[r * parts.len()..][..parts.len()]`, in `parts` order, so the
+/// column order is the one a concatenation of the parts' schemas has.
+struct Borrowed<'t> {
+    parts: Vec<Part<'t>>,
+    rows: Vec<&'t [Value]>,
+}
+
+impl<'t> Borrowed<'t> {
+    fn len(&self) -> usize {
+        self.rows.len() / self.parts.len()
     }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, &'t [Value]> {
+        self.rows.chunks_exact(self.parts.len())
+    }
+
+    /// Copies every column of every row out (a plan without a `Project`).
+    fn materialize(self) -> Relation {
+        let schema = self
+            .parts
+            .iter()
+            .flat_map(|p| {
+                p.table.schema.columns.iter().map(|c| ColumnRef::qualified(&p.alias, &c.name))
+            })
+            .collect();
+        let rows = self.iter().map(|row| row.concat()).collect();
+        Relation { schema, rows }
+    }
+}
+
+/// The first column named `c.column` among the parts `c.table` admits
+/// (every part, when the reference is unqualified).
+fn resolve(parts: &[Part<'_>], c: &ColumnRef) -> Option<Pos> {
+    parts.iter().enumerate().find_map(|(part, p)| {
+        if c.table.as_ref().is_some_and(|t| *t != p.alias) {
+            return None;
+        }
+        let col = p.table.schema.columns.iter().position(|s| s.name == c.column)?;
+        Some(Pos { part, col })
+    })
+}
+
+fn resolve_or(parts: &[Part<'_>], c: &ColumnRef, what: &str) -> Result<Pos, SqlError> {
+    resolve(parts, c).ok_or_else(|| SqlError::Internal(format!("{what} {c} missing")))
 }
 
 /// Executes a physical plan against a catalog.
@@ -71,78 +127,93 @@ pub fn execute<C: CatalogView>(
     catalog: &C,
 ) -> Result<(Relation, CostStats), SqlError> {
     let mut cost = CostStats::default();
-    let rel = exec_node(plan, catalog, &mut cost)?;
+    let rel = exec_owned(plan, catalog, &mut cost)?;
     cost.rows_output = rel.rows.len() as u64;
     Ok((rel, cost))
 }
 
-fn exec_node<C: CatalogView>(
+/// `Project` and the modifiers the optimizer stacks on it. `Project` is
+/// the one place a `Value` is cloned, once per output cell.
+fn exec_owned<C: CatalogView>(
     plan: &PhysicalPlan,
     catalog: &C,
     cost: &mut CostStats,
 ) -> Result<Relation, SqlError> {
     match plan {
-        PhysicalPlan::Scan(scan) => exec_scan(scan, catalog, cost),
-        PhysicalPlan::Join { left, right, algo, left_key, right_key } => {
-            let left_rel = exec_node(left, catalog, cost)?;
-            exec_join(left_rel, right, *algo, left_key, right_key, catalog, cost)
-        }
-        PhysicalPlan::Filter { input, predicates } => {
-            let rel = exec_node(input, catalog, cost)?;
-            let mut rows = Vec::with_capacity(rel.rows.len());
-            for row in rel.rows {
-                cost.filter_evals += predicates.len() as u64;
-                if predicates
-                    .iter()
-                    .all(|p| eval_predicate(p, &rel.schema, &row))
-                {
-                    rows.push(row);
-                }
-            }
-            Ok(Relation { schema: rel.schema, rows })
-        }
         PhysicalPlan::Project { input, columns, names: _ } => {
-            let rel = exec_node(input, catalog, cost)?;
-            let idx: Vec<usize> = columns
+            let rel = exec_borrowed(input, catalog, cost)?;
+            let at: Vec<Pos> = columns
                 .iter()
-                .map(|c| {
-                    rel.col_index(c)
-                        .ok_or_else(|| SqlError::Internal(format!("projection column {c} missing")))
-                })
+                .map(|c| resolve_or(&rel.parts, c, "projection column"))
                 .collect::<Result<_, _>>()?;
             let rows = rel
-                .rows
-                .into_iter()
-                .map(|row| idx.iter().map(|&i| row[i].clone()).collect())
+                .iter()
+                .map(|row| at.iter().map(|p| row[p.part][p.col].clone()).collect())
                 .collect();
             Ok(Relation { schema: columns.clone(), rows })
         }
         PhysicalPlan::Distinct(input) => {
-            let rel = exec_node(input, catalog, cost)?;
-            let mut seen = std::collections::HashSet::new();
-            let mut rows = Vec::new();
-            for row in rel.rows {
-                if seen.insert(row.clone()) {
-                    rows.push(row);
+            let mut rel = exec_owned(input, catalog, cost)?;
+            let first_seen: Vec<bool> = {
+                let mut seen = std::collections::HashSet::with_capacity(rel.rows.len());
+                rel.rows.iter().map(|row| seen.insert(row.as_slice())).collect()
+            };
+            let mut keep = first_seen.into_iter();
+            rel.rows.retain(|_| keep.next().unwrap_or(false));
+            Ok(rel)
+        }
+        PhysicalPlan::Limit { input, n } => {
+            let mut rel = exec_owned(input, catalog, cost)?;
+            rel.rows.truncate(*n);
+            Ok(rel)
+        }
+        _ => Ok(exec_borrowed(plan, catalog, cost)?.materialize()),
+    }
+}
+
+/// Scans, joins, residual filters and sorts: everything below `Project`.
+fn exec_borrowed<'t, C: CatalogView>(
+    plan: &PhysicalPlan,
+    catalog: &'t C,
+    cost: &mut CostStats,
+) -> Result<Borrowed<'t>, SqlError> {
+    match plan {
+        PhysicalPlan::Scan(scan) => {
+            let (part, rows) = exec_scan(scan, catalog, cost)?;
+            Ok(Borrowed { parts: vec![part], rows })
+        }
+        PhysicalPlan::Join { left, right, algo, left_key, right_key } => {
+            let left_rel = exec_borrowed(left, catalog, cost)?;
+            exec_join(left_rel, right, *algo, left_key, right_key, catalog, cost)
+        }
+        PhysicalPlan::Filter { input, predicates } => {
+            let mut rel = exec_borrowed(input, catalog, cost)?;
+            let tests: Vec<Test> = predicates.iter().map(|p| Test::new(p, &rel.parts)).collect();
+            let mut rows = Vec::with_capacity(rel.rows.len());
+            for row in rel.iter() {
+                cost.filter_evals += tests.len() as u64;
+                if tests.iter().all(|t| t.eval(row)) {
+                    rows.extend_from_slice(row);
                 }
             }
-            Ok(Relation { schema: rel.schema, rows })
+            rel.rows = rows;
+            Ok(rel)
         }
         PhysicalPlan::Sort { input, keys } => {
-            let rel = exec_node(input, catalog, cost)?;
-            let idx: Vec<(usize, bool)> = keys
+            let mut rel = exec_borrowed(input, catalog, cost)?;
+            let at: Vec<(Pos, bool)> = keys
                 .iter()
-                .map(|SortKey { col, asc }| {
-                    rel.col_index(col)
-                        .map(|i| (i, *asc))
-                        .ok_or_else(|| SqlError::Internal(format!("sort column {col} missing")))
-                })
-                .collect::<Result<_, _>>()?;
-            cost.sort_rows += rel.rows.len() as u64;
-            let mut rows = rel.rows;
-            rows.sort_by(|a, b| {
-                for &(i, asc) in &idx {
-                    let ord = a[i].cmp(&b[i]);
+                .map(|SortKey { col, asc }| Ok((resolve_or(&rel.parts, col, "sort column")?, *asc)))
+                .collect::<Result<_, SqlError>>()?;
+            cost.sort_rows += rel.len() as u64;
+            // A stable sort of row numbers is the stable sort of the rows.
+            let width = rel.parts.len();
+            let row = |r: usize| &rel.rows[r * width..][..width];
+            let mut order: Vec<usize> = (0..rel.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (row(a), row(b));
+                for &(p, asc) in &at {
+                    let ord = a[p.part][p.col].cmp(&b[p.part][p.col]);
                     let ord = if asc { ord } else { ord.reverse() };
                     if ord != Ordering::Equal {
                         return ord;
@@ -150,85 +221,84 @@ fn exec_node<C: CatalogView>(
                 }
                 Ordering::Equal
             });
-            Ok(Relation { schema: rel.schema, rows })
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let mut rel = exec_node(input, catalog, cost)?;
-            rel.rows.truncate(*n);
+            rel.rows = order.into_iter().flat_map(|r| row(r).iter().copied()).collect();
             Ok(rel)
+        }
+        PhysicalPlan::Project { .. } | PhysicalPlan::Distinct(_) | PhysicalPlan::Limit { .. } => {
+            Err(SqlError::Internal(
+                "projection, DISTINCT and LIMIT must sit above every scan, join, filter and sort"
+                    .into(),
+            ))
         }
     }
 }
 
-fn table_schema_refs(table: &Table, alias: &str) -> Vec<ColumnRef> {
-    table
-        .schema
-        .columns
-        .iter()
-        .map(|c| ColumnRef::qualified(alias, &c.name))
-        .collect()
-}
-
-fn exec_scan<C: CatalogView>(
+/// Runs a scan's access path and residual predicates; the rows stay in the
+/// table.
+fn exec_scan<'t, C: CatalogView>(
     scan: &ScanNode,
-    catalog: &C,
+    catalog: &'t C,
     cost: &mut CostStats,
-) -> Result<Relation, SqlError> {
+) -> Result<(Part<'t>, Vec<&'t [Value]>), SqlError> {
     let table = catalog
         .table(&scan.table)
         .ok_or_else(|| SqlError::UnknownTable(scan.table.clone()))?;
-    let schema = table_schema_refs(table, &scan.alias);
-    let rids: Vec<usize> = match &scan.path {
+    let part = Part { alias: scan.alias.to_lowercase(), table };
+    let residual: Vec<Test> = scan
+        .residual
+        .iter()
+        .map(|p| Test::new(p, std::slice::from_ref(&part)))
+        .collect();
+    let mut rows = Vec::new();
+    let mut fetch = |rid: usize, cost: &mut CostStats| -> Result<(), SqlError> {
+        let row = table
+            .row(rid)
+            .ok_or_else(|| SqlError::Internal(format!("dangling rid {rid}")))?;
+        cost.filter_evals += residual.len() as u64;
+        if residual.iter().all(|t| t.eval(&[row])) {
+            rows.push(row);
+        }
+        Ok(())
+    };
+    match &scan.path {
         AccessPath::SeqScan => {
             cost.rows_scanned += table.len() as u64;
-            (0..table.len()).collect()
+            for rid in 0..table.len() {
+                fetch(rid, cost)?;
+            }
         }
         AccessPath::IndexEq { index, key } => {
             cost.index_probes += 1;
-            let idx = find_index(table, index)?;
-            let rids = idx.lookup(std::slice::from_ref(key)).to_vec();
+            let rids = find_index(table, index)?.lookup(std::slice::from_ref(key));
             cost.index_rows += rids.len() as u64;
-            rids
+            for &rid in rids {
+                fetch(rid, cost)?;
+            }
         }
         AccessPath::IndexRange { index, low, high } => {
             cost.index_probes += 1;
-            let idx = find_index(table, index)?;
-            let rids = idx.range(
+            let rids = find_index(table, index)?.range(
                 low.as_ref().map(|(v, inc)| (v, *inc)),
                 high.as_ref().map(|(v, inc)| (v, *inc)),
             );
             cost.index_rows += rids.len() as u64;
-            rids
+            for rid in rids {
+                fetch(rid, cost)?;
+            }
         }
         AccessPath::IndexInList { index, keys } => {
             let idx = find_index(table, index)?;
-            let mut rids = Vec::new();
             for key in keys {
                 cost.index_probes += 1;
-                rids.extend_from_slice(idx.lookup(std::slice::from_ref(key)));
-            }
-            cost.index_rows += rids.len() as u64;
-            rids
-        }
-    };
-    let mut rows = Vec::with_capacity(rids.len());
-    for rid in rids {
-        let row = table
-            .row(rid)
-            .ok_or_else(|| SqlError::Internal(format!("dangling rid {rid}")))?;
-        if !scan.residual.is_empty() {
-            cost.filter_evals += scan.residual.len() as u64;
-            if !scan
-                .residual
-                .iter()
-                .all(|p| eval_predicate(p, &schema, row))
-            {
-                continue;
+                let rids = idx.lookup(std::slice::from_ref(key));
+                cost.index_rows += rids.len() as u64;
+                for &rid in rids {
+                    fetch(rid, cost)?;
+                }
             }
         }
-        rows.push(row.to_vec());
     }
-    Ok(Relation { schema, rows })
+    Ok((part, rows))
 }
 
 fn find_index<'t>(
@@ -243,155 +313,130 @@ fn find_index<'t>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn exec_join<C: CatalogView>(
-    left: Relation,
+fn exec_join<'t, C: CatalogView>(
+    left: Borrowed<'t>,
     right: &ScanNode,
     algo: JoinAlgo,
     left_key: &Option<ColumnRef>,
     right_key: &Option<ColumnRef>,
-    catalog: &C,
+    catalog: &'t C,
     cost: &mut CostStats,
-) -> Result<Relation, SqlError> {
-    let table = catalog
-        .table(&right.table)
-        .ok_or_else(|| SqlError::UnknownTable(right.table.clone()))?;
-    let right_schema = table_schema_refs(table, &right.alias);
-    let mut out_schema = left.schema.clone();
-    out_schema.extend(right_schema.iter().cloned());
-
-    match algo {
+) -> Result<Borrowed<'t>, SqlError> {
+    let keys = |what: &str| -> Result<(Pos, &ColumnRef), SqlError> {
+        let missing = || SqlError::Internal(format!("{what} without key"));
+        let lk = left_key.as_ref().ok_or_else(missing)?;
+        let rk = right_key.as_ref().ok_or_else(missing)?;
+        Ok((resolve_or(&left.parts, lk, "join key")?, rk))
+    };
+    let mut rows = Vec::new();
+    let part = match algo {
         JoinAlgo::Cross => {
-            let right_rel = exec_scan(right, catalog, cost)?;
-            let mut rows = Vec::new();
-            for l in &left.rows {
-                for r in &right_rel.rows {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    rows.push(row);
+            let (part, right_rows) = exec_scan(right, catalog, cost)?;
+            for l in left.iter() {
+                for r in &right_rows {
+                    rows.extend_from_slice(l);
+                    rows.push(*r);
                 }
             }
-            Ok(Relation { schema: out_schema, rows })
+            part
         }
         JoinAlgo::Hash => {
-            let lk = left_key
-                .as_ref()
-                .ok_or_else(|| SqlError::Internal("hash join without key".into()))?;
-            let rk = right_key
-                .as_ref()
-                .ok_or_else(|| SqlError::Internal("hash join without key".into()))?;
-            let li = left
-                .schema
-                .iter()
-                .position(|c| c == lk)
-                .ok_or_else(|| SqlError::Internal(format!("join key {lk} missing")))?;
-            let right_rel = exec_scan(right, catalog, cost)?;
-            let ri = right_rel
-                .schema
-                .iter()
-                .position(|c| c == rk)
-                .ok_or_else(|| SqlError::Internal(format!("join key {rk} missing")))?;
+            let (li, rk) = keys("hash join")?;
+            let (part, right_rows) = exec_scan(right, catalog, cost)?;
+            let ri = resolve_or(std::slice::from_ref(&part), rk, "join key")?.col;
+            let width = left.parts.len();
+            let left_at = |n: usize| &left.rows[n * width + li.part][li.col];
+            let right_at = |n: usize| &right_rows[n][ri];
             // Build on the smaller input.
-            let mut ht: HashMap<Value, Vec<usize>> = HashMap::new();
-            let (build, probe, build_is_left) = if left.rows.len() <= right_rel.rows.len() {
-                (&left.rows, &right_rel.rows, true)
+            let build_is_left = left.len() <= right_rows.len();
+            let (build_len, probe_len) = if build_is_left {
+                (left.len(), right_rows.len())
             } else {
-                (&right_rel.rows, &left.rows, false)
+                (right_rows.len(), left.len())
             };
-            let (bi, pi) = if build_is_left { (li, ri) } else { (ri, li) };
-            for (n, row) in build.iter().enumerate() {
+            let mut ht: HashMap<&Value, Vec<usize>> = HashMap::new();
+            for n in 0..build_len {
                 cost.hash_build_rows += 1;
-                if row[bi].is_null() {
-                    continue;
+                let key = if build_is_left { left_at(n) } else { right_at(n) };
+                if !key.is_null() {
+                    ht.entry(key).or_default().push(n);
                 }
-                ht.entry(row[bi].clone()).or_default().push(n);
             }
-            let mut rows = Vec::new();
-            for prow in probe {
+            for n in 0..probe_len {
                 cost.hash_probe_rows += 1;
-                if prow[pi].is_null() {
+                let key = if build_is_left { right_at(n) } else { left_at(n) };
+                if key.is_null() {
                     continue;
                 }
-                if let Some(matches) = ht.get(&prow[pi]) {
-                    for &bn in matches {
-                        let brow = &build[bn];
-                        let (l, r) = if build_is_left { (brow, prow) } else { (prow, brow) };
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        rows.push(row);
-                    }
+                for &b in ht.get(key).map(Vec::as_slice).unwrap_or_default() {
+                    let (l, r) = if build_is_left { (b, n) } else { (n, b) };
+                    rows.extend_from_slice(&left.rows[l * width..][..width]);
+                    rows.push(right_rows[r]);
                 }
             }
-            Ok(Relation { schema: out_schema, rows })
+            part
         }
         JoinAlgo::IndexNestedLoop => {
-            let lk = left_key
-                .as_ref()
-                .ok_or_else(|| SqlError::Internal("INLJ without key".into()))?;
-            let rk = right_key
-                .as_ref()
-                .ok_or_else(|| SqlError::Internal("INLJ without key".into()))?;
-            let li = left
-                .schema
-                .iter()
-                .position(|c| c == lk)
-                .ok_or_else(|| SqlError::Internal(format!("join key {lk} missing")))?;
+            let (li, rk) = keys("INLJ")?;
+            let table = catalog
+                .table(&right.table)
+                .ok_or_else(|| SqlError::UnknownTable(right.table.clone()))?;
+            let part = Part { alias: right.alias.to_lowercase(), table };
             let idx = table
                 .index_on(&rk.column)
                 .ok_or_else(|| SqlError::Internal(format!("no index on {rk} for INLJ")))?;
-            let mut rows = Vec::new();
-            for lrow in &left.rows {
-                let key = &lrow[li];
+            let residual: Vec<Test> = right
+                .residual
+                .iter()
+                .map(|p| Test::new(p, std::slice::from_ref(&part)))
+                .collect();
+            // The planner may have both an index path and a join; the
+            // scan's own access path then restricts the fetched rows.
+            let path_column = match &right.path {
+                AccessPath::SeqScan => None,
+                AccessPath::IndexEq { index, .. }
+                | AccessPath::IndexRange { index, .. }
+                | AccessPath::IndexInList { index, .. } => find_index(table, index)
+                    .ok()
+                    .and_then(|i| i.key_columns.first().copied()),
+            };
+            for lrow in left.iter() {
+                let key = &lrow[li.part][li.col];
                 if key.is_null() {
                     continue;
                 }
                 cost.index_probes += 1;
-                for &rid in idx.lookup_prefix(std::slice::from_ref(key)).iter() {
+                for rid in idx.lookup_prefix(std::slice::from_ref(key)) {
                     let rrow = table
                         .row(rid)
                         .ok_or_else(|| SqlError::Internal(format!("dangling rid {rid}")))?;
                     cost.index_rows += 1;
-                    // Apply the right side's residual predicates.
-                    if !right.residual.is_empty() {
-                        cost.filter_evals += right.residual.len() as u64;
-                        if !right
-                            .residual
-                            .iter()
-                            .all(|p| eval_predicate(p, &right_schema, rrow))
-                        {
-                            continue;
-                        }
+                    cost.filter_evals += residual.len() as u64;
+                    if residual.iter().all(|t| t.eval(&[rrow]))
+                        && path_accepts(&right.path, path_column, rrow)
+                    {
+                        rows.extend_from_slice(lrow);
+                        rows.push(rrow);
                     }
-                    // And its access-path restriction, if any (the planner
-                    // may have both an index path and a join; the path then
-                    // acts as an extra filter).
-                    if !path_accepts(&right.path, table, rrow) {
-                        continue;
-                    }
-                    let mut row = lrow.clone();
-                    row.extend(rrow.iter().cloned());
-                    rows.push(row);
                 }
             }
-            Ok(Relation { schema: out_schema, rows })
+            part
         }
-    }
+    };
+    let mut parts = left.parts;
+    parts.push(part);
+    Ok(Borrowed { parts, rows })
 }
 
 /// When an INLJ drives row fetches, the scan's own access path becomes a
-/// residual restriction on the fetched rows.
-fn path_accepts(path: &AccessPath, table: &Table, row: &[Value]) -> bool {
+/// residual restriction on the fetched rows. `column` is the leading key
+/// column of the path's index (`None`: the index is gone, nothing passes).
+fn path_accepts(path: &AccessPath, column: Option<usize>, row: &[Value]) -> bool {
+    let key = column.map(|c| &row[c]);
     match path {
         AccessPath::SeqScan => true,
-        AccessPath::IndexEq { index, key } => key_of(table, index, row)
-            .map(|k| k.first() == Some(key))
-            .unwrap_or(false),
-        AccessPath::IndexRange { index, low, high } => {
-            let Some(k) = key_of(table, index, row).and_then(|k| k.into_iter().next()) else {
-                return false;
-            };
-            if k.is_null() {
-                return false;
-            }
+        AccessPath::IndexEq { key: wanted, .. } => key == Some(wanted),
+        AccessPath::IndexRange { low, high, .. } => key.is_some_and(|k| {
             let lo_ok = low.as_ref().is_none_or(|(v, inc)| match k.sql_cmp(v) {
                 Some(Ordering::Greater) => true,
                 Some(Ordering::Equal) => *inc,
@@ -402,73 +447,81 @@ fn path_accepts(path: &AccessPath, table: &Table, row: &[Value]) -> bool {
                 Some(Ordering::Equal) => *inc,
                 _ => false,
             });
-            lo_ok && hi_ok
-        }
-        AccessPath::IndexInList { index, keys } => key_of(table, index, row)
-            .and_then(|k| k.into_iter().next())
-            .map(|k| keys.contains(&k))
-            .unwrap_or(false),
+            !k.is_null() && lo_ok && hi_ok
+        }),
+        AccessPath::IndexInList { keys, .. } => key.is_some_and(|k| keys.contains(k)),
     }
 }
 
-fn key_of(table: &Table, index_name: &str, row: &[Value]) -> Option<Vec<Value>> {
-    table
-        .indexes()
-        .iter()
-        .find(|i| i.name == index_name)
-        .map(|i| i.key_of(row))
+/// A predicate with its columns resolved to positions, once per operator;
+/// literals are compared where the plan holds them.
+enum Test<'p> {
+    Compare { left: Pos, op: SqlCmpOp, right: Rhs<'p> },
+    Like { col: Pos, pattern: &'p str, negated: bool },
+    IsNull { col: Pos, negated: bool },
+    InList { col: Pos, values: &'p [Value] },
+    /// Names a column the relation does not have: never true.
+    Never,
 }
 
-/// Evaluates a predicate against a row under the given schema.
-pub fn eval_predicate(p: &Predicate, schema: &[ColumnRef], row: &[Value]) -> bool {
-    let resolve = |c: &ColumnRef| -> Option<usize> {
-        schema.iter().position(|s| {
-            s.column == c.column && (c.table.is_none() || s.table == c.table)
-        })
-    };
-    match p {
-        Predicate::Compare { left, op, right } => {
-            let Some(li) = resolve(left) else { return false };
-            let lv = &row[li];
-            let rv = match right {
-                Operand::Literal(v) => v.clone(),
-                Operand::Column(c) => {
-                    let Some(ri) = resolve(c) else { return false };
-                    row[ri].clone()
+enum Rhs<'p> {
+    Literal(&'p Value),
+    Column(Pos),
+}
+
+impl<'p> Test<'p> {
+    fn new(p: &'p Predicate, parts: &[Part<'_>]) -> Self {
+        let at = |c: &ColumnRef| resolve(parts, c);
+        let test = match p {
+            Predicate::Compare { left, op, right } => at(left).and_then(|left| {
+                let right = match right {
+                    Operand::Literal(v) => Rhs::Literal(v),
+                    Operand::Column(c) => Rhs::Column(at(c)?),
+                };
+                Some(Test::Compare { left, op: *op, right })
+            }),
+            Predicate::Like { col, pattern, negated } => {
+                at(col).map(|col| Test::Like { col, pattern, negated: *negated })
+            }
+            Predicate::IsNull { col, negated } => {
+                at(col).map(|col| Test::IsNull { col, negated: *negated })
+            }
+            Predicate::InList { col, values } => at(col).map(|col| Test::InList { col, values }),
+        };
+        test.unwrap_or(Test::Never)
+    }
+
+    /// Evaluates against one row: one base-table slice per part.
+    fn eval(&self, row: &[&[Value]]) -> bool {
+        let get = |p: &Pos| &row[p.part][p.col];
+        match self {
+            Test::Compare { left, op, right } => {
+                let rv = match right {
+                    Rhs::Literal(v) => *v,
+                    Rhs::Column(p) => get(p),
+                };
+                match get(left).sql_cmp(rv) {
+                    None => false,
+                    Some(ord) => match op {
+                        SqlCmpOp::Eq => ord == Ordering::Equal,
+                        SqlCmpOp::Ne => ord != Ordering::Equal,
+                        SqlCmpOp::Lt => ord == Ordering::Less,
+                        SqlCmpOp::Le => ord != Ordering::Greater,
+                        SqlCmpOp::Gt => ord == Ordering::Greater,
+                        SqlCmpOp::Ge => ord != Ordering::Less,
+                    },
                 }
-            };
-            match lv.sql_cmp(&rv) {
-                None => false,
-                Some(ord) => match op {
-                    SqlCmpOp::Eq => ord == Ordering::Equal,
-                    SqlCmpOp::Ne => ord != Ordering::Equal,
-                    SqlCmpOp::Lt => ord == Ordering::Less,
-                    SqlCmpOp::Le => ord != Ordering::Greater,
-                    SqlCmpOp::Gt => ord == Ordering::Greater,
-                    SqlCmpOp::Ge => ord != Ordering::Less,
-                },
             }
-        }
-        Predicate::Like { col, pattern, negated } => {
-            let Some(i) = resolve(col) else { return false };
-            if row[i].is_null() {
-                return false;
+            Test::Like { col, pattern, negated } => {
+                let v = get(col);
+                !v.is_null() && v.like(pattern) != *negated
             }
-            row[i].like(pattern) != *negated
-        }
-        Predicate::IsNull { col, negated } => {
-            let Some(i) = resolve(col) else { return false };
-            row[i].is_null() != *negated
-        }
-        Predicate::InList { col, values } => {
-            let Some(i) = resolve(col) else { return false };
-            let v = &row[i];
-            if v.is_null() {
-                return false;
+            Test::IsNull { col, negated } => get(col).is_null() != *negated,
+            Test::InList { col, values } => {
+                let v = get(col);
+                !v.is_null() && values.iter().any(|w| v.sql_cmp(w) == Some(Ordering::Equal))
             }
-            values
-                .iter()
-                .any(|w| v.sql_cmp(w) == Some(Ordering::Equal))
+            Test::Never => false,
         }
     }
 }
@@ -476,13 +529,21 @@ pub fn eval_predicate(p: &Predicate, schema: &[ColumnRef], row: &[Value]) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::ast::Operand;
+    use crate::schema::{Column, TableSchema};
+    use crate::value::DataType;
 
-    fn schema() -> Vec<ColumnRef> {
-        vec![
-            ColumnRef::qualified("t", "id"),
-            ColumnRef::qualified("t", "name"),
-        ]
+    fn table() -> Table {
+        Table::new(TableSchema::new(
+            "t",
+            vec![Column::new("id", DataType::Int), Column::new("name", DataType::Text)],
+        ))
+        .unwrap()
+    }
+
+    fn eval(p: &Predicate, row: &[Value]) -> bool {
+        let table = table();
+        let part = Part { alias: "t".into(), table: &table };
+        Test::new(p, std::slice::from_ref(&part)).eval(&[row])
     }
 
     #[test]
@@ -493,7 +554,7 @@ mod tests {
             op: SqlCmpOp::Gt,
             right: Operand::Literal(Value::Int(3)),
         };
-        assert!(eval_predicate(&p, &schema(), &row));
+        assert!(eval(&p, &row));
     }
 
     #[test]
@@ -504,7 +565,7 @@ mod tests {
             op: SqlCmpOp::Eq,
             right: Operand::Literal(Value::text("abc")),
         };
-        assert!(eval_predicate(&p, &schema(), &row));
+        assert!(eval(&p, &row));
     }
 
     #[test]
@@ -516,9 +577,18 @@ mod tests {
             right: Operand::Literal(Value::Null),
         };
         // NULL = NULL is UNKNOWN → filtered out.
-        assert!(!eval_predicate(&eq, &schema(), &row));
+        assert!(!eval(&eq, &row));
         let isnull = Predicate::IsNull { col: ColumnRef::new("id"), negated: false };
-        assert!(eval_predicate(&isnull, &schema(), &row));
+        assert!(eval(&isnull, &row));
+    }
+
+    #[test]
+    fn predicate_on_a_missing_column_is_never_true() {
+        let row = vec![Value::Int(5), Value::text("abc")];
+        let other_alias = Predicate::IsNull { col: ColumnRef::qualified("u", "id"), negated: true };
+        assert!(!eval(&other_alias, &row));
+        let no_column = Predicate::IsNull { col: ColumnRef::new("nope"), negated: true };
+        assert!(!eval(&no_column, &row));
     }
 
     #[test]

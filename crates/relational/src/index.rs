@@ -71,17 +71,13 @@ impl BTreeIndex {
     }
 
     /// Prefix lookup for composite indexes: row ids whose key starts with
-    /// `prefix`.
-    pub fn lookup_prefix(&self, prefix: &[Value]) -> Vec<RowId> {
-        if prefix.len() == self.key_columns.len() {
-            return self.lookup(prefix).to_vec();
-        }
-        let lo = prefix.to_vec();
+    /// `prefix`, in key order. Borrows the prefix as the range bound, so a
+    /// probe allocates nothing.
+    pub fn lookup_prefix<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
         self.tree
-            .range((Bound::Included(lo), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
+            .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
             .flat_map(|(_, rids)| rids.iter().copied())
-            .collect()
     }
 
     /// Range scan on a single-column index: keys in `[low, high]` with
@@ -184,9 +180,10 @@ mod tests {
         idx.insert(&row(&[Value::text("a"), Value::Int(1)]), 0).unwrap();
         idx.insert(&row(&[Value::text("a"), Value::Int(2)]), 1).unwrap();
         idx.insert(&row(&[Value::text("b"), Value::Int(1)]), 2).unwrap();
-        let rids = idx.lookup_prefix(&[Value::text("a")]);
+        let rids: Vec<RowId> = idx.lookup_prefix(&[Value::text("a")]).collect();
         assert_eq!(rids, vec![0, 1]);
-        let exact = idx.lookup_prefix(&[Value::text("a"), Value::Int(2)]);
+        let exact: Vec<RowId> =
+            idx.lookup_prefix(&[Value::text("a"), Value::Int(2)]).collect();
         assert_eq!(exact, vec![1]);
     }
 

@@ -47,9 +47,17 @@ impl ColumnStats {
     }
 }
 
-/// Computes statistics for one column of a table.
+/// Statistics for one column of a table, served from the table's cache
+/// ([`crate::cache`]; the row count is the version) so that planning a
+/// query does not scan the data it is about to plan around. Equal to a
+/// fresh pass over the rows at every point.
 pub fn column_stats(table: &Table, column: &str) -> Option<ColumnStats> {
     let pos = table.schema.column_index(column)?;
+    Some(table.column_stats_cached(pos, || scan_column(table, pos)))
+}
+
+/// One pass over the rows of the column at `pos`.
+fn scan_column(table: &Table, pos: usize) -> ColumnStats {
     let mut freq: HashMap<&Value, usize> = HashMap::new();
     let mut nulls = 0usize;
     for (_, row) in table.iter() {
@@ -63,8 +71,8 @@ pub fn column_stats(table: &Table, column: &str) -> Option<ColumnStats> {
     let count: usize = freq.values().sum();
     let max_freq = freq.values().copied().max().unwrap_or(0);
     let total = count + nulls;
-    Some(ColumnStats {
-        column: column.to_lowercase(),
+    ColumnStats {
+        column: table.schema.columns[pos].name.clone(),
         count,
         nulls,
         distinct: freq.len(),
@@ -73,7 +81,7 @@ pub fn column_stats(table: &Table, column: &str) -> Option<ColumnStats> {
         } else {
             max_freq as f64 / total as f64
         },
-    })
+    }
 }
 
 /// Statistics for a whole table, computed on demand.
@@ -205,6 +213,60 @@ mod tests {
         assert_eq!(ts.columns.len(), 2);
         assert!(ts.column("ID").is_some());
         assert!(ts.column("nope").is_none());
+    }
+
+    /// After every insert of a seeded sequence — accepted or rejected —
+    /// the cached statistics equal a fresh pass, and each column is
+    /// scanned once per row count at which somebody asked.
+    #[test]
+    fn cached_stats_equal_a_fresh_pass_after_any_insert_sequence() {
+        use fedlake_prng::Prng;
+        let mut rng = Prng::seed_from_u64(0x57a7_0001);
+        for _ in 0..32 {
+            let mut t = table_with(&[]);
+            let mut asked_at: [Option<usize>; 2] = [None, None];
+            let mut passes = 0;
+            for _ in 0..rng.gen_range(1usize..40) {
+                // A small id range, so some inserts violate the key.
+                let id = Value::Int(rng.gen_range(0i64..24));
+                let species = match rng.gen_range(0u8..5) {
+                    0 => Value::Null,
+                    n => Value::text(format!("s{n}")),
+                };
+                let _ = t.insert(vec![id, species]);
+                for (pos, name) in ["id", "species"].into_iter().enumerate() {
+                    if rng.gen_bool(0.6) {
+                        assert_eq!(column_stats(&t, name).unwrap(), scan_column(&t, pos));
+                        if asked_at[pos] != Some(t.len()) {
+                            asked_at[pos] = Some(t.len());
+                            passes += 1;
+                        }
+                    }
+                }
+            }
+            let s = t.stats_cache_stats();
+            assert_eq!(s.misses, passes, "one pass per (column, row count) asked about");
+            assert_eq!(s.lookups, s.hits + s.misses);
+        }
+    }
+
+    #[test]
+    fn a_clone_answers_from_the_carried_cache_until_it_diverges() {
+        let t = table_with(&["a", "b", "a"]);
+        let original = column_stats(&t, "species").unwrap();
+        assert_eq!(t.stats_cache_stats().misses, 1);
+
+        let mut c = t.clone();
+        assert_eq!(column_stats(&c, "species").unwrap(), original);
+        assert_eq!(table_stats(&c).column("species"), Some(&original));
+        assert_eq!(c.stats_cache_stats().misses, 2, "only `id` was new to the clone");
+
+        // Diverge: the clone recomputes, the original is untouched.
+        c.insert(vec![Value::Int(99), Value::text("a")]).unwrap();
+        assert_eq!(column_stats(&c, "species").unwrap().count, 4);
+        assert_eq!(c.stats_cache_stats().stale, 1);
+        assert_eq!(column_stats(&t, "species").unwrap(), original);
+        assert_eq!(t.stats_cache_stats().misses, 1);
     }
 
     #[test]

@@ -1,25 +1,54 @@
 //! Row storage: one in-memory heap per table plus its indexes.
 
+use crate::cache::{CacheStats, VersionedCache};
 use crate::error::SqlError;
 use crate::index::{BTreeIndex, RowId};
 use crate::schema::TableSchema;
+use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
+use std::sync::{Mutex, MutexGuard};
 
 /// A stored table: schema, rows and indexes (the primary-key index is
 /// created automatically).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
     rows: Vec<Vec<Value>>,
     indexes: Vec<BTreeIndex>,
+    /// Column statistics by column position, stamped with the row count
+    /// they were computed from. Rows are only ever appended — there is no
+    /// update or delete — so the count identifies the table's contents and
+    /// serves as the version: an insert makes every entry stale without
+    /// anyone having to say so.
+    stats: Mutex<StatsCache>,
+}
+
+type StatsCache = VersionedCache<usize, ColumnStats>;
+
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        // The statistics travel along: the clone holds the same rows, and
+        // once it diverges its own row count outdates them.
+        Table {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            indexes: self.indexes.clone(),
+            stats: Mutex::new(self.stats_cache().clone()),
+        }
+    }
 }
 
 impl Table {
     /// Creates an empty table; builds the primary-key index if a key is
     /// declared.
     pub fn new(schema: TableSchema) -> Result<Self, SqlError> {
-        let mut t = Table { schema, rows: Vec::new(), indexes: Vec::new() };
+        let mut t = Table {
+            schema,
+            rows: Vec::new(),
+            indexes: Vec::new(),
+            stats: Mutex::default(),
+        };
         if !t.schema.primary_key.is_empty() {
             let cols = t.resolve_columns(&t.schema.primary_key.clone())?;
             t.indexes.push(BTreeIndex::new(
@@ -158,6 +187,32 @@ impl Table {
     /// Iterates all rows with their ids.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> {
         self.rows.iter().enumerate().map(|(i, r)| (i, r.as_slice()))
+    }
+
+    fn stats_cache(&self) -> MutexGuard<'_, StatsCache> {
+        self.stats.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The statistics of the column at `pos` as of the current rows: the
+    /// cached ones, or `fresh()` computed now and kept for the next caller.
+    pub(crate) fn column_stats_cached(
+        &self,
+        pos: usize,
+        fresh: impl FnOnce() -> ColumnStats,
+    ) -> ColumnStats {
+        let version = self.rows.len() as u64;
+        if let Some(hit) = self.stats_cache().lookup(&pos, version) {
+            return hit;
+        }
+        let stats = fresh();
+        self.stats_cache().insert(pos, version, stats.clone());
+        stats
+    }
+
+    /// Counters of the column-statistics cache; `misses` is the number of
+    /// full passes over the table's rows.
+    pub fn stats_cache_stats(&self) -> CacheStats {
+        self.stats_cache().stats()
     }
 }
 

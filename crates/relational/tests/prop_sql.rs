@@ -6,7 +6,7 @@
 use fedlake_prng::Prng;
 use fedlake_relational::sql::ast::{Operand, Predicate, SqlCmpOp, Statement};
 use fedlake_relational::sql::parse;
-use fedlake_relational::{Column, DataType, Database, TableSchema, Value};
+use fedlake_relational::{Column, DataType, Database, ResultSet, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -140,6 +140,30 @@ fn eval_ref(p: &Pred, v: &Value) -> bool {
     }
 }
 
+/// Runs the same statement on a database nobody has planned against yet
+/// (column statistics cold), then twice more on the now-warm one: the rows
+/// must come back in the same order with equal `CostStats`, and the warm
+/// runs must not scan for statistics again. Returns the cold run.
+fn cold_then_warm(db: &Database, run: impl Fn(&Database) -> ResultSet) -> ResultSet {
+    let passes = |db: &Database| -> (u64, u64) {
+        db.table_names()
+            .into_iter()
+            .map(|t| db.table(t).unwrap().stats_cache_stats())
+            .fold((0, 0), |(l, m), s| (l + s.lookups, m + s.misses))
+    };
+    assert_eq!(passes(db), (0, 0), "the database must arrive statistics-cold");
+    let cold = run(db);
+    let (_, scans) = passes(db);
+    for _ in 0..2 {
+        let warm = run(db);
+        assert_eq!(warm.rows, cold.rows, "row order differs between cold and warm statistics");
+        assert_eq!(warm.cost, cold.cost, "CostStats differ between cold and warm statistics");
+        assert_eq!(warm.columns, cold.columns);
+    }
+    assert_eq!(passes(db).1, scans, "a warm run recomputed column statistics");
+    cold
+}
+
 /// Executing a filtered SELECT must equal naive row filtering, with and
 /// without a secondary index — and the two engines must agree.
 #[test]
@@ -162,8 +186,8 @@ fn select_matches_reference_and_indexes_do_not_change_answers() {
             let col = if *col_idx == 1 { "a" } else { "b" };
             stmt.predicates.push(pred_to_ast(col, p));
         }
-        let r_plain = plain.run_select(&stmt).unwrap();
-        let r_indexed = indexed.run_select(&stmt).unwrap();
+        let r_plain = cold_then_warm(&plain, |db| db.run_select(&stmt).unwrap());
+        let r_indexed = cold_then_warm(&indexed, |db| db.run_select(&stmt).unwrap());
 
         // Reference evaluation over the raw rows.
         let table = plain.table("t").unwrap();
@@ -224,9 +248,22 @@ fn join_algorithms_agree() {
                 .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
                 .collect()
         };
-        let a = hash_db.query(sql).unwrap();
-        let b = inlj_db.query(sql).unwrap();
+        let a = cold_then_warm(&hash_db, |db| db.query(sql).unwrap());
+        let b = cold_then_warm(&inlj_db, |db| db.query(sql).unwrap());
         assert_eq!(to_set(&a), to_set(&b));
+        // Both equal the naive nested loop over the base rows.
+        let l = hash_db.table("l").unwrap();
+        let r = hash_db.table("r").unwrap();
+        let mut expected = BTreeSet::new();
+        for (_, lrow) in l.iter() {
+            for (_, rrow) in r.iter() {
+                if lrow[1].sql_cmp(&rrow[1]) == Some(Ordering::Equal) {
+                    expected.insert((lrow[0].as_i64().unwrap(), rrow[0].as_i64().unwrap()));
+                }
+            }
+        }
+        assert_eq!(to_set(&a), expected);
+        assert_eq!(a.rows.len(), b.rows.len(), "a join algorithm duplicated or dropped a pair");
     }
 }
 
@@ -239,7 +276,7 @@ fn order_by_and_limit() {
         let rows = arb_rows(&mut rng);
         let limit = rng.gen_range(0usize..20);
         let db = build_db(&rows, false);
-        let all = db.query("SELECT id, a FROM t ORDER BY a, id").unwrap();
+        let all = cold_then_warm(&db, |db| db.query("SELECT id, a FROM t ORDER BY a, id").unwrap());
         for w in all.rows.windows(2) {
             let ka = (&w[0][1], w[0][0].as_i64().unwrap());
             let kb = (&w[1][1], w[1][0].as_i64().unwrap());

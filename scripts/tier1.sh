@@ -141,19 +141,28 @@ FEDLAKE_PLAN_CACHE=1 FEDLAKE_COST=1 CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test 
 
 # One cache contract: a warm engine must see every write — answers equal
 # to the oracle and to a fresh engine, FedStats included — across the
-# three planners, both schedules, solo and served. Then the benchmark's
-# own mutate/requery loop in smoke mode, which must not fail an operation.
+# three planners, both schedules, solo and served.
 echo "== cache invalidation =="
 cargo test -q --offline --test cache_invalidation
 
-echo "== fedbench smoke (run --quick --workload mutate_requery) =="
-smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
-    run --quick --workload mutate_requery)"
-echo "$smoke" | tail -n 1 | grep -q '"failed": 0' || {
-    echo "$smoke"
-    echo "fedbench smoke: failed operations"
-    exit 1
-}
+# The benchmark's own unit tests, then its two source-path workloads in
+# smoke mode: mutate_requery (writes beside reads) and adhoc_cold (every
+# cache empty: SQL execution, plan-time statistics and the lift do the
+# work). Neither may fail an operation; building them is also the gate's
+# proof that fedbench/src/api.rs still compiles against the crates.
+echo "== fedbench unit tests =="
+cargo test -q --offline --manifest-path fedbench/Cargo.toml
+
+for workload in mutate_requery adhoc_cold; do
+    echo "== fedbench smoke (run --quick --workload $workload) =="
+    smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
+        run --quick --workload "$workload")"
+    echo "$smoke" | tail -n 1 | grep -q '"failed": 0' || {
+        echo "$smoke"
+        echo "fedbench smoke ($workload): failed operations"
+        exit 1
+    }
+done
 
 echo "== serve smoke (lake_shell --serve, fixed seed) =="
 cargo run -q --offline --release -p fedlake-bench --bin lake_shell -- \
