@@ -1,7 +1,8 @@
 //! Compares the interned slot-row representation against the reference
-//! term-row (`BTreeMap<Var, Term>`) representation on the operations the
-//! row currency dominates: symmetric-hash-join probing, DISTINCT
-//! insertion, projection, and the end-to-end Q2 federated execution.
+//! term-row (`Row`: variable → term, by value) representation on the
+//! operations the row currency dominates: symmetric-hash-join probing,
+//! DISTINCT insertion, projection, and the end-to-end Q2 federated
+//! execution.
 //!
 //! Emits `BENCH_rows.json` (in the current directory) with median ns/op
 //! per case and the reference/interned speedup factor. Before measuring,

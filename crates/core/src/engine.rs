@@ -16,7 +16,7 @@ use fedlake_netsim::Link;
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
-use fedlake_sparql::binding::{decode_batch_row, decode_row, Row, RowSchema, SlotRow, Var};
+use fedlake_sparql::binding::{decode_row, Row, RowSchema, SlotRow, Var};
 use fedlake_sparql::eval::sort_rows;
 use fedlake_sparql::parser::parse_query;
 use std::collections::{BTreeMap, HashMap};
@@ -508,7 +508,7 @@ impl FederatedEngine {
                         let dict = ctx.interner.lock();
                         for i in batch.selected() {
                             ctx.trace.record_answer(&mut trace, now);
-                            decoded.push(decode_batch_row(&batch, i, &planned.schema, &dict));
+                            decoded.push(decode_row(&planned.schema, &dict, |s| batch.get(i, s)));
                         }
                     }
                     Ok(crate::operators::Poll::Pending(ev)) => {
@@ -631,7 +631,7 @@ impl FederatedEngine {
             let dict = ctx.interner.lock();
             slot_rows
                 .iter()
-                .map(|r| decode_row(r, &planned.schema, &dict))
+                .map(|r| decode_row(&planned.schema, &dict, |s| r.get(s)))
                 .collect()
         };
 
@@ -759,7 +759,7 @@ impl FederatedEngine {
             }
             FedPlan::Filter { input, exprs } => {
                 let i = self.build_operator(input, schema, links, sink, qrec, next_node)?;
-                Box::new(FilterOp::new(i, exprs.clone()))
+                Box::new(FilterOp::new(i, exprs, schema))
             }
             FedPlan::Union(branches) => {
                 let ops = branches

@@ -18,7 +18,7 @@ use crate::error::FedError;
 use fedlake_netsim::{CostModel, EventQueue, EventTime, SharedClock};
 use fedlake_rdf::{FastMap, FastSet, SharedInterner, TermId};
 use fedlake_sparql::binding::{RowBatch, RowSchema, SlotRow};
-use fedlake_sparql::expr::Expr;
+use fedlake_sparql::expr::{BoundExpr, Expr};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -851,18 +851,29 @@ impl FedOp for LeftHashJoin<'_> {
     }
 }
 
-/// Engine-level conjunctive filter. Evaluation resolves ids to terms
-/// lazily through the query interner only where a value comparison needs
-/// them.
+/// Engine-level conjunctive filter. The expressions are bound against
+/// the query's schema once, at construction; evaluating one is slot reads
+/// and `&str` compares, resolving ids through the query interner only
+/// where a value comparison needs a term.
 pub struct FilterOp<'a> {
     input: BoxedOp<'a>,
-    exprs: Vec<Expr>,
+    exprs: Vec<BoundExpr>,
 }
 
 impl<'a> FilterOp<'a> {
-    /// Creates a filter over `input`.
-    pub fn new(input: BoxedOp<'a>, exprs: Vec<Expr>) -> Self {
-        FilterOp { input, exprs }
+    /// Creates a filter over `input`, whose rows are laid out by `schema`.
+    pub fn new(input: BoxedOp<'a>, exprs: &[Expr], schema: &RowSchema) -> Self {
+        FilterOp { input, exprs: exprs.iter().map(|e| e.bind(Some(schema))).collect() }
+    }
+
+    /// Counts and charges one row's evaluation, then runs it under one
+    /// interner lock.
+    fn keeps(&self, row: &SlotRow, ctx: &mut ExecCtx) -> bool {
+        ctx.stats.engine_filter_evals += self.exprs.len() as u64;
+        ctx.clock
+            .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64));
+        let dict = ctx.interner.lock();
+        self.exprs.iter().all(|e| e.test_ids(|s| row.get(s), &dict))
     }
 
     /// Evaluates the conjunction over every selected row, narrowing the
@@ -875,16 +886,12 @@ impl<'a> FilterOp<'a> {
         ctx.stats.engine_filter_evals += self.exprs.len() as u64 * n as u64;
         ctx.clock
             .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64) * n as u32);
-        let schema = Arc::clone(&ctx.schema);
         let dict = ctx.interner.lock();
-        let mut scratch = SlotRow::unbound(batch.width());
-        let mut sel: Vec<u32> = Vec::with_capacity(n);
-        for i in batch.selected() {
-            batch.read_row(i, &mut scratch);
-            if self.exprs.iter().all(|e| e.test_slots(&scratch, &schema, &dict)) {
-                sel.push(i as u32);
-            }
-        }
+        let sel: Vec<u32> = batch
+            .selected()
+            .filter(|&i| self.exprs.iter().all(|e| e.test_ids(|s| batch.get(i, s), &dict)))
+            .map(|i| i as u32)
+            .collect();
         drop(dict);
         let keep = !sel.is_empty();
         batch.set_sel(sel);
@@ -895,13 +902,7 @@ impl<'a> FilterOp<'a> {
 impl FedOp for FilterOp<'_> {
     fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
         while let Some(row) = self.input.next(ctx)? {
-            ctx.stats.engine_filter_evals += self.exprs.len() as u64;
-            ctx.clock
-                .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64));
-            let schema = Arc::clone(&ctx.schema);
-            let dict = ctx.interner.lock();
-            if self.exprs.iter().all(|e| e.test_slots(&row, &schema, &dict)) {
-                drop(dict);
+            if self.keeps(&row, ctx) {
                 return Ok(Some(row));
             }
         }
@@ -912,13 +913,7 @@ impl FedOp for FilterOp<'_> {
         loop {
             match self.input.poll_next(ctx)? {
                 Poll::Ready(row) => {
-                    ctx.stats.engine_filter_evals += self.exprs.len() as u64;
-                    ctx.clock
-                        .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64));
-                    let schema = Arc::clone(&ctx.schema);
-                    let dict = ctx.interner.lock();
-                    if self.exprs.iter().all(|e| e.test_slots(&row, &schema, &dict)) {
-                        drop(dict);
+                    if self.keeps(&row, ctx) {
                         return Ok(Poll::Ready(row));
                     }
                 }
@@ -1398,7 +1393,7 @@ mod tests {
             CmpOp::Gt,
             Box::new(Expr::Const(Term::integer(3))),
         );
-        let mut f = FilterOp::new(Box::new(input), vec![expr]);
+        let mut f = FilterOp::new(Box::new(input), &[expr], &c.schema);
         let out = drain(&mut f, &mut c);
         assert_eq!(out.len(), 1);
         assert_eq!(c.stats.engine_filter_evals, 2);
@@ -1466,7 +1461,7 @@ mod tests {
             CmpOp::Ne,
             Box::new(Expr::Const(Term::iri("http://x/y"))),
         );
-        let filter = FilterOp::new(Box::new(join), vec![expr]);
+        let filter = FilterOp::new(Box::new(join), &[expr], &c.schema);
         let project = ProjectOp::new(Box::new(filter), vec![slot("a"), slot("j")]);
         Box::new(DistinctOp::new(Box::new(project)))
     }

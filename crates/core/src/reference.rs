@@ -1,7 +1,7 @@
 //! Reference executor over term-materialized rows.
 //!
 //! This module keeps the pre-interning row representation — solution
-//! mappings as [`Row`] (a `BTreeMap<Var, Term>`) — runnable next to the
+//! mappings as [`Row`] (variable → term, by value) — runnable next to the
 //! slot-based engine. It exists for two reasons:
 //!
 //! 1. **Equivalence testing**: [`FederatedEngine::execute_planned_reference`]
@@ -33,7 +33,7 @@ use fedlake_netsim::{EventTime, Link};
 use fedlake_rdf::{SharedInterner, Term};
 use fedlake_sparql::binding::{decode_row, encode_row, Row, SlotRow, Var};
 use fedlake_sparql::eval::sort_rows;
-use fedlake_sparql::expr::Expr;
+use fedlake_sparql::expr::{BoundExpr, Expr};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -103,7 +103,7 @@ impl RefOp for DecodeOp<'_> {
     fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
         Ok(self.input.next(ctx)?.map(|r| {
             let dict = ctx.interner.lock();
-            decode_row(&r, &ctx.schema, &dict)
+            decode_row(&ctx.schema, &dict, |s| r.get(s))
         }))
     }
 
@@ -111,7 +111,7 @@ impl RefOp for DecodeOp<'_> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(r) => {
                 let dict = ctx.interner.lock();
-                Poll::Ready(decode_row(&r, &ctx.schema, &dict))
+                Poll::Ready(decode_row(&ctx.schema, &dict, |s| r.get(s)))
             }
             Poll::Pending(ev) => Poll::Pending(ev),
             Poll::Done => Poll::Done,
@@ -517,13 +517,13 @@ impl RefOp for LeftHashJoinRef<'_> {
 /// The seed conjunctive filter over term rows.
 pub struct FilterRefOp<'a> {
     input: BoxedRefOp<'a>,
-    exprs: Vec<Expr>,
+    exprs: Vec<BoundExpr>,
 }
 
 impl<'a> FilterRefOp<'a> {
     /// Creates a filter over `input`.
-    pub fn new(input: BoxedRefOp<'a>, exprs: Vec<Expr>) -> Self {
-        FilterRefOp { input, exprs }
+    pub fn new(input: BoxedRefOp<'a>, exprs: &[Expr]) -> Self {
+        FilterRefOp { input, exprs: exprs.iter().map(|e| e.bind(None)).collect() }
     }
 }
 
@@ -787,7 +787,7 @@ fn build_ref_operator<'a>(
         }
         FedPlan::Filter { input, exprs } => {
             let i = build_ref_operator(lake, config, input, links, sink, next_node)?;
-            Box::new(FilterRefOp::new(i, exprs.clone()))
+            Box::new(FilterRefOp::new(i, exprs))
         }
         FedPlan::Union(branches) => {
             let ops = branches

@@ -550,7 +550,10 @@ impl FederatedEngine {
             Vec::new()
         } else {
             let dict = s.ctx.interner.lock();
-            s.slot_rows.iter().map(|r| decode_row(r, &job.planned.schema, &dict)).collect()
+            s.slot_rows
+                .iter()
+                .map(|r| decode_row(&job.planned.schema, &dict, |i| r.get(i)))
+                .collect()
         };
         if !job.planned.order_by.is_empty() {
             sort_rows(&mut rows, &job.planned.order_by);

@@ -24,12 +24,12 @@ use fedlake_mapping::lift::{term_to_value, value_key_in};
 use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_netsim::{EventTime, Link};
-use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
+use fedlake_rdf::{BuildFastHasher, Dictionary, Term, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
 use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, SlotRow};
 use fedlake_sparql::eval::eval_bgp;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -851,6 +851,7 @@ impl LeafRequest<'_> {
                 Ok(lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock()))
             }
             LeafRequest::Sparql { graph, star, filters } => {
+                let filters: Vec<_> = filters.iter().map(|f| f.bind(None)).collect();
                 let rows: Vec<Row> = eval_bgp(&star.triples, graph, vec![Row::new()])
                     .into_iter()
                     .filter(|r| filters.iter().all(|f| f.test(r)))
@@ -1388,6 +1389,42 @@ impl FedOp for NaiveStream<'_> {
     }
 }
 
+/// The SQL a bind join ships for one batch: `target`'s star restricted to
+/// the distinct keys of the left rows' join terms, in first-seen order, as
+/// one `IN` list. Terms no key can be extracted from (an IRI the target's
+/// template did not mint, a literal where it expects an IRI) are skipped;
+/// `None` when that leaves nothing. The text is the source's memo key, so
+/// the same batch must always render the same bytes.
+pub fn bind_batch_query<'t>(
+    target: &crate::fedplan::BindTarget,
+    terms: impl IntoIterator<Item = &'t Term>,
+) -> Option<crate::translate::TranslatedQuery> {
+    let mut seen: HashSet<Value> = HashSet::new();
+    let mut list = String::new();
+    for term in terms {
+        let key = match &target.extract {
+            Some(tmpl) => term
+                .as_iri()
+                .and_then(|iri| tmpl.extract(iri))
+                .map(Value::Text),
+            None => Some(term_to_value(term)),
+        };
+        if let Some(key) = key {
+            if !seen.contains(&key) {
+                let sep = if seen.is_empty() { "" } else { ", " };
+                let _ = write!(list, "{sep}{key}");
+                seen.insert(key);
+            }
+        }
+    }
+    if seen.is_empty() {
+        return None;
+    }
+    let mut part = target.part.clone();
+    part.wheres.push(format!("{}.{} IN ({list})", part.alias, target.column));
+    Some(sql_single(&part))
+}
+
 /// The engine-level dependent (bind) join: batches of left bindings are
 /// shipped to a relational source as SQL `IN` lists — ANAPSID's adjoin
 /// lineage, and the classical alternative to fetching the right star in
@@ -1437,43 +1474,16 @@ impl<'a> BindJoinOp<'a> {
         }
     }
 
-    fn key_of(&self, id: TermId, ctx: &ExecCtx) -> Option<fedlake_relational::Value> {
-        let term = ctx.interner.resolve(id)?;
-        match &self.target.extract {
-            Some(tmpl) => {
-                let iri = term.as_iri()?;
-                tmpl.extract(iri).map(fedlake_relational::Value::Text)
-            }
-            None => Some(term_to_value(&term)),
-        }
-    }
-
     /// The batch's parameterized SQL, or `None` when no row binds an
-    /// extractable key (no traffic then — the batch can never match).
+    /// extractable key (no traffic then — the batch can never match). The
+    /// join keys are read in place under one interner lock.
     fn batch_query(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Option<crate::translate::TranslatedQuery> {
-        let jslot = ctx.schema.slot(&self.target.join_var);
-        // Distinct keys of the batch.
-        let mut keys: Vec<fedlake_relational::Value> = Vec::new();
-        for row in batch {
-            let Some(id) = jslot.and_then(|s| row.get(s)) else { continue };
-            if let Some(k) = self.key_of(id, ctx) {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
-            }
-        }
-        if keys.is_empty() {
-            return None;
-        }
-        let mut part = self.target.part.clone();
-        let list: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
-        part.wheres.push(format!(
-            "{}.{} IN ({})",
-            part.alias,
-            self.target.column,
-            list.join(", ")
-        ));
-        Some(sql_single(&part))
+        let jslot = ctx.schema.slot(&self.target.join_var)?;
+        let dict = ctx.interner.lock();
+        bind_batch_query(
+            &self.target,
+            batch.iter().filter_map(|row| dict.term(row.get(jslot)?)),
+        )
     }
 
     /// Probes the batch against the fetched right rows, charging the
@@ -1823,7 +1833,7 @@ mod tests {
 
     fn decode(c: &ExecCtx, rows: &[SlotRow]) -> Vec<Row> {
         let dict = c.interner.lock();
-        rows.iter().map(|r| decode_row(r, &c.schema, &dict)).collect()
+        rows.iter().map(|r| decode_row(&c.schema, &dict, |s| r.get(s))).collect()
     }
 
     /// Both lifts assign the same id to every cell, and it is the id the

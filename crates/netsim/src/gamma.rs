@@ -15,6 +15,11 @@ pub struct GammaSampler {
     pub alpha: f64,
     /// Scale parameter (> 0).
     pub beta: f64,
+    /// Marsaglia–Tsang's `d = shape − 1/3` and `c = 1/√(9d)`, computed
+    /// once for the shape the squeeze runs at (`α`, or `α + 1` under the
+    /// small-shape boost).
+    d: f64,
+    c: f64,
 }
 
 impl GammaSampler {
@@ -22,7 +27,9 @@ impl GammaSampler {
     pub fn new(alpha: f64, beta: f64) -> Self {
         assert!(alpha > 0.0, "gamma shape must be positive");
         assert!(beta > 0.0, "gamma scale must be positive");
-        GammaSampler { alpha, beta }
+        let shape = if alpha < 1.0 { alpha + 1.0 } else { alpha };
+        let d = shape - 1.0 / 3.0;
+        GammaSampler { alpha, beta, d, c: 1.0 / (9.0 * d).sqrt() }
     }
 
     /// The distribution mean `α·β`.
@@ -40,32 +47,30 @@ impl GammaSampler {
         if self.alpha < 1.0 {
             // Boost: gamma(α) = gamma(α+1) · U^{1/α}.
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            return sample_mt(self.alpha + 1.0, rng) * u.powf(1.0 / self.alpha) * self.beta;
+            return self.sample_mt(rng) * u.powf(1.0 / self.alpha) * self.beta;
         }
-        sample_mt(self.alpha, rng) * self.beta
+        self.sample_mt(rng) * self.beta
     }
-}
 
-/// Marsaglia–Tsang for shape ≥ 1, scale 1.
-fn sample_mt(alpha: f64, rng: &mut Prng) -> f64 {
-    debug_assert!(alpha >= 1.0);
-    let d = alpha - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        // Standard normal via Box–Muller.
-        let x = standard_normal(rng);
-        let v = 1.0 + c * x;
-        if v <= 0.0 {
-            continue;
-        }
-        let v = v * v * v;
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let x2 = x * x;
-        if u < 1.0 - 0.0331 * x2 * x2 {
-            return d * v;
-        }
-        if u.ln() < 0.5 * x2 + d * (1.0 - v + v.ln()) {
-            return d * v;
+    /// Marsaglia–Tsang for shape ≥ 1, scale 1.
+    fn sample_mt(&self, rng: &mut Prng) -> f64 {
+        let (d, c) = (self.d, self.c);
+        loop {
+            // Standard normal via Box–Muller.
+            let x = standard_normal(rng);
+            let v = 1.0 + c * x;
+            if v <= 0.0 {
+                continue;
+            }
+            let v = v * v * v;
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let x2 = x * x;
+            if u < 1.0 - 0.0331 * x2 * x2 {
+                return d * v;
+            }
+            if u.ln() < 0.5 * x2 + d * (1.0 - v + v.ln()) {
+                return d * v;
+            }
         }
     }
 }

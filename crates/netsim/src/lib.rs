@@ -33,5 +33,5 @@ pub use fault::{FaultPlan, FaultPlans, LinkFault, OutageGroup};
 pub use gamma::GammaSampler;
 pub use link::Link;
 pub use obs::NetObserver;
-pub use profile::{DelayModel, NetworkProfile};
+pub use profile::{DelayModel, DelaySampler, NetworkProfile};
 pub use sched::{EventQueue, EventTime};

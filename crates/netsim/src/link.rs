@@ -9,7 +9,7 @@ use crate::clock::SharedClock;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, LinkFault};
 use crate::obs::NetObserver;
-use crate::profile::NetworkProfile;
+use crate::profile::{DelaySampler, NetworkProfile};
 use fedlake_prng::Prng;
 use parking_lot_shim::Mutex;
 use std::sync::Arc;
@@ -70,6 +70,8 @@ pub struct Link {
     pub profile: NetworkProfile,
     /// The fault schedule this link injects.
     pub faults: FaultPlan,
+    /// `profile.delay`, prepared once: one draw per message.
+    delay: DelaySampler,
     clock: SharedClock,
     cost: CostModel,
     state: Mutex<LinkState>,
@@ -108,6 +110,7 @@ impl Link {
         Link {
             profile,
             faults,
+            delay: profile.delay.sampler(),
             clock,
             cost,
             state: Mutex::new(LinkState {
@@ -171,7 +174,7 @@ impl Link {
             }
             if u < self.faults.drop_prob + self.faults.truncate_prob {
                 st.stats.truncated += 1;
-                let delay = self.profile.delay.sample(&mut st.rng);
+                let delay = self.delay.sample(&mut st.rng);
                 st.stats.delay += delay;
                 drop(st);
                 self.clock.advance(delay + self.cost.message_time(rows));
@@ -180,7 +183,7 @@ impl Link {
             spike = u
                 < self.faults.drop_prob + self.faults.truncate_prob + self.faults.spike_prob;
         }
-        let mut delay = self.profile.delay.sample(&mut st.rng);
+        let mut delay = self.delay.sample(&mut st.rng);
         if spike {
             st.stats.spikes += 1;
             delay = Duration::from_nanos(
@@ -246,7 +249,7 @@ impl Link {
             }
             if u < self.faults.drop_prob + self.faults.truncate_prob {
                 st.stats.truncated += 1;
-                let delay = self.profile.delay.sample(&mut st.rng);
+                let delay = self.delay.sample(&mut st.rng);
                 st.stats.delay += delay;
                 let done = begin + delay + self.cost.message_time(rows);
                 st.local = done;
@@ -255,7 +258,7 @@ impl Link {
             spike = u
                 < self.faults.drop_prob + self.faults.truncate_prob + self.faults.spike_prob;
         }
-        let mut delay = self.profile.delay.sample(&mut st.rng);
+        let mut delay = self.delay.sample(&mut st.rng);
         if spike {
             st.stats.spikes += 1;
             delay = Duration::from_nanos(

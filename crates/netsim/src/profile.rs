@@ -34,16 +34,40 @@ impl DelayModel {
         }
     }
 
+    /// Prepares the model for repeated draws: a link samples one delay
+    /// per message, so the gamma sampler's checks and constants are paid
+    /// once per link instead.
+    pub fn sampler(&self) -> DelaySampler {
+        match self {
+            DelayModel::None => DelaySampler::Fixed(Duration::ZERO),
+            DelayModel::Gamma { alpha, beta_ms } => {
+                DelaySampler::Gamma(GammaSampler::new(*alpha, *beta_ms))
+            }
+            DelayModel::Constant { ms } => DelaySampler::Fixed(millis(*ms)),
+        }
+    }
+}
+
+fn millis(ms: f64) -> Duration {
+    Duration::from_nanos((ms * 1_000_000.0) as u64)
+}
+
+/// A [`DelayModel`] prepared by [`DelayModel::sampler`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DelaySampler {
+    /// Every message takes this long; draws nothing from the RNG.
+    Fixed(Duration),
+    /// Gamma-distributed latency, in milliseconds.
+    Gamma(GammaSampler),
+}
+
+impl DelaySampler {
     /// Draws one per-message delay.
     pub fn sample(&self, rng: &mut Prng) -> Duration {
-        let ms = match self {
-            DelayModel::None => 0.0,
-            DelayModel::Gamma { alpha, beta_ms } => {
-                GammaSampler::new(*alpha, *beta_ms).sample(rng)
-            }
-            DelayModel::Constant { ms } => *ms,
-        };
-        Duration::from_nanos((ms * 1_000_000.0) as u64)
+        match self {
+            DelaySampler::Fixed(d) => *d,
+            DelaySampler::Gamma(g) => millis(g.sample(rng)),
+        }
     }
 }
 
@@ -128,7 +152,7 @@ mod tests {
     fn no_delay_samples_zero() {
         let mut rng = Prng::seed_from_u64(1);
         assert_eq!(
-            NetworkProfile::NO_DELAY.delay.sample(&mut rng),
+            NetworkProfile::NO_DELAY.delay.sampler().sample(&mut rng),
             Duration::ZERO
         );
     }
@@ -137,18 +161,49 @@ mod tests {
     fn gamma_sampling_mean_close() {
         let mut rng = Prng::seed_from_u64(1);
         let n = 50_000;
-        let total: Duration = (0..n)
-            .map(|_| NetworkProfile::GAMMA3.delay.sample(&mut rng))
-            .sum();
+        let delay = NetworkProfile::GAMMA3.delay.sampler();
+        let total: Duration = (0..n).map(|_| delay.sample(&mut rng)).sum();
         let mean_ms = total.as_secs_f64() * 1000.0 / n as f64;
         assert!((mean_ms - 4.5).abs() < 0.1, "mean was {mean_ms}");
+    }
+
+    /// The draw stream is part of every simulated number: the first
+    /// 10 000 delays of each profile, folded FNV-style over their
+    /// nanoseconds, pinned to what the per-message `GammaSampler::new`
+    /// code produced before links prepared their sampler once.
+    #[test]
+    fn delay_streams_are_pinned() {
+        let pins: [(&str, u64, u64, u64); 8] = [
+            ("NoDelay", 0x7, 0, 0xa6e4f0723147f065),
+            ("NoDelay", 0x5eedcafe, 0, 0xa6e4f0723147f065),
+            ("Gamma1", 0x7, 755283, 0x94ac16bd268e5b0e),
+            ("Gamma1", 0x5eedcafe, 83546, 0xb5e7863295eaaa3c),
+            ("Gamma2", 0x7, 5574440, 0x3658d5c448b19e65),
+            ("Gamma2", 0x5eedcafe, 1778927, 0x85f48cd4aedc32bd),
+            ("Gamma3", 0x7, 8361660, 0x3cc2561fb8f9b47f),
+            ("Gamma3", 0x5eedcafe, 2668391, 0xbcea69dc12af594f),
+        ];
+        for (name, seed, first_ns, digest) in pins {
+            let profile = NetworkProfile::ALL.iter().find(|p| p.name == name).unwrap();
+            let sampler = profile.delay.sampler();
+            let mut rng = Prng::seed_from_u64(seed);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for i in 0..10_000 {
+                let ns = sampler.sample(&mut rng).as_nanos() as u64;
+                if i == 0 {
+                    assert_eq!(ns, first_ns, "{name}/{seed:#x} first delay");
+                }
+                h = (h ^ ns).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(h, digest, "{name}/{seed:#x} delay stream moved");
+        }
     }
 
     #[test]
     fn constant_model() {
         let mut rng = Prng::seed_from_u64(1);
         let d = DelayModel::Constant { ms: 2.0 };
-        assert_eq!(d.sample(&mut rng), Duration::from_millis(2));
+        assert_eq!(d.sampler().sample(&mut rng), Duration::from_millis(2));
         assert_eq!(d.mean_ms(), 2.0);
     }
 

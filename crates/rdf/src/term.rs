@@ -58,8 +58,9 @@ impl Literal {
         self.lexical.parse().ok()
     }
 
-    /// True when the literal is numeric (by datatype or by lexical form when
-    /// untyped).
+    /// True when the literal's datatype is a numeric XSD type. An untyped
+    /// (plain or language-tagged) literal never is, whatever its lexical
+    /// form: `"5"` is a string.
     pub fn is_numeric(&self) -> bool {
         match self.datatype.as_deref() {
             Some(dt) => crate::vocab::xsd::is_numeric(dt),

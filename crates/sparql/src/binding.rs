@@ -10,7 +10,8 @@
 //! FILTER value comparisons).
 
 use fedlake_rdf::{Dictionary, Term, TermId};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,9 +44,14 @@ impl From<&str> for Var {
 }
 
 /// A single solution mapping: variable → term.
+///
+/// Bindings sit in one vector sorted by variable, without duplicates — a
+/// handful of entries, so a binary search beats a tree walk and a row is
+/// one allocation. Order, equality and hashing are those of the sorted
+/// `(variable, term)` sequence.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Row {
-    slots: BTreeMap<Var, Term>,
+    slots: Vec<(Var, Term)>,
 }
 
 impl Row {
@@ -54,9 +60,16 @@ impl Row {
         Self::default()
     }
 
+    fn position(&self, var: &Var) -> Result<usize, usize> {
+        self.slots.binary_search_by(|(v, _)| v.cmp(var))
+    }
+
     /// Binds `var` to `term`, replacing any existing binding.
     pub fn bind(&mut self, var: Var, term: Term) {
-        self.slots.insert(var, term);
+        match self.position(&var) {
+            Ok(i) => self.slots[i].1 = term,
+            Err(i) => self.slots.insert(i, (var, term)),
+        }
     }
 
     /// Builder-style [`Row::bind`].
@@ -67,12 +80,12 @@ impl Row {
 
     /// The term bound to `var`, if any.
     pub fn get(&self, var: &Var) -> Option<&Term> {
-        self.slots.get(var)
+        self.position(var).ok().map(|i| &self.slots[i].1)
     }
 
     /// True when `var` is bound.
     pub fn is_bound(&self, var: &Var) -> bool {
-        self.slots.contains_key(var)
+        self.position(var).is_ok()
     }
 
     /// Number of bound variables.
@@ -87,12 +100,12 @@ impl Row {
 
     /// Iterates `(variable, term)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Term)> {
-        self.slots.iter()
+        self.slots.iter().map(|(v, t)| (v, t))
     }
 
     /// The set of bound variables.
     pub fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.slots.keys()
+        self.slots.iter().map(|(v, _)| v)
     }
 
     /// Two rows are *compatible* when they agree on every shared variable.
@@ -109,14 +122,27 @@ impl Row {
 
     /// Merges two compatible rows; `None` when they conflict.
     pub fn merge(&self, other: &Row) -> Option<Row> {
-        if !self.compatible(other) {
-            return None;
+        let mut slots = Vec::with_capacity(self.len() + other.len());
+        let (mut a, mut b) = (self.slots.iter().peekable(), other.slots.iter().peekable());
+        loop {
+            let from_a = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.0.cmp(&y.0) {
+                    Ordering::Less => true,
+                    Ordering::Greater => false,
+                    Ordering::Equal => {
+                        if x.1 != y.1 {
+                            return None;
+                        }
+                        b.next();
+                        true
+                    }
+                },
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return Some(Row { slots }),
+            };
+            slots.extend(if from_a { a.next() } else { b.next() }.cloned());
         }
-        let mut out = self.clone();
-        for (v, t) in other.iter() {
-            out.slots.entry(v.clone()).or_insert_with(|| t.clone());
-        }
-        Some(out)
     }
 
     /// Restricts the row to `vars` (projection).
@@ -131,9 +157,14 @@ impl Row {
     }
 }
 
+/// Later bindings of a repeated variable replace earlier ones.
 impl FromIterator<(Var, Term)> for Row {
     fn from_iter<I: IntoIterator<Item = (Var, Term)>>(iter: I) -> Self {
-        Row { slots: iter.into_iter().collect() }
+        let mut out = Row::new();
+        for (v, t) in iter {
+            out.bind(v, t);
+        }
+        out
     }
 }
 
@@ -162,6 +193,9 @@ pub type Rows = Vec<Row>;
 pub struct RowSchema {
     vars: Vec<Var>,
     index: HashMap<Var, usize>,
+    /// The slots in variable order — the order a [`Row`] keeps its
+    /// bindings in, so [`decode_row`] appends and never searches.
+    by_var: Vec<usize>,
 }
 
 impl RowSchema {
@@ -175,6 +209,8 @@ impl RowSchema {
                 schema.vars.push(v);
             }
         }
+        schema.by_var = (0..schema.vars.len()).collect();
+        schema.by_var.sort_by(|&a, &b| schema.vars[a].cmp(&schema.vars[b]));
         schema
     }
 
@@ -501,38 +537,28 @@ pub fn encode_row(row: &Row, schema: &RowSchema, dict: &mut Dictionary) -> SlotR
     out
 }
 
-/// Materializes a [`SlotRow`] back into a variable → term mapping.
+/// Materializes one dictionary-encoded row back into a variable → term
+/// mapping; `id_of` reads the id in a schema slot — `|s| row.get(s)` for
+/// a [`SlotRow`], `|s| batch.get(i, s)` for physical row `i` of a
+/// [`RowBatch`]. One pass in variable order into a vector of exactly the
+/// bound width: this is where terms are copied out, once.
 ///
 /// Panics when a bound id is missing from `dict`; encode and decode must
 /// use the same query-scoped dictionary.
-pub fn decode_row(row: &SlotRow, schema: &RowSchema, dict: &Dictionary) -> Row {
-    let mut out = Row::new();
-    for (slot, v) in schema.vars().iter().enumerate() {
-        if let Some(id) = row.get(slot) {
-            let term = dict.term(id).expect("slot id interned in this query's dictionary");
-            out.bind(v.clone(), term.clone());
-        }
-    }
-    out
-}
-
-/// Decodes physical row `row` of a batch straight from the column
-/// buffers — identical output to `decode_row(&batch.to_slot_row(row), ..)`
-/// without materializing the intermediate [`SlotRow`].
-pub fn decode_batch_row(
-    batch: &RowBatch,
-    row: usize,
+pub fn decode_row(
     schema: &RowSchema,
     dict: &Dictionary,
+    id_of: impl Fn(usize) -> Option<TermId>,
 ) -> Row {
-    let mut out = Row::new();
-    for (slot, v) in schema.vars().iter().enumerate() {
-        if let Some(id) = batch.get(row, slot) {
+    let bound = (0..schema.len()).filter(|&s| id_of(s).is_some()).count();
+    let mut slots = Vec::with_capacity(bound);
+    for &slot in &schema.by_var {
+        if let Some(id) = id_of(slot) {
             let term = dict.term(id).expect("slot id interned in this query's dictionary");
-            out.bind(v.clone(), term.clone());
+            slots.push((schema.vars[slot].clone(), term.clone()));
         }
     }
-    out
+    Row { slots }
 }
 
 #[cfg(test)]
@@ -619,7 +645,7 @@ mod tests {
         assert!(enc.is_bound(0));
         assert!(!enc.is_bound(1));
         assert_eq!(enc.bound_count(), 2);
-        assert_eq!(decode_row(&enc, &s, &dict), row);
+        assert_eq!(decode_row(&s, &dict, |i| enc.get(i)), row);
     }
 
     #[test]
@@ -635,7 +661,7 @@ mod tests {
             encode_row(&c, &s, &mut dict),
         );
         let merged = ea.merge(&eb).unwrap();
-        assert_eq!(decode_row(&merged, &s, &dict), a.merge(&b).unwrap());
+        assert_eq!(decode_row(&s, &dict, |i| merged.get(i)), a.merge(&b).unwrap());
         assert!(ea.merge(&ec).is_none());
         assert!(a.merge(&c).is_none());
     }

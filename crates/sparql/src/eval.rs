@@ -9,7 +9,7 @@ use crate::algebra::{translate, Algebra};
 use crate::ast::{Order, OrderKey, SelectQuery, TriplePattern, VarOrTerm};
 use crate::binding::{Row, Rows, Var};
 use crate::error::SparqlError;
-use fedlake_rdf::{Graph, Term};
+use fedlake_rdf::{Graph, Literal, Term};
 use std::cmp::Ordering;
 
 /// Evaluates a parsed query against a graph.
@@ -35,6 +35,7 @@ pub fn evaluate_algebra(plan: &Algebra, graph: &Graph) -> Result<Rows, SparqlErr
         }
         Algebra::LeftJoin(l, r, cond) => {
             let left = evaluate_algebra(l, graph)?;
+            let cond = cond.as_ref().map(|c| c.bind(None));
             let mut out = Vec::new();
             for lrow in &left {
                 let matches: Rows = if let Algebra::Bgp(patterns) = r.as_ref() {
@@ -57,10 +58,13 @@ pub fn evaluate_algebra(plan: &Algebra, graph: &Graph) -> Result<Rows, SparqlErr
             }
             Ok(out)
         }
-        Algebra::Filter(expr, inner) => Ok(evaluate_algebra(inner, graph)?
-            .into_iter()
-            .filter(|row| expr.test(row))
-            .collect()),
+        Algebra::Filter(expr, inner) => {
+            let expr = expr.bind(None);
+            Ok(evaluate_algebra(inner, graph)?
+                .into_iter()
+                .filter(|row| expr.test(row))
+                .collect())
+        }
         Algebra::Union(branches) => {
             let mut out = Vec::new();
             for b in branches {
@@ -225,7 +229,10 @@ fn nested_join(left: &Rows, right: &Rows) -> Rows {
 }
 
 /// Total order on terms for `ORDER BY`: unbound < blanks < IRIs < literals;
-/// numeric literals compare numerically, others by lexical form.
+/// among literals the numeric ones come first, by value (`f64::total_cmp`,
+/// so NaN has a place), the rest by lexical form; datatype and language
+/// break the remaining ties, so only a term compares equal to itself and
+/// a sort does not depend on the order its input arrived in.
 pub fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
@@ -249,12 +256,15 @@ fn cmp_bound(x: &Term, y: &Term) -> Ordering {
     }
     match (x, y) {
         (Term::Literal(a), Term::Literal(b)) => {
-            match (a.is_numeric().then(|| a.as_double()).flatten(),
-                   b.is_numeric().then(|| b.as_double()).flatten())
-            {
-                (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
-                _ => a.lexical.cmp(&b.lexical),
-            }
+            let num = |l: &Literal| l.is_numeric().then(|| l.as_double()).flatten();
+            let by_value = match (num(a), num(b)) {
+                (Some(na), Some(nb)) => na.total_cmp(&nb),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => Ordering::Equal,
+            };
+            // `Literal`'s derived order is lexical form, language, datatype.
+            by_value.then_with(|| a.cmp(b))
         }
         (Term::Iri(a), Term::Iri(b)) => a.cmp(b),
         (Term::Blank(a), Term::Blank(b)) => a.cmp(b),

@@ -5,49 +5,10 @@
 //! (e.g. comparing a string to an IRI with `<`) yields `Err`, which a
 //! `FILTER` treats as `false`.
 
-use crate::binding::{Row, RowSchema, SlotRow, Var};
-use fedlake_rdf::{Dictionary, Literal, Term};
+use crate::binding::{Row, RowSchema, Var};
+use fedlake_rdf::{Dictionary, Term, TermId};
 use std::cmp::Ordering;
 use std::fmt;
-
-/// How the evaluator resolves a variable reference. The same expression
-/// tree evaluates over classic [`Row`]s and over dictionary-encoded
-/// [`SlotRow`]s; only the lookup differs, and slot evaluation touches the
-/// dictionary lazily — exactly when an expression needs a term's value.
-trait VarSource {
-    fn term(&self, v: &Var) -> Option<Term>;
-    fn is_bound(&self, v: &Var) -> bool;
-}
-
-struct RowSource<'a>(&'a Row);
-
-impl VarSource for RowSource<'_> {
-    fn term(&self, v: &Var) -> Option<Term> {
-        self.0.get(v).cloned()
-    }
-
-    fn is_bound(&self, v: &Var) -> bool {
-        self.0.is_bound(v)
-    }
-}
-
-struct SlotSource<'a> {
-    row: &'a SlotRow,
-    schema: &'a RowSchema,
-    dict: &'a Dictionary,
-}
-
-impl VarSource for SlotSource<'_> {
-    fn term(&self, v: &Var) -> Option<Term> {
-        let slot = self.schema.slot(v)?;
-        let id = self.row.get(slot)?;
-        self.dict.term(id).cloned()
-    }
-
-    fn is_bound(&self, v: &Var) -> bool {
-        self.schema.slot(v).is_some_and(|s| self.row.is_bound(s))
-    }
-}
 
 /// Binary comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,199 +112,302 @@ pub enum Expr {
     Lang(Box<Expr>),
 }
 
-/// A value produced during expression evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An RDF term.
-    Term(Term),
+/// A value produced during expression evaluation. It borrows from the
+/// row (or dictionary) and the bound expression it was computed over;
+/// no expression builds a new string, so nothing is ever owned.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    /// An RDF term, with its value when it is a well-formed numeric
+    /// literal (parsed once: at bind time for a constant, at the read for
+    /// a variable).
+    Term(&'a Term, Option<f64>),
     /// A boolean.
     Bool(bool),
     /// A numeric value.
     Num(f64),
     /// A plain string (from `STR`/`LANG`).
-    Str(String),
+    Str(&'a str),
 }
 
-impl Value {
+/// Why an evaluation failed. A `FILTER` counts every error as `false`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvalError {
+    /// A variable the row does not bind.
+    Unbound,
+    /// An operand of the wrong kind for its operator.
+    Type,
+    /// Division by zero.
+    DivisionByZero,
+    /// An ordering comparison involving NaN.
+    NanComparison,
+}
+
+impl<'a> Value<'a> {
+    fn term(t: &'a Term) -> Self {
+        Value::Term(t, numeric_value(t))
+    }
+
     /// SPARQL effective boolean value.
-    pub fn ebv(&self) -> Result<bool, String> {
+    pub fn ebv(self) -> Result<bool, EvalError> {
         match self {
-            Value::Bool(b) => Ok(*b),
-            Value::Num(n) => Ok(*n != 0.0),
+            Value::Bool(b) => Ok(b),
+            Value::Num(n) | Value::Term(_, Some(n)) => Ok(n != 0.0),
             Value::Str(s) => Ok(!s.is_empty()),
-            Value::Term(Term::Literal(l)) => {
-                if let Some(n) = numeric_value(l) {
-                    Ok(n != 0.0)
-                } else if l.datatype.as_deref() == Some(fedlake_rdf::vocab::xsd::BOOLEAN) {
+            Value::Term(Term::Literal(l), None) => {
+                if l.datatype.as_deref() == Some(fedlake_rdf::vocab::xsd::BOOLEAN) {
                     Ok(l.lexical == "true" || l.lexical == "1")
                 } else {
                     Ok(!l.lexical.is_empty())
                 }
             }
-            Value::Term(_) => Err("EBV of non-literal".into()),
+            Value::Term(..) => Err(EvalError::Type),
+        }
+    }
+
+    fn as_num(self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(n),
+            Value::Term(_, num) => num,
+            _ => None,
+        }
+    }
+
+    fn as_str(self) -> Option<&'a str> {
+        match self {
+            Value::Str(s) => Some(s),
+            Value::Term(Term::Literal(l), _) => Some(&l.lexical),
+            Value::Term(Term::Iri(i), _) => Some(i),
+            _ => None,
         }
     }
 }
 
-fn numeric_value(l: &Literal) -> Option<f64> {
-    if l.is_numeric() {
-        l.as_double()
-    } else {
-        None
-    }
-}
-
-fn as_num(v: &Value) -> Option<f64> {
-    match v {
-        Value::Num(n) => Some(*n),
-        Value::Term(Term::Literal(l)) => numeric_value(l),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Value) -> Option<String> {
-    match v {
-        Value::Str(s) => Some(s.clone()),
-        Value::Term(Term::Literal(l)) => Some(l.lexical.clone()),
-        Value::Term(Term::Iri(i)) => Some(i.clone()),
+fn numeric_value(t: &Term) -> Option<f64> {
+    match t {
+        Term::Literal(l) if l.is_numeric() => l.as_double(),
         _ => None,
     }
 }
 
 /// Compares two values per SPARQL operator semantics.
-fn compare(a: &Value, b: &Value) -> Result<Ordering, String> {
-    if let (Some(x), Some(y)) = (as_num(a), as_num(b)) {
-        return x.partial_cmp(&y).ok_or_else(|| "NaN comparison".into());
+fn compare(a: Value<'_>, b: Value<'_>) -> Result<Ordering, EvalError> {
+    if let (Some(x), Some(y)) = (a.as_num(), b.as_num()) {
+        return x.partial_cmp(&y).ok_or(EvalError::NanComparison);
     }
     match (a, b) {
-        (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(y)),
-        (Value::Term(Term::Iri(x)), Value::Term(Term::Iri(y))) => Ok(x.cmp(y)),
-        (Value::Term(Term::Blank(x)), Value::Term(Term::Blank(y))) => Ok(x.cmp(y)),
+        (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(&y)),
+        (Value::Term(Term::Blank(x), _), Value::Term(Term::Blank(y), _)) => Ok(x.cmp(y)),
         _ => {
-            let x = as_str(a).ok_or("uncomparable operand")?;
-            let y = as_str(b).ok_or("uncomparable operand")?;
-            Ok(x.cmp(&y))
+            let x = a.as_str().ok_or(EvalError::Type)?;
+            let y = b.as_str().ok_or(EvalError::Type)?;
+            Ok(x.cmp(y))
         }
     }
 }
 
-impl Expr {
-    /// Evaluates the expression against a solution mapping.
-    pub fn eval(&self, row: &Row) -> Result<Value, String> {
-        self.eval_with(&RowSource(row))
+/// An [`Expr`] prepared for repeated evaluation: constants carry their
+/// numeric value, `REGEX` patterns are split into anchors and body, and —
+/// when bound against a [`RowSchema`] — every variable knows its slot, so
+/// evaluating over dictionary-encoded rows is slot reads and `&str`
+/// compares with no allocation and no name lookup.
+#[derive(Debug, Clone)]
+pub struct BoundExpr(Node);
+
+#[derive(Debug, Clone)]
+enum Node {
+    /// `slot` is `None` when bound without a schema, or when the schema
+    /// does not know the variable (it can then never be bound).
+    Var { var: Var, slot: Option<usize> },
+    Const { term: Term, num: Option<f64> },
+    Cmp(Box<Node>, CmpOp, Box<Node>),
+    Arith(Box<Node>, ArithOp, Box<Node>),
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+    Bound { var: Var, slot: Option<usize> },
+    Regex { arg: Box<Node>, starts: bool, body: String, ends: bool },
+    Contains(Box<Node>, Box<Node>),
+    StrStarts(Box<Node>, Box<Node>),
+    StrEnds(Box<Node>, Box<Node>),
+    Str(Box<Node>),
+    Lang(Box<Node>),
+}
+
+/// Where the evaluator reads a variable from. A [`Row`] is looked up by
+/// name, dictionary-encoded rows by the slot resolved at bind time.
+trait Source<'a> {
+    fn term(&self, var: &Var, slot: Option<usize>) -> Option<&'a Term>;
+}
+
+struct RowSource<'a>(&'a Row);
+
+impl<'a> Source<'a> for RowSource<'a> {
+    fn term(&self, var: &Var, _slot: Option<usize>) -> Option<&'a Term> {
+        self.0.get(var)
+    }
+}
+
+struct IdSource<'a, F> {
+    id_of: F,
+    dict: &'a Dictionary,
+}
+
+impl<'a, F: Fn(usize) -> Option<TermId>> Source<'a> for IdSource<'a, F> {
+    fn term(&self, _var: &Var, slot: Option<usize>) -> Option<&'a Term> {
+        self.dict.term((self.id_of)(slot?)?)
+    }
+}
+
+impl Node {
+    fn bind(expr: &Expr, schema: Option<&RowSchema>) -> Node {
+        let slot = |v: &Var| schema.and_then(|s| s.slot(v));
+        let bx = |e: &Expr| Box::new(Node::bind(e, schema));
+        match expr {
+            Expr::Var(v) => Node::Var { var: v.clone(), slot: slot(v) },
+            Expr::Const(t) => Node::Const { term: t.clone(), num: numeric_value(t) },
+            Expr::Cmp(a, op, b) => Node::Cmp(bx(a), *op, bx(b)),
+            Expr::Arith(a, op, b) => Node::Arith(bx(a), *op, bx(b)),
+            Expr::And(a, b) => Node::And(bx(a), bx(b)),
+            Expr::Or(a, b) => Node::Or(bx(a), bx(b)),
+            Expr::Not(e) => Node::Not(bx(e)),
+            Expr::Bound(v) => Node::Bound { var: v.clone(), slot: slot(v) },
+            Expr::Regex(e, pattern) => {
+                let (starts, body, ends) = split_anchors(pattern);
+                Node::Regex { arg: bx(e), starts, body: body.to_string(), ends }
+            }
+            Expr::Contains(a, b) => Node::Contains(bx(a), bx(b)),
+            Expr::StrStarts(a, b) => Node::StrStarts(bx(a), bx(b)),
+            Expr::StrEnds(a, b) => Node::StrEnds(bx(a), bx(b)),
+            Expr::Str(e) => Node::Str(bx(e)),
+            Expr::Lang(e) => Node::Lang(bx(e)),
+        }
     }
 
-    /// Evaluates against a slot row, resolving ids through the query
-    /// dictionary only where a term's value is actually needed.
-    pub fn eval_slots(
-        &self,
-        row: &SlotRow,
-        schema: &RowSchema,
-        dict: &Dictionary,
-    ) -> Result<Value, String> {
-        self.eval_with(&SlotSource { row, schema, dict })
-    }
-
-    fn eval_with<S: VarSource>(&self, src: &S) -> Result<Value, String> {
+    fn eval<'a, S: Source<'a>>(&'a self, src: &S) -> Result<Value<'a>, EvalError> {
+        let string = |n: &'a Node| n.eval(src)?.as_str().ok_or(EvalError::Type);
         match self {
-            Expr::Var(v) => src
-                .term(v)
-                .map(Value::Term)
-                .ok_or_else(|| format!("unbound variable {v}")),
-            Expr::Const(t) => Ok(Value::Term(t.clone())),
-            Expr::Cmp(a, op, b) => {
-                let va = a.eval_with(src)?;
-                let vb = b.eval_with(src)?;
+            Node::Var { var, slot } => {
+                src.term(var, *slot).map(Value::term).ok_or(EvalError::Unbound)
+            }
+            Node::Const { term, num } => Ok(Value::Term(term, *num)),
+            Node::Cmp(a, op, b) => {
+                let va = a.eval(src)?;
+                let vb = b.eval(src)?;
                 // `=`/`!=` on non-numeric terms is term equality.
                 if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                    if let (Value::Term(x), Value::Term(y)) = (&va, &vb) {
-                        if as_num(&va).is_none() || as_num(&vb).is_none() {
-                            let eq = x == y;
-                            return Ok(Value::Bool(if *op == CmpOp::Eq { eq } else { !eq }));
+                    if let (Value::Term(x, nx), Value::Term(y, ny)) = (va, vb) {
+                        if nx.is_none() || ny.is_none() {
+                            return Ok(Value::Bool((x == y) == (*op == CmpOp::Eq)));
                         }
                     }
                 }
-                Ok(Value::Bool(op.test(compare(&va, &vb)?)))
+                Ok(Value::Bool(op.test(compare(va, vb)?)))
             }
-            Expr::Arith(a, op, b) => {
-                let x = as_num(&a.eval_with(src)?).ok_or("non-numeric operand")?;
-                let y = as_num(&b.eval_with(src)?).ok_or("non-numeric operand")?;
+            Node::Arith(a, op, b) => {
+                let x = a.eval(src)?.as_num().ok_or(EvalError::Type)?;
+                let y = b.eval(src)?.as_num().ok_or(EvalError::Type)?;
                 let r = match op {
                     ArithOp::Add => x + y,
                     ArithOp::Sub => x - y,
                     ArithOp::Mul => x * y,
                     ArithOp::Div => {
                         if y == 0.0 {
-                            return Err("division by zero".into());
+                            return Err(EvalError::DivisionByZero);
                         }
                         x / y
                     }
                 };
                 Ok(Value::Num(r))
             }
-            Expr::And(a, b) => {
+            Node::And(a, b) => {
                 // SPARQL logical-and: false dominates errors.
-                let va = a.eval_with(src).and_then(|v| v.ebv());
-                let vb = b.eval_with(src).and_then(|v| v.ebv());
-                match (va, vb) {
-                    (Ok(false), _) | (_, Ok(false)) => Ok(Value::Bool(false)),
-                    (Ok(true), Ok(true)) => Ok(Value::Bool(true)),
+                let va = a.eval(src).and_then(Value::ebv);
+                if va == Ok(false) {
+                    return Ok(Value::Bool(false));
+                }
+                match (va, b.eval(src).and_then(Value::ebv)) {
+                    (_, Ok(false)) => Ok(Value::Bool(false)),
+                    (Ok(_), Ok(true)) => Ok(Value::Bool(true)),
                     (Err(e), _) | (_, Err(e)) => Err(e),
                 }
             }
-            Expr::Or(a, b) => {
+            Node::Or(a, b) => {
                 // SPARQL logical-or: true dominates errors.
-                let va = a.eval_with(src).and_then(|v| v.ebv());
-                let vb = b.eval_with(src).and_then(|v| v.ebv());
-                match (va, vb) {
-                    (Ok(true), _) | (_, Ok(true)) => Ok(Value::Bool(true)),
-                    (Ok(false), Ok(false)) => Ok(Value::Bool(false)),
+                let va = a.eval(src).and_then(Value::ebv);
+                if va == Ok(true) {
+                    return Ok(Value::Bool(true));
+                }
+                match (va, b.eval(src).and_then(Value::ebv)) {
+                    (_, Ok(true)) => Ok(Value::Bool(true)),
+                    (Ok(_), Ok(false)) => Ok(Value::Bool(false)),
                     (Err(e), _) | (_, Err(e)) => Err(e),
                 }
             }
-            Expr::Not(e) => Ok(Value::Bool(!e.eval_with(src)?.ebv()?)),
-            Expr::Bound(v) => Ok(Value::Bool(src.is_bound(v))),
-            Expr::Regex(e, pattern) => {
-                let s = as_str(&e.eval_with(src)?).ok_or("REGEX on non-string")?;
-                Ok(Value::Bool(simple_regex_match(&s, pattern)))
+            Node::Not(e) => Ok(Value::Bool(!e.eval(src)?.ebv()?)),
+            Node::Bound { var, slot } => Ok(Value::Bool(src.term(var, *slot).is_some())),
+            Node::Regex { arg, starts, body, ends } => {
+                Ok(Value::Bool(anchored_match(string(arg)?, *starts, body, *ends)))
             }
-            Expr::Contains(a, b) => {
-                let s = as_str(&a.eval_with(src)?).ok_or("CONTAINS on non-string")?;
-                let n = as_str(&b.eval_with(src)?).ok_or("CONTAINS needle non-string")?;
-                Ok(Value::Bool(s.contains(&n)))
+            Node::Contains(a, b) => {
+                let (s, n) = (string(a)?, string(b)?);
+                Ok(Value::Bool(s.contains(n)))
             }
-            Expr::StrStarts(a, b) => {
-                let s = as_str(&a.eval_with(src)?).ok_or("STRSTARTS on non-string")?;
-                let n = as_str(&b.eval_with(src)?).ok_or("STRSTARTS needle non-string")?;
-                Ok(Value::Bool(s.starts_with(&n)))
+            Node::StrStarts(a, b) => {
+                let (s, n) = (string(a)?, string(b)?);
+                Ok(Value::Bool(s.starts_with(n)))
             }
-            Expr::StrEnds(a, b) => {
-                let s = as_str(&a.eval_with(src)?).ok_or("STRENDS on non-string")?;
-                let n = as_str(&b.eval_with(src)?).ok_or("STRENDS needle non-string")?;
-                Ok(Value::Bool(s.ends_with(&n)))
+            Node::StrEnds(a, b) => {
+                let (s, n) = (string(a)?, string(b)?);
+                Ok(Value::Bool(s.ends_with(n)))
             }
-            Expr::Str(e) => {
-                let v = e.eval_with(src)?;
-                Ok(Value::Str(as_str(&v).ok_or("STR of boolean")?))
-            }
-            Expr::Lang(e) => match e.eval_with(src)? {
-                Value::Term(Term::Literal(l)) => Ok(Value::Str(l.lang.unwrap_or_default())),
-                _ => Err("LANG of non-literal".into()),
+            Node::Str(e) => Ok(Value::Str(string(e)?)),
+            Node::Lang(e) => match e.eval(src)? {
+                Value::Term(Term::Literal(l), _) => {
+                    Ok(Value::Str(l.lang.as_deref().unwrap_or_default()))
+                }
+                _ => Err(EvalError::Type),
             },
         }
     }
+}
 
-    /// Evaluates the expression as a filter condition: errors count as
-    /// `false`, per SPARQL semantics.
-    pub fn test(&self, row: &Row) -> bool {
-        self.eval(row).and_then(|v| v.ebv()).unwrap_or(false)
+impl BoundExpr {
+    /// Evaluates against a solution mapping.
+    pub fn eval<'a>(&'a self, row: &'a Row) -> Result<Value<'a>, EvalError> {
+        self.0.eval(&RowSource(row))
     }
 
-    /// [`Expr::test`] over a slot row.
-    pub fn test_slots(&self, row: &SlotRow, schema: &RowSchema, dict: &Dictionary) -> bool {
-        self.eval_slots(row, schema, dict)
-            .and_then(|v| v.ebv())
+    /// Evaluates as a filter condition: errors count as `false`, per
+    /// SPARQL semantics.
+    pub fn test(&self, row: &Row) -> bool {
+        self.eval(row).and_then(Value::ebv).unwrap_or(false)
+    }
+
+    /// [`BoundExpr::test`] over a dictionary-encoded row: `id_of` reads
+    /// the id in a schema slot (of a [`crate::binding::SlotRow`] or a
+    /// batch row), and ids resolve through `dict` only where a term's
+    /// value is needed. The expression must have been bound against the
+    /// schema the slots belong to; bound without one, it sees every
+    /// variable unbound.
+    pub fn test_ids(&self, id_of: impl Fn(usize) -> Option<TermId>, dict: &Dictionary) -> bool {
+        self.0
+            .eval(&IdSource { id_of, dict })
+            .and_then(Value::ebv)
             .unwrap_or(false)
+    }
+}
+
+impl Expr {
+    /// Prepares the expression for repeated evaluation. With a schema its
+    /// variables are resolved to slots for [`BoundExpr::test_ids`];
+    /// evaluation over [`Row`]s needs none.
+    pub fn bind(&self, schema: Option<&RowSchema>) -> BoundExpr {
+        BoundExpr(Node::bind(self, schema))
+    }
+
+    /// One-off [`BoundExpr::test`]; bind once when testing many rows.
+    pub fn test(&self, row: &Row) -> bool {
+        self.bind(None).test(row)
     }
 
     /// All variables mentioned by the expression.
@@ -425,9 +489,19 @@ impl fmt::Display for Expr {
 /// This covers the instantiation patterns used by the paper's workload
 /// without pulling in a regex engine.
 pub fn simple_regex_match(s: &str, pattern: &str) -> bool {
+    let (starts, body, ends) = split_anchors(pattern);
+    anchored_match(s, starts, body, ends)
+}
+
+/// Splits a pattern into its `^` anchor, literal body and `$` anchor.
+fn split_anchors(pattern: &str) -> (bool, &str, bool) {
     let starts = pattern.starts_with('^');
     let ends = pattern.ends_with('$') && pattern.len() > 1;
     let body = &pattern[usize::from(starts)..pattern.len() - usize::from(ends)];
+    (starts, body, ends)
+}
+
+fn anchored_match(s: &str, starts: bool, body: &str, ends: bool) -> bool {
     match (starts, ends) {
         (true, true) => s == body,
         (true, false) => s.starts_with(body),
@@ -529,18 +603,12 @@ mod tests {
     #[test]
     fn str_and_lang() {
         let r = Row::new().with("l", Term::Literal(Literal::lang_tagged("chat", "en")));
-        assert_eq!(
-            Expr::Lang(var("l")).eval(&r).unwrap(),
-            Value::Str("en".into())
-        );
-        assert_eq!(
-            Expr::Str(var("l")).eval(&r).unwrap(),
-            Value::Str("chat".into())
-        );
+        assert_eq!(Expr::Lang(var("l")).bind(None).eval(&r), Ok(Value::Str("en")));
+        assert_eq!(Expr::Str(var("l")).bind(None).eval(&r), Ok(Value::Str("chat")));
         // STR of an IRI yields the IRI text.
         assert_eq!(
-            Expr::Str(var("i")).eval(&row()).unwrap(),
-            Value::Str("http://x/a".into())
+            Expr::Str(var("i")).bind(None).eval(&row()),
+            Ok(Value::Str("http://x/a"))
         );
     }
 
@@ -553,7 +621,7 @@ mod tests {
         );
         assert!(e.test(&row()));
         let div0 = Expr::Arith(var("n"), ArithOp::Div, int(0));
-        assert!(div0.eval(&row()).is_err());
+        assert_eq!(div0.bind(None).eval(&row()), Err(EvalError::DivisionByZero));
     }
 
     #[test]
@@ -600,7 +668,7 @@ mod tests {
         for e in exprs {
             assert_eq!(
                 e.test(&r),
-                e.test_slots(&slots, &schema, &dict),
+                e.bind(Some(&schema)).test_ids(|s| slots.get(s), &dict),
                 "expr {e} disagrees between representations"
             );
         }

@@ -145,15 +145,16 @@ FEDLAKE_PLAN_CACHE=1 FEDLAKE_COST=1 CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test 
 echo "== cache invalidation =="
 cargo test -q --offline --test cache_invalidation
 
-# The benchmark's own unit tests, then its two source-path workloads in
-# smoke mode: mutate_requery (writes beside reads) and adhoc_cold (every
-# cache empty: SQL execution, plan-time statistics and the lift do the
-# work). Neither may fail an operation; building them is also the gate's
-# proof that fedbench/src/api.rs still compiles against the crates.
+# The benchmark's own unit tests, then all four workloads in smoke mode:
+# paper_matrix and serve_open (warm engines: filter evaluation and answer
+# decode do the work), mutate_requery (writes beside reads) and adhoc_cold
+# (every cache empty: SQL execution, plan-time statistics and the lift).
+# None may fail an operation; building them is also the gate's proof that
+# fedbench/src/api.rs still compiles against the crates.
 echo "== fedbench unit tests =="
 cargo test -q --offline --manifest-path fedbench/Cargo.toml
 
-for workload in mutate_requery adhoc_cold; do
+for workload in paper_matrix serve_open mutate_requery adhoc_cold; do
     echo "== fedbench smoke (run --quick --workload $workload) =="
     smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
         run --quick --workload "$workload")"

@@ -1,7 +1,9 @@
 //! Golden snapshot of the relational executor at the point the simulation
 //! reads it: for the SQL of every stock Q1–Q5 service leaf under the three
-//! planners (lake scale 0.05), and for one bind-join `IN (…)` batch, the
-//! result rows *in order* and the eight `CostStats` counters.
+//! planners (lake scale 0.05), and for two bind-join `IN (…)` batches (one
+//! written out by hand, one rendered by `bind_batch_query` from duplicate
+//! and unextractable join terms), the result rows *in order* and the eight
+//! `CostStats` counters.
 //!
 //! The counters are what `CostModel::rdb_time` turns into simulated time
 //! and the row order is the order messages leave the source in, so this
@@ -15,10 +17,13 @@
 
 use fedlake::core::fedplan::{FedPlan, ServiceKind, SqlRequest};
 use fedlake::core::translate::sql_single;
+use fedlake::core::wrapper::bind_batch_query;
 use fedlake::core::{DataLake, DataSource, FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
-use fedlake::relational::Database;
+use fedlake::mapping::lift::{value_key, value_to_term};
+use fedlake::rdf::Term;
+use fedlake::relational::{Database, Value};
 use fedlake::sparql::parser::parse_query;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -117,10 +122,12 @@ fn walk(
                     .column_index(&right.column)
                     .expect("bind column");
                 let mut keys: Vec<String> = Vec::new();
+                let mut values: Vec<&Value> = Vec::new();
                 for (_, row) in table.iter() {
                     let k = row[pos].to_string();
                     if !row[pos].is_null() && !keys.contains(&k) {
                         keys.push(k);
+                        values.push(&row[pos]);
                     }
                     if keys.len() == BATCH_KEYS {
                         break;
@@ -136,6 +143,27 @@ fn walk(
                 ));
                 let title = format!("{label} bind batch @ {}", right.source_id);
                 dump(out, &title, db, &sql_single(&part).sql);
+
+                // A second batch, rendered by `bind_batch_query` itself
+                // from join terms: the same keys last first, each arriving
+                // twice, among terms no key can be extracted from. Distinct
+                // keys in first-seen order, the rest dropped.
+                let term_of = |v: &Value| match &right.extract {
+                    Some(tmpl) => Term::iri(tmpl.apply(&value_key(v))),
+                    None => value_to_term(v, v.data_type().expect("non-null key")),
+                };
+                let mut terms = vec![Term::iri("http://elsewhere.example/not-minted-here")];
+                for v in values.iter().rev() {
+                    terms.push(term_of(v));
+                    if right.extract.is_some() {
+                        // The key as a literal is not an IRI the template minted.
+                        terms.push(Term::literal(value_key(v)));
+                    }
+                    terms.push(term_of(v));
+                }
+                let q = bind_batch_query(right, &terms).expect("extractable keys");
+                let title = format!("{label} bind batch (duplicates, strays) @ {}", right.source_id);
+                dump(out, &title, db, &q.sql);
             }
         }
     }
