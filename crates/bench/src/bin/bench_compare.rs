@@ -10,8 +10,7 @@
 //! synthetic inputs and on Q2. Follow-up sections emit
 //! `BENCH_overlap.json` (serialized vs overlapped schedule),
 //! `BENCH_cost.json` (heuristic vs cost-based planning),
-//! `BENCH_batch.json` (per-row vs vectorized driver, with a batch-size
-//! sweep), `BENCH_obs.json` (tracing overhead) and `BENCH_serve.json`
+//! `BENCH_obs.json` (tracing overhead) and `BENCH_serve.json`
 //! (concurrent serving: simulated throughput, p50/p95/p99 latency and
 //! Jain fairness at 1/8/32 clients, asserted bit-identical across two
 //! reruns with every served answer byte-equal to its solo execution).
@@ -250,10 +249,8 @@ fn main() {
 
     overlap_section();
     cost_section();
-    batch_section();
     obs_section();
     serve_section();
-    plancache_section();
 }
 
 /// Heuristic vs cost-based planning: simulated `execution_time` and
@@ -351,98 +348,6 @@ fn cost_section() {
     json.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_cost.json", &json).expect("write BENCH_cost.json");
     println!("\nwrote BENCH_cost.json");
-}
-
-/// Vectorized batch executor vs the per-row interned executor: host
-/// wall-clock of the full `execute_planned` on Q2–Q5, Unaware mode (the
-/// joins stay in the engine) under the default delayed profile (Gamma1)
-/// with 1024-row message chunks, so morsel width — not simulated link
-/// chatter — is what the two drivers disagree on. Answers are asserted
-/// byte-identical per cell before timing, and a batch-size sweep
-/// (64/256/1024/4096) is recorded per query. Emits `BENCH_batch.json`.
-fn batch_section() {
-    const SIZES: [usize; 4] = [64, 256, 1024, 4096];
-    const DEFAULT_SIZE: usize = 1024;
-    let lake_cfg = LakeConfig { scale: 0.3, ..Default::default() };
-    let sorted = |rows: &[Row]| {
-        let mut v: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
-        v.sort();
-        v
-    };
-
-    println!("\n== vectorized batches (host wall-clock, per-row vs batched driver) ==");
-    let mut json = String::from(
-        "{\n  \"benchmark\": \"vectorized_batches\",\n  \"units\": \"median ns per end-to-end execution\",\n  \"network\": \"Gamma1\",\n  \"mode\": \"unaware\",\n  \"rows_per_message\": 1024,\n  \"default_batch_size\": 1024,\n  \"cases\": [\n",
-    );
-    let mut first = true;
-    for q in workload::experiment_queries() {
-        if !matches!(q.id, "Q2" | "Q3" | "Q4" | "Q5") {
-            continue;
-        }
-        let lake = build_lake_with(&lake_cfg, q.datasets);
-        let ast = fedlake_sparql::parser::parse_query(&q.sparql).unwrap();
-        let mut row_cfg = PlanConfig::new(PlanMode::Unaware, NetworkProfile::GAMMA1);
-        row_cfg.rows_per_message = 1024;
-        row_cfg.batch = false;
-        let row_engine = FederatedEngine::new(lake.clone(), row_cfg);
-        let planned = row_engine.plan(&ast).unwrap();
-        let row_answers = sorted(&row_engine.execute_planned(&planned).unwrap().rows);
-
-        let batch_engine = |size: usize| {
-            let mut cfg = row_cfg;
-            cfg.batch = true;
-            cfg.batch_size = size;
-            FederatedEngine::new(lake.clone(), cfg)
-        };
-        for &size in &SIZES {
-            let r = batch_engine(size).execute_planned(&planned).unwrap();
-            assert_eq!(
-                sorted(&r.rows),
-                row_answers,
-                "{}: batch({size}) answers diverge from per-row driver",
-                q.id
-            );
-        }
-
-        let mut b = Bench::new(format!("batch/{}", q.id));
-        b.bench("per_row", || row_engine.execute_planned(&planned).unwrap());
-        for &size in &SIZES {
-            let engine = batch_engine(size);
-            b.bench(format!("batch_{size}"), || {
-                engine.execute_planned(&planned).unwrap()
-            });
-        }
-        let m = b.finish();
-        let row_ns = m[0].median_ns;
-        let by_size: Vec<f64> = m[1..].iter().map(|x| x.median_ns).collect();
-        let default_ns = by_size[SIZES.iter().position(|&s| s == DEFAULT_SIZE).unwrap()];
-        println!(
-            "{:<4} per-row {:>12}  batch(1024) {:>12}  speedup {:>5.2}x",
-            q.id,
-            format_ns(row_ns),
-            format_ns(default_ns),
-            row_ns / default_ns
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"query\": \"{}\", \"per_row_ns\": {:.1}, \"batch_ns\": {{{}}}, \"speedup\": {:.3}}}",
-            q.id,
-            row_ns,
-            SIZES
-                .iter()
-                .zip(&by_size)
-                .map(|(s, ns)| format!("\"{s}\": {ns:.1}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            row_ns / default_ns
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
-    println!("\nwrote BENCH_batch.json");
 }
 
 /// Observability overhead. With tracing off the sink is a `None` and every
@@ -866,93 +771,3 @@ fn serve_section() {
     println!("\nwrote BENCH_serve.json");
 }
 
-/// The normalized plan cache under repeat traffic: the 32-client serve
-/// mix planned cold (cache off), cold-through-the-cache (first pass,
-/// all misses) and warm (second pass, all hits). Correctness first —
-/// every served answer set and the summary report must be byte-equal
-/// with the cache on and off — then the planning wall-clock per job.
-/// Planning here is real time, not simulated: it is engine-side work
-/// the cache exists to elide. Emits `BENCH_plancache.json`.
-fn plancache_section() {
-    use fedlake_serve::{build_jobs, run, sorted_csv, ServeSpec};
-    use std::time::Duration;
-
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    let config = |plan_cache: bool| {
-        let mut c = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
-        c.seed = 1;
-        c.plan_cache = plan_cache;
-        c
-    };
-    let spec = ServeSpec {
-        clients: 32,
-        queries_per_client: 2,
-        seed: 7,
-        mean_interarrival: Duration::from_micros(500),
-        max_in_flight: 8,
-        ..Default::default()
-    };
-    let lake = build_lake_with(&lake_cfg, &spec.mix.datasets());
-
-    // Correctness: the cache must be invisible in every answer byte.
-    let off = run(&FederatedEngine::new(lake.clone(), config(false)), &spec)
-        .expect("serve run, cache off");
-    let on_engine = FederatedEngine::new(lake.clone(), config(true));
-    let on = run(&on_engine, &spec).expect("serve run, cache on");
-    assert_eq!(off.report, on.report, "the cache must not change the rollup");
-    for (x, y) in off.outcome.outcomes.iter().zip(&on.outcome.outcomes) {
-        assert_eq!(x.label, y.label);
-        assert_eq!(
-            sorted_csv(&x.vars, &x.rows),
-            sorted_csv(&y.vars, &y.rows),
-            "{}: cached answers must byte-match uncached",
-            x.label
-        );
-    }
-
-    // Planning cost: ns per job, wall clock. The warm pass replans the
-    // exact job list the first pass populated the cache with, so it must
-    // hit on every lookup — that assertion is the deterministic part;
-    // the timings are informative.
-    let time_build = |engine: &FederatedEngine| {
-        let started = std::time::Instant::now();
-        let (jobs, _) = build_jobs(engine, &spec).expect("build jobs");
-        (started.elapsed().as_nanos() as f64 / jobs.len() as f64, jobs)
-    };
-    let (cold_ns, cold_jobs) = time_build(&FederatedEngine::new(lake.clone(), config(false)));
-    let warm_engine = FederatedEngine::new(lake, config(true));
-    let (_, _) = time_build(&warm_engine);
-    let (warm_ns, warm_jobs) = time_build(&warm_engine);
-    assert!(
-        warm_jobs.iter().all(|j| j.cached),
-        "the warm pass must replay every plan"
-    );
-    let stats = warm_engine.plan_cache_stats();
-    assert_eq!(stats.lookups, stats.hits + stats.misses, "{stats:?}");
-    assert!(stats.hits as usize >= warm_jobs.len(), "{stats:?}");
-
-    let jobs = cold_jobs.len();
-    let hit_rate = stats.hits as f64 / stats.lookups as f64;
-    let speedup = cold_ns / warm_ns;
-    println!("\n== normalized plan cache (32-client mix, wall-clock planning) ==");
-    println!(
-        "jobs {jobs}  lookups {}  hits {}  misses {}  hit rate {:.3}",
-        stats.lookups, stats.hits, stats.misses, hit_rate
-    );
-    println!(
-        "planning per job: cold {:>10}  warm {:>10}  speedup {speedup:.2}x",
-        format_ns(cold_ns),
-        format_ns(warm_ns)
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"plan_cache\",\n  \"units\": \"wall-clock ns per planned job\",\n  \
-         \"clients\": {},\n  \"jobs\": {jobs},\n  \"lookups\": {},\n  \"hits\": {},\n  \
-         \"misses\": {},\n  \"evictions\": {},\n  \"invalidations\": {},\n  \
-         \"hit_rate\": {hit_rate:.3},\n  \"cold_plan_ns_per_job\": {cold_ns:.1},\n  \
-         \"cached_plan_ns_per_job\": {warm_ns:.1},\n  \"speedup\": {speedup:.3}\n}}\n",
-        spec.clients, stats.lookups, stats.hits, stats.misses, stats.evictions,
-        stats.invalidations,
-    );
-    std::fs::write("BENCH_plancache.json", &json).expect("write BENCH_plancache.json");
-    println!("\nwrote BENCH_plancache.json");
-}

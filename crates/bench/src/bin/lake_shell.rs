@@ -5,13 +5,13 @@
 //!            [--network NoDelay|Gamma1|Gamma2|Gamma3]
 //!            [--format table|json|csv] [--query SPARQL]
 //!            [--analyze] [--trace-out FILE.json]
-//!            [--replicas N] [--outage ENDPOINT] [--batch-size N]
-//!            [--cost-based] [--plan-cache] [--recorder]
+//!            [--replicas N] [--outage ENDPOINT]
+//!            [--cost-based] [--recorder]
 //!            [--slow-log FILE.json] [--watchdog] [--prom-out FILE]
 //!            [--serve-trace FILE.json] [--serve-html FILE.html]
 //! ```
 //!
-//! A serve mode (`--serve`, or env `FEDLAKE_SERVE=1`) replaces the REPL
+//! A serve mode (`--serve`) replaces the REPL
 //! with a seeded concurrent load: `--clients N` sessions draw from a
 //! weighted `--mix` of the paper's Q1–Q5 templates, arrive by an
 //! exponential process (`--arrival MS`), queue behind `--in-flight N`
@@ -28,7 +28,7 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! The observability flags ride on the fleet flight recorder
-//! (`--recorder`, or env `FEDLAKE_RECORDER=1`): `--slow-log FILE` writes
+//! (`--recorder`): `--slow-log FILE` writes
 //! the stable-JSON slow-query log of the run (queries past a latency or
 //! q-error threshold, with plan, per-operator and per-link actuals — it
 //! implies tracing), `--watchdog` prints the windowed SLO rollup and any
@@ -40,10 +40,9 @@
 //! `--serve` is rejected with exit code 2 instead of silently
 //! producing nothing.
 //!
-//! `--plan-cache` (or env `FEDLAKE_PLAN_CACHE=1`) turns on the
-//! normalized logical-plan cache: repeat queries replay byte-identical
-//! plans without re-planning, and a serve run prints the cache's
-//! hit/miss/eviction/invalidation counters.
+//! Repeat queries replay byte-identical plans from the normalized plan
+//! cache; a serve run (and `.caches`) prints its counters next to the lift
+//! cache's and the SQL memo's.
 //!
 //! `--replicas N` replicates every source N ways (endpoints `id#r0` …),
 //! and `--outage ENDPOINT` (repeatable) puts an endless outage on one
@@ -254,10 +253,19 @@ fn validate_obs_flags(serve: bool, obs: &ObsOut) -> Result<(), String> {
     } else {
         Err(format!(
             "{} only summarize(s) a --serve run and would silently no-op \
-             here; add --serve (or FEDLAKE_SERVE=1)",
+             here; add --serve",
             offenders.join(", ")
         ))
     }
+}
+
+/// Parses a flag's value. One that does not parse is a hard error (exit
+/// code 2 naming the flag), never a silent fall-back to the default.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("bad {flag}: {value:?}");
+        std::process::exit(2);
+    })
 }
 
 fn write_file(what: &str, path: &std::path::Path, bytes: &str) {
@@ -338,12 +346,10 @@ fn main() -> ExitCode {
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut replicas: u32 = 1;
     let mut outages: Vec<String> = Vec::new();
-    let mut batch_size: Option<usize> = None;
     let mut cost_based = false;
-    let mut plan_cache = false;
-    let mut recorder = std::env::var("FEDLAKE_RECORDER").map(|v| v == "1").unwrap_or(false);
+    let mut recorder = false;
     let mut obs = ObsOut::default();
-    let mut serve = std::env::var("FEDLAKE_SERVE").map(|v| v == "1").unwrap_or(false);
+    let mut serve = false;
     let mut serve_spec = ServeSpec::default();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -354,8 +360,8 @@ fn main() -> ExitCode {
             })
         };
         match arg.as_str() {
-            "--scale" => scale = next("--scale").parse().unwrap_or(0.3),
-            "--seed" => seed = next("--seed").parse().unwrap_or(seed),
+            "--scale" => scale = parsed("--scale", &next("--scale")),
+            "--seed" => seed = parsed("--seed", &next("--seed")),
             "--mode" => {
                 mode = parse_mode(&next("--mode")).unwrap_or_else(|| {
                     eprintln!("bad --mode");
@@ -370,23 +376,21 @@ fn main() -> ExitCode {
             }
             "--format" => {
                 format = match next("--format").as_str() {
+                    "table" => Format::Table,
                     "json" => Format::Json,
                     "csv" => Format::Csv,
-                    _ => Format::Table,
+                    other => {
+                        eprintln!("bad --format: {other:?}");
+                        std::process::exit(2);
+                    }
                 }
             }
             "--query" => one_shot = Some(next("--query")),
             "--analyze" => analyze = true,
             "--trace-out" => trace_out = Some(next("--trace-out").into()),
-            "--replicas" => {
-                replicas = next("--replicas").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --replicas");
-                    std::process::exit(2);
-                })
-            }
+            "--replicas" => replicas = parsed("--replicas", &next("--replicas")),
             "--outage" => outages.push(next("--outage")),
             "--cost-based" => cost_based = true,
-            "--plan-cache" => plan_cache = true,
             "--recorder" => recorder = true,
             "--slow-log" => obs.slow_log = Some(next("--slow-log").into()),
             "--watchdog" => obs.watchdog = true,
@@ -394,18 +398,10 @@ fn main() -> ExitCode {
             "--serve-trace" => obs.serve_trace = Some(next("--serve-trace").into()),
             "--serve-html" => obs.serve_html = Some(next("--serve-html").into()),
             "--serve" => serve = true,
-            "--clients" => {
-                serve_spec.clients = next("--clients").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --clients");
-                    std::process::exit(2);
-                })
-            }
+            "--clients" => serve_spec.clients = parsed("--clients", &next("--clients")),
             "--queries-per-client" => {
                 serve_spec.queries_per_client =
-                    next("--queries-per-client").parse().unwrap_or_else(|_| {
-                        eprintln!("bad --queries-per-client");
-                        std::process::exit(2);
-                    })
+                    parsed("--queries-per-client", &next("--queries-per-client"))
             }
             "--mix" => {
                 serve_spec.mix = Mix::parse(&next("--mix")).unwrap_or_else(|e| {
@@ -414,37 +410,22 @@ fn main() -> ExitCode {
                 })
             }
             "--arrival" => {
-                let ms: f64 = next("--arrival").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --arrival");
-                    std::process::exit(2);
-                });
+                let ms: f64 = parsed("--arrival", &next("--arrival"));
                 serve_spec.mean_interarrival = Duration::from_secs_f64(ms / 1e3);
             }
             "--in-flight" => {
-                serve_spec.max_in_flight = next("--in-flight").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --in-flight");
-                    std::process::exit(2);
-                })
+                serve_spec.max_in_flight = parsed("--in-flight", &next("--in-flight"))
             }
             "--deadline" => {
-                let ms: f64 = next("--deadline").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --deadline");
-                    std::process::exit(2);
-                });
+                let ms: f64 = parsed("--deadline", &next("--deadline"));
                 serve_spec.deadline = Some(Duration::from_secs_f64(ms / 1e3));
-            }
-            "--batch-size" => {
-                batch_size = Some(next("--batch-size").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --batch-size");
-                    std::process::exit(2);
-                }));
             }
             "--help" | "-h" => {
                 println!(
                     "lake_shell [--scale S] [--seed N] [--mode unaware|aware|h2] \
                      [--network NoDelay|Gamma1|Gamma2|Gamma3] [--format table|json|csv] \
                      [--query SPARQL] [--analyze] [--trace-out FILE.json] \
-                     [--replicas N] [--outage ENDPOINT] [--batch-size N] [--cost-based] \
+                     [--replicas N] [--outage ENDPOINT] [--cost-based] \
                      [--serve --clients N --queries-per-client N --mix SPEC \
                      --arrival MS --in-flight N --deadline MS]\n\n\
                      --analyze            print EXPLAIN ANALYZE (plan tree with actual rows,\n\
@@ -455,19 +436,14 @@ fn main() -> ExitCode {
                      --outage ENDPOINT    endless outage on one endpoint (repeatable);\n\
                      \x20                    with --replicas, queries fail over and the\n\
                      \x20                    planner learns to route around it\n\
-                     --batch-size N       run the vectorized executor with N-row morsels\n\
-                     \x20                    (also via FEDLAKE_BATCH=1 / FEDLAKE_BATCH_SIZE)\n\
-                     --cost-based         statistics-driven cost-based join ordering\n\
-                     \x20                    (also via FEDLAKE_COST=1); EXPLAIN ANALYZE then\n\
-                     \x20                    shows estimated vs. actual rows per operator\n\
-                     --plan-cache         normalized logical-plan cache: repeat queries\n\
-                     \x20                    replay byte-identical plans without re-planning\n\
-                     \x20                    (also via FEDLAKE_PLAN_CACHE=1)\n\
-                     --serve              serve a seeded concurrent load instead of the REPL\n\
-                     \x20                    (also via FEDLAKE_SERVE=1); prints per-job\n\
-                     \x20                    outcomes, the server rollup and the report JSON\n\
-                     --recorder           fleet flight recorder (also via FEDLAKE_RECORDER=1);\n\
-                     \x20                    structured lifecycle events behind every flag below\n\
+                     --cost-based         statistics-driven cost-based join ordering;\n\
+                     \x20                    EXPLAIN ANALYZE then shows estimated vs. actual\n\
+                     \x20                    rows per operator\n\
+                     --serve              serve a seeded concurrent load instead of the REPL;\n\
+                     \x20                    prints per-job outcomes, the server rollup, the\n\
+                     \x20                    report JSON and the cache counters\n\
+                     --recorder           fleet flight recorder: structured lifecycle events\n\
+                     \x20                    behind every flag below\n\
                      --slow-log FILE      write the slow-query log of a --serve run as stable\n\
                      \x20                    JSON (implies --recorder and tracing)\n\
                      --watchdog           print windowed SLO rollups and typed anomalies\n\
@@ -521,17 +497,6 @@ fn main() -> ExitCode {
     if cost_based {
         cfg.cost_based = true;
         eprintln!("cost-based planning: statistics-driven join ordering");
-    }
-    if plan_cache {
-        cfg.plan_cache = true;
-    }
-    if cfg.plan_cache {
-        eprintln!("plan cache: normalized logical plans replayed on repeat queries");
-    }
-    if let Some(n) = batch_size {
-        cfg.batch = true;
-        cfg.batch_size = n.max(1);
-        eprintln!("vectorized execution: {}-row morsels", cfg.batch_size);
     }
     let mut engine = FederatedEngine::new(lake, cfg);
     for endpoint in &outages {

@@ -20,6 +20,9 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
         let out = lake_shell(&["--scale", "0.02", flag, bad]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {stderr}");
-        assert!(stderr.contains(flag), "{flag} {bad}: stderr does not name the flag: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "{flag} {bad}: stderr does not name the flag: {stderr}"
+        );
     }
 }

@@ -207,17 +207,6 @@ pub struct PlanConfig {
     /// [`crate::FedResult::obs`]. Recording is passive — answers, stats
     /// and RNG streams are byte-identical with it on or off.
     pub tracing: bool,
-    /// Vectorized execution: drive the optimized executor with
-    /// morsel-sized [`fedlake_sparql::binding::RowBatch`]es instead of
-    /// row-at-a-time pulls. Answers, stats and link traffic are identical
-    /// either way; only host-side overhead drops. Defaults to the
-    /// `FEDLAKE_BATCH=1` environment switch. Deadline runs fall back to
-    /// the row-at-a-time driver so cooperative cancellation keeps its
-    /// per-row granularity.
-    pub batch: bool,
-    /// Row capacity of one batch (morsel size). Defaults to 1024, or the
-    /// `FEDLAKE_BATCH_SIZE` environment override.
-    pub batch_size: usize,
     /// Statistics-driven cost-based planning: order the joins between
     /// star-shaped sub-queries by minimizing a [`crate::FederationCost`]
     /// estimate (DP enumeration, greedy above
@@ -225,58 +214,14 @@ pub struct PlanConfig {
     /// hash-join per edge from estimated input cardinalities. `false`
     /// keeps the paper's heuristic ordering. Answers are identical either
     /// way; only the plan shape (and thus timing/traffic) differs.
-    /// Defaults to the `FEDLAKE_COST=1` environment switch.
     pub cost_based: bool,
     /// Fleet flight recorder: keep a bounded, deterministic ring of
     /// structured lifecycle events (submit/admit/plan/first-row/retry/
     /// failover/deadline/complete) for every query the engine runs, read
     /// back through [`crate::FederatedEngine::flight_recording`]. Like
     /// tracing, recording is contractually passive — answers, stats and
-    /// RNG streams are byte-identical with it on or off. Defaults to the
-    /// `FEDLAKE_RECORDER=1` environment switch.
+    /// RNG streams are byte-identical with it on or off.
     pub recorder: bool,
-    /// Normalized plan cache: memoize whole [`crate::planner::PlannedQuery`]s
-    /// behind the query's canonical fingerprint (see [`crate::ir`]), so a
-    /// repeat query skips decomposition, source selection and cost-based
-    /// enumeration entirely and replays a byte-identical plan. Entries
-    /// revalidate against the lake's catalog epoch and the health inputs
-    /// of exactly the sources they touch, so catalog mutations and health
-    /// flips invalidate precisely the affected plans. Defaults to the
-    /// `FEDLAKE_PLAN_CACHE=1` environment switch.
-    pub plan_cache: bool,
-}
-
-/// The process-wide default for [`PlanConfig::batch`]: `FEDLAKE_BATCH=1`.
-fn batch_default() -> bool {
-    std::env::var("FEDLAKE_BATCH").is_ok_and(|v| v == "1")
-}
-
-/// The process-wide default for [`PlanConfig::cost_based`]:
-/// `FEDLAKE_COST=1`.
-fn cost_default() -> bool {
-    std::env::var("FEDLAKE_COST").is_ok_and(|v| v == "1")
-}
-
-/// The process-wide default for [`PlanConfig::recorder`]:
-/// `FEDLAKE_RECORDER=1`.
-fn recorder_default() -> bool {
-    std::env::var("FEDLAKE_RECORDER").is_ok_and(|v| v == "1")
-}
-
-/// The process-wide default for [`PlanConfig::plan_cache`]:
-/// `FEDLAKE_PLAN_CACHE=1`.
-fn plan_cache_default() -> bool {
-    std::env::var("FEDLAKE_PLAN_CACHE").is_ok_and(|v| v == "1")
-}
-
-/// The process-wide default for [`PlanConfig::batch_size`]:
-/// `FEDLAKE_BATCH_SIZE=n`, else 1024.
-fn batch_size_default() -> usize {
-    std::env::var("FEDLAKE_BATCH_SIZE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1024)
 }
 
 impl Default for PlanConfig {
@@ -297,11 +242,8 @@ impl Default for PlanConfig {
             overlap: false,
             degraded_ok: false,
             tracing: false,
-            batch: batch_default(),
-            batch_size: batch_size_default(),
-            cost_based: cost_default(),
-            recorder: recorder_default(),
-            plan_cache: plan_cache_default(),
+            cost_based: false,
+            recorder: false,
         }
     }
 }
@@ -354,18 +296,9 @@ mod tests {
         assert_eq!(c.deadline, None);
         assert!(!c.degraded_ok);
         assert!(!c.tracing, "tracing is opt-in");
-        if std::env::var_os("FEDLAKE_BATCH_SIZE").is_none() {
-            assert_eq!(c.batch_size, 1024);
-        }
-        if std::env::var_os("FEDLAKE_COST").is_none() {
-            assert!(!c.cost_based, "cost-based planning is opt-in");
-        }
-        if std::env::var_os("FEDLAKE_RECORDER").is_none() {
-            assert!(!c.recorder, "the flight recorder is opt-in");
-        }
-        if std::env::var_os("FEDLAKE_PLAN_CACHE").is_none() {
-            assert!(!c.plan_cache, "the plan cache is opt-in");
-        }
+        assert!(!c.overlap, "the paper's serialized schedule is the default");
+        assert!(!c.cost_based, "cost-based planning is opt-in");
+        assert!(!c.recorder, "the flight recorder is opt-in");
     }
 
     #[test]

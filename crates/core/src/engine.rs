@@ -167,8 +167,8 @@ pub struct FederatedEngine {
     /// Normalized plan cache (see [`crate::plancache`]): whole planned
     /// queries memoized behind the canonical query/config fingerprint,
     /// revalidated per lookup against the lake epoch and the relevant
-    /// health inputs. Probed only when [`PlanConfig::plan_cache`] is set;
-    /// behind a mutex so `&self` planning paths can populate it.
+    /// health inputs. Every planning call goes through it; behind a mutex
+    /// so `&self` planning paths can populate it.
     plan_cache: std::sync::Mutex<crate::plancache::PlanCache>,
 }
 
@@ -176,8 +176,7 @@ pub struct FederatedEngine {
 /// [`fedlake_relational::cache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
-    /// The normalized plan cache (all zero while
-    /// [`PlanConfig::plan_cache`] is off).
+    /// The normalized plan cache.
     pub plan: CacheStats,
     /// The source-result cache of lifted one-shot leaves.
     pub lift: CacheStats,
@@ -306,8 +305,7 @@ impl FederatedEngine {
 
     /// Plans a query without executing it, consulting the session's
     /// health registry for replica routing and degraded-source demotion.
-    /// Probes the normalized plan cache when [`PlanConfig::plan_cache`]
-    /// is set.
+    /// A repeat query is replayed from the normalized plan cache.
     pub fn plan(&self, query: &SelectQuery) -> Result<PlannedQuery, FedError> {
         self.plan_cached(query).map(|(planned, _)| planned)
     }
@@ -321,11 +319,6 @@ impl FederatedEngine {
         query: &SelectQuery,
     ) -> Result<(PlannedQuery, crate::plancache::PlanOrigin), FedError> {
         let view = self.health_view();
-        if !self.config.plan_cache {
-            let planned = plan_query_with_health(query, &self.lake, &self.config, &view)?;
-            let fingerprint = planned.report.fingerprint;
-            return Ok((planned, crate::plancache::PlanOrigin { cached: false, fingerprint }));
-        }
         let key = (
             crate::ir::query_fingerprint(query),
             crate::ir::config_fingerprint(&self.config),
@@ -360,8 +353,7 @@ impl FederatedEngine {
         Ok((planned, crate::plancache::PlanOrigin { cached: false, fingerprint }))
     }
 
-    /// Counter snapshot of the normalized plan cache (all zero when
-    /// [`PlanConfig::plan_cache`] is off).
+    /// Counter snapshot of the normalized plan cache.
     pub fn plan_cache_stats(&self) -> crate::plancache::PlanCacheStats {
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
@@ -475,159 +467,93 @@ impl FederatedEngine {
 
         let mut trace = AnswerTrace::new();
         let mut slot_rows: Vec<SlotRow> = Vec::new();
-        // Batch runs decode answers straight out of each batch's column
-        // buffers (one dictionary lock per batch); row runs collect
-        // `SlotRow`s and decode at the end. Same decode order either way.
-        let mut decoded: Vec<Row> = Vec::new();
         // Sources skipped at plan time already make the answer partial.
         let mut degraded = !planned.skipped_sources.is_empty();
         let unordered_limit = planned.order_by.is_empty().then_some(()).and(planned.limit);
         let want = unordered_limit.map(|l| l + planned.offset);
-        // Vectorized driver: pull morsel-sized batches through the tree.
-        // Deadline runs and unordered-LIMIT early stops keep the row
-        // driver — both need to observe the clock between *rows*, not
-        // between batches, to stop at the same instant the reference
-        // executor would.
-        let batch_mode = self.config.batch && self.config.deadline.is_none() && want.is_none();
-        if batch_mode {
-            loop {
-                let step = if self.config.overlap {
-                    op.poll_next_batch(&mut ctx, self.config.batch_size)
-                } else {
-                    op.next_batch(&mut ctx, self.config.batch_size).map(|o| {
-                        o.map_or(crate::operators::Poll::Done, crate::operators::Poll::Ready)
-                    })
-                };
-                match step {
-                    Ok(crate::operators::Poll::Ready(batch)) => {
+        loop {
+            // The deadline is cooperative: it is checked between
+            // answers, so one pull can overshoot it before the query
+            // fails (or degrades to the partial answer set).
+            if let Some(d) = self.config.deadline {
+                if clock.now() >= d {
+                    qrec.deadline_hit(clock.now());
+                    if !self.config.degraded_ok {
                         let now = clock.now();
-                        if qrec.is_enabled() && trace.count() == 0 && batch.selected().next().is_some()
-                        {
-                            qrec.first_row(now);
-                        }
-                        let dict = ctx.interner.lock();
-                        for i in batch.selected() {
-                            ctx.trace.record_answer(&mut trace, now);
-                            decoded.push(decode_row(&planned.schema, &dict, |s| batch.get(i, s)));
-                        }
+                        qrec.complete(
+                            now,
+                            crate::obs::CompletionKind::DeadlineMiss,
+                            now,
+                            planned.report.estimated_rows,
+                            0,
+                        );
+                        return Err(FedError::Timeout(d));
                     }
-                    Ok(crate::operators::Poll::Pending(ev)) => {
-                        if clock.is_virtual() && ev.time <= clock.now() {
-                            return Err(FedError::Internal(format!(
-                                "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
-                                ev.time,
-                                clock.now()
-                            )));
-                        }
-                        clock.advance_to(ev.time);
-                    }
-                    Ok(crate::operators::Poll::Done) => break,
-                    Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
-                        if !self.config.degraded_ok {
-                            let now = clock.now();
-                            qrec.complete(
-                                now,
-                                crate::obs::CompletionKind::Failed,
-                                now,
-                                planned.report.estimated_rows,
-                                0,
-                            );
-                            return Err(e);
-                        }
-                        degraded = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
+                    degraded = true;
+                    break;
                 }
             }
-        } else {
-            loop {
-                // The deadline is cooperative: it is checked between
-                // answers, so one pull can overshoot it before the query
-                // fails (or degrades to the partial answer set).
-                if let Some(d) = self.config.deadline {
-                    if clock.now() >= d {
-                        qrec.deadline_hit(clock.now());
-                        if !self.config.degraded_ok {
-                            let now = clock.now();
-                            qrec.complete(
-                                now,
-                                crate::obs::CompletionKind::DeadlineMiss,
-                                now,
-                                planned.report.estimated_rows,
-                                0,
-                            );
-                            return Err(FedError::Timeout(d));
-                        }
-                        degraded = true;
+            // Overlapped runs poll the plan and advance the clock to
+            // the next scheduled completion when every branch is
+            // waiting on in-flight I/O; serialized runs map the
+            // blocking pull onto the same three-way step.
+            let step = if self.config.overlap {
+                op.poll_next(&mut ctx)
+            } else {
+                op.next(&mut ctx).map(|o| {
+                    o.map_or(crate::operators::Poll::Done, crate::operators::Poll::Ready)
+                })
+            };
+            match step {
+                Ok(crate::operators::Poll::Ready(row)) => {
+                    ctx.trace.record_answer(&mut trace, clock.now());
+                    if qrec.is_enabled() && trace.count() == 1 {
+                        qrec.first_row(clock.now());
+                    }
+                    slot_rows.push(row);
+                    // Without ORDER BY, LIMIT can stop pulling early —
+                    // the streaming behaviour ANAPSID's operators
+                    // enable.
+                    if want.is_some_and(|w| slot_rows.len() >= w) {
                         break;
                     }
                 }
-                // Overlapped runs poll the plan and advance the clock to
-                // the next scheduled completion when every branch is
-                // waiting on in-flight I/O; serialized runs map the
-                // blocking pull onto the same three-way step.
-                let step = if self.config.overlap {
-                    op.poll_next(&mut ctx)
-                } else {
-                    op.next(&mut ctx).map(|o| {
-                        o.map_or(crate::operators::Poll::Done, crate::operators::Poll::Ready)
-                    })
-                };
-                match step {
-                    Ok(crate::operators::Poll::Ready(row)) => {
-                        ctx.trace.record_answer(&mut trace, clock.now());
-                        if qrec.is_enabled() && trace.count() == 1 {
-                            qrec.first_row(clock.now());
-                        }
-                        slot_rows.push(row);
-                        // Without ORDER BY, LIMIT can stop pulling early —
-                        // the streaming behaviour ANAPSID's operators
-                        // enable.
-                        if want.is_some_and(|w| slot_rows.len() >= w) {
-                            break;
-                        }
+                Ok(crate::operators::Poll::Pending(ev)) => {
+                    // A due event must be consumed by the poll that saw
+                    // it; surfacing one here means an operator forgot
+                    // to complete it and time would stand still.
+                    if clock.is_virtual() && ev.time <= clock.now() {
+                        return Err(FedError::Internal(format!(
+                            "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
+                            ev.time,
+                            clock.now()
+                        )));
                     }
-                    Ok(crate::operators::Poll::Pending(ev)) => {
-                        // A due event must be consumed by the poll that saw
-                        // it; surfacing one here means an operator forgot
-                        // to complete it and time would stand still.
-                        if clock.is_virtual() && ev.time <= clock.now() {
-                            return Err(FedError::Internal(format!(
-                                "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
-                                ev.time,
-                                clock.now()
-                            )));
-                        }
-                        clock.advance_to(ev.time);
-                    }
-                    Ok(crate::operators::Poll::Done) => break,
-                    Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
-                        if !self.config.degraded_ok {
-                            let now = clock.now();
-                            qrec.complete(
-                                now,
-                                crate::obs::CompletionKind::Failed,
-                                now,
-                                planned.report.estimated_rows,
-                                0,
-                            );
-                            return Err(e);
-                        }
-                        degraded = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
+                    clock.advance_to(ev.time);
                 }
+                Ok(crate::operators::Poll::Done) => break,
+                Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
+                    if !self.config.degraded_ok {
+                        let now = clock.now();
+                        qrec.complete(
+                            now,
+                            crate::obs::CompletionKind::Failed,
+                            now,
+                            planned.report.estimated_rows,
+                            0,
+                        );
+                        return Err(e);
+                    }
+                    degraded = true;
+                    break;
+                }
+                Err(e) => return Err(e),
             }
         }
         trace.complete(clock.now());
 
-        // Materialize terms only at the API boundary (batch runs already
-        // decoded on the fly).
-        let mut rows: Vec<Row> = if batch_mode {
-            decoded
-        } else {
+        // Materialize terms only at the API boundary.
+        let mut rows: Vec<Row> = {
             let dict = ctx.interner.lock();
             slot_rows
                 .iter()
@@ -670,16 +596,12 @@ impl FederatedEngine {
             stats.answers,
         );
         let obs = sink.finish(&links, &stats);
-        // EXPLAIN names the plan's origin only when the cache is in play,
-        // so cache-off output stays byte-identical to previous releases.
         let mut explain = crate::explain::explain_plan(&planned.plan);
-        if self.config.plan_cache {
-            explain.push_str(&format!(
-                "plan: {}[fp={:016x}]\n",
-                if origin.cached { "cached" } else { "cold" },
-                origin.fingerprint
-            ));
-        }
+        explain.push_str(&format!(
+            "plan: {}[fp={:016x}]\n",
+            if origin.cached { "cached" } else { "cold" },
+            origin.fingerprint
+        ));
         Ok(FedResult {
             vars: Arc::clone(&planned.projection),
             rows,

@@ -26,7 +26,7 @@ use crate::fedplan::FedPlan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::planner::PlanReport;
 use fedlake_netsim::{LinkFault, NetObserver};
-use fedlake_sparql::binding::{RowBatch, SlotRow};
+use fedlake_sparql::binding::SlotRow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -594,30 +594,6 @@ impl FedOp for RecordServiceOp<'_> {
         let r = self.inner.poll_next(ctx)?;
         if matches!(r, Poll::Ready(_)) {
             self.qrec.service_rows(self.slot, 1);
-        }
-        Ok(r)
-    }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, crate::error::FedError> {
-        let r = self.inner.next_batch(ctx, max)?;
-        if let Some(b) = &r {
-            self.qrec.service_rows(self.slot, b.len() as u64);
-        }
-        Ok(r)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, crate::error::FedError> {
-        let r = self.inner.poll_next_batch(ctx, max)?;
-        if let Poll::Ready(b) = &r {
-            self.qrec.service_rows(self.slot, b.len() as u64);
         }
         Ok(r)
     }

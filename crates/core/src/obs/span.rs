@@ -403,20 +403,6 @@ impl TraceSink {
         }
     }
 
-    /// Notes that plan node `node` emitted `n` rows at once at `now` —
-    /// the batched form of [`TraceSink::node_emit`], so EXPLAIN ANALYZE
-    /// row counts reconcile identically under vectorized execution.
-    pub fn node_emit_many(&self, node: u32, now: Duration, n: u64) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        if let Some(ns) = st.node_state.get_mut(node as usize) {
-            ns.rows += n;
-            if n > 0 {
-                ns.first.get_or_insert(now);
-            }
-        }
-    }
-
     /// Notes that plan node `node` reported exhaustion at `now`
     /// (idempotent: the first report wins).
     pub fn node_done(&self, node: u32, now: Duration) {
@@ -614,35 +600,6 @@ impl crate::operators::FedOp for SpanOp<'_> {
         let r = self.inner.poll_next(ctx)?;
         match &r {
             crate::operators::Poll::Ready(_) => self.sink.node_emit(self.node, ctx.clock.now()),
-            crate::operators::Poll::Done => self.sink.node_done(self.node, ctx.clock.now()),
-            crate::operators::Poll::Pending(_) => {}
-        }
-        Ok(r)
-    }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut crate::operators::ExecCtx,
-        max: usize,
-    ) -> Result<Option<fedlake_sparql::binding::RowBatch>, FedError> {
-        let r = self.inner.next_batch(ctx, max)?;
-        match &r {
-            Some(b) => self.sink.node_emit_many(self.node, ctx.clock.now(), b.len() as u64),
-            None => self.sink.node_done(self.node, ctx.clock.now()),
-        }
-        Ok(r)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut crate::operators::ExecCtx,
-        max: usize,
-    ) -> Result<crate::operators::Poll<fedlake_sparql::binding::RowBatch>, FedError> {
-        let r = self.inner.poll_next_batch(ctx, max)?;
-        match &r {
-            crate::operators::Poll::Ready(b) => {
-                self.sink.node_emit_many(self.node, ctx.clock.now(), b.len() as u64)
-            }
             crate::operators::Poll::Done => self.sink.node_done(self.node, ctx.clock.now()),
             crate::operators::Poll::Pending(_) => {}
         }

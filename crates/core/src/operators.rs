@@ -17,7 +17,7 @@
 use crate::error::FedError;
 use fedlake_netsim::{CostModel, EventQueue, EventTime, SharedClock};
 use fedlake_rdf::{FastMap, FastSet, SharedInterner, TermId};
-use fedlake_sparql::binding::{RowBatch, RowSchema, SlotRow};
+use fedlake_sparql::binding::{RowSchema, SlotRow};
 use fedlake_sparql::expr::{BoundExpr, Expr};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -150,9 +150,6 @@ pub enum Poll<T> {
     Done,
 }
 
-/// Chain terminator for the vectorized join's arena-row links.
-const NO_ROW: u32 = u32::MAX;
-
 /// The smaller of two optional pending events.
 pub(crate) fn earlier(a: Option<EventTime>, b: EventTime) -> Option<EventTime> {
     Some(match a {
@@ -178,72 +175,6 @@ pub trait FedOp {
             None => Poll::Done,
         })
     }
-
-    /// Produces the next morsel of up to `max` solutions under the
-    /// serialized schedule. `Some(batch)` is never empty; `None` means the
-    /// stream is exhausted.
-    ///
-    /// The default gathers consecutive [`FedOp::next`] pulls, which keeps
-    /// the pull order — and therefore every per-link transfer sequence and
-    /// clock charge — literally identical to row-at-a-time execution.
-    /// Vectorized operators override this to move whole batches instead.
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        let mut batch: Option<RowBatch> = None;
-        for _ in 0..max.max(1) {
-            match self.next(ctx)? {
-                Some(row) => batch
-                    .get_or_insert_with(|| {
-                        RowBatch::with_capacity(row.slots().len(), max.max(1))
-                    })
-                    .push_row(&row),
-                None => break,
-            }
-        }
-        Ok(batch)
-    }
-
-    /// Non-blocking batched pull for the overlapped schedule. `Ready`
-    /// batches are never empty.
-    ///
-    /// The default forwards a single [`FedOp::poll_next`], so an operator
-    /// without an override degenerates to one-row batches. That is not a
-    /// shortcut but the determinism contract: the adaptive operators
-    /// (joins, UNION) interleave their children's clock charges with the
-    /// per-link launch times row by row, so consuming a child's chunk
-    /// mid-alternation would shift when the next message launches.
-    /// Batches wider than one row flow only through linear chains —
-    /// wrapper stream → FILTER/PROJECT/DISTINCT — where every charge of a
-    /// chunk lands before the next poll either way.
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        _max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        Ok(match self.poll_next(ctx)? {
-            Poll::Ready(row) => Poll::Ready(RowBatch::from_row(&row)),
-            Poll::Pending(ev) => Poll::Pending(ev),
-            Poll::Done => Poll::Done,
-        })
-    }
-}
-
-/// Drains up to `max` buffered rows into one batch (`width` slots).
-pub(crate) fn drain_into_batch(
-    out: &mut VecDeque<SlotRow>,
-    width: usize,
-    max: usize,
-) -> RowBatch {
-    let n = out.len().min(max.max(1));
-    let mut batch = RowBatch::with_capacity(width, n);
-    for _ in 0..n {
-        let row = out.pop_front().expect("n <= out.len()");
-        batch.push_row(&row);
-    }
-    batch
 }
 
 /// A boxed operator (streams borrow the lake, hence the lifetime).
@@ -265,24 +196,6 @@ pub struct SymHashJoin<'a> {
     on_slots: Vec<usize>,
     left_table: FastMap<Box<[TermId]>, Vec<SlotRow>>,
     right_table: FastMap<Box<[TermId]>, Vec<SlotRow>>,
-    // Vectorized-path build storage: arrived rows live width-strided in a
-    // flat arena per side, and the index maps join keys to arena row
-    // numbers. Keeping this separate from the row-path tables lets the
-    // batch path insert a row as one contiguous id copy instead of an
-    // owned `SlotRow` allocation.
-    left_arena: Vec<TermId>,
-    right_arena: Vec<TermId>,
-    // The index chains arena rows sharing a join key in arrival order:
-    // the map holds the chain's (first, last) arena row and `links[row]`
-    // is the next row with the same key (`NO_ROW` ends the chain). Probing
-    // walks first→last, so match order is the row path's insertion order,
-    // and inserting never allocates beyond the boxed key of a first-seen
-    // join key.
-    left_index: FastMap<Box<[TermId]>, (u32, u32)>,
-    right_index: FastMap<Box<[TermId]>, (u32, u32)>,
-    left_links: Vec<u32>,
-    right_links: Vec<u32>,
-    key_scratch: Vec<TermId>,
     left_done: bool,
     right_done: bool,
     pull_left: bool,
@@ -301,13 +214,6 @@ impl<'a> SymHashJoin<'a> {
             on_slots,
             left_table: FastMap::default(),
             right_table: FastMap::default(),
-            left_arena: Vec::new(),
-            right_arena: Vec::new(),
-            left_index: FastMap::default(),
-            right_index: FastMap::default(),
-            left_links: Vec::new(),
-            right_links: Vec::new(),
-            key_scratch: Vec::new(),
             left_done: false,
             right_done: false,
             pull_left: true,
@@ -338,99 +244,6 @@ impl<'a> SymHashJoin<'a> {
             }
         }
         own.entry(key).or_default().push(row);
-    }
-
-    /// Inserts and probes every selected row of `batch`, appending matches
-    /// to `out` and charging exactly what the same rows would charge one
-    /// at a time. Build rows are copied into the side's flat arena and
-    /// matches are merged straight into `out`'s column buffers, so the
-    /// only per-row allocation left is the boxed key of a first-seen join
-    /// key.
-    fn probe_batch(
-        &mut self,
-        batch: &RowBatch,
-        from_left: bool,
-        ctx: &mut ExecCtx,
-        out: &mut RowBatch,
-    ) {
-        let width = batch.width();
-        // Clock charges are coalesced: n probes (and later m merges) cost
-        // exactly n × engine_join_time(1) + m × engine_row_time(1), and
-        // Duration arithmetic is exact integer nanoseconds, so one bulk
-        // advance equals the row executor's per-row advances to the nanosecond.
-        // Nothing observes the clock between rows of one probed batch.
-        let mut probes = 0u32;
-        let mut merges = 0u32;
-        for i in batch.selected() {
-            ctx.stats.engine_join_probes += 1;
-            probes += 1;
-            self.key_scratch.clear();
-            let mut bound = true;
-            for &s in &self.on_slots {
-                match batch.get(i, s) {
-                    Some(id) => self.key_scratch.push(id),
-                    None => {
-                        // A row not binding every join variable can never
-                        // match.
-                        bound = false;
-                        break;
-                    }
-                }
-            }
-            if !bound {
-                continue;
-            }
-            let (own_arena, own_index, own_links, other_arena, other_index, other_links) =
-                if from_left {
-                    (
-                        &mut self.left_arena,
-                        &mut self.left_index,
-                        &mut self.left_links,
-                        &self.right_arena,
-                        &self.right_index,
-                        &self.right_links,
-                    )
-                } else {
-                    (
-                        &mut self.right_arena,
-                        &mut self.right_index,
-                        &mut self.right_links,
-                        &self.left_arena,
-                        &self.left_index,
-                        &self.left_links,
-                    )
-                };
-            if let Some(&(first, _)) = other_index.get(self.key_scratch.as_slice()) {
-                let mut m = first;
-                while m != NO_ROW {
-                    let stored = &other_arena[m as usize * width..(m as usize + 1) * width];
-                    if out.push_merge_from(batch, i, stored) {
-                        merges += 1;
-                    }
-                    m = other_links[m as usize];
-                }
-            }
-            let idx = (own_arena.len() / width.max(1)) as u32;
-            for s in 0..width {
-                own_arena.push(batch.col(s)[i]);
-            }
-            own_links.push(NO_ROW);
-            match own_index.get_mut(self.key_scratch.as_slice()) {
-                Some((_, last)) => {
-                    own_links[*last as usize] = idx;
-                    *last = idx;
-                }
-                None => {
-                    own_index.insert(self.key_scratch.clone().into_boxed_slice(), (idx, idx));
-                }
-            }
-        }
-        if probes > 0 {
-            ctx.clock.advance(ctx.cost.engine_join_time(1) * probes);
-        }
-        if merges > 0 {
-            ctx.clock.advance(ctx.cost.engine_row_time(1) * merges);
-        }
     }
 }
 
@@ -541,54 +354,6 @@ impl FedOp for SymHashJoin<'_> {
             }
         }
     }
-
-    /// Serialized vectorized pull: the same chunk-granular alternation as
-    /// [`FedOp::next`], but whole child batches are inserted and probed
-    /// per call. Chunk alternation preserves each link's transfer order
-    /// (a stream's batch never spans a message chunk), and every clock
-    /// charge commutes, so the final clock and all counters match the
-    /// row-at-a-time executor exactly.
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        loop {
-            if !self.out.is_empty() {
-                return Ok(Some(drain_into_batch(&mut self.out, ctx.schema.len(), max)));
-            }
-            if self.left_done && self.right_done {
-                return Ok(None);
-            }
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            // One child batch can expand to more than `max` matches; the
-            // whole probe result goes out as one batch — `max` bounds the
-            // pull granularity, not the join multiplicity. Columns start
-            // at capacity zero: most probe rounds emit nothing.
-            let mut produced = RowBatch::with_capacity(ctx.schema.len(), 0);
-            if take_left {
-                match self.left.next_batch(ctx, max)? {
-                    Some(batch) => self.probe_batch(&batch, true, ctx, &mut produced),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next_batch(ctx, max)? {
-                    Some(batch) => self.probe_batch(&batch, false, ctx, &mut produced),
-                    None => self.right_done = true,
-                }
-            }
-            if !produced.is_empty() {
-                return Ok(Some(produced));
-            }
-        }
-    }
 }
 
 /// Streaming left join (for `OPTIONAL`): matched pairs stream out as soon
@@ -669,19 +434,6 @@ impl<'a> LeftHashJoin<'a> {
             }
         }
         self.right_table.entry(key).or_default().push(row);
-    }
-
-    /// Batched [`LeftHashJoin::take_left`]/[`LeftHashJoin::take_right`]
-    /// with identical per-row charges.
-    fn take_batch(&mut self, batch: &RowBatch, from_left: bool, ctx: &mut ExecCtx) {
-        for i in batch.selected() {
-            let row = batch.to_slot_row(i);
-            if from_left {
-                self.take_left(row, ctx);
-            } else {
-                self.take_right(row, ctx);
-            }
-        }
     }
 }
 
@@ -803,52 +555,6 @@ impl FedOp for LeftHashJoin<'_> {
             }
         }
     }
-
-    /// Serialized vectorized pull; see [`SymHashJoin::next_batch`] for the
-    /// equivalence argument (the unmatched-left flush adds no charges, so
-    /// it commutes trivially).
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        loop {
-            if !self.out.is_empty() {
-                return Ok(Some(drain_into_batch(&mut self.out, ctx.schema.len(), max)));
-            }
-            if self.left_done && self.right_done {
-                if !self.flushed {
-                    self.flushed = true;
-                    for (row, matched) in &self.left_rows {
-                        if !matched {
-                            self.out.push_back(row.clone());
-                        }
-                    }
-                    continue;
-                }
-                return Ok(None);
-            }
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            if take_left {
-                match self.left.next_batch(ctx, max)? {
-                    Some(batch) => self.take_batch(&batch, true, ctx),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next_batch(ctx, max)? {
-                    Some(batch) => self.take_batch(&batch, false, ctx),
-                    None => self.right_done = true,
-                }
-            }
-        }
-    }
 }
 
 /// Engine-level conjunctive filter. The expressions are bound against
@@ -875,28 +581,6 @@ impl<'a> FilterOp<'a> {
         let dict = ctx.interner.lock();
         self.exprs.iter().all(|e| e.test_ids(|s| row.get(s), &dict))
     }
-
-    /// Evaluates the conjunction over every selected row, narrowing the
-    /// batch's selection vector in place. Charges and counts exactly what
-    /// per-row evaluation would (every row is evaluated either way), but
-    /// takes the interner lock once per batch instead of once per row.
-    /// Returns `false` when no row survived.
-    fn filter_batch(&self, batch: &mut RowBatch, ctx: &mut ExecCtx) -> bool {
-        let n = batch.len();
-        ctx.stats.engine_filter_evals += self.exprs.len() as u64 * n as u64;
-        ctx.clock
-            .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64) * n as u32);
-        let dict = ctx.interner.lock();
-        let sel: Vec<u32> = batch
-            .selected()
-            .filter(|&i| self.exprs.iter().all(|e| e.test_ids(|s| batch.get(i, s), &dict)))
-            .map(|i| i as u32)
-            .collect();
-        drop(dict);
-        let keep = !sel.is_empty();
-        batch.set_sel(sel);
-        keep
-    }
 }
 
 impl FedOp for FilterOp<'_> {
@@ -915,37 +599,6 @@ impl FedOp for FilterOp<'_> {
                 Poll::Ready(row) => {
                     if self.keeps(&row, ctx) {
                         return Ok(Poll::Ready(row));
-                    }
-                }
-                Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
-                Poll::Done => return Ok(Poll::Done),
-            }
-        }
-    }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        while let Some(mut batch) = self.input.next_batch(ctx, max)? {
-            if self.filter_batch(&mut batch, ctx) {
-                return Ok(Some(batch));
-            }
-        }
-        Ok(None)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            match self.input.poll_next_batch(ctx, max)? {
-                Poll::Ready(mut batch) => {
-                    if self.filter_batch(&mut batch, ctx) {
-                        return Ok(Poll::Ready(batch));
                     }
                 }
                 Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
@@ -1034,24 +687,6 @@ impl FedOp for UnionOp<'_> {
             }
         }
     }
-
-    /// Serialized vectorized pull: batches stream out of the front branch,
-    /// preserving the branch order (and so every pull) of [`FedOp::next`].
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        while let Some(front) = self.branches.front_mut() {
-            match front.next_batch(ctx, max)? {
-                Some(batch) => return Ok(Some(batch)),
-                None => {
-                    self.branches.pop_front();
-                }
-            }
-        }
-        Ok(None)
-    }
 }
 
 /// Projection to the query's selected variables: a slot remap that copies
@@ -1079,16 +714,6 @@ impl ProjectOp<'_> {
         }
         out
     }
-
-    /// Columnar remap: compacts the kept columns through the selection in
-    /// place, blanks the dropped ones, and charges exactly one row's work
-    /// per selected row — the same total as [`ProjectOp::remap`] row by
-    /// row, with no allocation.
-    fn remap_batch(&self, batch: RowBatch, ctx: &mut ExecCtx) -> RowBatch {
-        let n = batch.len();
-        ctx.clock.advance(ctx.cost.engine_row_time(1) * n as u32);
-        batch.remap_owned(&self.keep_slots)
-    }
 }
 
 impl FedOp for ProjectOp<'_> {
@@ -1106,29 +731,6 @@ impl FedOp for ProjectOp<'_> {
             Poll::Done => Poll::Done,
         })
     }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        Ok(self
-            .input
-            .next_batch(ctx, max)?
-            .map(|batch| self.remap_batch(batch, ctx)))
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        Ok(match self.input.poll_next_batch(ctx, max)? {
-            Poll::Ready(batch) => Poll::Ready(self.remap_batch(batch, ctx)),
-            Poll::Pending(ev) => Poll::Pending(ev),
-            Poll::Done => Poll::Done,
-        })
-    }
 }
 
 /// Streaming duplicate elimination over fixed-width id arrays.
@@ -1141,29 +743,6 @@ impl<'a> DistinctOp<'a> {
     /// Creates a distinct operator.
     pub fn new(input: BoxedOp<'a>) -> Self {
         DistinctOp { input, seen: FastSet::default() }
-    }
-
-    /// Dedups a whole batch against (and into) the seen-set, narrowing
-    /// its selection vector to the first occurrences. Lookups hash the
-    /// gathered slot array directly; only genuinely new rows allocate —
-    /// the same allocations the row-at-a-time path makes. Returns `false`
-    /// when every row was a duplicate.
-    fn dedup_batch(&mut self, batch: &mut RowBatch, ctx: &mut ExecCtx) -> bool {
-        let n = batch.len();
-        ctx.clock.advance(ctx.cost.engine_row_time(1) * n as u32);
-        let mut scratch = SlotRow::unbound(batch.width());
-        let mut sel: Vec<u32> = Vec::with_capacity(n);
-        for i in batch.selected() {
-            batch.read_row(i, &mut scratch);
-            let ids: &[TermId] = scratch.slots();
-            if !self.seen.contains(ids) {
-                self.seen.insert(scratch.clone());
-                sel.push(i as u32);
-            }
-        }
-        let keep = !sel.is_empty();
-        batch.set_sel(sel);
-        keep
     }
 }
 
@@ -1185,37 +764,6 @@ impl FedOp for DistinctOp<'_> {
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
                     if self.seen.insert(row.clone()) {
                         return Ok(Poll::Ready(row));
-                    }
-                }
-                Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
-                Poll::Done => return Ok(Poll::Done),
-            }
-        }
-    }
-
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        while let Some(mut batch) = self.input.next_batch(ctx, max)? {
-            if self.dedup_batch(&mut batch, ctx) {
-                return Ok(Some(batch));
-            }
-        }
-        Ok(None)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        loop {
-            match self.input.poll_next_batch(ctx, max)? {
-                Poll::Ready(mut batch) => {
-                    if self.dedup_batch(&mut batch, ctx) {
-                        return Ok(Poll::Ready(batch));
                     }
                 }
                 Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
@@ -1429,119 +977,5 @@ mod tests {
         let right = RowsOp::new(vec![row(&c, &[("j", "x")])]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         assert!(drain(&mut j, &mut c).is_empty());
-    }
-
-    fn drain_batches(op: &mut dyn FedOp, ctx: &mut ExecCtx, max: usize) -> Vec<SlotRow> {
-        let mut out = Vec::new();
-        while let Some(batch) = op.next_batch(ctx, max).unwrap() {
-            assert!(!batch.is_empty(), "returned batches are never empty");
-            for i in batch.selected() {
-                out.push(batch.to_slot_row(i));
-            }
-        }
-        out
-    }
-
-    /// One operator tree per call so the row and batch drains see
-    /// identical interning orders.
-    fn pipeline<'a>(c: &ExecCtx) -> BoxedOp<'a> {
-        let left = RowsOp::new(vec![
-            row(c, &[("a", "1"), ("j", "x"), ("n", "3")]),
-            row(c, &[("a", "2"), ("j", "y"), ("n", "3")]),
-            row(c, &[("a", "3"), ("j", "x"), ("n", "3")]),
-        ]);
-        let right = RowsOp::new(vec![
-            row(c, &[("b", "4"), ("j", "x")]),
-            row(c, &[("b", "5"), ("j", "y")]),
-            row(c, &[("b", "6"), ("j", "x")]),
-        ]);
-        let join = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
-        let expr = Expr::Cmp(
-            Box::new(Expr::Var(Var::new("j"))),
-            CmpOp::Ne,
-            Box::new(Expr::Const(Term::iri("http://x/y"))),
-        );
-        let filter = FilterOp::new(Box::new(join), &[expr], &c.schema);
-        let project = ProjectOp::new(Box::new(filter), vec![slot("a"), slot("j")]);
-        Box::new(DistinctOp::new(Box::new(project)))
-    }
-
-    /// The vectorized pipeline must reproduce the row-at-a-time pipeline
-    /// bit for bit: same rows in the same order, same counters, same
-    /// final clock — for every batch size, including ones smaller than
-    /// the inputs.
-    #[test]
-    fn batch_pipeline_matches_row_pipeline() {
-        let mut row_ctx = ctx();
-        let mut op = pipeline(&row_ctx);
-        let rows = drain(op.as_mut(), &mut row_ctx);
-        assert!(!rows.is_empty());
-        for max in [1, 2, 3, 1024] {
-            let mut batch_ctx = ctx();
-            let mut op = pipeline(&batch_ctx);
-            let batched = drain_batches(op.as_mut(), &mut batch_ctx, max);
-            assert_eq!(batched, rows, "batch size {max}: rows diverge");
-            assert_eq!(batch_ctx.stats, row_ctx.stats, "batch size {max}: stats diverge");
-            assert_eq!(
-                batch_ctx.clock.now(),
-                row_ctx.clock.now(),
-                "batch size {max}: clock diverges"
-            );
-        }
-    }
-
-    #[test]
-    fn left_join_batches_match_rows() {
-        let build = |c: &ExecCtx| {
-            let left = RowsOp::new(vec![
-                row(c, &[("a", "1"), ("j", "x")]),
-                row(c, &[("a", "2"), ("j", "z")]),
-            ]);
-            let right = RowsOp::new(vec![row(c, &[("b", "3"), ("j", "x")])]);
-            LeftHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")])
-        };
-        let mut row_ctx = ctx();
-        let rows = drain(&mut build(&row_ctx), &mut row_ctx);
-        let mut batch_ctx = ctx();
-        let batched = drain_batches(&mut build(&batch_ctx), &mut batch_ctx, 8);
-        assert_eq!(batched, rows);
-        assert_eq!(batch_ctx.clock.now(), row_ctx.clock.now());
-    }
-
-    #[test]
-    fn union_batches_preserve_branch_order() {
-        let mut c = ctx();
-        let a = RowsOp::new(vec![row(&c, &[("x", "1")]), row(&c, &[("x", "2")])]);
-        let b = RowsOp::new(vec![row(&c, &[("x", "3")])]);
-        let mut u = UnionOp::new(vec![Box::new(a), Box::new(b)]);
-        let out = drain_batches(&mut u, &mut c, 16);
-        assert_eq!(out.len(), 3);
-        let mut c2 = ctx();
-        let a = RowsOp::new(vec![row(&c2, &[("x", "1")]), row(&c2, &[("x", "2")])]);
-        let b = RowsOp::new(vec![row(&c2, &[("x", "3")])]);
-        let mut u = UnionOp::new(vec![Box::new(a), Box::new(b)]);
-        assert_eq!(drain(&mut u, &mut c2), out);
-    }
-
-    /// The default overlapped batch poll degenerates to one-row batches —
-    /// the adaptive operators must keep their per-row alternation.
-    #[test]
-    fn default_poll_next_batch_is_single_row() {
-        let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1"), ("j", "x")]); 2]);
-        let right = RowsOp::new(vec![row(&c, &[("b", "2"), ("j", "x")]); 2]);
-        let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
-        let mut total = 0;
-        loop {
-            match j.poll_next_batch(&mut c, 1024).unwrap() {
-                Poll::Ready(batch) => {
-                    assert_eq!(batch.len(), 1, "joins poll one row per batch");
-                    total += batch.len();
-                }
-                Poll::Pending(_) => panic!("pre-materialized inputs never pend"),
-                Poll::Done => break,
-            }
-        }
-        assert_eq!(total, 4);
     }
 }

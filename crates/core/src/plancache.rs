@@ -26,9 +26,8 @@
 //!   deterministic LRU.
 //!
 //! The cache is engine-internal: [`crate::FederatedEngine::plan`] probes
-//! it when [`crate::PlanConfig::plan_cache`] is set and
-//! [`PlanCacheStats`] reconciles every probe (`lookups = hits + misses`,
-//! invalidations ≤ misses).
+//! it on every call and [`PlanCacheStats`] reconciles every probe
+//! (`lookups = hits + misses`, invalidations ≤ misses).
 
 use crate::fedplan::FedPlan;
 use crate::health::HealthView;

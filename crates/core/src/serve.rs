@@ -342,16 +342,14 @@ impl FederatedEngine {
                 if report.cost_based {
                     metrics.counter_add("serve.planner.cost_based", 1);
                 }
-                if self.config().plan_cache {
-                    metrics.counter_add(
-                        if job.cached {
-                            "serve.plancache.job_hits"
-                        } else {
-                            "serve.plancache.job_misses"
-                        },
-                        1,
-                    );
-                }
+                metrics.counter_add(
+                    if job.cached {
+                        "serve.plancache.job_hits"
+                    } else {
+                        "serve.plancache.job_misses"
+                    },
+                    1,
+                );
                 metrics.gauge_set("serve.in_flight", active.len() as u64);
                 next_job += 1;
             }
@@ -438,17 +436,14 @@ impl FederatedEngine {
         self.health().fold_into(&mut metrics);
         // Plan-cache rollup: the engine-lifetime counters at the end of
         // this run (gauges — a counter would double-add across runs on
-        // the same engine). Exported only when the cache is in play so
-        // cache-off metric renders stay byte-identical to prior releases.
-        if self.config().plan_cache {
-            let pc = self.plan_cache_stats();
-            metrics.gauge_set("serve.plancache.lookups", pc.lookups);
-            metrics.gauge_set("serve.plancache.hits", pc.hits);
-            metrics.gauge_set("serve.plancache.misses", pc.misses);
-            metrics.gauge_set("serve.plancache.evictions", pc.evictions);
-            metrics.gauge_set("serve.plancache.invalidations", pc.invalidations);
-        }
-        // The source-result cache is always in play; same gauge semantics.
+        // the same engine).
+        let pc = self.plan_cache_stats();
+        metrics.gauge_set("serve.plancache.lookups", pc.lookups);
+        metrics.gauge_set("serve.plancache.hits", pc.hits);
+        metrics.gauge_set("serve.plancache.misses", pc.misses);
+        metrics.gauge_set("serve.plancache.evictions", pc.evictions);
+        metrics.gauge_set("serve.plancache.invalidations", pc.invalidations);
+        // The source-result cache: same gauge semantics.
         let lc = self.lifts().stats();
         metrics.gauge_set("serve.liftcache.lookups", lc.lookups);
         metrics.gauge_set("serve.liftcache.hits", lc.hits);

@@ -27,7 +27,7 @@ use fedlake_netsim::{EventTime, Link};
 use fedlake_rdf::{BuildFastHasher, Dictionary, Term, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
-use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, SlotRow};
+use fedlake_sparql::binding::{encode_row, Row, RowSchema, SlotRow};
 use fedlake_sparql::eval::eval_bgp;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -594,27 +594,6 @@ impl Materialized {
             }
         }
     }
-
-    /// The next `take` rows as a dense batch: contiguous id copies out of
-    /// shared columns, a gather out of owned rows.
-    fn take_batch(&mut self, take: usize, width: usize) -> RowBatch {
-        match self {
-            Materialized::Rows(rows) => {
-                let mut batch = RowBatch::with_capacity(width, take);
-                for row in rows.drain(..take) {
-                    batch.push_row(&row);
-                }
-                batch
-            }
-            Materialized::Cols { data, cursor } => {
-                let start = *cursor;
-                *cursor += take;
-                RowBatch::from_cols(
-                    data.cols.iter().map(|c| c[start..*cursor].to_vec()).collect(),
-                )
-            }
-        }
-    }
 }
 
 /// One message in flight on the overlapped schedule: the completion event
@@ -664,71 +643,44 @@ impl Delivery {
     }
 
     /// Serialized: transfers the next message (with retries) when the
-    /// landed one is used up. `false` when drained — after the empty-result
+    /// landed one is used up. `None` when drained — after the empty-result
     /// notification message when there were no rows at all.
-    fn pull_ready(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<bool, FedError> {
-        if self.ready == 0 {
-            let n = self.remaining().min(rows_per_message);
-            if n == 0 && self.empty_notified {
-                return Ok(false);
-            }
-            self.empty_notified = true;
-            transfer_with_retry(route, n, ctx)?;
-            self.ready = n;
-        }
-        Ok(self.ready > 0)
-    }
-
     fn pull(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Option<SlotRow>, FedError> {
-        if !self.pull_ready(route, rows_per_message, ctx)? {
-            return Ok(None);
+        if self.ready == 0 {
+            let n = self.remaining().min(rows_per_message);
+            if n == 0 && self.empty_notified {
+                return Ok(None);
+            }
+            self.empty_notified = true;
+            transfer_with_retry(route, n, ctx)?;
+            self.ready = n;
+            if n == 0 {
+                return Ok(None);
+            }
         }
         self.ready -= 1;
         Ok(Some(self.data.take_row()))
     }
 
-    /// Batched pull: the remainder of the landed message (capped at `max`)
-    /// as one [`RowBatch`]. A batch never spans a message, so the per-link
-    /// transfer order is the same row for row; only how many rows the
-    /// caller receives per call changes.
-    fn pull_batch(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        max: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Option<RowBatch>, FedError> {
-        if !self.pull_ready(route, rows_per_message, ctx)? {
-            return Ok(None);
-        }
-        let take = self.ready.min(max.max(1));
-        self.ready -= take;
-        Ok(Some(self.data.take_batch(take, ctx.schema.len())))
-    }
-
     /// Overlapped: lands the message in flight once it is due and launches
     /// the next one only when a poll observes no landed rows left, so
-    /// launch times, link occupancy and event ordering do not depend on
-    /// how many rows a poll takes. `Ready` means `self.ready > 0`.
-    fn poll_ready(
+    /// launch times, link occupancy and event ordering follow the rows
+    /// consumed, exactly as on the serialized schedule.
+    fn poll(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
-    ) -> Result<Poll<()>, FedError> {
+    ) -> Result<Poll<SlotRow>, FedError> {
         loop {
             if self.ready > 0 {
-                return Ok(Poll::Ready(()));
+                self.ready -= 1;
+                return Ok(Poll::Ready(self.data.take_row()));
             }
             if let Some(f) = &self.inflight {
                 if f.ev.time > ctx.clock.now() {
@@ -754,40 +706,6 @@ impl Delivery {
             };
             self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: n, err });
         }
-    }
-
-    fn poll(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Poll<SlotRow>, FedError> {
-        Ok(match self.poll_ready(route, rows_per_message, ctx)? {
-            Poll::Ready(()) => {
-                self.ready -= 1;
-                Poll::Ready(self.data.take_row())
-            }
-            Poll::Pending(ev) => Poll::Pending(ev),
-            Poll::Done => Poll::Done,
-        })
-    }
-
-    fn poll_batch(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        max: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        Ok(match self.poll_ready(route, rows_per_message, ctx)? {
-            Poll::Ready(()) => {
-                let take = self.ready.min(max.max(1));
-                self.ready -= take;
-                Poll::Ready(self.data.take_batch(take, ctx.schema.len()))
-            }
-            Poll::Pending(ev) => Poll::Pending(ev),
-            Poll::Done => Poll::Done,
-        })
     }
 }
 
@@ -965,25 +883,6 @@ impl LeafStream<'_> {
         self.delivery = Some(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }));
         Ok(())
     }
-
-    /// Overlapped: opens the stream and waits out the request + evaluation
-    /// event; `None` once the result is deliverable.
-    fn poll_open<T>(&mut self, ctx: &mut ExecCtx) -> Result<Option<Poll<T>>, FedError> {
-        self.open(ctx, true)?;
-        if let Some((ev, err)) = &mut self.computing {
-            if ev.time > ctx.clock.now() {
-                return Ok(Some(Poll::Pending(*ev)));
-            }
-            ctx.sched.complete(*ev);
-            let err = err.take();
-            self.computing = None;
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-        Ok(None)
-    }
-
 }
 
 impl FedOp for LeafStream<'_> {
@@ -993,34 +892,23 @@ impl FedOp for LeafStream<'_> {
         delivery.pull(&self.route, self.rows_per_message, ctx)
     }
 
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Option<RowBatch>, FedError> {
-        self.open(ctx, false)?;
-        let delivery = self.delivery.as_mut().expect("opened above");
-        delivery.pull_batch(&self.route, self.rows_per_message, max, ctx)
-    }
-
+    /// Overlapped: opens the stream, waits out the request + evaluation
+    /// event, then polls the delivery.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        if let Some(waiting) = self.poll_open(ctx)? {
-            return Ok(waiting);
+        self.open(ctx, true)?;
+        if let Some((ev, err)) = &mut self.computing {
+            if ev.time > ctx.clock.now() {
+                return Ok(Poll::Pending(*ev));
+            }
+            ctx.sched.complete(*ev);
+            let err = err.take();
+            self.computing = None;
+            if let Some(e) = err {
+                return Err(e);
+            }
         }
         let delivery = self.delivery.as_mut().expect("opened above");
         delivery.poll(&self.route, self.rows_per_message, ctx)
-    }
-
-    fn poll_next_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        max: usize,
-    ) -> Result<Poll<RowBatch>, FedError> {
-        if let Some(waiting) = self.poll_open(ctx)? {
-            return Ok(waiting);
-        }
-        let delivery = self.delivery.as_mut().expect("opened above");
-        delivery.poll_batch(&self.route, self.rows_per_message, max, ctx)
     }
 }
 

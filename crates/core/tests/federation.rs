@@ -804,8 +804,8 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
     lake.add_source(DataSource::relational("diseasome", dis, dis_mapping));
 
     let sparql = q_join_filter();
-    // This test exercises the *heuristic* EngineJoin knob; pin the
-    // cost-based planner off so FEDLAKE_COST=1 runs keep the contrast.
+    // This test exercises the *heuristic* EngineJoin knob: the cost-based
+    // planner picks bind joins itself and would blur the contrast.
     let mut hash_cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
     hash_cfg.cost_based = false;
     let hash = FederatedEngine::new(lake.clone(), hash_cfg)

@@ -306,224 +306,6 @@ impl SlotRow {
     }
 }
 
-/// A morsel of [`SlotRow`]s in column-major layout: one `TermId` buffer
-/// per schema slot plus an optional selection vector.
-///
-/// Batches are the currency of the vectorized executor: wrapper streams
-/// fill one batch per delivered message chunk, FILTER narrows the
-/// selection vector without moving data, PROJECT remaps columns, and the
-/// hash operators gather individual rows only where a table insert needs
-/// an owned [`SlotRow`]. All ids come from the same query-scoped
-/// interner as the row-at-a-time path, so id equality remains term
-/// equality.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowBatch {
-    /// One buffer per schema slot, each `rows` long (column-major).
-    cols: Vec<Vec<TermId>>,
-    /// Physical rows in the batch.
-    rows: usize,
-    /// Selected physical row indices, in order; `None` selects all rows.
-    sel: Option<Vec<u32>>,
-}
-
-impl RowBatch {
-    /// An empty batch of `width` columns with room for `cap` rows.
-    pub fn with_capacity(width: usize, cap: usize) -> Self {
-        RowBatch {
-            cols: (0..width).map(|_| Vec::with_capacity(cap)).collect(),
-            rows: 0,
-            sel: None,
-        }
-    }
-
-    /// Number of schema slots (columns).
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Physical rows in the batch (ignoring the selection vector).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Rows visible through the selection vector.
-    pub fn len(&self) -> usize {
-        match &self.sel {
-            Some(sel) => sel.len(),
-            None => self.rows,
-        }
-    }
-
-    /// True when no row is selected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends one row, copying its slots into the column buffers.
-    ///
-    /// Panics when a selection vector is already installed: batches are
-    /// built dense first, then narrowed.
-    pub fn push_row(&mut self, row: &SlotRow) {
-        assert!(self.sel.is_none(), "push into a filtered batch");
-        debug_assert_eq!(row.slots().len(), self.cols.len());
-        for (col, &id) in self.cols.iter_mut().zip(row.slots()) {
-            col.push(id);
-        }
-        self.rows += 1;
-    }
-
-    /// The id at physical row `row`, column `col` (`None` when unbound).
-    pub fn get(&self, row: usize, col: usize) -> Option<TermId> {
-        match self.cols[col][row] {
-            TermId::UNBOUND => None,
-            id => Some(id),
-        }
-    }
-
-    /// One column's buffer.
-    pub fn col(&self, col: usize) -> &[TermId] {
-        &self.cols[col]
-    }
-
-    /// The selection vector, when one is installed.
-    pub fn sel(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
-    }
-
-    /// Installs a selection vector of physical row indices (ascending).
-    pub fn set_sel(&mut self, sel: Vec<u32>) {
-        debug_assert!(sel.iter().all(|&i| (i as usize) < self.rows));
-        self.sel = Some(sel);
-    }
-
-    /// Iterates the selected physical row indices, in order.
-    pub fn selected(&self) -> impl Iterator<Item = usize> + '_ {
-        let sel = self.sel.as_deref();
-        let n = match sel {
-            Some(s) => s.len(),
-            None => self.rows,
-        };
-        (0..n).map(move |i| match sel {
-            Some(s) => s[i] as usize,
-            None => i,
-        })
-    }
-
-    /// Gathers physical row `row` into `out` (which must have the batch's
-    /// width), overwriting every slot.
-    pub fn read_row(&self, row: usize, out: &mut SlotRow) {
-        for (slot, col) in self.cols.iter().enumerate() {
-            out.set(slot, col[row]);
-        }
-    }
-
-    /// Materializes physical row `row` as an owned [`SlotRow`].
-    pub fn to_slot_row(&self, row: usize) -> SlotRow {
-        let mut out = SlotRow::unbound(self.width());
-        self.read_row(row, &mut out);
-        out
-    }
-
-    /// Appends the merge of `src`'s physical row `row` with the slot array
-    /// `other`, mirroring [`SlotRow::merge`] exactly: a slot bound to
-    /// different ids on both sides is a conflict and nothing is appended
-    /// (returns `false`). Writing the merged row straight into the column
-    /// buffers is what lets the vectorized hash join emit matches without
-    /// materializing an intermediate [`SlotRow`] per output row.
-    pub fn push_merge_from(&mut self, src: &RowBatch, row: usize, other: &[TermId]) -> bool {
-        debug_assert!(self.sel.is_none(), "push into a filtered batch");
-        debug_assert_eq!(self.width(), src.width());
-        debug_assert_eq!(other.len(), src.width());
-        for (col, &b) in src.cols.iter().zip(other) {
-            let a = col[row];
-            if a != TermId::UNBOUND && b != TermId::UNBOUND && a != b {
-                return false;
-            }
-        }
-        for (dst, (col, &b)) in self.cols.iter_mut().zip(src.cols.iter().zip(other)) {
-            let a = col[row];
-            dst.push(if a == TermId::UNBOUND { b } else { a });
-        }
-        self.rows += 1;
-        true
-    }
-
-    /// Wraps pre-built column buffers (all the same length) as a dense
-    /// batch — the zero-copy handoff from a columnar wrapper store.
-    pub fn from_cols(cols: Vec<Vec<TermId>>) -> Self {
-        let rows = cols.first().map_or(0, Vec::len);
-        debug_assert!(cols.iter().all(|c| c.len() == rows));
-        RowBatch { cols, rows, sel: None }
-    }
-
-    /// A single-row batch holding `row`.
-    pub fn from_row(row: &SlotRow) -> Self {
-        let mut b = RowBatch::with_capacity(row.slots().len(), 1);
-        b.push_row(row);
-        b
-    }
-
-    /// Projects the batch to `keep_slots`: kept columns are gathered
-    /// through the selection vector into a dense batch, all other columns
-    /// come out unbound.
-    pub fn remap(&self, keep_slots: &[usize]) -> RowBatch {
-        let n = self.len();
-        let mut cols = vec![vec![TermId::UNBOUND; n]; self.width()];
-        for &s in keep_slots {
-            let src = &self.cols[s];
-            let dst = &mut cols[s];
-            for (j, i) in self.selected().enumerate() {
-                dst[j] = src[i];
-            }
-        }
-        RowBatch { cols, rows: n, sel: None }
-    }
-
-    /// Consuming variant of [`RowBatch::remap`]: compacts the kept columns
-    /// through the selection vector in place and blanks the dropped ones,
-    /// reusing the batch's own buffers. Produces exactly the batch
-    /// `remap` would, without allocating.
-    pub fn remap_owned(mut self, keep_slots: &[usize]) -> RowBatch {
-        match self.sel.take() {
-            None => {
-                for (s, col) in self.cols.iter_mut().enumerate() {
-                    if !keep_slots.contains(&s) {
-                        col.fill(TermId::UNBOUND);
-                    }
-                }
-                self
-            }
-            Some(sel) => {
-                let n = sel.len();
-                for (s, col) in self.cols.iter_mut().enumerate() {
-                    if keep_slots.contains(&s) {
-                        // `sel` is ascending, so `j <= sel[j]` and the
-                        // in-place gather never overwrites a pending read.
-                        for (j, &i) in sel.iter().enumerate() {
-                            col[j] = col[i as usize];
-                        }
-                        col.truncate(n);
-                    } else {
-                        col.truncate(n);
-                        col.fill(TermId::UNBOUND);
-                    }
-                }
-                self.rows = n;
-                self
-            }
-        }
-    }
-}
-
-/// Lets hash containers keyed by [`SlotRow`] answer lookups from a bare
-/// slot slice without materializing a row (the derived `Hash` hashes the
-/// slice, so the contracts line up).
-impl std::borrow::Borrow<[TermId]> for SlotRow {
-    fn borrow(&self) -> &[TermId] {
-        &self.slots
-    }
-}
-
 /// Encodes a [`Row`] into schema slots, interning each term. Variables the
 /// schema does not know are dropped (the schema covers every variable the
 /// query can bind, so this only loses bindings no operator can see).
@@ -538,9 +320,8 @@ pub fn encode_row(row: &Row, schema: &RowSchema, dict: &mut Dictionary) -> SlotR
 }
 
 /// Materializes one dictionary-encoded row back into a variable → term
-/// mapping; `id_of` reads the id in a schema slot — `|s| row.get(s)` for
-/// a [`SlotRow`], `|s| batch.get(i, s)` for physical row `i` of a
-/// [`RowBatch`]. One pass in variable order into a vector of exactly the
+/// mapping; `id_of` reads the id in a schema slot (`|s| row.get(s)` for
+/// a [`SlotRow`]). One pass in variable order into a vector of exactly the
 /// bound width: this is where terms are copied out, once.
 ///
 /// Panics when a bound id is missing from `dict`; encode and decode must
@@ -677,72 +458,5 @@ mod tests {
         assert_ne!(a, c);
         let set: std::collections::HashSet<SlotRow> = [a, b, c].into_iter().collect();
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn batch_roundtrips_rows() {
-        let s = RowSchema::new(["x", "y"].map(Var::new));
-        let mut dict = Dictionary::new();
-        let rows: Vec<SlotRow> = [("a", "b"), ("c", "d"), ("e", "f")]
-            .iter()
-            .map(|(x, y)| {
-                encode_row(&Row::new().with("x", t(x)).with("y", t(y)), &s, &mut dict)
-            })
-            .collect();
-        let mut batch = RowBatch::with_capacity(s.len(), rows.len());
-        for r in &rows {
-            batch.push_row(r);
-        }
-        assert_eq!(batch.width(), 2);
-        assert_eq!(batch.rows(), 3);
-        assert_eq!(batch.len(), 3);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(&batch.to_slot_row(i), r);
-            assert_eq!(batch.get(i, 0), r.get(0));
-        }
-        let mut scratch = SlotRow::unbound(2);
-        batch.read_row(1, &mut scratch);
-        assert_eq!(scratch, rows[1]);
-    }
-
-    #[test]
-    fn batch_selection_vector_narrows() {
-        let s = RowSchema::new(["x"].map(Var::new));
-        let mut dict = Dictionary::new();
-        let mut batch = RowBatch::with_capacity(1, 4);
-        for v in ["a", "b", "c", "d"] {
-            batch.push_row(&encode_row(&Row::new().with("x", t(v)), &s, &mut dict));
-        }
-        assert_eq!(batch.selected().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        batch.set_sel(vec![1, 3]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.rows(), 4, "selection hides, never moves");
-        assert_eq!(batch.selected().collect::<Vec<_>>(), vec![1, 3]);
-        assert!(!batch.is_empty());
-        batch.set_sel(Vec::new());
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn batch_from_single_row_and_unbound_slots() {
-        let s = RowSchema::new(["x", "y"].map(Var::new));
-        let mut dict = Dictionary::new();
-        let r = encode_row(&Row::new().with("y", t("only")), &s, &mut dict);
-        let batch = RowBatch::from_row(&r);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.get(0, 0), None, "unbound slot stays unbound");
-        assert_eq!(batch.get(0, 1), r.get(1));
-        assert_eq!(batch.to_slot_row(0), r);
-    }
-
-    #[test]
-    fn slot_row_borrows_as_slice_for_lookups() {
-        use std::borrow::Borrow;
-        let s = RowSchema::new(["x"].map(Var::new));
-        let mut dict = Dictionary::new();
-        let a = encode_row(&Row::new().with("x", t("a")), &s, &mut dict);
-        let ids: &[TermId] = a.borrow();
-        let set: std::collections::HashSet<SlotRow> = [a.clone()].into_iter().collect();
-        assert!(set.contains(ids));
     }
 }

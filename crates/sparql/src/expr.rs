@@ -384,11 +384,10 @@ impl BoundExpr {
     }
 
     /// [`BoundExpr::test`] over a dictionary-encoded row: `id_of` reads
-    /// the id in a schema slot (of a [`crate::binding::SlotRow`] or a
-    /// batch row), and ids resolve through `dict` only where a term's
-    /// value is needed. The expression must have been bound against the
-    /// schema the slots belong to; bound without one, it sees every
-    /// variable unbound.
+    /// the id in a schema slot of a [`crate::binding::SlotRow`], and ids
+    /// resolve through `dict` only where a term's value is needed. The
+    /// expression must have been bound against the schema the slots belong
+    /// to; bound without one, it sees every variable unbound.
     pub fn test_ids(&self, id_of: impl Fn(usize) -> Option<TermId>, dict: &Dictionary) -> bool {
         self.0
             .eval(&IdSource { id_of, dict })

@@ -8,7 +8,7 @@
 use fedlake_prng::Prng;
 use fedlake_rdf::vocab::xsd;
 use fedlake_rdf::{Dictionary, Literal, Term};
-use fedlake_sparql::binding::{encode_row, Row, RowBatch, RowSchema, Var};
+use fedlake_sparql::binding::{encode_row, Row, RowSchema, Var};
 use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 
 /// The interpreter as it stood before the borrowing evaluator: owned
@@ -343,12 +343,6 @@ fn borrowing_evaluator_matches_the_frozen_interpreter() {
                 for_slots.test_ids(|s| slots.get(s), &dict),
                 keep,
                 "case {case}: {expr} over {row} (slot path)"
-            );
-            let batch = RowBatch::from_row(&slots);
-            assert_eq!(
-                for_slots.test_ids(|s| batch.get(0, s), &dict),
-                keep,
-                "case {case}: {expr} over {row} (batch path)"
             );
             passed += u64::from(keep);
             errors += u64::from(want.is_err());

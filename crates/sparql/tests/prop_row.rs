@@ -2,11 +2,11 @@
 //! it to `BTreeMap<Var, Term>` — the representation it replaced — on every
 //! public operation, and a round-trip test holds the single-pass decode to
 //! `decode(encode(row)) == row` on schemas whose slot order is not
-//! variable order, through both the row and the batch accessor.
+//! variable order.
 
 use fedlake_prng::Prng;
 use fedlake_rdf::{Dictionary, Term};
-use fedlake_sparql::binding::{decode_row, encode_row, Row, RowBatch, RowSchema, Var};
+use fedlake_sparql::binding::{decode_row, encode_row, Row, RowSchema, Var};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -118,8 +118,6 @@ fn decode_inverts_encode_whatever_the_slot_order() {
         }
         let schema = RowSchema::new(names.iter().map(Var::new));
         let mut dict = Dictionary::new();
-        let mut batch = RowBatch::with_capacity(schema.len(), 8);
-        let mut rows = Vec::new();
         for _ in 0..8 {
             // Only variables the schema knows: encoding drops the others.
             let row: Row = arb_pairs(&mut rng)
@@ -130,16 +128,7 @@ fn decode_inverts_encode_whatever_the_slot_order() {
             assert_eq!(
                 decode_row(&schema, &dict, |s| enc.get(s)),
                 row,
-                "case {case}: row accessor, slots {names:?}"
-            );
-            batch.push_row(&enc);
-            rows.push(row);
-        }
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(
-                &decode_row(&schema, &dict, |s| batch.get(i, s)),
-                row,
-                "case {case}: batch accessor, slots {names:?}"
+                "case {case}: slots {names:?}"
             );
         }
     }

@@ -11,9 +11,21 @@
 //! panic, never silently wrong answers. Re-running any schedule with the
 //! same seed reproduces the exact same [`fedlake_core::FedStats`].
 //!
-//! `CHAOS_ITERS` defaults to 32 (the tier-1 gate); raise it for soak runs,
-//! e.g. `CHAOS_ITERS=256 cargo test --test chaos_federation`.
+//! Every test runs in every cell of the shared configuration matrix
+//! (`tests/common/mod.rs`: schedule × planner × tracing × recorder ×
+//! replicas, pairwise): the observers are contractually passive and the
+//! chaos properties hold under either clock and either planner. Only the
+//! property test takes the replica axis — the targeted tests assert exact
+//! single-endpoint attempt counts that replication would legitimately
+//! change, and the failover tests replicate one source themselves.
+//!
+//! `CHAOS_ITERS` (schedules per query/profile/cell) defaults to 32, the
+//! tier-1 gate; raise it for soak runs, e.g.
+//! `CHAOS_ITERS=256 cargo test --test chaos_federation`.
 
+mod common;
+
+use common::for_each_cell;
 use fedlake_core::{
     FaultPlan, FedError, FedResult, FederatedEngine, OutageGroup, PlanConfig, PlanMode,
     RetryPolicy,
@@ -35,33 +47,6 @@ fn chaos_iters() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(32)
-}
-
-/// `FEDLAKE_OVERLAP=1` runs the whole suite under the overlapped
-/// (event-driven) schedule; the default exercises the serialized one.
-/// tier-1 runs both: every chaos property must hold under either clock.
-fn overlap_mode() -> bool {
-    std::env::var("FEDLAKE_OVERLAP").is_ok_and(|v| v == "1")
-}
-
-/// `FEDLAKE_TRACE=1` runs the whole suite with the span recorder enabled.
-/// Tracing is contractually passive, so every property must hold
-/// unchanged — tier-1 runs one chaos pass this way to pin the contract
-/// under fault injection.
-fn tracing_mode() -> bool {
-    std::env::var("FEDLAKE_TRACE").is_ok_and(|v| v == "1")
-}
-
-/// `FEDLAKE_REPLICAS=N` (N ≥ 2) replicates every source of the main chaos
-/// property test N ways, so the recovery property is exercised with
-/// per-replica links, seeds and failover in play. Only the property test
-/// uses it: the targeted-outage test asserts exact single-endpoint attempt
-/// counts that replication would legitimately change.
-fn replicas_mode() -> Option<u32> {
-    std::env::var("FEDLAKE_REPLICAS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
 }
 
 /// Answers as sorted SPARQL CSV — the byte-comparable canonical form.
@@ -89,85 +74,80 @@ fn retry() -> RetryPolicy {
     RetryPolicy { max_attempts: 6, ..Default::default() }
 }
 
-/// The tentpole property: for Q1–Q5 × all network profiles × CHAOS_ITERS
-/// seeded fault schedules, a run that completes returns byte-identical
-/// answers to the fault-free baseline, and a run that fails does so with a
-/// fault error. Every 8th schedule is re-executed to pin determinism.
+/// The tentpole property: for every matrix cell × Q1–Q5 × all network
+/// profiles × CHAOS_ITERS seeded fault schedules, a run that completes
+/// returns byte-identical answers to the fault-free baseline, and a run
+/// that fails does so with a fault error. Every 8th schedule is
+/// re-executed to pin determinism.
 #[test]
 fn recoverable_faults_preserve_answers() {
-    let iters = chaos_iters();
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    for q in workload::experiment_queries() {
-        let mut lake = build_lake_with(&lake_cfg, q.datasets);
-        if let Some(n) = replicas_mode() {
-            let ids: Vec<String> =
-                lake.sources().iter().map(|s| s.id().to_string()).collect();
-            for id in ids {
-                lake.set_replicas(id, n);
-            }
-        }
-        let ast = parse_query(&q.sparql).unwrap();
-        for network in NetworkProfile::ALL {
-            let mut config = PlanConfig::new(PlanMode::AWARE, network);
-            config.retry = retry();
-            config.overlap = overlap_mode();
-            config.tracing = tracing_mode();
-            let mut engine = FederatedEngine::new(lake.clone(), config);
-            let planned = engine.plan(&ast).unwrap();
-            let baseline = engine.execute_planned(&planned).unwrap();
-            let label = |i| format!("{}/{}/schedule {i}", q.id, network.name);
-            assert!(
-                !baseline.stats.degraded
-                    && baseline.stats.retries == 0
-                    && baseline.stats.source_failures.is_empty(),
-                "{}: fault-free baseline saw faults",
-                label(-1i64)
-            );
-            let baseline_csv = sorted_csv(&baseline);
-            // One meta-stream per (query, profile) cell keeps schedules
-            // independent of iteration count and of the other cells.
-            let mut rng =
-                Prng::seed_from_u64(0xC4A0_5000 ^ mix(q.id) ^ mix(network.name).rotate_left(17));
-            let mut recovered = 0u64;
-            for i in 0..iters {
-                let mut c = config;
-                c.faults = random_plan(&mut rng);
-                c.seed = rng.next_u64();
-                engine.set_config(c);
-                match engine.execute_planned(&planned) {
-                    Ok(r) => {
-                        assert_eq!(
-                            sorted_csv(&r),
-                            baseline_csv,
-                            "{}: recovered answers diverge ({c:?})",
-                            label(i as i64)
-                        );
-                        assert!(!r.stats.degraded, "{}: degraded without opt-in", label(i as i64));
-                        recovered += 1;
-                        if i % 8 == 0 {
-                            let again = engine.execute_planned(&planned).unwrap();
+    for_each_cell(|cell| {
+        let iters = chaos_iters();
+        let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
+        for q in workload::experiment_queries() {
+            let mut lake = build_lake_with(&lake_cfg, q.datasets);
+            cell.replicate(&mut lake);
+            let ast = parse_query(&q.sparql).unwrap();
+            for network in NetworkProfile::ALL {
+                let mut config = cell.config(PlanConfig::new(PlanMode::AWARE, network));
+                config.retry = retry();
+                let mut engine = FederatedEngine::new(lake.clone(), config);
+                let planned = engine.plan(&ast).unwrap();
+                let baseline = engine.execute_planned(&planned).unwrap();
+                let label = |i| format!("{}/{}/schedule {i}", q.id, network.name);
+                assert!(
+                    !baseline.stats.degraded
+                        && baseline.stats.retries == 0
+                        && baseline.stats.source_failures.is_empty(),
+                    "{}: fault-free baseline saw faults",
+                    label(-1i64)
+                );
+                let baseline_csv = sorted_csv(&baseline);
+                // One meta-stream per (query, profile) cell keeps schedules
+                // independent of iteration count and of the other cells.
+                let mut rng =
+                    Prng::seed_from_u64(0xC4A0_5000 ^ mix(q.id) ^ mix(network.name).rotate_left(17));
+                let mut recovered = 0u64;
+                for i in 0..iters {
+                    let mut c = config;
+                    c.faults = random_plan(&mut rng);
+                    c.seed = rng.next_u64();
+                    engine.set_config(c);
+                    match engine.execute_planned(&planned) {
+                        Ok(r) => {
                             assert_eq!(
-                                again.stats,
-                                r.stats,
-                                "{}: same seed, different stats",
+                                sorted_csv(&r),
+                                baseline_csv,
+                                "{}: recovered answers diverge ({c:?})",
                                 label(i as i64)
                             );
+                            assert!(!r.stats.degraded, "{}: degraded without opt-in", label(i as i64));
+                            recovered += 1;
+                            if i % 8 == 0 {
+                                let again = engine.execute_planned(&planned).unwrap();
+                                assert_eq!(
+                                    again.stats,
+                                    r.stats,
+                                    "{}: same seed, different stats",
+                                    label(i as i64)
+                                );
+                            }
                         }
+                        Err(FedError::SourceUnavailable { .. }) | Err(FedError::Timeout(_)) => {}
+                        Err(e) => panic!("{}: unexpected error kind: {e}", label(i as i64)),
                     }
-                    Err(FedError::SourceUnavailable { .. }) | Err(FedError::Timeout(_)) => {}
-                    Err(e) => panic!("{}: unexpected error kind: {e}", label(i as i64)),
                 }
+                // The schedules are tuned to be mostly absorbable; a suite
+                // where most runs fail would not be testing recovery.
+                assert!(
+                    recovered * 2 >= iters,
+                    "{}/{}: only {recovered}/{iters} schedules recovered",
+                    q.id,
+                    network.name
+                );
             }
-            // The schedules are tuned to be mostly absorbable; a suite
-            // where most runs fail would not be testing recovery.
-            assert!(
-                recovered * 2 >= iters,
-                "{}/{}: only {recovered}/{iters} schedules recovered",
-                q.id,
-                network.name
-            );
         }
-    }
+    });
 }
 
 /// An outage longer than the whole attempt budget is unrecoverable: the
@@ -176,91 +156,91 @@ fn recoverable_faults_preserve_answers() {
 /// answer set with accurate per-source failure accounting.
 #[test]
 fn unrecoverable_outage_fails_cleanly_or_degrades() {
-    let q = workload::q1(); // single source: "chebi"
-    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.retry = retry();
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
-    config.faults = FaultPlan {
-        outage_after: Some(0),
-        outage_len: u64::MAX,
-        ..FaultPlan::NONE
-    };
-    let engine = FederatedEngine::new(lake.clone(), config);
-    let err = engine.execute_sparql(&q.sparql).unwrap_err();
-    match err {
-        FedError::SourceUnavailable { ref source, attempts } => {
-            assert_eq!(source, "chebi");
-            assert_eq!(attempts, config.retry.max_attempts);
+    for_each_cell(|cell| {
+        let q = workload::q1(); // single source: "chebi"
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.retry = retry();
+        config.faults = FaultPlan {
+            outage_after: Some(0),
+            outage_len: u64::MAX,
+            ..FaultPlan::NONE
+        };
+        let engine = FederatedEngine::new(lake.clone(), config);
+        let err = engine.execute_sparql(&q.sparql).unwrap_err();
+        match err {
+            FedError::SourceUnavailable { ref source, attempts } => {
+                assert_eq!(source, "chebi");
+                assert_eq!(attempts, config.retry.max_attempts);
+            }
+            other => panic!("expected SourceUnavailable, got {other}"),
         }
-        other => panic!("expected SourceUnavailable, got {other}"),
-    }
 
-    config.degraded_ok = true;
-    let engine = FederatedEngine::new(lake, config);
-    let r = engine.execute_sparql(&q.sparql).unwrap();
-    assert!(r.stats.degraded);
-    assert!(r.rows.is_empty(), "nothing was delivered before the outage");
-    // Accounting: every attempt of the one failed message hit the outage,
-    // and all but the last were retries.
-    assert_eq!(
-        r.stats.source_failures.get("chebi").copied(),
-        Some(config.retry.max_attempts as u64)
-    );
-    assert_eq!(r.stats.retries, (config.retry.max_attempts - 1) as u64);
+        config.degraded_ok = true;
+        let engine = FederatedEngine::new(lake, config);
+        let r = engine.execute_sparql(&q.sparql).unwrap();
+        assert!(r.stats.degraded);
+        assert!(r.rows.is_empty(), "nothing was delivered before the outage");
+        // Accounting: every attempt of the one failed message hit the outage,
+        // and all but the last were retries.
+        assert_eq!(
+            r.stats.source_failures.get("chebi").copied(),
+            Some(config.retry.max_attempts as u64)
+        );
+        assert_eq!(r.stats.retries, (config.retry.max_attempts - 1) as u64);
+    });
 }
 
 /// The per-query deadline: strict mode yields `Timeout`, degraded mode
 /// keeps the answers produced before the deadline and flags the result.
 #[test]
 fn deadline_times_out_or_degrades() {
-    let q = workload::q1();
-    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    let baseline =
-        FederatedEngine::new(lake.clone(), PlanConfig::aware(NetworkProfile::GAMMA2))
-            .execute_sparql(&q.sparql)
-            .unwrap();
-    assert!(baseline.stats.answers > 1, "Q1 must produce several answers");
+    for_each_cell(|cell| {
+        let q = workload::q1();
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let baseline =
+            FederatedEngine::new(lake.clone(), PlanConfig::aware(NetworkProfile::GAMMA2))
+                .execute_sparql(&q.sparql)
+                .unwrap();
+        assert!(baseline.stats.answers > 1, "Q1 must produce several answers");
 
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA2);
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
-    config.deadline = Some(Duration::from_micros(1));
-    let engine = FederatedEngine::new(lake.clone(), config);
-    match engine.execute_sparql(&q.sparql) {
-        Err(FedError::Timeout(d)) => assert_eq!(d, Duration::from_micros(1)),
-        other => panic!("expected Timeout, got {other:?}"),
-    }
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA2));
+        config.deadline = Some(Duration::from_micros(1));
+        let engine = FederatedEngine::new(lake.clone(), config);
+        match engine.execute_sparql(&q.sparql) {
+            Err(FedError::Timeout(d)) => assert_eq!(d, Duration::from_micros(1)),
+            other => panic!("expected Timeout, got {other:?}"),
+        }
 
-    config.degraded_ok = true;
-    let engine = FederatedEngine::new(lake, config);
-    let r = engine.execute_sparql(&q.sparql).unwrap();
-    assert!(r.stats.degraded);
-    assert!(
-        r.stats.answers < baseline.stats.answers,
-        "a 1µs deadline on a gamma network must cut the answer set"
-    );
-    assert_eq!(r.rows.len() as u64, r.stats.answers);
+        config.degraded_ok = true;
+        let engine = FederatedEngine::new(lake, config);
+        let r = engine.execute_sparql(&q.sparql).unwrap();
+        assert!(r.stats.degraded);
+        assert!(
+            r.stats.answers < baseline.stats.answers,
+            "a 1µs deadline on a gamma network must cut the answer set"
+        );
+        assert_eq!(r.rows.len() as u64, r.stats.answers);
+    });
 }
 
 /// A deadline generous enough for the whole query changes nothing.
 #[test]
 fn slack_deadline_is_invisible() {
-    let q = workload::q2();
-    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    let plain = FederatedEngine::new(lake.clone(), PlanConfig::aware(NetworkProfile::GAMMA1))
-        .execute_sparql(&q.sparql)
-        .unwrap();
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
-    config.deadline = Some(Duration::from_secs(3600));
-    config.degraded_ok = true;
-    let bounded = FederatedEngine::new(lake, config).execute_sparql(&q.sparql).unwrap();
-    assert!(!bounded.stats.degraded);
-    assert_eq!(sorted_csv(&bounded), sorted_csv(&plain));
-    assert_eq!(bounded.stats.execution_time, plain.stats.execution_time);
+    for_each_cell(|cell| {
+        let q = workload::q2();
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let plain = FederatedEngine::new(lake.clone(), PlanConfig::aware(NetworkProfile::GAMMA1))
+            .execute_sparql(&q.sparql)
+            .unwrap();
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.deadline = Some(Duration::from_secs(3600));
+        config.degraded_ok = true;
+        let bounded = FederatedEngine::new(lake, config).execute_sparql(&q.sparql).unwrap();
+        assert!(!bounded.stats.degraded);
+        assert_eq!(sorted_csv(&bounded), sorted_csv(&plain));
+        assert_eq!(bounded.stats.execution_time, plain.stats.execution_time);
+    });
 }
 
 /// Per-source fault plans: an outage targeted at exactly one endpoint of a
@@ -271,63 +251,63 @@ fn slack_deadline_is_invisible() {
 /// keeps its link fault-free.
 #[test]
 fn targeted_outage_hits_only_the_flaky_source() {
-    let q = workload::q3(); // two sources: "linkedct" + "diseasome"
-    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    let ast = parse_query(&q.sparql).unwrap();
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.retry = retry();
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
+    for_each_cell(|cell| {
+        let q = workload::q3(); // two sources: "linkedct" + "diseasome"
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let ast = parse_query(&q.sparql).unwrap();
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.retry = retry();
 
-    let engine = FederatedEngine::new(lake.clone(), config);
-    let planned = engine.plan(&ast).unwrap();
-    let baseline = engine.execute_planned(&planned).unwrap();
-    assert!(baseline.stats.answers > 0, "Q3 must produce answers");
+        let engine = FederatedEngine::new(lake.clone(), config);
+        let planned = engine.plan(&ast).unwrap();
+        let baseline = engine.execute_planned(&planned).unwrap();
+        assert!(baseline.stats.answers > 0, "Q3 must produce answers");
 
-    // Recoverable: a 3-message outage against a 6-attempt budget.
-    let mut engine = FederatedEngine::new(lake.clone(), config);
-    engine.set_source_faults(
-        "diseasome",
-        FaultPlan { outage_after: Some(0), outage_len: 3, ..FaultPlan::NONE },
-    );
-    let r = engine.execute_planned(&planned).unwrap();
-    assert_eq!(sorted_csv(&r), sorted_csv(&baseline), "recovered answers diverge");
-    assert_eq!(
-        r.stats.source_failures.keys().collect::<Vec<_>>(),
-        ["diseasome"],
-        "only the targeted source may fail"
-    );
-    assert_eq!(r.stats.source_failures["diseasome"], 3);
-    assert_eq!(r.stats.retries, 3);
+        // Recoverable: a 3-message outage against a 6-attempt budget.
+        let mut engine = FederatedEngine::new(lake.clone(), config);
+        engine.set_source_faults(
+            "diseasome",
+            FaultPlan { outage_after: Some(0), outage_len: 3, ..FaultPlan::NONE },
+        );
+        let r = engine.execute_planned(&planned).unwrap();
+        assert_eq!(sorted_csv(&r), sorted_csv(&baseline), "recovered answers diverge");
+        assert_eq!(
+            r.stats.source_failures.keys().collect::<Vec<_>>(),
+            ["diseasome"],
+            "only the targeted source may fail"
+        );
+        assert_eq!(r.stats.source_failures["diseasome"], 3);
+        assert_eq!(r.stats.retries, 3);
 
-    // Unrecoverable: the targeted source never comes back.
-    let mut engine = FederatedEngine::new(lake.clone(), config);
-    engine.set_source_faults(
-        "diseasome",
-        FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
-    );
-    match engine.execute_planned(&planned).unwrap_err() {
-        FedError::SourceUnavailable { ref source, attempts } => {
-            assert_eq!(source, "diseasome");
-            assert_eq!(attempts, config.retry.max_attempts);
+        // Unrecoverable: the targeted source never comes back.
+        let mut engine = FederatedEngine::new(lake.clone(), config);
+        engine.set_source_faults(
+            "diseasome",
+            FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
+        );
+        match engine.execute_planned(&planned).unwrap_err() {
+            FedError::SourceUnavailable { ref source, attempts } => {
+                assert_eq!(source, "diseasome");
+                assert_eq!(attempts, config.retry.max_attempts);
+            }
+            other => panic!("expected SourceUnavailable, got {other}"),
         }
-        other => panic!("expected SourceUnavailable, got {other}"),
-    }
 
-    // Degraded: the healthy source's partial work survives.
-    config.degraded_ok = true;
-    let mut engine = FederatedEngine::new(lake, config);
-    engine.set_source_faults(
-        "diseasome",
-        FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
-    );
-    let r = engine.execute_planned(&planned).unwrap();
-    assert!(r.stats.degraded);
-    assert_eq!(
-        r.stats.source_failures.keys().collect::<Vec<_>>(),
-        ["diseasome"],
-        "the healthy source's link must stay fault-free"
-    );
+        // Degraded: the healthy source's partial work survives.
+        config.degraded_ok = true;
+        let mut engine = FederatedEngine::new(lake, config);
+        engine.set_source_faults(
+            "diseasome",
+            FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
+        );
+        let r = engine.execute_planned(&planned).unwrap();
+        assert!(r.stats.degraded);
+        assert_eq!(
+            r.stats.source_failures.keys().collect::<Vec<_>>(),
+            ["diseasome"],
+            "the healthy source's link must stay fault-free"
+        );
+    });
 }
 
 /// Replica failover: one replica of a two-replica source is permanently
@@ -338,62 +318,62 @@ fn targeted_outage_hits_only_the_flaky_source() {
 /// EXPLAIN says so.
 #[test]
 fn replica_failover_rescues_a_flaky_source() {
-    let q = workload::q3(); // two sources: "linkedct" + "diseasome"
-    let mut lake =
-        build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    lake.set_replicas("diseasome", 2);
-    let ast = parse_query(&q.sparql).unwrap();
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.retry = retry();
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
+    for_each_cell(|cell| {
+        let q = workload::q3(); // two sources: "linkedct" + "diseasome"
+        let mut lake =
+            build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        lake.set_replicas("diseasome", 2);
+        let ast = parse_query(&q.sparql).unwrap();
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.retry = retry();
 
-    // Fault-free baseline over the same replicated lake.
-    let engine = FederatedEngine::new(lake.clone(), config);
-    let planned = engine.plan(&ast).unwrap();
-    assert!(
-        planned.skipped_sources.is_empty(),
-        "nothing is degraded in a fresh session"
-    );
-    assert!(
-        fedlake_core::explain::explain_plan(&planned.plan).contains("via diseasome#r0"),
-        "a fresh session routes to the first replica in index order"
-    );
-    let baseline = engine.execute_planned(&planned).unwrap();
-    assert!(baseline.stats.answers > 0, "Q3 must produce answers");
+        // Fault-free baseline over the same replicated lake.
+        let engine = FederatedEngine::new(lake.clone(), config);
+        let planned = engine.plan(&ast).unwrap();
+        assert!(
+            planned.skipped_sources.is_empty(),
+            "nothing is degraded in a fresh session"
+        );
+        assert!(
+            fedlake_core::explain::explain_plan(&planned.plan).contains("via diseasome#r0"),
+            "a fresh session routes to the first replica in index order"
+        );
+        let baseline = engine.execute_planned(&planned).unwrap();
+        assert!(baseline.stats.answers > 0, "Q3 must produce answers");
 
-    // The primary replica never answers; the secondary rescues the query.
-    let mut engine = FederatedEngine::new(lake.clone(), config);
-    engine.set_source_faults(
-        "diseasome#r0",
-        FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
-    );
-    let r = engine.execute_planned(&planned).unwrap();
-    assert!(!r.stats.degraded, "failover must rescue the query, not degrade it");
-    assert_eq!(sorted_csv(&r), sorted_csv(&baseline), "failover answers diverge");
-    // Replica failures are charged to the logical source: the full budget
-    // on r0 (5 intra-replica retries + the failover switch), r1 clean.
-    assert_eq!(
-        r.stats.source_failures.keys().collect::<Vec<_>>(),
-        ["diseasome"]
-    );
-    assert_eq!(
-        r.stats.source_failures["diseasome"],
-        config.retry.max_attempts as u64
-    );
-    assert_eq!(r.stats.retries, config.retry.max_attempts as u64);
-    // Determinism: the same schedule reproduces the same stats.
-    let again = engine.execute_planned(&planned).unwrap();
-    assert_eq!(again.stats, r.stats, "same seed, different stats");
+        // The primary replica never answers; the secondary rescues the query.
+        let mut engine = FederatedEngine::new(lake.clone(), config);
+        engine.set_source_faults(
+            "diseasome#r0",
+            FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
+        );
+        let r = engine.execute_planned(&planned).unwrap();
+        assert!(!r.stats.degraded, "failover must rescue the query, not degrade it");
+        assert_eq!(sorted_csv(&r), sorted_csv(&baseline), "failover answers diverge");
+        // Replica failures are charged to the logical source: the full budget
+        // on r0 (5 intra-replica retries + the failover switch), r1 clean.
+        assert_eq!(
+            r.stats.source_failures.keys().collect::<Vec<_>>(),
+            ["diseasome"]
+        );
+        assert_eq!(
+            r.stats.source_failures["diseasome"],
+            config.retry.max_attempts as u64
+        );
+        assert_eq!(r.stats.retries, config.retry.max_attempts as u64);
+        // Determinism: the same schedule reproduces the same stats.
+        let again = engine.execute_planned(&planned).unwrap();
+        assert_eq!(again.stats, r.stats, "same seed, different stats");
 
-    // Health-aware re-planning: the recorded r0 failures reorder the
-    // route, and EXPLAIN shows both the replica and the reason.
-    let replanned = engine.plan(&ast).unwrap();
-    assert!(
-        fedlake_core::explain::explain_plan(&replanned.plan)
-            .contains("via diseasome#r1 [healthiest first"),
-        "the next plan must route around the dark replica"
-    );
+        // Health-aware re-planning: the recorded r0 failures reorder the
+        // route, and EXPLAIN shows both the replica and the reason.
+        let replanned = engine.plan(&ast).unwrap();
+        assert!(
+            fedlake_core::explain::explain_plan(&replanned.plan)
+                .contains("via diseasome#r1 [healthiest first"),
+            "the next plan must route around the dark replica"
+        );
+    });
 }
 
 /// A correlated outage downs *every* replica of a source over the same
@@ -402,55 +382,55 @@ fn replica_failover_rescues_a_flaky_source() {
 /// partial work with all failures charged to the logical source.
 #[test]
 fn correlated_outage_downs_all_replicas() {
-    let q = workload::q3();
-    let mut lake =
-        build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    lake.set_replicas("diseasome", 2);
-    let ast = parse_query(&q.sparql).unwrap();
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.retry = retry();
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
-    let group = OutageGroup {
-        members: vec!["diseasome#r0".into(), "diseasome#r1".into()],
-        seed: 7,
-        window: 1, // start is seeded % window: the outage begins at once
-        len: u64::MAX,
-    };
+    for_each_cell(|cell| {
+        let q = workload::q3();
+        let mut lake =
+            build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        lake.set_replicas("diseasome", 2);
+        let ast = parse_query(&q.sparql).unwrap();
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.retry = retry();
+        let group = OutageGroup {
+            members: vec!["diseasome#r0".into(), "diseasome#r1".into()],
+            seed: 7,
+            window: 1, // start is seeded % window: the outage begins at once
+            len: u64::MAX,
+        };
 
-    let mut engine = FederatedEngine::new(lake.clone(), config);
-    engine.add_outage_group(group.clone());
-    let planned = engine.plan(&ast).unwrap();
-    match engine.execute_planned(&planned).unwrap_err() {
-        FedError::SourceUnavailable { ref source, attempts } => {
-            assert_eq!(source, "diseasome", "the error names the logical source");
-            assert_eq!(
-                attempts,
-                2 * config.retry.max_attempts,
-                "a full budget per replica"
-            );
+        let mut engine = FederatedEngine::new(lake.clone(), config);
+        engine.add_outage_group(group.clone());
+        let planned = engine.plan(&ast).unwrap();
+        match engine.execute_planned(&planned).unwrap_err() {
+            FedError::SourceUnavailable { ref source, attempts } => {
+                assert_eq!(source, "diseasome", "the error names the logical source");
+                assert_eq!(
+                    attempts,
+                    2 * config.retry.max_attempts,
+                    "a full budget per replica"
+                );
+            }
+            other => panic!("expected SourceUnavailable, got {other}"),
         }
-        other => panic!("expected SourceUnavailable, got {other}"),
-    }
 
-    config.degraded_ok = true;
-    let mut engine = FederatedEngine::new(lake, config);
-    engine.add_outage_group(group);
-    let r = engine.execute_planned(&planned).unwrap();
-    assert!(r.stats.degraded);
-    assert_eq!(
-        r.stats.source_failures.keys().collect::<Vec<_>>(),
-        ["diseasome"],
-        "the healthy source's links must stay fault-free"
-    );
-    assert_eq!(
-        r.stats.source_failures["diseasome"],
-        2 * config.retry.max_attempts as u64,
-        "both replicas' attempts fold into the logical id"
-    );
-    // Determinism across re-runs, correlated outage included.
-    let again = engine.execute_planned(&planned).unwrap();
-    assert_eq!(again.stats, r.stats, "same outage group, different stats");
+        config.degraded_ok = true;
+        let mut engine = FederatedEngine::new(lake, config);
+        engine.add_outage_group(group);
+        let r = engine.execute_planned(&planned).unwrap();
+        assert!(r.stats.degraded);
+        assert_eq!(
+            r.stats.source_failures.keys().collect::<Vec<_>>(),
+            ["diseasome"],
+            "the healthy source's links must stay fault-free"
+        );
+        assert_eq!(
+            r.stats.source_failures["diseasome"],
+            2 * config.retry.max_attempts as u64,
+            "both replicas' attempts fold into the logical id"
+        );
+        // Determinism across re-runs, correlated outage included.
+        let again = engine.execute_planned(&planned).unwrap();
+        assert_eq!(again.stats, r.stats, "same outage group, different stats");
+    });
 }
 
 /// Satellite regression: the final retry backoff is clamped at the
@@ -459,33 +439,33 @@ fn correlated_outage_downs_all_replicas() {
 /// — never a multi-second pause charged past the deadline.
 #[test]
 fn retry_backoff_is_clamped_at_the_deadline() {
-    let q = workload::q1(); // single source: "chebi"
-    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
-    let deadline = Duration::from_millis(5);
-    let timeout = Duration::from_millis(1);
-    let mut config = PlanConfig::aware(NetworkProfile::NO_DELAY);
-    config.retry = RetryPolicy {
-        max_attempts: 2,
-        timeout,
-        backoff: Duration::from_secs(10),
-    };
-    config.deadline = Some(deadline);
-    config.degraded_ok = true;
-    config.overlap = overlap_mode();
-    config.tracing = tracing_mode();
-    config.faults = FaultPlan {
-        outage_after: Some(0),
-        outage_len: u64::MAX,
-        ..FaultPlan::NONE
-    };
-    let engine = FederatedEngine::new(lake, config);
-    let r = engine.execute_sparql(&q.sparql).unwrap();
-    assert!(r.stats.degraded);
-    assert!(
-        r.stats.execution_time <= deadline + 2 * timeout,
-        "backoff must clamp at the deadline: took {:?}",
-        r.stats.execution_time
-    );
+    for_each_cell(|cell| {
+        let q = workload::q1(); // single source: "chebi"
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let deadline = Duration::from_millis(5);
+        let timeout = Duration::from_millis(1);
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::NO_DELAY));
+        config.retry = RetryPolicy {
+            max_attempts: 2,
+            timeout,
+            backoff: Duration::from_secs(10),
+        };
+        config.deadline = Some(deadline);
+        config.degraded_ok = true;
+        config.faults = FaultPlan {
+            outage_after: Some(0),
+            outage_len: u64::MAX,
+            ..FaultPlan::NONE
+        };
+        let engine = FederatedEngine::new(lake, config);
+        let r = engine.execute_sparql(&q.sparql).unwrap();
+        assert!(r.stats.degraded);
+        assert!(
+            r.stats.execution_time <= deadline + 2 * timeout,
+            "backoff must clamp at the deadline: took {:?}",
+            r.stats.execution_time
+        );
+    });
 }
 
 /// Serve-mode chaos: 8 clients run a mixed workload concurrently while
@@ -496,93 +476,94 @@ fn retry_backoff_is_clamped_at_the_deadline() {
 /// rollup; and the whole chaotic serve run is reproducible bit for bit.
 #[test]
 fn serve_chaos_recovers_per_query() {
-    use fedlake_serve::{run, solo_golden, Mix, ServeSpec};
+    for_each_cell(|cell| {
+        use fedlake_serve::{run, solo_golden, Mix, ServeSpec};
 
-    let spec = ServeSpec {
-        clients: 8,
-        queries_per_client: 1,
-        mix: Mix::default(),
-        seed: 13,
-        mean_interarrival: Duration::from_micros(500),
-        max_in_flight: 4,
-        deadline: None,
-    };
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    let mut lake = build_lake_with(&lake_cfg, &spec.mix.datasets());
-    lake.set_replicas("diseasome", 2);
+        let spec = ServeSpec {
+            clients: 8,
+            queries_per_client: 1,
+            mix: Mix::default(),
+            seed: 13,
+            mean_interarrival: Duration::from_micros(500),
+            max_in_flight: 4,
+            deadline: None,
+        };
+        let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
+        let mut lake = build_lake_with(&lake_cfg, &spec.mix.datasets());
+        lake.set_replicas("diseasome", 2);
 
-    let mut config = PlanConfig::aware(NetworkProfile::GAMMA1);
-    config.retry = retry();
-    config.degraded_ok = true;
-    config.tracing = tracing_mode();
-    config.faults = random_plan(&mut Prng::seed_from_u64(mix("serve-chaos")));
-    let outage = OutageGroup {
-        members: vec!["diseasome#r0".into(), "diseasome#r1".into()],
-        seed: 11,
-        window: 64,
-        len: 8,
-    };
+        let mut config = cell.config(PlanConfig::aware(NetworkProfile::GAMMA1));
+        config.retry = retry();
+        config.degraded_ok = true;
+        config.faults = random_plan(&mut Prng::seed_from_u64(mix("serve-chaos")));
+        let outage = OutageGroup {
+            members: vec!["diseasome#r0".into(), "diseasome#r1".into()],
+            seed: 11,
+            window: 64,
+            len: 8,
+        };
 
-    let serve_once = || {
-        let mut engine = FederatedEngine::new(lake.clone(), config);
-        engine.add_outage_group(outage.clone());
-        run(&engine, &spec).unwrap()
-    };
-    let r = serve_once();
+        let serve_once = || {
+            let mut engine = FederatedEngine::new(lake.clone(), config);
+            engine.add_outage_group(outage.clone());
+            run(&engine, &spec).unwrap()
+        };
+        let r = serve_once();
 
-    // Fault-free goldens: same plan mode and network, reliable links.
-    let mut clean = config;
-    clean.faults = fedlake_core::FaultPlan::NONE;
-    clean.degraded_ok = false;
-    clean.tracing = false;
+        // Fault-free goldens: same plan mode and network, reliable links.
+        let mut clean = config;
+        clean.faults = fedlake_core::FaultPlan::NONE;
+        clean.degraded_ok = false;
+        clean.tracing = false;
 
-    let mut degraded_seen = 0u64;
-    for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
-        assert!(
-            out.error.is_none(),
-            "{}: degraded_ok sessions degrade, they never fail hard: {:?}",
-            out.label,
-            out.error
-        );
-        if out.degraded {
-            degraded_seen += 1;
-            continue;
+        let mut degraded_seen = 0u64;
+        for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
+            assert!(
+                out.error.is_none(),
+                "{}: degraded_ok sessions degrade, they never fail hard: {:?}",
+                out.label,
+                out.error
+            );
+            if out.degraded {
+                degraded_seen += 1;
+                continue;
+            }
+            let golden = solo_golden(&lake, clean, &inst.sparql).unwrap();
+            assert_eq!(
+                fedlake_serve::sorted_csv(&out.vars, &out.rows),
+                fedlake_serve::sorted_csv(&golden.vars, &golden.rows),
+                "{}: a recovered session must byte-match its fault-free solo run",
+                out.label
+            );
         }
-        let golden = solo_golden(&lake, clean, &inst.sparql).unwrap();
-        assert_eq!(
-            fedlake_serve::sorted_csv(&out.vars, &out.rows),
-            fedlake_serve::sorted_csv(&golden.vars, &golden.rows),
-            "{}: a recovered session must byte-match its fault-free solo run",
-            out.label
-        );
-    }
 
-    // Degraded accounting sums correctly in the rollup, and every
-    // admitted session is accounted exactly once.
-    let m = &r.outcome.metrics;
-    assert_eq!(m.counter("serve.degraded"), degraded_seen);
-    assert_eq!(
-        m.counter("serve.admitted"),
-        m.counter("serve.completed")
-            + m.counter("serve.degraded")
-            + m.counter("serve.timeouts")
-            + m.counter("serve.failed"),
-        "rollup: every admitted session lands in exactly one bucket"
-    );
-    assert_eq!(m.counter("serve.admitted"), spec.clients as u64);
-
-    // Chaos, replicas and the outage window included, the serve run is a
-    // pure function of its seeds.
-    let again = serve_once();
-    assert_eq!(again.outcome.metrics.render(), r.outcome.metrics.render());
-    assert_eq!(again.report, r.report);
-    for (x, y) in r.outcome.outcomes.iter().zip(&again.outcome.outcomes) {
+        // Degraded accounting sums correctly in the rollup, and every
+        // admitted session is accounted exactly once.
+        let m = &r.outcome.metrics;
+        assert_eq!(m.counter("serve.degraded"), degraded_seen);
         assert_eq!(
-            fedlake_serve::sorted_csv(&x.vars, &x.rows),
-            fedlake_serve::sorted_csv(&y.vars, &y.rows),
-            "{}: chaotic serve reruns must agree",
-            x.label
+            m.counter("serve.admitted"),
+            m.counter("serve.completed")
+                + m.counter("serve.degraded")
+                + m.counter("serve.timeouts")
+                + m.counter("serve.failed"),
+            "rollup: every admitted session lands in exactly one bucket"
         );
-        assert_eq!(x.stats, y.stats);
-    }
+        assert_eq!(m.counter("serve.admitted"), spec.clients as u64);
+
+        // Chaos, replicas and the outage window included, the serve run is a
+        // pure function of its seeds.
+        let again = serve_once();
+        assert_eq!(again.outcome.metrics.render(), r.outcome.metrics.render());
+        assert_eq!(again.report, r.report);
+        for (x, y) in r.outcome.outcomes.iter().zip(&again.outcome.outcomes) {
+            assert_eq!(
+                fedlake_serve::sorted_csv(&x.vars, &x.rows),
+                fedlake_serve::sorted_csv(&y.vars, &y.rows),
+                "{}: chaotic serve reruns must agree",
+                x.label
+            );
+            assert_eq!(x.stats, y.stats);
+        }
+    });
 }

@@ -276,8 +276,8 @@ fn slow_query_log_matches_golden_snapshot() {
     let lake = serve_lake(&spec);
     let mut cfg = config(true);
     cfg.tracing = true; // per-operator / per-link enrichment
-    // The snapshot pins the *heuristic* plan shape; FEDLAKE_COST=1 must
-    // not silently swap in cost-ordered plans with different operators.
+    // The snapshot pins the *heuristic* plan shape: cost-ordered plans
+    // have different operators.
     cfg.cost_based = false;
     let r = run(&FederatedEngine::new(lake, cfg), &spec).unwrap();
 

@@ -9,7 +9,14 @@
 //! ```text
 //! BLESS_GOLDEN=1 cargo test --test golden_answers
 //! ```
+//!
+//! The snapshots are configuration-invariant: every cell of the shared
+//! matrix (`tests/common/mod.rs`) must reproduce them; blessing writes
+//! the all-default cell's answers.
 
+mod common;
+
+use common::{for_each_cell, Cell, CELLS};
 use fedlake_core::{FedResult, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
@@ -27,27 +34,32 @@ fn sorted_csv(r: &FedResult) -> String {
     fedlake_core::results::to_sparql_csv(&r.vars, &rows)
 }
 
-fn run(q: &workload::WorkloadQuery, mode: PlanMode) -> FedResult {
-    let lake = build_lake_with(&LakeConfig { scale: 0.1, ..Default::default() }, q.datasets);
-    let engine = FederatedEngine::new(lake, PlanConfig::new(mode, NetworkProfile::NO_DELAY));
-    engine.execute_sparql(&q.sparql).unwrap()
+fn run(q: &workload::WorkloadQuery, mode: PlanMode, cell: &Cell) -> FedResult {
+    let mut lake = build_lake_with(&LakeConfig { scale: 0.1, ..Default::default() }, q.datasets);
+    cell.replicate(&mut lake);
+    let config = cell.config(PlanConfig::new(mode, NetworkProfile::NO_DELAY));
+    FederatedEngine::new(lake, config).execute_sparql(&q.sparql).unwrap()
 }
 
 #[test]
 fn workload_answers_match_golden_snapshots() {
-    let bless = std::env::var_os("BLESS_GOLDEN").is_some();
-    for q in workload::experiment_queries() {
-        let csv = sorted_csv(&run(&q, PlanMode::AWARE));
-        let path = golden_path(q.id);
-        if bless {
-            std::fs::write(&path, &csv).unwrap();
-            continue;
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        for q in workload::experiment_queries() {
+            let csv = sorted_csv(&run(&q, PlanMode::AWARE, &CELLS[0]));
+            std::fs::write(golden_path(q.id), csv).unwrap();
         }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden snapshot {path:?} ({e}); bless with BLESS_GOLDEN=1")
-        });
-        assert_eq!(csv, want, "{}: answers diverge from {path:?}", q.id);
+        return;
     }
+    for_each_cell(|cell| {
+        for q in workload::experiment_queries() {
+            let csv = sorted_csv(&run(&q, PlanMode::AWARE, cell));
+            let path = golden_path(q.id);
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!("missing golden snapshot {path:?} ({e}); bless with BLESS_GOLDEN=1")
+            });
+            assert_eq!(csv, want, "{}: answers diverge from {path:?}", q.id);
+        }
+    });
 }
 
 /// The snapshots are plan-invariant: the unaware plan must produce the
@@ -57,9 +69,11 @@ fn unaware_plan_matches_golden_snapshots() {
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         return; // snapshots are being rewritten by the blessing run
     }
-    for q in workload::experiment_queries() {
-        let csv = sorted_csv(&run(&q, PlanMode::Unaware));
-        let want = std::fs::read_to_string(golden_path(q.id)).unwrap();
-        assert_eq!(csv, want, "{}: unaware plan diverges from snapshot", q.id);
-    }
+    for_each_cell(|cell| {
+        for q in workload::experiment_queries() {
+            let csv = sorted_csv(&run(&q, PlanMode::Unaware, cell));
+            let want = std::fs::read_to_string(golden_path(q.id)).unwrap();
+            assert_eq!(csv, want, "{}: unaware plan diverges from snapshot", q.id);
+        }
+    });
 }

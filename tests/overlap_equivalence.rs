@@ -5,7 +5,14 @@
 //! only improve. The reference term-row executor must agree with the
 //! interned engine under the overlapped schedule too, so all four
 //! (schedule × representation) corners produce the same answer set.
+//!
+//! The schedule is this suite's subject, so each test sets it itself and
+//! takes the other axes — planner, observers, replicas — from the cells
+//! of the shared matrix (`tests/common/mod.rs`).
 
+mod common;
+
+use common::for_each_cell;
 use fedlake_core::{FedResult, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
@@ -42,63 +49,75 @@ fn assert_same_answers(label: &str, ser: &FedResult, ovl: &FedResult) {
 
 #[test]
 fn overlapped_schedule_is_answer_identical_and_no_slower() {
-    let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
-    for mode in [PlanMode::Unaware, PlanMode::AWARE] {
-        for q in workload::experiment_queries() {
-            let lake = build_lake_with(&lake_cfg, q.datasets);
-            let ast = parse_query(&q.sparql).unwrap();
-            for network in NetworkProfile::ALL {
-                let ser_cfg = PlanConfig::new(mode, network);
-                let mut ovl_cfg = ser_cfg;
-                ovl_cfg.overlap = true;
-                let ser_engine = FederatedEngine::new(lake.clone(), ser_cfg);
-                let planned = ser_engine.plan(&ast).unwrap();
-                let ser = ser_engine.execute_planned(&planned).unwrap();
-                let ovl_engine = FederatedEngine::new(lake.clone(), ovl_cfg);
-                let ovl = ovl_engine.execute_planned(&planned).unwrap();
+    for_each_cell(|cell| {
+        let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
+        for mode in [PlanMode::Unaware, PlanMode::AWARE] {
+            for q in workload::experiment_queries() {
+                let mut lake = build_lake_with(&lake_cfg, q.datasets);
+                cell.replicate(&mut lake);
+                let ast = parse_query(&q.sparql).unwrap();
+                for network in NetworkProfile::ALL {
+                    // Multi-row messages too: message boundaries, not rows,
+                    // are what the two schedules must agree on.
+                    for rows_per_message in [1, 8] {
+                        let mut ser_cfg = cell.config(PlanConfig::new(mode, network));
+                        ser_cfg.overlap = false;
+                        ser_cfg.rows_per_message = rows_per_message;
+                        let mut ovl_cfg = ser_cfg;
+                        ovl_cfg.overlap = true;
+                        let ser_engine = FederatedEngine::new(lake.clone(), ser_cfg);
+                        let planned = ser_engine.plan(&ast).unwrap();
+                        let ser = ser_engine.execute_planned(&planned).unwrap();
+                        let ovl_engine = FederatedEngine::new(lake.clone(), ovl_cfg);
+                        let ovl = ovl_engine.execute_planned(&planned).unwrap();
 
-                let label = format!("{}/{}/{}", q.id, ser.stats.plan_label, network.name);
-                assert!(ser.stats.answers > 0, "{label}: query returned no rows");
-                assert_same_answers(&label, &ser, &ovl);
+                        let label = format!(
+                            "{}/{}/{}/{rows_per_message} rows per message",
+                            q.id, ser.stats.plan_label, network.name
+                        );
+                        assert!(ser.stats.answers > 0, "{label}: query returned no rows");
+                        assert_same_answers(&label, &ser, &ovl);
 
-                // Overlap can only hide latency, never add it.
-                assert!(
-                    ovl.stats.execution_time <= ser.stats.execution_time,
-                    "{label}: overlapped slower ({:?} > {:?})",
-                    ovl.stats.execution_time,
-                    ser.stats.execution_time
-                );
-                let services = planned.plan.service_count();
-                if services == 1 {
-                    // A single source has nothing to overlap with: the
-                    // scheduled chain replays the serialized clock exactly.
-                    assert_eq!(
-                        ser.stats.execution_time, ovl.stats.execution_time,
-                        "{label}: single-service timing must match"
-                    );
-                    assert_eq!(
-                        ser.stats.first_answer, ovl.stats.first_answer,
-                        "{label}: single-service first answer must match"
-                    );
-                } else if network.delay.mean_ms() > 0.0
-                    && planned.plan.independent_service_count() > 1
-                {
-                    // Independent sources with real latency must overlap:
-                    // the critical path is strictly shorter than the sum.
-                    // (Bind-join right sides are dependent fetches with
-                    // nothing to overlap, hence the independent count.)
-                    assert!(
-                        ovl.stats.execution_time < ser.stats.execution_time,
-                        "{label}: {services} services under {} should overlap \
-                         ({:?} !< {:?})",
-                        network.name,
-                        ovl.stats.execution_time,
-                        ser.stats.execution_time
-                    );
+                        // Overlap can only hide latency, never add it.
+                        assert!(
+                            ovl.stats.execution_time <= ser.stats.execution_time,
+                            "{label}: overlapped slower ({:?} > {:?})",
+                            ovl.stats.execution_time,
+                            ser.stats.execution_time
+                        );
+                        let services = planned.plan.service_count();
+                        if services == 1 {
+                            // A single source has nothing to overlap with: the
+                            // scheduled chain replays the serialized clock exactly.
+                            assert_eq!(
+                                ser.stats.execution_time, ovl.stats.execution_time,
+                                "{label}: single-service timing must match"
+                            );
+                            assert_eq!(
+                                ser.stats.first_answer, ovl.stats.first_answer,
+                                "{label}: single-service first answer must match"
+                            );
+                        } else if network.delay.mean_ms() > 0.0
+                            && planned.plan.independent_service_count() > 1
+                        {
+                            // Independent sources with real latency must overlap:
+                            // the critical path is strictly shorter than the sum.
+                            // (Bind-join right sides are dependent fetches with
+                            // nothing to overlap, hence the independent count.)
+                            assert!(
+                                ovl.stats.execution_time < ser.stats.execution_time,
+                                "{label}: {services} services under {} should overlap \
+                                 ({:?} !< {:?})",
+                                network.name,
+                                ovl.stats.execution_time,
+                                ser.stats.execution_time
+                            );
+                        }
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// The overlapped schedule is a deterministic function of the plan and the
@@ -110,83 +129,33 @@ fn overlapped_schedule_is_answer_identical_and_no_slower() {
 /// runs.
 #[test]
 fn overlapped_schedule_is_deterministic_across_reruns() {
-    let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
-    for q in workload::experiment_queries() {
-        let lake = build_lake_with(&lake_cfg, q.datasets);
-        let ast = parse_query(&q.sparql).unwrap();
-        for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA1] {
-            let mut cfg = PlanConfig::new(PlanMode::AWARE, network);
-            cfg.overlap = true;
-            let engine = FederatedEngine::new(lake.clone(), cfg);
-            let planned = engine.plan(&ast).unwrap();
-            let first = engine.execute_planned(&planned).unwrap();
-            let unsorted: Vec<String> =
-                first.rows.iter().map(|row| row.to_string()).collect();
-            for run in 0..3 {
-                let again = engine.execute_planned(&planned).unwrap();
-                let label = format!("{}/rerun {run}/{}", q.id, network.name);
-                assert_eq!(again.stats, first.stats, "{label}: stats diverge");
-                assert_eq!(
-                    again.rows.iter().map(|r| r.to_string()).collect::<Vec<_>>(),
-                    unsorted,
-                    "{label}: answer order diverges"
-                );
-            }
-        }
-    }
-}
-
-/// The vectorized driver keeps the two schedules equivalent — and keeps
-/// the *clock* of each schedule identical to its row-at-a-time twin. With
-/// batching on and multi-row message chunks: the serialized batch run
-/// reproduces the serialized row run's execution time exactly (batch
-/// charges are sums of the same per-row charges, applied in the same
-/// per-link order), the overlapped batch run reproduces the overlapped
-/// row run's (launch times are decided by the same ready-queue-empty
-/// polls), and the overlapped batch run is never slower than serialized.
-#[test]
-fn batched_schedules_stay_equivalent_and_keep_row_mode_timing() {
-    let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
-    for q in workload::experiment_queries() {
-        let lake = build_lake_with(&lake_cfg, q.datasets);
-        let ast = parse_query(&q.sparql).unwrap();
-        for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA1] {
-            let run = |overlap: bool, batch: bool| {
-                let mut cfg = PlanConfig::new(PlanMode::AWARE, network);
-                cfg.overlap = overlap;
-                cfg.batch = batch;
-                cfg.batch_size = 256;
-                cfg.rows_per_message = 8;
+    for_each_cell(|cell| {
+        let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
+        for q in workload::experiment_queries() {
+            let mut lake = build_lake_with(&lake_cfg, q.datasets);
+            cell.replicate(&mut lake);
+            let ast = parse_query(&q.sparql).unwrap();
+            for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA1] {
+                let mut cfg = cell.config(PlanConfig::new(PlanMode::AWARE, network));
+                cfg.overlap = true;
                 let engine = FederatedEngine::new(lake.clone(), cfg);
                 let planned = engine.plan(&ast).unwrap();
-                engine.execute_planned(&planned).unwrap()
-            };
-            let row_ser = run(false, false);
-            let bat_ser = run(false, true);
-            let row_ovl = run(true, false);
-            let bat_ovl = run(true, true);
-            let label = format!("{}/batched/{}", q.id, network.name);
-            assert!(bat_ser.stats.answers > 0, "{label}: query returned no rows");
-
-            assert_same_answers(&format!("{label}/ser-vs-row"), &row_ser, &bat_ser);
-            assert_eq!(
-                bat_ser.stats.execution_time, row_ser.stats.execution_time,
-                "{label}: serialized batch clock diverges from row mode"
-            );
-            assert_same_answers(&format!("{label}/ovl-vs-row"), &row_ovl, &bat_ovl);
-            assert_eq!(
-                bat_ovl.stats.execution_time, row_ovl.stats.execution_time,
-                "{label}: overlapped batch clock diverges from row mode"
-            );
-            assert_same_answers(&format!("{label}/ser-vs-ovl"), &bat_ser, &bat_ovl);
-            assert!(
-                bat_ovl.stats.execution_time <= bat_ser.stats.execution_time,
-                "{label}: overlapped batch slower ({:?} > {:?})",
-                bat_ovl.stats.execution_time,
-                bat_ser.stats.execution_time
-            );
+                let first = engine.execute_planned(&planned).unwrap();
+                let unsorted: Vec<String> =
+                    first.rows.iter().map(|row| row.to_string()).collect();
+                for run in 0..3 {
+                    let again = engine.execute_planned(&planned).unwrap();
+                    let label = format!("{}/rerun {run}/{}", q.id, network.name);
+                    assert_eq!(again.stats, first.stats, "{label}: stats diverge");
+                    assert_eq!(
+                        again.rows.iter().map(|r| r.to_string()).collect::<Vec<_>>(),
+                        unsorted,
+                        "{label}: answer order diverges"
+                    );
+                }
+            }
         }
-    }
+    });
 }
 
 /// The reference executor runs the same overlapped schedule through
@@ -194,40 +163,43 @@ fn batched_schedules_stay_equivalent_and_keep_row_mode_timing() {
 /// corner-for-corner.
 #[test]
 fn reference_executor_agrees_under_overlap() {
-    let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
-    for q in workload::experiment_queries() {
-        let lake = build_lake_with(&lake_cfg, q.datasets);
-        let ast = parse_query(&q.sparql).unwrap();
-        for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
-            let mut cfg = PlanConfig::new(PlanMode::AWARE, network);
-            cfg.overlap = true;
-            let engine = FederatedEngine::new(lake.clone(), cfg);
-            let planned = engine.plan(&ast).unwrap();
-            let interned = engine.execute_planned(&planned).unwrap();
-            let reference = engine.execute_planned_reference(&planned).unwrap();
-            let label = format!("{}/overlap-ref/{}", q.id, network.name);
-            assert_eq!(
-                sorted_rows(&interned),
-                sorted_rows(&reference),
-                "{label}: answer rows diverge"
-            );
-            assert_eq!(
-                interned.stats.execution_time, reference.stats.execution_time,
-                "{label}: execution_time"
-            );
-            assert_eq!(
-                interned.stats.first_answer, reference.stats.first_answer,
-                "{label}: first_answer"
-            );
-            assert_eq!(interned.stats.messages, reference.stats.messages, "{label}: messages");
-            assert_eq!(
-                interned.stats.network_delay, reference.stats.network_delay,
-                "{label}: network_delay"
-            );
-            assert_eq!(
-                interned.stats.sql_queries, reference.stats.sql_queries,
-                "{label}: sql_queries"
-            );
+    for_each_cell(|cell| {
+        let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
+        for q in workload::experiment_queries() {
+            let mut lake = build_lake_with(&lake_cfg, q.datasets);
+            cell.replicate(&mut lake);
+            let ast = parse_query(&q.sparql).unwrap();
+            for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
+                let mut cfg = cell.config(PlanConfig::new(PlanMode::AWARE, network));
+                cfg.overlap = true;
+                let engine = FederatedEngine::new(lake.clone(), cfg);
+                let planned = engine.plan(&ast).unwrap();
+                let interned = engine.execute_planned(&planned).unwrap();
+                let reference = engine.execute_planned_reference(&planned).unwrap();
+                let label = format!("{}/overlap-ref/{}", q.id, network.name);
+                assert_eq!(
+                    sorted_rows(&interned),
+                    sorted_rows(&reference),
+                    "{label}: answer rows diverge"
+                );
+                assert_eq!(
+                    interned.stats.execution_time, reference.stats.execution_time,
+                    "{label}: execution_time"
+                );
+                assert_eq!(
+                    interned.stats.first_answer, reference.stats.first_answer,
+                    "{label}: first_answer"
+                );
+                assert_eq!(interned.stats.messages, reference.stats.messages, "{label}: messages");
+                assert_eq!(
+                    interned.stats.network_delay, reference.stats.network_delay,
+                    "{label}: network_delay"
+                );
+                assert_eq!(
+                    interned.stats.sql_queries, reference.stats.sql_queries,
+                    "{label}: sql_queries"
+                );
+            }
         }
-    }
+    });
 }

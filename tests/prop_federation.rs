@@ -2,6 +2,9 @@
 //! plan mode and network — federated answers must always equal the
 //! lifted-graph oracle. Deterministically seeded via the in-repo PRNG.
 
+mod common;
+
+use common::CELLS;
 use fedlake::core::{
     DataLake, DataSource, FederatedEngine, FilterPlacement, PlanConfig, PlanMode,
 };
@@ -140,7 +143,7 @@ fn answers(rows: &[fedlake::sparql::Row]) -> BTreeSet<String> {
 #[test]
 fn federated_answers_equal_oracle() {
     let mut rng = Prng::seed_from_u64(0xfed0_0001);
-    for _ in 0..64 {
+    for case in 0..64 {
         let spec = arb_lake(&mut rng);
         let shape = rng.gen_range(0u8..7);
         let filter_val = rng.gen_range(0u8..8);
@@ -149,7 +152,12 @@ fn federated_answers_equal_oracle() {
         let bind_join = rng.gen_bool(0.5);
         let batch = rng.gen_range(1usize..9);
 
-        let lake = build(&spec);
+        // The shared matrix, cycled by case number so the draws above
+        // generate the cases they always did.
+        let cell = &CELLS[case % CELLS.len()];
+
+        let mut lake = build(&spec);
+        cell.replicate(&mut lake);
         let sparql = query_text(shape, filter_val);
         let parsed = parse_query(&sparql).unwrap();
         let oracle = lake.oracle_graph();
@@ -163,7 +171,7 @@ fn federated_answers_equal_oracle() {
             _ => PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::Engine },
         };
         let network = NetworkProfile::ALL[net_pick as usize % 4];
-        let mut cfg = PlanConfig::new(mode, network);
+        let mut cfg = cell.config(PlanConfig::new(mode, network));
         if bind_join {
             cfg.engine_join = fedlake::core::EngineJoin::Bind { batch_size: batch };
         }
@@ -172,7 +180,7 @@ fn federated_answers_equal_oracle() {
         assert_eq!(
             answers(&result.rows),
             expected,
-            "shape {} mode {} network {}\nplan:\n{}",
+            "shape {} mode {} network {} {cell:?}\nplan:\n{}",
             shape,
             mode.label(),
             network.name,

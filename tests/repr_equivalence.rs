@@ -1,10 +1,12 @@
 //! Representation-equivalence suite: the interned slot-row engine must
-//! return byte-identical answers and identical cost counters to the
-//! reference term-row (`BTreeMap`) executor for every workload query,
-//! every network profile and both planning modes. The two executors share
-//! the wrapper streams and bind-join machinery, so link traffic matches by
-//! construction — this suite pins that down and additionally checks the
-//! engine-side operator counters that are mirrored by hand.
+//! return byte-identical answers, the whole [`fedlake_core::FedStats`] and
+//! the whole [`fedlake_core::AnswerTrace`] — first answer and every answer
+//! timestamp included — of the reference term-row executor, for every
+//! workload query, every network profile, both planning modes and both
+//! schedules. The two executors share the wrapper streams and bind-join
+//! machinery, so link traffic matches by construction — this suite pins
+//! that down together with the engine-side operators, whose charges and
+//! counters are mirrored by hand.
 
 use fedlake_core::{FaultPlan, FedResult, FederatedEngine, PlanConfig, PlanMode, RetryPolicy};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
@@ -19,23 +21,8 @@ fn sorted_rows(r: &FedResult) -> Vec<String> {
 
 fn assert_equivalent(label: &str, a: &FedResult, b: &FedResult) {
     assert_eq!(sorted_rows(a), sorted_rows(b), "{label}: answer rows diverge");
-    let sa = &a.stats;
-    let sb = &b.stats;
-    assert_eq!(sa.answers, sb.answers, "{label}: answers");
-    assert_eq!(sa.messages, sb.messages, "{label}: messages");
-    assert_eq!(sa.rows_transferred, sb.rows_transferred, "{label}: rows_transferred");
-    assert_eq!(sa.sql_queries, sb.sql_queries, "{label}: sql_queries");
-    assert_eq!(sa.engine_filter_evals, sb.engine_filter_evals, "{label}: engine_filter_evals");
-    assert_eq!(sa.engine_join_probes, sb.engine_join_probes, "{label}: engine_join_probes");
-    assert_eq!(sa.services, sb.services, "{label}: services");
-    assert_eq!(sa.engine_operators, sb.engine_operators, "{label}: engine_operators");
-    assert_eq!(sa.merged_services, sb.merged_services, "{label}: merged_services");
-    assert_eq!(sa.network_delay, sb.network_delay, "{label}: network_delay");
-    assert_eq!(sa.execution_time, sb.execution_time, "{label}: execution_time");
-    assert_eq!(sa.plan_label, sb.plan_label, "{label}: plan_label");
-    assert_eq!(sa.retries, sb.retries, "{label}: retries");
-    assert_eq!(sa.source_failures, sb.source_failures, "{label}: source_failures");
-    assert_eq!(sa.degraded, sb.degraded, "{label}: degraded");
+    assert_eq!(a.stats, b.stats, "{label}: stats diverge");
+    assert_eq!(a.trace, b.trace, "{label}: answer traces diverge");
 }
 
 fn run_suite(mode: PlanMode, mode_name: &str) {
@@ -44,14 +31,17 @@ fn run_suite(mode: PlanMode, mode_name: &str) {
         let lake = build_lake_with(&lake_cfg, q.datasets);
         let ast = parse_query(&q.sparql).unwrap();
         for network in NetworkProfile::ALL {
-            let engine =
-                FederatedEngine::new(lake.clone(), PlanConfig::new(mode, network));
-            let planned = engine.plan(&ast).unwrap();
-            let interned = engine.execute_planned(&planned).unwrap();
-            let reference = engine.execute_planned_reference(&planned).unwrap();
-            let label = format!("{}/{mode_name}/{}", q.id, network.name);
-            assert!(interned.stats.answers > 0, "{label}: query returned no rows");
-            assert_equivalent(&label, &interned, &reference);
+            for overlap in [false, true] {
+                let mut config = PlanConfig::new(mode, network);
+                config.overlap = overlap;
+                let engine = FederatedEngine::new(lake.clone(), config);
+                let planned = engine.plan(&ast).unwrap();
+                let interned = engine.execute_planned(&planned).unwrap();
+                let reference = engine.execute_planned_reference(&planned).unwrap();
+                let label = format!("{}/{mode_name}/{}/overlap={overlap}", q.id, network.name);
+                assert!(interned.stats.answers > 0, "{label}: query returned no rows");
+                assert_equivalent(&label, &interned, &reference);
+            }
         }
     }
 }
@@ -108,14 +98,13 @@ fn interned_rows_match_reference_with_faults() {
     }
 }
 
-/// The vectorized driver must be a pure representation change: across the
-/// full matrix batch × {serialized, overlapped} × {1, 2} replicas — with
-/// multi-row message chunks so batches genuinely carry several rows — the
-/// batched executor returns byte-identical answers, stats and traffic
-/// against the row-at-a-time reference executor, and the sorted CSV stays
-/// byte-identical to the golden snapshots under `tests/golden/`.
+/// Multi-row messages: across {serialized, overlapped} × {1, 2} replicas
+/// with eight rows per message — so message boundaries no longer coincide
+/// with rows — the engine still matches the reference executor in answers,
+/// stats and trace, and the sorted CSV stays byte-identical to the golden
+/// snapshots under `tests/golden/`.
 #[test]
-fn batch_matrix_matches_reference_and_golden_snapshots() {
+fn message_matrix_matches_reference_and_golden_snapshots() {
     let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
     for q in workload::experiment_queries() {
         let golden_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -136,20 +125,18 @@ fn batch_matrix_matches_reference_and_golden_snapshots() {
                 }
                 let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
                 config.overlap = overlap;
-                config.batch = true;
-                config.batch_size = 256;
                 config.rows_per_message = 8;
                 let engine = FederatedEngine::new(lake, config);
                 let planned = engine.plan(&ast).unwrap();
-                let batched = engine.execute_planned(&planned).unwrap();
+                let interned = engine.execute_planned(&planned).unwrap();
                 let reference = engine.execute_planned_reference(&planned).unwrap();
                 let label =
-                    format!("{}/batch/overlap={overlap}/replicas={replicas}", q.id);
-                assert!(batched.stats.answers > 0, "{label}: query returned no rows");
-                assert_equivalent(&label, &batched, &reference);
-                let mut rows = batched.rows.clone();
+                    format!("{}/messages/overlap={overlap}/replicas={replicas}", q.id);
+                assert!(interned.stats.answers > 0, "{label}: query returned no rows");
+                assert_equivalent(&label, &interned, &reference);
+                let mut rows = interned.rows.clone();
                 rows.sort_by_cached_key(|row| row.to_string());
-                let csv = fedlake_core::results::to_sparql_csv(&batched.vars, &rows);
+                let csv = fedlake_core::results::to_sparql_csv(&interned.vars, &rows);
                 assert_eq!(csv, golden, "{label}: CSV diverges from {golden_path:?}");
             }
         }

@@ -13,7 +13,14 @@
 //! dropped), so cached and uncached sessions can interleave freely while
 //! the reference executor stays cold — and its entries are stamped with
 //! the source's data version, so a write between serve runs is seen.
+//!
+//! Every test runs in every cell of the shared configuration matrix
+//! (`tests/common/mod.rs`); the serve loop is its own scheduler, so the
+//! schedule axis only reaches the solo goldens.
 
+mod common;
+
+use common::{for_each_cell, Cell};
 use fedlake_core::obs::Metric;
 use fedlake_core::{DataSource, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
@@ -34,76 +41,85 @@ fn spec(seed: u64) -> ServeSpec {
     }
 }
 
-fn config() -> PlanConfig {
-    let mut c = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
+fn config(cell: &Cell) -> PlanConfig {
+    let mut c = cell.config(PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1));
     c.seed = 1;
     c
 }
 
+fn lake_for(cell: &Cell, scale: f64) -> fedlake_core::DataLake {
+    let lake_cfg = LakeConfig { scale, ..Default::default() };
+    let mut lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
+    cell.replicate(&mut lake);
+    lake
+}
+
 #[test]
 fn same_seed_reruns_are_bit_identical() {
-    let s = spec(21);
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    let lake = build_lake_with(&lake_cfg, &s.mix.datasets());
+    for_each_cell(|cell| {
+        let s = spec(21);
+        let lake = lake_for(cell, 0.05);
 
-    let a = run(&FederatedEngine::new(lake.clone(), config()), &s).unwrap();
-    let b = run(&FederatedEngine::new(lake.clone(), config()), &s).unwrap();
+        let a = run(&FederatedEngine::new(lake.clone(), config(cell)), &s).unwrap();
+        let b = run(&FederatedEngine::new(lake.clone(), config(cell)), &s).unwrap();
 
-    assert_eq!(a.instances, b.instances, "same seed must instantiate the same workload");
-    assert_eq!(a.outcome.outcomes.len(), b.outcome.outcomes.len());
-    for (x, y) in a.outcome.outcomes.iter().zip(&b.outcome.outcomes) {
-        assert_eq!(x.label, y.label);
+        assert_eq!(a.instances, b.instances, "same seed must instantiate the same workload");
+        assert_eq!(a.outcome.outcomes.len(), b.outcome.outcomes.len());
+        for (x, y) in a.outcome.outcomes.iter().zip(&b.outcome.outcomes) {
+            assert_eq!(x.label, y.label);
+            assert_eq!(
+                sorted_csv(&x.vars, &x.rows),
+                sorted_csv(&y.vars, &y.rows),
+                "{}: answers must be byte-identical across reruns",
+                x.label
+            );
+            assert_eq!(x.stats, y.stats, "{}: per-session stats must match", x.label);
+            assert_eq!(
+                (x.arrival, x.admitted, x.finish, x.latency, x.first_answer),
+                (y.arrival, y.admitted, y.finish, y.latency, y.first_answer),
+                "{}: per-session timings must match",
+                x.label
+            );
+            assert!(x.error.is_none(), "{}: fault-free run must complete: {:?}", x.label, x.error);
+        }
+        assert_eq!(a.outcome.makespan, b.outcome.makespan);
         assert_eq!(
-            sorted_csv(&x.vars, &x.rows),
-            sorted_csv(&y.vars, &y.rows),
-            "{}: answers must be byte-identical across reruns",
-            x.label
+            a.outcome.metrics.render(),
+            b.outcome.metrics.render(),
+            "server rollup must be byte-identical"
         );
-        assert_eq!(x.stats, y.stats, "{}: per-session stats must match", x.label);
-        assert_eq!(
-            (x.arrival, x.admitted, x.finish, x.latency, x.first_answer),
-            (y.arrival, y.admitted, y.finish, y.latency, y.first_answer),
-            "{}: per-session timings must match",
-            x.label
-        );
-        assert!(x.error.is_none(), "{}: fault-free run must complete: {:?}", x.label, x.error);
-    }
-    assert_eq!(a.outcome.makespan, b.outcome.makespan);
-    assert_eq!(
-        a.outcome.metrics.render(),
-        b.outcome.metrics.render(),
-        "server rollup must be byte-identical"
-    );
-    assert_eq!(a.report, b.report);
-    assert_eq!(a.report.to_json(), b.report.to_json());
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.report.to_json(), b.report.to_json());
+    });
 }
 
 #[test]
 fn every_seed_matches_the_solo_golden() {
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    let lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
-    let mut latency_sets = Vec::new();
-    for seed in [3u64, 17] {
-        let s = spec(seed);
-        let r = run(&FederatedEngine::new(lake.clone(), config()), &s).unwrap();
-        for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
-            assert!(out.completed(), "{}: fault-free serve must complete", out.label);
-            let golden = solo_golden(&lake, config(), &inst.sparql).unwrap();
-            assert_eq!(
-                sorted_csv(&out.vars, &out.rows),
-                sorted_csv(&golden.vars, &golden.rows),
-                "{}: served answers must byte-match the solo execution",
-                out.label
+    for_each_cell(|cell| {
+        let lake = lake_for(cell, 0.05);
+        let mut latency_sets = Vec::new();
+        for seed in [3u64, 17] {
+            let s = spec(seed);
+            let r = run(&FederatedEngine::new(lake.clone(), config(cell)), &s).unwrap();
+            for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
+                assert!(out.completed(), "{}: fault-free serve must complete", out.label);
+                let golden = solo_golden(&lake, config(cell), &inst.sparql).unwrap();
+                assert_eq!(
+                    sorted_csv(&out.vars, &out.rows),
+                    sorted_csv(&golden.vars, &golden.rows),
+                    "{}: served answers must byte-match the solo execution",
+                    out.label
+                );
+            }
+            latency_sets.push(
+                r.outcome.outcomes.iter().map(|o| (o.label.clone(), o.latency)).collect::<Vec<_>>(),
             );
         }
-        latency_sets.push(
-            r.outcome.outcomes.iter().map(|o| (o.label.clone(), o.latency)).collect::<Vec<_>>(),
+        assert_ne!(
+            latency_sets[0], latency_sets[1],
+            "different seeds must produce different interleavings"
         );
-    }
-    assert_ne!(
-        latency_sets[0], latency_sets[1],
-        "different seeds must produce different interleavings"
-    );
+    });
 }
 
 /// The lift cache must survive plans being dropped and re-created while
@@ -114,132 +130,130 @@ fn every_seed_matches_the_solo_golden() {
 /// the cache — must agree throughout.
 #[test]
 fn lift_cache_sessions_interleave_safely() {
-    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
-    let lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
-    let mut engine = FederatedEngine::new(lake.clone(), config());
+    for_each_cell(|cell| {
+        let lake = lake_for(cell, 0.05);
+        let mut engine = FederatedEngine::new(lake.clone(), config(cell));
 
-    // Interleave two plan shapes that share a source (Q3 and Q5 both
-    // read Diseasome) across repeated plan/execute/drop cycles, warming
-    // and re-hitting the cache under allocator reuse.
-    for i in 0..6 {
-        let q = if i % 2 == 0 { workload::q3() } else { workload::q5() };
-        let ast = parse_query(&q.sparql).unwrap();
-        let planned = engine.plan(&ast).unwrap();
-        let warm = engine.execute_planned(&planned).unwrap();
-        let golden = solo_golden(&lake, config(), &q.sparql).unwrap();
-        assert_eq!(
-            sorted_csv(&warm.vars, &warm.rows),
-            sorted_csv(&golden.vars, &golden.rows),
-            "{} iteration {i}: cached session must match a cold engine",
-            q.id
-        );
-        assert_eq!(
-            warm.stats, golden.stats,
-            "{} iteration {i}: a cache hit must re-charge identical simulated cost",
-            q.id
-        );
-        // The reference executor stays cold by construction: it never
-        // consults the engine's lift cache, and must still agree.
-        let reference = engine.execute_planned_reference(&planned).unwrap();
-        assert_eq!(
-            sorted_csv(&warm.vars, &warm.rows),
-            sorted_csv(&reference.vars, &reference.rows),
-            "{} iteration {i}: reference executor must agree while the cache is warm",
-            q.id
-        );
-    }
+        // Interleave two plan shapes that share a source (Q3 and Q5 both
+        // read Diseasome) across repeated plan/execute/drop cycles, warming
+        // and re-hitting the cache under allocator reuse.
+        for i in 0..6 {
+            let q = if i % 2 == 0 { workload::q3() } else { workload::q5() };
+            let ast = parse_query(&q.sparql).unwrap();
+            let planned = engine.plan(&ast).unwrap();
+            let warm = engine.execute_planned(&planned).unwrap();
+            let golden = solo_golden(&lake, config(cell), &q.sparql).unwrap();
+            assert_eq!(
+                sorted_csv(&warm.vars, &warm.rows),
+                sorted_csv(&golden.vars, &golden.rows),
+                "{} iteration {i}: cached session must match a cold engine",
+                q.id
+            );
+            assert_eq!(
+                warm.stats, golden.stats,
+                "{} iteration {i}: a cache hit must re-charge identical simulated cost",
+                q.id
+            );
+            // The reference executor stays cold by construction: it never
+            // consults the engine's lift cache, and must still agree.
+            let reference = engine.execute_planned_reference(&planned).unwrap();
+            assert_eq!(
+                sorted_csv(&warm.vars, &warm.rows),
+                sorted_csv(&reference.vars, &reference.rows),
+                "{} iteration {i}: reference executor must agree while the cache is warm",
+                q.id
+            );
+        }
 
-    // A serve run on the same (warm) engine mixes cached and uncached
-    // sessions; every answer still matches a cold solo run.
-    let s = spec(5);
-    let r = run(&engine, &s).unwrap();
-    for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
-        let golden = solo_golden(&lake, config(), &inst.sparql).unwrap();
-        assert_eq!(
-            sorted_csv(&out.vars, &out.rows),
-            sorted_csv(&golden.vars, &golden.rows),
-            "{}: warm-engine serve must match cold solo execution",
-            out.label
-        );
-    }
+        // A serve run on the same (warm) engine mixes cached and uncached
+        // sessions; every answer still matches a cold solo run.
+        let s = spec(5);
+        let r = run(&engine, &s).unwrap();
+        for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
+            let golden = solo_golden(&lake, config(cell), &inst.sparql).unwrap();
+            assert_eq!(
+                sorted_csv(&out.vars, &out.rows),
+                sorted_csv(&golden.vars, &golden.rows),
+                "{}: warm-engine serve must match cold solo execution",
+                out.label
+            );
+        }
 
-    // One mutation between serve runs: every source is handed out (which
-    // moves its version whatever the caller then does) and chebi really
-    // changes. The next run finds what it cached stale, re-lifts it and
-    // matches a cold engine over the mutated lake.
-    let before = engine.cache_stats().lift;
-    let ids: Vec<String> = lake.sources().iter().map(|s| s.id().to_string()).collect();
-    for id in &ids {
-        engine.lake_mut().source_mut(id).expect("listed source");
-    }
-    match engine.lake_mut().source_mut("chebi") {
-        Some(DataSource::Relational { db, .. }) => db
-            .insert_row(
-                "compound",
-                vec![
-                    fedlake_relational::Value::text("late-c"),
-                    fedlake_relational::Value::text("late acid"),
-                    fedlake_relational::Value::text("checked"),
-                    fedlake_relational::Value::Int(1),
-                    fedlake_relational::Value::Double(99.5),
-                ],
-            )
-            .unwrap(),
-        _ => panic!("chebi is relational"),
-    }
-    engine.lake_mut().refresh_templates();
-    let mutated = engine.lake().clone();
-    let r = run(&engine, &s).unwrap();
-    for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
-        let golden = solo_golden(&mutated, config(), &inst.sparql).unwrap();
-        assert_eq!(
-            sorted_csv(&out.vars, &out.rows),
-            sorted_csv(&golden.vars, &golden.rows),
-            "{}: serve after a write must match a cold engine on the mutated lake",
-            out.label
-        );
-    }
-    let after = engine.cache_stats().lift;
-    assert!(after.stale > before.stale, "the write must be noticed: {before:?} -> {after:?}");
-    assert_eq!(after.lookups, after.hits + after.misses, "{after:?}");
-    let gauge = |name: &str| match r.outcome.metrics.get(name) {
-        Some(Metric::Gauge { last, .. }) => last,
-        other => panic!("{name}: {other:?}"),
-    };
-    assert_eq!(gauge("serve.liftcache.lookups"), after.lookups);
-    assert_eq!(gauge("serve.liftcache.hits"), after.hits);
-    assert_eq!(gauge("serve.liftcache.stale"), after.stale);
+        // One mutation between serve runs: every source is handed out (which
+        // moves its version whatever the caller then does) and chebi really
+        // changes. The next run finds what it cached stale, re-lifts it and
+        // matches a cold engine over the mutated lake.
+        let before = engine.cache_stats().lift;
+        let ids: Vec<String> = lake.sources().iter().map(|s| s.id().to_string()).collect();
+        for id in &ids {
+            engine.lake_mut().source_mut(id).expect("listed source");
+        }
+        match engine.lake_mut().source_mut("chebi") {
+            Some(DataSource::Relational { db, .. }) => db
+                .insert_row(
+                    "compound",
+                    vec![
+                        fedlake_relational::Value::text("late-c"),
+                        fedlake_relational::Value::text("late acid"),
+                        fedlake_relational::Value::text("checked"),
+                        fedlake_relational::Value::Int(1),
+                        fedlake_relational::Value::Double(99.5),
+                    ],
+                )
+                .unwrap(),
+            _ => panic!("chebi is relational"),
+        }
+        engine.lake_mut().refresh_templates();
+        let mutated = engine.lake().clone();
+        let r = run(&engine, &s).unwrap();
+        for (inst, out) in r.instances.iter().zip(&r.outcome.outcomes) {
+            let golden = solo_golden(&mutated, config(cell), &inst.sparql).unwrap();
+            assert_eq!(
+                sorted_csv(&out.vars, &out.rows),
+                sorted_csv(&golden.vars, &golden.rows),
+                "{}: serve after a write must match a cold engine on the mutated lake",
+                out.label
+            );
+        }
+        let after = engine.cache_stats().lift;
+        assert!(after.stale > before.stale, "the write must be noticed: {before:?} -> {after:?}");
+        assert_eq!(after.lookups, after.hits + after.misses, "{after:?}");
+        let gauge = |name: &str| match r.outcome.metrics.get(name) {
+            Some(Metric::Gauge { last, .. }) => last,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(gauge("serve.liftcache.lookups"), after.lookups);
+        assert_eq!(gauge("serve.liftcache.hits"), after.hits);
+        assert_eq!(gauge("serve.liftcache.stale"), after.stale);
 
-    // With nothing written in between, the same run is all hits.
-    run(&engine, &s).unwrap();
-    let settled = engine.cache_stats().lift;
-    assert_eq!((settled.misses, settled.stale), (after.misses, after.stale), "{settled:?}");
-    assert!(settled.hits > after.hits);
+        // With nothing written in between, the same run is all hits.
+        run(&engine, &s).unwrap();
+        let settled = engine.cache_stats().lift;
+        assert_eq!((settled.misses, settled.stale), (after.misses, after.stale), "{settled:?}");
+        assert!(settled.hits > after.hits);
+    });
 }
 
-/// `FEDLAKE_SERVE=1` smoke: the fixed-seed mini-load tier-1 runs. Small
-/// N, one pass, asserts the rollup adds up — fast enough for every gate.
+/// Smoke: a fixed-seed mini-load. Small N, one pass, asserts the rollup
+/// adds up — fast enough for every gate.
 #[test]
 fn serve_smoke() {
-    if std::env::var("FEDLAKE_SERVE").map(|v| v != "1").unwrap_or(false) {
-        return;
-    }
-    let s = ServeSpec {
-        clients: 4,
-        queries_per_client: 1,
-        seed: 7,
-        mean_interarrival: Duration::from_millis(1),
-        max_in_flight: 2,
-        ..Default::default()
-    };
-    let lake_cfg = LakeConfig { scale: 0.02, ..Default::default() };
-    let lake = build_lake_with(&lake_cfg, &s.mix.datasets());
-    let r = run(&FederatedEngine::new(lake, config()), &s).unwrap();
-    assert_eq!(r.report.jobs, 4);
-    assert_eq!(r.report.completed, 4);
-    assert_eq!(
-        r.outcome.metrics.counter("serve.admitted"),
-        r.report.completed + r.report.timeouts + r.report.degraded + r.report.failed
-    );
-    assert!(r.report.jain > 0.0 && r.report.jain <= 1.0 + 1e-12);
+    for_each_cell(|cell| {
+        let s = ServeSpec {
+            clients: 4,
+            queries_per_client: 1,
+            seed: 7,
+            mean_interarrival: Duration::from_millis(1),
+            max_in_flight: 2,
+            ..Default::default()
+        };
+        let r = run(&FederatedEngine::new(lake_for(cell, 0.02), config(cell)), &s).unwrap();
+        assert_eq!(r.report.jobs, 4);
+        assert_eq!(r.report.completed, 4);
+        assert_eq!(
+            r.outcome.metrics.counter("serve.admitted"),
+            r.report.completed + r.report.timeouts + r.report.degraded + r.report.failed
+        );
+        assert!(r.report.jain > 0.0 && r.report.jain <= 1.0 + 1e-12);
+    });
 }

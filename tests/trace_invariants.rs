@@ -108,53 +108,57 @@ fn span_trees_are_well_formed_in_both_schedules() {
 fn transfer_spans_reconcile_with_stats_and_links() {
     for q in &workload::experiment_queries() {
         for overlap in [false, true] {
-            let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA1);
-            cfg.overlap = overlap;
-            let r = traced(q, cfg);
-            let obs = r.obs.as_ref().expect("tracing enabled");
-            let label = format!("{}/overlap={overlap}", q.id);
+            // Multi-row messages too: a transfer span then carries several rows.
+            for rows_per_message in [1, 8] {
+                let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA1);
+                cfg.overlap = overlap;
+                cfg.rows_per_message = rows_per_message;
+                let r = traced(q, cfg);
+                let obs = r.obs.as_ref().expect("tracing enabled");
+                let label = format!("{}/overlap={overlap}/rows_per_message={rows_per_message}", q.id);
 
-            // Per-source successful-transfer spans sum to the link counters,
-            // and the totals match FedStats.
-            let mut rows_by_lane: BTreeMap<String, u64> = BTreeMap::new();
-            let mut msgs_by_lane: BTreeMap<String, u64> = BTreeMap::new();
-            for s in obs.spans.iter().filter(|s| s.kind == SpanKind::Transfer) {
-                *rows_by_lane.entry(s.lane.clone()).or_default() += s.rows;
-                *msgs_by_lane.entry(s.lane.clone()).or_default() += 1;
-            }
-            let mut rows_total = 0;
-            let mut msgs_total = 0;
-            for (source, report) in &obs.sources {
-                let lane = format!("src:{source}");
+                // Per-source successful-transfer spans sum to the link counters,
+                // and the totals match FedStats.
+                let mut rows_by_lane: BTreeMap<String, u64> = BTreeMap::new();
+                let mut msgs_by_lane: BTreeMap<String, u64> = BTreeMap::new();
+                for s in obs.spans.iter().filter(|s| s.kind == SpanKind::Transfer) {
+                    *rows_by_lane.entry(s.lane.clone()).or_default() += s.rows;
+                    *msgs_by_lane.entry(s.lane.clone()).or_default() += 1;
+                }
+                let mut rows_total = 0;
+                let mut msgs_total = 0;
+                for (source, report) in &obs.sources {
+                    let lane = format!("src:{source}");
+                    assert_eq!(
+                        rows_by_lane.get(&lane).copied().unwrap_or(0),
+                        report.link.rows,
+                        "{label}: {source} span rows vs link rows"
+                    );
+                    assert_eq!(
+                        msgs_by_lane.get(&lane).copied().unwrap_or(0),
+                        report.link.messages,
+                        "{label}: {source} span messages vs link messages"
+                    );
+                    rows_total += report.link.rows;
+                    msgs_total += report.link.messages;
+                }
+                assert_eq!(rows_total, r.stats.rows_transferred, "{label}: rows_transferred");
+                assert_eq!(msgs_total, r.stats.messages, "{label}: messages");
+
+                // The metrics registry mirrors the engine stats.
+                assert_eq!(obs.metrics.counter("engine.answers"), r.stats.answers, "{label}");
+                assert_eq!(obs.metrics.counter("engine.messages"), r.stats.messages, "{label}");
                 assert_eq!(
-                    rows_by_lane.get(&lane).copied().unwrap_or(0),
-                    report.link.rows,
-                    "{label}: {source} span rows vs link rows"
+                    obs.metrics.counter("engine.rows_transferred"),
+                    r.stats.rows_transferred,
+                    "{label}"
                 );
-                assert_eq!(
-                    msgs_by_lane.get(&lane).copied().unwrap_or(0),
-                    report.link.messages,
-                    "{label}: {source} span messages vs link messages"
-                );
-                rows_total += report.link.rows;
-                msgs_total += report.link.messages;
+                assert_eq!(obs.metrics.counter("engine.sql_queries"), r.stats.sql_queries, "{label}");
+
+                // The report totals are the stats totals.
+                assert_eq!(obs.answers_total, r.stats.answers, "{label}");
+                assert_eq!(obs.total_time, r.stats.execution_time, "{label}");
             }
-            assert_eq!(rows_total, r.stats.rows_transferred, "{label}: rows_transferred");
-            assert_eq!(msgs_total, r.stats.messages, "{label}: messages");
-
-            // The metrics registry mirrors the engine stats.
-            assert_eq!(obs.metrics.counter("engine.answers"), r.stats.answers, "{label}");
-            assert_eq!(obs.metrics.counter("engine.messages"), r.stats.messages, "{label}");
-            assert_eq!(
-                obs.metrics.counter("engine.rows_transferred"),
-                r.stats.rows_transferred,
-                "{label}"
-            );
-            assert_eq!(obs.metrics.counter("engine.sql_queries"), r.stats.sql_queries, "{label}");
-
-            // The report totals are the stats totals.
-            assert_eq!(obs.answers_total, r.stats.answers, "{label}");
-            assert_eq!(obs.total_time, r.stats.execution_time, "{label}");
         }
     }
 }
@@ -206,67 +210,6 @@ fn tracing_is_passive() {
                     assert_eq!(off.stats, on.stats, "{label}: stats");
                     assert_eq!(off.trace, on.trace, "{label}: answer trace");
                 }
-            }
-        }
-    }
-}
-
-/// Vectorized execution keeps every trace invariant: with batching on and
-/// multi-row message chunks, tracing stays passive, span trees stay
-/// well-formed, transfer spans still reconcile with `FedStats` and the
-/// link counters, and — the EXPLAIN ANALYZE contract — every plan node's
-/// row count is identical to what the row-at-a-time driver reports
-/// (batched emissions are counted per selected row, not per batch).
-#[test]
-fn batch_mode_traces_reconcile_and_stay_passive() {
-    for q in &workload::experiment_queries() {
-        for overlap in [false, true] {
-            let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA1);
-            cfg.overlap = overlap;
-            cfg.batch = true;
-            cfg.batch_size = 256;
-            cfg.rows_per_message = 8;
-            let label = format!("{}/batch/overlap={overlap}", q.id);
-
-            // Passive: a traced batch run changes nothing observable.
-            let off = run(q, cfg);
-            let on = traced(q, cfg);
-            assert_eq!(sorted_rows(&off), sorted_rows(&on), "{label}: answers");
-            assert_eq!(off.stats, on.stats, "{label}: stats");
-            assert_eq!(off.trace, on.trace, "{label}: answer trace");
-
-            let obs = on.obs.as_ref().expect("tracing enabled");
-            assert_span_tree(&label, &obs.spans);
-
-            // Reconciled: span totals still match stats and links.
-            let mut rows_total = 0;
-            let mut msgs_total = 0;
-            for report in obs.sources.values() {
-                rows_total += report.link.rows;
-                msgs_total += report.link.messages;
-            }
-            assert_eq!(rows_total, on.stats.rows_transferred, "{label}: rows_transferred");
-            assert_eq!(msgs_total, on.stats.messages, "{label}: messages");
-            assert_eq!(obs.metrics.counter("engine.answers"), on.stats.answers, "{label}");
-            assert_eq!(obs.answers_total, on.stats.answers, "{label}");
-            assert_eq!(obs.total_time, on.stats.execution_time, "{label}");
-
-            // Per-operator row counts are batching-invariant: the same
-            // plan driven row-at-a-time reports the same rows_out per
-            // node, so EXPLAIN ANALYZE never changes its counts under
-            // vectorization.
-            let mut row_cfg = cfg;
-            row_cfg.batch = false;
-            let row_traced = traced(q, row_cfg);
-            let row_obs = row_traced.obs.as_ref().expect("tracing enabled");
-            assert_eq!(obs.nodes.len(), row_obs.nodes.len(), "{label}: node count");
-            for (b, r) in obs.nodes.iter().zip(&row_obs.nodes) {
-                assert_eq!(b.label, r.label, "{label}: node labels");
-                assert_eq!(
-                    b.rows_out, r.rows_out,
-                    "{label}: rows_out diverges on node {}",
-                    b.label
-                );
             }
         }
     }

@@ -1,7 +1,11 @@
 //! Cross-crate integration: the full synthetic LSLOD-like lake, the whole
-//! experiment workload (QM, Q1–Q5), every plan mode — all answers checked
-//! against the lifted-graph oracle.
+//! experiment workload (QM, Q1–Q5), every plan mode, every cell of the
+//! shared configuration matrix (`tests/common/mod.rs`) — all answers
+//! checked against the lifted-graph oracle.
 
+mod common;
+
+use common::for_each_cell;
 use fedlake::core::{
     DecompositionStrategy, FederatedEngine, FilterPlacement, PlanConfig, PlanMode,
 };
@@ -21,44 +25,49 @@ fn answer_set(rows: &[fedlake::sparql::Row]) -> BTreeSet<String> {
 
 #[test]
 fn every_workload_query_matches_the_oracle_in_every_mode() {
-    let cfg = small_config();
-    let modes = [
-        PlanMode::Unaware,
-        PlanMode::AWARE,
-        PlanMode::AWARE_H2,
-        PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
-        PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
-    ];
-    for q in workload::all() {
-        let lake = build_lake_with(&cfg, q.datasets);
-        let oracle = lake.oracle_graph();
-        let parsed = parse_query(&q.sparql).unwrap();
-        let expected = answer_set(&evaluate(&parsed, &oracle).unwrap());
-        assert!(
-            !expected.is_empty(),
-            "{} must have answers at scale {}",
-            q.id,
-            cfg.scale
-        );
-        for mode in modes {
-            for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA3] {
-                let engine =
-                    FederatedEngine::new(lake.clone(), PlanConfig::new(mode, network));
-                let result = engine.execute_sparql(&q.sparql).unwrap_or_else(|e| {
-                    panic!("{} failed under {} / {}: {e}", q.id, mode.label(), network.name)
-                });
-                assert_eq!(
-                    answer_set(&result.rows),
-                    expected,
-                    "{} answers diverge under {} / {}\nplan:\n{}",
-                    q.id,
-                    mode.label(),
-                    network.name,
-                    result.explain
-                );
+    for_each_cell(|cell| {
+        let cfg = small_config();
+        let modes = [
+            PlanMode::Unaware,
+            PlanMode::AWARE,
+            PlanMode::AWARE_H2,
+            PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
+            PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
+        ];
+        for q in workload::all() {
+            let mut lake = build_lake_with(&cfg, q.datasets);
+            let oracle = lake.oracle_graph();
+            cell.replicate(&mut lake);
+            let parsed = parse_query(&q.sparql).unwrap();
+            let expected = answer_set(&evaluate(&parsed, &oracle).unwrap());
+            assert!(
+                !expected.is_empty(),
+                "{} must have answers at scale {}",
+                q.id,
+                cfg.scale
+            );
+            for mode in modes {
+                for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA3] {
+                    let engine = FederatedEngine::new(
+                        lake.clone(),
+                        cell.config(PlanConfig::new(mode, network)),
+                    );
+                    let result = engine.execute_sparql(&q.sparql).unwrap_or_else(|e| {
+                        panic!("{} failed under {} / {}: {e}", q.id, mode.label(), network.name)
+                    });
+                    assert_eq!(
+                        answer_set(&result.rows),
+                        expected,
+                        "{} answers diverge under {} / {}\nplan:\n{}",
+                        q.id,
+                        mode.label(),
+                        network.name,
+                        result.explain
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -125,30 +134,32 @@ fn qm_shape_matches_figure_1() {
 
 #[test]
 fn full_ten_dataset_lake_answers_cross_source_chains() {
-    // A query spanning three datasets end-to-end on the full lake:
-    // prescriptions → drugs → targets → genes → diseases.
-    let cfg = LakeConfig { scale: 0.1, ..Default::default() };
-    let lake = fedlake::datagen::build_lake(&cfg);
-    let v = "http://lake.example/vocab/";
-    let sparql = format!(
-        "SELECT ?dn ?gl WHERE {{\n\
-           ?dt a <{v}drugbank/Target> .\n\
-           ?dt <{v}drugbank/drug> ?dr .\n\
-           ?dt <{v}drugbank/gene> ?g .\n\
-           ?dr <{v}drugbank/name> ?dn .\n\
-           ?g <{v}diseasome/label> ?gl .\n\
-         }}"
-    );
-    let oracle = lake.oracle_graph();
-    let parsed = parse_query(&sparql).unwrap();
-    let expected = answer_set(&evaluate(&parsed, &oracle).unwrap());
-    assert!(!expected.is_empty());
-    for mode in [PlanMode::Unaware, PlanMode::AWARE] {
-        let engine =
-            FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA1));
-        let result = engine.execute_sparql(&sparql).unwrap();
-        assert_eq!(answer_set(&result.rows), expected, "mode {}", mode.label());
-    }
+    for_each_cell(|cell| {
+        // A query spanning three datasets end-to-end on the full lake:
+        // prescriptions → drugs → targets → genes → diseases.
+        let cfg = LakeConfig { scale: 0.1, ..Default::default() };
+        let mut lake = fedlake::datagen::build_lake(&cfg);
+        cell.replicate(&mut lake);
+        let v = "http://lake.example/vocab/";
+        let sparql = format!(
+            "SELECT ?dn ?gl WHERE {{\n\
+               ?dt a <{v}drugbank/Target> .\n\
+               ?dt <{v}drugbank/drug> ?dr .\n\
+               ?dt <{v}drugbank/gene> ?g .\n\
+               ?dr <{v}drugbank/name> ?dn .\n\
+               ?g <{v}diseasome/label> ?gl .\n\
+             }}"
+        );
+        let oracle = lake.oracle_graph();
+        let parsed = parse_query(&sparql).unwrap();
+        let expected = answer_set(&evaluate(&parsed, &oracle).unwrap());
+        assert!(!expected.is_empty());
+        for mode in [PlanMode::Unaware, PlanMode::AWARE] {
+            let config = cell.config(PlanConfig::new(mode, NetworkProfile::GAMMA1));
+            let result = FederatedEngine::new(lake.clone(), config).execute_sparql(&sparql).unwrap();
+            assert_eq!(answer_set(&result.rows), expected, "mode {}", mode.label());
+        }
+    });
 }
 
 #[test]
@@ -238,26 +249,28 @@ fn denormalized_diseasome_agrees_and_merges_without_join() {
 
 #[test]
 fn lake_with_native_rdf_member_answers_workload() {
-    // Mount diseasome as a native RDF source: QM then spans a relational
-    // source (affymetrix) and an RDF one (diseasome) — the heterogeneous
-    // lake of §2.1. H1 cannot merge into an RDF source; answers must not
-    // change.
-    let qm = workload::motivating();
-    let mut cfg = small_config();
-    let relational_lake = build_lake_with(&cfg, qm.datasets);
-    cfg.rdf_sources = vec!["diseasome".into()];
-    let mixed_lake = build_lake_with(&cfg, qm.datasets);
+    for_each_cell(|cell| {
+        // Mount diseasome as a native RDF source: QM then spans a relational
+        // source (affymetrix) and an RDF one (diseasome) — the heterogeneous
+        // lake of §2.1. H1 cannot merge into an RDF source; answers must not
+        // change.
+        let qm = workload::motivating();
+        let mut cfg = small_config();
+        let relational_lake = build_lake_with(&cfg, qm.datasets);
+        cfg.rdf_sources = vec!["diseasome".into()];
+        let mut mixed_lake = build_lake_with(&cfg, qm.datasets);
+        cell.replicate(&mut mixed_lake);
 
-    let expected = {
-        let engine = FederatedEngine::new(
-            relational_lake,
-            PlanConfig::aware(NetworkProfile::NO_DELAY),
-        );
-        answer_set(&engine.execute_sparql(&qm.sparql).unwrap().rows)
-    };
-    let engine =
-        FederatedEngine::new(mixed_lake, PlanConfig::aware(NetworkProfile::NO_DELAY));
-    let result = engine.execute_sparql(&qm.sparql).unwrap();
-    assert_eq!(answer_set(&result.rows), expected);
-    assert_eq!(result.stats.merged_services, 0, "{}", result.explain);
+        let expected = {
+            let engine = FederatedEngine::new(
+                relational_lake,
+                PlanConfig::aware(NetworkProfile::NO_DELAY),
+            );
+            answer_set(&engine.execute_sparql(&qm.sparql).unwrap().rows)
+        };
+        let config = cell.config(PlanConfig::aware(NetworkProfile::NO_DELAY));
+        let result = FederatedEngine::new(mixed_lake, config).execute_sparql(&qm.sparql).unwrap();
+        assert_eq!(answer_set(&result.rows), expected);
+        assert_eq!(result.stats.merged_services, 0, "{}", result.explain);
+    });
 }
