@@ -234,6 +234,93 @@ fn lift_cache_sessions_interleave_safely() {
     });
 }
 
+/// FNV-1a fold of what the serve loop decides per job: when it was
+/// admitted, when it finished, when it first answered, how much it
+/// answered and how it ended.
+fn schedule_digest(outcomes: &[fedlake_core::serve::QueryOutcome]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for o in outcomes {
+        fold(o.admitted.as_nanos() as u64);
+        fold(o.finish.as_nanos() as u64);
+        fold(o.first_answer.is_some() as u64);
+        fold(o.first_answer.unwrap_or_default().as_nanos() as u64);
+        fold(o.stats.answers);
+        fold(o.error.is_some() as u64);
+        fold(o.degraded as u64);
+    }
+    h
+}
+
+/// The serve loop's schedule, frozen: admission instants, completion
+/// instants, first answers and deadline instants of two runs on the small
+/// aware+cost / Gamma1 lake, as the values the loop printed when every
+/// sweep still polled every active session. A sweep that skips a session
+/// may only ever skip a poll that would have returned the `Pending` it
+/// returned last time — if it skips anything else, these numbers move.
+///
+/// One run saturates the admission bound (jobs queue behind four busy
+/// slots); the other carries a per-job deadline short enough that some
+/// sessions time out while waiting on a source and others complete.
+#[test]
+fn serve_schedule_is_pinned() {
+    let mut cfg = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
+    cfg.cost_based = true;
+    cfg.seed = 1;
+    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
+    let lake = build_lake_with(&lake_cfg, &Mix::default().datasets());
+
+    let saturating = ServeSpec {
+        clients: 6,
+        queries_per_client: 4,
+        seed: 21,
+        mean_interarrival: Duration::from_millis(5),
+        max_in_flight: 4,
+        ..Default::default()
+    };
+    let r = run(&FederatedEngine::new(lake.clone(), cfg), &saturating).unwrap();
+    assert!(r.outcome.outcomes.iter().all(|o| o.completed()));
+    match r.outcome.metrics.get("serve.in_flight") {
+        Some(Metric::Gauge { max, .. }) => assert_eq!(max, 4, "the bound must be reached"),
+        other => panic!("serve.in_flight: {other:?}"),
+    }
+    assert!(
+        r.outcome.outcomes.iter().any(|o| o.admitted > o.arrival),
+        "some job must have queued for a slot"
+    );
+    assert_eq!(
+        (r.outcome.makespan, schedule_digest(&r.outcome.outcomes)),
+        (Duration::from_nanos(261_384_386), 0x224e_ee86_7382_b235),
+        "saturating run"
+    );
+
+    let deadline = Duration::from_millis(25);
+    let with_deadline = ServeSpec { deadline: Some(deadline), ..saturating };
+    let r = run(&FederatedEngine::new(lake, cfg), &with_deadline).unwrap();
+    let outcomes = &r.outcome.outcomes;
+    assert!(outcomes.iter().any(|o| o.completed()), "some session must complete");
+    // Timed out while pending: admitted before its deadline, never
+    // answered, and time passed before the loop noticed.
+    assert!(
+        outcomes.iter().any(|o| {
+            matches!(o.error, Some(fedlake_core::FedError::Timeout(_)))
+                && o.first_answer.is_none()
+                && o.admitted < o.arrival + deadline
+                && o.finish > o.admitted
+        }),
+        "some session must time out while it waits on a source"
+    );
+    assert_eq!(
+        (r.outcome.makespan, schedule_digest(outcomes)),
+        (Duration::from_nanos(122_729_408), 0x095c_22bc_c6b4_8639),
+        "deadline run"
+    );
+}
+
 /// Smoke: a fixed-seed mini-load. Small N, one pass, asserts the rollup
 /// adds up — fast enough for every gate.
 #[test]
