@@ -153,11 +153,12 @@ pub struct FederatedEngine {
     /// are stable across executions and lifted source results can be
     /// cached. Append-only — ids never change meaning once assigned.
     interner: SharedInterner,
-    /// The source-result cache every one-shot leaf reads on both schedules
-    /// and in `serve` (paired with `interner`). Source contents *can*
-    /// change underneath the engine — [`FederatedEngine::lake_mut`] — so
-    /// entries are stamped with [`DataLake::source_version`] and checked
-    /// on every lookup (see [`crate::wrapper::LiftCache`]).
+    /// The source-result cache every one-shot leaf and bind-join batch
+    /// reads on both schedules and in `serve` (paired with `interner`).
+    /// Source contents *can* change underneath the engine —
+    /// [`FederatedEngine::lake_mut`] — so entries are stamped with
+    /// [`DataLake::source_version`] and checked on every lookup (see
+    /// [`crate::wrapper::LiftCache`]).
     lifts: crate::wrapper::SharedLiftCache,
     /// Session flight recorder: a bounded ring of query-lifecycle events
     /// across every execution and serve run of this engine. Disabled (a
@@ -178,7 +179,8 @@ pub struct FederatedEngine {
 pub struct EngineCacheStats {
     /// The normalized plan cache.
     pub plan: CacheStats,
-    /// The source-result cache of lifted one-shot leaves.
+    /// The source-result cache of lifted one-shot leaves and bind-join
+    /// batches.
     pub lift: CacheStats,
     /// The `query_cached` memos of the lake's relational sources, summed.
     pub sql_memo: CacheStats,
@@ -430,7 +432,7 @@ impl FederatedEngine {
             "adhoc",
             planned.report.strategy.label(),
             self.config.deadline,
-            crate::obs::service_estimates(&planned.plan),
+            || crate::obs::service_estimates(&planned.plan),
         );
         qrec.submit(Duration::ZERO);
         qrec.admit(Duration::ZERO, Duration::ZERO);
@@ -660,24 +662,15 @@ impl FederatedEngine {
             }
             FedPlan::BindJoin { left, right, batch_size } => {
                 let l = self.build_operator(left, schema, links, sink, qrec, next_node)?;
-                let db = match self.lake.source(&right.source_id) {
-                    Some(crate::source::DataSource::Relational { db, .. }) => db,
-                    _ => {
-                        return Err(FedError::Internal(format!(
-                            "bind join target {} is not relational",
-                            right.source_id
-                        )))
-                    }
-                };
                 let route = route_for(&right.source_id, &right.route, links)?;
                 Box::new(crate::wrapper::BindJoinOp::new(
                     l,
-                    db,
-                    right.clone(),
+                    right,
+                    &self.lake,
                     route,
                     self.config.rows_per_message,
                     *batch_size,
-                ))
+                )?)
             }
             FedPlan::Filter { input, exprs } => {
                 let i = self.build_operator(input, schema, links, sink, qrec, next_node)?;

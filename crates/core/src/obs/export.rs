@@ -479,7 +479,7 @@ mod tests {
     fn serve_exports_render_clients_and_links() {
         use crate::obs::recorder::{CompletionKind, FlightRecorder};
         let rec = FlightRecorder::recording();
-        let q = rec.begin_query(3, "Q1[a]", "dp", None, Vec::new());
+        let q = rec.begin_query(3, "Q1[a]", "dp", None, Vec::new);
         q.submit(Duration::ZERO);
         q.admit(Duration::from_millis(2), Duration::from_millis(2));
         q.first_row(Duration::from_millis(5));

@@ -321,16 +321,17 @@ impl FlightRecorder {
     }
 
     /// Registers one query and returns its per-query handle. `services`
-    /// is the plan's service-leaf table in pre-order (see
-    /// [`service_estimates`]); pass an empty vec to skip per-source
-    /// actuals (the reference executor does).
+    /// builds the plan's service-leaf table in pre-order (see
+    /// [`service_estimates`]) and is only called when recording is on, so
+    /// a disabled recorder never pays for the table; `Vec::new` skips
+    /// per-source actuals (the reference executor does).
     pub fn begin_query(
         &self,
         client: usize,
         label: &str,
         strategy: &'static str,
         deadline: Option<Duration>,
-        services: Vec<(String, f64)>,
+        services: impl FnOnce() -> Vec<(String, f64)>,
     ) -> QueryRecorder {
         let Some(sh) = &self.0 else { return QueryRecorder(None) };
         let template = label.split('[').next().unwrap_or(label).to_string();
@@ -350,7 +351,7 @@ impl FlightRecorder {
             rec: Arc::clone(sh),
             job,
             services: Mutex::new(ServiceState {
-                slots: services
+                slots: services()
                     .into_iter()
                     .map(|(source, estimated)| ServiceSlot { source, estimated, rows: 0 })
                     .collect(),
@@ -643,7 +644,10 @@ mod tests {
         assert!(!rec.is_enabled());
         assert!(rec.net_observer().is_none());
         assert!(rec.snapshot().is_none());
-        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, vec![]);
+        // The disabled path pays nothing: the service table is never built.
+        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, || {
+            unreachable!("a disabled recorder must not build the service table")
+        });
         assert!(!q.is_enabled());
         assert_eq!(q.job(), None);
         q.submit(Duration::ZERO);
@@ -654,7 +658,7 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
         let rec = FlightRecorder::bounded(4);
-        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, vec![]);
+        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, Vec::new);
         for i in 0..10 {
             q.retry(Duration::from_nanos(i), "chebi", 0);
         }
@@ -675,7 +679,7 @@ mod tests {
             "Q2[cat-7]",
             "dp",
             Some(Duration::from_millis(5)),
-            vec![("chebi".into(), 10.0)],
+            || vec![("chebi".into(), 10.0)],
         );
         q.submit(Duration::from_nanos(1));
         q.admit(Duration::from_nanos(2), Duration::from_nanos(1));

@@ -369,7 +369,7 @@ mod tests {
     fn seed_recording() -> FlightRecording {
         let rec = FlightRecorder::recording();
         // Job 0: fast and well-estimated — never logged.
-        let q0 = rec.begin_query(0, "Q1[a]", "heuristic", None, vec![("chebi".into(), 10.0)]);
+        let q0 = rec.begin_query(0, "Q1[a]", "heuristic", None, || vec![("chebi".into(), 10.0)]);
         q0.submit(Duration::ZERO);
         q0.admit(Duration::ZERO, Duration::ZERO);
         q0.debug_service_rows(0, 9);
@@ -386,7 +386,7 @@ mod tests {
             "Q3[cat-12]",
             "dp",
             Some(Duration::from_millis(500)),
-            vec![("chebi".into(), 1000.0)],
+            || vec![("chebi".into(), 1000.0)],
         );
         q1.submit(Duration::from_millis(10));
         q1.admit(Duration::from_millis(14), Duration::from_millis(4));

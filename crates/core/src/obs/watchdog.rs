@@ -415,7 +415,7 @@ mod tests {
             "stars[7]",
             "dp",
             None,
-            vec![("chebi".into(), 1000.0), ("drugbank".into(), 10.0)],
+            || vec![("chebi".into(), 1000.0), ("drugbank".into(), 10.0)],
         );
         q.submit(Duration::ZERO);
         q.admit(Duration::from_millis(5), Duration::from_millis(5));
@@ -465,7 +465,7 @@ mod tests {
         // One fault on drugbank → below threshold, no anomaly.
         obs.on_transfer("drugbank", 5, Duration::ZERO, Duration::from_millis(10), Some(fedlake_netsim::LinkFault::Dropped));
         // A failover on kegg flags it even with zero recorded faults.
-        let q = rec.begin_query(1, "fo", "heuristic", None, Vec::new());
+        let q = rec.begin_query(1, "fo", "heuristic", None, Vec::new);
         q.failover(Duration::from_millis(40), "kegg", "kegg#r0", "kegg#r1");
         let report = watch(&rec.snapshot().unwrap(), &cfg());
 
@@ -489,7 +489,7 @@ mod tests {
     fn admission_pressure_needs_repeated_breaches() {
         let rec = FlightRecorder::recording();
         for (i, wait_ms) in [(0usize, 20u64), (1, 30), (2, 2)].into_iter() {
-            let q = rec.begin_query(i, "w", "heuristic", None, Vec::new());
+            let q = rec.begin_query(i, "w", "heuristic", None, Vec::new);
             q.submit(Duration::ZERO);
             q.admit(Duration::from_millis(wait_ms), Duration::from_millis(wait_ms));
         }
@@ -511,11 +511,11 @@ mod tests {
     #[test]
     fn watch_is_deterministic_and_windows_split_by_time() {
         let rec = FlightRecorder::recording();
-        let q = rec.begin_query(0, "a", "heuristic", None, Vec::new());
+        let q = rec.begin_query(0, "a", "heuristic", None, Vec::new);
         q.submit(Duration::ZERO);
         q.admit(Duration::ZERO, Duration::ZERO);
         q.complete(Duration::from_millis(40), CompletionKind::Ok, Duration::from_millis(40), 1.0, 1);
-        let q2 = rec.begin_query(1, "a", "heuristic", None, Vec::new());
+        let q2 = rec.begin_query(1, "a", "heuristic", None, Vec::new);
         q2.submit(Duration::from_millis(150));
         q2.admit(Duration::from_millis(150), Duration::ZERO);
         q2.complete(

@@ -67,7 +67,7 @@ pub struct ExecCtx {
     /// and failover lifecycle events through it (disabled — a single
     /// branch per hook — unless [`crate::PlanConfig::recorder`] is set).
     pub recorder: crate::obs::QueryRecorder,
-    /// The source-result cache one-shot leaves read (see
+    /// The source-result cache leaves and bind-join batches read (see
     /// [`crate::wrapper::LiftCache`]), shared across the engine's
     /// executions. Must always be paired with the interner the cached ids
     /// were interned into — the engine passes both from the same session;

@@ -765,24 +765,15 @@ fn build_ref_operator<'a>(
         }
         FedPlan::BindJoin { left, right, batch_size } => {
             let l = build_ref_operator(lake, config, left, links, sink, next_node)?;
-            let db = match lake.source(&right.source_id) {
-                Some(crate::source::DataSource::Relational { db, .. }) => db,
-                _ => {
-                    return Err(FedError::Internal(format!(
-                        "bind join target {} is not relational",
-                        right.source_id
-                    )))
-                }
-            };
             let route = route_for(&right.source_id, &right.route, links)?;
             let bind = crate::wrapper::BindJoinOp::new(
                 Box::new(EncodeOp::new(l)),
-                db,
-                right.clone(),
+                right,
+                lake,
                 route,
                 config.rows_per_message,
                 *batch_size,
-            );
+            )?;
             Box::new(DecodeOp::new(Box::new(bind)))
         }
         FedPlan::Filter { input, exprs } => {
@@ -837,7 +828,7 @@ impl FederatedEngine {
             "reference",
             planned.report.strategy.label(),
             config.deadline,
-            Vec::new(),
+            Vec::new,
         );
         qrec.submit(std::time::Duration::ZERO);
         qrec.admit(std::time::Duration::ZERO, std::time::Duration::ZERO);

@@ -178,6 +178,23 @@ struct Session<'a> {
     degraded: bool,
     /// The per-query failure, when the session failed hard.
     error: Option<FedError>,
+    /// The event of the `Pending` the session last returned. Until it is
+    /// due (or the deadline passes) another poll could only return it
+    /// again, so the sweep does not make one.
+    waiting_on: Option<fedlake_netsim::EventTime>,
+}
+
+impl Session<'_> {
+    /// The event this session is still waiting on at `now`, if a poll
+    /// would be a no-op: the whole operator tree is pending on it — a
+    /// poll of a pending [`crate::operators::SymHashJoin`], `LeftHashJoin`,
+    /// `UnionOp`, `BindJoinOp`, leaf stream or delivery changes nothing and
+    /// returns the same earliest event until that event is due — and no
+    /// deadline has passed that the poll would have to notice.
+    fn still_waiting(&self, now: Duration) -> Option<fedlake_netsim::EventTime> {
+        self.waiting_on
+            .filter(|ev| ev.time > now && self.deadline.is_none_or(|d| now < d))
+    }
 }
 
 /// What one poll sweep did to a session.
@@ -243,6 +260,7 @@ impl FederatedEngine {
         let mut metrics = MetricsRegistry::new();
         let mut outcomes: Vec<Option<QueryOutcome>> = (0..jobs.len()).map(|_| None).collect();
         let mut next_job = 0usize; // FIFO admission cursor
+        let mut polls = 0u64; // `sweep_session` calls: the loop's work count
         let mut active: Vec<Session<'_>> = Vec::new();
         let bound = if serve_cfg.max_in_flight == 0 {
             usize::MAX
@@ -273,7 +291,7 @@ impl FederatedEngine {
                     &job.label,
                     job.planned.report.strategy.label(),
                     deadline_rel,
-                    service_estimates(&job.planned.plan),
+                    || service_estimates(&job.planned.plan),
                 );
                 qrec.submit(arrivals[next_job]);
                 qrec.admit(clock.now(), clock.now().saturating_sub(arrivals[next_job]));
@@ -329,6 +347,7 @@ impl FederatedEngine {
                     // answer partial.
                     degraded: !job.planned.skipped_sources.is_empty(),
                     error: None,
+                    waiting_on: None,
                 });
                 metrics.counter_add("serve.admitted", 1);
                 // Planner rollups: what the admitted plans' planner did.
@@ -360,20 +379,30 @@ impl FederatedEngine {
                 continue;
             }
 
-            // One sweep: poll every active session in admission order,
-            // draining ready rows. Any answer may have advanced the shared
-            // clock (engine work), so sweeps repeat until every session is
+            // One sweep: in admission order, poll every active session
+            // whose event is due, draining ready rows; a session still
+            // waiting on the event it last reported only contributes that
+            // event's time. Any answer may have advanced the shared clock
+            // (engine work), so sweeps repeat until every session is
             // pending before time jumps forward.
             let mut progressed = false;
             let mut min_pending: Option<Duration> = None;
             let mut i = 0;
             while i < active.len() {
-                match Self::sweep_session(&mut active[i], config, &clock)? {
+                let step = match active[i].still_waiting(clock.now()) {
+                    Some(ev) => SweepStep::Pending(ev),
+                    None => {
+                        polls += 1;
+                        Self::sweep_session(&mut active[i], config, &clock)?
+                    }
+                };
+                match step {
                     SweepStep::Progress => {
                         progressed = true;
                         i += 1;
                     }
                     SweepStep::Pending(ev) => {
+                        active[i].waiting_on = Some(ev);
                         min_pending = Some(match min_pending {
                             Some(t) if t <= ev.time => t,
                             _ => ev.time,
@@ -426,6 +455,7 @@ impl FederatedEngine {
         metrics.counter_add("serve.link.rows_transferred", rows_transferred);
         metrics.counter_add("serve.link.delay_ns", network_delay.as_nanos() as u64);
         metrics.gauge_set("serve.makespan_ns", makespan.as_nanos() as u64);
+        metrics.counter_add("serve.polls", polls);
         // Feed the shared links into the session health registry exactly
         // once: link stats are cumulative over the whole run, so a
         // per-session record would double-count every earlier session.

@@ -14,7 +14,7 @@
 //! downstream of a wrapper handles `u32` ids only.
 
 use crate::error::FedError;
-use crate::fedplan::{NaiveJoin, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
+use crate::fedplan::{BindTarget, NaiveJoin, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
 use crate::lake::{logical_source_id, DataLake};
 use crate::obs::SpanKind;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
@@ -163,6 +163,7 @@ pub fn open_service<'a>(
         }
     };
     Ok(Box::new(LeafStream {
+        signature: request.signature(route.logical()).into(),
         request,
         version,
         route,
@@ -451,11 +452,11 @@ fn lift_value(
 }
 
 /// Lifts a SQL result set directly into slot rows, interning each lifted
-/// term — the row-major lift of *dependent* requests (bind-join key
-/// batches, the naive N+1 wrapper), whose results are consumed row by row
-/// and never shared; one-shot leaves lift column-major into the
-/// [`LiftCache`]. The slot of each output column is resolved once, not
-/// per row.
+/// term — the row-major lift of the naive N+1 wrapper ([`NaiveStream`])
+/// only, whose per-binding results are merged row by row and never shared.
+/// Every other source request — one-shot leaves and bind-join batches —
+/// lifts column-major into the [`LiftCache`]. The slot of each output
+/// column is resolved once, not per row.
 pub fn lift_result(
     rs: &ResultSet,
     outputs: &[OutputBinding],
@@ -503,13 +504,13 @@ fn lift_result_cols(
     LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
 }
 
-/// One source's answer to a one-shot request, materialized and lifted:
-/// column-major `TermId` buffers, one per schema slot, plus the
-/// source-side cost counters the simulation charges per execution (`None`
-/// for a SPARQL source, whose charge follows from the star's shape and the
-/// row count). The ids stay valid for as long as the interner they were
-/// interned into — the engine's is append-only and shared with every
-/// execution.
+/// One source's answer to one request — a one-shot leaf or one bind-join
+/// batch — materialized and lifted: column-major `TermId` buffers, one per
+/// schema slot, plus the source-side cost counters the simulation charges
+/// per execution (`None` for a SPARQL source, whose charge follows from the
+/// star's shape and the row count). The ids stay valid for as long as the
+/// interner they were interned into — the engine's is append-only and
+/// shared with every execution.
 #[derive(Debug)]
 pub struct LiftedSource {
     cols: Vec<Vec<TermId>>,
@@ -517,21 +518,47 @@ pub struct LiftedSource {
     sql_cost: Option<fedlake_relational_cost::CostStats>,
 }
 
-/// *The* source-result cache: every one-shot leaf, on both schedules and in
-/// `serve`, reads its lifted result from here. Keyed by the schema's
-/// slot-layout fingerprint plus the leaf's request signature (source id,
-/// request text, output bindings) and held to the contract of
+impl LiftedSource {
+    /// `left` merged with row `r`, as [`SlotRow::merge`] would merge the
+    /// two: `None` when a slot is bound to different ids on both sides.
+    fn merge_row(&self, left: &SlotRow, r: usize) -> Option<SlotRow> {
+        let mut out = left.clone();
+        for (slot, col) in self.cols.iter().enumerate() {
+            match (out.get(slot), col[r]) {
+                (_, TermId::UNBOUND) => {}
+                (None, id) => out.set(slot, id),
+                (Some(bound), id) if bound == id => {}
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+}
+
+/// *The* source-result cache: every source request but the N+1 wrapper's —
+/// one-shot leaves and bind-join batches alike, on both schedules and in
+/// `serve` — reads its lifted result from here, through [`lifted`]. Keyed
+/// by [`LiftKey`] and held to the contract of
 /// [`fedlake_relational::cache`]: an entry is stamped with the
 /// [`DataLake::source_version`] it was computed from, `source_mut(id)`
 /// bumps that version, and a lookup under another version is a counted
-/// stale miss that drops the entry. A hit skips the source's evaluation and
-/// the lift but re-charges the stored cost counters, so the *simulated*
-/// execution is the one a miss would have produced — only host time
-/// changes. Must be paired with the interner its ids were interned into.
+/// stale miss that drops the entry. A hit skips the request's rendering,
+/// the source's evaluation and the lift but re-charges the stored cost
+/// counters, so the *simulated* execution is the one a miss would have
+/// produced — only host time changes. Must be paired with the interner its
+/// ids were interned into.
 #[derive(Debug, Default)]
 pub struct LiftCache(std::sync::Mutex<LiftEntries>);
 
-type LiftEntries = VersionedCache<(u64, String), Arc<LiftedSource>, BuildFastHasher>;
+/// What a lifted result is cached under: the schema's slot-layout
+/// fingerprint, the request's signature (source id, request text, output
+/// bindings — see [`LeafRequest::signature`]) and, for a bind-join batch,
+/// the join terms it asks about (empty for a one-shot leaf). The terms are
+/// ids of the engine's append-only interner, so equal ids render equal SQL
+/// and — at an equal source version — fetch an equal result.
+type LiftKey = (u64, Arc<str>, Box<[TermId]>);
+
+type LiftEntries = VersionedCache<LiftKey, Arc<LiftedSource>, BuildFastHasher>;
 
 impl LiftCache {
     fn lock(&self) -> std::sync::MutexGuard<'_, LiftEntries> {
@@ -566,8 +593,8 @@ pub(crate) fn schema_fingerprint(schema: &RowSchema) -> u64 {
 }
 
 /// Materialized payload of a [`Delivery`]: the shared lifted columns of a
-/// one-shot leaf (with this stream's cursor), or owned rows for dependent
-/// requests, whose results are never shared.
+/// one-shot leaf (with this stream's cursor), or the N+1 wrapper's owned
+/// rows, which are never shared.
 enum Materialized {
     Rows(VecDeque<SlotRow>),
     Cols { data: Arc<LiftedSource>, cursor: usize },
@@ -709,7 +736,8 @@ impl Delivery {
     }
 }
 
-/// What a one-shot leaf asks of its source.
+/// What a leaf asks of its source: a one-shot request, or one batch of a
+/// bind join.
 enum LeafRequest<'a> {
     Sql { db: &'a Database, sql: String, outputs: Vec<OutputBinding> },
     Sparql {
@@ -717,6 +745,9 @@ enum LeafRequest<'a> {
         star: crate::decompose::StarSubquery,
         filters: Vec<fedlake_sparql::expr::Expr>,
     },
+    /// `target`'s star restricted to the keys of the join terms `ids`, each
+    /// of which a key can be extracted from (see [`bind_batch_query`]).
+    Batch { db: &'a Database, target: &'a BindTarget, ids: &'a [TermId] },
 }
 
 impl LeafRequest<'_> {
@@ -724,17 +755,35 @@ impl LeafRequest<'_> {
     /// pins the selected columns and the output var names pin their
     /// SPARQL-side binding order. SPARQL: the triple patterns written
     /// positionally (vars by name, ground terms by display form) plus any
-    /// source-side filters. The slot layout is keyed separately.
+    /// source-side filters. A batch: everything of its statement but the
+    /// `IN` list — the unrestricted star's SQL, the restricted column and
+    /// the key template — so a bind join builds it once, not per batch. The
+    /// slot layout and a batch's join terms are keyed separately.
     fn signature(&self, logical: &str) -> String {
+        fn sql_signature(
+            kind: &str,
+            logical: &str,
+            sql: &str,
+            outputs: &[OutputBinding],
+        ) -> String {
+            let mut sig = String::with_capacity(sql.len() + logical.len() + 32);
+            for part in [kind, logical, ":", sql] {
+                sig.push_str(part);
+            }
+            for ob in outputs {
+                sig.push(':');
+                sig.push_str(ob.var.name());
+            }
+            sig
+        }
         match self {
-            LeafRequest::Sql { sql, outputs, .. } => {
-                let mut sig = String::with_capacity(sql.len() + logical.len() + 32);
-                for part in ["sql:", logical, ":", sql] {
-                    sig.push_str(part);
-                }
-                for ob in outputs {
-                    sig.push(':');
-                    sig.push_str(ob.var.name());
+            LeafRequest::Sql { sql, outputs, .. } => sql_signature("sql:", logical, sql, outputs),
+            LeafRequest::Batch { target, .. } => {
+                let star = sql_single(&target.part);
+                let mut sig = sql_signature("bind:", logical, &star.sql, &star.outputs);
+                let _ = write!(sig, ":{}.{} IN ", target.part.alias, target.column);
+                if let Some(tmpl) = &target.extract {
+                    let _ = write!(sig, "{tmpl}");
                 }
                 sig
             }
@@ -768,6 +817,15 @@ impl LeafRequest<'_> {
                 let rs = db.query_cached(sql)?;
                 Ok(lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock()))
             }
+            LeafRequest::Batch { db, target, ids } => {
+                let q = {
+                    let dict = ctx.interner.lock();
+                    bind_batch_query(target, ids.iter().filter_map(|id| dict.term(*id)))
+                }
+                .ok_or_else(|| FedError::Internal("bind batch without a key".into()))?;
+                let rs = db.query_cached(&q.sql)?;
+                Ok(lift_result_cols(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock()))
+            }
             LeafRequest::Sparql { graph, star, filters } => {
                 let filters: Vec<_> = filters.iter().map(|f| f.bind(None)).collect();
                 let rows: Vec<Row> = eval_bgp(&star.triples, graph, vec![Row::new()])
@@ -791,7 +849,7 @@ impl LeafRequest<'_> {
     /// every execution, hit or miss, from what the entry stores.
     fn work(&self, lifted: &LiftedSource, cost: &fedlake_netsim::CostModel) -> Duration {
         match self {
-            LeafRequest::Sql { .. } => {
+            LeafRequest::Sql { .. } | LeafRequest::Batch { .. } => {
                 cost.rdb_time(lifted.sql_cost.as_ref().expect("sql lift carries cost"))
             }
             LeafRequest::Sparql { star, .. } => {
@@ -801,9 +859,35 @@ impl LeafRequest<'_> {
     }
 }
 
+/// *The* lookup-or-fill of the [`LiftCache`]: `request`'s lifted answer as
+/// of the source's data `version`, from the cache when it holds one under
+/// `signature` (and, for a batch, its join terms), evaluated at the source
+/// and cached otherwise. Every leaf stream and every bind-join batch, on
+/// both schedules, gets its rows here.
+fn lifted(
+    request: &LeafRequest,
+    signature: &Arc<str>,
+    version: u64,
+    ctx: &ExecCtx,
+) -> Result<Arc<LiftedSource>, FedError> {
+    let ids: Box<[TermId]> = match request {
+        LeafRequest::Batch { ids, .. } => (*ids).into(),
+        _ => Box::default(),
+    };
+    let key = (schema_fingerprint(&ctx.schema), Arc::clone(signature), ids);
+    if let Some(hit) = ctx.lifts.lock().lookup(&key, version) {
+        return Ok(hit);
+    }
+    let fresh = Arc::new(request.evaluate(ctx)?);
+    ctx.lifts.lock().insert(key, version, Arc::clone(&fresh));
+    Ok(fresh)
+}
+
 /// Streams a one-shot request's answers: one SQL query or one SPARQL star.
 struct LeafStream<'a> {
     request: LeafRequest<'a>,
+    /// [`LeafRequest::signature`] at the route's logical source.
+    signature: Arc<str>,
     /// The source's data version when the stream was opened: what a cached
     /// result must have been computed from to be served.
     version: u64,
@@ -817,17 +901,6 @@ struct LeafStream<'a> {
 }
 
 impl LeafStream<'_> {
-    /// The one lookup-or-fill path of every one-shot leaf.
-    fn lifted(&self, ctx: &ExecCtx) -> Result<Arc<LiftedSource>, FedError> {
-        let key = (schema_fingerprint(&ctx.schema), self.request.signature(&self.route.logical));
-        if let Some(hit) = ctx.lifts.lock().lookup(&key, self.version) {
-            return Ok(hit);
-        }
-        let fresh = Arc::new(self.request.evaluate(ctx)?);
-        ctx.lifts.lock().insert(key, self.version, Arc::clone(&fresh));
-        Ok(fresh)
-    }
-
     /// First-call initialization on either schedule: ship the request (one
     /// message, retried on faults), let the source compute — its work is
     /// priced by the cost model — and set up the delivery. Serialized, both
@@ -853,7 +926,7 @@ impl LeafStream<'_> {
             transfer_with_retry(&self.route, 0, ctx)?;
             None
         };
-        let lifted = self.lifted(ctx)?;
+        let lifted = lifted(&self.request, &self.signature, self.version, ctx)?;
         let work = self.request.work(&lifted, &ctx.cost);
         let (from, to) = match requested {
             Some(at) => (at, self.route.active_link().schedule_busy(work, at)),
@@ -869,8 +942,8 @@ impl LeafStream<'_> {
                 SpanKind::Compute,
                 self.route.active_endpoint(),
                 match self.request {
-                    LeafRequest::Sql { .. } => "sql evaluation",
                     LeafRequest::Sparql { .. } => "sparql evaluation",
+                    _ => "sql evaluation",
                 },
                 from,
                 to,
@@ -1316,11 +1389,20 @@ pub fn bind_batch_query<'t>(
 /// The engine-level dependent (bind) join: batches of left bindings are
 /// shipped to a relational source as SQL `IN` lists — ANAPSID's adjoin
 /// lineage, and the classical alternative to fetching the right star in
-/// full when the left side is selective.
+/// full when the left side is selective. Each batch is a leaf request of
+/// its own ([`LeafRequest::Batch`]): its answer comes through [`lifted`],
+/// so a batch the engine already answered at the target's current data
+/// version renders no SQL and runs no query.
 pub struct BindJoinOp<'a> {
-    left: crate::operators::BoxedOp<'a>,
+    left: BoxedOp<'a>,
     db: &'a Database,
-    target: crate::fedplan::BindTarget,
+    target: BindTarget,
+    /// The target's statement signature: the part of the cache key every
+    /// batch of this operator shares.
+    signature: Arc<str>,
+    /// The target's data version when the operator was built: what a
+    /// cached batch must have been computed from to be served.
+    version: u64,
     route: SourceRoute,
     rows_per_message: usize,
     batch_size: usize,
@@ -1335,85 +1417,134 @@ pub struct BindJoinOp<'a> {
 /// chain; probing happens when the chain completes.
 enum BindStage {
     Gather { batch: Vec<SlotRow> },
-    Flying { ev: EventTime, batch: Vec<SlotRow>, rows: Vec<SlotRow>, err: Option<FedError> },
+    /// `lifted` is the batch's answer, unless the chain ends in `err`.
+    Flying {
+        ev: EventTime,
+        batch: Vec<SlotRow>,
+        lifted: Option<Arc<LiftedSource>>,
+        err: Option<FedError>,
+    },
 }
 
 impl<'a> BindJoinOp<'a> {
-    /// Creates the operator; the engine resolves `db` and the route from
-    /// the target's source id and routing decision.
+    /// Creates the operator over `target`'s source in `lake`; the engine
+    /// resolves the route from the target's routing decision.
     pub fn new(
-        left: crate::operators::BoxedOp<'a>,
-        db: &'a Database,
-        target: crate::fedplan::BindTarget,
+        left: BoxedOp<'a>,
+        target: &BindTarget,
+        lake: &'a DataLake,
         route: SourceRoute,
         rows_per_message: usize,
         batch_size: usize,
-    ) -> Self {
-        BindJoinOp {
+    ) -> Result<Self, FedError> {
+        let id = &target.source_id;
+        let (db, version) = match lake.source(id).zip(lake.source_version(id)) {
+            Some((DataSource::Relational { db, .. }, version)) => (db, version),
+            _ => {
+                return Err(FedError::Internal(format!(
+                    "bind join target {id} is not relational"
+                )))
+            }
+        };
+        let signature =
+            LeafRequest::Batch { db, target, ids: &[] }.signature(route.logical()).into();
+        Ok(BindJoinOp {
             left,
             db,
-            target,
+            target: target.clone(),
+            signature,
+            version,
             route,
             rows_per_message,
             batch_size: batch_size.max(1),
             left_done: false,
             out: VecDeque::new(),
             stage: BindStage::Gather { batch: Vec::new() },
-        }
+        })
     }
 
-    /// The batch's parameterized SQL, or `None` when no row binds an
-    /// extractable key (no traffic then — the batch can never match). The
-    /// join keys are read in place under one interner lock.
-    fn batch_query(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Option<crate::translate::TranslatedQuery> {
-        let jslot = ctx.schema.slot(&self.target.join_var)?;
+    /// The join terms the batch asks the target about: the distinct ids its
+    /// rows bind the join variable to, in first-seen order, less those no
+    /// key can be extracted from (an IRI the target's template did not
+    /// mint, a literal where it expects an IRI). Empty means no traffic —
+    /// the batch can never match. Read in place under one interner lock.
+    fn batch_ids(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Vec<TermId> {
+        let Some(jslot) = ctx.schema.slot(&self.target.join_var) else {
+            return Vec::new();
+        };
         let dict = ctx.interner.lock();
-        bind_batch_query(
-            &self.target,
-            batch.iter().filter_map(|row| dict.term(row.get(jslot)?)),
-        )
-    }
-
-    /// Probes the batch against the fetched right rows, charging the
-    /// engine-side join work; merged rows land in the output queue. Same
-    /// interner on both sides makes id equality term equality.
-    fn probe_batch(&mut self, batch: &[SlotRow], rows: Vec<SlotRow>, ctx: &mut ExecCtx) {
-        let jslot = ctx.schema.slot(&self.target.join_var);
-        let mut by_key: std::collections::HashMap<TermId, Vec<SlotRow>> =
-            std::collections::HashMap::new();
-        for r in rows {
-            if let Some(id) = jslot.and_then(|s| r.get(s)) {
-                by_key.entry(id).or_default().push(r);
+        let mut ids = Vec::with_capacity(batch.len());
+        for id in batch.iter().filter_map(|row| row.get(jslot)) {
+            if ids.contains(&id) {
+                continue;
+            }
+            let askable = match (&self.target.extract, dict.term(id)) {
+                (_, None) => false,
+                (None, Some(_)) => true,
+                (Some(tmpl), Some(term)) => term.as_iri().is_some_and(|iri| tmpl.matches(iri)),
+            };
+            if askable {
+                ids.push(id);
             }
         }
+        ids
+    }
+
+    /// The batch's lifted answer, through the one lookup-or-fill path, and
+    /// the simulated source-side time of producing it — charged hit or
+    /// miss, as a one-shot leaf's is.
+    fn fetch(
+        &self,
+        ids: &[TermId],
+        ctx: &ExecCtx,
+    ) -> Result<(Arc<LiftedSource>, Duration), FedError> {
+        let request = LeafRequest::Batch { db: self.db, target: &self.target, ids };
+        let right = lifted(&request, &self.signature, self.version, ctx)?;
+        let work = request.work(&right, &ctx.cost);
+        Ok((right, work))
+    }
+
+    /// Probes the batch against the fetched right rows — read in place
+    /// from the shared columns — charging the engine-side join work;
+    /// merged rows land in the output queue. Same interner on both sides
+    /// makes id equality term equality.
+    fn probe_batch(&mut self, batch: &[SlotRow], right: &LiftedSource, ctx: &mut ExecCtx) {
+        let jslot = ctx.schema.slot(&self.target.join_var);
+        // The right rows by join id, in row order within an id.
+        let mut by_key: Vec<(TermId, usize)> = jslot
+            .map(|s| {
+                let ids = right.cols[s].iter().copied().zip(0..);
+                ids.filter(|(id, _)| *id != TermId::UNBOUND).collect()
+            })
+            .unwrap_or_default();
+        by_key.sort_unstable();
         for lrow in batch {
             ctx.stats.engine_join_probes += 1;
             ctx.clock.advance(ctx.cost.engine_join_time(1));
             let Some(id) = jslot.and_then(|s| lrow.get(s)) else { continue };
-            if let Some(matches) = by_key.get(&id) {
-                for m in matches {
-                    if let Some(merged) = lrow.merge(m) {
-                        ctx.clock.advance(ctx.cost.engine_row_time(1));
-                        self.out.push_back(merged);
-                    }
+            let first = by_key.partition_point(|(k, _)| *k < id);
+            for (_, r) in by_key[first..].iter().take_while(|(k, _)| *k == id) {
+                if let Some(merged) = right.merge_row(lrow, *r) {
+                    ctx.clock.advance(ctx.cost.engine_row_time(1));
+                    self.out.push_back(merged);
                 }
             }
         }
     }
 
     fn ship_batch(&mut self, batch: Vec<SlotRow>, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        let Some(q) = self.batch_query(&batch, ctx) else {
+        let ids = self.batch_ids(&batch, ctx);
+        if ids.is_empty() {
             return Ok(());
-        };
+        }
         ctx.stats.sql_queries += 1;
         let t0 = ctx.trace.is_enabled().then(|| ctx.clock.now());
         // The parameterized request.
         transfer_with_retry(&self.route, 0, ctx)?;
-        let rs = self.db.query_cached(&q.sql)?;
-        ctx.clock.advance(ctx.cost.rdb_time(&convert_cost(&rs.cost)));
-        let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
-        ctx.stats.service_rows += rows.len() as u64;
-        transfer_rows_with_retry(&self.route, rows.len(), self.rows_per_message, ctx)?;
+        let (right, work) = self.fetch(&ids, ctx)?;
+        ctx.clock.advance(work);
+        ctx.stats.service_rows += right.rows as u64;
+        transfer_rows_with_retry(&self.route, right.rows, self.rows_per_message, ctx)?;
         if let Some(t0) = t0 {
             ctx.trace.source_span(
                 SpanKind::BindBatch,
@@ -1421,68 +1552,56 @@ impl<'a> BindJoinOp<'a> {
                 &format!("bind batch ({} left rows)", batch.len()),
                 t0,
                 ctx.clock.now(),
-                rows.len() as u64,
+                right.rows as u64,
             );
         }
-        self.probe_batch(&batch, rows, ctx);
+        self.probe_batch(&batch, &right, ctx);
         Ok(())
     }
 
     /// Schedules a batch's request + evaluation + result transfer as one
     /// chain on the link timeline; the probe happens at completion.
     fn launch_batch(&mut self, batch: Vec<SlotRow>, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        let Some(q) = self.batch_query(&batch, ctx) else {
+        let ids = self.batch_ids(&batch, ctx);
+        if ids.is_empty() {
             self.stage = BindStage::Gather { batch: Vec::new() };
             return Ok(());
-        };
+        }
         ctx.stats.sql_queries += 1;
         let t0 = ctx.clock.now();
-        self.stage = match schedule_transfer_with_retry(&self.route, 0, t0, ctx) {
+        let chain = match schedule_transfer_with_retry(&self.route, 0, t0, ctx) {
             Ok(t_req) => {
-                let rs = self.db.query_cached(&q.sql)?;
-                let t_q = self
-                    .route
-                    .active_link()
-                    .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), t_req);
-                let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
-                ctx.stats.service_rows += rows.len() as u64;
-                match schedule_rows_with_retry(
-                    &self.route,
-                    rows.len(),
-                    self.rows_per_message,
-                    t_q,
-                    ctx,
-                ) {
-                    Ok(done) => {
-                        if ctx.trace.is_enabled() {
-                            ctx.trace.source_span(
-                                SpanKind::BindBatch,
-                                self.route.active_endpoint(),
-                                &format!("bind batch ({} left rows)", batch.len()),
-                                t0,
-                                done,
-                                rows.len() as u64,
-                            );
-                        }
-                        BindStage::Flying {
-                            ev: ctx.sched.schedule(done),
-                            batch,
-                            rows,
-                            err: None,
-                        }
-                    }
-                    Err((t, e)) => BindStage::Flying {
-                        ev: ctx.sched.schedule(t),
-                        batch,
-                        rows: Vec::new(),
-                        err: Some(e),
-                    },
+                let (right, work) = self.fetch(&ids, ctx)?;
+                let t_q = self.route.active_link().schedule_busy(work, t_req);
+                ctx.stats.service_rows += right.rows as u64;
+                schedule_rows_with_retry(&self.route, right.rows, self.rows_per_message, t_q, ctx)
+                    .map(|done| (done, right))
+            }
+            Err(failed) => Err(failed),
+        };
+        self.stage = match chain {
+            Ok((done, right)) => {
+                if ctx.trace.is_enabled() {
+                    ctx.trace.source_span(
+                        SpanKind::BindBatch,
+                        self.route.active_endpoint(),
+                        &format!("bind batch ({} left rows)", batch.len()),
+                        t0,
+                        done,
+                        right.rows as u64,
+                    );
+                }
+                BindStage::Flying {
+                    ev: ctx.sched.schedule(done),
+                    batch,
+                    lifted: Some(right),
+                    err: None,
                 }
             }
             Err((t, e)) => BindStage::Flying {
                 ev: ctx.sched.schedule(t),
                 batch,
-                rows: Vec::new(),
+                lifted: None,
                 err: Some(e),
             },
         };
@@ -1522,20 +1641,22 @@ impl FedOp for BindJoinOp<'_> {
                 return Ok(Poll::Ready(row));
             }
             match &mut self.stage {
-                BindStage::Flying { ev, batch, rows, err } => {
+                BindStage::Flying { ev, batch, lifted, err } => {
                     if ev.time > ctx.clock.now() {
                         return Ok(Poll::Pending(*ev));
                     }
                     let ev = *ev;
                     let batch = std::mem::take(batch);
-                    let rows = std::mem::take(rows);
+                    let lifted = lifted.take();
                     let err = err.take();
                     ctx.sched.complete(ev);
                     self.stage = BindStage::Gather { batch: Vec::new() };
                     if let Some(e) = err {
                         return Err(e);
                     }
-                    self.probe_batch(&batch, rows, ctx);
+                    if let Some(right) = lifted {
+                        self.probe_batch(&batch, &right, ctx);
+                    }
                 }
                 BindStage::Gather { batch } => {
                     // Fill the batch from the left without shipping a
@@ -1659,6 +1780,7 @@ mod tests {
     use super::*;
     use crate::decompose::decompose;
     use crate::fedplan::ServiceNode;
+    use crate::operators::EngineStats;
     use crate::translate::{star_part, TranslatedQuery};
     use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
     use fedlake_netsim::clock::shared_virtual;
@@ -1998,6 +2120,159 @@ mod tests {
         let decoded = decode(&c, &rows);
         assert!(decoded[0].is_bound(&Var::new("n")));
         assert!(decoded[0].is_bound(&Var::new("l")));
+    }
+
+    /// The bind-join target of the test lake: the `disease` star, keyed by
+    /// the disease IRIs `?d` binds.
+    fn disease_target(lake: &DataLake) -> BindTarget {
+        let (tm, schema) = match lake.source("d").unwrap() {
+            DataSource::Relational { db, mapping, .. } => (
+                mapping.for_table("disease").unwrap().clone(),
+                db.table("disease").unwrap().schema.clone(),
+            ),
+            _ => unreachable!("lake() builds a relational source"),
+        };
+        let star = decompose(
+            &parse_query("SELECT * WHERE { ?d <http://v/name> ?n }").unwrap(),
+        )
+        .unwrap()
+        .stars
+        .remove(0);
+        BindTarget {
+            source_id: "d".into(),
+            route: None,
+            part: star_part(&star, &tm, &schema, &[], "s0").unwrap(),
+            join_var: Var::new("d"),
+            column: "id".into(),
+            extract: Some(IriTemplate::new("http://d/disease/{}")),
+            covers: "?d".into(),
+            estimated_rows: 2.0,
+        }
+    }
+
+    /// What one bind-join execution leaves behind: the decoded answers, the
+    /// engine counters, the simulated end time and the link's traffic.
+    type BindRun = (Vec<Row>, EngineStats, Duration, (u64, u64, Duration));
+
+    /// Runs a bind join of `left` (one row per term, bound to `?d`, two
+    /// rows per batch) against the disease target on a fresh clock and
+    /// link, with the interner and lift cache of `session`.
+    fn run_bind(
+        lake: &DataLake,
+        session: &(SharedInterner, SharedLiftCache),
+        vars: &[&str],
+        left: &[Option<Term>],
+        overlap: bool,
+    ) -> BindRun {
+        let clock = shared_virtual();
+        let link =
+            Arc::new(Link::new(NetworkProfile::GAMMA1, Arc::clone(&clock), CostModel::default(), 7));
+        let mut c = ctx(Arc::clone(&clock), vars).with_lifts(Arc::clone(&session.1));
+        c.interner = session.0.clone();
+        let rows = left
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut r = Row::new().with("g", Term::iri(format!("http://d/gene/g{i}")));
+                if let Some(d) = d {
+                    r.bind(Var::new("d"), d.clone());
+                }
+                encode_row(&r, &c.schema, &mut c.interner.lock())
+            })
+            .collect();
+        let mut op = BindJoinOp::new(
+            Box::new(crate::operators::RowsOp::new(rows)),
+            &disease_target(lake),
+            lake,
+            SourceRoute::single("d", Arc::clone(&link)),
+            1,
+            2,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        if overlap {
+            loop {
+                match op.poll_next(&mut c).unwrap() {
+                    Poll::Ready(row) => out.push(row),
+                    Poll::Pending(ev) => c.clock.advance_to(ev.time),
+                    Poll::Done => break,
+                }
+            }
+        } else {
+            out = drain(&mut op, &mut c).unwrap();
+        }
+        let traffic = link.stats();
+        (
+            decode(&c, &out),
+            c.stats,
+            c.clock.now(),
+            (traffic.messages, traffic.rows, traffic.delay),
+        )
+    }
+
+    fn disease(id: &str) -> Option<Term> {
+        Some(Term::iri(format!("http://d/disease/{id}")))
+    }
+
+    #[test]
+    fn a_batch_hit_replays_what_the_miss_produced() {
+        let lake = lake();
+        // Three batches of two left rows; the third repeats the first's
+        // key set, so it already hits within the first execution.
+        let left = [disease("d0"), disease("d1"), disease("d1"), None, disease("d0"), disease("d1")];
+        for overlap in [false, true] {
+            let session = (SharedInterner::new(), SharedLiftCache::default());
+            let miss = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            let after_miss = session.1.stats();
+            assert_eq!((after_miss.lookups, after_miss.misses, after_miss.hits), (3, 2, 1));
+            let hit = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            let after_hit = session.1.stats();
+            assert_eq!((after_hit.lookups, after_hit.misses, after_hit.hits), (6, 2, 4));
+            assert_eq!(miss, hit, "overlap={overlap}: a hit may only change host time");
+            let (rows, stats, _, (messages, shipped, _)) = miss;
+            assert_eq!(rows.len(), 5, "every left row binding ?d finds its disease");
+            assert!(rows.iter().all(|r| r.is_bound(&Var::new("n"))));
+            // One request per batch; 2 + 1 + 2 result rows, one per message.
+            assert_eq!((stats.sql_queries, stats.service_rows), (3, 5));
+            assert_eq!((messages, shipped), (3 + 5, 5));
+        }
+    }
+
+    #[test]
+    fn equal_key_ids_under_two_slot_layouts_do_not_share_an_entry() {
+        let lake = lake();
+        let session = (SharedInterner::new(), SharedLiftCache::default());
+        let left = [disease("d0"), disease("d1")];
+        let a = run_bind(&lake, &session, &["g", "d", "n"], &left, false);
+        // The same terms — the same ids — with every slot somewhere else.
+        let b = run_bind(&lake, &session, &["n", "d", "g"], &left, false);
+        let stats = session.1.stats();
+        assert_eq!((stats.lookups, stats.misses, stats.hits), (2, 2, 0), "{stats:?}");
+        assert_eq!(a, b, "both layouts decode to the same answers");
+        assert_eq!(a.0.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_without_an_extractable_key_asks_nothing() {
+        let lake = lake();
+        let session = (SharedInterner::new(), SharedLiftCache::default());
+        // An IRI the target's template did not mint, a literal where it
+        // expects an IRI, a template match with an empty key, and rows
+        // that do not bind the join variable at all.
+        let left = [
+            Some(Term::iri("http://elsewhere/disease/d0")),
+            Some(Term::literal("d0")),
+            Some(Term::iri("http://d/disease/")),
+            None,
+        ];
+        for overlap in [false, true] {
+            let (rows, stats, end, traffic) =
+                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            assert!(rows.is_empty());
+            assert_eq!(stats, EngineStats::default(), "no request, no probe");
+            assert_eq!((end, traffic), (Duration::ZERO, (0, 0, Duration::ZERO)));
+            assert_eq!(session.1.stats(), CacheStats::default(), "no lookup");
+        }
     }
 
     #[test]

@@ -48,19 +48,22 @@ impl IriTemplate {
         out.push_str(&self.suffix);
     }
 
-    /// Recovers the key from an IRI minted by this template.
-    pub fn extract(&self, iri: &str) -> Option<String> {
+    /// The still-encoded key of an IRI minted by this template.
+    fn encoded_key<'i>(&self, iri: &'i str) -> Option<&'i str> {
         let inner = iri.strip_prefix(self.prefix.as_str())?;
         let key = inner.strip_suffix(self.suffix.as_str())?;
-        if key.is_empty() {
-            return None;
-        }
-        Some(decode(key))
+        (!key.is_empty()).then_some(key)
     }
 
-    /// True when `iri` could have been minted by this template.
+    /// Recovers the key from an IRI minted by this template.
+    pub fn extract(&self, iri: &str) -> Option<String> {
+        self.encoded_key(iri).map(decode)
+    }
+
+    /// True when `iri` could have been minted by this template — when
+    /// [`IriTemplate::extract`] recovers a key from it. Allocates nothing.
     pub fn matches(&self, iri: &str) -> bool {
-        self.extract(iri).is_some()
+        self.encoded_key(iri).is_some()
     }
 }
 

@@ -21,10 +21,14 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 
-/// Maximum resident entries of any one cache. Far above the working sets
-/// in the repo (a served Q1–Q5 mix keeps ≈ 140 lifted results), so
-/// evictions only occur under key churn such as bind-join `IN (…)` batches.
-pub const CACHE_CAPACITY: usize = 256;
+/// Maximum resident entries of any one cache, sized from the largest
+/// working set the repo's traffic has: the lifted source results of
+/// fedbench's warm `serve_open` engine (256 jobs of the Q1–Q5 mix) are 401
+/// entries — 36 one-shot leaves and 365 bind-join `IN (…)` batches, 108 k
+/// cells ≈ 0.4 MiB — and every other cache keeps fewer. At 256 that run
+/// evicted ≈ 1 040 entries per pass, one-shot leaves among the victims; at
+/// 1024 it evicts none and a repeated pass misses nothing.
+pub const CACHE_CAPACITY: usize = 1024;
 
 /// Monotone counters for every cache outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Symbolizes a prof.c sample file with `nm -C` and prints three views:
+self time per function, inclusive time per function, and the call tree
+under a chosen root.
+
+    sym.py run.prof [--root SUBSTR] [--top N] [--depth D] [--min PCT]
+
+Percentages are of all samples; the tree's are too, so a subtree reads as
+its share of the whole run. An address inside a mapped file but outside
+every symbol `nm` knows prints as [file]; one in no file-backed mapping as
+[anon]. A leaf that keeps no frame pointer (most of libc) loses its caller
+or its whole stack — see prof.c — so the samples under a root are a lower
+bound.
+"""
+import argparse
+import bisect
+import collections
+import os
+import subprocess
+import sys
+
+
+def read_profile(path):
+    """-> (mappings [(start, end, offset, file)], stacks [[addr, …] leaf first])"""
+    mappings, stacks, in_samples = [], [], False
+    with open(path) as f:
+        for line in f:
+            if line.startswith("---"):
+                in_samples = True
+            elif in_samples:
+                stacks.append([int(a, 16) for a in line.split()])
+            else:
+                parts = line.split(None, 5)
+                if len(parts) == 6 and parts[5].startswith("/"):
+                    start, end = (int(x, 16) for x in parts[0].split("-"))
+                    mappings.append((start, end, int(parts[2], 16), parts[5].strip()))
+    return mappings, stacks
+
+
+class Symbols:
+    """The text symbols of one ELF file, by address."""
+
+    def __init__(self, path):
+        self.starts, self.ends, self.names = [], [], []
+        for flags in (["-C", "-n", "-S", "--defined-only"], ["-C", "-n", "-S", "-D", "--defined-only"]):
+            try:
+                out = subprocess.run(["nm", *flags, path], capture_output=True, text=True).stdout
+            except OSError:
+                out = ""
+            rows = []
+            for line in out.splitlines():
+                parts = line.split(None, 3)
+                if len(parts) == 4 and parts[2] in "tTwW":
+                    rows.append((int(parts[0], 16), int(parts[1], 16), parts[3]))
+            if rows:  # a stripped library only has its dynamic table
+                rows.sort()
+                self.starts = [r[0] for r in rows]
+                self.ends = [r[0] + max(r[1], 1) for r in rows]
+                self.names = [r[2] for r in rows]
+                break
+
+    def name(self, vaddr):
+        i = bisect.bisect_right(self.starts, vaddr) - 1
+        if i >= 0 and vaddr < self.ends[i]:
+            return self.names[i]
+        return None
+
+
+class Symbolizer:
+    def __init__(self, mappings):
+        self.mappings = sorted(mappings)
+        # A position-independent file's symbol addresses are relative to its
+        # load bias: where its lowest segment (virtual address 0) is mapped.
+        # Not `start - offset` of the text mapping: lld gives a segment a
+        # virtual address that differs from its file offset.
+        self.base = {}
+        for start, _, _, path in self.mappings:
+            self.base[path] = min(self.base.get(path, start), start)
+        self.symbols, self.cache = {}, {}
+
+    def name(self, addr):
+        if addr not in self.cache:
+            self.cache[addr] = self.lookup(addr)
+        return self.cache[addr]
+
+    def lookup(self, addr):
+        for start, end, _, path in self.mappings:
+            if start <= addr < end:
+                if path not in self.symbols:
+                    self.symbols[path] = Symbols(path) if os.path.exists(path) else None
+                table = self.symbols[path]
+                found = table and (table.name(addr - self.base[path]) or table.name(addr))
+                return found or "[%s]" % os.path.basename(path)
+        return "[anon]"
+
+
+def shorten(name, width):
+    # Drop the hash suffix rustc appends and clip what is left.
+    if len(name) > 19 and name[-19:-16] == "::h" and all(c in "0123456789abcdef" for c in name[-16:]):
+        name = name[:-19]
+    return name if len(name) <= width else name[: width - 1] + "…"
+
+
+def table(title, counts, total, top, width):
+    print("\n== %s ==" % title)
+    for name, n in counts.most_common(top):
+        print("%6.2f%% %7d  %s" % (100.0 * n / total, n, shorten(name, width)))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("profile")
+    ap.add_argument("--root", default="main", help="tree root: first frame, from the outside in, whose name contains this")
+    ap.add_argument("--top", type=int, default=30, help="rows per table")
+    ap.add_argument("--depth", type=int, default=8, help="tree depth below the root")
+    ap.add_argument("--min", type=float, default=1.0, help="smallest tree node, in percent of all samples")
+    ap.add_argument("--width", type=int, default=110, help="longest printed name")
+    args = ap.parse_args()
+
+    mappings, stacks = read_profile(args.profile)
+    if not stacks:
+        sys.exit("%s: no samples" % args.profile)
+    sym = Symbolizer(mappings)
+    total = len(stacks)
+    self_time, inclusive = collections.Counter(), collections.Counter()
+    tree = {}  # name -> [count, children]
+    rooted = 0
+    for stack in stacks:
+        # A return address points after its call: step back into it.
+        names = [sym.name(a if i == 0 else a - 1) for i, a in enumerate(stack)]
+        self_time[names[0]] += 1
+        inclusive.update(set(names))
+        outside_in = names[::-1]
+        at = next((i for i, n in enumerate(outside_in) if args.root in n), None)
+        if at is None:
+            continue
+        rooted += 1
+        level = tree
+        for name in outside_in[at : at + args.depth + 1]:
+            node = level.setdefault(name, [0, {}])
+            node[0] += 1
+            level = node[1]
+
+    print("%d samples, %d under a frame matching %r" % (total, rooted, args.root))
+    table("self", self_time, total, args.top, args.width)
+    table("inclusive", inclusive, total, args.top, args.width)
+    print("\n== call tree under %r (>= %.1f%% of all samples) ==" % (args.root, args.min))
+
+    def walk(level, indent):
+        for name, (n, children) in sorted(level.items(), key=lambda kv: -kv[1][0]):
+            if 100.0 * n / total >= args.min:
+                print("%6.2f%% %s%s" % (100.0 * n / total, "  " * indent, shorten(name, args.width)))
+                walk(children, indent + 1)
+
+    walk(tree, 0)
+
+
+if __name__ == "__main__":
+    main()

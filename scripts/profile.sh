@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Profiles one fedbench workload with the LD_PRELOAD sampler in scripts/prof/
+# and prints self / inclusive tables and a call tree.
+#
+#   scripts/profile.sh <workload> [seed]
+#   PROF_ROOT=FederatedEngine::serve scripts/profile.sh serve_open 7
+#
+# Builds fedbench with frame pointers and line tables into its own target
+# directory (.prof_build/, git-ignored), so neither the benchmark's nor the
+# workspace's build is touched. Needs gcc, nm and python3; nothing else in
+# the repository depends on this script. Environment: PROF_ROOT (tree root,
+# default "main"), PROF_HZ (samples per CPU second, default 250),
+# PROF_SECONDS (run length, default 20), PROF_ARGS (more sym.py options).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+workload="${1:?usage: scripts/profile.sh <workload> [seed]}"
+seed="${2:-7}"
+dir="$PWD/.prof_build"
+mkdir -p "$dir"
+
+gcc -O2 -shared -fPIC -o "$dir/prof.so" scripts/prof/prof.c
+RUSTFLAGS="-C force-frame-pointers=yes -C debuginfo=1" CARGO_TARGET_DIR="$dir/target" \
+    cargo build --release --offline --quiet --manifest-path fedbench/Cargo.toml
+
+prof="$dir/$workload.$seed.prof"
+PROF_OUT="$prof" LD_PRELOAD="$dir/prof.so" "$dir/target/release/fedbench" \
+    run --workload "$workload" --seed "$seed" --seconds "${PROF_SECONDS:-20}" --trace 0 \
+    > "$dir/$workload.$seed.log"
+tail -n 1 "$dir/$workload.$seed.log" | grep -q '"failed": 0' \
+    || echo "warning: the profiled run failed operations (see $dir/$workload.$seed.log)" >&2
+
+# shellcheck disable=SC2086
+python3 scripts/prof/sym.py "$prof" --root "${PROF_ROOT:-main}" ${PROF_ARGS:-}

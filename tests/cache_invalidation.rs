@@ -8,7 +8,13 @@
 //! oracle *and* to a fresh engine over the mutated lake, with equal
 //! `FedStats` — a cache hit may only ever change host time — across
 //! {unaware, aware, aware+cost} × {serialized, overlapped} × {solo, serve}.
+//!
+//! Bind-join batches are cached like every other source request, so the
+//! suite also holds its own coverage of them: under aware+cost some plan
+//! must reach a written source *only* through a bind join, and that write
+//! must turn cached batches stale — in the serve loop and in a solo run.
 
+use fedlake::core::fedplan::FedPlan;
 use fedlake::core::serve::{ServeConfig, ServeJob, ServeOutcome};
 use fedlake::core::{DataLake, DataSource, FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::vocab::pred;
@@ -20,6 +26,7 @@ use fedlake::serve::sorted_csv;
 use fedlake::sparql::ast::SelectQuery;
 use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
+use std::collections::BTreeSet;
 
 /// One write and the stock query (index into Q1–Q5) it must add answers to.
 enum Write {
@@ -31,6 +38,12 @@ impl Write {
     fn affects(&self) -> usize {
         match self {
             Write::Row { affects, .. } | Write::Triple { affects, .. } => *affects,
+        }
+    }
+
+    fn source(&self) -> &'static str {
+        match self {
+            Write::Row { source, .. } | Write::Triple { source, .. } => source,
         }
     }
 
@@ -179,6 +192,28 @@ fn oracle_answers(lake: &DataLake, queries: &[(&'static str, SelectQuery)]) -> V
         .collect()
 }
 
+/// Adds the sources `plan` asks one-shot (`leaves`) and the ones it asks
+/// batch by batch as a bind join's target (`bound`).
+fn plan_sources(plan: &FedPlan, leaves: &mut BTreeSet<String>, bound: &mut BTreeSet<String>) {
+    match plan {
+        FedPlan::Service(node) => {
+            leaves.insert(node.source_id.clone());
+        }
+        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
+            plan_sources(left, leaves, bound);
+            plan_sources(right, leaves, bound);
+        }
+        FedPlan::BindJoin { left, right, .. } => {
+            plan_sources(left, leaves, bound);
+            bound.insert(right.source_id.clone());
+        }
+        FedPlan::Filter { input, .. } => plan_sources(input, leaves, bound),
+        FedPlan::Union(branches) => {
+            branches.iter().for_each(|b| plan_sources(b, leaves, bound));
+        }
+    }
+}
+
 fn serve_all(engine: &FederatedEngine, queries: &[(&'static str, SelectQuery)]) -> ServeOutcome {
     let jobs: Vec<ServeJob> = queries
         .iter()
@@ -267,9 +302,35 @@ fn a_warm_engine_sees_every_write() {
                 let ctx = format!("{planner}/{schedule} before any write ({pass})");
                 assert_current(&engine, &queries, &expected[0], &ctx);
             }
+            // The sources the warm plans reach through bind joins only:
+            // every lifted result cached for one of them is a batch.
+            let (mut leaves, mut bound) = (BTreeSet::new(), BTreeSet::new());
+            for (_, ast) in &queries {
+                plan_sources(&engine.plan(ast).unwrap().plan, &mut leaves, &mut bound);
+            }
+            let batched: Vec<&str> = bound.difference(&leaves).map(String::as_str).collect();
+            assert!(
+                !cost_based || writes.iter().any(|w| batched.contains(&w.source())),
+                "{planner}/{schedule}: no write reaches a bind-join target (batched: {batched:?})"
+            );
             for (w, expected) in writes.iter().zip(&expected[1..]) {
                 w.apply(engine.lake_mut());
                 let ctx = format!("{planner}/{schedule} after {}", w.label());
+                if batched.contains(&w.source()) {
+                    // The serve loop finds the target's batches stale …
+                    let before = engine.cache_stats().lift.stale;
+                    serve_all(&engine, &queries);
+                    let served = engine.cache_stats().lift.stale;
+                    assert!(served > before, "{ctx}: serve must drop the stale batches");
+                    // … and so does a solo run, once the source was handed
+                    // out again (which moves its version whatever the
+                    // caller then does).
+                    engine.lake_mut().source_mut(w.source()).expect("written source");
+                    engine.lake_mut().refresh_templates();
+                    engine.execute(&queries[w.affects()].1).unwrap();
+                    let solo = engine.cache_stats().lift.stale;
+                    assert!(solo > served, "{ctx}: a solo run must drop the stale batches");
+                }
                 assert_current(&engine, &queries, expected, &ctx);
             }
         }

@@ -16,8 +16,10 @@
 //!
 //! Also pinned here: a deadline-exceeded session reports
 //! [`FedError::Timeout`] in its own outcome without poisoning the other
-//! sessions, and admission control never exceeds the in-flight bound
-//! (asserted through the `serve.in_flight` gauge of the obs rollup).
+//! sessions, admission control never exceeds the in-flight bound
+//! (asserted through the `serve.in_flight` gauge of the obs rollup), and
+//! the loop's work per job — `serve.polls` — does not grow with the number
+//! of sessions in flight.
 
 use fedlake_core::obs::Metric;
 use fedlake_core::serve::{ServeConfig, ServeJob};
@@ -208,5 +210,43 @@ fn admission_control_never_exceeds_the_bound() {
     assert!(
         admissions[BOUND] > Duration::ZERO,
         "job {BOUND} must have waited for an admission slot"
+    );
+}
+
+/// The sweep polls a session when its event is due, not whenever any
+/// session's is: the same jobs cost the same polls whether one or eight of
+/// them are in flight. (A loop that re-polls every active session after
+/// every event needs `max_in_flight` times as many.)
+#[test]
+fn polls_per_job_do_not_grow_with_the_admission_bound() {
+    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
+    let lake = build_lake_with(&lake_cfg, workload::q1().datasets);
+
+    const K: usize = 16;
+    let polls = |bound: usize| {
+        let engine = FederatedEngine::new(lake.clone(), config());
+        let jobs = q1_jobs(&engine, K);
+        let outcome = engine
+            .serve(
+                &jobs,
+                &ServeConfig {
+                    seed: 9,
+                    max_in_flight: bound,
+                    mean_interarrival: Duration::ZERO,
+                    deadline: None,
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.metrics.counter("serve.completed"), K as u64);
+        outcome.metrics.counter("serve.polls")
+    };
+    let (alone, crowded) = (polls(1), polls(8));
+    assert!(alone >= K as u64, "every job is polled at least once");
+    assert_eq!(alone, polls(1), "the count repeats exactly for a spec");
+    // Measured: 2544 polls at either bound. The every-session sweep this
+    // replaced made 2544 at bound 1 and 20296 at bound 8 (7.98x).
+    assert!(
+        crowded * 4 <= alone * 5,
+        "polls grew with the bound: {alone} at 1 in flight, {crowded} at 8"
     );
 }

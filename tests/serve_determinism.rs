@@ -226,11 +226,13 @@ fn lift_cache_sessions_interleave_safely() {
         assert_eq!(gauge("serve.liftcache.hits"), after.hits);
         assert_eq!(gauge("serve.liftcache.stale"), after.stale);
 
-        // With nothing written in between, the same run is all hits.
+        // With nothing written in between, the same run is all hits —
+        // bind-join batches included — and the working set fits the bound.
         run(&engine, &s).unwrap();
         let settled = engine.cache_stats().lift;
         assert_eq!((settled.misses, settled.stale), (after.misses, after.stale), "{settled:?}");
         assert!(settled.hits > after.hits);
+        assert_eq!(settled.evictions, 0, "{settled:?}");
     });
 }
 
