@@ -459,8 +459,17 @@ mod tests {
         lake.add_source(relational("r0"));
         lake.add_source(DataSource::sparql("g0", typed_graph("http://v/A")));
         let (stats, mts) = (lake.statistics().clone(), lake.molecule_templates().to_vec());
-        assert!(lake.source_mut("g0").is_some());
+        // A miss hands out nothing, so it moves no counter: the catalog
+        // stays fresh and no cached plan is invalidated.
+        let epoch = lake.epoch();
         assert!(lake.source_mut("nope").is_none());
+        assert_eq!(lake.epoch(), epoch);
+        assert!(lake.statistics_fresh());
+        assert_eq!(lake.source_version("g0"), Some(0));
+        assert_eq!(lake.source_version("r0"), Some(0));
+        assert!(lake.source_mut("g0").is_some());
+        assert_eq!(lake.epoch(), epoch + 1);
+        assert!(!lake.statistics_fresh());
         assert_eq!(lake.source_version("g0"), Some(1), "the hand-out is the mutation");
         assert_eq!(lake.source_version("r0"), Some(0));
         lake.refresh_templates();
