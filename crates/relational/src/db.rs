@@ -542,6 +542,24 @@ mod tests {
     }
 
     #[test]
+    fn typed_writes_find_a_table_under_either_spelling() {
+        let mut db = lake_db();
+        assert_eq!(db.table("Gene").unwrap().len(), 30, "reads fold the case");
+        for (i, spelling) in ["gene", "Gene", "GENE"].into_iter().enumerate() {
+            db.insert_row(spelling, vec![Value::text(format!("n{i}")), Value::Null, Value::Null])
+                .unwrap_or_else(|e| panic!("insert_row({spelling:?}): {e}"));
+            db.create_index(spelling, &format!("idx_{i}"), &["label".into()], false)
+                .unwrap_or_else(|e| panic!("create_index({spelling:?}): {e}"));
+        }
+        assert_eq!(db.table("gene").unwrap().len(), 33);
+        assert_eq!(db.table("gene").unwrap().indexes().len(), 4);
+        assert!(matches!(
+            db.insert_row("Nope", vec![Value::Int(1)]),
+            Err(SqlError::UnknownTable(t)) if t == "Nope"
+        ));
+    }
+
+    #[test]
     fn query_rejects_ddl() {
         let db = lake_db();
         assert!(db.query("CREATE TABLE x (a INT)").is_err());
