@@ -181,10 +181,11 @@ impl DataLake {
     /// cost-based planning refuses to price plans against the drifted
     /// catalog. Handing the source out is what counts as the mutation:
     /// its data version moves and it is recollected by the next refresh,
-    /// whether or not the caller changes anything.
+    /// whether or not the caller changes anything. An unknown id hands out
+    /// nothing and moves no counter.
     pub fn source_mut(&mut self, id: &str) -> Option<&mut DataSource> {
-        self.epoch += 1;
         let i = self.index_of(id)?;
+        self.epoch += 1;
         self.meta[i].version += 1;
         self.meta[i].dirty = true;
         Some(&mut self.sources[i])
@@ -215,17 +216,19 @@ impl DataLake {
     }
 
     /// Materializes the whole lake as one RDF graph: relational sources
-    /// are lifted through their mappings, RDF sources are copied. This is
-    /// the ground-truth oracle used by the test suite — a federated query
-    /// must return exactly the answers of a local SPARQL evaluation over
-    /// this graph.
+    /// are lifted through their mappings, RDF sources are read in place.
+    /// This is the ground-truth oracle used by the test suite — a federated
+    /// query must return exactly the answers of a local SPARQL evaluation
+    /// over this graph.
     pub fn oracle_graph(&self) -> fedlake_rdf::Graph {
         let mut out = fedlake_rdf::Graph::new();
         for source in &self.sources {
+            let lifted;
             let g = match source {
-                DataSource::Sparql { graph, .. } => graph.clone(),
+                DataSource::Sparql { graph, .. } => graph,
                 DataSource::Relational { db, mapping, .. } => {
-                    fedlake_mapping::lift_database(db, mapping)
+                    lifted = fedlake_mapping::lift_database(db, mapping);
+                    &lifted
                 }
             };
             for t in g.iter() {

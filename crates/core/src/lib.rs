@@ -98,3 +98,12 @@ pub use serve::{QueryOutcome, ServeConfig, ServeJob, ServeOutcome, ServeQuerySta
 pub use source::DataSource;
 pub use stats::{FederationCost, LakeStatistics, SourceStatistics};
 pub use trace::AnswerTrace;
+
+// The multi-core precondition, held at compile time: worker threads share
+// one lake (`&DataLake`, or a clone each — handles to the same storage) and
+// may be handed an engine or a reference to one.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<DataLake>();
+    shareable::<FederatedEngine>();
+};

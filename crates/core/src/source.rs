@@ -6,6 +6,10 @@ use fedlake_relational::Database;
 
 /// One data source in the Semantic Data Lake. Sources keep their native
 /// data model — the defining property of a data lake (§2.1).
+// A `Graph` is two handles, a `Database` carries its catalog inline; a lake
+// holds ten of these in one vector, so the padding is not worth a `Box`
+// every reader of `db` would have to see through.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum DataSource {
     /// An RDF store queried with SPARQL.

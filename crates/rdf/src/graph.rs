@@ -9,6 +9,7 @@ use crate::term::Term;
 use crate::Triple;
 use std::collections::BTreeSet;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A triple pattern over interned ids; `None` components are wildcards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,9 +68,20 @@ pub enum IndexChoice {
 }
 
 /// An in-memory RDF graph with its own term dictionary.
+///
+/// Both halves sit behind copy-on-write handles: a clone shares the
+/// dictionary and the indexes with its original, and the first write to
+/// either value copies the half it touches, so the two diverge from there.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
+    triples: Arc<TripleIndexes>,
+}
+
+/// The three covering indexes, kept in step by [`Graph::insert`] and
+/// [`Graph::remove`].
+#[derive(Debug, Default, Clone)]
+struct TripleIndexes {
     spo: BTreeSet<(u32, u32, u32)>,
     pos: BTreeSet<(u32, u32, u32)>,
     osp: BTreeSet<(u32, u32, u32)>,
@@ -88,7 +100,7 @@ impl Graph {
 
     /// Interns a term in this graph's dictionary.
     pub fn intern(&mut self, term: Term) -> TermId {
-        self.dict.intern(term)
+        Arc::make_mut(&mut self.dict).intern(term)
     }
 
     /// Resolves a term id.
@@ -103,10 +115,11 @@ impl Graph {
 
     /// Inserts a triple of already-interned ids. Returns true when new.
     pub fn insert(&mut self, t: Triple) -> bool {
-        let added = self.spo.insert((t.s.0, t.p.0, t.o.0));
+        let ix = Arc::make_mut(&mut self.triples);
+        let added = ix.spo.insert((t.s.0, t.p.0, t.o.0));
         if added {
-            self.pos.insert((t.p.0, t.o.0, t.s.0));
-            self.osp.insert((t.o.0, t.s.0, t.p.0));
+            ix.pos.insert((t.p.0, t.o.0, t.s.0));
+            ix.osp.insert((t.o.0, t.s.0, t.p.0));
         }
         added
     }
@@ -120,32 +133,34 @@ impl Graph {
 
     /// Removes a triple. Returns true when it was present.
     pub fn remove(&mut self, t: Triple) -> bool {
-        let removed = self.spo.remove(&(t.s.0, t.p.0, t.o.0));
+        let ix = Arc::make_mut(&mut self.triples);
+        let removed = ix.spo.remove(&(t.s.0, t.p.0, t.o.0));
         if removed {
-            self.pos.remove(&(t.p.0, t.o.0, t.s.0));
-            self.osp.remove(&(t.o.0, t.s.0, t.p.0));
+            ix.pos.remove(&(t.p.0, t.o.0, t.s.0));
+            ix.osp.remove(&(t.o.0, t.s.0, t.p.0));
         }
         removed
     }
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.triples.spo.len()
     }
 
     /// True when the graph holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.triples.spo.is_empty()
     }
 
     /// True when the triple is present.
     pub fn contains(&self, t: Triple) -> bool {
-        self.spo.contains(&(t.s.0, t.p.0, t.o.0))
+        self.triples.spo.contains(&(t.s.0, t.p.0, t.o.0))
     }
 
     /// Iterates all triples in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo
+        self.triples
+            .spo
             .iter()
             .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
     }
@@ -180,7 +195,8 @@ impl Graph {
                         Bound::Included((s, u32::MAX, u32::MAX)),
                     ),
                 };
-                self.spo
+                self.triples
+                    .spo
                     .range(range)
                     .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
                     .filter(|t| pattern.matches(t))
@@ -198,7 +214,8 @@ impl Graph {
                         Bound::Included((p, u32::MAX, u32::MAX)),
                     ),
                 };
-                self.pos
+                self.triples
+                    .pos
                     .range(range)
                     .map(|&(p, o, s)| Triple::new(TermId(s), TermId(p), TermId(o)))
                     .filter(|t| pattern.matches(t))
@@ -206,7 +223,8 @@ impl Graph {
             }
             IndexChoice::Osp => {
                 let o = pattern.o.expect("OSP choice implies bound object").0;
-                self.osp
+                self.triples
+                    .osp
                     .range((
                         Bound::Included((o, 0, 0)),
                         Bound::Included((o, u32::MAX, u32::MAX)),
@@ -227,7 +245,7 @@ impl Graph {
     pub fn predicates(&self) -> Vec<TermId> {
         let mut out: Vec<TermId> = Vec::new();
         let mut last: Option<u32> = None;
-        for &(p, _, _) in &self.pos {
+        for &(p, _, _) in &self.triples.pos {
             if last != Some(p) {
                 out.push(TermId(p));
                 last = Some(p);
@@ -390,5 +408,25 @@ mod tests {
         );
         let c = g.id(&Term::iri("C")).unwrap();
         assert_eq!(g.instances_of(c).len(), 2);
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_written() {
+        let shared = |a: &Graph, b: &Graph| {
+            (Arc::ptr_eq(&a.dict, &b.dict), Arc::ptr_eq(&a.triples, &b.triples))
+        };
+        let mut g = sample();
+        let mut c = g.clone();
+        assert_eq!(shared(&g, &c), (true, true));
+        // Known terms still unshare the dictionary: interning is a write.
+        let t = c.insert_terms(Term::iri("s2"), Term::iri("p2"), Term::iri("o1"));
+        assert_eq!(shared(&g, &c), (false, false));
+        assert_eq!((g.len(), c.len()), (5, 6));
+        assert!(!g.contains(t));
+        // The other way round: the original moves on, the clone stays.
+        g.insert_terms(Term::iri("s9"), Term::iri("p1"), Term::iri("o1"));
+        assert!(c.id(&Term::iri("s9")).is_none());
+        assert!(!g.remove(t) && c.remove(t));
+        assert_eq!((g.len(), c.len()), (6, 5));
     }
 }

@@ -101,10 +101,7 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Insert { table, rows } => {
-                let t = self
-                    .tables
-                    .get_mut(&table)
-                    .ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
+                let t = self.table_mut(&table)?;
                 let before = t.len();
                 let inserted = rows.into_iter().try_for_each(|row| t.insert(row).map(drop));
                 // Rows before a failing one stay applied.
@@ -197,22 +194,14 @@ impl Database {
         columns: &[String],
         unique: bool,
     ) -> Result<(), SqlError> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        t.create_index(name, columns, unique)?;
+        self.table_mut(table)?.create_index(name, columns, unique)?;
         self.version += 1;
         Ok(())
     }
 
     /// Inserts a row through the typed API.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<(), SqlError> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        t.insert(row)?;
+        self.table_mut(table)?.insert(row)?;
         self.version += 1;
         Ok(())
     }
@@ -220,6 +209,15 @@ impl Database {
     /// Immutable table access.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(&name.to_lowercase())
+    }
+
+    /// The only mutable access to a table, under the same spelling rule as
+    /// [`Database::table`]. The caller bumps `version` once its write has
+    /// been applied.
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
+        self.tables
+            .get_mut(&name.to_lowercase())
+            .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
     /// All table names, sorted.

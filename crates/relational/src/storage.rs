@@ -6,16 +6,22 @@ use crate::index::{BTreeIndex, RowId};
 use crate::schema::TableSchema;
 use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A stored table: schema, rows and indexes (the primary-key index is
 /// created automatically).
+///
+/// What the table *stores* sits behind copy-on-write handles: a clone
+/// shares the rows and the indexes with its original, and the first write
+/// to either value copies what it touches — the rows and the indexes for
+/// an insert, the indexes alone for index DDL — so the two diverge from
+/// there. What the table *caches* (the column statistics) is per value.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
-    rows: Vec<Vec<Value>>,
-    indexes: Vec<BTreeIndex>,
+    rows: Arc<Vec<Vec<Value>>>,
+    indexes: Arc<Vec<BTreeIndex>>,
     /// Column statistics by column position, stamped with the row count
     /// they were computed from. Rows are only ever appended — there is no
     /// update or delete — so the count identifies the table's contents and
@@ -28,12 +34,14 @@ type StatsCache = VersionedCache<usize, ColumnStats>;
 
 impl Clone for Table {
     fn clone(&self) -> Self {
-        // The statistics travel along: the clone holds the same rows, and
-        // once it diverges its own row count outdates them.
+        // The data is shared, the statistics are a snapshot that travels
+        // along: the clone holds the same rows, and once it diverges its
+        // own row count outdates them. A scan either value pays from here
+        // on is its own.
         Table {
             schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            indexes: self.indexes.clone(),
+            rows: Arc::clone(&self.rows),
+            indexes: Arc::clone(&self.indexes),
             stats: Mutex::new(self.stats_cache().clone()),
         }
     }
@@ -45,17 +53,17 @@ impl Table {
     pub fn new(schema: TableSchema) -> Result<Self, SqlError> {
         let mut t = Table {
             schema,
-            rows: Vec::new(),
-            indexes: Vec::new(),
+            rows: Arc::default(),
+            indexes: Arc::default(),
             stats: Mutex::default(),
         };
         if !t.schema.primary_key.is_empty() {
             let cols = t.resolve_columns(&t.schema.primary_key.clone())?;
-            t.indexes.push(BTreeIndex::new(
+            t.indexes = Arc::new(vec![BTreeIndex::new(
                 format!("pk_{}", t.schema.name),
                 cols,
                 true,
-            ));
+            )]);
         }
         Ok(t)
     }
@@ -109,7 +117,7 @@ impl Table {
         }
         // Validate every unique index before mutating any, so a failed
         // insert leaves no phantom index entries.
-        for idx in &self.indexes {
+        for idx in self.indexes.iter() {
             if idx.would_violate(&row) {
                 return Err(SqlError::Constraint(format!(
                     "unique index {} violated",
@@ -117,11 +125,12 @@ impl Table {
                 )));
             }
         }
+        // Past every check: only a write that will be applied unshares.
         let rid = self.rows.len();
-        for idx in &mut self.indexes {
+        for idx in Arc::make_mut(&mut self.indexes) {
             idx.insert(&row, rid)?;
         }
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(rid)
     }
 
@@ -141,15 +150,17 @@ impl Table {
         for (rid, row) in self.rows.iter().enumerate() {
             idx.insert(row, rid)?;
         }
-        self.indexes.push(idx);
+        Arc::make_mut(&mut self.indexes).push(idx);
         Ok(())
     }
 
     /// Drops an index by name; true when it existed.
     pub fn drop_index(&mut self, name: &str) -> bool {
-        let before = self.indexes.len();
-        self.indexes.retain(|i| i.name != name || i.name.starts_with("pk_"));
-        self.indexes.len() != before
+        // Names are unique (`create_index` sees to it); a miss unshares nothing.
+        let droppable = |i: &BTreeIndex| i.name == name && !i.name.starts_with("pk_");
+        let Some(at) = self.indexes.iter().position(droppable) else { return false };
+        Arc::make_mut(&mut self.indexes).remove(at);
+        true
     }
 
     /// The first index whose leading key column is `col`, if any. This is
@@ -317,5 +328,31 @@ mod tests {
         assert!(t.drop_index("i"));
         assert!(!t.has_index_on("name"));
         assert!(!t.drop_index("i"));
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_an_applied_write() {
+        let shared = |a: &Table, b: &Table| {
+            (Arc::ptr_eq(&a.rows, &b.rows), Arc::ptr_eq(&a.indexes, &b.indexes))
+        };
+        let mut t = table();
+        t.insert(vec![Value::text("d1"), Value::text("Aspirin"), Value::Null]).unwrap();
+        let mut c = t.clone();
+        assert_eq!(shared(&t, &c), (true, true));
+        // A rejected write unshares nothing.
+        assert!(c.insert(vec![Value::text("d1"), Value::Null, Value::Null]).is_err());
+        assert!(c.create_index("i", &["nope".into()], false).is_err());
+        assert!(!c.drop_index("pk_drug") && !c.drop_index("nope"));
+        assert_eq!(shared(&t, &c), (true, true));
+        // Index DDL copies the indexes alone, an insert the rows as well.
+        c.create_index("i", &["name".into()], false).unwrap();
+        assert_eq!(shared(&t, &c), (true, false));
+        c.insert(vec![Value::text("d2"), Value::text("Ibuprofen"), Value::Null]).unwrap();
+        assert_eq!(shared(&t, &c), (false, false));
+        // The original saw neither.
+        assert_eq!((t.len(), c.len()), (1, 2));
+        assert!(!t.has_index_on("name"));
+        assert!(t.index_on("id").unwrap().lookup(&[Value::text("d2")]).is_empty());
+        assert_eq!(c.index_on("name").unwrap().lookup(&[Value::text("Ibuprofen")]), &[1]);
     }
 }

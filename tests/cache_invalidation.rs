@@ -16,68 +16,79 @@
 
 use fedlake::core::fedplan::FedPlan;
 use fedlake::core::serve::{ServeConfig, ServeJob, ServeOutcome};
-use fedlake::core::{DataLake, DataSource, FederatedEngine, PlanConfig, PlanMode};
+use fedlake::core::{
+    DataLake, DataSource, FedStats, FederatedEngine, LakeStatistics, PlanConfig, PlanMode,
+};
 use fedlake::datagen::vocab::pred;
 use fedlake::datagen::{build_lake_with, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
 use fedlake::rdf::Term;
-use fedlake::relational::Value;
+use fedlake::relational::storage::Table;
+use fedlake::relational::{SqlError, Value};
 use fedlake::serve::sorted_csv;
 use fedlake::sparql::ast::SelectQuery;
 use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
+use fedlake_prng::Prng;
 use std::collections::BTreeSet;
 
-/// One write and the stock query (index into Q1–Q5) it must add answers to.
+/// One write to one source of a lake.
 enum Write {
-    Row { source: &'static str, table: &'static str, row: Vec<Value>, affects: usize },
-    Triple { source: &'static str, s: Term, p: Term, o: Term, affects: usize },
+    Row { source: String, table: String, row: Vec<Value> },
+    Index { source: String, table: String, column: String, name: String },
+    Triple { source: String, s: Term, p: Term, o: Term },
 }
 
 impl Write {
-    fn affects(&self) -> usize {
-        match self {
-            Write::Row { affects, .. } | Write::Triple { affects, .. } => *affects,
-        }
+    fn row(source: &str, table: &str, row: Vec<Value>) -> Self {
+        Write::Row { source: source.into(), table: table.into(), row }
     }
 
-    fn source(&self) -> &'static str {
+    fn source(&self) -> &str {
         match self {
-            Write::Row { source, .. } | Write::Triple { source, .. } => source,
+            Write::Row { source, .. }
+            | Write::Index { source, .. }
+            | Write::Triple { source, .. } => source,
         }
     }
 
     fn label(&self) -> String {
         match self {
             Write::Row { source, table, .. } => format!("insert into {source}.{table}"),
+            Write::Index { source, table, column, .. } => {
+                format!("index on {source}.{table}({column})")
+            }
             Write::Triple { source, .. } => format!("triple into {source}"),
         }
     }
 
-    fn apply(&self, lake: &mut DataLake) {
-        match self {
-            Write::Row { source, table, row, .. } => match lake.source_mut(source) {
-                Some(DataSource::Relational { db, .. }) => {
-                    db.insert_row(table, row.clone()).expect("row fits the table")
-                }
-                _ => panic!("{source} is not relational"),
-            },
-            Write::Triple { source, s, p, o, .. } => match lake.source_mut(source) {
-                Some(DataSource::Sparql { graph, .. }) => {
-                    graph.insert_terms(s.clone(), p.clone(), o.clone());
-                }
-                _ => panic!("{source} is not an RDF source"),
-            },
-        }
+    /// Hands the source out, writes, refreshes the catalog. A rejected
+    /// write is returned; the hand-out and the refresh happened anyway.
+    fn apply(&self, lake: &mut DataLake) -> Result<(), SqlError> {
+        let source = lake.source_mut(self.source()).expect("the write names a source");
+        let applied = match (self, source) {
+            (Write::Row { table, row, .. }, DataSource::Relational { db, .. }) => {
+                db.insert_row(table, row.clone())
+            }
+            (Write::Index { table, column, name, .. }, DataSource::Relational { db, .. }) => {
+                db.create_index(table, name, std::slice::from_ref(column), false)
+            }
+            (Write::Triple { s, p, o, .. }, DataSource::Sparql { graph, .. }) => {
+                graph.insert_terms(s.clone(), p.clone(), o.clone());
+                Ok(())
+            }
+            _ => panic!("{} does not fit its source's data model", self.label()),
+        };
         lake.refresh_templates();
+        applied
     }
 }
 
 /// The lake Q1–Q5 read, with DrugBank mounted as a native RDF source so
 /// one write goes through a `Graph`.
-fn lake() -> DataLake {
+fn lake(scale: f64) -> DataLake {
     let cfg = LakeConfig {
-        scale: 0.05,
+        scale,
         rdf_sources: vec!["drugbank".into()],
         ..Default::default()
     };
@@ -94,8 +105,9 @@ fn first_text(lake: &DataLake, source: &str, sql: &str) -> String {
     }
 }
 
-/// Rows built to match: each adds at least one answer to its query.
-fn writes(lake: &DataLake) -> Vec<Write> {
+/// Writes built to match, each with the stock query (index into Q1–Q5) it
+/// adds at least one answer to.
+fn writes(lake: &DataLake) -> Vec<(Write, usize)> {
     let disease = first_text(lake, "linkedct", "SELECT condition FROM trial");
     let drug = first_text(lake, "sider", "SELECT drug FROM drug_effect");
     let effect = first_text(lake, "sider", "SELECT id FROM side_effect");
@@ -118,59 +130,69 @@ fn writes(lake: &DataLake) -> Vec<Write> {
         .expect("?dr is bound")
         .clone();
     vec![
-        Write::Row {
-            source: "chebi",
-            table: "compound",
-            row: vec![
-                Value::text("inv-c"),
-                Value::text("invalidation acid"),
-                Value::text("checked"),
-                Value::Int(0),
-                Value::Double(123.0),
-            ],
-            affects: 0,
-        },
-        Write::Row {
-            source: "linkedct",
-            table: "trial",
-            row: vec![
-                Value::text("inv-t"),
-                Value::text("invalidation study"),
-                Value::text("Phase 2"),
-                Value::text("cat-7"),
-                Value::text(disease),
-            ],
-            affects: 2,
-        },
-        Write::Row {
-            source: "sider",
-            table: "drug_effect",
-            row: vec![
-                Value::text("inv-de"),
-                Value::text(drug),
-                Value::text(effect),
-                Value::text("very rare"),
-            ],
-            affects: 3,
-        },
-        Write::Row {
-            source: "tcga",
-            table: "expression",
-            row: vec![
-                Value::text("inv-x"),
-                Value::text(patient),
-                Value::text(cancer_gene),
-                Value::Double(3.75),
-            ],
-            affects: 4,
-        },
-        Write::Triple {
-            source: "drugbank",
-            s: rare_drug,
-            p: Term::iri(pred("drugbank", "name")),
-            o: Term::literal("invalidation alias"),
-            affects: 3,
-        },
+        (
+            Write::row(
+                "chebi",
+                "compound",
+                vec![
+                    Value::text("inv-c"),
+                    Value::text("invalidation acid"),
+                    Value::text("checked"),
+                    Value::Int(0),
+                    Value::Double(123.0),
+                ],
+            ),
+            0,
+        ),
+        (
+            Write::row(
+                "linkedct",
+                "trial",
+                vec![
+                    Value::text("inv-t"),
+                    Value::text("invalidation study"),
+                    Value::text("Phase 2"),
+                    Value::text("cat-7"),
+                    Value::text(disease),
+                ],
+            ),
+            2,
+        ),
+        (
+            Write::row(
+                "sider",
+                "drug_effect",
+                vec![
+                    Value::text("inv-de"),
+                    Value::text(drug),
+                    Value::text(effect),
+                    Value::text("very rare"),
+                ],
+            ),
+            3,
+        ),
+        (
+            Write::row(
+                "tcga",
+                "expression",
+                vec![
+                    Value::text("inv-x"),
+                    Value::text(patient),
+                    Value::text(cancer_gene),
+                    Value::Double(3.75),
+                ],
+            ),
+            4,
+        ),
+        (
+            Write::Triple {
+                source: "drugbank".into(),
+                s: rare_drug,
+                p: Term::iri(pred("drugbank", "name")),
+                o: Term::literal("invalidation alias"),
+            },
+            3,
+        ),
     ]
 }
 
@@ -266,22 +288,22 @@ fn assert_current(
 
 #[test]
 fn a_warm_engine_sees_every_write() {
-    let base = lake();
+    let base = lake(0.05);
     let writes = writes(&base);
     let queries = queries();
 
     // What the oracle answers before any write and after each one.
     let mut expected = vec![oracle_answers(&base, &queries)];
     let mut reference = base.clone();
-    for w in &writes {
-        w.apply(&mut reference);
+    for (w, affects) in &writes {
+        w.apply(&mut reference).unwrap();
         let after = oracle_answers(&reference, &queries);
         let before = expected.last().unwrap();
         assert!(
-            after[w.affects()].lines().count() > before[w.affects()].lines().count(),
+            after[*affects].lines().count() > before[*affects].lines().count(),
             "{} must add an answer to {}",
             w.label(),
-            queries[w.affects()].0
+            queries[*affects].0
         );
         expected.push(after);
     }
@@ -310,11 +332,11 @@ fn a_warm_engine_sees_every_write() {
             }
             let batched: Vec<&str> = bound.difference(&leaves).map(String::as_str).collect();
             assert!(
-                !cost_based || writes.iter().any(|w| batched.contains(&w.source())),
+                !cost_based || writes.iter().any(|(w, _)| batched.contains(&w.source())),
                 "{planner}/{schedule}: no write reaches a bind-join target (batched: {batched:?})"
             );
-            for (w, expected) in writes.iter().zip(&expected[1..]) {
-                w.apply(engine.lake_mut());
+            for ((w, affects), expected) in writes.iter().zip(&expected[1..]) {
+                w.apply(engine.lake_mut()).unwrap();
                 let ctx = format!("{planner}/{schedule} after {}", w.label());
                 if batched.contains(&w.source()) {
                     // The serve loop finds the target's batches stale …
@@ -327,7 +349,7 @@ fn a_warm_engine_sees_every_write() {
                     // caller then does).
                     engine.lake_mut().source_mut(w.source()).expect("written source");
                     engine.lake_mut().refresh_templates();
-                    engine.execute(&queries[w.affects()].1).unwrap();
+                    engine.execute(&queries[*affects].1).unwrap();
                     let solo = engine.cache_stats().lift.stale;
                     assert!(solo > served, "{ctx}: a solo run must drop the stale batches");
                 }
@@ -335,4 +357,175 @@ fn a_warm_engine_sees_every_write() {
             }
         }
     }
+}
+
+/// A lake as its readers see it: the lifted triples and the statistics
+/// catalog.
+fn contents(lake: &DataLake) -> (BTreeSet<[Term; 3]>, LakeStatistics) {
+    let graph = lake.oracle_graph();
+    let term = |id| graph.term(id).expect("interned").clone();
+    let triples = graph.iter().map(|t| [term(t.s), term(t.p), term(t.o)]).collect();
+    (triples, lake.statistics().clone())
+}
+
+/// The catalog epoch and every source's data version.
+fn counters(lake: &DataLake) -> (u64, Vec<u64>) {
+    let versions = lake.sources().iter().map(|s| lake.source_version(s.id()).unwrap()).collect();
+    (lake.epoch(), versions)
+}
+
+/// A random table of a random relational source of `lake`, with the
+/// source's id.
+fn random_table<'a>(lake: &'a DataLake, rng: &mut Prng) -> (&'a str, &'a Table) {
+    let relational: Vec<_> = lake
+        .sources()
+        .iter()
+        .filter_map(|s| match s {
+            DataSource::Relational { id, db, .. } => Some((id.as_str(), db)),
+            DataSource::Sparql { .. } => None,
+        })
+        .collect();
+    let (id, db) = relational[rng.gen_range(0..relational.len())];
+    let names = db.table_names();
+    (id, db.table(names[rng.gen_range(0..names.len())]).unwrap())
+}
+
+/// A copy of a random row of `lake`: under a fresh key when `key` is given,
+/// verbatim — a duplicate the table must reject — otherwise.
+fn copied_row(lake: &DataLake, key: Option<String>, rng: &mut Prng) -> Write {
+    let (source, table) = random_table(lake, rng);
+    let mut row = table.row(rng.gen_range(0..table.len())).unwrap().to_vec();
+    if let Some(key) = key {
+        let at = table.schema.column_index(&table.schema.primary_key[0]).unwrap();
+        row[at] = Value::text(key);
+    }
+    Write::row(source, &table.schema.name, row)
+}
+
+/// A random write against `lake` as it stands: a row that joins like an
+/// existing one, a duplicate key, a secondary index, or one more literal
+/// for an existing subject and predicate of the RDF source.
+fn random_write(lake: &DataLake, step: usize, rng: &mut Prng) -> Write {
+    match rng.gen_range(0..10usize) {
+        0..=4 => copied_row(lake, Some(format!("iso-{step}")), rng),
+        5 => copied_row(lake, None, rng),
+        6 => {
+            let (source, table) = random_table(lake, rng);
+            let columns = &table.schema.columns;
+            Write::Index {
+                source: source.into(),
+                table: table.schema.name.clone(),
+                column: columns[rng.gen_range(0..columns.len())].name.clone(),
+                name: format!("iso_{step}"),
+            }
+        }
+        _ => {
+            let (source, graph) = lake
+                .sources()
+                .iter()
+                .find_map(|s| match s {
+                    DataSource::Sparql { id, graph } => Some((id.clone(), graph)),
+                    DataSource::Relational { .. } => None,
+                })
+                .expect("the lake mounts an RDF source");
+            let literals: Vec<_> =
+                graph.iter().filter(|t| graph.term(t.o).unwrap().is_literal()).collect();
+            let t = literals[rng.gen_range(0..literals.len())];
+            Write::Triple {
+                source,
+                s: graph.term(t.s).unwrap().clone(),
+                p: graph.term(t.p).unwrap().clone(),
+                o: Term::literal(format!("iso {step}")),
+            }
+        }
+    }
+}
+
+/// Sharing is invisible: three values of one lake — the original and two
+/// clones, which share every table and the graph until written — each under
+/// a warm engine, take 60 random writes between them. Beside each sits a
+/// twin built from scratch, which shares nothing and takes the same writes.
+/// After every write each lake reads like its twin, only the written lake's
+/// counters moved, and the two engines that were not written to replay
+/// Q1–Q5 — answers and `FedStats` — exactly as before.
+#[test]
+fn a_write_to_one_lake_value_never_shows_in_another() {
+    let mut rng = Prng::seed_from_u64(0x150_1A7E);
+    let queries = queries();
+    let base = lake(0.01);
+    let planners = [(PlanMode::Unaware, false), (PlanMode::AWARE, false), (PlanMode::AWARE, true)];
+    let mut engines: Vec<FederatedEngine> = [base.clone(), base.clone(), base]
+        .into_iter()
+        .zip(planners)
+        .map(|(lake, (mode, cost_based))| {
+            let mut cfg = PlanConfig::new(mode, NetworkProfile::GAMMA1);
+            cfg.cost_based = cost_based;
+            cfg.overlap = true;
+            FederatedEngine::new(lake, cfg)
+        })
+        .collect();
+    let mut twins: Vec<DataLake> = engines.iter().map(|_| lake(0.01)).collect();
+    let mut twin_contents: Vec<_> = twins.iter().map(contents).collect();
+
+    // Q1–Q5 on `engine` as sorted CSV and `FedStats`.
+    let replay = |engine: &FederatedEngine| -> Vec<(String, FedStats)> {
+        let run = |(_, ast): &(&str, SelectQuery)| {
+            let r = engine.execute(ast).unwrap();
+            (sorted_csv(&r.vars, &r.rows), r.stats)
+        };
+        queries.iter().map(run).collect()
+    };
+    // The same, checked against the oracle over the engine's own lake.
+    let replay_checked = |engine: &FederatedEngine, ctx: &str| {
+        let seen = replay(engine);
+        let expected = oracle_answers(engine.lake(), &queries);
+        for (((id, _), (csv, _)), expected) in queries.iter().zip(&seen).zip(&expected) {
+            assert_eq!(csv, expected, "{ctx} {id}: engine vs its own oracle");
+        }
+        seen
+    };
+    let mut seen: Vec<_> = engines.iter().map(|e| replay_checked(e, "before any write")).collect();
+
+    let (mut rejected, mut indexes, mut triples) = (0, 0, 0);
+    for step in 0..60 {
+        let written = rng.gen_range(0..engines.len());
+        // The first write is a duplicate key into a table all three share.
+        let write = match step {
+            0 => copied_row(engines[written].lake(), None, &mut rng),
+            _ => random_write(engines[written].lake(), step, &mut rng),
+        };
+        let ctx = format!("step {step}, lake {written}, {}", write.label());
+        let before: Vec<_> = engines.iter().map(|e| counters(e.lake())).collect();
+
+        let applied = write.apply(engines[written].lake_mut());
+        assert_eq!(applied, write.apply(&mut twins[written]), "{ctx}: the twin agrees");
+        match (&write, &applied) {
+            // `twin_contents` stays: the lake must read as it did.
+            (Write::Row { .. }, Err(SqlError::Constraint(_))) => rejected += 1,
+            (_, Err(e)) => panic!("{ctx}: {e}"),
+            (_, Ok(())) => {
+                twin_contents[written] = contents(&twins[written]);
+                indexes += usize::from(matches!(write, Write::Index { .. }));
+                triples += usize::from(matches!(write, Write::Triple { .. }));
+            }
+        }
+
+        let at = engines[written].lake().sources().iter().position(|s| s.id() == write.source());
+        for (k, engine) in engines.iter().enumerate() {
+            assert_eq!(contents(engine.lake()), twin_contents[k], "{ctx}: lake {k} vs its twin");
+            let (epoch, versions) = counters(engine.lake());
+            let (epoch_before, versions_before) = &before[k];
+            if k != written {
+                assert_eq!((epoch, &versions), (*epoch_before, versions_before), "{ctx}: lake {k}");
+                assert_eq!(replay(engine), seen[k], "{ctx}: engine {k} replays what it answered");
+                continue;
+            }
+            assert!(epoch > *epoch_before, "{ctx}: the written lake's epoch");
+            for (i, (now, was)) in versions.iter().zip(versions_before).enumerate() {
+                assert_eq!(*now, was + u64::from(Some(i) == at), "{ctx}: source {i}'s version");
+            }
+            seen[k] = replay_checked(engine, &ctx);
+        }
+    }
+    assert!(rejected > 1 && indexes > 0 && triples > 0, "{rejected} {indexes} {triples}");
 }
