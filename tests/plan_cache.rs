@@ -161,6 +161,34 @@ fn source_mutation_invalidates_the_entry() {
     assert!(origin.cached, "the refreshed plan is cacheable again");
 }
 
+/// A refresh that finds nothing dirty — a serving layer calling it on a
+/// timer, a second call after one write — describes the catalog it already
+/// has: no counter moves, and a plan cached since the first refresh still
+/// replays.
+#[test]
+fn an_idle_refresh_invalidates_nothing() {
+    let q = workload::q1();
+    let lake = build_lake_with(&lake_cfg(), q.datasets);
+    let ast = parse_query(&q.sparql).unwrap();
+    let mut engine = FederatedEngine::new(lake, config(true, false));
+
+    engine.lake_mut().source_mut("chebi").expect("chebi exists");
+    engine.lake_mut().refresh_templates();
+    let (planned, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(!origin.cached, "the write moved the epoch");
+
+    let before = (engine.lake().epoch(), engine.lake().statistics_epoch());
+    let version = engine.lake().source_version("chebi");
+    engine.lake_mut().refresh_templates();
+    assert_eq!((engine.lake().epoch(), engine.lake().statistics_epoch()), before);
+    assert_eq!(engine.lake().source_version("chebi"), version);
+    assert!(engine.lake().statistics_fresh());
+    let (replayed, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(origin.cached, "nothing changed: the entry must replay");
+    assert_eq!(replayed, planned);
+    assert_eq!(engine.plan_cache_stats().invalidations, 0);
+}
+
 /// Catalog drift (statistics scaled after collection) bumps the epoch
 /// too: the cached plan carries the old estimates and must not replay.
 #[test]
