@@ -50,8 +50,9 @@ pub struct DataLake {
     /// source mutation).
     stats: LakeStatistics,
     /// Catalog epoch: bumped by every catalog-affecting mutation
-    /// (`add_source`, `source_mut`, `refresh_templates`, `set_replicas`,
-    /// `statistics_mut`). The plan cache's invalidation key.
+    /// (`add_source`, `source_mut`, a `refresh_templates` that recollected
+    /// something, `set_replicas`, `statistics_mut`). The plan cache's
+    /// invalidation key.
     epoch: u64,
     /// The epoch the statistics catalog was last brought in line with at
     /// (`== epoch` unless a bare [`DataLake::source_mut`] left the
@@ -122,8 +123,13 @@ impl DataLake {
     /// statistics here. Only the sources handed out by
     /// [`DataLake::source_mut`] since the last refresh are recollected —
     /// statistics are per source by construction — and the result equals a
-    /// full rebuild.
+    /// full rebuild. With no such source the catalog already describes the
+    /// data (stale statistics imply a dirty source): nothing is recollected
+    /// and no counter moves, so an idle refresh invalidates no cached plan.
     pub fn refresh_templates(&mut self) {
+        if !self.meta.iter().any(|m| m.dirty) {
+            return;
+        }
         if self.meta.iter().all(|m| m.dirty) {
             // Planted drift may have added or dropped catalog entries.
             self.stats.sources.clear();

@@ -10,6 +10,13 @@
 //! statistics-based planning the ROADMAP calls for — instead of relying on
 //! the fixed selectivity guesses of the heuristic planner.
 //!
+//! A mapped table's share is read off the table's own profile
+//! ([`fedlake_relational::storage::TableProfile`], extended by the rows
+//! appended since it was last asked) wherever the profile can describe it,
+//! so recollecting a written source costs what was written; a pass over
+//! the rows remains for the tables it cannot describe, for RDF sources,
+//! and as the definition the tests hold the derivation to.
+//!
 //! [`FederationCost`] is the cpu/io/network/parallelism decomposition of a
 //! plan's estimated execution cost; the network term reads the simulated
 //! link parameters (mean delay, per-message overhead, per-row transfer
@@ -19,7 +26,10 @@
 
 use crate::decompose::StarSubquery;
 use crate::source::DataSource;
-use fedlake_rdf::{vocab, Term};
+use fedlake_mapping::DatasetMapping;
+use fedlake_rdf::{vocab, Graph, Term, TermId};
+use fedlake_relational::storage::Table;
+use fedlake_relational::{Database, Value};
 use fedlake_sparql::expr::{CmpOp, Expr};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -68,7 +78,9 @@ impl SourceStatistics {
     pub fn collect(source: &DataSource) -> Self {
         match source {
             DataSource::Sparql { graph, .. } => collect_sparql(graph),
-            DataSource::Relational { db, mapping, .. } => collect_relational(db, mapping),
+            DataSource::Relational { db, mapping, .. } => {
+                collect_relational(db, mapping, tally_table)
+            }
         }
     }
 
@@ -205,123 +217,216 @@ pub fn predicate_of_var<'a>(star: &'a StarSubquery, v: &fedlake_sparql::binding:
         .and_then(|t| t.p.as_term().and_then(Term::as_iri))
 }
 
-fn collect_sparql(graph: &fedlake_rdf::Graph) -> SourceStatistics {
+fn collect_sparql(graph: &Graph) -> SourceStatistics {
+    #[derive(Default)]
     struct PredAcc {
         count: u64,
-        subjects: HashSet<fedlake_rdf::TermId>,
-        objects: HashSet<fedlake_rdf::TermId>,
+        subjects: HashSet<TermId>,
+        objects: HashSet<TermId>,
     }
-    let mut preds: HashMap<String, PredAcc> = HashMap::new();
-    let mut subj_sets: HashMap<fedlake_rdf::TermId, Vec<String>> = HashMap::new();
+    // Everything is keyed by `TermId` while the triples stream by; a
+    // predicate is resolved to its IRI once, a characteristic set once per
+    // distinct set. `None` marks a predicate that is not an IRI.
+    let mut preds: HashMap<TermId, Option<PredAcc>> = HashMap::new();
+    let mut subj_sets: HashMap<TermId, Vec<TermId>> = HashMap::new();
+    let rdf_type = graph.id(&Term::iri(vocab::rdf::TYPE));
+    let iri = |p: TermId| graph.term(p).and_then(Term::as_iri);
     let mut triples = 0u64;
     for t in graph.iter() {
         triples += 1;
-        let Some(p) = graph.term(t.p).and_then(Term::as_iri) else { continue };
-        let acc = preds.entry(p.to_string()).or_insert_with(|| PredAcc {
-            count: 0,
-            subjects: HashSet::new(),
-            objects: HashSet::new(),
-        });
+        let Some(acc) = preds.entry(t.p).or_insert_with(|| iri(t.p).map(|_| PredAcc::default()))
+        else {
+            continue;
+        };
         acc.count += 1;
         acc.subjects.insert(t.s);
         acc.objects.insert(t.o);
         let set = subj_sets.entry(t.s).or_default();
-        if p != vocab::rdf::TYPE && !set.iter().any(|s| s == p) {
-            set.push(p.to_string());
+        if Some(t.p) != rdf_type && !set.contains(&t.p) {
+            set.push(t.p);
         }
     }
-    let mut characteristic_sets: BTreeMap<Vec<String>, u64> = BTreeMap::new();
-    for (_, mut set) in subj_sets.iter().map(|(s, v)| (s, v.clone())) {
-        set.sort();
-        *characteristic_sets.entry(set).or_insert(0) += 1;
-    }
     let subjects = subj_sets.len() as u64;
+    let mut id_sets: HashMap<Vec<TermId>, u64> = HashMap::new();
+    for mut set in subj_sets.into_values() {
+        set.sort_unstable();
+        *id_sets.entry(set).or_insert(0) += 1;
+    }
+    let characteristic_sets = id_sets
+        .into_iter()
+        .map(|(set, n)| {
+            let mut key: Vec<String> =
+                set.into_iter().filter_map(iri).map(str::to_string).collect();
+            key.sort_unstable();
+            (key, n)
+        })
+        .collect();
     let predicates = preds
         .into_iter()
-        .map(|(p, a)| {
-            (
-                p,
-                PredicateStats {
-                    count: a.count,
-                    distinct_subjects: a.subjects.len() as u64,
-                    distinct_objects: a.objects.len() as u64,
-                },
-            )
+        .filter_map(|(p, acc)| {
+            let acc = acc?;
+            let stats = PredicateStats {
+                count: acc.count,
+                distinct_subjects: acc.subjects.len() as u64,
+                distinct_objects: acc.objects.len() as u64,
+            };
+            Some((iri(p)?.to_string(), stats))
         })
         .collect();
     SourceStatistics { triples, subjects, predicates, characteristic_sets }
 }
 
-fn collect_relational(
-    db: &fedlake_relational::Database,
-    mapping: &fedlake_mapping::DatasetMapping,
-) -> SourceStatistics {
+/// One mapped table's share of its source's statistics.
+struct TableTally<'m> {
+    /// Distinct non-NULL subjects.
+    subjects: u64,
+    /// Per mapped predicate column, in mapping order.
+    predicates: Vec<PredicateStats>,
+    /// Subjects per set of predicates carried (sorted, each named once); a
+    /// set may be listed more than once.
+    sets: Vec<(Vec<&'m str>, u64)>,
+}
+
+/// A mapped predicate column: its position in the table and its predicate.
+type MappedColumn<'m> = (usize, &'m str);
+
+/// How a table's share is obtained: [`tally_table`] in production, the
+/// scan alone as the tests' oracle.
+type Tally = for<'m> fn(&Table, usize, &[MappedColumn<'m>]) -> TableTally<'m>;
+
+fn collect_relational(db: &Database, mapping: &DatasetMapping, tally: Tally) -> SourceStatistics {
     let mut out = SourceStatistics::default();
     for tm in &mapping.tables {
         let Some(table) = db.table(&tm.table) else { continue };
         let Some(subj_pos) = table.schema.column_index(&tm.subject_column) else { continue };
-        let col_pos: Vec<(usize, &str)> = tm
+        let columns: Vec<MappedColumn<'_>> = tm
             .predicates
             .iter()
             .filter_map(|pm| {
                 table.schema.column_index(&pm.column).map(|pos| (pos, pm.predicate.as_str()))
             })
             .collect();
-
-        struct PredAcc<'v> {
-            count: u64,
-            subjects: HashSet<&'v fedlake_relational::Value>,
-            objects: HashSet<&'v fedlake_relational::Value>,
-        }
-        let mut accs: Vec<PredAcc<'_>> = col_pos
-            .iter()
-            .map(|_| PredAcc { count: 0, subjects: HashSet::new(), objects: HashSet::new() })
-            .collect();
-        let mut subj_sets: HashMap<&fedlake_relational::Value, Vec<&str>> = HashMap::new();
-        for (_, row) in table.iter() {
-            let subj = &row[subj_pos];
-            if subj.is_null() {
-                continue;
-            }
-            let set = subj_sets.entry(subj).or_default();
-            for (k, (pos, pred)) in col_pos.iter().enumerate() {
-                let v = &row[*pos];
-                if v.is_null() {
-                    continue;
-                }
-                let acc = &mut accs[k];
-                acc.count += 1;
-                acc.subjects.insert(subj);
-                acc.objects.insert(v);
-                if !set.iter().any(|p| p == pred) {
-                    set.push(pred);
-                }
-            }
-        }
-        let table_subjects = subj_sets.len() as u64;
+        let share = tally(table, subj_pos, &columns);
         // The lifted graph carries one `rdf:type <class>` triple per
         // subject.
         let type_stats = out.predicates.entry(vocab::rdf::TYPE.to_string()).or_default();
-        type_stats.count += table_subjects;
-        type_stats.distinct_subjects += table_subjects;
+        type_stats.count += share.subjects;
+        type_stats.distinct_subjects += share.subjects;
         type_stats.distinct_objects += 1;
-        out.triples += table_subjects;
-        out.subjects += table_subjects;
-        for (k, (_, pred)) in col_pos.iter().enumerate() {
-            let acc = &accs[k];
+        out.triples += share.subjects;
+        out.subjects += share.subjects;
+        for ((_, pred), stats) in columns.iter().zip(&share.predicates) {
             let ps = out.predicates.entry((*pred).to_string()).or_default();
-            ps.count += acc.count;
-            ps.distinct_subjects += acc.subjects.len() as u64;
-            ps.distinct_objects += acc.objects.len() as u64;
-            out.triples += acc.count;
+            ps.count += stats.count;
+            ps.distinct_subjects += stats.distinct_subjects;
+            ps.distinct_objects += stats.distinct_objects;
+            out.triples += stats.count;
         }
-        for (_, mut set) in subj_sets.into_iter() {
-            set.sort_unstable();
+        for (set, n) in share.sets {
             let key: Vec<String> = set.into_iter().map(str::to_string).collect();
-            *out.characteristic_sets.entry(key).or_insert(0) += 1;
+            *out.characteristic_sets.entry(key).or_insert(0) += n;
         }
     }
     out
+}
+
+/// The table's share from its [`fedlake_relational::storage::TableProfile`]
+/// when the profile can describe it, from a pass over its rows otherwise.
+fn tally_table<'m>(table: &Table, subj_pos: usize, columns: &[MappedColumn<'m>]) -> TableTally<'m> {
+    derive_table(table, subj_pos, columns).unwrap_or_else(|| scan_table(table, subj_pos, columns))
+}
+
+/// The share of a table whose subject column carries a unique single-column
+/// index and holds no NULL: every row is a subject of its own, so a
+/// predicate has as many triples and subjects as rows set its column, as
+/// many objects as the column has distinct values, and a row's NULL pattern
+/// *is* its characteristic set. `None` when the key is not the subject, a
+/// subject is NULL, or the table is too wide to profile.
+fn derive_table<'m>(
+    table: &Table,
+    subj_pos: usize,
+    columns: &[MappedColumn<'m>],
+) -> Option<TableTally<'m>> {
+    if !table.indexes().iter().any(|i| i.unique && i.key_columns == [subj_pos]) {
+        return None;
+    }
+    let profile = table.profile()?;
+    if profile.non_null(subj_pos) != profile.rows as u64 {
+        return None;
+    }
+    let predicates = columns
+        .iter()
+        .map(|&(pos, _)| {
+            let set = profile.non_null(pos);
+            PredicateStats {
+                count: set,
+                distinct_subjects: set,
+                distinct_objects: profile.distinct[pos],
+            }
+        })
+        .collect();
+    let sets = profile
+        .patterns
+        .iter()
+        .map(|(&pattern, &n)| {
+            let mut set: Vec<&str> = columns
+                .iter()
+                .filter(|(pos, _)| pattern >> pos & 1 == 1)
+                .map(|&(_, pred)| pred)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            (set, n)
+        })
+        .collect();
+    Some(TableTally { subjects: profile.rows as u64, predicates, sets })
+}
+
+/// The share of any table, by one pass over its rows: what the catalog
+/// means, and what [`derive_table`] must equal wherever it answers.
+fn scan_table<'m>(table: &Table, subj_pos: usize, columns: &[MappedColumn<'m>]) -> TableTally<'m> {
+    #[derive(Default)]
+    struct PredAcc<'v> {
+        count: u64,
+        subjects: HashSet<&'v Value>,
+        objects: HashSet<&'v Value>,
+    }
+    let mut accs: Vec<PredAcc<'_>> = columns.iter().map(|_| PredAcc::default()).collect();
+    let mut subj_sets: HashMap<&Value, Vec<&'m str>> = HashMap::new();
+    for (_, row) in table.iter() {
+        let subj = &row[subj_pos];
+        if subj.is_null() {
+            continue;
+        }
+        let set = subj_sets.entry(subj).or_default();
+        for (acc, &(pos, pred)) in accs.iter_mut().zip(columns) {
+            let v = &row[pos];
+            if v.is_null() {
+                continue;
+            }
+            acc.count += 1;
+            acc.subjects.insert(subj);
+            acc.objects.insert(v);
+            if !set.contains(&pred) {
+                set.push(pred);
+            }
+        }
+    }
+    let predicates = accs
+        .iter()
+        .map(|acc| PredicateStats {
+            count: acc.count,
+            distinct_subjects: acc.subjects.len() as u64,
+            distinct_objects: acc.objects.len() as u64,
+        })
+        .collect();
+    let subjects = subj_sets.len() as u64;
+    let mut sets: HashMap<Vec<&str>, u64> = HashMap::new();
+    for mut set in subj_sets.into_values() {
+        set.sort_unstable();
+        *sets.entry(set).or_insert(0) += 1;
+    }
+    TableTally { subjects, predicates, sets: sets.into_iter().collect() }
 }
 
 /// The lake-wide statistics catalog: one [`SourceStatistics`] per
@@ -401,9 +506,7 @@ impl FederationCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
-    use fedlake_rdf::Graph;
-    use fedlake_relational::Database;
+    use fedlake_mapping::{IriTemplate, TableMapping};
 
     fn graph_source() -> DataSource {
         let mut g = Graph::new();
@@ -480,6 +583,147 @@ mod tests {
             let b = SourceStatistics::collect(&src);
             assert_eq!(a, b);
         }
+    }
+
+    /// The catalog by definition: every mapped table scanned.
+    fn scan(source: &DataSource) -> SourceStatistics {
+        match source {
+            DataSource::Relational { db, mapping, .. } => {
+                collect_relational(db, mapping, scan_table)
+            }
+            DataSource::Sparql { graph, .. } => collect_sparql(graph),
+        }
+    }
+
+    /// Whether the catalog reads `table` from its profile (mapped on `subject`).
+    fn derived(source: &DataSource, table: &str, subject: &str) -> bool {
+        let DataSource::Relational { db, .. } = source else { unreachable!() };
+        let table = db.table(table).unwrap();
+        derive_table(table, table.schema.column_index(subject).unwrap(), &[]).is_some()
+    }
+
+    /// Three tables under one mapping: `item`, keyed by its subject, with an
+    /// unindexed low-cardinality column, a high-cardinality one, a `DOUBLE`
+    /// and a mostly-NULL column mapped to the predicate of another; `link`,
+    /// whose subject is not its key; `loose`, whose unique subject may be
+    /// NULL.
+    fn profiled_source() -> DataSource {
+        let mut db = Database::new("p");
+        for ddl in [
+            "CREATE TABLE item (id TEXT PRIMARY KEY, kind TEXT, label TEXT, mass DOUBLE, alias TEXT)",
+            "CREATE TABLE link (id TEXT PRIMARY KEY, owner TEXT NOT NULL, tag TEXT)",
+            "CREATE TABLE loose (code TEXT, val TEXT)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        db.create_index("loose", "u_code", &["code".into()], true).unwrap();
+        db.execute("INSERT INTO item VALUES ('k0', 'v0', 'v0', 1.5, NULL)").unwrap();
+        let iri = |t: &str| IriTemplate::new(format!("http://d/{t}/{{}}"));
+        let mapping = DatasetMapping::new("p")
+            .with_table(
+                TableMapping::new("item", "http://v/Item", iri("item"), "id")
+                    .with_literal("kind", "http://v/kind")
+                    .with_literal("label", "http://v/label")
+                    .with_literal("mass", "http://v/mass")
+                    .with_literal("alias", "http://v/label"),
+            )
+            .with_table(
+                TableMapping::new("link", "http://v/Owner", iri("owner"), "owner")
+                    .with_literal("tag", "http://v/tag"),
+            )
+            .with_table(
+                TableMapping::new("loose", "http://v/Loose", iri("loose"), "code")
+                    .with_literal("val", "http://v/val"),
+            );
+        DataSource::relational("p", db, mapping)
+    }
+
+    /// After every step of a seeded write sequence the catalog equals a
+    /// scan of the rows: single appends, bulk loads the profile takes as a
+    /// full pass, values repeated inside one delta, `Int`s beside the equal
+    /// `Double`, indexes created under a live profile, rejected inserts,
+    /// two values of one source diverging — and the two tables a profile
+    /// cannot describe.
+    #[test]
+    fn collected_statistics_equal_a_scan_after_every_write() {
+        use fedlake_prng::Prng;
+        use std::sync::Arc;
+        let mut rng = Prng::seed_from_u64(0x5ca7_0020);
+        let mut sources = vec![profiled_source()];
+        let mut fresh = 0u32;
+        for step in 0..360usize {
+            if step == 240 {
+                sources.push(sources[0].clone());
+            }
+            let at = rng.gen_range(0..sources.len());
+            let DataSource::Relational { db, .. } = &mut sources[at] else { unreachable!() };
+            match step {
+                // `loose` takes NULL subjects from here on.
+                60 => db.insert_row("loose", vec![Value::Null, Value::text("v0")]).unwrap(),
+                120 => db.create_index("item", "by_label", &["label".into()], false).unwrap(),
+                180 => db.create_index("item", "by_mass", &["mass".into()], false).unwrap(),
+                _ => {}
+            }
+            let mut text = |rng: &mut Prng, pool: u32| match rng.gen_range(0u8..6) {
+                0 => Value::Null,
+                1..=3 => Value::text(format!("v{}", rng.gen_range(0..pool))),
+                _ => {
+                    fresh += 1;
+                    Value::text(format!("fresh{fresh}"))
+                }
+            };
+            // One row, a handful (so a delta repeats values), or a load.
+            let rows = match rng.gen_range(0u8..20) {
+                0 => rng.gen_range(25..80usize),
+                1..=4 => rng.gen_range(2..5usize),
+                _ => 1,
+            };
+            let repeated = text(&mut rng, 30);
+            for n in 0..rows {
+                let id = Value::text(format!("k{step}-{n}"));
+                let inserted = match rng.gen_range(0u8..10) {
+                    0..=5 => {
+                        let mass = match rng.gen_range(0u8..4) {
+                            0 => Value::Null,
+                            1 => Value::Int(rng.gen_range(0i64..20)),
+                            _ => Value::Double(rng.gen_range(0i64..40) as f64 / 2.0),
+                        };
+                        let label = if n > 0 { repeated.clone() } else { text(&mut rng, 30) };
+                        let alias =
+                            if rng.gen_bool(0.2) { text(&mut rng, 30) } else { Value::Null };
+                        db.insert_row("item", vec![id, text(&mut rng, 3), label, mass, alias])
+                    }
+                    6..=7 => {
+                        let owner = Value::text(format!("o{}", rng.gen_range(0..25)));
+                        db.insert_row("link", vec![id, owner, text(&mut rng, 4)])
+                    }
+                    8 => {
+                        let code = if step >= 60 && rng.gen_bool(0.3) { Value::Null } else { id };
+                        db.insert_row("loose", vec![code, text(&mut rng, 4)])
+                    }
+                    // A duplicate key: rejected, and the profile is not touched.
+                    _ => {
+                        let profile = |db: &Database| db.table("item").unwrap().profile().unwrap();
+                        let before = profile(db);
+                        let mut row = vec![Value::Null; 5];
+                        (row[0], row[1]) = (Value::text("k0"), text(&mut rng, 3));
+                        assert!(db.insert_row("item", row).is_err());
+                        assert!(Arc::ptr_eq(&before, &profile(db)));
+                        Ok(())
+                    }
+                };
+                inserted.unwrap();
+            }
+            for (at, source) in sources.iter().enumerate() {
+                let ctx = format!("step {step}, value {at}");
+                assert_eq!(SourceStatistics::collect(source), scan(source), "{ctx}");
+                assert!(derived(source, "item", "id"));
+                assert!(!derived(source, "link", "owner"));
+                assert_eq!(derived(source, "loose", "code"), step < 60, "step {step}");
+            }
+        }
+        let [a, b] = &sources[..] else { unreachable!() };
+        assert_ne!(scan(a), scan(b), "the two values diverged");
     }
 
     #[test]

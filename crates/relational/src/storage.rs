@@ -6,6 +6,7 @@ use crate::index::{BTreeIndex, RowId};
 use crate::schema::TableSchema;
 use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A stored table: schema, rows and indexes (the primary-key index is
@@ -15,7 +16,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// shares the rows and the indexes with its original, and the first write
 /// to either value copies what it touches — the rows and the indexes for
 /// an insert, the indexes alone for index DDL — so the two diverge from
-/// there. What the table *caches* (the column statistics) is per value.
+/// there. What the table *caches* (the column statistics, the profile) is
+/// per value.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
@@ -28,21 +30,68 @@ pub struct Table {
     /// serves as the version: an insert makes every entry stale without
     /// anyone having to say so.
     stats: Mutex<StatsCache>,
+    /// The profile of the first `profile.rows` rows. Append-only makes an
+    /// old profile short, never wrong, so whoever asks extends it by the
+    /// rows it lacks instead of dropping it ([`Table::profile`]).
+    profile: Mutex<Arc<TableProfile>>,
 }
 
 type StatsCache = VersionedCache<usize, ColumnStats>;
+
+/// A synopsis of a table's rows that knows nothing about mappings: how many
+/// distinct values each column holds and which columns the rows leave NULL.
+/// It is what the statistics catalog derives a mapped table's triples,
+/// subjects and characteristic sets from without a pass over the rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableProfile {
+    /// Rows described.
+    pub rows: usize,
+    /// Distinct non-NULL values per column, in schema order.
+    pub distinct: Vec<u64>,
+    /// Rows per NULL pattern; bit `c` of a pattern is set when the row's
+    /// column `c` is not NULL.
+    pub patterns: BTreeMap<u64, u64>,
+}
+
+impl TableProfile {
+    /// Most columns a profile describes: a NULL pattern is one `u64`.
+    pub const MAX_COLUMNS: usize = 64;
+
+    fn empty(arity: usize) -> Self {
+        TableProfile { rows: 0, distinct: vec![0; arity], patterns: BTreeMap::new() }
+    }
+
+    /// Rows whose column `pos` is not NULL.
+    pub fn non_null(&self, pos: usize) -> u64 {
+        self.patterns.iter().filter(|(p, _)| *p >> pos & 1 == 1).map(|(_, n)| n).sum()
+    }
+}
+
+/// What the two ways of bringing a profile up to date cost per cell, in
+/// comparisons of one stored value with another. A full pass puts every
+/// cell into a hash set; an extension asks the table whether the value
+/// occurred before — one B-tree descent on an indexed column, else a
+/// comparison per earlier row until one matches, which for a value never
+/// seen is every row. Measured on the four tables fedbench writes to at
+/// scale 1.0 (2 000 – 5 000 rows, release build): a comparison, with the
+/// pointer chase to its row, 7–12 ns; a hash insert 65–78 ns; a descent
+/// 170–230 ns. Constants, not settings: no caller wants another ratio.
+const HASH_INSERT_COST: usize = 8;
+const INDEX_PROBE_COST: usize = 24;
 
 impl Clone for Table {
     fn clone(&self) -> Self {
         // The data is shared, the statistics are a snapshot that travels
         // along: the clone holds the same rows, and once it diverges its
         // own row count outdates them. A scan either value pays from here
-        // on is its own.
+        // on is its own. The profile travels as a pointer; whoever extends
+        // it stores a profile of its own.
         Table {
             schema: self.schema.clone(),
             rows: Arc::clone(&self.rows),
             indexes: Arc::clone(&self.indexes),
             stats: Mutex::new(self.stats_cache().clone()),
+            profile: Mutex::new(Arc::clone(&self.profile_slot())),
         }
     }
 }
@@ -51,11 +100,13 @@ impl Table {
     /// Creates an empty table; builds the primary-key index if a key is
     /// declared.
     pub fn new(schema: TableSchema) -> Result<Self, SqlError> {
+        let profile = Mutex::new(Arc::new(TableProfile::empty(schema.arity())));
         let mut t = Table {
             schema,
             rows: Arc::default(),
             indexes: Arc::default(),
             stats: Mutex::default(),
+            profile,
         };
         if !t.schema.primary_key.is_empty() {
             let cols = t.resolve_columns(&t.schema.primary_key.clone())?;
@@ -225,6 +276,66 @@ impl Table {
     pub fn stats_cache_stats(&self) -> CacheStats {
         self.stats_cache().stats()
     }
+
+    fn profile_slot(&self) -> MutexGuard<'_, Arc<TableProfile>> {
+        self.profile.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The profile of the current rows, or `None` for a table wider than
+    /// [`TableProfile::MAX_COLUMNS`]. A profile that is behind is extended
+    /// by the rows appended since — equal to a full pass at every point —
+    /// and kept for the next caller; a clone carries the one it was cloned
+    /// with and extends it on its own from there.
+    pub fn profile(&self) -> Option<Arc<TableProfile>> {
+        if self.schema.arity() > TableProfile::MAX_COLUMNS {
+            return None;
+        }
+        let mut slot = self.profile_slot();
+        if slot.rows < self.rows.len() {
+            // Built aside and stored whole: rows covered and counters move
+            // together, so a panic on the way leaves the old profile —
+            // short, not wrong — behind the poison-tolerant lock.
+            *slot = Arc::new(self.profile_after(&slot));
+        }
+        Some(Arc::clone(&slot))
+    }
+
+    /// `old` brought up to the current rows: extended when asking the table
+    /// about the appended cells is estimated cheaper than hashing every
+    /// cell again, rebuilt in one full pass otherwise — the first ask and a
+    /// bulk load.
+    fn profile_after(&self, old: &TableProfile) -> TableProfile {
+        let (arity, len) = (self.schema.arity(), self.rows.len());
+        let probes: Vec<Option<&BTreeIndex>> = (0..arity)
+            .map(|c| self.indexes.iter().find(|i| i.key_columns == [c]))
+            .collect();
+        let indexed = probes.iter().flatten().count();
+        let per_appended_row = indexed * INDEX_PROBE_COST + (arity - indexed) * len;
+        let extend =
+            (len - old.rows).saturating_mul(per_appended_row) < len * arity * HASH_INSERT_COST;
+
+        let mut profile = if extend { old.clone() } else { TableProfile::empty(arity) };
+        let mut seen: Vec<HashSet<&Value>> = vec![HashSet::new(); if extend { 0 } else { arity }];
+        for at in profile.rows..len {
+            let mut pattern = 0u64;
+            for (c, v) in self.rows[at].iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                pattern |= 1 << c;
+                let new = match (extend, probes[c]) {
+                    (false, _) => seen[c].insert(v),
+                    // The index already holds this row: the value is new
+                    // when the oldest row under its key is this one.
+                    (true, Some(index)) => {
+                        index.lookup(std::slice::from_ref(v)).first() == Some(&at)
+                    }
+                    (true, None) => !self.rows[..at].iter().any(|row| row[c] == *v),
+                };
+                profile.distinct[c] += u64::from(new);
+            }
+            *profile.patterns.entry(pattern).or_insert(0) += 1;
+        }
+        profile.rows = len;
+        profile
+    }
 }
 
 #[cfg(test)]
@@ -354,5 +465,100 @@ mod tests {
         assert!(!t.has_index_on("name"));
         assert!(t.index_on("id").unwrap().lookup(&[Value::text("d2")]).is_empty());
         assert_eq!(c.index_on("name").unwrap().lookup(&[Value::text("Ibuprofen")]), &[1]);
+    }
+
+    /// The profile by definition: every cell of every row into a set.
+    fn full_pass(t: &Table) -> TableProfile {
+        let mut profile = TableProfile::empty(t.schema.arity());
+        let mut seen = vec![HashSet::new(); t.schema.arity()];
+        for (_, row) in t.iter() {
+            let mut pattern = 0;
+            for (c, v) in row.iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                pattern |= 1 << c;
+                seen[c].insert(v);
+            }
+            *profile.patterns.entry(pattern).or_insert(0) += 1;
+        }
+        profile.rows = t.len();
+        profile.distinct = seen.iter().map(|s| s.len() as u64).collect();
+        profile
+    }
+
+    #[test]
+    fn profile_counts_values_and_null_patterns() {
+        let mut t = table();
+        assert_eq!(*t.profile().unwrap(), TableProfile::empty(3));
+        t.insert(vec![Value::text("d1"), Value::text("Aspirin"), Value::Double(180.0)]).unwrap();
+        t.insert(vec![Value::text("d2"), Value::text("Aspirin"), Value::Null]).unwrap();
+        t.insert(vec![Value::text("d3"), Value::Null, Value::Int(180)]).unwrap();
+        let p = t.profile().unwrap();
+        assert_eq!((p.rows, &p.distinct[..]), (3, &[3, 1, 1][..]), "180 and 180.0 are one value");
+        assert_eq!(p.patterns, BTreeMap::from([(0b111, 1), (0b011, 1), (0b101, 1)]));
+        assert_eq!((p.non_null(0), p.non_null(1), p.non_null(2)), (3, 2, 2));
+        assert_eq!(*p, full_pass(&t));
+
+        let wide: Vec<Column> = (0..=TableProfile::MAX_COLUMNS)
+            .map(|c| Column::new(format!("c{c}"), DataType::Int))
+            .collect();
+        assert!(Table::new(TableSchema::new("wide", wide)).unwrap().profile().is_none());
+    }
+
+    /// Whenever it is asked — after one append, after many, across an index
+    /// appearing and going under it — the kept profile equals a full pass;
+    /// a rejected insert leaves it as it is, and a clone starts from the
+    /// one it was cloned with.
+    #[test]
+    fn an_extended_profile_equals_a_full_pass() {
+        use fedlake_prng::Prng;
+        let mut rng = Prng::seed_from_u64(0x9f0f_11e5);
+        let mut t = table();
+        let mut clone: Option<Table> = None;
+        for step in 0..400usize {
+            match step {
+                150 => t.create_index("by_name", &["name".into()], false).unwrap(),
+                200 => t.create_index("by_mass", &["mass".into()], false).unwrap(),
+                250 => assert!(t.drop_index("by_name")),
+                300 => {
+                    let c = t.clone();
+                    assert!(Arc::ptr_eq(&c.profile().unwrap(), &t.profile().unwrap()));
+                    clone = Some(c);
+                }
+                _ => {}
+            }
+            let target = match &mut clone {
+                Some(c) if rng.gen_bool(0.5) => c,
+                _ => &mut t,
+            };
+            // Mostly one row per ask; now and then a load large enough to
+            // be cheaper as a full pass.
+            let rows = if rng.gen_bool(0.05) { rng.gen_range(20..120usize) } else { 1 };
+            for _ in 0..rows {
+                let name = match rng.gen_range(0u8..8) {
+                    0 => Value::Null,
+                    1..=4 => Value::text(format!("n{}", rng.gen_range(0..12))),
+                    _ => Value::text(format!("fresh{}", rng.next_u64())),
+                };
+                let mass = match rng.gen_range(0u8..4) {
+                    0 => Value::Null,
+                    1 => Value::Int(rng.gen_range(0i64..30)),
+                    _ => Value::Double(rng.gen_range(0i64..60) as f64 / 2.0),
+                };
+                let id = Value::text(format!("d{}", rng.gen_range(0..2000)));
+                // Asking in the middle of a load would make it single appends.
+                let before = target.profile().filter(|_| rows == 1);
+                if target.insert(vec![id, name, mass]).is_err() {
+                    if let Some(before) = before {
+                        assert!(Arc::ptr_eq(&before, &target.profile().unwrap()));
+                    }
+                }
+            }
+            if rng.gen_bool(0.8) {
+                assert_eq!(*target.profile().unwrap(), full_pass(target), "step {step}");
+            }
+        }
+        let c = clone.unwrap();
+        assert_ne!(t.len(), c.len());
+        assert_eq!(*t.profile().unwrap(), full_pass(&t));
+        assert_eq!(*c.profile().unwrap(), full_pass(&c));
     }
 }

@@ -13,10 +13,31 @@
 //! other (on/off, off/on), and row 0 is off/off — so any five distinct
 //! triples cover all pairs in six rows.
 
+//!
+//! Beside the matrix: [`copy_table`], for the suites that compare a lake
+//! with one built from nothing.
+
 // Each suite uses the part of the helper it needs.
 #![allow(dead_code)]
 
 use fedlake_core::{DataLake, PlanConfig};
+use fedlake_relational::storage::Table;
+use fedlake_relational::Database;
+
+/// Builds `table` again inside `into`, from nothing: created from its
+/// schema, filled row by row, then indexed as the original is.
+pub fn copy_table(into: &mut Database, table: &Table) {
+    let name = table.schema.name.as_str();
+    into.create_table(table.schema.clone()).unwrap();
+    for (_, row) in table.iter() {
+        into.insert_row(name, row.to_vec()).unwrap();
+    }
+    for index in table.indexes().iter().filter(|i| !i.name.starts_with("pk_")) {
+        let columns: Vec<String> =
+            index.key_columns.iter().map(|&c| table.schema.columns[c].name.clone()).collect();
+        into.create_index(name, &index.name, &columns, index.unique).unwrap();
+    }
+}
 
 /// One combination of axis values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,9 @@
 //! Two regressions are guarded here, both by counting rather than timing.
 //! The clone deepening again: a counting allocator holds `lake.clone()` to a
 //! fraction of the lake's size and the first write into a clone to the size
-//! of the one table it touches. And a clone going warm by accident: the
+//! of the one table it touches — and a write with its catalog refresh to a
+//! few rows' worth, not a pass over the written source. And a clone going
+//! warm by accident: the
 //! caches' own counters show that a clone's SQL memo starts empty and that
 //! every column scan a fresh engine pays at plan time is paid again by the
 //! next fresh engine, on its own tables, while the original never sees one.
@@ -21,7 +23,7 @@ use fedlake::relational::{Database, Value};
 use fedlake::serve::sorted_csv;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 /// [`System`], counting per thread what the thread requests and returns, so
 /// tests running side by side do not see each other's traffic.
@@ -111,6 +113,54 @@ fn a_clone_copies_handles_not_rows() {
             built.live
         );
         assert_eq!(clone.len(), lake.len());
+        // Registration profiled every table; the clone holds the same
+        // profiles, not copies.
+        for source in lake.sources().iter().filter(|s| s.is_relational()) {
+            let (ours, theirs) = (relational(&lake, source.id()), relational(&clone, source.id()));
+            for name in ours.table_names() {
+                let (ours, theirs) = (ours.table(name).unwrap(), theirs.table(name).unwrap());
+                let (_, asked) = measure(|| {
+                    assert!(Arc::ptr_eq(&ours.profile().unwrap(), &theirs.profile().unwrap()));
+                });
+                assert_eq!(asked.requested, 0, "{name}: a current profile is handed out as it is");
+            }
+        }
+    }
+}
+
+/// A write costs what it writes: one row into each of the tables fedbench's
+/// `mutate_requery` writes to, with the catalog refresh that follows, asks
+/// the allocator for a few rows' worth — not for the hash sets of a pass
+/// over the written source (≈ 1.6 MiB before the catalog was kept from
+/// table profiles).
+#[test]
+fn a_write_and_its_refresh_allocate_for_the_rows_written() {
+    let mut lake = build_lake(&LakeConfig::default());
+    for (source, table) in [
+        ("chebi", "compound"),
+        ("linkedct", "trial"),
+        ("sider", "drug_effect"),
+        ("tcga", "expression"),
+    ] {
+        let template = relational(&lake, source).table(table).unwrap().row(0).unwrap().to_vec();
+        let mut write = |key: &str| {
+            let mut row = template.clone();
+            row[0] = Value::text(key);
+            let (_, traffic) = measure(|| {
+                insert_row(&mut lake, source, table, row);
+                lake.refresh_templates();
+            });
+            traffic
+        };
+        // The second write: the first may grow the row vector.
+        write("cost-1");
+        let written = write("cost-2");
+        assert!(
+            written.requested < 64 * 1024,
+            "{source}.{table}: a write and its refresh requested {} B",
+            written.requested
+        );
+        assert!(lake.statistics_fresh());
     }
 }
 
@@ -124,18 +174,7 @@ fn the_first_write_into_a_clone_copies_one_table() {
     let original = relational(&lake, "tcga").table("expression").unwrap();
     let (copy, table) = measure(|| {
         let mut db = Database::new("copy");
-        db.create_table(original.schema.clone()).unwrap();
-        for (_, row) in original.iter() {
-            db.insert_row("expression", row.to_vec()).unwrap();
-        }
-        for index in original.indexes().iter().filter(|i| !i.name.starts_with("pk_")) {
-            let columns: Vec<String> = index
-                .key_columns
-                .iter()
-                .map(|&c| original.schema.columns[c].name.clone())
-                .collect();
-            db.create_index("expression", &index.name, &columns, index.unique).unwrap();
-        }
+        common::copy_table(&mut db, original);
         db
     });
     assert_eq!(copy.table("expression").unwrap().len(), original.len());
