@@ -203,3 +203,109 @@ fn reference_executor_agrees_under_overlap() {
         }
     });
 }
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// One line per execution: the readable headline plus a hash of the whole
+/// [`fedlake_core::FedStats`] (every field, through `Debug`), every
+/// [`fedlake_core::AnswerTrace`] point and the sorted CSV.
+fn digest_line(label: &str, r: &FedResult) -> String {
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?}", r.stats).as_bytes());
+    for (t, n) in r.trace.points() {
+        h = fnv1a(h, &t.as_nanos().to_le_bytes());
+        h = fnv1a(h, &n.to_le_bytes());
+    }
+    h = fnv1a(h, &r.trace.total_time().as_nanos().to_le_bytes());
+    let mut rows = r.rows.clone();
+    rows.sort_by_cached_key(|row| row.to_string());
+    h = fnv1a(h, fedlake_core::results::to_sparql_csv(&r.vars, &rows).as_bytes());
+    format!(
+        "{label} answers={} exec_ns={} first_ns={} digest={h:016x}\n",
+        r.stats.answers,
+        r.stats.execution_time.as_nanos(),
+        r.stats.first_answer.map_or(0, |t| t.as_nanos()),
+    )
+}
+
+/// The schedule digest: Q1–Q5 + QM × {unaware, aware} × the four networks
+/// × the six matrix cells, each execution hashed whole — statistics,
+/// answer timestamps and answers — then Q1–Q5 under a fault plan on both
+/// schedules. This file, not a second executor, is
+/// what pins the paper's serialized timing (and the overlapped one) to the
+/// last nanosecond: `tests/golden/schedule_digest.txt` was generated at the
+/// commit before the blocking pull protocol was removed and must stay
+/// byte-identical. Regenerate only deliberately, with
+///
+/// ```text
+/// BLESS_SCHEDULE_DIGEST=1 cargo test --test overlap_equivalence schedule_digest
+/// ```
+///
+/// — a harness knob like `CHAOS_ITERS`, and deliberately not `BLESS_GOLDEN`:
+/// re-blessing the answer snapshots must never move the timing pin with it.
+#[test]
+fn schedule_digest_matches_golden() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/schedule_digest.txt");
+    let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
+    let mut digest = String::new();
+    for q in workload::all() {
+        let ast = parse_query(&q.sparql).unwrap();
+        for (i, cell) in common::CELLS.iter().enumerate() {
+            let mut lake = build_lake_with(&lake_cfg, q.datasets);
+            cell.replicate(&mut lake);
+            for (mode, mode_name) in [(PlanMode::Unaware, "unaware"), (PlanMode::AWARE, "aware")] {
+                for network in NetworkProfile::ALL {
+                    let config = cell.config(PlanConfig::new(mode, network));
+                    let engine = FederatedEngine::new(lake.clone(), config);
+                    let result = engine.execute(&ast).unwrap();
+                    let label = format!("{}/{mode_name}/{}/cell{i}", q.id, network.name);
+                    digest.push_str(&digest_line(&label, &result));
+                }
+            }
+        }
+    }
+    // Faults too: once both schedules run one retry chain, its timing on
+    // the serialized schedule has no second body to be compared against.
+    let faults = fedlake_core::FaultPlan {
+        drop_prob: 0.08,
+        truncate_prob: 0.05,
+        spike_prob: 0.10,
+        spike_factor: 8.0,
+        outage_after: Some(40),
+        outage_len: 2,
+    };
+    for q in workload::experiment_queries() {
+        let lake = build_lake_with(&lake_cfg, q.datasets);
+        let ast = parse_query(&q.sparql).unwrap();
+        for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
+            for overlap in [false, true] {
+                let mut config = PlanConfig::new(PlanMode::AWARE, network);
+                config.overlap = overlap;
+                config.faults = faults;
+                config.retry = fedlake_core::RetryPolicy { max_attempts: 6, ..Default::default() };
+                let label = format!("{}/faults/{}/overlap={overlap}", q.id, network.name);
+                match FederatedEngine::new(lake.clone(), config).execute(&ast) {
+                    Ok(result) => digest.push_str(&digest_line(&label, &result)),
+                    Err(e) => digest.push_str(&format!("{label} error={e}\n")),
+                }
+            }
+        }
+    }
+    if std::env::var_os("BLESS_SCHEDULE_DIGEST").is_some() {
+        std::fs::write(&path, &digest).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing {path:?} ({e}); it is generated once, see this test's doc")
+    });
+    for (got, want) in digest.lines().zip(want.lines()) {
+        assert_eq!(got, want, "schedule digest diverges from {path:?}");
+    }
+    assert_eq!(digest.lines().count(), want.lines().count(), "schedule digest line count");
+}
