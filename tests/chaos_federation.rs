@@ -567,3 +567,95 @@ fn serve_chaos_recovers_per_query() {
         }
     });
 }
+
+/// `rows_per_message` is a public field nothing used to validate: with `0`
+/// a delivery sized its first message at zero rows, sent the empty-result
+/// notification and reported the stream drained — stock queries came back
+/// `Ok` with no answers and `degraded = false`. A message must carry
+/// something, so a stream refuses to open: a typed
+/// [`FedError::Unsupported`] on both schedules, under the hash join and
+/// the bind join, through `serve`, and from a [`BindJoinOp`] built by hand.
+#[test]
+fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
+    use fedlake_core::fedplan::FedPlan;
+    use fedlake_core::operators::RowsOp;
+    use fedlake_core::wrapper::{BindJoinOp, SourceRoute};
+    use fedlake_core::{EngineJoin, ServeConfig, ServeJob};
+
+    fn bind_target(plan: &FedPlan) -> Option<&fedlake_core::fedplan::BindTarget> {
+        match plan {
+            FedPlan::BindJoin { right, .. } => Some(right),
+            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
+                bind_target(left).or_else(|| bind_target(right))
+            }
+            FedPlan::Filter { input, .. } => bind_target(input),
+            FedPlan::Union(branches) => branches.iter().find_map(bind_target),
+            FedPlan::Service(_) => None,
+        }
+    }
+
+    // Q1 joins its stars by hash either way; unaware Q3 under
+    // `EngineJoin::Bind` ships its left bindings to a bind join.
+    let queries = workload::experiment_queries();
+    for (id, engine_join) in
+        [("Q1", EngineJoin::SymmetricHash), ("Q3", EngineJoin::Bind { batch_size: 8 })]
+    {
+        let q = queries.iter().find(|q| q.id == id).unwrap();
+        let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+        let ast = parse_query(&q.sparql).unwrap();
+        for overlap in [false, true] {
+            let mut config = PlanConfig::new(PlanMode::Unaware, NetworkProfile::GAMMA1);
+            config.engine_join = engine_join;
+            config.overlap = overlap;
+            let label = format!("{id}/{engine_join:?}/overlap={overlap}");
+            let sane = FederatedEngine::new(lake.clone(), config).execute(&ast).unwrap();
+            assert!(sane.stats.answers > 0, "{label}: one row per message has answers");
+
+            config.rows_per_message = 0;
+            let engine = FederatedEngine::new(lake.clone(), config);
+            let planned = engine.plan(&ast).unwrap();
+            let solo = engine.execute_planned(&planned);
+            assert!(
+                matches!(solo, Err(FedError::Unsupported(_))),
+                "{label}: solo gave {:?}",
+                solo.map(|r| (r.stats.answers, r.stats.degraded))
+            );
+            let job = ServeJob {
+                client: 0,
+                label: id.into(),
+                planned: planned.clone(),
+                deadline: None,
+                cached: false,
+            };
+            let served = engine.serve(&[job], &ServeConfig::default());
+            assert!(
+                matches!(served, Err(FedError::Unsupported(_))),
+                "{label}: serve gave {:?}",
+                served.map(|s| s.outcomes.iter().map(|o| o.rows.len()).collect::<Vec<_>>())
+            );
+
+            if let Some(target) = bind_target(&planned.plan) {
+                let link = std::sync::Arc::new(fedlake_netsim::Link::new(
+                    config.network,
+                    fedlake_netsim::clock::shared_virtual(),
+                    config.cost,
+                    config.seed,
+                ));
+                let direct = BindJoinOp::new(
+                    Box::new(RowsOp::new(Vec::new())),
+                    target,
+                    engine.lake(),
+                    SourceRoute::single(target.source_id.as_str(), link),
+                    0,
+                    8,
+                );
+                assert!(
+                    matches!(direct, Err(FedError::Unsupported(_))),
+                    "{label}: a hand-built bind join accepted zero rows per message"
+                );
+            } else {
+                assert_eq!(engine_join, EngineJoin::SymmetricHash, "{label}: no bind join planned");
+            }
+        }
+    }
+}
