@@ -448,6 +448,11 @@ impl FederatedEngine {
         .with_deadline(self.config.deadline)
         .with_trace(sink.clone())
         .with_recorder(qrec.clone());
+        // The paper's single-threaded wrapper loop is a policy of the one
+        // pull protocol; only the solo driver ever asks for it.
+        if !self.config.overlap {
+            ctx = ctx.serialized();
+        }
         sink.begin_query(&planned.plan, &self.config.mode.label());
         sink.record_plan_report(&planned.report);
 
@@ -495,18 +500,11 @@ impl FederatedEngine {
                     break;
                 }
             }
-            // Overlapped runs poll the plan and advance the clock to
-            // the next scheduled completion when every branch is
-            // waiting on in-flight I/O; serialized runs map the
-            // blocking pull onto the same three-way step.
-            let step = if self.config.overlap {
-                op.poll_next(&mut ctx)
-            } else {
-                op.next(&mut ctx).map(|o| {
-                    o.map_or(crate::operators::Poll::Done, crate::operators::Poll::Ready)
-                })
-            };
-            match step {
+            // Poll the plan, and advance the clock to the next scheduled
+            // completion when every branch is waiting on in-flight I/O —
+            // which the serialized policy never reports: it waits where
+            // the I/O starts.
+            match op.poll_next(&mut ctx) {
                 Ok(crate::operators::Poll::Ready(row)) => {
                     ctx.trace.record_answer(&mut trace, clock.now());
                     if qrec.is_enabled() && trace.count() == 1 {

@@ -57,9 +57,11 @@ pub struct ExecCtx {
     /// clamped so a failing attempt never charges a pause reaching past
     /// it.
     pub deadline: Option<std::time::Duration>,
-    /// The discrete-event schedule of in-flight source work (overlapped
-    /// execution only; stays empty under the serialized schedule).
+    /// The discrete-event schedule of in-flight source work (stays empty
+    /// under the serialized policy, whose waits never become events).
     pub sched: EventQueue,
+    /// The schedule policy; see [`ExecCtx::serialized`].
+    serialized: bool,
     /// The trace sink wrapper streams record spans into (disabled — a
     /// single branch per hook — unless the config asks for tracing).
     pub trace: crate::obs::TraceSink,
@@ -93,10 +95,55 @@ impl ExecCtx {
             retry: crate::config::RetryPolicy::default(),
             deadline: None,
             sched: EventQueue::new(),
+            serialized: false,
             trace: crate::obs::TraceSink::disabled(),
             recorder: crate::obs::QueryRecorder::disabled(),
             lifts: Arc::default(),
         }
+    }
+
+    /// Switches the context to the paper's serialized schedule: one
+    /// single-threaded wrapper loop, so a wait on source work is sat out
+    /// where it starts and the joins alternate strictly between their
+    /// inputs. The default lets waits surface as [`Poll::Pending`] events,
+    /// which is what overlaps independent sources.
+    ///
+    /// The policy is read in two places only: [`ExecCtx::wait_until`] and
+    /// the child pick of the two-input joins.
+    pub fn serialized(mut self) -> Self {
+        self.serialized = true;
+        self
+    }
+
+    /// Whether this context runs the serialized schedule.
+    pub(crate) fn is_serialized(&self) -> bool {
+        self.serialized
+    }
+
+    /// Starts the wait for source work that completes at `time` — a
+    /// request plus the source's evaluation, a message, a bind-join batch.
+    /// Serialized, the wait happens here: the shared clock jumps to `time`
+    /// and nothing enters [`ExecCtx::sched`]. Otherwise the completion is
+    /// scheduled as an event for [`ExecCtx::still_pending`] to report.
+    pub(crate) fn wait_until(&mut self, time: std::time::Duration) -> Wait {
+        if self.serialized {
+            self.clock.advance_to(time);
+            Wait(None)
+        } else {
+            Wait(Some(self.sched.schedule(time)))
+        }
+    }
+
+    /// The event `wait` still stands on — what the poll that asks must
+    /// return as [`Poll::Pending`] — or `None` once the wait is over. A due
+    /// event is completed here, by the poll that observes it.
+    pub(crate) fn still_pending(&mut self, wait: Wait) -> Option<EventTime> {
+        let ev = wait.0?;
+        if ev.time > self.clock.now() {
+            return Some(ev);
+        }
+        self.sched.complete(ev);
+        None
     }
 
     /// Installs the engine's source-result cache (see
@@ -134,6 +181,12 @@ impl ExecCtx {
         self
     }
 }
+
+/// A wait on source work with a known completion time, from
+/// [`ExecCtx::wait_until`]: the event it surfaces as, or nothing when the
+/// serialized policy already sat it out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wait(Option<EventTime>);
 
 /// The outcome of one non-blocking pull (the overlapped schedule's
 /// currency). Generic so the reference executor can reuse it for its
@@ -295,6 +348,24 @@ impl FedOp for SymHashJoin<'_> {
             }
             if self.left_done && self.right_done {
                 return Ok(Poll::Done);
+            }
+            if ctx.is_serialized() {
+                let take_left = if self.left_done {
+                    false
+                } else if self.right_done {
+                    true
+                } else {
+                    self.pull_left
+                };
+                self.pull_left = !self.pull_left;
+                let side = if take_left { &mut self.left } else { &mut self.right };
+                match side.poll_next(ctx)? {
+                    Poll::Ready(row) => self.insert_and_probe(row, take_left, ctx),
+                    Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
+                    Poll::Done if take_left => self.left_done = true,
+                    Poll::Done => self.right_done = true,
+                }
+                continue;
             }
             let left_first = match (self.left_wait, self.right_wait) {
                 (None, _) => true,
@@ -493,6 +564,25 @@ impl FedOp for LeftHashJoin<'_> {
                     continue;
                 }
                 return Ok(Poll::Done);
+            }
+            if ctx.is_serialized() {
+                let take_left = if self.left_done {
+                    false
+                } else if self.right_done {
+                    true
+                } else {
+                    self.pull_left
+                };
+                self.pull_left = !self.pull_left;
+                let side = if take_left { &mut self.left } else { &mut self.right };
+                match side.poll_next(ctx)? {
+                    Poll::Ready(row) if take_left => self.take_left(row, ctx),
+                    Poll::Ready(row) => self.take_right(row, ctx),
+                    Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
+                    Poll::Done if take_left => self.left_done = true,
+                    Poll::Done => self.right_done = true,
+                }
+                continue;
             }
             // Same `(time, seq)` re-poll order as SymHashJoin: the child
             // whose last-reported Pending event is due first goes first.

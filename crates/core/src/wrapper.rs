@@ -17,13 +17,13 @@ use crate::error::FedError;
 use crate::fedplan::{BindTarget, NaiveJoin, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
 use crate::lake::{logical_source_id, DataLake};
 use crate::obs::SpanKind;
-use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
+use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll, Wait};
 use crate::source::DataSource;
 use crate::translate::{sql_single, Lift, OutputBinding, StarPart};
 use fedlake_mapping::lift::{term_to_value, value_key_in};
 use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
-use fedlake_netsim::{EventTime, Link};
+use fedlake_netsim::Link;
 use fedlake_rdf::{BuildFastHasher, Dictionary, Term, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
@@ -629,7 +629,7 @@ impl Materialized {
 /// only once the failure time is due, exactly when the serialized schedule
 /// would have observed it.
 struct Flight {
-    ev: EventTime,
+    wait: Wait,
     rows: usize,
     err: Option<FedError>,
 }
@@ -709,16 +709,16 @@ impl Delivery {
                 self.ready -= 1;
                 return Ok(Poll::Ready(self.data.take_row()));
             }
-            if let Some(f) = &self.inflight {
-                if f.ev.time > ctx.clock.now() {
-                    return Ok(Poll::Pending(f.ev));
+            if let Some(f) = &mut self.inflight {
+                if let Some(ev) = ctx.still_pending(f.wait) {
+                    return Ok(Poll::Pending(ev));
                 }
-                let f = self.inflight.take().expect("checked above");
-                ctx.sched.complete(f.ev);
-                if let Some(e) = f.err {
+                let (rows, err) = (f.rows, f.err.take());
+                self.inflight = None;
+                if let Some(e) = err {
                     return Err(e);
                 }
-                self.ready = f.rows;
+                self.ready = rows;
                 continue;
             }
             let n = self.remaining().min(rows_per_message);
@@ -731,7 +731,7 @@ impl Delivery {
                 Ok(done) => (done, None),
                 Err((t, e)) => (t, Some(e)),
             };
-            self.inflight = Some(Flight { ev: ctx.sched.schedule(time), rows: n, err });
+            self.inflight = Some(Flight { wait: ctx.wait_until(time), rows: n, err });
         }
     }
 }
@@ -896,7 +896,7 @@ struct LeafStream<'a> {
     /// Overlapped schedule: the request round trip plus the source's
     /// evaluation, in flight as one scheduled event (with the error an
     /// exhausted route surfaces once that event is due).
-    computing: Option<(EventTime, Option<FedError>)>,
+    computing: Option<(Wait, Option<FedError>)>,
     delivery: Option<Delivery>,
 }
 
@@ -917,7 +917,7 @@ impl LeafStream<'_> {
             match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
                 Ok(done) => Some(done),
                 Err((t, e)) => {
-                    self.computing = Some((ctx.sched.schedule(t), Some(e)));
+                    self.computing = Some((ctx.wait_until(t), Some(e)));
                     self.delivery = Some(Delivery::new(Vec::new()));
                     return Ok(());
                 }
@@ -951,7 +951,7 @@ impl LeafStream<'_> {
             );
         }
         if overlap {
-            self.computing = Some((ctx.sched.schedule(to), None));
+            self.computing = Some((ctx.wait_until(to), None));
         }
         self.delivery = Some(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }));
         Ok(())
@@ -969,11 +969,10 @@ impl FedOp for LeafStream<'_> {
     /// event, then polls the delivery.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         self.open(ctx, true)?;
-        if let Some((ev, err)) = &mut self.computing {
-            if ev.time > ctx.clock.now() {
-                return Ok(Poll::Pending(*ev));
+        if let Some((wait, err)) = &mut self.computing {
+            if let Some(ev) = ctx.still_pending(*wait) {
+                return Ok(Poll::Pending(ev));
             }
-            ctx.sched.complete(*ev);
             let err = err.take();
             self.computing = None;
             if let Some(e) = err {
@@ -1023,7 +1022,7 @@ struct NaiveFlight {
 enum NaiveStage {
     /// Waiting on a scheduled event; on completion `then` applies (unless
     /// `err` was carried, which surfaces instead).
-    Waiting { ev: EventTime, then: NaiveNext, err: Option<FedError> },
+    Waiting { wait: Wait, then: NaiveNext, err: Option<FedError> },
     /// The buffer is deliverable or the next outer binding is due.
     Idle,
     /// Everything delivered (and any final notification observed).
@@ -1114,7 +1113,7 @@ fn schedule_naive_inner(
         rows: Vec<SlotRow>,
         err: Option<FedError>,
     ) -> NaiveStage {
-        NaiveStage::Waiting { ev: ctx.sched.schedule(t), then: NaiveNext::Inner(rows), err }
+        NaiveStage::Waiting { wait: ctx.wait_until(t), then: NaiveNext::Inner(rows), err }
     }
     let term = ctx
         .schema
@@ -1244,13 +1243,13 @@ impl FedOp for NaiveStream<'_> {
                         );
                     }
                     NaiveStage::Waiting {
-                        ev: ctx.sched.schedule(done),
+                        wait: ctx.wait_until(done),
                         then: NaiveNext::Outer(outer),
                         err: None,
                     }
                 }
                 Err((t, e)) => NaiveStage::Waiting {
-                    ev: ctx.sched.schedule(t),
+                    wait: ctx.wait_until(t),
                     then: NaiveNext::Outer(Vec::new()),
                     err: Some(e),
                 },
@@ -1265,11 +1264,10 @@ impl FedOp for NaiveStream<'_> {
         loop {
             let flight = self.flight.as_mut().expect("initialized above");
             match &mut flight.stage {
-                NaiveStage::Waiting { ev, then, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
+                NaiveStage::Waiting { wait, then, err } => {
+                    if let Some(ev) = ctx.still_pending(*wait) {
+                        return Ok(Poll::Pending(ev));
                     }
-                    ctx.sched.complete(*ev);
                     if let Some(e) = err.take() {
                         flight.stage = NaiveStage::Finished;
                         return Err(e);
@@ -1314,7 +1312,7 @@ impl FedOp for NaiveStream<'_> {
                                     ctx,
                                 )?,
                                 Err((t, e)) => NaiveStage::Waiting {
-                                    ev: ctx.sched.schedule(t),
+                                    wait: ctx.wait_until(t),
                                     then: NaiveNext::Inner(Vec::new()),
                                     err: Some(e),
                                 },
@@ -1337,7 +1335,7 @@ impl FedOp for NaiveStream<'_> {
                                     Err((t, e)) => (t, Some(e)),
                                 };
                                 flight.stage = NaiveStage::Waiting {
-                                    ev: ctx.sched.schedule(t),
+                                    wait: ctx.wait_until(t),
                                     then: NaiveNext::Notified,
                                     err,
                                 };
@@ -1419,7 +1417,7 @@ enum BindStage {
     Gather { batch: Vec<SlotRow> },
     /// `lifted` is the batch's answer, unless the chain ends in `err`.
     Flying {
-        ev: EventTime,
+        wait: Wait,
         batch: Vec<SlotRow>,
         lifted: Option<Arc<LiftedSource>>,
         err: Option<FedError>,
@@ -1592,14 +1590,14 @@ impl<'a> BindJoinOp<'a> {
                     );
                 }
                 BindStage::Flying {
-                    ev: ctx.sched.schedule(done),
+                    wait: ctx.wait_until(done),
                     batch,
                     lifted: Some(right),
                     err: None,
                 }
             }
             Err((t, e)) => BindStage::Flying {
-                ev: ctx.sched.schedule(t),
+                wait: ctx.wait_until(t),
                 batch,
                 lifted: None,
                 err: Some(e),
@@ -1641,15 +1639,13 @@ impl FedOp for BindJoinOp<'_> {
                 return Ok(Poll::Ready(row));
             }
             match &mut self.stage {
-                BindStage::Flying { ev, batch, lifted, err } => {
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(*ev));
+                BindStage::Flying { wait, batch, lifted, err } => {
+                    if let Some(ev) = ctx.still_pending(*wait) {
+                        return Ok(Poll::Pending(ev));
                     }
-                    let ev = *ev;
                     let batch = std::mem::take(batch);
                     let lifted = lifted.take();
                     let err = err.take();
-                    ctx.sched.complete(ev);
                     self.stage = BindStage::Gather { batch: Vec::new() };
                     if let Some(e) = err {
                         return Err(e);
