@@ -122,6 +122,18 @@ pub fn route_for(
     Ok(SourceRoute::new(source_id, endpoints))
 }
 
+/// A stream's message size, checked where the stream is opened: a message
+/// of zero rows can only ever be the empty-result notification, so a
+/// delivery sized that way would report any result as drained.
+fn message_size(rows_per_message: usize) -> Result<usize, FedError> {
+    if rows_per_message == 0 {
+        return Err(FedError::Unsupported(
+            "rows_per_message = 0: a message must carry at least one row".into(),
+        ));
+    }
+    Ok(rows_per_message)
+}
+
 /// Opens the operator streaming a service's answers.
 pub fn open_service<'a>(
     node: &ServiceNode,
@@ -129,6 +141,7 @@ pub fn open_service<'a>(
     route: SourceRoute,
     rows_per_message: usize,
 ) -> Result<BoxedOp<'a>, FedError> {
+    let rows_per_message = message_size(rows_per_message)?;
     let (source, version) = lake
         .source(&node.source_id)
         .zip(lake.source_version(&node.source_id))
@@ -1435,6 +1448,7 @@ impl<'a> BindJoinOp<'a> {
         rows_per_message: usize,
         batch_size: usize,
     ) -> Result<Self, FedError> {
+        let rows_per_message = message_size(rows_per_message)?;
         let id = &target.source_id;
         let (db, version) = match lake.source(id).zip(lake.source_version(id)) {
             Some((DataSource::Relational { db, .. }, version)) => (db, version),
