@@ -20,8 +20,9 @@ use fedlake_core::operators::{
     DistinctOp, ExecCtx, ProjectOp, RowsOp, SymHashJoin,
 };
 use fedlake_core::reference::{
-    DistinctRefOp, ProjectRefOp, RefOp, RowsRefOp, SymHashJoinRef,
+    drain_ref, DistinctRefOp, ProjectRefOp, RowsRefOp, SymHashJoinRef,
 };
+use fedlake_core::wrapper::drain;
 use fedlake_core::{FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::clock::shared_virtual;
@@ -79,12 +80,7 @@ fn join_slots(f: &Fixture) -> usize {
         Box::new(RowsOp::new(f.right_slots.clone())),
         vec![f.schema.slot(&Var::new("j")).unwrap()],
     );
-    let mut n = 0;
-    while let Some(r) = fedlake_core::operators::FedOp::next(&mut j, &mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain(&mut j, &mut c).unwrap()).len()
 }
 
 fn join_ref(f: &Fixture) -> usize {
@@ -94,58 +90,33 @@ fn join_ref(f: &Fixture) -> usize {
         Box::new(RowsRefOp::new(f.right_rows.clone())),
         vec![Var::new("j")],
     );
-    let mut n = 0;
-    while let Some(r) = j.next(&mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain_ref(&mut j, &mut c).unwrap()).len()
 }
 
 fn distinct_slots(f: &Fixture) -> usize {
     let mut c = ctx(f);
     let mut d = DistinctOp::new(Box::new(RowsOp::new(f.left_slots.clone())));
-    let mut n = 0;
-    while let Some(r) = fedlake_core::operators::FedOp::next(&mut d, &mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain(&mut d, &mut c).unwrap()).len()
 }
 
 fn distinct_ref(f: &Fixture) -> usize {
     let mut c = ctx(f);
     let mut d = DistinctRefOp::new(Box::new(RowsRefOp::new(f.left_rows.clone())));
-    let mut n = 0;
-    while let Some(r) = d.next(&mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain_ref(&mut d, &mut c).unwrap()).len()
 }
 
 fn project_slots(f: &Fixture) -> usize {
     let mut c = ctx(f);
     let keep = f.schema.slots_of(&[Var::new("j")]);
     let mut p = ProjectOp::new(Box::new(RowsOp::new(f.left_slots.clone())), keep);
-    let mut n = 0;
-    while let Some(r) = fedlake_core::operators::FedOp::next(&mut p, &mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain(&mut p, &mut c).unwrap()).len()
 }
 
 fn project_ref(f: &Fixture) -> usize {
     let mut c = ctx(f);
     let mut p =
         ProjectRefOp::new(Box::new(RowsRefOp::new(f.left_rows.clone())), vec![Var::new("j")]);
-    let mut n = 0;
-    while let Some(r) = p.next(&mut c).unwrap() {
-        std::hint::black_box(r);
-        n += 1;
-    }
-    n
+    std::hint::black_box(drain_ref(&mut p, &mut c).unwrap()).len()
 }
 
 struct Case {

@@ -583,14 +583,6 @@ impl<'a> RecordServiceOp<'a> {
 }
 
 impl FedOp for RecordServiceOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, crate::error::FedError> {
-        let r = self.inner.next(ctx)?;
-        if r.is_some() {
-            self.qrec.service_rows(self.slot, 1);
-        }
-        Ok(r)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, crate::error::FedError> {
         let r = self.inner.poll_next(ctx)?;
         if matches!(r, Poll::Ready(_)) {

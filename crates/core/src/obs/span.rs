@@ -581,18 +581,6 @@ impl<'a> SpanOp<'a> {
 }
 
 impl crate::operators::FedOp for SpanOp<'_> {
-    fn next(
-        &mut self,
-        ctx: &mut crate::operators::ExecCtx,
-    ) -> Result<Option<SlotRow>, FedError> {
-        let r = self.inner.next(ctx)?;
-        match &r {
-            Some(_) => self.sink.node_emit(self.node, ctx.clock.now()),
-            None => self.sink.node_done(self.node, ctx.clock.now()),
-        }
-        Ok(r)
-    }
-
     fn poll_next(
         &mut self,
         ctx: &mut crate::operators::ExecCtx,

@@ -213,25 +213,117 @@ pub(crate) fn earlier(a: Option<EventTime>, b: EventTime) -> Option<EventTime> {
 
 /// A pull-based operator.
 pub trait FedOp {
-    /// Produces the next solution, advancing the clock by the work done.
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError>;
-
-    /// Non-blocking pull for the overlapped schedule: either yields a row,
-    /// reports the earliest in-flight event it is waiting on, or is done.
-    ///
-    /// The default delegates to [`FedOp::next`], which is correct only for
-    /// operators that never wait on source I/O (pre-materialized inputs);
-    /// every operator above a wrapper stream overrides this.
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        Ok(match self.next(ctx)? {
-            Some(row) => Poll::Ready(row),
-            None => Poll::Done,
-        })
-    }
+    /// Pulls once without blocking: yields a row, reports the earliest
+    /// in-flight event the operator is waiting on, or is done. The clock
+    /// advances by the work done. Under the serialized policy
+    /// ([`ExecCtx::serialized`]) every wait is sat out where it starts, so
+    /// no operator ever answers [`Poll::Pending`].
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError>;
 }
 
 /// A boxed operator (streams borrow the lake, hence the lifetime).
 pub type BoxedOp<'a> = Box<dyn FedOp + 'a>;
+
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
+/// What the two-input operators share: their inputs, which of them are
+/// exhausted, and how the next one to pull from is picked — the second of
+/// the two places the schedule policy is read (the first is
+/// [`ExecCtx::wait_until`]). Generic over the input type, so the reference
+/// executor's term-row joins run the very same pick.
+pub(crate) struct TwoInputs<C> {
+    /// Left, right.
+    inputs: [C; 2],
+    done: [bool; 2],
+    /// The [`Poll::Pending`] event each input last reported.
+    waits: [Option<EventTime>; 2],
+    /// Serialized policy: whose turn it is.
+    pull_left: bool,
+}
+
+impl<C> TwoInputs<C> {
+    pub(crate) fn new(left: C, right: C) -> Self {
+        TwoInputs { inputs: [left, right], done: [false; 2], waits: [None; 2], pull_left: true }
+    }
+
+    /// Both inputs are exhausted.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.done[LEFT] && self.done[RIGHT]
+    }
+
+    /// Pulls from the inputs once, handing every row that arrives to
+    /// `take(from_left, row, ctx)`. Returns the event to report as
+    /// [`Poll::Pending`] when nothing moved; on `None` the caller goes
+    /// around again — re-checking its output queue and
+    /// [`TwoInputs::exhausted`] first.
+    ///
+    /// Serialized, "once" is one input, in strict alternation while both
+    /// still produce — the paper's single-threaded loop, and the reason
+    /// answers stream out early — so the caller looks at its output queue
+    /// after every single pull and answer timestamps are a blocking join's.
+    /// Otherwise it is one round over both inputs, ANAPSID's adaptivity
+    /// proper: consume from whichever has a row ready at the current
+    /// virtual time, re-polling in the `(time, seq)` order of the events
+    /// the inputs last reported — the one whose event is due first goes
+    /// first, one with nothing in flight goes first in structural order —
+    /// which pins the schedule even when two events share a completion
+    /// time.
+    pub(crate) fn pull<T>(
+        &mut self,
+        ctx: &mut ExecCtx,
+        mut poll: impl FnMut(&mut C, &mut ExecCtx) -> Result<Poll<T>, FedError>,
+        mut take: impl FnMut(bool, T, &mut ExecCtx),
+    ) -> Result<Option<EventTime>, FedError> {
+        let (first, sides) = if ctx.is_serialized() {
+            let take_left = if self.done[LEFT] {
+                false
+            } else if self.done[RIGHT] {
+                true
+            } else {
+                self.pull_left
+            };
+            self.pull_left = !self.pull_left;
+            (if take_left { LEFT } else { RIGHT }, 1)
+        } else {
+            let left_first = match self.waits {
+                [None, _] => true,
+                [Some(_), None] => false,
+                [Some(l), Some(r)] => l <= r,
+            };
+            (if left_first { LEFT } else { RIGHT }, 2)
+        };
+        let mut progressed = false;
+        let mut wait: Option<EventTime> = None;
+        for k in 0..sides {
+            let side = first ^ k;
+            if self.done[side] {
+                continue;
+            }
+            match poll(&mut self.inputs[side], ctx)? {
+                Poll::Ready(row) => {
+                    self.waits[side] = None;
+                    take(side == LEFT, row, ctx);
+                    progressed = true;
+                }
+                Poll::Pending(ev) => {
+                    self.waits[side] = Some(ev);
+                    wait = earlier(wait, ev);
+                }
+                Poll::Done => {
+                    self.waits[side] = None;
+                    self.done[side] = true;
+                    progressed = true;
+                }
+            }
+        }
+        // The second input's poll can advance the clock past an event the
+        // first reported earlier in this round (e.g. a filter charging for
+        // discarded rows). A due event must be consumed by its owner, so
+        // go around again instead of surfacing a stale Pending.
+        Ok(wait.filter(|ev| !progressed && ev.time > ctx.clock.now()))
+    }
+}
 
 fn key_of(row: &SlotRow, on_slots: &[usize]) -> Option<Box<[TermId]>> {
     on_slots.iter().map(|&s| row.get(s)).collect()
@@ -239,21 +331,22 @@ fn key_of(row: &SlotRow, on_slots: &[usize]) -> Option<Box<[TermId]>> {
 
 /// The ANAPSID-style symmetric hash join.
 ///
-/// Both inputs are consumed in alternation; every arriving row is inserted
-/// into its side's hash table and immediately probed against the other
-/// side, so results stream out as soon as both matching rows have arrived.
-/// Keys are id arrays, so probing never compares strings.
+/// Every arriving row is inserted into its side's hash table and
+/// immediately probed against the other side, so results stream out as
+/// soon as both matching rows have arrived; [`TwoInputs::pull`] decides
+/// which input a row is taken from next. Keys are id arrays, so probing
+/// never compares strings.
 pub struct SymHashJoin<'a> {
-    left: BoxedOp<'a>,
-    right: BoxedOp<'a>,
+    inputs: TwoInputs<BoxedOp<'a>>,
+    tables: SymTables,
+}
+
+/// The build side of a [`SymHashJoin`]: both hash tables and the matches
+/// not yet handed out.
+struct SymTables {
     on_slots: Vec<usize>,
-    left_table: FastMap<Box<[TermId]>, Vec<SlotRow>>,
-    right_table: FastMap<Box<[TermId]>, Vec<SlotRow>>,
-    left_done: bool,
-    right_done: bool,
-    pull_left: bool,
-    left_wait: Option<EventTime>,
-    right_wait: Option<EventTime>,
+    left: FastMap<Box<[TermId]>, Vec<SlotRow>>,
+    right: FastMap<Box<[TermId]>, Vec<SlotRow>>,
     out: VecDeque<SlotRow>,
 }
 
@@ -262,21 +355,19 @@ impl<'a> SymHashJoin<'a> {
     /// (empty degenerates to a cartesian product).
     pub fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
         SymHashJoin {
-            left,
-            right,
-            on_slots,
-            left_table: FastMap::default(),
-            right_table: FastMap::default(),
-            left_done: false,
-            right_done: false,
-            pull_left: true,
-            left_wait: None,
-            right_wait: None,
-            out: VecDeque::new(),
+            inputs: TwoInputs::new(left, right),
+            tables: SymTables {
+                on_slots,
+                left: FastMap::default(),
+                right: FastMap::default(),
+                out: VecDeque::new(),
+            },
         }
     }
+}
 
-    fn insert_and_probe(&mut self, row: SlotRow, from_left: bool, ctx: &mut ExecCtx) {
+impl SymTables {
+    fn insert_and_probe(&mut self, from_left: bool, row: SlotRow, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
         let Some(key) = key_of(&row, &self.on_slots) else {
@@ -284,9 +375,9 @@ impl<'a> SymHashJoin<'a> {
             return;
         };
         let (own, other) = if from_left {
-            (&mut self.left_table, &self.right_table)
+            (&mut self.left, &self.right)
         } else {
-            (&mut self.right_table, &self.left_table)
+            (&mut self.right, &self.left)
         };
         if let Some(matches) = other.get(&key) {
             for m in matches {
@@ -301,127 +392,22 @@ impl<'a> SymHashJoin<'a> {
 }
 
 impl FedOp for SymHashJoin<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.left_done && self.right_done {
-                return Ok(None);
-            }
-            // Alternate between inputs while both still produce — the
-            // adaptive behaviour that makes answers stream out early.
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            if take_left {
-                match self.left.next(ctx)? {
-                    Some(row) => self.insert_and_probe(row, true, ctx),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next(ctx)? {
-                    Some(row) => self.insert_and_probe(row, false, ctx),
-                    None => self.right_done = true,
-                }
-            }
-        }
-    }
-
-    /// ANAPSID's adaptivity proper: instead of strict alternation, consume
-    /// from *whichever* input has a row ready at the current virtual time,
-    /// and only report Pending when both inputs are stalled on in-flight
-    /// transfers. Re-poll order follows the children's last-reported
-    /// Pending events by `(time, seq)`: the child whose in-flight event is
-    /// due first is re-polled first, and a child with nothing in flight
-    /// goes first in structural order — pinning the schedule even when two
-    /// events share a completion time.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        let SymHashJoin { inputs, tables } = self;
         loop {
-            if let Some(row) = self.out.pop_front() {
+            if let Some(row) = tables.out.pop_front() {
                 return Ok(Poll::Ready(row));
             }
-            if self.left_done && self.right_done {
+            if inputs.exhausted() {
                 return Ok(Poll::Done);
             }
-            if ctx.is_serialized() {
-                let take_left = if self.left_done {
-                    false
-                } else if self.right_done {
-                    true
-                } else {
-                    self.pull_left
-                };
-                self.pull_left = !self.pull_left;
-                let side = if take_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) => self.insert_and_probe(row, take_left, ctx),
-                    Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
-                    Poll::Done if take_left => self.left_done = true,
-                    Poll::Done => self.right_done = true,
-                }
-                continue;
-            }
-            let left_first = match (self.left_wait, self.right_wait) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(l), Some(r)) => l <= r,
-            };
-            let mut progressed = false;
-            let mut wait: Option<EventTime> = None;
-            let order = if left_first { [true, false] } else { [false, true] };
-            for is_left in order {
-                let done = if is_left { self.left_done } else { self.right_done };
-                if done {
-                    continue;
-                }
-                let side = if is_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) => {
-                        if is_left {
-                            self.left_wait = None;
-                        } else {
-                            self.right_wait = None;
-                        }
-                        self.insert_and_probe(row, is_left, ctx);
-                        progressed = true;
-                    }
-                    Poll::Pending(ev) => {
-                        if is_left {
-                            self.left_wait = Some(ev);
-                        } else {
-                            self.right_wait = Some(ev);
-                        }
-                        wait = earlier(wait, ev);
-                    }
-                    Poll::Done => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.left_done = true;
-                        } else {
-                            self.right_wait = None;
-                            self.right_done = true;
-                        }
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
+            let pending = inputs.pull(
+                ctx,
+                |input, ctx| input.poll_next(ctx),
+                |from_left, row, ctx| tables.insert_and_probe(from_left, row, ctx),
+            )?;
+            if let Some(ev) = pending {
+                return Ok(Poll::Pending(ev));
             }
         }
     }
@@ -431,17 +417,16 @@ impl FedOp for SymHashJoin<'_> {
 /// as both sides arrive; left rows that never matched are emitted
 /// unextended once both inputs drain.
 pub struct LeftHashJoin<'a> {
-    left: BoxedOp<'a>,
-    right: BoxedOp<'a>,
+    inputs: TwoInputs<BoxedOp<'a>>,
+    tables: LeftTables,
+}
+
+/// The build side of a [`LeftHashJoin`].
+struct LeftTables {
     on_slots: Vec<usize>,
     left_rows: Vec<(SlotRow, bool)>, // (row, matched)
-    left_table: FastMap<Box<[TermId]>, Vec<usize>>,
-    right_table: FastMap<Box<[TermId]>, Vec<SlotRow>>,
-    left_done: bool,
-    right_done: bool,
-    pull_left: bool,
-    left_wait: Option<EventTime>,
-    right_wait: Option<EventTime>,
+    left: FastMap<Box<[TermId]>, Vec<usize>>,
+    right: FastMap<Box<[TermId]>, Vec<SlotRow>>,
     out: VecDeque<SlotRow>,
     flushed: bool,
 }
@@ -451,22 +436,20 @@ impl<'a> LeftHashJoin<'a> {
     /// the slots `on_slots`.
     pub fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
         LeftHashJoin {
-            left,
-            right,
-            on_slots,
-            left_rows: Vec::new(),
-            left_table: FastMap::default(),
-            right_table: FastMap::default(),
-            left_done: false,
-            right_done: false,
-            pull_left: true,
-            left_wait: None,
-            right_wait: None,
-            out: VecDeque::new(),
-            flushed: false,
+            inputs: TwoInputs::new(left, right),
+            tables: LeftTables {
+                on_slots,
+                left_rows: Vec::new(),
+                left: FastMap::default(),
+                right: FastMap::default(),
+                out: VecDeque::new(),
+                flushed: false,
+            },
         }
     }
+}
 
+impl LeftTables {
     fn take_left(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
@@ -474,7 +457,7 @@ impl<'a> LeftHashJoin<'a> {
         let key = key_of(&row, &self.on_slots);
         let mut matched = false;
         if let Some(key) = &key {
-            if let Some(matches) = self.right_table.get(key) {
+            if let Some(matches) = self.right.get(key) {
                 for m in matches {
                     if let Some(merged) = row.merge(m) {
                         matched = true;
@@ -483,7 +466,7 @@ impl<'a> LeftHashJoin<'a> {
                     }
                 }
             }
-            self.left_table.entry(key.clone()).or_default().push(idx);
+            self.left.entry(key.clone()).or_default().push(idx);
         }
         // A left row not binding every join variable can never match a
         // (fully-bound) right row; it will flush unextended.
@@ -494,7 +477,7 @@ impl<'a> LeftHashJoin<'a> {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
         let Some(key) = key_of(&row, &self.on_slots) else { return };
-        if let Some(left_idxs) = self.left_table.get(&key) {
+        if let Some(left_idxs) = self.left.get(&key) {
             for &i in left_idxs {
                 let (lrow, matched) = &mut self.left_rows[i];
                 if let Some(merged) = lrow.merge(&row) {
@@ -504,144 +487,42 @@ impl<'a> LeftHashJoin<'a> {
                 }
             }
         }
-        self.right_table.entry(key).or_default().push(row);
+        self.right.entry(key).or_default().push(row);
     }
 }
 
 impl FedOp for LeftHashJoin<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.left_done && self.right_done {
-                if !self.flushed {
-                    self.flushed = true;
-                    for (row, matched) in &self.left_rows {
-                        if !matched {
-                            self.out.push_back(row.clone());
-                        }
-                    }
-                    continue;
-                }
-                return Ok(None);
-            }
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            if take_left {
-                match self.left.next(ctx)? {
-                    Some(row) => self.take_left(row, ctx),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next(ctx)? {
-                    Some(row) => self.take_right(row, ctx),
-                    None => self.right_done = true,
-                }
-            }
-        }
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        let LeftHashJoin { inputs, tables } = self;
         loop {
-            if let Some(row) = self.out.pop_front() {
+            if let Some(row) = tables.out.pop_front() {
                 return Ok(Poll::Ready(row));
             }
-            if self.left_done && self.right_done {
-                if !self.flushed {
-                    self.flushed = true;
-                    for (row, matched) in &self.left_rows {
+            if inputs.exhausted() {
+                if !tables.flushed {
+                    tables.flushed = true;
+                    for (row, matched) in &tables.left_rows {
                         if !matched {
-                            self.out.push_back(row.clone());
+                            tables.out.push_back(row.clone());
                         }
                     }
                     continue;
                 }
                 return Ok(Poll::Done);
             }
-            if ctx.is_serialized() {
-                let take_left = if self.left_done {
-                    false
-                } else if self.right_done {
-                    true
-                } else {
-                    self.pull_left
-                };
-                self.pull_left = !self.pull_left;
-                let side = if take_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) if take_left => self.take_left(row, ctx),
-                    Poll::Ready(row) => self.take_right(row, ctx),
-                    Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
-                    Poll::Done if take_left => self.left_done = true,
-                    Poll::Done => self.right_done = true,
-                }
-                continue;
-            }
-            // Same `(time, seq)` re-poll order as SymHashJoin: the child
-            // whose last-reported Pending event is due first goes first.
-            let left_first = match (self.left_wait, self.right_wait) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(l), Some(r)) => l <= r,
-            };
-            let mut progressed = false;
-            let mut wait: Option<EventTime> = None;
-            let order = if left_first { [true, false] } else { [false, true] };
-            for is_left in order {
-                let done = if is_left { self.left_done } else { self.right_done };
-                if done {
-                    continue;
-                }
-                let side = if is_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.take_left(row, ctx);
-                        } else {
-                            self.right_wait = None;
-                            self.take_right(row, ctx);
-                        }
-                        progressed = true;
+            let pending = inputs.pull(
+                ctx,
+                |input, ctx| input.poll_next(ctx),
+                |from_left, row, ctx| {
+                    if from_left {
+                        tables.take_left(row, ctx)
+                    } else {
+                        tables.take_right(row, ctx)
                     }
-                    Poll::Pending(ev) => {
-                        if is_left {
-                            self.left_wait = Some(ev);
-                        } else {
-                            self.right_wait = Some(ev);
-                        }
-                        wait = earlier(wait, ev);
-                    }
-                    Poll::Done => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.left_done = true;
-                        } else {
-                            self.right_wait = None;
-                            self.right_done = true;
-                        }
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
+                },
+            )?;
+            if let Some(ev) = pending {
+                return Ok(Poll::Pending(ev));
             }
         }
     }
@@ -674,15 +555,6 @@ impl<'a> FilterOp<'a> {
 }
 
 impl FedOp for FilterOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        while let Some(row) = self.input.next(ctx)? {
-            if self.keeps(&row, ctx) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
@@ -698,52 +570,47 @@ impl FedOp for FilterOp<'_> {
     }
 }
 
-/// Union: drains its branches in order (sources answer independently).
-pub struct UnionOp<'a> {
-    branches: VecDeque<BoxedOp<'a>>,
+/// What the n-ary union shares with the reference executor's: its
+/// branches and the order they are polled in. Needs no schedule policy — a
+/// branch that never answers [`Poll::Pending`] is drained before the next
+/// one is looked at, which is the serialized union.
+pub(crate) struct Branches<C> {
+    inputs: Vec<C>,
+    done: Vec<bool>,
+    /// The [`Poll::Pending`] event each branch last reported.
     waits: Vec<Option<EventTime>>,
+    /// Scratch for the poll order, kept to reuse its allocation.
+    order: Vec<usize>,
 }
 
-impl<'a> UnionOp<'a> {
-    /// Creates a union of `branches`.
-    pub fn new(branches: Vec<BoxedOp<'a>>) -> Self {
-        let waits = vec![None; branches.len()];
-        UnionOp { branches: branches.into(), waits }
-    }
-}
-
-impl FedOp for UnionOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        while let Some(front) = self.branches.front_mut() {
-            match front.next(ctx)? {
-                Some(row) => return Ok(Some(row)),
-                None => {
-                    self.branches.pop_front();
-                }
-            }
-        }
-        Ok(None)
+impl<C> Branches<C> {
+    pub(crate) fn new(inputs: Vec<C>) -> Self {
+        let n = inputs.len();
+        Branches { inputs, done: vec![false; n], waits: vec![None; n], order: Vec::with_capacity(n) }
     }
 
-    /// Overlapped: emit from whichever branch is ready first instead of
-    /// draining branches in order. Re-poll order follows each branch's
-    /// last-reported Pending event by `(time, seq)` — branches with
-    /// nothing in flight go first in structural order — pinning the
+    /// Emits from whichever branch is ready first. Poll order follows each
+    /// branch's last-reported Pending event by `(time, seq)` — branches
+    /// with nothing in flight go first in structural order — pinning the
     /// schedule even when two events share a completion time.
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    pub(crate) fn poll<T>(
+        &mut self,
+        ctx: &mut ExecCtx,
+        mut poll: impl FnMut(&mut C, &mut ExecCtx) -> Result<Poll<T>, FedError>,
+    ) -> Result<Poll<T>, FedError> {
         loop {
-            if self.branches.is_empty() {
+            self.order.clear();
+            self.order.extend((0..self.inputs.len()).filter(|&i| !self.done[i]));
+            if self.order.is_empty() {
                 return Ok(Poll::Done);
             }
-            let mut order: Vec<usize> = (0..self.branches.len()).collect();
             // `None < Some`, so unwaited branches lead; the stable sort
             // keeps structural order among them.
-            order.sort_by_key(|&i| self.waits[i]);
+            self.order.sort_by_key(|&i| self.waits[i]);
             let mut wait: Option<EventTime> = None;
             let mut progressed = false;
-            let mut finished: Vec<usize> = Vec::new();
-            for &i in &order {
-                match self.branches[i].poll_next(ctx)? {
+            for &i in &self.order {
+                match poll(&mut self.inputs[i], ctx)? {
                     Poll::Ready(row) => {
                         self.waits[i] = None;
                         return Ok(Poll::Ready(row));
@@ -753,29 +620,36 @@ impl FedOp for UnionOp<'_> {
                         wait = earlier(wait, ev);
                     }
                     Poll::Done => {
-                        finished.push(i);
+                        self.waits[i] = None;
+                        self.done[i] = true;
                         progressed = true;
                     }
                 }
             }
-            finished.sort_unstable_by(|a, b| b.cmp(a));
-            for i in finished {
-                self.branches.remove(i);
-                self.waits.remove(i);
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
+            // A later branch's poll can advance the clock past an event an
+            // earlier one reported in this round; a due event must be
+            // consumed by its owner, so go around again instead of
+            // surfacing a stale Pending.
+            if let Some(ev) = wait.filter(|ev| !progressed && ev.time > ctx.clock.now()) {
+                return Ok(Poll::Pending(ev));
             }
         }
+    }
+}
+
+/// Union of its branches (sources answer independently).
+pub struct UnionOp<'a>(Branches<BoxedOp<'a>>);
+
+impl<'a> UnionOp<'a> {
+    /// Creates a union of `branches`.
+    pub fn new(branches: Vec<BoxedOp<'a>>) -> Self {
+        UnionOp(Branches::new(branches))
+    }
+}
+
+impl FedOp for UnionOp<'_> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        self.0.poll(ctx, |branch, ctx| branch.poll_next(ctx))
     }
 }
 
@@ -807,13 +681,6 @@ impl ProjectOp<'_> {
 }
 
 impl FedOp for ProjectOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        match self.input.next(ctx)? {
-            Some(row) => Ok(Some(self.remap(row, ctx))),
-            None => Ok(None),
-        }
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(row) => Poll::Ready(self.remap(row, ctx)),
@@ -837,16 +704,6 @@ impl<'a> DistinctOp<'a> {
 }
 
 impl FedOp for DistinctOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        while let Some(row) = self.input.next(ctx)? {
-            ctx.clock.advance(ctx.cost.engine_row_time(1));
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
@@ -876,8 +733,8 @@ impl RowsOp {
 }
 
 impl FedOp for RowsOp {
-    fn next(&mut self, _ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        Ok(self.rows.pop_front())
+    fn poll_next(&mut self, _ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        Ok(self.rows.pop_front().map_or(Poll::Done, Poll::Ready))
     }
 }
 
@@ -917,11 +774,7 @@ mod tests {
     }
 
     fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Vec<SlotRow> {
-        let mut out = Vec::new();
-        while let Some(r) = op.next(ctx).unwrap() {
-            out.push(r);
-        }
-        out
+        crate::wrapper::drain(op, ctx).unwrap()
     }
 
     #[test]
@@ -969,10 +822,122 @@ mod tests {
         let left = RowsOp::new(vec![row(&c, &[("j", "x"), ("a", "1")]); 50]);
         let right = RowsOp::new(vec![row(&c, &[("j", "x"), ("b", "1")]); 50]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
-        let first = j.next(&mut c).unwrap();
-        assert!(first.is_some());
+        let first = j.poll_next(&mut c).unwrap();
+        assert!(matches!(first, Poll::Ready(_)));
         // Only two probes were needed for the first answer.
         assert_eq!(c.stats.engine_join_probes, 2);
+    }
+
+    /// The serialized policy gives a join's caller its output queue back
+    /// after every single pull; the default takes a round over both inputs
+    /// first. Same answers, different moments.
+    #[test]
+    fn join_looks_at_its_output_after_every_pull_only_when_serialized() {
+        let probes_per_poll = |mut c: ExecCtx| {
+            let left = RowsOp::new(vec![row(&c, &[("j", "x"), ("a", "1")]); 50]);
+            let right = RowsOp::new(vec![row(&c, &[("j", "x"), ("b", "1")]); 50]);
+            let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
+            let probes: Vec<u64> = (0..4)
+                .map(|_| {
+                    assert!(matches!(j.poll_next(&mut c).unwrap(), Poll::Ready(_)));
+                    c.stats.engine_join_probes
+                })
+                .collect();
+            (probes, drain(&mut j, &mut c).len() + 4)
+        };
+        // L, R → the first match; L → one more; R → two more (one queued).
+        assert_eq!(probes_per_poll(ctx().serialized()), (vec![2, 3, 4, 4], 2500));
+        // L, R → the first match; L, R → three more (two queued).
+        assert_eq!(probes_per_poll(ctx()), (vec![2, 4, 4, 4], 2500));
+    }
+
+    /// A scripted input: answers its polls from the front of the queue.
+    type Script = VecDeque<Poll<u32>>;
+
+    fn poll_script(input: &mut Script, _: &mut ExecCtx) -> Result<Poll<u32>, FedError> {
+        Ok(input.pop_front().unwrap_or(Poll::Done))
+    }
+
+    fn at(ms: u64, seq: u64) -> EventTime {
+        EventTime { time: std::time::Duration::from_millis(ms), seq }
+    }
+
+    #[test]
+    fn serialized_pull_alternates_strictly_one_input_at_a_time() {
+        let mut c = ctx().serialized();
+        let ready = |vs: &[u32]| vs.iter().map(|v| Poll::Ready(*v)).collect::<Script>();
+        let mut inputs = TwoInputs::new(ready(&[1, 2, 3]), ready(&[10, 20]));
+        let mut pulls = Vec::new();
+        while !inputs.exhausted() {
+            let mut taken = Vec::new();
+            let pending = inputs
+                .pull(&mut c, poll_script, |from_left, v, _: &mut ExecCtx| taken.push((from_left, v)))
+                .unwrap();
+            assert_eq!(pending, None);
+            pulls.push(taken);
+        }
+        // L R L R L, then the right's turn finds it exhausted, then the
+        // left's: the turn flips on every pull, forced or not.
+        assert_eq!(
+            pulls,
+            [
+                vec![(true, 1)],
+                vec![(false, 10)],
+                vec![(true, 2)],
+                vec![(false, 20)],
+                vec![(true, 3)],
+                vec![],
+                vec![],
+            ]
+        );
+    }
+
+    #[test]
+    fn default_pull_takes_a_round_in_the_order_of_the_reported_events() {
+        let mut c = ctx();
+        let mut inputs = TwoInputs::new(
+            Script::from([Poll::Pending(at(5, 0)), Poll::Ready(1), Poll::Ready(2)]),
+            Script::from([Poll::Pending(at(3, 1)), Poll::Ready(10)]),
+        );
+        let mut taken = Vec::new();
+        let mut pull = |inputs: &mut TwoInputs<Script>, c: &mut ExecCtx| {
+            inputs.pull(c, poll_script, |from_left, v, _: &mut ExecCtx| taken.push((from_left, v)))
+        };
+        // Nothing in flight yet: structural order; both wait, the earlier
+        // event is the one to report.
+        assert_eq!(pull(&mut inputs, &mut c).unwrap(), Some(at(3, 1)));
+        // The right's event is due first, so the right is polled first —
+        // and the left still in the same round.
+        assert_eq!(pull(&mut inputs, &mut c).unwrap(), None);
+        // Nothing in flight again: structural order, the exhausted right
+        // included.
+        assert_eq!(pull(&mut inputs, &mut c).unwrap(), None);
+        assert_eq!(taken, [(false, 10), (true, 1), (true, 2)]);
+        assert!(!inputs.exhausted());
+    }
+
+    #[test]
+    fn a_pending_that_went_stale_within_the_round_is_not_surfaced() {
+        let mut c = ctx();
+        let mut inputs = TwoInputs::new(
+            Script::from([Poll::Pending(at(3, 0))]),
+            Script::from([Poll::Pending(at(9, 1))]),
+        );
+        // The right's poll charges 4 ms of work: the left's event is due by
+        // the end of the round, and only its owner may consume it.
+        let pending = inputs
+            .pull(
+                &mut c,
+                |input, c| {
+                    if input.front() == Some(&Poll::Pending(at(9, 1))) {
+                        c.clock.advance(std::time::Duration::from_millis(4));
+                    }
+                    poll_script(input, c)
+                },
+                |_, _: u32, _: &mut ExecCtx| unreachable!("no row is scripted"),
+            )
+            .unwrap();
+        assert_eq!(pending, None, "go around again");
     }
 
     #[test]

@@ -16,20 +16,25 @@
 //!    representation's join-probe / distinct / projection cost against
 //!    slot rows on identical inputs.
 //!
-//! The operators here are intentionally a faithful copy of the seed
-//! engine's semantics, including where the clock advances and which
-//! counters increment — do not "optimize" them.
+//! What differs from the engine is the *representation*: one body per
+//! operator over [`Row`]s, a faithful copy of the seed engine's semantics,
+//! including where the clock advances and which counters increment — do
+//! not "optimize" them. What does not differ is shared, not mirrored: the
+//! pull protocol ([`Poll`], one `poll_next` per operator), the schedule
+//! policy ([`ExecCtx::serialized`]) and the pick among several inputs
+//! ([`TwoInputs`], [`Branches`]) are the engine's own, so both schedules
+//! of this executor are whatever the engine's are.
 
 use crate::engine::{FederatedEngine, FedResult, FedStats};
 use crate::error::FedError;
 use crate::fedplan::FedPlan;
 use crate::lake::DataLake;
-use crate::operators::{earlier, BoxedOp, ExecCtx, FedOp, Poll};
+use crate::operators::{BoxedOp, Branches, ExecCtx, FedOp, Poll, TwoInputs};
 use crate::planner::PlannedQuery;
 use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, open_service, route_for};
 use fedlake_netsim::clock::{shared_real, shared_virtual};
-use fedlake_netsim::{EventTime, Link};
+use fedlake_netsim::Link;
 use fedlake_rdf::{SharedInterner, Term};
 use fedlake_sparql::binding::{decode_row, encode_row, Row, SlotRow, Var};
 use fedlake_sparql::eval::sort_rows;
@@ -39,22 +44,25 @@ use std::sync::Arc;
 
 /// A pull-based operator over term-materialized rows.
 pub trait RefOp {
-    /// Produces the next solution, advancing the clock by the work done.
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError>;
-
-    /// Non-blocking pull, mirroring [`FedOp::poll_next`]. The default
-    /// delegates to [`RefOp::next`]; operators above a wrapper stream
-    /// override it so the overlapped schedule reaches the sources.
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
-        Ok(match self.next(ctx)? {
-            Some(row) => Poll::Ready(row),
-            None => Poll::Done,
-        })
-    }
+    /// Non-blocking pull, exactly [`FedOp::poll_next`] over term rows.
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError>;
 }
 
 /// A boxed reference operator.
 pub type BoxedRefOp<'a> = Box<dyn RefOp + 'a>;
+
+/// Drains a reference operator fully; [`crate::wrapper::drain`] over term
+/// rows.
+pub fn drain_ref(op: &mut dyn RefOp, ctx: &mut ExecCtx) -> Result<Vec<Row>, FedError> {
+    let mut out = Vec::new();
+    loop {
+        match op.poll_next(ctx)? {
+            Poll::Ready(row) => out.push(row),
+            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
+            Poll::Done => return Ok(out),
+        }
+    }
+}
 
 /// The reference-executor twin of [`crate::obs::span::SpanOp`]: counts a
 /// plan node's emissions into the trace sink. Installed only when tracing
@@ -66,15 +74,6 @@ struct SpanRefOp<'a> {
 }
 
 impl RefOp for SpanRefOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        let r = self.inner.next(ctx)?;
-        match &r {
-            Some(_) => self.sink.node_emit(self.node, ctx.clock.now()),
-            None => self.sink.node_done(self.node, ctx.clock.now()),
-        }
-        Ok(r)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
         let r = self.inner.poll_next(ctx)?;
         match &r {
@@ -100,13 +99,6 @@ impl<'a> DecodeOp<'a> {
 }
 
 impl RefOp for DecodeOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        Ok(self.input.next(ctx)?.map(|r| {
-            let dict = ctx.interner.lock();
-            decode_row(&ctx.schema, &dict, |s| r.get(s))
-        }))
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(r) => {
@@ -133,13 +125,6 @@ impl<'a> EncodeOp<'a> {
 }
 
 impl FedOp for EncodeOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        Ok(self.input.next(ctx)?.map(|r| {
-            let schema = Arc::clone(&ctx.schema);
-            encode_row(&r, &schema, &mut ctx.interner.lock())
-        }))
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(r) => {
@@ -159,16 +144,14 @@ fn key_of(row: &Row, on: &[Var]) -> Option<Vec<Term>> {
 /// The seed symmetric hash join: keys are term vectors, rows are B-tree
 /// maps, merging compares full terms.
 pub struct SymHashJoinRef<'a> {
-    left: BoxedRefOp<'a>,
-    right: BoxedRefOp<'a>,
+    inputs: TwoInputs<BoxedRefOp<'a>>,
+    tables: SymRefTables,
+}
+
+struct SymRefTables {
     on: Vec<Var>,
-    left_table: HashMap<Vec<Term>, Vec<Row>>,
-    right_table: HashMap<Vec<Term>, Vec<Row>>,
-    left_done: bool,
-    right_done: bool,
-    pull_left: bool,
-    left_wait: Option<EventTime>,
-    right_wait: Option<EventTime>,
+    left: HashMap<Vec<Term>, Vec<Row>>,
+    right: HashMap<Vec<Term>, Vec<Row>>,
     out: VecDeque<Row>,
 }
 
@@ -176,30 +159,28 @@ impl<'a> SymHashJoinRef<'a> {
     /// Creates a join of `left` and `right` on `on`.
     pub fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
         SymHashJoinRef {
-            left,
-            right,
-            on,
-            left_table: HashMap::new(),
-            right_table: HashMap::new(),
-            left_done: false,
-            right_done: false,
-            pull_left: true,
-            left_wait: None,
-            right_wait: None,
-            out: VecDeque::new(),
+            inputs: TwoInputs::new(left, right),
+            tables: SymRefTables {
+                on,
+                left: HashMap::new(),
+                right: HashMap::new(),
+                out: VecDeque::new(),
+            },
         }
     }
+}
 
-    fn insert_and_probe(&mut self, row: Row, from_left: bool, ctx: &mut ExecCtx) {
+impl SymRefTables {
+    fn insert_and_probe(&mut self, from_left: bool, row: Row, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
         let Some(key) = key_of(&row, &self.on) else {
             return;
         };
         let (own, other) = if from_left {
-            (&mut self.left_table, &self.right_table)
+            (&mut self.left, &self.right)
         } else {
-            (&mut self.right_table, &self.left_table)
+            (&mut self.right, &self.left)
         };
         if let Some(matches) = other.get(&key) {
             for m in matches {
@@ -214,103 +195,22 @@ impl<'a> SymHashJoinRef<'a> {
 }
 
 impl RefOp for SymHashJoinRef<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.left_done && self.right_done {
-                return Ok(None);
-            }
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            if take_left {
-                match self.left.next(ctx)? {
-                    Some(row) => self.insert_and_probe(row, true, ctx),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next(ctx)? {
-                    Some(row) => self.insert_and_probe(row, false, ctx),
-                    None => self.right_done = true,
-                }
-            }
-        }
-    }
-
-    /// Mirror of the interned [`crate::operators::SymHashJoin::poll_next`]:
-    /// consume from whichever input is ready, Pending only when both
-    /// stall, re-poll order following the children's last-reported
-    /// Pending events by `(time, seq)`.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
+        let SymHashJoinRef { inputs, tables } = self;
         loop {
-            if let Some(row) = self.out.pop_front() {
+            if let Some(row) = tables.out.pop_front() {
                 return Ok(Poll::Ready(row));
             }
-            if self.left_done && self.right_done {
+            if inputs.exhausted() {
                 return Ok(Poll::Done);
             }
-            let left_first = match (self.left_wait, self.right_wait) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(l), Some(r)) => l <= r,
-            };
-            let mut progressed = false;
-            let mut wait: Option<EventTime> = None;
-            let order = if left_first { [true, false] } else { [false, true] };
-            for is_left in order {
-                let done = if is_left { self.left_done } else { self.right_done };
-                if done {
-                    continue;
-                }
-                let side = if is_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) => {
-                        if is_left {
-                            self.left_wait = None;
-                        } else {
-                            self.right_wait = None;
-                        }
-                        self.insert_and_probe(row, is_left, ctx);
-                        progressed = true;
-                    }
-                    Poll::Pending(ev) => {
-                        if is_left {
-                            self.left_wait = Some(ev);
-                        } else {
-                            self.right_wait = Some(ev);
-                        }
-                        wait = earlier(wait, ev);
-                    }
-                    Poll::Done => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.left_done = true;
-                        } else {
-                            self.right_wait = None;
-                            self.right_done = true;
-                        }
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
+            let pending = inputs.pull(
+                ctx,
+                |input, ctx| input.poll_next(ctx),
+                |from_left, row, ctx| tables.insert_and_probe(from_left, row, ctx),
+            )?;
+            if let Some(ev) = pending {
+                return Ok(Poll::Pending(ev));
             }
         }
     }
@@ -318,17 +218,15 @@ impl RefOp for SymHashJoinRef<'_> {
 
 /// The seed streaming left join.
 pub struct LeftHashJoinRef<'a> {
-    left: BoxedRefOp<'a>,
-    right: BoxedRefOp<'a>,
+    inputs: TwoInputs<BoxedRefOp<'a>>,
+    tables: LeftRefTables,
+}
+
+struct LeftRefTables {
     on: Vec<Var>,
     left_rows: Vec<(Row, bool)>,
-    left_table: HashMap<Vec<Term>, Vec<usize>>,
-    right_table: HashMap<Vec<Term>, Vec<Row>>,
-    left_done: bool,
-    right_done: bool,
-    pull_left: bool,
-    left_wait: Option<EventTime>,
-    right_wait: Option<EventTime>,
+    left: HashMap<Vec<Term>, Vec<usize>>,
+    right: HashMap<Vec<Term>, Vec<Row>>,
     out: VecDeque<Row>,
     flushed: bool,
 }
@@ -337,22 +235,20 @@ impl<'a> LeftHashJoinRef<'a> {
     /// Creates a left join of `left` (required) and `right` (optional).
     pub fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
         LeftHashJoinRef {
-            left,
-            right,
-            on,
-            left_rows: Vec::new(),
-            left_table: HashMap::new(),
-            right_table: HashMap::new(),
-            left_done: false,
-            right_done: false,
-            pull_left: true,
-            left_wait: None,
-            right_wait: None,
-            out: VecDeque::new(),
-            flushed: false,
+            inputs: TwoInputs::new(left, right),
+            tables: LeftRefTables {
+                on,
+                left_rows: Vec::new(),
+                left: HashMap::new(),
+                right: HashMap::new(),
+                out: VecDeque::new(),
+                flushed: false,
+            },
         }
     }
+}
 
+impl LeftRefTables {
     fn take_left(&mut self, row: Row, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
@@ -360,7 +256,7 @@ impl<'a> LeftHashJoinRef<'a> {
         let key = key_of(&row, &self.on);
         let mut matched = false;
         if let Some(key) = &key {
-            if let Some(matches) = self.right_table.get(key) {
+            if let Some(matches) = self.right.get(key) {
                 for m in matches {
                     if let Some(merged) = row.merge(m) {
                         matched = true;
@@ -369,7 +265,7 @@ impl<'a> LeftHashJoinRef<'a> {
                     }
                 }
             }
-            self.left_table.entry(key.clone()).or_default().push(idx);
+            self.left.entry(key.clone()).or_default().push(idx);
         }
         self.left_rows.push((row, matched));
     }
@@ -378,7 +274,7 @@ impl<'a> LeftHashJoinRef<'a> {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
         let Some(key) = key_of(&row, &self.on) else { return };
-        if let Some(left_idxs) = self.left_table.get(&key) {
+        if let Some(left_idxs) = self.left.get(&key) {
             for &i in left_idxs {
                 let (lrow, matched) = &mut self.left_rows[i];
                 if let Some(merged) = lrow.merge(&row) {
@@ -388,127 +284,42 @@ impl<'a> LeftHashJoinRef<'a> {
                 }
             }
         }
-        self.right_table.entry(key).or_default().push(row);
+        self.right.entry(key).or_default().push(row);
     }
 }
 
 impl RefOp for LeftHashJoinRef<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.left_done && self.right_done {
-                if !self.flushed {
-                    self.flushed = true;
-                    for (row, matched) in &self.left_rows {
-                        if !matched {
-                            self.out.push_back(row.clone());
-                        }
-                    }
-                    continue;
-                }
-                return Ok(None);
-            }
-            let take_left = if self.left_done {
-                false
-            } else if self.right_done {
-                true
-            } else {
-                self.pull_left
-            };
-            self.pull_left = !self.pull_left;
-            if take_left {
-                match self.left.next(ctx)? {
-                    Some(row) => self.take_left(row, ctx),
-                    None => self.left_done = true,
-                }
-            } else {
-                match self.right.next(ctx)? {
-                    Some(row) => self.take_right(row, ctx),
-                    None => self.right_done = true,
-                }
-            }
-        }
-    }
-
-    /// Mirror of the interned [`crate::operators::LeftHashJoin::poll_next`].
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
+        let LeftHashJoinRef { inputs, tables } = self;
         loop {
-            if let Some(row) = self.out.pop_front() {
+            if let Some(row) = tables.out.pop_front() {
                 return Ok(Poll::Ready(row));
             }
-            if self.left_done && self.right_done {
-                if !self.flushed {
-                    self.flushed = true;
-                    for (row, matched) in &self.left_rows {
+            if inputs.exhausted() {
+                if !tables.flushed {
+                    tables.flushed = true;
+                    for (row, matched) in &tables.left_rows {
                         if !matched {
-                            self.out.push_back(row.clone());
+                            tables.out.push_back(row.clone());
                         }
                     }
                     continue;
                 }
                 return Ok(Poll::Done);
             }
-            // Same `(time, seq)` re-poll order as the interned twin: the
-            // child whose last-reported Pending event is due first goes
-            // first.
-            let left_first = match (self.left_wait, self.right_wait) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(l), Some(r)) => l <= r,
-            };
-            let mut progressed = false;
-            let mut wait: Option<EventTime> = None;
-            let order = if left_first { [true, false] } else { [false, true] };
-            for is_left in order {
-                let done = if is_left { self.left_done } else { self.right_done };
-                if done {
-                    continue;
-                }
-                let side = if is_left { &mut self.left } else { &mut self.right };
-                match side.poll_next(ctx)? {
-                    Poll::Ready(row) => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.take_left(row, ctx);
-                        } else {
-                            self.right_wait = None;
-                            self.take_right(row, ctx);
-                        }
-                        progressed = true;
+            let pending = inputs.pull(
+                ctx,
+                |input, ctx| input.poll_next(ctx),
+                |from_left, row, ctx| {
+                    if from_left {
+                        tables.take_left(row, ctx)
+                    } else {
+                        tables.take_right(row, ctx)
                     }
-                    Poll::Pending(ev) => {
-                        if is_left {
-                            self.left_wait = Some(ev);
-                        } else {
-                            self.right_wait = Some(ev);
-                        }
-                        wait = earlier(wait, ev);
-                    }
-                    Poll::Done => {
-                        if is_left {
-                            self.left_wait = None;
-                            self.left_done = true;
-                        } else {
-                            self.right_wait = None;
-                            self.right_done = true;
-                        }
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
+                },
+            )?;
+            if let Some(ev) = pending {
+                return Ok(Poll::Pending(ev));
             }
         }
     }
@@ -528,18 +339,6 @@ impl<'a> FilterRefOp<'a> {
 }
 
 impl RefOp for FilterRefOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        while let Some(row) = self.input.next(ctx)? {
-            ctx.stats.engine_filter_evals += self.exprs.len() as u64;
-            ctx.clock
-                .advance(ctx.cost.engine_filter_time(self.exprs.len() as u64));
-            if self.exprs.iter().all(|e| e.test(&row)) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
@@ -559,81 +358,18 @@ impl RefOp for FilterRefOp<'_> {
 }
 
 /// The seed union.
-pub struct UnionRefOp<'a> {
-    branches: VecDeque<BoxedRefOp<'a>>,
-    waits: Vec<Option<EventTime>>,
-}
+pub struct UnionRefOp<'a>(Branches<BoxedRefOp<'a>>);
 
 impl<'a> UnionRefOp<'a> {
     /// Creates a union of `branches`.
     pub fn new(branches: Vec<BoxedRefOp<'a>>) -> Self {
-        let waits = vec![None; branches.len()];
-        UnionRefOp { branches: branches.into(), waits }
+        UnionRefOp(Branches::new(branches))
     }
 }
 
 impl RefOp for UnionRefOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        while let Some(front) = self.branches.front_mut() {
-            match front.next(ctx)? {
-                Some(row) => return Ok(Some(row)),
-                None => {
-                    self.branches.pop_front();
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Mirror of the interned [`crate::operators::UnionOp::poll_next`]:
-    /// emit from whichever branch is ready first, re-poll order following
-    /// each branch's last-reported Pending event by `(time, seq)`.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
-        loop {
-            if self.branches.is_empty() {
-                return Ok(Poll::Done);
-            }
-            let mut order: Vec<usize> = (0..self.branches.len()).collect();
-            // `None < Some`, so unwaited branches lead; the stable sort
-            // keeps structural order among them.
-            order.sort_by_key(|&i| self.waits[i]);
-            let mut wait: Option<EventTime> = None;
-            let mut progressed = false;
-            let mut finished: Vec<usize> = Vec::new();
-            for &i in &order {
-                match self.branches[i].poll_next(ctx)? {
-                    Poll::Ready(row) => {
-                        self.waits[i] = None;
-                        return Ok(Poll::Ready(row));
-                    }
-                    Poll::Pending(ev) => {
-                        self.waits[i] = Some(ev);
-                        wait = earlier(wait, ev);
-                    }
-                    Poll::Done => {
-                        finished.push(i);
-                        progressed = true;
-                    }
-                }
-            }
-            finished.sort_unstable_by(|a, b| b.cmp(a));
-            for i in finished {
-                self.branches.remove(i);
-                self.waits.remove(i);
-            }
-            if !progressed {
-                if let Some(ev) = wait {
-                    // The second child's poll can advance the clock past an
-                    // event the first child reported earlier in this round
-                    // (e.g. a filter charging for discarded rows). A due
-                    // event must be consumed by its owner, so go around
-                    // again instead of surfacing a stale Pending.
-                    if ev.time > ctx.clock.now() {
-                        return Ok(Poll::Pending(ev));
-                    }
-                }
-            }
-        }
+        self.0.poll(ctx, |branch, ctx| branch.poll_next(ctx))
     }
 }
 
@@ -664,10 +400,6 @@ impl ProjectRefOp<'_> {
 }
 
 impl RefOp for ProjectRefOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        Ok(self.input.next(ctx)?.map(|row| self.remap(row, ctx)))
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(row) => Poll::Ready(self.remap(row, ctx)),
@@ -691,16 +423,6 @@ impl<'a> DistinctRefOp<'a> {
 }
 
 impl RefOp for DistinctRefOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        while let Some(row) = self.input.next(ctx)? {
-            ctx.clock.advance(ctx.cost.engine_row_time(1));
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
@@ -730,8 +452,8 @@ impl RowsRefOp {
 }
 
 impl RefOp for RowsRefOp {
-    fn next(&mut self, _ctx: &mut ExecCtx) -> Result<Option<Row>, FedError> {
-        Ok(self.rows.pop_front())
+    fn poll_next(&mut self, _ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
+        Ok(self.rows.pop_front().map_or(Poll::Done, Poll::Ready))
     }
 }
 
@@ -843,6 +565,9 @@ impl FederatedEngine {
         .with_deadline(config.deadline)
         .with_trace(sink.clone())
         .with_recorder(qrec.clone());
+        if !config.overlap {
+            ctx = ctx.serialized();
+        }
         sink.begin_query(&planned.plan, &config.mode.label());
         sink.record_plan_report(&planned.report);
 
@@ -881,12 +606,7 @@ impl FederatedEngine {
                     break;
                 }
             }
-            let step = if config.overlap {
-                op.poll_next(&mut ctx)
-            } else {
-                op.next(&mut ctx).map(|o| o.map_or(Poll::Done, Poll::Ready))
-            };
-            match step {
+            match op.poll_next(&mut ctx) {
                 Ok(Poll::Ready(row)) => {
                     ctx.trace.record_answer(&mut trace, clock.now());
                     if qrec.is_enabled() && trace.count() == 1 {

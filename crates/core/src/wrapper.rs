@@ -19,7 +19,7 @@ use crate::lake::{logical_source_id, DataLake};
 use crate::obs::SpanKind;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll, Wait};
 use crate::source::DataSource;
-use crate::translate::{sql_single, Lift, OutputBinding, StarPart};
+use crate::translate::{sql_single, Lift, OutputBinding, StarPart, TranslatedQuery};
 use fedlake_mapping::lift::{term_to_value, value_key_in};
 use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
@@ -157,14 +157,15 @@ pub fn open_service<'a>(
             SqlRequest::MergedNaive { outer, inner, join } => {
                 return Ok(Box::new(NaiveStream {
                     db,
-                    outer_sql: outer.sql.clone(),
-                    outer_outputs: outer.outputs.clone(),
+                    outer: outer.clone(),
                     inner: inner.clone(),
                     join: join.clone(),
                     route,
                     rows_per_message,
-                    state: None,
-                    flight: None,
+                    bindings: VecDeque::new(),
+                    buffer: Delivery::pre_notified(Vec::new()),
+                    installed_inner: false,
+                    stage: NaiveStage::Unopened,
                 }))
             }
         },
@@ -188,9 +189,7 @@ pub fn open_service<'a>(
 
 /// The backoff pause actually charged before the next attempt: the full
 /// exponential backoff, clamped so a query never waits past its own
-/// deadline. `now` is the time the clamp is evaluated at — the shared
-/// clock for the serialized schedule, the failing link's local failure
-/// time for the overlapped one.
+/// deadline. `now` is the failing link's local failure time.
 fn clamped_backoff(
     policy: &crate::config::RetryPolicy,
     attempt: u32,
@@ -204,121 +203,25 @@ fn clamped_backoff(
     }
 }
 
-/// Transfers one message over the route's active replica, retrying per
-/// the context's [`crate::config::RetryPolicy`]. Every failed attempt
-/// charges the detection timeout to the simulated clock; every retry
-/// additionally charges the (deadline-clamped) exponential backoff. A
-/// replica that exhausts its attempt budget triggers an immediate
-/// failover — no backoff — to the next endpoint on the route, which gets
-/// a fresh budget; only exhausting the *last* endpoint yields
-/// [`FedError::SourceUnavailable`], attributed to the logical source with
-/// the total attempts across all replicas tried.
-pub fn transfer_with_retry(
-    route: &SourceRoute,
-    rows: usize,
-    ctx: &mut ExecCtx,
-) -> Result<(), FedError> {
-    let policy = ctx.retry;
-    let budget = policy.attempts();
-    let replicas = route.len();
-    let mut total_attempts = 0u32;
-    for idx in route.active()..replicas {
-        let (endpoint, link) = route.endpoint(idx);
-        for attempt in 0..budget {
-            match link.try_transfer_message(rows) {
-                Ok(()) => {
-                    route.set_active(idx);
-                    return Ok(());
-                }
-                Err(_fault) => {
-                    total_attempts += 1;
-                    // The receiver waited `timeout` before concluding the
-                    // attempt failed, whatever the failure mode was.
-                    ctx.clock.advance(policy.timeout);
-                    if ctx.trace.is_enabled() {
-                        let now = ctx.clock.now();
-                        ctx.trace.source_span(
-                            SpanKind::Timeout,
-                            endpoint,
-                            "detection timeout",
-                            now - policy.timeout,
-                            now,
-                            0,
-                        );
-                    }
-                    let budget_spent = attempt + 1 == budget;
-                    if budget_spent && idx + 1 == replicas {
-                        return Err(FedError::SourceUnavailable {
-                            source: route.logical().to_string(),
-                            attempts: total_attempts,
-                        });
-                    }
-                    ctx.stats.retries += 1;
-                    ctx.recorder.retry(ctx.clock.now(), endpoint, attempt);
-                    if !budget_spent {
-                        let pause =
-                            clamped_backoff(&policy, attempt, ctx.deadline, ctx.clock.now());
-                        ctx.clock.advance(pause);
-                        if ctx.trace.is_enabled() {
-                            let now = ctx.clock.now();
-                            ctx.trace.source_span(
-                                SpanKind::Backoff,
-                                endpoint,
-                                &format!("backoff before attempt {}", attempt + 2),
-                                now - pause,
-                                now,
-                                0,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // Budget exhausted on this replica: fail over to the next one.
-        let (next, _) = route.endpoint(idx + 1);
-        route.set_active(idx + 1);
-        if let Some(obs) = link.observer() {
-            obs.on_failover(route.logical(), endpoint, next);
-        }
-        ctx.recorder.failover(ctx.clock.now(), route.logical(), endpoint, next);
-    }
-    unreachable!("loop returns on success or on the last endpoint's final attempt")
-}
-
-/// Transfers `total_rows` rows in messages of `rows_per_message`, retrying
-/// each message per the context's policy. An empty result still costs one
-/// (empty) message, mirroring [`Link::transfer_rows`].
-pub fn transfer_rows_with_retry(
-    route: &SourceRoute,
-    total_rows: usize,
-    rows_per_message: usize,
-    ctx: &mut ExecCtx,
-) -> Result<(), FedError> {
-    assert!(rows_per_message > 0, "message size must be positive");
-    if total_rows == 0 {
-        return transfer_with_retry(route, 0, ctx);
-    }
-    let mut remaining = total_rows;
-    while remaining > 0 {
-        let n = remaining.min(rows_per_message);
-        transfer_with_retry(route, n, ctx)?;
-        remaining -= n;
-    }
-    Ok(())
-}
-
-/// Schedules one message (with its full retry-and-failover chain) on the
-/// route's link timelines starting no earlier than `start`: the
-/// overlapped-schedule counterpart of [`transfer_with_retry`]. Detection
-/// timeouts and backoffs become link occupancy instead of shared-clock
-/// advances, so one source's retries never stall another source's
-/// transfers; a failover continues the chain on the successor endpoint's
-/// timeline at the predecessor's failure time. Returns the completion
-/// time on success (the route's active cursor then names the endpoint
-/// that delivered, so callers chain follow-up work on the right link); on
-/// an exhausted route returns the failure time along with the error (the
-/// caller surfaces the error only once that time is due, mirroring when
-/// the serialized schedule would have observed it).
+/// Schedules one message, with its full retry-and-failover chain, on the
+/// route's link timelines starting no earlier than `start` — *the* way a
+/// message crosses a route, on either schedule. Every failed attempt
+/// occupies the link for the receiver's detection timeout; every retry
+/// additionally for the (deadline-clamped) exponential backoff, per the
+/// context's [`crate::config::RetryPolicy`] — link occupancy, not
+/// shared-clock advances, so one source's retries never stall another
+/// source's transfers. A replica that exhausts its attempt budget triggers
+/// an immediate failover — no backoff — to the next endpoint on the route,
+/// which gets a fresh budget and continues the chain on its own timeline at
+/// the predecessor's failure time.
+///
+/// Returns the completion time on success (the route's active cursor then
+/// names the endpoint that delivered, so callers chain follow-up work on
+/// the right link). Only exhausting the *last* endpoint fails: the failure
+/// time along with [`FedError::SourceUnavailable`], attributed to the
+/// logical source with the total attempts across all replicas tried — the
+/// caller waits for that time ([`ExecCtx::wait_until`]) before it surfaces
+/// the error.
 pub fn schedule_transfer_with_retry(
     route: &SourceRoute,
     rows: usize,
@@ -327,77 +230,77 @@ pub fn schedule_transfer_with_retry(
 ) -> Result<Duration, (Duration, FedError)> {
     let policy = ctx.retry;
     let budget = policy.attempts();
-    let replicas = route.len();
     let mut at = start;
+    let mut idx = route.active();
+    // Attempts made on endpoint `idx`, and on the whole route.
+    let mut attempt = 0u32;
     let mut total_attempts = 0u32;
-    for idx in route.active()..replicas {
+    loop {
         let (endpoint, link) = route.endpoint(idx);
-        for attempt in 0..budget {
-            let (done, result) = link.schedule_message(rows, at);
-            match result {
-                Ok(()) => {
-                    route.set_active(idx);
-                    return Ok(done);
-                }
-                Err(_fault) => {
-                    total_attempts += 1;
-                    let failed_at = link.schedule_busy(policy.timeout, done);
-                    if ctx.trace.is_enabled() {
-                        ctx.trace.source_span(
-                            SpanKind::Timeout,
-                            endpoint,
-                            "detection timeout",
-                            done,
-                            failed_at,
-                            0,
-                        );
-                    }
-                    let budget_spent = attempt + 1 == budget;
-                    if budget_spent && idx + 1 == replicas {
-                        return Err((
-                            failed_at,
-                            FedError::SourceUnavailable {
-                                source: route.logical().to_string(),
-                                attempts: total_attempts,
-                            },
-                        ));
-                    }
-                    ctx.stats.retries += 1;
-                    ctx.recorder.retry(failed_at, endpoint, attempt);
-                    if budget_spent {
-                        // Immediate failover: the successor picks up at
-                        // the predecessor's failure time, no backoff.
-                        at = failed_at;
-                    } else {
-                        let pause = clamped_backoff(&policy, attempt, ctx.deadline, failed_at);
-                        at = link.schedule_busy(pause, failed_at);
-                        if ctx.trace.is_enabled() {
-                            ctx.trace.source_span(
-                                SpanKind::Backoff,
-                                endpoint,
-                                &format!("backoff before attempt {}", attempt + 2),
-                                failed_at,
-                                at,
-                                0,
-                            );
-                        }
-                    }
-                }
+        let (done, result) = link.schedule_message(rows, at);
+        if result.is_ok() {
+            route.set_active(idx);
+            return Ok(done);
+        }
+        total_attempts += 1;
+        // The receiver waited `timeout` before concluding the attempt
+        // failed, whatever the failure mode was.
+        let failed_at = link.schedule_busy(policy.timeout, done);
+        if ctx.trace.is_enabled() {
+            ctx.trace.source_span(
+                SpanKind::Timeout,
+                endpoint,
+                "detection timeout",
+                done,
+                failed_at,
+                0,
+            );
+        }
+        let budget_spent = attempt + 1 == budget;
+        if budget_spent && idx + 1 == route.len() {
+            return Err((
+                failed_at,
+                FedError::SourceUnavailable {
+                    source: route.logical().to_string(),
+                    attempts: total_attempts,
+                },
+            ));
+        }
+        ctx.stats.retries += 1;
+        ctx.recorder.retry(failed_at, endpoint, attempt);
+        if budget_spent {
+            // Immediate failover: the successor picks up at the
+            // predecessor's failure time, no backoff.
+            at = failed_at;
+            let (next, _) = route.endpoint(idx + 1);
+            route.set_active(idx + 1);
+            if let Some(obs) = link.observer() {
+                obs.on_failover(route.logical(), endpoint, next);
             }
+            ctx.recorder.failover(at, route.logical(), endpoint, next);
+            idx += 1;
+            attempt = 0;
+        } else {
+            let pause = clamped_backoff(&policy, attempt, ctx.deadline, failed_at);
+            at = link.schedule_busy(pause, failed_at);
+            if ctx.trace.is_enabled() {
+                ctx.trace.source_span(
+                    SpanKind::Backoff,
+                    endpoint,
+                    &format!("backoff before attempt {}", attempt + 2),
+                    failed_at,
+                    at,
+                    0,
+                );
+            }
+            attempt += 1;
         }
-        let (next, _) = route.endpoint(idx + 1);
-        route.set_active(idx + 1);
-        if let Some(obs) = link.observer() {
-            obs.on_failover(route.logical(), endpoint, next);
-        }
-        ctx.recorder.failover(at, route.logical(), endpoint, next);
     }
-    unreachable!("loop returns on success or on the last endpoint's final attempt")
 }
 
 /// Schedules `total_rows` rows as a chain of messages of
-/// `rows_per_message` on the route's timelines; the overlapped
-/// counterpart of [`transfer_rows_with_retry`].
+/// `rows_per_message` on the route's timelines. An empty result still costs one (empty) message,
+/// mirroring [`Link::transfer_rows`].
 pub fn schedule_rows_with_retry(
     route: &SourceRoute,
     total_rows: usize,
@@ -405,7 +308,7 @@ pub fn schedule_rows_with_retry(
     start: Duration,
     ctx: &mut ExecCtx,
 ) -> Result<Duration, (Duration, FedError)> {
-    assert!(rows_per_message > 0, "message size must be positive");
+    let rows_per_message = message_size(rows_per_message).map_err(|e| (start, e))?;
     if total_rows == 0 {
         return schedule_transfer_with_retry(route, 0, start, ctx);
     }
@@ -621,40 +524,42 @@ impl Materialized {
         }
     }
 
-    fn take_row(&mut self) -> SlotRow {
+    /// The next row, `None` when none remain.
+    fn take_row(&mut self) -> Option<SlotRow> {
         match self {
-            Materialized::Rows(rows) => rows.pop_front().expect("rows remain"),
+            Materialized::Rows(rows) => rows.pop_front(),
             Materialized::Cols { data, cursor } => {
+                if *cursor >= data.rows {
+                    return None;
+                }
                 let mut out = SlotRow::unbound(data.cols.len());
                 for (slot, c) in data.cols.iter().enumerate() {
                     out.set(slot, c[*cursor]);
                 }
                 *cursor += 1;
-                out
+                Some(out)
             }
         }
     }
 }
 
-/// One message in flight on the overlapped schedule: the completion event
-/// plus how many rows it carries (none for an empty-result notification).
-/// `err` is set when the retry budget was exhausted; the error surfaces
-/// only once the failure time is due, exactly when the serialized schedule
-/// would have observed it.
+/// One message on its way: the wait for its completion plus how many rows
+/// it carries (none for an empty-result notification). `err` is set when
+/// the retry budget was exhausted; the error surfaces only once the wait
+/// for the failure time is over.
 struct Flight {
     wait: Wait,
     rows: usize,
     err: Option<FedError>,
 }
 
-/// Message-batched delivery of a materialized result, on either schedule.
-/// Rows are handed out in order from `data`; `ready` counts those whose
-/// message has landed. The serialized pulls block on each transfer; the
-/// overlapped polls keep at most one message in flight on the link and
-/// report `Poll::Pending` while it is in the air, letting the engine drain
-/// *other* sources in the meantime. Message boundaries, the empty-result
-/// notification and the retry accounting are the same either way — only
-/// *when* the link time passes differs.
+/// Message-batched delivery of a materialized result. Rows are handed out
+/// in order from `data`; `ready` counts those whose message has landed. At
+/// most one message is on the link at a time, and a poll reports
+/// `Poll::Pending` while it is in the air, letting the engine drain *other*
+/// sources in the meantime — unless the serialized policy sat the wait out
+/// when the message was sent. Message boundaries, the empty-result
+/// notification and the retry accounting do not depend on the policy.
 struct Delivery {
     data: Materialized,
     ready: usize,
@@ -682,35 +587,11 @@ impl Delivery {
         self.data.remaining()
     }
 
-    /// Serialized: transfers the next message (with retries) when the
-    /// landed one is used up. `None` when drained — after the empty-result
-    /// notification message when there were no rows at all.
-    fn pull(
-        &mut self,
-        route: &SourceRoute,
-        rows_per_message: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Option<SlotRow>, FedError> {
-        if self.ready == 0 {
-            let n = self.remaining().min(rows_per_message);
-            if n == 0 && self.empty_notified {
-                return Ok(None);
-            }
-            self.empty_notified = true;
-            transfer_with_retry(route, n, ctx)?;
-            self.ready = n;
-            if n == 0 {
-                return Ok(None);
-            }
-        }
-        self.ready -= 1;
-        Ok(Some(self.data.take_row()))
-    }
-
-    /// Overlapped: lands the message in flight once it is due and launches
-    /// the next one only when a poll observes no landed rows left, so
-    /// launch times, link occupancy and event ordering follow the rows
-    /// consumed, exactly as on the serialized schedule.
+    /// Lands the message in flight once it is due and sends the next one
+    /// only when a poll observes no landed rows left, so send times, link
+    /// occupancy and event ordering follow the rows consumed. `Done` when
+    /// drained — after the empty-result notification message when there
+    /// were no rows at all.
     fn poll(
         &mut self,
         route: &SourceRoute,
@@ -720,7 +601,11 @@ impl Delivery {
         loop {
             if self.ready > 0 {
                 self.ready -= 1;
-                return Ok(Poll::Ready(self.data.take_row()));
+                // `ready` only ever counts rows `remaining` still holds.
+                let Some(row) = self.data.take_row() else {
+                    return Err(FedError::Internal("a landed message outran its result".into()));
+                };
+                return Ok(Poll::Ready(row));
             }
             if let Some(f) = &mut self.inflight {
                 if let Some(ev) = ctx.still_pending(f.wait) {
@@ -860,15 +745,19 @@ impl LeafRequest<'_> {
 
     /// The simulated source-side time of producing `lifted` — charged on
     /// every execution, hit or miss, from what the entry stores.
-    fn work(&self, lifted: &LiftedSource, cost: &fedlake_netsim::CostModel) -> Duration {
-        match self {
-            LeafRequest::Sql { .. } | LeafRequest::Batch { .. } => {
-                cost.rdb_time(lifted.sql_cost.as_ref().expect("sql lift carries cost"))
-            }
-            LeafRequest::Sparql { star, .. } => {
+    fn work(
+        &self,
+        lifted: &LiftedSource,
+        cost: &fedlake_netsim::CostModel,
+    ) -> Result<Duration, FedError> {
+        Ok(match (self, &lifted.sql_cost) {
+            (LeafRequest::Sparql { star, .. }, _) => {
                 cost.sparql_time(star.triples.len(), lifted.rows as u64)
             }
-        }
+            (_, Some(sql_cost)) => cost.rdb_time(sql_cost),
+            // `evaluate` stores the counters with every SQL result it lifts.
+            (_, None) => return Err(FedError::Internal("sql lift without cost counters".into())),
+        })
     }
 }
 
@@ -906,49 +795,33 @@ struct LeafStream<'a> {
     version: u64,
     route: SourceRoute,
     rows_per_message: usize,
-    /// Overlapped schedule: the request round trip plus the source's
-    /// evaluation, in flight as one scheduled event (with the error an
-    /// exhausted route surfaces once that event is due).
+    /// The request round trip plus the source's evaluation, waited for as
+    /// one (with the error an exhausted route surfaces once that wait is
+    /// over).
     computing: Option<(Wait, Option<FedError>)>,
     delivery: Option<Delivery>,
 }
 
-impl LeafStream<'_> {
-    /// First-call initialization on either schedule: ship the request (one
-    /// message, retried on faults), let the source compute — its work is
-    /// priced by the cost model — and set up the delivery. Serialized, both
-    /// advance the shared clock; overlapped, both occupy the link's
-    /// timeline and complete as one scheduled event, charge for charge.
-    fn open(&mut self, ctx: &mut ExecCtx, overlap: bool) -> Result<(), FedError> {
-        if self.delivery.is_some() {
-            return Ok(());
-        }
+impl<'a> LeafStream<'a> {
+    /// The first poll: ship the request (one message, retried on faults),
+    /// let the source compute — its work is priced by the cost model — and
+    /// return the delivery of its result. Both occupy the link's timeline
+    /// and are waited for as one, charge for charge.
+    fn open(&mut self, ctx: &mut ExecCtx) -> Result<Delivery, FedError> {
         if matches!(self.request, LeafRequest::Sql { .. }) {
             ctx.stats.sql_queries += 1;
         }
-        let requested = if overlap {
+        let requested =
             match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
-                Ok(done) => Some(done),
+                Ok(done) => done,
                 Err((t, e)) => {
                     self.computing = Some((ctx.wait_until(t), Some(e)));
-                    self.delivery = Some(Delivery::new(Vec::new()));
-                    return Ok(());
+                    return Ok(Delivery::new(Vec::new()));
                 }
-            }
-        } else {
-            transfer_with_retry(&self.route, 0, ctx)?;
-            None
-        };
+            };
         let lifted = lifted(&self.request, &self.signature, self.version, ctx)?;
-        let work = self.request.work(&lifted, &ctx.cost);
-        let (from, to) = match requested {
-            Some(at) => (at, self.route.active_link().schedule_busy(work, at)),
-            None => {
-                ctx.clock.advance(work);
-                let now = ctx.clock.now();
-                (now - work, now)
-            }
-        };
+        let work = self.request.work(&lifted, &ctx.cost)?;
+        let computed = self.route.active_link().schedule_busy(work, requested);
         ctx.stats.service_rows += lifted.rows as u64;
         if ctx.trace.is_enabled() {
             ctx.trace.source_span(
@@ -958,30 +831,23 @@ impl LeafStream<'_> {
                     LeafRequest::Sparql { .. } => "sparql evaluation",
                     _ => "sql evaluation",
                 },
-                from,
-                to,
+                requested,
+                computed,
                 lifted.rows as u64,
             );
         }
-        if overlap {
-            self.computing = Some((ctx.wait_until(to), None));
-        }
-        self.delivery = Some(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }));
-        Ok(())
+        self.computing = Some((ctx.wait_until(computed), None));
+        Ok(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }))
     }
 }
 
 impl FedOp for LeafStream<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        self.open(ctx, false)?;
-        let delivery = self.delivery.as_mut().expect("opened above");
-        delivery.pull(&self.route, self.rows_per_message, ctx)
-    }
-
-    /// Overlapped: opens the stream, waits out the request + evaluation
-    /// event, then polls the delivery.
+    /// Opens the stream, waits out the request + evaluation, then polls
+    /// the delivery.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        self.open(ctx, true)?;
+        if self.delivery.is_none() {
+            self.delivery = Some(self.open(ctx)?);
+        }
         if let Some((wait, err)) = &mut self.computing {
             if let Some(ev) = ctx.still_pending(*wait) {
                 return Ok(Poll::Pending(ev));
@@ -992,49 +858,41 @@ impl FedOp for LeafStream<'_> {
                 return Err(e);
             }
         }
-        let delivery = self.delivery.as_mut().expect("opened above");
+        let Some(delivery) = &mut self.delivery else {
+            return Err(FedError::Internal("leaf stream lost the delivery it opened".into()));
+        };
         delivery.poll(&self.route, self.rows_per_message, ctx)
     }
 }
 
 /// The N+1 dependent join emulating Ontario's unoptimized merged-SQL
 /// translation: the outer star is evaluated once, then the wrapper issues
-/// one parameterized inner query per outer binding.
+/// one parameterized inner query per outer binding. Outer bindings are
+/// consumed one at a time, each spawning an outer-binding message plus
+/// (when the key extracts) an inner round trip.
 struct NaiveStream<'a> {
     db: &'a Database,
-    outer_sql: String,
-    outer_outputs: Vec<OutputBinding>,
+    outer: TranslatedQuery,
     inner: StarPart,
     join: NaiveJoin,
     route: SourceRoute,
     rows_per_message: usize,
-    state: Option<NaiveState>,
-    flight: Option<NaiveFlight>,
-}
-
-struct NaiveState {
-    outer: VecDeque<SlotRow>,
+    /// Outer bindings whose inner query has not been issued yet.
+    bindings: VecDeque<SlotRow>,
+    /// The merged rows of the current outer binding.
     buffer: Delivery,
-    produced_any: bool,
-}
-
-/// The overlapped state of the N+1 dependent join: outer bindings are
-/// consumed one at a time, each spawning a scheduled outer-binding message
-/// plus (when the key extracts) a scheduled inner round trip.
-struct NaiveFlight {
-    outer: VecDeque<SlotRow>,
-    buffer: Delivery,
-    /// Whether any inner buffer was ever installed — the overlapped form
-    /// of the serialized `!produced_any && !buffer.empty_notified` test:
-    /// the final empty-result notification fires exactly when the outer
-    /// query returned no bindings at all.
+    /// Whether any inner buffer was ever installed: the final empty-result
+    /// notification fires exactly when the outer query returned no
+    /// bindings at all.
     installed_inner: bool,
     stage: NaiveStage,
 }
 
 enum NaiveStage {
-    /// Waiting on a scheduled event; on completion `then` applies (unless
-    /// `err` was carried, which surfaces instead).
+    /// Not polled yet: the outer query is still to be sent.
+    Unopened,
+    /// Waiting on source work; when the wait is over `then` applies
+    /// (unless `err` was carried, which surfaces instead).
     Waiting { wait: Wait, then: NaiveNext, err: Option<FedError> },
     /// The buffer is deliverable or the next outer binding is due.
     Idle,
@@ -1052,309 +910,158 @@ enum NaiveNext {
     Notified,
 }
 
+impl NaiveStage {
+    /// The stage that waits until `time` and then applies `then`, or
+    /// surfaces `err`.
+    fn wait(ctx: &mut ExecCtx, time: Duration, then: NaiveNext, err: Option<FedError>) -> Self {
+        NaiveStage::Waiting { wait: ctx.wait_until(time), then, err }
+    }
+}
+
 impl NaiveStream<'_> {
-    fn inner_rows(
+    /// One query of the N+1: its request round trip starting at `start`
+    /// plus the source's evaluation, on the link timeline; `then` says what
+    /// the lifted rows become once both are over.
+    fn round_trip(
+        &self,
+        q: &TranslatedQuery,
+        what: &str,
+        start: Duration,
+        then: impl FnOnce(Vec<SlotRow>) -> NaiveNext,
+        ctx: &mut ExecCtx,
+    ) -> Result<NaiveStage, FedError> {
+        ctx.stats.sql_queries += 1;
+        let requested = match schedule_transfer_with_retry(&self.route, 0, start, ctx) {
+            Ok(t) => t,
+            Err((t, e)) => return Ok(NaiveStage::wait(ctx, t, then(Vec::new()), Some(e))),
+        };
+        let rs = self.db.query_cached(&q.sql)?;
+        let computed = self
+            .route
+            .active_link()
+            .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), requested);
+        let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
+        ctx.stats.service_rows += rows.len() as u64;
+        if ctx.trace.is_enabled() {
+            ctx.trace.source_span(
+                SpanKind::Compute,
+                self.route.active_endpoint(),
+                what,
+                requested,
+                computed,
+                rows.len() as u64,
+            );
+        }
+        Ok(NaiveStage::wait(ctx, computed, then(rows), None))
+    }
+
+    /// One outer binding's inner round trip, starting at `start`: an
+    /// unextractable key costs no traffic, otherwise it is the
+    /// parameterized query's [`NaiveStream::round_trip`].
+    fn inner_round_trip(
         &self,
         outer_row: &SlotRow,
+        start: Duration,
         ctx: &mut ExecCtx,
-    ) -> Result<Vec<SlotRow>, FedError> {
+    ) -> Result<NaiveStage, FedError> {
         let term = ctx
             .schema
             .slot(&self.join.outer_var)
             .and_then(|s| outer_row.get(s))
             .and_then(|id| ctx.interner.resolve(id));
-        let Some(term) = term else {
-            return Ok(Vec::new());
-        };
-        let key = match &self.join.extract {
-            Some(tmpl) => {
-                let Some(iri) = term.as_iri() else { return Ok(Vec::new()) };
-                match tmpl.extract(iri) {
-                    Some(k) => fedlake_relational::Value::Text(k),
-                    None => return Ok(Vec::new()),
-                }
+        let key = match (&self.join.extract, term) {
+            (_, None) => None,
+            (Some(tmpl), Some(term)) => {
+                term.as_iri().and_then(|iri| tmpl.extract(iri)).map(Value::Text)
             }
-            None => term_to_value(&term),
+            (None, Some(term)) => Some(term_to_value(&term)),
+        };
+        let Some(key) = key else {
+            return Ok(NaiveStage::wait(ctx, start, NaiveNext::Inner(Vec::new()), None));
         };
         let mut part = self.inner.clone();
-        part.wheres
-            .push(format!("{}.{} = {key}", part.alias, self.join.inner_col));
-        let q = sql_single(&part);
-        ctx.stats.sql_queries += 1;
-        // The per-binding request round trip.
-        transfer_with_retry(&self.route, 0, ctx)?;
-        let rs = self.db.query_cached(&q.sql)?;
-        let work = ctx.cost.rdb_time(&convert_cost(&rs.cost));
-        ctx.clock.advance(work);
-        let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
-        ctx.stats.service_rows += rows.len() as u64;
-        if ctx.trace.is_enabled() {
-            let now = ctx.clock.now();
-            ctx.trace.source_span(
-                SpanKind::Compute,
-                self.route.active_endpoint(),
-                "sql evaluation (inner)",
-                now - work,
-                now,
-                rows.len() as u64,
-            );
-        }
-        Ok(rows
-            .into_iter()
-            .filter_map(|r| outer_row.merge(&r))
-            .collect())
-    }
-}
-
-/// Schedules one outer binding's inner round trip (the overlapped mirror
-/// of [`NaiveStream::inner_rows`]): an unextractable key costs no traffic,
-/// otherwise the parameterized request plus the source's evaluation land
-/// on the link timeline.
-#[allow(clippy::too_many_arguments)]
-fn schedule_naive_inner(
-    db: &Database,
-    inner: &StarPart,
-    join: &NaiveJoin,
-    route: &SourceRoute,
-    outer_row: &SlotRow,
-    start: Duration,
-    ctx: &mut ExecCtx,
-) -> Result<NaiveStage, FedError> {
-    fn wait(
-        ctx: &mut ExecCtx,
-        t: Duration,
-        rows: Vec<SlotRow>,
-        err: Option<FedError>,
-    ) -> NaiveStage {
-        NaiveStage::Waiting { wait: ctx.wait_until(t), then: NaiveNext::Inner(rows), err }
-    }
-    let term = ctx
-        .schema
-        .slot(&join.outer_var)
-        .and_then(|s| outer_row.get(s))
-        .and_then(|id| ctx.interner.resolve(id));
-    let Some(term) = term else {
-        return Ok(wait(ctx, start, Vec::new(), None));
-    };
-    let key = match &join.extract {
-        Some(tmpl) => match term.as_iri().and_then(|iri| tmpl.extract(iri)) {
-            Some(k) => fedlake_relational::Value::Text(k),
-            None => return Ok(wait(ctx, start, Vec::new(), None)),
-        },
-        None => term_to_value(&term),
-    };
-    let mut part = inner.clone();
-    part.wheres.push(format!("{}.{} = {key}", part.alias, join.inner_col));
-    let q = sql_single(&part);
-    ctx.stats.sql_queries += 1;
-    match schedule_transfer_with_retry(route, 0, start, ctx) {
-        Ok(t_req) => {
-            let rs = db.query_cached(&q.sql)?;
-            let done = route
-                .active_link()
-                .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), t_req);
-            let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
-            ctx.stats.service_rows += rows.len() as u64;
-            if ctx.trace.is_enabled() {
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    route.active_endpoint(),
-                    "sql evaluation (inner)",
-                    t_req,
-                    done,
-                    rows.len() as u64,
-                );
-            }
-            let merged: Vec<SlotRow> =
-                rows.into_iter().filter_map(|r| outer_row.merge(&r)).collect();
-            Ok(wait(ctx, done, merged, None))
-        }
-        Err((t, e)) => Ok(wait(ctx, t, Vec::new(), Some(e))),
+        part.wheres.push(format!("{}.{} = {key}", part.alias, self.join.inner_col));
+        let merge = |rows: Vec<SlotRow>| {
+            NaiveNext::Inner(rows.into_iter().filter_map(|r| outer_row.merge(&r)).collect())
+        };
+        self.round_trip(&sql_single(&part), "sql evaluation (inner)", start, merge, ctx)
     }
 }
 
 impl FedOp for NaiveStream<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        if self.state.is_none() {
-            ctx.stats.sql_queries += 1;
-            transfer_with_retry(&self.route, 0, ctx)?;
-            let rs = self.db.query_cached(&self.outer_sql)?;
-            let work = ctx.cost.rdb_time(&convert_cost(&rs.cost));
-            ctx.clock.advance(work);
-            let outer =
-                lift_result(&rs, &self.outer_outputs, &ctx.schema, &mut ctx.interner.lock());
-            ctx.stats.service_rows += outer.len() as u64;
-            if ctx.trace.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.trace.source_span(
-                    SpanKind::Compute,
-                    self.route.active_endpoint(),
-                    "sql evaluation (outer)",
-                    now - work,
-                    now,
-                    outer.len() as u64,
-                );
-            }
-            self.state = Some(NaiveState {
-                outer: outer.into(),
-                buffer: Delivery::new(Vec::new()),
-                produced_any: false,
-            });
-        }
-        loop {
-            let state = self.state.as_mut().expect("initialized above");
-            if state.buffer.remaining() != 0 {
-                let row = state.buffer.pull(&self.route, self.rows_per_message, ctx)?;
-                if row.is_some() {
-                    state.produced_any = true;
-                    return Ok(row);
-                }
-            }
-            let Some(outer_row) = self.state.as_mut().expect("initialized").outer.pop_front()
-            else {
-                let state = self.state.as_mut().expect("initialized");
-                if !state.produced_any && !state.buffer.empty_notified {
-                    state.buffer.empty_notified = true;
-                    transfer_with_retry(&self.route, 0, ctx)?;
-                }
-                return Ok(None);
-            };
-            // Retrieving the next outer binding is itself a message.
-            transfer_with_retry(&self.route, 1, ctx)?;
-            let merged = self.inner_rows(&outer_row, ctx)?;
-            // The inner round trip already was this binding's message.
-            self.state.as_mut().expect("initialized").buffer = Delivery::pre_notified(merged);
-        }
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        if self.flight.is_none() {
-            ctx.stats.sql_queries += 1;
-            let stage = match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx)
-            {
-                Ok(done_req) => {
-                    let rs = self.db.query_cached(&self.outer_sql)?;
-                    let done = self
-                        .route
-                        .active_link()
-                        .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), done_req);
-                    let outer = lift_result(
-                        &rs,
-                        &self.outer_outputs,
-                        &ctx.schema,
-                        &mut ctx.interner.lock(),
-                    );
-                    ctx.stats.service_rows += outer.len() as u64;
-                    if ctx.trace.is_enabled() {
-                        ctx.trace.source_span(
-                            SpanKind::Compute,
-                            self.route.active_endpoint(),
-                            "sql evaluation (outer)",
-                            done_req,
-                            done,
-                            outer.len() as u64,
-                        );
-                    }
-                    NaiveStage::Waiting {
-                        wait: ctx.wait_until(done),
-                        then: NaiveNext::Outer(outer),
-                        err: None,
-                    }
-                }
-                Err((t, e)) => NaiveStage::Waiting {
-                    wait: ctx.wait_until(t),
-                    then: NaiveNext::Outer(Vec::new()),
-                    err: Some(e),
-                },
-            };
-            self.flight = Some(NaiveFlight {
-                outer: VecDeque::new(),
-                buffer: Delivery::pre_notified(Vec::new()),
-                installed_inner: false,
-                stage,
-            });
-        }
         loop {
-            let flight = self.flight.as_mut().expect("initialized above");
-            match &mut flight.stage {
+            match &mut self.stage {
+                NaiveStage::Unopened => {
+                    self.stage = self.round_trip(
+                        &self.outer,
+                        "sql evaluation (outer)",
+                        ctx.clock.now(),
+                        NaiveNext::Outer,
+                        ctx,
+                    )?;
+                }
                 NaiveStage::Waiting { wait, then, err } => {
                     if let Some(ev) = ctx.still_pending(*wait) {
                         return Ok(Poll::Pending(ev));
                     }
-                    if let Some(e) = err.take() {
-                        flight.stage = NaiveStage::Finished;
+                    let (then, err) = (std::mem::replace(then, NaiveNext::Notified), err.take());
+                    if let Some(e) = err {
+                        self.stage = NaiveStage::Finished;
                         return Err(e);
                     }
-                    match std::mem::replace(then, NaiveNext::Notified) {
-                        NaiveNext::Outer(rows) => {
-                            flight.outer = rows.into();
-                            flight.stage = NaiveStage::Idle;
-                        }
-                        NaiveNext::Inner(rows) => {
-                            flight.buffer = Delivery::pre_notified(rows);
-                            flight.stage = NaiveStage::Idle;
-                        }
-                        NaiveNext::Notified => flight.stage = NaiveStage::Finished,
+                    self.stage = NaiveStage::Idle;
+                    match then {
+                        NaiveNext::Outer(rows) => self.bindings = rows.into(),
+                        NaiveNext::Inner(rows) => self.buffer = Delivery::pre_notified(rows),
+                        NaiveNext::Notified => self.stage = NaiveStage::Finished,
                     }
                 }
                 NaiveStage::Finished => return Ok(Poll::Done),
                 NaiveStage::Idle => {
-                    match flight.buffer.poll(&self.route, self.rows_per_message, ctx)? {
+                    match self.buffer.poll(&self.route, self.rows_per_message, ctx)? {
                         Poll::Ready(row) => return Ok(Poll::Ready(row)),
                         Poll::Pending(ev) => return Ok(Poll::Pending(ev)),
                         Poll::Done => {}
                     }
-                    match flight.outer.pop_front() {
+                    let next = self.bindings.pop_front();
+                    let first_empty = next.is_none() && !self.installed_inner;
+                    self.installed_inner = true;
+                    self.stage = match next {
+                        // Retrieving the next outer binding is itself a
+                        // message; the inner round trip chains after.
                         Some(outer_row) => {
-                            flight.installed_inner = true;
-                            // Retrieving the next outer binding is itself
-                            // a message; the inner round trip chains after.
-                            flight.stage = match schedule_transfer_with_retry(
+                            match schedule_transfer_with_retry(
                                 &self.route,
                                 1,
                                 ctx.clock.now(),
                                 ctx,
                             ) {
-                                Ok(t1) => schedule_naive_inner(
-                                    self.db,
-                                    &self.inner,
-                                    &self.join,
-                                    &self.route,
-                                    &outer_row,
-                                    t1,
+                                Ok(t) => self.inner_round_trip(&outer_row, t, ctx)?,
+                                Err((t, e)) => NaiveStage::wait(
                                     ctx,
-                                )?,
-                                Err((t, e)) => NaiveStage::Waiting {
-                                    wait: ctx.wait_until(t),
-                                    then: NaiveNext::Inner(Vec::new()),
-                                    err: Some(e),
-                                },
-                            };
-                        }
-                        None => {
-                            if flight.installed_inner {
-                                flight.stage = NaiveStage::Finished;
-                            } else {
-                                // Empty outer result: the one empty-result
-                                // notification, then done.
-                                flight.installed_inner = true;
-                                let (t, err) = match schedule_transfer_with_retry(
-                                    &self.route,
-                                    0,
-                                    ctx.clock.now(),
-                                    ctx,
-                                ) {
-                                    Ok(t) => (t, None),
-                                    Err((t, e)) => (t, Some(e)),
-                                };
-                                flight.stage = NaiveStage::Waiting {
-                                    wait: ctx.wait_until(t),
-                                    then: NaiveNext::Notified,
-                                    err,
-                                };
+                                    t,
+                                    NaiveNext::Inner(Vec::new()),
+                                    Some(e),
+                                ),
                             }
                         }
-                    }
+                        // Empty outer result: the one empty-result
+                        // notification, then done.
+                        None if first_empty => {
+                            let (t, err) = match schedule_transfer_with_retry(
+                                &self.route,
+                                0,
+                                ctx.clock.now(),
+                                ctx,
+                            ) {
+                                Ok(t) => (t, None),
+                                Err((t, e)) => (t, Some(e)),
+                            };
+                            NaiveStage::wait(ctx, t, NaiveNext::Notified, err)
+                        }
+                        None => NaiveStage::Finished,
+                    };
                 }
             }
         }
@@ -1368,9 +1075,9 @@ impl FedOp for NaiveStream<'_> {
 /// `None` when that leaves nothing. The text is the source's memo key, so
 /// the same batch must always render the same bytes.
 pub fn bind_batch_query<'t>(
-    target: &crate::fedplan::BindTarget,
+    target: &BindTarget,
     terms: impl IntoIterator<Item = &'t Term>,
-) -> Option<crate::translate::TranslatedQuery> {
+) -> Option<TranslatedQuery> {
     let mut seen: HashSet<Value> = HashSet::new();
     let mut list = String::new();
     for term in terms {
@@ -1422,10 +1129,9 @@ pub struct BindJoinOp<'a> {
     stage: BindStage,
 }
 
-/// The overlapped state of the bind join: batches gather from the left
-/// exactly as the serialized schedule would, then the shipped batch's
+/// The state of the bind join: a batch gathers from the left, then its
 /// request, source evaluation and result transfer fly as one scheduled
-/// chain; probing happens when the chain completes.
+/// chain; probing happens when the wait for the chain is over.
 enum BindStage {
     Gather { batch: Vec<SlotRow> },
     /// `lifted` is the batch's answer, unless the chain ends in `err`.
@@ -1512,7 +1218,7 @@ impl<'a> BindJoinOp<'a> {
     ) -> Result<(Arc<LiftedSource>, Duration), FedError> {
         let request = LeafRequest::Batch { db: self.db, target: &self.target, ids };
         let right = lifted(&request, &self.signature, self.version, ctx)?;
-        let work = request.work(&right, &ctx.cost);
+        let work = request.work(&right, &ctx.cost)?;
         Ok((right, work))
     }
 
@@ -1542,33 +1248,6 @@ impl<'a> BindJoinOp<'a> {
                 }
             }
         }
-    }
-
-    fn ship_batch(&mut self, batch: Vec<SlotRow>, ctx: &mut ExecCtx) -> Result<(), FedError> {
-        let ids = self.batch_ids(&batch, ctx);
-        if ids.is_empty() {
-            return Ok(());
-        }
-        ctx.stats.sql_queries += 1;
-        let t0 = ctx.trace.is_enabled().then(|| ctx.clock.now());
-        // The parameterized request.
-        transfer_with_retry(&self.route, 0, ctx)?;
-        let (right, work) = self.fetch(&ids, ctx)?;
-        ctx.clock.advance(work);
-        ctx.stats.service_rows += right.rows as u64;
-        transfer_rows_with_retry(&self.route, right.rows, self.rows_per_message, ctx)?;
-        if let Some(t0) = t0 {
-            ctx.trace.source_span(
-                SpanKind::BindBatch,
-                self.route.active_endpoint(),
-                &format!("bind batch ({} left rows)", batch.len()),
-                t0,
-                ctx.clock.now(),
-                right.rows as u64,
-            );
-        }
-        self.probe_batch(&batch, &right, ctx);
-        Ok(())
     }
 
     /// Schedules a batch's request + evaluation + result transfer as one
@@ -1622,31 +1301,6 @@ impl<'a> BindJoinOp<'a> {
 }
 
 impl FedOp for BindJoinOp<'_> {
-    fn next(&mut self, ctx: &mut ExecCtx) -> Result<Option<SlotRow>, FedError> {
-        loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.left_done {
-                return Ok(None);
-            }
-            let mut batch = Vec::with_capacity(self.batch_size);
-            while batch.len() < self.batch_size {
-                match self.left.next(ctx)? {
-                    Some(row) => batch.push(row),
-                    None => {
-                        self.left_done = true;
-                        break;
-                    }
-                }
-            }
-            if batch.is_empty() {
-                continue; // left_done; loop exits above
-            }
-            self.ship_batch(batch, ctx)?;
-        }
-    }
-
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
         loop {
             if let Some(row) = self.out.pop_front() {
@@ -1671,7 +1325,7 @@ impl FedOp for BindJoinOp<'_> {
                 BindStage::Gather { batch } => {
                     // Fill the batch from the left without shipping a
                     // partial batch on Pending: batch composition (and so
-                    // link traffic) matches the serialized schedule.
+                    // link traffic) does not depend on the schedule.
                     while !self.left_done && batch.len() < self.batch_size {
                         match self.left.poll_next(ctx)? {
                             Poll::Ready(row) => batch.push(row),
@@ -1690,13 +1344,18 @@ impl FedOp for BindJoinOp<'_> {
     }
 }
 
-/// A convenience used by tests and the engine: drains an operator fully.
+/// Drains an operator fully, as a lone driver would: when the operator is
+/// waiting, the clock jumps to the event it waits on. Right under either
+/// schedule policy — the serialized one just never reports a wait.
 pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<SlotRow>, FedError> {
     let mut out = Vec::new();
-    while let Some(row) = op.next(ctx)? {
-        out.push(row);
+    loop {
+        match op.poll_next(ctx)? {
+            Poll::Ready(row) => out.push(row),
+            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
+            Poll::Done => return Ok(out),
+        }
     }
-    Ok(out)
 }
 
 /// Creates one link per endpoint, each with its own deterministic RNG
@@ -1947,9 +1606,8 @@ mod tests {
         assert_eq!(dict.len(), terms_after_rows);
     }
 
-    #[test]
-    fn sql_stream_lifts_rows() {
-        let lake = lake();
+    /// The service leaf of the test lake's gene star (`?g`, `?l`).
+    fn gene_node(lake: &DataLake) -> ServiceNode {
         let star = decompose(
             &parse_query("SELECT * WHERE { ?g a <http://v/Gene> . ?g <http://v/label> ?l }")
                 .unwrap(),
@@ -1965,7 +1623,7 @@ mod tests {
             _ => unreachable!("lake() builds a relational source"),
         };
         let q = sql_single(&star_part(&star, &tm, &schema, &[], "s0").unwrap());
-        let node = ServiceNode {
+        ServiceNode {
             source_id: "d".into(),
             route: None,
             kind: ServiceKind::Sql {
@@ -1973,7 +1631,13 @@ mod tests {
                 covers: vec!["?g".into()],
             },
             estimated_rows: 5.0,
-        };
+        }
+    }
+
+    #[test]
+    fn sql_stream_lifts_rows() {
+        let lake = lake();
+        let node = gene_node(&lake);
         let clock = shared_virtual();
         let link = Arc::new(Link::new(
             NetworkProfile::GAMMA2,
@@ -1997,6 +1661,44 @@ mod tests {
         // 1 request + 5 per-row messages.
         assert_eq!(link.stats().messages, 6);
         assert!(c.clock.now() > Duration::ZERO);
+    }
+
+    /// A lone leaf has nothing to overlap with: draining it takes the same
+    /// rows, the same traffic and the same simulated time whether its waits
+    /// surface as events or are sat out on the spot — and only the former
+    /// ever touches the event queue.
+    #[test]
+    fn drain_times_a_lone_leaf_the_same_under_either_policy() {
+        let lake = lake();
+        let node = gene_node(&lake);
+        let run = |serialized: bool, rows_per_message: usize| {
+            let clock = shared_virtual();
+            let link = Arc::new(Link::new(
+                NetworkProfile::GAMMA2,
+                Arc::clone(&clock),
+                CostModel::default(),
+                7,
+            ));
+            let route = SourceRoute::single("d", Arc::clone(&link));
+            let mut op = open_service(&node, &lake, route, rows_per_message).unwrap();
+            let mut c = ctx(clock, &["g", "l"]);
+            if serialized {
+                c = c.serialized();
+            }
+            let rows = drain(op.as_mut(), &mut c).unwrap();
+            assert!(c.sched.is_empty());
+            let events_scheduled = c.sched.schedule(Duration::ZERO).seq;
+            (decode(&c, &rows), c.clock.now(), link.stats(), c.stats, events_scheduled)
+        };
+        for rows_per_message in [1, 2] {
+            let (rows, end, traffic, stats, events) = run(false, rows_per_message);
+            let (s_rows, s_end, s_traffic, s_stats, s_events) = run(true, rows_per_message);
+            assert_eq!(rows.len(), 5);
+            assert_eq!((rows, end, traffic, stats), (s_rows, s_end, s_traffic, s_stats));
+            // One event for the request + evaluation, one per result message.
+            assert_eq!(events, traffic.messages);
+            assert_eq!(s_events, 0, "a serialized wait never becomes an event");
+        }
     }
 
     #[test]
@@ -2178,6 +1880,9 @@ mod tests {
         let link =
             Arc::new(Link::new(NetworkProfile::GAMMA1, Arc::clone(&clock), CostModel::default(), 7));
         let mut c = ctx(Arc::clone(&clock), vars).with_lifts(Arc::clone(&session.1));
+        if !overlap {
+            c = c.serialized();
+        }
         c.interner = session.0.clone();
         let rows = left
             .iter()
@@ -2199,18 +1904,8 @@ mod tests {
             2,
         )
         .unwrap();
-        let mut out = Vec::new();
-        if overlap {
-            loop {
-                match op.poll_next(&mut c).unwrap() {
-                    Poll::Ready(row) => out.push(row),
-                    Poll::Pending(ev) => c.clock.advance_to(ev.time),
-                    Poll::Done => break,
-                }
-            }
-        } else {
-            out = drain(&mut op, &mut c).unwrap();
-        }
+        let out = drain(&mut op, &mut c).unwrap();
+        assert!(c.sched.is_empty(), "every event was completed, or none was ever scheduled");
         let traffic = link.stats();
         (
             decode(&c, &out),
@@ -2285,6 +1980,17 @@ mod tests {
         }
     }
 
+    /// One message over `route` right now, waited for: the chain is
+    /// scheduled at the clock's time and the clock jumps to where it ends.
+    fn transfer_now(route: &SourceRoute, rows: usize, c: &mut ExecCtx) -> Result<(), FedError> {
+        let (end, result) = match schedule_transfer_with_retry(route, rows, c.clock.now(), c) {
+            Ok(done) => (done, Ok(())),
+            Err((failed_at, e)) => (failed_at, Err(e)),
+        };
+        c.clock.advance_to(end);
+        result
+    }
+
     #[test]
     fn retry_recovers_from_transient_faults() {
         let clock = shared_virtual();
@@ -2303,12 +2009,13 @@ mod tests {
         ));
         let route = SourceRoute::single("s", Arc::clone(&link));
         let mut c = ctx(Arc::clone(&clock), &["x"]);
-        transfer_with_retry(&route, 1, &mut c).unwrap();
+        transfer_now(&route, 1, &mut c).unwrap();
         assert_eq!(c.stats.retries, 2);
         let s = link.stats();
         assert_eq!((s.messages, s.outage_faults), (1, 2));
-        // Two detection timeouts (10 ms each) plus backoff 2 ms + 4 ms.
-        assert!(c.clock.now() >= Duration::from_millis(26));
+        // Two detection timeouts (10 ms each) plus backoff 2 ms + 4 ms,
+        // then the delivery's transfer cost.
+        assert_eq!(c.clock.now(), Duration::from_nanos(26_004_600));
     }
 
     #[test]
@@ -2329,7 +2036,7 @@ mod tests {
         let route = SourceRoute::single("s", Arc::clone(&link));
         let mut c = ctx(clock, &["x"]);
         c.retry = crate::config::RetryPolicy { max_attempts: 3, ..Default::default() };
-        let err = transfer_with_retry(&route, 1, &mut c).unwrap_err();
+        let err = transfer_now(&route, 1, &mut c).unwrap_err();
         assert_eq!(
             err,
             FedError::SourceUnavailable { source: "s".into(), attempts: 3 }
@@ -2372,7 +2079,7 @@ mod tests {
         );
         let mut c = ctx(Arc::clone(&clock), &["x"]);
         c.retry = crate::config::RetryPolicy { max_attempts: 3, ..Default::default() };
-        transfer_with_retry(&route, 1, &mut c).unwrap();
+        transfer_now(&route, 1, &mut c).unwrap();
         // Full budget burnt on r0 (2 intra-replica retries + the failover
         // switch), then r1 delivers on its first attempt.
         assert_eq!(c.stats.retries, 3);
@@ -2380,7 +2087,7 @@ mod tests {
         assert_eq!(live.stats().messages, 1);
         assert_eq!(route.active_endpoint(), "s#r1");
         // The stream is sticky: follow-up messages go straight to r1.
-        transfer_with_retry(&route, 1, &mut c).unwrap();
+        transfer_now(&route, 1, &mut c).unwrap();
         assert_eq!(live.stats().messages, 2);
         assert_eq!(dead.stats().faults(), 3);
     }
@@ -2396,11 +2103,13 @@ mod tests {
         );
         let mut c = ctx(Arc::clone(&clock), &["x"]);
         c.retry = crate::config::RetryPolicy { max_attempts: 3, ..Default::default() };
-        let err = transfer_with_retry(&route, 1, &mut c).unwrap_err();
+        let err = transfer_now(&route, 1, &mut c).unwrap_err();
         assert_eq!(
             err,
             FedError::SourceUnavailable { source: "s".into(), attempts: 6 }
         );
+        // Six detection timeouts and, on each replica, backoffs 2 ms + 4 ms.
+        assert_eq!(c.clock.now(), Duration::from_millis(72));
         // Every non-terminal failure counts: 2 + 2 intra-replica retries
         // plus the one failover switch.
         assert_eq!(c.stats.retries, 5);
@@ -2408,22 +2117,10 @@ mod tests {
         assert_eq!(r1.stats().faults(), 3);
     }
 
+    /// The failover chain, pinned to where the blocking retry loop left
+    /// the clock before the two chains became one.
     #[test]
-    fn scheduled_failover_matches_serialized_attempts() {
-        // Serialized twin: identical links and policy, blocking transfer.
-        let serialized_end = {
-            let clock = shared_virtual();
-            let dead = dead_link(&clock, 1);
-            let live = live_link(&clock, 2);
-            let route = SourceRoute::new(
-                "s",
-                vec![("s#r0".into(), dead), ("s#r1".into(), live)],
-            );
-            let mut c = ctx(Arc::clone(&clock), &["x"]);
-            c.retry = crate::config::RetryPolicy { max_attempts: 3, ..Default::default() };
-            transfer_with_retry(&route, 1, &mut c).unwrap();
-            clock.now()
-        };
+    fn failover_chain_lands_at_the_pinned_time() {
         let clock = shared_virtual();
         let dead = dead_link(&clock, 1);
         let live = live_link(&clock, 2);
@@ -2438,12 +2135,12 @@ mod tests {
         assert_eq!(dead.stats().faults(), 3);
         assert_eq!(live.stats().messages, 1);
         assert_eq!(route.active_endpoint(), "s#r1");
-        // The scheduled completion lands exactly where the serialized
-        // clock does: 3 detection timeouts (10 ms) + backoffs 2 ms + 4 ms
-        // on r0, then r1's delivery.
-        assert_eq!(done, serialized_end);
-        assert!(done >= Duration::from_millis(36));
-        assert!(done < Duration::from_millis(37));
+        // 3 detection timeouts (10 ms) + backoffs 2 ms + 4 ms on r0, then
+        // r1's delivery (4.6 µs of transfer cost on a NoDelay link).
+        assert_eq!(done, Duration::from_nanos(36_004_600));
+        // The chain occupied the links; nobody has waited for it yet.
+        assert_eq!(clock.now(), Duration::ZERO);
+        assert_eq!((dead.local_time(), live.local_time()), (Duration::from_millis(36), done));
     }
 
     #[test]
@@ -2470,13 +2167,11 @@ mod tests {
             backoff: Duration::from_secs(10),
         };
         c.deadline = Some(Duration::from_millis(5));
-        transfer_with_retry(&route, 1, &mut c).unwrap();
+        transfer_now(&route, 1, &mut c).unwrap();
         // Timeout 1 ms, then the 10 s backoff clamps to the 4 ms left
         // before the deadline: the clock lands on the deadline plus the
-        // final delivery's transfer cost — bounded by one more timeout —
-        // not 10 s past it.
-        assert!(c.clock.now() >= Duration::from_millis(5));
-        assert!(c.clock.now() < Duration::from_millis(6));
+        // final delivery's transfer cost, not 10 s past it.
+        assert_eq!(c.clock.now(), Duration::from_nanos(5_004_600));
     }
 
     #[test]

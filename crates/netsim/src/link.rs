@@ -85,10 +85,9 @@ pub struct Link {
 struct LinkState {
     rng: Prng,
     stats: LinkStats,
-    /// The link's private timeline for the overlapped schedule: the
-    /// absolute virtual time up to which this link is busy. Transfers
-    /// scheduled on a link queue behind each other here instead of
-    /// advancing the shared clock.
+    /// The link's private timeline: the absolute virtual time up to which
+    /// this link is busy. Transfers scheduled on a link queue behind each
+    /// other here instead of advancing the shared clock.
     local: Duration,
 }
 
@@ -124,7 +123,7 @@ impl Link {
     }
 
     /// Attaches a passive transfer observer under `label`. The observer
-    /// is told about every attempt (serialized or scheduled) but cannot
+    /// is told about every attempt but cannot
     /// perturb the link: outcomes, RNG draws, stats, and times are
     /// identical with or without one.
     pub fn with_observer(
@@ -137,84 +136,34 @@ impl Link {
         self
     }
 
-    /// Attempts the transfer of one message carrying `rows` rows.
+    /// Attempts the transfer of one message carrying `rows` rows right now
+    /// and waits for it: [`Link::schedule_message`] at the clock's current
+    /// time, then the shared clock advances to the completion time.
     ///
-    /// On success the clock advances by the sampled latency (possibly
-    /// spiked) plus the fixed per-message cost and the traffic is
-    /// recorded. On failure the attempt is recorded and the fault is
-    /// returned; a truncated attempt still pays its transit delay, a drop
-    /// or outage costs no link time (the *receiver's* detection timeout is
-    /// the retry policy's concern, not the link's).
+    /// On success that is the sampled latency (possibly spiked) plus the
+    /// fixed per-message cost. On failure the fault is returned; a
+    /// truncated attempt still pays its transit delay, a drop or outage
+    /// costs no link time (the *receiver's* detection timeout is the retry
+    /// policy's concern, not the link's).
     pub fn try_transfer_message(&self, rows: usize) -> Result<(), LinkFault> {
-        let Some(observer) = &self.observer else {
-            return self.transfer_inner(rows);
-        };
-        let start = self.clock.now();
-        let result = self.transfer_inner(rows);
-        observer.on_transfer(&self.label, rows, start, self.clock.now(), result.err());
+        let (done, result) = self.schedule_message(rows, self.clock.now());
+        self.clock.advance_to(done);
         result
-    }
-
-    /// Serialized transfer body (shared by the observed and unobserved
-    /// paths); see [`Link::try_transfer_message`] for semantics.
-    fn transfer_inner(&self, rows: usize) -> Result<(), LinkFault> {
-        let mut st = self.state.lock();
-        let mut spike = false;
-        if self.faults.is_active() {
-            let attempt = st.stats.attempts;
-            st.stats.attempts += 1;
-            if self.faults.in_outage(attempt) {
-                st.stats.outage_faults += 1;
-                return Err(LinkFault::SourceDown);
-            }
-            let u = st.rng.next_f64();
-            if u < self.faults.drop_prob {
-                st.stats.dropped += 1;
-                return Err(LinkFault::Dropped);
-            }
-            if u < self.faults.drop_prob + self.faults.truncate_prob {
-                st.stats.truncated += 1;
-                let delay = self.delay.sample(&mut st.rng);
-                st.stats.delay += delay;
-                drop(st);
-                self.clock.advance(delay + self.cost.message_time(rows));
-                return Err(LinkFault::Truncated);
-            }
-            spike = u
-                < self.faults.drop_prob + self.faults.truncate_prob + self.faults.spike_prob;
-        }
-        let mut delay = self.delay.sample(&mut st.rng);
-        if spike {
-            st.stats.spikes += 1;
-            delay = Duration::from_nanos(
-                (delay.as_nanos() as f64 * self.faults.spike_factor.max(0.0)) as u64,
-            );
-        }
-        st.stats.messages += 1;
-        st.stats.rows += rows as u64;
-        st.stats.delay += delay;
-        drop(st);
-        self.clock.advance(delay + self.cost.message_time(rows));
-        Ok(())
     }
 
     /// Schedules the transfer of one message carrying `rows` rows on this
     /// link's *private* timeline, starting no earlier than `start`, and
-    /// returns the absolute completion time plus the transfer outcome.
-    ///
-    /// This is the overlapped-schedule counterpart of
-    /// [`Link::try_transfer_message`]: it draws the *same* RNG values in
-    /// the same order and updates [`LinkStats`] identically (same fault
-    /// decisions, same counters, same delay attribution — delay is charged
-    /// once per attempt, exactly as in the serialized path), but instead of
-    /// advancing the shared clock it extends the link's local timeline.
-    /// Transfers on one link serialize behind each other (a link is one
-    /// connection); transfers on *different* links overlap in virtual time.
+    /// returns the absolute completion time plus the transfer outcome —
+    /// the one transfer body: fault decisions, RNG draws, [`LinkStats`]
+    /// and delay attribution (once per attempt) all happen here. It does
+    /// not touch the shared clock; the caller decides when to wait for the
+    /// completion time. Transfers on one link serialize behind each other
+    /// (a link is one connection); transfers on *different* links overlap
+    /// in virtual time.
     ///
     /// A drop or outage completes at its begin time and occupies no link
     /// time (detection is the receiver's timeout, charged by the retry
-    /// policy); a truncated message pays its transit like the serialized
-    /// path does.
+    /// policy); a truncated message pays its transit.
     pub fn schedule_message(&self, rows: usize, start: Duration) -> (Duration, Result<(), LinkFault>) {
         let (begin, done, result) = self.schedule_inner(rows, start);
         if let Some(observer) = &self.observer {
@@ -513,20 +462,42 @@ mod tests {
         assert_eq!(l.clock().now(), Duration::ZERO);
     }
 
+    /// The delay stream and its accounting, pinned to the values the
+    /// blocking transfer body produced before the two bodies became one:
+    /// `try_transfer_message` and back-to-back `schedule_message` both land
+    /// every message at these times with these stats.
     #[test]
-    fn scheduled_matches_serialized_draws_and_stats() {
+    fn message_draws_and_stats_are_pinned() {
+        let want_stats = LinkStats {
+            messages: 32,
+            rows: 48,
+            delay: Duration::from_nanos(132_086_676),
+            ..LinkStats::default()
+        };
+        let first_four = [9_366_314, 16_454_246, 20_158_831, 22_086_027].map(Duration::from_nanos);
+        let end = Duration::from_nanos(132_243_476);
+
         let a = link(NetworkProfile::GAMMA3);
-        let b = link(NetworkProfile::GAMMA3);
-        let mut start = Duration::ZERO;
+        let mut waited = Vec::new();
         for i in 0..32 {
             a.transfer_message(i % 4);
+            waited.push(a.clock().now());
+        }
+        assert_eq!(waited[..4], first_four);
+        assert_eq!((a.stats(), a.clock().now(), a.local_time()), (want_stats, end, end));
+
+        let b = link(NetworkProfile::GAMMA3);
+        let mut scheduled = Vec::new();
+        let mut start = Duration::ZERO;
+        for i in 0..32 {
             let (done, r) = b.schedule_message(i % 4, start);
             assert_eq!(r, Ok(()));
+            scheduled.push(done);
             start = done;
         }
-        assert_eq!(a.stats(), b.stats());
-        // Back-to-back scheduling reproduces the serialized clock exactly.
-        assert_eq!(a.clock().now(), b.local_time());
+        assert_eq!(scheduled, waited, "a transfer waited for lands where a scheduled one does");
+        // Scheduling alone leaves the shared clock where it was.
+        assert_eq!((b.stats(), b.clock().now(), b.local_time()), (want_stats, Duration::ZERO, end));
     }
 
     #[test]
@@ -560,28 +531,62 @@ mod tests {
         }
     }
 
+    /// An observer changes nothing, and what it is shown is pinned to what
+    /// the blocking transfer body reported before the two bodies became
+    /// one: the outcome of every attempt and its `[start, end]` window on
+    /// the shared clock.
     #[test]
-    fn observer_is_passive_on_serialized_transfers() {
+    fn observer_is_passive_and_its_windows_are_pinned() {
         let plan = FaultPlan { drop_prob: 0.3, truncate_prob: 0.2, ..FaultPlan::NONE };
         let plain = faulty(NetworkProfile::GAMMA2, plan);
         let rec = Arc::new(Recorder::default());
         let observed = faulty(NetworkProfile::GAMMA2, plan)
             .with_observer("src", Arc::clone(&rec) as Arc<dyn NetObserver>);
+        let mut outcomes = String::new();
         for i in 0..48 {
             let a = plain.try_transfer_message(i % 5);
             let b = observed.try_transfer_message(i % 5);
             assert_eq!(a, b, "observer must not change outcomes");
+            outcomes.push(match b {
+                Ok(()) => 'o',
+                Err(LinkFault::Dropped) => 'd',
+                Err(LinkFault::Truncated) => 't',
+                Err(LinkFault::SourceDown) => 'x',
+            });
         }
+        assert_eq!(outcomes, "ddooododooototdtooooodoodottddoddotdooddodoootoo");
         assert_eq!(plain.stats(), observed.stats());
         assert_eq!(plain.clock().now(), observed.clock().now());
+        assert_eq!(
+            observed.stats(),
+            LinkStats {
+                messages: 26,
+                rows: 52,
+                delay: Duration::from_nanos(99_513_819),
+                attempts: 48,
+                dropped: 15,
+                truncated: 7,
+                ..LinkStats::default()
+            }
+        );
+        assert_eq!(observed.clock().now(), Duration::from_nanos(99_683_619));
+
         let events = rec.events.lock();
         assert_eq!(events.len(), 48, "every attempt is reported");
-        let rows: u64 =
-            events.iter().filter(|e| e.4.is_none()).map(|e| e.1 as u64).sum();
-        assert_eq!(rows, observed.stats().rows, "successful rows reconcile");
-        for (label, _, start, end, _) in events.iter() {
+        let window = |i: usize| {
+            let (label, rows, start, end, fault) = &events[i];
             assert_eq!(label, "src");
-            assert!(end >= start);
+            (*rows, start.as_nanos(), end.as_nanos(), *fault)
+        };
+        assert_eq!(window(0), (0, 0, 0, Some(LinkFault::Dropped)), "a drop takes no link time");
+        assert_eq!(window(1), (1, 0, 0, Some(LinkFault::Dropped)));
+        assert_eq!(window(2), (2, 0, 4_727_421, None));
+        assert_eq!(window(3), (3, 4_727_421, 6_307_070, None), "windows abut on the shared clock");
+        assert_eq!(window(47), (2, 95_975_182, 99_683_619, None));
+        let rows: u64 = events.iter().filter(|e| e.4.is_none()).map(|e| e.1 as u64).sum();
+        assert_eq!(rows, observed.stats().rows, "successful rows reconcile");
+        for pair in events.windows(2) {
+            assert_eq!(pair[0].3, pair[1].2, "each attempt starts where the last one ended");
         }
     }
 
