@@ -6,7 +6,7 @@ use crate::fedplan::FedPlan;
 use crate::health::{HealthView, SourceHealth};
 use crate::lake::DataLake;
 use crate::operators::{
-    BoxedOp, DistinctOp, ExecCtx, FilterOp, LeftHashJoin, ProjectOp, SymHashJoin, UnionOp,
+    BoxedOp, DistinctOp, ExecCtx, FilterOp, LeftHashJoin, Poll, ProjectOp, SymHashJoin, UnionOp,
 };
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
@@ -189,6 +189,210 @@ pub struct EngineCacheStats {
 /// Failures before the planner treats an endpoint as degraded — two full
 /// default retry budgets, so one unlucky message cannot demote a source.
 const DEFAULT_HEALTH_THRESHOLD: u64 = 8;
+
+/// One query in execution: its operator tree under the solution modifiers,
+/// the context it runs in and what it has answered so far. The solo driver
+/// and [`FederatedEngine::serve`] each open one per query, [`Session::step`]
+/// it until it has finished and [`Session::finish`] it; what they keep to
+/// themselves is what truly differs — whose clock and links, what to do
+/// while a session waits, and whether a failure is an `Err` or one
+/// outcome among many.
+pub(crate) struct Session<'a> {
+    planned: &'a PlannedQuery,
+    op: BoxedOp<'a>,
+    pub(crate) ctx: ExecCtx,
+    pub(crate) sink: crate::obs::TraceSink,
+    pub(crate) trace: AnswerTrace,
+    slot_rows: Vec<SlotRow>,
+    /// When the query arrived, on the session's clock.
+    arrival: Duration,
+    /// [`PlanConfig::degraded_ok`]: a fault or the deadline leaves a
+    /// partial answer instead of failing the query.
+    degraded_ok: bool,
+    /// Without ORDER BY, LIMIT can stop pulling early — the streaming
+    /// behaviour ANAPSID's operators enable: the rows to stop at.
+    want: Option<usize>,
+    /// The answer is partial: sources were skipped at plan time, or a
+    /// fault or the deadline cut it short under
+    /// [`PlanConfig::degraded_ok`].
+    pub(crate) degraded: bool,
+    /// The failure, when the session failed hard: [`FedError::Timeout`]
+    /// past its deadline, [`FedError::SourceUnavailable`] past the retry
+    /// budget.
+    pub(crate) error: Option<FedError>,
+}
+
+/// What one [`Session::step`] did.
+pub(crate) enum Step {
+    /// Recorded one more answer.
+    Answered,
+    /// Waiting on in-flight I/O: nothing can happen before this event.
+    Pending(fedlake_netsim::EventTime),
+    /// No further answer will come: the plan is exhausted, the LIMIT is
+    /// reached, or the session degraded or failed.
+    Finished,
+}
+
+impl<'a> Session<'a> {
+    /// Opens `planned` on `engine` over `links` (whose clock is `clock`).
+    /// `qrec` is the query's flight-recorder handle, already past its
+    /// submit / admit / plan events; the query arrived at `arrival` on
+    /// `clock` and `deadline` is relative to that; `serialized` asks for
+    /// [`ExecCtx::serialized`], the paper's single-threaded wrapper loop.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn open(
+        engine: &'a FederatedEngine,
+        planned: &'a PlannedQuery,
+        clock: &fedlake_netsim::SharedClock,
+        links: &HashMap<String, Arc<Link>>,
+        sink: crate::obs::TraceSink,
+        qrec: &crate::obs::QueryRecorder,
+        arrival: Duration,
+        deadline: Option<Duration>,
+        serialized: bool,
+    ) -> Result<Self, FedError> {
+        let mut ctx = ExecCtx::new(
+            Arc::clone(clock),
+            engine.config.cost,
+            Arc::clone(&planned.schema),
+            engine.interner.clone(),
+        )
+        .with_lifts(Arc::clone(&engine.lifts))
+        .with_retry(engine.config.retry)
+        .with_deadline(deadline.map(|d| arrival + d))
+        .with_trace(sink.clone())
+        .with_recorder(qrec.clone());
+        if serialized {
+            ctx = ctx.serialized();
+        }
+        sink.begin_query(&planned.plan, &engine.config.mode.label());
+        sink.record_plan_report(&planned.report);
+
+        let mut next_node = 0u32;
+        let mut op =
+            engine.build_operator(&planned.plan, &planned.schema, links, &sink, qrec, &mut next_node)?;
+        // Solution modifiers around the streaming pipeline. The projection
+        // is a slot remap resolved once per execution, not per row.
+        op = Box::new(ProjectOp::new(op, planned.schema.slots_of(&planned.projection)));
+        if planned.distinct {
+            op = Box::new(DistinctOp::new(op));
+        }
+        let unordered_limit = planned.order_by.is_empty().then_some(()).and(planned.limit);
+        Ok(Session {
+            planned,
+            op,
+            ctx,
+            sink,
+            trace: AnswerTrace::new(),
+            slot_rows: Vec::new(),
+            arrival,
+            degraded_ok: engine.config.degraded_ok,
+            want: unordered_limit.map(|l| l + planned.offset),
+            degraded: !planned.skipped_sources.is_empty(),
+            error: None,
+        })
+    }
+
+    /// Checks the deadline, then polls the plan once. The deadline is
+    /// cooperative: it is looked at between polls, so one pull can
+    /// overshoot it before the query fails — or, under
+    /// [`PlanConfig::degraded_ok`], settles for the answers it has. A
+    /// source past its retry budget ends the query the same two ways. Only
+    /// an internal error is an `Err`.
+    pub(crate) fn step(&mut self) -> Result<Step, FedError> {
+        let now = self.ctx.clock.now();
+        if let Some(d) = self.ctx.deadline.filter(|d| now >= *d) {
+            self.ctx.recorder.deadline_hit(now);
+            self.fail(FedError::Timeout(d.saturating_sub(self.arrival)));
+            return Ok(Step::Finished);
+        }
+        match self.op.poll_next(&mut self.ctx) {
+            Ok(Poll::Ready(row)) => {
+                let now = self.ctx.clock.now();
+                self.ctx.trace.record_answer(&mut self.trace, now);
+                if self.ctx.recorder.is_enabled() && self.trace.count() == 1 {
+                    self.ctx.recorder.first_row(now);
+                }
+                self.slot_rows.push(row);
+                Ok(if self.want.is_some_and(|w| self.slot_rows.len() >= w) {
+                    Step::Finished
+                } else {
+                    Step::Answered
+                })
+            }
+            Ok(Poll::Pending(ev)) => {
+                // A due event must be consumed by the poll that saw it;
+                // surfacing one here means an operator forgot to complete
+                // it and time would stand still.
+                let now = self.ctx.clock.now();
+                if self.ctx.clock.is_virtual() && ev.time <= now {
+                    return Err(FedError::Internal(format!(
+                        "scheduler stalled: pending event at {:?} is not in the future (now {now:?})",
+                        ev.time,
+                    )));
+                }
+                Ok(Step::Pending(ev))
+            }
+            Ok(Poll::Done) => Ok(Step::Finished),
+            Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
+                self.fail(e);
+                Ok(Step::Finished)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// A fault or the deadline ends the query: with the answers so far
+    /// when degradation is allowed, with `e` and none otherwise.
+    fn fail(&mut self, e: FedError) {
+        if self.degraded_ok {
+            self.degraded = true;
+        } else {
+            self.slot_rows.clear();
+            self.error = Some(e);
+        }
+    }
+
+    /// Closes the session at the clock's time — the answer trace, then the
+    /// flight recorder's completion event — and returns the query's
+    /// result: terms are materialized only here, at the API boundary, then
+    /// ORDER BY, OFFSET and LIMIT apply. Empty when the session failed.
+    pub(crate) fn finish(&mut self) -> Vec<Row> {
+        let planned = self.planned;
+        let now = self.ctx.clock.now();
+        self.trace.complete(now);
+        let mut rows: Vec<Row> = {
+            let dict = self.ctx.interner.lock();
+            self.slot_rows
+                .iter()
+                .map(|r| decode_row(&planned.schema, &dict, |s| r.get(s)))
+                .collect()
+        };
+        if !planned.order_by.is_empty() {
+            sort_rows(&mut rows, &planned.order_by);
+        }
+        if planned.offset > 0 {
+            rows.drain(..planned.offset.min(rows.len()));
+        }
+        if let Some(l) = planned.limit {
+            rows.truncate(l);
+        }
+        let kind = match (&self.error, self.degraded) {
+            (Some(FedError::Timeout(_)), _) => crate::obs::CompletionKind::DeadlineMiss,
+            (Some(_), _) => crate::obs::CompletionKind::Failed,
+            (None, true) => crate::obs::CompletionKind::Degraded,
+            (None, false) => crate::obs::CompletionKind::Ok,
+        };
+        self.ctx.recorder.complete(
+            now,
+            kind,
+            now.saturating_sub(self.arrival),
+            planned.report.estimated_rows,
+            rows.len() as u64,
+        );
+        rows
+    }
+}
 
 impl FederatedEngine {
     /// Creates an engine over `lake` with `config`.
@@ -437,138 +641,33 @@ impl FederatedEngine {
         qrec.submit(Duration::ZERO);
         qrec.admit(Duration::ZERO, Duration::ZERO);
         qrec.plan(Duration::ZERO, &planned.report, planned.report.estimated_rows, origin.cached);
-        let mut ctx = ExecCtx::new(
-            Arc::clone(&clock),
-            self.config.cost,
-            Arc::clone(&planned.schema),
-            self.interner.clone(),
-        )
-        .with_lifts(Arc::clone(&self.lifts))
-        .with_retry(self.config.retry)
-        .with_deadline(self.config.deadline)
-        .with_trace(sink.clone())
-        .with_recorder(qrec.clone());
         // The paper's single-threaded wrapper loop is a policy of the one
-        // pull protocol; only the solo driver ever asks for it.
-        if !self.config.overlap {
-            ctx = ctx.serialized();
-        }
-        sink.begin_query(&planned.plan, &self.config.mode.label());
-        sink.record_plan_report(&planned.report);
-
-        let mut next_node = 0u32;
-        let mut op = self.build_operator(
-            &planned.plan,
-            &planned.schema,
+        // pull protocol; only this driver ever asks for it.
+        let mut session = Session::open(
+            self,
+            planned,
+            &clock,
             &links,
-            &sink,
+            sink.clone(),
             &qrec,
-            &mut next_node,
+            Duration::ZERO,
+            self.config.deadline,
+            !self.config.overlap,
         )?;
-        // Solution modifiers around the streaming pipeline. The projection
-        // is a slot remap resolved once per execution, not per row.
-        op = Box::new(ProjectOp::new(op, planned.schema.slots_of(&planned.projection)));
-        if planned.distinct {
-            op = Box::new(DistinctOp::new(op));
-        }
-
-        let mut trace = AnswerTrace::new();
-        let mut slot_rows: Vec<SlotRow> = Vec::new();
-        // Sources skipped at plan time already make the answer partial.
-        let mut degraded = !planned.skipped_sources.is_empty();
-        let unordered_limit = planned.order_by.is_empty().then_some(()).and(planned.limit);
-        let want = unordered_limit.map(|l| l + planned.offset);
         loop {
-            // The deadline is cooperative: it is checked between
-            // answers, so one pull can overshoot it before the query
-            // fails (or degrades to the partial answer set).
-            if let Some(d) = self.config.deadline {
-                if clock.now() >= d {
-                    qrec.deadline_hit(clock.now());
-                    if !self.config.degraded_ok {
-                        let now = clock.now();
-                        qrec.complete(
-                            now,
-                            crate::obs::CompletionKind::DeadlineMiss,
-                            now,
-                            planned.report.estimated_rows,
-                            0,
-                        );
-                        return Err(FedError::Timeout(d));
-                    }
-                    degraded = true;
-                    break;
-                }
-            }
-            // Poll the plan, and advance the clock to the next scheduled
-            // completion when every branch is waiting on in-flight I/O —
-            // which the serialized policy never reports: it waits where
-            // the I/O starts.
-            match op.poll_next(&mut ctx) {
-                Ok(crate::operators::Poll::Ready(row)) => {
-                    ctx.trace.record_answer(&mut trace, clock.now());
-                    if qrec.is_enabled() && trace.count() == 1 {
-                        qrec.first_row(clock.now());
-                    }
-                    slot_rows.push(row);
-                    // Without ORDER BY, LIMIT can stop pulling early —
-                    // the streaming behaviour ANAPSID's operators
-                    // enable.
-                    if want.is_some_and(|w| slot_rows.len() >= w) {
-                        break;
-                    }
-                }
-                Ok(crate::operators::Poll::Pending(ev)) => {
-                    // A due event must be consumed by the poll that saw
-                    // it; surfacing one here means an operator forgot
-                    // to complete it and time would stand still.
-                    if clock.is_virtual() && ev.time <= clock.now() {
-                        return Err(FedError::Internal(format!(
-                            "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
-                            ev.time,
-                            clock.now()
-                        )));
-                    }
-                    clock.advance_to(ev.time);
-                }
-                Ok(crate::operators::Poll::Done) => break,
-                Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
-                    if !self.config.degraded_ok {
-                        let now = clock.now();
-                        qrec.complete(
-                            now,
-                            crate::obs::CompletionKind::Failed,
-                            now,
-                            planned.report.estimated_rows,
-                            0,
-                        );
-                        return Err(e);
-                    }
-                    degraded = true;
-                    break;
-                }
-                Err(e) => return Err(e),
+            match session.step()? {
+                Step::Answered => {}
+                // Every branch is waiting on in-flight I/O: jump to the
+                // next completion. The serialized policy never gets here —
+                // it waits where the I/O starts.
+                Step::Pending(ev) => clock.advance_to(ev.time),
+                Step::Finished => break,
             }
         }
-        trace.complete(clock.now());
-
-        // Materialize terms only at the API boundary.
-        let mut rows: Vec<Row> = {
-            let dict = ctx.interner.lock();
-            slot_rows
-                .iter()
-                .map(|r| decode_row(&planned.schema, &dict, |s| r.get(s)))
-                .collect()
-        };
-
-        if !planned.order_by.is_empty() {
-            sort_rows(&mut rows, &planned.order_by);
-        }
-        if planned.offset > 0 {
-            rows.drain(..planned.offset.min(rows.len()));
-        }
-        if let Some(l) = planned.limit {
-            rows.truncate(l);
+        let rows = session.finish();
+        let Session { ctx, trace, degraded, error, .. } = session;
+        if let Some(e) = error {
+            return Err(e);
         }
 
         // Feed this execution's link counters into the session health
@@ -583,17 +682,6 @@ impl FederatedEngine {
             &trace,
             rows.len() as u64,
             degraded,
-        );
-        qrec.complete(
-            stats.execution_time,
-            if degraded {
-                crate::obs::CompletionKind::Degraded
-            } else {
-                crate::obs::CompletionKind::Ok
-            },
-            stats.execution_time,
-            planned.report.estimated_rows,
-            stats.answers,
         );
         let obs = sink.finish(&links, &stats);
         let mut explain = crate::explain::explain_plan(&planned.plan);
@@ -610,11 +698,6 @@ impl FederatedEngine {
             explain,
             obs,
         })
-    }
-
-    /// The session-wide term interner (shared with the serve loop).
-    pub(crate) fn interner(&self) -> &SharedInterner {
-        &self.interner
     }
 
     /// The source-result cache (shared with the serve loop).

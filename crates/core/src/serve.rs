@@ -25,19 +25,15 @@
 //! multiplexing sessions, which keeps the schedule deterministic.
 
 use crate::config::PlanConfig;
-use crate::engine::FederatedEngine;
+use crate::engine::{FederatedEngine, Session, Step};
 use crate::error::FedError;
-use crate::obs::{
-    service_estimates, CompletionKind, FlightRecording, MetricsRegistry, TraceReport, TraceSink,
-};
-use crate::operators::{BoxedOp, DistinctOp, EngineStats, ExecCtx, Poll, ProjectOp};
+use crate::obs::{service_estimates, FlightRecording, MetricsRegistry, TraceReport, TraceSink};
+use crate::operators::EngineStats;
 use crate::planner::PlannedQuery;
-use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, total_traffic};
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_prng::Prng;
-use fedlake_sparql::binding::{decode_row, Row, SlotRow, Var};
-use fedlake_sparql::eval::sort_rows;
+use fedlake_sparql::binding::{Row, Var};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -160,31 +156,18 @@ pub struct ServeOutcome {
     pub recording: Option<FlightRecording>,
 }
 
-/// A session being driven by the serve loop.
-struct Session<'a> {
+/// A session admitted to the serve loop.
+struct Admitted<'a> {
     job: usize,
-    op: BoxedOp<'a>,
-    ctx: ExecCtx,
-    sink: TraceSink,
-    trace: AnswerTrace,
-    slot_rows: Vec<SlotRow>,
+    session: Session<'a>,
     admitted: Duration,
-    /// Absolute deadline on the shared clock, when one applies.
-    deadline: Option<Duration>,
-    /// Relative deadline (for the `Timeout` error payload).
-    deadline_rel: Option<Duration>,
-    /// Unordered-LIMIT early-stop row target.
-    want: Option<usize>,
-    degraded: bool,
-    /// The per-query failure, when the session failed hard.
-    error: Option<FedError>,
     /// The event of the `Pending` the session last returned. Until it is
     /// due (or the deadline passes) another poll could only return it
     /// again, so the sweep does not make one.
     waiting_on: Option<fedlake_netsim::EventTime>,
 }
 
-impl Session<'_> {
+impl Admitted<'_> {
     /// The event this session is still waiting on at `now`, if a poll
     /// would be a no-op: the whole operator tree is pending on it — a
     /// poll of a pending [`crate::operators::SymHashJoin`], `LeftHashJoin`,
@@ -192,8 +175,8 @@ impl Session<'_> {
     /// returns the same earliest event until that event is due — and no
     /// deadline has passed that the poll would have to notice.
     fn still_waiting(&self, now: Duration) -> Option<fedlake_netsim::EventTime> {
-        self.waiting_on
-            .filter(|ev| ev.time > now && self.deadline.is_none_or(|d| now < d))
+        let deadline = self.session.ctx.deadline;
+        self.waiting_on.filter(|ev| ev.time > now && deadline.is_none_or(|d| now < d))
     }
 }
 
@@ -261,7 +244,7 @@ impl FederatedEngine {
         let mut outcomes: Vec<Option<QueryOutcome>> = (0..jobs.len()).map(|_| None).collect();
         let mut next_job = 0usize; // FIFO admission cursor
         let mut polls = 0u64; // `sweep_session` calls: the loop's work count
-        let mut active: Vec<Session<'_>> = Vec::new();
+        let mut active: Vec<Admitted<'_>> = Vec::new();
         let bound = if serve_cfg.max_in_flight == 0 {
             usize::MAX
         } else {
@@ -280,8 +263,7 @@ impl FederatedEngine {
                 } else {
                     TraceSink::disabled()
                 };
-                let deadline_rel = job.deadline.or(serve_cfg.deadline);
-                let deadline = deadline_rel.map(|d| arrivals[next_job] + d);
+                let deadline = job.deadline.or(serve_cfg.deadline);
                 // Flight-recorder lifecycle: the submit event carries the
                 // arrival time, admit the FIFO wait, plan the planner's
                 // report — all stamped at points the unrecorded loop
@@ -290,7 +272,7 @@ impl FederatedEngine {
                     job.client,
                     &job.label,
                     job.planned.report.strategy.label(),
-                    deadline_rel,
+                    deadline,
                     || service_estimates(&job.planned.plan),
                 );
                 qrec.submit(arrivals[next_job]);
@@ -301,52 +283,23 @@ impl FederatedEngine {
                     job.planned.report.estimated_rows,
                     job.cached,
                 );
-                let ctx = ExecCtx::new(
-                    Arc::clone(&clock),
-                    config.cost,
-                    Arc::clone(&job.planned.schema),
-                    self.interner().clone(),
-                )
-                .with_lifts(Arc::clone(self.lifts()))
-                .with_retry(config.retry)
-                .with_deadline(deadline)
-                .with_trace(sink.clone())
-                .with_recorder(qrec.clone());
-                sink.begin_query(&job.planned.plan, &config.mode.label());
-                sink.record_plan_report(&job.planned.report);
-                let mut next_node = 0u32;
-                let mut op = self.build_operator(
-                    &job.planned.plan,
-                    &job.planned.schema,
+                // Never serialized: a wait sat out by one session would
+                // stall the whole server.
+                let session = Session::open(
+                    self,
+                    &job.planned,
+                    &clock,
                     &links,
-                    &sink,
-                    &qrec,
-                    &mut next_node,
-                )?;
-                op = Box::new(ProjectOp::new(
-                    op,
-                    job.planned.schema.slots_of(&job.planned.projection),
-                ));
-                if job.planned.distinct {
-                    op = Box::new(DistinctOp::new(op));
-                }
-                let unordered_limit =
-                    job.planned.order_by.is_empty().then_some(()).and(job.planned.limit);
-                active.push(Session {
-                    job: next_job,
-                    op,
-                    ctx,
                     sink,
-                    trace: AnswerTrace::new(),
-                    slot_rows: Vec::new(),
-                    admitted: clock.now(),
+                    &qrec,
+                    arrivals[next_job],
                     deadline,
-                    deadline_rel,
-                    want: unordered_limit.map(|l| l + job.planned.offset),
-                    // Sources skipped at plan time already make the
-                    // answer partial.
-                    degraded: !job.planned.skipped_sources.is_empty(),
-                    error: None,
+                    false,
+                )?;
+                active.push(Admitted {
+                    job: next_job,
+                    session,
+                    admitted: clock.now(),
                     waiting_on: None,
                 });
                 metrics.counter_add("serve.admitted", 1);
@@ -393,7 +346,7 @@ impl FederatedEngine {
                     Some(ev) => SweepStep::Pending(ev),
                     None => {
                         polls += 1;
-                        Self::sweep_session(&mut active[i], config, &clock)?
+                        Self::sweep_session(&mut active[i].session)?
                     }
                 };
                 match step {
@@ -410,15 +363,14 @@ impl FederatedEngine {
                         i += 1;
                     }
                     SweepStep::Finished => {
-                        let session = active.remove(i);
-                        let outcome = self.finalize_session(
+                        let Admitted { job, session, admitted, .. } = active.remove(i);
+                        outcomes[job] = Some(self.finalize_session(
                             session,
-                            jobs,
-                            &arrivals,
-                            &clock,
+                            &jobs[job],
+                            arrivals[job],
+                            admitted,
                             &mut metrics,
-                        );
-                        outcomes[outcome.0] = Some(outcome.1);
+                        ));
                         metrics.gauge_set("serve.in_flight", active.len() as u64);
                         progressed = true;
                     }
@@ -489,68 +441,17 @@ impl FederatedEngine {
         })
     }
 
-    /// Polls one session until it is pending, finished, or failed,
-    /// checking its deadline between rows (the engine's cooperative
-    /// deadline semantics).
-    fn sweep_session(
-        s: &mut Session<'_>,
-        config: &PlanConfig,
-        clock: &fedlake_netsim::SharedClock,
-    ) -> Result<SweepStep, FedError> {
+    /// Steps one session until it is pending or finished (success,
+    /// degradation or per-query failure — a fault is not a run error: it
+    /// stays in the session and the others continue).
+    fn sweep_session(s: &mut Session<'_>) -> Result<SweepStep, FedError> {
         let mut produced = false;
         loop {
-            if let Some(d) = s.deadline {
-                if clock.now() >= d {
-                    s.ctx.recorder.deadline_hit(clock.now());
-                    if !config.degraded_ok {
-                        s.slot_rows.clear();
-                        s.error =
-                            Some(FedError::Timeout(s.deadline_rel.unwrap_or_default()));
-                    } else {
-                        s.degraded = true;
-                    }
-                    return Ok(SweepStep::Finished);
-                }
-            }
-            match s.op.poll_next(&mut s.ctx) {
-                Ok(Poll::Ready(row)) => {
-                    s.ctx.trace.record_answer(&mut s.trace, clock.now());
-                    if s.ctx.recorder.is_enabled() && s.trace.count() == 1 {
-                        s.ctx.recorder.first_row(clock.now());
-                    }
-                    s.slot_rows.push(row);
-                    produced = true;
-                    if s.want.is_some_and(|w| s.slot_rows.len() >= w) {
-                        return Ok(SweepStep::Finished);
-                    }
-                }
-                Ok(Poll::Pending(ev)) => {
-                    if ev.time <= clock.now() {
-                        return Err(FedError::Internal(format!(
-                            "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
-                            ev.time,
-                            clock.now()
-                        )));
-                    }
-                    return Ok(if produced {
-                        SweepStep::Progress
-                    } else {
-                        SweepStep::Pending(ev)
-                    });
-                }
-                Ok(Poll::Done) => return Ok(SweepStep::Finished),
-                Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
-                    // A per-query fault is not a run error: stash it in
-                    // the outcome and let the other sessions continue.
-                    if !config.degraded_ok {
-                        s.slot_rows.clear();
-                        s.error = Some(e);
-                    } else {
-                        s.degraded = true;
-                    }
-                    return Ok(SweepStep::Finished);
-                }
-                Err(e) => return Err(e),
+            match s.step()? {
+                Step::Answered => produced = true,
+                Step::Pending(_) if produced => return Ok(SweepStep::Progress),
+                Step::Pending(ev) => return Ok(SweepStep::Pending(ev)),
+                Step::Finished => return Ok(SweepStep::Finished),
             }
         }
     }
@@ -559,36 +460,15 @@ impl FederatedEngine {
     fn finalize_session(
         &self,
         mut s: Session<'_>,
-        jobs: &[ServeJob],
-        arrivals: &[Duration],
-        clock: &fedlake_netsim::SharedClock,
+        job: &ServeJob,
+        arrival: Duration,
+        admitted: Duration,
         metrics: &mut MetricsRegistry,
-    ) -> (usize, QueryOutcome) {
-        let now = clock.now();
-        s.trace.complete(now);
-        let job = &jobs[s.job];
-        let arrival = arrivals[s.job];
+    ) -> QueryOutcome {
         let config = self.config();
-
+        let now = s.ctx.clock.now();
+        let rows = s.finish();
         let error = s.error.take();
-        let mut rows: Vec<Row> = if error.is_some() {
-            Vec::new()
-        } else {
-            let dict = s.ctx.interner.lock();
-            s.slot_rows
-                .iter()
-                .map(|r| decode_row(&job.planned.schema, &dict, |i| r.get(i)))
-                .collect()
-        };
-        if !job.planned.order_by.is_empty() {
-            sort_rows(&mut rows, &job.planned.order_by);
-        }
-        if job.planned.offset > 0 {
-            rows.drain(..job.planned.offset.min(rows.len()));
-        }
-        if let Some(l) = job.planned.limit {
-            rows.truncate(l);
-        }
 
         let latency = now.saturating_sub(arrival);
         match &error {
@@ -599,23 +479,9 @@ impl FederatedEngine {
         }
         metrics.counter_add("serve.answers", rows.len() as u64);
         metrics.observe("serve.latency_ns", latency.as_nanos() as u64);
-        // Flight-recorder completion: per-service actuals vs. estimates,
-        // then the outcome with its latency and answer cardinality.
-        let kind = match (&error, s.degraded) {
-            (Some(FedError::Timeout(_)), _) => CompletionKind::DeadlineMiss,
-            (Some(_), _) => CompletionKind::Failed,
-            (None, true) => CompletionKind::Degraded,
-            (None, false) => CompletionKind::Ok,
-        };
-        s.ctx.recorder.complete(
-            now,
-            kind,
-            latency,
-            job.planned.report.estimated_rows,
-            rows.len() as u64,
-        );
 
         let stats = ServeQueryStats { engine: s.ctx.stats, answers: rows.len() as u64 };
+        let first_answer = s.trace.first_answer().map(|t| t.saturating_sub(arrival));
         // Per-session trace report: span tree + per-session stats. Link
         // traffic is shared across sessions, so the report carries none.
         let obs = s.sink.finish(
@@ -624,7 +490,7 @@ impl FederatedEngine {
                 plan_label: config.mode.label(),
                 network: config.network.name,
                 execution_time: latency,
-                first_answer: s.trace.first_answer().map(|t| t.saturating_sub(arrival)),
+                first_answer,
                 answers: rows.len() as u64,
                 messages: 0,
                 rows_transferred: 0,
@@ -641,24 +507,20 @@ impl FederatedEngine {
             },
         );
 
-        let first_answer = s.trace.first_answer().map(|t| t.saturating_sub(arrival));
-        (
-            s.job,
-            QueryOutcome {
-                client: job.client,
-                label: job.label.clone(),
-                arrival,
-                admitted: s.admitted,
-                finish: now,
-                latency,
-                first_answer,
-                vars: Arc::clone(&job.planned.projection),
-                rows,
-                stats,
-                error,
-                degraded: s.degraded,
-                obs,
-            },
-        )
+        QueryOutcome {
+            client: job.client,
+            label: job.label.clone(),
+            arrival,
+            admitted,
+            finish: now,
+            latency,
+            first_answer,
+            vars: Arc::clone(&job.planned.projection),
+            rows,
+            stats,
+            error,
+            degraded: s.degraded,
+            obs,
+        }
     }
 }
