@@ -57,6 +57,9 @@ impl SourceRoute {
     /// A route over explicit endpoints, preferred first. Panics on an
     /// empty endpoint list — a route must lead somewhere.
     pub fn new(logical: impl Into<String>, endpoints: Vec<(String, Arc<Link>)>) -> Self {
+        // Invariant: `endpoints[active]` always exists. A plan reaches this
+        // through `route_for`, which turns an empty replica route into a
+        // typed error first; only a route written out by hand can trip it.
         assert!(!endpoints.is_empty(), "a route needs at least one endpoint");
         SourceRoute { logical: logical.into(), endpoints, active: AtomicUsize::new(0) }
     }
@@ -112,6 +115,11 @@ pub fn route_for(
         Some(r) => r.endpoints.iter().map(String::as_str).collect(),
         None => vec![source_id],
     };
+    // The planner routes only sources with two or more replicas, but a
+    // `ReplicaRoute` is plain data anyone can build.
+    if endpoint_ids.is_empty() {
+        return Err(FedError::Internal(format!("replica route of {source_id} names no endpoint")));
+    }
     let mut endpoints = Vec::with_capacity(endpoint_ids.len());
     for id in endpoint_ids {
         let link = links
@@ -2172,6 +2180,17 @@ mod tests {
         // before the deadline: the clock lands on the deadline plus the
         // final delivery's transfer cost, not 10 s past it.
         assert_eq!(c.clock.now(), Duration::from_nanos(5_004_600));
+    }
+
+    #[test]
+    fn a_replica_route_naming_no_endpoint_is_a_typed_error() {
+        let clock = shared_virtual();
+        let links: std::collections::HashMap<String, Arc<Link>> =
+            [("s".to_string(), live_link(&clock, 1))].into();
+        let nowhere = ReplicaRoute { endpoints: Vec::new(), reason: "by hand".into() };
+        let err = route_for("s", &Some(nowhere), &links).unwrap_err();
+        assert!(matches!(err, FedError::Internal(_)), "{err}");
+        assert_eq!(route_for("s", &None, &links).unwrap().active_endpoint(), "s");
     }
 
     #[test]
