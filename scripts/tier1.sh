@@ -18,6 +18,18 @@ git grep -n "std::env::var" -- 'crates/*/src/*' || env_reads=$?
 # git grep exits 1 when nothing matches; 0 is a hit, anything else an error.
 [ "$env_reads" -eq 1 ] || { echo "environment read under crates/*/src (or git grep failed)"; exit 1; }
 
+# One pull protocol: an operator has poll_next and nothing else, a message
+# crosses a route through one retry chain, a link has one transfer body and
+# a bind join one way to ship a batch. The serialized schedule is a policy
+# (ExecCtx::serialized), not a second set of bodies to keep byte-identical.
+echo "== one pull protocol under crates/*/src =="
+blocking_pulls=0
+git grep -nE "fn next\(&mut self, _?ctx: &mut ExecCtx" -- 'crates/*/src/*' || blocking_pulls=$?
+[ "$blocking_pulls" -eq 1 ] || { echo "a blocking next() is back under crates/*/src (or git grep failed)"; exit 1; }
+second_bodies=0
+git grep -n "fn transfer_with_retry\|fn transfer_inner\|fn ship_batch" -- 'crates/*/src/*' || second_bodies=$?
+[ "$second_bodies" -eq 1 ] || { echo "a second transfer body is back under crates/*/src (or git grep failed)"; exit 1; }
+
 # The one test pass. The combinations that used to be re-runs of this pass
 # under process state — schedule x planner x tracing x recorder x replicas —
 # are enumerated in process by tests/common/mod.rs (a pairwise covering
