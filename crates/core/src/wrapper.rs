@@ -615,29 +615,30 @@ impl Delivery {
                 };
                 return Ok(Poll::Ready(row));
             }
-            if let Some(f) = &mut self.inflight {
-                if let Some(ev) = ctx.still_pending(f.wait) {
-                    return Ok(Poll::Pending(ev));
+            let flight = match self.inflight.take() {
+                Some(flight) => flight,
+                None => {
+                    let n = self.remaining().min(rows_per_message);
+                    if n == 0 && self.empty_notified {
+                        return Ok(Poll::Done);
+                    }
+                    self.empty_notified = true;
+                    let (time, err) =
+                        match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx) {
+                            Ok(done) => (done, None),
+                            Err((t, e)) => (t, Some(e)),
+                        };
+                    Flight { wait: ctx.wait_until(time), rows: n, err }
                 }
-                let (rows, err) = (f.rows, f.err.take());
-                self.inflight = None;
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                self.ready = rows;
-                continue;
-            }
-            let n = self.remaining().min(rows_per_message);
-            if n == 0 && self.empty_notified {
-                return Ok(Poll::Done);
-            }
-            self.empty_notified = true;
-            let (time, err) = match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx)
-            {
-                Ok(done) => (done, None),
-                Err((t, e)) => (t, Some(e)),
             };
-            self.inflight = Some(Flight { wait: ctx.wait_until(time), rows: n, err });
+            if let Some(ev) = ctx.still_pending(flight.wait) {
+                self.inflight = Some(flight);
+                return Ok(Poll::Pending(ev));
+            }
+            if let Some(e) = flight.err {
+                return Err(e);
+            }
+            self.ready = flight.rows;
         }
     }
 }
