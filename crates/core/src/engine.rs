@@ -300,11 +300,13 @@ impl<'a> Session<'a> {
     /// source past its retry budget ends the query the same two ways. Only
     /// an internal error is an `Err`.
     pub(crate) fn step(&mut self) -> Result<Step, FedError> {
-        let now = self.ctx.clock.now();
-        if let Some(d) = self.ctx.deadline.filter(|d| now >= *d) {
-            self.ctx.recorder.deadline_hit(now);
-            self.fail(FedError::Timeout(d.saturating_sub(self.arrival)));
-            return Ok(Step::Finished);
+        if let Some(d) = self.ctx.deadline {
+            let now = self.ctx.clock.now();
+            if now >= d {
+                self.ctx.recorder.deadline_hit(now);
+                self.fail(FedError::Timeout(d.saturating_sub(self.arrival)));
+                return Ok(Step::Finished);
+            }
         }
         match self.op.poll_next(&mut self.ctx) {
             Ok(Poll::Ready(row)) => {

@@ -275,7 +275,7 @@ impl<C> TwoInputs<C> {
         mut poll: impl FnMut(&mut C, &mut ExecCtx) -> Result<Poll<T>, FedError>,
         mut take: impl FnMut(bool, T, &mut ExecCtx),
     ) -> Result<Option<EventTime>, FedError> {
-        let (first, sides) = if ctx.is_serialized() {
+        if ctx.is_serialized() {
             let take_left = if self.done[LEFT] {
                 false
             } else if self.done[RIGHT] {
@@ -284,36 +284,27 @@ impl<C> TwoInputs<C> {
                 self.pull_left
             };
             self.pull_left = !self.pull_left;
-            (if take_left { LEFT } else { RIGHT }, 1)
-        } else {
-            let left_first = match self.waits {
-                [None, _] => true,
-                [Some(_), None] => false,
-                [Some(l), Some(r)] => l <= r,
-            };
-            (if left_first { LEFT } else { RIGHT }, 2)
+            let side = if take_left { LEFT } else { RIGHT };
+            return self.pull_from(side, ctx, &mut poll, &mut take);
+        }
+        let first = match self.waits {
+            [None, _] => LEFT,
+            [Some(_), None] => RIGHT,
+            [Some(l), Some(r)] => {
+                if l <= r {
+                    LEFT
+                } else {
+                    RIGHT
+                }
+            }
         };
         let mut progressed = false;
         let mut wait: Option<EventTime> = None;
-        for k in 0..sides {
-            let side = first ^ k;
-            if self.done[side] {
-                continue;
-            }
-            match poll(&mut self.inputs[side], ctx)? {
-                Poll::Ready(row) => {
-                    self.waits[side] = None;
-                    take(side == LEFT, row, ctx);
-                    progressed = true;
-                }
-                Poll::Pending(ev) => {
-                    self.waits[side] = Some(ev);
-                    wait = earlier(wait, ev);
-                }
-                Poll::Done => {
-                    self.waits[side] = None;
-                    self.done[side] = true;
-                    progressed = true;
+        for side in [first, first ^ 1] {
+            if !self.done[side] {
+                match self.pull_from(side, ctx, &mut poll, &mut take)? {
+                    Some(ev) => wait = earlier(wait, ev),
+                    None => progressed = true,
                 }
             }
         }
@@ -322,6 +313,29 @@ impl<C> TwoInputs<C> {
         // discarded rows). A due event must be consumed by its owner, so
         // go around again instead of surfacing a stale Pending.
         Ok(wait.filter(|ev| !progressed && ev.time > ctx.clock.now()))
+    }
+
+    /// Polls input `side` once; the event it reports when it is waiting.
+    fn pull_from<T>(
+        &mut self,
+        side: usize,
+        ctx: &mut ExecCtx,
+        poll: &mut impl FnMut(&mut C, &mut ExecCtx) -> Result<Poll<T>, FedError>,
+        take: &mut impl FnMut(bool, T, &mut ExecCtx),
+    ) -> Result<Option<EventTime>, FedError> {
+        let pending = match poll(&mut self.inputs[side], ctx)? {
+            Poll::Ready(row) => {
+                take(side == LEFT, row, ctx);
+                None
+            }
+            Poll::Pending(ev) => Some(ev),
+            Poll::Done => {
+                self.done[side] = true;
+                None
+            }
+        };
+        self.waits[side] = pending;
+        Ok(pending)
     }
 }
 

@@ -23,7 +23,7 @@ use crate::translate::{sql_single, Lift, OutputBinding, StarPart, TranslatedQuer
 use fedlake_mapping::lift::{term_to_value, value_key_in};
 use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
-use fedlake_netsim::Link;
+use fedlake_netsim::{EventTime, Link};
 use fedlake_rdf::{BuildFastHasher, Dictionary, Term, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{Database, ResultSet, Value};
@@ -211,6 +211,50 @@ fn clamped_backoff(
     }
 }
 
+/// A chain of source work that cannot complete, and the time on the link
+/// timelines at which its stream finds out: the last endpoint of a route
+/// ran out of attempts — [`FedError::SourceUnavailable`], attributed to the
+/// logical source with the total attempts across all replicas tried.
+/// Boxed where it is returned, so the per-message path hands a completion
+/// time back in registers.
+#[derive(Debug)]
+pub struct RouteExhausted {
+    /// When the last attempt's detection timeout ran out.
+    pub at: Duration,
+    /// What the stream surfaces once it has waited until then.
+    pub error: FedError,
+}
+
+/// The wait for a scheduled chain of source work: over when the chain
+/// completes — or when it fails, and then the error surfaces, exactly when
+/// a stream blocking on the chain would have observed it.
+struct Landing {
+    wait: Wait,
+    failed: Option<Box<RouteExhausted>>,
+}
+
+impl Landing {
+    /// Starts waiting for `chain` (see [`ExecCtx::wait_until`]).
+    fn of(chain: Result<Duration, Box<RouteExhausted>>, ctx: &mut ExecCtx) -> Self {
+        match chain {
+            Ok(done) => Landing { wait: ctx.wait_until(done), failed: None },
+            Err(x) => Landing { wait: ctx.wait_until(x.at), failed: Some(x) },
+        }
+    }
+
+    /// The event to report as [`Poll::Pending`] while the chain is in the
+    /// air; once the wait is over, `None` — or the chain's error.
+    fn poll(&mut self, ctx: &mut ExecCtx) -> Result<Option<EventTime>, FedError> {
+        if let Some(ev) = ctx.still_pending(self.wait) {
+            return Ok(Some(ev));
+        }
+        match self.failed.take() {
+            Some(x) => Err(x.error),
+            None => Ok(None),
+        }
+    }
+}
+
 /// Schedules one message, with its full retry-and-failover chain, on the
 /// route's link timelines starting no earlier than `start` — *the* way a
 /// message crosses a route, on either schedule. Every failed attempt
@@ -225,17 +269,14 @@ fn clamped_backoff(
 ///
 /// Returns the completion time on success (the route's active cursor then
 /// names the endpoint that delivered, so callers chain follow-up work on
-/// the right link). Only exhausting the *last* endpoint fails: the failure
-/// time along with [`FedError::SourceUnavailable`], attributed to the
-/// logical source with the total attempts across all replicas tried — the
-/// caller waits for that time ([`ExecCtx::wait_until`]) before it surfaces
-/// the error.
+/// the right link). Only exhausting the *last* endpoint fails, as
+/// [`RouteExhausted`]; a stream turns either into a [`Landing`] to wait for.
 pub fn schedule_transfer_with_retry(
     route: &SourceRoute,
     rows: usize,
     start: Duration,
     ctx: &mut ExecCtx,
-) -> Result<Duration, (Duration, FedError)> {
+) -> Result<Duration, Box<RouteExhausted>> {
     let policy = ctx.retry;
     let budget = policy.attempts();
     let mut at = start;
@@ -266,13 +307,13 @@ pub fn schedule_transfer_with_retry(
         }
         let budget_spent = attempt + 1 == budget;
         if budget_spent && idx + 1 == route.len() {
-            return Err((
-                failed_at,
-                FedError::SourceUnavailable {
+            return Err(Box::new(RouteExhausted {
+                at: failed_at,
+                error: FedError::SourceUnavailable {
                     source: route.logical().to_string(),
                     attempts: total_attempts,
                 },
-            ));
+            }));
         }
         ctx.stats.retries += 1;
         ctx.recorder.retry(failed_at, endpoint, attempt);
@@ -315,8 +356,9 @@ pub fn schedule_rows_with_retry(
     rows_per_message: usize,
     start: Duration,
     ctx: &mut ExecCtx,
-) -> Result<Duration, (Duration, FedError)> {
-    let rows_per_message = message_size(rows_per_message).map_err(|e| (start, e))?;
+) -> Result<Duration, Box<RouteExhausted>> {
+    let rows_per_message = message_size(rows_per_message)
+        .map_err(|error| Box::new(RouteExhausted { at: start, error }))?;
     if total_rows == 0 {
         return schedule_transfer_with_retry(route, 0, start, ctx);
     }
@@ -551,14 +593,11 @@ impl Materialized {
     }
 }
 
-/// One message on its way: the wait for its completion plus how many rows
-/// it carries (none for an empty-result notification). `err` is set when
-/// the retry budget was exhausted; the error surfaces only once the wait
-/// for the failure time is over.
+/// One message on its way, and how many rows it carries (none for an
+/// empty-result notification).
 struct Flight {
-    wait: Wait,
+    landing: Landing,
     rows: usize,
-    err: Option<FedError>,
 }
 
 /// Message-batched delivery of a materialized result. Rows are handed out
@@ -615,7 +654,8 @@ impl Delivery {
                 };
                 return Ok(Poll::Ready(row));
             }
-            let flight = match self.inflight.take() {
+            // The message in flight, or the next one sent now.
+            let mut flight = match self.inflight.take() {
                 Some(flight) => flight,
                 None => {
                     let n = self.remaining().min(rows_per_message);
@@ -623,20 +663,13 @@ impl Delivery {
                         return Ok(Poll::Done);
                     }
                     self.empty_notified = true;
-                    let (time, err) =
-                        match schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx) {
-                            Ok(done) => (done, None),
-                            Err((t, e)) => (t, Some(e)),
-                        };
-                    Flight { wait: ctx.wait_until(time), rows: n, err }
+                    let chain = schedule_transfer_with_retry(route, n, ctx.clock.now(), ctx);
+                    Flight { landing: Landing::of(chain, ctx), rows: n }
                 }
             };
-            if let Some(ev) = ctx.still_pending(flight.wait) {
+            if let Some(ev) = flight.landing.poll(ctx)? {
                 self.inflight = Some(flight);
                 return Ok(Poll::Pending(ev));
-            }
-            if let Some(e) = flight.err {
-                return Err(e);
             }
             self.ready = flight.rows;
         }
@@ -805,9 +838,8 @@ struct LeafStream<'a> {
     route: SourceRoute,
     rows_per_message: usize,
     /// The request round trip plus the source's evaluation, waited for as
-    /// one (with the error an exhausted route surfaces once that wait is
-    /// over).
-    computing: Option<(Wait, Option<FedError>)>,
+    /// one.
+    computing: Option<Landing>,
     delivery: Option<Delivery>,
 }
 
@@ -823,8 +855,8 @@ impl<'a> LeafStream<'a> {
         let requested =
             match schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx) {
                 Ok(done) => done,
-                Err((t, e)) => {
-                    self.computing = Some((ctx.wait_until(t), Some(e)));
+                failed => {
+                    self.computing = Some(Landing::of(failed, ctx));
                     return Ok(Delivery::new(Vec::new()));
                 }
             };
@@ -845,7 +877,7 @@ impl<'a> LeafStream<'a> {
                 lifted.rows as u64,
             );
         }
-        self.computing = Some((ctx.wait_until(computed), None));
+        self.computing = Some(Landing::of(Ok(computed), ctx));
         Ok(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }))
     }
 }
@@ -857,15 +889,11 @@ impl FedOp for LeafStream<'_> {
         if self.delivery.is_none() {
             self.delivery = Some(self.open(ctx)?);
         }
-        if let Some((wait, err)) = &mut self.computing {
-            if let Some(ev) = ctx.still_pending(*wait) {
+        if let Some(computing) = &mut self.computing {
+            if let Some(ev) = computing.poll(ctx)? {
                 return Ok(Poll::Pending(ev));
             }
-            let err = err.take();
             self.computing = None;
-            if let Some(e) = err {
-                return Err(e);
-            }
         }
         let Some(delivery) = &mut self.delivery else {
             return Err(FedError::Internal("leaf stream lost the delivery it opened".into()));
@@ -900,9 +928,8 @@ struct NaiveStream<'a> {
 enum NaiveStage {
     /// Not polled yet: the outer query is still to be sent.
     Unopened,
-    /// Waiting on source work; when the wait is over `then` applies
-    /// (unless `err` was carried, which surfaces instead).
-    Waiting { wait: Wait, then: NaiveNext, err: Option<FedError> },
+    /// Waiting on source work; once it has landed `then` applies.
+    Waiting { landing: Landing, then: NaiveNext },
     /// The buffer is deliverable or the next outer binding is due.
     Idle,
     /// Everything delivered (and any final notification observed).
@@ -920,10 +947,13 @@ enum NaiveNext {
 }
 
 impl NaiveStage {
-    /// The stage that waits until `time` and then applies `then`, or
-    /// surfaces `err`.
-    fn wait(ctx: &mut ExecCtx, time: Duration, then: NaiveNext, err: Option<FedError>) -> Self {
-        NaiveStage::Waiting { wait: ctx.wait_until(time), then, err }
+    /// The stage that waits for `chain` and then applies `then`.
+    fn wait(
+        chain: Result<Duration, Box<RouteExhausted>>,
+        then: NaiveNext,
+        ctx: &mut ExecCtx,
+    ) -> Self {
+        NaiveStage::Waiting { landing: Landing::of(chain, ctx), then }
     }
 }
 
@@ -942,7 +972,7 @@ impl NaiveStream<'_> {
         ctx.stats.sql_queries += 1;
         let requested = match schedule_transfer_with_retry(&self.route, 0, start, ctx) {
             Ok(t) => t,
-            Err((t, e)) => return Ok(NaiveStage::wait(ctx, t, then(Vec::new()), Some(e))),
+            failed => return Ok(NaiveStage::wait(failed, then(Vec::new()), ctx)),
         };
         let rs = self.db.query_cached(&q.sql)?;
         let computed = self
@@ -961,7 +991,7 @@ impl NaiveStream<'_> {
                 rows.len() as u64,
             );
         }
-        Ok(NaiveStage::wait(ctx, computed, then(rows), None))
+        Ok(NaiveStage::wait(Ok(computed), then(rows), ctx))
     }
 
     /// One outer binding's inner round trip, starting at `start`: an
@@ -986,7 +1016,7 @@ impl NaiveStream<'_> {
             (None, Some(term)) => Some(term_to_value(&term)),
         };
         let Some(key) = key else {
-            return Ok(NaiveStage::wait(ctx, start, NaiveNext::Inner(Vec::new()), None));
+            return Ok(NaiveStage::wait(Ok(start), NaiveNext::Inner(Vec::new()), ctx));
         };
         let mut part = self.inner.clone();
         part.wheres.push(format!("{}.{} = {key}", part.alias, self.join.inner_col));
@@ -1010,15 +1040,14 @@ impl FedOp for NaiveStream<'_> {
                         ctx,
                     )?;
                 }
-                NaiveStage::Waiting { wait, then, err } => {
-                    if let Some(ev) = ctx.still_pending(*wait) {
+                NaiveStage::Waiting { landing, then } => {
+                    let landed = landing.poll(ctx);
+                    if let Ok(Some(ev)) = landed {
                         return Ok(Poll::Pending(ev));
                     }
-                    let (then, err) = (std::mem::replace(then, NaiveNext::Notified), err.take());
-                    if let Some(e) = err {
-                        self.stage = NaiveStage::Finished;
-                        return Err(e);
-                    }
+                    let then = std::mem::replace(then, NaiveNext::Notified);
+                    self.stage = NaiveStage::Finished;
+                    landed?;
                     self.stage = NaiveStage::Idle;
                     match then {
                         NaiveNext::Outer(rows) => self.bindings = rows.into(),
@@ -1047,27 +1076,17 @@ impl FedOp for NaiveStream<'_> {
                                 ctx,
                             ) {
                                 Ok(t) => self.inner_round_trip(&outer_row, t, ctx)?,
-                                Err((t, e)) => NaiveStage::wait(
-                                    ctx,
-                                    t,
-                                    NaiveNext::Inner(Vec::new()),
-                                    Some(e),
-                                ),
+                                failed => {
+                                    NaiveStage::wait(failed, NaiveNext::Inner(Vec::new()), ctx)
+                                }
                             }
                         }
                         // Empty outer result: the one empty-result
                         // notification, then done.
                         None if first_empty => {
-                            let (t, err) = match schedule_transfer_with_retry(
-                                &self.route,
-                                0,
-                                ctx.clock.now(),
-                                ctx,
-                            ) {
-                                Ok(t) => (t, None),
-                                Err((t, e)) => (t, Some(e)),
-                            };
-                            NaiveStage::wait(ctx, t, NaiveNext::Notified, err)
+                            let notified =
+                                schedule_transfer_with_retry(&self.route, 0, ctx.clock.now(), ctx);
+                            NaiveStage::wait(notified, NaiveNext::Notified, ctx)
                         }
                         None => NaiveStage::Finished,
                     };
@@ -1143,13 +1162,8 @@ pub struct BindJoinOp<'a> {
 /// chain; probing happens when the wait for the chain is over.
 enum BindStage {
     Gather { batch: Vec<SlotRow> },
-    /// `lifted` is the batch's answer, unless the chain ends in `err`.
-    Flying {
-        wait: Wait,
-        batch: Vec<SlotRow>,
-        lifted: Option<Arc<LiftedSource>>,
-        err: Option<FedError>,
-    },
+    /// `lifted` is the batch's answer, once its request got through.
+    Flying { landing: Landing, batch: Vec<SlotRow>, lifted: Option<Arc<LiftedSource>> },
 }
 
 impl<'a> BindJoinOp<'a> {
@@ -1269,42 +1283,32 @@ impl<'a> BindJoinOp<'a> {
         }
         ctx.stats.sql_queries += 1;
         let t0 = ctx.clock.now();
-        let chain = match schedule_transfer_with_retry(&self.route, 0, t0, ctx) {
-            Ok(t_req) => {
-                let (right, work) = self.fetch(&ids, ctx)?;
-                let t_q = self.route.active_link().schedule_busy(work, t_req);
-                ctx.stats.service_rows += right.rows as u64;
-                schedule_rows_with_retry(&self.route, right.rows, self.rows_per_message, t_q, ctx)
-                    .map(|done| (done, right))
+        let mut lifted = None;
+        let mut chain = schedule_transfer_with_retry(&self.route, 0, t0, ctx);
+        if let Ok(requested) = chain {
+            let (right, work) = self.fetch(&ids, ctx)?;
+            let computed = self.route.active_link().schedule_busy(work, requested);
+            ctx.stats.service_rows += right.rows as u64;
+            chain = schedule_rows_with_retry(
+                &self.route,
+                right.rows,
+                self.rows_per_message,
+                computed,
+                ctx,
+            );
+            if let (Ok(done), true) = (&chain, ctx.trace.is_enabled()) {
+                ctx.trace.source_span(
+                    SpanKind::BindBatch,
+                    self.route.active_endpoint(),
+                    &format!("bind batch ({} left rows)", batch.len()),
+                    t0,
+                    *done,
+                    right.rows as u64,
+                );
             }
-            Err(failed) => Err(failed),
-        };
-        self.stage = match chain {
-            Ok((done, right)) => {
-                if ctx.trace.is_enabled() {
-                    ctx.trace.source_span(
-                        SpanKind::BindBatch,
-                        self.route.active_endpoint(),
-                        &format!("bind batch ({} left rows)", batch.len()),
-                        t0,
-                        done,
-                        right.rows as u64,
-                    );
-                }
-                BindStage::Flying {
-                    wait: ctx.wait_until(done),
-                    batch,
-                    lifted: Some(right),
-                    err: None,
-                }
-            }
-            Err((t, e)) => BindStage::Flying {
-                wait: ctx.wait_until(t),
-                batch,
-                lifted: None,
-                err: Some(e),
-            },
-        };
+            lifted = Some(right);
+        }
+        self.stage = BindStage::Flying { landing: Landing::of(chain, ctx), batch, lifted };
         Ok(())
     }
 }
@@ -1316,17 +1320,15 @@ impl FedOp for BindJoinOp<'_> {
                 return Ok(Poll::Ready(row));
             }
             match &mut self.stage {
-                BindStage::Flying { wait, batch, lifted, err } => {
-                    if let Some(ev) = ctx.still_pending(*wait) {
+                BindStage::Flying { landing, batch, lifted } => {
+                    let landed = landing.poll(ctx);
+                    if let Ok(Some(ev)) = landed {
                         return Ok(Poll::Pending(ev));
                     }
                     let batch = std::mem::take(batch);
                     let lifted = lifted.take();
-                    let err = err.take();
                     self.stage = BindStage::Gather { batch: Vec::new() };
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
+                    landed?;
                     if let Some(right) = lifted {
                         self.probe_batch(&batch, &right, ctx);
                     }
@@ -1994,7 +1996,7 @@ mod tests {
     fn transfer_now(route: &SourceRoute, rows: usize, c: &mut ExecCtx) -> Result<(), FedError> {
         let (end, result) = match schedule_transfer_with_retry(route, rows, c.clock.now(), c) {
             Ok(done) => (done, Ok(())),
-            Err((failed_at, e)) => (failed_at, Err(e)),
+            Err(x) => (x.at, Err(x.error)),
         };
         c.clock.advance_to(end);
         result
