@@ -3,10 +3,13 @@
 //! Execution is pull-based and streaming: operators produce one solution
 //! at a time while the shared simulation clock advances, so the answer
 //! trace reflects *when* each answer became available — the measurement of
-//! Figure 2. The join is ANAPSID's adaptive **symmetric hash join**
-//! (agjoin): it consumes from both inputs in alternation and emits matches
-//! as soon as probes succeed, producing answers incrementally instead of
-//! blocking on a build phase.
+//! Figure 2. There is one pull protocol, [`FedOp::poll_next`]; the paper's
+//! single-threaded wrapper loop is a schedule *policy* of it
+//! ([`ExecCtx::serialized`]), read where a wait on source work starts and
+//! where a join picks the input to pull from. The join is ANAPSID's
+//! adaptive **symmetric hash join** (agjoin): it consumes from both inputs
+//! and emits matches as soon as probes succeed, producing answers
+//! incrementally instead of blocking on a build phase.
 //!
 //! Solution mappings travel as [`SlotRow`]s: fixed-width arrays of
 //! [`fedlake_rdf::TermId`]s laid out by the query's [`RowSchema`] and
@@ -108,7 +111,7 @@ impl ExecCtx {
     /// inputs. The default lets waits surface as [`Poll::Pending`] events,
     /// which is what overlaps independent sources.
     ///
-    /// The policy is read in two places only: [`ExecCtx::wait_until`] and
+    /// The policy is read in two places only: `ExecCtx::wait_until` and
     /// the child pick of the two-input joins.
     pub fn serialized(mut self) -> Self {
         self.serialized = true;
@@ -188,9 +191,8 @@ impl ExecCtx {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Wait(Option<EventTime>);
 
-/// The outcome of one non-blocking pull (the overlapped schedule's
-/// currency). Generic so the reference executor can reuse it for its
-/// term-row currency.
+/// The outcome of one non-blocking pull. Generic so the reference executor
+/// can reuse it for its term-row currency.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Poll<T> {
     /// A solution is available now.
@@ -347,7 +349,7 @@ fn key_of(row: &SlotRow, on_slots: &[usize]) -> Option<Box<[TermId]>> {
 ///
 /// Every arriving row is inserted into its side's hash table and
 /// immediately probed against the other side, so results stream out as
-/// soon as both matching rows have arrived; [`TwoInputs::pull`] decides
+/// soon as both matching rows have arrived; `TwoInputs::pull` decides
 /// which input a row is taken from next. Keys are id arrays, so probing
 /// never compares strings.
 pub struct SymHashJoin<'a> {

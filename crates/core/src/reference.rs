@@ -22,7 +22,7 @@
 //! not "optimize" them. What does not differ is shared, not mirrored: the
 //! pull protocol ([`Poll`], one `poll_next` per operator), the schedule
 //! policy ([`ExecCtx::serialized`]) and the pick among several inputs
-//! ([`TwoInputs`], [`Branches`]) are the engine's own, so both schedules
+//! (`TwoInputs`, `Branches`) are the engine's own, so both schedules
 //! of this executor are whatever the engine's are.
 
 use crate::engine::{FederatedEngine, FedResult, FedStats};

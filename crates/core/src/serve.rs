@@ -17,10 +17,10 @@
 //! its solo execution even though shared-link queuing changes all
 //! timings.
 //!
-//! The serve loop always drives sessions through the overlapped
-//! (`poll_next`) protocol — a blocking pull would serialize the whole
-//! server on one session's I/O — and always row-at-a-time, because
-//! deadlines are checked between rows. Engine-side operator work advances
+//! The serve loop never asks for the serialized schedule policy
+//! ([`crate::operators::ExecCtx::serialized`]) — a wait sat out by one
+//! session would stall the whole server on that session's I/O — and
+//! always steps row-at-a-time, because deadlines are checked between rows. Engine-side operator work advances
 //! the shared clock directly: the model is a single-threaded engine core
 //! multiplexing sessions, which keeps the schedule deterministic.
 

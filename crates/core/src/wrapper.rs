@@ -4,10 +4,12 @@
 //! resulting solution mappings to the engine. Network delays are simulated
 //! here, exactly as in the paper: *"Network delays are simulated within
 //! the SQL wrapper …; delaying the retrieval of the next answer from the
-//! source"* (§3). Every message pulled through the wrapper advances the
-//! shared clock by a sampled latency (via [`Link`]); the source's own
-//! computation advances it by the cost model's price for the work the
-//! relational engine reports.
+//! source"* (§3). Every message pulled through the wrapper occupies its
+//! [`Link`]'s timeline for a sampled latency, and the source's own
+//! computation for the cost model's price of the work the relational
+//! engine reports; a stream waits for both (`Landing`) — on the spot
+//! under the paper's serialized schedule, as an event otherwise
+//! (`ExecCtx::wait_until`).
 //!
 //! Wrappers are the encode boundary of the slot-row representation: lifted
 //! terms are interned into the query-scoped dictionary here, so everything
@@ -270,7 +272,7 @@ impl Landing {
 /// Returns the completion time on success (the route's active cursor then
 /// names the endpoint that delivered, so callers chain follow-up work on
 /// the right link). Only exhausting the *last* endpoint fails, as
-/// [`RouteExhausted`]; a stream turns either into a [`Landing`] to wait for.
+/// [`RouteExhausted`]; a stream turns either into a `Landing` to wait for.
 pub fn schedule_transfer_with_retry(
     route: &SourceRoute,
     rows: usize,
