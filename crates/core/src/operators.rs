@@ -118,11 +118,6 @@ impl ExecCtx {
         self
     }
 
-    /// Whether this context runs the serialized schedule.
-    pub(crate) fn is_serialized(&self) -> bool {
-        self.serialized
-    }
-
     /// Starts the wait for source work that completes at `time` — a
     /// request plus the source's evaluation, a message, a bind-join batch.
     /// Serialized, the wait happens here: the shared clock jumps to `time`
@@ -205,6 +200,23 @@ pub enum Poll<T> {
     Done,
 }
 
+/// Drains `poll` fully, as a lone driver would: while it is waiting, the
+/// clock jumps to the event it waits on. Right under either schedule
+/// policy — the serialized one just never reports a wait.
+pub(crate) fn drain_with<T>(
+    ctx: &mut ExecCtx,
+    mut poll: impl FnMut(&mut ExecCtx) -> Result<Poll<T>, FedError>,
+) -> Result<Vec<T>, FedError> {
+    let mut out = Vec::new();
+    loop {
+        match poll(ctx)? {
+            Poll::Ready(row) => out.push(row),
+            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
+            Poll::Done => return Ok(out),
+        }
+    }
+}
+
 /// The smaller of two optional pending events.
 pub(crate) fn earlier(a: Option<EventTime>, b: EventTime) -> Option<EventTime> {
     Some(match a {
@@ -277,7 +289,7 @@ impl<C> TwoInputs<C> {
         mut poll: impl FnMut(&mut C, &mut ExecCtx) -> Result<Poll<T>, FedError>,
         mut take: impl FnMut(bool, T, &mut ExecCtx),
     ) -> Result<Option<EventTime>, FedError> {
-        if ctx.is_serialized() {
+        if ctx.serialized {
             let take_left = if self.done[LEFT] {
                 false
             } else if self.done[RIGHT] {

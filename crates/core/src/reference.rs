@@ -54,14 +54,7 @@ pub type BoxedRefOp<'a> = Box<dyn RefOp + 'a>;
 /// Drains a reference operator fully; [`crate::wrapper::drain`] over term
 /// rows.
 pub fn drain_ref(op: &mut dyn RefOp, ctx: &mut ExecCtx) -> Result<Vec<Row>, FedError> {
-    let mut out = Vec::new();
-    loop {
-        match op.poll_next(ctx)? {
-            Poll::Ready(row) => out.push(row),
-            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
-            Poll::Done => return Ok(out),
-        }
-    }
+    crate::operators::drain_with(ctx, |ctx| op.poll_next(ctx))
 }
 
 /// The reference-executor twin of [`crate::obs::span::SpanOp`]: counts a

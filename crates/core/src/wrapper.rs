@@ -1361,14 +1361,7 @@ impl FedOp for BindJoinOp<'_> {
 /// waiting, the clock jumps to the event it waits on. Right under either
 /// schedule policy — the serialized one just never reports a wait.
 pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<SlotRow>, FedError> {
-    let mut out = Vec::new();
-    loop {
-        match op.poll_next(ctx)? {
-            Poll::Ready(row) => out.push(row),
-            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
-            Poll::Done => return Ok(out),
-        }
-    }
+    crate::operators::drain_with(ctx, |ctx| op.poll_next(ctx))
 }
 
 /// Creates one link per endpoint, each with its own deterministic RNG
