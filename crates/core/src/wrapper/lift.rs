@@ -1,0 +1,198 @@
+//! Lifting relational results into slot rows, and the cache of lifted
+//! source results.
+
+use crate::translate::{Lift, OutputBinding};
+use fedlake_mapping::lift::value_key_in;
+use fedlake_mapping::xsd_for;
+use fedlake_netsim::cost::fedlake_relational_cost;
+use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
+use fedlake_relational::cache::{CacheStats, VersionedCache};
+use fedlake_relational::{ResultSet, Value};
+use fedlake_sparql::binding::{RowSchema, SlotRow};
+use std::sync::Arc;
+
+/// Converts the relational engine's counters to the netsim mirror type.
+pub fn convert_cost(c: &fedlake_relational::CostStats) -> fedlake_relational_cost::CostStats {
+    fedlake_relational_cost::CostStats {
+        rows_scanned: c.rows_scanned,
+        index_probes: c.index_probes,
+        index_rows: c.index_rows,
+        filter_evals: c.filter_evals,
+        hash_build_rows: c.hash_build_rows,
+        hash_probe_rows: c.hash_probe_rows,
+        sort_rows: c.sort_rows,
+        rows_output: c.rows_output,
+    }
+}
+
+/// The two buffers a lift reuses for every cell: the key text of a
+/// non-text value, and the IRI being minted.
+#[derive(Default)]
+struct LiftScratch {
+    key: String,
+    iri: String,
+}
+
+/// Lifts one non-NULL relational value through its output binding and
+/// interns the resulting term by its parts: the id is the one
+/// `intern(Term::iri(template.apply(&value_key(v))))` resp.
+/// `intern(value_to_term(v, dt))` assigns, but no `Term` or `String` is
+/// built unless the term is new to the dictionary.
+fn lift_value(
+    v: &Value,
+    ob: &OutputBinding,
+    scratch: &mut LiftScratch,
+    dict: &mut Dictionary,
+) -> TermId {
+    let LiftScratch { key, iri } = scratch;
+    let key = value_key_in(v, key);
+    match &ob.lift {
+        Lift::SubjectIri(t) | Lift::RefIri(t) => {
+            iri.clear();
+            t.apply_into(key, iri);
+            dict.intern_iri(iri)
+        }
+        Lift::Literal(dt) => dict.intern_literal(key, None, xsd_for(*dt)),
+    }
+}
+
+/// Lifts a SQL result set directly into slot rows, interning each lifted
+/// term — the row-major lift of the naive N+1 wrapper ([`NaiveStream`])
+/// only, whose per-binding results are merged row by row and never shared.
+/// Every other source request — one-shot leaves and bind-join batches —
+/// lifts column-major into the [`LiftCache`]. The slot of each output
+/// column is resolved once, not per row.
+pub fn lift_result(
+    rs: &ResultSet,
+    outputs: &[OutputBinding],
+    schema: &RowSchema,
+    dict: &mut Dictionary,
+) -> Vec<SlotRow> {
+    let slots: Vec<Option<usize>> = outputs.iter().map(|ob| schema.slot(&ob.var)).collect();
+    let mut scratch = LiftScratch::default();
+    rs.rows
+        .iter()
+        .map(|row| {
+            let mut out = SlotRow::unbound(schema.len());
+            for ((v, ob), slot) in row.iter().zip(outputs).zip(&slots) {
+                if let (Some(slot), false) = (*slot, v.is_null()) {
+                    out.set(slot, lift_value(v, ob, &mut scratch, dict));
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+/// Columnar lift of a SQL result: one `TermId` buffer per slot, written
+/// column-at-a-time. Produces exactly the ids [`lift_result`] would assign
+/// to each cell — only the interning *order* (and therefore the raw id
+/// numbering) differs, which nothing downstream observes: ids never leave
+/// the execution, and every consumer compares or decodes them.
+pub(super) fn lift_result_cols(
+    rs: &ResultSet,
+    outputs: &[OutputBinding],
+    schema: &RowSchema,
+    dict: &mut Dictionary,
+) -> LiftedSource {
+    let n = rs.rows.len();
+    let mut cols = vec![vec![TermId::UNBOUND; n]; schema.len()];
+    let mut scratch = LiftScratch::default();
+    for (i, ob) in outputs.iter().enumerate() {
+        let Some(slot) = schema.slot(&ob.var) else { continue };
+        for (cell, row) in cols[slot].iter_mut().zip(&rs.rows) {
+            if !row[i].is_null() {
+                *cell = lift_value(&row[i], ob, &mut scratch, dict);
+            }
+        }
+    }
+    LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
+}
+
+/// One source's answer to one request — a one-shot leaf or one bind-join
+/// batch — materialized and lifted: column-major `TermId` buffers, one per
+/// schema slot, plus the source-side cost counters the simulation charges
+/// per execution (`None` for a SPARQL source, whose charge follows from the
+/// star's shape and the row count). The ids stay valid for as long as the
+/// interner they were interned into — the engine's is append-only and
+/// shared with every execution.
+#[derive(Debug)]
+pub struct LiftedSource {
+    pub(super) cols: Vec<Vec<TermId>>,
+    pub(super) rows: usize,
+    pub(super) sql_cost: Option<fedlake_relational_cost::CostStats>,
+}
+
+impl LiftedSource {
+    /// `left` merged with row `r`, as [`SlotRow::merge`] would merge the
+    /// two: `None` when a slot is bound to different ids on both sides.
+    pub(super) fn merge_row(&self, left: &SlotRow, r: usize) -> Option<SlotRow> {
+        let mut out = left.clone();
+        for (slot, col) in self.cols.iter().enumerate() {
+            match (out.get(slot), col[r]) {
+                (_, TermId::UNBOUND) => {}
+                (None, id) => out.set(slot, id),
+                (Some(bound), id) if bound == id => {}
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+}
+
+/// *The* source-result cache: every source request but the N+1 wrapper's —
+/// one-shot leaves and bind-join batches alike, on both schedules and in
+/// `serve` — reads its lifted result from here, through [`lifted`]. Keyed
+/// by [`LiftKey`] and held to the contract of
+/// [`fedlake_relational::cache`]: an entry is stamped with the
+/// [`DataLake::source_version`] it was computed from, `source_mut(id)`
+/// bumps that version, and a lookup under another version is a counted
+/// stale miss that drops the entry. A hit skips the request's rendering,
+/// the source's evaluation and the lift but re-charges the stored cost
+/// counters, so the *simulated* execution is the one a miss would have
+/// produced — only host time changes. Must be paired with the interner its
+/// ids were interned into.
+#[derive(Debug, Default)]
+pub struct LiftCache(std::sync::Mutex<LiftEntries>);
+
+/// What a lifted result is cached under: the schema's slot-layout
+/// fingerprint, the request's signature (source id, request text, output
+/// bindings — see [`LeafRequest::signature`]) and, for a bind-join batch,
+/// the join terms it asks about (empty for a one-shot leaf). The terms are
+/// ids of the engine's append-only interner, so equal ids render equal SQL
+/// and — at an equal source version — fetch an equal result.
+type LiftKey = (u64, Arc<str>, Box<[TermId]>);
+
+type LiftEntries = VersionedCache<LiftKey, Arc<LiftedSource>, BuildFastHasher>;
+
+impl LiftCache {
+    pub(super) fn lock(&self) -> std::sync::MutexGuard<'_, LiftEntries> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        self.lock().stats()
+    }
+}
+
+/// The engine's handle on its [`LiftCache`].
+pub type SharedLiftCache = Arc<LiftCache>;
+
+/// Fingerprint of a schema's slot layout: FNV-1a over the slot-ordered
+/// variable names. Cached column buffers are indexed by slot, so two
+/// schemas with the same fingerprint lay rows out identically and may
+/// share cache entries. An address-based key would be unsound here: a
+/// dropped schema's allocation can be reused by a *different* layout with
+/// the same stream signature, which would serve wrongly-slotted columns.
+pub(super) fn schema_fingerprint(schema: &RowSchema) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in schema.vars() {
+        for b in v.name().as_bytes() {
+            h = (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        // Separator so ["ab","c"] and ["a","bc"] cannot collide.
+        h = (h ^ 0x1f).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
