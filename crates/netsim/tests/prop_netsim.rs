@@ -175,11 +175,12 @@ fn fault_schedules_are_deterministic() {
     }
 }
 
-/// Schedule/serialize parity: running the same message sequence through
-/// `schedule_message` back-to-back must reproduce `try_transfer_message`
-/// draw-for-draw — identical fault outcomes, identical stats (including
-/// the injected delay, which is attributed once per attempt in both
-/// paths), and a local timeline equal to the serialized clock.
+/// Waiting for every message (`try_transfer_message`: schedule at the
+/// clock's time, advance to the completion) and scheduling the same
+/// sequence back-to-back without ever waiting must agree draw-for-draw —
+/// identical fault outcomes, identical stats (the injected delay is
+/// attributed once per attempt), and a local timeline equal to the clock
+/// that was waited on.
 #[test]
 fn scheduled_transfers_mirror_serialized_stats() {
     let mut meta = Prng::seed_from_u64(0x4e75_0009);
