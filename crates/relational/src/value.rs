@@ -66,7 +66,8 @@ impl Value {
         Value::Text(s.into())
     }
 
-    /// Numeric view (ints widen to double).
+    /// Numeric view (ints widen to double, rounding past 2^53: compare
+    /// with [`Value::sql_cmp`] or `Ord`, which do not).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
@@ -98,11 +99,11 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            _ => {
-                let a = self.as_f64()?;
-                let b = other.as_f64()?;
-                a.partial_cmp(&b)
-            }
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Double(a), Value::Double(b)) => a.partial_cmp(b),
+            (Value::Int(i), Value::Double(d)) => cmp_int_double(*i, *d),
+            (Value::Double(d), Value::Int(i)) => cmp_int_double(*i, *d).map(Ordering::reverse),
+            _ => None,
         }
     }
 
@@ -116,9 +117,30 @@ impl Value {
     }
 }
 
+/// `i` against `d` as the numbers they are, without rounding `i` to a
+/// double first: `None` for a NaN only. Every double of magnitude below
+/// 2^63 has an integer part that is an `i64`, exactly.
+fn cmp_int_double(i: i64, d: f64) -> Option<Ordering> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if d.is_nan() {
+        None
+    } else if d >= TWO_63 {
+        Some(Ordering::Less)
+    } else if d < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = d.trunc();
+        0.0.partial_cmp(&(d - whole)).map(|fraction| i.cmp(&(whole as i64)).then(fraction))
+    }
+}
+
 /// Index/sort total order: NULL < Bool < numeric < Text. Used by B-tree
 /// index keys and ORDER BY; distinct from [`Value::sql_cmp`], which carries
-/// SQL NULL semantics.
+/// SQL NULL semantics. Numbers order by value — integers exactly, doubles
+/// by `f64::total_cmp`, an integer against a double as in `sql_cmp` with
+/// the two cases that leaves open placed where `total_cmp` puts them for
+/// the integer's own double: `-0.0` just below `Int(0)`, a NaN beyond
+/// every number on the side of its sign.
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         fn rank(v: &Value) -> u8 {
@@ -136,12 +158,21 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            _ => {
-                let a = self.as_f64().expect("rank 2 implies numeric");
-                let b = other.as_f64().expect("rank 2 implies numeric");
-                a.total_cmp(&b)
-            }
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
+            (Value::Int(i), Value::Double(d)) => int_total_cmp(*i, *d),
+            (Value::Double(d), Value::Int(i)) => int_total_cmp(*i, *d).reverse(),
+            _ => unreachable!("equal ranks are equal kinds, or both numeric"),
         }
+    }
+}
+
+fn int_total_cmp(i: i64, d: f64) -> Ordering {
+    match cmp_int_double(i, d) {
+        Some(Ordering::Equal) if d == 0.0 && d.is_sign_negative() => Ordering::Greater,
+        Some(ord) => ord,
+        None if d.is_sign_negative() => Ordering::Greater,
+        None => Ordering::Less,
     }
 }
 
@@ -167,10 +198,16 @@ impl std::hash::Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Ints and doubles that compare equal must hash equally.
+            // An int and the double that is exactly it compare equal and
+            // must hash equally; an int no double equals hashes as itself.
             Value::Int(i) => {
                 2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+                let d = *i as f64;
+                if cmp_int_double(*i, d) == Some(Ordering::Equal) {
+                    d.to_bits().hash(state);
+                } else {
+                    i.hash(state);
+                }
             }
             Value::Double(d) => {
                 2u8.hash(state);

@@ -95,6 +95,9 @@ fn the_numeric_order_is_exact_total_and_hash_consistent() {
     assert_eq!(Value::Int(2).sql_cmp(&Value::Double(2.5)), Some(Ordering::Less));
     assert_eq!(Value::Int(-2).sql_cmp(&Value::Double(-2.5)), Some(Ordering::Greater));
     assert_eq!(Value::Int(0).sql_cmp(&Value::Double(-0.0)), Some(Ordering::Equal));
+    // The index order splits the two zeros as `total_cmp` does.
+    assert_eq!(Value::Int(0).cmp(&Value::Double(-0.0)), Ordering::Greater);
+    assert_eq!(Value::Int(i64::MIN).cmp(&Value::Double(-f64::NAN)), Ordering::Greater);
 
     let mut sorted = vec![
         two_63.clone(),
