@@ -1,8 +1,13 @@
-//! The database facade: catalog plus SQL entry point.
+//! The database facade: catalog plus SQL entry points.
+//!
+//! A `SELECT` has one executor and three ways in: [`Database::query_borrowed`]
+//! hands the result out as references into the tables, [`Database::query`]
+//! is that result cloned into an owned [`ResultSet`], and
+//! [`Database::query_cached`] memoizes the owned one per SQL text.
 
 use crate::cache::{CacheStats, VersionedCache};
 use crate::error::SqlError;
-use crate::exec::{execute, CostStats};
+use crate::exec::{execute, CostStats, Relation};
 use crate::explain::explain;
 use crate::optimizer::plan_select;
 use crate::plan::PhysicalPlan;
@@ -38,6 +43,16 @@ impl ResultSet {
     }
 }
 
+/// A `SELECT`'s result read where it lies ([`Database::query_borrowed`]):
+/// the cells point into the database's tables, which stay borrowed for as
+/// long as the result is held.
+pub struct BorrowedResult<'db> {
+    /// The result's cells.
+    pub rows: Relation<'db>,
+    /// Work performed, for the cost simulation.
+    pub cost: CostStats,
+}
+
 /// An embedded relational database: one named catalog of tables.
 #[derive(Debug, Default)]
 pub struct Database {
@@ -46,12 +61,15 @@ pub struct Database {
     /// Bumped by every mutation that was applied (a rejected write leaves
     /// it alone); the version the memo's entries are stamped with.
     version: u64,
-    /// Materialized results of previously executed `SELECT`s, keyed by the
-    /// SQL text and stamped with the catalog `version` they were computed
-    /// from (see [`crate::cache`]). Sources in a federation answer the same
-    /// subqueries over and over (replica failover, repeated executions,
-    /// benchmark loops); serving the memoized result — cost statistics
-    /// included, so the simulated charge is identical — skips the re-scan.
+    /// Owned results of `SELECT`s run through [`Database::query_cached`],
+    /// keyed by the SQL text and stamped with the catalog `version` they
+    /// were computed from (see [`crate::cache`]). The naive N+1 wrapper
+    /// asks the same per-binding query for every outer binding that
+    /// repeats a key, execution after execution; serving the memoized
+    /// result — cost statistics included, so the simulated charge is
+    /// identical — skips the re-scan. The engine's one-shot leaves and
+    /// bind-join batches never come here: they are lifted from
+    /// [`Database::query_borrowed`] and cached in lifted form.
     cache: Mutex<VersionedCache<String, Arc<ResultSet>>>,
 }
 
@@ -135,34 +153,40 @@ impl Database {
         self.run_plan(&plan)
     }
 
-    /// Executes an already-built physical plan.
+    /// Executes an already-built physical plan: the borrowed result of
+    /// [`execute`], cloned cell by cell — the one place a result's values
+    /// are copied.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<ResultSet, SqlError> {
         let (rel, cost) = execute(plan, &self.tables)?;
-        let columns = match plan {
-            PhysicalPlan::Project { names, .. } => names.clone(),
-            PhysicalPlan::Distinct(inner) | PhysicalPlan::Limit { input: inner, .. } => {
-                project_names(inner).unwrap_or_else(|| {
-                    rel.schema.iter().map(|c| c.column.clone()).collect()
-                })
-            }
-            _ => rel.schema.iter().map(|c| c.column.clone()).collect(),
-        };
-        Ok(ResultSet { columns, rows: rel.rows, cost, explain: None })
+        let columns = project_names(plan).unwrap_or_else(|| rel.column_names());
+        let rows = rel.rows().map(|row| row.cloned().collect()).collect();
+        Ok(ResultSet { columns, rows, cost, explain: None })
     }
 
     /// Parses and runs a `SELECT`-only SQL string (convenience for
     /// wrappers that must not mutate).
     pub fn query(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        match parse(sql)? {
-            Statement::Select(stmt) => self.run_select(&stmt),
-            _ => Err(SqlError::Internal("query() accepts only SELECT".into())),
-        }
+        self.run_select(&select_only(sql)?)
+    }
+
+    /// [`Database::query`] without the copy: parse, plan, run, and hand
+    /// the rows out as references into the tables — same rows, same order,
+    /// same `cost`. Nothing is memoized; a caller that consumes the result
+    /// once (the engine lifts it into `TermId` columns and caches those)
+    /// never pays for an owned `Value`.
+    pub fn query_borrowed(&self, sql: &str) -> Result<BorrowedResult<'_>, SqlError> {
+        let plan = self.plan(&select_only(sql)?)?;
+        let (rows, cost) = execute(&plan, &self.tables)?;
+        Ok(BorrowedResult { rows, cost })
     }
 
     /// Like [`Database::query`], but memoized: the first execution of a
-    /// given `SELECT` materializes and caches its full result (rows *and*
-    /// cost statistics); later executions of the same SQL text share it
-    /// until the next mutation, whose version bump makes the entry stale.
+    /// given `SELECT` caches its full owned result (rows *and* cost
+    /// statistics); later executions of the same SQL text share it until
+    /// the next mutation, whose version bump makes the entry stale. For a
+    /// caller that reads the same result many times and keeps no cache of
+    /// its own; one that consumes it once wants
+    /// [`Database::query_borrowed`].
     /// Callers must charge the returned `cost` exactly as for an uncached
     /// run — a cache hit changes wall-clock time only, never the simulated
     /// execution. Errors are not cached.
@@ -240,6 +264,14 @@ impl Database {
     }
 }
 
+fn select_only(sql: &str) -> Result<SelectStmt, SqlError> {
+    match parse(sql)? {
+        Statement::Select(stmt) => Ok(stmt),
+        _ => Err(SqlError::Internal("query() accepts only SELECT".into())),
+    }
+}
+
+/// The output names of the `Project` under `plan`'s modifiers, if any.
 fn project_names(plan: &PhysicalPlan) -> Option<Vec<String>> {
     match plan {
         PhysicalPlan::Project { names, .. } => Some(names.clone()),

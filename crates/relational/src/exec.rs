@@ -49,16 +49,6 @@ impl CostStats {
     }
 }
 
-/// A materialized relation: alias-qualified schema plus owned row data.
-/// Only `Project` and the operators above it produce one.
-#[derive(Debug, Clone)]
-pub struct Relation {
-    /// Column descriptors.
-    pub schema: Vec<ColumnRef>,
-    /// Row data, one `Vec<Value>` per row, aligned with `schema`.
-    pub rows: Vec<Vec<Value>>,
-}
-
 /// One base table taking part in an intermediate relation.
 struct Part<'t> {
     alias: String,
@@ -90,19 +80,6 @@ impl<'t> Borrowed<'t> {
     fn iter(&self) -> std::slice::ChunksExact<'_, &'t [Value]> {
         self.rows.chunks_exact(self.parts.len())
     }
-
-    /// Copies every column of every row out (a plan without a `Project`).
-    fn materialize(self) -> Relation {
-        let schema = self
-            .parts
-            .iter()
-            .flat_map(|p| {
-                p.table.schema.columns.iter().map(|c| ColumnRef::qualified(&p.alias, &c.name))
-            })
-            .collect();
-        let rows = self.iter().map(|row| row.concat()).collect();
-        Relation { schema, rows }
-    }
 }
 
 /// The first column named `c.column` among the parts `c.table` admits
@@ -121,53 +98,128 @@ fn resolve_or(parts: &[Part<'_>], c: &ColumnRef, what: &str) -> Result<Pos, SqlE
     resolve(parts, c).ok_or_else(|| SqlError::Internal(format!("{what} {c} missing")))
 }
 
+/// A plan's result, read where it lies: every cell is a `&'t Value` into a
+/// base table of the catalog the plan ran against, so producing it clones
+/// nothing. The owned [`crate::ResultSet`] is this, cloned.
+pub struct Relation<'t> {
+    rel: Borrowed<'t>,
+    /// The output columns, in order.
+    at: Vec<Pos>,
+}
+
+impl<'t> Relation<'t> {
+    /// Row count.
+    pub fn len(&self) -> usize {
+        self.rel.len()
+    }
+
+    /// True when the result has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rel.rows.is_empty()
+    }
+
+    /// The cells of output column `c`, in row order.
+    ///
+    /// # Panics
+    /// When the result has no column `c`.
+    pub fn column(&self, c: usize) -> impl Iterator<Item = &'t Value> + '_ {
+        let Pos { part, col } = self.at[c];
+        self.rel.iter().map(move |row| &row[part][col])
+    }
+
+    /// The rows in order, each as its cells in column order.
+    pub fn rows(&self) -> impl Iterator<Item = impl Iterator<Item = &'t Value> + '_> + '_ {
+        self.rel.iter().map(|row| Cells { row, at: &self.at }.iter())
+    }
+
+    /// The output columns' names as their tables spell them, unqualified.
+    pub fn column_names(&self) -> Vec<String> {
+        let name = |p: &Pos| self.rel.parts[p.part].table.schema.columns[p.col].name.clone();
+        self.at.iter().map(name).collect()
+    }
+}
+
+/// One row's output cells; as a `DISTINCT` key, equal and hashed as the
+/// row of values it stands for.
+#[derive(Clone, Copy)]
+struct Cells<'a, 't> {
+    row: &'a [&'t [Value]],
+    at: &'a [Pos],
+}
+
+impl<'a, 't> Cells<'a, 't> {
+    fn iter(self) -> impl Iterator<Item = &'t Value> + 'a {
+        self.at.iter().map(move |p| &self.row[p.part][p.col])
+    }
+}
+
+impl PartialEq for Cells<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Cells<'_, '_> {}
+
+impl std::hash::Hash for Cells<'_, '_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.iter().for_each(|v| v.hash(state));
+    }
+}
+
 /// Executes a physical plan against a catalog.
-pub fn execute<C: CatalogView>(
+pub fn execute<'t, C: CatalogView>(
     plan: &PhysicalPlan,
-    catalog: &C,
-) -> Result<(Relation, CostStats), SqlError> {
+    catalog: &'t C,
+) -> Result<(Relation<'t>, CostStats), SqlError> {
     let mut cost = CostStats::default();
-    let rel = exec_owned(plan, catalog, &mut cost)?;
-    cost.rows_output = rel.rows.len() as u64;
+    let rel = exec_output(plan, catalog, &mut cost)?;
+    cost.rows_output = rel.len() as u64;
     Ok((rel, cost))
 }
 
-/// `Project` and the modifiers the optimizer stacks on it. `Project` is
-/// the one place a `Value` is cloned, once per output cell.
-fn exec_owned<C: CatalogView>(
+/// `Project` and the modifiers the optimizer stacks on it: which columns
+/// of which rows are the output. The rows stay borrowed.
+fn exec_output<'t, C: CatalogView>(
     plan: &PhysicalPlan,
-    catalog: &C,
+    catalog: &'t C,
     cost: &mut CostStats,
-) -> Result<Relation, SqlError> {
+) -> Result<Relation<'t>, SqlError> {
     match plan {
         PhysicalPlan::Project { input, columns, names: _ } => {
             let rel = exec_borrowed(input, catalog, cost)?;
-            let at: Vec<Pos> = columns
+            let at = columns
                 .iter()
                 .map(|c| resolve_or(&rel.parts, c, "projection column"))
                 .collect::<Result<_, _>>()?;
-            let rows = rel
-                .iter()
-                .map(|row| at.iter().map(|p| row[p.part][p.col].clone()).collect())
-                .collect();
-            Ok(Relation { schema: columns.clone(), rows })
+            Ok(Relation { rel, at })
         }
         PhysicalPlan::Distinct(input) => {
-            let mut rel = exec_owned(input, catalog, cost)?;
-            let first_seen: Vec<bool> = {
-                let mut seen = std::collections::HashSet::with_capacity(rel.rows.len());
-                rel.rows.iter().map(|row| seen.insert(row.as_slice())).collect()
-            };
-            let mut keep = first_seen.into_iter();
-            rel.rows.retain(|_| keep.next().unwrap_or(false));
-            Ok(rel)
+            let mut out = exec_output(input, catalog, cost)?;
+            let mut seen = std::collections::HashSet::with_capacity(out.len());
+            let mut rows = Vec::new();
+            for row in out.rel.iter() {
+                if seen.insert(Cells { row, at: &out.at }) {
+                    rows.extend_from_slice(row);
+                }
+            }
+            out.rel.rows = rows;
+            Ok(out)
         }
         PhysicalPlan::Limit { input, n } => {
-            let mut rel = exec_owned(input, catalog, cost)?;
-            rel.rows.truncate(*n);
-            Ok(rel)
+            let mut out = exec_output(input, catalog, cost)?;
+            out.rel.rows.truncate(n.saturating_mul(out.rel.parts.len()));
+            Ok(out)
         }
-        _ => Ok(exec_borrowed(plan, catalog, cost)?.materialize()),
+        // A plan without a `Project`: every column of every part.
+        _ => {
+            let rel = exec_borrowed(plan, catalog, cost)?;
+            let columns = |(part, p): (usize, &Part)| {
+                (0..p.table.schema.columns.len()).map(move |col| Pos { part, col })
+            };
+            let at = rel.parts.iter().enumerate().flat_map(columns).collect();
+            Ok(Relation { rel, at })
+        }
     }
 }
 

@@ -46,7 +46,7 @@ pub mod storage;
 pub mod value;
 
 pub use cache::{CacheStats, VersionedCache};
-pub use db::{Database, ResultSet};
+pub use db::{BorrowedResult, Database, ResultSet};
 pub use error::SqlError;
 pub use exec::CostStats;
 pub use schema::{Column, ForeignKey, IndexDef, TableSchema};

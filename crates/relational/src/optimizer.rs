@@ -638,7 +638,7 @@ mod tests {
         assert_eq!(plan.indexed_scan_count(), 0);
         // And the residual predicate filters the row out.
         let (rel, _) = crate::exec::execute(&plan, &c).unwrap();
-        assert!(rel.rows.is_empty());
+        assert!(rel.is_empty());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Randomized tests for the relational engine: whatever access paths and
 //! join algorithms the optimizer picks, the answers must equal a naive
-//! reference evaluation, and indexes must never change results.
+//! reference evaluation, and indexes must never change results. Every
+//! statement generated here also runs through both entry points — the
+//! owned `query` and the borrowed `query_borrowed` — which must agree cell
+//! for cell, in order, and on the `CostStats`.
 //! Deterministically seeded via the in-repo PRNG.
 
 use fedlake_prng::Prng;
-use fedlake_relational::sql::ast::{Operand, Predicate, SqlCmpOp, Statement};
-use fedlake_relational::sql::parse;
+use fedlake_relational::sql::ast::{Operand, Predicate, SqlCmpOp};
 use fedlake_relational::{Column, DataType, Database, ResultSet, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -143,8 +145,10 @@ fn eval_ref(p: &Pred, v: &Value) -> bool {
 /// Runs the same statement on a database nobody has planned against yet
 /// (column statistics cold), then twice more on the now-warm one: the rows
 /// must come back in the same order with equal `CostStats`, and the warm
-/// runs must not scan for statistics again. Returns the cold run.
-fn cold_then_warm(db: &Database, run: impl Fn(&Database) -> ResultSet) -> ResultSet {
+/// runs must not scan for statistics again. The borrowed entry point must
+/// then hand out those very rows and counters. Returns the cold run.
+fn cold_then_warm(db: &Database, sql: &str) -> ResultSet {
+    let run = |db: &Database| db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     let passes = |db: &Database| -> (u64, u64) {
         db.table_names()
             .into_iter()
@@ -161,6 +165,17 @@ fn cold_then_warm(db: &Database, run: impl Fn(&Database) -> ResultSet) -> Result
         assert_eq!(warm.columns, cold.columns);
     }
     assert_eq!(passes(db).1, scans, "a warm run recomputed column statistics");
+    let borrowed = db.query_borrowed(sql).unwrap();
+    let cells: Vec<Vec<&Value>> = borrowed.rows.rows().map(Iterator::collect).collect();
+    let owned: Vec<Vec<&Value>> = cold.rows.iter().map(|row| row.iter().collect()).collect();
+    assert_eq!(cells, owned, "{sql}: borrowed cells differ from the owned rows");
+    assert_eq!(borrowed.cost, cold.cost, "{sql}: CostStats differ between the entry points");
+    assert_eq!(borrowed.rows.len(), cold.rows.len());
+    for (c, name) in cold.columns.iter().enumerate() {
+        let column: Vec<&Value> = borrowed.rows.column(c).collect();
+        let owned: Vec<&Value> = cold.rows.iter().map(|row| &row[c]).collect();
+        assert_eq!(column, owned, "{sql}: column {name} read column-major");
+    }
     cold
 }
 
@@ -175,19 +190,15 @@ fn select_matches_reference_and_indexes_do_not_change_answers() {
         let preds: Vec<(usize, Pred)> = (0..n_preds).map(|_| arb_pred(&mut rng)).collect();
         let plain = build_db(&rows, false);
         let indexed = build_db(&rows, true);
-        // Build the statement through the public AST by parsing a base
-        // query and swapping in the predicates.
-        let base = match parse("SELECT id FROM t").unwrap() {
-            Statement::Select(s) => s,
-            other => panic!("expected select, got {other:?}"),
-        };
-        let mut stmt = base;
-        for (col_idx, p) in &preds {
+        // The statement's text is the public AST's rendering of the
+        // predicates.
+        let mut sql = "SELECT id FROM t".to_string();
+        for (n, (col_idx, p)) in preds.iter().enumerate() {
             let col = if *col_idx == 1 { "a" } else { "b" };
-            stmt.predicates.push(pred_to_ast(col, p));
+            sql += &format!(" {} {}", if n == 0 { "WHERE" } else { "AND" }, pred_to_ast(col, p));
         }
-        let r_plain = cold_then_warm(&plain, |db| db.run_select(&stmt).unwrap());
-        let r_indexed = cold_then_warm(&indexed, |db| db.run_select(&stmt).unwrap());
+        let r_plain = cold_then_warm(&plain, &sql);
+        let r_indexed = cold_then_warm(&indexed, &sql);
 
         // Reference evaluation over the raw rows.
         let table = plain.table("t").unwrap();
@@ -248,8 +259,8 @@ fn join_algorithms_agree() {
                 .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
                 .collect()
         };
-        let a = cold_then_warm(&hash_db, |db| db.query(sql).unwrap());
-        let b = cold_then_warm(&inlj_db, |db| db.query(sql).unwrap());
+        let a = cold_then_warm(&hash_db, sql);
+        let b = cold_then_warm(&inlj_db, sql);
         assert_eq!(to_set(&a), to_set(&b));
         // Both equal the naive nested loop over the base rows.
         let l = hash_db.table("l").unwrap();
@@ -276,15 +287,66 @@ fn order_by_and_limit() {
         let rows = arb_rows(&mut rng);
         let limit = rng.gen_range(0usize..20);
         let db = build_db(&rows, false);
-        let all = cold_then_warm(&db, |db| db.query("SELECT id, a FROM t ORDER BY a, id").unwrap());
+        let all = cold_then_warm(&db, "SELECT id, a FROM t ORDER BY a, id");
         for w in all.rows.windows(2) {
             let ka = (&w[0][1], w[0][0].as_i64().unwrap());
             let kb = (&w[1][1], w[1][0].as_i64().unwrap());
             assert!(ka <= kb, "rows out of order: {ka:?} > {kb:?}");
         }
-        let limited = db
-            .query(&format!("SELECT id, a FROM t ORDER BY a, id LIMIT {limit}"))
-            .unwrap();
+        let limited = cold_then_warm(
+            &build_db(&rows, false),
+            &format!("SELECT id, a FROM t ORDER BY a, id LIMIT {limit}"),
+        );
         assert_eq!(&all.rows[..limit.min(all.rows.len())], &limited.rows[..]);
     }
+}
+
+/// `DISTINCT` keeps the first occurrence of each output row, in order —
+/// over joins with NULL keys and residual two-table filters, sorted or not,
+/// whichever join algorithm runs — and `LIMIT` is a prefix of that.
+#[test]
+fn distinct_over_joins_keeps_first_occurrences() {
+    let mut rng = Prng::seed_from_u64(0x59_1004);
+    let (mut duplicates, mut cut) = (0, 0);
+    for _ in 0..96 {
+        let rows = arb_rows(&mut rng);
+        let with_indexes = rng.gen_bool(0.5);
+        let columns = ["l.a", "l.a, r.a", "r.a, l.b, r.b"][rng.gen_range(0usize..3)];
+        let mut tail = String::new();
+        if rng.gen_bool(0.5) {
+            // A second equality between joined aliases is a residual
+            // `Filter` above the join; the other two filter a scan.
+            tail += [" WHERE l.b = r.a", " WHERE r.a IS NOT NULL", " WHERE l.id >= 500"]
+                [rng.gen_range(0usize..3)];
+        }
+        if rng.gen_bool(0.5) {
+            tail += [" ORDER BY r.a, l.id", " ORDER BY l.b DESC, r.id"][rng.gen_range(0usize..2)];
+        }
+        let limit = rng.gen_range(0usize..12);
+        let run = |select: &str, limit: &str| {
+            let sql = format!("{select} {columns} FROM t l JOIN t r ON l.a = r.b{tail}{limit}");
+            cold_then_warm(&build_db(&rows, with_indexes), &sql)
+        };
+        let every = run("SELECT", "");
+        let distinct = run("SELECT DISTINCT", "");
+        let limited = run("SELECT DISTINCT", &format!(" LIMIT {limit}"));
+
+        let mut first_seen: Vec<&Vec<Value>> = Vec::new();
+        for row in &every.rows {
+            if !first_seen.contains(&row) {
+                first_seen.push(row);
+            }
+        }
+        let got: Vec<&Vec<Value>> = distinct.rows.iter().collect();
+        assert_eq!(got, first_seen, "{columns}{tail}");
+        assert_eq!(&distinct.rows[..limit.min(distinct.rows.len())], &limited.rows[..]);
+        // Neither modifier does source work of its own.
+        let work = |rs: &ResultSet| fedlake_relational::CostStats { rows_output: 0, ..rs.cost };
+        assert_eq!(work(&distinct), work(&every));
+        assert_eq!(work(&limited), work(&every));
+        assert_eq!(limited.cost.rows_output, limited.rows.len() as u64);
+        duplicates += every.rows.len() - distinct.rows.len();
+        cut += distinct.rows.len() - limited.rows.len();
+    }
+    assert!(duplicates > 0 && cut > 0, "the generator exercised neither modifier");
 }
