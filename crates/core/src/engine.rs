@@ -182,7 +182,11 @@ pub struct EngineCacheStats {
     /// The source-result cache of lifted one-shot leaves and bind-join
     /// batches.
     pub lift: CacheStats,
-    /// The `query_cached` memos of the lake's relational sources, summed.
+    /// The SQL memos of the lake's relational sources, summed. Only the
+    /// naive N+1 translation ([`crate::MergeTranslation::Naive`]) moves
+    /// them: every other source request is lifted from the source's rows
+    /// in place and counted under `lift`, so on the default translation
+    /// these stay zero.
     pub sql_memo: CacheStats,
 }
 

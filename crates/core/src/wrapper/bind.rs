@@ -25,8 +25,8 @@ use std::time::Duration;
 /// the distinct keys of the left rows' join terms, in first-seen order, as
 /// one `IN` list. Terms no key can be extracted from (an IRI the target's
 /// template did not mint, a literal where it expects an IRI) are skipped;
-/// `None` when that leaves nothing. The text is the source's memo key, so
-/// the same batch must always render the same bytes.
+/// `None` when that leaves nothing. Rendered on a lift-cache miss only: a
+/// batch is cached under its join terms' ids, not under this text.
 pub fn bind_batch_query<'t>(
     target: &BindTarget,
     terms: impl IntoIterator<Item = &'t Term>,

@@ -266,11 +266,14 @@ impl LeafRequest<'_> {
     }
 
     /// Evaluates the request at the source and lifts the answer — what a
-    /// cache miss costs in host time.
+    /// cache miss costs in host time. A SQL answer is lifted from the
+    /// source's own rows: no owned result is built and the source's SQL
+    /// memo is neither read nor filled, the [`LiftCache`] being the one
+    /// cache of what a leaf fetched.
     fn evaluate(&self, ctx: &ExecCtx) -> Result<LiftedSource, FedError> {
         match self {
             LeafRequest::Sql { db, sql, outputs } => {
-                let rs = db.query_cached(sql)?;
+                let rs = db.query_borrowed(sql)?;
                 Ok(lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock()))
             }
             LeafRequest::Batch { db, target, ids } => {
@@ -279,7 +282,7 @@ impl LeafRequest<'_> {
                     bind_batch_query(target, ids.iter().filter_map(|id| dict.term(*id)))
                 }
                 .ok_or_else(|| FedError::Internal("bind batch without a key".into()))?;
-                let rs = db.query_cached(&q.sql)?;
+                let rs = db.query_borrowed(&q.sql)?;
                 Ok(lift_result_cols(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock()))
             }
             LeafRequest::Sparql { graph, star, filters } => {

@@ -7,12 +7,14 @@ use fedlake_mapping::xsd_for;
 use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
-use fedlake_relational::{ResultSet, Value};
+use fedlake_relational::{BorrowedResult, ResultSet, Value};
 use fedlake_sparql::binding::{RowSchema, SlotRow};
 use std::sync::Arc;
 
 /// Converts the relational engine's counters to the netsim mirror type.
-pub fn convert_cost(c: &fedlake_relational::CostStats) -> fedlake_relational_cost::CostStats {
+pub(super) fn convert_cost(
+    c: &fedlake_relational::CostStats,
+) -> fedlake_relational_cost::CostStats {
     fedlake_relational_cost::CostStats {
         rows_scanned: c.rows_scanned,
         index_probes: c.index_probes,
@@ -84,13 +86,14 @@ pub fn lift_result(
         .collect()
 }
 
-/// Columnar lift of a SQL result: one `TermId` buffer per slot, written
-/// column-at-a-time. Produces exactly the ids [`lift_result`] would assign
-/// to each cell — only the interning *order* (and therefore the raw id
-/// numbering) differs, which nothing downstream observes: ids never leave
-/// the execution, and every consumer compares or decodes them.
+/// Columnar lift of a SQL result, read where it lies in the source's
+/// tables: one `TermId` buffer per slot, written column-at-a-time, and no
+/// `Value` copied on the way. Produces exactly the ids [`lift_result`]
+/// would assign to each cell — only the interning *order* (and therefore
+/// the raw id numbering) differs, which nothing downstream observes: ids
+/// never leave the execution, and every consumer compares or decodes them.
 pub(super) fn lift_result_cols(
-    rs: &ResultSet,
+    rs: &BorrowedResult<'_>,
     outputs: &[OutputBinding],
     schema: &RowSchema,
     dict: &mut Dictionary,
@@ -100,9 +103,9 @@ pub(super) fn lift_result_cols(
     let mut scratch = LiftScratch::default();
     for (i, ob) in outputs.iter().enumerate() {
         let Some(slot) = schema.slot(&ob.var) else { continue };
-        for (cell, row) in cols[slot].iter_mut().zip(&rs.rows) {
-            if !row[i].is_null() {
-                *cell = lift_value(&row[i], ob, &mut scratch, dict);
+        for (cell, v) in cols[slot].iter_mut().zip(rs.rows.column(i)) {
+            if !v.is_null() {
+                *cell = lift_value(v, ob, &mut scratch, dict);
             }
         }
     }

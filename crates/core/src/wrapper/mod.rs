@@ -23,7 +23,7 @@ mod route;
 
 pub use bind::{bind_batch_query, BindJoinOp};
 pub use leaf::open_service;
-pub use lift::{convert_cost, lift_result, LiftCache, LiftedSource, SharedLiftCache};
+pub use lift::{lift_result, LiftCache, LiftedSource, SharedLiftCache};
 pub use route::{
     links_for, route_for, schedule_rows_with_retry, schedule_transfer_with_retry,
     source_failures, total_traffic, RouteExhausted, SourceRoute,
@@ -54,7 +54,7 @@ mod tests {
     use fedlake_netsim::Link;
     use fedlake_rdf::{Dictionary, Term, TermId};
     use fedlake_relational::cache::CacheStats;
-    use fedlake_relational::{Database, ResultSet, Value};
+    use fedlake_relational::{Database, Value};
     use fedlake_sparql::binding::{encode_row, Row, RowSchema};
     use std::sync::Arc;
     use std::time::Duration;
@@ -169,12 +169,22 @@ mod tests {
         ];
         rows.push(vec![Value::Null; lifts.len()]);
         rows[1][3] = Value::Null;
-        let rs = ResultSet {
-            columns: vars.clone(),
-            rows,
-            cost: Default::default(),
-            explain: None,
-        };
+        // The same result through both entry points: owned rows for the
+        // row-major lift, cells borrowed from the table for the columnar.
+        use DataType::{Bool, Double, Int, Text};
+        let columns = vars.iter().zip([Text, Int, Text, Int, Double, Bool, Text]);
+        let mut db = Database::new("cells");
+        db.create_table(fedlake_relational::TableSchema::new(
+            "t",
+            columns.map(|(v, dt)| fedlake_relational::Column::new(v.as_str(), dt)).collect(),
+        ))
+        .unwrap();
+        for row in rows {
+            db.insert_row("t", row).unwrap();
+        }
+        let sql = format!("SELECT {} FROM t", vars.join(", "));
+        let rs = db.query(&sql).unwrap();
+        let borrowed = db.query_borrowed(&sql).unwrap();
         // One extra slot no output binds, and slots in another order than
         // the columns.
         let schema = RowSchema::new(
@@ -184,7 +194,7 @@ mod tests {
         let mut dict = Dictionary::new();
         let by_row = lift_result(&rs, &outputs, &schema, &mut dict);
         let terms_after_rows = dict.len();
-        let by_col = lift_result_cols(&rs, &outputs, &schema, &mut dict);
+        let by_col = lift_result_cols(&borrowed, &outputs, &schema, &mut dict);
         assert_eq!(dict.len(), terms_after_rows, "the columnar lift met only known terms");
         assert_eq!((by_row.len(), by_col.rows), (rs.rows.len(), rs.rows.len()));
         for (r, row) in rs.rows.iter().enumerate() {

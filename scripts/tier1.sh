@@ -30,6 +30,17 @@ second_bodies=0
 git grep -n "fn transfer_with_retry\|fn transfer_inner\|fn ship_batch" -- 'crates/*/src/*' || second_bodies=$?
 [ "$second_bodies" -eq 1 ] || { echo "a second transfer body is back under crates/*/src (or git grep failed)"; exit 1; }
 
+# A source answer is lifted where it lies: a leaf or a bind-join batch reads
+# the source's rows in place (Database::query_borrowed) into the lift cache,
+# the one cache of source answers. Only the naive N+1 wrapper, whose
+# per-binding results no other cache covers, still goes through the owned,
+# memoized entry point.
+echo "== the SQL memo stays out of the leaf path =="
+memo_callers="$(git grep -n query_cached -- 'crates/core/src/wrapper/*' | grep -v '^crates/core/src/wrapper/naive\.rs:' || true)"
+[ -z "$memo_callers" ] || { echo "$memo_callers"; echo "query_cached is back under a leaf (only wrapper/naive.rs may call it)"; exit 1; }
+git grep -q query_cached -- crates/core/src/wrapper/naive.rs \
+    || { echo "wrapper/naive.rs no longer calls query_cached: the gate above matches nothing"; exit 1; }
+
 # The one test pass. The combinations that used to be re-runs of this pass
 # under process state — schedule x planner x tracing x recorder x replicas —
 # are enumerated in process by tests/common/mod.rs (a pairwise covering

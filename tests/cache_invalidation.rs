@@ -13,24 +13,32 @@
 //! suite also holds its own coverage of them: under aware+cost some plan
 //! must reach a written source *only* through a bind join, and that write
 //! must turn cached batches stale — in the serve loop and in a solo run.
+//!
+//! The lift cache is *the* cache of source answers: a leaf or a batch is
+//! lifted from the source's rows in place and never goes through the
+//! source's SQL memo, before a write or after it. Only the naive N+1
+//! translation's per-binding queries do (`leaves_never_touch_the_sql_memo`).
 
 use fedlake::core::fedplan::FedPlan;
 use fedlake::core::serve::{ServeConfig, ServeJob, ServeOutcome};
 use fedlake::core::{
-    DataLake, DataSource, FedStats, FederatedEngine, LakeStatistics, PlanConfig, PlanMode,
+    DataLake, DataSource, FedStats, FederatedEngine, LakeStatistics, MergeTranslation,
+    PlanConfig, PlanMode,
 };
 use fedlake::datagen::vocab::pred;
 use fedlake::datagen::{build_lake_with, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
 use fedlake::rdf::Term;
 use fedlake::relational::storage::Table;
-use fedlake::relational::{SqlError, Value};
+use fedlake::relational::{CacheStats, SqlError, Value};
 use fedlake::serve::sorted_csv;
 use fedlake::sparql::ast::SelectQuery;
 use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
 use fedlake_prng::Prng;
 use std::collections::BTreeSet;
+
+mod common;
 
 /// One write to one source of a lake.
 enum Write {
@@ -355,8 +363,50 @@ fn a_warm_engine_sees_every_write() {
                 }
                 assert_current(&engine, &queries, expected, &ctx);
             }
+            assert_eq!(
+                engine.cache_stats().sql_memo,
+                CacheStats::default(),
+                "{planner}/{schedule}: every re-fetch after a write was lifted in place"
+            );
         }
     }
+}
+
+/// In every cell of the matrix, Q1–Q5 leave the sources' SQL memos at zero
+/// — not one lookup — on the default translation, cold and warm; the naive
+/// N+1 translation is the one caller the memo still serves.
+#[test]
+fn leaves_never_touch_the_sql_memo() {
+    let base = lake(0.05);
+    let queries = queries();
+    let expected = oracle_answers(&base, &queries);
+    common::for_each_cell(|cell| {
+        let mut lake = base.clone();
+        cell.replicate(&mut lake);
+        for translation in [MergeTranslation::Optimized, MergeTranslation::Naive] {
+            let mut cfg = cell.config(PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1));
+            cfg.merge_translation = translation;
+            let engine = FederatedEngine::new(lake.clone(), cfg);
+            for pass in ["cold", "warm"] {
+                for ((id, ast), expected) in queries.iter().zip(&expected) {
+                    let r = engine.execute(ast).unwrap();
+                    assert_eq!(
+                        &sorted_csv(&r.vars, &r.rows),
+                        expected,
+                        "{translation:?} {id} {pass}"
+                    );
+                }
+            }
+            let stats = engine.cache_stats();
+            assert!(stats.lift.misses > 0 && stats.lift.hits > 0, "{translation:?}: {stats:?}");
+            match translation {
+                MergeTranslation::Optimized => assert_eq!(stats.sql_memo, CacheStats::default()),
+                MergeTranslation::Naive => {
+                    assert!(stats.sql_memo.hits > 0, "the N+1 repeats its queries: {stats:?}");
+                }
+            }
+        }
+    });
 }
 
 /// A lake as its readers see it: the lifted triples and the statistics
