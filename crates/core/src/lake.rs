@@ -373,6 +373,30 @@ mod tests {
         lake.set_replicas("a", 2);
         assert!(lake.epoch() > before);
         assert!(lake.statistics_fresh());
+        // One that changes nothing is not: the count it has, n <= 1 on an
+        // unreplicated source, an id no source has (nothing registered).
+        let before = lake.epoch();
+        lake.set_replicas("a", 2);
+        lake.set_replicas("zzz", 3);
+        lake.set_replicas("zzz", 0);
+        assert_eq!(lake.epoch(), before);
+        assert_eq!(lake.replica_count("zzz"), 1);
+        // Only a recollection makes a stale catalog fresh: not a topology
+        // change, not the registration of another source.
+        lake.source_mut("a");
+        lake.set_replicas("a", 3);
+        lake.set_replicas("a", 3);
+        assert_eq!(lake.epoch(), before + 2);
+        assert!(!lake.statistics_fresh());
+        lake.add_source(DataSource::sparql("b", typed_graph("http://v/B")));
+        assert_eq!(lake.epoch(), before + 3);
+        assert!(!lake.statistics_fresh());
+        lake.refresh_templates();
+        assert!(lake.statistics_fresh());
+        // …and neither makes a fresh one stale.
+        lake.set_replicas("b", 2);
+        lake.add_source(DataSource::sparql("c", typed_graph("http://v/C")));
+        assert!(lake.statistics_fresh());
     }
 
     fn relational(id: &str) -> DataSource {

@@ -514,3 +514,77 @@ fn cost_based_planning_refuses_stale_statistics() {
     assert!(!heur.lake().statistics_fresh());
     heur.plan(&ast).expect("heuristic planning ignores the statistics catalog");
 }
+
+/// Only a recollection makes a stale catalog fresh. A replica-topology
+/// change (one that changes something, one that changes nothing) and the
+/// registration of an unrelated source are catalog changes that say
+/// nothing about the source a bare `source_mut` left undescribed: cost-based
+/// planning keeps refusing until `refresh_templates`. Planted drift
+/// (`statistics_mut`) *is* the catalog, and stays plannable through the
+/// same calls.
+#[test]
+fn only_a_refresh_makes_a_stale_catalog_fresh() {
+    let thing = |class: &str, n: usize| {
+        (
+            Term::iri(format!("http://d/{class}{n}")),
+            Term::iri(fedlake::rdf::vocab::rdf::TYPE),
+            Term::iri(format!("http://v/{class}")),
+        )
+    };
+    let engine_over_one_thing = || {
+        let mut g = Graph::new();
+        let (s, p, o) = thing("Thing", 0);
+        g.insert_terms(s, p, o);
+        let mut lake = DataLake::new();
+        lake.add_source(DataSource::sparql("things", g));
+        FederatedEngine::new(lake, cost_config(NetworkProfile::NO_DELAY))
+    };
+    let ast = parse_query("SELECT ?t WHERE { ?t a <http://v/Thing> . }").unwrap();
+    let changes: [(&str, &dyn Fn(&mut DataLake)); 4] = [
+        ("set_replicas that changes the count", &|lake| lake.set_replicas("things", 2)),
+        ("set_replicas to the count it has", &|lake| lake.set_replicas("things", 1)),
+        ("set_replicas of an id no source has", &|lake| lake.set_replicas("no-such-source", 3)),
+        ("add_source of an unrelated source", &|lake| {
+            let mut g = Graph::new();
+            let (s, p, o) = thing("Other", 0);
+            g.insert_terms(s, p, o);
+            lake.add_source(DataSource::sparql("others", g));
+        }),
+    ];
+    for (what, change) in changes {
+        let mut engine = engine_over_one_thing();
+        let before = engine.plan(&ast).expect("fresh statistics plan fine");
+        let Some(DataSource::Sparql { graph, .. }) = engine.lake_mut().source_mut("things")
+        else {
+            panic!("source vanished");
+        };
+        for n in 1..199 {
+            let (s, p, o) = thing("Thing", n);
+            graph.insert_terms(s, p, o);
+        }
+        change(engine.lake_mut());
+        assert!(!engine.lake().statistics_fresh(), "{what}: the catalog predates the write");
+        match engine.plan(&ast) {
+            Err(fedlake::core::FedError::StaleStatistics { epoch, stats_epoch }) => {
+                assert!(stats_epoch < epoch, "{what}: {stats_epoch} vs {epoch}");
+            }
+            other => panic!("{what}: expected StaleStatistics, got {other:?}"),
+        }
+        engine.lake_mut().refresh_templates();
+        let after = engine.plan(&ast).expect("refresh restores cost-based planning");
+        assert!(
+            after.report.estimated_rows > before.report.estimated_rows,
+            "{what}: the replan must price 199 things, not one ({} vs {})",
+            after.report.estimated_rows,
+            before.report.estimated_rows
+        );
+
+        // Planted drift leaves every source dirty and the catalog current:
+        // the same change must not turn *that* into a refusal.
+        let mut drifted = engine_over_one_thing();
+        drifted.lake_mut().statistics_mut().source_mut("things").expect("statistics").scale(10);
+        change(drifted.lake_mut());
+        assert!(drifted.lake().statistics_fresh(), "{what}: planted drift is the catalog");
+        drifted.plan(&ast).unwrap_or_else(|e| panic!("{what}: planted drift must plan: {e:?}"));
+    }
+}

@@ -189,6 +189,38 @@ fn an_idle_refresh_invalidates_nothing() {
     assert_eq!(engine.plan_cache_stats().invalidations, 0);
 }
 
+/// A `set_replicas` that changes nothing — the count the source already
+/// has, `n <= 1` on an unreplicated source, an id no source has — is not a
+/// catalog change: no counter moves, nothing is registered, and a warm
+/// plan still replays.
+#[test]
+fn a_set_replicas_that_changes_nothing_invalidates_nothing() {
+    let q = workload::q1();
+    let mut lake = build_lake_with(&lake_cfg(), q.datasets);
+    lake.set_replicas("chebi", 2);
+    let ast = parse_query(&q.sparql).unwrap();
+    let mut engine = FederatedEngine::new(lake, config(true, false));
+    let (planned, _) = engine.plan_cached(&ast).unwrap();
+
+    let before = (engine.lake().epoch(), engine.lake().statistics_epoch());
+    engine.lake_mut().set_replicas("chebi", 2);
+    engine.lake_mut().set_replicas("no-such-source", 3);
+    engine.lake_mut().set_replicas("no-such-source", 1);
+    assert_eq!((engine.lake().epoch(), engine.lake().statistics_epoch()), before);
+    assert_eq!(engine.lake().replica_count("chebi"), 2);
+    assert_eq!(engine.lake().replica_count("no-such-source"), 1);
+    let (replayed, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(origin.cached, "nothing changed: the entry must replay");
+    assert_eq!(replayed, planned);
+    assert_eq!(engine.plan_cache_stats().invalidations, 0);
+
+    // A change is still a change.
+    engine.lake_mut().set_replicas("chebi", 1);
+    assert!(engine.lake().epoch() > before.0);
+    let (_, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(!origin.cached, "the topology moved: the entry must not replay");
+}
+
 /// Catalog drift (statistics scaled after collection) bumps the epoch
 /// too: the cached plan carries the old estimates and must not replay.
 #[test]
