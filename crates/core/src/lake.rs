@@ -56,7 +56,7 @@ pub struct DataLake {
     epoch: u64,
     /// The epoch the statistics catalog was last brought in line with at
     /// (`== epoch` unless a bare [`DataLake::source_mut`] left the
-    /// catalog stale).
+    /// catalog stale; `add_source` and `set_replicas` keep either state).
     stats_epoch: u64,
 }
 
@@ -90,8 +90,19 @@ impl DataLake {
             .sources
             .insert(source.id().to_string(), SourceStatistics::collect(&source));
         self.sources.push(source);
+        self.bump_epoch();
+    }
+
+    /// A catalog change that says nothing about the statistics of the
+    /// sources already registered: a new epoch for the plan cache, the
+    /// catalog as fresh or as stale as it was. Only a recollection
+    /// ([`DataLake::refresh_templates`]) makes a stale catalog fresh.
+    fn bump_epoch(&mut self) {
+        let fresh = self.statistics_fresh();
         self.epoch += 1;
-        self.stats_epoch = self.epoch;
+        if fresh {
+            self.stats_epoch = self.epoch;
+        }
     }
 
     /// All sources.
@@ -250,17 +261,22 @@ impl DataLake {
 
     /// Declares that the logical source `id` is served by `n` replica
     /// endpoints (`n <= 1` removes the entry: a single endpoint keeps the
-    /// plain source id, bit-identical to an unreplicated lake).
+    /// plain source id, bit-identical to an unreplicated lake). A call that
+    /// changes nothing — the count `id` already has, or an id no source
+    /// has — registers nothing and moves no counter.
     pub fn set_replicas(&mut self, id: impl Into<String>, n: u32) {
         let id = id.into();
-        if n <= 1 {
+        let n = n.max(1);
+        if self.index_of(&id).is_none() || n == self.replica_count(&id) {
+            return;
+        }
+        if n == 1 {
             self.replicas.remove(&id);
         } else {
             self.replicas.insert(id, n);
         }
         // Replica topology steers routing: a new epoch for the cache.
-        self.epoch += 1;
-        self.stats_epoch = self.epoch;
+        self.bump_epoch();
     }
 
     /// Number of replica endpoints serving the logical source `id`.
