@@ -1,6 +1,6 @@
 //! # fedlake-bench
 //!
-//! The benchmark harness regenerating the paper's evaluation artifacts:
+//! The experiment harness regenerating the paper's evaluation artifacts:
 //!
 //! | ID | Paper artifact | Harness entry |
 //! |----|----------------|---------------|
@@ -16,14 +16,12 @@
 //! | A5 | message-granularity ablation          | [`experiments::batching_study`] |
 //! | A6 | symmetric-hash vs bind join ablation  | [`experiments::join_strategy_study`] |
 //!
-//! The `experiments` binary drives these from the command line; the
-//! benches in `benches/` (on the in-repo [`harness`]) measure the
-//! implementation's wall-clock performance on the same workload, and the
-//! `bench_compare` binary contrasts the interned slot-row representation
-//! against the reference term-row representation.
+//! The `experiments` binary drives these from the command line and
+//! `lake_shell` is the interactive surface. Performance — simulated and
+//! host time, end to end and per layer — is measured by `fedbench/`, a
+//! package of its own outside the workspace.
 
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod runner;
 

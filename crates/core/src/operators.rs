@@ -200,23 +200,6 @@ pub enum Poll<T> {
     Done,
 }
 
-/// Drains `poll` fully, as a lone driver would: while it is waiting, the
-/// clock jumps to the event it waits on. Right under either schedule
-/// policy — the serialized one just never reports a wait.
-pub(crate) fn drain_with<T>(
-    ctx: &mut ExecCtx,
-    mut poll: impl FnMut(&mut ExecCtx) -> Result<Poll<T>, FedError>,
-) -> Result<Vec<T>, FedError> {
-    let mut out = Vec::new();
-    loop {
-        match poll(ctx)? {
-            Poll::Ready(row) => out.push(row),
-            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
-            Poll::Done => return Ok(out),
-        }
-    }
-}
-
 /// The smaller of two optional pending events.
 pub(crate) fn earlier(a: Option<EventTime>, b: EventTime) -> Option<EventTime> {
     Some(match a {

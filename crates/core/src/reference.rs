@@ -2,19 +2,16 @@
 //!
 //! This module keeps the pre-interning row representation — solution
 //! mappings as [`Row`] (variable → term, by value) — runnable next to the
-//! slot-based engine. It exists for two reasons:
-//!
-//! 1. **Equivalence testing**: [`FederatedEngine::execute_planned_reference`]
-//!    executes the same [`PlannedQuery`] through `Row`-based engine
-//!    operators while sharing the slot-based wrapper streams (rows are
-//!    decoded at the service boundary and re-encoded under a bind join),
-//!    so link traffic and SQL counts match the interned engine by
-//!    construction, and the engine-level counters are mirrored
-//!    operation-for-operation. Any divergence in answers or stats between
-//!    the two executors is a bug in the interned representation.
-//! 2. **Benchmarking**: the `bench_compare` binary measures the old
-//!    representation's join-probe / distinct / projection cost against
-//!    slot rows on identical inputs.
+//! slot-based engine. It exists for **equivalence testing**:
+//! [`FederatedEngine::execute_planned_reference`] executes the same
+//! [`PlannedQuery`] through `Row`-based engine operators while sharing the
+//! slot-based wrapper streams (rows are decoded at the service boundary and
+//! re-encoded under a bind join), so link traffic and SQL counts match the
+//! interned engine by construction, and the engine-level counters are
+//! mirrored operation-for-operation. Any divergence in answers or stats
+//! between the two executors is a bug in the interned representation. The
+//! operator types are private to this module: the entry point is the only
+//! thing a test names, and the dead-code lint sees the rest.
 //!
 //! What differs from the engine is the *representation*: one body per
 //! operator over [`Row`]s, a faithful copy of the seed engine's semantics,
@@ -33,7 +30,7 @@ use crate::operators::{BoxedOp, Branches, ExecCtx, FedOp, Poll, TwoInputs};
 use crate::planner::PlannedQuery;
 use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, open_service, route_for};
-use fedlake_netsim::clock::{shared_real, shared_virtual};
+use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::Link;
 use fedlake_rdf::{SharedInterner, Term};
 use fedlake_sparql::binding::{decode_row, encode_row, Row, SlotRow, Var};
@@ -43,19 +40,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A pull-based operator over term-materialized rows.
-pub trait RefOp {
+trait RefOp {
     /// Non-blocking pull, exactly [`FedOp::poll_next`] over term rows.
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError>;
 }
 
 /// A boxed reference operator.
-pub type BoxedRefOp<'a> = Box<dyn RefOp + 'a>;
-
-/// Drains a reference operator fully; [`crate::wrapper::drain`] over term
-/// rows.
-pub fn drain_ref(op: &mut dyn RefOp, ctx: &mut ExecCtx) -> Result<Vec<Row>, FedError> {
-    crate::operators::drain_with(ctx, |ctx| op.poll_next(ctx))
-}
+type BoxedRefOp<'a> = Box<dyn RefOp + 'a>;
 
 /// The reference-executor twin of [`crate::obs::span::SpanOp`]: counts a
 /// plan node's emissions into the trace sink. Installed only when tracing
@@ -80,13 +71,13 @@ impl RefOp for SpanRefOp<'_> {
 
 /// Decodes a slot-based stream (a wrapper service or bind join) into
 /// term rows at the source boundary.
-pub struct DecodeOp<'a> {
+struct DecodeOp<'a> {
     input: BoxedOp<'a>,
 }
 
 impl<'a> DecodeOp<'a> {
     /// Wraps a slot-based operator.
-    pub fn new(input: BoxedOp<'a>) -> Self {
+    fn new(input: BoxedOp<'a>) -> Self {
         DecodeOp { input }
     }
 }
@@ -106,13 +97,13 @@ impl RefOp for DecodeOp<'_> {
 
 /// Encodes a term-row stream back into slot rows, so the shared
 /// [`crate::wrapper::BindJoinOp`] can consume a reference-side left input.
-pub struct EncodeOp<'a> {
+struct EncodeOp<'a> {
     input: BoxedRefOp<'a>,
 }
 
 impl<'a> EncodeOp<'a> {
     /// Wraps a reference operator.
-    pub fn new(input: BoxedRefOp<'a>) -> Self {
+    fn new(input: BoxedRefOp<'a>) -> Self {
         EncodeOp { input }
     }
 }
@@ -136,7 +127,7 @@ fn key_of(row: &Row, on: &[Var]) -> Option<Vec<Term>> {
 
 /// The seed symmetric hash join: keys are term vectors, rows are B-tree
 /// maps, merging compares full terms.
-pub struct SymHashJoinRef<'a> {
+struct SymHashJoinRef<'a> {
     inputs: TwoInputs<BoxedRefOp<'a>>,
     tables: SymRefTables,
 }
@@ -150,7 +141,7 @@ struct SymRefTables {
 
 impl<'a> SymHashJoinRef<'a> {
     /// Creates a join of `left` and `right` on `on`.
-    pub fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
+    fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
         SymHashJoinRef {
             inputs: TwoInputs::new(left, right),
             tables: SymRefTables {
@@ -210,7 +201,7 @@ impl RefOp for SymHashJoinRef<'_> {
 }
 
 /// The seed streaming left join.
-pub struct LeftHashJoinRef<'a> {
+struct LeftHashJoinRef<'a> {
     inputs: TwoInputs<BoxedRefOp<'a>>,
     tables: LeftRefTables,
 }
@@ -226,7 +217,7 @@ struct LeftRefTables {
 
 impl<'a> LeftHashJoinRef<'a> {
     /// Creates a left join of `left` (required) and `right` (optional).
-    pub fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
+    fn new(left: BoxedRefOp<'a>, right: BoxedRefOp<'a>, on: Vec<Var>) -> Self {
         LeftHashJoinRef {
             inputs: TwoInputs::new(left, right),
             tables: LeftRefTables {
@@ -319,14 +310,14 @@ impl RefOp for LeftHashJoinRef<'_> {
 }
 
 /// The seed conjunctive filter over term rows.
-pub struct FilterRefOp<'a> {
+struct FilterRefOp<'a> {
     input: BoxedRefOp<'a>,
     exprs: Vec<BoundExpr>,
 }
 
 impl<'a> FilterRefOp<'a> {
     /// Creates a filter over `input`.
-    pub fn new(input: BoxedRefOp<'a>, exprs: &[Expr]) -> Self {
+    fn new(input: BoxedRefOp<'a>, exprs: &[Expr]) -> Self {
         FilterRefOp { input, exprs: exprs.iter().map(|e| e.bind(None)).collect() }
     }
 }
@@ -351,11 +342,11 @@ impl RefOp for FilterRefOp<'_> {
 }
 
 /// The seed union.
-pub struct UnionRefOp<'a>(Branches<BoxedRefOp<'a>>);
+struct UnionRefOp<'a>(Branches<BoxedRefOp<'a>>);
 
 impl<'a> UnionRefOp<'a> {
     /// Creates a union of `branches`.
-    pub fn new(branches: Vec<BoxedRefOp<'a>>) -> Self {
+    fn new(branches: Vec<BoxedRefOp<'a>>) -> Self {
         UnionRefOp(Branches::new(branches))
     }
 }
@@ -367,14 +358,14 @@ impl RefOp for UnionRefOp<'_> {
 }
 
 /// The seed projection: rebuilds a B-tree row with only the kept vars.
-pub struct ProjectRefOp<'a> {
+struct ProjectRefOp<'a> {
     input: BoxedRefOp<'a>,
     keep: Vec<Var>,
 }
 
 impl<'a> ProjectRefOp<'a> {
     /// Creates a projection to `keep`.
-    pub fn new(input: BoxedRefOp<'a>, keep: Vec<Var>) -> Self {
+    fn new(input: BoxedRefOp<'a>, keep: Vec<Var>) -> Self {
         ProjectRefOp { input, keep }
     }
 }
@@ -403,14 +394,14 @@ impl RefOp for ProjectRefOp<'_> {
 }
 
 /// The seed duplicate elimination: hashes whole term rows.
-pub struct DistinctRefOp<'a> {
+struct DistinctRefOp<'a> {
     input: BoxedRefOp<'a>,
     seen: HashSet<Row>,
 }
 
 impl<'a> DistinctRefOp<'a> {
     /// Creates a distinct operator.
-    pub fn new(input: BoxedRefOp<'a>) -> Self {
+    fn new(input: BoxedRefOp<'a>) -> Self {
         DistinctRefOp { input, seen: HashSet::new() }
     }
 }
@@ -429,24 +420,6 @@ impl RefOp for DistinctRefOp<'_> {
                 Poll::Done => return Ok(Poll::Done),
             }
         }
-    }
-}
-
-/// A pre-materialized term-row input (tests and benches).
-pub struct RowsRefOp {
-    rows: VecDeque<Row>,
-}
-
-impl RowsRefOp {
-    /// Wraps a row vector.
-    pub fn new(rows: Vec<Row>) -> Self {
-        RowsRefOp { rows: rows.into() }
-    }
-}
-
-impl RefOp for RowsRefOp {
-    fn poll_next(&mut self, _ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
-        Ok(self.rows.pop_front().map_or(Poll::Done, Poll::Ready))
     }
 }
 
@@ -514,13 +487,13 @@ impl FederatedEngine {
     /// Executes an already-planned query through the reference (term-row)
     /// engine operators. Produces a [`FedResult`] with the same stats
     /// layout as [`FederatedEngine::execute_planned`]; used by the
-    /// representation-equivalence suite and `bench_compare`.
+    /// representation-, overlap- and serve-equivalence suites.
     pub fn execute_planned_reference(
         &self,
         planned: &PlannedQuery,
     ) -> Result<FedResult, FedError> {
         let config = self.config();
-        let clock = if config.real_time { shared_real() } else { shared_virtual() };
+        let clock = shared_virtual();
         let sink = if config.tracing {
             crate::obs::TraceSink::recording()
         } else {

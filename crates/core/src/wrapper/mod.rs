@@ -30,14 +30,21 @@ pub use route::{
 };
 
 use crate::error::FedError;
-use crate::operators::{ExecCtx, FedOp};
+use crate::operators::{ExecCtx, FedOp, Poll};
 use fedlake_sparql::binding::SlotRow;
 
 /// Drains an operator fully, as a lone driver would: when the operator is
 /// waiting, the clock jumps to the event it waits on. Right under either
 /// schedule policy — the serialized one just never reports a wait.
 pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<SlotRow>, FedError> {
-    crate::operators::drain_with(ctx, |ctx| op.poll_next(ctx))
+    let mut out = Vec::new();
+    loop {
+        match op.poll_next(ctx)? {
+            Poll::Ready(row) => out.push(row),
+            Poll::Pending(ev) => ctx.clock.advance_to(ev.time),
+            Poll::Done => return Ok(out),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! All durations are integer simulated nanoseconds and the two floats
 //! (`qps_sim`, `jain`) are formatted with fixed precision from the same
 //! deterministic inputs, so rendering a report is bit-stable across
-//! reruns of the same seed — the property `BENCH_serve.json` is gated on.
+//! reruns of the same seed — the property `tests/serve_determinism.rs` holds.
 
 use fedlake_core::obs::nearest_rank;
 use fedlake_core::serve::ServeOutcome;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: offline release build, one test pass, the benchmark's smoke
-# runs, the lake_shell surfaces, clippy clean.
+# Tier-1 gate: offline release build, the source greps, one test pass,
+# fedbench's unit tests and its four workloads in smoke mode, the lake_shell
+# surfaces, clippy clean.
 # Run from anywhere; operates on the repository that contains this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,6 +41,21 @@ memo_callers="$(git grep -n query_cached -- 'crates/core/src/wrapper/*' | grep -
 [ -z "$memo_callers" ] || { echo "$memo_callers"; echo "query_cached is back under a leaf (only wrapper/naive.rs may call it)"; exit 1; }
 git grep -q query_cached -- crates/core/src/wrapper/naive.rs \
     || { echo "wrapper/naive.rs no longer calls query_cached: the gate above matches nothing"; exit 1; }
+
+# One measuring regime: fedbench (BENCHMARK.json) times the engine, on the
+# simulated clock and on the host. No crate declares a bench target, no
+# BENCH_*.json is committed beside it, and nothing imports a bench harness
+# module; what the old regime asserted about itself is held by the suites
+# below on the simulated clock.
+echo "== fedbench is the only measuring regime =="
+bench_tables=0
+git grep -n '^\[\[bench\]\]' -- 'crates/*/Cargo.toml' || bench_tables=$?
+[ "$bench_tables" -eq 1 ] || { echo "a [[bench]] table is back under crates/ (or git grep failed)"; exit 1; }
+bench_json="$(git ls-files 'BENCH_*.json' '*/BENCH_*.json')"
+[ -z "$bench_json" ] || { echo "$bench_json"; echo "a BENCH_*.json is tracked: fedbench's output is the only benchmark record"; exit 1; }
+harness_uses=0
+git grep -n "harness::" -- crates || harness_uses=$?
+[ "$harness_uses" -eq 1 ] || { echo "a bench harness module is back under crates/ (or git grep failed)"; exit 1; }
 
 # The one test pass. The combinations that used to be re-runs of this pass
 # under process state — schedule x planner x tracing x recorder x replicas —
