@@ -183,8 +183,6 @@ pub struct PlanConfig {
     pub rows_per_message: usize,
     /// RNG seed for the per-link delay streams.
     pub seed: u64,
-    /// Use a real (sleeping) clock instead of the virtual clock.
-    pub real_time: bool,
     /// Fault schedule injected on every wrapper link ([`FaultPlan::NONE`]
     /// keeps the links reliable, as in the paper's experiment).
     pub faults: FaultPlan,
@@ -235,7 +233,6 @@ impl Default for PlanConfig {
             engine_join: EngineJoin::default(),
             rows_per_message: 1,
             seed: 0xFED_1A4E,
-            real_time: false,
             faults: FaultPlan::NONE,
             retry: RetryPolicy::default(),
             deadline: None,
@@ -289,7 +286,6 @@ mod tests {
         let c = PlanConfig::default();
         assert_eq!(c.mode, PlanMode::AWARE);
         assert_eq!(c.rows_per_message, 1);
-        assert!(!c.real_time);
         assert_eq!(c.merge_translation, MergeTranslation::Optimized);
         assert_eq!(c.decomposition, DecompositionStrategy::StarShaped);
         assert!(!c.faults.is_active(), "default links are reliable");

@@ -11,7 +11,7 @@ use crate::operators::{
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, open_service, route_for, source_failures, total_traffic};
-use fedlake_netsim::clock::{shared_real, shared_virtual};
+use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::Link;
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
@@ -147,8 +147,6 @@ pub struct FederatedEngine {
     /// execution's link stats, consulted at plan time for replica routing
     /// and degraded-source demotion.
     health: SourceHealth,
-    /// Failures at which an endpoint counts as degraded for planning.
-    health_threshold: u64,
     /// Session-wide term interner: shared by every execution, so term ids
     /// are stable across executions and lifted source results can be
     /// cached. Append-only — ids never change meaning once assigned.
@@ -331,7 +329,7 @@ impl<'a> Session<'a> {
                 // surfacing one here means an operator forgot to complete
                 // it and time would stand still.
                 let now = self.ctx.clock.now();
-                if self.ctx.clock.is_virtual() && ev.time <= now {
+                if ev.time <= now {
                     return Err(FedError::Internal(format!(
                         "scheduler stalled: pending event at {:?} is not in the future (now {now:?})",
                         ev.time,
@@ -409,7 +407,6 @@ impl FederatedEngine {
             fault_overrides: BTreeMap::new(),
             outage_groups: Vec::new(),
             health: SourceHealth::new(),
-            health_threshold: DEFAULT_HEALTH_THRESHOLD,
             interner: SharedInterner::new(),
             lifts: Arc::default(),
             recorder: if config.recorder {
@@ -438,12 +435,6 @@ impl FederatedEngine {
         self.outage_groups.push(group);
     }
 
-    /// Sets the failure count at which the planner treats an endpoint as
-    /// degraded (default 8).
-    pub fn set_health_threshold(&mut self, threshold: u64) {
-        self.health_threshold = threshold;
-    }
-
     /// The session's health registry (fed after every execution).
     pub fn health(&self) -> &SourceHealth {
         &self.health
@@ -453,7 +444,7 @@ impl FederatedEngine {
     fn health_view(&self) -> HealthView {
         HealthView {
             endpoints: self.health.snapshot(),
-            threshold: self.health_threshold,
+            threshold: DEFAULT_HEALTH_THRESHOLD,
             generation: self.health.generation(),
         }
     }
@@ -615,11 +606,7 @@ impl FederatedEngine {
         planned: &PlannedQuery,
         origin: crate::plancache::PlanOrigin,
     ) -> Result<FedResult, FedError> {
-        let clock = if self.config.real_time {
-            shared_real()
-        } else {
-            shared_virtual()
-        };
+        let clock = shared_virtual();
         let sink = if self.config.tracing {
             crate::obs::TraceSink::recording()
         } else {

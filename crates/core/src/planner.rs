@@ -135,16 +135,6 @@ struct RelStar {
     cardinality: usize,
 }
 
-/// Plans a parsed query under `config` with no health history (every
-/// endpoint presumed healthy — the behaviour of a fresh session).
-pub fn plan_query(
-    query: &SelectQuery,
-    lake: &DataLake,
-    config: &PlanConfig,
-) -> Result<PlannedQuery, FedError> {
-    plan_query_with_health(query, lake, config, &HealthView::empty())
-}
-
 /// Plans a parsed query under `config`, consulting the session's health
 /// snapshot: replica endpoints are routed healthiest-first, and (with
 /// `degraded_ok`) sources whose endpoints are all past the failure

@@ -586,7 +586,7 @@ impl FederatedEngine {
                 Ok(Poll::Pending(ev)) => {
                     // Same stall guard as the interned executor: a due
                     // event surfacing here means time would stand still.
-                    if clock.is_virtual() && ev.time <= clock.now() {
+                    if ev.time <= clock.now() {
                         return Err(FedError::Internal(format!(
                             "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
                             ev.time,

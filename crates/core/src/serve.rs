@@ -203,11 +203,6 @@ impl FederatedEngine {
         serve_cfg: &ServeConfig,
     ) -> Result<ServeOutcome, FedError> {
         let config: &PlanConfig = self.config();
-        if config.real_time {
-            return Err(FedError::Unsupported(
-                "serve runs on the virtual clock only".into(),
-            ));
-        }
         let clock = shared_virtual();
         // The shared link map: one link per endpoint for the whole run,
         // so sessions queue behind each other's transfers. Links carry no

@@ -458,11 +458,6 @@ impl LakeStatistics {
     pub fn source_mut(&mut self, id: &str) -> Option<&mut SourceStatistics> {
         self.sources.get_mut(id)
     }
-
-    /// Total triples across the lake.
-    pub fn total_triples(&self) -> u64 {
-        self.sources.values().map(|s| s.triples).sum()
-    }
 }
 
 /// Classic equi-join estimate: `|L ⋈ R| = |L|·|R| / max(d_L, d_R)` where

@@ -1,51 +1,33 @@
-//! Virtual and real clocks.
+//! The virtual clock.
 //!
-//! All delays and costs in the simulation flow through a [`Clock`]. In
-//! `Virtual` mode, advancing the clock just adds to a counter — runs are
-//! deterministic and orders of magnitude faster than wall-clock, while
-//! preserving every ordering effect the paper measures. In `Real` mode the
-//! clock actually sleeps, reproducing the paper's `time.sleep` setup.
+//! All delays and costs in the simulation flow through a [`Clock`].
+//! Advancing it just adds to a counter — runs are deterministic and orders
+//! of magnitude faster than wall-clock, while preserving every ordering
+//! effect the paper measures with `time.sleep`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A simulation clock.
+/// A simulation clock: simulated nanoseconds since it started. `advance`
+/// accumulates, nothing sleeps.
 #[derive(Debug)]
-pub enum Clock {
-    /// Simulated time: `advance` accumulates, nothing sleeps.
-    Virtual(AtomicU64),
-    /// Wall-clock time: `advance` sleeps.
-    Real(Instant),
-}
+pub struct Clock(AtomicU64);
 
 impl Clock {
     /// A virtual clock starting at zero.
     pub fn virtual_clock() -> Self {
-        Clock::Virtual(AtomicU64::new(0))
+        Clock(AtomicU64::new(0))
     }
 
-    /// A real clock starting now.
-    pub fn real_clock() -> Self {
-        Clock::Real(Instant::now())
-    }
-
-    /// Elapsed simulated (or real) time since the clock started.
+    /// Elapsed simulated time since the clock started.
     pub fn now(&self) -> Duration {
-        match self {
-            Clock::Virtual(ns) => Duration::from_nanos(ns.load(Ordering::Relaxed)),
-            Clock::Real(start) => start.elapsed(),
-        }
+        Duration::from_nanos(self.0.load(Ordering::Relaxed))
     }
 
-    /// Advances the clock by `d` (virtual: account; real: sleep).
+    /// Advances the clock by `d`.
     pub fn advance(&self, d: Duration) {
-        match self {
-            Clock::Virtual(ns) => {
-                ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-            }
-            Clock::Real(_) => std::thread::sleep(d),
-        }
+        self.0.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Advances the clock *to* absolute time `t` if `t` is in the future;
@@ -53,22 +35,7 @@ impl Clock {
     /// This is the discrete-event counterpart of [`Clock::advance`]: the
     /// scheduler jumps to the next event's completion time.
     pub fn advance_to(&self, t: Duration) {
-        match self {
-            Clock::Virtual(ns) => {
-                ns.fetch_max(t.as_nanos() as u64, Ordering::Relaxed);
-            }
-            Clock::Real(start) => {
-                let elapsed = start.elapsed();
-                if t > elapsed {
-                    std::thread::sleep(t - elapsed);
-                }
-            }
-        }
-    }
-
-    /// True for virtual clocks.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Clock::Virtual(_))
+        self.0.fetch_max(t.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -80,14 +47,10 @@ pub fn shared_virtual() -> SharedClock {
     Arc::new(Clock::virtual_clock())
 }
 
-/// Creates a shared real clock.
-pub fn shared_real() -> SharedClock {
-    Arc::new(Clock::real_clock())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn virtual_clock_accumulates_without_sleeping() {
@@ -113,29 +76,11 @@ mod tests {
     }
 
     #[test]
-    fn real_clock_advance_to_sleeps_remainder() {
-        let c = Clock::real_clock();
-        c.advance_to(Duration::from_millis(10));
-        assert!(c.now() >= Duration::from_millis(10));
-        // Already in the past: returns promptly.
-        c.advance_to(Duration::from_millis(1));
-    }
-
-    #[test]
-    fn real_clock_sleeps() {
-        let c = Clock::real_clock();
-        c.advance(Duration::from_millis(15));
-        assert!(c.now() >= Duration::from_millis(15));
-        assert!(!c.is_virtual());
-    }
-
-    #[test]
     fn shared_clock_is_shared() {
         let c = shared_virtual();
         let c2 = Arc::clone(&c);
         c.advance(Duration::from_millis(5));
         c2.advance(Duration::from_millis(7));
         assert_eq!(c.now(), Duration::from_millis(12));
-        assert!(c.is_virtual());
     }
 }

@@ -8,9 +8,8 @@
 //! reproduces that design with two improvements needed for a reproducible
 //! benchmark harness:
 //!
-//! * a [`clock::Clock`] that can run in **virtual** mode (delays are
-//!   accounted in simulated time, runs are deterministic and fast) or
-//!   **real** mode (delays actually sleep, as in the paper);
+//! * a virtual [`clock::Clock`]: delays are accounted in simulated time,
+//!   so runs are deterministic and fast (the paper sleeps);
 //! * a [`gamma`] sampler (Marsaglia–Tsang) built directly on `rand`, with
 //!   the three gamma profiles of §3 predefined in [`profile`];
 //! * an explicit [`cost::CostModel`] that converts the relational engine's

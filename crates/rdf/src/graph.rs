@@ -236,11 +236,6 @@ impl Graph {
         }
     }
 
-    /// Counts the matches of a pattern without materializing terms.
-    pub fn count_pattern(&self, pattern: &TriplePattern) -> usize {
-        self.match_pattern(pattern).len()
-    }
-
     /// All distinct predicates in the graph (useful for RDF-MT extraction).
     pub fn predicates(&self) -> Vec<TermId> {
         let mut out: Vec<TermId> = Vec::new();

@@ -11,7 +11,7 @@
 //! * [`sparql`] — SPARQL subset: parser, algebra, local evaluation.
 //! * [`relational`] — embedded relational engine (the MySQL stand-in).
 //! * [`netsim`] — network simulation: gamma-distributed per-message delays
-//!   over a virtual or real clock, plus the engine cost model.
+//!   over a virtual clock, plus the engine cost model.
 //! * [`mapping`] — table↔RDF mappings, source descriptions, RDF Molecule
 //!   Templates.
 //! * [`core`] — the federated engine: decomposition into star-shaped
