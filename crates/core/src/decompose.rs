@@ -148,7 +148,7 @@ pub fn union_block_vars(block: &[Decomposition]) -> Vec<Var> {
 /// The paper's engine uses star-shaped decomposition (ANAPSID/MULDER);
 /// §5 names *"studying different kinds of query decomposition (e.g.,
 /// triple-based instead of star-shaped sub-queries)"* as future work —
-/// both are implemented so the ablation benches can compare them.
+/// both are implemented so the ablation experiments can compare them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecompositionStrategy {
     /// Maximal groups of triple patterns sharing a subject (the default).

@@ -16,7 +16,7 @@
 //!     source **and** the network is slow; only then is it pushed into the
 //!     SQL `WHERE` clause to shrink the transferred intermediate result.
 //!
-//! For the ablation benches, disabling H2 inside `Aware` yields the
+//! For the ablation experiments, disabling H2 inside `Aware` yields the
 //! classical always-push-selections plan, and disabling H1 keeps all joins
 //! at the engine while H2 still governs filters.
 

@@ -70,7 +70,7 @@ impl Default for CostModel {
 impl CostModel {
     /// A model in which RDB-side filtering is *cheaper* than engine-side
     /// filtering — the regime where the stated form of Heuristic 2 is
-    /// wrong, used by the ablation benches.
+    /// wrong, used by the ablation experiments.
     pub fn rdb_filter_favouring() -> Self {
         CostModel {
             rdb_filter_eval_us: 0.4,
