@@ -212,6 +212,48 @@ fn h2_pushes_indexed_filter_only_on_slow_networks() {
     assert!(r_slow.stats.rows_transferred < r_fast.stats.rows_transferred);
 }
 
+/// The aware and the unaware plan must not disagree on the answer: a
+/// filter on an integer column compares exactly whether Heuristic 2 pushes
+/// it into the SQL (`Int` against `Int`) or leaves it at the engine — also
+/// past 2^53, where the two values below are one `f64`.
+#[test]
+fn an_integer_filter_answers_the_same_pushed_or_kept() {
+    const P53: i64 = 1 << 53;
+    let mut db = Database::new("counts");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, v INT)").unwrap();
+    db.execute(&format!("INSERT INTO reading VALUES ('r0', {P53}), ('r1', {})", P53 + 1))
+        .unwrap();
+    db.execute("CREATE INDEX idx_reading_v ON reading (v)").unwrap();
+    let mapping = DatasetMapping::new("counts").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/counts/reading/{}"),
+            "id",
+        )
+        .with_literal("v", &format!("{V}value")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("counts", db, mapping));
+
+    for (op, want) in [("=", 1), ("!=", 1), (">=", 1), ("<", 1), ("<=", 2), (">", 0)] {
+        let sparql =
+            format!("SELECT ?r WHERE {{ ?r <{V}value> ?v . FILTER(?v {op} {}) }}", P53 + 1);
+        let expected = oracle_answers(&oracle, &sparql);
+        assert_eq!(expected.len(), want, "oracle, ?v {op} 2^53 + 1");
+        for filters in [FilterPlacement::Engine, FilterPlacement::PushAll] {
+            let mode = PlanMode::Aware { h1_join_pushdown: true, filters };
+            let engine =
+                FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+            let result = engine.execute_sparql(&sparql).unwrap();
+            let pushed = result.stats.engine_filter_evals == 0;
+            assert_eq!(pushed, filters == FilterPlacement::PushAll, "{}", result.explain);
+            assert_eq!(answers(&result.rows), expected, "?v {op} 2^53 + 1, pushed: {pushed}");
+        }
+    }
+}
+
 #[test]
 fn h1_merges_only_when_join_attribute_indexed() {
     let sparql = q_join_filter();

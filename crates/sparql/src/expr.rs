@@ -540,6 +540,38 @@ mod tests {
         assert!(!Expr::Cmp(var("n"), CmpOp::Gt, int(5)).test(&row()));
     }
 
+    /// 2^53 + 1 is not an `f64`: read through one it *is* 2^53, and the
+    /// engine-side FILTER would keep a row the same filter pushed into SQL
+    /// (which compares `Int` with `Int`) drops.
+    #[test]
+    fn integers_beyond_2_pow_53_compare_exactly() {
+        const P53: i64 = 1 << 53;
+        let r = Row::new().with("v", Term::integer(P53));
+        assert!(!Expr::Cmp(var("v"), CmpOp::Eq, int(P53 + 1)).test(&r));
+        assert!(Expr::Cmp(var("v"), CmpOp::Ne, int(P53 + 1)).test(&r));
+        assert!(Expr::Cmp(int(P53 + 1), CmpOp::Gt, var("v")).test(&r));
+        assert!(Expr::Cmp(var("v"), CmpOp::Lt, int(P53 + 1)).test(&r));
+        assert!(Expr::Cmp(var("v"), CmpOp::Eq, int(P53)).test(&r));
+        // Negative, and the other integer datatypes.
+        let long = |v: i64| {
+            let dt = "http://www.w3.org/2001/XMLSchema#long";
+            Box::new(Expr::Const(Term::Literal(Literal::typed(v.to_string(), dt))))
+        };
+        assert!(Expr::Cmp(long(-P53 - 1), CmpOp::Lt, int(-P53)).test(&r));
+        assert!(!Expr::Cmp(long(P53 + 1), CmpOp::Eq, var("v")).test(&r));
+        // Past `i128` the lexical form no longer parses as an integer and
+        // the comparison falls back to `f64`.
+        let huge = |last: char| {
+            let lex = format!("{}{last}", "9".repeat(40));
+            Box::new(Expr::Const(Term::Literal(Literal::typed(lex, fedlake_rdf::vocab::xsd::INTEGER))))
+        };
+        assert!(Expr::Cmp(huge('1'), CmpOp::Eq, huge('2')).test(&r));
+        assert!(Expr::Cmp(huge('1'), CmpOp::Gt, var("v")).test(&r));
+        // An integer against a double is still a comparison of doubles.
+        let d = Box::new(Expr::Const(Term::double(P53 as f64)));
+        assert!(Expr::Cmp(int(P53 + 1), CmpOp::Eq, d).test(&r));
+    }
+
     #[test]
     fn string_comparisons() {
         assert!(Expr::Cmp(var("s"), CmpOp::Eq, s("Homo sapiens")).test(&row()));
