@@ -58,6 +58,12 @@ impl Literal {
         self.lexical.parse().ok()
     }
 
+    /// True when the literal's datatype is `xsd:integer` or one of its
+    /// derived types this workspace knows ([`crate::vocab::xsd::is_numeric`]).
+    pub fn is_integer(&self) -> bool {
+        self.datatype.as_deref().is_some_and(crate::vocab::xsd::is_integer)
+    }
+
     /// True when the literal's datatype is a numeric XSD type. An untyped
     /// (plain or language-tagged) literal never is, whatever its lexical
     /// form: `"5"` is a string.

@@ -27,12 +27,18 @@ pub mod xsd {
     /// `xsd:date`.
     pub const DATE: &str = "http://www.w3.org/2001/XMLSchema#date";
 
-    /// True when `dt` denotes a numeric XSD datatype.
-    pub fn is_numeric(dt: &str) -> bool {
-        matches!(dt, INTEGER | DECIMAL | DOUBLE)
-            || dt == "http://www.w3.org/2001/XMLSchema#float"
+    /// True when `dt` denotes `xsd:integer` or a type derived from it.
+    pub fn is_integer(dt: &str) -> bool {
+        dt == INTEGER
             || dt == "http://www.w3.org/2001/XMLSchema#int"
             || dt == "http://www.w3.org/2001/XMLSchema#long"
+    }
+
+    /// True when `dt` denotes a numeric XSD datatype.
+    pub fn is_numeric(dt: &str) -> bool {
+        matches!(dt, DECIMAL | DOUBLE)
+            || dt == "http://www.w3.org/2001/XMLSchema#float"
+            || is_integer(dt)
     }
 }
 

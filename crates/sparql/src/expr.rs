@@ -189,9 +189,30 @@ fn numeric_value(t: &Term) -> Option<f64> {
     }
 }
 
-/// Compares two values per SPARQL operator semantics.
+/// 2^53: every integer of smaller magnitude is itself as an `f64`, so two
+/// numbers below it compare exactly through their `f64` values.
+const F64_EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// The value of a well-formed literal of the `xsd:integer` family. `None`
+/// past `i128`, where the caller falls back to the `f64` reading.
+fn integer_value(v: Value<'_>) -> Option<i128> {
+    match v {
+        Value::Term(Term::Literal(l), Some(_)) if l.is_integer() => l.lexical.parse().ok(),
+        _ => None,
+    }
+}
+
+/// Compares two values per SPARQL operator semantics. Two integer
+/// literals compare as integers — what the same filter does once
+/// Heuristic 2 has pushed it into SQL — and every other pair of numbers
+/// as doubles.
 fn compare(a: Value<'_>, b: Value<'_>) -> Result<Ordering, EvalError> {
     if let (Some(x), Some(y)) = (a.as_num(), b.as_num()) {
+        if x.abs() >= F64_EXACT || y.abs() >= F64_EXACT {
+            if let (Some(i), Some(j)) = (integer_value(a), integer_value(b)) {
+                return Ok(i.cmp(&j));
+            }
+        }
         return x.partial_cmp(&y).ok_or(EvalError::NanComparison);
     }
     match (a, b) {

@@ -14,6 +14,12 @@ use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 /// The interpreter as it stood before the borrowing evaluator: owned
 /// values, every variable and constant cloned, every numeric re-parsed.
 /// Frozen — do not "fix" it; it is the semantics being preserved.
+///
+/// One difference is on purpose: `compare` below reads every number through
+/// `f64`, the evaluator compares two `xsd:integer`-family literals as
+/// integers once either is at or past 2^53 (`expr.rs::compare`; regression
+/// `integers_beyond_2_pow_53_compare_exactly`). The pool's integers are
+/// small, so the two agree on everything generated here.
 mod frozen {
     use super::*;
     use std::cmp::Ordering;
