@@ -275,7 +275,8 @@ impl<'a> Session<'a> {
             engine.build_operator(&planned.plan, &planned.schema, links, &sink, qrec, &mut next_node)?;
         // Solution modifiers around the streaming pipeline. The projection
         // is a slot remap resolved once per execution, not per row.
-        op = Box::new(ProjectOp::new(op, planned.schema.slots_of(&planned.projection)));
+        let keep = planned.schema.slots_of(&planned.projection);
+        op = Box::new(ProjectOp::new(op, &keep, planned.schema.len()));
         if planned.distinct {
             op = Box::new(DistinctOp::new(op));
         }
@@ -359,9 +360,11 @@ impl<'a> Session<'a> {
 
     /// Closes the session at the clock's time — the answer trace, then the
     /// flight recorder's completion event — and returns the query's
-    /// result: terms are materialized only here, at the API boundary, then
-    /// ORDER BY, OFFSET and LIMIT apply. Empty when the session failed.
-    pub(crate) fn finish(&mut self) -> Vec<Row> {
+    /// result: rows take their handles on the interner's terms only here,
+    /// at the API boundary, then ORDER BY, OFFSET and LIMIT apply. Empty
+    /// when the session failed; an `Err` when a row holds an id the
+    /// interner never assigned.
+    pub(crate) fn finish(&mut self) -> Result<Vec<Row>, FedError> {
         let planned = self.planned;
         let now = self.ctx.clock.now();
         self.trace.complete(now);
@@ -370,7 +373,10 @@ impl<'a> Session<'a> {
             self.slot_rows
                 .iter()
                 .map(|r| decode_row(&planned.schema, &dict, |s| r.get(s)))
-                .collect()
+                .collect::<Option<_>>()
+                .ok_or_else(|| {
+                    FedError::Internal("an answer row holds an id its interner never assigned".into())
+                })?
         };
         if !planned.order_by.is_empty() {
             sort_rows(&mut rows, &planned.order_by);
@@ -394,7 +400,7 @@ impl<'a> Session<'a> {
             planned.report.estimated_rows,
             rows.len() as u64,
         );
-        rows
+        Ok(rows)
     }
 }
 
@@ -469,6 +475,13 @@ impl FederatedEngine {
     /// post-collection to plant mis-estimates) go through here.
     pub fn lake_mut(&mut self) -> &mut DataLake {
         &mut self.lake
+    }
+
+    /// The session-wide term interner. Every answer row this engine
+    /// returns holds handles on the terms stored here — the same
+    /// allocations, not copies.
+    pub fn interner(&self) -> &SharedInterner {
+        &self.interner
     }
 
     /// The active configuration.
@@ -657,7 +670,7 @@ impl FederatedEngine {
                 Step::Finished => break,
             }
         }
-        let rows = session.finish();
+        let rows = session.finish()?;
         let Session { ctx, trace, degraded, error, .. } = session;
         if let Some(e) = error {
             return Err(e);

@@ -16,12 +16,17 @@
 //! interned in a query-scoped [`SharedInterner`]. Join keys, DISTINCT
 //! hashing and projection therefore operate on `u32` ids; only FILTER
 //! evaluation resolves ids back to terms, lazily, for value comparisons.
+//! A join side is one table ([`BuildSide`]): its rows in arrival order,
+//! chained per key through a parallel index vector — no key is stored and
+//! no key owns a vector, so a side grows by amortized pushes and is freed
+//! in a handful of blocks plus its rows.
 
 use crate::error::FedError;
 use fedlake_netsim::{CostModel, EventQueue, EventTime, SharedClock};
 use fedlake_rdf::{FastMap, FastSet, SharedInterner, TermId};
 use fedlake_sparql::binding::{RowSchema, SlotRow};
 use fedlake_sparql::expr::{BoundExpr, Expr};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -52,6 +57,10 @@ pub struct ExecCtx {
     pub stats: EngineStats,
     /// The query's slot layout, fixed at plan time.
     pub schema: Arc<RowSchema>,
+    /// `schema`'s layout fingerprint — what the
+    /// [`crate::wrapper::LiftCache`] keys column buffers by — taken once
+    /// per execution, when the context is created.
+    pub(crate) layout: u64,
     /// The query-scoped term interner shared with every wrapper stream.
     pub interner: SharedInterner,
     /// Retry behaviour of the wrapper streams when a link attempt fails.
@@ -93,6 +102,7 @@ impl ExecCtx {
             clock,
             cost,
             stats: EngineStats::default(),
+            layout: crate::wrapper::schema_fingerprint(&schema),
             schema,
             interner,
             retry: crate::config::RetryPolicy::default(),
@@ -336,28 +346,97 @@ impl<C> TwoInputs<C> {
     }
 }
 
-fn key_of(row: &SlotRow, on_slots: &[usize]) -> Option<Box<[TermId]>> {
-    on_slots.iter().map(|&s| row.get(s)).collect()
+/// Folds the ids `row` binds in `on_slots` into the 64-bit key its
+/// [`BuildSide`] chains it under; `None` when the row leaves a join slot
+/// unbound — it can never match. Injective up to two slots, a mix beyond;
+/// nothing depends on which, see [`BuildSide`].
+fn fold_key(row: &SlotRow, on_slots: &[usize]) -> Option<u64> {
+    let mut key = 0u64;
+    for &s in on_slots {
+        key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32) ^ u64::from(row.get(s)?.0);
+    }
+    Some(key)
+}
+
+/// How a join folds a row's key. Always [`fold_key`]; a field so the tests
+/// can force every key into one chain.
+type KeyFold = fn(&SlotRow, &[usize]) -> Option<u64>;
+
+/// End of a chain in [`BuildSide::next`].
+const NIL: u32 = u32::MAX;
+
+/// The rows one side of a join has taken — *the* build-side table of both
+/// joins. Rows sit in arrival order in one vector; `next` chains the rows
+/// of one key in that order, and `chains` finds a key's first and last row
+/// from the [`fold_key`] of its join-slot ids. The fold is not a key: two
+/// keys may share a chain, and [`SlotRow::merge`] — which every match goes
+/// through anyway and which rejects rows differing on a slot both bind —
+/// is what tells them apart, since only rows binding every join slot are
+/// chained.
+#[derive(Default)]
+struct BuildSide {
+    rows: Vec<SlotRow>,
+    /// Parallel to `rows`: the next row of the same chain, or [`NIL`].
+    next: Vec<u32>,
+    /// `(head, tail)` of each folded key's chain.
+    chains: FastMap<u64, (u32, u32)>,
+}
+
+impl BuildSide {
+    /// Appends `row`: to the end of `key`'s chain, or to no chain at all.
+    fn push(&mut self, key: Option<u64>, row: SlotRow) {
+        // Row indices are `u32`s below `NIL`. A side that full holds 2^32
+        // boxed rows — 64 GiB of handles before the first id — so the
+        // allocator gives out first; the check keeps an index from wrapping
+        // onto a stored row regardless.
+        assert!(self.rows.len() < NIL as usize, "a join side holds 2^32 - 1 rows");
+        let idx = self.rows.len() as u32;
+        self.rows.push(row);
+        self.next.push(NIL);
+        if let Some(key) = key {
+            match self.chains.entry(key) {
+                Entry::Occupied(mut chain) => {
+                    let (_, tail) = chain.get_mut();
+                    self.next[*tail as usize] = idx;
+                    *tail = idx;
+                }
+                Entry::Vacant(chain) => {
+                    chain.insert((idx, idx));
+                }
+            }
+        }
+    }
+
+    /// The rows chained under `key`, in arrival order, with their indices.
+    fn chain(&self, key: u64) -> impl Iterator<Item = (usize, &SlotRow)> {
+        let mut at = self.chains.get(&key).map_or(NIL, |(head, _)| *head);
+        std::iter::from_fn(move || {
+            let i = (at != NIL).then_some(at as usize)?;
+            at = self.next[i];
+            Some((i, &self.rows[i]))
+        })
+    }
 }
 
 /// The ANAPSID-style symmetric hash join.
 ///
-/// Every arriving row is inserted into its side's hash table and
-/// immediately probed against the other side, so results stream out as
-/// soon as both matching rows have arrived; `TwoInputs::pull` decides
-/// which input a row is taken from next. Keys are id arrays, so probing
-/// never compares strings.
+/// Every arriving row is inserted into its side's table and immediately
+/// probed against the other side, so results stream out as soon as both
+/// matching rows have arrived; `TwoInputs::pull` decides which input a row
+/// is taken from next. Keys are folded ids, so probing never compares
+/// strings.
 pub struct SymHashJoin<'a> {
     inputs: TwoInputs<BoxedOp<'a>>,
     tables: SymTables,
 }
 
-/// The build side of a [`SymHashJoin`]: both hash tables and the matches
-/// not yet handed out.
+/// The build side of a [`SymHashJoin`]: both tables and the matches not
+/// yet handed out.
 struct SymTables {
     on_slots: Vec<usize>,
-    left: FastMap<Box<[TermId]>, Vec<SlotRow>>,
-    right: FastMap<Box<[TermId]>, Vec<SlotRow>>,
+    fold: KeyFold,
+    left: BuildSide,
+    right: BuildSide,
     out: VecDeque<SlotRow>,
 }
 
@@ -369,8 +448,9 @@ impl<'a> SymHashJoin<'a> {
             inputs: TwoInputs::new(left, right),
             tables: SymTables {
                 on_slots,
-                left: FastMap::default(),
-                right: FastMap::default(),
+                fold: fold_key,
+                left: BuildSide::default(),
+                right: BuildSide::default(),
                 out: VecDeque::new(),
             },
         }
@@ -381,7 +461,7 @@ impl SymTables {
     fn insert_and_probe(&mut self, from_left: bool, row: SlotRow, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let Some(key) = key_of(&row, &self.on_slots) else {
+        let Some(key) = (self.fold)(&row, &self.on_slots) else {
             // A row not binding every join variable can never match.
             return;
         };
@@ -390,15 +470,13 @@ impl SymTables {
         } else {
             (&mut self.right, &self.left)
         };
-        if let Some(matches) = other.get(&key) {
-            for m in matches {
-                if let Some(merged) = row.merge(m) {
-                    ctx.clock.advance(ctx.cost.engine_row_time(1));
-                    self.out.push_back(merged);
-                }
+        for (_, m) in other.chain(key) {
+            if let Some(merged) = row.merge(m) {
+                ctx.clock.advance(ctx.cost.engine_row_time(1));
+                self.out.push_back(merged);
             }
         }
-        own.entry(key).or_default().push(row);
+        own.push(Some(key), row);
     }
 }
 
@@ -435,9 +513,12 @@ pub struct LeftHashJoin<'a> {
 /// The build side of a [`LeftHashJoin`].
 struct LeftTables {
     on_slots: Vec<usize>,
-    left_rows: Vec<(SlotRow, bool)>, // (row, matched)
-    left: FastMap<Box<[TermId]>, Vec<usize>>,
-    right: FastMap<Box<[TermId]>, Vec<SlotRow>>,
+    fold: KeyFold,
+    /// Every left row, chained or not: the unmatched ones flush at the end.
+    left: BuildSide,
+    /// Parallel to `left.rows`: whether the row has matched yet.
+    matched: Vec<bool>,
+    right: BuildSide,
     out: VecDeque<SlotRow>,
     flushed: bool,
 }
@@ -450,9 +531,10 @@ impl<'a> LeftHashJoin<'a> {
             inputs: TwoInputs::new(left, right),
             tables: LeftTables {
                 on_slots,
-                left_rows: Vec::new(),
-                left: FastMap::default(),
-                right: FastMap::default(),
+                fold: fold_key,
+                left: BuildSide::default(),
+                matched: Vec::new(),
+                right: BuildSide::default(),
                 out: VecDeque::new(),
                 flushed: false,
             },
@@ -464,41 +546,36 @@ impl LeftTables {
     fn take_left(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let idx = self.left_rows.len();
-        let key = key_of(&row, &self.on_slots);
+        let key = (self.fold)(&row, &self.on_slots);
         let mut matched = false;
-        if let Some(key) = &key {
-            if let Some(matches) = self.right.get(key) {
-                for m in matches {
-                    if let Some(merged) = row.merge(m) {
-                        matched = true;
-                        ctx.clock.advance(ctx.cost.engine_row_time(1));
-                        self.out.push_back(merged);
-                    }
-                }
-            }
-            self.left.entry(key.clone()).or_default().push(idx);
-        }
-        // A left row not binding every join variable can never match a
-        // (fully-bound) right row; it will flush unextended.
-        self.left_rows.push((row, matched));
-    }
-
-    fn take_right(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
-        ctx.stats.engine_join_probes += 1;
-        ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let Some(key) = key_of(&row, &self.on_slots) else { return };
-        if let Some(left_idxs) = self.left.get(&key) {
-            for &i in left_idxs {
-                let (lrow, matched) = &mut self.left_rows[i];
-                if let Some(merged) = lrow.merge(&row) {
-                    *matched = true;
+        if let Some(key) = key {
+            for (_, m) in self.right.chain(key) {
+                if let Some(merged) = row.merge(m) {
+                    matched = true;
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
                     self.out.push_back(merged);
                 }
             }
         }
-        self.right.entry(key).or_default().push(row);
+        // A left row not binding every join variable can never match a
+        // (fully-bound) right row; it is kept unchained and will flush
+        // unextended.
+        self.left.push(key, row);
+        self.matched.push(matched);
+    }
+
+    fn take_right(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
+        ctx.stats.engine_join_probes += 1;
+        ctx.clock.advance(ctx.cost.engine_join_time(1));
+        let Some(key) = (self.fold)(&row, &self.on_slots) else { return };
+        for (i, lrow) in self.left.chain(key) {
+            if let Some(merged) = lrow.merge(&row) {
+                self.matched[i] = true;
+                ctx.clock.advance(ctx.cost.engine_row_time(1));
+                self.out.push_back(merged);
+            }
+        }
+        self.right.push(Some(key), row);
     }
 }
 
@@ -512,7 +589,7 @@ impl FedOp for LeftHashJoin<'_> {
             if inputs.exhausted() {
                 if !tables.flushed {
                     tables.flushed = true;
-                    for (row, matched) in &tables.left_rows {
+                    for (row, matched) in tables.left.rows.iter().zip(&tables.matched) {
                         if !matched {
                             tables.out.push_back(row.clone());
                         }
@@ -664,30 +741,29 @@ impl FedOp for UnionOp<'_> {
     }
 }
 
-/// Projection to the query's selected variables: a slot remap that copies
-/// the kept ids into a fresh all-unbound row of the same width.
+/// Projection to the query's selected variables: the slots it drops are
+/// unbound in the row it was handed, which is passed on.
 pub struct ProjectOp<'a> {
     input: BoxedOp<'a>,
-    keep_slots: Vec<usize>,
+    drop_slots: Vec<usize>,
 }
 
 impl<'a> ProjectOp<'a> {
-    /// Creates a projection keeping only `keep_slots`.
-    pub fn new(input: BoxedOp<'a>, keep_slots: Vec<usize>) -> Self {
-        ProjectOp { input, keep_slots }
+    /// Creates a projection keeping only `keep_slots` of rows `width` slots
+    /// wide.
+    pub fn new(input: BoxedOp<'a>, keep_slots: &[usize], width: usize) -> Self {
+        let drop_slots = (0..width).filter(|s| !keep_slots.contains(s)).collect();
+        ProjectOp { input, drop_slots }
     }
 }
 
 impl ProjectOp<'_> {
-    fn remap(&self, row: SlotRow, ctx: &mut ExecCtx) -> SlotRow {
+    fn remap(&self, mut row: SlotRow, ctx: &mut ExecCtx) -> SlotRow {
         ctx.clock.advance(ctx.cost.engine_row_time(1));
-        let mut out = SlotRow::unbound(ctx.schema.len());
-        for &s in &self.keep_slots {
-            if let Some(id) = row.get(s) {
-                out.set(s, id);
-            }
+        for &s in &self.drop_slots {
+            row.set(s, TermId::UNBOUND);
         }
-        out
+        row
     }
 }
 
@@ -720,7 +796,9 @@ impl FedOp for DistinctOp<'_> {
             match self.input.poll_next(ctx)? {
                 Poll::Ready(row) => {
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
-                    if self.seen.insert(row.clone()) {
+                    // Only a row seen for the first time is copied.
+                    if !self.seen.contains(&row) {
+                        self.seen.insert(row.clone());
                         return Ok(Poll::Ready(row));
                     }
                 }
@@ -995,6 +1073,98 @@ mod tests {
         assert!(out.iter().all(|r| r.bound_count() == 2));
     }
 
+    /// Every key in one chain: `merge` alone must tell the keys apart.
+    fn one_chain(row: &SlotRow, on_slots: &[usize]) -> Option<u64> {
+        fold_key(row, on_slots).map(|_| 0)
+    }
+
+    /// Rows over [`VARS`] from a three-id pool, each slot bound four times
+    /// in five: joins meet matches, conflicts on slots outside the key and
+    /// rows that leave a join slot unbound.
+    fn arb_rows(rng: &mut fedlake_prng::Prng, ids: &[TermId]) -> Vec<(bool, SlotRow)> {
+        (0..rng.gen_range(0..40usize))
+            .map(|_| {
+                let mut row = SlotRow::unbound(VARS.len());
+                for slot in 0..VARS.len() {
+                    if rng.gen_bool(0.8) {
+                        row.set(slot, ids[rng.gen_range(0..ids.len())]);
+                    }
+                }
+                (rng.gen_bool(0.5), row)
+            })
+            .collect()
+    }
+
+    /// The joins' build sides against a nested loop over everything the
+    /// other side has delivered so far: the same matches in the same
+    /// order, whatever the fold — for the symmetric and the left join,
+    /// over 0–3 join slots.
+    #[test]
+    fn build_sides_match_a_nested_loop_in_arrival_order() {
+        let mut rng = fedlake_prng::Prng::seed_from_u64(0x0b51_de50);
+        let mut c = ctx();
+        let ids: Vec<TermId> =
+            (0..3).map(|i| c.interner.intern(Term::iri(format!("http://x/{i}")))).collect();
+        let (mut matches, mut unkeyed, mut flushed) = (0usize, 0usize, 0usize);
+        for case in 0..400 {
+            let mut on_slots: Vec<usize> = (0..VARS.len()).collect();
+            for i in (1..on_slots.len()).rev() {
+                on_slots.swap(i, rng.gen_range(0..i + 1));
+            }
+            on_slots.truncate(rng.gen_range(0..4usize));
+            let keyed = |r: &SlotRow| on_slots.iter().all(|&s| r.is_bound(s));
+            let arrivals = arb_rows(&mut rng, &ids);
+            unkeyed += arrivals.iter().filter(|(_, r)| !keyed(r)).count();
+            let fold: KeyFold = if case % 2 == 0 { fold_key } else { one_chain };
+
+            // The nested loop: a row meets, in arrival order, every row of
+            // the other side that is here already; both must bind the key.
+            // (The symmetric join merges the arriving row with the stored
+            // one, the left join always left-first: the same row.)
+            let mut want = Vec::new();
+            let mut matched = vec![false; arrivals.len()];
+            for (i, (from_left, row)) in arrivals.iter().enumerate() {
+                for (j, (other_left, other)) in arrivals[..i].iter().enumerate() {
+                    if other_left == from_left || !keyed(row) || !keyed(other) {
+                        continue;
+                    }
+                    if let Some(merged) = row.merge(other) {
+                        assert_eq!(Some(&merged), other.merge(row).as_ref());
+                        matched[if *from_left { i } else { j }] = true;
+                        want.push(merged);
+                    }
+                }
+            }
+            matches += want.len();
+            let mut want_left = want.clone();
+            let unmatched = arrivals.iter().zip(&matched).filter(|((left, _), m)| *left && !**m);
+            want_left.extend(unmatched.map(|((_, row), _)| row.clone()));
+            flushed += want_left.len() - want.len();
+
+            let mut sym =
+                SymHashJoin::new(Box::new(RowsOp::new(vec![])), Box::new(RowsOp::new(vec![])), on_slots.clone());
+            sym.tables.fold = fold;
+            let mut left =
+                LeftHashJoin::new(Box::new(RowsOp::new(vec![])), Box::new(RowsOp::new(vec![])), on_slots.clone());
+            left.tables.fold = fold;
+            for (from_left, row) in &arrivals {
+                sym.tables.insert_and_probe(*from_left, row.clone(), &mut c);
+                if *from_left {
+                    left.tables.take_left(row.clone(), &mut c);
+                } else {
+                    left.tables.take_right(row.clone(), &mut c);
+                }
+            }
+            assert_eq!(Vec::from(sym.tables.out), want, "case {case}: symmetric, on {on_slots:?}");
+            // Both inputs are empty: the first poll flushes.
+            let mut got_left = Vec::from(std::mem::take(&mut left.tables.out));
+            got_left.extend(drain(&mut left, &mut c));
+            assert_eq!(got_left, want_left, "case {case}: left, on {on_slots:?}");
+        }
+        // The generator must reach all three behaviours.
+        assert!(matches > 1_000 && unkeyed > 1_000 && flushed > 1_000, "{matches} {unkeyed} {flushed}");
+    }
+
     #[test]
     fn filter_op_counts_evals() {
         let mut c = ctx();
@@ -1029,7 +1199,7 @@ mod tests {
             row(&c, &[("a", "1"), ("b", "7")]),
             row(&c, &[("a", "1"), ("b", "8")]),
         ]);
-        let p = ProjectOp::new(Box::new(input), vec![slot("a")]);
+        let p = ProjectOp::new(Box::new(input), &[slot("a")], VARS.len());
         let mut d = DistinctOp::new(Box::new(p));
         let out = drain(&mut d, &mut c);
         assert_eq!(out.len(), 1);

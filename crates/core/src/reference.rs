@@ -87,7 +87,9 @@ impl RefOp for DecodeOp<'_> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(r) => {
                 let dict = ctx.interner.lock();
-                Poll::Ready(decode_row(&ctx.schema, &dict, |s| r.get(s)))
+                Poll::Ready(decode_row(&ctx.schema, &dict, |s| r.get(s)).ok_or_else(|| {
+                    FedError::Internal("a source row holds an id its interner never assigned".into())
+                })?)
             }
             Poll::Pending(ev) => Poll::Pending(ev),
             Poll::Done => Poll::Done,

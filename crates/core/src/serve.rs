@@ -365,7 +365,7 @@ impl FederatedEngine {
                             arrivals[job],
                             admitted,
                             &mut metrics,
-                        ));
+                        )?);
                         metrics.gauge_set("serve.in_flight", active.len() as u64);
                         progressed = true;
                     }
@@ -459,10 +459,10 @@ impl FederatedEngine {
         arrival: Duration,
         admitted: Duration,
         metrics: &mut MetricsRegistry,
-    ) -> QueryOutcome {
+    ) -> Result<QueryOutcome, FedError> {
         let config = self.config();
         let now = s.ctx.clock.now();
-        let rows = s.finish();
+        let rows = s.finish()?;
         let error = s.error.take();
 
         let latency = now.saturating_sub(arrival);
@@ -502,7 +502,7 @@ impl FederatedEngine {
             },
         );
 
-        QueryOutcome {
+        Ok(QueryOutcome {
             client: job.client,
             label: job.label.clone(),
             arrival,
@@ -516,6 +516,6 @@ impl FederatedEngine {
             error,
             degraded: s.degraded,
             obs,
-        }
+        })
     }
 }

@@ -1,7 +1,7 @@
 //! One-shot leaves: what a leaf asks of its source, the message-batched
 //! delivery of the answer, and the stream over both.
 
-use super::lift::{lift_result_cols, schema_fingerprint, LiftedSource};
+use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftedSource};
 use super::bind::bind_batch_query;
 use super::naive::{NaiveStage, NaiveStream};
 use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRoute};
@@ -333,15 +333,16 @@ pub(super) fn lifted(
     version: u64,
     ctx: &ExecCtx,
 ) -> Result<Arc<LiftedSource>, FedError> {
-    let ids: Box<[TermId]> = match request {
-        LeafRequest::Batch { ids, .. } => (*ids).into(),
-        _ => Box::default(),
+    let ids: &[TermId] = match request {
+        LeafRequest::Batch { ids, .. } => ids,
+        _ => &[],
     };
-    let key = (schema_fingerprint(&ctx.schema), Arc::clone(signature), ids);
-    if let Some(hit) = ctx.lifts.lock().lookup(&key, version) {
+    let probe: &dyn LiftKeyParts = &(ctx.layout, &**signature, ids);
+    if let Some(hit) = ctx.lifts.lock().lookup(probe, version) {
         return Ok(hit);
     }
     let fresh = Arc::new(request.evaluate(ctx)?);
+    let key = LiftKey { layout: ctx.layout, signature: Arc::clone(signature), ids: ids.into() };
     ctx.lifts.lock().insert(key, version, Arc::clone(&fresh));
     Ok(fresh)
 }

@@ -164,7 +164,67 @@ pub struct LiftCache(std::sync::Mutex<LiftEntries>);
 /// the join terms it asks about (empty for a one-shot leaf). The terms are
 /// ids of the engine's append-only interner, so equal ids render equal SQL
 /// and — at an equal source version — fetch an equal result.
-type LiftKey = (u64, Arc<str>, Box<[TermId]>);
+#[derive(Debug)]
+pub(super) struct LiftKey {
+    pub(super) layout: u64,
+    pub(super) signature: Arc<str>,
+    pub(super) ids: Box<[TermId]>,
+}
+
+/// A [`LiftKey`] by its parts, owned or borrowed: what the cache hashes
+/// and compares, so a lookup presents `(layout, &signature, &ids)` and a
+/// hit neither boxes the ids nor touches the signature's count.
+pub(super) trait LiftKeyParts {
+    fn parts(&self) -> (u64, &str, &[TermId]);
+}
+
+impl LiftKeyParts for LiftKey {
+    fn parts(&self) -> (u64, &str, &[TermId]) {
+        (self.layout, &self.signature, &self.ids)
+    }
+}
+
+impl LiftKeyParts for (u64, &str, &[TermId]) {
+    fn parts(&self) -> (u64, &str, &[TermId]) {
+        *self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn LiftKeyParts + 'a> for LiftKey {
+    fn borrow(&self) -> &(dyn LiftKeyParts + 'a) {
+        self
+    }
+}
+
+impl std::hash::Hash for dyn LiftKeyParts + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn LiftKeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn LiftKeyParts + '_ {}
+
+// Through the parts, as `Borrow` requires: an owned key hashes and compares
+// like the borrowed one that looks it up.
+impl std::hash::Hash for LiftKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for LiftKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for LiftKey {}
 
 type LiftEntries = VersionedCache<LiftKey, Arc<LiftedSource>, BuildFastHasher>;
 
@@ -188,7 +248,7 @@ pub type SharedLiftCache = Arc<LiftCache>;
 /// share cache entries. An address-based key would be unsound here: a
 /// dropped schema's allocation can be reused by a *different* layout with
 /// the same stream signature, which would serve wrongly-slotted columns.
-pub(super) fn schema_fingerprint(schema: &RowSchema) -> u64 {
+pub(crate) fn schema_fingerprint(schema: &RowSchema) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in schema.vars() {
         for b in v.name().as_bytes() {

@@ -23,6 +23,7 @@ mod route;
 
 pub use bind::{bind_batch_query, BindJoinOp};
 pub use leaf::open_service;
+pub(crate) use lift::schema_fingerprint;
 pub use lift::{lift_result, LiftCache, LiftedSource, SharedLiftCache};
 pub use route::{
     links_for, route_for, schedule_rows_with_retry, schedule_transfer_with_retry,
@@ -128,7 +129,7 @@ mod tests {
 
     fn decode(c: &ExecCtx, rows: &[SlotRow]) -> Vec<Row> {
         let dict = c.interner.lock();
-        rows.iter().map(|r| decode_row(&c.schema, &dict, |s| r.get(s))).collect()
+        rows.iter().map(|r| decode_row(&c.schema, &dict, |s| r.get(s)).unwrap()).collect()
     }
 
     /// Both lifts assign the same id to every cell, and it is the id the

@@ -79,9 +79,14 @@ const FREE: u32 = u32::MAX;
 /// stored hash before it looks at a string. Growing the table re-seats
 /// the ids from the stored hashes, so a string is hashed exactly once — by
 /// the lookup that interned it — and a clone copies three vectors.
+///
+/// A term has one owner: the dictionary holds it behind an [`Arc`], and
+/// whoever needs the term past the dictionary's lock — an answer row,
+/// another dictionary ([`Dictionary::intern_shared`]) — takes a handle
+/// ([`Dictionary::shared`]) instead of copying its strings.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    terms: Vec<Term>,
+    terms: Vec<Arc<Term>>,
     hashes: Vec<u64>,
     /// Power-of-two length (or empty); a slot holds an id or [`FREE`].
     table: Vec<u32>,
@@ -99,7 +104,19 @@ impl Dictionary {
         let hash = Parts::of(&term).content_hash();
         match self.find(Parts::of(&term), hash) {
             Some(id) => id,
-            None => self.push(term, hash),
+            None => self.push(Arc::new(term), hash),
+        }
+    }
+
+    /// Interns a term another owner already holds — a graph's dictionary,
+    /// a row — giving it the id [`Dictionary::intern`] would. A first
+    /// sighting stores a handle to the same allocation; nothing is copied
+    /// either way.
+    pub fn intern_shared(&mut self, term: &Arc<Term>) -> TermId {
+        let hash = Parts::of(term).content_hash();
+        match self.find(Parts::of(term), hash) {
+            Some(id) => id,
+            None => self.push(Arc::clone(term), hash),
         }
     }
 
@@ -125,7 +142,7 @@ impl Dictionary {
         let hash = parts.content_hash();
         match self.find(parts, hash) {
             Some(id) => id,
-            None => self.push(parts.to_term(), hash),
+            None => self.push(Arc::new(parts.to_term()), hash),
         }
     }
 
@@ -148,9 +165,13 @@ impl Dictionary {
     }
 
     /// Stores a term `find` did not find.
-    fn push(&mut self, term: Term, hash: u64) -> TermId {
-        let raw = u32::try_from(self.terms.len()).expect("dictionary overflow");
-        assert!(raw != FREE, "dictionary overflow");
+    fn push(&mut self, term: Arc<Term>, hash: u64) -> TermId {
+        // Ids are `u32`s below `FREE`. A dictionary that full holds 2^32 - 1
+        // handles and hashes — 64 GiB before the first string — so the
+        // allocator gives out long before the id space does; the check keeps
+        // a wrapped id from ever aliasing a stored one regardless.
+        assert!(self.terms.len() < FREE as usize, "dictionary holds 2^32 - 1 terms");
+        let raw = self.terms.len() as u32;
         if (self.terms.len() + 1) * 2 > self.table.len() {
             self.grow();
         }
@@ -188,6 +209,12 @@ impl Dictionary {
 
     /// Resolves an id back to its term.
     pub fn term(&self, id: TermId) -> Option<&Term> {
+        self.terms.get(id.index()).map(|t| &**t)
+    }
+
+    /// The dictionary's own handle on the term of `id`: clone it to keep
+    /// the term without copying it.
+    pub fn shared(&self, id: TermId) -> Option<&Arc<Term>> {
         self.terms.get(id.index())
     }
 
@@ -206,7 +233,7 @@ impl Dictionary {
         self.terms
             .iter()
             .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t))
+            .map(|(i, t)| (TermId(i as u32), &**t))
     }
 }
 
@@ -284,6 +311,22 @@ mod tests {
         let id = d.intern(t.clone());
         assert_eq!(d.term(id), Some(&t));
         assert_eq!(d.id(&t), Some(id));
+    }
+
+    #[test]
+    fn a_term_has_one_owner_across_dictionaries() {
+        let mut graph = Dictionary::new();
+        let id = graph.intern(Term::iri("http://x/a"));
+        let handle = Arc::clone(graph.shared(id).unwrap());
+        let mut query = Dictionary::new();
+        let qid = query.intern_shared(&handle);
+        assert!(Arc::ptr_eq(query.shared(qid).unwrap(), &handle));
+        // Idempotent with `intern`, and a repeat keeps the first handle.
+        assert_eq!(query.intern(Term::iri("http://x/a")), qid);
+        assert_eq!(query.intern_shared(&Arc::new(Term::iri("http://x/a"))), qid);
+        assert!(Arc::ptr_eq(query.shared(qid).unwrap(), &handle));
+        assert_eq!(query.len(), 1);
+        assert!(query.shared(TermId::UNBOUND).is_none());
     }
 
     #[test]

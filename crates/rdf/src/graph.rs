@@ -108,6 +108,12 @@ impl Graph {
         self.dict.term(id)
     }
 
+    /// The dictionary's handle on the term of `id`
+    /// ([`Dictionary::shared`]).
+    pub fn shared(&self, id: TermId) -> Option<&Arc<Term>> {
+        self.dict.shared(id)
+    }
+
     /// Looks up the id of a term without interning.
     pub fn id(&self, term: &Term) -> Option<TermId> {
         self.dict.id(term)

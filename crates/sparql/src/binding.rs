@@ -1,7 +1,8 @@
 //! Solution mappings.
 //!
-//! A [`Row`] maps variables to RDF terms by value; it is the external
-//! currency at API boundaries (final results, the local SPARQL evaluator).
+//! A [`Row`] maps variables to RDF terms — handles on terms a dictionary
+//! owns, not copies; it is the external currency at API boundaries (final
+//! results, the local SPARQL evaluator).
 //! Inside the federated engine, solution mappings travel as [`SlotRow`]s:
 //! fixed-width arrays of [`TermId`]s laid out by a per-query [`RowSchema`]
 //! and interned in a query-scoped dictionary shared across all sources.
@@ -48,10 +49,12 @@ impl From<&str> for Var {
 /// Bindings sit in one vector sorted by variable, without duplicates — a
 /// handful of entries, so a binary search beats a tree walk and a row is
 /// one allocation. Order, equality and hashing are those of the sorted
-/// `(variable, term)` sequence.
+/// `(variable, term)` sequence. A binding holds its term behind an
+/// [`Arc`]: a row decoded from a dictionary or matched in a graph shares
+/// the dictionary's allocation, and cloning or merging rows bumps counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Row {
-    slots: Vec<(Var, Term)>,
+    slots: Vec<(Var, Arc<Term>)>,
 }
 
 impl Row {
@@ -66,6 +69,11 @@ impl Row {
 
     /// Binds `var` to `term`, replacing any existing binding.
     pub fn bind(&mut self, var: Var, term: Term) {
+        self.bind_shared(var, Arc::new(term));
+    }
+
+    /// [`Row::bind`] with a term someone already owns.
+    pub fn bind_shared(&mut self, var: Var, term: Arc<Term>) {
         match self.position(&var) {
             Ok(i) => self.slots[i].1 = term,
             Err(i) => self.slots.insert(i, (var, term)),
@@ -80,6 +88,11 @@ impl Row {
 
     /// The term bound to `var`, if any.
     pub fn get(&self, var: &Var) -> Option<&Term> {
+        self.shared(var).map(|t| &**t)
+    }
+
+    /// The row's handle on the term bound to `var`, if any.
+    pub fn shared(&self, var: &Var) -> Option<&Arc<Term>> {
         self.position(var).ok().map(|i| &self.slots[i].1)
     }
 
@@ -100,7 +113,7 @@ impl Row {
 
     /// Iterates `(variable, term)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Term)> {
-        self.slots.iter().map(|(v, t)| (v, t))
+        self.slots.iter().map(|(v, t)| (v, &**t))
     }
 
     /// The set of bound variables.
@@ -149,8 +162,8 @@ impl Row {
     pub fn project(&self, vars: &[Var]) -> Row {
         let mut out = Row::new();
         for v in vars {
-            if let Some(t) = self.get(v) {
-                out.bind(v.clone(), t.clone());
+            if let Some(t) = self.shared(v) {
+                out.bind_shared(v.clone(), Arc::clone(t));
             }
         }
         out
@@ -306,14 +319,16 @@ impl SlotRow {
     }
 }
 
-/// Encodes a [`Row`] into schema slots, interning each term. Variables the
-/// schema does not know are dropped (the schema covers every variable the
-/// query can bind, so this only loses bindings no operator can see).
+/// Encodes a [`Row`] into schema slots, interning each term — by its
+/// handle, so a term new to `dict` is shared with the row, not copied.
+/// Variables the schema does not know are dropped (the schema covers every
+/// variable the query can bind, so this only loses bindings no operator can
+/// see).
 pub fn encode_row(row: &Row, schema: &RowSchema, dict: &mut Dictionary) -> SlotRow {
     let mut out = SlotRow::unbound(schema.len());
-    for (v, t) in row.iter() {
+    for (v, t) in &row.slots {
         if let Some(slot) = schema.slot(v) {
-            out.set(slot, dict.intern(t.clone()));
+            out.set(slot, dict.intern_shared(t));
         }
     }
     out
@@ -322,24 +337,24 @@ pub fn encode_row(row: &Row, schema: &RowSchema, dict: &mut Dictionary) -> SlotR
 /// Materializes one dictionary-encoded row back into a variable → term
 /// mapping; `id_of` reads the id in a schema slot (`|s| row.get(s)` for
 /// a [`SlotRow`]). One pass in variable order into a vector of exactly the
-/// bound width: this is where terms are copied out, once.
+/// bound width; every binding takes a handle on `dict`'s term, so the
+/// answer shares the interner's strings and this copies none.
 ///
-/// Panics when a bound id is missing from `dict`; encode and decode must
+/// `None` when a bound id is missing from `dict`: encode and decode must
 /// use the same query-scoped dictionary.
 pub fn decode_row(
     schema: &RowSchema,
     dict: &Dictionary,
     id_of: impl Fn(usize) -> Option<TermId>,
-) -> Row {
+) -> Option<Row> {
     let bound = (0..schema.len()).filter(|&s| id_of(s).is_some()).count();
     let mut slots = Vec::with_capacity(bound);
     for &slot in &schema.by_var {
         if let Some(id) = id_of(slot) {
-            let term = dict.term(id).expect("slot id interned in this query's dictionary");
-            slots.push((schema.vars[slot].clone(), term.clone()));
+            slots.push((schema.vars[slot].clone(), Arc::clone(dict.shared(id)?)));
         }
     }
-    Row { slots }
+    Some(Row { slots })
 }
 
 #[cfg(test)]
@@ -426,7 +441,15 @@ mod tests {
         assert!(enc.is_bound(0));
         assert!(!enc.is_bound(1));
         assert_eq!(enc.bound_count(), 2);
-        assert_eq!(decode_row(&s, &dict, |i| enc.get(i)), row);
+        let dec = decode_row(&s, &dict, |i| enc.get(i)).unwrap();
+        assert_eq!(dec, row);
+        // One owner per term: the row, the dictionary and the decoded row
+        // hold the same allocation.
+        for (v, _) in row.iter() {
+            assert!(Arc::ptr_eq(dec.shared(v).unwrap(), row.shared(v).unwrap()));
+        }
+        // An id the dictionary never assigned is an error, not a panic.
+        assert_eq!(decode_row(&s, &Dictionary::new(), |i| enc.get(i)), None);
     }
 
     #[test]
@@ -442,7 +465,7 @@ mod tests {
             encode_row(&c, &s, &mut dict),
         );
         let merged = ea.merge(&eb).unwrap();
-        assert_eq!(decode_row(&s, &dict, |i| merged.get(i)), a.merge(&b).unwrap());
+        assert_eq!(decode_row(&s, &dict, |i| merged.get(i)), a.merge(&b));
         assert!(ea.merge(&ec).is_none());
         assert!(a.merge(&c).is_none());
     }

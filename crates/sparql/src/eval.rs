@@ -185,16 +185,17 @@ fn extend_row(pattern: &TriplePattern, graph: &Graph, row: &Row, out: &mut Rows)
         let mut ok = true;
         let bind = |r: &Resolution, id: fedlake_rdf::TermId, ext: &mut Row| {
             if let Resolution::Free(v) = r {
-                let term = graph.term(id).expect("matched id must resolve").clone();
+                let term = graph.shared(id).expect("matched id must resolve");
                 match ext.get(v) {
                     // Repeated free variable within the pattern, e.g.
                     // `?x <p> ?x` — both occurrences must agree.
                     Some(existing) => {
-                        if *existing != term {
+                        if *existing != **term {
                             return false;
                         }
                     }
-                    None => ext.bind(v.clone(), term),
+                    // The graph's own handle: nothing is copied.
+                    None => ext.bind_shared(v.clone(), std::sync::Arc::clone(term)),
                 }
             }
             true

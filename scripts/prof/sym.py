@@ -4,29 +4,43 @@ self time per function, inclusive time per function, and the call tree
 under a chosen root.
 
     sym.py run.prof [--root SUBSTR] [--top N] [--depth D] [--min PCT]
+    sym.py run.prof --callers-of SUBSTR
 
 Percentages are of all samples; the tree's are too, so a subtree reads as
 its share of the whole run. An address inside a mapped file but outside
 every symbol `nm` knows prints as [file]; one in no file-backed mapping as
-[anon]. A leaf that keeps no frame pointer (most of libc) loses its caller
-or its whole stack — see prof.c — so the samples under a root are a lower
-bound.
+[anon]. A leaf that keeps no frame pointer (most of libc) loses the frames
+between it and the binary, and prof.c finds the binary's frames again by
+scanning the stack (the header line counts those samples as recovered); a
+sample it could not recover stays a stack of one, so the samples under a
+root are a lower bound.
+
+--callers-of answers "who calls malloc": for the samples whose leaf name
+contains SUBSTR it prints, instead of the three views, the first frame
+inside the profiled binary — the allocator's, memmove's or libm's quarter
+of a profile by the engine function that asked.
 """
 import argparse
 import bisect
 import collections
 import os
+import re
 import subprocess
 import sys
 
 
 def read_profile(path):
-    """-> (mappings [(start, end, offset, file)], stacks [[addr, …] leaf first])"""
+    """-> (mappings [(start, end, offset, file)], stacks [[addr, …] leaf first],
+    recovered sample count, the profiled binary's path)"""
     mappings, stacks, in_samples = [], [], False
+    recovered, binary = 0, None
     with open(path) as f:
         for line in f:
             if line.startswith("---"):
                 in_samples = True
+                header = re.search(r"recovered (\d+); binary (.*)$", line.rstrip("\n"))
+                if header:
+                    recovered, binary = int(header.group(1)), header.group(2)
             elif in_samples:
                 stacks.append([int(a, 16) for a in line.split()])
             else:
@@ -34,7 +48,9 @@ def read_profile(path):
                 if len(parts) == 6 and parts[5].startswith("/"):
                     start, end = (int(x, 16) for x in parts[0].split("-"))
                     mappings.append((start, end, int(parts[2], 16), parts[5].strip()))
-    return mappings, stacks
+    # A file written before prof.c named the binary: the executable is the
+    # lowest file-backed mapping.
+    return mappings, stacks, recovered, binary or (mappings[0][3] if mappings else None)
 
 
 class Symbols:
@@ -83,6 +99,10 @@ class Symbolizer:
             self.cache[addr] = self.lookup(addr)
         return self.cache[addr]
 
+    def inside(self, addr, path):
+        """True when `addr` lies in a mapping of the file `path`."""
+        return any(start <= addr < end for start, end, _, p in self.mappings if p == path)
+
     def lookup(self, addr):
         for start, end, _, path in self.mappings:
             if start <= addr < end:
@@ -115,13 +135,26 @@ def main():
     ap.add_argument("--depth", type=int, default=8, help="tree depth below the root")
     ap.add_argument("--min", type=float, default=1.0, help="smallest tree node, in percent of all samples")
     ap.add_argument("--width", type=int, default=110, help="longest printed name")
+    ap.add_argument("--callers-of", metavar="SUBSTR", help="only: the first frame inside the binary of the samples whose leaf matches")
     args = ap.parse_args()
 
-    mappings, stacks = read_profile(args.profile)
+    mappings, stacks, recovered, binary = read_profile(args.profile)
     if not stacks:
         sys.exit("%s: no samples" % args.profile)
     sym = Symbolizer(mappings)
     total = len(stacks)
+    if args.callers_of is not None:
+        callers = collections.Counter()
+        for stack in stacks:
+            if args.callers_of not in sym.name(stack[0]):
+                continue
+            # A return address points after its call: step back into it.
+            inside = (a - 1 for a in stack[1:] if sym.inside(a - 1, binary))
+            callers[next((sym.name(a) for a in inside), "[no frame inside the binary]")] += 1
+        matched = sum(callers.values())
+        print("%d samples, %d (%.2f%%) with a leaf matching %r" % (total, matched, 100.0 * matched / total, args.callers_of))
+        table("first frame inside %s" % os.path.basename(binary or "?"), callers, total, args.top, args.width)
+        return
     self_time, inclusive = collections.Counter(), collections.Counter()
     tree = {}  # name -> [count, children]
     rooted = 0
@@ -141,7 +174,7 @@ def main():
             node[0] += 1
             level = node[1]
 
-    print("%d samples, %d under a frame matching %r" % (total, rooted, args.root))
+    print("%d samples (%d recovered by stack scan), %d under a frame matching %r" % (total, recovered, rooted, args.root))
     table("self", self_time, total, args.top, args.width)
     table("inclusive", inclusive, total, args.top, args.width)
     print("\n== call tree under %r (>= %.1f%% of all samples) ==" % (args.root, args.min))

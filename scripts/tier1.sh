@@ -42,6 +42,17 @@ memo_callers="$(git grep -n query_cached -- 'crates/core/src/wrapper/*' | grep -
 git grep -q query_cached -- crates/core/src/wrapper/naive.rs \
     || { echo "wrapper/naive.rs no longer calls query_cached: the gate above matches nothing"; exit 1; }
 
+# One table per join side: both joins keep a side's rows in one vector,
+# chained per folded key (operators.rs, BuildSide). A map from boxed key to a
+# vector of rows — one block per key to allocate and to free — is the
+# representation it replaced, not a second one to keep beside it.
+echo "== one table per join side in crates/core/src/operators.rs =="
+boxed_keys=0
+git grep -nE 'FastMap<Box<\[TermId\]>|fn key_of' -- crates/core/src/operators.rs || boxed_keys=$?
+[ "$boxed_keys" -eq 1 ] || { echo "boxed join keys are back in operators.rs (or git grep failed)"; exit 1; }
+git grep -q 'struct BuildSide' -- crates/core/src/operators.rs \
+    || { echo "operators.rs no longer holds BuildSide: the gate above matches nothing"; exit 1; }
+
 # One measuring regime: fedbench (BENCHMARK.json) times the engine, on the
 # simulated clock and on the host. No crate declares a bench target, no
 # BENCH_*.json is committed beside it, and nothing imports a bench harness
