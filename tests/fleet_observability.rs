@@ -10,8 +10,8 @@
 //! deliberately here (a planted cardinality mis-estimate, a
 //! chaos-degraded link, an admission queue under pressure).
 //!
-//! The slow-query log is pinned as a golden file under `tests/golden/`.
-//! Regenerate deliberately with:
+//! The slow-query log and the serve views (`obs_serve.txt`) are pinned as
+//! golden files under `tests/golden/`. Regenerate deliberately with:
 //!
 //! ```text
 //! BLESS_GOLDEN=1 cargo test --test fleet_observability
@@ -258,13 +258,22 @@ fn watchdog_flags_admission_pressure() {
     assert!(*max_queued_us >= 1);
 }
 
-/// The slow-query log of a fixed-seed serve run is pinned as a golden
-/// JSON snapshot: any change to the recorder's event stream, the breach
-/// logic, the trace enrichment or the JSON shape shows up as a readable
-/// diff. A zero latency threshold makes every completed query "slow", so
-/// the snapshot covers the full record shape.
-#[test]
-fn slow_query_log_matches_golden_snapshot() {
+/// Compares `text` with the golden file `tests/golden/<name>`, or writes
+/// it there under `BLESS_GOLDEN=1`.
+fn assert_golden(name: &str, text: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden snapshot {path:?} ({e}); bless with BLESS_GOLDEN=1")
+    });
+    assert_eq!(text, want, "{name} diverges from {path:?}");
+}
+
+/// The fixed-seed serve run the golden snapshots pin, traced and recorded.
+fn golden_serve_run() -> fedlake_serve::ServeRun {
     let spec = ServeSpec {
         clients: 4,
         queries_per_client: 1,
@@ -279,8 +288,34 @@ fn slow_query_log_matches_golden_snapshot() {
     // The snapshot pins the *heuristic* plan shape: cost-ordered plans
     // have different operators.
     cfg.cost_based = false;
-    let r = run(&FederatedEngine::new(lake, cfg), &spec).unwrap();
+    run(&FederatedEngine::new(lake, cfg), &spec).unwrap()
+}
 
+/// The fleet views of the golden serve run are pinned byte for byte: the
+/// serve Chrome trace, the HTML timeline, the watchdog's verdict and the
+/// Prometheus exposition of the rollup.
+#[test]
+fn serve_views_match_golden_snapshot() {
+    let r = golden_serve_run();
+    let recording = r.outcome.recording.as_ref().expect("recorder on");
+    let text = format!(
+        "== serve chrome trace ==\n{}== serve timeline html ==\n{}== watchdog ==\n{}== prometheus ==\n{}",
+        fedlake_core::serve_chrome_trace(recording),
+        fedlake_core::serve_timeline_html(recording),
+        watch(recording, &WatchdogConfig::default()).render(),
+        r.outcome.metrics.prometheus(),
+    );
+    assert_golden("obs_serve.txt", &text);
+}
+
+/// The slow-query log of a fixed-seed serve run is pinned as a golden
+/// JSON snapshot: any change to the recorder's event stream, the breach
+/// logic, the trace enrichment or the JSON shape shows up as a readable
+/// diff. A zero latency threshold makes every completed query "slow", so
+/// the snapshot covers the full record shape.
+#[test]
+fn slow_query_log_matches_golden_snapshot() {
+    let r = golden_serve_run();
     let slow = SlowLogConfig { latency: Some(Duration::ZERO), ..Default::default() };
     let records = r.slow_queries(&slow);
     assert_eq!(records.len(), 4, "zero threshold must capture every job");
@@ -292,17 +327,7 @@ fn slow_query_log_matches_golden_snapshot() {
         // job (fleet `transfer` events), not the slow-query record's.
         assert!(!rec.sources.is_empty(), "{}: per-service rows missing", rec.label);
     }
-    let json = fedlake_core::slow_log_json(&records);
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/slow_query.json");
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::write(&path, &json).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden snapshot {path:?} ({e}); bless with BLESS_GOLDEN=1")
-    });
-    assert_eq!(json, want, "slow-query log diverges from {path:?}");
+    assert_golden("slow_query.json", &fedlake_core::slow_log_json(&records));
 }
 
 /// The `Mix` used above must include multi-source templates so the serve

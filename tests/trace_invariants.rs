@@ -6,13 +6,21 @@
 //! spans' row and message counts agree with `FedStats` and the per-link
 //! counters, so `EXPLAIN ANALYZE` never lies about the execution it
 //! annotates).
+//!
+//! The views themselves are pinned as a golden file,
+//! `tests/golden/obs_solo.txt`. Regenerate deliberately with:
+//!
+//! ```text
+//! BLESS_GOLDEN=1 cargo test --test trace_invariants
+//! ```
 
-use fedlake_core::obs::{Span, SpanKind};
-use fedlake_core::{FedResult, FederatedEngine, PlanConfig, PlanMode};
+use fedlake_core::obs::{FlightRecording, Span, SpanKind, NO_JOB};
+use fedlake_core::{EngineJoin, FedResult, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::{FaultPlan, NetworkProfile};
 use fedlake_sparql::parser::parse_query;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn run(q: &workload::WorkloadQuery, cfg: PlanConfig) -> FedResult {
@@ -356,6 +364,74 @@ fn chaos_counters_reconcile_with_spans() {
     assert_eq!(retries, r.stats.retries, "retry counters vs stats");
     assert_eq!(messages, count(SpanKind::Transfer), "message counters vs transfer spans");
     assert_eq!(obs.metrics.counter("engine.retries"), r.stats.retries);
+}
+
+/// One traced and recorded run's views, as the golden file holds them:
+/// EXPLAIN ANALYZE, the Chrome trace, the metrics registry, and the
+/// recording as one `seq time_ns job kind` line per event.
+fn obs_views(title: &str, r: &FedResult, recording: &FlightRecording) -> String {
+    let obs = r.obs.as_ref().expect("tracing on");
+    let mut out = format!("== {title} ==\n-- explain analyze\n{}", r.explain_analyze().unwrap());
+    out.push_str(&format!("-- chrome trace\n{}", r.chrome_trace().unwrap()));
+    out.push_str(&format!("-- metrics\n{}-- recording\n", obs.metrics.render()));
+    for e in &recording.events {
+        let job = if e.job == NO_JOB { "-".to_string() } else { e.job.to_string() };
+        out.push_str(&format!("{} {} {job} {}\n", e.seq, e.time.as_nanos(), e.kind.name()));
+    }
+    out.push_str(&format!("dropped {}\n", recording.dropped));
+    out
+}
+
+/// The views of a traced and recorded solo run are pinned byte for byte:
+/// Q3 under Gamma2 with `diseasome#r0` dark (faults, timeouts, backoffs,
+/// retries and a failover) on both schedules and through the reference
+/// executor, plus unaware Q3 under a bind join (bind-batch spans).
+#[test]
+fn solo_views_match_golden_snapshot() {
+    let q = workload::q3();
+    let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+    let engine = |mut cfg: PlanConfig, lake: &fedlake_core::DataLake| {
+        cfg.tracing = true;
+        cfg.recorder = true;
+        FederatedEngine::new(lake.clone(), cfg)
+    };
+    let mut replicated = lake.clone();
+    replicated.set_replicas("diseasome", 2);
+    let dark = FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE };
+
+    let mut out = String::new();
+    for (title, overlap, reference) in [
+        ("Q3 aware Gamma2 diseasome#r0 dark, serialized", false, false),
+        ("Q3 aware Gamma2 diseasome#r0 dark, overlapped", true, false),
+        ("Q3 aware Gamma2 diseasome#r0 dark, reference", false, true),
+    ] {
+        let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA2);
+        cfg.overlap = overlap;
+        let mut e = engine(cfg, &replicated);
+        e.set_source_faults("diseasome#r0", dark);
+        let planned = e.plan(&parse_query(&q.sparql).unwrap()).unwrap();
+        let r = if reference {
+            e.execute_planned_reference(&planned).unwrap()
+        } else {
+            e.execute_planned(&planned).unwrap()
+        };
+        out.push_str(&obs_views(title, &r, &e.flight_recording().unwrap()));
+    }
+    let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA1);
+    cfg.engine_join = EngineJoin::Bind { batch_size: 8 };
+    let e = engine(cfg, &lake);
+    let r = e.execute_sparql(&q.sparql).unwrap();
+    out.push_str(&obs_views("Q3 unaware Gamma1 bind join", &r, &e.flight_recording().unwrap()));
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_solo.txt");
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(&path, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden snapshot {path:?} ({e}); bless with BLESS_GOLDEN=1")
+    });
+    assert_eq!(out, want, "solo observability views diverge from {path:?}");
 }
 
 #[test]
