@@ -227,6 +227,33 @@ fn watchdog_flags_a_chaos_degraded_link() {
     assert_eq!(*faulted, 3);
 }
 
+/// One degraded replicated source is one anomaly: with `diseasome#r0`
+/// dark, the faults land on the endpoint and the failover on the logical
+/// source, and the watchdog reports both under the logical source —
+/// `LinkDegraded::source` is documented as the logical id.
+#[test]
+fn watchdog_flags_a_degraded_replicated_source_once() {
+    let q = workload::q3(); // two sources: "linkedct" + "diseasome"
+    let mut lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
+    lake.set_replicas("diseasome", 2);
+    let mut engine = FederatedEngine::new(lake, config(true));
+    engine.set_source_faults(
+        "diseasome#r0",
+        FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE },
+    );
+    engine.execute_sparql(&q.sparql).unwrap();
+
+    let recording = engine.flight_recording().expect("recorder on");
+    let report = watch(&recording, &WatchdogConfig::default());
+    let flagged: Vec<_> = report.of_kind("link-degraded").map(|a| a.kind.clone()).collect();
+    assert_eq!(
+        flagged,
+        [AnomalyKind::LinkDegraded { source: "diseasome".into(), faulted: 4, failovers: 1 }],
+        "one degraded source, one anomaly:\n{}",
+        report.render()
+    );
+}
+
 /// Admission pressure is caught as a typed anomaly: a closed batch of
 /// eight clients against a single admission slot queues everyone behind
 /// the head job, breaching any small wait threshold.
