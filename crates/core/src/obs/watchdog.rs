@@ -15,14 +15,16 @@
 //!   actual service rows) reaches `misestimate_x100`. This is the signal
 //!   the roadmap's adaptive re-optimization consumes: the plan was built
 //!   on statistics the execution just falsified.
-//! * **LinkDegraded** — a link whose faulted transfers in the window reach
-//!   `link_fault_threshold`, or any failover away from it (a failover is
-//!   always anomalous: the primary replica died mid-query).
+//! * **LinkDegraded** — a logical source whose endpoints' faulted
+//!   transfers in the window reach `link_fault_threshold` together, or any
+//!   failover away from one of them (a failover is always anomalous: the
+//!   primary replica died mid-query).
 //! * **AdmissionPressure** — the admission queue held at least
 //!   `queue_breach_threshold` jobs past `queue_wait` in the window.
 
 use super::metrics::nearest_rank;
 use super::recorder::{CompletionKind, FleetEventKind, FlightRecording};
+use crate::lake::logical_source_id;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -34,8 +36,8 @@ pub struct WatchdogConfig {
     /// q-error ×100 at which a `source-rows` event becomes a
     /// [`AnomalyKind::Misestimate`] (800 = estimate off by 8×).
     pub misestimate_x100: u64,
-    /// Faulted transfers on one link within a window at which the link is
-    /// flagged [`AnomalyKind::LinkDegraded`].
+    /// Faulted transfers on one logical source's links within a window at
+    /// which the source is flagged [`AnomalyKind::LinkDegraded`].
     pub link_fault_threshold: u64,
     /// Admission wait a job may sit in the queue before it counts as a
     /// queue breach.
@@ -346,22 +348,20 @@ pub fn watch(recording: &FlightRecording, cfg: &WatchdogConfig) -> WatchdogRepor
         for kind in std::mem::take(&mut scratch.misestimates) {
             report.anomalies.push(Anomaly { window: idx, at: start, kind });
         }
-        // Link anomalies: a fault count past the threshold, or any
-        // failover (the set of flagged sources is the union, keyed and
-        // iterated in BTreeMap order).
-        let mut flagged: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        // Link anomalies, per logical source: its endpoints' faults summed
+        // past the threshold, or any failover away from one of them
+        // (keyed and iterated in BTreeMap order).
+        let mut sources: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for (link, faults) in &scratch.rollup.link_faults {
-            if *faults >= cfg.link_fault_threshold {
-                flagged.entry(link.as_str()).or_default().0 = *faults;
-            }
+            sources.entry(logical_source_id(link)).or_default().0 += faults;
         }
         for (logical, n) in &scratch.rollup.failovers {
-            let e = flagged.entry(logical.as_str()).or_default();
-            e.1 = *n;
-            // Carry the fault count even when below threshold, for context.
-            e.0 = e.0.max(scratch.rollup.link_faults.get(logical.as_str()).copied().unwrap_or(0));
+            sources.entry(logical.as_str()).or_default().1 = *n;
         }
-        for (source, (faulted, failovers)) in flagged {
+        for (source, (faulted, failovers)) in sources {
+            if faulted < cfg.link_fault_threshold && failovers == 0 {
+                continue;
+            }
             report.anomalies.push(Anomaly {
                 window: idx,
                 at: start,
