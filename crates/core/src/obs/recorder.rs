@@ -250,9 +250,6 @@ impl NetObserver for RecorderShared {
             },
         );
     }
-    // `on_failover` keeps the trait's no-op default: failovers are
-    // recorded with query attribution through the per-query handle, so a
-    // link-level record here would double-count them.
 }
 
 /// Everything the recorder captured, snapshot by
@@ -616,12 +613,6 @@ impl NetObserver for FanoutObserver {
     fn on_queue_depth(&self, depth: usize) {
         for obs in &self.0 {
             obs.on_queue_depth(depth);
-        }
-    }
-
-    fn on_failover(&self, logical: &str, from: &str, to: &str) {
-        for obs in &self.0 {
-            obs.on_failover(logical, from, to);
         }
     }
 }

@@ -246,9 +246,6 @@ pub fn schedule_transfer_with_retry(
             at = failed_at;
             let (next, _) = route.endpoint(idx + 1);
             route.set_active(idx + 1);
-            if let Some(obs) = link.observer() {
-                obs.on_failover(route.logical(), endpoint, next);
-            }
             ctx.recorder.failover(at, route.logical(), endpoint, next);
             idx += 1;
             attempt = 0;

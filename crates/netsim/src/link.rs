@@ -272,14 +272,6 @@ impl Link {
         &self.label
     }
 
-    /// The observer attached to this link, if any. Failover lives above
-    /// the link layer (a link is one connection to one endpoint), so the
-    /// component that switches links needs the observer to report
-    /// [`NetObserver::on_failover`] itself.
-    pub fn observer(&self) -> Option<&std::sync::Arc<dyn NetObserver>> {
-        self.observer.as_ref()
-    }
-
     /// Traffic accumulated so far.
     pub fn stats(&self) -> LinkStats {
         self.state.lock().stats

@@ -37,12 +37,4 @@ pub trait NetObserver: std::fmt::Debug + Send + Sync {
     fn on_queue_depth(&self, depth: usize) {
         let _ = depth;
     }
-
-    /// A stream exhausted its retry budget on the replica endpoint `from`
-    /// of logical source `logical` and failed over to endpoint `to`.
-    /// Like every hook this is purely informational: the failover already
-    /// happened when it is reported.
-    fn on_failover(&self, logical: &str, from: &str, to: &str) {
-        let _ = (logical, from, to);
-    }
 }
