@@ -18,6 +18,7 @@
 use crate::lake::logical_source_id;
 use crate::obs::recorder::{CompletionKind, FleetEventKind, FlightRecording, NO_JOB};
 use crate::obs::span::{Span, SpanKind, TraceReport};
+use crate::results::json_escape as esc;
 use std::time::Duration;
 
 /// Splits a span lane into its display lane and replica sub-label:
@@ -37,23 +38,6 @@ fn lane_parts(lane: &str) -> (String, Option<&str>) {
 fn fmt_us(d: Duration) -> String {
     let ns = d.as_nanos();
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn event(span: &Span, tid: usize, replica: Option<&str>, out: &mut String) {
@@ -398,13 +382,6 @@ mod tests {
         assert_eq!(fmt_us(Duration::from_nanos(1)), "0.001");
         assert_eq!(fmt_us(Duration::from_micros(1500)), "1500.000");
         assert_eq!(fmt_us(Duration::from_nanos(1_234_567)), "1234.567");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("x\ny"), "x\\ny");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use super::analyze::q_error;
 use super::recorder::{FleetEventKind, FlightRecording, NO_JOB};
 use super::span::TraceReport;
+use crate::results::json_escape as esc;
 use std::time::Duration;
 
 /// Breach thresholds for the slow-query log.
@@ -120,22 +121,6 @@ pub struct SlowQueryRecord {
     pub operators: Vec<SlowOperator>,
     /// Per-link wait breakdown (trace enrichment; empty when untraced).
     pub links: Vec<SlowLink>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `f64` as stable JSON: integral values print without a fraction
@@ -445,7 +430,6 @@ mod tests {
         assert!(a.contains("\"estimated_rows\":1000"));
         assert!(a.contains("\"sources\":[{\"source\":\"chebi\""));
         assert!(a.ends_with("}\n]\n"));
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(num(2.5), "2.5");
         assert_eq!(num(1000.0), "1000");
     }
