@@ -200,9 +200,9 @@ pub struct PlanConfig {
     /// deadline fires) return the answers produced so far with
     /// `FedStats::degraded` set, instead of failing the whole query.
     pub degraded_ok: bool,
-    /// Record a deterministic trace of the execution: spans, metrics, the
-    /// analyzed plan and a Chrome trace, returned on
-    /// [`crate::FedResult::obs`]. Recording is passive — answers, stats
+    /// Keep each query's detail in the recorder: the deterministic trace
+    /// — spans, metrics, the analyzed plan and a Chrome trace — returned
+    /// on [`crate::FedResult::obs`]. Recording is passive — answers, stats
     /// and RNG streams are byte-identical with it on or off.
     pub tracing: bool,
     /// Statistics-driven cost-based planning: order the joins between
@@ -213,12 +213,13 @@ pub struct PlanConfig {
     /// keeps the paper's heuristic ordering. Answers are identical either
     /// way; only the plan shape (and thus timing/traffic) differs.
     pub cost_based: bool,
-    /// Fleet flight recorder: keep a bounded, deterministic ring of
-    /// structured lifecycle events (submit/admit/plan/first-row/retry/
-    /// failover/deadline/complete) for every query the engine runs, read
-    /// back through [`crate::FederatedEngine::flight_recording`]. Like
-    /// tracing, recording is contractually passive — answers, stats and
-    /// RNG streams are byte-identical with it on or off.
+    /// Fleet flight recording: keep the recorder's structured lifecycle
+    /// events (submit/admit/plan/first-row/retry/failover/deadline/
+    /// complete) of every query the engine runs in a bounded,
+    /// deterministic session ring, read back through
+    /// [`crate::FederatedEngine::flight_recording`]. The same passivity
+    /// contract as tracing: answers, stats and RNG streams are
+    /// byte-identical with it on or off.
     pub recorder: bool,
 }
 

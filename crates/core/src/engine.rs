@@ -68,9 +68,9 @@ pub struct FedStats {
 impl FedStats {
     /// Assembles the statistics of one execution — the single constructor
     /// both executors use, so they cannot silently diverge on a new field.
-    /// When tracing is on, [`crate::obs::TraceSink::finish`] mirrors every
-    /// field into the metrics registry, where the reconciliation tests
-    /// compare them against the recorded spans.
+    /// When tracing is on, the trace report mirrors every field into its
+    /// metrics registry, where the reconciliation tests compare them
+    /// against the recorded spans.
     pub(crate) fn assemble(
         config: &PlanConfig,
         planned: &PlannedQuery,
@@ -158,11 +158,12 @@ pub struct FederatedEngine {
     /// [`DataLake::source_version`] and checked on every lookup (see
     /// [`crate::wrapper::LiftCache`]).
     lifts: crate::wrapper::SharedLiftCache,
-    /// Session flight recorder: a bounded ring of query-lifecycle events
-    /// across every execution and serve run of this engine. Disabled (a
-    /// `None` handle, one branch per hook) unless
-    /// [`PlanConfig::recorder`] is set.
-    recorder: crate::obs::FlightRecorder,
+    /// The session's recorder: every execution and serve run of this
+    /// engine opens its per-query handles here. It keeps the
+    /// query-lifecycle ring under [`PlanConfig::recorder`] and each
+    /// query's detail under [`PlanConfig::tracing`]; with neither, every
+    /// hook is one branch.
+    recorder: crate::obs::Recorder,
     /// Normalized plan cache (see [`crate::plancache`]): whole planned
     /// queries memoized behind the canonical query/config fingerprint,
     /// revalidated per lookup against the lake epoch and the relevant
@@ -203,7 +204,6 @@ pub(crate) struct Session<'a> {
     planned: &'a PlannedQuery,
     op: BoxedOp<'a>,
     pub(crate) ctx: ExecCtx,
-    pub(crate) sink: crate::obs::TraceSink,
     pub(crate) trace: AnswerTrace,
     slot_rows: Vec<SlotRow>,
     /// When the query arrived, on the session's clock.
@@ -237,7 +237,7 @@ pub(crate) enum Step {
 
 impl<'a> Session<'a> {
     /// Opens `planned` on `engine` over `links` (whose clock is `clock`).
-    /// `qrec` is the query's flight-recorder handle, already past its
+    /// `obs` is the query's handle on the recorder, already past its
     /// submit / admit / plan events; the query arrived at `arrival` on
     /// `clock` and `deadline` is relative to that; `serialized` asks for
     /// [`ExecCtx::serialized`], the paper's single-threaded wrapper loop.
@@ -247,8 +247,7 @@ impl<'a> Session<'a> {
         planned: &'a PlannedQuery,
         clock: &fedlake_netsim::SharedClock,
         links: &HashMap<String, Arc<Link>>,
-        sink: crate::obs::TraceSink,
-        qrec: &crate::obs::QueryRecorder,
+        obs: crate::obs::QueryObs,
         arrival: Duration,
         deadline: Option<Duration>,
         serialized: bool,
@@ -262,17 +261,14 @@ impl<'a> Session<'a> {
         .with_lifts(Arc::clone(&engine.lifts))
         .with_retry(engine.config.retry)
         .with_deadline(deadline.map(|d| arrival + d))
-        .with_trace(sink.clone())
-        .with_recorder(qrec.clone());
+        .with_obs(obs);
         if serialized {
             ctx = ctx.serialized();
         }
-        sink.begin_query(&planned.plan, &engine.config.mode.label());
-        sink.record_plan_report(&planned.report);
 
         let mut next_node = 0u32;
         let mut op =
-            engine.build_operator(&planned.plan, &planned.schema, links, &sink, qrec, &mut next_node)?;
+            engine.build_operator(&planned.plan, &planned.schema, links, &ctx.obs, &mut next_node)?;
         // Solution modifiers around the streaming pipeline. The projection
         // is a slot remap resolved once per execution, not per row.
         let keep = planned.schema.slots_of(&planned.projection);
@@ -285,7 +281,6 @@ impl<'a> Session<'a> {
             planned,
             op,
             ctx,
-            sink,
             trace: AnswerTrace::new(),
             slot_rows: Vec::new(),
             arrival,
@@ -306,18 +301,14 @@ impl<'a> Session<'a> {
         if let Some(d) = self.ctx.deadline {
             let now = self.ctx.clock.now();
             if now >= d {
-                self.ctx.recorder.deadline_hit(now);
+                self.ctx.obs.deadline_hit(now);
                 self.fail(FedError::Timeout(d.saturating_sub(self.arrival)));
                 return Ok(Step::Finished);
             }
         }
         match self.op.poll_next(&mut self.ctx) {
             Ok(Poll::Ready(row)) => {
-                let now = self.ctx.clock.now();
-                self.ctx.trace.record_answer(&mut self.trace, now);
-                if self.ctx.recorder.is_enabled() && self.trace.count() == 1 {
-                    self.ctx.recorder.first_row(now);
-                }
+                self.ctx.obs.answer(&mut self.trace, self.ctx.clock.now());
                 self.slot_rows.push(row);
                 Ok(if self.want.is_some_and(|w| self.slot_rows.len() >= w) {
                     Step::Finished
@@ -359,7 +350,7 @@ impl<'a> Session<'a> {
     }
 
     /// Closes the session at the clock's time — the answer trace, then the
-    /// flight recorder's completion event — and returns the query's
+    /// recorder's completion event — and returns the query's
     /// result: rows take their handles on the interner's terms only here,
     /// at the API boundary, then ORDER BY, OFFSET and LIMIT apply. Empty
     /// when the session failed; an `Err` when a row holds an id the
@@ -393,13 +384,7 @@ impl<'a> Session<'a> {
             (None, true) => crate::obs::CompletionKind::Degraded,
             (None, false) => crate::obs::CompletionKind::Ok,
         };
-        self.ctx.recorder.complete(
-            now,
-            kind,
-            now.saturating_sub(self.arrival),
-            planned.report.estimated_rows,
-            rows.len() as u64,
-        );
+        self.ctx.obs.complete(now, kind, now.saturating_sub(self.arrival), rows.len() as u64);
         Ok(rows)
     }
 }
@@ -415,11 +400,7 @@ impl FederatedEngine {
             health: SourceHealth::new(),
             interner: SharedInterner::new(),
             lifts: Arc::default(),
-            recorder: if config.recorder {
-                crate::obs::FlightRecorder::recording()
-            } else {
-                crate::obs::FlightRecorder::disabled()
-            },
+            recorder: crate::obs::Recorder::new(&config),
             plan_cache: std::sync::Mutex::new(crate::plancache::PlanCache::new()),
         }
     }
@@ -494,13 +475,7 @@ impl FederatedEngine {
     /// drops the current one); an already-enabled recorder keeps
     /// recording across the switch.
     pub fn set_config(&mut self, config: PlanConfig) {
-        if config.recorder != self.recorder.is_enabled() {
-            self.recorder = if config.recorder {
-                crate::obs::FlightRecorder::recording()
-            } else {
-                crate::obs::FlightRecorder::disabled()
-            };
-        }
+        self.recorder.configure(&config);
         // The config fingerprint already keys cache entries, so old
         // entries could never wrongly hit — but they would sit as dead
         // weight. Drop them; counters survive (engine-lifetime).
@@ -508,9 +483,8 @@ impl FederatedEngine {
         self.config = config;
     }
 
-    /// The session's flight recorder (disabled unless
-    /// [`PlanConfig::recorder`] is set).
-    pub fn recorder(&self) -> &crate::obs::FlightRecorder {
+    /// The session's recorder.
+    pub(crate) fn recorder(&self) -> &crate::obs::Recorder {
         &self.recorder
     }
 
@@ -620,11 +594,10 @@ impl FederatedEngine {
         origin: crate::plancache::PlanOrigin,
     ) -> Result<FedResult, FedError> {
         let clock = shared_virtual();
-        let sink = if self.config.tracing {
-            crate::obs::TraceSink::recording()
-        } else {
-            crate::obs::TraceSink::disabled()
-        };
+        // A solo query is client 0, submitted and admitted at simulated
+        // time zero; its handle observes its links.
+        let obs = self.recorder.begin_query(0, "adhoc", planned, self.config.deadline, true);
+        obs.admit(Duration::ZERO, Duration::ZERO, origin.cached);
         let links = links_for(
             &self.lake,
             self.config.network,
@@ -632,21 +605,8 @@ impl FederatedEngine {
             self.config.cost,
             self.config.seed,
             &self.fault_plans(),
-            &sink,
-            &self.recorder,
+            &obs,
         );
-        // Register the execution with the flight recorder: a solo query
-        // is client 0, submitted and admitted at simulated time zero.
-        let qrec = self.recorder.begin_query(
-            0,
-            "adhoc",
-            planned.report.strategy.label(),
-            self.config.deadline,
-            || crate::obs::service_estimates(&planned.plan),
-        );
-        qrec.submit(Duration::ZERO);
-        qrec.admit(Duration::ZERO, Duration::ZERO);
-        qrec.plan(Duration::ZERO, &planned.report, planned.report.estimated_rows, origin.cached);
         // The paper's single-threaded wrapper loop is a policy of the one
         // pull protocol; only this driver ever asks for it.
         let mut session = Session::open(
@@ -654,8 +614,7 @@ impl FederatedEngine {
             planned,
             &clock,
             &links,
-            sink.clone(),
-            &qrec,
+            obs,
             Duration::ZERO,
             self.config.deadline,
             !self.config.overlap,
@@ -689,7 +648,7 @@ impl FederatedEngine {
             rows.len() as u64,
             degraded,
         );
-        let obs = sink.finish(&links, &stats);
+        let obs = ctx.obs.trace_report(&links, &stats);
         let mut explain = crate::explain::explain_plan(&planned.plan);
         explain.push_str(&format!(
             "plan: {}[fp={:016x}]\n",
@@ -713,16 +672,14 @@ impl FederatedEngine {
 
     // Node ids are assigned pre-order (node before children, children
     // left to right) — the same order `crate::obs::plan_nodes` walks, so a
-    // trace's node `i` is line `i` of the analyzed tree. Service leaves
-    // are claimed in the same pre-order by the flight recorder's
-    // `service_estimates` slots.
+    // trace's node `i` is line `i` of the analyzed tree and the recorder's
+    // node table has one row per operator built here.
     pub(crate) fn build_operator<'a>(
         &'a self,
         plan: &FedPlan,
         schema: &RowSchema,
         links: &HashMap<String, Arc<Link>>,
-        sink: &crate::obs::TraceSink,
-        qrec: &crate::obs::QueryRecorder,
+        obs: &crate::obs::QueryObs,
         next_node: &mut u32,
     ) -> Result<BoxedOp<'a>, FedError> {
         let node = *next_node;
@@ -730,25 +687,20 @@ impl FederatedEngine {
         let op: BoxedOp<'a> = match plan {
             FedPlan::Service(node) => {
                 let route = route_for(&node.source_id, &node.route, links)?;
-                let svc = open_service(node, &self.lake, route, self.config.rows_per_message)?;
-                if qrec.is_enabled() {
-                    Box::new(crate::obs::recorder::RecordServiceOp::new(svc, qrec))
-                } else {
-                    svc
-                }
+                open_service(node, &self.lake, route, self.config.rows_per_message)?
             }
             FedPlan::Join { left, right, on } => {
-                let l = self.build_operator(left, schema, links, sink, qrec, next_node)?;
-                let r = self.build_operator(right, schema, links, sink, qrec, next_node)?;
+                let l = self.build_operator(left, schema, links, obs, next_node)?;
+                let r = self.build_operator(right, schema, links, obs, next_node)?;
                 Box::new(SymHashJoin::new(l, r, schema.slots_of(on)))
             }
             FedPlan::LeftJoin { left, right, on } => {
-                let l = self.build_operator(left, schema, links, sink, qrec, next_node)?;
-                let r = self.build_operator(right, schema, links, sink, qrec, next_node)?;
+                let l = self.build_operator(left, schema, links, obs, next_node)?;
+                let r = self.build_operator(right, schema, links, obs, next_node)?;
                 Box::new(LeftHashJoin::new(l, r, schema.slots_of(on)))
             }
             FedPlan::BindJoin { left, right, batch_size } => {
-                let l = self.build_operator(left, schema, links, sink, qrec, next_node)?;
+                let l = self.build_operator(left, schema, links, obs, next_node)?;
                 let route = route_for(&right.source_id, &right.route, links)?;
                 Box::new(crate::wrapper::BindJoinOp::new(
                     l,
@@ -760,21 +712,17 @@ impl FederatedEngine {
                 )?)
             }
             FedPlan::Filter { input, exprs } => {
-                let i = self.build_operator(input, schema, links, sink, qrec, next_node)?;
+                let i = self.build_operator(input, schema, links, obs, next_node)?;
                 Box::new(FilterOp::new(i, exprs, schema))
             }
             FedPlan::Union(branches) => {
                 let ops = branches
                     .iter()
-                    .map(|b| self.build_operator(b, schema, links, sink, qrec, next_node))
+                    .map(|b| self.build_operator(b, schema, links, obs, next_node))
                     .collect::<Result<Vec<_>, _>>()?;
                 Box::new(UnionOp::new(ops))
             }
         };
-        Ok(if sink.is_enabled() {
-            Box::new(crate::obs::span::SpanOp::new(op, node, sink.clone()))
-        } else {
-            op
-        })
+        Ok(obs.wrap(node, op, |w| Box::new(w)))
     }
 }

@@ -89,8 +89,8 @@ pub use health::{EndpointHealth, HealthView, SourceHealth};
 pub use lake::{logical_source_id, DataLake};
 pub use obs::{
     chrome_trace, explain_analyze, serve_chrome_trace, serve_timeline_html, slow_log_json,
-    slow_queries, watch, FlightRecorder, FlightRecording, MetricsRegistry, SlowLogConfig,
-    SlowQueryRecord, TraceReport, TraceSink, WatchdogConfig, WatchdogReport,
+    slow_queries, watch, FlightRecording, MetricsRegistry, SlowLogConfig, SlowQueryRecord,
+    TraceReport, WatchdogConfig, WatchdogReport,
 };
 pub use ir::LogicalPlan;
 pub use plancache::{PlanCacheStats, PlanOrigin};

@@ -11,42 +11,31 @@
 
 use crate::explain::{indent, node_line};
 use crate::fedplan::FedPlan;
-use crate::obs::span::TraceReport;
+use crate::obs::span::{NodeReport, TraceReport};
 use std::time::Duration;
 
-/// One plan node in pre-order: its tree depth, its EXPLAIN line, and the
-/// source it requests from (service and bind-join nodes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanNode {
-    /// Depth in the plan tree (root = 0).
-    pub depth: usize,
-    /// The node's EXPLAIN line (shared with [`crate::explain`]).
-    pub label: String,
-    /// The source this node sends requests to, when it is a leaf request.
-    pub source: Option<String>,
-    /// The planner's estimated output rows of this subtree — compared
-    /// against `rows_out` by EXPLAIN ANALYZE's estimation-error column.
-    pub estimated: f64,
-}
-
-/// The plan's nodes in pre-order (the span node-id order).
-pub fn plan_nodes(plan: &FedPlan) -> Vec<PlanNode> {
+/// The plan's node table in pre-order (the node-id order), actuals at zero.
+pub fn plan_nodes(plan: &FedPlan) -> Vec<NodeReport> {
     let mut nodes = Vec::new();
     walk(plan, 0, &mut nodes);
     nodes
 }
 
-fn walk(plan: &FedPlan, depth: usize, nodes: &mut Vec<PlanNode>) {
+fn walk(plan: &FedPlan, depth: usize, nodes: &mut Vec<NodeReport>) {
     let source = match plan {
         FedPlan::Service(s) => Some(s.source_id.clone()),
         FedPlan::BindJoin { right, .. } => Some(right.source_id.clone()),
         _ => None,
     };
-    nodes.push(PlanNode {
+    nodes.push(NodeReport {
         depth,
         label: node_line(plan),
         source,
+        service: matches!(plan, FedPlan::Service(_)),
         estimated: plan.estimated_rows(),
+        rows_out: 0,
+        first: None,
+        done: None,
     });
     match plan {
         FedPlan::Service(_) => {}

@@ -454,22 +454,24 @@ mod tests {
 
     #[test]
     fn serve_exports_render_clients_and_links() {
-        use crate::obs::recorder::{CompletionKind, FlightRecorder};
-        let rec = FlightRecorder::recording();
-        let q = rec.begin_query(3, "Q1[a]", "dp", None, Vec::new);
-        q.submit(Duration::ZERO);
-        q.admit(Duration::from_millis(2), Duration::from_millis(2));
-        q.first_row(Duration::from_millis(5));
-        q.complete(
-            Duration::from_millis(9),
-            CompletionKind::Ok,
-            Duration::from_millis(9),
-            4.0,
-            4,
+        let ms = Duration::from_millis;
+        let done = FleetEventKind::Complete {
+            outcome: CompletionKind::Ok,
+            latency: ms(9),
+            estimated_rows: 4.0,
+            rows: 4,
+        };
+        let xfer = FleetEventKind::Transfer { link: "chebi#r1".into(), rows: 4, faulted: false };
+        let recording = FlightRecording::by_hand(
+            &[(3, "Q1[a]", "dp", None)],
+            vec![
+                (ms(0), 0, FleetEventKind::Submit),
+                (ms(2), 0, FleetEventKind::Admit { queued: ms(2) }),
+                (ms(5), 0, FleetEventKind::FirstRow),
+                (ms(9), 0, done),
+                (ms(4), NO_JOB, xfer),
+            ],
         );
-        let obs = rec.net_observer().unwrap();
-        obs.on_transfer("chebi#r1", 4, Duration::from_millis(3), Duration::from_millis(4), None);
-        let recording = rec.snapshot().unwrap();
 
         let json = serve_chrome_trace(&recording);
         assert!(json.contains("\"name\":\"client:3\""));

@@ -1,12 +1,16 @@
-//! Observability: deterministic spans, metrics, and renderers.
+//! Observability: one recorder, and the views over what it keeps.
 //!
-//! Everything here is driven by the simulated clock and recorded through a
-//! [`TraceSink`] threaded from the executors down into netsim, so one
-//! traced run yields: the span tree ([`span`]), a metrics registry
-//! ([`metrics`]), an annotated plan tree ([`analyze`]) and a
-//! Perfetto-loadable Chrome trace ([`export`]). The sink is a no-op when
-//! [`crate::PlanConfig::tracing`] is off, and recording is passive —
-//! enabling it never changes answers, stats, or RNG streams.
+//! Every hook — in both executors, the serve loop, the wrapper streams and
+//! (as a passive `NetObserver`) netsim's links and event queue — appends
+//! one event to the recorder ([`recorder`]), stamped by the simulated
+//! clock. [`crate::PlanConfig::recorder`] keeps the lifecycle events in a
+//! session-wide ring ([`FlightRecording`]); [`crate::PlanConfig::tracing`]
+//! keeps each query's detail, folded into its [`TraceReport`] ([`span`]).
+//! Everything else is a view: the metrics registry ([`metrics`]), the
+//! analyzed plan tree ([`analyze`]), the Chrome traces and the serve
+//! timeline ([`export`]), the slow-query log ([`slowlog`]) and the SLO
+//! watchdog ([`watchdog`]). Recording is passive — keeping either part
+//! never changes answers, stats, or RNG streams.
 
 pub mod analyze;
 pub mod export;
@@ -16,13 +20,11 @@ pub mod slowlog;
 pub mod span;
 pub mod watchdog;
 
-pub use analyze::{explain_analyze, plan_nodes, PlanNode};
+pub use analyze::{explain_analyze, plan_nodes};
 pub use export::{chrome_trace, serve_chrome_trace, serve_timeline_html};
 pub use metrics::{nearest_rank, Metric, MetricsRegistry};
-pub use recorder::{
-    service_estimates, CompletionKind, FleetEvent, FleetEventKind, FlightRecorder,
-    FlightRecording, JobMeta, QueryRecorder, NO_JOB,
-};
+pub(crate) use recorder::{NodeOp, QueryObs, Recorder, SourceSpan};
+pub use recorder::{CompletionKind, FleetEvent, FleetEventKind, FlightRecording, JobMeta, NO_JOB};
 pub use slowlog::{slow_log_json, slow_queries, SlowLogConfig, SlowQueryRecord};
-pub use span::{NodeReport, SourceReport, Span, SpanKind, TraceReport, TraceSink};
+pub use span::{NodeReport, SourceReport, Span, SpanKind, TraceReport};
 pub use watchdog::{watch, Anomaly, AnomalyKind, WatchdogConfig, WatchdogReport, WindowRollup};

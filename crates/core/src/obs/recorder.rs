@@ -1,41 +1,56 @@
-//! The fleet flight recorder: a bounded, deterministic ring of
-//! structured query-lifecycle events.
+//! The one recorder: every observability hook appends one event to it.
 //!
-//! Where the span recorder ([`crate::obs::span`]) captures one execution
-//! in depth, the flight recorder captures *every* query the engine runs —
-//! solo executions, reference re-executions and whole serve runs — as a
-//! flat sequence of [`FleetEvent`]s (submit / admit / plan / first-row /
-//! retry / failover / deadline / complete), each stamped with the
-//! simulated time and a recorder-assigned sequence number. The ring is
-//! bounded: when it is full the oldest event is evicted and counted in
-//! [`FlightRecording::dropped`], so memory stays constant under an
-//! arbitrarily long serve run.
+//! [`Recorder`] is the engine's session handle; [`QueryObs`] is the
+//! per-query handle it opens for every execution — solo, reference or
+//! served. That handle is the one observability field of [`ExecCtx`], the
+//! one argument `Session::open`, `build_operator` and `links_for` take, and
+//! the one [`NetObserver`] on links and the event queue. Every hook appends
+//! one [`Event`]; the configuration selects what is *kept*:
 //!
-//! The determinism contract is the span recorder's, verbatim: the
-//! recorder never draws randomness, never advances any clock, and every
-//! record call happens at a point the unrecorded execution reaches anyway
-//! — so enabling it cannot perturb answers, stats, or RNG streams.
-//! Disabled, both handles are a `None` and every hook is one branch.
+//! * [`crate::PlanConfig::recorder`] keeps the lifecycle events — submit,
+//!   admit, plan, first-row, retry, failover, deadline, source-rows,
+//!   complete, and every link attempt as a fleet-level `transfer` — in the
+//!   session's bounded ring, each stamped with the next sequence number.
+//!   When the ring is full the oldest event is evicted and counted, so
+//!   memory stays constant under an arbitrarily long serve run. The
+//!   [`FlightRecording`] snapshot is what the watchdog, the slow-query log
+//!   and the serve exporters fold.
+//! * [`crate::PlanConfig::tracing`] keeps the query's detail — link
+//!   attempts, timeouts, backoffs, source compute, bind batches, queue
+//!   depths, answers — which [`crate::obs::span`] folds into the query's
+//!   [`TraceReport`].
 //!
-//! Consumers: the SLO/anomaly watchdog ([`crate::obs::watchdog`]) folds a
-//! [`FlightRecording`] into windowed rollups, and the serve timeline
-//! exporters ([`crate::obs::export`]) render it as a Chrome trace / HTML
-//! with one lane per client and per link.
+//! Only ring events take sequence numbers, so keeping the detail too never
+//! moves a ring's `seq`s or evictions. Beside its events the per-query
+//! handle holds the plan's pre-order node table with live actuals, fed by
+//! the one node wrapper [`NodeOp`] in both executors: they are the trace's
+//! operator spans and the ring's per-service `source-rows`.
+//!
+//! The passivity contract: the recorder never draws randomness, never
+//! advances a clock, and every hook fires at a point the unrecorded
+//! execution reaches anyway — so keeping either part cannot perturb
+//! answers, stats or RNG streams. With both off the handles are `None` and
+//! every hook is one branch.
 
-use crate::fedplan::FedPlan;
+use crate::config::PlanConfig;
+use crate::engine::FedStats;
+use crate::error::FedError;
+use crate::obs::analyze::plan_nodes;
+use crate::obs::span::{NodeReport, SpanKind, TraceReport};
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
-use crate::planner::PlanReport;
-use fedlake_netsim::{LinkFault, NetObserver};
+use crate::planner::{PlanReport, PlannedQuery};
+use crate::trace::AnswerTrace;
+use fedlake_netsim::{Link, LinkFault, NetObserver};
 use fedlake_sparql::binding::SlotRow;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Default event capacity of the ring (see [`FlightRecorder::bounded`]).
+/// Event capacity of the session ring.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// The job id carried by events not attributable to one query (link-level
-/// transfers observed on a shared serve link map).
+/// The job id carried by events not attributable to one query (link
+/// attempts are fleet-level).
 pub const NO_JOB: u32 = u32::MAX;
 
 /// How a query finished.
@@ -172,8 +187,8 @@ pub struct FleetEvent {
     pub kind: FleetEventKind,
 }
 
-/// Static metadata of one recorded query, registered at
-/// [`FlightRecorder::begin_query`] and joined to events by job id.
+/// Static metadata of one recorded query, registered when it begins and
+/// joined to events by job id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobMeta {
     /// Issuing client (0 for solo executions).
@@ -188,72 +203,7 @@ pub struct JobMeta {
     pub deadline: Option<Duration>,
 }
 
-#[derive(Debug, Clone)]
-struct ServiceSlot {
-    source: String,
-    estimated: f64,
-    rows: u64,
-}
-
-#[derive(Debug, Default)]
-struct RecorderState {
-    ring: VecDeque<FleetEvent>,
-    capacity: usize,
-    seq: u64,
-    dropped: u64,
-    jobs: Vec<JobMeta>,
-}
-
-impl RecorderState {
-    fn push(&mut self, time: Duration, job: u32, kind: FleetEventKind) {
-        if self.ring.len() >= self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        self.ring.push_back(FleetEvent { seq, time, job, kind });
-    }
-}
-
-/// The shared state behind an enabled recorder. Implements
-/// [`NetObserver`] so shared serve links report their transfers into the
-/// same event stream (as [`NO_JOB`] fleet events).
-#[derive(Debug)]
-pub struct RecorderShared {
-    state: Mutex<RecorderState>,
-}
-
-impl RecorderShared {
-    fn lock(&self) -> MutexGuard<'_, RecorderState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl NetObserver for RecorderShared {
-    fn on_transfer(
-        &self,
-        link: &str,
-        rows: usize,
-        _start: Duration,
-        end: Duration,
-        fault: Option<LinkFault>,
-    ) {
-        let mut st = self.lock();
-        st.push(
-            end,
-            NO_JOB,
-            FleetEventKind::Transfer {
-                link: link.to_string(),
-                rows: rows as u64,
-                faulted: fault.is_some(),
-            },
-        );
-    }
-}
-
-/// Everything the recorder captured, snapshot by
-/// [`FlightRecorder::recording`].
+/// Everything the ring holds, as a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecording {
     /// Retained events, oldest first, `seq` strictly increasing.
@@ -266,7 +216,38 @@ pub struct FlightRecording {
     pub capacity: usize,
 }
 
+impl JobMeta {
+    /// The metadata of `client`'s query `label`; its template is the label
+    /// up to the instance parameters.
+    pub(crate) fn new(
+        client: usize,
+        label: &str,
+        strategy: &'static str,
+        deadline: Option<Duration>,
+    ) -> Self {
+        let template = label.split('[').next().unwrap_or(label).to_string();
+        JobMeta { client, label: label.to_string(), template, strategy, deadline }
+    }
+}
+
 impl FlightRecording {
+    /// A recording written by hand, for the views' tests: `jobs` as
+    /// `(client, label, strategy, deadline)`, `events` as `(time, job,
+    /// kind)` in sequence order.
+    #[cfg(test)]
+    pub(crate) fn by_hand(
+        jobs: &[(usize, &str, &'static str, Option<Duration>)],
+        events: Vec<(Duration, u32, FleetEventKind)>,
+    ) -> Self {
+        let jobs = jobs.iter().map(|&(c, label, s, d)| JobMeta::new(c, label, s, d)).collect();
+        let events = events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (time, job, kind))| FleetEvent { seq: seq as u64, time, job, kind })
+            .collect();
+        FlightRecording { events, jobs, dropped: 0, capacity: DEFAULT_RING_CAPACITY }
+    }
+
     /// The metadata of `job`, when it is a real query id.
     pub fn meta(&self, job: u32) -> Option<&JobMeta> {
         if job == NO_JOB {
@@ -281,322 +262,227 @@ impl FlightRecording {
     }
 }
 
-/// A cloneable handle to the flight recorder — `None` when recording is
-/// disabled, making every hook a single branch on the hot path.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder(Option<Arc<RecorderShared>>);
+/// A span on a source's lane as a wrapper stream reports it; the label is
+/// written when the trace is folded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum SourceSpan {
+    /// The receiver's detection timeout after a faulted attempt.
+    Timeout,
+    /// The backoff after failed attempt `attempt` (0-based).
+    Backoff { attempt: u32 },
+    /// The source's evaluation of a request.
+    Compute(&'static str),
+    /// One bind-join batch round trip for `left_rows` bindings.
+    BindBatch { left_rows: usize },
+}
 
-impl FlightRecorder {
-    /// The no-op recorder (the default).
-    pub fn disabled() -> Self {
-        FlightRecorder(None)
+impl SourceSpan {
+    pub(crate) fn kind(self) -> SpanKind {
+        match self {
+            SourceSpan::Timeout => SpanKind::Timeout,
+            SourceSpan::Backoff { .. } => SpanKind::Backoff,
+            SourceSpan::Compute(_) => SpanKind::Compute,
+            SourceSpan::BindBatch { .. } => SpanKind::BindBatch,
+        }
     }
 
-    /// A recording ring holding at most `capacity` events (min 1).
-    pub fn bounded(capacity: usize) -> Self {
-        FlightRecorder(Some(Arc::new(RecorderShared {
-            state: Mutex::new(RecorderState {
-                capacity: capacity.max(1),
-                ..RecorderState::default()
-            }),
-        })))
+    pub(crate) fn label(self) -> String {
+        match self {
+            SourceSpan::Timeout => "detection timeout".to_string(),
+            SourceSpan::Backoff { attempt } => format!("backoff before attempt {}", attempt + 2),
+            SourceSpan::Compute(what) => what.to_string(),
+            SourceSpan::BindBatch { left_rows } => format!("bind batch ({left_rows} left rows)"),
+        }
+    }
+}
+
+/// What one hook appends.
+#[derive(Debug, Clone)]
+pub(crate) enum Event {
+    /// A lifecycle event of the query (ring).
+    Life { time: Duration, kind: FleetEventKind },
+    /// One link attempt over `[start, end]` (ring, as a fleet-level
+    /// `transfer`, and detail).
+    Transfer { link: String, rows: u64, start: Duration, end: Duration, fault: Option<LinkFault> },
+    /// One span on a source's lane (detail).
+    Source { span: SourceSpan, endpoint: String, start: Duration, end: Duration, rows: u64 },
+    /// The event queue's pending count changed (detail; the queue keeps no
+    /// clock, so this one event has no time).
+    QueueDepth(u64),
+    /// Answer number `n` left the engine at `time` (detail).
+    Answer { time: Duration, n: u64 },
+}
+
+/// The session's bounded ring of lifecycle events.
+#[derive(Debug)]
+struct Ring {
+    events: VecDeque<FleetEvent>,
+    capacity: usize,
+    /// The next sequence number; it keeps counting past evictions.
+    seq: u64,
+    dropped: u64,
+    jobs: Vec<JobMeta>,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Ring { events: VecDeque::new(), capacity, seq: 0, dropped: 0, jobs: Vec::new() }
     }
 
-    /// A recording ring with the default capacity.
-    pub fn recording() -> Self {
-        Self::bounded(DEFAULT_RING_CAPACITY)
+    fn push(&mut self, time: Duration, job: u32, kind: FleetEventKind) {
+        if self.events.len() >= self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(FleetEvent { seq: self.seq, time, job, kind });
+        self.seq += 1;
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The engine's session handle: the ring, when [`PlanConfig::recorder`]
+/// keeps lifecycle events, and whether queries keep their detail
+/// ([`PlanConfig::tracing`]).
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
+    ring: Option<Arc<Mutex<Ring>>>,
+    detail: bool,
+}
+
+impl Recorder {
+    /// The recorder `config` asks for.
+    pub(crate) fn new(config: &PlanConfig) -> Self {
+        let mut recorder = Recorder::default();
+        recorder.configure(config);
+        recorder
     }
 
-    /// True when this recorder records.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+    /// Follows a configuration change: switching the ring on starts a
+    /// fresh recording and switching it off drops it; a ring left on keeps
+    /// recording across the change.
+    pub(crate) fn configure(&mut self, config: &PlanConfig) {
+        if config.recorder != self.ring.is_some() {
+            self.ring = config
+                .recorder
+                .then(|| Arc::new(Mutex::new(Ring::new(DEFAULT_RING_CAPACITY))));
+        }
+        self.detail = config.tracing;
     }
 
-    /// The recorder as a netsim observer, for attaching to links.
-    pub fn net_observer(&self) -> Option<Arc<dyn NetObserver>> {
-        self.0.clone().map(|s| s as Arc<dyn NetObserver>)
+    /// Snapshot of the ring, when one is kept.
+    pub(crate) fn snapshot(&self) -> Option<FlightRecording> {
+        let ring = lock(self.ring.as_ref()?);
+        Some(FlightRecording {
+            events: ring.events.iter().cloned().collect(),
+            jobs: ring.jobs.clone(),
+            dropped: ring.dropped,
+            capacity: ring.capacity,
+        })
     }
 
-    /// Registers one query and returns its per-query handle. `services`
-    /// builds the plan's service-leaf table in pre-order (see
-    /// [`service_estimates`]) and is only called when recording is on, so
-    /// a disabled recorder never pays for the table; `Vec::new` skips
-    /// per-source actuals (the reference executor does).
-    pub fn begin_query(
+    /// Opens the handle of `client`'s query `label` running `planned` under
+    /// `deadline` (relative to its arrival). With `source_rows` the
+    /// completion reports each service leaf's actual rows (the reference
+    /// executor's does not). When nothing is kept, nothing — not even the
+    /// node table — is built.
+    pub(crate) fn begin_query(
         &self,
         client: usize,
         label: &str,
-        strategy: &'static str,
+        planned: &PlannedQuery,
         deadline: Option<Duration>,
-        services: impl FnOnce() -> Vec<(String, f64)>,
-    ) -> QueryRecorder {
-        let Some(sh) = &self.0 else { return QueryRecorder(None) };
-        let template = label.split('[').next().unwrap_or(label).to_string();
-        let job = {
-            let mut st = sh.lock();
-            let job = st.jobs.len() as u32;
-            st.jobs.push(JobMeta {
-                client,
-                label: label.to_string(),
-                template,
-                strategy,
-                deadline,
-            });
-            job
-        };
-        QueryRecorder(Some(Arc::new(QueryShared {
-            rec: Arc::clone(sh),
+        source_rows: bool,
+    ) -> QueryObs {
+        if self.ring.is_none() && !self.detail {
+            return QueryObs::default();
+        }
+        let job = self.ring.as_ref().map_or(NO_JOB, |ring| {
+            let mut ring = lock(ring);
+            ring.jobs.push(JobMeta::new(client, label, planned.report.strategy.label(), deadline));
+            ring.jobs.len() as u32 - 1
+        });
+        QueryObs(Some(Arc::new(Query {
+            ring: self.ring.clone(),
+            detail: self.detail,
             job,
-            services: Mutex::new(ServiceState {
-                slots: services()
-                    .into_iter()
-                    .map(|(source, estimated)| ServiceSlot { source, estimated, rows: 0 })
-                    .collect(),
-                cursor: 0,
+            source_rows,
+            report: planned.report.clone(),
+            state: Mutex::new(QueryState {
+                events: Vec::new(),
+                nodes: plan_nodes(&planned.plan),
             }),
         })))
     }
 
-    /// Snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> Option<FlightRecording> {
-        let sh = self.0.as_ref()?;
-        let st = sh.lock();
-        Some(FlightRecording {
-            events: st.ring.iter().cloned().collect(),
-            jobs: st.jobs.clone(),
-            dropped: st.dropped,
-            capacity: st.capacity,
-        })
+    /// The handle of links that many queries share (the serve loop's):
+    /// their attempts are fleet-level events, kept in the ring only.
+    pub(crate) fn fleet(&self) -> QueryObs {
+        QueryObs(self.ring.as_ref().map(|ring| {
+            Arc::new(Query {
+                ring: Some(Arc::clone(ring)),
+                detail: false,
+                job: NO_JOB,
+                source_rows: false,
+                report: PlanReport::default(),
+                state: Mutex::default(),
+            })
+        }))
     }
 }
 
+/// One query's recorder state, shared by its handle, its node wrappers
+/// and — as their observer — its links and event queue.
 #[derive(Debug)]
-struct ServiceState {
-    slots: Vec<ServiceSlot>,
-    /// Next slot [`RecordServiceOp`] installation claims (pre-order).
-    cursor: usize,
-}
-
-#[derive(Debug)]
-struct QueryShared {
-    rec: Arc<RecorderShared>,
+struct Query {
+    ring: Option<Arc<Mutex<Ring>>>,
+    /// Keep the detail events ([`PlanConfig::tracing`]).
+    detail: bool,
     job: u32,
-    services: Mutex<ServiceState>,
+    source_rows: bool,
+    report: PlanReport,
+    state: Mutex<QueryState>,
 }
 
-impl QueryShared {
-    fn push(&self, time: Duration, kind: FleetEventKind) {
-        self.rec.lock().push(time, self.job, kind);
-    }
+#[derive(Debug, Default)]
+struct QueryState {
+    /// The kept detail events, in hook order.
+    events: Vec<Event>,
+    /// The plan's node table (pre-order, the node ids `build_operator`
+    /// assigns), actuals live.
+    nodes: Vec<NodeReport>,
 }
 
-/// A cloneable per-query handle: lifecycle events recorded through it
-/// carry the query's job id. `None` (the default) when recording is
-/// disabled — every hook is one branch.
-#[derive(Debug, Clone, Default)]
-pub struct QueryRecorder(Option<Arc<QueryShared>>);
-
-impl QueryRecorder {
-    /// The no-op handle (the default).
-    pub fn disabled() -> Self {
-        QueryRecorder(None)
-    }
-
-    /// True when this handle records.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The recorder-assigned job id, when recording.
-    pub fn job(&self) -> Option<u32> {
-        self.0.as_ref().map(|q| q.job)
-    }
-
-    /// Records the query's arrival at `at`.
-    pub fn submit(&self, at: Duration) {
-        let Some(q) = &self.0 else { return };
-        q.push(at, FleetEventKind::Submit);
-    }
-
-    /// Records admission at `now` after `queued` in the FIFO.
-    pub fn admit(&self, now: Duration, queued: Duration) {
-        let Some(q) = &self.0 else { return };
-        q.push(now, FleetEventKind::Admit { queued });
-    }
-
-    /// Records the planner's report and root cardinality estimate, plus
-    /// whether the plan was a cache replay.
-    pub fn plan(&self, now: Duration, report: &PlanReport, estimated_rows: f64, cached: bool) {
-        let Some(q) = &self.0 else { return };
-        q.push(
-            now,
-            FleetEventKind::Plan {
-                plans_costed: report.plans_costed,
-                bind_joins: report.bind_joins,
-                estimated_rows,
-                cached,
-                fingerprint: report.fingerprint,
-            },
-        );
-    }
-
-    /// Records the first answer row at `now`.
-    pub fn first_row(&self, now: Duration) {
-        let Some(q) = &self.0 else { return };
-        q.push(now, FleetEventKind::FirstRow);
-    }
-
-    /// Records a wrapper retry against `endpoint` after failed attempt
-    /// `attempt` (0-based).
-    pub fn retry(&self, now: Duration, endpoint: &str, attempt: u32) {
-        let Some(q) = &self.0 else { return };
-        q.push(
-            now,
-            FleetEventKind::Retry { endpoint: endpoint.to_string(), attempt },
-        );
-    }
-
-    /// Records a mid-query replica failover.
-    pub fn failover(&self, now: Duration, logical: &str, from: &str, to: &str) {
-        let Some(q) = &self.0 else { return };
-        q.push(
-            now,
-            FleetEventKind::Failover {
-                logical: logical.to_string(),
-                from: from.to_string(),
-                to: to.to_string(),
-            },
-        );
-    }
-
-    /// Records that the query's deadline fired at `now`.
-    pub fn deadline_hit(&self, now: Duration) {
-        let Some(q) = &self.0 else { return };
-        q.push(now, FleetEventKind::Deadline);
-    }
-
-    /// Claims the next service-leaf slot (plan pre-order) for a
-    /// [`RecordServiceOp`] installation.
-    fn next_service_slot(&self) -> usize {
-        let Some(q) = &self.0 else { return 0 };
-        let mut sv = q.services.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let slot = sv.cursor;
-        sv.cursor += 1;
-        slot
-    }
-
-    /// Adds `n` actually-emitted rows to service slot `slot`.
-    fn service_rows(&self, slot: usize, n: u64) {
-        let Some(q) = &self.0 else { return };
-        let mut sv = q.services.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(s) = sv.slots.get_mut(slot) {
-            s.rows += n;
-        }
-    }
-
-    /// Test hook: credits rows to a service slot without running an
-    /// operator tree.
-    #[cfg(test)]
-    pub(crate) fn debug_service_rows(&self, slot: usize, n: u64) {
-        self.service_rows(slot, n);
-    }
-
-    /// Flushes per-service actuals and records completion. Call exactly
-    /// once, when the query's outcome is final.
-    pub fn complete(
-        &self,
-        now: Duration,
-        outcome: CompletionKind,
-        latency: Duration,
-        estimated_rows: f64,
-        rows: u64,
-    ) {
-        let Some(q) = &self.0 else { return };
-        let slots: Vec<ServiceSlot> = {
-            let sv = q.services.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            sv.slots.clone()
-        };
-        for s in slots {
-            q.push(
-                now,
-                FleetEventKind::SourceRows {
-                    source: s.source,
-                    estimated: s.estimated,
-                    rows: s.rows,
-                },
-            );
-        }
-        q.push(
-            now,
-            FleetEventKind::Complete { outcome, latency, estimated_rows, rows },
-        );
-    }
-}
-
-/// The plan's service-leaf table in the exact pre-order
-/// [`crate::FederatedEngine`] builds (and the recorder wraps) service
-/// operators: join/left-join recurse left then right, bind joins recurse
-/// the left input only (the right side executes as bound requests, not a
-/// leaf), unions recurse branches in order.
-pub fn service_estimates(plan: &FedPlan) -> Vec<(String, f64)> {
-    fn walk(plan: &FedPlan, out: &mut Vec<(String, f64)>) {
-        match plan {
-            FedPlan::Service(node) => {
-                out.push((node.source_id.clone(), node.estimated_rows))
+impl Query {
+    /// Appends one event: a lifecycle event to the ring under the query's
+    /// job, a link attempt to the ring as a fleet event, and everything but
+    /// lifecycle events to the detail — each only where it is kept.
+    fn push(&self, event: Event) {
+        if let Event::Life { time, kind } = event {
+            if let Some(ring) = &self.ring {
+                lock(ring).push(time, self.job, kind);
             }
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            FedPlan::BindJoin { left, .. } => walk(left, out),
-            FedPlan::Filter { input, .. } => walk(input, out),
-            FedPlan::Union(branches) => {
-                for b in branches {
-                    walk(b, out);
-                }
-            }
+            return;
+        }
+        if let (Some(ring), Event::Transfer { link, rows, end, fault, .. }) = (&self.ring, &event) {
+            let faulted = fault.is_some();
+            let kind = FleetEventKind::Transfer { link: link.clone(), rows: *rows, faulted };
+            lock(ring).push(*end, NO_JOB, kind);
+        }
+        if self.detail {
+            lock(&self.state).events.push(event);
         }
     }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
-}
 
-/// Wraps a service-leaf operator to count its emitted rows into the
-/// query's service slot. Only installed when recording is enabled, so the
-/// disabled path pays nothing — the exact [`crate::obs::span::SpanOp`]
-/// contract.
-pub(crate) struct RecordServiceOp<'a> {
-    inner: BoxedOp<'a>,
-    slot: usize,
-    qrec: QueryRecorder,
-}
-
-impl<'a> RecordServiceOp<'a> {
-    /// Wraps `inner`, claiming the next pre-order service slot.
-    pub(crate) fn new(inner: BoxedOp<'a>, qrec: &QueryRecorder) -> Self {
-        RecordServiceOp { inner, slot: qrec.next_service_slot(), qrec: qrec.clone() }
+    fn life(&self, time: Duration, kind: FleetEventKind) {
+        self.push(Event::Life { time, kind });
     }
 }
 
-impl FedOp for RecordServiceOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, crate::error::FedError> {
-        let r = self.inner.poll_next(ctx)?;
-        if matches!(r, Poll::Ready(_)) {
-            self.qrec.service_rows(self.slot, 1);
-        }
-        Ok(r)
-    }
-}
-
-/// Forwards network observations to both the trace recorder and the
-/// flight recorder when both are attached to one link. Deterministic:
-/// observers are invoked in construction order and only mutate their own
-/// state.
-#[derive(Debug)]
-pub(crate) struct FanoutObserver(pub(crate) Vec<Arc<dyn NetObserver>>);
-
-impl NetObserver for FanoutObserver {
+impl NetObserver for Query {
     fn on_transfer(
         &self,
         link: &str,
@@ -605,111 +491,286 @@ impl NetObserver for FanoutObserver {
         end: Duration,
         fault: Option<LinkFault>,
     ) {
-        for obs in &self.0 {
-            obs.on_transfer(link, rows, start, end, fault);
-        }
+        let rows = rows as u64;
+        self.push(Event::Transfer { link: link.to_string(), rows, start, end, fault });
     }
 
     fn on_queue_depth(&self, depth: usize) {
-        for obs in &self.0 {
-            obs.on_queue_depth(depth);
+        self.push(Event::QueueDepth(depth as u64));
+    }
+}
+
+/// A query's handle on the recorder: `None` (the default) when nothing is
+/// kept, making every hook one branch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QueryObs(Option<Arc<Query>>);
+
+impl QueryObs {
+    /// The handle as the observer of the query's links, when it has one.
+    pub(crate) fn net_observer(&self) -> Option<Arc<dyn NetObserver>> {
+        self.0.clone().map(|q| q as Arc<dyn NetObserver>)
+    }
+
+    /// The handle as the observer of the query's event queue: only the
+    /// detail keeps queue depths.
+    pub(crate) fn queue_observer(&self) -> Option<Arc<dyn NetObserver>> {
+        let q = self.0.as_ref().filter(|q| q.detail)?;
+        Some(Arc::clone(q) as Arc<dyn NetObserver>)
+    }
+
+    fn push(&self, event: impl FnOnce() -> Event) {
+        if let Some(q) = &self.0 {
+            q.push(event());
         }
+    }
+
+    fn life(&self, time: Duration, kind: impl FnOnce() -> FleetEventKind) {
+        self.push(|| Event::Life { time, kind: kind() });
+    }
+
+    /// Records the query's arrival at `arrival`, its admission at `now`
+    /// and what the planner did (`cached`: the plan is a cache replay).
+    pub(crate) fn admit(&self, arrival: Duration, now: Duration, cached: bool) {
+        let Some(q) = &self.0 else { return };
+        let r = &q.report;
+        q.life(arrival, FleetEventKind::Submit);
+        q.life(now, FleetEventKind::Admit { queued: now.saturating_sub(arrival) });
+        q.life(
+            now,
+            FleetEventKind::Plan {
+                plans_costed: r.plans_costed,
+                bind_joins: r.bind_joins,
+                estimated_rows: r.estimated_rows,
+                cached,
+                fingerprint: r.fingerprint,
+            },
+        );
+    }
+
+    /// Records a retry against `endpoint` after failed attempt `attempt`
+    /// (0-based).
+    pub(crate) fn retry(&self, now: Duration, endpoint: &str, attempt: u32) {
+        self.life(now, || FleetEventKind::Retry { endpoint: endpoint.to_string(), attempt });
+    }
+
+    /// Records a mid-query failover of `logical` from endpoint `from` to `to`.
+    pub(crate) fn failover(&self, now: Duration, logical: &str, from: &str, to: &str) {
+        self.life(now, || FleetEventKind::Failover {
+            logical: logical.to_string(),
+            from: from.to_string(),
+            to: to.to_string(),
+        });
+    }
+
+    /// Records that the query's deadline fired at `now`.
+    pub(crate) fn deadline_hit(&self, now: Duration) {
+        self.life(now, || FleetEventKind::Deadline);
+    }
+
+    /// Records a span on `endpoint`'s lane over `[start, end]`.
+    pub(crate) fn source_span(
+        &self,
+        span: SourceSpan,
+        endpoint: &str,
+        start: Duration,
+        end: Duration,
+        rows: u64,
+    ) {
+        self.push(|| Event::Source { span, endpoint: endpoint.to_string(), start, end, rows });
+    }
+
+    /// Records one answer at `now` into the Figure 2 answer trace and the
+    /// recorder (the answer, and for the first the first-row event), so
+    /// the two cannot drift apart.
+    pub(crate) fn answer(&self, trace: &mut AnswerTrace, now: Duration) {
+        trace.record(now);
+        let Some(q) = &self.0 else { return };
+        let n = trace.count();
+        if n == 1 {
+            q.life(now, FleetEventKind::FirstRow);
+        }
+        q.push(Event::Answer { time: now, n });
+    }
+
+    /// Closes the query at `now`: each service leaf's actual rows (when the
+    /// handle reports them), then the completion. Call exactly once.
+    pub(crate) fn complete(
+        &self,
+        now: Duration,
+        outcome: CompletionKind,
+        latency: Duration,
+        rows: u64,
+    ) {
+        let Some(q) = &self.0 else { return };
+        if q.source_rows {
+            let services: Vec<(String, f64, u64)> = lock(&q.state)
+                .nodes
+                .iter()
+                .filter(|n| n.service)
+                .map(|n| (n.source.clone().unwrap_or_default(), n.estimated, n.rows_out))
+                .collect();
+            for (source, estimated, rows) in services {
+                q.life(now, FleetEventKind::SourceRows { source, estimated, rows });
+            }
+        }
+        let estimated_rows = q.report.estimated_rows;
+        q.life(now, FleetEventKind::Complete { outcome, latency, estimated_rows, rows });
+    }
+
+    /// The query's trace report, when its detail is kept: see
+    /// [`TraceReport::fold`].
+    pub(crate) fn trace_report(
+        &self,
+        links: &HashMap<String, Arc<Link>>,
+        stats: &FedStats,
+    ) -> Option<TraceReport> {
+        let q = self.0.as_ref().filter(|q| q.detail)?;
+        let state = lock(&q.state);
+        Some(TraceReport::fold(&state.events, &state.nodes, &q.report, links, stats))
+    }
+
+    /// `op` inside the node wrapper of plan node `node` when anything is
+    /// kept, else `op` itself; `boxed` boxes the wrapper as `op`'s type.
+    pub(crate) fn wrap<O>(&self, node: u32, op: O, boxed: impl FnOnce(NodeOp<O>) -> O) -> O {
+        match &self.0 {
+            Some(q) => boxed(NodeOp { inner: op, node: node as usize, query: Arc::clone(q) }),
+            None => op,
+        }
+    }
+}
+
+/// The one node wrapper, around every operator of both executors when
+/// anything is kept: it counts the node's rows and notes its first emit
+/// and its exhaustion in the query's node table.
+pub(crate) struct NodeOp<O> {
+    pub(crate) inner: O,
+    node: usize,
+    query: Arc<Query>,
+}
+
+impl<O> NodeOp<O> {
+    /// Notes what one poll of the wrapped operator returned at `now`.
+    pub(crate) fn seen<T>(&self, polled: &Poll<T>, now: Duration) {
+        let ready = match polled {
+            Poll::Ready(_) => true,
+            Poll::Done => false,
+            Poll::Pending(_) => return,
+        };
+        let mut state = lock(&self.query.state);
+        let Some(node) = state.nodes.get_mut(self.node) else { return };
+        if ready {
+            node.rows_out += 1;
+            node.first.get_or_insert(now);
+        } else {
+            node.done.get_or_insert(now);
+        }
+    }
+}
+
+impl FedOp for NodeOp<BoxedOp<'_>> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        let polled = self.inner.poll_next(ctx)?;
+        self.seen(&polled, ctx.clock.now());
+        Ok(polled)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DataLake, DataSource, FederatedEngine};
+    use fedlake_rdf::{Graph, Term};
+
+    /// A planned one-service query.
+    fn planned() -> PlannedQuery {
+        let mut g = Graph::new();
+        let (gene, a) = (Term::iri("http://ex/g1"), Term::iri(fedlake_rdf::vocab::rdf::TYPE));
+        g.insert_terms(gene.clone(), a, Term::iri("http://ex/Gene"));
+        g.insert_terms(gene, Term::iri("http://ex/label"), Term::literal("x"));
+        let mut lake = DataLake::new();
+        lake.add_source(DataSource::sparql("genes", g));
+        let engine = FederatedEngine::new(lake, PlanConfig::default());
+        let sparql = "SELECT ?l WHERE { ?g a <http://ex/Gene> . ?g <http://ex/label> ?l }";
+        let ast = fedlake_sparql::parser::parse_query(sparql);
+        engine.plan(&ast.unwrap()).unwrap()
+    }
+
+    fn recorder(ring: Option<usize>, detail: bool) -> Recorder {
+        Recorder { ring: ring.map(|c| Arc::new(Mutex::new(Ring::new(c)))), detail }
+    }
 
     #[test]
-    fn disabled_handles_are_inert() {
-        let rec = FlightRecorder::disabled();
-        assert!(!rec.is_enabled());
-        assert!(rec.net_observer().is_none());
+    fn a_recorder_that_keeps_nothing_hands_out_inert_handles() {
+        let rec = Recorder::new(&PlanConfig::default());
         assert!(rec.snapshot().is_none());
-        // The disabled path pays nothing: the service table is never built.
-        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, || {
-            unreachable!("a disabled recorder must not build the service table")
-        });
-        assert!(!q.is_enabled());
-        assert_eq!(q.job(), None);
-        q.submit(Duration::ZERO);
-        q.first_row(Duration::ZERO);
-        q.complete(Duration::ZERO, CompletionKind::Ok, Duration::ZERO, 1.0, 1);
+        let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
+        assert!(q.0.is_none() && rec.fleet().0.is_none());
+        assert!(q.net_observer().is_none());
+        let mut trace = AnswerTrace::new();
+        q.answer(&mut trace, Duration::from_millis(1));
+        assert_eq!(trace.count(), 1, "the answer trace still records");
+        q.complete(Duration::ZERO, CompletionKind::Ok, Duration::ZERO, 1);
     }
 
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
-        let rec = FlightRecorder::bounded(4);
-        let q = rec.begin_query(0, "Q1[x]", "heuristic", None, Vec::new);
+        let rec = recorder(Some(4), false);
+        let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
         for i in 0..10 {
             q.retry(Duration::from_nanos(i), "chebi", 0);
         }
         let snap = rec.snapshot().unwrap();
-        assert_eq!(snap.events.len(), 4);
-        assert_eq!(snap.dropped, 6);
-        assert_eq!(snap.capacity, 4);
+        assert_eq!((snap.events.len(), snap.dropped, snap.capacity), (4, 6, 4));
         // The retained tail keeps its sequence numbers.
         let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
     }
 
     #[test]
-    fn lifecycle_events_carry_job_metadata() {
-        let rec = FlightRecorder::recording();
-        let q = rec.begin_query(
-            3,
-            "Q2[cat-7]",
-            "dp",
-            Some(Duration::from_millis(5)),
-            || vec![("chebi".into(), 10.0)],
-        );
-        q.submit(Duration::from_nanos(1));
-        q.admit(Duration::from_nanos(2), Duration::from_nanos(1));
-        q.first_row(Duration::from_nanos(3));
-        q.complete(
-            Duration::from_nanos(9),
-            CompletionKind::Ok,
-            Duration::from_nanos(8),
-            12.0,
-            11,
-        );
+    fn lifecycle_events_carry_job_metadata_and_service_rows() {
+        let rec = recorder(Some(DEFAULT_RING_CAPACITY), false);
+        let planned = planned();
+        let q = rec.begin_query(3, "Q2[cat-7]", &planned, Some(Duration::from_millis(5)), true);
+        q.admit(Duration::from_nanos(1), Duration::from_nanos(2), true);
+        q.answer(&mut AnswerTrace::new(), Duration::from_nanos(3));
+        q.complete(Duration::from_nanos(9), CompletionKind::Ok, Duration::from_nanos(8), 1);
+        // The reference executor's handle reports no service rows.
+        let r = rec.begin_query(0, "reference", &planned, None, false);
+        r.complete(Duration::ZERO, CompletionKind::Ok, Duration::ZERO, 1);
+
         let snap = rec.snapshot().unwrap();
-        let job = q.job().unwrap();
-        let meta = snap.meta(job).unwrap();
-        assert_eq!(meta.template, "Q2");
-        assert_eq!(meta.client, 3);
-        assert_eq!(meta.strategy, "dp");
-        let kinds: Vec<&'static str> =
-            snap.events_for(job).map(|e| e.kind.name()).collect();
-        assert_eq!(
-            kinds,
-            vec!["submit", "admit", "first-row", "source-rows", "complete"]
-        );
+        let meta = snap.meta(0).unwrap();
+        assert_eq!((meta.client, meta.template.as_str()), (3, "Q2"));
+        assert_eq!(meta.strategy, planned.report.strategy.label());
+        let kinds = |job| snap.events_for(job).map(|e| e.kind.name()).collect::<Vec<_>>();
+        assert_eq!(kinds(0), ["submit", "admit", "plan", "first-row", "source-rows", "complete"]);
+        assert_eq!(kinds(1), ["complete"]);
+        assert_eq!(snap.events[1].kind, FleetEventKind::Admit { queued: Duration::from_nanos(1) });
         assert!(snap.meta(NO_JOB).is_none());
     }
 
     #[test]
-    fn net_observer_records_fleet_transfers() {
-        let rec = FlightRecorder::recording();
-        let obs = rec.net_observer().unwrap();
-        obs.on_transfer("chebi#r1", 5, Duration::ZERO, Duration::from_nanos(7), None);
-        obs.on_transfer(
-            "chebi#r1",
-            0,
-            Duration::from_nanos(7),
-            Duration::from_nanos(8),
-            Some(LinkFault::Dropped),
-        );
-        let snap = rec.snapshot().unwrap();
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].job, NO_JOB);
+    fn detail_takes_no_sequence_numbers() {
+        let run = |detail: bool| {
+            let rec = recorder(Some(DEFAULT_RING_CAPACITY), detail);
+            let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
+            let obs = q.net_observer().unwrap();
+            let ms = Duration::from_millis;
+            obs.on_transfer("chebi#r1", 5, ms(1), ms(2), None);
+            obs.on_queue_depth(2);
+            obs.on_transfer("chebi#r1", 0, ms(2), ms(2), Some(LinkFault::Dropped));
+            q.source_span(SourceSpan::Backoff { attempt: 0 }, "chebi#r1", ms(2), ms(3), 0);
+            q.retry(ms(3), "chebi#r1", 0);
+            let kept = lock(&q.0.as_ref().unwrap().state).events.len();
+            (rec.snapshot().unwrap(), kept)
+        };
+        let ((with, kept), (without, none)) = (run(true), run(false));
+        assert_eq!(with, without, "keeping the detail moves no ring event");
+        assert_eq!((kept, none), (4, 0));
+        let transfers: Vec<_> = with.events.iter().filter(|e| e.job == NO_JOB).collect();
+        assert_eq!(transfers.len(), 2);
         assert_eq!(
-            snap.events[0].kind,
-            FleetEventKind::Transfer { link: "chebi#r1".into(), rows: 5, faulted: false }
-        );
-        assert_eq!(
-            snap.events[1].kind,
+            transfers[1].kind,
             FleetEventKind::Transfer { link: "chebi#r1".into(), rows: 0, faulted: true }
         );
     }

@@ -348,45 +348,39 @@ pub fn slow_queries(recording: &FlightRecording, cfg: &SlowLogConfig) -> Vec<Slo
 
 #[cfg(test)]
 mod tests {
-    use super::super::recorder::{CompletionKind, FlightRecorder};
+    use super::super::recorder::CompletionKind;
     use super::*;
+    use FleetEventKind::*;
 
     fn seed_recording() -> FlightRecording {
-        let rec = FlightRecorder::recording();
-        // Job 0: fast and well-estimated — never logged.
-        let q0 = rec.begin_query(0, "Q1[a]", "heuristic", None, || vec![("chebi".into(), 10.0)]);
-        q0.submit(Duration::ZERO);
-        q0.admit(Duration::ZERO, Duration::ZERO);
-        q0.debug_service_rows(0, 9);
-        q0.complete(
-            Duration::from_millis(5),
-            CompletionKind::Ok,
-            Duration::from_millis(5),
-            10.0,
-            9,
-        );
-        // Job 1: slow AND badly estimated.
-        let q1 = rec.begin_query(
-            2,
-            "Q3[cat-12]",
-            "dp",
-            Some(Duration::from_millis(500)),
-            || vec![("chebi".into(), 1000.0)],
-        );
-        q1.submit(Duration::from_millis(10));
-        q1.admit(Duration::from_millis(14), Duration::from_millis(4));
-        q1.first_row(Duration::from_millis(60));
-        q1.retry(Duration::from_millis(70), "chebi#r0", 1);
-        q1.failover(Duration::from_millis(80), "chebi", "chebi#r0", "chebi#r1");
-        q1.debug_service_rows(0, 40);
-        q1.complete(
-            Duration::from_millis(210),
-            CompletionKind::Degraded,
-            Duration::from_millis(200),
-            1000.0,
-            40,
-        );
-        rec.snapshot().unwrap()
+        let ms = Duration::from_millis;
+        let chebi = |estimated, rows| SourceRows { source: "chebi".into(), estimated, rows };
+        let complete = |outcome, latency, estimated_rows, rows| Complete {
+            outcome,
+            latency,
+            estimated_rows,
+            rows,
+        };
+        let failover =
+            Failover { logical: "chebi".into(), from: "chebi#r0".into(), to: "chebi#r1".into() };
+        FlightRecording::by_hand(
+            &[(0, "Q1[a]", "heuristic", None), (2, "Q3[cat-12]", "dp", Some(ms(500)))],
+            vec![
+                // Job 0: fast and well-estimated — never logged.
+                (ms(0), 0, Submit),
+                (ms(0), 0, Admit { queued: Duration::ZERO }),
+                (ms(5), 0, chebi(10.0, 9)),
+                (ms(5), 0, complete(CompletionKind::Ok, ms(5), 10.0, 9)),
+                // Job 1: slow AND badly estimated.
+                (ms(10), 1, Submit),
+                (ms(14), 1, Admit { queued: ms(4) }),
+                (ms(60), 1, FirstRow),
+                (ms(70), 1, Retry { endpoint: "chebi#r0".into(), attempt: 1 }),
+                (ms(80), 1, failover),
+                (ms(210), 1, chebi(1000.0, 40)),
+                (ms(210), 1, complete(CompletionKind::Degraded, ms(200), 1000.0, 40)),
+            ],
+        )
     }
 
     #[test]
@@ -447,6 +441,7 @@ mod tests {
                 depth: 0,
                 label: "join".into(),
                 source: None,
+                service: false,
                 estimated: 100.0,
                 rows_out: 10,
                 first: None,

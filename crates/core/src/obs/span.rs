@@ -1,30 +1,20 @@
-//! The deterministic span recorder.
+//! The span view: one query's trace report, folded from the detail events
+//! its recorder kept ([`crate::obs::recorder`]).
 //!
-//! A [`TraceSink`] is threaded through [`ExecCtx`], the wrapper streams,
-//! both executors, and (as a [`NetObserver`]) through netsim's links and
-//! event queue. Every timestamp comes from the **simulated clock** — the
-//! shared clock under the serialized schedule, the per-link private
-//! timelines under the overlapped one — so the two schedules produce
-//! structurally comparable traces and a given `(seed, config)` pair always
-//! produces the same bytes.
-//!
-//! The determinism contract: the sink never draws randomness, never
-//! advances any clock, and every record call happens at a point the
-//! untraced execution reaches anyway — so enabling tracing cannot perturb
-//! answers, stats, or RNG streams. Disabled, the sink is a `None` and
-//! every hook is one branch.
+//! Every timestamp comes from the **simulated clock** — the shared clock
+//! under the serialized schedule, the per-link private timelines under the
+//! overlapped one — so the two schedules produce structurally comparable
+//! traces and a given `(seed, config)` pair always produces the same bytes.
 
 use crate::engine::FedStats;
-use crate::error::FedError;
-use crate::fedplan::FedPlan;
-use crate::obs::analyze::plan_nodes;
+use crate::obs::analyze::q_error;
 use crate::obs::metrics::MetricsRegistry;
-use crate::trace::AnswerTrace;
+use crate::obs::recorder::{Event, SourceSpan};
+use crate::planner::PlanReport;
 use fedlake_netsim::link::LinkStats;
-use fedlake_netsim::{Link, LinkFault, NetObserver};
-use fedlake_sparql::binding::SlotRow;
+use fedlake_netsim::Link;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a span measures.
@@ -100,7 +90,9 @@ pub struct Span {
     pub rows: u64,
 }
 
-/// Per-operator actuals, in plan pre-order.
+/// One plan node in pre-order: what the plan says of it, and what its
+/// operator actually did. The recorder keeps one table of these per query,
+/// actuals live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// Depth in the plan tree.
@@ -109,6 +101,9 @@ pub struct NodeReport {
     pub label: String,
     /// Source the node requests from, when it is a leaf request.
     pub source: Option<String>,
+    /// The node is a service leaf (a bind join requests from a source but
+    /// is no leaf).
+    pub service: bool,
     /// The planner's estimated output rows of this subtree.
     pub estimated: f64,
     /// Rows the operator emitted.
@@ -118,6 +113,13 @@ pub struct NodeReport {
     /// Simulated time the operator reported exhaustion (`None` when the
     /// drive loop stopped early, e.g. LIMIT).
     pub done: Option<Duration>,
+}
+
+impl NodeReport {
+    /// The operator emitted a row or reported exhaustion.
+    fn ran(&self) -> bool {
+        self.rows_out > 0 || self.done.is_some()
+    }
 }
 
 /// Per-source link actuals.
@@ -146,7 +148,8 @@ pub struct TraceReport {
     /// The metrics registry.
     pub metrics: MetricsRegistry,
     /// `(time, cumulative answers)` — the answer trace's points, recorded
-    /// through the sink so spans and Figure 2 share one timeline.
+    /// by the same hook as Figure 2's, so spans and answers share one
+    /// timeline.
     pub answers: Vec<(Duration, u64)>,
     /// Total simulated execution time.
     pub total_time: Duration,
@@ -160,497 +163,222 @@ pub struct TraceReport {
     pub retries: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct NodeState {
-    rows: u64,
-    first: Option<Duration>,
-    done: Option<Duration>,
-}
-
-#[derive(Debug, Default)]
-struct TraceState {
+/// The span list under construction, with each source's lane root.
+#[derive(Default)]
+struct Spans {
     spans: Vec<Span>,
-    /// Root / execute span ids (set by `begin_query`).
-    root: u32,
-    exec: u32,
-    /// Lane root span per source, created on first activity.
-    sources: BTreeMap<String, u32>,
-    /// Static node info (pre-order) plus live counters.
-    node_info: Vec<crate::obs::analyze::PlanNode>,
-    node_state: Vec<NodeState>,
-    metrics: MetricsRegistry,
-    answers: Vec<(Duration, u64)>,
+    lanes: BTreeMap<String, u32>,
 }
 
-/// The shared recorder behind an enabled sink. Implements [`NetObserver`]
-/// so links and the event queue report into the same span list.
-#[derive(Debug, Default)]
-pub struct TraceShared {
-    state: Mutex<TraceState>,
-}
-
-impl TraceShared {
-    fn lock(&self) -> MutexGuard<'_, TraceState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // the parameters are the fields of `Span` minus `id`
-fn push_span(
-    st: &mut TraceState,
-    parent: Option<u32>,
-    kind: SpanKind,
-    lane: String,
-    label: String,
-    start: Duration,
-    end: Duration,
-    rows: u64,
-) -> u32 {
-    let id = st.spans.len() as u32;
-    st.spans.push(Span { id, parent, kind, lane, label, start, end, rows });
-    id
-}
-
-/// The lane root span of `source`, created on first use.
-fn source_root(st: &mut TraceState, source: &str) -> u32 {
-    if let Some(&id) = st.sources.get(source) {
-        return id;
-    }
-    let parent = (!st.spans.is_empty()).then_some(st.root);
-    let id = push_span(
-        st,
-        parent,
-        SpanKind::Source,
-        format!("src:{source}"),
-        source.to_string(),
-        // Patched to the children's envelope at `finish`.
-        Duration::MAX,
-        Duration::ZERO,
-        0,
-    );
-    st.sources.insert(source.to_string(), id);
-    id
-}
-
-impl NetObserver for TraceShared {
-    fn on_transfer(
-        &self,
-        link: &str,
-        rows: usize,
+impl Spans {
+    #[allow(clippy::too_many_arguments)] // the parameters are the fields of `Span` minus `id`
+    fn push(
+        &mut self,
+        parent: Option<u32>,
+        kind: SpanKind,
+        lane: String,
+        label: String,
         start: Duration,
         end: Duration,
-        fault: Option<LinkFault>,
-    ) {
-        let mut st = self.lock();
-        let parent = Some(source_root(&mut st, link));
-        let (kind, label) = match fault {
-            None => (SpanKind::Transfer, format!("message ({rows} rows)")),
-            Some(f) => (SpanKind::Fault, f.to_string()),
-        };
-        push_span(&mut st, parent, kind, format!("src:{link}"), label, start, end, rows as u64);
-        match fault {
-            None => {
-                st.metrics.counter_add(&format!("link.{link}.messages"), 1);
-                st.metrics.counter_add(&format!("link.{link}.rows"), rows as u64);
-            }
-            Some(_) => st.metrics.counter_add(&format!("link.{link}.faults"), 1),
-        }
+        rows: u64,
+    ) -> u32 {
+        let id = self.spans.len() as u32;
+        self.spans.push(Span { id, parent, kind, lane, label, start, end, rows });
+        id
     }
 
-    fn on_queue_depth(&self, depth: usize) {
-        let mut st = self.lock();
-        st.metrics.observe("sched.queue_depth", depth as u64);
-        st.metrics.gauge_set("sched.queue_depth_now", depth as u64);
-    }
-}
-
-/// A cloneable handle to the recorder — `None` when tracing is disabled,
-/// making every hook a single branch on the hot path.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Arc<TraceShared>>);
-
-impl TraceSink {
-    /// The no-op sink (the default).
-    pub fn disabled() -> Self {
-        TraceSink(None)
+    /// A zero-width span at time zero on the engine lane.
+    fn engine(&mut self, parent: Option<u32>, kind: SpanKind, label: String) -> u32 {
+        self.push(parent, kind, "engine".into(), label, Duration::ZERO, Duration::ZERO, 0)
     }
 
-    /// A recording sink for one execution.
-    pub fn recording() -> Self {
-        TraceSink(Some(Arc::new(TraceShared::default())))
-    }
-
-    /// True when this sink records.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The recorder as a netsim observer, for attaching to links and the
-    /// event queue.
-    pub fn net_observer(&self) -> Option<Arc<dyn NetObserver>> {
-        self.0.clone().map(|s| s as Arc<dyn NetObserver>)
-    }
-
-    /// Opens the root spans and registers the plan's node table. Planning
-    /// and decomposition happened before the simulated clock started (the
-    /// cost model does not price them), so their spans sit zero-width at
-    /// time zero.
-    pub fn begin_query(&self, plan: &FedPlan, plan_label: &str) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        let root = push_span(
-            &mut st,
-            None,
-            SpanKind::Query,
-            "engine".to_string(),
-            format!("query ({plan_label})"),
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-        st.root = root;
-        push_span(
-            &mut st,
-            Some(root),
-            SpanKind::Planning,
-            "engine".to_string(),
-            format!("planning ({plan_label})"),
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-        push_span(
-            &mut st,
-            Some(root),
-            SpanKind::Decomposition,
-            "engine".to_string(),
-            format!("decomposition ({} services)", plan.service_count()),
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-        st.exec = push_span(
-            &mut st,
-            Some(root),
-            SpanKind::Execute,
-            "engine".to_string(),
-            "execute".to_string(),
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-        st.node_info = plan_nodes(plan);
-        st.node_state = vec![NodeState::default(); st.node_info.len()];
-    }
-
-    /// Records what the planner did into the metrics registry: strategy
-    /// taken, candidate plans costed, bind joins chosen, and (cost mode)
-    /// the estimated [`crate::FederationCost`] decomposition in µs.
-    pub fn record_plan_report(&self, report: &crate::planner::PlanReport) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        st.metrics.counter_add("planner.queries", 1);
-        st.metrics
-            .counter_add(&format!("planner.strategy.{}", report.strategy.label()), 1);
-        st.metrics.counter_add("planner.plans_costed", report.plans_costed);
-        st.metrics.counter_add("planner.bind_joins", report.bind_joins);
-        if let Some(cost) = &report.estimated_cost {
-            st.metrics.gauge_set("planner.est_cpu_us", cost.cpu_us as u64);
-            st.metrics.gauge_set("planner.est_io_us", cost.io_us as u64);
-            st.metrics.gauge_set("planner.est_network_us", cost.network_us as u64);
-            st.metrics.gauge_set("planner.est_parallelism_us", cost.parallelism_us as u64);
-            st.metrics.gauge_set("planner.est_total_us", cost.total_us() as u64);
-        }
-    }
-
-    /// Records a source-lane span (timeouts, backoffs, source compute,
-    /// bind-join batches). `start`/`end` are on whichever simulated
-    /// timeline the caller's schedule uses.
-    pub fn source_span(
-        &self,
-        kind: SpanKind,
+    /// A span on `source`'s lane under the lane's root, which the first
+    /// one creates (its envelope is patched once every child is in).
+    #[allow(clippy::too_many_arguments)]
+    fn on_lane(
+        &mut self,
+        root: u32,
         source: &str,
-        label: &str,
+        kind: SpanKind,
+        label: String,
         start: Duration,
         end: Duration,
         rows: u64,
     ) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        let parent = Some(source_root(&mut st, source));
-        push_span(
-            &mut st,
-            parent,
-            kind,
-            format!("src:{source}"),
-            label.to_string(),
-            start,
-            end,
-            rows,
-        );
-        if kind == SpanKind::Backoff {
-            st.metrics.counter_add(&format!("link.{source}.retries"), 1);
-        }
+        let lane = match self.lanes.get(source) {
+            Some(&id) => id,
+            None => {
+                let id = self.push(
+                    Some(root),
+                    SpanKind::Source,
+                    format!("src:{source}"),
+                    source.to_string(),
+                    Duration::MAX,
+                    Duration::ZERO,
+                    0,
+                );
+                self.lanes.insert(source.to_string(), id);
+                id
+            }
+        };
+        self.push(Some(lane), kind, format!("src:{source}"), label, start, end, rows);
     }
+}
 
-    /// Notes that plan node `node` emitted a row at `now`.
-    pub fn node_emit(&self, node: u32, now: Duration) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        if let Some(ns) = st.node_state.get_mut(node as usize) {
-            ns.rows += 1;
-            ns.first.get_or_insert(now);
-        }
-    }
-
-    /// Notes that plan node `node` reported exhaustion at `now`
-    /// (idempotent: the first report wins).
-    pub fn node_done(&self, node: u32, now: Duration) {
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        if let Some(ns) = st.node_state.get_mut(node as usize) {
-            ns.done.get_or_insert(now);
-        }
-    }
-
-    /// Records one answer at `now` into both the Figure 2 answer trace and
-    /// the span timeline, so the two measurements cannot drift apart.
-    pub fn record_answer(&self, trace: &mut AnswerTrace, now: Duration) {
-        trace.record(now);
-        let Some(sh) = &self.0 else { return };
-        let mut st = sh.lock();
-        let n = trace.count();
-        st.answers.push((now, n));
-        let parent = Some(st.exec);
-        push_span(
-            &mut st,
-            parent,
-            SpanKind::Answer,
-            "engine".to_string(),
-            format!("answer {n}"),
-            now,
-            now,
-            1,
-        );
-    }
-
-    /// Closes every open span, folds the final counters into the metrics
-    /// registry, and returns the report. `stats` must be the execution's
-    /// assembled [`FedStats`]; `links` the wrapper links it ran over.
-    pub fn finish(
-        &self,
+impl TraceReport {
+    /// Folds one query's kept detail `events` (in hook order) and its node
+    /// table into the report: the engine lanes first, then one span per
+    /// event, one operator span per node that did anything, and the
+    /// envelopes closed over their children. `stats` are the execution's
+    /// assembled [`FedStats`] (mirrored into the metrics registry, so a
+    /// field and its metric cannot silently diverge), `links` the links it
+    /// ran over (none for a serve session: those are shared).
+    pub(crate) fn fold(
+        events: &[Event],
+        nodes: &[NodeReport],
+        plan: &PlanReport,
         links: &HashMap<String, Arc<Link>>,
         stats: &FedStats,
-    ) -> Option<TraceReport> {
-        let sh = self.0.as_ref()?;
-        let mut st = sh.lock();
+    ) -> TraceReport {
         let final_time = stats.execution_time;
+        let mut b = Spans::default();
+        let mut metrics = MetricsRegistry::new();
+        let mut answers = Vec::new();
+        // Planning and decomposition happen before the simulated clock
+        // starts (the cost model does not price them), so they sit
+        // zero-width at time zero; root and execute are closed below.
+        let root = b.engine(None, SpanKind::Query, format!("query ({})", stats.plan_label));
+        b.engine(Some(root), SpanKind::Planning, format!("planning ({})", stats.plan_label));
+        let services = format!("decomposition ({} services)", stats.services);
+        b.engine(Some(root), SpanKind::Decomposition, services);
+        let exec = b.engine(Some(root), SpanKind::Execute, "execute".into());
 
-        // Materialize one Operator span per plan node that did anything.
-        for i in 0..st.node_info.len() {
-            let ns = st.node_state[i].clone();
-            if ns.rows == 0 && ns.done.is_none() {
-                continue;
+        // What the planner did: strategy taken, candidate plans costed,
+        // bind joins chosen, and (cost mode) the estimated
+        // [`crate::FederationCost`] decomposition in µs.
+        metrics.counter_add("planner.queries", 1);
+        metrics.counter_add(&format!("planner.strategy.{}", plan.strategy.label()), 1);
+        metrics.counter_add("planner.plans_costed", plan.plans_costed);
+        metrics.counter_add("planner.bind_joins", plan.bind_joins);
+        if let Some(cost) = &plan.estimated_cost {
+            metrics.gauge_set("planner.est_cpu_us", cost.cpu_us as u64);
+            metrics.gauge_set("planner.est_io_us", cost.io_us as u64);
+            metrics.gauge_set("planner.est_network_us", cost.network_us as u64);
+            metrics.gauge_set("planner.est_parallelism_us", cost.parallelism_us as u64);
+            metrics.gauge_set("planner.est_total_us", cost.total_us() as u64);
+        }
+
+        for event in events {
+            match event {
+                Event::Transfer { link, rows, start, end, fault } => {
+                    let (kind, label) = match fault {
+                        None => (SpanKind::Transfer, format!("message ({rows} rows)")),
+                        Some(f) => (SpanKind::Fault, f.to_string()),
+                    };
+                    b.on_lane(root, link, kind, label, *start, *end, *rows);
+                    match fault {
+                        None => {
+                            metrics.counter_add(&format!("link.{link}.messages"), 1);
+                            metrics.counter_add(&format!("link.{link}.rows"), *rows);
+                        }
+                        Some(_) => metrics.counter_add(&format!("link.{link}.faults"), 1),
+                    }
+                }
+                Event::Source { span, endpoint, start, end, rows } => {
+                    b.on_lane(root, endpoint, span.kind(), span.label(), *start, *end, *rows);
+                    if let SourceSpan::Backoff { .. } = span {
+                        metrics.counter_add(&format!("link.{endpoint}.retries"), 1);
+                    }
+                }
+                Event::QueueDepth(depth) => {
+                    metrics.observe("sched.queue_depth", *depth);
+                    metrics.gauge_set("sched.queue_depth_now", *depth);
+                }
+                Event::Answer { time, n } => {
+                    answers.push((*time, *n));
+                    let label = format!("answer {n}");
+                    b.push(Some(exec), SpanKind::Answer, "engine".into(), label, *time, *time, 1);
+                }
+                Event::Life { .. } => {}
             }
-            let end = ns.done.unwrap_or(final_time);
-            let start = ns.first.unwrap_or(end);
-            let info = &st.node_info[i];
-            let name = info.label.split_whitespace().next().unwrap_or("op").to_string();
-            let label = info.label.clone();
-            let parent = Some(st.exec);
-            push_span(
-                &mut st,
-                parent,
+        }
+
+        // One operator span per plan node that did anything.
+        for (i, node) in nodes.iter().enumerate().filter(|(_, n)| n.ran()) {
+            let end = node.done.unwrap_or(final_time);
+            let name = node.label.split_whitespace().next().unwrap_or("op");
+            b.push(
+                Some(exec),
                 SpanKind::Operator,
                 format!("op:{i:02} {name}"),
-                label,
-                start,
+                node.label.clone(),
+                node.first.unwrap_or(end),
                 end,
-                ns.rows,
+                node.rows_out,
             );
         }
 
-        // Close each source lane over its children's envelope.
-        let source_ids: Vec<(String, u32)> =
-            st.sources.iter().map(|(s, &id)| (s.clone(), id)).collect();
-        for (_, id) in &source_ids {
-            let (mut lo, mut hi) = (Duration::MAX, Duration::ZERO);
-            for s in &st.spans {
-                if s.parent == Some(*id) {
-                    lo = lo.min(s.start);
-                    hi = hi.max(s.end);
-                }
-            }
-            let span = &mut st.spans[*id as usize];
-            span.start = if lo == Duration::MAX { Duration::ZERO } else { lo };
-            span.end = hi;
-        }
-        for (source, id) in &source_ids {
-            if let Some(link) = links.get(source) {
-                st.spans[*id as usize].rows = link.stats().rows;
-            }
-        }
-
-        // Close the engine lanes: execute covers the drive loop, the root
-        // covers everything including link tails that outlive it.
-        let exec = st.exec as usize;
-        st.spans[exec].end = final_time;
+        // Close each source lane over its children's envelope; the root
+        // covers everything, including link tails that outlive the drive
+        // loop the execute span covers.
         let mut root_end = final_time;
-        for (_, id) in &source_ids {
-            root_end = root_end.max(st.spans[*id as usize].end);
+        for (source, &id) in &b.lanes {
+            let (mut lo, mut hi) = (Duration::MAX, Duration::ZERO);
+            for s in b.spans.iter().filter(|s| s.parent == Some(id)) {
+                lo = lo.min(s.start);
+                hi = hi.max(s.end);
+            }
+            let lane = &mut b.spans[id as usize];
+            lane.start = if lo == Duration::MAX { Duration::ZERO } else { lo };
+            lane.end = hi;
+            if let Some(link) = links.get(source) {
+                lane.rows = link.stats().rows;
+            }
+            root_end = root_end.max(hi);
         }
-        let root = st.root as usize;
-        st.spans[root].end = root_end;
-        st.spans[root].rows = stats.answers;
+        b.spans[exec as usize].end = final_time;
+        b.spans[root as usize].end = root_end;
+        b.spans[root as usize].rows = stats.answers;
 
-        // Fold the execution totals into the registry; the renderers and
-        // the reconciliation tests read these, so a FedStats field and its
-        // metric cannot silently diverge.
-        st.metrics.counter_add("engine.answers", stats.answers);
-        st.metrics.counter_add("engine.messages", stats.messages);
-        st.metrics.counter_add("engine.rows_transferred", stats.rows_transferred);
-        st.metrics.counter_add("engine.retries", stats.retries);
-        st.metrics.counter_add("engine.sql_queries", stats.sql_queries);
-        st.metrics.counter_add("engine.filter_evals", stats.engine_filter_evals);
-        st.metrics.counter_add("engine.join_probes", stats.engine_join_probes);
-        for i in 0..st.node_info.len() {
-            let rows = st.node_state[i].rows;
-            st.metrics.counter_add(&format!("op.{i:02}.rows_out"), rows);
+        // The execution totals; the renderers and the reconciliation tests
+        // read these.
+        metrics.counter_add("engine.answers", stats.answers);
+        metrics.counter_add("engine.messages", stats.messages);
+        metrics.counter_add("engine.rows_transferred", stats.rows_transferred);
+        metrics.counter_add("engine.retries", stats.retries);
+        metrics.counter_add("engine.sql_queries", stats.sql_queries);
+        metrics.counter_add("engine.filter_evals", stats.engine_filter_evals);
+        metrics.counter_add("engine.join_probes", stats.engine_join_probes);
+        for (i, node) in nodes.iter().enumerate() {
+            metrics.counter_add(&format!("op.{i:02}.rows_out"), node.rows_out);
         }
         // Estimation-error summary: the q-error of every operator that
         // ran, ×100 (a histogram value of 100 is a perfect estimate).
-        for i in 0..st.node_info.len() {
-            let ns = &st.node_state[i];
-            if ns.rows == 0 && ns.done.is_none() {
-                continue;
-            }
-            let q = crate::obs::analyze::q_error(st.node_info[i].estimated, ns.rows);
-            st.metrics.observe("planner.qerror_x100", (q * 100.0) as u64);
+        for node in nodes.iter().filter(|n| n.ran()) {
+            let q = q_error(node.estimated, node.rows_out);
+            metrics.observe("planner.qerror_x100", (q * 100.0) as u64);
         }
 
-        let mut sources = BTreeMap::new();
-        for (source, link) in links {
-            let retries = st.metrics.counter(&format!("link.{source}.retries"));
-            sources.insert(source.clone(), SourceReport { link: link.stats(), retries });
-        }
-
-        let nodes = st
-            .node_info
+        let sources = links
             .iter()
-            .zip(&st.node_state)
-            .map(|(info, ns)| NodeReport {
-                depth: info.depth,
-                label: info.label.clone(),
-                source: info.source.clone(),
-                estimated: info.estimated,
-                rows_out: ns.rows,
-                first: ns.first,
-                done: ns.done,
+            .map(|(source, link)| {
+                let retries = metrics.counter(&format!("link.{source}.retries"));
+                (source.clone(), SourceReport { link: link.stats(), retries })
             })
             .collect();
-
-        Some(TraceReport {
+        TraceReport {
             plan_label: stats.plan_label.clone(),
             network: stats.network,
-            spans: st.spans.clone(),
-            nodes,
+            spans: b.spans,
+            nodes: nodes.to_vec(),
             sources,
-            metrics: st.metrics.clone(),
-            answers: st.answers.clone(),
+            metrics,
+            answers,
             total_time: final_time,
             answers_total: stats.answers,
             messages: stats.messages,
             rows_transferred: stats.rows_transferred,
             retries: stats.retries,
-        })
-    }
-}
-
-/// Wraps an engine operator to count emissions for its plan node. Only
-/// installed when tracing is enabled, so the disabled path pays nothing.
-pub(crate) struct SpanOp<'a> {
-    inner: crate::operators::BoxedOp<'a>,
-    node: u32,
-    sink: TraceSink,
-}
-
-impl<'a> SpanOp<'a> {
-    pub(crate) fn new(inner: crate::operators::BoxedOp<'a>, node: u32, sink: TraceSink) -> Self {
-        SpanOp { inner, node, sink }
-    }
-}
-
-impl crate::operators::FedOp for SpanOp<'_> {
-    fn poll_next(
-        &mut self,
-        ctx: &mut crate::operators::ExecCtx,
-    ) -> Result<crate::operators::Poll<SlotRow>, FedError> {
-        let r = self.inner.poll_next(ctx)?;
-        match &r {
-            crate::operators::Poll::Ready(_) => self.sink.node_emit(self.node, ctx.clock.now()),
-            crate::operators::Poll::Done => self.sink.node_done(self.node, ctx.clock.now()),
-            crate::operators::Poll::Pending(_) => {}
         }
-        Ok(r)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_sink_is_inert() {
-        let sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
-        assert!(sink.net_observer().is_none());
-        let mut trace = AnswerTrace::new();
-        sink.record_answer(&mut trace, Duration::from_millis(1));
-        assert_eq!(trace.count(), 1, "the answer trace still records");
-        sink.node_emit(0, Duration::ZERO);
-        sink.node_done(0, Duration::ZERO);
-        sink.source_span(
-            SpanKind::Backoff,
-            "s",
-            "b",
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-    }
-
-    #[test]
-    fn source_spans_build_a_lane_tree() {
-        let sink = TraceSink::recording();
-        let obs = sink.net_observer().unwrap();
-        obs.on_transfer("chebi", 5, Duration::from_millis(1), Duration::from_millis(2), None);
-        obs.on_transfer(
-            "chebi",
-            0,
-            Duration::from_millis(2),
-            Duration::from_millis(2),
-            Some(LinkFault::Dropped),
-        );
-        sink.source_span(
-            SpanKind::Backoff,
-            "chebi",
-            "backoff (attempt 1)",
-            Duration::from_millis(2),
-            Duration::from_millis(3),
-            0,
-        );
-        let sh = sink.0.as_ref().unwrap();
-        let st = sh.lock();
-        assert_eq!(st.spans.len(), 4, "lane root + transfer + fault + backoff");
-        let lane = &st.spans[st.sources["chebi"] as usize];
-        assert_eq!(lane.kind, SpanKind::Source);
-        for s in &st.spans {
-            if s.id != lane.id {
-                assert_eq!(s.parent, Some(lane.id));
-            }
-        }
-        assert_eq!(st.metrics.counter("link.chebi.messages"), 1);
-        assert_eq!(st.metrics.counter("link.chebi.faults"), 1);
-        assert_eq!(st.metrics.counter("link.chebi.retries"), 1);
     }
 }

@@ -385,8 +385,9 @@ pub fn watch(recording: &FlightRecording, cfg: &WatchdogConfig) -> WatchdogRepor
 
 #[cfg(test)]
 mod tests {
-    use super::super::recorder::FlightRecorder;
+    use super::super::recorder::NO_JOB;
     use super::*;
+    use FleetEventKind::*;
 
     fn cfg() -> WatchdogConfig {
         WatchdogConfig {
@@ -398,10 +399,17 @@ mod tests {
         }
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn fault(link: &str) -> FleetEventKind {
+        Transfer { link: link.into(), rows: 0, faulted: true }
+    }
+
     #[test]
     fn empty_recording_yields_empty_report() {
-        let rec = FlightRecorder::recording();
-        let report = watch(&rec.snapshot().unwrap(), &cfg());
+        let report = watch(&FlightRecording::by_hand(&[], Vec::new()), &cfg());
         assert!(report.windows.is_empty());
         assert!(report.anomalies.is_empty());
         assert_eq!(report.dropped_events, 0);
@@ -409,28 +417,27 @@ mod tests {
 
     #[test]
     fn misestimate_and_latency_fold_into_windows() {
-        let rec = FlightRecorder::recording();
-        let q = rec.begin_query(
-            0,
-            "stars[7]",
-            "dp",
-            None,
-            || vec![("chebi".into(), 1000.0), ("drugbank".into(), 10.0)],
+        let complete = Complete {
+            outcome: CompletionKind::Ok,
+            latency: ms(40),
+            estimated_rows: 1010.0,
+            rows: 62,
+        };
+        let source_rows =
+            |source: &str, estimated, rows| SourceRows { source: source.into(), estimated, rows };
+        let recording = FlightRecording::by_hand(
+            &[(0, "stars[7]", "dp", None)],
+            vec![
+                (ms(0), 0, Submit),
+                (ms(5), 0, Admit { queued: ms(5) }),
+                // chebi estimate 1000 vs actual 50 → q-error 20× (2000 x100).
+                (ms(40), 0, source_rows("chebi", 1000.0, 50)),
+                // drugbank estimate 10 vs actual 12 → 1.2×, below threshold.
+                (ms(40), 0, source_rows("drugbank", 10.0, 12)),
+                (ms(40), 0, complete),
+            ],
         );
-        q.submit(Duration::ZERO);
-        q.admit(Duration::from_millis(5), Duration::from_millis(5));
-        // chebi estimate 1000 vs actual 50 → q-error 20× (2000 x100).
-        q.debug_service_rows(0, 50);
-        // drugbank estimate 10 vs actual 12 → 1.2×, below threshold.
-        q.debug_service_rows(1, 12);
-        q.complete(
-            Duration::from_millis(40),
-            CompletionKind::Ok,
-            Duration::from_millis(40),
-            1010.0,
-            62,
-        );
-        let report = watch(&rec.snapshot().unwrap(), &cfg());
+        let report = watch(&recording, &cfg());
 
         assert_eq!(report.windows.len(), 1);
         let w = &report.windows[0];
@@ -456,44 +463,43 @@ mod tests {
     }
 
     #[test]
-    fn link_faults_and_failovers_flag_degraded() {
-        let rec = FlightRecorder::recording();
-        let obs = rec.net_observer().unwrap();
-        // Two faulted transfers on chebi in window 0 → at threshold.
-        obs.on_transfer("chebi", 5, Duration::ZERO, Duration::from_millis(10), Some(fedlake_netsim::LinkFault::Dropped));
-        obs.on_transfer("chebi", 5, Duration::from_millis(20), Duration::from_millis(30), Some(fedlake_netsim::LinkFault::Dropped));
-        // One fault on drugbank → below threshold, no anomaly.
-        obs.on_transfer("drugbank", 5, Duration::ZERO, Duration::from_millis(10), Some(fedlake_netsim::LinkFault::Dropped));
-        // A failover on kegg flags it even with zero recorded faults.
-        let q = rec.begin_query(1, "fo", "heuristic", None, Vec::new);
-        q.failover(Duration::from_millis(40), "kegg", "kegg#r0", "kegg#r1");
-        let report = watch(&rec.snapshot().unwrap(), &cfg());
+    fn link_faults_and_failovers_flag_degraded_logical_sources() {
+        let failover =
+            Failover { logical: "kegg".into(), from: "kegg#r0".into(), to: "kegg#r1".into() };
+        let recording = FlightRecording::by_hand(
+            &[(1, "fo", "heuristic", None)],
+            vec![
+                // One faulted transfer on each replica of chebi in window 0:
+                // together at the threshold.
+                (ms(10), NO_JOB, fault("chebi#r0")),
+                (ms(30), NO_JOB, fault("chebi#r1")),
+                // One fault on drugbank → below threshold, no anomaly.
+                (ms(10), NO_JOB, fault("drugbank")),
+                // A failover on kegg flags it even with zero recorded faults.
+                (ms(40), 0, failover),
+            ],
+        );
+        let report = watch(&recording, &cfg());
 
-        let degraded: Vec<_> = report.of_kind("link-degraded").collect();
-        assert_eq!(degraded.len(), 2);
-        match &degraded[0].kind {
-            AnomalyKind::LinkDegraded { source, faulted, failovers } => {
-                assert_eq!((source.as_str(), *faulted, *failovers), ("chebi", 2, 0));
-            }
-            other => panic!("wrong anomaly: {other:?}"),
-        }
-        match &degraded[1].kind {
-            AnomalyKind::LinkDegraded { source, faulted, failovers } => {
-                assert_eq!((source.as_str(), *faulted, *failovers), ("kegg", 0, 1));
-            }
-            other => panic!("wrong anomaly: {other:?}"),
-        }
+        let degraded: Vec<_> = report.of_kind("link-degraded").map(|a| a.kind.clone()).collect();
+        assert_eq!(
+            degraded,
+            [
+                AnomalyKind::LinkDegraded { source: "chebi".into(), faulted: 2, failovers: 0 },
+                AnomalyKind::LinkDegraded { source: "kegg".into(), faulted: 0, failovers: 1 },
+            ]
+        );
     }
 
     #[test]
     fn admission_pressure_needs_repeated_breaches() {
-        let rec = FlightRecorder::recording();
-        for (i, wait_ms) in [(0usize, 20u64), (1, 30), (2, 2)].into_iter() {
-            let q = rec.begin_query(i, "w", "heuristic", None, Vec::new);
-            q.submit(Duration::ZERO);
-            q.admit(Duration::from_millis(wait_ms), Duration::from_millis(wait_ms));
+        let jobs: Vec<_> = (0..3).map(|client| (client, "w", "heuristic", None)).collect();
+        let mut events = Vec::new();
+        for (job, wait) in [(0, ms(20)), (1, ms(30)), (2, ms(2))] {
+            events.push((Duration::ZERO, job, Submit));
+            events.push((wait, job, Admit { queued: wait }));
         }
-        let report = watch(&rec.snapshot().unwrap(), &cfg());
+        let report = watch(&FlightRecording::by_hand(&jobs, events), &cfg());
         let w = &report.windows[0];
         assert_eq!(w.admitted, 3);
         assert_eq!(w.queue_breaches, 2);
@@ -510,22 +516,19 @@ mod tests {
 
     #[test]
     fn watch_is_deterministic_and_windows_split_by_time() {
-        let rec = FlightRecorder::recording();
-        let q = rec.begin_query(0, "a", "heuristic", None, Vec::new);
-        q.submit(Duration::ZERO);
-        q.admit(Duration::ZERO, Duration::ZERO);
-        q.complete(Duration::from_millis(40), CompletionKind::Ok, Duration::from_millis(40), 1.0, 1);
-        let q2 = rec.begin_query(1, "a", "heuristic", None, Vec::new);
-        q2.submit(Duration::from_millis(150));
-        q2.admit(Duration::from_millis(150), Duration::ZERO);
-        q2.complete(
-            Duration::from_millis(190),
-            CompletionKind::Degraded,
-            Duration::from_millis(40),
-            1.0,
-            1,
+        let complete =
+            |outcome| Complete { outcome, latency: ms(40), estimated_rows: 1.0, rows: 1 };
+        let recording = FlightRecording::by_hand(
+            &[(0, "a", "heuristic", None), (1, "a", "heuristic", None)],
+            vec![
+                (ms(0), 0, Submit),
+                (ms(0), 0, Admit { queued: Duration::ZERO }),
+                (ms(40), 0, complete(CompletionKind::Ok)),
+                (ms(150), 1, Submit),
+                (ms(150), 1, Admit { queued: Duration::ZERO }),
+                (ms(190), 1, complete(CompletionKind::Degraded)),
+            ],
         );
-        let recording = rec.snapshot().unwrap();
         let a = watch(&recording, &cfg());
         let b = watch(&recording, &cfg());
         assert_eq!(a, b);

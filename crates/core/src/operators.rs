@@ -74,13 +74,11 @@ pub struct ExecCtx {
     pub sched: EventQueue,
     /// The schedule policy; see [`ExecCtx::serialized`].
     serialized: bool,
-    /// The trace sink wrapper streams record spans into (disabled — a
-    /// single branch per hook — unless the config asks for tracing).
-    pub trace: crate::obs::TraceSink,
-    /// The query's flight-recorder handle: wrapper streams record retry
-    /// and failover lifecycle events through it (disabled — a single
-    /// branch per hook — unless [`crate::PlanConfig::recorder`] is set).
-    pub recorder: crate::obs::QueryRecorder,
+    /// The query's handle on the recorder: wrapper streams record their
+    /// spans, retries and failovers through it (one branch per hook unless
+    /// [`crate::PlanConfig::tracing`] or [`crate::PlanConfig::recorder`]
+    /// is set).
+    pub(crate) obs: crate::obs::QueryObs,
     /// The source-result cache leaves and bind-join batches read (see
     /// [`crate::wrapper::LiftCache`]), shared across the engine's
     /// executions. Must always be paired with the interner the cached ids
@@ -109,8 +107,7 @@ impl ExecCtx {
             deadline: None,
             sched: EventQueue::new(),
             serialized: false,
-            trace: crate::obs::TraceSink::disabled(),
-            recorder: crate::obs::QueryRecorder::disabled(),
+            obs: crate::obs::QueryObs::default(),
             lifts: Arc::default(),
         }
     }
@@ -173,19 +170,13 @@ impl ExecCtx {
         self
     }
 
-    /// Installs a trace sink; an enabled sink also observes the event
-    /// queue's depth.
-    pub fn with_trace(mut self, trace: crate::obs::TraceSink) -> Self {
-        if let Some(obs) = trace.net_observer() {
-            self.sched.set_observer(obs);
+    /// Installs the query's handle on the recorder, which also observes
+    /// the event queue's depth when the query keeps its detail.
+    pub(crate) fn with_obs(mut self, obs: crate::obs::QueryObs) -> Self {
+        if let Some(observer) = obs.queue_observer() {
+            self.sched.set_observer(observer);
         }
-        self.trace = trace;
-        self
-    }
-
-    /// Installs the query's flight-recorder handle.
-    pub fn with_recorder(mut self, recorder: crate::obs::QueryRecorder) -> Self {
-        self.recorder = recorder;
+        self.obs = obs;
         self
     }
 }

@@ -26,6 +26,7 @@ use crate::engine::{FederatedEngine, FedResult, FedStats};
 use crate::error::FedError;
 use crate::fedplan::FedPlan;
 use crate::lake::DataLake;
+use crate::obs::{CompletionKind, NodeOp, QueryObs};
 use crate::operators::{BoxedOp, Branches, ExecCtx, FedOp, Poll, TwoInputs};
 use crate::planner::PlannedQuery;
 use crate::trace::AnswerTrace;
@@ -48,24 +49,11 @@ trait RefOp {
 /// A boxed reference operator.
 type BoxedRefOp<'a> = Box<dyn RefOp + 'a>;
 
-/// The reference-executor twin of [`crate::obs::span::SpanOp`]: counts a
-/// plan node's emissions into the trace sink. Installed only when tracing
-/// is enabled.
-struct SpanRefOp<'a> {
-    inner: BoxedRefOp<'a>,
-    node: u32,
-    sink: crate::obs::TraceSink,
-}
-
-impl RefOp for SpanRefOp<'_> {
+impl RefOp for NodeOp<BoxedRefOp<'_>> {
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<Row>, FedError> {
-        let r = self.inner.poll_next(ctx)?;
-        match &r {
-            Poll::Ready(_) => self.sink.node_emit(self.node, ctx.clock.now()),
-            Poll::Done => self.sink.node_done(self.node, ctx.clock.now()),
-            Poll::Pending(_) => {}
-        }
-        Ok(r)
+        let polled = self.inner.poll_next(ctx)?;
+        self.seen(&polled, ctx.clock.now());
+        Ok(polled)
     }
 }
 
@@ -432,7 +420,7 @@ fn build_ref_operator<'a>(
     config: &crate::config::PlanConfig,
     plan: &FedPlan,
     links: &HashMap<String, Arc<Link>>,
-    sink: &crate::obs::TraceSink,
+    obs: &QueryObs,
     next_node: &mut u32,
 ) -> Result<BoxedRefOp<'a>, FedError> {
     let node_id = *next_node;
@@ -444,17 +432,17 @@ fn build_ref_operator<'a>(
             Box::new(DecodeOp::new(op))
         }
         FedPlan::Join { left, right, on } => {
-            let l = build_ref_operator(lake, config, left, links, sink, next_node)?;
-            let r = build_ref_operator(lake, config, right, links, sink, next_node)?;
+            let l = build_ref_operator(lake, config, left, links, obs, next_node)?;
+            let r = build_ref_operator(lake, config, right, links, obs, next_node)?;
             Box::new(SymHashJoinRef::new(l, r, on.clone()))
         }
         FedPlan::LeftJoin { left, right, on } => {
-            let l = build_ref_operator(lake, config, left, links, sink, next_node)?;
-            let r = build_ref_operator(lake, config, right, links, sink, next_node)?;
+            let l = build_ref_operator(lake, config, left, links, obs, next_node)?;
+            let r = build_ref_operator(lake, config, right, links, obs, next_node)?;
             Box::new(LeftHashJoinRef::new(l, r, on.clone()))
         }
         FedPlan::BindJoin { left, right, batch_size } => {
-            let l = build_ref_operator(lake, config, left, links, sink, next_node)?;
+            let l = build_ref_operator(lake, config, left, links, obs, next_node)?;
             let route = route_for(&right.source_id, &right.route, links)?;
             let bind = crate::wrapper::BindJoinOp::new(
                 Box::new(EncodeOp::new(l)),
@@ -467,22 +455,18 @@ fn build_ref_operator<'a>(
             Box::new(DecodeOp::new(Box::new(bind)))
         }
         FedPlan::Filter { input, exprs } => {
-            let i = build_ref_operator(lake, config, input, links, sink, next_node)?;
+            let i = build_ref_operator(lake, config, input, links, obs, next_node)?;
             Box::new(FilterRefOp::new(i, exprs))
         }
         FedPlan::Union(branches) => {
             let ops = branches
                 .iter()
-                .map(|b| build_ref_operator(lake, config, b, links, sink, next_node))
+                .map(|b| build_ref_operator(lake, config, b, links, obs, next_node))
                 .collect::<Result<Vec<_>, _>>()?;
             Box::new(UnionRefOp::new(ops))
         }
     };
-    Ok(if sink.is_enabled() {
-        Box::new(SpanRefOp { inner: op, node: node_id, sink: sink.clone() })
-    } else {
-        op
-    })
+    Ok(obs.wrap(node_id, op, |w| Box::new(w)))
 }
 
 impl FederatedEngine {
@@ -496,11 +480,10 @@ impl FederatedEngine {
     ) -> Result<FedResult, FedError> {
         let config = self.config();
         let clock = shared_virtual();
-        let sink = if config.tracing {
-            crate::obs::TraceSink::recording()
-        } else {
-            crate::obs::TraceSink::disabled()
-        };
+        // Reference executions are recorded too, without per-service rows.
+        let zero = std::time::Duration::ZERO;
+        let obs = self.recorder().begin_query(0, "reference", planned, config.deadline, false);
+        obs.admit(zero, zero, false);
         let links = links_for(
             self.lake(),
             config.network,
@@ -508,21 +491,8 @@ impl FederatedEngine {
             config.cost,
             config.seed,
             &self.fault_plans(),
-            &sink,
-            self.recorder(),
+            &obs,
         );
-        // Reference executions register with the flight recorder too (no
-        // per-service slots: the term-row operators are not wrapped).
-        let qrec = self.recorder().begin_query(
-            0,
-            "reference",
-            planned.report.strategy.label(),
-            config.deadline,
-            Vec::new,
-        );
-        qrec.submit(std::time::Duration::ZERO);
-        qrec.admit(std::time::Duration::ZERO, std::time::Duration::ZERO);
-        qrec.plan(std::time::Duration::ZERO, &planned.report, planned.report.estimated_rows, false);
         let mut ctx = ExecCtx::new(
             Arc::clone(&clock),
             config.cost,
@@ -531,17 +501,14 @@ impl FederatedEngine {
         )
         .with_retry(config.retry)
         .with_deadline(config.deadline)
-        .with_trace(sink.clone())
-        .with_recorder(qrec.clone());
+        .with_obs(obs);
         if !config.overlap {
             ctx = ctx.serialized();
         }
-        sink.begin_query(&planned.plan, &config.mode.label());
-        sink.record_plan_report(&planned.report);
 
         let mut next_node = 0u32;
-        let mut op =
-            build_ref_operator(self.lake(), config, &planned.plan, &links, &sink, &mut next_node)?;
+        let (lake, plan) = (self.lake(), &planned.plan);
+        let mut op = build_ref_operator(lake, config, plan, &links, &ctx.obs, &mut next_node)?;
         op = Box::new(ProjectRefOp::new(op, planned.projection.to_vec()));
         if planned.distinct {
             op = Box::new(DistinctRefOp::new(op));
@@ -558,16 +525,10 @@ impl FederatedEngine {
             // degradation handling (see `execute_planned`).
             if let Some(d) = config.deadline {
                 if clock.now() >= d {
-                    qrec.deadline_hit(clock.now());
+                    ctx.obs.deadline_hit(clock.now());
                     if !config.degraded_ok {
                         let now = clock.now();
-                        qrec.complete(
-                            now,
-                            crate::obs::CompletionKind::DeadlineMiss,
-                            now,
-                            planned.report.estimated_rows,
-                            0,
-                        );
+                        ctx.obs.complete(now, CompletionKind::DeadlineMiss, now, 0);
                         return Err(FedError::Timeout(d));
                     }
                     degraded = true;
@@ -576,10 +537,7 @@ impl FederatedEngine {
             }
             match op.poll_next(&mut ctx) {
                 Ok(Poll::Ready(row)) => {
-                    ctx.trace.record_answer(&mut trace, clock.now());
-                    if qrec.is_enabled() && trace.count() == 1 {
-                        qrec.first_row(clock.now());
-                    }
+                    ctx.obs.answer(&mut trace, clock.now());
                     rows.push(row);
                     if want.is_some_and(|w| rows.len() >= w) {
                         break;
@@ -601,13 +559,7 @@ impl FederatedEngine {
                 Err(e @ (FedError::SourceUnavailable { .. } | FedError::Timeout(_))) => {
                     if !config.degraded_ok {
                         let now = clock.now();
-                        qrec.complete(
-                            now,
-                            crate::obs::CompletionKind::Failed,
-                            now,
-                            planned.report.estimated_rows,
-                            0,
-                        );
+                        ctx.obs.complete(now, CompletionKind::Failed, now, 0);
                         return Err(e);
                     }
                     degraded = true;
@@ -641,18 +593,10 @@ impl FederatedEngine {
             rows.len() as u64,
             degraded,
         );
-        qrec.complete(
-            stats.execution_time,
-            if degraded {
-                crate::obs::CompletionKind::Degraded
-            } else {
-                crate::obs::CompletionKind::Ok
-            },
-            stats.execution_time,
-            planned.report.estimated_rows,
-            stats.answers,
-        );
-        let obs = sink.finish(&links, &stats);
+        let now = stats.execution_time;
+        let outcome = if degraded { CompletionKind::Degraded } else { CompletionKind::Ok };
+        ctx.obs.complete(now, outcome, now, stats.answers);
+        let obs = ctx.obs.trace_report(&links, &stats);
         Ok(FedResult {
             vars: Arc::clone(&planned.projection),
             rows,

@@ -27,7 +27,7 @@
 use crate::config::PlanConfig;
 use crate::engine::{FederatedEngine, Session, Step};
 use crate::error::FedError;
-use crate::obs::{service_estimates, FlightRecording, MetricsRegistry, TraceReport, TraceSink};
+use crate::obs::{FlightRecording, MetricsRegistry, TraceReport};
 use crate::operators::EngineStats;
 use crate::planner::PlannedQuery;
 use crate::wrapper::{links_for, total_traffic};
@@ -205,8 +205,8 @@ impl FederatedEngine {
         let config: &PlanConfig = self.config();
         let clock = shared_virtual();
         // The shared link map: one link per endpoint for the whole run,
-        // so sessions queue behind each other's transfers. Links carry no
-        // trace observer — per-link lanes are a solo-execution feature;
+        // so sessions queue behind each other's transfers. Its attempts
+        // are fleet events — per-link lanes are a solo-execution feature;
         // serve traces are per-session span trees.
         let links = links_for(
             self.lake(),
@@ -215,8 +215,7 @@ impl FederatedEngine {
             config.cost,
             config.seed,
             &self.fault_plans(),
-            &TraceSink::disabled(),
-            self.recorder(),
+            &self.recorder().fleet(),
         );
 
         // Seeded arrival process: exponential inter-arrival gaps, rounded
@@ -253,31 +252,18 @@ impl FederatedEngine {
                 && arrivals[next_job] <= clock.now()
             {
                 let job = &jobs[next_job];
-                let sink = if config.tracing {
-                    TraceSink::recording()
-                } else {
-                    TraceSink::disabled()
-                };
                 let deadline = job.deadline.or(serve_cfg.deadline);
-                // Flight-recorder lifecycle: the submit event carries the
-                // arrival time, admit the FIFO wait, plan the planner's
-                // report — all stamped at points the unrecorded loop
-                // reaches anyway.
-                let qrec = self.recorder().begin_query(
+                // The lifecycle: the submit event carries the arrival
+                // time, admit the FIFO wait, plan the planner's report —
+                // all stamped at points the unrecorded loop reaches anyway.
+                let obs = self.recorder().begin_query(
                     job.client,
                     &job.label,
-                    job.planned.report.strategy.label(),
+                    &job.planned,
                     deadline,
-                    || service_estimates(&job.planned.plan),
+                    true,
                 );
-                qrec.submit(arrivals[next_job]);
-                qrec.admit(clock.now(), clock.now().saturating_sub(arrivals[next_job]));
-                qrec.plan(
-                    clock.now(),
-                    &job.planned.report,
-                    job.planned.report.estimated_rows,
-                    job.cached,
-                );
+                obs.admit(arrivals[next_job], clock.now(), job.cached);
                 // Never serialized: a wait sat out by one session would
                 // stall the whole server.
                 let session = Session::open(
@@ -285,8 +271,7 @@ impl FederatedEngine {
                     &job.planned,
                     &clock,
                     &links,
-                    sink,
-                    &qrec,
+                    obs,
                     arrivals[next_job],
                     deadline,
                     false,
@@ -479,7 +464,7 @@ impl FederatedEngine {
         let first_answer = s.trace.first_answer().map(|t| t.saturating_sub(arrival));
         // Per-session trace report: span tree + per-session stats. Link
         // traffic is shared across sessions, so the report carries none.
-        let obs = s.sink.finish(
+        let obs = s.ctx.obs.trace_report(
             &HashMap::new(),
             &crate::engine::FedStats {
                 plan_label: config.mode.label(),

@@ -8,7 +8,7 @@ use super::route::{
 use crate::error::FedError;
 use crate::fedplan::BindTarget;
 use crate::lake::DataLake;
-use crate::obs::SpanKind;
+use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
 use crate::translate::{sql_single, TranslatedQuery};
@@ -221,15 +221,10 @@ impl<'a> BindJoinOp<'a> {
                 computed,
                 ctx,
             );
-            if let (Ok(done), true) = (&chain, ctx.trace.is_enabled()) {
-                ctx.trace.source_span(
-                    SpanKind::BindBatch,
-                    self.route.active_endpoint(),
-                    &format!("bind batch ({} left rows)", batch.len()),
-                    t0,
-                    *done,
-                    right.rows as u64,
-                );
+            if let Ok(done) = &chain {
+                let batch_span = SourceSpan::BindBatch { left_rows: batch.len() };
+                let endpoint = self.route.active_endpoint();
+                ctx.obs.source_span(batch_span, endpoint, t0, *done, right.rows as u64);
             }
             lifted = Some(right);
         }

@@ -8,7 +8,7 @@ use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRo
 use crate::error::FedError;
 use crate::fedplan::{BindTarget, ServiceKind, ServiceNode, SqlRequest};
 use crate::lake::DataLake;
-use crate::obs::SpanKind;
+use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
 use crate::translate::{sql_single, OutputBinding};
@@ -384,19 +384,12 @@ impl<'a> LeafStream<'a> {
         let work = self.request.work(&lifted, &ctx.cost)?;
         let computed = self.route.active_link().schedule_busy(work, requested);
         ctx.stats.service_rows += lifted.rows as u64;
-        if ctx.trace.is_enabled() {
-            ctx.trace.source_span(
-                SpanKind::Compute,
-                self.route.active_endpoint(),
-                match self.request {
-                    LeafRequest::Sparql { .. } => "sparql evaluation",
-                    _ => "sql evaluation",
-                },
-                requested,
-                computed,
-                lifted.rows as u64,
-            );
-        }
+        let what = match self.request {
+            LeafRequest::Sparql { .. } => "sparql evaluation",
+            _ => "sql evaluation",
+        };
+        let (endpoint, rows) = (self.route.active_endpoint(), lifted.rows as u64);
+        ctx.obs.source_span(SourceSpan::Compute(what), endpoint, requested, computed, rows);
         self.computing = Some(Landing::of(Ok(computed), ctx));
         Ok(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }))
     }

@@ -25,9 +25,10 @@ pub use bind::{bind_batch_query, BindJoinOp};
 pub use leaf::open_service;
 pub(crate) use lift::schema_fingerprint;
 pub use lift::{lift_result, LiftCache, LiftedSource, SharedLiftCache};
+pub(crate) use route::links_for;
 pub use route::{
-    links_for, route_for, schedule_rows_with_retry, schedule_transfer_with_retry,
-    source_failures, total_traffic, RouteExhausted, SourceRoute,
+    route_for, schedule_rows_with_retry, schedule_transfer_with_retry, source_failures,
+    total_traffic, RouteExhausted, SourceRoute,
 };
 
 use crate::error::FedError;
@@ -823,8 +824,7 @@ mod tests {
             CostModel::default(),
             42,
             &fedlake_netsim::FaultPlans::default(),
-            &crate::obs::TraceSink::disabled(),
-            &crate::obs::FlightRecorder::disabled(),
+            &crate::obs::QueryObs::default(),
         );
         assert_eq!(links.len(), 1);
         let (m, r, d) = total_traffic(&links);
@@ -844,8 +844,7 @@ mod tests {
             CostModel::default(),
             42,
             &fedlake_netsim::FaultPlans::default(),
-            &crate::obs::TraceSink::disabled(),
-            &crate::obs::FlightRecorder::disabled(),
+            &crate::obs::QueryObs::default(),
         );
         assert_eq!(links.len(), 3);
         for k in ["d#r0", "d#r1", "d#r2"] {

@@ -5,7 +5,7 @@ use super::lift::{convert_cost, lift_result};
 use super::route::{schedule_transfer_with_retry, Landing, RouteExhausted, SourceRoute};
 use crate::error::FedError;
 use crate::fedplan::NaiveJoin;
-use crate::obs::SpanKind;
+use crate::obs::SourceSpan;
 use crate::operators::{ExecCtx, FedOp, Poll};
 use crate::translate::{sql_single, StarPart, TranslatedQuery};
 use fedlake_mapping::lift::term_to_value;
@@ -76,7 +76,7 @@ impl NaiveStream<'_> {
     fn round_trip(
         &self,
         q: &TranslatedQuery,
-        what: &str,
+        what: &'static str,
         start: Duration,
         then: impl FnOnce(Vec<SlotRow>) -> NaiveNext,
         ctx: &mut ExecCtx,
@@ -93,16 +93,8 @@ impl NaiveStream<'_> {
             .schedule_busy(ctx.cost.rdb_time(&convert_cost(&rs.cost)), requested);
         let rows = lift_result(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock());
         ctx.stats.service_rows += rows.len() as u64;
-        if ctx.trace.is_enabled() {
-            ctx.trace.source_span(
-                SpanKind::Compute,
-                self.route.active_endpoint(),
-                what,
-                requested,
-                computed,
-                rows.len() as u64,
-            );
-        }
+        let (endpoint, n) = (self.route.active_endpoint(), rows.len() as u64);
+        ctx.obs.source_span(SourceSpan::Compute(what), endpoint, requested, computed, n);
         Ok(NaiveStage::wait(Ok(computed), then(rows), ctx))
     }
 

@@ -4,7 +4,7 @@
 use crate::error::FedError;
 use crate::fedplan::ReplicaRoute;
 use crate::lake::{logical_source_id, DataLake};
-use crate::obs::SpanKind;
+use crate::obs::SourceSpan;
 use crate::operators::{ExecCtx, Wait};
 use fedlake_netsim::{EventTime, Link};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -218,16 +218,7 @@ pub fn schedule_transfer_with_retry(
         // The receiver waited `timeout` before concluding the attempt
         // failed, whatever the failure mode was.
         let failed_at = link.schedule_busy(policy.timeout, done);
-        if ctx.trace.is_enabled() {
-            ctx.trace.source_span(
-                SpanKind::Timeout,
-                endpoint,
-                "detection timeout",
-                done,
-                failed_at,
-                0,
-            );
-        }
+        ctx.obs.source_span(SourceSpan::Timeout, endpoint, done, failed_at, 0);
         let budget_spent = attempt + 1 == budget;
         if budget_spent && idx + 1 == route.len() {
             return Err(Box::new(RouteExhausted {
@@ -239,29 +230,20 @@ pub fn schedule_transfer_with_retry(
             }));
         }
         ctx.stats.retries += 1;
-        ctx.recorder.retry(failed_at, endpoint, attempt);
+        ctx.obs.retry(failed_at, endpoint, attempt);
         if budget_spent {
             // Immediate failover: the successor picks up at the
             // predecessor's failure time, no backoff.
             at = failed_at;
             let (next, _) = route.endpoint(idx + 1);
             route.set_active(idx + 1);
-            ctx.recorder.failover(at, route.logical(), endpoint, next);
+            ctx.obs.failover(at, route.logical(), endpoint, next);
             idx += 1;
             attempt = 0;
         } else {
             let pause = clamped_backoff(&policy, attempt, ctx.deadline, failed_at);
             at = link.schedule_busy(pause, failed_at);
-            if ctx.trace.is_enabled() {
-                ctx.trace.source_span(
-                    SpanKind::Backoff,
-                    endpoint,
-                    &format!("backoff before attempt {}", attempt + 2),
-                    failed_at,
-                    at,
-                    0,
-                );
-            }
+            ctx.obs.source_span(SourceSpan::Backoff { attempt }, endpoint, failed_at, at, 0);
             attempt += 1;
         }
     }
@@ -303,30 +285,19 @@ pub fn schedule_rows_with_retry(
 /// then any matching outage group), so a chaos schedule can target one
 /// replica, one logical source, or a correlated set of links.
 ///
-/// An enabled trace sink and/or flight recorder attaches as the links'
-/// network observer; with both, a fan-out forwards to the two (trace
-/// first) — observation only, so link behaviour is byte-identical either
-/// way.
-#[allow(clippy::too_many_arguments)]
-pub fn links_for(
+/// `obs`, the recorder handle of the query (or of the fleet) the links
+/// serve, attaches as their network observer when it keeps anything —
+/// observation only, so link behaviour is byte-identical either way.
+pub(crate) fn links_for(
     lake: &DataLake,
     profile: fedlake_netsim::NetworkProfile,
     clock: fedlake_netsim::SharedClock,
     cost: fedlake_netsim::CostModel,
     seed: u64,
     faults: &fedlake_netsim::FaultPlans,
-    trace: &crate::obs::TraceSink,
-    recorder: &crate::obs::FlightRecorder,
+    obs: &crate::obs::QueryObs,
 ) -> std::collections::HashMap<String, Arc<Link>> {
-    let observer: Option<Arc<dyn fedlake_netsim::NetObserver>> =
-        match (trace.net_observer(), recorder.net_observer()) {
-            (Some(t), Some(r)) => {
-                Some(Arc::new(crate::obs::recorder::FanoutObserver(vec![t, r])))
-            }
-            (Some(t), None) => Some(t),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        };
+    let observer = obs.net_observer();
     let mut links = std::collections::HashMap::new();
     for (i, s) in lake.sources().iter().enumerate() {
         let base = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

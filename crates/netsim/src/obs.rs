@@ -1,8 +1,8 @@
 //! Observation hooks for the simulated network.
 //!
-//! The tracing subsystem lives in `fedlake-core` (which depends on this
-//! crate), so netsim cannot name the trace sink directly. Instead it
-//! exposes a minimal observer trait: a [`Link`](crate::Link) or
+//! The recorder lives in `fedlake-core` (which depends on this crate), so
+//! netsim cannot name it directly. Instead it exposes a minimal observer
+//! trait: a [`Link`](crate::Link) or
 //! [`EventQueue`](crate::EventQueue) carrying an observer reports every
 //! transfer attempt (serialized *and* scheduled) and every queue-depth
 //! change to it. Observers are strictly passive — they are handed times

@@ -53,6 +53,19 @@ git grep -nE 'FastMap<Box<\[TermId\]>|fn key_of' -- crates/core/src/operators.rs
 git grep -q 'struct BuildSide' -- crates/core/src/operators.rs \
     || { echo "operators.rs no longer holds BuildSide: the gate above matches nothing"; exit 1; }
 
+# One recorder: every observability hook appends one event to one per-query
+# handle (obs/recorder.rs), the one NetObserver on links and the event queue,
+# and one node wrapper feeds its node table in both executors. A second
+# recorder, a fan-out between two, a per-executor wrapper or a separate
+# service-leaf table is the design it replaced, not a second path beside it.
+echo "== one recorder under crates/*/src =="
+second_recorder=0
+git grep -nE 'FanoutObserver|RecordServiceOp|SpanRefOp|fn service_estimates' -- 'crates/*/src/*' || second_recorder=$?
+[ "$second_recorder" -eq 1 ] || { echo "a second recorder path is back under crates/*/src (or git grep failed)"; exit 1; }
+# Exactly one: zero would mean the gate no longer matches what it guards.
+observers="$(git grep -c 'impl NetObserver for' -- 'crates/core/src/*' | awk -F: '{ n += $2 } END { print n + 0 }')"
+[ "$observers" -eq 1 ] || { echo "crates/core/src has $observers NetObserver impls, want exactly one"; exit 1; }
+
 # One measuring regime: fedbench (BENCHMARK.json) times the engine, on the
 # simulated clock and on the host. No crate declares a bench target, no
 # BENCH_*.json is committed beside it, and nothing imports a bench harness
