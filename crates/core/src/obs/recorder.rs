@@ -5,7 +5,8 @@
 //! served. That handle is the one observability field of [`ExecCtx`], the
 //! one argument `Session::open`, `build_operator` and `links_for` take, and
 //! the one [`NetObserver`] on links and the event queue. Every hook appends
-//! one [`Event`]; the configuration selects what is *kept*:
+//! its event; the configuration selects what is *kept*, and an event is
+//! built only where it is:
 //!
 //! * [`crate::PlanConfig::recorder`] keeps the lifecycle events — submit,
 //!   admit, plan, first-row, retry, failover, deadline, source-rows,
@@ -15,10 +16,10 @@
 //!   memory stays constant under an arbitrarily long serve run. The
 //!   [`FlightRecording`] snapshot is what the watchdog, the slow-query log
 //!   and the serve exporters fold.
-//! * [`crate::PlanConfig::tracing`] keeps the query's detail — link
-//!   attempts, timeouts, backoffs, source compute, bind batches, queue
-//!   depths, answers — which [`crate::obs::span`] folds into the query's
-//!   [`TraceReport`].
+//! * [`crate::PlanConfig::tracing`] keeps the query's detail [`Event`]s —
+//!   link attempts, timeouts, backoffs, source compute, bind batches,
+//!   queue depths, answers — which [`crate::obs::span`] folds into the
+//!   query's [`TraceReport`]. A link attempt is kept by both.
 //!
 //! Only ring events take sequence numbers, so keeping the detail too never
 //! moves a ring's `seq`s or evictions. Beside its events the per-query
@@ -296,20 +297,17 @@ impl SourceSpan {
     }
 }
 
-/// What one hook appends.
+/// A detail event: what a query's trace is folded from.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
-    /// A lifecycle event of the query (ring).
-    Life { time: Duration, kind: FleetEventKind },
-    /// One link attempt over `[start, end]` (ring, as a fleet-level
-    /// `transfer`, and detail).
+    /// One link attempt over `[start, end]`.
     Transfer { link: String, rows: u64, start: Duration, end: Duration, fault: Option<LinkFault> },
-    /// One span on a source's lane (detail).
+    /// One span on a source's lane.
     Source { span: SourceSpan, endpoint: String, start: Duration, end: Duration, rows: u64 },
-    /// The event queue's pending count changed (detail; the queue keeps no
-    /// clock, so this one event has no time).
+    /// The event queue's pending count changed (the queue keeps no clock,
+    /// so this one event has no time).
     QueueDepth(u64),
-    /// Answer number `n` left the engine at `time` (detail).
+    /// Answer number `n` left the engine at `time`.
     Answer { time: Duration, n: u64 },
 }
 
@@ -340,6 +338,8 @@ impl Ring {
     }
 }
 
+/// A poisoned lock is recovered: every update behind these locks is one
+/// push or one counter bump, so the data is valid at every step.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -409,7 +409,7 @@ impl Recorder {
             ring: self.ring.clone(),
             detail: self.detail,
             job,
-            source_rows,
+            source_rows: source_rows && self.ring.is_some(),
             report: planned.report.clone(),
             state: Mutex::new(QueryState {
                 events: Vec::new(),
@@ -442,6 +442,7 @@ struct Query {
     /// Keep the detail events ([`PlanConfig::tracing`]).
     detail: bool,
     job: u32,
+    /// The ring keeps each service leaf's rows at completion.
     source_rows: bool,
     report: PlanReport,
     state: Mutex<QueryState>,
@@ -457,28 +458,27 @@ struct QueryState {
 }
 
 impl Query {
-    /// Appends one event: a lifecycle event to the ring under the query's
-    /// job, a link attempt to the ring as a fleet event, and everything but
-    /// lifecycle events to the detail — each only where it is kept.
-    fn push(&self, event: Event) {
-        if let Event::Life { time, kind } = event {
-            if let Some(ring) = &self.ring {
-                lock(ring).push(time, self.job, kind);
-            }
-            return;
-        }
-        if let (Some(ring), Event::Transfer { link, rows, end, fault, .. }) = (&self.ring, &event) {
-            let faulted = fault.is_some();
-            let kind = FleetEventKind::Transfer { link: link.clone(), rows: *rows, faulted };
-            lock(ring).push(*end, NO_JOB, kind);
-        }
-        if self.detail {
-            lock(&self.state).events.push(event);
+    /// Appends the lifecycle event `kind` builds to the ring under `job`,
+    /// when a ring is kept; only ring events take sequence numbers.
+    fn life(&self, time: Duration, job: u32, kind: impl FnOnce() -> FleetEventKind) {
+        if let Some(ring) = &self.ring {
+            lock(ring).push(time, job, kind());
         }
     }
 
-    fn life(&self, time: Duration, kind: FleetEventKind) {
-        self.push(Event::Life { time, kind });
+    /// Appends the detail event `event` builds, when the query keeps its
+    /// detail.
+    fn detail(&self, event: impl FnOnce() -> Event) {
+        if self.detail {
+            lock(&self.state).events.push(event());
+        }
+    }
+
+    /// Whether plan node `node`'s actuals are read: every node's by the
+    /// detail, only the service leaves' by the ring's `source-rows`.
+    fn tracks(&self, node: usize) -> bool {
+        let service = || lock(&self.state).nodes.get(node).is_some_and(|n| n.service);
+        self.detail || (self.source_rows && service())
     }
 }
 
@@ -491,12 +491,16 @@ impl NetObserver for Query {
         end: Duration,
         fault: Option<LinkFault>,
     ) {
-        let rows = rows as u64;
-        self.push(Event::Transfer { link: link.to_string(), rows, start, end, fault });
+        // A link attempt is a fleet-level event in the ring and a span in
+        // the detail.
+        let (rows, faulted) = (rows as u64, fault.is_some());
+        let fleet = || FleetEventKind::Transfer { link: link.to_string(), rows, faulted };
+        self.life(end, NO_JOB, fleet);
+        self.detail(|| Event::Transfer { link: link.to_string(), rows, start, end, fault });
     }
 
     fn on_queue_depth(&self, depth: usize) {
-        self.push(Event::QueueDepth(depth as u64));
+        self.detail(|| Event::QueueDepth(depth as u64));
     }
 }
 
@@ -518,14 +522,16 @@ impl QueryObs {
         Some(Arc::clone(q) as Arc<dyn NetObserver>)
     }
 
-    fn push(&self, event: impl FnOnce() -> Event) {
+    fn life(&self, time: Duration, kind: impl FnOnce() -> FleetEventKind) {
         if let Some(q) = &self.0 {
-            q.push(event());
+            q.life(time, q.job, kind);
         }
     }
 
-    fn life(&self, time: Duration, kind: impl FnOnce() -> FleetEventKind) {
-        self.push(|| Event::Life { time, kind: kind() });
+    fn detail(&self, event: impl FnOnce() -> Event) {
+        if let Some(q) = &self.0 {
+            q.detail(event);
+        }
     }
 
     /// Records the query's arrival at `arrival`, its admission at `now`
@@ -533,18 +539,15 @@ impl QueryObs {
     pub(crate) fn admit(&self, arrival: Duration, now: Duration, cached: bool) {
         let Some(q) = &self.0 else { return };
         let r = &q.report;
-        q.life(arrival, FleetEventKind::Submit);
-        q.life(now, FleetEventKind::Admit { queued: now.saturating_sub(arrival) });
-        q.life(
-            now,
-            FleetEventKind::Plan {
-                plans_costed: r.plans_costed,
-                bind_joins: r.bind_joins,
-                estimated_rows: r.estimated_rows,
-                cached,
-                fingerprint: r.fingerprint,
-            },
-        );
+        self.life(arrival, || FleetEventKind::Submit);
+        self.life(now, || FleetEventKind::Admit { queued: now.saturating_sub(arrival) });
+        self.life(now, || FleetEventKind::Plan {
+            plans_costed: r.plans_costed,
+            bind_joins: r.bind_joins,
+            estimated_rows: r.estimated_rows,
+            cached,
+            fingerprint: r.fingerprint,
+        });
     }
 
     /// Records a retry against `endpoint` after failed attempt `attempt`
@@ -576,7 +579,7 @@ impl QueryObs {
         end: Duration,
         rows: u64,
     ) {
-        self.push(|| Event::Source { span, endpoint: endpoint.to_string(), start, end, rows });
+        self.detail(|| Event::Source { span, endpoint: endpoint.to_string(), start, end, rows });
     }
 
     /// Records one answer at `now` into the Figure 2 answer trace and the
@@ -584,12 +587,11 @@ impl QueryObs {
     /// the two cannot drift apart.
     pub(crate) fn answer(&self, trace: &mut AnswerTrace, now: Duration) {
         trace.record(now);
-        let Some(q) = &self.0 else { return };
         let n = trace.count();
         if n == 1 {
-            q.life(now, FleetEventKind::FirstRow);
+            self.life(now, || FleetEventKind::FirstRow);
         }
-        q.push(Event::Answer { time: now, n });
+        self.detail(|| Event::Answer { time: now, n });
     }
 
     /// Closes the query at `now`: each service leaf's actual rows (when the
@@ -610,11 +612,11 @@ impl QueryObs {
                 .map(|n| (n.source.clone().unwrap_or_default(), n.estimated, n.rows_out))
                 .collect();
             for (source, estimated, rows) in services {
-                q.life(now, FleetEventKind::SourceRows { source, estimated, rows });
+                self.life(now, || FleetEventKind::SourceRows { source, estimated, rows });
             }
         }
         let estimated_rows = q.report.estimated_rows;
-        q.life(now, FleetEventKind::Complete { outcome, latency, estimated_rows, rows });
+        self.life(now, || FleetEventKind::Complete { outcome, latency, estimated_rows, rows });
     }
 
     /// The query's trace report, when its detail is kept: see
@@ -629,18 +631,19 @@ impl QueryObs {
         Some(TraceReport::fold(&state.events, &state.nodes, &q.report, links, stats))
     }
 
-    /// `op` inside the node wrapper of plan node `node` when anything is
-    /// kept, else `op` itself; `boxed` boxes the wrapper as `op`'s type.
+    /// `op` inside the node wrapper of plan node `node` when its actuals
+    /// are read, else `op` itself; `boxed` boxes the wrapper as `op`'s type.
     pub(crate) fn wrap<O>(&self, node: u32, op: O, boxed: impl FnOnce(NodeOp<O>) -> O) -> O {
+        let node = node as usize;
         match &self.0 {
-            Some(q) => boxed(NodeOp { inner: op, node: node as usize, query: Arc::clone(q) }),
-            None => op,
+            Some(q) if q.tracks(node) => boxed(NodeOp { inner: op, node, query: Arc::clone(q) }),
+            _ => op,
         }
     }
 }
 
-/// The one node wrapper, around every operator of both executors when
-/// anything is kept: it counts the node's rows and notes its first emit
+/// The one node wrapper, around every operator of both executors whose
+/// actuals are read: it counts the node's rows and notes its first emit
 /// and its exhaustion in the query's node table.
 pub(crate) struct NodeOp<O> {
     pub(crate) inner: O,

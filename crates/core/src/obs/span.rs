@@ -299,7 +299,6 @@ impl TraceReport {
                     let label = format!("answer {n}");
                     b.push(Some(exec), SpanKind::Answer, "engine".into(), label, *time, *time, 1);
                 }
-                Event::Life { .. } => {}
             }
         }
 
