@@ -593,6 +593,38 @@ mod tests {
         assert!(Expr::Cmp(int(P53 + 1), CmpOp::Eq, d).test(&r));
     }
 
+    /// SPARQL 1.1 §17.2.2: a numeric operand's effective boolean value is
+    /// false when it is NaN or zero, and so is a numeric-typed literal whose
+    /// lexical form is invalid. Both used to read as true: NaN is not
+    /// `0.0`, and `"abc"^^xsd:integer` has no value and a non-empty lexical
+    /// form.
+    #[test]
+    fn ebv_of_nan_and_malformed_numerics_is_false() {
+        use fedlake_rdf::vocab::xsd;
+        let typed = |lex: &str, dt: &str| Term::Literal(Literal::typed(lex, dt));
+        let r = Row::new()
+            .with("nan", typed("NaN", xsd::DOUBLE))
+            .with("bad", typed("abc", xsd::INTEGER))
+            .with("empty", typed("", xsd::DECIMAL))
+            .with("inf", typed("INF", xsd::DOUBLE));
+        assert_eq!(Value::Num(f64::NAN).ebv(), Ok(false));
+        for v in ["nan", "bad", "empty"] {
+            assert!(!Expr::Var(Var::new(v)).test(&r), "?{v}");
+            assert!(Expr::Not(var(v)).test(&r), "!?{v}");
+        }
+        // NaN that arithmetic makes is false too.
+        assert!(!Expr::Arith(var("nan"), ArithOp::Add, int(1)).test(&r));
+        // What was right stays right: infinity and non-zero numbers are
+        // true, zero and the non-numeric cases keep their rules.
+        assert!(Expr::Var(Var::new("inf")).test(&r));
+        assert!(Expr::Var(Var::new("n")).test(&row()));
+        assert!(!Expr::Arith(var("n"), ArithOp::Sub, int(5)).test(&row()));
+        assert!(Expr::Var(Var::new("s")).test(&row()));
+        let b = Row::new().with("t", typed("true", xsd::BOOLEAN)).with("f", typed("abc", xsd::BOOLEAN));
+        assert!(Expr::Var(Var::new("t")).test(&b));
+        assert!(!Expr::Var(Var::new("f")).test(&b));
+    }
+
     #[test]
     fn string_comparisons() {
         assert!(Expr::Cmp(var("s"), CmpOp::Eq, s("Homo sapiens")).test(&row()));
