@@ -147,17 +147,21 @@ impl<'a> Value<'a> {
         Value::Term(t, numeric_value(t))
     }
 
-    /// SPARQL effective boolean value.
+    /// SPARQL effective boolean value (SPARQL 1.1 §17.2.2): a number is
+    /// false when it is zero or NaN, and a numeric- or boolean-typed literal
+    /// with an invalid lexical form is false.
     pub fn ebv(self) -> Result<bool, EvalError> {
         match self {
             Value::Bool(b) => Ok(b),
-            Value::Num(n) | Value::Term(_, Some(n)) => Ok(n != 0.0),
+            Value::Num(n) | Value::Term(_, Some(n)) => Ok(n != 0.0 && !n.is_nan()),
             Value::Str(s) => Ok(!s.is_empty()),
             Value::Term(Term::Literal(l), None) => {
                 if l.datatype.as_deref() == Some(fedlake_rdf::vocab::xsd::BOOLEAN) {
                     Ok(l.lexical == "true" || l.lexical == "1")
                 } else {
-                    Ok(!l.lexical.is_empty())
+                    // A numeric literal reaches here only when its lexical
+                    // form did not parse.
+                    Ok(!l.is_numeric() && !l.lexical.is_empty())
                 }
             }
             Value::Term(..) => Err(EvalError::Type),

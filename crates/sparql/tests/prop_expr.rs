@@ -15,11 +15,16 @@ use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 /// values, every variable and constant cloned, every numeric re-parsed.
 /// Frozen — do not "fix" it; it is the semantics being preserved.
 ///
-/// One difference is on purpose: `compare` below reads every number through
-/// `f64`, the evaluator compares two `xsd:integer`-family literals as
-/// integers once either is at or past 2^53 (`expr.rs::compare`; regression
-/// `integers_beyond_2_pow_53_compare_exactly`). The pool's integers are
-/// small, so the two agree on everything generated here.
+/// Two differences are on purpose:
+/// - `compare` below reads every number through `f64`, the evaluator
+///   compares two `xsd:integer`-family literals as integers once either is
+///   at or past 2^53 (`expr.rs::compare`; regression
+///   `integers_beyond_2_pow_53_compare_exactly`). The pool's integers are
+///   small, so the two agree on everything generated here.
+/// - `ebv` below follows SPARQL 1.1 §17.2.2 where the interpreter did not:
+///   NaN is false, and so is a numeric-typed literal with an invalid
+///   lexical form (regression `ebv_of_nan_and_malformed_numerics_is_false`).
+///   The pool holds both, so this rule is taken here rather than left out.
 mod frozen {
     use super::*;
     use std::cmp::Ordering;
@@ -36,11 +41,13 @@ mod frozen {
         pub fn ebv(&self) -> Result<bool, ()> {
             match self {
                 Value::Bool(b) => Ok(*b),
-                Value::Num(n) => Ok(*n != 0.0),
+                Value::Num(n) => Ok(*n != 0.0 && !n.is_nan()),
                 Value::Str(s) => Ok(!s.is_empty()),
                 Value::Term(Term::Literal(l)) => {
                     if let Some(n) = numeric_value(l) {
-                        Ok(n != 0.0)
+                        Ok(n != 0.0 && !n.is_nan())
+                    } else if l.is_numeric() {
+                        Ok(false)
                     } else if l.datatype.as_deref() == Some(xsd::BOOLEAN) {
                         Ok(l.lexical == "true" || l.lexical == "1")
                     } else {
