@@ -394,6 +394,27 @@ impl Node {
             },
         }
     }
+
+    /// Calls `f` with the slot of every variable read, repeats included.
+    fn for_each_slot(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Node::Var { slot, .. } | Node::Bound { slot, .. } => slot.iter().copied().for_each(f),
+            Node::Const { .. } => {}
+            Node::Cmp(a, _, b)
+            | Node::Arith(a, _, b)
+            | Node::And(a, b)
+            | Node::Or(a, b)
+            | Node::Contains(a, b)
+            | Node::StrStarts(a, b)
+            | Node::StrEnds(a, b) => {
+                a.for_each_slot(f);
+                b.for_each_slot(f);
+            }
+            Node::Not(e) | Node::Regex { arg: e, .. } | Node::Str(e) | Node::Lang(e) => {
+                e.for_each_slot(f)
+            }
+        }
+    }
 }
 
 impl BoundExpr {
@@ -418,6 +439,20 @@ impl BoundExpr {
             .eval(&IdSource { id_of, dict })
             .and_then(Value::ebv)
             .unwrap_or(false)
+    }
+
+    /// The schema slot the expression reads, when it reads exactly one
+    /// (however often): its [`BoundExpr::test_ids`] verdict is then a
+    /// function of that slot's id alone. `None` when it reads no slot — no
+    /// variable, or only variables the schema does not know — or two or
+    /// more.
+    pub fn single_slot(&self) -> Option<usize> {
+        let (mut one, mut more) = (None, false);
+        self.0.for_each_slot(&mut |s| match one {
+            None => one = Some(s),
+            Some(first) => more |= first != s,
+        });
+        one.filter(|_| !more)
     }
 }
 
@@ -760,6 +795,23 @@ mod tests {
                 "expr {e} disagrees between representations"
             );
         }
+    }
+
+    #[test]
+    fn single_slot_counts_distinct_known_slots() {
+        let schema = RowSchema::new(["n", "s"].map(Var::new));
+        let slot = |e: Expr| e.bind(Some(&schema)).single_slot();
+        let n_eq_5 = Expr::Cmp(var("n"), CmpOp::Eq, int(5));
+        assert_eq!(slot(n_eq_5.clone()), Some(0));
+        // Read twice, and beside a variable the schema does not know.
+        let twice = Expr::And(Box::new(n_eq_5.clone()), Box::new(Expr::Bound(Var::new("n"))));
+        assert_eq!(slot(twice), Some(0));
+        assert_eq!(slot(Expr::Or(Box::new(n_eq_5.clone()), var("zz"))), Some(0));
+        assert_eq!(slot(Expr::Cmp(var("n"), CmpOp::Eq, var("s"))), None);
+        assert_eq!(slot(Expr::Not(int(1))), None);
+        assert_eq!(slot(Expr::Bound(Var::new("zz"))), None);
+        // Bound without a schema, nothing has a slot.
+        assert_eq!(n_eq_5.bind(None).single_slot(), None);
     }
 
     #[test]
