@@ -657,33 +657,38 @@ struct Conjunct {
 const NO_VERDICT: u64 = u64::MAX;
 
 impl Conjunct {
-    /// Whether `row` passes, reading the table first when there is one;
-    /// `dict` is locked on the first evaluation the row needs.
+    /// Whether `row` passes, reading the table first when there is one.
     fn keeps<'d>(
         &mut self,
         row: &SlotRow,
         interner: &'d SharedInterner,
         dict: &mut Option<MutexGuard<'d, Dictionary>>,
     ) -> bool {
-        let cell = self.slot.map(|s| {
-            // An unbound slot is a key like any other: `UNBOUND` is an id.
-            let id = row.get(s).unwrap_or(TermId::UNBOUND).0;
-            (id, id as usize % VERDICT_CELLS)
-        });
-        if let Some((id, at)) = cell {
-            if self.verdicts[at] >> 1 == u64::from(id) {
-                return self.verdicts[at] & 1 == 1;
-            }
+        let Some(slot) = self.slot else { return self.decide(row, interner, dict) };
+        // An unbound slot is a key like any other: `UNBOUND` is an id.
+        let id = row.get(slot).unwrap_or(TermId::UNBOUND).0;
+        let at = id as usize % VERDICT_CELLS;
+        if self.verdicts[at] >> 1 == u64::from(id) {
+            return self.verdicts[at] & 1 == 1;
         }
+        let keep = self.decide(row, interner, dict);
+        self.verdicts[at] = u64::from(id) << 1 | u64::from(keep);
+        keep
+    }
+
+    /// Evaluates `expr` over `row`, locking the interner into `dict` unless
+    /// an earlier conjunct of the row already has.
+    fn decide<'d>(
+        &mut self,
+        row: &SlotRow,
+        interner: &'d SharedInterner,
+        dict: &mut Option<MutexGuard<'d, Dictionary>>,
+    ) -> bool {
         #[cfg(test)]
         {
             self.evals += 1;
         }
-        let keep = self.expr.test_ids(|s| row.get(s), dict.get_or_insert_with(|| interner.lock()));
-        if let Some((id, at)) = cell {
-            self.verdicts[at] = u64::from(id) << 1 | u64::from(keep);
-        }
-        keep
+        self.expr.test_ids(|s| row.get(s), dict.get_or_insert_with(|| interner.lock()))
     }
 }
 
