@@ -254,6 +254,61 @@ fn an_integer_filter_answers_the_same_pushed_or_kept() {
     }
 }
 
+/// A double constant reaches the source as SQL it can parse, or not at all:
+/// a finite one is written with a decimal point (`1e21` prints without one,
+/// and the SQL lexer has no exponent syntax), and NaN or ±INF has no SQL
+/// literal, so Heuristic 2 keeps that filter at the engine. An
+/// `xsd:integer` past `i64` takes the double's path. Either way the aware
+/// plans answer what the unaware plan answers.
+#[test]
+fn a_double_filter_answers_the_same_pushed_or_kept() {
+    let mut db = Database::new("levels");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, x DOUBLE)").unwrap();
+    db.execute("INSERT INTO reading VALUES ('r0', 1.5), ('r1', 3.0)").unwrap();
+    db.execute("CREATE INDEX idx_reading_x ON reading (x)").unwrap();
+    let mapping = DatasetMapping::new("levels").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            "id",
+        )
+        .with_literal("x", &format!("{V}level")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("levels", db, mapping));
+
+    let xsd = |lex: &str, dt: &str| format!("\"{lex}\"^^<http://www.w3.org/2001/XMLSchema#{dt}>");
+    // (filter, answers, whether a filter Heuristic 2 may push is pushable)
+    let cases = [
+        ("?x < 1.0E21".to_string(), 2, true),
+        (format!("?x > {}", xsd("-1.0E21", "double")), 2, true),
+        ("?x >= 2.0".to_string(), 1, true),
+        (format!("?x < {}", xsd("100000000000000000000", "integer")), 2, true),
+        (format!("?x < {}", xsd("INF", "double")), 2, false),
+        (format!("?x > {}", xsd("-INF", "double")), 2, false),
+        (format!("?x = {}", xsd("NaN", "double")), 0, false),
+    ];
+    for (filter, want, pushable) in cases {
+        let sparql = format!("SELECT ?r WHERE {{ ?r <{V}level> ?x . FILTER({filter}) }}");
+        let expected = oracle_answers(&oracle, &sparql);
+        assert_eq!(expected.len(), want, "oracle, {filter}");
+        let run = |mode: PlanMode| {
+            let engine =
+                FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+            engine.execute_sparql(&sparql).unwrap_or_else(|e| panic!("{filter} under {mode:?}: {e}"))
+        };
+        let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+        for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
+            let result = run(mode);
+            assert_eq!(answers(&result.rows), expected, "{filter} under {mode:?}");
+            let pushed = result.stats.engine_filter_evals == 0;
+            assert_eq!(pushed, pushable && mode != PlanMode::Unaware, "{}", result.explain);
+        }
+    }
+}
+
 #[test]
 fn h1_merges_only_when_join_attribute_indexed() {
     let sparql = q_join_filter();
