@@ -164,7 +164,9 @@ pub fn star_part(
                     .push(format!("{alias}.{} = {}", pm.column, sql_str(&key)));
             }
             (fedlake_sparql::ast::VarOrTerm::Term(t), None) => {
-                let v = lift::term_to_value(t);
+                let v = sql_literal(&lift::term_to_value(t)).ok_or_else(|| {
+                    FedError::Unsupported(format!("object {t} has no SQL literal"))
+                })?;
                 part.wheres.push(format!("{alias}.{} = {v}", pm.column));
             }
         }
@@ -348,7 +350,7 @@ pub fn filter_to_sql(
             } else {
                 lift::term_to_value(c)
             };
-            Some(format!("{alias}.{col} {sql_op} {value}"))
+            Some(format!("{alias}.{col} {sql_op} {}", sql_literal(&value)?))
         }
         Expr::Contains(_, b) => like(alias, &col, b, "%", "%"),
         Expr::StrStarts(_, b) => like(alias, &col, b, "", "%"),
@@ -458,6 +460,22 @@ fn column_type(schema: &TableSchema, col: &str) -> Result<DataType, FedError> {
 
 fn sql_str(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
+}
+
+/// `v` as a SQL literal the source reads back as `v` — the one way a term
+/// is written into SQL (filter constants, ground objects, bind-join keys).
+/// A finite double always carries a decimal point: `1e21` displays as an
+/// integer past `i64`, and the SQL lexer has no exponent syntax. `None`
+/// for NaN and ±INF, which have no SQL literal.
+pub fn sql_literal(v: &Value) -> Option<String> {
+    match v {
+        Value::Double(d) if !d.is_finite() => None,
+        Value::Double(d) => {
+            let s = d.to_string();
+            Some(if s.contains('.') { s } else { s + ".0" })
+        }
+        v => Some(v.to_string()),
+    }
 }
 
 #[cfg(test)]
@@ -675,6 +693,22 @@ mod tests {
         let pushed = s.filters.clone();
         let q = sql_single(&star_part(&s, &mapping(), &schema(), &pushed, "s0").unwrap());
         assert!(q.sql.contains("LIKE '%sapiens%'"), "sql: {}", q.sql);
+    }
+
+    #[test]
+    fn sql_literals_keep_a_double_a_double() {
+        let cases = [
+            (Value::Double(1e21), Some("1000000000000000000000.0")),
+            (Value::Double(-2.0), Some("-2.0")),
+            (Value::Double(1.5), Some("1.5")),
+            (Value::Int(7), Some("7")),
+            (Value::text("it's"), Some("'it''s'")),
+            (Value::Double(f64::NAN), None),
+            (Value::Double(f64::NEG_INFINITY), None),
+        ];
+        for (v, want) in cases {
+            assert_eq!(sql_literal(&v).as_deref(), want, "{v:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::lake::DataLake;
 use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
-use crate::translate::{sql_single, TranslatedQuery};
+use crate::translate::{sql_literal, sql_single, TranslatedQuery};
 use fedlake_mapping::lift::term_to_value;
 use fedlake_rdf::{Term, TermId};
 use fedlake_relational::{Database, Value};
@@ -24,9 +24,10 @@ use std::time::Duration;
 /// The SQL a bind join ships for one batch: `target`'s star restricted to
 /// the distinct keys of the left rows' join terms, in first-seen order, as
 /// one `IN` list. Terms no key can be extracted from (an IRI the target's
-/// template did not mint, a literal where it expects an IRI) are skipped;
-/// `None` when that leaves nothing. Rendered on a lift-cache miss only: a
-/// batch is cached under its join terms' ids, not under this text.
+/// template did not mint, a literal where it expects an IRI) or whose key
+/// has no SQL literal ([`sql_literal`]) are skipped; `None` when that
+/// leaves nothing. Rendered on a lift-cache miss only: a batch is cached
+/// under its join terms' ids, not under this text.
 pub fn bind_batch_query<'t>(
     target: &BindTarget,
     terms: impl IntoIterator<Item = &'t Term>,
@@ -41,12 +42,11 @@ pub fn bind_batch_query<'t>(
                 .map(Value::Text),
             None => Some(term_to_value(term)),
         };
-        if let Some(key) = key {
-            if !seen.contains(&key) {
-                let sep = if seen.is_empty() { "" } else { ", " };
-                let _ = write!(list, "{sep}{key}");
-                seen.insert(key);
-            }
+        let Some(key) = key.filter(|k| !seen.contains(k)) else { continue };
+        if let Some(literal) = sql_literal(&key) {
+            let sep = if seen.is_empty() { "" } else { ", " };
+            let _ = write!(list, "{sep}{literal}");
+            seen.insert(key);
         }
     }
     if seen.is_empty() {
