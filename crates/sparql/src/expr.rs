@@ -664,6 +664,31 @@ mod tests {
         assert!(!Expr::Var(Var::new("f")).test(&b));
     }
 
+    /// SPARQL 1.1 §17.3 maps `!=` to `fn:not(op:numeric-equal)`, and XPath's
+    /// `op:numeric-equal` and `op:numeric-less-than` are false when an
+    /// operand is NaN: `=` and the four orderings are false and `!=` is
+    /// true — a boolean, not an error. As an error, `?x != NaN` and
+    /// `!(?x < NaN)` both dropped every row.
+    #[test]
+    fn comparisons_with_nan_are_false_except_not_equal() {
+        let nan = || Box::new(Expr::Const(Term::double(f64::NAN)));
+        let not = |e: Expr| Expr::Not(Box::new(e));
+        for x in [Term::double(1.5), Term::double(3.0), Term::integer(2), Term::double(f64::NAN)] {
+            let r = Row::new().with("x", x.clone());
+            for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                assert!(!Expr::Cmp(var("x"), op, nan()).test(&r), "{x} {op} NaN");
+                assert!(!Expr::Cmp(nan(), op, var("x")).test(&r), "NaN {op} {x}");
+                assert!(not(Expr::Cmp(var("x"), op, nan())).test(&r), "!({x} {op} NaN)");
+            }
+            assert!(Expr::Cmp(var("x"), CmpOp::Ne, nan()).test(&r), "{x} != NaN");
+            assert!(!not(Expr::Cmp(var("x"), CmpOp::Ne, nan())).test(&r), "!({x} != NaN)");
+            // NaN that arithmetic makes compares the same way.
+            let made = Box::new(Expr::Arith(nan(), ArithOp::Add, int(1)));
+            assert!(Expr::Cmp(var("x"), CmpOp::Ne, made.clone()).test(&r), "{x} != NaN + 1");
+            assert!(!Expr::Cmp(made, CmpOp::Ge, var("x")).test(&r), "NaN + 1 >= {x}");
+        }
+    }
+
     #[test]
     fn string_comparisons() {
         assert!(Expr::Cmp(var("s"), CmpOp::Eq, s("Homo sapiens")).test(&row()));
