@@ -28,7 +28,12 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn test(self, ord: Ordering) -> bool {
+    /// The operator applied to a comparison's outcome. `None` — two numbers,
+    /// one of them NaN — is false for every operator but `!=`: XPath's
+    /// `op:numeric-equal` and `op:numeric-less-than` are false on NaN, and
+    /// SPARQL 1.1 §17.3 maps `!=` to `fn:not(op:numeric-equal)`.
+    fn test(self, ord: Option<Ordering>) -> bool {
+        let Some(ord) = ord else { return self == CmpOp::Ne };
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
             CmpOp::Ne => ord != Ordering::Equal,
@@ -138,8 +143,6 @@ pub enum EvalError {
     Type,
     /// Division by zero.
     DivisionByZero,
-    /// An ordering comparison involving NaN.
-    NanComparison,
 }
 
 impl<'a> Value<'a> {
@@ -209,23 +212,24 @@ fn integer_value(v: Value<'_>) -> Option<i128> {
 /// Compares two values per SPARQL operator semantics. Two integer
 /// literals compare as integers — what the same filter does once
 /// Heuristic 2 has pushed it into SQL — and every other pair of numbers
-/// as doubles.
-fn compare(a: Value<'_>, b: Value<'_>) -> Result<Ordering, EvalError> {
+/// as doubles. `None` when one of two numbers is NaN: unordered, which
+/// [`CmpOp::test`] decides, not an error.
+fn compare(a: Value<'_>, b: Value<'_>) -> Result<Option<Ordering>, EvalError> {
     if let (Some(x), Some(y)) = (a.as_num(), b.as_num()) {
         if x.abs() >= F64_EXACT || y.abs() >= F64_EXACT {
             if let (Some(i), Some(j)) = (integer_value(a), integer_value(b)) {
-                return Ok(i.cmp(&j));
+                return Ok(Some(i.cmp(&j)));
             }
         }
-        return x.partial_cmp(&y).ok_or(EvalError::NanComparison);
+        return Ok(x.partial_cmp(&y));
     }
     match (a, b) {
-        (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(&y)),
-        (Value::Term(Term::Blank(x), _), Value::Term(Term::Blank(y), _)) => Ok(x.cmp(y)),
+        (Value::Bool(x), Value::Bool(y)) => Ok(Some(x.cmp(&y))),
+        (Value::Term(Term::Blank(x), _), Value::Term(Term::Blank(y), _)) => Ok(Some(x.cmp(y))),
         _ => {
             let x = a.as_str().ok_or(EvalError::Type)?;
             let y = b.as_str().ok_or(EvalError::Type)?;
-            Ok(x.cmp(y))
+            Ok(Some(x.cmp(y)))
         }
     }
 }

@@ -15,7 +15,7 @@ use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 /// values, every variable and constant cloned, every numeric re-parsed.
 /// Frozen — do not "fix" it; it is the semantics being preserved.
 ///
-/// Two differences are on purpose:
+/// Three differences are on purpose:
 /// - `compare` below reads every number through `f64`, the evaluator
 ///   compares two `xsd:integer`-family literals as integers once either is
 ///   at or past 2^53 (`expr.rs::compare`; regression
@@ -25,6 +25,11 @@ use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 ///   NaN is false, and so is a numeric-typed literal with an invalid
 ///   lexical form (regression `ebv_of_nan_and_malformed_numerics_is_false`).
 ///   The pool holds both, so this rule is taken here rather than left out.
+/// - `compare` below follows SPARQL 1.1 §17.3 where the interpreter did
+///   not: two numbers one of which is NaN are unordered, not an error, so
+///   `=` and the orderings are false and `!=` is true (regression
+///   `comparisons_with_nan_are_false_except_not_equal`). The pool holds NaN,
+///   so this rule is taken here too.
 mod frozen {
     use super::*;
     use std::cmp::Ordering;
@@ -84,23 +89,24 @@ mod frozen {
         }
     }
 
-    fn compare(a: &Value, b: &Value) -> Result<Ordering, ()> {
+    fn compare(a: &Value, b: &Value) -> Result<Option<Ordering>, ()> {
         if let (Some(x), Some(y)) = (as_num(a), as_num(b)) {
-            return x.partial_cmp(&y).ok_or(());
+            return Ok(x.partial_cmp(&y));
         }
         match (a, b) {
-            (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(y)),
-            (Value::Term(Term::Iri(x)), Value::Term(Term::Iri(y))) => Ok(x.cmp(y)),
-            (Value::Term(Term::Blank(x)), Value::Term(Term::Blank(y))) => Ok(x.cmp(y)),
+            (Value::Bool(x), Value::Bool(y)) => Ok(Some(x.cmp(y))),
+            (Value::Term(Term::Iri(x)), Value::Term(Term::Iri(y))) => Ok(Some(x.cmp(y))),
+            (Value::Term(Term::Blank(x)), Value::Term(Term::Blank(y))) => Ok(Some(x.cmp(y))),
             _ => {
                 let x = as_str(a).ok_or(())?;
                 let y = as_str(b).ok_or(())?;
-                Ok(x.cmp(&y))
+                Ok(Some(x.cmp(&y)))
             }
         }
     }
 
-    fn cmp_test(op: CmpOp, ord: Ordering) -> bool {
+    fn cmp_test(op: CmpOp, ord: Option<Ordering>) -> bool {
+        let Some(ord) = ord else { return op == CmpOp::Ne };
         match op {
             CmpOp::Eq => ord == Ordering::Equal,
             CmpOp::Ne => ord != Ordering::Equal,
