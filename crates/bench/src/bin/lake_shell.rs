@@ -42,7 +42,7 @@
 //!
 //! Repeat queries replay byte-identical plans from the normalized plan
 //! cache; a serve run (and `.caches`) prints its counters next to the lift
-//! cache's and the SQL memo's.
+//! cache's.
 //!
 //! `--replicas N` replicates every source N ways (endpoints `id#r0` …),
 //! and `--outage ENDPOINT` (repeatable) puts an endless outage on one
@@ -190,11 +190,11 @@ impl Shell {
     }
 }
 
-/// The engine's three caches, one line each.
+/// The engine's two caches, one line each.
 fn print_caches(engine: &FederatedEngine) {
     let stats = engine.cache_stats();
     println!("== caches ==");
-    for (name, s) in [("plan", stats.plan), ("lift", stats.lift), ("sql-memo", stats.sql_memo)] {
+    for (name, s) in [("plan", stats.plan), ("lift", stats.lift)] {
         println!(
             "{name:<8} lookups {} hits {} misses {} stale {} evictions {}",
             s.lookups, s.hits, s.misses, s.stale, s.evictions

@@ -65,11 +65,11 @@ pub enum MergeTranslation {
     /// the "forced optimized SQL" of §3.
     #[default]
     Optimized,
-    /// Ontario's unoptimized translation, emulated faithfully: the wrapper
-    /// evaluates the first star, then issues one parameterized SQL query
-    /// per retrieved binding for the second star (an N+1 dependent join at
-    /// the wrapper). The join is still "pushed down" — it happens at the
-    /// source side of the network link — but pays per-query overhead.
+    /// Ontario's unoptimized translation, an N+1 dependent join: the
+    /// planner lowers the pair to a same-source bind join of batch 1 — the
+    /// first star as one SQL service, then one SQL query for the second
+    /// star per binding of the join variable. The join still happens at
+    /// the source, but every binding pays a request round trip.
     Naive,
 }
 

@@ -172,21 +172,15 @@ pub struct FederatedEngine {
     plan_cache: std::sync::Mutex<crate::plancache::PlanCache>,
 }
 
-/// The counters of an engine's three caches, in the one vocabulary of
+/// The counters of an engine's two caches, in the one vocabulary of
 /// [`fedlake_relational::cache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
     /// The normalized plan cache.
     pub plan: CacheStats,
     /// The source-result cache of lifted one-shot leaves and bind-join
-    /// batches.
+    /// batches — every source request the engine makes.
     pub lift: CacheStats,
-    /// The SQL memos of the lake's relational sources, summed. Only the
-    /// naive N+1 translation ([`crate::MergeTranslation::Naive`]) moves
-    /// them: every other source request is lifted from the source's rows
-    /// in place and counted under `lift`, so on the default translation
-    /// these stay zero.
-    pub sql_memo: CacheStats,
 }
 
 /// Failures before the planner treats an endpoint as degraded — two full
@@ -548,19 +542,11 @@ impl FederatedEngine {
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
 
-    /// Counter snapshot of all three caches: plans, lifted source results
-    /// and the sources' SQL memos.
+    /// Counter snapshot of both caches: plans and lifted source results.
     pub fn cache_stats(&self) -> EngineCacheStats {
-        let mut sql_memo = CacheStats::default();
-        for source in self.lake.sources() {
-            if let crate::source::DataSource::Relational { db, .. } = source {
-                sql_memo += db.cache_stats();
-            }
-        }
         EngineCacheStats {
             plan: self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).cache_stats(),
             lift: self.lifts.stats(),
-            sql_memo,
         }
     }
 

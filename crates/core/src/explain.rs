@@ -41,7 +41,6 @@ pub(crate) fn node_line(plan: &FedPlan) -> String {
                     let kind = match request {
                         SqlRequest::Single(_) => "SQL",
                         SqlRequest::MergedOptimized(_) => "SQL merged(optimized)",
-                        SqlRequest::MergedNaive { .. } => "SQL merged(naive N+1)",
                     };
                     format!("Service[{}] {kind} covering {}", s.source_id, covers.join(", "))
                 }

@@ -8,56 +8,31 @@
 //! engine operators.
 
 use crate::decompose::StarSubquery;
-use crate::translate::{StarPart, TranslatedQuery};
+use crate::translate::TranslatedQuery;
 use fedlake_mapping::IriTemplate;
 use fedlake_sparql::binding::Var;
 use fedlake_sparql::expr::Expr;
 
-/// How a merged-naive service resolves the inner star per outer binding.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NaiveJoin {
-    /// The outer variable supplying the join key.
-    pub outer_var: Var,
-    /// The inner table column equated with the key.
-    pub inner_col: String,
-    /// Template extracting the key from entity IRIs, when the join
-    /// variable carries IRIs.
-    pub extract: Option<IriTemplate>,
-}
-
-/// The request a SQL wrapper sends to a relational source.
-// Plans are built once per query; the size skew of the naive-merge variant
-// is irrelevant next to indirection on every match.
-#[allow(clippy::large_enum_variant)]
+/// The request a SQL wrapper sends to a relational source. Heuristic 1
+/// with Ontario's unoptimized translation is no request of its own: the
+/// planner lowers it to a bind join of batch 1 ([`FedPlan::BindJoin`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlRequest {
     /// One star, one `SELECT`.
     Single(TranslatedQuery),
     /// Heuristic 1 with optimized translation: one flat join `SELECT`.
     MergedOptimized(TranslatedQuery),
-    /// Heuristic 1 with Ontario's unoptimized translation, emulated as an
-    /// N+1 dependent join at the wrapper: evaluate `outer`, then one inner
-    /// query per outer binding.
-    MergedNaive {
-        /// The outer star's query.
-        outer: TranslatedQuery,
-        /// The inner star's reusable SQL fragments.
-        inner: StarPart,
-        /// How outer bindings parameterize the inner query.
-        join: NaiveJoin,
-    },
 }
 
 impl SqlRequest {
-    /// The SQL text (outer query for the naive form).
+    /// The SQL text.
     pub fn sql(&self) -> &str {
         match self {
             SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => &q.sql,
-            SqlRequest::MergedNaive { outer, .. } => &outer.sql,
         }
     }
 
-    /// True for either merged form (Heuristic 1 applied).
+    /// True for the merged form (Heuristic 1 applied).
     pub fn is_merged(&self) -> bool {
         !matches!(self, SqlRequest::Single(_))
     }
@@ -142,7 +117,8 @@ pub struct ServiceNode {
 }
 
 /// A federated execution plan.
-// Same rationale as SqlRequest: a handful of nodes per query.
+// Plans are built once per query, a handful of nodes each; the size skew of
+// the leaf variants is irrelevant next to indirection on every match.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum FedPlan {

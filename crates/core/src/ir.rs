@@ -89,7 +89,7 @@ pub enum LogicalPlan {
     Req {
         /// Logical source id.
         source: String,
-        /// The request text (outer query for the naive-merge form).
+        /// The request text.
         sql: String,
     },
     /// `bgp-req`: one star-shaped BGP evaluated natively at a SPARQL
@@ -158,14 +158,6 @@ impl LogicalPlan {
                     sql: match request {
                         SqlRequest::Single(q) => format!("single:{}", q.sql),
                         SqlRequest::MergedOptimized(q) => format!("merged:{}", q.sql),
-                        SqlRequest::MergedNaive { outer, inner, join } => format!(
-                            "naive:{} inner:{}[{}] on:{}={}",
-                            outer.sql,
-                            inner.table,
-                            inner.wheres.join(" AND "),
-                            join.outer_var,
-                            join.inner_col
-                        ),
                     },
                 },
             },

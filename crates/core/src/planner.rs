@@ -23,7 +23,7 @@
 use crate::config::{EngineJoin, MergeTranslation, PlanConfig, PlanMode};
 use crate::decompose::{decompose_as, StarSubject, StarSubquery};
 use crate::error::FedError;
-use crate::fedplan::{FedPlan, NaiveJoin, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
+use crate::fedplan::{FedPlan, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
 use crate::health::HealthView;
 use crate::lake::DataLake;
 use crate::selection::{select_sources_with_health, Candidate};
@@ -386,19 +386,7 @@ fn plan_conjunctive(
                 .is_some_and(DataSource::is_relational)
             && !star.has_variable_predicate();
         if single_relational {
-            let cand = &cands[0];
-            let (tm, schema) = relational_parts(lake, cand)?;
-            let (pushed, engine_filters) =
-                split_filters(star, &tm, lake.source(&cand.source_id).expect("selected"), config);
-            rel_stars.push(RelStar {
-                star_idx: i,
-                source_id: cand.source_id.clone(),
-                tm,
-                schema,
-                pushed,
-                engine_filters,
-                cardinality: cand.cardinality,
-            });
+            rel_stars.push(RelStar::new(i, star, &cands[0], lake, config)?);
         } else {
             other_units.push((i, plan_other_star(star, cands, lake, config, stats)?));
         }
@@ -456,7 +444,7 @@ fn plan_conjunctive(
                 units.push((vec![rel_stars[i].star_idx, rel_stars[j].star_idx], unit, None));
             }
             _ => {
-                let unit = build_single_service(&dec.stars, &rel_stars[i], config, stats)?;
+                let unit = build_single_service(&dec.stars, &rel_stars[i], stats)?;
                 units.push((vec![rel_stars[i].star_idx], unit, Some(i)));
             }
         }
@@ -644,29 +632,40 @@ fn find_merge_join(
     None
 }
 
-fn relational_parts(
-    lake: &DataLake,
-    cand: &Candidate,
-) -> Result<(TableMapping, TableSchema), FedError> {
-    match lake.source(&cand.source_id) {
-        Some(DataSource::Relational { db, mapping, .. }) => {
-            let tm = mapping
-                .for_class(&cand.class)
-                .ok_or_else(|| {
-                    FedError::Internal(format!("class {} not mapped", cand.class))
-                })?
-                .clone();
-            let schema = db
-                .table(&tm.table)
-                .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?
-                .schema
-                .clone();
-            Ok((tm, schema))
-        }
-        _ => Err(FedError::Internal(format!(
-            "candidate source {} is not relational",
-            cand.source_id
-        ))),
+impl RelStar {
+    /// `star`, the `star_idx`-th of its decomposition, bound to its
+    /// relational candidate `cand`, with Heuristic 2's split of its filters.
+    fn new(
+        star_idx: usize,
+        star: &StarSubquery,
+        cand: &Candidate,
+        lake: &DataLake,
+        config: &PlanConfig,
+    ) -> Result<RelStar, FedError> {
+        let source = lake.source(&cand.source_id);
+        let Some(source @ DataSource::Relational { db, mapping, .. }) = source else {
+            let id = &cand.source_id;
+            return Err(FedError::Internal(format!("candidate source {id} is not relational")));
+        };
+        let tm = mapping
+            .for_class(&cand.class)
+            .ok_or_else(|| FedError::Internal(format!("class {} not mapped", cand.class)))?
+            .clone();
+        let schema = db
+            .table(&tm.table)
+            .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?
+            .schema
+            .clone();
+        let (pushed, engine_filters) = split_filters(star, &tm, source, config);
+        Ok(RelStar {
+            star_idx,
+            source_id: cand.source_id.clone(),
+            tm,
+            schema,
+            pushed,
+            engine_filters,
+            cardinality: cand.cardinality,
+        })
     }
 }
 
@@ -737,10 +736,10 @@ fn build_bind_join(
     Ok(Ok(wrap_engine_filters(plan, rs.engine_filters.clone())))
 }
 
+/// A single relational star as one SQL service under its engine filters.
 fn build_single_service(
     stars: &[StarSubquery],
     rs: &RelStar,
-    _config: &PlanConfig,
     stats: Option<&LakeStatistics>,
 ) -> Result<FedPlan, FedError> {
     let star = &stars[rs.star_idx];
@@ -772,78 +771,50 @@ fn build_merged_service(
         .ok_or_else(|| FedError::Internal("merge pair lost its join".into()))?;
     let sa = &stars[a.star_idx];
     let sb = &stars[b.star_idx];
-    // Stats-based merged estimate: the classic equi-join formula over the
-    // two star estimates (`None` outside cost mode).
-    let merged_est = |pa: &StarPart, pb: &StarPart| -> f64 {
-        match (
-            stats_estimate(stats, &a.source_id, sa, &a.pushed),
-            stats_estimate(stats, &b.source_id, sb, &b.pushed),
-        ) {
-            (Some(ea), Some(eb)) => join_estimate(ea, ea, eb, eb),
-            _ => estimate(a.cardinality, pa).min(estimate(b.cardinality, pb)),
-        }
-    };
-
-    // Denormalized case: both stars read one table — combine under a
-    // single alias with no join (regardless of the translation quality
-    // setting; there is no join to translate badly).
-    if a.tm.table == b.tm.table {
-        let pa = star_part(sa, &a.tm, &a.schema, &a.pushed, "s0")?;
-        let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, "s0")?;
-        let est = merged_est(&pa, &pb);
-        let q = crate::translate::sql_merged_same_table(&pa, &pb, &left_col, &right_col);
-        let service = FedPlan::Service(ServiceNode {
-            source_id: a.source_id.clone(),
-            route: None,
-            kind: ServiceKind::Sql {
-                request: SqlRequest::MergedOptimized(q),
-                covers: vec![sa.subject.to_string(), sb.subject.to_string()],
-            },
-            estimated_rows: est,
+    // Denormalized case: both stars read one table and combine under a
+    // single alias with no join — whatever the translation quality setting;
+    // there is no join to translate badly.
+    let same_table = a.tm.table == b.tm.table;
+    if config.merge_translation == MergeTranslation::Naive && !same_table {
+        // Ontario's unoptimized translation is an N+1 dependent join: `a`'s
+        // star once, then `b`'s once per binding of the shared variable —
+        // the one mapped to `left_col` on `a`'s side. That is a same-source
+        // bind join of batch 1.
+        let join_var = sa
+            .vars()
+            .into_iter()
+            .find(|v| column_of_var(v, sa, &a.tm).as_deref() == Some(left_col.as_str()))
+            .ok_or_else(|| FedError::Internal("naive merge: join variable not found".into()))?;
+        let left = build_single_service(stars, a, stats)?;
+        return build_bind_join(left, stars, b, &join_var, 1, stats)?.map_err(|_| {
+            let table = &b.tm.table;
+            FedError::Internal(format!("naive merge: {join_var} maps to no column of {table}"))
         });
-        let mut filters = a.engine_filters.clone();
-        filters.extend(b.engine_filters.clone());
-        return Ok(wrap_engine_filters(service, filters));
     }
 
     let pa = star_part(sa, &a.tm, &a.schema, &a.pushed, "s0")?;
-    let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, "s1")?;
-    let est = merged_est(&pa, &pb);
-    let covers = vec![sa.subject.to_string(), sb.subject.to_string()];
-    let request = match config.merge_translation {
-        MergeTranslation::Optimized => {
-            SqlRequest::MergedOptimized(sql_merged(&pa, &pb, &left_col, &right_col))
-        }
-        MergeTranslation::Naive => {
-            // The dependent join keys on the shared variable: the one
-            // mapped to `left_col` on `a`'s side.
-            let join_var = sa
-                .vars()
-                .into_iter()
-                .find(|v| column_of_var(v, sa, &a.tm).as_deref() == Some(left_col.as_str()))
-                .ok_or_else(|| {
-                    FedError::Internal("naive merge: join variable not found".into())
-                })?;
-            // How inner keys lift: if the variable is b's subject, IRIs are
-            // minted by b's subject template; otherwise, by the reference
-            // template if any.
-            let extract = match &sb.subject {
-                crate::decompose::StarSubject::Var(v) if *v == join_var => {
-                    Some(b.tm.subject_template.clone())
-                }
-                _ => crate::translate::column_ref_template(&join_var, sb, &b.tm),
-            };
-            SqlRequest::MergedNaive {
-                outer: sql_single(&pa),
-                inner: pb,
-                join: NaiveJoin { outer_var: join_var, inner_col: right_col, extract },
-            }
-        }
+    let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, if same_table { "s0" } else { "s1" })?;
+    let q = if same_table {
+        crate::translate::sql_merged_same_table(&pa, &pb, &left_col, &right_col)
+    } else {
+        sql_merged(&pa, &pb, &left_col, &right_col)
+    };
+    // Stats-based merged estimate: the classic equi-join formula over the
+    // two star estimates (`None` outside cost mode).
+    let est = match (
+        stats_estimate(stats, &a.source_id, sa, &a.pushed),
+        stats_estimate(stats, &b.source_id, sb, &b.pushed),
+    ) {
+        (Some(ea), Some(eb)) => join_estimate(ea, ea, eb, eb),
+        _ => estimate(a.cardinality, &pa).min(estimate(b.cardinality, &pb)),
     };
     let service = FedPlan::Service(ServiceNode {
         source_id: a.source_id.clone(),
         route: None,
-        kind: ServiceKind::Sql { request, covers },
+        kind: ServiceKind::Sql {
+            request: SqlRequest::MergedOptimized(q),
+            covers: vec![sa.subject.to_string(), sb.subject.to_string()],
+        },
         estimated_rows: est,
     });
     let mut filters = a.engine_filters.clone();
@@ -879,34 +850,9 @@ fn plan_other_star(
                     estimated_rows: est,
                 }));
             }
-            DataSource::Relational { db, mapping, .. } => {
-                let tm = mapping
-                    .for_class(&cand.class)
-                    .ok_or_else(|| {
-                        FedError::Internal(format!("class {} not mapped", cand.class))
-                    })?
-                    .clone();
-                let schema = db
-                    .table(&tm.table)
-                    .ok_or_else(|| {
-                        FedError::Internal(format!("table {} missing", tm.table))
-                    })?
-                    .schema
-                    .clone();
-                let (pushed, engine) = split_filters(star, &tm, source, config);
-                let part = star_part(star, &tm, &schema, &pushed, "s0")?;
-                let est = stats_estimate(stats, &cand.source_id, star, &pushed)
-                    .unwrap_or_else(|| estimate(cand.cardinality, &part));
-                let service = FedPlan::Service(ServiceNode {
-                    source_id: cand.source_id.clone(),
-                    route: None,
-                    kind: ServiceKind::Sql {
-                        request: SqlRequest::Single(sql_single(&part)),
-                        covers: vec![star.subject.to_string()],
-                    },
-                    estimated_rows: est,
-                });
-                branches.push(wrap_engine_filters(service, engine));
+            DataSource::Relational { .. } => {
+                let rs = RelStar::new(0, star, cand, lake, config)?;
+                branches.push(build_single_service(std::slice::from_ref(star), &rs, stats)?);
             }
         }
     }
@@ -1451,4 +1397,73 @@ fn order_units_by_cost(
         };
     }
     Ok(plan)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedlake_mapping::{DatasetMapping, IriTemplate};
+    use fedlake_netsim::NetworkProfile;
+    use fedlake_relational::Database;
+    use fedlake_sparql::parser::parse_query;
+
+    /// Under the naive translation a pair Heuristic 1 merges is the N+1
+    /// dependent join it stands for: the first star as one SQL service, the
+    /// second re-asked per binding — a bind join of batch 1 on the merge
+    /// column, with the key template that column's IRIs are minted by.
+    #[test]
+    fn a_naive_merge_plans_as_a_bind_join_of_batch_one() {
+        let mut db = Database::new("d");
+        db.execute("CREATE TABLE gene (id TEXT PRIMARY KEY, label TEXT, disease TEXT)").unwrap();
+        db.execute("CREATE TABLE disease (id TEXT PRIMARY KEY, name TEXT)").unwrap();
+        db.execute("INSERT INTO gene VALUES ('g0', 'gene 0', 'd0')").unwrap();
+        db.execute("INSERT INTO disease VALUES ('d0', 'asthma')").unwrap();
+        db.execute("CREATE INDEX idx_gene_disease ON gene (disease)").unwrap();
+        let (gene_iri, disease_iri) =
+            (IriTemplate::new("http://d/gene/{}"), IriTemplate::new("http://d/disease/{}"));
+        let mapping = DatasetMapping::new("d")
+            .with_table(
+                TableMapping::new("gene", "http://v/Gene", gene_iri, "id")
+                    .with_literal("label", "http://v/label")
+                    .with_reference("disease", "http://v/disease", disease_iri.clone()),
+            )
+            .with_table(
+                TableMapping::new("disease", "http://v/Disease", disease_iri.clone(), "id")
+                    .with_literal("name", "http://v/name"),
+            );
+        let mut lake = DataLake::new();
+        lake.add_source(DataSource::relational("d", db, mapping));
+        let query = parse_query(
+            "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
+             ?d <http://v/name> ?n . FILTER(?n != \"cancer\") }",
+        )
+        .unwrap();
+        let plan = |translation| {
+            let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
+            config.merge_translation = translation;
+            plan_query_with_health(&query, &lake, &config, &HealthView::default()).unwrap().plan
+        };
+
+        let optimized = plan(MergeTranslation::Optimized);
+        assert_eq!(optimized.merged_service_count(), 1, "{optimized:?}");
+        let mut naive = plan(MergeTranslation::Naive);
+        while let FedPlan::Filter { input, .. } = naive {
+            naive = *input;
+        }
+        let FedPlan::BindJoin { left, right, batch_size } = naive else {
+            panic!("a naive merge is a bind join: {naive:?}");
+        };
+        assert_eq!(batch_size, 1);
+        match *left {
+            FedPlan::Service(ServiceNode {
+                kind: ServiceKind::Sql { request: SqlRequest::Single(_), covers },
+                ..
+            }) => assert_eq!(covers, ["?g"]),
+            other => panic!("the left side is the gene star's single service: {other:?}"),
+        }
+        assert_eq!(right.source_id, "d");
+        assert_eq!(right.part.table, "disease");
+        assert_eq!((right.join_var.name(), right.column.as_str()), ("d", "id"));
+        assert_eq!(right.extract, Some(disease_iri));
+    }
 }

@@ -427,7 +427,7 @@ fn ref_template_of<'a>(
 
 /// The reference IRI template of the column a variable maps to, when that
 /// column is a foreign key (public clone-returning form of
-/// `ref_template_of`, used by the planner's naive-merge path).
+/// `ref_template_of`, used by the planner's bind joins).
 pub fn column_ref_template(
     v: &Var,
     star: &StarSubquery,

@@ -3,7 +3,6 @@
 
 use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftedSource};
 use super::bind::bind_batch_query;
-use super::naive::{NaiveStage, NaiveStream};
 use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRoute};
 use crate::error::FedError;
 use crate::fedplan::{BindTarget, ServiceKind, ServiceNode, SqlRequest};
@@ -16,7 +15,6 @@ use fedlake_rdf::TermId;
 use fedlake_relational::Database;
 use fedlake_sparql::binding::{encode_row, Row, SlotRow};
 use fedlake_sparql::eval::eval_bgp;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,25 +35,12 @@ pub fn open_service<'a>(
         (ServiceKind::Sparql { star, filters }, DataSource::Sparql { graph, .. }) => {
             LeafRequest::Sparql { graph, star: star.clone(), filters: filters.clone() }
         }
-        (ServiceKind::Sql { request, .. }, DataSource::Relational { db, .. }) => match request {
-            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => {
-                LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone() }
-            }
-            SqlRequest::MergedNaive { outer, inner, join } => {
-                return Ok(Box::new(NaiveStream {
-                    db,
-                    outer: outer.clone(),
-                    inner: inner.clone(),
-                    join: join.clone(),
-                    route,
-                    rows_per_message,
-                    bindings: VecDeque::new(),
-                    buffer: Delivery::pre_notified(Vec::new()),
-                    installed_inner: false,
-                    stage: NaiveStage::Unopened,
-                }))
-            }
-        },
+        (
+            ServiceKind::Sql {
+                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
+            },
+            DataSource::Relational { db, .. },
+        ) => LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone() },
         (kind, src) => {
             return Err(FedError::Internal(format!(
                 "service kind {kind:?} does not match source {}",
@@ -74,41 +59,6 @@ pub fn open_service<'a>(
     }))
 }
 
-/// Materialized payload of a [`Delivery`]: the shared lifted columns of a
-/// one-shot leaf (with this stream's cursor), or the N+1 wrapper's owned
-/// rows, which are never shared.
-enum Materialized {
-    Rows(VecDeque<SlotRow>),
-    Cols { data: Arc<LiftedSource>, cursor: usize },
-}
-
-impl Materialized {
-    fn remaining(&self) -> usize {
-        match self {
-            Materialized::Rows(rows) => rows.len(),
-            Materialized::Cols { data, cursor } => data.rows - cursor,
-        }
-    }
-
-    /// The next row, `None` when none remain.
-    fn take_row(&mut self) -> Option<SlotRow> {
-        match self {
-            Materialized::Rows(rows) => rows.pop_front(),
-            Materialized::Cols { data, cursor } => {
-                if *cursor >= data.rows {
-                    return None;
-                }
-                let mut out = SlotRow::unbound(data.cols.len());
-                for (slot, c) in data.cols.iter().enumerate() {
-                    out.set(slot, c[*cursor]);
-                }
-                *cursor += 1;
-                Some(out)
-            }
-        }
-    }
-}
-
 /// One message on its way, and how many rows it carries (none for an
 /// empty-result notification).
 struct Flight {
@@ -116,38 +66,42 @@ struct Flight {
     rows: usize,
 }
 
-/// Message-batched delivery of a materialized result. Rows are handed out
-/// in order from `data`; `ready` counts those whose message has landed. At
-/// most one message is on the link at a time, and a poll reports
-/// `Poll::Pending` while it is in the air, letting the engine drain *other*
-/// sources in the meantime — unless the serialized policy sat the wait out
-/// when the message was sent. Message boundaries, the empty-result
-/// notification and the retry accounting do not depend on the policy.
-pub(super) struct Delivery {
-    data: Materialized,
+/// Message-batched delivery of a leaf's lifted answer. Rows are handed out
+/// in order from the shared columns of `data`, at this stream's `cursor`;
+/// `ready` counts those whose message has landed. At most one message is
+/// on the link at a time, and a poll reports `Poll::Pending` while it is in
+/// the air, letting the engine drain *other* sources in the meantime —
+/// unless the serialized policy sat the wait out when the message was
+/// sent. Message boundaries, the empty-result notification and the retry
+/// accounting do not depend on the policy.
+struct Delivery {
+    data: Arc<LiftedSource>,
+    cursor: usize,
     ready: usize,
     inflight: Option<Flight>,
     empty_notified: bool,
 }
 
 impl Delivery {
-    fn of(data: Materialized) -> Self {
-        Delivery { data, ready: 0, inflight: None, empty_notified: false }
-    }
-
-    fn new(rows: Vec<SlotRow>) -> Self {
-        Delivery::of(Materialized::Rows(rows.into()))
-    }
-
-    /// A delivery whose empty-result notification is considered already
-    /// sent (the NaiveStream inner buffers: the per-binding round trip
-    /// was its own message).
-    pub(super) fn pre_notified(rows: Vec<SlotRow>) -> Self {
-        Delivery { empty_notified: true, ..Delivery::new(rows) }
+    fn of(data: Arc<LiftedSource>) -> Self {
+        Delivery { data, cursor: 0, ready: 0, inflight: None, empty_notified: false }
     }
 
     fn remaining(&self) -> usize {
-        self.data.remaining()
+        self.data.rows - self.cursor
+    }
+
+    /// The next row, `None` when none remain.
+    fn take_row(&mut self) -> Option<SlotRow> {
+        if self.cursor >= self.data.rows {
+            return None;
+        }
+        let mut out = SlotRow::unbound(self.data.cols.len());
+        for (slot, c) in self.data.cols.iter().enumerate() {
+            out.set(slot, c[self.cursor]);
+        }
+        self.cursor += 1;
+        Some(out)
     }
 
     /// Lands the message in flight once it is due and sends the next one
@@ -155,7 +109,7 @@ impl Delivery {
     /// occupancy and event ordering follow the rows consumed. `Done` when
     /// drained — after the empty-result notification message when there
     /// were no rows at all.
-    pub(super) fn poll(
+    fn poll(
         &mut self,
         route: &SourceRoute,
         rows_per_message: usize,
@@ -165,7 +119,7 @@ impl Delivery {
             if self.ready > 0 {
                 self.ready -= 1;
                 // `ready` only ever counts rows `remaining` still holds.
-                let Some(row) = self.data.take_row() else {
+                let Some(row) = self.take_row() else {
                     return Err(FedError::Internal("a landed message outran its result".into()));
                 };
                 return Ok(Poll::Ready(row));
@@ -377,7 +331,7 @@ impl<'a> LeafStream<'a> {
                 Ok(done) => done,
                 failed => {
                     self.computing = Some(Landing::of(failed, ctx));
-                    return Ok(Delivery::new(Vec::new()));
+                    return Ok(Delivery::of(Arc::default()));
                 }
             };
         let lifted = lifted(&self.request, &self.signature, self.version, ctx)?;
@@ -391,7 +345,7 @@ impl<'a> LeafStream<'a> {
         let (endpoint, rows) = (self.route.active_endpoint(), lifted.rows as u64);
         ctx.obs.source_span(SourceSpan::Compute(what), endpoint, requested, computed, rows);
         self.computing = Some(Landing::of(Ok(computed), ctx));
-        Ok(Delivery::of(Materialized::Cols { data: lifted, cursor: 0 }))
+        Ok(Delivery::of(lifted))
     }
 }
 

@@ -58,12 +58,11 @@ fn lift_value(
     }
 }
 
-/// Lifts a SQL result set directly into slot rows, interning each lifted
-/// term — the row-major lift of the naive N+1 wrapper ([`NaiveStream`])
-/// only, whose per-binding results are merged row by row and never shared.
-/// Every other source request — one-shot leaves and bind-join batches —
-/// lifts column-major into the [`LiftCache`]. The slot of each output
-/// column is resolved once, not per row.
+/// Lifts an owned SQL result set into slot rows, interning each lifted
+/// term; the slot of each output column is resolved once, not per row. No
+/// engine path calls it: every source request — one-shot leaves and
+/// bind-join batches — lifts column-major into the [`LiftCache`]. Its last
+/// callers are fedbench's `lift.*` probes, which time it by name.
 pub fn lift_result(
     rs: &ResultSet,
     outputs: &[OutputBinding],
@@ -118,8 +117,9 @@ pub(super) fn lift_result_cols(
 /// per execution (`None` for a SPARQL source, whose charge follows from the
 /// star's shape and the row count). The ids stay valid for as long as the
 /// interner they were interned into — the engine's is append-only and
-/// shared with every execution.
-#[derive(Debug)]
+/// shared with every execution. The default is the empty answer a failed
+/// request delivers.
+#[derive(Debug, Default)]
 pub struct LiftedSource {
     pub(super) cols: Vec<Vec<TermId>>,
     pub(super) rows: usize,

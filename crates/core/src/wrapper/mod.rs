@@ -18,7 +18,6 @@
 mod bind;
 mod leaf;
 mod lift;
-mod naive;
 mod route;
 
 pub use bind::{bind_batch_query, BindJoinOp};
@@ -54,9 +53,7 @@ mod tests {
     use super::lift::lift_result_cols;
     use super::*;
     use crate::decompose::decompose;
-    use crate::fedplan::{
-        BindTarget, NaiveJoin, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest,
-    };
+    use crate::fedplan::{BindTarget, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
     use crate::lake::DataLake;
     use crate::source::DataSource;
     use crate::translate::{sql_single, Lift, OutputBinding};
@@ -398,68 +395,6 @@ mod tests {
         let mut c = ctx(clock, &["s", "o"]);
         let rows = drain(op.as_mut(), &mut c).unwrap();
         assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn naive_stream_issues_n_plus_one_queries() {
-        let lake = lake();
-        let (gene_tm, disease_tm, gene_schema, disease_schema) =
-            match lake.source("d").unwrap() {
-                DataSource::Relational { db, mapping, .. } => (
-                    mapping.for_table("gene").unwrap().clone(),
-                    mapping.for_table("disease").unwrap().clone(),
-                    db.table("gene").unwrap().schema.clone(),
-                    db.table("disease").unwrap().schema.clone(),
-                ),
-                _ => unreachable!("lake() builds a relational source"),
-            };
-        let d = decompose(
-            &parse_query(
-                "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
-                 ?d <http://v/name> ?n }",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let outer =
-            sql_single(&star_part(&d.stars[0], &gene_tm, &gene_schema, &[], "s0").unwrap());
-        let inner = star_part(&d.stars[1], &disease_tm, &disease_schema, &[], "s1").unwrap();
-        let node = ServiceNode {
-            source_id: "d".into(),
-            route: None,
-            kind: ServiceKind::Sql {
-                request: SqlRequest::MergedNaive {
-                    outer,
-                    inner,
-                    join: NaiveJoin {
-                        outer_var: Var::new("d"),
-                        inner_col: "id".into(),
-                        extract: Some(IriTemplate::new("http://d/disease/{}")),
-                    },
-                },
-                covers: vec!["?g".into(), "?d".into()],
-            },
-            estimated_rows: 5.0,
-        };
-        let clock = shared_virtual();
-        let link = Arc::new(Link::new(
-            NetworkProfile::NO_DELAY,
-            Arc::clone(&clock),
-            CostModel::default(),
-            3,
-        ));
-        let route = SourceRoute::single("d", Arc::clone(&link));
-        let mut op = open_service(&node, &lake, route, 1).unwrap();
-        let mut c = ctx(clock, &["g", "l", "d", "n"]);
-        let rows = drain(op.as_mut(), &mut c).unwrap();
-        // Every gene has a disease with a name.
-        assert_eq!(rows.len(), 5);
-        // 1 outer + 5 inner queries.
-        assert_eq!(c.stats.sql_queries, 6);
-        // Rows bind variables from both stars.
-        let decoded = decode(&c, &rows);
-        assert!(decoded[0].is_bound(&Var::new("n")));
-        assert!(decoded[0].is_bound(&Var::new("l")));
     }
 
     /// The bind-join target of the test lake: the `disease` star, keyed by

@@ -294,14 +294,14 @@ fn a_double_filter_answers_the_same_pushed_or_kept() {
         let sparql = format!("SELECT ?r WHERE {{ ?r <{V}level> ?x . FILTER({filter}) }}");
         let expected = oracle_answers(&oracle, &sparql);
         assert_eq!(expected.len(), want, "oracle, {filter}");
-        let run = |mode: PlanMode| {
+        let push_all =
+            PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+        for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
             let engine =
                 FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
-            engine.execute_sparql(&sparql).unwrap_or_else(|e| panic!("{filter} under {mode:?}: {e}"))
-        };
-        let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
-        for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
-            let result = run(mode);
+            let result = engine
+                .execute_sparql(&sparql)
+                .unwrap_or_else(|e| panic!("{filter} under {mode:?}: {e}"));
             assert_eq!(answers(&result.rows), expected, "{filter} under {mode:?}");
             let pushed = result.stats.engine_filter_evals == 0;
             assert_eq!(pushed, pushable && mode != PlanMode::Unaware, "{}", result.explain);

@@ -63,13 +63,12 @@ pub struct Database {
     version: u64,
     /// Owned results of `SELECT`s run through [`Database::query_cached`],
     /// keyed by the SQL text and stamped with the catalog `version` they
-    /// were computed from (see [`crate::cache`]). The naive N+1 wrapper
-    /// asks the same per-binding query for every outer binding that
-    /// repeats a key, execution after execution; serving the memoized
+    /// were computed from (see [`crate::cache`]). Serving the memoized
     /// result — cost statistics included, so the simulated charge is
-    /// identical — skips the re-scan. The engine's one-shot leaves and
-    /// bind-join batches never come here: they are lifted from
-    /// [`Database::query_borrowed`] and cached in lifted form.
+    /// identical — skips the re-scan. The engine never comes here: its
+    /// one-shot leaves and bind-join batches are lifted from
+    /// [`Database::query_borrowed`] and cached in lifted form; fedbench's
+    /// `relational.*` probes are the memo's last callers.
     cache: Mutex<VersionedCache<String, Arc<ResultSet>>>,
 }
 
@@ -189,7 +188,8 @@ impl Database {
     /// [`Database::query_borrowed`].
     /// Callers must charge the returned `cost` exactly as for an uncached
     /// run — a cache hit changes wall-clock time only, never the simulated
-    /// execution. Errors are not cached.
+    /// execution. Errors are not cached. No engine path calls it; its last
+    /// callers are fedbench's `relational.*` probes, which time it by name.
     pub fn query_cached(&self, sql: &str) -> Result<Arc<ResultSet>, SqlError> {
         if let Some(hit) = self.memo().lookup(sql, self.version) {
             return Ok(hit);

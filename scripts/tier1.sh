@@ -33,14 +33,15 @@ git grep -n "fn transfer_with_retry\|fn transfer_inner\|fn ship_batch" -- 'crate
 
 # A source answer is lifted where it lies: a leaf or a bind-join batch reads
 # the source's rows in place (Database::query_borrowed) into the lift cache,
-# the one cache of source answers. Only the naive N+1 wrapper, whose
-# per-binding results no other cache covers, still goes through the owned,
-# memoized entry point.
+# the one cache of source answers. The naive N+1 translation is a bind join
+# of batch 1, not a wrapper of its own beside it.
 echo "== the SQL memo stays out of the leaf path =="
-memo_callers="$(git grep -n query_cached -- 'crates/core/src/wrapper/*' | grep -v '^crates/core/src/wrapper/naive\.rs:' || true)"
-[ -z "$memo_callers" ] || { echo "$memo_callers"; echo "query_cached is back under a leaf (only wrapper/naive.rs may call it)"; exit 1; }
-git grep -q query_cached -- crates/core/src/wrapper/naive.rs \
-    || { echo "wrapper/naive.rs no longer calls query_cached: the gate above matches nothing"; exit 1; }
+memo_callers=0
+git grep -n query_cached -- 'crates/core/src/*' || memo_callers=$?
+[ "$memo_callers" -eq 1 ] || { echo "query_cached is back under crates/core/src (or git grep failed)"; exit 1; }
+naive_wrapper=0
+git grep -nE 'NaiveStream|MergedNaive|NaiveJoin' -- 'crates/*/src/*' || naive_wrapper=$?
+[ "$naive_wrapper" -eq 1 ] || { echo "a naive N+1 wrapper is back under crates/*/src (or git grep failed)"; exit 1; }
 
 # One table per join side: both joins keep a side's rows in one vector,
 # chained per folded key (operators.rs, BuildSide). A map from boxed key to a
