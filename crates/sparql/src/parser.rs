@@ -503,6 +503,20 @@ mod tests {
     }
 
     #[test]
+    fn negative_doubles_with_an_exponent_parse_as_constants() {
+        let q = parse_query("SELECT ?x WHERE { ?x <http://p> ?v . FILTER(?v > -1e5) }").unwrap();
+        match &q.pattern.filters()[0] {
+            Expr::Cmp(_, _, rhs) => assert_eq!(**rhs, Expr::Const(Term::double(-1e5))),
+            other => panic!("expected a comparison, got {other:?}"),
+        }
+        let q = parse_query("SELECT ?x WHERE { ?x <http://p> -1.0E21 }").unwrap();
+        match &q.pattern.elements[0] {
+            PE::Triple(t) => assert_eq!(t.o.as_term().unwrap(), &Term::double(-1.0e21)),
+            other => panic!("expected triple, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parse_optional() {
         let q = parse_query(
             "SELECT ?x ?n WHERE { ?x a <http://C> . OPTIONAL { ?x <http://name> ?n } }",

@@ -380,6 +380,32 @@ mod tests {
         assert_eq!(toks[1], Token::Punct("."));
     }
 
+    /// SPARQL 1.1's `DOUBLE_NEGATIVE` carries an exponent like its positive
+    /// form does; the sign must not cut the number short.
+    #[test]
+    fn negative_doubles_keep_their_exponent() {
+        for (text, want) in [
+            ("-1e5", -1e5),
+            ("-1.0E21", -1.0e21),
+            ("-2.5e-3", -2.5e-3),
+            ("-7E+2", -7e2),
+            ("1e5", 1e5),
+            ("2.5e-3", 2.5e-3),
+        ] {
+            assert_eq!(tokenize(text).unwrap(), [Token::Double(want), Token::Eof], "{text}");
+        }
+        assert_eq!(tokenize("-12").unwrap(), [Token::Integer(-12), Token::Eof]);
+        assert_eq!(
+            tokenize("-3 .").unwrap(),
+            [Token::Integer(-3), Token::Punct("."), Token::Eof],
+            "a dot after a negative integer is punctuation"
+        );
+        assert_eq!(
+            tokenize("?x - 1").unwrap(),
+            [Token::Variable("x".into()), Token::Punct("-"), Token::Integer(1), Token::Eof]
+        );
+    }
+
     #[test]
     fn unterminated_string_is_error() {
         assert!(tokenize("\"abc").is_err());
