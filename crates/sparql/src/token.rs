@@ -159,41 +159,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
                 tokens.push(Token::Blank(input[start..i].to_string()));
             }
             '0'..='9' => {
-                let start = i;
-                let mut is_double = false;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'e' || bytes[i] == b'E')
-                {
-                    if bytes[i] == b'.' {
-                        // A trailing '.' terminates a triple; only treat it
-                        // as a decimal point when followed by a digit.
-                        if i + 1 >= bytes.len() || !(bytes[i + 1] as char).is_ascii_digit() {
-                            break;
-                        }
-                        is_double = true;
-                    }
-                    if bytes[i] == b'e' || bytes[i] == b'E' {
-                        is_double = true;
-                        if i + 1 < bytes.len() && (bytes[i + 1] == b'+' || bytes[i + 1] == b'-') {
-                            i += 1;
-                        }
-                    }
-                    i += 1;
-                }
-                let text = &input[start..i];
-                if is_double {
-                    let v = text.parse().map_err(|_| SparqlError::Lex {
-                        pos: start,
-                        message: format!("bad double {text:?}"),
-                    })?;
-                    tokens.push(Token::Double(v));
-                } else {
-                    let v = text.parse().map_err(|_| SparqlError::Lex {
-                        pos: start,
-                        message: format!("bad integer {text:?}"),
-                    })?;
-                    tokens.push(Token::Integer(v));
-                }
+                let (token, end) = number(input, i, i)?;
+                tokens.push(token);
+                i = end;
             }
             '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' | '/' | '+' => {
                 tokens.push(Token::Punct(match c {
@@ -213,31 +181,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
             '-' => {
                 // Negative number literal or minus operator.
                 if i + 1 < bytes.len() && (bytes[i + 1] as char).is_ascii_digit() {
-                    // Re-lex as number with sign.
-                    let start = i;
-                    i += 1;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.')
-                    {
-                        if bytes[i] == b'.'
-                            && (i + 1 >= bytes.len() || !(bytes[i + 1] as char).is_ascii_digit())
-                        {
-                            break;
-                        }
-                        i += 1;
-                    }
-                    let text = &input[start..i];
-                    if text.contains('.') {
-                        tokens.push(Token::Double(text.parse().map_err(|_| SparqlError::Lex {
-                            pos: start,
-                            message: format!("bad double {text:?}"),
-                        })?));
-                    } else {
-                        tokens.push(Token::Integer(text.parse().map_err(|_| SparqlError::Lex {
-                            pos: start,
-                            message: format!("bad integer {text:?}"),
-                        })?));
-                    }
+                    let (token, end) = number(input, i, i + 1)?;
+                    tokens.push(token);
+                    i = end;
                 } else {
                     tokens.push(Token::Punct("-"));
                     i += 1;
@@ -298,6 +244,48 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
     }
     tokens.push(Token::Eof);
     Ok(tokens)
+}
+
+/// Scans the number whose text starts at `start` (a `-` sign, or its first
+/// digit) and whose digits start at `digits`: an integer, or a double when
+/// a decimal point or an exponent follows. Returns the token and the index
+/// just past it — the one scanner for both signs.
+fn number(input: &str, start: usize, digits: usize) -> Result<(Token, usize), SparqlError> {
+    let bytes = input.as_bytes();
+    let mut i = digits;
+    let mut is_double = false;
+    while i < bytes.len()
+        && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'e' || bytes[i] == b'E')
+    {
+        if bytes[i] == b'.' {
+            // A trailing '.' terminates a triple; only treat it
+            // as a decimal point when followed by a digit.
+            if i + 1 >= bytes.len() || !(bytes[i + 1] as char).is_ascii_digit() {
+                break;
+            }
+            is_double = true;
+        }
+        if bytes[i] == b'e' || bytes[i] == b'E' {
+            is_double = true;
+            if i + 1 < bytes.len() && (bytes[i + 1] == b'+' || bytes[i + 1] == b'-') {
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    let text = &input[start..i];
+    let token = if is_double {
+        Token::Double(text.parse().map_err(|_| SparqlError::Lex {
+            pos: start,
+            message: format!("bad double {text:?}"),
+        })?)
+    } else {
+        Token::Integer(text.parse().map_err(|_| SparqlError::Lex {
+            pos: start,
+            message: format!("bad integer {text:?}"),
+        })?)
+    };
+    Ok((token, i))
 }
 
 fn is_name_char(b: u8) -> bool {
