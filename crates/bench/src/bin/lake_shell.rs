@@ -190,7 +190,7 @@ impl Shell {
     }
 }
 
-/// The engine's two caches, one line each.
+/// The engine's two caches, one line each, then its delay tapes.
 fn print_caches(engine: &FederatedEngine) {
     let stats = engine.cache_stats();
     println!("== caches ==");
@@ -200,6 +200,7 @@ fn print_caches(engine: &FederatedEngine) {
             s.lookups, s.hits, s.misses, s.stale, s.evictions
         );
     }
+    println!("{:<8} tapes {} draws {}", "delays", stats.delays.tapes, stats.delays.draws);
 }
 
 /// Observability outputs of one run (all optional).

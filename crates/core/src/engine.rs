@@ -12,7 +12,7 @@ use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, open_service, route_for, source_failures, total_traffic};
 use fedlake_netsim::clock::shared_virtual;
-use fedlake_netsim::Link;
+use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
@@ -170,10 +170,15 @@ pub struct FederatedEngine {
     /// health inputs. Every planning call goes through it; behind a mutex
     /// so `&self` planning paths can populate it.
     plan_cache: std::sync::Mutex<crate::plancache::PlanCache>,
+    /// The delays of every fault-free gamma link this engine opens, by
+    /// (link seed, model): a pure function of the key, extended on demand
+    /// and never stale (see [`fedlake_netsim::tape`]). Every execution and
+    /// serve run reads its links' delays here instead of drawing them.
+    delays: DelayTapes,
 }
 
 /// The counters of an engine's two caches, in the one vocabulary of
-/// [`fedlake_relational::cache`].
+/// [`fedlake_relational::cache`], and what its delay tapes hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
     /// The normalized plan cache.
@@ -181,6 +186,9 @@ pub struct EngineCacheStats {
     /// The source-result cache of lifted one-shot leaves and bind-join
     /// batches — every source request the engine makes.
     pub lift: CacheStats,
+    /// The links' delay tapes: extended, never looked up or invalidated,
+    /// so they count what they hold.
+    pub delays: TapeStats,
 }
 
 /// Failures before the planner treats an endpoint as degraded — two full
@@ -396,6 +404,7 @@ impl FederatedEngine {
             lifts: Arc::default(),
             recorder: crate::obs::Recorder::new(&config),
             plan_cache: std::sync::Mutex::new(crate::plancache::PlanCache::new()),
+            delays: DelayTapes::default(),
         }
     }
 
@@ -542,11 +551,13 @@ impl FederatedEngine {
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
 
-    /// Counter snapshot of both caches: plans and lifted source results.
+    /// Counter snapshot of both caches — plans and lifted source results —
+    /// and of the delay tapes.
     pub fn cache_stats(&self) -> EngineCacheStats {
         EngineCacheStats {
             plan: self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).cache_stats(),
             lift: self.lifts.stats(),
+            delays: self.delays.stats(),
         }
     }
 
@@ -591,6 +602,7 @@ impl FederatedEngine {
             self.config.cost,
             self.config.seed,
             &self.fault_plans(),
+            &self.delays,
             &obs,
         );
         // The paper's single-threaded wrapper loop is a policy of the one
@@ -654,6 +666,11 @@ impl FederatedEngine {
     /// The source-result cache (shared with the serve loop).
     pub(crate) fn lifts(&self) -> &crate::wrapper::SharedLiftCache {
         &self.lifts
+    }
+
+    /// The links' delay tapes (shared with the serve loop).
+    pub(crate) fn delays(&self) -> &DelayTapes {
+        &self.delays
     }
 
     // Node ids are assigned pre-order (node before children, children

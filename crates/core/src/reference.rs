@@ -491,6 +491,8 @@ impl FederatedEngine {
             config.cost,
             config.seed,
             &self.fault_plans(),
+            // Fresh tapes: the honest cold baseline draws every delay.
+            &fedlake_netsim::DelayTapes::default(),
             &obs,
         );
         let mut ctx = ExecCtx::new(

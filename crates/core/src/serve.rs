@@ -215,6 +215,7 @@ impl FederatedEngine {
             config.cost,
             config.seed,
             &self.fault_plans(),
+            self.delays(),
             &self.recorder().fleet(),
         );
 

@@ -759,6 +759,7 @@ mod tests {
             CostModel::default(),
             42,
             &fedlake_netsim::FaultPlans::default(),
+            &Default::default(),
             &crate::obs::QueryObs::default(),
         );
         assert_eq!(links.len(), 1);
@@ -779,6 +780,7 @@ mod tests {
             CostModel::default(),
             42,
             &fedlake_netsim::FaultPlans::default(),
+            &Default::default(),
             &crate::obs::QueryObs::default(),
         );
         assert_eq!(links.len(), 3);

@@ -6,7 +6,7 @@ use crate::fedplan::ReplicaRoute;
 use crate::lake::{logical_source_id, DataLake};
 use crate::obs::SourceSpan;
 use crate::operators::{ExecCtx, Wait};
-use fedlake_netsim::{EventTime, Link};
+use fedlake_netsim::{DelayTapes, EventTime, Link};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -288,6 +288,9 @@ pub fn schedule_rows_with_retry(
 /// `obs`, the recorder handle of the query (or of the fleet) the links
 /// serve, attaches as their network observer when it keeps anything —
 /// observation only, so link behaviour is byte-identical either way.
+/// Every link reads its delays from its tape in `tapes` (a fault-active
+/// link ignores it), so the same timing costs a warm engine no draws.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn links_for(
     lake: &DataLake,
     profile: fedlake_netsim::NetworkProfile,
@@ -295,6 +298,7 @@ pub(crate) fn links_for(
     cost: fedlake_netsim::CostModel,
     seed: u64,
     faults: &fedlake_netsim::FaultPlans,
+    tapes: &DelayTapes,
     obs: &crate::obs::QueryObs,
 ) -> std::collections::HashMap<String, Arc<Link>> {
     let observer = obs.net_observer();
@@ -309,7 +313,8 @@ pub(crate) fn links_for(
                 cost,
                 link_seed,
                 faults.for_endpoint(&endpoint, s.id()),
-            );
+            )
+            .with_tape(tapes.tape(link_seed, profile.delay));
             if let Some(obs) = &observer {
                 link = link.with_observer(&endpoint, Arc::clone(obs));
             }

@@ -9,29 +9,12 @@ use crate::clock::SharedClock;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, LinkFault};
 use crate::obs::NetObserver;
+use crate::parking_lot_shim::Mutex;
 use crate::profile::{DelaySampler, NetworkProfile};
+use crate::tape::{DelayTape, TapeReader};
 use fedlake_prng::Prng;
-use parking_lot_shim::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-
-// `parking_lot` is only linked by crates that already depend on it; keep
-// netsim dependency-light with a std shim exposing the same call shape.
-mod parking_lot_shim {
-    /// `std::sync::Mutex` with `parking_lot`-style (non-poisoning) `lock()`.
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(std::sync::Mutex::new(v))
-        }
-
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-    }
-}
 
 /// Accumulated link statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,6 +67,9 @@ pub struct Link {
 #[derive(Debug)]
 struct LinkState {
     rng: Prng,
+    /// Where a fault-free link reads its delays instead of drawing them
+    /// (see [`crate::tape`]), with its draw counter.
+    tape: Option<TapeReader>,
     stats: LinkStats,
     /// The link's private timeline: the absolute virtual time up to which
     /// this link is busy. Transfers scheduled on a link queue behind each
@@ -114,6 +100,7 @@ impl Link {
             cost,
             state: Mutex::new(LinkState {
                 rng: Prng::seed_from_u64(seed),
+                tape: None,
                 stats: LinkStats::default(),
                 local: Duration::ZERO,
             }),
@@ -133,6 +120,18 @@ impl Link {
     ) -> Self {
         self.label = label.into();
         self.observer = Some(observer);
+        self
+    }
+
+    /// Reads this link's delays from `tape` — the tape of the link's own
+    /// seed and delay model ([`crate::DelayTapes::tape`]) — instead of
+    /// drawing them. Every time lands where it would have. Ignored when
+    /// the fault plan is active: such a link's delays interleave with its
+    /// fault draws on one stream, so it keeps drawing live.
+    pub fn with_tape(self, tape: Option<Arc<DelayTape>>) -> Self {
+        if !self.faults.is_active() {
+            self.state.lock().tape = tape.map(TapeReader::new);
+        }
         self
     }
 
@@ -198,7 +197,7 @@ impl Link {
             }
             if u < self.faults.drop_prob + self.faults.truncate_prob {
                 st.stats.truncated += 1;
-                let delay = self.delay.sample(&mut st.rng);
+                let delay = self.next_delay(&mut st);
                 st.stats.delay += delay;
                 let done = begin + delay + self.cost.message_time(rows);
                 st.local = done;
@@ -207,7 +206,7 @@ impl Link {
             spike = u
                 < self.faults.drop_prob + self.faults.truncate_prob + self.faults.spike_prob;
         }
-        let mut delay = self.delay.sample(&mut st.rng);
+        let mut delay = self.next_delay(&mut st);
         if spike {
             st.stats.spikes += 1;
             delay = Duration::from_nanos(
@@ -220,6 +219,15 @@ impl Link {
         let done = begin + delay + self.cost.message_time(rows);
         st.local = done;
         (begin, done, Ok(()))
+    }
+
+    /// The link's next delay: the next entry of its tape, or a live draw.
+    #[inline]
+    fn next_delay(&self, st: &mut LinkState) -> Duration {
+        match &mut st.tape {
+            Some(tape) => tape.next_delay(&mut st.rng),
+            None => self.delay.sample(&mut st.rng),
+        }
     }
 
     /// Schedules `work` of source-side compute (an RDB scan, a SPARQL
@@ -287,6 +295,8 @@ impl Link {
 mod tests {
     use super::*;
     use crate::clock::shared_virtual;
+    use crate::profile::DelayModel;
+    use crate::tape::{DelayTapes, TapeStats};
 
     fn link(profile: NetworkProfile) -> Link {
         Link::new(profile, shared_virtual(), CostModel::default(), 99)
@@ -532,7 +542,10 @@ mod tests {
         let plan = FaultPlan { drop_prob: 0.3, truncate_prob: 0.2, ..FaultPlan::NONE };
         let plain = faulty(NetworkProfile::GAMMA2, plan);
         let rec = Arc::new(Recorder::default());
+        // A fault-active link ignores the tape it is given.
+        let tapes = DelayTapes::default();
         let observed = faulty(NetworkProfile::GAMMA2, plan)
+            .with_tape(tapes.tape(99, NetworkProfile::GAMMA2.delay))
             .with_observer("src", Arc::clone(&rec) as Arc<dyn NetObserver>);
         let mut outcomes = String::new();
         for i in 0..48 {
@@ -579,6 +592,112 @@ mod tests {
         assert_eq!(rows, observed.stats().rows, "successful rows reconcile");
         for pair in events.windows(2) {
             assert_eq!(pair[0].3, pair[1].2, "each attempt starts where the last one ended");
+        }
+        assert_eq!(tapes.stats().draws, 0, "nothing was read from the tape");
+    }
+
+    /// `link` reading `tapes`' tape of its seed (99) and model.
+    fn taped(profile: NetworkProfile, tapes: &DelayTapes) -> Link {
+        link(profile).with_tape(tapes.tape(99, profile.delay))
+    }
+
+    /// Sends `message_draws_and_stats_are_pinned`'s 32 messages and returns
+    /// the times they landed at and the windows the observer saw.
+    fn pinned_run(l: Link) -> (Vec<Duration>, Link, Vec<TransferEvent>) {
+        let rec = Arc::new(Recorder::default());
+        let l = l.with_observer("src", Arc::clone(&rec) as Arc<dyn NetObserver>);
+        let waited = (0..32)
+            .map(|i| {
+                l.transfer_message(i % 4);
+                l.clock().now()
+            })
+            .collect();
+        let events = rec.events.lock().clone();
+        (waited, l, events)
+    }
+
+    /// A tape changes no time: while the first link fills it and while the
+    /// second reads it back, every message lands at the pinned instant,
+    /// with the pinned stats and the untaped link's observer windows.
+    #[test]
+    fn a_taped_link_lands_every_message_where_an_untaped_one_does() {
+        let want_stats = LinkStats {
+            messages: 32,
+            rows: 48,
+            delay: Duration::from_nanos(132_086_676),
+            ..LinkStats::default()
+        };
+        let first_four = [9_366_314, 16_454_246, 20_158_831, 22_086_027].map(Duration::from_nanos);
+        let end = Duration::from_nanos(132_243_476);
+        let (plain_times, _, plain_windows) = pinned_run(link(NetworkProfile::GAMMA3));
+
+        let tapes = DelayTapes::default();
+        for pass in ["fills", "reads"] {
+            let (times, l, windows) = pinned_run(taped(NetworkProfile::GAMMA3, &tapes));
+            assert_eq!(times[..4], first_four, "{pass}");
+            assert_eq!(times, plain_times, "{pass}");
+            assert_eq!(
+                (l.stats(), l.clock().now(), l.local_time()),
+                (want_stats, end, end),
+                "{pass}"
+            );
+            assert_eq!(windows, plain_windows, "{pass}");
+            assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: 32 }, "{pass}");
+        }
+    }
+
+    /// `serve`'s case: links on one tape take their delays in whatever
+    /// order their callers interleave, and each still equals a link of its
+    /// own that draws live.
+    #[test]
+    fn two_links_on_one_tape_each_equal_a_solo_link() {
+        let tapes = DelayTapes::default();
+        let on_tape =
+            [taped(NetworkProfile::GAMMA2, &tapes), taped(NetworkProfile::GAMMA2, &tapes)];
+        let solo = [link(NetworkProfile::GAMMA2), link(NetworkProfile::GAMMA2)];
+        let mut order = Prng::seed_from_u64(0x7a9e);
+        for _ in 0..400 {
+            // Skewed, so each link spends stretches ahead of the other.
+            let i = usize::from(order.gen_bool(0.7));
+            let rows = order.gen_range(0..5usize);
+            let start = Duration::from_micros(order.gen_range(0..20_000u64));
+            assert_eq!(
+                on_tape[i].schedule_message(rows, start),
+                solo[i].schedule_message(rows, start)
+            );
+        }
+        for i in 0..2 {
+            assert_eq!(on_tape[i].stats(), solo[i].stats(), "link {i}");
+            assert_eq!(on_tape[i].local_time(), solo[i].local_time(), "link {i}");
+        }
+        let longest = on_tape.iter().map(|l| l.stats().messages).max().unwrap();
+        assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: longest });
+    }
+
+    /// A delay of 2³² ns or more does not fit the tape: the tape seals
+    /// before it, and a link that reads past the end draws on, live, from
+    /// where the tape stopped.
+    #[test]
+    fn an_overflowing_draw_seals_the_tape_and_the_link_continues_live() {
+        for (alpha, beta_ms, some_fit) in [(3.0, 5e6, false), (1.0, 1_000.0, true)] {
+            let profile =
+                NetworkProfile { name: "slow", delay: DelayModel::Gamma { alpha, beta_ms } };
+            let tapes = DelayTapes::default();
+            for reader in 0..2 {
+                let (l, plain) = (taped(profile, &tapes), link(profile));
+                for i in 0..400 {
+                    assert_eq!(
+                        l.schedule_message(i % 3, Duration::ZERO),
+                        plain.schedule_message(i % 3, Duration::ZERO),
+                        "Γ({alpha}, {beta_ms}) reader {reader} message {i}"
+                    );
+                }
+                assert_eq!(l.stats(), plain.stats());
+            }
+            let tape = tapes.tape(99, profile.delay).unwrap();
+            assert!(tape.is_sealed(), "Γ({alpha}, {beta_ms})");
+            assert_eq!(tape.draws() > 0, some_fit, "Γ({alpha}, {beta_ms}): {tape:?}");
+            assert!(tape.draws() < 400);
         }
     }
 

@@ -26,6 +26,7 @@ impl Prng {
     }
 
     /// The next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -35,12 +36,14 @@ impl Prng {
     }
 
     /// A uniform double in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform draw from `range` (half-open or inclusive integer ranges,
     /// or a half-open `f64` range). Panics on an empty range.
+    #[inline]
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
@@ -95,6 +98,7 @@ int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleRange for Range<f64> {
     type Output = f64;
+    #[inline]
     fn sample(self, rng: &mut Prng) -> f64 {
         assert!(self.start < self.end, "empty range");
         self.start + rng.next_f64() * (self.end - self.start)

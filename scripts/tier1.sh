@@ -19,6 +19,14 @@ git grep -n "std::env::var" -- 'crates/*/src/*' || env_reads=$?
 # git grep exits 1 when nothing matches; 0 is a hit, anything else an error.
 [ "$env_reads" -eq 1 ] || { echo "environment read under crates/*/src (or git grep failed)"; exit 1; }
 
+# No process-global state: a cache or a delay tape belongs to one engine, so
+# engines over one lake stay independent and a run stays a pure function of
+# its seeds. No static item and no thread-local under crates/*/src.
+echo "== no process-global state under crates/*/src =="
+globals=0
+git grep -nE '^\s*(pub(\([a-z]+\))? )?static |thread_local!' -- 'crates/*/src/*' || globals=$?
+[ "$globals" -eq 1 ] || { echo "a static or thread-local is under crates/*/src (or git grep failed)"; exit 1; }
+
 # One pull protocol: an operator has poll_next and nothing else, a message
 # crosses a route through one retry chain, a link has one transfer body and
 # a bind join one way to ship a batch. The serialized schedule is a policy

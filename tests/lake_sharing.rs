@@ -310,3 +310,36 @@ fn engines_on_two_threads_over_one_lake_answer_like_one() {
         });
     });
 }
+
+/// One engine shared by two threads: its caches and delay tapes are filled
+/// and read by both at once, and every answer and `FedStats` equals a fresh
+/// engine's.
+#[test]
+fn one_engine_shared_by_two_threads_answers_like_fresh_engines() {
+    let base = build_lake(&LakeConfig { scale: 0.05, ..Default::default() });
+    common::for_each_cell(|cell| {
+        let mut lake = base.clone();
+        cell.replicate(&mut lake);
+        let cfg = cell.config(PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA2));
+        let expected = run_stock(&FederatedEngine::new(lake.clone(), cfg));
+        let engine = FederatedEngine::new(lake, cfg);
+        let start = Barrier::new(2);
+        let (engine, start) = (&engine, &start);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        start.wait();
+                        (run_stock(engine), run_stock(engine))
+                    })
+                })
+                .collect();
+            for (i, worker) in workers.into_iter().enumerate() {
+                let (cold, warm) = worker.join().expect("the worker panicked");
+                assert_eq!(cold, expected, "thread {i}, first pass");
+                assert_eq!(warm, expected, "thread {i}, second pass");
+            }
+        });
+        assert!(engine.cache_stats().delays.draws > 0, "the runs read their delays from tapes");
+    });
+}

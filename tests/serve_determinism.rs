@@ -268,6 +268,10 @@ fn schedule_digest(outcomes: &[fedlake_core::serve::QueryOutcome]) -> u64 {
 /// One run saturates the admission bound (jobs queue behind four busy
 /// slots); the other carries a per-job deadline short enough that some
 /// sessions time out while waiting on a source and others complete.
+///
+/// Each spec runs twice on one engine and pins the same numbers both
+/// times: the rerun reads every delay from the tapes the first run drew,
+/// and draws none of its own.
 #[test]
 fn serve_schedule_is_pinned() {
     let mut cfg = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
@@ -284,43 +288,55 @@ fn serve_schedule_is_pinned() {
         max_in_flight: 4,
         ..Default::default()
     };
-    let r = run(&FederatedEngine::new(lake.clone(), cfg), &saturating).unwrap();
-    assert!(r.outcome.outcomes.iter().all(|o| o.completed()));
-    match r.outcome.metrics.get("serve.in_flight") {
-        Some(Metric::Gauge { max, .. }) => assert_eq!(max, 4, "the bound must be reached"),
-        other => panic!("serve.in_flight: {other:?}"),
+    let engine = FederatedEngine::new(lake.clone(), cfg);
+    for pass in ["cold", "warm"] {
+        let drawn = engine.cache_stats().delays.draws;
+        let r = run(&engine, &saturating).unwrap();
+        assert!(r.outcome.outcomes.iter().all(|o| o.completed()));
+        match r.outcome.metrics.get("serve.in_flight") {
+            Some(Metric::Gauge { max, .. }) => assert_eq!(max, 4, "the bound must be reached"),
+            other => panic!("serve.in_flight: {other:?}"),
+        }
+        assert!(
+            r.outcome.outcomes.iter().any(|o| o.admitted > o.arrival),
+            "some job must have queued for a slot"
+        );
+        assert_eq!(
+            (r.outcome.makespan, schedule_digest(&r.outcome.outcomes)),
+            (Duration::from_nanos(261_384_386), 0x224e_ee86_7382_b235),
+            "saturating run, {pass}"
+        );
+        let draws = engine.cache_stats().delays.draws - drawn;
+        assert_eq!(draws == 0, pass == "warm", "saturating run, {pass}: {draws} draws");
     }
-    assert!(
-        r.outcome.outcomes.iter().any(|o| o.admitted > o.arrival),
-        "some job must have queued for a slot"
-    );
-    assert_eq!(
-        (r.outcome.makespan, schedule_digest(&r.outcome.outcomes)),
-        (Duration::from_nanos(261_384_386), 0x224e_ee86_7382_b235),
-        "saturating run"
-    );
 
     let deadline = Duration::from_millis(25);
     let with_deadline = ServeSpec { deadline: Some(deadline), ..saturating };
-    let r = run(&FederatedEngine::new(lake, cfg), &with_deadline).unwrap();
-    let outcomes = &r.outcome.outcomes;
-    assert!(outcomes.iter().any(|o| o.completed()), "some session must complete");
-    // Timed out while pending: admitted before its deadline, never
-    // answered, and time passed before the loop noticed.
-    assert!(
-        outcomes.iter().any(|o| {
-            matches!(o.error, Some(fedlake_core::FedError::Timeout(_)))
-                && o.first_answer.is_none()
-                && o.admitted < o.arrival + deadline
-                && o.finish > o.admitted
-        }),
-        "some session must time out while it waits on a source"
-    );
-    assert_eq!(
-        (r.outcome.makespan, schedule_digest(outcomes)),
-        (Duration::from_nanos(122_729_408), 0x095c_22bc_c6b4_8639),
-        "deadline run"
-    );
+    let engine = FederatedEngine::new(lake, cfg);
+    for pass in ["cold", "warm"] {
+        let drawn = engine.cache_stats().delays.draws;
+        let r = run(&engine, &with_deadline).unwrap();
+        let outcomes = &r.outcome.outcomes;
+        assert!(outcomes.iter().any(|o| o.completed()), "some session must complete");
+        // Timed out while pending: admitted before its deadline, never
+        // answered, and time passed before the loop noticed.
+        assert!(
+            outcomes.iter().any(|o| {
+                matches!(o.error, Some(fedlake_core::FedError::Timeout(_)))
+                    && o.first_answer.is_none()
+                    && o.admitted < o.arrival + deadline
+                    && o.finish > o.admitted
+            }),
+            "some session must time out while it waits on a source"
+        );
+        assert_eq!(
+            (r.outcome.makespan, schedule_digest(outcomes)),
+            (Duration::from_nanos(122_729_408), 0x095c_22bc_c6b4_8639),
+            "deadline run, {pass}"
+        );
+        let draws = engine.cache_stats().delays.draws - drawn;
+        assert_eq!(draws == 0, pass == "warm", "deadline run, {pass}: {draws} draws");
+    }
 }
 
 /// Smoke: a fixed-seed mini-load. Small N, one pass, asserts the rollup
