@@ -19,8 +19,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The most entries a tape reserves at once. A long tape grows in steps of
-/// this size, not by doubling, so its slack stays under 16 KiB.
+/// The most entries a tape reserves at once. A tape grows by a quarter of
+/// its length, at least 64 entries and at most this many — not by
+/// doubling — so its slack stays under a quarter of it and under 16 KiB.
 const GROWTH_STEP: usize = 4096;
 
 /// The delays of one (seed, gamma model) stream, in draw order.
@@ -44,7 +45,7 @@ impl Tape {
     /// Draws the next delay onto the tape, or seals it.
     fn extend(&mut self, delay: &DelaySampler) {
         if self.ns.len() == self.ns.capacity() {
-            self.ns.reserve_exact(self.ns.len().clamp(64, GROWTH_STEP));
+            self.ns.reserve_exact((self.ns.len() / 4).clamp(64, GROWTH_STEP));
         }
         let mut rng = self.rng.clone();
         match u32::try_from(delay.sample(&mut rng).as_nanos()) {
@@ -250,11 +251,11 @@ mod tests {
     #[test]
     fn growth_is_stepped_not_doubled() {
         let tape = Arc::new(DelayTape::new(3, NetworkProfile::GAMMA1.delay.sampler()));
-        read(&tape, 3, 3 * GROWTH_STEP + 10);
-        let slack = {
+        for len in [40, 300, 3 * GROWTH_STEP + 10, 6 * GROWTH_STEP] {
+            read(&tape, 3, len);
             let t = tape.state.lock();
-            t.ns.capacity() - t.ns.len()
-        };
-        assert!(slack < GROWTH_STEP, "slack {slack}");
+            let slack = t.ns.capacity() - t.ns.len();
+            assert!(slack <= (len / 4).clamp(64, GROWTH_STEP), "{len} entries, slack {slack}");
+        }
     }
 }
