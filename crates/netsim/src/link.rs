@@ -296,7 +296,7 @@ mod tests {
     use super::*;
     use crate::clock::shared_virtual;
     use crate::profile::DelayModel;
-    use crate::tape::{DelayTapes, TapeStats};
+    use crate::tape::{DelayTapes, TapeStats, WINDOW};
 
     fn link(profile: NetworkProfile) -> Link {
         Link::new(profile, shared_virtual(), CostModel::default(), 99)
@@ -671,7 +671,8 @@ mod tests {
             assert_eq!(on_tape[i].local_time(), solo[i].local_time(), "link {i}");
         }
         let longest = on_tape.iter().map(|l| l.stats().messages).max().unwrap();
-        assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: longest });
+        let drawn = tapes.stats().draws;
+        assert!((longest..longest + WINDOW as u64).contains(&drawn), "{drawn} for {longest}");
     }
 
     /// A delay of 2³² ns or more does not fit the tape: the tape seals

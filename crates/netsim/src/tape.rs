@@ -82,14 +82,15 @@ impl DelayTape {
 }
 
 /// The most entries a reader copies out of its tape under one lock.
-const WINDOW: usize = 32;
+pub(crate) const WINDOW: usize = 32;
 
 /// One link's place on its tape: the delays it takes, in order, from the
 /// first. What the tape already holds is copied out up to [`WINDOW`]
 /// entries at a time, so a warm link takes the tape's lock once per
-/// window, not once per message; an entry it needs that is not drawn yet
-/// is drawn onto the tape first, and only that one (a link that stops
-/// early draws nothing ahead).
+/// window, not once per message. A reader that needs an entry not drawn
+/// yet draws a whole window onto the tape first, so a cold link also
+/// locks once per window; a tape holds at most `WINDOW - 1` delays no
+/// link has taken.
 pub(crate) struct TapeReader {
     tape: Arc<DelayTape>,
     /// The tape index of `window[len]`: the first entry not copied out.
@@ -126,8 +127,10 @@ impl TapeReader {
 
     fn refill(&mut self, live: &mut Prng) {
         let mut tape = self.tape.state.lock();
-        while tape.ns.len() <= self.next && !tape.sealed {
-            tape.extend(&self.tape.delay);
+        if tape.ns.len() <= self.next {
+            while tape.ns.len() < self.next + WINDOW && !tape.sealed {
+                tape.extend(&self.tape.delay);
+            }
         }
         let held = tape.ns.get(self.next..).unwrap_or_default();
         if held.is_empty() {
@@ -220,12 +223,15 @@ mod tests {
         let sampler = NetworkProfile::GAMMA2.delay.sampler();
         let mut rng = Prng::seed_from_u64(0x5eedcafe);
         let want: Vec<Duration> = (0..300).map(|_| sampler.sample(&mut rng)).collect();
-        // The first reader draws exactly what it takes; the next one reads
-        // those back a window at a time and draws the rest.
+        // The first reader draws a window at a time; the next one reads
+        // those back and draws the rest.
         assert_eq!(read(&tape, 0x5eedcafe, 45), want[..45]);
-        assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: 45 });
+        assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: 2 * WINDOW as u64 });
         assert_eq!(read(&tape, 0x5eedcafe, 300), want);
-        assert_eq!(tapes.stats(), TapeStats { tapes: 1, draws: 300 });
+        assert_eq!(
+            tapes.stats(),
+            TapeStats { tapes: 1, draws: 300_u64.next_multiple_of(WINDOW as u64) }
+        );
     }
 
     #[test]
