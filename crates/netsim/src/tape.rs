@@ -71,12 +71,13 @@ impl DelayTape {
     }
 
     /// Delays drawn onto the tape so far.
-    pub fn draws(&self) -> usize {
+    pub(crate) fn draws(&self) -> usize {
         self.state.lock().ns.len()
     }
 
     /// True once a draw did not fit in 32 bits of nanoseconds.
-    pub fn is_sealed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_sealed(&self) -> bool {
         self.state.lock().sealed
     }
 }
