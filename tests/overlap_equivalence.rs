@@ -236,7 +236,8 @@ fn digest_line(label: &str, r: &FedResult) -> String {
 /// The schedule digest: Q1–Q5 + QM × {unaware, aware} × the four networks
 /// × the six matrix cells, each execution hashed whole — statistics,
 /// answer timestamps and answers — then Q1–Q5 under a fault plan on both
-/// schedules. This file, not a second executor, is
+/// schedules, then Q1–Q5 with eight rows per message on both schedules
+/// with one and two replicas. This file, not a second executor, is
 /// what pins the paper's serialized timing (and the overlapped one) to the
 /// last nanosecond: `tests/golden/schedule_digest.txt` was generated at the
 /// commit before the blocking pull protocol was removed and must stay
@@ -299,6 +300,30 @@ fn schedule_digest_matches_golden() {
                     Ok(result) => digest.push_str(&digest_line(&label, &result)),
                     Err(e) => digest.push_str(&format!("{label} error={e}\n")),
                 }
+            }
+        }
+    }
+    // Multi-row messages: eight rows per message, so message boundaries no
+    // longer coincide with rows, on both schedules and with one or two
+    // replicas per source.
+    for q in workload::experiment_queries() {
+        let ast = parse_query(&q.sparql).unwrap();
+        for overlap in [false, true] {
+            for replicas in [1u32, 2] {
+                let mut lake = build_lake_with(&lake_cfg, q.datasets);
+                if replicas > 1 {
+                    let ids: Vec<String> =
+                        lake.sources().iter().map(|s| s.id().to_string()).collect();
+                    for id in ids {
+                        lake.set_replicas(id, replicas);
+                    }
+                }
+                let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
+                config.overlap = overlap;
+                config.rows_per_message = 8;
+                let label = format!("{}/messages/overlap={overlap}/replicas={replicas}", q.id);
+                let engine = FederatedEngine::new(lake, config);
+                digest.push_str(&digest_line(&label, &engine.execute(&ast).unwrap()));
             }
         }
     }
