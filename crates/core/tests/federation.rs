@@ -10,7 +10,7 @@ use fedlake_core::{
 use fedlake_mapping::{lift_database, DatasetMapping, IriTemplate, TableMapping};
 use fedlake_netsim::NetworkProfile;
 use fedlake_rdf::Graph;
-use fedlake_relational::Database;
+use fedlake_relational::{Database, Value};
 use fedlake_sparql::binding::Row;
 use fedlake_sparql::eval::evaluate;
 use fedlake_sparql::parser::parse_query;
@@ -306,6 +306,42 @@ fn a_double_filter_answers_the_same_pushed_or_kept() {
             let pushed = result.stats.engine_filter_evals == 0;
             assert_eq!(pushed, pushable && mode != PlanMode::Unaware, "{}", result.explain);
         }
+    }
+}
+
+/// A stored NaN differs from every double: SPARQL's `!=` is true on it,
+/// while SQL's `<>` is unknown and would drop the row. So `!=` on a DOUBLE
+/// column stays at the engine under every aware placement, and all plans
+/// return the oracle's two answers.
+#[test]
+fn a_not_equal_filter_keeps_a_stored_nan() {
+    let mut db = Database::new("levels");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, x DOUBLE)").unwrap();
+    db.execute("INSERT INTO reading VALUES ('r0', 1.5), ('r1', 3.0)").unwrap();
+    db.insert_row("reading", vec![Value::Text("r2".into()), Value::Double(f64::NAN)]).unwrap();
+    db.execute("CREATE INDEX idx_reading_x ON reading (x)").unwrap();
+    let mapping = DatasetMapping::new("levels").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            "id",
+        )
+        .with_literal("x", &format!("{V}level")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("levels", db, mapping));
+
+    let sparql = format!("SELECT ?r WHERE {{ ?r <{V}level> ?x . FILTER(?x != 1.5) }}");
+    let expected = oracle_answers(&oracle, &sparql);
+    assert_eq!(expected.len(), 2, "oracle: r1 and the NaN row r2");
+    let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+    for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
+        let engine =
+            FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+        let result = engine.execute_sparql(&sparql).unwrap();
+        assert_eq!(answers(&result.rows), expected, "under {mode:?}: {}", result.explain);
     }
 }
 
