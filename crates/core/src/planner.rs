@@ -530,6 +530,7 @@ fn plan_conjunctive(
 fn split_filters(
     star: &StarSubquery,
     tm: &TableMapping,
+    schema: &TableSchema,
     source: &DataSource,
     config: &PlanConfig,
 ) -> (Vec<Expr>, Vec<Expr>) {
@@ -543,7 +544,7 @@ fn split_filters(
             PlanMode::Aware { filters, .. } => {
                 // The SQL shape must be representable in any pushed case.
                 let translatable = filter_column(f, star, tm).is_some()
-                    && crate::translate::filter_to_sql(f, star, tm, "x").is_some();
+                    && crate::translate::filter_to_sql(f, star, tm, schema, "x").is_some();
                 let indexed = filter_column(f, star, tm)
                     .is_some_and(|col| source.has_index_on(&tm.table, &col));
                 match filters {
@@ -656,7 +657,7 @@ impl RelStar {
             .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?
             .schema
             .clone();
-        let (pushed, engine_filters) = split_filters(star, &tm, source, config);
+        let (pushed, engine_filters) = split_filters(star, &tm, &schema, source, config);
         Ok(RelStar {
             star_idx,
             source_id: cand.source_id.clone(),

@@ -173,7 +173,7 @@ pub fn star_part(
     }
 
     for f in pushed_filters {
-        let sql = filter_to_sql(f, star, tm, alias).ok_or_else(|| {
+        let sql = filter_to_sql(f, star, tm, schema, alias).ok_or_else(|| {
             FedError::Internal(format!("filter {f} was pushed but is not translatable"))
         })?;
         part.wheres.push(sql);
@@ -314,11 +314,14 @@ pub fn filter_column(expr: &Expr, star: &StarSubquery, tm: &TableMapping) -> Opt
 
 /// Translates a pushable filter to a SQL conjunct. Returns `None` when the
 /// expression shape or the needle is not representable (e.g. `LIKE`
-/// wildcards inside the needle).
+/// wildcards inside the needle), or when SQL would answer it differently:
+/// `!=` on a `DOUBLE` column, because SQL's `<>` is unknown on a stored NaN
+/// where SPARQL's `!=` is true.
 pub fn filter_to_sql(
     expr: &Expr,
     star: &StarSubquery,
     tm: &TableMapping,
+    schema: &TableSchema,
     alias: &str,
 ) -> Option<String> {
     let var = single_var_of(expr)?;
@@ -333,6 +336,9 @@ pub fn filter_to_sql(
             let op = if flipped { flip(*op) } else { *op };
             let sql_op = match op {
                 CmpOp::Eq => "=",
+                CmpOp::Ne if matches!(column_type(schema, &col), Ok(DataType::Double)) => {
+                    return None
+                }
                 CmpOp::Ne => "<>",
                 CmpOp::Lt => "<",
                 CmpOp::Le => "<=",
@@ -603,6 +609,10 @@ mod tests {
                 "s0.species = 'Homo sapiens'",
             ),
             (
+                r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(?sp != "Homo sapiens") }"#,
+                "s0.species <> 'Homo sapiens'",
+            ),
+            (
                 r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(REGEX(?sp, "^Homo")) }"#,
                 "s0.species LIKE 'Homo%'",
             ),
@@ -615,7 +625,7 @@ mod tests {
             let s = star(q);
             let f = s.filters[0].clone();
             assert_eq!(
-                filter_to_sql(&f, &s, &tm, "s0").as_deref(),
+                filter_to_sql(&f, &s, &tm, &schema(), "s0").as_deref(),
                 Some(expected),
                 "query: {q}"
             );
@@ -629,7 +639,7 @@ mod tests {
         );
         let f = s.filters[0].clone();
         assert_eq!(
-            filter_to_sql(&f, &s, &mapping(), "s0").as_deref(),
+            filter_to_sql(&f, &s, &mapping(), &schema(), "s0").as_deref(),
             Some("s0.id = 'g3'")
         );
     }
@@ -641,13 +651,13 @@ mod tests {
             "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/species> ?sp . FILTER(?l = ?sp) }",
         );
         let f = s.filters[0].clone();
-        assert!(filter_to_sql(&f, &s, &mapping(), "s0").is_none());
+        assert!(filter_to_sql(&f, &s, &mapping(), &schema(), "s0").is_none());
         // Needle containing LIKE wildcards.
         let s = star(
             r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(CONTAINS(?sp, "100%")) }"#,
         );
         let f = s.filters[0].clone();
-        assert!(filter_to_sql(&f, &s, &mapping(), "s0").is_none());
+        assert!(filter_to_sql(&f, &s, &mapping(), &schema(), "s0").is_none());
     }
 
     #[test]
