@@ -66,11 +66,9 @@ pub struct FedStats {
 }
 
 impl FedStats {
-    /// Assembles the statistics of one execution — the single constructor
-    /// both executors use, so they cannot silently diverge on a new field.
-    /// When tracing is on, the trace report mirrors every field into its
-    /// metrics registry, where the reconciliation tests compare them
-    /// against the recorded spans.
+    /// Assembles the statistics of one execution. When tracing is on, the
+    /// trace report mirrors every field into its metrics registry, where
+    /// the reconciliation tests compare them against the recorded spans.
     pub(crate) fn assemble(
         config: &PlanConfig,
         planned: &PlannedQuery,
@@ -593,7 +591,7 @@ impl FederatedEngine {
         let clock = shared_virtual();
         // A solo query is client 0, submitted and admitted at simulated
         // time zero; its handle observes its links.
-        let obs = self.recorder.begin_query(0, "adhoc", planned, self.config.deadline, true);
+        let obs = self.recorder.begin_query(0, "adhoc", planned, self.config.deadline);
         obs.admit(Duration::ZERO, Duration::ZERO, origin.cached);
         let links = links_for(
             &self.lake,
@@ -726,6 +724,6 @@ impl FederatedEngine {
                 Box::new(UnionOp::new(ops))
             }
         };
-        Ok(obs.wrap(node, op, |w| Box::new(w)))
+        Ok(obs.wrap(node, op))
     }
 }

@@ -60,9 +60,9 @@ pub enum ServiceKind {
 /// The planner's routing decision for a replicated source: the replica
 /// endpoints to use, preferred (healthiest) first, with the reason the
 /// order was chosen. Decided once at plan time from the session's health
-/// snapshot, so both executors — and any re-execution of the same plan —
-/// contact replicas in exactly the same order. `None` on an unreplicated
-/// source: the service talks to the plain source id as before.
+/// snapshot, so any re-execution of the same plan contacts replicas in
+/// exactly the same order. `None` on an unreplicated source: the service
+/// talks to the plain source id as before.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaRoute {
     /// Replica endpoint ids, preferred first; later entries are the

@@ -66,7 +66,6 @@ pub mod obs;
 pub mod operators;
 pub mod plancache;
 pub mod planner;
-pub mod reference;
 pub mod results;
 pub mod selection;
 pub mod serve;

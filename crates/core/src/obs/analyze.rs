@@ -2,12 +2,12 @@
 //! happened — per-operator row counts and simulated emit times, plus the
 //! link traffic, retries and faults of every source the node talked to.
 //!
-//! The node order here is the contract between the recorder and both
-//! executors: [`plan_nodes`] walks the plan in pre-order (node before
+//! The node order here is the contract between the recorder and the
+//! executor: [`plan_nodes`] walks the plan in pre-order (node before
 //! children, children left to right, a bind join recursing only into its
-//! left input), and `build_operator` / `build_ref_operator` assign span
-//! node ids by incrementing a counter in exactly the same order, so node
-//! `i` in the report is line `i` of the analyzed tree.
+//! left input), and `build_operator` assigns span node ids by incrementing
+//! a counter in exactly the same order, so node `i` in the report is line
+//! `i` of the analyzed tree.
 
 use crate::explain::{indent, node_line};
 use crate::fedplan::FedPlan;

@@ -1,6 +1,6 @@
 //! Observability: one recorder, and the views over what it keeps.
 //!
-//! Every hook — in both executors, the serve loop, the wrapper streams and
+//! Every hook — in the executor, the serve loop, the wrapper streams and
 //! (as a passive `NetObserver`) netsim's links and event queue — appends
 //! one event to the recorder ([`recorder`]), stamped by the simulated
 //! clock. [`crate::PlanConfig::recorder`] keeps the lifecycle events in a
@@ -23,7 +23,7 @@ pub mod watchdog;
 pub use analyze::{explain_analyze, plan_nodes};
 pub use export::{chrome_trace, serve_chrome_trace, serve_timeline_html};
 pub use metrics::{nearest_rank, Metric, MetricsRegistry};
-pub(crate) use recorder::{NodeOp, QueryObs, Recorder, SourceSpan};
+pub(crate) use recorder::{QueryObs, Recorder, SourceSpan};
 pub use recorder::{CompletionKind, FleetEvent, FleetEventKind, FlightRecording, JobMeta, NO_JOB};
 pub use slowlog::{slow_log_json, slow_queries, SlowLogConfig, SlowQueryRecord};
 pub use span::{NodeReport, SourceReport, Span, SpanKind, TraceReport};

@@ -1,10 +1,10 @@
 //! The one recorder: every observability hook appends one event to it.
 //!
 //! [`Recorder`] is the engine's session handle; [`QueryObs`] is the
-//! per-query handle it opens for every execution — solo, reference or
-//! served. That handle is the one observability field of [`ExecCtx`], the
-//! one argument `Session::open`, `build_operator` and `links_for` take, and
-//! the one [`NetObserver`] on links and the event queue. Every hook appends
+//! per-query handle it opens for every execution — solo or served. That
+//! handle is the one observability field of [`ExecCtx`], the one argument
+//! `Session::open`, `build_operator` and `links_for` take, and the one
+//! [`NetObserver`] on links and the event queue. Every hook appends
 //! its event; the configuration selects what is *kept*, and an event is
 //! built only where it is:
 //!
@@ -24,8 +24,9 @@
 //! Only ring events take sequence numbers, so keeping the detail too never
 //! moves a ring's `seq`s or evictions. Beside its events the per-query
 //! handle holds the plan's pre-order node table with live actuals, fed by
-//! the one node wrapper [`NodeOp`] in both executors: they are the trace's
-//! operator spans and the ring's per-service `source-rows`.
+//! the one node wrapper `NodeOp` that [`QueryObs::wrap`] puts around an
+//! operator whose actuals are read: they are the trace's operator spans and
+//! the ring's per-service `source-rows`.
 //!
 //! The passivity contract: the recorder never draws randomness, never
 //! advances a clock, and every hook fires at a point the unrecorded
@@ -385,17 +386,15 @@ impl Recorder {
     }
 
     /// Opens the handle of `client`'s query `label` running `planned` under
-    /// `deadline` (relative to its arrival). With `source_rows` the
-    /// completion reports each service leaf's actual rows (the reference
-    /// executor's does not). When nothing is kept, nothing — not even the
-    /// node table — is built.
+    /// `deadline` (relative to its arrival). When a ring is kept, the
+    /// completion reports each service leaf's actual rows. When nothing is
+    /// kept, nothing — not even the node table — is built.
     pub(crate) fn begin_query(
         &self,
         client: usize,
         label: &str,
         planned: &PlannedQuery,
         deadline: Option<Duration>,
-        source_rows: bool,
     ) -> QueryObs {
         if self.ring.is_none() && !self.detail {
             return QueryObs::default();
@@ -409,7 +408,7 @@ impl Recorder {
             ring: self.ring.clone(),
             detail: self.detail,
             job,
-            source_rows: source_rows && self.ring.is_some(),
+            source_rows: self.ring.is_some(),
             report: planned.report.clone(),
             state: Mutex::new(QueryState {
                 events: Vec::new(),
@@ -632,48 +631,42 @@ impl QueryObs {
     }
 
     /// `op` inside the node wrapper of plan node `node` when its actuals
-    /// are read, else `op` itself; `boxed` boxes the wrapper as `op`'s type.
-    pub(crate) fn wrap<O>(&self, node: u32, op: O, boxed: impl FnOnce(NodeOp<O>) -> O) -> O {
+    /// are read, else `op` itself.
+    pub(crate) fn wrap<'a>(&self, node: u32, op: BoxedOp<'a>) -> BoxedOp<'a> {
         let node = node as usize;
         match &self.0 {
-            Some(q) if q.tracks(node) => boxed(NodeOp { inner: op, node, query: Arc::clone(q) }),
+            Some(q) if q.tracks(node) => Box::new(NodeOp { inner: op, node, query: Arc::clone(q) }),
             _ => op,
         }
     }
 }
 
-/// The one node wrapper, around every operator of both executors whose
-/// actuals are read: it counts the node's rows and notes its first emit
-/// and its exhaustion in the query's node table.
-pub(crate) struct NodeOp<O> {
-    pub(crate) inner: O,
+/// The one node wrapper, around every operator whose actuals are read: it
+/// counts the node's rows and notes its first emit and its exhaustion in
+/// the query's node table.
+struct NodeOp<'a> {
+    inner: BoxedOp<'a>,
     node: usize,
     query: Arc<Query>,
 }
 
-impl<O> NodeOp<O> {
-    /// Notes what one poll of the wrapped operator returned at `now`.
-    pub(crate) fn seen<T>(&self, polled: &Poll<T>, now: Duration) {
+impl FedOp for NodeOp<'_> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+        let polled = self.inner.poll_next(ctx)?;
         let ready = match polled {
             Poll::Ready(_) => true,
             Poll::Done => false,
-            Poll::Pending(_) => return,
+            Poll::Pending(_) => return Ok(polled),
         };
-        let mut state = lock(&self.query.state);
-        let Some(node) = state.nodes.get_mut(self.node) else { return };
-        if ready {
-            node.rows_out += 1;
-            node.first.get_or_insert(now);
-        } else {
-            node.done.get_or_insert(now);
+        let now = ctx.clock.now();
+        if let Some(node) = lock(&self.query.state).nodes.get_mut(self.node) {
+            if ready {
+                node.rows_out += 1;
+                node.first.get_or_insert(now);
+            } else {
+                node.done.get_or_insert(now);
+            }
         }
-    }
-}
-
-impl FedOp for NodeOp<BoxedOp<'_>> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
-        let polled = self.inner.poll_next(ctx)?;
-        self.seen(&polled, ctx.clock.now());
         Ok(polled)
     }
 }
@@ -706,7 +699,7 @@ mod tests {
     fn a_recorder_that_keeps_nothing_hands_out_inert_handles() {
         let rec = Recorder::new(&PlanConfig::default());
         assert!(rec.snapshot().is_none());
-        let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
+        let q = rec.begin_query(0, "Q1[x]", &planned(), None);
         assert!(q.0.is_none() && rec.fleet().0.is_none());
         assert!(q.net_observer().is_none());
         let mut trace = AnswerTrace::new();
@@ -718,7 +711,7 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
         let rec = recorder(Some(4), false);
-        let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
+        let q = rec.begin_query(0, "Q1[x]", &planned(), None);
         for i in 0..10 {
             q.retry(Duration::from_nanos(i), "chebi", 0);
         }
@@ -733,13 +726,10 @@ mod tests {
     fn lifecycle_events_carry_job_metadata_and_service_rows() {
         let rec = recorder(Some(DEFAULT_RING_CAPACITY), false);
         let planned = planned();
-        let q = rec.begin_query(3, "Q2[cat-7]", &planned, Some(Duration::from_millis(5)), true);
+        let q = rec.begin_query(3, "Q2[cat-7]", &planned, Some(Duration::from_millis(5)));
         q.admit(Duration::from_nanos(1), Duration::from_nanos(2), true);
         q.answer(&mut AnswerTrace::new(), Duration::from_nanos(3));
         q.complete(Duration::from_nanos(9), CompletionKind::Ok, Duration::from_nanos(8), 1);
-        // The reference executor's handle reports no service rows.
-        let r = rec.begin_query(0, "reference", &planned, None, false);
-        r.complete(Duration::ZERO, CompletionKind::Ok, Duration::ZERO, 1);
 
         let snap = rec.snapshot().unwrap();
         let meta = snap.meta(0).unwrap();
@@ -747,7 +737,6 @@ mod tests {
         assert_eq!(meta.strategy, planned.report.strategy.label());
         let kinds = |job| snap.events_for(job).map(|e| e.kind.name()).collect::<Vec<_>>();
         assert_eq!(kinds(0), ["submit", "admit", "plan", "first-row", "source-rows", "complete"]);
-        assert_eq!(kinds(1), ["complete"]);
         assert_eq!(snap.events[1].kind, FleetEventKind::Admit { queued: Duration::from_nanos(1) });
         assert!(snap.meta(NO_JOB).is_none());
     }
@@ -756,7 +745,7 @@ mod tests {
     fn detail_takes_no_sequence_numbers() {
         let run = |detail: bool| {
             let rec = recorder(Some(DEFAULT_RING_CAPACITY), detail);
-            let q = rec.begin_query(0, "Q1[x]", &planned(), None, true);
+            let q = rec.begin_query(0, "Q1[x]", &planned(), None);
             let obs = q.net_observer().unwrap();
             let ms = Duration::from_millis;
             obs.on_transfer("chebi#r1", 5, ms(1), ms(2), None);

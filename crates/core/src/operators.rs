@@ -187,8 +187,8 @@ impl ExecCtx {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Wait(Option<EventTime>);
 
-/// The outcome of one non-blocking pull. Generic so the reference executor
-/// can reuse it for its term-row currency.
+/// The outcome of one non-blocking pull. Generic over what it carries, so
+/// the unit tests below can script inputs of plain numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Poll<T> {
     /// A solution is available now.
@@ -228,8 +228,8 @@ const RIGHT: usize = 1;
 /// What the two-input operators share: their inputs, which of them are
 /// exhausted, and how the next one to pull from is picked — the second of
 /// the two places the schedule policy is read (the first is
-/// [`ExecCtx::wait_until`]). Generic over the input type, so the reference
-/// executor's term-row joins run the very same pick.
+/// [`ExecCtx::wait_until`]). Generic over the input type, so the unit
+/// tests below drive the very same pick with scripted inputs.
 pub(crate) struct TwoInputs<C> {
     /// Left, right.
     inputs: [C; 2],
@@ -738,10 +738,11 @@ impl FedOp for FilterOp<'_> {
     }
 }
 
-/// What the n-ary union shares with the reference executor's: its
-/// branches and the order they are polled in. Needs no schedule policy — a
-/// branch that never answers [`Poll::Pending`] is drained before the next
-/// one is looked at, which is the serialized union.
+/// What the n-ary union polls: its branches, and the order they are polled
+/// in. Generic over the branch type, so the unit tests below drive it with
+/// scripted inputs. Needs no schedule policy — a branch that never answers
+/// [`Poll::Pending`] is drained before the next one is looked at, which is
+/// the serialized union.
 pub(crate) struct Branches<C> {
     inputs: Vec<C>,
     done: Vec<bool>,

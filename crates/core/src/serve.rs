@@ -257,13 +257,8 @@ impl FederatedEngine {
                 // The lifecycle: the submit event carries the arrival
                 // time, admit the FIFO wait, plan the planner's report —
                 // all stamped at points the unrecorded loop reaches anyway.
-                let obs = self.recorder().begin_query(
-                    job.client,
-                    &job.label,
-                    &job.planned,
-                    deadline,
-                    true,
-                );
+                let obs =
+                    self.recorder().begin_query(job.client, &job.label, &job.planned, deadline);
                 obs.admit(arrivals[next_job], clock.now(), job.cached);
                 // Never serialized: a wait sat out by one session would
                 // stall the whole server.

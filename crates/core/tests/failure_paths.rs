@@ -137,8 +137,6 @@ fn plan_against_missing_source_yields_no_such_source() {
     let err = empty.execute_planned(&planned).unwrap_err();
     assert!(matches!(err, FedError::NoSuchSource(ref id) if id == "src"), "{err}");
     assert!(err.to_string().contains("src"), "{err}");
-    let err = empty.execute_planned_reference(&planned).unwrap_err();
-    assert!(matches!(err, FedError::NoSuchSource(ref id) if id == "src"), "{err}");
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //! must return byte-identical answers, identical link traffic and
 //! identical SQL counts to the serialized schedule for every workload
 //! query and network profile — only the *timing* may differ, and it may
-//! only improve. The reference term-row executor must agree with the
-//! interned engine under the overlapped schedule too, so all four
-//! (schedule × representation) corners produce the same answer set.
+//! only improve. The schedule digest at the end pins the timing of both to
+//! the nanosecond.
 //!
 //! The schedule is this suite's subject, so each test sets it itself and
 //! takes the other axes — planner, observers, replicas — from the cells
@@ -153,52 +152,6 @@ fn overlapped_schedule_is_deterministic_across_reruns() {
                         "{label}: answer order diverges"
                     );
                 }
-            }
-        }
-    });
-}
-
-/// The reference executor runs the same overlapped schedule through
-/// term-row operators: answers and traffic must match the interned engine
-/// corner-for-corner.
-#[test]
-fn reference_executor_agrees_under_overlap() {
-    for_each_cell(|cell| {
-        let lake_cfg = LakeConfig { scale: 0.1, ..Default::default() };
-        for q in workload::experiment_queries() {
-            let mut lake = build_lake_with(&lake_cfg, q.datasets);
-            cell.replicate(&mut lake);
-            let ast = parse_query(&q.sparql).unwrap();
-            for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
-                let mut cfg = cell.config(PlanConfig::new(PlanMode::AWARE, network));
-                cfg.overlap = true;
-                let engine = FederatedEngine::new(lake.clone(), cfg);
-                let planned = engine.plan(&ast).unwrap();
-                let interned = engine.execute_planned(&planned).unwrap();
-                let reference = engine.execute_planned_reference(&planned).unwrap();
-                let label = format!("{}/overlap-ref/{}", q.id, network.name);
-                assert_eq!(
-                    sorted_rows(&interned),
-                    sorted_rows(&reference),
-                    "{label}: answer rows diverge"
-                );
-                assert_eq!(
-                    interned.stats.execution_time, reference.stats.execution_time,
-                    "{label}: execution_time"
-                );
-                assert_eq!(
-                    interned.stats.first_answer, reference.stats.first_answer,
-                    "{label}: first_answer"
-                );
-                assert_eq!(interned.stats.messages, reference.stats.messages, "{label}: messages");
-                assert_eq!(
-                    interned.stats.network_delay, reference.stats.network_delay,
-                    "{label}: network_delay"
-                );
-                assert_eq!(
-                    interned.stats.sql_queries, reference.stats.sql_queries,
-                    "{label}: sql_queries"
-                );
             }
         }
     });

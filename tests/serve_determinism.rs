@@ -10,9 +10,9 @@
 //! Also pins the PR 7 lift-cache regression: the engine-persistent lift
 //! cache is keyed by the schema's *slot-layout fingerprint* (not the
 //! schema `Arc`'s address, which the allocator may reuse after a plan is
-//! dropped), so cached and uncached sessions can interleave freely while
-//! the reference executor stays cold — and its entries are stamped with
-//! the source's data version, so a write between serve runs is seen.
+//! dropped), so cached and uncached sessions can interleave freely — and
+//! its entries are stamped with the source's data version, so a write
+//! between serve runs is seen.
 //!
 //! Every test runs in every cell of the shared configuration matrix
 //! (`tests/common/mod.rs`); the serve loop is its own scheduler, so the
@@ -126,8 +126,7 @@ fn every_seed_matches_the_solo_golden() {
 /// other sessions (with other schemas) run in between: its key is the
 /// schema's slot-layout fingerprint, so a reused allocation can never
 /// serve wrongly-slotted columns. Each engine execution is compared to a
-/// fresh-engine golden, and the reference executor — which never touches
-/// the cache — must agree throughout.
+/// fresh-engine golden, whose cache starts empty.
 #[test]
 fn lift_cache_sessions_interleave_safely() {
     for_each_cell(|cell| {
@@ -152,15 +151,6 @@ fn lift_cache_sessions_interleave_safely() {
             assert_eq!(
                 warm.stats, golden.stats,
                 "{} iteration {i}: a cache hit must re-charge identical simulated cost",
-                q.id
-            );
-            // The reference executor stays cold by construction: it never
-            // consults the engine's lift cache, and must still agree.
-            let reference = engine.execute_planned_reference(&planned).unwrap();
-            assert_eq!(
-                sorted_csv(&warm.vars, &warm.rows),
-                sorted_csv(&reference.vars, &reference.rows),
-                "{} iteration {i}: reference executor must agree while the cache is warm",
                 q.id
             );
         }

@@ -384,8 +384,8 @@ fn obs_views(title: &str, r: &FedResult, recording: &FlightRecording) -> String 
 
 /// The views of a traced and recorded solo run are pinned byte for byte:
 /// Q3 under Gamma2 with `diseasome#r0` dark (faults, timeouts, backoffs,
-/// retries and a failover) on both schedules and through the reference
-/// executor, plus unaware Q3 under a bind join (bind-batch spans).
+/// retries and a failover) on both schedules, plus unaware Q3 under a bind
+/// join (bind-batch spans).
 #[test]
 fn solo_views_match_golden_snapshot() {
     let q = workload::q3();
@@ -400,21 +400,16 @@ fn solo_views_match_golden_snapshot() {
     let dark = FaultPlan { outage_after: Some(0), outage_len: u64::MAX, ..FaultPlan::NONE };
 
     let mut out = String::new();
-    for (title, overlap, reference) in [
-        ("Q3 aware Gamma2 diseasome#r0 dark, serialized", false, false),
-        ("Q3 aware Gamma2 diseasome#r0 dark, overlapped", true, false),
-        ("Q3 aware Gamma2 diseasome#r0 dark, reference", false, true),
+    for (title, overlap) in [
+        ("Q3 aware Gamma2 diseasome#r0 dark, serialized", false),
+        ("Q3 aware Gamma2 diseasome#r0 dark, overlapped", true),
     ] {
         let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA2);
         cfg.overlap = overlap;
         let mut e = engine(cfg, &replicated);
         e.set_source_faults("diseasome#r0", dark);
         let planned = e.plan(&parse_query(&q.sparql).unwrap()).unwrap();
-        let r = if reference {
-            e.execute_planned_reference(&planned).unwrap()
-        } else {
-            e.execute_planned(&planned).unwrap()
-        };
+        let r = e.execute_planned(&planned).unwrap();
         out.push_str(&obs_views(title, &r, &e.flight_recording().unwrap()));
     }
     let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA1);
