@@ -434,6 +434,25 @@ fn h1_merges_only_when_join_attribute_indexed() {
     assert!(r_merged.stats.rows_transferred <= r_unaware.stats.rows_transferred);
 }
 
+/// Two stars over one table read one row only when they join on one
+/// star's subject column (the denormalized design). Two genes that share a
+/// disease are two rows, so Heuristic 1 must join the table with itself.
+#[test]
+fn two_stars_sharing_a_column_of_one_table_are_two_rows() {
+    let (lake, oracle) = build_lake(true);
+    let sparql = format!(
+        "SELECT ?g1 ?g2 WHERE {{ ?g1 <{V}associatedDisease> ?d . ?g2 <{V}associatedDisease> ?d }}"
+    );
+    let expected = oracle_answers(&oracle, &sparql);
+    assert_eq!(expected.len(), 160, "4 genes per disease, 10 diseases: 16 pairs each");
+    for mode in [PlanMode::Unaware, PlanMode::AWARE] {
+        let engine =
+            FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA1));
+        let result = engine.execute_sparql(&sparql).unwrap();
+        assert_eq!(answers(&result.rows), expected, "{}", result.explain);
+    }
+}
+
 #[test]
 fn slow_networks_hurt_unaware_plans_more() {
     // The paper's headline observation: "the impact of network delays is
