@@ -576,20 +576,18 @@ fn find_merge_join(
 ) -> Option<(String, String)> {
     let sa = &stars[a.star_idx];
     let sb = &stars[b.star_idx];
-    // Stars over the SAME table (a denormalized design) merge without a
-    // join at all — no index condition applies, since there is nothing to
-    // join; the shared variable only has to be column-mapped on both
-    // sides.
-    let same_table = a.tm.table == b.tm.table;
+    // Stars that read one row (a denormalized design) merge without a join
+    // at all — no index condition applies, since there is nothing to join.
     // Case 1: an object variable of `a` is the subject of `b` (FK → PK).
     if let crate::decompose::StarSubject::Var(vb) = &sb.subject {
         for t in &sa.triples {
             if t.o.as_var() == Some(vb) {
                 let pred = t.p.as_term().and_then(Term::as_iri)?;
                 let col = a.tm.column_for_predicate(pred)?.column.clone();
+                let right = b.tm.subject_column.clone();
                 // The paper's condition: the join attribute is indexed.
-                if same_table || source.has_index_on(&a.tm.table, &col) {
-                    return Some((col, b.tm.subject_column.clone()));
+                if same_row(a, b, &col, &right) || source.has_index_on(&a.tm.table, &col) {
+                    return Some((col, right));
                 }
                 return None;
             }
@@ -601,9 +599,10 @@ fn find_merge_join(
             if t.o.as_var() == Some(va) {
                 let pred = t.p.as_term().and_then(Term::as_iri)?;
                 let col = b.tm.column_for_predicate(pred)?.column.clone();
-                if same_table || source.has_index_on(&b.tm.table, &col) {
-                    // Keep `a` as the left table: left col is a's subject.
-                    return Some((a.tm.subject_column.clone(), col));
+                // Keep `a` as the left table: left col is a's subject.
+                let left = a.tm.subject_column.clone();
+                if same_row(a, b, &left, &col) || source.has_index_on(&b.tm.table, &col) {
+                    return Some((left, col));
                 }
                 return None;
             }
@@ -623,7 +622,7 @@ fn find_merge_join(
         ) else {
             continue;
         };
-        if same_table
+        if same_row(a, b, &ca, &cb)
             || source.has_index_on(&a.tm.table, &ca)
             || source.has_index_on(&b.tm.table, &cb)
         {
@@ -631,6 +630,18 @@ fn find_merge_join(
         }
     }
     None
+}
+
+/// Whether two stars joined on `a.left_col = b.right_col` read one row of
+/// one table: both sides name the same column, and it is one star's
+/// subject column — the denormalized design, where a referenced entity's
+/// attributes are copied into the row that references it. Two stars over
+/// one table that share any other column are two rows (two genes of one
+/// disease) and need a real join.
+fn same_row(a: &RelStar, b: &RelStar, left_col: &str, right_col: &str) -> bool {
+    a.tm.table == b.tm.table
+        && left_col == right_col
+        && (left_col == a.tm.subject_column || right_col == b.tm.subject_column)
 }
 
 impl RelStar {
@@ -772,11 +783,11 @@ fn build_merged_service(
         .ok_or_else(|| FedError::Internal("merge pair lost its join".into()))?;
     let sa = &stars[a.star_idx];
     let sb = &stars[b.star_idx];
-    // Denormalized case: both stars read one table and combine under a
+    // Denormalized case: both stars read one row and combine under a
     // single alias with no join — whatever the translation quality setting;
     // there is no join to translate badly.
-    let same_table = a.tm.table == b.tm.table;
-    if config.merge_translation == MergeTranslation::Naive && !same_table {
+    let same_row = same_row(a, b, &left_col, &right_col);
+    if config.merge_translation == MergeTranslation::Naive && !same_row {
         // Ontario's unoptimized translation is an N+1 dependent join: `a`'s
         // star once, then `b`'s once per binding of the shared variable —
         // the one mapped to `left_col` on `a`'s side. That is a same-source
@@ -794,9 +805,9 @@ fn build_merged_service(
     }
 
     let pa = star_part(sa, &a.tm, &a.schema, &a.pushed, "s0")?;
-    let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, if same_table { "s0" } else { "s1" })?;
-    let q = if same_table {
-        crate::translate::sql_merged_same_table(&pa, &pb, &left_col, &right_col)
+    let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, if same_row { "s0" } else { "s1" })?;
+    let q = if same_row {
+        crate::translate::sql_merged_same_table(&pa, &pb)
     } else {
         sql_merged(&pa, &pb, &left_col, &right_col)
     };

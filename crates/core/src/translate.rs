@@ -263,13 +263,10 @@ pub fn sql_merged(
 /// study): both stars read from one row, so no join is needed at all —
 /// the fragments combine under a single alias.
 ///
-/// Both parts must have been built with the same alias.
-pub fn sql_merged_same_table(
-    a: &StarPart,
-    b: &StarPart,
-    left_col: &str,
-    right_col: &str,
-) -> TranslatedQuery {
+/// Both parts must have been built with the same alias, and the two stars
+/// must join on one column of the row: the planner merges this way only
+/// then.
+pub fn sql_merged_same_table(a: &StarPart, b: &StarPart) -> TranslatedQuery {
     assert_eq!(a.alias, b.alias, "same-table merge requires one alias");
     assert_eq!(a.table, b.table, "same-table merge requires one table");
     let mut combined = a.clone();
@@ -291,14 +288,6 @@ pub fn sql_merged_same_table(
         if !combined.wheres.contains(w) {
             combined.wheres.push(w.clone());
         }
-    }
-    // Different columns joined within the row still need the equality;
-    // the common case (FK column = the other star's subject column, same
-    // column) needs nothing.
-    if left_col != right_col {
-        combined
-            .wheres
-            .push(format!("{0}.{left_col} = {0}.{right_col}", a.alias));
     }
     sql_single(&combined)
 }
