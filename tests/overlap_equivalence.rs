@@ -264,13 +264,7 @@ fn schedule_digest_matches_golden() {
         for overlap in [false, true] {
             for replicas in [1u32, 2] {
                 let mut lake = build_lake_with(&lake_cfg, q.datasets);
-                if replicas > 1 {
-                    let ids: Vec<String> =
-                        lake.sources().iter().map(|s| s.id().to_string()).collect();
-                    for id in ids {
-                        lake.set_replicas(id, replicas);
-                    }
-                }
+                common::Cell { replicas, ..common::CELLS[0] }.replicate(&mut lake);
                 let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::GAMMA1);
                 config.overlap = overlap;
                 config.rows_per_message = 8;
