@@ -64,9 +64,10 @@ git grep -q 'struct BuildSide' -- crates/core/src/operators.rs \
 
 # One recorder: every observability hook appends one event to one per-query
 # handle (obs/recorder.rs), the one NetObserver on links and the event queue,
-# and one node wrapper feeds its node table in both executors. A second
-# recorder, a fan-out between two, a per-executor wrapper or a separate
-# service-leaf table is the design it replaced, not a second path beside it.
+# and one node wrapper around the executor's operators feeds its node table.
+# A second recorder, a fan-out between two, a per-executor wrapper or a
+# separate service-leaf table is the design it replaced, not a second path
+# beside it.
 echo "== one recorder under crates/*/src =="
 second_recorder=0
 git grep -nE 'FanoutObserver|RecordServiceOp|SpanRefOp|fn service_estimates' -- 'crates/*/src/*' || second_recorder=$?
@@ -74,6 +75,15 @@ git grep -nE 'FanoutObserver|RecordServiceOp|SpanRefOp|fn service_estimates' -- 
 # Exactly one: zero would mean the gate no longer matches what it guards.
 observers="$(git grep -c 'impl NetObserver for' -- 'crates/core/src/*' | awk -F: '{ n += $2 } END { print n + 0 }')"
 [ "$observers" -eq 1 ] || { echo "crates/core/src has $observers NetObserver impls, want exactly one"; exit 1; }
+
+# One executor: the engine's operators over slot rows. The schedule digest
+# pins counters and timing, and the oracle suites check answers; a second
+# executor over term rows, kept in step with the first by hand, is what
+# that replaced.
+echo "== one executor under crates/, tests/ and src/ =="
+second_executor=0
+git grep -nE 'execute_planned_reference|build_ref_operator|RefOp' -- 'crates/*' 'tests/*' src || second_executor=$?
+[ "$second_executor" -eq 1 ] || { echo "a second executor is back (or git grep failed)"; exit 1; }
 
 # One measuring regime: fedbench (BENCHMARK.json) times the engine, on the
 # simulated clock and on the host. No crate declares a bench target, no
@@ -96,8 +106,9 @@ git grep -n "harness::" -- crates || harness_uses=$?
 # table with its own coverage test) and iterated by the chaos, overlap,
 # serve-determinism, golden and oracle suites. CHAOS_ITERS is the chaos
 # suite's fault schedules per query/profile/cell: 32 is the gate, raise it
-# for soak runs, e.g.
-#   CHAOS_ITERS=512 scripts/tier1.sh
+# for soak runs; ORACLE_QUERIES is the generated-oracle suite's query count
+# (its default is the gate), e.g.
+#   CHAOS_ITERS=512 ORACLE_QUERIES=1000 scripts/tier1.sh
 echo "== cargo test -q (offline, CHAOS_ITERS=${CHAOS_ITERS:-32}) =="
 CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test -q --offline --workspace
 
