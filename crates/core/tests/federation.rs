@@ -9,7 +9,7 @@ use fedlake_core::{
 };
 use fedlake_mapping::{lift_database, DatasetMapping, IriTemplate, TableMapping};
 use fedlake_netsim::NetworkProfile;
-use fedlake_rdf::Graph;
+use fedlake_rdf::{vocab, Graph, Term};
 use fedlake_relational::{Database, Value};
 use fedlake_sparql::binding::Row;
 use fedlake_sparql::eval::evaluate;
@@ -1043,4 +1043,225 @@ fn batched_messages_reduce_simulated_time_but_not_answers() {
     assert!(batched.stats.execution_time < per_row.stats.execution_time);
     // Rows transferred are identical — only the framing changes.
     assert_eq!(batched.stats.rows_transferred, per_row.stats.rows_transferred);
+}
+
+// ---------------------------------------------------------------------------
+// The SPARQL↔SQL boundary, one regression per class of `sql_boundary.rs`:
+// each minimal query answers what the oracle answers under every plan.
+// ---------------------------------------------------------------------------
+
+/// Where the boundary probe mints its keys.
+const T: &str = "http://lake.example/t/";
+
+/// The boundary probe: `t(id TEXT PRIMARY KEY, i INT, d DOUBLE, s TEXT)`
+/// with every column indexed and the rows (`a/b`, 5, 3.0, "5"), (`a.c`, 123,
+/// 1.5, "Homo") and (`x`, 2^53 + 1, −0.0, "abc").
+fn boundary_lake() -> (DataLake, Graph) {
+    let mut db = Database::new("probe");
+    db.execute("CREATE TABLE t (id TEXT PRIMARY KEY, i INT, d DOUBLE, s TEXT)").unwrap();
+    let rows = [("a/b", 5, 3.0, "5"), ("a.c", 123, 1.5, "Homo"), ("x", (1 << 53) + 1, -0.0, "abc")];
+    for (id, i, d, s) in rows {
+        db.insert_row("t", vec![Value::text(id), Value::Int(i), Value::Double(d), Value::text(s)])
+            .unwrap();
+    }
+    for c in ["i", "d", "s"] {
+        db.execute(&format!("CREATE INDEX idx_t_{c} ON t ({c})")).unwrap();
+    }
+    let mut tm = TableMapping::new("t", format!("{V}T"), IriTemplate::new(format!("{T}{{}}")), "id");
+    for c in ["i", "d", "s"] {
+        tm = tm.with_literal(c, &format!("{V}{c}"));
+    }
+    let mapping = DatasetMapping::new("probe").with_table(tm);
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("probe", db, mapping));
+    (lake, oracle)
+}
+
+/// Each `WHERE` body answers what the oracle answers under the unaware
+/// plan, the paper's aware plan and `PushAll`, on a slow network.
+fn each_matches_the_oracle(bodies: &[String]) {
+    let (lake, oracle) = boundary_lake();
+    let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+    for body in bodies {
+        let sparql = format!("SELECT * WHERE {{ {body} }}");
+        let want = oracle_answers(&oracle, &sparql);
+        for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
+            let engine =
+                FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+            let label = mode.label();
+            let result =
+                engine.execute_sparql(&sparql).unwrap_or_else(|e| panic!("{body} under {label}: {e}"));
+            assert_eq!(answers(&result.rows), want, "{body} under {label}: {}", result.explain);
+        }
+    }
+}
+
+/// A string function reads an integer's lexical form; SQL's LIKE reads no
+/// INT column.
+#[test]
+fn boundary_a_string_function_on_an_int_column_reads_its_lexical_form() {
+    each_matches_the_oracle(&[
+        format!(r#"?r <{V}i> ?i . FILTER(CONTAINS(?i, "2"))"#),
+        format!(r#"?r <{V}i> ?i . FILTER(STRSTARTS(STR(?i), "12"))"#),
+        format!(r#"?r <{V}i> ?i . FILTER(REGEX(?i, "^12"))"#),
+        format!(r#"?r <{V}i> ?i . FILTER(STR(?i) = "5")"#),
+    ]);
+}
+
+/// A constant of another class than the column's compares as SPARQL
+/// compares it — term identity for `=` / `!=`, lexical order for the rest —
+/// where SQL finds the two incomparable.
+#[test]
+fn boundary_a_constant_of_another_class_compares_as_sparql_does() {
+    each_matches_the_oracle(&[
+        format!(r#"?r <{V}i> ?i . FILTER(?i != "abc")"#),
+        format!(r#"?r <{V}i> ?i . FILTER(?i < "b")"#),
+        format!("?r <{V}s> ?s . FILTER(?s > 5)"),
+        format!("?r <{V}s> ?s . FILTER(?s != 5)"),
+    ]);
+}
+
+/// A language-tagged or `xsd:string` literal is another term than the
+/// plain literal a TEXT column lifts to.
+#[test]
+fn boundary_a_tagged_or_typed_string_is_not_a_plain_literal() {
+    each_matches_the_oracle(&[
+        format!(r#"?r <{V}s> ?s . FILTER(?s = "Homo"@en)"#),
+        format!(
+            r#"?r <{V}s> ?s . FILTER(?s = "Homo"^^<http://www.w3.org/2001/XMLSchema#string>)"#
+        ),
+    ]);
+}
+
+/// An integer against a double compares as doubles in SPARQL: 2^53 + 1 is
+/// 2^53 there, and not in SQL.
+#[test]
+fn boundary_an_int_column_against_a_double_compares_as_sparql_does() {
+    each_matches_the_oracle(&[format!("?r <{V}i> ?i . FILTER(?i = 9007199254740992.0)")]);
+}
+
+/// IRIs order by their text, percent-escapes included; keys order by theirs.
+#[test]
+fn boundary_iri_order_is_not_key_order() {
+    each_matches_the_oracle(&[format!("?r <{V}s> ?s . FILTER(?r < <{T}a.d>)")]);
+}
+
+/// An IRI the template would write differently names no row, though the
+/// template reads the row's key back from it.
+#[test]
+fn boundary_a_non_canonical_iri_is_another_term() {
+    each_matches_the_oracle(&[format!("?r <{V}s> ?s . FILTER(?r = <{T}a%2fb>)")]);
+}
+
+/// SQL's `=` holds between −0.0 and 0.0, and an index seek must find what a
+/// scan finds.
+#[test]
+fn boundary_an_index_seek_equals_a_scan_on_negative_zero() {
+    each_matches_the_oracle(&[
+        format!("?r <{V}d> ?d . FILTER(?d = 0)"),
+        format!("?r <{V}d> ?d . FILTER(?d = 0.0)"),
+    ]);
+}
+
+/// A ground pattern matches a row only where the row's lifted term is the
+/// ground term itself.
+#[test]
+fn boundary_a_ground_term_matches_its_lift_only() {
+    each_matches_the_oracle(&[
+        format!("<{T}a%2fb> <{V}s> ?x"),
+        format!(r#"?r <{V}i> "05"^^<http://www.w3.org/2001/XMLSchema#integer>"#),
+        format!("?r <{V}d> 3"),
+        format!(r#"?r <{V}s> "5"@en"#),
+    ]);
+}
+
+/// A ground IRI no template minted names no row: an empty answer, not an
+/// internal error.
+#[test]
+fn boundary_a_ground_iri_no_template_minted_answers_nothing() {
+    each_matches_the_oracle(&[format!("<http://elsewhere.example/t/x> <{V}s> ?x")]);
+}
+
+
+/// A bind join under `EngineJoin::Bind` answers what the oracle answers.
+fn bind_join_result(lake: DataLake, oracle: &Graph, sparql: &str) -> fedlake_core::FedResult {
+    let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
+    cfg.engine_join = fedlake_core::EngineJoin::Bind { batch_size: 8 };
+    let result = FederatedEngine::new(lake, cfg).execute_sparql(sparql).unwrap();
+    assert_eq!(answers(&result.rows), oracle_answers(oracle, sparql), "{}", result.explain);
+    result
+}
+
+/// A join term no stored value lifts to — an IRI the template would write
+/// differently, one it did not mint — is not asked about: a batch of only
+/// such terms sends nothing.
+#[test]
+fn a_bind_batch_with_no_stored_key_asks_nothing() {
+    let (mut lake, mut oracle) = boundary_lake();
+    // A SPARQL source of links to IRIs of the probe's template.
+    let mut links = Graph::new();
+    for (i, target) in [format!("{T}a%2fb"), "http://elsewhere.example/t/x".into()].into_iter().enumerate() {
+        let link = Term::iri(format!("http://lake.example/link/{i}"));
+        let triples = [
+            (Term::iri(vocab::rdf::TYPE), Term::iri(format!("{V}Link"))),
+            (Term::iri(format!("{V}ref")), Term::iri(target)),
+        ];
+        for (p, o) in triples {
+            links.insert_terms(link.clone(), p.clone(), o.clone());
+            oracle.insert_terms(link.clone(), p, o);
+        }
+    }
+    lake.add_source(DataSource::sparql("links", links));
+    let sparql = format!("SELECT * WHERE {{ ?x a <{V}Link> . ?x <{V}ref> ?r . ?r <{V}s> ?s }}");
+    let result = bind_join_result(lake, &oracle, &sparql);
+    assert!(result.explain.contains("BindJoin"), "{}", result.explain);
+    assert_eq!(result.stats.sql_queries, 0, "{}", result.explain);
+}
+
+/// A NaN or −INF join term is the lift of a stored one, and no `IN` list can
+/// carry either, so the planner joins a DOUBLE column by hash, never by
+/// binding (a batch of only such keys used to be an internal error).
+#[test]
+fn a_double_column_is_joined_by_hash_not_bound() {
+    let mut db = Database::new("levels");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, x DOUBLE)").unwrap();
+    for (id, x) in [("r0", f64::NAN), ("r1", f64::NEG_INFINITY)] {
+        db.insert_row("reading", vec![Value::text(id), Value::Double(x)]).unwrap();
+    }
+    let mapping = DatasetMapping::new("levels").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            "id",
+        )
+        .with_literal("x", &format!("{V}level")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("levels", db, mapping));
+    let sparql = format!("SELECT * WHERE {{ ?x <{V}level> ?v . ?r <{V}level> ?v }}");
+    let result = bind_join_result(lake, &oracle, &sparql);
+    assert_eq!(result.rows.len(), 2, "each reading joins itself: {}", result.explain);
+    assert!(!result.explain.contains("BindJoin"), "{}", result.explain);
+}
+
+/// A ground NaN object is the lift of a stored NaN, which SQL cannot
+/// select: the documented `Unsupported`, under every plan.
+#[test]
+fn a_ground_nan_object_is_unsupported() {
+    let (lake, _) = boundary_lake();
+    let nan = r#""NaN"^^<http://www.w3.org/2001/XMLSchema#double>"#;
+    let sparql = format!("SELECT * WHERE {{ ?r <{V}d> {nan} }}");
+    for mode in [PlanMode::Unaware, PlanMode::AWARE] {
+        let engine = FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+        let err = engine.execute_sparql(&sparql).unwrap_err();
+        assert_eq!(
+            err,
+            fedlake_core::FedError::Unsupported(format!("object {nan} has no SQL literal")),
+            "{}",
+            mode.label()
+        );
+    }
 }

@@ -38,6 +38,35 @@ fn arb_rows(rng: &mut Prng) -> Vec<(i64, Value, Value)> {
         .collect()
 }
 
+/// The doubles where an index's total order and `sql_cmp` part: both zeros
+/// (one value to SQL, two keys to the order), NaN of either sign (no value
+/// to SQL, the order files it past every number) and the infinities.
+const DOUBLES: [f64; 8] = [-0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.0, 1.5];
+
+/// A stored double, or NULL.
+fn arb_double(rng: &mut Prng) -> Value {
+    match rng.gen_range(0..=DOUBLES.len()) {
+        i if i < DOUBLES.len() => Value::Double(DOUBLES[i]),
+        _ => Value::Null,
+    }
+}
+
+/// A predicate on the DOUBLE column `d`, its constants the finite doubles
+/// and zero as an integer.
+fn arb_double_pred(rng: &mut Prng) -> Pred {
+    const OPS: [SqlCmpOp; 6] =
+        [SqlCmpOp::Eq, SqlCmpOp::Ne, SqlCmpOp::Lt, SqlCmpOp::Le, SqlCmpOp::Gt, SqlCmpOp::Ge];
+    let constants = [0.0, -0.0, 1.0, 1.5, 2.0].map(Value::Double);
+    let constant = |rng: &mut Prng| match rng.gen_range(0..=constants.len()) {
+        i if i < constants.len() => constants[i].clone(),
+        _ => Value::Int(0),
+    };
+    match rng.gen_range(0..4) {
+        0..=2 => Pred::Cmp(OPS[rng.gen_range(0..OPS.len())], constant(rng)),
+        _ => Pred::In(vec![constant(rng), constant(rng)]),
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Pred {
     Cmp(SqlCmpOp, Value),
@@ -72,21 +101,24 @@ fn arb_pred(rng: &mut Prng) -> (usize, Pred) {
 }
 
 fn build_db(rows: &[(i64, Value, Value)], with_indexes: bool) -> Database {
+    build_db_with(rows, &[], with_indexes)
+}
+
+/// `t(id, a, b)`, and the DOUBLE column `d` holding `doubles` (row by row,
+/// NULL past its end) when that is not empty; indexed: on `a`, and on `d`.
+fn build_db_with(rows: &[(i64, Value, Value)], doubles: &[Value], with_indexes: bool) -> Database {
     let mut db = Database::new("prop");
-    db.create_table(
-        TableSchema::new(
-            "t",
-            vec![
-                Column::not_null("id", DataType::Int),
-                Column::new("a", DataType::Text),
-                Column::new("b", DataType::Text),
-            ],
-        )
-        .with_primary_key(&["id"]),
-    )
-    .unwrap();
+    let mut columns = vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("a", DataType::Text),
+        Column::new("b", DataType::Text),
+    ];
+    if !doubles.is_empty() {
+        columns.push(Column::new("d", DataType::Double));
+    }
+    db.create_table(TableSchema::new("t", columns).with_primary_key(&["id"])).unwrap();
     let mut seen = BTreeSet::new();
-    for (id, a, b) in rows {
+    for (n, (id, a, b)) in rows.iter().enumerate() {
         if !seen.insert(*id) {
             continue; // PK duplicates are skipped, mirroring upsert-free load
         }
@@ -97,10 +129,17 @@ fn build_db(rows: &[(i64, Value, Value)], with_indexes: bool) -> Database {
             Value::Text(_) => v.clone(),
             other => Value::text(other.to_string()),
         };
-        db.insert_row("t", vec![Value::Int(*id), coerce(a), coerce(b)]).unwrap();
+        let mut row = vec![Value::Int(*id), coerce(a), coerce(b)];
+        if !doubles.is_empty() {
+            row.push(doubles.get(n).cloned().unwrap_or(Value::Null));
+        }
+        db.insert_row("t", row).unwrap();
     }
     if with_indexes {
         db.create_index("t", "idx_a", &["a".to_string()], false).unwrap();
+        if !doubles.is_empty() {
+            db.create_index("t", "idx_d", &["d".to_string()], false).unwrap();
+        }
     }
     db
 }
@@ -180,21 +219,25 @@ fn cold_then_warm(db: &Database, sql: &str) -> ResultSet {
 }
 
 /// Executing a filtered SELECT must equal naive row filtering, with and
-/// without a secondary index — and the two engines must agree.
+/// without a secondary index — on a TEXT column and on a DOUBLE one — and
+/// the two engines must agree.
 #[test]
 fn select_matches_reference_and_indexes_do_not_change_answers() {
     let mut rng = Prng::seed_from_u64(0x59_1001);
     for _ in 0..96 {
         let rows = arb_rows(&mut rng);
+        let doubles: Vec<Value> = (0..rows.len().max(1)).map(|_| arb_double(&mut rng)).collect();
         let n_preds = rng.gen_range(0usize..3);
-        let preds: Vec<(usize, Pred)> = (0..n_preds).map(|_| arb_pred(&mut rng)).collect();
-        let plain = build_db(&rows, false);
-        let indexed = build_db(&rows, true);
+        let preds: Vec<(usize, Pred)> = (0..n_preds)
+            .map(|_| if rng.gen_bool(0.5) { (3, arb_double_pred(&mut rng)) } else { arb_pred(&mut rng) })
+            .collect();
+        let plain = build_db_with(&rows, &doubles, false);
+        let indexed = build_db_with(&rows, &doubles, true);
         // The statement's text is the public AST's rendering of the
         // predicates.
         let mut sql = "SELECT id FROM t".to_string();
         for (n, (col_idx, p)) in preds.iter().enumerate() {
-            let col = if *col_idx == 1 { "a" } else { "b" };
+            let col = ["id", "a", "b", "d"][*col_idx];
             sql += &format!(" {} {}", if n == 0 { "WHERE" } else { "AND" }, pred_to_ast(col, p));
         }
         let r_plain = cold_then_warm(&plain, &sql);
@@ -217,8 +260,8 @@ fn select_matches_reference_and_indexes_do_not_change_answers() {
             r_plain.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
         let got_indexed: BTreeSet<i64> =
             r_indexed.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        assert_eq!(got_plain, expected);
-        assert_eq!(got_indexed, expected);
+        assert_eq!(got_plain, expected, "{sql}");
+        assert_eq!(got_indexed, expected, "{sql}, indexed");
     }
 }
 
