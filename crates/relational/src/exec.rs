@@ -321,9 +321,9 @@ fn exec_scan<'t, C: CatalogView>(
         }
         AccessPath::IndexEq { index, key } => {
             cost.index_probes += 1;
-            let rids = find_index(table, index)?.lookup(std::slice::from_ref(key));
+            let rids = find_index(table, index)?.seek(key);
             cost.index_rows += rids.len() as u64;
-            for &rid in rids {
+            for &rid in rids.iter() {
                 fetch(rid, cost)?;
             }
         }
@@ -342,9 +342,9 @@ fn exec_scan<'t, C: CatalogView>(
             let idx = find_index(table, index)?;
             for key in keys {
                 cost.index_probes += 1;
-                let rids = idx.lookup(std::slice::from_ref(key));
+                let rids = idx.seek(key);
                 cost.index_rows += rids.len() as u64;
-                for &rid in rids {
+                for &rid in rids.iter() {
                     fetch(rid, cost)?;
                 }
             }
@@ -487,7 +487,9 @@ fn path_accepts(path: &AccessPath, column: Option<usize>, row: &[Value]) -> bool
     let key = column.map(|c| &row[c]);
     match path {
         AccessPath::SeqScan => true,
-        AccessPath::IndexEq { key: wanted, .. } => key == Some(wanted),
+        AccessPath::IndexEq { key: wanted, .. } => {
+            key.is_some_and(|k| k.sql_cmp(wanted) == Some(Ordering::Equal))
+        }
         AccessPath::IndexRange { low, high, .. } => key.is_some_and(|k| {
             let lo_ok = low.as_ref().is_none_or(|(v, inc)| match k.sql_cmp(v) {
                 Some(Ordering::Greater) => true,
@@ -501,7 +503,9 @@ fn path_accepts(path: &AccessPath, column: Option<usize>, row: &[Value]) -> bool
             });
             !k.is_null() && lo_ok && hi_ok
         }),
-        AccessPath::IndexInList { keys, .. } => key.is_some_and(|k| keys.contains(k)),
+        AccessPath::IndexInList { keys, .. } => {
+            key.is_some_and(|k| keys.iter().any(|w| k.sql_cmp(w) == Some(Ordering::Equal)))
+        }
     }
 }
 

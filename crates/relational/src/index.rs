@@ -7,6 +7,7 @@
 
 use crate::error::SqlError;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -65,9 +66,22 @@ impl BTreeIndex {
         self.tree.get(&key).is_some_and(|rids| !rids.is_empty())
     }
 
-    /// Point lookup: row ids whose key equals `key`.
+    /// Point lookup: row ids whose key equals `key` in the total order.
     pub fn lookup(&self, key: &[Value]) -> &[RowId] {
         self.tree.get(key).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Row ids whose single-column key equals `key` under SQL's `=`
+    /// ([`Value::sql_cmp`]), where the total order of [`lookup`] differs: a
+    /// zero finds both zeros and a NaN finds nothing.
+    ///
+    /// [`lookup`]: BTreeIndex::lookup
+    pub fn seek(&self, key: &Value) -> Cow<'_, [RowId]> {
+        match key {
+            Value::Int(0) | Value::Double(0.0) => self.range(Some((key, true)), Some((key, true))).into(),
+            Value::Double(d) if d.is_nan() => Cow::Borrowed(&[]),
+            _ => self.lookup(std::slice::from_ref(key)).into(),
+        }
     }
 
     /// Prefix lookup for composite indexes: row ids whose key starts with
@@ -81,27 +95,29 @@ impl BTreeIndex {
     }
 
     /// Range scan on a single-column index: keys in `[low, high]` with
-    /// inclusivity flags. `None` bounds are open.
+    /// inclusivity flags, compared as [`Value::sql_cmp`] compares them.
+    /// `None` bounds are open.
     pub fn range(
         &self,
         low: Option<(&Value, bool)>,
         high: Option<(&Value, bool)>,
     ) -> Vec<RowId> {
-        let lo = match low {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(vec![v.clone()]),
-            Some((v, false)) => Bound::Excluded(vec![v.clone()]),
+        // The total order puts -0.0 just below 0.0 (and `Int(0)`), where SQL
+        // sees one value: a zero bound takes both zeros in or leaves both out.
+        let bound = |v: &Value, inclusive: bool, below: bool| {
+            let v = match v {
+                Value::Int(0) | Value::Double(0.0) => Value::Double(if below { -0.0 } else { 0.0 }),
+                v => v.clone(),
+            };
+            if inclusive { Bound::Included(vec![v]) } else { Bound::Excluded(vec![v]) }
         };
-        let hi = match high {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(vec![v.clone()]),
-            Some((v, false)) => Bound::Excluded(vec![v.clone()]),
-        };
+        let lo = low.map_or(Bound::Unbounded, |(v, inclusive)| bound(v, inclusive, inclusive));
+        let hi = high.map_or(Bound::Unbounded, |(v, inclusive)| bound(v, inclusive, !inclusive));
         self.tree
             .range((lo, hi))
-            // NULL sorts first in the value total order but must never
+            // NULL and NaN sort at ends of the value total order but never
             // satisfy a range predicate.
-            .filter(|(k, _)| !k.iter().any(Value::is_null))
+            .filter(|(k, _)| !k.iter().any(|v| v.is_null() || matches!(v, Value::Double(d) if d.is_nan())))
             .flat_map(|(_, rids)| rids.iter().copied())
             .collect()
     }
