@@ -1265,3 +1265,37 @@ fn a_ground_nan_object_is_unsupported() {
         );
     }
 }
+
+/// Heuristic 1 joins two stars inside SQL only on a column where SQL's `=`
+/// is the shared variable's term identity: not on a DOUBLE column, where
+/// −0.0 = 0.0 holds of two terms and NaN = NaN fails of one.
+#[test]
+fn boundary_h1_joins_no_double_column_in_sql() {
+    let mut db = Database::new("levels");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, x DOUBLE)").unwrap();
+    for (id, x) in [("r0", f64::NAN), ("r1", -0.0), ("r2", 0.0), ("r3", 1.5)] {
+        db.insert_row("reading", vec![Value::text(id), Value::Double(x)]).unwrap();
+    }
+    db.execute("CREATE INDEX idx_reading_x ON reading (x)").unwrap();
+    let mapping = DatasetMapping::new("levels").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            "id",
+        )
+        .with_literal("x", &format!("{V}level")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("levels", db, mapping));
+    let sparql = format!("SELECT * WHERE {{ ?a <{V}level> ?v . ?b <{V}level> ?v }}");
+    let want = oracle_answers(&oracle, &sparql);
+    assert_eq!(want.len(), 4, "each reading joins itself only");
+    for translation in [MergeTranslation::Optimized, MergeTranslation::Naive] {
+        let mut config = PlanConfig::aware(NetworkProfile::GAMMA3);
+        config.merge_translation = translation;
+        let result = FederatedEngine::new(lake.clone(), config).execute_sparql(&sparql).unwrap();
+        assert_eq!(answers(&result.rows), want, "{translation:?}: {}", result.explain);
+    }
+}
