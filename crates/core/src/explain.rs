@@ -66,7 +66,7 @@ pub(crate) fn node_line(plan: &FedPlan) -> String {
         FedPlan::BindJoin { right, batch_size, .. } => {
             let line = format!(
                 "BindJoin on {} -> Service[{}] column {} (batches of {})",
-                right.join_var, right.source_id, right.column, batch_size
+                right.join_var, right.source_id, right.column.name, batch_size
             );
             match &right.route {
                 Some(r) => format!("{line} via {} [{}]", r.primary(), r.reason),

@@ -9,7 +9,6 @@
 
 use crate::decompose::StarSubquery;
 use crate::translate::TranslatedQuery;
-use fedlake_mapping::IriTemplate;
 use fedlake_sparql::binding::Var;
 use fedlake_sparql::expr::Expr;
 
@@ -92,11 +91,9 @@ pub struct BindTarget {
     pub part: crate::translate::StarPart,
     /// The shared variable whose left-side bindings are shipped.
     pub join_var: Var,
-    /// The column the bindings restrict.
-    pub column: String,
-    /// Template extracting SQL keys from entity IRIs, when the join
-    /// variable carries IRIs.
-    pub extract: Option<IriTemplate>,
+    /// The column the bindings restrict, and what it stores: each join
+    /// term is asked about as the value whose lift it is.
+    pub column: crate::translate::StarColumn,
     /// For explain output.
     pub covers: String,
     /// Optimizer's cardinality estimate of the unrestricted star.

@@ -181,7 +181,7 @@ impl LogicalPlan {
                     right.part.table,
                     right.part.wheres.join(" AND ")
                 ),
-                on: format!("{}={}", right.join_var, right.column),
+                on: format!("{}={}", right.join_var, right.column.name),
             },
             FedPlan::Filter { input, exprs } => LogicalPlan::Filter {
                 input: Box::new(Self::of(input)),

@@ -30,11 +30,12 @@ use crate::selection::{select_sources_with_health, Candidate};
 use crate::source::DataSource;
 use crate::stats::{join_estimate, FederationCost, LakeStatistics};
 use crate::translate::{
-    column_of_var, filter_column, sql_merged, sql_single, star_part, StarPart,
+    push_filter, sql_merged, sql_single, star_column, star_part, Lift, SqlFilter, StarColumn,
+    StarPart,
 };
 use fedlake_mapping::TableMapping;
 use fedlake_netsim::CostModel;
-use fedlake_relational::TableSchema;
+use fedlake_relational::{DataType, TableSchema};
 use fedlake_sparql::ast::{OrderKey, SelectQuery};
 use fedlake_sparql::binding::{RowSchema, Var};
 use fedlake_sparql::expr::Expr;
@@ -130,7 +131,7 @@ struct RelStar {
     source_id: String,
     tm: TableMapping,
     schema: TableSchema,
-    pushed: Vec<Expr>,
+    pushed: Vec<SqlFilter>,
     engine_filters: Vec<Expr>,
     cardinality: usize,
 }
@@ -526,41 +527,38 @@ fn plan_conjunctive(
 }
 
 /// Heuristic 2's decision: split a relational star's filters into
-/// (pushed-to-source, kept-at-engine).
+/// (pushed-to-source, kept-at-engine). Whether a filter *can* be pushed is
+/// [`push_filter`]'s one rule, asked once per filter; whether it *is*
+/// depends on the placement, the filtered column's index and the network.
 fn split_filters(
     star: &StarSubquery,
     tm: &TableMapping,
     schema: &TableSchema,
     source: &DataSource,
     config: &PlanConfig,
-) -> (Vec<Expr>, Vec<Expr>) {
+) -> (Vec<SqlFilter>, Vec<Expr>) {
     let mut pushed = Vec::new();
     let mut engine = Vec::new();
     for f in &star.filters {
-        let decision = match config.mode {
+        let decided = match config.mode {
             // The unaware plan performs every operation it can at the
             // engine.
-            PlanMode::Unaware => false,
-            PlanMode::Aware { filters, .. } => {
-                // The SQL shape must be representable in any pushed case.
-                let translatable = filter_column(f, star, tm).is_some()
-                    && crate::translate::filter_to_sql(f, star, tm, schema, "x").is_some();
-                let indexed = filter_column(f, star, tm)
-                    .is_some_and(|col| source.has_index_on(&tm.table, &col));
+            PlanMode::Unaware => None,
+            PlanMode::Aware { filters, .. } => push_filter(f, star, tm, schema).filter(|sql| {
+                let indexed = source.has_index_on(&tm.table, &sql.column);
                 match filters {
                     crate::config::FilterPlacement::Engine => false,
-                    crate::config::FilterPlacement::PushIndexed => translatable && indexed,
+                    crate::config::FilterPlacement::PushIndexed => indexed,
                     crate::config::FilterPlacement::Heuristic2 => {
-                        translatable && indexed && config.network.is_slow()
+                        indexed && config.network.is_slow()
                     }
-                    crate::config::FilterPlacement::PushAll => translatable,
+                    crate::config::FilterPlacement::PushAll => true,
                 }
-            }
+            }),
         };
-        if decision {
-            pushed.push(f.clone());
-        } else {
-            engine.push(f.clone());
+        match decided {
+            Some(sql) => pushed.push(sql),
+            None => engine.push(f.clone()),
         }
     }
     (pushed, engine)
@@ -609,7 +607,9 @@ fn find_merge_join(
         }
     }
     // Case 2: a shared object variable (column–column join); at least one
-    // side must be indexed.
+    // side must be indexed. SQL's `=` joins what the variable joins only
+    // between columns that lift alike, and not on DOUBLE, where −0.0 = 0.0
+    // holds of two terms and NaN = NaN fails of one.
     let vars_a = sa.vars();
     let vars_b = sb.vars();
     for v in &vars_a {
@@ -617,11 +617,15 @@ fn find_merge_join(
             continue;
         }
         let (Some(ca), Some(cb)) = (
-            column_of_var(v, sa, &a.tm),
-            column_of_var(v, sb, &b.tm),
+            star_column(v, sa, &a.tm, &a.schema),
+            star_column(v, sb, &b.tm, &b.schema),
         ) else {
             continue;
         };
+        if ca.lift != cb.lift || ca.lift == Lift::Literal(DataType::Double) {
+            continue;
+        }
+        let (ca, cb) = (ca.name, cb.name);
         if same_row(a, b, &ca, &cb)
             || source.has_index_on(&a.tm.table, &ca)
             || source.has_index_on(&b.tm.table, &cb)
@@ -645,6 +649,11 @@ fn same_row(a: &RelStar, b: &RelStar, left_col: &str, right_col: &str) -> bool {
 }
 
 impl RelStar {
+    /// The filters Heuristic 2 pushed, as the query states them.
+    fn pushed_exprs(&self) -> impl Iterator<Item = &Expr> {
+        self.pushed.iter().map(|f| &f.expr)
+    }
+
     /// `star`, the `star_idx`-th of its decomposition, bound to its
     /// relational candidate `cand`, with Heuristic 2's split of its filters.
     fn new(
@@ -692,11 +701,11 @@ fn estimate(cardinality: usize, part: &StarPart) -> f64 {
 
 /// The statistics-based cardinality estimate of `star` at `source_id`,
 /// when cost mode is on and the catalog knows the source.
-fn stats_estimate(
+fn stats_estimate<'f>(
     stats: Option<&LakeStatistics>,
     source_id: &str,
     star: &StarSubquery,
-    filters: &[Expr],
+    filters: impl IntoIterator<Item = &'f Expr>,
 ) -> Option<f64> {
     stats.and_then(|ls| ls.source(source_id)).map(|ss| ss.estimate_star(star, filters))
 }
@@ -722,17 +731,11 @@ fn build_bind_join(
     stats: Option<&LakeStatistics>,
 ) -> Result<Result<FedPlan, FedPlan>, FedError> {
     let star = &stars[rs.star_idx];
-    let Some(column) = column_of_var(join_var, star, &rs.tm) else {
+    let Some(column) = bindable_column(stars, rs, join_var) else {
         return Ok(Err(left));
     };
-    let extract = match &star.subject {
-        crate::decompose::StarSubject::Var(v) if v == join_var => {
-            Some(rs.tm.subject_template.clone())
-        }
-        _ => crate::translate::column_ref_template(join_var, star, &rs.tm),
-    };
     let part = star_part(star, &rs.tm, &rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, &rs.source_id, star, &rs.pushed)
+    let est = stats_estimate(stats, &rs.source_id, star, rs.pushed_exprs())
         .unwrap_or_else(|| estimate(rs.cardinality, &part));
     let target = crate::fedplan::BindTarget {
         source_id: rs.source_id.clone(),
@@ -740,7 +743,6 @@ fn build_bind_join(
         part,
         join_var: join_var.clone(),
         column,
-        extract,
         covers: star.subject.to_string(),
         estimated_rows: est,
     };
@@ -756,7 +758,7 @@ fn build_single_service(
 ) -> Result<FedPlan, FedError> {
     let star = &stars[rs.star_idx];
     let part = star_part(star, &rs.tm, &rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, &rs.source_id, star, &rs.pushed)
+    let est = stats_estimate(stats, &rs.source_id, star, rs.pushed_exprs())
         .unwrap_or_else(|| estimate(rs.cardinality, &part));
     let q = sql_single(&part);
     let service = FedPlan::Service(ServiceNode {
@@ -795,7 +797,7 @@ fn build_merged_service(
         let join_var = sa
             .vars()
             .into_iter()
-            .find(|v| column_of_var(v, sa, &a.tm).as_deref() == Some(left_col.as_str()))
+            .find(|v| star_column(v, sa, &a.tm, &a.schema).is_some_and(|c| c.name == left_col))
             .ok_or_else(|| FedError::Internal("naive merge: join variable not found".into()))?;
         let left = build_single_service(stars, a, stats)?;
         return build_bind_join(left, stars, b, &join_var, 1, stats)?.map_err(|_| {
@@ -814,8 +816,8 @@ fn build_merged_service(
     // Stats-based merged estimate: the classic equi-join formula over the
     // two star estimates (`None` outside cost mode).
     let est = match (
-        stats_estimate(stats, &a.source_id, sa, &a.pushed),
-        stats_estimate(stats, &b.source_id, sb, &b.pushed),
+        stats_estimate(stats, &a.source_id, sa, a.pushed_exprs()),
+        stats_estimate(stats, &b.source_id, sb, b.pushed_exprs()),
     ) {
         (Some(ea), Some(eb)) => join_estimate(ea, ea, eb, eb),
         _ => estimate(a.cardinality, &pa).min(estimate(b.cardinality, &pb)),
@@ -1155,7 +1157,7 @@ fn apply_step(
             next.net_seq_us += env.transfer_us(messages, out_rows);
             let indexed = bindable_column(stars, rs, &on[0]).is_some_and(|col| {
                 lake.source(&rs.source_id)
-                    .is_some_and(|s| s.has_index_on(&rs.tm.table, &col))
+                    .is_some_and(|s| s.has_index_on(&rs.tm.table, &col.name))
             });
             next.io_us += if indexed {
                 keys * env.cost.rdb_index_probe_us + out_rows * env.cost.rdb_index_row_us
@@ -1181,14 +1183,12 @@ fn apply_step(
     next
 }
 
-/// The column `join_var` maps to on the unit's star, when bind-joining is
-/// feasible at all.
-fn bindable_column(
-    stars: &[StarSubquery],
-    rs: &RelStar,
-    join_var: &Var,
-) -> Option<String> {
-    column_of_var(join_var, &stars[rs.star_idx], &rs.tm)
+/// The column `join_var` maps to on the unit's star, when bind-joining on
+/// it is feasible at all: not a DOUBLE literal column, where a NaN or ±INF
+/// join term may be a stored value's lift and no `IN` list can carry it.
+fn bindable_column(stars: &[StarSubquery], rs: &RelStar, join_var: &Var) -> Option<StarColumn> {
+    star_column(join_var, &stars[rs.star_idx], &rs.tm, &rs.schema)
+        .filter(|c| c.lift != Lift::Literal(DataType::Double))
 }
 
 /// Cost-based replacement for the greedy ordering in `plan_conjunctive`:
@@ -1475,7 +1475,7 @@ mod tests {
         }
         assert_eq!(right.source_id, "d");
         assert_eq!(right.part.table, "disease");
-        assert_eq!((right.join_var.name(), right.column.as_str()), ("d", "id"));
-        assert_eq!(right.extract, Some(disease_iri));
+        assert_eq!((right.join_var.name(), right.column.name.as_str()), ("d", "id"));
+        assert_eq!(right.column.lift, Lift::SubjectIri(disease_iri));
     }
 }

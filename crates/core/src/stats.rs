@@ -155,7 +155,11 @@ impl SourceStatistics {
     /// the per-predicate multiplicities (one row per combination of
     /// multi-valued objects), then reduced by the selectivity of ground
     /// objects and of the given filters. Floored at one row.
-    pub fn estimate_star(&self, star: &StarSubquery, filters: &[Expr]) -> f64 {
+    pub fn estimate_star<'f>(
+        &self,
+        star: &StarSubquery,
+        filters: impl IntoIterator<Item = &'f Expr>,
+    ) -> f64 {
         let preds: Vec<&str> = star
             .predicates()
             .into_iter()

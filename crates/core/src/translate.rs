@@ -8,14 +8,21 @@
 //! merges two stars into one `SELECT … JOIN … ON …`. The generated SQL is
 //! real text executed through the relational engine's parser — the same
 //! interface Ontario's SQL wrapper has to MySQL.
+//!
+//! Every term that enters SQL crosses one boundary, decided here: a star
+//! variable's column ([`star_column`]), the stored value whose lift *is* a
+//! term ([`StarColumn::stored`]) and what a FILTER may push
+//! ([`push_filter`]), all held by `crates/core/tests/sql_boundary.rs`.
 
 use crate::decompose::{StarSubject, StarSubquery};
 use crate::error::FedError;
-use fedlake_mapping::{lift, IriTemplate, TableMapping};
-use fedlake_rdf::Term;
+use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
+use fedlake_mapping::{IriTemplate, TableMapping};
+use fedlake_rdf::{Literal, Term};
 use fedlake_relational::{DataType, TableSchema, Value};
+use fedlake_sparql::ast::VarOrTerm;
 use fedlake_sparql::binding::Var;
-use fedlake_sparql::expr::{CmpOp, Expr};
+use fedlake_sparql::expr::{split_anchors, CmpOp, Expr};
 
 /// How one SQL output column lifts back to an RDF term.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,15 +72,117 @@ pub struct TranslatedQuery {
     pub outputs: Vec<OutputBinding>,
 }
 
-/// Builds the SQL fragments for one star over its mapped table.
-///
-/// `pushed_filters` are the star filters Heuristic 2 decided to evaluate at
-/// the source; they must all be [pushable](filter_column).
+/// A star position's column — the subject key column, or a predicate's
+/// mapped column — and what it stores: keys minted into IRIs through a
+/// template, or literals of its SQL type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StarColumn {
+    /// The column's name in the star's table.
+    pub name: String,
+    /// The column's SQL type.
+    pub data_type: DataType,
+    /// How the column's values lift to terms.
+    pub lift: Lift,
+}
+
+impl StarColumn {
+    /// `tm`'s subject key column (`pred` = `None`) or the column `pred`
+    /// maps to.
+    fn of(tm: &TableMapping, schema: &TableSchema, pred: Option<&str>) -> Result<Self, FedError> {
+        let (name, keys) = match pred {
+            None => (&tm.subject_column, Some(Lift::SubjectIri(tm.subject_template.clone()))),
+            Some(p) => {
+                let pm = tm.column_for_predicate(p).ok_or_else(|| {
+                    FedError::Internal(format!("predicate {p} not mapped for {}", tm.table))
+                })?;
+                (&pm.column, pm.ref_template.clone().map(Lift::RefIri))
+            }
+        };
+        let data_type = schema
+            .column(name)
+            .map(|c| c.data_type)
+            .ok_or_else(|| FedError::Internal(format!("column {name} missing from schema")))?;
+        let lift = keys.unwrap_or(Lift::Literal(data_type));
+        Ok(StarColumn { name: name.clone(), data_type, lift })
+    }
+
+    /// The one writer for term identity: the value of this column whose
+    /// lift *is* `term`, checked by lifting it back — or `None` when no
+    /// stored value lifts to it (an IRI the template did not mint or would
+    /// write differently, another datatype, a language tag, a lexical form
+    /// that is not the canonical one), so no row can match `term`.
+    pub fn stored(&self, term: &Term) -> Option<Value> {
+        let value = match &self.lift {
+            Lift::SubjectIri(t) | Lift::RefIri(t) => {
+                let key = Value::Text(t.extract(term.as_iri()?)?);
+                term_to_value(&value_to_term(&key, self.data_type))
+            }
+            Lift::Literal(_) => term_to_value(term),
+        };
+        let lifted = match &self.lift {
+            Lift::SubjectIri(t) | Lift::RefIri(t) => Term::iri(t.apply(&value_key(&value))),
+            Lift::Literal(dt) => value_to_term(&value, *dt),
+        };
+        (value.data_type() == Some(self.data_type) && lifted == *term).then_some(value)
+    }
+
+    /// [`StarColumn::stored`]'s value as SQL: how a bind join writes a key.
+    pub fn sql_value(&self, term: &Term) -> Option<String> {
+        sql_literal(&self.stored(term)?)
+    }
+
+    /// The conjunct a ground term puts on this column: equal to the stored
+    /// value whose lift is the term, or — when none lifts to it — a conjunct
+    /// no row satisfies (`= NULL` never holds).
+    fn ground(&self, alias: &str, term: &Term) -> Result<String, FedError> {
+        let value = match self.stored(term) {
+            None => "NULL".into(),
+            // No literal selects NaN or ±INF, nor one zero alone: SQL's `=`
+            // reads −0.0 and 0.0, two terms, as one value.
+            Some(v) => sql_literal(&v)
+                .filter(|_| !matches!(v, Value::Double(z) if z == 0.0))
+                .ok_or_else(|| FedError::Unsupported(format!("object {term} has no SQL literal")))?,
+        };
+        Ok(format!("{alias}.{} = {value}", self.name))
+    }
+}
+
+/// The column star variable `v` maps to — the key column for the subject,
+/// the mapped column of the first pattern it is the object of — and what
+/// that column stores. `None` when it maps to no column of `tm`'s table.
+pub fn star_column(
+    v: &Var,
+    star: &StarSubquery,
+    tm: &TableMapping,
+    schema: &TableSchema,
+) -> Option<StarColumn> {
+    let pred = match &star.subject {
+        StarSubject::Var(s) if s == v => None,
+        _ => Some(star.triples.iter().find(|t| t.o.as_var() == Some(v))?.p.as_term()?.as_iri()?),
+    };
+    StarColumn::of(tm, schema, pred).ok()
+}
+
+/// A FILTER [`push_filter`] found pushable: the column it constrains, which
+/// Heuristic 2's index test reads, and the SQL condition [`star_part`]
+/// writes on it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SqlFilter {
+    /// The filter as the query states it.
+    pub expr: Expr,
+    /// The column the condition constrains.
+    pub column: String,
+    /// The condition on that column, e.g. `> 3.0` or `LIKE 'Homo%'`.
+    pub condition: String,
+}
+
+/// Builds the SQL fragments for one star over its mapped table, with the
+/// `pushed` filters Heuristic 2 decided to evaluate at the source.
 pub fn star_part(
     star: &StarSubquery,
     tm: &TableMapping,
     schema: &TableSchema,
-    pushed_filters: &[Expr],
+    pushed: &[SqlFilter],
     alias: &str,
 ) -> Result<StarPart, FedError> {
     let mut part = StarPart {
@@ -87,27 +196,13 @@ pub fn star_part(
 
     // Subject: select the key column (for a variable subject) or constrain
     // it (for a ground one).
+    let subject = StarColumn::of(tm, schema, None)?;
     match &star.subject {
         StarSubject::Var(v) => {
-            part.select.push((
-                tm.subject_column.clone(),
-                format!("{alias}_{}", tm.subject_column),
-            ));
-            part.outputs.push(OutputBinding {
-                var: v.clone(),
-                lift: Lift::SubjectIri(tm.subject_template.clone()),
-            });
+            part.select.push((subject.name.clone(), format!("{alias}_{}", subject.name)));
+            part.outputs.push(OutputBinding { var: v.clone(), lift: subject.lift.clone() });
         }
-        StarSubject::Term(t) => {
-            let iri = t
-                .as_iri()
-                .ok_or_else(|| FedError::Unsupported("literal subject".into()))?;
-            let key = tm.subject_template.extract(iri).ok_or_else(|| {
-                FedError::Internal(format!("subject {iri} does not match template"))
-            })?;
-            part.wheres
-                .push(format!("{alias}.{} = {}", tm.subject_column, sql_str(&key)));
-        }
+        StarSubject::Term(t) => part.wheres.push(subject.ground(alias, t)?),
     }
 
     for triple in &star.triples {
@@ -124,68 +219,35 @@ pub fn star_part(
             }
             continue;
         }
-        let pm = tm.column_for_predicate(pred).ok_or_else(|| {
-            FedError::Internal(format!("predicate {pred} not mapped for {}", tm.table))
-        })?;
-        match (&triple.o, &pm.ref_template) {
-            (fedlake_sparql::ast::VarOrTerm::Var(v), ref_tmpl) => {
-                // Deduplicate: a variable may be selected once.
-                if !part.outputs.iter().any(|o| &o.var == v) {
-                    part.select
-                        .push((pm.column.clone(), format!("{alias}_{}", pm.column)));
-                    let lift = match ref_tmpl {
-                        Some(t) => Lift::RefIri(t.clone()),
-                        None => Lift::Literal(column_type(schema, &pm.column)?),
-                    };
-                    part.outputs.push(OutputBinding { var: v.clone(), lift });
-                } else {
-                    // Repeated variable: both columns must agree.
-                    let first = part
-                        .outputs
-                        .iter()
-                        .position(|o| &o.var == v)
-                        .expect("checked above");
-                    let (first_col, _) = &part.select[first];
-                    part.wheres
-                        .push(format!("{alias}.{} = {alias}.{first_col}", pm.column));
+        let column = StarColumn::of(tm, schema, Some(pred))?;
+        match &triple.o {
+            VarOrTerm::Var(v) => {
+                // A variable is selected once; a repeat makes both columns
+                // agree.
+                match part.outputs.iter().position(|o| &o.var == v) {
+                    Some(first) => {
+                        let first_col = &part.select[first].0;
+                        part.wheres.push(format!("{alias}.{} = {alias}.{first_col}", column.name));
+                    }
+                    None => {
+                        part.select.push((column.name.clone(), format!("{alias}_{}", column.name)));
+                        part.outputs.push(OutputBinding { var: v.clone(), lift: column.lift.clone() });
+                    }
                 }
                 // Columns referenced by the query are implicitly non-NULL
                 // in RDF (a NULL produces no triple).
-                part.wheres.push(format!("{alias}.{} IS NOT NULL", pm.column));
+                part.wheres.push(format!("{alias}.{} IS NOT NULL", column.name));
             }
-            (fedlake_sparql::ast::VarOrTerm::Term(t), Some(ref_tmpl)) => {
-                let iri = t.as_iri().ok_or_else(|| {
-                    FedError::Unsupported("literal object on reference column".into())
-                })?;
-                let key = ref_tmpl.extract(iri).ok_or_else(|| {
-                    FedError::Internal(format!("object {iri} does not match ref template"))
-                })?;
-                part.wheres
-                    .push(format!("{alias}.{} = {}", pm.column, sql_str(&key)));
-            }
-            (fedlake_sparql::ast::VarOrTerm::Term(t), None) => {
-                let v = sql_literal(&lift::term_to_value(t)).ok_or_else(|| {
-                    FedError::Unsupported(format!("object {t} has no SQL literal"))
-                })?;
-                part.wheres.push(format!("{alias}.{} = {v}", pm.column));
-            }
+            VarOrTerm::Term(t) => part.wheres.push(column.ground(alias, t)?),
         }
     }
 
-    for f in pushed_filters {
-        let sql = filter_to_sql(f, star, tm, schema, alias).ok_or_else(|| {
-            FedError::Internal(format!("filter {f} was pushed but is not translatable"))
-        })?;
-        part.wheres.push(sql);
-    }
+    part.wheres.extend(pushed.iter().map(|f| format!("{alias}.{} {}", f.column, f.condition)));
 
     // A star with a ground subject and only ground objects still needs a
     // column to detect existence.
     if part.select.is_empty() {
-        part.select.push((
-            tm.subject_column.clone(),
-            format!("{alias}_{}", tm.subject_column),
-        ));
+        part.select.push((subject.name.clone(), format!("{alias}_{}", subject.name)));
         // No output binding: the column is a probe only.
     }
     Ok(part)
@@ -250,10 +312,9 @@ pub fn sql_merged(
         b.alias,
         right_col
     );
-    let wheres: Vec<&String> = a.wheres.iter().chain(&b.wheres).collect();
+    let wheres: Vec<&str> = a.wheres.iter().chain(&b.wheres).map(String::as_str).collect();
     if !wheres.is_empty() {
-        let ws: Vec<&str> = wheres.iter().map(|s| s.as_str()).collect();
-        sql.push_str(&format!(" WHERE {}", ws.join(" AND ")));
+        sql.push_str(&format!(" WHERE {}", wheres.join(" AND ")));
     }
     TranslatedQuery { sql, outputs }
 }
@@ -292,92 +353,97 @@ pub fn sql_merged_same_table(a: &StarPart, b: &StarPart) -> TranslatedQuery {
     sql_single(&combined)
 }
 
-/// The table column a *simple instantiation* filter constrains, when the
-/// filter can be pushed into this star's SQL. This is the question
-/// Heuristic 2 asks: `Some(column)` means "pushable — now check the index
-/// and the network"; `None` means the filter must stay at the engine.
-pub fn filter_column(expr: &Expr, star: &StarSubquery, tm: &TableMapping) -> Option<String> {
-    let var = single_var_of(expr)?;
-    column_of_var(&var, star, tm)
+/// What a FILTER asks of its one variable.
+enum Test<'e> {
+    /// `arg op constant`.
+    Cmp(CmpOp, &'e Term),
+    /// A LIKE pattern: the needle with a `%` before it, after it, or both.
+    Like(&'static str, &'e str, &'static str),
 }
 
-/// Translates a pushable filter to a SQL conjunct. Returns `None` when the
-/// expression shape or the needle is not representable (e.g. `LIKE`
-/// wildcards inside the needle), or when SQL would answer it differently:
-/// `!=` on a `DOUBLE` column, because SQL's `<>` is unknown on a stored NaN
-/// where SPARQL's `!=` is true.
-pub fn filter_to_sql(
+/// Heuristic 2's one rule: the SQL condition that keeps exactly the rows
+/// whose lifted term passes `expr` — written as the value the engine
+/// compares with, under SPARQL's operator semantics — or `None`: the
+/// filter stays at the engine. It pushes where SQL agrees on every value:
+///
+/// * a string function, `STR(?v)`, or an ordering of a TEXT column reads
+///   the lexical form, which the column stores as is — but LIKE's `%` and
+///   `_` in a needle decline;
+/// * `=` and `!=` on a key, TEXT or BOOL column are term identity: the
+///   stored value whose lift is the constant ([`StarColumn::stored`]);
+/// * an INT column compares exactly, and only with an integer;
+/// * a DOUBLE column compares as doubles with any number, but not by `!=`,
+///   which SPARQL holds on a stored NaN and SQL's `<>` does not.
+pub fn push_filter(
     expr: &Expr,
     star: &StarSubquery,
     tm: &TableMapping,
     schema: &TableSchema,
-    alias: &str,
-) -> Option<String> {
-    let var = single_var_of(expr)?;
-    let col = column_of_var(&var, star, tm)?;
-    match expr {
-        Expr::Cmp(a, op, b) => {
-            let (c, flipped) = match (&**a, &**b) {
-                (_, Expr::Const(c)) => (c, false),
-                (Expr::Const(c), _) => (c, true),
+) -> Option<SqlFilter> {
+    use CmpOp::{Eq, Ge, Gt, Le, Lt, Ne};
+    use DataType::{Double, Int, Text};
+    fn needle(e: &Expr) -> Option<&str> {
+        let Expr::Const(t) = e else { return None };
+        text(t)
+    }
+    let (arg, test) = match expr {
+        Expr::Cmp(a, op, b) => match (&**a, &**b) {
+            (arg, Expr::Const(c)) => (arg, Test::Cmp(*op, c)),
+            (Expr::Const(c), arg) => (arg, Test::Cmp(flip(*op), c)),
+            _ => return None,
+        },
+        Expr::Contains(arg, n) => (&**arg, Test::Like("%", needle(n)?, "%")),
+        Expr::StrStarts(arg, n) => (&**arg, Test::Like("", needle(n)?, "%")),
+        Expr::StrEnds(arg, n) => (&**arg, Test::Like("%", needle(n)?, "")),
+        Expr::Regex(arg, pattern) => {
+            let (starts, body, ends) = split_anchors(pattern);
+            (&**arg, Test::Like(if starts { "" } else { "%" }, body, if ends { "" } else { "%" }))
+        }
+        _ => return None,
+    };
+    let (var, str_form) = match arg {
+        Expr::Var(v) => (v, false),
+        Expr::Str(inner) => match &**inner {
+            Expr::Var(v) => (v, true),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let column = star_column(var, star, tm, schema)?;
+    let (op, value) = match (test, &column.lift) {
+        (Test::Like(pre, needle, post), Lift::Literal(Text)) if !needle.contains(['%', '_']) => {
+            ("LIKE".into(), Value::Text(format!("{pre}{needle}{post}")))
+        }
+        (Test::Like(..), _) => return None,
+        (Test::Cmp(op, c), lift) => {
+            let number = c.as_literal().filter(|l| l.is_numeric());
+            let value = match (lift, str_form, op) {
+                // The lexical form, which a TEXT column stores as is.
+                (Lift::Literal(Text), true, _) | (Lift::Literal(Text), _, Lt | Le | Gt | Ge) => {
+                    Value::text(text(c)?)
+                }
+                (_, true, _) => return None,
+                // Two numbers: an integer exactly, any number as a double.
+                (Lift::Literal(Int), ..) => {
+                    Value::Int(number.filter(|l| l.is_integer()).and_then(Literal::as_integer)?)
+                }
+                (Lift::Literal(Double), _, Ne) => return None,
+                (Lift::Literal(Double), ..) => Value::Double(number.and_then(Literal::as_double)?),
+                // Term identity on a key, TEXT or BOOL column.
+                (_, _, Eq | Ne) => column.stored(c)?,
                 _ => return None,
             };
-            let op = if flipped { flip(*op) } else { *op };
-            let sql_op = match op {
-                CmpOp::Eq => "=",
-                CmpOp::Ne if matches!(column_type(schema, &col), Ok(DataType::Double)) => {
-                    return None
-                }
-                CmpOp::Ne => "<>",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-            };
-            // The subject variable compares against entity IRIs; extract
-            // the key through the template.
-            let value = if is_subject_var(&var, star) {
-                let iri = c.as_iri()?;
-                Value::Text(tm.subject_template.extract(iri)?)
-            } else if let Some(ref_tmpl) = ref_template_of(&var, star, tm) {
-                let iri = c.as_iri()?;
-                Value::Text(ref_tmpl.extract(iri)?)
-            } else {
-                lift::term_to_value(c)
-            };
-            Some(format!("{alias}.{col} {sql_op} {}", sql_literal(&value)?))
+            (if op == Ne { "<>".into() } else { op.to_string() }, value)
         }
-        Expr::Contains(_, b) => like(alias, &col, b, "%", "%"),
-        Expr::StrStarts(_, b) => like(alias, &col, b, "", "%"),
-        Expr::StrEnds(_, b) => like(alias, &col, b, "%", ""),
-        Expr::Regex(_, pattern) => {
-            let starts = pattern.starts_with('^');
-            let ends = pattern.ends_with('$') && pattern.len() > 1;
-            let body = &pattern[usize::from(starts)..pattern.len() - usize::from(ends)];
-            if body.contains(['%', '_', '^', '$', '*', '+', '[', '(', '\\', '.']) {
-                return None; // only anchor+literal regexes are pushable
-            }
-            let like = format!(
-                "{}{}{}",
-                if starts { "" } else { "%" },
-                body,
-                if ends { "" } else { "%" }
-            );
-            Some(format!("{alias}.{col} LIKE {}", sql_str(&like)))
-        }
-        _ => None,
-    }
+    };
+    let condition = format!("{op} {}", sql_literal(&value)?);
+    Some(SqlFilter { expr: expr.clone(), column: column.name, condition })
 }
 
-fn like(alias: &str, col: &str, needle: &Expr, pre: &str, post: &str) -> Option<String> {
-    let Expr::Const(Term::Literal(l)) = needle else { return None };
-    if l.lexical.contains(['%', '_']) {
-        return None;
-    }
-    Some(format!(
-        "{alias}.{col} LIKE {}",
-        sql_str(&format!("{pre}{}{post}", l.lexical))
-    ))
+/// A term's string form, as a FILTER's string functions read it: a
+/// literal's lexical form or an IRI's text; a blank node has none.
+fn text(t: &Term) -> Option<&str> {
+    t.as_literal().map(|l| l.lexical.as_str()).or(t.as_iri())
 }
 
 fn flip(op: CmpOp) -> CmpOp {
@@ -390,76 +456,9 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// The single variable a simple-instantiation filter mentions.
-fn single_var_of(expr: &Expr) -> Option<Var> {
-    if !expr.is_simple_instantiation() {
-        return None;
-    }
-    let vars = expr.vars();
-    match vars.as_slice() {
-        [v] => Some(v.clone()),
-        _ => None,
-    }
-}
-
-fn is_subject_var(v: &Var, star: &StarSubquery) -> bool {
-    matches!(&star.subject, StarSubject::Var(sv) if sv == v)
-}
-
-fn ref_template_of<'a>(
-    v: &Var,
-    star: &StarSubquery,
-    tm: &'a TableMapping,
-) -> Option<&'a IriTemplate> {
-    for t in &star.triples {
-        if t.o.as_var() == Some(v) {
-            let pred = t.p.as_term().and_then(Term::as_iri)?;
-            return tm.column_for_predicate(pred)?.ref_template.as_ref();
-        }
-    }
-    None
-}
-
-/// The reference IRI template of the column a variable maps to, when that
-/// column is a foreign key (public clone-returning form of
-/// `ref_template_of`, used by the planner's bind joins).
-pub fn column_ref_template(
-    v: &Var,
-    star: &StarSubquery,
-    tm: &TableMapping,
-) -> Option<IriTemplate> {
-    ref_template_of(v, star, tm).cloned()
-}
-
-/// The column a star variable maps to: the key column for the subject, the
-/// mapped column for an object variable.
-pub fn column_of_var(v: &Var, star: &StarSubquery, tm: &TableMapping) -> Option<String> {
-    if is_subject_var(v, star) {
-        return Some(tm.subject_column.clone());
-    }
-    for t in &star.triples {
-        if t.o.as_var() == Some(v) {
-            let pred = t.p.as_term().and_then(Term::as_iri)?;
-            return tm.column_for_predicate(pred).map(|pm| pm.column.clone());
-        }
-    }
-    None
-}
-
-fn column_type(schema: &TableSchema, col: &str) -> Result<DataType, FedError> {
-    schema
-        .column(col)
-        .map(|c| c.data_type)
-        .ok_or_else(|| FedError::Internal(format!("column {col} missing from schema")))
-}
-
-fn sql_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
-}
-
-/// `v` as a SQL literal the source reads back as `v` — the one way a term
-/// is written into SQL (filter constants, ground objects, bind-join keys).
-/// A finite double always carries a decimal point: `1e21` displays as an
+/// `v` as a SQL literal the source reads back as `v` — the one renderer of
+/// a value into SQL (filter constants, ground terms, bind-join keys). A
+/// finite double always carries a decimal point: `1e21` displays as an
 /// integer past `i64`, and the SQL lexer has no exponent syntax. `None`
 /// for NaN and ±INF, which have no SQL literal.
 pub fn sql_literal(v: &Value) -> Option<String> {
@@ -511,6 +510,12 @@ mod tests {
 
     fn star(q: &str) -> StarSubquery {
         decompose(&parse_query(q).unwrap()).unwrap().stars.remove(0)
+    }
+
+    /// The conjunct the star's first filter pushes as, under alias `s0`.
+    fn pushed(s: &StarSubquery) -> Option<String> {
+        let f = push_filter(&s.filters[0], s, &mapping(), &schema())?;
+        Some(format!("s0.{} {}", f.column, f.condition))
     }
 
     #[test]
@@ -577,13 +582,14 @@ mod tests {
         let s = star(
             r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(CONTAINS(?sp, "sapiens")) }"#,
         );
-        let f = s.filters[0].clone();
-        assert_eq!(filter_column(&f, &s, &mapping()), Some("species".into()));
+        let f = push_filter(&s.filters[0], &s, &mapping(), &schema()).unwrap();
+        assert_eq!(f.column, "species");
+        let subject = star_column(&Var::new("g"), &s, &mapping(), &schema()).unwrap();
+        assert_eq!(subject.lift, Lift::SubjectIri(mapping().subject_template));
     }
 
     #[test]
     fn filter_to_sql_variants() {
-        let tm = mapping();
         let cases = [
             (
                 r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(CONTAINS(?sp, "sapiens")) }"#,
@@ -611,13 +617,7 @@ mod tests {
             ),
         ];
         for (q, expected) in cases {
-            let s = star(q);
-            let f = s.filters[0].clone();
-            assert_eq!(
-                filter_to_sql(&f, &s, &tm, &schema(), "s0").as_deref(),
-                Some(expected),
-                "query: {q}"
-            );
+            assert_eq!(pushed(&star(q)).as_deref(), Some(expected), "query: {q}");
         }
     }
 
@@ -626,11 +626,7 @@ mod tests {
         let s = star(
             r#"SELECT * WHERE { ?g <http://v/label> ?l . FILTER(?g = <http://d/gene/g3>) }"#,
         );
-        let f = s.filters[0].clone();
-        assert_eq!(
-            filter_to_sql(&f, &s, &mapping(), &schema(), "s0").as_deref(),
-            Some("s0.id = 'g3'")
-        );
+        assert_eq!(pushed(&s).as_deref(), Some("s0.id = 'g3'"));
     }
 
     #[test]
@@ -639,14 +635,12 @@ mod tests {
         let s = star(
             "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/species> ?sp . FILTER(?l = ?sp) }",
         );
-        let f = s.filters[0].clone();
-        assert!(filter_to_sql(&f, &s, &mapping(), &schema(), "s0").is_none());
+        assert!(pushed(&s).is_none());
         // Needle containing LIKE wildcards.
         let s = star(
             r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(CONTAINS(?sp, "100%")) }"#,
         );
-        let f = s.filters[0].clone();
-        assert!(filter_to_sql(&f, &s, &mapping(), &schema(), "s0").is_none());
+        assert!(pushed(&s).is_none());
     }
 
     #[test]
@@ -689,7 +683,8 @@ mod tests {
         let s = star(
             r#"SELECT * WHERE { ?g <http://v/species> ?sp . FILTER(CONTAINS(?sp, "sapiens")) }"#,
         );
-        let pushed = s.filters.clone();
+        let pushed: Vec<SqlFilter> =
+            s.filters.iter().filter_map(|f| push_filter(f, &s, &mapping(), &schema())).collect();
         let q = sql_single(&star_part(&s, &mapping(), &schema(), &pushed, "s0").unwrap());
         assert!(q.sql.contains("LIKE '%sapiens%'"), "sql: {}", q.sql);
     }

@@ -11,10 +11,9 @@ use crate::lake::DataLake;
 use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
-use crate::translate::{sql_literal, sql_single, TranslatedQuery};
-use fedlake_mapping::lift::term_to_value;
+use crate::translate::{sql_single, TranslatedQuery};
 use fedlake_rdf::{Term, TermId};
-use fedlake_relational::{Database, Value};
+use fedlake_relational::Database;
 use fedlake_sparql::binding::SlotRow;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -22,39 +21,29 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The SQL a bind join ships for one batch: `target`'s star restricted to
-/// the distinct keys of the left rows' join terms, in first-seen order, as
-/// one `IN` list. Terms no key can be extracted from (an IRI the target's
-/// template did not mint, a literal where it expects an IRI) or whose key
-/// has no SQL literal ([`sql_literal`]) are skipped; `None` when that
-/// leaves nothing. Rendered on a lift-cache miss only: a batch is cached
-/// under its join terms' ids, not under this text.
+/// the stored values whose lifts are the join terms, distinct and in
+/// first-seen order, as one `IN` list. A term no stored value lifts to (an
+/// IRI the target's template did not mint or would write differently, a
+/// literal of another form) is skipped: [`BindJoinOp`] asks only about
+/// terms that have one, so its list is never empty. Rendered on a
+/// lift-cache miss only: a batch is cached under its join terms' ids, not
+/// under this text.
 pub fn bind_batch_query<'t>(
     target: &BindTarget,
     terms: impl IntoIterator<Item = &'t Term>,
-) -> Option<TranslatedQuery> {
-    let mut seen: HashSet<Value> = HashSet::new();
+) -> TranslatedQuery {
+    let mut seen: HashSet<String> = HashSet::new();
     let mut list = String::new();
-    for term in terms {
-        let key = match &target.extract {
-            Some(tmpl) => term
-                .as_iri()
-                .and_then(|iri| tmpl.extract(iri))
-                .map(Value::Text),
-            None => Some(term_to_value(term)),
-        };
-        let Some(key) = key.filter(|k| !seen.contains(k)) else { continue };
-        if let Some(literal) = sql_literal(&key) {
+    for key in terms.into_iter().filter_map(|t| target.column.sql_value(t)) {
+        if !seen.contains(&key) {
             let sep = if seen.is_empty() { "" } else { ", " };
-            let _ = write!(list, "{sep}{literal}");
+            let _ = write!(list, "{sep}{key}");
             seen.insert(key);
         }
     }
-    if seen.is_empty() {
-        return None;
-    }
     let mut part = target.part.clone();
-    part.wheres.push(format!("{}.{} IN ({list})", part.alias, target.column));
-    Some(sql_single(&part))
+    part.wheres.push(format!("{}.{} IN ({list})", part.alias, target.column.name));
+    sql_single(&part)
 }
 
 /// The engine-level dependent (bind) join: batches of left bindings are
@@ -131,9 +120,11 @@ impl<'a> BindJoinOp<'a> {
 
     /// The join terms the batch asks the target about: the distinct ids its
     /// rows bind the join variable to, in first-seen order, less those no
-    /// key can be extracted from (an IRI the target's template did not
-    /// mint, a literal where it expects an IRI). Empty means no traffic —
-    /// the batch can never match. Read in place under one interner lock.
+    /// stored value lifts to ([`StarColumn::stored`]). Empty means no
+    /// traffic — the batch can never match. Read in place under one
+    /// interner lock.
+    ///
+    /// [`StarColumn::stored`]: crate::translate::StarColumn::stored
     fn batch_ids(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Vec<TermId> {
         let Some(jslot) = ctx.schema.slot(&self.target.join_var) else {
             return Vec::new();
@@ -144,12 +135,7 @@ impl<'a> BindJoinOp<'a> {
             if ids.contains(&id) {
                 continue;
             }
-            let askable = match (&self.target.extract, dict.term(id)) {
-                (_, None) => false,
-                (None, Some(_)) => true,
-                (Some(tmpl), Some(term)) => term.as_iri().is_some_and(|iri| tmpl.matches(iri)),
-            };
-            if askable {
+            if dict.term(id).is_some_and(|t| self.target.column.stored(t).is_some()) {
                 ids.push(id);
             }
         }

@@ -10,7 +10,7 @@ use crate::lake::DataLake;
 use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
-use crate::translate::{sql_single, OutputBinding};
+use crate::translate::{sql_single, Lift, OutputBinding};
 use fedlake_rdf::TermId;
 use fedlake_relational::Database;
 use fedlake_sparql::binding::{encode_row, Row, SlotRow};
@@ -155,8 +155,8 @@ pub(super) enum LeafRequest<'a> {
         star: crate::decompose::StarSubquery,
         filters: Vec<fedlake_sparql::expr::Expr>,
     },
-    /// `target`'s star restricted to the keys of the join terms `ids`, each
-    /// of which a key can be extracted from (see [`bind_batch_query`]).
+    /// `target`'s star restricted to the join terms `ids`, each of which a
+    /// stored value lifts to (see [`bind_batch_query`]).
     Batch { db: &'a Database, target: &'a BindTarget, ids: &'a [TermId] },
 }
 
@@ -191,8 +191,8 @@ impl LeafRequest<'_> {
             LeafRequest::Batch { target, .. } => {
                 let star = sql_single(&target.part);
                 let mut sig = sql_signature("bind:", logical, &star.sql, &star.outputs);
-                let _ = write!(sig, ":{}.{} IN ", target.part.alias, target.column);
-                if let Some(tmpl) = &target.extract {
+                let _ = write!(sig, ":{}.{} IN ", target.part.alias, target.column.name);
+                if let Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) = &target.column.lift {
                     let _ = write!(sig, "{tmpl}");
                 }
                 sig
@@ -234,8 +234,7 @@ impl LeafRequest<'_> {
                 let q = {
                     let dict = ctx.interner.lock();
                     bind_batch_query(target, ids.iter().filter_map(|id| dict.term(*id)))
-                }
-                .ok_or_else(|| FedError::Internal("bind batch without a key".into()))?;
+                };
                 let rs = db.query_borrowed(&q.sql)?;
                 Ok(lift_result_cols(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock()))
             }

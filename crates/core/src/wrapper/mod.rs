@@ -65,7 +65,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
     use crate::operators::EngineStats;
-    use crate::translate::{star_part, TranslatedQuery};
+    use crate::translate::{star_column, star_part, TranslatedQuery};
     use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
     use fedlake_netsim::clock::shared_virtual;
     use fedlake_netsim::{CostModel, NetworkProfile};
@@ -418,8 +418,7 @@ mod tests {
             route: None,
             part: star_part(&star, &tm, &schema, &[], "s0").unwrap(),
             join_var: Var::new("d"),
-            column: "id".into(),
-            extract: Some(IriTemplate::new("http://d/disease/{}")),
+            column: star_column(&Var::new("d"), &star, &tm, &schema).unwrap(),
             covers: "?d".into(),
             estimated_rows: 2.0,
         }

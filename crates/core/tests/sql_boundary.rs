@@ -24,8 +24,8 @@
 //! * a FILTER either stays at the engine, or its SQL keeps the row iff
 //!   `BoundExpr::test` keeps the lifted row;
 //! * a ground pattern's SQL returns the row iff the row's lifted term *is*
-//!   the constant (a ground NaN or ±INF object may instead be the documented
-//!   `Unsupported`: SQL has no literal for it);
+//!   the constant (a ground NaN, ±INF or zero double may instead be the
+//!   documented `Unsupported`: no SQL literal selects exactly it);
 //! * a bind-join key is asked iff a stored value lifts to it, and its SQL
 //!   returns the row iff the row's lifted term is the key;
 //! * the must-push classes push, so the table cannot pass by declining;
@@ -40,7 +40,7 @@ use fedlake_core::config::FilterPlacement;
 use fedlake_core::decompose::{StarSubject, StarSubquery};
 use fedlake_core::fedplan::{BindTarget, FedPlan, ServiceKind};
 use fedlake_core::planner::plan_query_with_health;
-use fedlake_core::translate::{sql_literal, star_part};
+use fedlake_core::translate::{sql_literal, star_column, star_part};
 use fedlake_core::wrapper::bind_batch_query;
 use fedlake_core::{DataLake, DataSource, FedError, HealthView, PlanConfig, PlanMode};
 use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
@@ -386,11 +386,12 @@ fn a_pushed_filter_keeps_exactly_the_rows_the_engine_keeps() {
     failures.assert_none("pushed filters");
 }
 
-/// `c` is a double literal of no finite value: a stored NaN or ±INF may lift
-/// to it, and SQL has no literal for either.
-fn non_finite(c: &Term) -> bool {
+/// `c` is a double literal with no SQL literal that selects exactly its
+/// stored value: NaN, ±INF, or a zero (SQL's `=` reads −0.0 and 0.0 as one).
+fn unselectable(c: &Term) -> bool {
     c.as_literal().is_some_and(|l| {
-        l.datatype.as_deref() == Some(vocab::xsd::DOUBLE) && l.as_double().is_some_and(|d| !d.is_finite())
+        l.datatype.as_deref() == Some(vocab::xsd::DOUBLE)
+            && l.as_double().is_some_and(|d| !d.is_finite() || d == 0.0)
     })
 }
 
@@ -411,7 +412,7 @@ fn a_ground_term_matches_exactly_the_row_that_lifts_to_it() {
             };
             let sql = match plan(&lake, &q) {
                 Ok((sql, _)) => sql,
-                Err(FedError::Unsupported(m)) if non_finite(&c) && m == format!("object {c} has no SQL literal") => {
+                Err(FedError::Unsupported(m)) if unselectable(&c) && m == format!("object {c} has no SQL literal") => {
                     continue;
                 }
                 Err(e) => {
@@ -454,17 +455,16 @@ fn bind_target(col: Col) -> BindTarget {
         route: None,
         part: star_part(&star, &tm, &schema(), &[], "s0").unwrap(),
         join_var: Var::new("v"),
-        column: col.name().into(),
-        extract: col.template(),
+        column: star_column(&Var::new("v"), &star, &tm, &schema()).unwrap(),
         covers: star.subject.to_string(),
         estimated_rows: 1.0,
     }
 }
 
 /// The SQL a bind join ships for the one key `c`, or `None`: the key is not
-/// asked.
+/// asked, since no stored value lifts to it.
 fn bind_sql(target: &BindTarget, c: &Term) -> Option<String> {
-    bind_batch_query(target, [c]).map(|q| q.sql)
+    target.column.stored(c).map(|_| bind_batch_query(target, [c]).sql)
 }
 
 /// Every column but DOUBLE: the planner plans no bind join on one, since a
@@ -502,10 +502,10 @@ fn a_bind_key_is_asked_iff_a_stored_value_lifts_to_it() {
 
 /// The classes that must push, so the table cannot pass by declining them:
 /// a TEXT column against a plain literal under every operator, over `?v`
-/// and `STR(?v)`; a DOUBLE column against a finite number under `= < <= >
-/// >=`; an INT column against an `i64` integer under all six comparisons;
-/// a key column against the IRI its template mints, under `=`. Together
-/// they cover Q1–Q5's filters.
+/// and `STR(?v)`; a DOUBLE column against a finite number under
+/// `= < <= > >=`; an INT column against an `i64` integer under all six
+/// comparisons; a key column against the IRI its template mints, under
+/// `=`. Together they cover Q1–Q5's filters.
 #[test]
 fn the_must_push_classes_push() {
     let lake = lake();

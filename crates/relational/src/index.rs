@@ -78,7 +78,9 @@ impl BTreeIndex {
     /// [`lookup`]: BTreeIndex::lookup
     pub fn seek(&self, key: &Value) -> Cow<'_, [RowId]> {
         match key {
-            Value::Int(0) | Value::Double(0.0) => self.range(Some((key, true)), Some((key, true))).into(),
+            Value::Int(0) | Value::Double(0.0) => {
+                self.range(Some((key, true)), Some((key, true))).into()
+            }
             Value::Double(d) if d.is_nan() => Cow::Borrowed(&[]),
             _ => self.lookup(std::slice::from_ref(key)).into(),
         }
@@ -113,11 +115,12 @@ impl BTreeIndex {
         };
         let lo = low.map_or(Bound::Unbounded, |(v, inclusive)| bound(v, inclusive, inclusive));
         let hi = high.map_or(Bound::Unbounded, |(v, inclusive)| bound(v, inclusive, !inclusive));
+        // NULL and NaN sort at ends of the value total order but never
+        // satisfy a range predicate.
+        let unordered = |v: &Value| v.is_null() || matches!(v, Value::Double(d) if d.is_nan());
         self.tree
             .range((lo, hi))
-            // NULL and NaN sort at ends of the value total order but never
-            // satisfy a range predicate.
-            .filter(|(k, _)| !k.iter().any(|v| v.is_null() || matches!(v, Value::Double(d) if d.is_nan())))
+            .filter(|(k, _)| !k.iter().any(unordered))
             .flat_map(|(_, rids)| rids.iter().copied())
             .collect()
     }

@@ -556,8 +556,10 @@ pub fn simple_regex_match(s: &str, pattern: &str) -> bool {
     anchored_match(s, starts, body, ends)
 }
 
-/// Splits a pattern into its `^` anchor, literal body and `$` anchor.
-fn split_anchors(pattern: &str) -> (bool, &str, bool) {
+/// Splits a `REGEX` pattern into its `^` anchor, literal body and `$`
+/// anchor: the one reading of a pattern, for the evaluator and for the SQL
+/// translation alike.
+pub fn split_anchors(pattern: &str) -> (bool, &str, bool) {
     let starts = pattern.starts_with('^');
     let ends = pattern.ends_with('$') && pattern.len() > 1;
     let body = &pattern[usize::from(starts)..pattern.len() - usize::from(ends)];

@@ -85,6 +85,27 @@ second_executor=0
 git grep -nE 'execute_planned_reference|build_ref_operator|RefOp' -- 'crates/*' 'tests/*' src || second_executor=$?
 [ "$second_executor" -eq 1 ] || { echo "a second executor is back (or git grep failed)"; exit 1; }
 
+# One SPARQL-SQL boundary: every term that enters SQL is decided in
+# crates/core/src/translate.rs — a star variable's column (star_column), the
+# stored value whose lift is a term (StarColumn::stored: ground patterns and
+# bind-join keys), what a FILTER may push (push_filter) and the one renderer
+# (sql_literal) — and crates/core/tests/sql_boundary.rs holds them to the
+# engine's verdicts. A second place that lowers a term or renders a value,
+# or one of the decisions that was kept in step by hand, is what that
+# replaced. REGEX anchors have one reader, fedlake_sparql::expr::split_anchors.
+echo "== the SPARQL-SQL boundary is one module =="
+writers=0
+git grep -nE 'term_to_value|sql_literal\(' -- 'crates/core/src/*' ':!crates/core/src/translate.rs' || writers=$?
+[ "$writers" -eq 1 ] || { echo "a term is written into SQL outside translate.rs (or git grep failed)"; exit 1; }
+git grep -q 'fn sql_literal' -- crates/core/src/translate.rs \
+    || { echo "translate.rs no longer holds sql_literal: the gate above matches nothing"; exit 1; }
+second_decisions=0
+git grep -nE 'fn filter_column\(|filter_to_sql\(|was pushed but is not translatable|bind batch without a key|does not match (ref )?template' \
+    -- 'crates/core/src/*' || second_decisions=$?
+[ "$second_decisions" -eq 1 ] || { echo "a second boundary decision is back under crates/core/src (or git grep failed)"; exit 1; }
+anchors="$(git grep -c "starts_with('^')" -- 'crates/*/src/*' | awk -F: '{ n += $2 } END { print n + 0 }')"
+[ "$anchors" -eq 1 ] || { echo "crates/*/src reads REGEX anchors in $anchors places, want one (split_anchors)"; exit 1; }
+
 # One measuring regime: fedbench (BENCHMARK.json) times the engine, on the
 # simulated clock and on the host. No crate declares a bench target, no
 # BENCH_*.json is committed beside it, and nothing imports a bench harness

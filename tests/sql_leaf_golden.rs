@@ -2,7 +2,8 @@
 //! reads it: for the SQL of every stock Q1–Q5 service leaf under the three
 //! planners (lake scale 0.05), and for two bind-join `IN (…)` batches (one
 //! written out by hand, one rendered by `bind_batch_query` from duplicate
-//! and unextractable join terms), the result rows *in order* and the eight
+//! join terms and terms no stored value lifts to), the result rows *in
+//! order* and the eight
 //! `CostStats` counters.
 //!
 //! The counters are what `CostModel::rdb_time` turns into simulated time
@@ -16,7 +17,7 @@
 //! ```
 
 use fedlake::core::fedplan::{FedPlan, ServiceKind, SqlRequest};
-use fedlake::core::translate::sql_single;
+use fedlake::core::translate::{sql_single, Lift};
 use fedlake::core::wrapper::bind_batch_query;
 use fedlake::core::{DataLake, DataSource, FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake, workload, LakeConfig};
@@ -119,7 +120,7 @@ fn walk(
                 let table = db.table(&right.part.table).expect("bind target table");
                 let pos = table
                     .schema
-                    .column_index(&right.column)
+                    .column_index(&right.column.name)
                     .expect("bind column");
                 let mut keys: Vec<String> = Vec::new();
                 let mut values: Vec<&Value> = Vec::new();
@@ -138,7 +139,7 @@ fn walk(
                 part.wheres.push(format!(
                     "{}.{} IN ({})",
                     part.alias,
-                    right.column,
+                    right.column.name,
                     keys.join(", ")
                 ));
                 let title = format!("{label} bind batch @ {}", right.source_id);
@@ -146,22 +147,23 @@ fn walk(
 
                 // A second batch, rendered by `bind_batch_query` itself
                 // from join terms: the same keys last first, each arriving
-                // twice, among terms no key can be extracted from. Distinct
+                // twice, among terms no stored value lifts to. Distinct
                 // keys in first-seen order, the rest dropped.
-                let term_of = |v: &Value| match &right.extract {
-                    Some(tmpl) => Term::iri(tmpl.apply(&value_key(v))),
-                    None => value_to_term(v, v.data_type().expect("non-null key")),
+                let keys_are_iris = !matches!(right.column.lift, Lift::Literal(_));
+                let term_of = |v: &Value| match &right.column.lift {
+                    Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) => Term::iri(tmpl.apply(&value_key(v))),
+                    Lift::Literal(dt) => value_to_term(v, *dt),
                 };
                 let mut terms = vec![Term::iri("http://elsewhere.example/not-minted-here")];
                 for v in values.iter().rev() {
                     terms.push(term_of(v));
-                    if right.extract.is_some() {
+                    if keys_are_iris {
                         // The key as a literal is not an IRI the template minted.
                         terms.push(Term::literal(value_key(v)));
                     }
                     terms.push(term_of(v));
                 }
-                let q = bind_batch_query(right, &terms).expect("extractable keys");
+                let q = bind_batch_query(right, &terms);
                 let title = format!("{label} bind batch (duplicates, strays) @ {}", right.source_id);
                 dump(out, &title, db, &q.sql);
             }
