@@ -9,10 +9,15 @@
 //! drug IRIs cross sources), attaches 0–2 more predicates per node and
 //! variabilizes the nodes, so the walked entities are one answer of the
 //! pattern. Optional parts ride along, each with its own probability: a
-//! FILTER whose constant is drawn from the predicate's objects, a
-//! self-contained OPTIONAL, a UNION of two star variants, DISTINCT, and
-//! ORDER BY over every projected variable with LIMIT / OFFSET (a total
-//! order, so the sequence is exact).
+//! FILTER, a self-contained OPTIONAL, a UNION of two star variants,
+//! DISTINCT, and ORDER BY over every projected variable with LIMIT / OFFSET
+//! (a total order, so the sequence is exact). The FILTER's constant is one
+//! of the predicate's objects, or — to draw the SPARQL↔SQL boundary — one
+//! from the value classes of `crates/core/tests/sql_boundary.rs`: that
+//! object restated (a language tag, `xsd:string`, a number as a string or
+//! with a leading zero, a recoded IRI) or a shared literal of any class. Its
+//! operator is any comparison, `CONTAINS`, `STRSTARTS`, `STRENDS` or an
+//! anchored `REGEX`, over the variable or `STR` of it.
 //!
 //! Each query runs in the six cells of the shared matrix
 //! (`tests/common/mod.rs`) × {unaware, aware} × {NoDelay, Gamma2}, each on a
@@ -30,6 +35,8 @@
 //! ```
 
 mod common;
+#[path = "../crates/core/tests/boundary/pool.rs"]
+mod pool;
 
 use common::{Cell, CELLS};
 use fedlake::core::explain::explain_plan;
@@ -56,14 +63,12 @@ fn queries() -> u64 {
 
 /// The `Unsupported` messages the planner, the translator and the wrapper
 /// routes document (planner.rs, translate.rs, wrapper/route.rs).
-const DOCUMENTED: [&str; 8] = [
+const DOCUMENTED: [&str; 6] = [
     "empty basic graph pattern",
     "OPTIONAL groups correlated through optional-only variables",
     "FILTER in OPTIONAL referencing outer variables",
-    "literal subject",
     "variable predicate over RDB",
     "variable class over RDB",
-    "literal object on reference column",
     "rows_per_message = 0: a message must carry at least one row",
 ];
 
@@ -201,8 +206,15 @@ fn generate(w: &Walker, rng: &mut Prng) -> Generated {
     if filtered {
         let (var, p) = pick(rng, &slots).clone();
         let objects = w.graph.match_pattern(&TriplePattern::any().with_p(p));
-        let constant = w.term(pick(rng, &objects).o);
-        blocks.push(filter(rng, &var, constant));
+        let mut constant = w.term(pick(rng, &objects).o).clone();
+        if rng.gen_bool(0.35) {
+            let restated = pool::restated(&constant);
+            constant = match restated.is_empty() || rng.gen_bool(0.5) {
+                true => pick(rng, &pool::literals()).clone(),
+                false => pick(rng, &restated).clone(),
+            };
+        }
+        blocks.push(filter(rng, &var, &constant));
     }
     if rng.gen_bool(0.25) {
         let at = rng.gen_range(0..nodes.len());
@@ -273,32 +285,39 @@ fn generate(w: &Walker, rng: &mut Prng) -> Generated {
     Generated { sparql, filtered, ordered }
 }
 
-/// A FILTER on `var` against `constant`, with an operator that fits the
-/// constant: every comparison and the two string functions on a string,
-/// the comparisons on a number, equality on an IRI.
+/// A FILTER on `var`, or on `STR(var)`, against `constant`, with an
+/// operator that fits the constant: every comparison, the three string
+/// functions and an anchored `REGEX` on a string; the comparisons on a
+/// number; equality on an IRI.
 fn filter(rng: &mut Prng, var: &str, constant: &Term) -> String {
-    let cmp = |op: &str| format!("FILTER({var} {op} {constant})");
+    const COMPARISONS: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
+    let arg = if rng.gen_bool(0.25) { format!("STR({var})") } else { var.to_string() };
+    let cmp = |op: &str| format!("FILTER({arg} {op} {constant})");
     match constant {
         Term::Literal(l) if !l.is_numeric() => {
             let chars: Vec<char> = l.lexical.chars().collect();
-            match rng.gen_range(0..6) {
-                0 => cmp("="),
-                1 => cmp("!="),
-                2 => cmp("<"),
-                3 => cmp(">="),
-                4 => {
-                    let start = rng.gen_range(0..=chars.len());
-                    let end = rng.gen_range(start..=chars.len());
-                    let needle: String = chars[start..end].iter().collect();
-                    format!("FILTER(CONTAINS({var}, {}))", Term::literal(needle))
-                }
+            let start = rng.gen_range(0..=chars.len());
+            let end = rng.gen_range(start..=chars.len());
+            let piece = |from: usize, to: usize| -> String { chars[from..to].iter().collect() };
+            let call = |f: &str, needle: String| format!("FILTER({f}({arg}, {}))", Term::literal(needle));
+            match rng.gen_range(0usize..10) {
+                op @ 0..=5 => cmp(COMPARISONS[op]),
+                6 => call("CONTAINS", piece(start, end)),
+                7 => call("STRSTARTS", piece(0, end)),
+                8 => call("STRENDS", piece(start, chars.len())),
                 _ => {
-                    let prefix: String = chars[..rng.gen_range(0..=chars.len())].iter().collect();
-                    format!("FILTER(STRSTARTS({var}, {}))", Term::literal(prefix))
+                    let (pre, post) = *pick(rng, &[("^", ""), ("", "$"), ("^", "$"), ("", "")]);
+                    let (from, to) = match (pre, post) {
+                        ("^", "$") => (0, chars.len()),
+                        ("^", _) => (0, end),
+                        (_, "$") => (start, chars.len()),
+                        _ => (start, end),
+                    };
+                    call("REGEX", format!("{pre}{}{post}", piece(from, to)))
                 }
             }
         }
-        Term::Literal(_) => cmp(pick::<&str>(rng, &["=", "!=", "<", ">="])),
+        Term::Literal(_) => cmp(COMPARISONS[rng.gen_range(0..COMPARISONS.len())]),
         _ => cmp(pick::<&str>(rng, &["=", "!="])),
     }
 }
