@@ -608,8 +608,7 @@ fn find_merge_join(
     }
     // Case 2: a shared object variable (column–column join); at least one
     // side must be indexed. SQL's `=` joins what the variable joins only
-    // between columns that lift alike, and not on DOUBLE, where −0.0 = 0.0
-    // holds of two terms and NaN = NaN fails of one.
+    // between columns that lift alike.
     let vars_a = sa.vars();
     let vars_b = sb.vars();
     for v in &vars_a {
@@ -622,7 +621,7 @@ fn find_merge_join(
         ) else {
             continue;
         };
-        if ca.lift != cb.lift || ca.lift == Lift::Literal(DataType::Double) {
+        if ca.lift != cb.lift || !sql_equality_is_identity(&ca) {
             continue;
         }
         let (ca, cb) = (ca.name, cb.name);
@@ -1184,11 +1183,18 @@ fn apply_step(
 }
 
 /// The column `join_var` maps to on the unit's star, when bind-joining on
-/// it is feasible at all: not a DOUBLE literal column, where a NaN or ±INF
-/// join term may be a stored value's lift and no `IN` list can carry it.
+/// it is feasible at all: its `IN` list must select exactly the join terms.
 fn bindable_column(stars: &[StarSubquery], rs: &RelStar, join_var: &Var) -> Option<StarColumn> {
     star_column(join_var, &stars[rs.star_idx], &rs.tm, &rs.schema)
-        .filter(|c| c.lift != Lift::Literal(DataType::Double))
+        .filter(sql_equality_is_identity)
+}
+
+/// Whether SQL's `=` on `column` is the identity of the terms it lifts to,
+/// as a bind join's `IN` list and Heuristic 1's `ON` need: not on DOUBLE,
+/// where −0.0 = 0.0 holds of two terms and NaN = NaN fails of one (and no
+/// literal carries a NaN or ±INF join term).
+fn sql_equality_is_identity(column: &StarColumn) -> bool {
+    column.lift != Lift::Literal(DataType::Double)
 }
 
 /// Cost-based replacement for the greedy ordering in `plan_conjunctive`:
