@@ -16,7 +16,7 @@
 
 use crate::decompose::{StarSubject, StarSubquery};
 use crate::error::FedError;
-use fedlake_mapping::lift::{term_to_value, value_key, value_to_term};
+use fedlake_mapping::lift::{term_to_value, value_to_term};
 use fedlake_mapping::{IriTemplate, TableMapping};
 use fedlake_rdf::{Literal, Term};
 use fedlake_relational::{DataType, TableSchema, Value};
@@ -110,20 +110,28 @@ impl StarColumn {
     /// lift *is* `term`, checked by lifting it back — or `None` when no
     /// stored value lifts to it (an IRI the template did not mint or would
     /// write differently, another datatype, a language tag, a lexical form
-    /// that is not the canonical one), so no row can match `term`.
+    /// that is not the canonical one), so no row can match `term`. A key
+    /// is stored as the text the template mints its IRI from.
     pub fn stored(&self, term: &Term) -> Option<Value> {
-        let value = match &self.lift {
+        match &self.lift {
             Lift::SubjectIri(t) | Lift::RefIri(t) => {
-                let key = Value::Text(t.extract(term.as_iri()?)?);
-                term_to_value(&value_to_term(&key, self.data_type))
+                let iri = term.as_iri().filter(|iri| t.mints(iri))?;
+                Some(Value::Text(t.extract(iri)?))
             }
-            Lift::Literal(_) => term_to_value(term),
-        };
-        let lifted = match &self.lift {
-            Lift::SubjectIri(t) | Lift::RefIri(t) => Term::iri(t.apply(&value_key(&value))),
-            Lift::Literal(dt) => value_to_term(&value, *dt),
-        };
-        (value.data_type() == Some(self.data_type) && lifted == *term).then_some(value)
+            Lift::Literal(dt) => {
+                let value = term_to_value(term);
+                let lifts_back = value_to_term(&value, *dt) == *term;
+                (lifts_back && value.data_type() == Some(self.data_type)).then_some(value)
+            }
+        }
+    }
+
+    /// Whether [`StarColumn::stored`] finds a value for `term`, without building a key.
+    pub fn stores(&self, term: &Term) -> bool {
+        match (&self.lift, term) {
+            (Lift::SubjectIri(t) | Lift::RefIri(t), Term::Iri(iri)) => t.mints(iri),
+            _ => self.stored(term).is_some(),
+        }
     }
 
     /// [`StarColumn::stored`]'s value as SQL: how a bind join writes a key.
@@ -364,16 +372,9 @@ enum Test<'e> {
 /// Heuristic 2's one rule: the SQL condition that keeps exactly the rows
 /// whose lifted term passes `expr` — written as the value the engine
 /// compares with, under SPARQL's operator semantics — or `None`: the
-/// filter stays at the engine. It pushes where SQL agrees on every value:
-///
-/// * a string function, `STR(?v)`, or an ordering of a TEXT column reads
-///   the lexical form, which the column stores as is — but LIKE's `%` and
-///   `_` in a needle decline;
-/// * `=` and `!=` on a key, TEXT or BOOL column are term identity: the
-///   stored value whose lift is the constant ([`StarColumn::stored`]);
-/// * an INT column compares exactly, and only with an integer;
-/// * a DOUBLE column compares as doubles with any number, but not by `!=`,
-///   which SPARQL holds on a stored NaN and SQL's `<>` does not.
+/// filter stays at the engine. The classes that push are the `match` on
+/// the column's lift below (DESIGN §1 states them, `sql_boundary.rs`
+/// holds them); LIKE's `%` and `_` in a needle decline.
 pub fn push_filter(
     expr: &Expr,
     star: &StarSubquery,
@@ -427,6 +428,7 @@ pub fn push_filter(
                 (Lift::Literal(Int), ..) => {
                     Value::Int(number.filter(|l| l.is_integer()).and_then(Literal::as_integer)?)
                 }
+                // SPARQL's `!=` holds on a stored NaN, SQL's `<>` does not.
                 (Lift::Literal(Double), _, Ne) => return None,
                 (Lift::Literal(Double), ..) => Value::Double(number.and_then(Literal::as_double)?),
                 // Term identity on a key, TEXT or BOOL column.
@@ -440,8 +442,7 @@ pub fn push_filter(
     Some(SqlFilter { expr: expr.clone(), column: column.name, condition })
 }
 
-/// A term's string form, as a FILTER's string functions read it: a
-/// literal's lexical form or an IRI's text; a blank node has none.
+/// A term's string form as FILTER string functions read it (none for a blank node).
 fn text(t: &Term) -> Option<&str> {
     t.as_literal().map(|l| l.lexical.as_str()).or(t.as_iri())
 }

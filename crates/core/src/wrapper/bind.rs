@@ -120,11 +120,11 @@ impl<'a> BindJoinOp<'a> {
 
     /// The join terms the batch asks the target about: the distinct ids its
     /// rows bind the join variable to, in first-seen order, less those no
-    /// stored value lifts to ([`StarColumn::stored`]). Empty means no
+    /// stored value lifts to ([`StarColumn::stores`]). Empty means no
     /// traffic — the batch can never match. Read in place under one
     /// interner lock.
     ///
-    /// [`StarColumn::stored`]: crate::translate::StarColumn::stored
+    /// [`StarColumn::stores`]: crate::translate::StarColumn::stores
     fn batch_ids(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Vec<TermId> {
         let Some(jslot) = ctx.schema.slot(&self.target.join_var) else {
             return Vec::new();
@@ -135,7 +135,7 @@ impl<'a> BindJoinOp<'a> {
             if ids.contains(&id) {
                 continue;
             }
-            if dict.term(id).is_some_and(|t| self.target.column.stored(t).is_some()) {
+            if dict.term(id).is_some_and(|t| self.target.column.stores(t)) {
                 ids.push(id);
             }
         }

@@ -17,7 +17,9 @@ pub fn typed(lexical: &str, local: &str) -> Term {
 /// `i64` extremes, past `i64`), decimals, doubles canonical and not (NaN,
 /// ±INF, −0, 1e21), and booleans canonical and not.
 pub fn literals() -> Vec<Term> {
-    let plain = ["", "5", "05", "Homo", "abc", "b", "%", "_", "'", "a/b", "a.c", "é", "a b", "mo"];
+    let plain = [
+        "", "5", "05", "Homo", "abc", "b", "%", "_", "'", "a/b", "a.c", "é", "a b", "mo",
+    ];
     let mut out: Vec<Term> = plain.iter().map(|s| Term::literal(*s)).collect();
     out.push(Term::Literal(Literal::lang_tagged("Homo", "en")));
     out.push(typed("Homo", "string"));
@@ -34,10 +36,20 @@ pub fn literals() -> Vec<Term> {
         "100000000000000000000",
     ];
     out.extend(integers.iter().map(|lex| typed(lex, "integer")));
-    out.extend(["3.0", "1.5", "0.0", "9007199254740992.0"].iter().map(|lex| typed(lex, "decimal")));
-    let doubles = ["3", "3e0", "1.5", "0", "-0", "NaN", "INF", "-INF", "inf", "1e21"];
+    out.extend(
+        ["3.0", "1.5", "0.0", "9007199254740992.0"]
+            .iter()
+            .map(|lex| typed(lex, "decimal")),
+    );
+    let doubles = [
+        "3", "3e0", "1.5", "0", "-0", "NaN", "INF", "-INF", "inf", "1e21",
+    ];
     out.extend(doubles.iter().map(|lex| typed(lex, "double")));
-    out.extend(["true", "false", "1"].iter().map(|lex| typed(lex, "boolean")));
+    out.extend(
+        ["true", "false", "1"]
+            .iter()
+            .map(|lex| typed(lex, "boolean")),
+    );
     out
 }
 
@@ -53,18 +65,32 @@ pub fn restated(t: &Term) -> Vec<Term> {
                 Term::Literal(Literal::lang_tagged(l.lexical.as_str(), "en")),
                 typed(&l.lexical, "string"),
             ],
-            Some("boolean") => vec![typed(if l.lexical == "true" { "1" } else { "0" }, "boolean")],
+            Some("boolean") => vec![typed(
+                if l.lexical == "true" { "1" } else { "0" },
+                "boolean",
+            )],
             Some(local @ ("integer" | "double" | "decimal")) => vec![
                 Term::literal(l.lexical.as_str()),
                 typed(&format!("0{}", l.lexical), local),
-                typed(&l.lexical, if local == "integer" { "double" } else { "integer" }),
+                typed(
+                    &l.lexical,
+                    if local == "integer" {
+                        "double"
+                    } else {
+                        "integer"
+                    },
+                ),
             ],
             _ => Vec::new(),
         },
         Term::Iri(iri) => {
             let mut out = Vec::new();
             if let Some(c) = iri.chars().last().filter(char::is_ascii_alphanumeric) {
-                out.push(Term::iri(format!("{}%{:02X}", &iri[..iri.len() - 1], c as u32)));
+                out.push(Term::iri(format!(
+                    "{}%{:02X}",
+                    &iri[..iri.len() - 1],
+                    c as u32
+                )));
             }
             let mut hex = 0u8;
             let lower: String = iri
@@ -72,7 +98,11 @@ pub fn restated(t: &Term) -> Vec<Term> {
                 .map(|c| {
                     let escaped = hex > 0;
                     hex = if c == '%' { 2 } else { hex.saturating_sub(1) };
-                    if escaped { c.to_ascii_lowercase() } else { c }
+                    if escaped {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c
+                    }
                 })
                 .collect();
             if lower != *iri {

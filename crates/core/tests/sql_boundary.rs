@@ -49,7 +49,9 @@ use fedlake_netsim::NetworkProfile;
 use fedlake_rdf::{vocab, Term};
 use fedlake_relational::sql::{parse, Operand, Predicate, Statement};
 use fedlake_relational::{Column, DataType, Database, TableSchema, Value};
-use fedlake_sparql::ast::{GroupGraphPattern, PatternElement, SelectQuery, TriplePattern, VarOrTerm};
+use fedlake_sparql::ast::{
+    GroupGraphPattern, PatternElement, SelectQuery, TriplePattern, VarOrTerm,
+};
 use fedlake_sparql::binding::{Row, Var};
 use fedlake_sparql::expr::{CmpOp, Expr};
 use std::collections::{BTreeMap, HashMap};
@@ -71,7 +73,14 @@ enum Col {
 }
 
 impl Col {
-    const ALL: [Col; 6] = [Col::Subject, Col::Int, Col::Double, Col::Text, Col::Bool, Col::Ref];
+    const ALL: [Col; 6] = [
+        Col::Subject,
+        Col::Int,
+        Col::Double,
+        Col::Text,
+        Col::Bool,
+        Col::Ref,
+    ];
 
     fn name(self) -> &'static str {
         ["id", "i", "d", "s", "b", "r"][self as usize]
@@ -104,7 +113,9 @@ impl Col {
         const P53: i64 = 1 << 53;
         let text = |s: &[&str]| s.iter().map(|s| Value::text(*s)).collect::<Vec<_>>();
         let mut out = match self {
-            Col::Int => [0, 5, -5, 123, P53 - 1, P53, P53 + 1, i64::MIN, i64::MAX].map(Value::Int).to_vec(),
+            Col::Int => [0, 5, -5, 123, P53 - 1, P53, P53 + 1, i64::MIN, i64::MAX]
+                .map(Value::Int)
+                .to_vec(),
             Col::Double => [
                 0.0,
                 -0.0,
@@ -122,9 +133,13 @@ impl Col {
             ]
             .map(Value::Double)
             .to_vec(),
-            Col::Text => text(&["", "5", "05", "Homo", "abc", "%", "_", "'", "a/b", "a.c", "é", "a b", "100%"]),
+            Col::Text => text(&[
+                "", "5", "05", "Homo", "abc", "%", "_", "'", "a/b", "a.c", "é", "a b", "100%",
+            ]),
             Col::Bool => vec![Value::Bool(true), Value::Bool(false)],
-            Col::Subject | Col::Ref => text(&["a/b", "a.c", "x", "5", "%", "_", "'", "é", "a b", "100%"]),
+            Col::Subject | Col::Ref => {
+                text(&["a/b", "a.c", "x", "5", "%", "_", "'", "é", "a b", "100%"])
+            }
         };
         if self != Col::Subject {
             out.push(Value::Null);
@@ -162,7 +177,13 @@ fn one_row(col: Col, value: &Value, indexed: bool) -> Database {
     db.insert_row("t", row).unwrap();
     if indexed {
         for c in &Col::ALL[1..] {
-            db.create_index("t", &format!("idx_{}", c.name()), &[c.name().to_string()], false).unwrap();
+            db.create_index(
+                "t",
+                &format!("idx_{}", c.name()),
+                &[c.name().to_string()],
+                false,
+            )
+            .unwrap();
         }
     }
     db
@@ -213,14 +234,20 @@ fn constants(cells: &[Cell]) -> Vec<Term> {
         out.extend(["x", "a.d", "a0"].map(|k| Term::iri(tmpl.apply(k))));
     }
     out.extend(
-        ["http://lake.example/t/.json", "http://lake.example/t/x.html", "http://elsewhere.example/t/x.json"]
-            .map(Term::iri),
+        [
+            "http://lake.example/t/.json",
+            "http://lake.example/t/x.html",
+            "http://elsewhere.example/t/x.json",
+        ]
+        .map(Term::iri),
     );
     out.push(Term::blank("b0"));
     let mut seen = Vec::new();
-    out.retain(|t| !seen.contains(t) && {
-        seen.push(t.clone());
-        true
+    out.retain(|t| {
+        !seen.contains(t) && {
+            seen.push(t.clone());
+            true
+        }
     });
     out
 }
@@ -238,7 +265,11 @@ fn pattern(col: Col, subject: VarOrTerm, object: VarOrTerm) -> TriplePattern {
             p: VarOrTerm::Term(Term::iri(vocab::rdf::TYPE)),
             o: VarOrTerm::Term(Term::iri(CLASS)),
         },
-        _ => TriplePattern { s: subject, p: VarOrTerm::Term(Term::iri(col.predicate())), o: object },
+        _ => TriplePattern {
+            s: subject,
+            p: VarOrTerm::Term(Term::iri(col.predicate())),
+            o: object,
+        },
     }
 }
 
@@ -266,7 +297,10 @@ fn lake() -> DataLake {
 /// The SQL of the plan's one leaf, and whether a FILTER stayed above it at
 /// the engine.
 fn plan(lake: &DataLake, q: &SelectQuery) -> Result<(String, bool), FedError> {
-    let mode = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+    let mode = PlanMode::Aware {
+        h1_join_pushdown: true,
+        filters: FilterPlacement::PushAll,
+    };
     let config = PlanConfig::new(mode, NetworkProfile::GAMMA3);
     let planned = plan_query_with_health(q, lake, &config, &HealthView::default())?;
     let (leaf, kept) = match planned.plan {
@@ -284,17 +318,31 @@ fn plan(lake: &DataLake, q: &SelectQuery) -> Result<(String, bool), FedError> {
 
 /// Whether `sql` returns `db`'s one row.
 fn returns_the_row(db: &Database, sql: &str) -> bool {
-    let rows = db.query_borrowed(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows.len();
+    let rows = db
+        .query_borrowed(sql)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        .rows
+        .len();
     assert!(rows <= 1, "{sql} returned {rows} rows from a one-row table");
     rows == 1
 }
 
-const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
 
 /// Every FILTER shape over `arg` and constant `c`, with the class it
 /// reports under.
 fn shapes(arg: &Expr, c: &Term) -> Vec<(String, Expr)> {
-    let (a, k) = (|| Box::new(arg.clone()), || Box::new(Expr::Const(c.clone())));
+    let (a, k) = (
+        || Box::new(arg.clone()),
+        || Box::new(Expr::Const(c.clone())),
+    );
     let mut out = Vec::new();
     for op in OPS {
         out.push((format!("{op}"), Expr::Cmp(a(), op, k())));
@@ -305,7 +353,12 @@ fn shapes(arg: &Expr, c: &Term) -> Vec<(String, Expr)> {
     out.push(("STRENDS".into(), Expr::StrEnds(a(), k())));
     if let Term::Literal(l) = c {
         let n = &l.lexical;
-        for pattern in [format!("^{n}"), format!("{n}$"), format!("^{n}$"), n.clone()] {
+        for pattern in [
+            format!("^{n}"),
+            format!("{n}$"),
+            format!("^{n}$"),
+            n.clone(),
+        ] {
             out.push(("REGEX".into(), Expr::Regex(a(), pattern)));
         }
     }
@@ -357,24 +410,37 @@ fn a_pushed_filter_keeps_exactly_the_rows_the_engine_keeps() {
         for c in constants(&cells) {
             for (form, arg) in args() {
                 for (op, expr) in shapes(&arg, &c) {
-                    let (s, v) = if col == Col::Subject { (var("v"), var("o")) } else { (var("s"), var("v")) };
+                    let (s, v) = if col == Col::Subject {
+                        (var("v"), var("o"))
+                    } else {
+                        (var("s"), var("v"))
+                    };
                     let q = query(pattern(col, s, v), Some(expr.clone()));
                     let (sql, kept) = plan(&lake, &q).unwrap_or_else(|e| panic!("{expr}: {e}"));
                     if kept {
                         continue;
                     }
                     let got = verdicts.entry(sql.clone()).or_insert_with(|| {
-                        cells.iter().map(|cell| cell.dbs.each_ref().map(|db| returns_the_row(db, &sql))).collect()
+                        cells
+                            .iter()
+                            .map(|cell| cell.dbs.each_ref().map(|db| returns_the_row(db, &sql)))
+                            .collect()
                     });
                     let bound = expr.bind(None);
                     for (cell, got) in cells.iter().zip(got.iter()) {
-                        let row = cell.lift.iter().fold(Row::new(), |r, t| r.with("v", t.clone()));
+                        let row = cell
+                            .lift
+                            .iter()
+                            .fold(Row::new(), |r, t| r.with("v", t.clone()));
                         let want = bound.test(&row);
                         for (indexed, got) in [false, true].into_iter().zip(got) {
                             if *got != want {
                                 failures.add(format!("{col:?} {form} {op}"), || {
                                     let index = if indexed { "indexed" } else { "unindexed" };
-                                    format!("{expr} on {:?} ({index}): engine {want}, SQL {got}: {sql}", cell.value)
+                                    format!(
+                                        "{expr} on {:?} ({index}): engine {want}, SQL {got}: {sql}",
+                                        cell.value
+                                    )
                                 });
                             }
                         }
@@ -412,11 +478,15 @@ fn a_ground_term_matches_exactly_the_row_that_lifts_to_it() {
             };
             let sql = match plan(&lake, &q) {
                 Ok((sql, _)) => sql,
-                Err(FedError::Unsupported(m)) if unselectable(&c) && m == format!("object {c} has no SQL literal") => {
+                Err(FedError::Unsupported(m))
+                    if unselectable(&c) && m == format!("object {c} has no SQL literal") =>
+                {
                     continue;
                 }
                 Err(e) => {
-                    failures.add(format!("{col:?} ground: planning fails"), || format!("{c}: {e}"));
+                    failures.add(format!("{col:?} ground: planning fails"), || {
+                        format!("{c}: {e}")
+                    });
                     continue;
                 }
             };
@@ -426,7 +496,10 @@ fn a_ground_term_matches_exactly_the_row_that_lifts_to_it() {
                     let got = returns_the_row(db, &sql);
                     if got != want {
                         failures.add(format!("{col:?} ground"), || {
-                            format!("{c} against {:?}: identical {want}, SQL {got}: {sql}", cell.value)
+                            format!(
+                                "{c} against {:?}: identical {want}, SQL {got}: {sql}",
+                                cell.value
+                            )
                         });
                     }
                 }
@@ -439,7 +512,11 @@ fn a_ground_term_matches_exactly_the_row_that_lifts_to_it() {
 /// The bind-join target on `col`'s variable `?v`, over the star `?s <col> ?v`
 /// (the key column: `?v a <T>`).
 fn bind_target(col: Col) -> BindTarget {
-    let (s, v) = if col == Col::Subject { (var("v"), var("o")) } else { (var("s"), var("v")) };
+    let (s, v) = if col == Col::Subject {
+        (var("v"), var("o"))
+    } else {
+        (var("s"), var("v"))
+    };
     let star = StarSubquery {
         subject: match &s {
             VarOrTerm::Var(s) => StarSubject::Var(s.clone()),
@@ -464,7 +541,9 @@ fn bind_target(col: Col) -> BindTarget {
 /// The SQL a bind join ships for the one key `c`, or `None`: the key is not
 /// asked, since no stored value lifts to it.
 fn bind_sql(target: &BindTarget, c: &Term) -> Option<String> {
-    target.column.stored(c).map(|_| bind_batch_query(target, [c]).sql)
+    let asked = target.column.stores(c);
+    assert_eq!(asked, target.column.stored(c).is_some(), "stores and stored part on {c}");
+    asked.then(|| bind_batch_query(target, [c]).sql)
 }
 
 /// Every column but DOUBLE: the planner plans no bind join on one, since a
@@ -482,7 +561,9 @@ fn a_bind_key_is_asked_iff_a_stored_value_lifts_to_it() {
                 let want = cell.lift.as_ref() == Some(&c);
                 let Some(sql) = &sql else {
                     if want {
-                        failures.add(format!("{col:?} bind key not asked"), || format!("{c} for {:?}", cell.value));
+                        failures.add(format!("{col:?} bind key not asked"), || {
+                            format!("{c} for {:?}", cell.value)
+                        });
                     }
                     continue;
                 };
@@ -490,7 +571,10 @@ fn a_bind_key_is_asked_iff_a_stored_value_lifts_to_it() {
                     let got = returns_the_row(db, sql);
                     if got != want {
                         failures.add(format!("{col:?} bind key"), || {
-                            format!("{c} against {:?}: identical {want}, SQL {got}: {sql}", cell.value)
+                            format!(
+                                "{c} against {:?}: identical {want}, SQL {got}: {sql}",
+                                cell.value
+                            )
                         });
                     }
                 }
@@ -512,15 +596,23 @@ fn the_must_push_classes_push() {
     let mut failures = Failures::default();
     let mut check = |col: Col, arg: &Expr, shapes: Vec<(String, Expr)>| {
         for (op, expr) in shapes {
-            let (s, v) = if col == Col::Subject { (var("v"), var("o")) } else { (var("s"), var("v")) };
+            let (s, v) = if col == Col::Subject {
+                (var("v"), var("o"))
+            } else {
+                (var("s"), var("v"))
+            };
             let (_, kept) = plan(&lake, &query(pattern(col, s, v), Some(expr.clone()))).unwrap();
             if kept {
-                failures.add(format!("{col:?} {arg} {op}"), || format!("{expr} stays at the engine"));
+                failures.add(format!("{col:?} {arg} {op}"), || {
+                    format!("{expr} stays at the engine")
+                });
             }
         }
     };
     let plain = pool::literals().into_iter().filter(|t| {
-        t.as_literal().is_some_and(|l| l.lang.is_none() && l.datatype.is_none() && !l.lexical.contains(['%', '_']))
+        t.as_literal().is_some_and(|l| {
+            l.lang.is_none() && l.datatype.is_none() && !l.lexical.contains(['%', '_'])
+        })
     });
     for c in plain {
         for (_, arg) in args() {
@@ -529,13 +621,20 @@ fn the_must_push_classes_push() {
     }
     let [(_, v), _] = args();
     let numbers = pool::literals().into_iter().filter(|t| {
-        t.as_literal().is_some_and(|l| l.is_numeric() && l.as_double().is_some_and(f64::is_finite))
+        t.as_literal()
+            .is_some_and(|l| l.is_numeric() && l.as_double().is_some_and(f64::is_finite))
     });
     for c in numbers {
-        let ops = shapes(&v, &c).into_iter().filter(|(op, _)| !op.starts_with("!=") && OPS.iter().any(|o| op.starts_with(&o.to_string())));
+        let ops = shapes(&v, &c).into_iter().filter(|(op, _)| {
+            !op.starts_with("!=") && OPS.iter().any(|o| op.starts_with(&o.to_string()))
+        });
         check(Col::Double, &v, ops.collect());
-        if c.as_literal().is_some_and(|l| l.is_integer() && l.as_integer().is_some()) {
-            let ops = shapes(&v, &c).into_iter().filter(|(op, _)| OPS.iter().any(|o| op.starts_with(&o.to_string())));
+        if c.as_literal()
+            .is_some_and(|l| l.is_integer() && l.as_integer().is_some())
+        {
+            let ops = shapes(&v, &c)
+                .into_iter()
+                .filter(|(op, _)| OPS.iter().any(|o| op.starts_with(&o.to_string())));
             check(Col::Int, &v, ops.collect());
         }
     }
@@ -543,7 +642,9 @@ fn the_must_push_classes_push() {
         let tmpl = col.template().unwrap();
         for key in col.stored().iter().filter(|k| !k.is_null()) {
             let c = Term::iri(tmpl.apply(&value_key(key)));
-            let eq = shapes(&v, &c).into_iter().filter(|(op, _)| op.starts_with("= ") || op == "=");
+            let eq = shapes(&v, &c)
+                .into_iter()
+                .filter(|(op, _)| op.starts_with("= ") || op == "=");
             check(col, &v, eq.collect());
         }
     }
@@ -554,7 +655,9 @@ fn the_must_push_classes_push() {
 /// any NaN is any other, since a NaN's sign is no part of its lexical form.
 fn same(a: &Value, b: &Value) -> bool {
     match (a, b) {
-        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+        (Value::Double(x), Value::Double(y)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
         _ => a.data_type() == b.data_type() && a == b,
     }
 }
@@ -565,14 +668,26 @@ fn literals_terms_and_keys_round_trip() {
         for v in col.stored().into_iter().filter(|v| !v.is_null()) {
             // `sql_literal` parses back to the value; NaN and ±INF have none.
             match sql_literal(&v) {
-                None => assert!(matches!(v, Value::Double(d) if !d.is_finite()), "{v:?} has no SQL literal"),
+                None => assert!(
+                    matches!(v, Value::Double(d) if !d.is_finite()),
+                    "{v:?} has no SQL literal"
+                ),
                 Some(literal) => {
                     let sql = format!("SELECT id FROM t WHERE id = {literal}");
-                    let Ok(Statement::Select(stmt)) = parse(&sql) else { panic!("{sql} does not parse") };
-                    let Predicate::Compare { right: Operand::Literal(back), .. } = &stmt.predicates[0] else {
+                    let Ok(Statement::Select(stmt)) = parse(&sql) else {
+                        panic!("{sql} does not parse")
+                    };
+                    let Predicate::Compare {
+                        right: Operand::Literal(back),
+                        ..
+                    } = &stmt.predicates[0]
+                    else {
                         panic!("{sql}: {:?}", stmt.predicates)
                     };
-                    assert!(same(back, &v), "{v:?} is written {literal} and read back {back:?}");
+                    assert!(
+                        same(back, &v),
+                        "{v:?} is written {literal} and read back {back:?}"
+                    );
                 }
             }
             // The lift, lowered again.

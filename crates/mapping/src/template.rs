@@ -60,10 +60,16 @@ impl IriTemplate {
         self.encoded_key(iri).map(decode)
     }
 
-    /// True when `iri` could have been minted by this template — when
-    /// [`IriTemplate::extract`] recovers a key from it. Allocates nothing.
-    pub fn matches(&self, iri: &str) -> bool {
-        self.encoded_key(iri).is_some()
+    /// True when `iri` is the very IRI this template mints for the key it
+    /// reads back: [`IriTemplate::apply`] of [`IriTemplate::extract`] gives
+    /// `iri` again. A key of unreserved characters only is checked in
+    /// place, allocating nothing; one with escapes is re-minted.
+    pub fn mints(&self, iri: &str) -> bool {
+        match self.encoded_key(iri) {
+            Some(key) if key.bytes().all(is_safe) => true,
+            Some(_) => self.extract(iri).is_some_and(|key| self.apply(&key) == iri),
+            None => false,
+        }
     }
 }
 
@@ -112,7 +118,8 @@ fn decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    // Valid UTF-8, the common case, keeps its buffer.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -125,8 +132,8 @@ mod tests {
         let iri = t.apply("g42");
         assert_eq!(iri, "http://lake/gene/g42");
         assert_eq!(t.extract(&iri), Some("g42".into()));
-        assert!(t.matches(&iri));
-        assert!(!t.matches("http://lake/disease/d1"));
+        assert!(t.mints(&iri));
+        assert!(!t.mints("http://lake/disease/d1"));
     }
 
     #[test]

@@ -37,6 +37,7 @@ fn template_roundtrip() {
         assert!(!iri.contains([' ', '"', '<', '>', '\n', '\t']), "unsafe IRI {iri}");
         let extracted = t.extract(&iri);
         assert_eq!(extracted.as_deref(), Some(key.as_str()));
+        assert!(t.mints(&iri), "{iri}");
     }
 }
 
@@ -64,12 +65,17 @@ fn apply_into_equals_apply_and_truncated_escapes_roundtrip() {
         assert_eq!(buf, format!("{iri}{iri}"));
     }
     // IRIs this template did not mint: a cut-off escape is kept verbatim,
-    // a complete one is decoded.
+    // a complete one is decoded — and none of them is the IRI the template
+    // mints for the key it reads back.
     let t = &templates[0];
     let foreign = [("abc%", "abc%"), ("abc%4", "abc%4"), ("%4G", "%4G"), ("%41bc", "Abc"), ("%", "%")];
     for (tail, key) in foreign {
-        assert_eq!(t.extract(&format!("http://lake/entity/{tail}")).as_deref(), Some(key));
+        let iri = format!("http://lake/entity/{tail}");
+        assert_eq!(t.extract(&iri).as_deref(), Some(key));
+        assert!(!t.mints(&iri), "{iri}");
     }
+    // Lower-case escapes read back the same key, but are not the minted IRI.
+    assert!(t.mints("http://lake/entity/a%2Fb") && !t.mints("http://lake/entity/a%2fb"));
 }
 
 /// Templates with suffixes round-trip too.
