@@ -79,8 +79,6 @@ pub struct TranslatedQuery {
 pub struct StarColumn {
     /// The column's name in the star's table.
     pub name: String,
-    /// The column's SQL type.
-    pub data_type: DataType,
     /// How the column's values lift to terms.
     pub lift: Lift,
 }
@@ -89,21 +87,21 @@ impl StarColumn {
     /// `tm`'s subject key column (`pred` = `None`) or the column `pred`
     /// maps to.
     fn of(tm: &TableMapping, schema: &TableSchema, pred: Option<&str>) -> Result<Self, FedError> {
-        let (name, keys) = match pred {
-            None => (&tm.subject_column, Some(Lift::SubjectIri(tm.subject_template.clone()))),
-            Some(p) => {
-                let pm = tm.column_for_predicate(p).ok_or_else(|| {
-                    FedError::Internal(format!("predicate {p} not mapped for {}", tm.table))
-                })?;
-                (&pm.column, pm.ref_template.clone().map(Lift::RefIri))
+        let Some(p) = pred else {
+            let lift = Lift::SubjectIri(tm.subject_template.clone());
+            return Ok(StarColumn { name: tm.subject_column.clone(), lift });
+        };
+        let pm = tm.column_for_predicate(p).ok_or_else(|| {
+            FedError::Internal(format!("predicate {p} not mapped for {}", tm.table))
+        })?;
+        let lift = match &pm.ref_template {
+            Some(t) => Lift::RefIri(t.clone()),
+            None => {
+                let missing = || FedError::Internal(format!("column {} missing from schema", pm.column));
+                Lift::Literal(schema.column(&pm.column).ok_or_else(missing)?.data_type)
             }
         };
-        let data_type = schema
-            .column(name)
-            .map(|c| c.data_type)
-            .ok_or_else(|| FedError::Internal(format!("column {name} missing from schema")))?;
-        let lift = keys.unwrap_or(Lift::Literal(data_type));
-        Ok(StarColumn { name: name.clone(), data_type, lift })
+        Ok(StarColumn { name: pm.column.clone(), lift })
     }
 
     /// The one writer for term identity: the value of this column whose
@@ -121,7 +119,7 @@ impl StarColumn {
             Lift::Literal(dt) => {
                 let value = term_to_value(term);
                 let lifts_back = value_to_term(&value, *dt) == *term;
-                (lifts_back && value.data_type() == Some(self.data_type)).then_some(value)
+                (lifts_back && value.data_type() == Some(*dt)).then_some(value)
             }
         }
     }

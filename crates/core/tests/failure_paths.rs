@@ -86,8 +86,8 @@ fn mapping_with_wrong_subject_column_errors() {
     let err = engine
         .execute_sparql(&format!("SELECT ?l WHERE {{ ?g <{V}label> ?l }}"))
         .unwrap_err();
-    // Translation looks the key column up and names it.
-    assert!(matches!(err, FedError::Internal(ref m) if m.contains("no_such_key")), "{err}");
+    // The generated SQL selects the bogus key column; the source rejects.
+    assert!(matches!(err, FedError::Sql(_)), "{err}");
 }
 
 /// A subject IRI from a namespace the template does not mint names no row:
