@@ -10,7 +10,7 @@ use crate::operators::{
 };
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
-use crate::wrapper::{links_for, open_service, route_for, source_failures, total_traffic};
+use crate::wrapper::{links_for, open_leaf, route_for, source_failures, total_traffic, LiftPlan};
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
@@ -267,8 +267,14 @@ impl<'a> Session<'a> {
         }
 
         let mut next_node = 0u32;
-        let mut op =
-            engine.build_operator(&planned.plan, &planned.schema, links, &ctx.obs, &mut next_node)?;
+        let mut op = engine.build_operator(
+            &planned.plan,
+            &planned.schema,
+            &planned.lifts,
+            links,
+            &ctx.obs,
+            &mut next_node,
+        )?;
         // Solution modifiers around the streaming pipeline. The projection
         // is a slot remap resolved once per execution, not per row.
         let keep = planned.schema.slots_of(&planned.projection);
@@ -674,38 +680,45 @@ impl FederatedEngine {
     // Node ids are assigned pre-order (node before children, children
     // left to right) — the same order `crate::obs::plan_nodes` walks, so a
     // trace's node `i` is line `i` of the analyzed tree and the recorder's
-    // node table has one row per operator built here.
+    // node table has one row per operator built here. `lifts` is the plan's
+    // [`LiftPlan`] per node, in the same order.
     pub(crate) fn build_operator<'a>(
         &'a self,
         plan: &FedPlan,
         schema: &RowSchema,
+        lifts: &'a [LiftPlan],
         links: &HashMap<String, Arc<Link>>,
         obs: &crate::obs::QueryObs,
         next_node: &mut u32,
     ) -> Result<BoxedOp<'a>, FedError> {
         let node = *next_node;
         *next_node += 1;
+        let lift = lifts.get(node as usize);
+        let build = |plan: &FedPlan, next_node: &mut u32| {
+            self.build_operator(plan, schema, lifts, links, obs, next_node)
+        };
         let op: BoxedOp<'a> = match plan {
             FedPlan::Service(node) => {
                 let route = route_for(&node.source_id, &node.route, links)?;
-                open_service(node, &self.lake, route, self.config.rows_per_message)?
+                open_leaf(node, lift, &self.lake, route, self.config.rows_per_message)?
             }
             FedPlan::Join { left, right, on } => {
-                let l = self.build_operator(left, schema, links, obs, next_node)?;
-                let r = self.build_operator(right, schema, links, obs, next_node)?;
+                let l = build(left, next_node)?;
+                let r = build(right, next_node)?;
                 Box::new(SymHashJoin::new(l, r, schema.slots_of(on)))
             }
             FedPlan::LeftJoin { left, right, on } => {
-                let l = self.build_operator(left, schema, links, obs, next_node)?;
-                let r = self.build_operator(right, schema, links, obs, next_node)?;
+                let l = build(left, next_node)?;
+                let r = build(right, next_node)?;
                 Box::new(LeftHashJoin::new(l, r, schema.slots_of(on)))
             }
             FedPlan::BindJoin { left, right, batch_size } => {
-                let l = self.build_operator(left, schema, links, obs, next_node)?;
+                let l = build(left, next_node)?;
                 let route = route_for(&right.source_id, &right.route, links)?;
-                Box::new(crate::wrapper::BindJoinOp::new(
+                Box::new(crate::wrapper::BindJoinOp::planned(
                     l,
                     right,
+                    lift,
                     &self.lake,
                     route,
                     self.config.rows_per_message,
@@ -713,13 +726,13 @@ impl FederatedEngine {
                 )?)
             }
             FedPlan::Filter { input, exprs } => {
-                let i = self.build_operator(input, schema, links, obs, next_node)?;
+                let i = build(input, next_node)?;
                 Box::new(FilterOp::new(i, exprs, schema))
             }
             FedPlan::Union(branches) => {
                 let ops = branches
                     .iter()
-                    .map(|b| self.build_operator(b, schema, links, obs, next_node))
+                    .map(|b| build(b, next_node))
                     .collect::<Result<Vec<_>, _>>()?;
                 Box::new(UnionOp::new(ops))
             }

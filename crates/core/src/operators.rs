@@ -640,8 +640,9 @@ pub struct FilterOp<'a> {
     conjuncts: Vec<Conjunct>,
 }
 
-/// One expression of a [`FilterOp`] with its verdicts.
-struct Conjunct {
+/// One expression of a [`FilterOp`] with its verdicts. A leaf's lift
+/// decides its guards with one too ([`crate::wrapper::LiftPlan`]).
+pub(crate) struct Conjunct {
     expr: BoundExpr,
     /// The one slot `expr` reads, when it reads exactly one.
     slot: Option<usize>,
@@ -657,6 +658,23 @@ struct Conjunct {
 const NO_VERDICT: u64 = u64::MAX;
 
 impl Conjunct {
+    /// `expr` bound against the rows' `schema`, with an empty table.
+    pub(crate) fn new(expr: &Expr, schema: &RowSchema) -> Self {
+        let expr = expr.bind(Some(schema));
+        Conjunct {
+            slot: expr.single_slot(),
+            expr,
+            verdicts: [NO_VERDICT; VERDICT_CELLS],
+            #[cfg(test)]
+            evals: 0,
+        }
+    }
+
+    /// The one slot the expression reads, when it reads exactly one.
+    pub(crate) fn slot(&self) -> Option<usize> {
+        self.slot
+    }
+
     /// Whether `row` passes, reading the table first when there is one.
     fn keeps<'d>(
         &mut self,
@@ -664,50 +682,48 @@ impl Conjunct {
         interner: &'d SharedInterner,
         dict: &mut Option<MutexGuard<'d, Dictionary>>,
     ) -> bool {
-        let Some(slot) = self.slot else { return self.decide(row, interner, dict) };
+        let decide = |c: &mut Self, dict: &mut Option<MutexGuard<'d, Dictionary>>| {
+            c.decide(|s| row.get(s), dict.get_or_insert_with(|| interner.lock()))
+        };
+        let Some(slot) = self.slot else { return decide(self, dict) };
         // An unbound slot is a key like any other: `UNBOUND` is an id.
-        let id = row.get(slot).unwrap_or(TermId::UNBOUND).0;
+        let id = row.get(slot).unwrap_or(TermId::UNBOUND);
+        self.verdict(id, |c| decide(c, dict))
+    }
+
+    /// The verdict of a one-slot expression on a row whose slot holds `id`,
+    /// as [`Conjunct::keeps`] reaches it: from the table, or decided and
+    /// kept there.
+    pub(crate) fn keeps_id(&mut self, id: TermId, dict: &Dictionary) -> bool {
+        self.verdict(id, |c| c.decide(|_| Some(id).filter(|id| *id != TermId::UNBOUND), dict))
+    }
+
+    /// The table's verdict on `id`, or `decide`'s, which the table keeps.
+    fn verdict(&mut self, id: TermId, decide: impl FnOnce(&mut Self) -> bool) -> bool {
+        let id = u64::from(id.0);
         let at = id as usize % VERDICT_CELLS;
-        if self.verdicts[at] >> 1 == u64::from(id) {
+        if self.verdicts[at] >> 1 == id {
             return self.verdicts[at] & 1 == 1;
         }
-        let keep = self.decide(row, interner, dict);
-        self.verdicts[at] = u64::from(id) << 1 | u64::from(keep);
+        let keep = decide(self);
+        self.verdicts[at] = id << 1 | u64::from(keep);
         keep
     }
 
-    /// Evaluates `expr` over `row`, locking the interner into `dict` unless
-    /// an earlier conjunct of the row already has.
-    fn decide<'d>(
-        &mut self,
-        row: &SlotRow,
-        interner: &'d SharedInterner,
-        dict: &mut Option<MutexGuard<'d, Dictionary>>,
-    ) -> bool {
+    /// Evaluates `expr` over the ids `id_of` reads.
+    fn decide(&mut self, id_of: impl Fn(usize) -> Option<TermId>, dict: &Dictionary) -> bool {
         #[cfg(test)]
         {
             self.evals += 1;
         }
-        self.expr.test_ids(|s| row.get(s), dict.get_or_insert_with(|| interner.lock()))
+        self.expr.test_ids(id_of, dict)
     }
 }
 
 impl<'a> FilterOp<'a> {
     /// Creates a filter over `input`, whose rows are laid out by `schema`.
     pub fn new(input: BoxedOp<'a>, exprs: &[Expr], schema: &RowSchema) -> Self {
-        let conjuncts = exprs
-            .iter()
-            .map(|e| {
-                let expr = e.bind(Some(schema));
-                Conjunct {
-                    slot: expr.single_slot(),
-                    expr,
-                    verdicts: [NO_VERDICT; VERDICT_CELLS],
-                    #[cfg(test)]
-                    evals: 0,
-                }
-            })
-            .collect();
+        let conjuncts = exprs.iter().map(|e| Conjunct::new(e, schema)).collect();
         FilterOp { input, conjuncts }
     }
 

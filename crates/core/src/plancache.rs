@@ -220,6 +220,7 @@ mod tests {
             order_by: Vec::new(),
             limit: None,
             offset: 0,
+            lifts: Arc::from(Vec::new()),
             skipped_sources: vec![tag.to_string()],
             report: PlanReport::default(),
         }

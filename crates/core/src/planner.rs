@@ -30,9 +30,10 @@ use crate::selection::{select_sources_with_health, Candidate};
 use crate::source::DataSource;
 use crate::stats::{join_estimate, FederationCost, LakeStatistics};
 use crate::translate::{
-    push_filter, sql_merged, sql_single, star_column, star_part, Lift, SqlFilter, StarColumn,
-    StarPart,
+    push_filter, sql_merged, sql_single, star_column, star_part, Lift, OutputBinding, SqlFilter,
+    StarColumn, StarPart,
 };
+use crate::wrapper::LiftPlan;
 use fedlake_mapping::TableMapping;
 use fedlake_netsim::CostModel;
 use fedlake_relational::{DataType, TableSchema};
@@ -116,6 +117,11 @@ pub struct PlannedQuery {
     pub limit: Option<usize>,
     /// `OFFSET`.
     pub offset: usize,
+    /// What each node's lift reads: one [`LiftPlan`] per plan node, in the
+    /// pre-order the executor numbers nodes in, decided once by
+    /// [`lift_plans`] and cached with the plan. A node past its end lifts
+    /// every cell.
+    pub lifts: Arc<[LiftPlan]>,
     /// Sources the health-aware selector skipped because every replica
     /// endpoint was past the failure threshold (only under `degraded_ok`;
     /// the engine marks such answers degraded).
@@ -170,6 +176,7 @@ pub fn plan_query_with_health(
     let schema = Arc::new(RowSchema::new(
         query.pattern.vars().into_iter().chain(projection.iter().cloned()),
     ));
+    let lifts = lift_plans(&plan, &schema, &projection, &query.order_by);
     Ok(PlannedQuery {
         plan,
         schema,
@@ -178,9 +185,152 @@ pub fn plan_query_with_health(
         order_by: query.order_by.clone(),
         limit: query.limit,
         offset: query.offset.unwrap_or(0),
+        lifts,
         skipped_sources: skipped,
         report,
     })
+}
+
+/// Decides, once per plan, which cells of each SQL leaf and bind-join
+/// target anything above it reads (DESIGN §19): one [`LiftPlan`] per plan
+/// node, in pre-order. A slot is read when it is projected or an ORDER BY
+/// key, an engine FILTER mentions it, it is a join variable, or two or
+/// more leaves bind it (`SlotRow::merge` compares every slot both sides
+/// bind). An engine FILTER directly over a SQL leaf lends the leaf, as
+/// guards, its conjuncts that read exactly one slot the leaf binds. A
+/// SPARQL leaf, and every node that is no leaf, lifts everything.
+fn lift_plans(
+    plan: &FedPlan,
+    schema: &RowSchema,
+    projection: &[Var],
+    order_by: &[OrderKey],
+) -> Arc<[LiftPlan]> {
+    let mut read = vec![false; schema.len()];
+    let mut binders = vec![0usize; schema.len()];
+    mark_read(projection.iter().chain(order_by.iter().map(|k| &k.var)), schema, &mut read);
+    count_reads(plan, schema, &mut read, &mut binders);
+    for (read, n) in read.iter_mut().zip(&binders) {
+        *read |= *n >= 2;
+    }
+    let mut out = Vec::new();
+    push_lift_plans(plan, None, schema, &read, &mut out);
+    out.into()
+}
+
+fn mark_read<'v>(vars: impl IntoIterator<Item = &'v Var>, schema: &RowSchema, read: &mut [bool]) {
+    for slot in vars.into_iter().filter_map(|v| schema.slot(v)) {
+        read[slot] = true;
+    }
+}
+
+/// Counts one more leaf binding each slot of `vars`.
+fn mark_bound<'v>(
+    vars: impl IntoIterator<Item = &'v Var>,
+    schema: &RowSchema,
+    binders: &mut [usize],
+) {
+    let mut slots: Vec<usize> = vars.into_iter().filter_map(|v| schema.slot(v)).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    for slot in slots {
+        binders[slot] += 1;
+    }
+}
+
+/// Marks the slots `plan`'s engine operators read and counts the leaves
+/// that bind each slot.
+fn count_reads(plan: &FedPlan, schema: &RowSchema, read: &mut [bool], binders: &mut [usize]) {
+    match plan {
+        FedPlan::Service(node) => match &node.kind {
+            ServiceKind::Sql {
+                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
+            } => mark_bound(q.outputs.iter().map(|o| &o.var), schema, binders),
+            ServiceKind::Sparql { star, .. } => mark_bound(&star.vars(), schema, binders),
+        },
+        FedPlan::Join { left, right, on } | FedPlan::LeftJoin { left, right, on } => {
+            mark_read(on, schema, read);
+            count_reads(left, schema, read, binders);
+            count_reads(right, schema, read, binders);
+        }
+        FedPlan::BindJoin { left, right, .. } => {
+            mark_read([&right.join_var], schema, read);
+            mark_bound(right.part.outputs.iter().map(|o| &o.var), schema, binders);
+            count_reads(left, schema, read, binders);
+        }
+        FedPlan::Filter { input, exprs } => {
+            for e in exprs {
+                mark_read(&e.vars(), schema, read);
+            }
+            count_reads(input, schema, read, binders);
+        }
+        FedPlan::Union(branches) => {
+            for b in branches {
+                count_reads(b, schema, read, binders);
+            }
+        }
+    }
+}
+
+/// Appends the [`LiftPlan`] of `plan` and of every node below it, in
+/// pre-order; `filter` is the engine FILTER directly over `plan`, if any.
+fn push_lift_plans(
+    plan: &FedPlan,
+    filter: Option<&[Expr]>,
+    schema: &RowSchema,
+    read: &[bool],
+    out: &mut Vec<LiftPlan>,
+) {
+    match plan {
+        FedPlan::Service(node) => out.push(match &node.kind {
+            ServiceKind::Sql {
+                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
+            } => sql_lift_plan(&q.outputs, filter, schema, read),
+            ServiceKind::Sparql { .. } => LiftPlan::default(),
+        }),
+        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
+            out.push(LiftPlan::default());
+            push_lift_plans(left, None, schema, read, out);
+            push_lift_plans(right, None, schema, read, out);
+        }
+        FedPlan::BindJoin { left, right, .. } => {
+            out.push(sql_lift_plan(&right.part.outputs, None, schema, read));
+            push_lift_plans(left, None, schema, read, out);
+        }
+        FedPlan::Filter { input, exprs } => {
+            out.push(LiftPlan::default());
+            push_lift_plans(input, Some(exprs), schema, read, out);
+        }
+        FedPlan::Union(branches) => {
+            out.push(LiftPlan::default());
+            for b in branches {
+                push_lift_plans(b, None, schema, read, out);
+            }
+        }
+    }
+}
+
+/// A SQL leaf's plan: the output variables nothing reads, and the
+/// conjuncts of `filter` that read exactly one slot the leaf binds.
+fn sql_lift_plan(
+    outputs: &[OutputBinding],
+    filter: Option<&[Expr]>,
+    schema: &RowSchema,
+    read: &[bool],
+) -> LiftPlan {
+    let mut unread: Vec<Var> = Vec::new();
+    for o in outputs {
+        if schema.slot(&o.var).is_some_and(|s| !read[s]) && !unread.contains(&o.var) {
+            unread.push(o.var.clone());
+        }
+    }
+    let bound: Vec<usize> = outputs.iter().filter_map(|o| schema.slot(&o.var)).collect();
+    let guards = filter
+        .unwrap_or_default()
+        .iter()
+        .filter(|e| e.bind(Some(schema)).single_slot().is_some_and(|s| bound.contains(&s)))
+        .cloned()
+        .collect();
+    LiftPlan::new(unread, guards)
 }
 
 /// Walks a plan and decides, per service leaf, the replica endpoints to

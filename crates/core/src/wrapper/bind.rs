@@ -1,7 +1,7 @@
 //! The engine-level bind join and the SQL its batches ship.
 
 use super::leaf::{lifted, LeafRequest};
-use super::lift::LiftedSource;
+use super::lift::{LiftPlan, LiftedSource};
 use super::route::{
     message_size, schedule_rows_with_retry, schedule_transfer_with_retry, Landing, SourceRoute,
 };
@@ -57,6 +57,8 @@ pub struct BindJoinOp<'a> {
     left: BoxedOp<'a>,
     db: &'a Database,
     target: BindTarget,
+    /// What the plan reads of the target's answers (`None`: every cell).
+    lift: Option<&'a LiftPlan>,
     /// The target's statement signature: the part of the cache key every
     /// batch of this operator shares.
     signature: Arc<str>,
@@ -81,11 +83,26 @@ enum BindStage {
 }
 
 impl<'a> BindJoinOp<'a> {
-    /// Creates the operator over `target`'s source in `lake`; the engine
-    /// resolves the route from the target's routing decision.
+    /// Creates the operator over `target`'s source in `lake`, every cell of
+    /// its answers lifted; the engine resolves the route from the target's
+    /// routing decision.
     pub fn new(
         left: BoxedOp<'a>,
         target: &BindTarget,
+        lake: &'a DataLake,
+        route: SourceRoute,
+        rows_per_message: usize,
+        batch_size: usize,
+    ) -> Result<Self, FedError> {
+        Self::planned(left, target, None, lake, route, rows_per_message, batch_size)
+    }
+
+    /// [`BindJoinOp::new`] lifting what the plan's [`LiftPlan`] for the
+    /// target says.
+    pub(crate) fn planned(
+        left: BoxedOp<'a>,
+        target: &BindTarget,
+        lift: Option<&'a LiftPlan>,
         lake: &'a DataLake,
         route: SourceRoute,
         rows_per_message: usize,
@@ -102,11 +119,12 @@ impl<'a> BindJoinOp<'a> {
             }
         };
         let signature =
-            LeafRequest::Batch { db, target, ids: &[] }.signature(route.logical()).into();
+            LeafRequest::Batch { db, target, ids: &[], lift }.signature(route.logical()).into();
         Ok(BindJoinOp {
             left,
             db,
             target: target.clone(),
+            lift,
             signature,
             version,
             route,
@@ -150,7 +168,7 @@ impl<'a> BindJoinOp<'a> {
         ids: &[TermId],
         ctx: &ExecCtx,
     ) -> Result<(Arc<LiftedSource>, Duration), FedError> {
-        let request = LeafRequest::Batch { db: self.db, target: &self.target, ids };
+        let request = LeafRequest::Batch { db: self.db, target: &self.target, ids, lift: self.lift };
         let right = lifted(&request, &self.signature, self.version, ctx)?;
         let work = request.work(&right, &ctx.cost)?;
         Ok((right, work))

@@ -1,7 +1,7 @@
 //! One-shot leaves: what a leaf asks of its source, the message-batched
 //! delivery of the answer, and the stream over both.
 
-use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftedSource};
+use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftPlan, LiftedSource};
 use super::bind::bind_batch_query;
 use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRoute};
 use crate::error::FedError;
@@ -19,9 +19,21 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Opens the operator streaming a service's answers.
+/// Opens the operator streaming a service's answers, every cell lifted.
 pub fn open_service<'a>(
     node: &ServiceNode,
+    lake: &'a DataLake,
+    route: SourceRoute,
+    rows_per_message: usize,
+) -> Result<BoxedOp<'a>, FedError> {
+    open_leaf(node, None, lake, route, rows_per_message)
+}
+
+/// [`open_service`] lifting what the plan's [`LiftPlan`] for the leaf says
+/// (`None`: every cell).
+pub(crate) fn open_leaf<'a>(
+    node: &ServiceNode,
+    lift: Option<&'a LiftPlan>,
     lake: &'a DataLake,
     route: SourceRoute,
     rows_per_message: usize,
@@ -40,7 +52,7 @@ pub fn open_service<'a>(
                 request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
             },
             DataSource::Relational { db, .. },
-        ) => LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone() },
+        ) => LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone(), lift },
         (kind, src) => {
             return Err(FedError::Internal(format!(
                 "service kind {kind:?} does not match source {}",
@@ -147,9 +159,15 @@ impl Delivery {
 }
 
 /// What a leaf asks of its source: a one-shot request, or one batch of a
-/// bind join.
+/// bind join. A SQL request lifts what its [`LiftPlan`] says (`None`:
+/// every cell).
 pub(super) enum LeafRequest<'a> {
-    Sql { db: &'a Database, sql: String, outputs: Vec<OutputBinding> },
+    Sql {
+        db: &'a Database,
+        sql: String,
+        outputs: Vec<OutputBinding>,
+        lift: Option<&'a LiftPlan>,
+    },
     Sparql {
         graph: &'a fedlake_rdf::Graph,
         star: crate::decompose::StarSubquery,
@@ -157,26 +175,34 @@ pub(super) enum LeafRequest<'a> {
     },
     /// `target`'s star restricted to the join terms `ids`, each of which a
     /// stored value lifts to (see [`bind_batch_query`]).
-    Batch { db: &'a Database, target: &'a BindTarget, ids: &'a [TermId] },
+    Batch {
+        db: &'a Database,
+        target: &'a BindTarget,
+        ids: &'a [TermId],
+        lift: Option<&'a LiftPlan>,
+    },
 }
 
 impl LeafRequest<'_> {
     /// The request's cache signature at `logical`. SQL: the text already
-    /// pins the selected columns and the output var names pin their
-    /// SPARQL-side binding order. SPARQL: the triple patterns written
-    /// positionally (vars by name, ground terms by display form) plus any
-    /// source-side filters. A batch: everything of its statement but the
-    /// `IN` list — the unrestricted star's SQL, the restricted column and
-    /// the key template — so a bind join builds it once, not per batch. The
-    /// slot layout and a batch's join terms are keyed separately.
+    /// pins the selected columns, the output var names pin their
+    /// SPARQL-side binding order and the lift plan's key which cells are
+    /// lifted. SPARQL: the triple patterns written positionally (vars by
+    /// name, ground terms by display form) plus any source-side filters. A
+    /// batch: everything of its statement but the `IN` list — the
+    /// unrestricted star's SQL, the restricted column and the key template
+    /// — so a bind join builds it once, not per batch. The slot layout and
+    /// a batch's join terms are keyed separately.
     pub(super) fn signature(&self, logical: &str) -> String {
         fn sql_signature(
             kind: &str,
             logical: &str,
             sql: &str,
             outputs: &[OutputBinding],
+            lift: Option<&LiftPlan>,
         ) -> String {
-            let mut sig = String::with_capacity(sql.len() + logical.len() + 32);
+            let key = lift.map_or("", LiftPlan::key);
+            let mut sig = String::with_capacity(sql.len() + logical.len() + key.len() + 32);
             for part in [kind, logical, ":", sql] {
                 sig.push_str(part);
             }
@@ -184,13 +210,16 @@ impl LeafRequest<'_> {
                 sig.push(':');
                 sig.push_str(ob.var.name());
             }
+            sig.push_str(key);
             sig
         }
         match self {
-            LeafRequest::Sql { sql, outputs, .. } => sql_signature("sql:", logical, sql, outputs),
-            LeafRequest::Batch { target, .. } => {
+            LeafRequest::Sql { sql, outputs, lift, .. } => {
+                sql_signature("sql:", logical, sql, outputs, *lift)
+            }
+            LeafRequest::Batch { target, lift, .. } => {
                 let star = sql_single(&target.part);
-                let mut sig = sql_signature("bind:", logical, &star.sql, &star.outputs);
+                let mut sig = sql_signature("bind:", logical, &star.sql, &star.outputs, *lift);
                 let _ = write!(sig, ":{}.{} IN ", target.part.alias, target.column.name);
                 if let Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) = &target.column.lift {
                     let _ = write!(sig, "{tmpl}");
@@ -226,17 +255,18 @@ impl LeafRequest<'_> {
     /// cache of what a leaf fetched.
     fn evaluate(&self, ctx: &ExecCtx) -> Result<LiftedSource, FedError> {
         match self {
-            LeafRequest::Sql { db, sql, outputs } => {
+            LeafRequest::Sql { db, sql, outputs, lift } => {
                 let rs = db.query_borrowed(sql)?;
-                Ok(lift_result_cols(&rs, outputs, &ctx.schema, &mut ctx.interner.lock()))
+                Ok(lift_result_cols(&rs, outputs, *lift, &ctx.schema, &mut ctx.interner.lock()))
             }
-            LeafRequest::Batch { db, target, ids } => {
+            LeafRequest::Batch { db, target, ids, lift } => {
                 let q = {
                     let dict = ctx.interner.lock();
                     bind_batch_query(target, ids.iter().filter_map(|id| dict.term(*id)))
                 };
                 let rs = db.query_borrowed(&q.sql)?;
-                Ok(lift_result_cols(&rs, &q.outputs, &ctx.schema, &mut ctx.interner.lock()))
+                let mut dict = ctx.interner.lock();
+                Ok(lift_result_cols(&rs, &q.outputs, *lift, &ctx.schema, &mut dict))
             }
             LeafRequest::Sparql { graph, star, filters } => {
                 let filters: Vec<_> = filters.iter().map(|f| f.bind(None)).collect();

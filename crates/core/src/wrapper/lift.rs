@@ -1,6 +1,7 @@
 //! Lifting relational results into slot rows, and the cache of lifted
 //! source results.
 
+use crate::operators::Conjunct;
 use crate::translate::{Lift, OutputBinding};
 use fedlake_mapping::lift::value_key_in;
 use fedlake_mapping::xsd_for;
@@ -8,7 +9,8 @@ use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{BorrowedResult, ResultSet, Value};
-use fedlake_sparql::binding::{RowSchema, SlotRow};
+use fedlake_sparql::binding::{RowSchema, SlotRow, Var};
+use fedlake_sparql::expr::Expr;
 use std::sync::Arc;
 
 /// Converts the relational engine's counters to the netsim mirror type.
@@ -85,30 +87,120 @@ pub fn lift_result(
         .collect()
 }
 
+/// Which cells of a SQL leaf's answer the plan reads: decided once per plan
+/// by the planner (`planner::lift_plans`) and cached with it, one per plan
+/// node. A column no operator above the leaf reads is not lifted: its
+/// cells stay [`TermId::UNBOUND`]. The guards are the one-slot conjuncts of
+/// an engine FILTER directly over the leaf, on slots the leaf binds. Their
+/// columns are lifted for every row, and a row one of them rejects keeps
+/// only those cells: the FILTER drops it whatever the others hold, and
+/// still counts and charges every conjunct on it. The default plan lifts
+/// everything.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LiftPlan {
+    unread: Vec<Var>,
+    guards: Vec<Expr>,
+    /// Both of the above as text: what the plan adds to its leaf's
+    /// [`LiftKey`] signature, since two plans of one request that lift
+    /// different cells must not share an entry. Empty for the default.
+    key: String,
+}
+
+impl LiftPlan {
+    /// The plan that leaves `unread` unlifted and lifts the other cells of
+    /// a row only when the row passes every guard. The planner builds it,
+    /// once per plan; nothing at execution time does.
+    pub(crate) fn new(unread: Vec<Var>, guards: Vec<Expr>) -> Self {
+        if unread.is_empty() && guards.is_empty() {
+            return LiftPlan::default();
+        }
+        let names: Vec<&str> = unread.iter().map(Var::name).collect();
+        let key = format!(":lift{names:?}{guards:?}");
+        LiftPlan { unread, guards, key }
+    }
+
+    /// The variables whose cells stay unbound.
+    pub fn unread(&self) -> &[Var] {
+        &self.unread
+    }
+
+    /// The conjuncts a row must pass to be lifted in full.
+    pub fn guards(&self) -> &[Expr] {
+        &self.guards
+    }
+
+    /// What the plan adds to its leaf's cache signature.
+    pub(super) fn key(&self) -> &str {
+        &self.key
+    }
+}
+
 /// Columnar lift of a SQL result, read where it lies in the source's
 /// tables: one `TermId` buffer per slot, written column-at-a-time, and no
-/// `Value` copied on the way. Produces exactly the ids [`lift_result`]
-/// would assign to each cell — only the interning *order* (and therefore
-/// the raw id numbering) differs, which nothing downstream observes: ids
-/// never leave the execution, and every consumer compares or decodes them.
+/// `Value` copied on the way, under the leaf's [`LiftPlan`] (`None` lifts
+/// every cell). A cell that is lifted gets exactly the id [`lift_result`]
+/// would assign to it. Only the interning *order* (and therefore the raw
+/// id numbering) differs, which nothing downstream observes: ids never
+/// leave the execution, and every consumer compares or decodes them.
 pub(super) fn lift_result_cols(
     rs: &BorrowedResult<'_>,
     outputs: &[OutputBinding],
+    plan: Option<&LiftPlan>,
     schema: &RowSchema,
     dict: &mut Dictionary,
 ) -> LiftedSource {
+    let all = LiftPlan::default();
+    let plan = plan.unwrap_or(&all);
     let n = rs.rows.len();
     let mut cols = vec![vec![TermId::UNBOUND; n]; schema.len()];
     let mut scratch = LiftScratch::default();
-    for (i, ob) in outputs.iter().enumerate() {
-        let Some(slot) = schema.slot(&ob.var) else { continue };
-        for (cell, v) in cols[slot].iter_mut().zip(rs.rows.column(i)) {
-            if !v.is_null() {
-                *cell = lift_value(v, ob, &mut scratch, dict);
+    let mut guards: Vec<Conjunct> = plan.guards.iter().map(|e| Conjunct::new(e, schema)).collect();
+    // The slot each column lifts into, and whether a guard reads it.
+    let targets: Vec<Option<(usize, bool)>> = outputs
+        .iter()
+        .map(|ob| {
+            let slot = schema.slot(&ob.var).filter(|_| !plan.unread.contains(&ob.var))?;
+            Some((slot, guards.iter().any(|g| g.slot() == Some(slot))))
+        })
+        .collect();
+    // The guards' columns for every row, then the rows every guard keeps.
+    let mut kept: Option<Vec<bool>> = None;
+    if !guards.is_empty() {
+        for (i, ob) in outputs.iter().enumerate() {
+            if let Some((slot, true)) = targets[i] {
+                lift_column(rs, i, ob, None, &mut cols[slot], &mut scratch, dict);
             }
+        }
+        let d: &Dictionary = dict;
+        let keeps = |r: usize, guards: &mut [Conjunct]| {
+            guards.iter_mut().all(|g| g.slot().is_none_or(|s| g.keeps_id(cols[s][r], d)))
+        };
+        kept = Some((0..n).map(|r| keeps(r, &mut guards)).collect());
+    }
+    for (i, ob) in outputs.iter().enumerate() {
+        if let Some((slot, false)) = targets[i] {
+            lift_column(rs, i, ob, kept.as_deref(), &mut cols[slot], &mut scratch, dict);
         }
     }
     LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
+}
+
+/// Lifts column `i` of `rs` into `cells`: every non-NULL value, or only
+/// those of the rows `kept` keeps.
+fn lift_column(
+    rs: &BorrowedResult<'_>,
+    i: usize,
+    ob: &OutputBinding,
+    kept: Option<&[bool]>,
+    cells: &mut [TermId],
+    scratch: &mut LiftScratch,
+    dict: &mut Dictionary,
+) {
+    for (r, (cell, v)) in cells.iter_mut().zip(rs.rows.column(i)).enumerate() {
+        if !v.is_null() && kept.is_none_or(|kept| kept[r]) {
+            *cell = lift_value(v, ob, scratch, dict);
+        }
+    }
 }
 
 /// One source's answer to one request — a one-shot leaf or one bind-join
@@ -160,7 +252,8 @@ pub struct LiftCache(std::sync::Mutex<LiftEntries>);
 
 /// What a lifted result is cached under: the schema's slot-layout
 /// fingerprint, the request's signature (source id, request text, output
-/// bindings — see [`LeafRequest::signature`]) and, for a bind-join batch,
+/// bindings and the leaf's [`LiftPlan`] — see [`LeafRequest::signature`])
+/// and, for a bind-join batch,
 /// the join terms it asks about (empty for a one-shot leaf). The terms are
 /// ids of the engine's append-only interner, so equal ids render equal SQL
 /// and — at an equal source version — fetch an equal result.

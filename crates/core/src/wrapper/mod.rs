@@ -21,9 +21,10 @@ mod lift;
 mod route;
 
 pub use bind::{bind_batch_query, BindJoinOp};
+pub(crate) use leaf::open_leaf;
 pub use leaf::open_service;
 pub(crate) use lift::schema_fingerprint;
-pub use lift::{lift_result, LiftCache, LiftedSource, SharedLiftCache};
+pub use lift::{lift_result, LiftCache, LiftPlan, LiftedSource, SharedLiftCache};
 pub(crate) use route::links_for;
 pub use route::{
     route_for, schedule_rows_with_retry, schedule_transfer_with_retry, source_failures,
@@ -200,7 +201,7 @@ mod tests {
         let mut dict = Dictionary::new();
         let by_row = lift_result(&rs, &outputs, &schema, &mut dict);
         let terms_after_rows = dict.len();
-        let by_col = lift_result_cols(&borrowed, &outputs, &schema, &mut dict);
+        let by_col = lift_result_cols(&borrowed, &outputs, None, &schema, &mut dict);
         assert_eq!(dict.len(), terms_after_rows, "the columnar lift met only known terms");
         assert_eq!((by_row.len(), by_col.rows), (rs.rows.len(), rs.rows.len()));
         for (r, row) in rs.rows.iter().enumerate() {

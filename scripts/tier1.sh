@@ -51,6 +51,19 @@ naive_wrapper=0
 git grep -nE 'NaiveStream|MergedNaive|NaiveJoin' -- 'crates/*/src/*' || naive_wrapper=$?
 [ "$naive_wrapper" -eq 1 ] || { echo "a naive N+1 wrapper is back under crates/*/src (or git grep failed)"; exit 1; }
 
+# A leaf lifts only the cells its plan reads, and what a plan reads is
+# decided once, by the planner, and cached with the plan (DESIGN §19):
+# deciding it each time a session opened the plan cost serve_open 3.5 %
+# host_qps. So nothing in the wrapper, the engine's sessions or the serve
+# loop builds a LiftPlan.
+echo "== the lift plan is decided at plan time =="
+lift_plan_builders=0
+git grep -n 'LiftPlan::new\|lift_plans(' -- crates/core/src/wrapper crates/core/src/engine.rs \
+    crates/core/src/serve.rs || lift_plan_builders=$?
+[ "$lift_plan_builders" -eq 1 ] || { echo "a lift plan is built outside the planner (or git grep failed)"; exit 1; }
+git grep -q 'LiftPlan::new' -- crates/core/src/planner.rs \
+    || { echo "planner.rs builds no LiftPlan: the gate above matches nothing"; exit 1; }
+
 # One table per join side: both joins keep a side's rows in one vector,
 # chained per folded key (operators.rs, BuildSide). A map from boxed key to a
 # vector of rows — one block per key to allocate and to free — is the

@@ -25,7 +25,9 @@
 //! ORDER BY query's sequence too. The one allowed error is a documented
 //! [`FedError::Unsupported`], and at least 90 % of the queries must answer.
 //! Across the aware runs the set must reach both sides of each heuristic:
-//! an H1 merge, a FILTER pushed and one kept, a plan over two sources.
+//! an H1 merge, a FILTER pushed and one kept, a plan over two sources — and
+//! both parts of the lift plan: a leaf column nothing reads, and a leaf
+//! whose engine FILTER guards its rows.
 //!
 //! `ORACLE_QUERIES` sets the number of queries — a harness knob like
 //! `CHAOS_ITERS`:
@@ -375,13 +377,17 @@ fn engine_filter(plan: &FedPlan) -> bool {
     }
 }
 
-/// Which side of each heuristic the aware runs reached.
+/// Which side of each heuristic the aware runs reached, and which sides of
+/// the lift plan: a leaf that leaves a column unlifted, and one whose
+/// engine FILTER guards its rows.
 #[derive(Debug, Default)]
 struct Coverage {
     merged: bool,
     pushed: bool,
     kept: bool,
     multi_source: bool,
+    unread_slot: bool,
+    guarded_leaf: bool,
 }
 
 /// Everything needed to rerun a failing execution.
@@ -459,6 +465,9 @@ fn generated_queries_match_the_oracle() {
                         let mut ids = BTreeSet::new();
                         sources(&planned.plan, &mut ids);
                         coverage.multi_source |= ids.len() >= 2;
+                        let lifts = planned.lifts.iter();
+                        coverage.unread_slot |= lifts.clone().any(|l| !l.unread().is_empty());
+                        coverage.guarded_leaf |= lifts.clone().any(|l| !l.guards().is_empty());
                     }
                 }
             }
@@ -467,8 +476,10 @@ fn generated_queries_match_the_oracle() {
     }
     eprintln!("{answered} of {n} generated queries answered; aware coverage {coverage:?}");
     assert!(answered * 10 >= n * 9, "only {answered} of {n} generated queries answered");
-    let Coverage { merged, pushed, kept, multi_source } = coverage;
+    let Coverage { merged, pushed, kept, multi_source, unread_slot, guarded_leaf } = coverage;
     assert!(merged, "no aware plan merged two stars (H1)");
     assert!(pushed && kept, "H2 must both push and keep a FILTER: {coverage:?}");
     assert!(multi_source, "no aware plan spans two sources");
+    assert!(unread_slot, "no aware plan left a column unlifted");
+    assert!(guarded_leaf, "no aware plan guarded a leaf's rows with its FILTER");
 }

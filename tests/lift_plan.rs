@@ -9,7 +9,8 @@ use fedlake::core::fedplan::{FedPlan, ServiceKind};
 use fedlake::core::{FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake_with, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
-use fedlake::rdf::Graph;
+use fedlake::rdf::{Graph, Term};
+use fedlake::sparql::binding::Var;
 use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
 use std::collections::BTreeSet;
@@ -106,6 +107,75 @@ fn one_warm_engine_answers_two_projections_of_one_leaf() {
     }
     let counts = in_turn_on_one_engine(&["chebi"], &[without_m, with_m]);
     assert!(counts.iter().all(|n| *n > 0), "{counts:?}");
+}
+
+/// The stock queries' lift plans at scale 1.0, Gamma1 (`adhoc_cold`'s
+/// network): per query and planner, the variables some leaf leaves unlifted
+/// and the variables its guards read. An unread variable is a star's
+/// subject nothing joins on or projects (Q2's `?dt`, Q4's `?de`), an
+/// unprojected object (Q2's `?m`), a join variable that Heuristic 1 took
+/// into SQL (Q2's `?dr`, Q4's `?se`, Q5's `?d`) or the column of a pushed
+/// FILTER (Q3's `?cat`).
+#[test]
+fn stock_queries_lift_what_their_plans_read() {
+    const WANT: [(&str, [(&str, &str); 3]); 5] = [
+        ("Q1", [("", "?n"), ("", ""), ("", "")]),
+        ("Q2", [("?dt ?m", ""), ("?dr ?dt ?m", ""), ("?dr ?dt ?m", "")]),
+        ("Q3", [("", "?cat"), ("?cat", ""), ("?cat", "")]),
+        ("Q4", [("?de", "?fr"), ("?de ?se", "?fr"), ("?de ?se", "?fr")]),
+        ("Q5", [("", "?cl ?v"), ("?d", "?cl ?v"), ("?d", "?cl")]),
+    ];
+    let lake = fedlake::datagen::build_lake(&LakeConfig::default());
+    for (q, (id, want)) in workload::experiment_queries().into_iter().zip(WANT) {
+        assert_eq!(q.id, id);
+        for ((label, config), want) in planners(NetworkProfile::GAMMA1).into_iter().zip(want) {
+            let engine = FederatedEngine::new(lake.clone(), config);
+            let planned = engine.plan(&parse_query(&q.sparql).unwrap()).unwrap();
+            let names = |vars: Vec<String>| -> String {
+                vars.into_iter().collect::<BTreeSet<_>>().into_iter().collect::<Vec<_>>().join(" ")
+            };
+            let unread = names(planned.lifts.iter().flat_map(|l| l.unread()).map(|v| v.to_string()).collect());
+            let guarded = names(
+                planned
+                    .lifts
+                    .iter()
+                    .flat_map(|l| l.guards())
+                    .flat_map(|g| g.vars())
+                    .map(|v| v.to_string())
+                    .collect(),
+            );
+            assert_eq!((unread.as_str(), guarded.as_str()), want, "{id} {label}");
+        }
+    }
+}
+
+/// Q3-unaware keeps the trials of one category at the engine: the lift
+/// interns the titles of those trials only, and every one of them.
+#[test]
+fn q3_unaware_interns_the_titles_of_kept_trials_only() {
+    let q3 = workload::q3();
+    let lake = build_lake_with(&LakeConfig::default(), q3.datasets);
+    let oracle = lake.oracle_graph();
+    let title = fedlake::datagen::vocab::pred("linkedct", "title");
+    let category = fedlake::datagen::vocab::pred("linkedct", "category");
+    let trials = format!("SELECT ?ti ?cat WHERE {{ ?t <{title}> ?ti . ?t <{category}> ?cat }}");
+    let rows = evaluate(&parse_query(&trials).unwrap(), &oracle).unwrap();
+    let (ti, cat) = (Var::new("ti"), Var::new("cat"));
+    let kept: BTreeSet<Term> = rows
+        .iter()
+        .filter(|r| r.get(&cat) == Some(&Term::literal("cat-7")))
+        .map(|r| r.get(&ti).unwrap().clone())
+        .collect();
+    let dropped: BTreeSet<Term> =
+        rows.iter().map(|r| r.get(&ti).unwrap().clone()).filter(|t| !kept.contains(t)).collect();
+    assert!(!kept.is_empty() && !dropped.is_empty());
+
+    let engine = FederatedEngine::new(lake, PlanConfig::unaware(NetworkProfile::GAMMA1));
+    engine.execute_sparql(&q3.sparql).unwrap();
+    let dict = engine.interner().lock();
+    assert!(kept.iter().all(|t| dict.id(t).is_some()), "a kept trial's title is missing");
+    let interned: Vec<&Term> = dropped.iter().filter(|t| dict.id(t).is_some()).collect();
+    assert!(interned.is_empty(), "{} titles of dropped trials interned", interned.len());
 }
 
 /// Q3 under `cat-7`, then under `cat-12`: where the filter stays at the
