@@ -1299,3 +1299,42 @@ fn boundary_h1_joins_no_double_column_in_sql() {
         assert_eq!(answers(&result.rows), want, "{translation:?}: {}", result.explain);
     }
 }
+
+/// An integer stored in a DOUBLE column is the double it rounds to, on both
+/// sides of the boundary: the lift reads 2^53 + 1 as 2^53, so SQL must
+/// compare 2^53 too, wherever the FILTER runs.
+#[test]
+fn an_int_stored_in_a_double_column_is_a_double() {
+    let mut db = Database::new("levels");
+    db.execute("CREATE TABLE reading (id TEXT PRIMARY KEY, x DOUBLE)").unwrap();
+    for (id, x) in [("r0", Value::Int((1 << 53) + 1)), ("r1", Value::Int(3))] {
+        db.insert_row("reading", vec![Value::text(id), x]).unwrap();
+    }
+    db.execute("CREATE INDEX idx_reading_x ON reading (x)").unwrap();
+    let mapping = DatasetMapping::new("levels").with_table(
+        TableMapping::new(
+            "reading",
+            format!("{V}Reading"),
+            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            "id",
+        )
+        .with_literal("x", &format!("{V}level")),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("levels", db, mapping));
+    let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+    for filter in ["?x = 9007199254740992.0", "?x > 9007199254740992.0", "?x < 9007199254740993"] {
+        let sparql = format!("SELECT * WHERE {{ ?r <{V}level> ?x . FILTER({filter}) }}");
+        let want = oracle_answers(&oracle, &sparql);
+        for mode in [PlanMode::Unaware, PlanMode::AWARE, push_all] {
+            let engine =
+                FederatedEngine::new(lake.clone(), PlanConfig::new(mode, NetworkProfile::GAMMA3));
+            let result = engine.execute_sparql(&sparql).unwrap();
+            assert_eq!(answers(&result.rows), want, "{filter} under {}: {}", mode.label(), result.explain);
+        }
+    }
+    let Some(DataSource::Relational { db, .. }) = lake.source("levels") else { unreachable!() };
+    let stored: Vec<Value> = db.table("reading").unwrap().iter().map(|(_, r)| r[1].clone()).collect();
+    assert!(matches!(stored[..], [Value::Double(_), Value::Double(_)]), "stored as {stored:?}");
+}
