@@ -131,8 +131,9 @@ impl Table {
     }
 
     /// Inserts a row after validating arity, types and NOT NULL, updating
-    /// all indexes. Returns the new row id.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<RowId, SqlError> {
+    /// all indexes. Returns the new row id. An `Int` in a DOUBLE column is
+    /// stored as the double it rounds to, the value the column's lift reads.
+    pub fn insert(&mut self, mut row: Vec<Value>) -> Result<RowId, SqlError> {
         if row.len() != self.schema.arity() {
             return Err(SqlError::Constraint(format!(
                 "table {} expects {} values, got {}",
@@ -141,7 +142,10 @@ impl Table {
                 row.len()
             )));
         }
-        for (col, v) in self.schema.columns.iter().zip(&row) {
+        for (col, v) in self.schema.columns.iter().zip(&mut row) {
+            if let (DataType::Double, Value::Int(i)) = (col.data_type, &*v) {
+                *v = Value::Double(*i as f64);
+            }
             if v.is_null() {
                 if col.not_null {
                     return Err(SqlError::Constraint(format!(
@@ -155,7 +159,6 @@ impl Table {
                 (col.data_type, v.data_type()),
                 (DataType::Int, Some(DataType::Int))
                     | (DataType::Double, Some(DataType::Double))
-                    | (DataType::Double, Some(DataType::Int))
                     | (DataType::Text, Some(DataType::Text))
                     | (DataType::Bool, Some(DataType::Bool))
             );
