@@ -266,59 +266,84 @@ fn select_matches_reference_and_indexes_do_not_change_answers() {
 }
 
 /// Join answers are independent of which join algorithm the optimizer
-/// picks (INLJ when indexed, hash otherwise).
+/// picks (INLJ when indexed, hash otherwise), and both are SQL's `=`: on a
+/// TEXT key, and on a DOUBLE key where the value total order and `sql_cmp`
+/// part — −0.0 joins 0.0, NaN joins nothing, the infinities join
+/// themselves.
 #[test]
 fn join_algorithms_agree() {
     let mut rng = Prng::seed_from_u64(0x59_1002);
     for _ in 0..96 {
         let rows = arb_rows(&mut rng);
-        let build = |with_fk_index: bool| {
-            let mut db = Database::new("j");
-            db.execute("CREATE TABLE l (id INT PRIMARY KEY, k TEXT)").unwrap();
-            db.execute("CREATE TABLE r (id INT PRIMARY KEY, k TEXT)").unwrap();
-            let mut seen = BTreeSet::new();
-            for (id, a, _) in &rows {
-                if !seen.insert(*id) {
-                    continue;
-                }
+        let mut seen = BTreeSet::new();
+        let keys: Vec<(i64, Value, Value)> = rows
+            .iter()
+            .filter(|(id, _, _)| seen.insert(*id))
+            .map(|(id, a, _)| {
                 let k = match a {
                     Value::Null => Value::Null,
                     v => Value::text(v.to_string()),
                 };
-                db.insert_row("l", vec![Value::Int(*id), k.clone()]).unwrap();
-                db.insert_row("r", vec![Value::Int(id + 1), k]).unwrap();
-            }
-            if with_fk_index {
-                db.create_index("r", "idx_rk", &["k".to_string()], false).unwrap();
-            }
-            db
-        };
-        let hash_db = build(false);
-        let inlj_db = build(true);
-        let sql = "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k";
-        let to_set = |rs: &fedlake_relational::ResultSet| -> BTreeSet<(i64, i64)> {
-            rs.rows
-                .iter()
-                .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
-                .collect()
-        };
-        let a = cold_then_warm(&hash_db, sql);
-        let b = cold_then_warm(&inlj_db, sql);
-        assert_eq!(to_set(&a), to_set(&b));
-        // Both equal the naive nested loop over the base rows.
-        let l = hash_db.table("l").unwrap();
-        let r = hash_db.table("r").unwrap();
-        let mut expected = BTreeSet::new();
-        for (_, lrow) in l.iter() {
-            for (_, rrow) in r.iter() {
-                if lrow[1].sql_cmp(&rrow[1]) == Some(Ordering::Equal) {
-                    expected.insert((lrow[0].as_i64().unwrap(), rrow[0].as_i64().unwrap()));
-                }
+                (*id, k.clone(), k)
+            })
+            .collect();
+        joins_agree("TEXT", &keys);
+    }
+    const KEYS: [f64; 6] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+    let mut rng = Prng::seed_from_u64(0x59_1012);
+    let mut key = move || match rng.gen_range(0..=KEYS.len()) {
+        i if i < KEYS.len() => Value::Double(KEYS[i]),
+        _ => Value::Null,
+    };
+    for n in 0..96 {
+        let keys: Vec<(i64, Value, Value)> = (0..n % 24).map(|id| (id, key(), key())).collect();
+        joins_agree("DOUBLE", &keys);
+    }
+}
+
+/// `SELECT l.id, r.id FROM l JOIN r ON l.k = r.k` over `ty` keys, each
+/// row of `keys` giving `l` the row (id, left key) and `r` the row (id + 1,
+/// right key): hash-joined without an index on `r.k`, INLJ-joined with
+/// one, both equal to the nested loop under `sql_cmp`.
+fn joins_agree(ty: &str, keys: &[(i64, Value, Value)]) {
+    let build = |with_fk_index: bool| {
+        let mut db = Database::new("j");
+        db.execute(&format!("CREATE TABLE l (id INT PRIMARY KEY, k {ty})")).unwrap();
+        db.execute(&format!("CREATE TABLE r (id INT PRIMARY KEY, k {ty})")).unwrap();
+        for (id, lk, rk) in keys {
+            db.insert_row("l", vec![Value::Int(*id), lk.clone()]).unwrap();
+            db.insert_row("r", vec![Value::Int(id + 1), rk.clone()]).unwrap();
+        }
+        if with_fk_index {
+            db.create_index("r", "idx_rk", &["k".to_string()], false).unwrap();
+        }
+        db
+    };
+    let hash_db = build(false);
+    let inlj_db = build(true);
+    let sql = "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k";
+    let to_set = |rs: &fedlake_relational::ResultSet| -> BTreeSet<(i64, i64)> {
+        rs.rows
+            .iter()
+            .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+            .collect()
+    };
+    let a = cold_then_warm(&hash_db, sql);
+    let b = cold_then_warm(&inlj_db, sql);
+    // Both equal the naive nested loop over the base rows.
+    let l = hash_db.table("l").unwrap();
+    let r = hash_db.table("r").unwrap();
+    let mut expected = BTreeSet::new();
+    for (_, lrow) in l.iter() {
+        for (_, rrow) in r.iter() {
+            if lrow[1].sql_cmp(&rrow[1]) == Some(Ordering::Equal) {
+                expected.insert((lrow[0].as_i64().unwrap(), rrow[0].as_i64().unwrap()));
             }
         }
-        assert_eq!(to_set(&a), expected);
-        assert_eq!(a.rows.len(), b.rows.len(), "a join algorithm duplicated or dropped a pair");
     }
+    assert_eq!(to_set(&a), expected, "{ty} hash join: {keys:?}");
+    assert_eq!(to_set(&b), expected, "{ty} INLJ: {keys:?}");
+    assert_eq!(a.rows.len(), b.rows.len(), "a join algorithm duplicated or dropped a pair");
 }
 
 /// ORDER BY produces a total, stable order consistent with the value
