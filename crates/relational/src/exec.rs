@@ -406,20 +406,19 @@ fn exec_join<'t, C: CatalogView>(
             } else {
                 (right_rows.len(), left.len())
             };
+            let zero = Value::Double(0.0);
             let mut ht: HashMap<&Value, Vec<usize>> = HashMap::new();
             for n in 0..build_len {
                 cost.hash_build_rows += 1;
                 let key = if build_is_left { left_at(n) } else { right_at(n) };
-                if !key.is_null() {
+                if let Some(key) = sql_key(key, &zero) {
                     ht.entry(key).or_default().push(n);
                 }
             }
             for n in 0..probe_len {
                 cost.hash_probe_rows += 1;
                 let key = if build_is_left { right_at(n) } else { left_at(n) };
-                if key.is_null() {
-                    continue;
-                }
+                let Some(key) = sql_key(key, &zero) else { continue };
                 for &b in ht.get(key).map(Vec::as_slice).unwrap_or_default() {
                     let (l, r) = if build_is_left { (b, n) } else { (n, b) };
                     rows.extend_from_slice(&left.rows[l * width..][..width]);
@@ -452,13 +451,21 @@ fn exec_join<'t, C: CatalogView>(
                     .ok()
                     .and_then(|i| i.key_columns.first().copied()),
             };
+            // The index files −0.0 apart from 0.0 and NaN as a key of its
+            // own; SQL's `=` joins the two zeros and NaN to nothing.
+            let zeros = [Value::Double(-0.0), Value::Double(0.0)];
             for lrow in left.iter() {
                 let key = &lrow[li.part][li.col];
                 if key.is_null() {
                     continue;
                 }
                 cost.index_probes += 1;
-                for rid in idx.lookup_prefix(std::slice::from_ref(key)) {
+                let keys: &[Value] = match key {
+                    Value::Int(0) | Value::Double(0.0) => &zeros,
+                    Value::Double(d) if d.is_nan() => &[],
+                    _ => std::slice::from_ref(key),
+                };
+                for rid in keys.iter().flat_map(|k| idx.lookup_prefix(std::slice::from_ref(k))) {
                     let rrow = table
                         .row(rid)
                         .ok_or_else(|| SqlError::Internal(format!("dangling rid {rid}")))?;
@@ -478,6 +485,18 @@ fn exec_join<'t, C: CatalogView>(
     let mut parts = left.parts;
     parts.push(part);
     Ok(Borrowed { parts, rows })
+}
+
+/// A hash-join key as SQL's `=` sees it: `None` for NULL and NaN, which
+/// equal nothing, and `zero` for −0.0, which equals 0.0; any other value is
+/// its own key in the value total order.
+fn sql_key<'v>(v: &'v Value, zero: &'v Value) -> Option<&'v Value> {
+    match v {
+        Value::Null => None,
+        Value::Double(d) if d.is_nan() => None,
+        Value::Double(d) if *d == 0.0 => Some(zero),
+        _ => Some(v),
+    }
 }
 
 /// When an INLJ drives row fetches, the scan's own access path becomes a
