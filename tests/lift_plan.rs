@@ -16,7 +16,10 @@ use fedlake::sparql::parser::parse_query;
 use std::collections::BTreeSet;
 
 fn small() -> LakeConfig {
-    LakeConfig { scale: 0.15, ..Default::default() }
+    LakeConfig {
+        scale: 0.15,
+        ..Default::default()
+    }
 }
 
 /// The three planners: unaware, aware, aware + cost.
@@ -50,7 +53,10 @@ fn leaf_sql(plan: &FedPlan, out: &mut BTreeSet<String>) {
 
 fn sql_of(engine: &FederatedEngine, sparql: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    leaf_sql(&engine.plan(&parse_query(sparql).unwrap()).unwrap().plan, &mut out);
+    leaf_sql(
+        &engine.plan(&parse_query(sparql).unwrap()).unwrap().plan,
+        &mut out,
+    );
     out
 }
 
@@ -102,7 +108,11 @@ fn one_warm_engine_answers_two_projections_of_one_leaf() {
     for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
         for (label, config) in planners(network) {
             let engine = FederatedEngine::new(lake.clone(), config);
-            assert_eq!(sql_of(&engine, &without_m), sql_of(&engine, &with_m), "{label}");
+            assert_eq!(
+                sql_of(&engine, &without_m),
+                sql_of(&engine, &with_m),
+                "{label}"
+            );
         }
     }
     let counts = in_turn_on_one_engine(&["chebi"], &[without_m, with_m]);
@@ -120,9 +130,15 @@ fn one_warm_engine_answers_two_projections_of_one_leaf() {
 fn stock_queries_lift_what_their_plans_read() {
     const WANT: [(&str, [(&str, &str); 3]); 5] = [
         ("Q1", [("", "?n"), ("", ""), ("", "")]),
-        ("Q2", [("?dt ?m", ""), ("?dr ?dt ?m", ""), ("?dr ?dt ?m", "")]),
+        (
+            "Q2",
+            [("?dt ?m", ""), ("?dr ?dt ?m", ""), ("?dr ?dt ?m", "")],
+        ),
         ("Q3", [("", "?cat"), ("?cat", ""), ("?cat", "")]),
-        ("Q4", [("?de", "?fr"), ("?de ?se", "?fr"), ("?de ?se", "?fr")]),
+        (
+            "Q4",
+            [("?de", "?fr"), ("?de ?se", "?fr"), ("?de ?se", "?fr")],
+        ),
         ("Q5", [("", "?cl ?v"), ("?d", "?cl ?v"), ("?d", "?cl")]),
     ];
     let lake = fedlake::datagen::build_lake(&LakeConfig::default());
@@ -132,9 +148,20 @@ fn stock_queries_lift_what_their_plans_read() {
             let engine = FederatedEngine::new(lake.clone(), config);
             let planned = engine.plan(&parse_query(&q.sparql).unwrap()).unwrap();
             let names = |vars: Vec<String>| -> String {
-                vars.into_iter().collect::<BTreeSet<_>>().into_iter().collect::<Vec<_>>().join(" ")
+                vars.into_iter()
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect::<Vec<_>>()
+                    .join(" ")
             };
-            let unread = names(planned.lifts.iter().flat_map(|l| l.unread()).map(|v| v.to_string()).collect());
+            let unread = names(
+                planned
+                    .lifts
+                    .iter()
+                    .flat_map(|l| l.unread())
+                    .map(|v| v.to_string())
+                    .collect(),
+            );
             let guarded = names(
                 planned
                     .lifts
@@ -166,16 +193,26 @@ fn q3_unaware_interns_the_titles_of_kept_trials_only() {
         .filter(|r| r.get(&cat) == Some(&Term::literal("cat-7")))
         .map(|r| r.get(&ti).unwrap().clone())
         .collect();
-    let dropped: BTreeSet<Term> =
-        rows.iter().map(|r| r.get(&ti).unwrap().clone()).filter(|t| !kept.contains(t)).collect();
+    let dropped: BTreeSet<Term> = rows
+        .iter()
+        .map(|r| r.get(&ti).unwrap().clone())
+        .filter(|t| !kept.contains(t))
+        .collect();
     assert!(!kept.is_empty() && !dropped.is_empty());
 
     let engine = FederatedEngine::new(lake, PlanConfig::unaware(NetworkProfile::GAMMA1));
     engine.execute_sparql(&q3.sparql).unwrap();
     let dict = engine.interner().lock();
-    assert!(kept.iter().all(|t| dict.id(t).is_some()), "a kept trial's title is missing");
+    assert!(
+        kept.iter().all(|t| dict.id(t).is_some()),
+        "a kept trial's title is missing"
+    );
     let interned: Vec<&Term> = dropped.iter().filter(|t| dict.id(t).is_some()).collect();
-    assert!(interned.is_empty(), "{} titles of dropped trials interned", interned.len());
+    assert!(
+        interned.is_empty(),
+        "{} titles of dropped trials interned",
+        interned.len()
+    );
 }
 
 /// Q3 under `cat-7`, then under `cat-12`: where the filter stays at the
