@@ -1184,6 +1184,63 @@ fn boundary_a_ground_iri_no_template_minted_answers_nothing() {
 }
 
 
+/// A lake that stores the empty key: `e(id TEXT PRIMARY KEY, s TEXT, r
+/// TEXT)` with the rows ("", "empty", "a") and ("a", "full", ""), `r` a
+/// reference to `e` itself. The empty key's IRI is the template's bare
+/// prefix, `<{E}>`.
+fn empty_key_lake() -> (DataLake, Graph) {
+    let mut db = Database::new("empty");
+    db.execute("CREATE TABLE e (id TEXT PRIMARY KEY, s TEXT, r TEXT)").unwrap();
+    for (id, s, r) in [("", "empty", "a"), ("a", "full", "")] {
+        db.insert_row("e", vec![Value::text(id), Value::text(s), Value::text(r)]).unwrap();
+    }
+    db.execute("CREATE INDEX idx_e_r ON e (r)").unwrap();
+    let template = || IriTemplate::new(format!("{E}{{}}"));
+    let mapping = DatasetMapping::new("empty").with_table(
+        TableMapping::new("e", format!("{V}E"), template(), "id")
+            .with_literal("s", &format!("{V}s"))
+            .with_reference("r", &format!("{V}r"), template()),
+    );
+    let oracle = lift_database(&db, &mapping);
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::relational("empty", db, mapping));
+    (lake, oracle)
+}
+
+const E: &str = "http://lake.example/e/";
+
+/// A stored empty key is named by the IRI it lifts to, the template's bare
+/// prefix: a ground subject or object, a FILTER on the key and a bind-join
+/// key all find its row, under every plan mode and under a bind join.
+#[test]
+fn boundary_a_stored_empty_key_is_named_by_its_bare_iri() {
+    let (lake, oracle) = empty_key_lake();
+    let push_all = PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll };
+    let bodies = [
+        format!("?x <{V}s> ?s"),
+        format!("<{E}> <{V}s> ?s"),
+        format!("?x <{V}r> <{E}>"),
+        format!("?x <{V}s> ?s . FILTER(?x = <{E}>)"),
+        format!("?x <{V}r> ?y . ?y <{V}s> ?s"),
+    ];
+    let mut bind = PlanConfig::unaware(NetworkProfile::GAMMA2);
+    bind.engine_join = fedlake_core::EngineJoin::Bind { batch_size: 8 };
+    for body in &bodies {
+        let sparql = format!("SELECT * WHERE {{ {body} }}");
+        let want = oracle_answers(&oracle, &sparql);
+        assert!(!want.is_empty(), "{body}: the oracle answers");
+        let configs = [PlanMode::Unaware, PlanMode::AWARE, push_all]
+            .map(|mode| PlanConfig::new(mode, NetworkProfile::GAMMA3));
+        for cfg in configs.into_iter().chain([bind]) {
+            let label = format!("{} {:?}", cfg.mode.label(), cfg.engine_join);
+            let result = FederatedEngine::new(lake.clone(), cfg)
+                .execute_sparql(&sparql)
+                .unwrap_or_else(|e| panic!("{body} under {label}: {e}"));
+            assert_eq!(answers(&result.rows), want, "{body} under {label}: {}", result.explain);
+        }
+    }
+}
+
 /// A bind join under `EngineJoin::Bind` answers what the oracle answers.
 fn bind_join_result(lake: DataLake, oracle: &Graph, sparql: &str) -> fedlake_core::FedResult {
     let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
