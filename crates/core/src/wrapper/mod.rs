@@ -525,14 +525,9 @@ mod tests {
         let lake = lake();
         let session = (SharedInterner::new(), SharedLiftCache::default());
         // An IRI the target's template did not mint, a literal where it
-        // expects an IRI, a template match with an empty key, and rows
-        // that do not bind the join variable at all.
-        let left = [
-            Some(Term::iri("http://elsewhere/disease/d0")),
-            Some(Term::literal("d0")),
-            Some(Term::iri("http://d/disease/")),
-            None,
-        ];
+        // expects an IRI, and rows that do not bind the join variable at
+        // all.
+        let left = [Some(Term::iri("http://elsewhere/disease/d0")), Some(Term::literal("d0")), None];
         for overlap in [false, true] {
             let (rows, stats, end, traffic) =
                 run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
@@ -540,6 +535,23 @@ mod tests {
             assert_eq!(stats, EngineStats::default(), "no request, no probe");
             assert_eq!((end, traffic), (Duration::ZERO, (0, 0, Duration::ZERO)));
             assert_eq!(session.1.stats(), CacheStats::default(), "no lookup");
+        }
+    }
+
+    /// The template's bare prefix is the IRI of the empty key: a batch
+    /// asks about it, and finds nothing in a lake that stores no such key.
+    #[test]
+    fn a_batch_asks_about_the_empty_key() {
+        let lake = lake();
+        let session = (SharedInterner::new(), SharedLiftCache::default());
+        for overlap in [false, true] {
+            let left = [Some(Term::iri("http://d/disease/"))];
+            let (rows, stats, _, (messages, shipped, _)) =
+                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            assert!(rows.is_empty());
+            assert_eq!((stats.sql_queries, stats.service_rows, stats.engine_join_probes), (1, 0, 1));
+            // The request and the empty-result notification.
+            assert_eq!((messages, shipped), (2, 0));
         }
     }
 

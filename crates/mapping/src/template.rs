@@ -48,11 +48,11 @@ impl IriTemplate {
         out.push_str(&self.suffix);
     }
 
-    /// The still-encoded key of an IRI minted by this template.
+    /// The still-encoded key of an IRI minted by this template. The empty
+    /// key is a key like any other: a stored `''` mints the bare prefix and
+    /// suffix, and reads back from them.
     fn encoded_key<'i>(&self, iri: &'i str) -> Option<&'i str> {
-        let inner = iri.strip_prefix(self.prefix.as_str())?;
-        let key = inner.strip_suffix(self.suffix.as_str())?;
-        (!key.is_empty()).then_some(key)
+        iri.strip_prefix(self.prefix.as_str())?.strip_suffix(self.suffix.as_str())
     }
 
     /// Recovers the key from an IRI minted by this template.
@@ -155,9 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_key_rejected_on_extract() {
+    fn empty_key_roundtrips() {
         let t = IriTemplate::new("http://lake/gene/{}");
-        assert_eq!(t.extract("http://lake/gene/"), None);
+        assert_eq!(t.apply(""), "http://lake/gene/");
+        assert_eq!(t.extract("http://lake/gene/"), Some(String::new()));
+        assert!(t.mints("http://lake/gene/"));
+        let t = IriTemplate::new("http://lake/{}.html");
+        assert_eq!(t.extract("http://lake/.html"), Some(String::new()));
+        assert_eq!(t.extract("http://lake/.json"), None);
     }
 
     #[test]
