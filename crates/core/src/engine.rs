@@ -16,7 +16,7 @@ use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
-use fedlake_sparql::binding::{decode_row, Row, RowSchema, SlotRow, Var};
+use fedlake_sparql::binding::{decode_row, Row, RowId, RowSchema, Var};
 use fedlake_sparql::eval::sort_rows;
 use fedlake_sparql::parser::parse_query;
 use std::collections::{BTreeMap, HashMap};
@@ -205,7 +205,9 @@ pub(crate) struct Session<'a> {
     op: BoxedOp<'a>,
     pub(crate) ctx: ExecCtx,
     pub(crate) trace: AnswerTrace,
-    slot_rows: Vec<SlotRow>,
+    /// The answers so far: rows of `ctx.rows`, decoded in
+    /// [`Session::finish`].
+    answers: Vec<RowId>,
     /// When the query arrived, on the session's clock.
     arrival: Duration,
     /// [`PlanConfig::degraded_ok`]: a fault or the deadline leaves a
@@ -288,7 +290,7 @@ impl<'a> Session<'a> {
             op,
             ctx,
             trace: AnswerTrace::new(),
-            slot_rows: Vec::new(),
+            answers: Vec::new(),
             arrival,
             degraded_ok: engine.config.degraded_ok,
             want: unordered_limit.map(|l| l + planned.offset),
@@ -315,8 +317,8 @@ impl<'a> Session<'a> {
         match self.op.poll_next(&mut self.ctx) {
             Ok(Poll::Ready(row)) => {
                 self.ctx.obs.answer(&mut self.trace, self.ctx.clock.now());
-                self.slot_rows.push(row);
-                Ok(if self.want.is_some_and(|w| self.slot_rows.len() >= w) {
+                self.answers.push(row);
+                Ok(if self.want.is_some_and(|w| self.answers.len() >= w) {
                     Step::Finished
                 } else {
                     Step::Answered
@@ -350,7 +352,7 @@ impl<'a> Session<'a> {
         if self.degraded_ok {
             self.degraded = true;
         } else {
-            self.slot_rows.clear();
+            self.answers.clear();
             self.error = Some(e);
         }
     }
@@ -367,9 +369,9 @@ impl<'a> Session<'a> {
         self.trace.complete(now);
         let mut rows: Vec<Row> = {
             let dict = self.ctx.interner.lock();
-            self.slot_rows
+            self.answers
                 .iter()
-                .map(|r| decode_row(&planned.schema, &dict, |s| r.get(s)))
+                .map(|&r| decode_row(&planned.schema, &dict, self.ctx.rows.row(r)))
                 .collect::<Option<_>>()
                 .ok_or_else(|| {
                     FedError::Internal("an answer row holds an id its interner never assigned".into())

@@ -43,7 +43,7 @@ use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::planner::{PlanReport, PlannedQuery};
 use crate::trace::AnswerTrace;
 use fedlake_netsim::{Link, LinkFault, NetObserver};
-use fedlake_sparql::binding::SlotRow;
+use fedlake_sparql::binding::RowId;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -651,7 +651,7 @@ struct NodeOp<'a> {
 }
 
 impl FedOp for NodeOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         let polled = self.inner.poll_next(ctx)?;
         let ready = match polled {
             Poll::Ready(_) => true,

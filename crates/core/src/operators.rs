@@ -11,23 +11,27 @@
 //! and emits matches as soon as probes succeed, producing answers
 //! incrementally instead of blocking on a build phase.
 //!
-//! Solution mappings travel as [`SlotRow`]s: fixed-width arrays of
-//! [`fedlake_rdf::TermId`]s laid out by the query's [`RowSchema`] and
-//! interned in a query-scoped [`SharedInterner`]. Join keys, DISTINCT
-//! hashing and projection therefore operate on `u32` ids; only FILTER
-//! evaluation resolves ids back to terms, lazily, for value comparisons.
-//! A join side is one table ([`BuildSide`]): its rows in arrival order,
-//! chained per key through a parallel index vector — no key is stored and
-//! no key owns a vector, so a side grows by amortized pushes and is freed
-//! in a handful of blocks plus its rows.
+//! Solution mappings travel as [`RowId`]s: handles on fixed-width arrays
+//! of [`fedlake_rdf::TermId`]s in the execution's [`RowArena`]
+//! ([`ExecCtx::rows`]), laid out by the query's [`RowSchema`] and interned
+//! in a query-scoped [`SharedInterner`]. Join keys, DISTINCT hashing and
+//! projection therefore operate on `u32` ids; only FILTER evaluation
+//! resolves ids back to terms, lazily, for value comparisons. A handle
+//! passed up is moved: the receiver may change the row in place (as
+//! [`ProjectOp`] does), so no operator hands up a row it keeps while
+//! anything could still read it. A join side is one table ([`BuildSide`]):
+//! its handles in arrival order, chained per key through a parallel index
+//! vector — no key is stored and no key owns a vector, so a side grows by
+//! amortized pushes and is freed in a handful of blocks.
 
 use crate::error::FedError;
 use fedlake_netsim::{CostModel, EventQueue, EventTime, SharedClock};
-use fedlake_rdf::{Dictionary, FastMap, FastSet, SharedInterner, TermId};
-use fedlake_sparql::binding::{RowSchema, SlotRow};
+use fedlake_rdf::{BuildFastHasher, Dictionary, FastMap, SharedInterner, TermId};
+use fedlake_sparql::binding::{RowArena, RowId, RowSchema};
 use fedlake_sparql::expr::{BoundExpr, Expr};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::BuildHasher;
 use std::sync::{Arc, MutexGuard};
 
 /// Engine-side work counters for one query execution.
@@ -46,7 +50,8 @@ pub struct EngineStats {
 }
 
 /// Shared execution context: the clock, cost model, counters, and the
-/// query's row representation (slot layout plus term interner).
+/// query's row representation (slot layout, term interner and the rows
+/// themselves).
 #[derive(Debug)]
 pub struct ExecCtx {
     /// The simulation clock shared with every wrapper link.
@@ -63,6 +68,10 @@ pub struct ExecCtx {
     pub(crate) layout: u64,
     /// The query-scoped term interner shared with every wrapper stream.
     pub interner: SharedInterner,
+    /// Every row the execution writes, `schema` wide: what the handles
+    /// its operators pass around name. Lives as long as the context, one
+    /// per solo query or serve session.
+    pub rows: RowArena,
     /// Retry behaviour of the wrapper streams when a link attempt fails.
     pub retry: crate::config::RetryPolicy,
     /// The query's deadline, when one is configured: retry backoffs are
@@ -101,6 +110,7 @@ impl ExecCtx {
             cost,
             stats: EngineStats::default(),
             layout: crate::wrapper::schema_fingerprint(&schema),
+            rows: RowArena::new(schema.len()),
             schema,
             interner,
             retry: crate::config::RetryPolicy::default(),
@@ -216,7 +226,7 @@ pub trait FedOp {
     /// advances by the work done. Under the serialized policy
     /// ([`ExecCtx::serialized`]) every wait is sat out where it starts, so
     /// no operator ever answers [`Poll::Pending`].
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError>;
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError>;
 }
 
 /// A boxed operator (streams borrow the lake, hence the lifetime).
@@ -341,32 +351,34 @@ impl<C> TwoInputs<C> {
 /// [`BuildSide`] chains it under; `None` when the row leaves a join slot
 /// unbound — it can never match. Injective up to two slots, a mix beyond;
 /// nothing depends on which, see [`BuildSide`].
-fn fold_key(row: &SlotRow, on_slots: &[usize]) -> Option<u64> {
+fn fold_key(row: &[TermId], on_slots: &[usize]) -> Option<u64> {
     let mut key = 0u64;
     for &s in on_slots {
-        key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32) ^ u64::from(row.get(s)?.0);
+        let id = row[s].bound()?;
+        key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32) ^ u64::from(id.0);
     }
     Some(key)
 }
 
 /// How a join folds a row's key. Always [`fold_key`]; a field so the tests
 /// can force every key into one chain.
-type KeyFold = fn(&SlotRow, &[usize]) -> Option<u64>;
+type KeyFold = fn(&[TermId], &[usize]) -> Option<u64>;
 
 /// End of a chain in [`BuildSide::next`].
 const NIL: u32 = u32::MAX;
 
 /// The rows one side of a join has taken — *the* build-side table of both
-/// joins. Rows sit in arrival order in one vector; `next` chains the rows
-/// of one key in that order, and `chains` finds a key's first and last row
-/// from the [`fold_key`] of its join-slot ids. The fold is not a key: two
-/// keys may share a chain, and [`SlotRow::merge`] — which every match goes
-/// through anyway and which rejects rows differing on a slot both bind —
-/// is what tells them apart, since only rows binding every join slot are
-/// chained.
+/// joins, and of [`DistinctOp`]. Handles sit in arrival order in one
+/// vector; `next` chains the rows of one key in that order, and `chains`
+/// finds a key's first and last row from the [`fold_key`] of its join-slot
+/// ids. The fold is not a key: two keys may share a chain, and
+/// [`RowArena::merge`] — which every match goes through anyway and which
+/// rejects rows differing on a slot both bind — is what tells them apart,
+/// since only rows binding every join slot are chained. The rows stay
+/// private: a match hands up a merged row, a new one.
 #[derive(Default)]
 struct BuildSide {
-    rows: Vec<SlotRow>,
+    rows: Vec<RowId>,
     /// Parallel to `rows`: the next row of the same chain, or [`NIL`].
     next: Vec<u32>,
     /// `(head, tail)` of each folded key's chain.
@@ -375,11 +387,11 @@ struct BuildSide {
 
 impl BuildSide {
     /// Appends `row`: to the end of `key`'s chain, or to no chain at all.
-    fn push(&mut self, key: Option<u64>, row: SlotRow) {
+    fn push(&mut self, key: Option<u64>, row: RowId) {
         // Row indices are `u32`s below `NIL`. A side that full holds 2^32
-        // boxed rows — 64 GiB of handles before the first id — so the
-        // allocator gives out first; the check keeps an index from wrapping
-        // onto a stored row regardless.
+        // handles — 32 GiB with its chain — so the allocator gives out
+        // first; the check keeps an index from wrapping onto a stored row
+        // regardless.
         assert!(self.rows.len() < NIL as usize, "a join side holds 2^32 - 1 rows");
         let idx = self.rows.len() as u32;
         self.rows.push(row);
@@ -399,12 +411,12 @@ impl BuildSide {
     }
 
     /// The rows chained under `key`, in arrival order, with their indices.
-    fn chain(&self, key: u64) -> impl Iterator<Item = (usize, &SlotRow)> {
+    fn chain(&self, key: u64) -> impl Iterator<Item = (usize, RowId)> + '_ {
         let mut at = self.chains.get(&key).map_or(NIL, |(head, _)| *head);
         std::iter::from_fn(move || {
             let i = (at != NIL).then_some(at as usize)?;
             at = self.next[i];
-            Some((i, &self.rows[i]))
+            Some((i, self.rows[i]))
         })
     }
 }
@@ -428,7 +440,7 @@ struct SymTables {
     fold: KeyFold,
     left: BuildSide,
     right: BuildSide,
-    out: VecDeque<SlotRow>,
+    out: VecDeque<RowId>,
 }
 
 impl<'a> SymHashJoin<'a> {
@@ -449,10 +461,10 @@ impl<'a> SymHashJoin<'a> {
 }
 
 impl SymTables {
-    fn insert_and_probe(&mut self, from_left: bool, row: SlotRow, ctx: &mut ExecCtx) {
+    fn insert_and_probe(&mut self, from_left: bool, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let Some(key) = (self.fold)(&row, &self.on_slots) else {
+        let Some(key) = (self.fold)(ctx.rows.row(row), &self.on_slots) else {
             // A row not binding every join variable can never match.
             return;
         };
@@ -462,7 +474,7 @@ impl SymTables {
             (&mut self.right, &self.left)
         };
         for (_, m) in other.chain(key) {
-            if let Some(merged) = row.merge(m) {
+            if let Some(merged) = ctx.rows.merge(row, m) {
                 ctx.clock.advance(ctx.cost.engine_row_time(1));
                 self.out.push_back(merged);
             }
@@ -472,7 +484,7 @@ impl SymTables {
 }
 
 impl FedOp for SymHashJoin<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         let SymHashJoin { inputs, tables } = self;
         loop {
             if let Some(row) = tables.out.pop_front() {
@@ -510,7 +522,7 @@ struct LeftTables {
     /// Parallel to `left.rows`: whether the row has matched yet.
     matched: Vec<bool>,
     right: BuildSide,
-    out: VecDeque<SlotRow>,
+    out: VecDeque<RowId>,
     flushed: bool,
 }
 
@@ -534,14 +546,14 @@ impl<'a> LeftHashJoin<'a> {
 }
 
 impl LeftTables {
-    fn take_left(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
+    fn take_left(&mut self, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let key = (self.fold)(&row, &self.on_slots);
+        let key = (self.fold)(ctx.rows.row(row), &self.on_slots);
         let mut matched = false;
         if let Some(key) = key {
             for (_, m) in self.right.chain(key) {
-                if let Some(merged) = row.merge(m) {
+                if let Some(merged) = ctx.rows.merge(row, m) {
                     matched = true;
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
                     self.out.push_back(merged);
@@ -555,12 +567,12 @@ impl LeftTables {
         self.matched.push(matched);
     }
 
-    fn take_right(&mut self, row: SlotRow, ctx: &mut ExecCtx) {
+    fn take_right(&mut self, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
         ctx.clock.advance(ctx.cost.engine_join_time(1));
-        let Some(key) = (self.fold)(&row, &self.on_slots) else { return };
+        let Some(key) = (self.fold)(ctx.rows.row(row), &self.on_slots) else { return };
         for (i, lrow) in self.left.chain(key) {
-            if let Some(merged) = lrow.merge(&row) {
+            if let Some(merged) = ctx.rows.merge(lrow, row) {
                 self.matched[i] = true;
                 ctx.clock.advance(ctx.cost.engine_row_time(1));
                 self.out.push_back(merged);
@@ -571,7 +583,7 @@ impl LeftTables {
 }
 
 impl FedOp for LeftHashJoin<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         let LeftHashJoin { inputs, tables } = self;
         loop {
             if let Some(row) = tables.out.pop_front() {
@@ -579,10 +591,12 @@ impl FedOp for LeftHashJoin<'_> {
             }
             if inputs.exhausted() {
                 if !tables.flushed {
+                    // Neither input can probe again: an unmatched left row
+                    // is handed up itself, not a copy.
                     tables.flushed = true;
-                    for (row, matched) in tables.left.rows.iter().zip(&tables.matched) {
+                    for (&row, matched) in tables.left.rows.iter().zip(&tables.matched) {
                         if !matched {
-                            tables.out.push_back(row.clone());
+                            tables.out.push_back(row);
                         }
                     }
                     continue;
@@ -678,24 +692,23 @@ impl Conjunct {
     /// Whether `row` passes, reading the table first when there is one.
     fn keeps<'d>(
         &mut self,
-        row: &SlotRow,
+        row: &[TermId],
         interner: &'d SharedInterner,
         dict: &mut Option<MutexGuard<'d, Dictionary>>,
     ) -> bool {
         let decide = |c: &mut Self, dict: &mut Option<MutexGuard<'d, Dictionary>>| {
-            c.decide(|s| row.get(s), dict.get_or_insert_with(|| interner.lock()))
+            c.decide(|s| row[s].bound(), dict.get_or_insert_with(|| interner.lock()))
         };
         let Some(slot) = self.slot else { return decide(self, dict) };
         // An unbound slot is a key like any other: `UNBOUND` is an id.
-        let id = row.get(slot).unwrap_or(TermId::UNBOUND);
-        self.verdict(id, |c| decide(c, dict))
+        self.verdict(row[slot], |c| decide(c, dict))
     }
 
     /// The verdict of a one-slot expression on a row whose slot holds `id`,
     /// as [`Conjunct::keeps`] reaches it: from the table, or decided and
     /// kept there.
     pub(crate) fn keeps_id(&mut self, id: TermId, dict: &Dictionary) -> bool {
-        self.verdict(id, |c| c.decide(|_| Some(id).filter(|id| *id != TermId::UNBOUND), dict))
+        self.verdict(id, |c| c.decide(|_| id.bound(), dict))
     }
 
     /// The table's verdict on `id`, or `decide`'s, which the table keeps.
@@ -729,21 +742,22 @@ impl<'a> FilterOp<'a> {
 
     /// Counts and charges one row's evaluation, then decides it, locking
     /// the interner at most once.
-    fn keeps(&mut self, row: &SlotRow, ctx: &mut ExecCtx) -> bool {
+    fn keeps(&mut self, row: RowId, ctx: &mut ExecCtx) -> bool {
         let n = self.conjuncts.len() as u64;
         ctx.stats.engine_filter_evals += n;
         ctx.clock.advance(ctx.cost.engine_filter_time(n));
         let mut dict = None;
+        let row = ctx.rows.row(row);
         self.conjuncts.iter_mut().all(|c| c.keeps(row, &ctx.interner, &mut dict))
     }
 }
 
 impl FedOp for FilterOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
                 Poll::Ready(row) => {
-                    if self.keeps(&row, ctx) {
+                    if self.keeps(row, ctx) {
                         return Ok(Poll::Ready(row));
                     }
                 }
@@ -833,7 +847,7 @@ impl<'a> UnionOp<'a> {
 }
 
 impl FedOp for UnionOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         self.0.poll(ctx, |branch, ctx| branch.poll_next(ctx))
     }
 }
@@ -855,17 +869,18 @@ impl<'a> ProjectOp<'a> {
 }
 
 impl ProjectOp<'_> {
-    fn remap(&self, mut row: SlotRow, ctx: &mut ExecCtx) -> SlotRow {
+    fn remap(&self, row: RowId, ctx: &mut ExecCtx) -> RowId {
         ctx.clock.advance(ctx.cost.engine_row_time(1));
+        let ids = ctx.rows.row_mut(row);
         for &s in &self.drop_slots {
-            row.set(s, TermId::UNBOUND);
+            ids[s] = TermId::UNBOUND;
         }
         row
     }
 }
 
 impl FedOp for ProjectOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         Ok(match self.input.poll_next(ctx)? {
             Poll::Ready(row) => Poll::Ready(self.remap(row, ctx)),
             Poll::Pending(ev) => Poll::Pending(ev),
@@ -874,28 +889,32 @@ impl FedOp for ProjectOp<'_> {
     }
 }
 
-/// Streaming duplicate elimination over fixed-width id arrays.
+/// Streaming duplicate elimination over fixed-width id arrays: the rows
+/// kept so far, chained by the hash of their ids and compared slot by
+/// slot in the arena — no row is copied. A kept row is handed up itself:
+/// above DISTINCT only the session reads rows.
 pub struct DistinctOp<'a> {
     input: BoxedOp<'a>,
-    seen: FastSet<SlotRow>,
+    seen: BuildSide,
 }
 
 impl<'a> DistinctOp<'a> {
     /// Creates a distinct operator.
     pub fn new(input: BoxedOp<'a>) -> Self {
-        DistinctOp { input, seen: FastSet::default() }
+        DistinctOp { input, seen: BuildSide::default() }
     }
 }
 
 impl FedOp for DistinctOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         loop {
             match self.input.poll_next(ctx)? {
                 Poll::Ready(row) => {
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
-                    // Only a row seen for the first time is copied.
-                    if !self.seen.contains(&row) {
-                        self.seen.insert(row.clone());
+                    let ids = ctx.rows.row(row);
+                    let key = BuildFastHasher.hash_one(ids);
+                    if !self.seen.chain(key).any(|(_, kept)| ctx.rows.row(kept) == ids) {
+                        self.seen.push(Some(key), row);
                         return Ok(Poll::Ready(row));
                     }
                 }
@@ -906,20 +925,21 @@ impl FedOp for DistinctOp<'_> {
     }
 }
 
-/// A pre-materialized input (used in tests and by the sort path).
+/// A pre-materialized input (used in tests and by the sort path): rows
+/// already in the arena of the context it is polled with.
 pub struct RowsOp {
-    rows: VecDeque<SlotRow>,
+    rows: VecDeque<RowId>,
 }
 
 impl RowsOp {
-    /// Wraps a row vector.
-    pub fn new(rows: Vec<SlotRow>) -> Self {
+    /// Wraps a vector of handles.
+    pub fn new(rows: Vec<RowId>) -> Self {
         RowsOp { rows: rows.into() }
     }
 }
 
 impl FedOp for RowsOp {
-    fn poll_next(&mut self, _ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, _ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         Ok(self.rows.pop_front().map_or(Poll::Done, Poll::Ready))
     }
 }
@@ -943,11 +963,13 @@ mod tests {
         )
     }
 
-    fn enc(ctx: &ExecCtx, row: &Row) -> SlotRow {
-        encode_row(row, &ctx.schema, &mut ctx.interner.lock())
+    fn enc(ctx: &mut ExecCtx, row: &Row) -> RowId {
+        let id = ctx.rows.push_unbound();
+        encode_row(row, &ctx.schema, &mut ctx.interner.lock(), |s, t| ctx.rows.set(id, s, t));
+        id
     }
 
-    fn row(ctx: &ExecCtx, pairs: &[(&str, &str)]) -> SlotRow {
+    fn row(ctx: &mut ExecCtx, pairs: &[(&str, &str)]) -> RowId {
         let mut r = Row::new();
         for (v, t) in pairs {
             r.bind(Var::new(*v), Term::iri(format!("http://x/{t}")));
@@ -959,25 +981,35 @@ mod tests {
         VARS.iter().position(|v| *v == name).unwrap()
     }
 
-    fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Vec<SlotRow> {
+    fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Vec<RowId> {
         crate::wrapper::drain(op, ctx).unwrap()
+    }
+
+    /// What the rows `ids` hold, in order.
+    fn cells(ctx: &ExecCtx, ids: &[RowId]) -> Vec<Vec<TermId>> {
+        ids.iter().map(|&id| ctx.rows.row(id).to_vec()).collect()
+    }
+
+    /// `n` rows binding `pairs`, each its own.
+    fn rows(ctx: &mut ExecCtx, n: usize, pairs: &[(&str, &str)]) -> Vec<RowId> {
+        (0..n).map(|_| row(ctx, pairs)).collect()
     }
 
     #[test]
     fn sym_hash_join_matches() {
         let mut c = ctx();
         let left = RowsOp::new(vec![
-            row(&c, &[("a", "1"), ("j", "x")]),
-            row(&c, &[("a", "2"), ("j", "y")]),
+            row(&mut c, &[("a", "1"), ("j", "x")]),
+            row(&mut c, &[("a", "2"), ("j", "y")]),
         ]);
         let right = RowsOp::new(vec![
-            row(&c, &[("b", "3"), ("j", "x")]),
-            row(&c, &[("b", "4"), ("j", "z")]),
+            row(&mut c, &[("b", "3"), ("j", "x")]),
+            row(&mut c, &[("b", "4"), ("j", "z")]),
         ]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         let out = drain(&mut j, &mut c);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].bound_count(), 3);
+        assert_eq!(c.rows.bound_count(out[0]), 3);
         assert!(c.stats.engine_join_probes >= 4);
         assert!(c.clock.now() > std::time::Duration::ZERO);
     }
@@ -985,8 +1017,8 @@ mod tests {
     #[test]
     fn sym_hash_join_duplicates() {
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1"), ("j", "x")]); 2]);
-        let right = RowsOp::new(vec![row(&c, &[("b", "2"), ("j", "x")]); 3]);
+        let left = RowsOp::new(rows(&mut c, 2, &[("a", "1"), ("j", "x")]));
+        let right = RowsOp::new(rows(&mut c, 3, &[("b", "2"), ("j", "x")]));
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         assert_eq!(drain(&mut j, &mut c).len(), 6);
     }
@@ -994,8 +1026,8 @@ mod tests {
     #[test]
     fn empty_on_is_cartesian() {
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1")]), row(&c, &[("a", "2")])]);
-        let right = RowsOp::new(vec![row(&c, &[("b", "3")]), row(&c, &[("b", "4")])]);
+        let left = RowsOp::new(vec![row(&mut c, &[("a", "1")]), row(&mut c, &[("a", "2")])]);
+        let right = RowsOp::new(vec![row(&mut c, &[("b", "3")]), row(&mut c, &[("b", "4")])]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), Vec::new());
         assert_eq!(drain(&mut j, &mut c).len(), 4);
     }
@@ -1005,8 +1037,8 @@ mod tests {
         // With matching first rows on both sides, the first answer must be
         // available after two pulls — not after both inputs are exhausted.
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("j", "x"), ("a", "1")]); 50]);
-        let right = RowsOp::new(vec![row(&c, &[("j", "x"), ("b", "1")]); 50]);
+        let left = RowsOp::new(rows(&mut c, 50, &[("j", "x"), ("a", "1")]));
+        let right = RowsOp::new(rows(&mut c, 50, &[("j", "x"), ("b", "1")]));
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         let first = j.poll_next(&mut c).unwrap();
         assert!(matches!(first, Poll::Ready(_)));
@@ -1020,8 +1052,8 @@ mod tests {
     #[test]
     fn join_looks_at_its_output_after_every_pull_only_when_serialized() {
         let probes_per_poll = |mut c: ExecCtx| {
-            let left = RowsOp::new(vec![row(&c, &[("j", "x"), ("a", "1")]); 50]);
-            let right = RowsOp::new(vec![row(&c, &[("j", "x"), ("b", "1")]); 50]);
+            let left = RowsOp::new(rows(&mut c, 50, &[("j", "x"), ("a", "1")]));
+            let right = RowsOp::new(rows(&mut c, 50, &[("j", "x"), ("b", "1")]));
             let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
             let probes: Vec<u64> = (0..4)
                 .map(|_| {
@@ -1130,63 +1162,81 @@ mod tests {
     fn left_join_keeps_unmatched_left_rows() {
         let mut c = ctx();
         let left = RowsOp::new(vec![
-            row(&c, &[("a", "1"), ("j", "x")]),
-            row(&c, &[("a", "2"), ("j", "z")]), // no right match
+            row(&mut c, &[("a", "1"), ("j", "x")]),
+            row(&mut c, &[("a", "2"), ("j", "z")]), // no right match
         ]);
-        let right = RowsOp::new(vec![row(&c, &[("b", "3"), ("j", "x")])]);
+        let right = RowsOp::new(vec![row(&mut c, &[("b", "3"), ("j", "x")])]);
         let mut j = LeftHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         let out = drain(&mut j, &mut c);
         assert_eq!(out.len(), 2);
-        let matched: Vec<&SlotRow> = out.iter().filter(|r| r.bound_count() == 3).collect();
-        let unmatched: Vec<&SlotRow> = out.iter().filter(|r| r.bound_count() == 2).collect();
+        let with = |n| out.iter().copied().filter(|&r| c.rows.bound_count(r) == n).collect();
+        let (matched, unmatched): (Vec<RowId>, Vec<RowId>) = (with(3), with(2));
         assert_eq!(matched.len(), 1);
         assert_eq!(unmatched.len(), 1);
-        assert!(!unmatched[0].is_bound(slot("b")));
+        assert!(c.rows.get(unmatched[0], slot("b")).is_none());
     }
 
     #[test]
     fn left_join_multiple_matches_expand() {
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1"), ("j", "x")])]);
+        let left = RowsOp::new(vec![row(&mut c, &[("a", "1"), ("j", "x")])]);
         let right = RowsOp::new(vec![
-            row(&c, &[("b", "2"), ("j", "x")]),
-            row(&c, &[("b", "3"), ("j", "x")]),
+            row(&mut c, &[("b", "2"), ("j", "x")]),
+            row(&mut c, &[("b", "3"), ("j", "x")]),
         ]);
         let mut j = LeftHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         let out = drain(&mut j, &mut c);
         // The matched left row expands to both matches; no bare copy.
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|r| r.bound_count() == 3));
+        assert!(out.iter().all(|&r| c.rows.bound_count(r) == 3));
     }
 
     #[test]
     fn left_join_with_empty_right_passes_everything() {
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1"), ("j", "x")]); 3]);
+        let left = RowsOp::new(rows(&mut c, 3, &[("a", "1"), ("j", "x")]));
         let right = RowsOp::new(Vec::new());
         let mut j = LeftHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         let out = drain(&mut j, &mut c);
         assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|r| r.bound_count() == 2));
+        assert!(out.iter().all(|&r| c.rows.bound_count(r) == 2));
     }
 
     /// Every key in one chain: `merge` alone must tell the keys apart.
-    fn one_chain(row: &SlotRow, on_slots: &[usize]) -> Option<u64> {
+    fn one_chain(row: &[TermId], on_slots: &[usize]) -> Option<u64> {
         fold_key(row, on_slots).map(|_| 0)
+    }
+
+    /// The merge of two rows held as plain vectors: `a` with `b`'s bound
+    /// slots laid over it, `None` when a slot both bind differs.
+    fn model_merge(a: &[TermId], b: &[TermId]) -> Option<Vec<TermId>> {
+        let mut out = a.to_vec();
+        for (held, &id) in out.iter_mut().zip(b) {
+            match id {
+                TermId::UNBOUND => {}
+                _ if *held == TermId::UNBOUND => *held = id,
+                _ if *held == id => {}
+                _ => return None,
+            }
+        }
+        Some(out)
     }
 
     /// Rows over [`VARS`] from a three-id pool, each slot bound four times
     /// in five: joins meet matches, conflicts on slots outside the key and
     /// rows that leave a join slot unbound.
-    fn arb_rows(rng: &mut fedlake_prng::Prng, ids: &[TermId]) -> Vec<(bool, SlotRow)> {
+    fn arb_rows(rng: &mut fedlake_prng::Prng, ids: &[TermId]) -> Vec<(bool, Vec<TermId>)> {
         (0..rng.gen_range(0..40usize))
             .map(|_| {
-                let mut row = SlotRow::unbound(VARS.len());
-                for slot in 0..VARS.len() {
-                    if rng.gen_bool(0.8) {
-                        row.set(slot, ids[rng.gen_range(0..ids.len())]);
-                    }
-                }
+                let row = (0..VARS.len())
+                    .map(|_| {
+                        if rng.gen_bool(0.8) {
+                            ids[rng.gen_range(0..ids.len())]
+                        } else {
+                            TermId::UNBOUND
+                        }
+                    })
+                    .collect();
                 (rng.gen_bool(0.5), row)
             })
             .collect()
@@ -1195,7 +1245,9 @@ mod tests {
     /// The joins' build sides against a nested loop over everything the
     /// other side has delivered so far: the same matches in the same
     /// order, whatever the fold — for the symmetric and the left join,
-    /// over 0–3 join slots.
+    /// over 0–3 join slots. Every match is a new row and a failed merge
+    /// leaves none behind; only the left join's final flush hands up rows
+    /// it was given, the unmatched left rows themselves.
     #[test]
     fn build_sides_match_a_nested_loop_in_arrival_order() {
         let mut rng = fedlake_prng::Prng::seed_from_u64(0x0b51_de50);
@@ -1209,7 +1261,7 @@ mod tests {
                 on_slots.swap(i, rng.gen_range(0..i + 1));
             }
             on_slots.truncate(rng.gen_range(0..4usize));
-            let keyed = |r: &SlotRow| on_slots.iter().all(|&s| r.is_bound(s));
+            let keyed = |r: &[TermId]| on_slots.iter().all(|&s| r[s] != TermId::UNBOUND);
             let arrivals = arb_rows(&mut rng, &ids);
             unkeyed += arrivals.iter().filter(|(_, r)| !keyed(r)).count();
             let fold: KeyFold = if case % 2 == 0 { fold_key } else { one_chain };
@@ -1225,8 +1277,8 @@ mod tests {
                     if other_left == from_left || !keyed(row) || !keyed(other) {
                         continue;
                     }
-                    if let Some(merged) = row.merge(other) {
-                        assert_eq!(Some(&merged), other.merge(row).as_ref());
+                    if let Some(merged) = model_merge(row, other) {
+                        assert_eq!(Some(&merged), model_merge(other, row).as_ref());
                         matched[if *from_left { i } else { j }] = true;
                         want.push(merged);
                     }
@@ -1244,19 +1296,36 @@ mod tests {
             let mut left =
                 LeftHashJoin::new(Box::new(RowsOp::new(vec![])), Box::new(RowsOp::new(vec![])), on_slots.clone());
             left.tables.fold = fold;
+            let start = c.rows.len();
+            let (mut given, mut given_left) = (Vec::new(), Vec::new());
             for (from_left, row) in &arrivals {
-                sym.tables.insert_and_probe(*from_left, row.clone(), &mut c);
+                // Each join is handed its own row: a handle passed up is
+                // moved.
+                let (a, b) = (c.rows.push_with(|s| row[s]), c.rows.push_with(|s| row[s]));
+                given.extend([a, b]);
+                sym.tables.insert_and_probe(*from_left, a, &mut c);
                 if *from_left {
-                    left.tables.take_left(row.clone(), &mut c);
+                    given_left.push(b);
+                    left.tables.take_left(b, &mut c);
                 } else {
-                    left.tables.take_right(row.clone(), &mut c);
+                    left.tables.take_right(b, &mut c);
                 }
             }
-            assert_eq!(Vec::from(sym.tables.out), want, "case {case}: symmetric, on {on_slots:?}");
+            let got = Vec::from(std::mem::take(&mut sym.tables.out));
+            assert_eq!(cells(&c, &got), want, "case {case}: symmetric, on {on_slots:?}");
             // Both inputs are empty: the first poll flushes.
             let mut got_left = Vec::from(std::mem::take(&mut left.tables.out));
+            let merged_left = got_left.len();
             got_left.extend(drain(&mut left, &mut c));
-            assert_eq!(got_left, want_left, "case {case}: left, on {on_slots:?}");
+            assert_eq!(cells(&c, &got_left), want_left, "case {case}: left, on {on_slots:?}");
+            // The arena holds the given rows and the matches, nothing else.
+            assert_eq!(c.rows.len() - start, given.len() + got.len() + merged_left, "case {case}");
+            let left_matched = arrivals.iter().zip(&matched).filter(|((left, _), _)| *left);
+            let unmatched = given_left.iter().zip(left_matched).filter(|(_, (_, m))| !**m);
+            let want_flushed: Vec<RowId> = unmatched.map(|(id, _)| *id).collect();
+            assert_eq!(got_left[merged_left..], want_flushed, "case {case}: flushed, not copied");
+            let mut merges = got.iter().chain(&got_left[..merged_left]);
+            assert!(merges.all(|id| !given.contains(id)), "case {case}: a match is a new row");
         }
         // The generator must reach all three behaviours.
         assert!(matches > 1_000 && unkeyed > 1_000 && flushed > 1_000, "{matches} {unkeyed} {flushed}");
@@ -1266,8 +1335,8 @@ mod tests {
     fn filter_op_counts_evals() {
         let mut c = ctx();
         let input = RowsOp::new(vec![
-            enc(&c, &Row::new().with("n", Term::integer(1))),
-            enc(&c, &Row::new().with("n", Term::integer(5))),
+            enc(&mut c, &Row::new().with("n", Term::integer(1))),
+            enc(&mut c, &Row::new().with("n", Term::integer(5))),
         ]);
         let expr = Expr::Cmp(
             Box::new(Expr::Var(Var::new("n"))),
@@ -1285,11 +1354,11 @@ mod tests {
     }
 
     /// Rows binding `?n` to the given ids (`UNBOUND` leaves it unbound).
-    fn n_rows(ids: &[TermId]) -> Vec<SlotRow> {
+    fn n_rows(ids: &[TermId]) -> Vec<Vec<TermId>> {
         ids.iter()
             .map(|&id| {
-                let mut r = SlotRow::unbound(VARS.len());
-                r.set(slot("n"), id);
+                let mut r = vec![TermId::UNBOUND; VARS.len()];
+                r[slot("n")] = id;
                 r
             })
             .collect()
@@ -1297,12 +1366,17 @@ mod tests {
 
     /// Filters `rows` through `exprs`: the kept rows, and how often each
     /// expression was evaluated. Every row is charged every expression.
-    fn run_filter(c: &mut ExecCtx, exprs: &[Expr], rows: Vec<SlotRow>) -> (Vec<SlotRow>, Vec<u64>) {
+    fn run_filter(
+        c: &mut ExecCtx,
+        exprs: &[Expr],
+        rows: Vec<Vec<TermId>>,
+    ) -> (Vec<Vec<TermId>>, Vec<u64>) {
         let (n, before) = (rows.len() as u64, c.stats.engine_filter_evals);
-        let mut f = FilterOp::new(Box::new(RowsOp::new(rows)), exprs, &c.schema);
+        let ids = rows.iter().map(|r| c.rows.push_with(|s| r[s])).collect();
+        let mut f = FilterOp::new(Box::new(RowsOp::new(ids)), exprs, &c.schema);
         let kept = drain(&mut f, c);
         assert_eq!(c.stats.engine_filter_evals - before, n * exprs.len() as u64);
-        (kept, f.conjuncts.iter().map(|c| c.evals).collect())
+        (cells(c, &kept), f.conjuncts.iter().map(|c| c.evals).collect())
     }
 
     #[test]
@@ -1349,12 +1423,12 @@ mod tests {
     fn two_slot_and_constant_filters_bypass_the_table() {
         let mut c = ctx();
         let [a, b] = ["a", "b"].map(|t| c.interner.intern(Term::iri(format!("http://x/{t}"))));
-        let rows: Vec<SlotRow> = [(a, a), (a, b), (a, a), (a, b)]
+        let rows: Vec<Vec<TermId>> = [(a, a), (a, b), (a, a), (a, b)]
             .iter()
             .map(|&(l, r)| {
-                let mut row = SlotRow::unbound(VARS.len());
-                row.set(slot("a"), l);
-                row.set(slot("b"), r);
+                let mut row = vec![TermId::UNBOUND; VARS.len()];
+                row[slot("a")] = l;
+                row[slot("b")] = r;
                 row
             })
             .collect();
@@ -1368,8 +1442,8 @@ mod tests {
     #[test]
     fn union_concatenates() {
         let mut c = ctx();
-        let a = RowsOp::new(vec![row(&c, &[("x", "1")])]);
-        let b = RowsOp::new(vec![row(&c, &[("x", "2")]), row(&c, &[("x", "3")])]);
+        let a = RowsOp::new(vec![row(&mut c, &[("x", "1")])]);
+        let b = RowsOp::new(vec![row(&mut c, &[("x", "2")]), row(&mut c, &[("x", "3")])]);
         let mut u = UnionOp::new(vec![Box::new(a), Box::new(b)]);
         assert_eq!(drain(&mut u, &mut c).len(), 3);
     }
@@ -1378,21 +1452,61 @@ mod tests {
     fn project_and_distinct() {
         let mut c = ctx();
         let input = RowsOp::new(vec![
-            row(&c, &[("a", "1"), ("b", "7")]),
-            row(&c, &[("a", "1"), ("b", "8")]),
+            row(&mut c, &[("a", "1"), ("b", "7")]),
+            row(&mut c, &[("a", "1"), ("b", "8")]),
         ]);
         let p = ProjectOp::new(Box::new(input), &[slot("a")], VARS.len());
         let mut d = DistinctOp::new(Box::new(p));
         let out = drain(&mut d, &mut c);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].bound_count(), 1);
+        assert_eq!(c.rows.bound_count(out[0]), 1);
+    }
+
+    /// DISTINCT keeps the first sighting of each content, whatever chunk
+    /// its rows lie in, and hands up the rows it was given: it writes none.
+    #[test]
+    fn distinct_hands_up_first_sightings_without_copying() {
+        let mut rng = fedlake_prng::Prng::seed_from_u64(0xd157_1c70);
+        let mut c = ctx();
+        let ids: Vec<TermId> =
+            (0..3).map(|i| c.interner.intern(Term::iri(format!("http://x/{i}")))).collect();
+        let n = 4 * c.rows.rows_per_chunk();
+        let given: Vec<RowId> = (0..n)
+            .map(|_| {
+                let (a, b) = (ids[rng.gen_range(0..3usize)], ids[rng.gen_range(0..3usize)]);
+                let unbound = rng.gen_bool(0.3);
+                c.rows.push_with(|s| match s {
+                    0 => a,
+                    1 if !unbound => b,
+                    _ => TermId::UNBOUND,
+                })
+            })
+            .collect();
+        let mut seen = std::collections::HashSet::new();
+        let want: Vec<RowId> =
+            given.iter().copied().filter(|&r| seen.insert(c.rows.row(r).to_vec())).collect();
+        assert_eq!(want.len(), 12, "every content the generator can draw");
+        let mut d = DistinctOp::new(Box::new(RowsOp::new(given)));
+        assert_eq!(drain(&mut d, &mut c), want);
+        assert_eq!(c.rows.len(), n);
+
+        // A query that binds no variable: rows of width 0, one answer.
+        let mut c = ExecCtx::new(
+            shared_virtual(),
+            CostModel::default(),
+            Arc::new(RowSchema::new([])),
+            SharedInterner::new(),
+        );
+        let given: Vec<RowId> = (0..5).map(|_| c.rows.push_unbound()).collect();
+        let mut d = DistinctOp::new(Box::new(RowsOp::new(given.clone())));
+        assert_eq!(drain(&mut d, &mut c), [given[0]]);
     }
 
     #[test]
     fn join_skips_rows_missing_join_var() {
         let mut c = ctx();
-        let left = RowsOp::new(vec![row(&c, &[("a", "1")])]); // no ?j
-        let right = RowsOp::new(vec![row(&c, &[("j", "x")])]);
+        let left = RowsOp::new(vec![row(&mut c, &[("a", "1")])]); // no ?j
+        let right = RowsOp::new(vec![row(&mut c, &[("j", "x")])]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         assert!(drain(&mut j, &mut c).is_empty());
     }

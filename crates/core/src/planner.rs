@@ -195,7 +195,7 @@ pub fn plan_query_with_health(
 /// target anything above it reads (DESIGN §19): one [`LiftPlan`] per plan
 /// node, in pre-order. A slot is read when it is projected or an ORDER BY
 /// key, an engine FILTER mentions it, it is a join variable, or two or
-/// more leaves bind it (`SlotRow::merge` compares every slot both sides
+/// more leaves bind it (`RowArena::merge` compares every slot both sides
 /// bind). An engine FILTER directly over a SQL leaf lends the leaf, as
 /// guards, its conjuncts that read exactly one slot the leaf binds. A
 /// SPARQL leaf, and every node that is no leaf, lifts everything.

@@ -14,7 +14,7 @@ use crate::source::DataSource;
 use crate::translate::{sql_single, TranslatedQuery};
 use fedlake_rdf::{Term, TermId};
 use fedlake_relational::Database;
-use fedlake_sparql::binding::SlotRow;
+use fedlake_sparql::binding::RowId;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ pub struct BindJoinOp<'a> {
     rows_per_message: usize,
     batch_size: usize,
     left_done: bool,
-    out: VecDeque<SlotRow>,
+    out: VecDeque<RowId>,
     stage: BindStage,
 }
 
@@ -77,9 +77,9 @@ pub struct BindJoinOp<'a> {
 /// request, source evaluation and result transfer fly as one scheduled
 /// chain; probing happens when the wait for the chain is over.
 enum BindStage {
-    Gather { batch: Vec<SlotRow> },
+    Gather { batch: Vec<RowId> },
     /// `lifted` is the batch's answer, once its request got through.
-    Flying { landing: Landing, batch: Vec<SlotRow>, lifted: Option<Arc<LiftedSource>> },
+    Flying { landing: Landing, batch: Vec<RowId>, lifted: Option<Arc<LiftedSource>> },
 }
 
 impl<'a> BindJoinOp<'a> {
@@ -143,13 +143,13 @@ impl<'a> BindJoinOp<'a> {
     /// interner lock.
     ///
     /// [`StarColumn::stores`]: crate::translate::StarColumn::stores
-    fn batch_ids(&self, batch: &[SlotRow], ctx: &ExecCtx) -> Vec<TermId> {
+    fn batch_ids(&self, batch: &[RowId], ctx: &ExecCtx) -> Vec<TermId> {
         let Some(jslot) = ctx.schema.slot(&self.target.join_var) else {
             return Vec::new();
         };
         let dict = ctx.interner.lock();
         let mut ids = Vec::with_capacity(batch.len());
-        for id in batch.iter().filter_map(|row| row.get(jslot)) {
+        for id in batch.iter().filter_map(|&row| ctx.rows.get(row, jslot)) {
             if ids.contains(&id) {
                 continue;
             }
@@ -176,9 +176,9 @@ impl<'a> BindJoinOp<'a> {
 
     /// Probes the batch against the fetched right rows — read in place
     /// from the shared columns — charging the engine-side join work;
-    /// merged rows land in the output queue. Same interner on both sides
-    /// makes id equality term equality.
-    fn probe_batch(&mut self, batch: &[SlotRow], right: &LiftedSource, ctx: &mut ExecCtx) {
+    /// merged rows, new rows of the arena, land in the output queue. Same
+    /// interner on both sides makes id equality term equality.
+    fn probe_batch(&mut self, batch: &[RowId], right: &LiftedSource, ctx: &mut ExecCtx) {
         let jslot = ctx.schema.slot(&self.target.join_var);
         // The right rows by join id, in row order within an id.
         let mut by_key: Vec<(TermId, usize)> = jslot
@@ -188,13 +188,13 @@ impl<'a> BindJoinOp<'a> {
             })
             .unwrap_or_default();
         by_key.sort_unstable();
-        for lrow in batch {
+        for &lrow in batch {
             ctx.stats.engine_join_probes += 1;
             ctx.clock.advance(ctx.cost.engine_join_time(1));
-            let Some(id) = jslot.and_then(|s| lrow.get(s)) else { continue };
+            let Some(id) = jslot.and_then(|s| ctx.rows.get(lrow, s)) else { continue };
             let first = by_key.partition_point(|(k, _)| *k < id);
             for (_, r) in by_key[first..].iter().take_while(|(k, _)| *k == id) {
-                if let Some(merged) = right.merge_row(lrow, *r) {
+                if let Some(merged) = right.merge_row(&mut ctx.rows, lrow, *r) {
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
                     self.out.push_back(merged);
                 }
@@ -204,7 +204,7 @@ impl<'a> BindJoinOp<'a> {
 
     /// Schedules a batch's request + evaluation + result transfer as one
     /// chain on the link timeline; the probe happens at completion.
-    fn launch_batch(&mut self, batch: Vec<SlotRow>, ctx: &mut ExecCtx) -> Result<(), FedError> {
+    fn launch_batch(&mut self, batch: Vec<RowId>, ctx: &mut ExecCtx) -> Result<(), FedError> {
         let ids = self.batch_ids(&batch, ctx);
         if ids.is_empty() {
             self.stage = BindStage::Gather { batch: Vec::new() };
@@ -238,7 +238,7 @@ impl<'a> BindJoinOp<'a> {
 }
 
 impl FedOp for BindJoinOp<'_> {
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         loop {
             if let Some(row) = self.out.pop_front() {
                 return Ok(Poll::Ready(row));

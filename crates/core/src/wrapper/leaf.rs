@@ -13,7 +13,7 @@ use crate::source::DataSource;
 use crate::translate::{sql_single, Lift, OutputBinding};
 use fedlake_rdf::TermId;
 use fedlake_relational::Database;
-use fedlake_sparql::binding::{encode_row, Row, SlotRow};
+use fedlake_sparql::binding::{encode_row, RowArena, Row, RowId};
 use fedlake_sparql::eval::eval_bgp;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -103,17 +103,14 @@ impl Delivery {
         self.data.rows - self.cursor
     }
 
-    /// The next row, `None` when none remain.
-    fn take_row(&mut self) -> Option<SlotRow> {
+    /// The next row, written to `rows`; `None` when none remain.
+    fn take_row(&mut self, rows: &mut RowArena) -> Option<RowId> {
         if self.cursor >= self.data.rows {
             return None;
         }
-        let mut out = SlotRow::unbound(self.data.cols.len());
-        for (slot, c) in self.data.cols.iter().enumerate() {
-            out.set(slot, c[self.cursor]);
-        }
+        let row = self.data.push_row(rows, self.cursor);
         self.cursor += 1;
-        Some(out)
+        Some(row)
     }
 
     /// Lands the message in flight once it is due and sends the next one
@@ -126,12 +123,12 @@ impl Delivery {
         route: &SourceRoute,
         rows_per_message: usize,
         ctx: &mut ExecCtx,
-    ) -> Result<Poll<SlotRow>, FedError> {
+    ) -> Result<Poll<RowId>, FedError> {
         loop {
             if self.ready > 0 {
                 self.ready -= 1;
                 // `ready` only ever counts rows `remaining` still holds.
-                let Some(row) = self.take_row() else {
+                let Some(row) = self.take_row(&mut ctx.rows) else {
                     return Err(FedError::Internal("a landed message outran its result".into()));
                 };
                 return Ok(Poll::Ready(row));
@@ -277,10 +274,7 @@ impl LeafRequest<'_> {
                 let mut cols = vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
                 let mut dict = ctx.interner.lock();
                 for (i, r) in rows.iter().enumerate() {
-                    let encoded = encode_row(r, &ctx.schema, &mut dict);
-                    for (slot, id) in encoded.slots().iter().enumerate() {
-                        cols[slot][i] = *id;
-                    }
+                    encode_row(r, &ctx.schema, &mut dict, |slot, id| cols[slot][i] = id);
                 }
                 Ok(LiftedSource { cols, rows: rows.len(), sql_cost: None })
             }
@@ -381,7 +375,7 @@ impl<'a> LeafStream<'a> {
 impl FedOp for LeafStream<'_> {
     /// Opens the stream, waits out the request + evaluation, then polls
     /// the delivery.
-    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<SlotRow>, FedError> {
+    fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError> {
         if self.delivery.is_none() {
             self.delivery = Some(self.open(ctx)?);
         }

@@ -9,7 +9,7 @@ use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{BorrowedResult, ResultSet, Value};
-use fedlake_sparql::binding::{RowSchema, SlotRow, Var};
+use fedlake_sparql::binding::{RowArena, RowId, RowSchema, Var};
 use fedlake_sparql::expr::Expr;
 use std::sync::Arc;
 
@@ -60,31 +60,30 @@ fn lift_value(
     }
 }
 
-/// Lifts an owned SQL result set into slot rows, interning each lifted
-/// term; the slot of each output column is resolved once, not per row. No
-/// engine path calls it: every source request — one-shot leaves and
-/// bind-join batches — lifts column-major into the [`LiftCache`]. Its last
-/// callers are fedbench's `lift.*` probes, which time it by name.
+/// Lifts an owned SQL result set into a row arena of `schema`'s width,
+/// interning each lifted term; the slot of each output column is resolved
+/// once, not per row. No engine path calls it: every source request —
+/// one-shot leaves and bind-join batches — lifts column-major into the
+/// [`LiftCache`]. Its last callers are fedbench's `lift.*` probes, which
+/// time it by name.
 pub fn lift_result(
     rs: &ResultSet,
     outputs: &[OutputBinding],
     schema: &RowSchema,
     dict: &mut Dictionary,
-) -> Vec<SlotRow> {
+) -> RowArena {
     let slots: Vec<Option<usize>> = outputs.iter().map(|ob| schema.slot(&ob.var)).collect();
     let mut scratch = LiftScratch::default();
-    rs.rows
-        .iter()
-        .map(|row| {
-            let mut out = SlotRow::unbound(schema.len());
-            for ((v, ob), slot) in row.iter().zip(outputs).zip(&slots) {
-                if let (Some(slot), false) = (*slot, v.is_null()) {
-                    out.set(slot, lift_value(v, ob, &mut scratch, dict));
-                }
+    let mut out = RowArena::new(schema.len());
+    for row in &rs.rows {
+        let id = out.push_unbound();
+        for ((v, ob), slot) in row.iter().zip(outputs).zip(&slots) {
+            if let (Some(slot), false) = (*slot, v.is_null()) {
+                out.set(id, slot, lift_value(v, ob, &mut scratch, dict));
             }
-            out
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 /// Which cells of a SQL leaf's answer the plan reads: decided once per plan
@@ -219,19 +218,16 @@ pub struct LiftedSource {
 }
 
 impl LiftedSource {
-    /// `left` merged with row `r`, as [`SlotRow::merge`] would merge the
-    /// two: `None` when a slot is bound to different ids on both sides.
-    pub(super) fn merge_row(&self, left: &SlotRow, r: usize) -> Option<SlotRow> {
-        let mut out = left.clone();
-        for (slot, col) in self.cols.iter().enumerate() {
-            match (out.get(slot), col[r]) {
-                (_, TermId::UNBOUND) => {}
-                (None, id) => out.set(slot, id),
-                (Some(bound), id) if bound == id => {}
-                _ => return None,
-            }
-        }
-        Some(out)
+    /// Appends to `rows` the row `left` merged with row `r`, as
+    /// [`RowArena::merge`] merges two of its own: `None`, and `rows` as it
+    /// was, when a slot is bound to different ids on both sides.
+    pub(super) fn merge_row(&self, rows: &mut RowArena, left: RowId, r: usize) -> Option<RowId> {
+        rows.merge_cells(left, |slot| self.cols[slot][r])
+    }
+
+    /// Appends row `r` to `rows`.
+    pub(super) fn push_row(&self, rows: &mut RowArena, r: usize) -> RowId {
+        rows.push_with(|slot| self.cols[slot][r])
     }
 }
 

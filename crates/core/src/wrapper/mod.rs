@@ -33,12 +33,12 @@ pub use route::{
 
 use crate::error::FedError;
 use crate::operators::{ExecCtx, FedOp, Poll};
-use fedlake_sparql::binding::SlotRow;
+use fedlake_sparql::binding::RowId;
 
 /// Drains an operator fully, as a lone driver would: when the operator is
 /// waiting, the clock jumps to the event it waits on. Right under either
 /// schedule policy — the serialized one just never reports a wait.
-pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<SlotRow>, FedError> {
+pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<RowId>, FedError> {
     let mut out = Vec::new();
     loop {
         match op.poll_next(ctx)? {
@@ -126,9 +126,9 @@ mod tests {
         )
     }
 
-    fn decode(c: &ExecCtx, rows: &[SlotRow]) -> Vec<Row> {
+    fn decode(c: &ExecCtx, rows: &[RowId]) -> Vec<Row> {
         let dict = c.interner.lock();
-        rows.iter().map(|r| decode_row(&c.schema, &dict, |s| r.get(s)).unwrap()).collect()
+        rows.iter().map(|&r| decode_row(&c.schema, &dict, c.rows.row(r)).unwrap()).collect()
     }
 
     /// Both lifts assign the same id to every cell, and it is the id the
@@ -199,7 +199,8 @@ mod tests {
         );
 
         let mut dict = Dictionary::new();
-        let by_row = lift_result(&rs, &outputs, &schema, &mut dict);
+        let arena = lift_result(&rs, &outputs, &schema, &mut dict);
+        let by_row: Vec<&[TermId]> = arena.rows().collect();
         let terms_after_rows = dict.len();
         let by_col = lift_result_cols(&borrowed, &outputs, None, &schema, &mut dict);
         assert_eq!(dict.len(), terms_after_rows, "the columnar lift met only known terms");
@@ -218,12 +219,12 @@ mod tests {
                 // under the id both lifts wrote.
                 let expected = expected
                     .map(|t| dict.id(&t).unwrap_or_else(|| panic!("{t} not interned")));
-                assert_eq!(by_row[r].get(slot), expected, "row-major, row {r} column {i}");
+                assert_eq!(by_row[r][slot].bound(), expected, "row-major, row {r} column {i}");
                 let cell = by_col.cols[slot][r];
                 let cell = (cell != TermId::UNBOUND).then_some(cell);
                 assert_eq!(cell, expected, "columnar, row {r} column {i}");
             }
-            assert_eq!(by_row[r].get(0), None);
+            assert_eq!(by_row[r][0], TermId::UNBOUND);
             assert_eq!(by_col.cols[0][r], TermId::UNBOUND);
         }
         // Interning the whole terms afterwards adds nothing either.
@@ -455,7 +456,9 @@ mod tests {
                 if let Some(d) = d {
                     r.bind(Var::new("d"), d.clone());
                 }
-                encode_row(&r, &c.schema, &mut c.interner.lock())
+                let id = c.rows.push_unbound();
+                encode_row(&r, &c.schema, &mut c.interner.lock(), |s, t| c.rows.set(id, s, t));
+                id
             })
             .collect();
         let mut op = BindJoinOp::new(

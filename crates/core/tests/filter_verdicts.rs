@@ -18,7 +18,7 @@ use fedlake_netsim::CostModel;
 use fedlake_prng::Prng;
 use fedlake_rdf::vocab::xsd;
 use fedlake_rdf::{Literal, SharedInterner, Term, TermId};
-use fedlake_sparql::binding::{decode_row, RowSchema, SlotRow, Var};
+use fedlake_sparql::binding::{decode_row, RowId, RowSchema, Var};
 use fedlake_sparql::expr::{ArithOp, CmpOp, Expr};
 use std::sync::Arc;
 
@@ -179,18 +179,17 @@ fn filter_verdicts_match_the_row_path_and_charge_every_row() {
             hot.extend(pool_ids.iter().skip(3 * g).take(3));
         }
         hot.extend((0..3).map(|_| pool_ids[rng.gen_range(0..pool_ids.len())]));
-        let rows: Vec<SlotRow> = (0..ROWS)
+        let rows: Vec<Vec<TermId>> = (0..ROWS)
             .map(|_| {
-                let mut row = SlotRow::unbound(SCHEMA.len());
-                for s in 0..SCHEMA.len() {
+                let mut row = vec![TermId::UNBOUND; SCHEMA.len()];
+                for cell in &mut row {
                     let roll = rng.gen_range(0..100u32);
                     if roll >= UNBOUND_PCT {
-                        let id = if roll < UNBOUND_PCT + ANY_ID_PCT {
+                        *cell = if roll < UNBOUND_PCT + ANY_ID_PCT {
                             TermId(rng.gen_range(0..all_ids) as u32)
                         } else {
                             hot[rng.gen_range(0..hot.len())]
                         };
-                        row.set(s, id);
                     }
                 }
                 row
@@ -198,19 +197,20 @@ fn filter_verdicts_match_the_row_path_and_charge_every_row() {
             .collect();
         let mut last_in_cell = vec![None; VERDICT_CELLS];
         for row in &rows {
-            let id = row.get(x).unwrap_or(TermId::UNBOUND);
+            let id = row[x];
             let cell = &mut last_in_cell[id.index() % VERDICT_CELLS];
             collisions += u64::from(cell.is_some_and(|last| last != id));
             unbound += u64::from(id == TermId::UNBOUND);
             *cell = Some(id);
         }
 
-        let want: Vec<SlotRow> = {
+        let want: Vec<usize> = {
             let dict = interner.lock();
             let oracle: Vec<_> = exprs.iter().map(|e| (e.bind(None), slots_read(e) == 1)).collect();
-            rows.iter()
-                .filter(|row| {
-                    let decoded = decode_row(&schema, &dict, |s| row.get(s)).expect("every id is interned");
+            (0..rows.len())
+                .filter(|&i| {
+                    let decoded =
+                        decode_row(&schema, &dict, &rows[i]).expect("every id is interned");
                     oracle.iter().fold(true, |keep, (e, one_slot)| {
                         let pass = e.test(&decoded);
                         if *one_slot {
@@ -219,14 +219,18 @@ fn filter_verdicts_match_the_row_path_and_charge_every_row() {
                         keep && pass
                     })
                 })
-                .cloned()
                 .collect()
         };
         let mut ctx = ExecCtx::new(shared_virtual(), cost, Arc::clone(&schema), interner.clone());
-        let mut filter = FilterOp::new(Box::new(RowsOp::new(rows)), &exprs, &schema);
+        let ids: Vec<RowId> = rows.iter().map(|row| ctx.rows.push_with(|s| row[s])).collect();
+        let mut filter = FilterOp::new(Box::new(RowsOp::new(ids.clone())), &exprs, &schema);
         let got = drain(&mut filter, &mut ctx).expect("a filter over rows cannot fail");
         let shown: Vec<String> = exprs.iter().map(ToString::to_string).collect();
-        assert_eq!(got, want, "case {case}: {shown:?}");
+        // The kept rows are the rows it was handed, unchanged, in order.
+        let want_ids: Vec<RowId> = want.iter().map(|&i| ids[i]).collect();
+        assert_eq!(got, want_ids, "case {case}: {shown:?}");
+        assert!(got.iter().zip(&want).all(|(&id, &i)| ctx.rows.row(id) == rows[i]), "case {case}");
+        assert_eq!(ctx.rows.len(), ROWS, "case {case}: a filter writes no row");
         let n = exprs.len() as u64;
         assert_eq!(ctx.stats.engine_filter_evals, ROWS as u64 * n, "case {case}: {shown:?}");
         assert_eq!(ctx.clock.now(), cost.engine_filter_time(n) * ROWS as u32, "case {case}: {shown:?}");

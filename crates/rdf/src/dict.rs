@@ -23,6 +23,11 @@ impl TermId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id, or `None` when it is [`TermId::UNBOUND`].
+    pub fn bound(self) -> Option<TermId> {
+        (self != TermId::UNBOUND).then_some(self)
+    }
 }
 
 /// A term by its borrowed parts: what the by-parts entry points look up

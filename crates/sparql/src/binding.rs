@@ -3,12 +3,13 @@
 //! A [`Row`] maps variables to RDF terms — handles on terms a dictionary
 //! owns, not copies; it is the external currency at API boundaries (final
 //! results, the local SPARQL evaluator).
-//! Inside the federated engine, solution mappings travel as [`SlotRow`]s:
-//! fixed-width arrays of [`TermId`]s laid out by a per-query [`RowSchema`]
-//! and interned in a query-scoped dictionary shared across all sources.
-//! Operators then hash and compare `u32` ids instead of strings, and only
-//! materialize full [`Term`]s at the result boundary (or lazily inside
-//! FILTER value comparisons).
+//! Inside the federated engine, solution mappings travel as [`RowId`]s:
+//! handles on fixed-width arrays of [`TermId`]s in the execution's
+//! [`RowArena`], laid out by a per-query [`RowSchema`] and interned in a
+//! query-scoped dictionary shared across all sources. Operators then hash
+//! and compare `u32` ids instead of strings, and only materialize full
+//! [`Term`]s at the result boundary (or lazily inside FILTER value
+//! comparisons).
 
 use fedlake_rdf::{Dictionary, Term, TermId};
 use std::cmp::Ordering;
@@ -255,102 +256,237 @@ impl RowSchema {
     }
 }
 
-/// A dictionary-encoded solution mapping: one [`TermId`] per schema slot,
-/// with [`TermId::UNBOUND`] marking unbound variables.
+/// The handle of one row in a [`RowArena`]: four bytes, `Copy`.
 ///
-/// Equality and hashing are plain `u32`-array operations, which is what
-/// makes join probes and DISTINCT dedup cheap.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SlotRow {
-    slots: Box<[TermId]>,
+/// A handle an operator passes up is *moved*: the receiver may change the
+/// row in place, so an operator never hands up a row it keeps while
+/// anything could still read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RowId(u32);
+
+/// What a chunk of a [`RowArena`] aims to hold, in ids: the largest
+/// power-of-two number of rows that fits, and at least one row. 2 KiB,
+/// so an execution leaves at most that much unused.
+const CHUNK_IDS: usize = 512;
+
+/// Every dictionary-encoded solution mapping of one execution: rows of one
+/// fixed width — one [`TermId`] per schema slot, [`TermId::UNBOUND`]
+/// marking unbound variables — appended in fixed-size chunks and named by
+/// [`RowId`]. A chunk holds a power-of-two number of rows, so a handle
+/// splits into chunk and row with a shift and a mask, and a chunk never
+/// moves once allocated: the arena grows by one allocation per chunk and is
+/// freed in as many blocks when it drops. Rows are never freed one by one;
+/// a merge that fails takes back the row it wrote.
+///
+/// Row equality is slice equality: id equality is term equality because
+/// every row of the arena encodes through the same query-scoped interner.
+#[derive(Debug, Default)]
+pub struct RowArena {
+    width: usize,
+    /// log2 of the rows a chunk holds.
+    shift: u32,
+    /// Each holds `width << shift` ids when full; only the last one that
+    /// holds a row may be partly filled.
+    chunks: Vec<Vec<TermId>>,
+    len: u32,
 }
 
-impl SlotRow {
-    /// A row of `width` unbound slots.
-    pub fn unbound(width: usize) -> Self {
-        SlotRow { slots: vec![TermId::UNBOUND; width].into_boxed_slice() }
+impl RowArena {
+    /// An empty arena of rows `width` slots wide.
+    pub fn new(width: usize) -> Self {
+        let rows = (CHUNK_IDS / width.max(1)).max(1);
+        RowArena { width, shift: rows.ilog2(), chunks: Vec::new(), len: 0 }
     }
 
-    /// The id in `slot`, or `None` when unbound.
-    pub fn get(&self, slot: usize) -> Option<TermId> {
-        match self.slots[slot] {
-            TermId::UNBOUND => None,
-            id => Some(id),
+    /// Slots per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Rows per chunk.
+    pub fn rows_per_chunk(&self) -> usize {
+        1 << self.shift
+    }
+
+    /// Rows written so far.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when no row was written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The chunk of row `id` and the offset of its first slot there.
+    fn locate(&self, id: RowId) -> (usize, usize) {
+        let i = id.0 as usize;
+        (i >> self.shift, (i & ((1 << self.shift) - 1)) * self.width)
+    }
+
+    /// The chunk the next row goes into, allocated when it is new.
+    fn tail(&mut self) -> usize {
+        // Handles are `u32`s. 2^32 rows hold at least 16 GiB of chunk
+        // headers and ids, so the allocator gives out first; the check
+        // keeps a handle from wrapping onto a stored row regardless.
+        assert!(self.len < u32::MAX, "a row arena holds 2^32 - 1 rows");
+        let chunk = (self.len >> self.shift) as usize;
+        if chunk == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(self.width << self.shift));
+        }
+        chunk
+    }
+
+    /// Names the row just written to the tail chunk.
+    fn appended(&mut self) -> RowId {
+        self.len += 1;
+        RowId(self.len - 1)
+    }
+
+    /// Appends a row holding `cell(slot)` in each slot.
+    pub fn push_with(&mut self, cell: impl FnMut(usize) -> TermId) -> RowId {
+        let chunk = self.tail();
+        self.chunks[chunk].extend((0..self.width).map(cell));
+        self.appended()
+    }
+
+    /// Appends a row of unbound slots.
+    pub fn push_unbound(&mut self) -> RowId {
+        self.push_with(|_| TermId::UNBOUND)
+    }
+
+    /// Appends a copy of row `src`.
+    pub fn copy(&mut self, src: RowId) -> RowId {
+        let chunk = self.tail();
+        let (from, at) = self.locate(src);
+        let cells = at..at + self.width;
+        if from == chunk {
+            self.chunks[chunk].extend_from_within(cells);
+        } else {
+            // `src` was written earlier, so its chunk comes first.
+            let (done, tail) = self.chunks.split_at_mut(chunk);
+            tail[0].extend_from_slice(&done[from][cells]);
+        }
+        self.appended()
+    }
+
+    /// The slots of row `id`.
+    pub fn row(&self, id: RowId) -> &[TermId] {
+        let (chunk, at) = self.locate(id);
+        &self.chunks[chunk][at..at + self.width]
+    }
+
+    /// Every row, in the order written.
+    pub fn rows(&self) -> impl Iterator<Item = &[TermId]> {
+        (0..self.len).map(|i| self.row(RowId(i)))
+    }
+
+    /// The slots of row `id`, to change in place.
+    pub fn row_mut(&mut self, id: RowId) -> &mut [TermId] {
+        let (chunk, at) = self.locate(id);
+        &mut self.chunks[chunk][at..at + self.width]
+    }
+
+    /// The id row `id` holds in `slot`, or `None` when unbound.
+    pub fn get(&self, id: RowId, slot: usize) -> Option<TermId> {
+        self.row(id)[slot].bound()
+    }
+
+    /// Binds `slot` of row `id` to `term`.
+    pub fn set(&mut self, id: RowId, slot: usize, term: TermId) {
+        self.row_mut(id)[slot] = term;
+    }
+
+    /// Number of bound slots of row `id`.
+    pub fn bound_count(&self, id: RowId) -> usize {
+        self.row(id).iter().filter(|t| **t != TermId::UNBOUND).count()
+    }
+
+    /// Appends `left` merged with `right`: a copy of `left` with `right`'s
+    /// bound slots laid over it. `None` when a slot is bound to different
+    /// ids on both sides; the arena is then as it was.
+    pub fn merge(&mut self, left: RowId, right: RowId) -> Option<RowId> {
+        let out = self.copy(left);
+        let (from, at) = self.locate(right);
+        let (chunk, to) = self.locate(out);
+        let width = self.width;
+        let merged = if from == chunk {
+            // `right` was written before `out`: it lies below `to`.
+            let (before, dst) = self.chunks[chunk].split_at_mut(to);
+            overlay(&mut dst[..width], |s| before[at + s])
+        } else {
+            let (done, tail) = self.chunks.split_at_mut(chunk);
+            let right = &done[from][at..at + width];
+            overlay(&mut tail[0][to..to + width], |s| right[s])
+        };
+        self.keep(merged, out)
+    }
+
+    /// [`RowArena::merge`] of `left` with a row held elsewhere, whose
+    /// `slot` holds `cell(slot)`.
+    pub fn merge_cells(&mut self, left: RowId, cell: impl Fn(usize) -> TermId) -> Option<RowId> {
+        let out = self.copy(left);
+        let merged = overlay(self.row_mut(out), cell);
+        self.keep(merged, out)
+    }
+
+    /// `out`, the last row written, when `merged`; else takes it back.
+    fn keep(&mut self, merged: bool, out: RowId) -> Option<RowId> {
+        if merged {
+            return Some(out);
+        }
+        let (chunk, at) = self.locate(out);
+        self.chunks[chunk].truncate(at);
+        self.len -= 1;
+        None
+    }
+}
+
+/// Lays the bound ids of `cell(slot)` over `dst`; false when one differs
+/// from an id `dst` already binds in that slot.
+fn overlay(dst: &mut [TermId], cell: impl Fn(usize) -> TermId) -> bool {
+    for (slot, held) in dst.iter_mut().enumerate() {
+        match cell(slot) {
+            TermId::UNBOUND => {}
+            id if *held == TermId::UNBOUND => *held = id,
+            id if *held == id => {}
+            _ => return false,
         }
     }
-
-    /// Binds `slot` to `id`.
-    pub fn set(&mut self, slot: usize, id: TermId) {
-        self.slots[slot] = id;
-    }
-
-    /// True when `slot` holds a term.
-    pub fn is_bound(&self, slot: usize) -> bool {
-        self.slots[slot] != TermId::UNBOUND
-    }
-
-    /// The raw slot array (unbound slots hold [`TermId::UNBOUND`]).
-    pub fn slots(&self) -> &[TermId] {
-        &self.slots
-    }
-
-    /// Number of bound slots.
-    pub fn bound_count(&self) -> usize {
-        self.slots.iter().filter(|id| **id != TermId::UNBOUND).count()
-    }
-
-    /// Merges two rows of the same width; `None` when a slot is bound to
-    /// different ids on both sides. Id equality is term equality because
-    /// both rows encode through the same query-scoped interner.
-    pub fn merge(&self, other: &SlotRow) -> Option<SlotRow> {
-        debug_assert_eq!(self.slots.len(), other.slots.len());
-        let mut out = self.clone();
-        for (slot, &id) in other.slots.iter().enumerate() {
-            if id == TermId::UNBOUND {
-                continue;
-            }
-            match out.slots[slot] {
-                TermId::UNBOUND => out.slots[slot] = id,
-                existing if existing == id => {}
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
+    true
 }
 
 /// Encodes a [`Row`] into schema slots, interning each term — by its
-/// handle, so a term new to `dict` is shared with the row, not copied.
-/// Variables the schema does not know are dropped (the schema covers every
-/// variable the query can bind, so this only loses bindings no operator can
-/// see).
-pub fn encode_row(row: &Row, schema: &RowSchema, dict: &mut Dictionary) -> SlotRow {
-    let mut out = SlotRow::unbound(schema.len());
+/// handle, so a term new to `dict` is shared with the row, not copied —
+/// and handing `set(slot, id)` each bound slot. Variables the schema does
+/// not know are dropped (the schema covers every variable the query can
+/// bind, so this only loses bindings no operator can see).
+pub fn encode_row(
+    row: &Row,
+    schema: &RowSchema,
+    dict: &mut Dictionary,
+    mut set: impl FnMut(usize, TermId),
+) {
     for (v, t) in &row.slots {
         if let Some(slot) = schema.slot(v) {
-            out.set(slot, dict.intern_shared(t));
+            set(slot, dict.intern_shared(t));
         }
     }
-    out
 }
 
-/// Materializes one dictionary-encoded row back into a variable → term
-/// mapping; `id_of` reads the id in a schema slot (`|s| row.get(s)` for
-/// a [`SlotRow`]). One pass in variable order into a vector of exactly the
-/// bound width; every binding takes a handle on `dict`'s term, so the
-/// answer shares the interner's strings and this copies none.
+/// Materializes one dictionary-encoded row — its `ids`, one per schema
+/// slot — back into a variable → term mapping. One pass in variable order
+/// into a vector of exactly the bound width; every binding takes a handle
+/// on `dict`'s term, so the answer shares the interner's strings and this
+/// copies none.
 ///
 /// `None` when a bound id is missing from `dict`: encode and decode must
 /// use the same query-scoped dictionary.
-pub fn decode_row(
-    schema: &RowSchema,
-    dict: &Dictionary,
-    id_of: impl Fn(usize) -> Option<TermId>,
-) -> Option<Row> {
-    let bound = (0..schema.len()).filter(|&s| id_of(s).is_some()).count();
+pub fn decode_row(schema: &RowSchema, dict: &Dictionary, ids: &[TermId]) -> Option<Row> {
+    let bound = ids.iter().filter(|id| **id != TermId::UNBOUND).count();
     let mut slots = Vec::with_capacity(bound);
     for &slot in &schema.by_var {
-        if let Some(id) = id_of(slot) {
+        if let Some(id) = ids[slot].bound() {
             slots.push((schema.vars[slot].clone(), Arc::clone(dict.shared(id)?)));
         }
     }
@@ -432,16 +568,23 @@ mod tests {
         assert_eq!(s.slots_of(&[Var::new("z"), Var::new("w"), Var::new("x")]), vec![2, 0]);
     }
 
+    /// Encodes `row` as a new row of `rows`.
+    fn enc(row: &Row, s: &RowSchema, dict: &mut Dictionary, rows: &mut RowArena) -> RowId {
+        let id = rows.push_unbound();
+        encode_row(row, s, dict, |slot, t| rows.set(id, slot, t));
+        id
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let s = RowSchema::new(["x", "y", "z"].map(Var::new));
-        let mut dict = Dictionary::new();
+        let (mut dict, mut rows) = (Dictionary::new(), RowArena::new(s.len()));
         let row = Row::new().with("x", t("a")).with("z", t("c"));
-        let enc = encode_row(&row, &s, &mut dict);
-        assert!(enc.is_bound(0));
-        assert!(!enc.is_bound(1));
-        assert_eq!(enc.bound_count(), 2);
-        let dec = decode_row(&s, &dict, |i| enc.get(i)).unwrap();
+        let enc = enc(&row, &s, &mut dict, &mut rows);
+        assert!(rows.get(enc, 0).is_some());
+        assert!(rows.get(enc, 1).is_none());
+        assert_eq!(rows.bound_count(enc), 2);
+        let dec = decode_row(&s, &dict, rows.row(enc)).unwrap();
         assert_eq!(dec, row);
         // One owner per term: the row, the dictionary and the decoded row
         // hold the same allocation.
@@ -449,37 +592,40 @@ mod tests {
             assert!(Arc::ptr_eq(dec.shared(v).unwrap(), row.shared(v).unwrap()));
         }
         // An id the dictionary never assigned is an error, not a panic.
-        assert_eq!(decode_row(&s, &Dictionary::new(), |i| enc.get(i)), None);
+        assert_eq!(decode_row(&s, &Dictionary::new(), rows.row(enc)), None);
     }
 
     #[test]
-    fn slot_merge_matches_row_merge() {
+    fn arena_merge_matches_row_merge() {
         let s = RowSchema::new(["x", "y", "z"].map(Var::new));
-        let mut dict = Dictionary::new();
+        let (mut dict, mut rows) = (Dictionary::new(), RowArena::new(s.len()));
         let a = Row::new().with("x", t("a")).with("y", t("b"));
         let b = Row::new().with("y", t("b")).with("z", t("c"));
         let c = Row::new().with("y", t("other"));
-        let (ea, eb, ec) = (
-            encode_row(&a, &s, &mut dict),
-            encode_row(&b, &s, &mut dict),
-            encode_row(&c, &s, &mut dict),
-        );
-        let merged = ea.merge(&eb).unwrap();
-        assert_eq!(decode_row(&s, &dict, |i| merged.get(i)), a.merge(&b));
-        assert!(ea.merge(&ec).is_none());
+        let ea = enc(&a, &s, &mut dict, &mut rows);
+        let eb = enc(&b, &s, &mut dict, &mut rows);
+        let ec = enc(&c, &s, &mut dict, &mut rows);
+        let merged = rows.merge(ea, eb).unwrap();
+        assert_eq!(decode_row(&s, &dict, rows.row(merged)), a.merge(&b));
+        assert_eq!(rows.len(), 4);
+        assert!(rows.merge(ea, ec).is_none());
         assert!(a.merge(&c).is_none());
+        assert_eq!(rows.len(), 4, "a failed merge takes its row back");
+        // The operands are untouched, and equal rows compare equal.
+        assert_eq!(decode_row(&s, &dict, rows.row(ea)), Some(a.clone()));
+        let again = enc(&a, &s, &mut dict, &mut rows);
+        assert_ne!(again, ea);
+        assert_eq!(rows.row(again), rows.row(ea));
+        assert_ne!(rows.row(ea), rows.row(ec));
     }
 
     #[test]
-    fn slot_rows_hash_and_compare_by_id() {
-        let s = RowSchema::new(["x"].map(Var::new));
-        let mut dict = Dictionary::new();
-        let a = encode_row(&Row::new().with("x", t("a")), &s, &mut dict);
-        let b = encode_row(&Row::new().with("x", t("a")), &s, &mut dict);
-        let c = encode_row(&Row::new().with("x", t("b")), &s, &mut dict);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        let set: std::collections::HashSet<SlotRow> = [a, b, c].into_iter().collect();
-        assert_eq!(set.len(), 2);
+    fn width_zero_rows_get_distinct_handles() {
+        let mut rows = RowArena::new(0);
+        let ids: Vec<RowId> = (0..3 * rows.rows_per_chunk()).map(|_| rows.push_unbound()).collect();
+        assert_eq!(rows.len(), ids.len());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let copy = rows.copy(ids[7]);
+        assert_eq!(rows.merge(copy, ids[0]).map(|m| rows.row(m).len()), Some(0));
     }
 }

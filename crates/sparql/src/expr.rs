@@ -434,7 +434,7 @@ impl BoundExpr {
     }
 
     /// [`BoundExpr::test`] over a dictionary-encoded row: `id_of` reads
-    /// the id in a schema slot of a [`crate::binding::SlotRow`], and ids
+    /// the id in a schema slot of a row of a [`crate::binding::RowArena`], and ids
     /// resolve through `dict` only where a term's value is needed. The
     /// expression must have been bound against the schema the slots belong
     /// to; bound without one, it sees every variable unbound.
@@ -805,7 +805,8 @@ mod tests {
         let r = row();
         let schema = RowSchema::new(["n", "s", "i", "missing"].map(Var::new));
         let mut dict = Dictionary::new();
-        let slots = encode_row(&r, &schema, &mut dict);
+        let mut slots = vec![TermId::UNBOUND; schema.len()];
+        encode_row(&r, &schema, &mut dict, |s, id| slots[s] = id);
         let exprs = [
             Expr::Cmp(var("n"), CmpOp::Eq, int(5)),
             Expr::Cmp(var("n"), CmpOp::Lt, int(6)),
@@ -822,7 +823,7 @@ mod tests {
         for e in exprs {
             assert_eq!(
                 e.test(&r),
-                e.bind(Some(&schema)).test_ids(|s| slots.get(s), &dict),
+                e.bind(Some(&schema)).test_ids(|s| slots[s].bound(), &dict),
                 "expr {e} disagrees between representations"
             );
         }

@@ -42,5 +42,5 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{SelectQuery, TriplePattern, VarOrTerm};
-pub use binding::{decode_row, encode_row, Row, RowSchema, Rows, SlotRow, Var};
+pub use binding::{decode_row, encode_row, Row, RowArena, RowId, RowSchema, Rows, Var};
 pub use error::SparqlError;

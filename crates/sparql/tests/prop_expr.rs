@@ -7,7 +7,7 @@
 
 use fedlake_prng::Prng;
 use fedlake_rdf::vocab::xsd;
-use fedlake_rdf::{Dictionary, Literal, Term};
+use fedlake_rdf::{Dictionary, Literal, Term, TermId};
 use fedlake_sparql::binding::{encode_row, Row, RowSchema, Var};
 use fedlake_sparql::expr::{ArithOp, CmpOp, Expr, Value};
 
@@ -357,9 +357,10 @@ fn borrowing_evaluator_matches_the_frozen_interpreter() {
             );
             let keep = frozen::test(&expr, &row);
             assert_eq!(expr.test(&row), keep, "case {case}: {expr} over {row} (Row path)");
-            let slots = encode_row(&row, &schema, &mut dict);
+            let mut slots = vec![TermId::UNBOUND; schema.len()];
+            encode_row(&row, &schema, &mut dict, |s, id| slots[s] = id);
             assert_eq!(
-                for_slots.test_ids(|s| slots.get(s), &dict),
+                for_slots.test_ids(|s| slots[s].bound(), &dict),
                 keep,
                 "case {case}: {expr} over {row} (slot path)"
             );

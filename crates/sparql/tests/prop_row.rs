@@ -5,7 +5,7 @@
 //! variable order.
 
 use fedlake_prng::Prng;
-use fedlake_rdf::{Dictionary, Term};
+use fedlake_rdf::{Dictionary, Term, TermId};
 use fedlake_sparql::binding::{decode_row, encode_row, Row, RowSchema, Var};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -124,9 +124,10 @@ fn decode_inverts_encode_whatever_the_slot_order() {
                 .into_iter()
                 .filter(|(v, _)| schema.slot(v).is_some())
                 .collect();
-            let enc = encode_row(&row, &schema, &mut dict);
+            let mut enc = vec![TermId::UNBOUND; schema.len()];
+            encode_row(&row, &schema, &mut dict, |s, id| enc[s] = id);
             assert_eq!(
-                decode_row(&schema, &dict, |s| enc.get(s)),
+                decode_row(&schema, &dict, &enc),
                 Some(row),
                 "case {case}: slots {names:?}"
             );

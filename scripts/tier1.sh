@@ -75,6 +75,26 @@ git grep -nE 'FastMap<Box<\[TermId\]>|fn key_of' -- crates/core/src/operators.rs
 git grep -q 'struct BuildSide' -- crates/core/src/operators.rs \
     || { echo "operators.rs no longer holds BuildSide: the gate above matches nothing"; exit 1; }
 
+# One row representation: an execution's rows live in its RowArena
+# (fedlake_sparql::binding, owned by ExecCtx) and operators pass 4-byte
+# RowId handles. A row boxed on its own — one block per delivered, merged or
+# copied row, allocated and freed one by one — is the representation it
+# replaced, not a second one to keep beside it. The one Box<[TermId]> left
+# under crates/*/src is a bind-join batch's cache key (LiftKey::ids in
+# wrapper/lift.rs), not a row.
+echo "== one row representation under crates/*/src =="
+boxed_rows=0
+git grep -nE 'SlotRow|Box<\[TermId\]>' -- 'crates/*/src/*' ':!crates/core/src/wrapper/lift.rs' \
+    || boxed_rows=$?
+[ "$boxed_rows" -eq 1 ] || { echo "a boxed id row is back under crates/*/src (or git grep failed)"; exit 1; }
+boxed_rows=0
+git grep -n 'SlotRow' -- crates/core/src/wrapper/lift.rs || boxed_rows=$?
+[ "$boxed_rows" -eq 1 ] || { echo "a boxed id row is back in wrapper/lift.rs (or git grep failed)"; exit 1; }
+lift_boxes="$(git grep -c 'Box<\[TermId\]>' -- crates/core/src/wrapper/lift.rs | awk -F: '{ n += $2 } END { print n + 0 }')"
+[ "$lift_boxes" -eq 1 ] || { echo "wrapper/lift.rs holds $lift_boxes Box<[TermId]>, want one (LiftKey::ids)"; exit 1; }
+git grep -q 'pub struct RowArena' -- crates/sparql/src/binding.rs \
+    || { echo "binding.rs no longer holds RowArena: the gates above match nothing"; exit 1; }
+
 # One recorder: every observability hook appends one event to one per-query
 # handle (obs/recorder.rs), the one NetObserver on links and the event queue,
 # and one node wrapper around the executor's operators feeds its node table.

@@ -3,9 +3,10 @@
 //! Its own test binary because it installs a counting `#[global_allocator]`.
 //! A warm execution — plan cached, every leaf and bind-join batch in the
 //! lift cache — allocates for the rows it moves and the answer it returns
-//! and for little else: one box per delivered or merged row, one vector per
-//! answer row, the join sides' amortized growth. A term is never copied on
-//! the way: every term of a decoded answer *is* the interner's allocation.
+//! and for little else: one chunk of its row arena per few hundred ids of
+//! delivered or merged rows, one vector per answer row, the join sides'
+//! amortized growth. A term is never copied on the way: every term of a
+//! decoded answer *is* the interner's allocation.
 
 use fedlake::core::{FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake_with, workload, LakeConfig};
@@ -50,16 +51,18 @@ static ALLOCATOR: CountingCalls = CountingCalls;
 
 /// Allocator calls (`alloc` + `realloc`) of one warm execution at scale
 /// 0.15 under Gamma1, as measured when the budget was set, in the order
-/// Q1..Q5 × (unaware, aware). At the parent of that change — boxed join
-/// keys owning a vector each, a second row per projection, a decode that
-/// cloned every string — the same executions made 1 874 / 1 794, 2 254 /
-/// 938, 803 / 492, 2 657 / 2 134 and 2 576 / 1 847 calls.
+/// Q1..Q5 × (unaware, aware): with the row arena, in debug and release
+/// alike. With one box per row they were 700 / 620, 891 / 492, 609 / 298,
+/// 1 309 / 1 116 and 1 535 / 1 363; before that — boxed join keys owning a
+/// vector each, a second row per projection, a decode that cloned every
+/// string — 1 874 / 1 794, 2 254 / 938, 803 / 492, 2 657 / 2 134 and
+/// 2 576 / 1 847.
 const MEASURED: [(&str, [u64; 2]); 5] = [
-    ("Q1", [700, 620]),
-    ("Q2", [891, 492]),
-    ("Q3", [609, 298]),
-    ("Q4", [1309, 1116]),
-    ("Q5", [1535, 1363]),
+    ("Q1", [403, 385]),
+    ("Q2", [418, 343]),
+    ("Q3", [252, 231]),
+    ("Q4", [472, 410]),
+    ("Q5", [445, 384]),
 ];
 
 /// What an execution may make: the measured count + 15 %.
