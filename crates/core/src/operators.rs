@@ -374,7 +374,7 @@ const NIL: u32 = u32::MAX;
 /// ids. The fold is not a key: two keys may share a chain, and
 /// [`RowArena::merge`] — which every match goes through anyway and which
 /// rejects rows differing on a slot both bind — is what tells them apart,
-/// since only rows binding every join slot are chained. The rows stay
+/// since only rows binding every join slot are chained. A join's rows stay
 /// private: a match hands up a merged row, a new one.
 #[derive(Default)]
 struct BuildSide {

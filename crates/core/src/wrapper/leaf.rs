@@ -108,9 +108,9 @@ impl Delivery {
         if self.cursor >= self.data.rows {
             return None;
         }
-        let row = self.data.push_row(rows, self.cursor);
+        let (cols, at) = (&self.data.cols, self.cursor);
         self.cursor += 1;
-        Some(row)
+        Some(rows.push_with(|slot| cols[slot][at]))
     }
 
     /// Lands the message in flight once it is due and sends the next one

@@ -224,11 +224,6 @@ impl LiftedSource {
     pub(super) fn merge_row(&self, rows: &mut RowArena, left: RowId, r: usize) -> Option<RowId> {
         rows.merge_cells(left, |slot| self.cols[slot][r])
     }
-
-    /// Appends row `r` to `rows`.
-    pub(super) fn push_row(&self, rows: &mut RowArena, r: usize) -> RowId {
-        rows.push_with(|slot| self.cols[slot][r])
-    }
 }
 
 /// *The* source-result cache: every source request but the N+1 wrapper's —

@@ -298,11 +298,6 @@ impl RowArena {
         RowArena { width, shift: rows.ilog2(), chunks: Vec::new(), len: 0 }
     }
 
-    /// Slots per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Rows per chunk.
     pub fn rows_per_chunk(&self) -> usize {
         1 << self.shift
