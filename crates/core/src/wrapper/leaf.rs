@@ -13,7 +13,7 @@ use crate::source::DataSource;
 use crate::translate::{sql_single, Lift, OutputBinding};
 use fedlake_rdf::TermId;
 use fedlake_relational::Database;
-use fedlake_sparql::binding::{encode_row, RowArena, Row, RowId};
+use fedlake_sparql::binding::{encode_row, Row, RowArena, RowId};
 use fedlake_sparql::eval::eval_bgp;
 use std::fmt::Write as _;
 use std::sync::Arc;

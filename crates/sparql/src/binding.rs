@@ -280,7 +280,7 @@ const CHUNK_IDS: usize = 512;
 ///
 /// Row equality is slice equality: id equality is term equality because
 /// every row of the arena encodes through the same query-scoped interner.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RowArena {
     width: usize,
     /// log2 of the rows a chunk holds.
