@@ -321,9 +321,10 @@ impl RowArena {
 
     /// The chunk the next row goes into, allocated when it is new.
     fn tail(&mut self) -> usize {
-        // Handles are `u32`s. 2^32 rows hold at least 16 GiB of chunk
-        // headers and ids, so the allocator gives out first; the check
-        // keeps a handle from wrapping onto a stored row regardless.
+        // Handles are `u32`s. 2^32 rows of one slot or more are at least
+        // 16 GiB of ids, so the allocator gives out first; the check keeps
+        // a handle from wrapping onto a stored row regardless, and at
+        // width 0, where rows cost no ids.
         assert!(self.len < u32::MAX, "a row arena holds 2^32 - 1 rows");
         let chunk = (self.len >> self.shift) as usize;
         if chunk == self.chunks.len() {
