@@ -190,7 +190,8 @@ impl Shell {
     }
 }
 
-/// The engine's two caches, one line each, then its delay tapes.
+/// The engine's two caches, one line each, then its delay tapes and its
+/// FILTER verdict memo.
 fn print_caches(engine: &FederatedEngine) {
     let stats = engine.cache_stats();
     println!("== caches ==");
@@ -201,6 +202,8 @@ fn print_caches(engine: &FederatedEngine) {
         );
     }
     println!("{:<8} tapes {} draws {}", "delays", stats.delays.tapes, stats.delays.draws);
+    let v = stats.verdicts;
+    println!("{:<8} keys {} verdicts {} publishes {}", "verdicts", v.keys, v.verdicts, v.publishes);
 }
 
 /// Observability outputs of one run (all optional).

@@ -6,17 +6,18 @@ use crate::fedplan::FedPlan;
 use crate::health::{HealthView, SourceHealth};
 use crate::lake::DataLake;
 use crate::operators::{
-    BoxedOp, DistinctOp, ExecCtx, FilterOp, LeftHashJoin, Poll, ProjectOp, SymHashJoin, UnionOp,
+    BoxedOp, DistinctOp, ExecCtx, FilterOp, LeftHashJoin, Poll, ProjectOp, SharedVerdictMemo,
+    SymHashJoin, UnionOp, VerdictStats,
 };
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
-use crate::wrapper::{links_for, open_leaf, route_for, source_failures, total_traffic, LiftPlan};
+use crate::wrapper::{links_for, open_leaf, route_for, source_failures, total_traffic};
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
-use fedlake_sparql::binding::{decode_row, Row, RowId, RowSchema, Var};
+use fedlake_sparql::binding::{decode_row, Row, RowId, Var};
 use fedlake_sparql::eval::sort_rows;
 use fedlake_sparql::parser::parse_query;
 use std::collections::{BTreeMap, HashMap};
@@ -173,10 +174,17 @@ pub struct FederatedEngine {
     /// and never stale (see [`fedlake_netsim::tape`]). Every execution and
     /// serve run reads its links' delays here instead of drawing them.
     delays: DelayTapes,
+    /// The verdicts of the engine FILTERs' one-slot expressions, by the
+    /// planner's key (see [`crate::operators::VerdictMemo`]), paired with
+    /// `interner`: a verdict is a pure function of the expression and an
+    /// id, so like the delay tapes it is extended on demand and never
+    /// stale. Every execution and serve run starts its filters from here.
+    verdicts: SharedVerdictMemo,
 }
 
 /// The counters of an engine's two caches, in the one vocabulary of
-/// [`fedlake_relational::cache`], and what its delay tapes hold.
+/// [`fedlake_relational::cache`], and what its delay tapes and verdict
+/// memo hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
     /// The normalized plan cache.
@@ -187,6 +195,9 @@ pub struct EngineCacheStats {
     /// The links' delay tapes: extended, never looked up or invalidated,
     /// so they count what they hold.
     pub delays: TapeStats,
+    /// The FILTER verdict memo: extended, never stale, so it counts what
+    /// it holds and how often a filter published to it.
+    pub verdicts: VerdictStats,
 }
 
 /// Failures before the planner treats an endpoint as degraded — two full
@@ -254,13 +265,14 @@ impl<'a> Session<'a> {
         deadline: Option<Duration>,
         serialized: bool,
     ) -> Result<Self, FedError> {
-        let mut ctx = ExecCtx::new(
+        let mut ctx = ExecCtx::sharing(
             Arc::clone(clock),
             engine.config.cost,
             Arc::clone(&planned.schema),
             engine.interner.clone(),
+            Arc::clone(&engine.lifts),
+            Arc::clone(&engine.verdicts),
         )
-        .with_lifts(Arc::clone(&engine.lifts))
         .with_retry(engine.config.retry)
         .with_deadline(deadline.map(|d| arrival + d))
         .with_obs(obs);
@@ -269,14 +281,7 @@ impl<'a> Session<'a> {
         }
 
         let mut next_node = 0u32;
-        let mut op = engine.build_operator(
-            &planned.plan,
-            &planned.schema,
-            &planned.lifts,
-            links,
-            &ctx.obs,
-            &mut next_node,
-        )?;
+        let mut op = engine.build_operator(planned, &planned.plan, links, &ctx, &mut next_node)?;
         // Solution modifiers around the streaming pipeline. The projection
         // is a slot remap resolved once per execution, not per row.
         let keep = planned.schema.slots_of(&planned.projection);
@@ -360,31 +365,35 @@ impl<'a> Session<'a> {
     /// Closes the session at the clock's time — the answer trace, then the
     /// recorder's completion event — and returns the query's
     /// result: rows take their handles on the interner's terms only here,
-    /// at the API boundary, then ORDER BY, OFFSET and LIMIT apply. Empty
-    /// when the session failed; an `Err` when a row holds an id the
-    /// interner never assigned.
+    /// at the API boundary, and ORDER BY, OFFSET and LIMIT apply. Without
+    /// ORDER BY the answers are sliced first, so a row OFFSET drops is
+    /// never decoded. Empty when the session failed; an `Err` when a row
+    /// holds an id the interner never assigned.
     pub(crate) fn finish(&mut self) -> Result<Vec<Row>, FedError> {
         let planned = self.planned;
         let now = self.ctx.clock.now();
         self.trace.complete(now);
+        let ordered = !planned.order_by.is_empty();
+        let slice = |n: usize| {
+            let from = planned.offset.min(n);
+            from..planned.limit.map_or(n, |l| n.min(from.saturating_add(l)))
+        };
+        let n = self.answers.len();
+        let kept = if ordered { &self.answers[..] } else { &self.answers[slice(n)] };
         let mut rows: Vec<Row> = {
             let dict = self.ctx.interner.lock();
-            self.answers
-                .iter()
+            kept.iter()
                 .map(|&r| decode_row(&planned.schema, &dict, self.ctx.rows.row(r)))
                 .collect::<Option<_>>()
                 .ok_or_else(|| {
                     FedError::Internal("an answer row holds an id its interner never assigned".into())
                 })?
         };
-        if !planned.order_by.is_empty() {
+        if ordered {
             sort_rows(&mut rows, &planned.order_by);
-        }
-        if planned.offset > 0 {
-            rows.drain(..planned.offset.min(rows.len()));
-        }
-        if let Some(l) = planned.limit {
-            rows.truncate(l);
+            let kept = slice(rows.len());
+            rows.truncate(kept.end);
+            rows.drain(..kept.start);
         }
         let kind = match (&self.error, self.degraded) {
             (Some(FedError::Timeout(_)), _) => crate::obs::CompletionKind::DeadlineMiss,
@@ -411,6 +420,7 @@ impl FederatedEngine {
             recorder: crate::obs::Recorder::new(&config),
             plan_cache: std::sync::Mutex::new(crate::plancache::PlanCache::new()),
             delays: DelayTapes::default(),
+            verdicts: Arc::default(),
         }
     }
 
@@ -558,12 +568,13 @@ impl FederatedEngine {
     }
 
     /// Counter snapshot of both caches — plans and lifted source results —
-    /// and of the delay tapes.
+    /// and of the delay tapes and the verdict memo.
     pub fn cache_stats(&self) -> EngineCacheStats {
         EngineCacheStats {
             plan: self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).cache_stats(),
             lift: self.lifts.stats(),
             delays: self.delays.stats(),
+            verdicts: self.verdicts.stats(),
         }
     }
 
@@ -682,23 +693,24 @@ impl FederatedEngine {
     // Node ids are assigned pre-order (node before children, children
     // left to right) — the same order `crate::obs::plan_nodes` walks, so a
     // trace's node `i` is line `i` of the analyzed tree and the recorder's
-    // node table has one row per operator built here. `lifts` is the plan's
-    // [`LiftPlan`] per node, in the same order.
+    // node table has one row per operator built here. `planned.lifts` and
+    // `planned.verdict_keys` hold one entry per node, in the same order.
+    // `plan` is a node of `planned.plan`, and `ctx` the context it runs in.
     pub(crate) fn build_operator<'a>(
         &'a self,
+        planned: &'a PlannedQuery,
         plan: &FedPlan,
-        schema: &RowSchema,
-        lifts: &'a [LiftPlan],
         links: &HashMap<String, Arc<Link>>,
-        obs: &crate::obs::QueryObs,
+        ctx: &ExecCtx,
         next_node: &mut u32,
     ) -> Result<BoxedOp<'a>, FedError> {
         let node = *next_node;
         *next_node += 1;
-        let lift = lifts.get(node as usize);
+        let lift = planned.lifts.get(node as usize);
         let build = |plan: &FedPlan, next_node: &mut u32| {
-            self.build_operator(plan, schema, lifts, links, obs, next_node)
+            self.build_operator(planned, plan, links, ctx, next_node)
         };
+        let schema = &planned.schema;
         let op: BoxedOp<'a> = match plan {
             FedPlan::Service(node) => {
                 let route = route_for(&node.source_id, &node.route, links)?;
@@ -728,8 +740,9 @@ impl FederatedEngine {
                 )?)
             }
             FedPlan::Filter { input, exprs } => {
+                let keys = planned.verdict_keys.get(node as usize).map_or(&[][..], |k| k);
                 let i = build(input, next_node)?;
-                Box::new(FilterOp::new(i, exprs, schema))
+                Box::new(FilterOp::new(i, exprs, keys, schema, &ctx.verdicts))
             }
             FedPlan::Union(branches) => {
                 let ops = branches
@@ -739,6 +752,6 @@ impl FederatedEngine {
                 Box::new(UnionOp::new(ops))
             }
         };
-        Ok(obs.wrap(node, op))
+        Ok(ctx.obs.wrap(node, op))
     }
 }

@@ -221,6 +221,7 @@ mod tests {
             limit: None,
             offset: 0,
             lifts: Arc::from(Vec::new()),
+            verdict_keys: Arc::from(Vec::new()),
             skipped_sources: vec![tag.to_string()],
             report: PlanReport::default(),
         }

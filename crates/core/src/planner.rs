@@ -122,6 +122,11 @@ pub struct PlannedQuery {
     /// [`lift_plans`] and cached with the plan. A node past its end lifts
     /// every cell.
     pub lifts: Arc<[LiftPlan]>,
+    /// The memo key of each conjunct of each engine FILTER: one list per
+    /// plan node, in the pre-order of `lifts`, empty for a node that is no
+    /// FILTER. Rendered once, by [`filter_verdict_keys`], and cached with
+    /// the plan.
+    pub verdict_keys: Arc<[Box<[Option<VerdictKey>]>]>,
     /// Sources the health-aware selector skipped because every replica
     /// endpoint was past the failure threshold (only under `degraded_ok`;
     /// the engine marks such answers degraded).
@@ -177,6 +182,8 @@ pub fn plan_query_with_health(
         query.pattern.vars().into_iter().chain(projection.iter().cloned()),
     ));
     let lifts = lift_plans(&plan, &schema, &projection, &query.order_by);
+    let mut verdict_keys = Vec::new();
+    push_verdict_keys(&plan, &schema, &mut verdict_keys);
     Ok(PlannedQuery {
         plan,
         schema,
@@ -186,6 +193,7 @@ pub fn plan_query_with_health(
         limit: query.limit,
         offset: query.offset.unwrap_or(0),
         lifts,
+        verdict_keys: verdict_keys.into(),
         skipped_sources: skipped,
         report,
     })
@@ -331,6 +339,59 @@ fn sql_lift_plan(
         .cloned()
         .collect();
     LiftPlan::new(unread, guards)
+}
+
+/// What an engine's [`crate::operators::VerdictMemo`] keeps the verdicts
+/// of a FILTER conjunct that reads one slot under: the conjunct's text and
+/// the name of the variable in that slot. The variable belongs in the key
+/// because a variable the schema does not know reads as unbound, so one
+/// text can be two functions of the slot's id: `?a = "x" || BOUND(?b)` in
+/// a query that binds `?a`, and in one that binds `?b`. Only
+/// [`filter_verdict_keys`] renders one, once per plan.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct VerdictKey(Arc<str>);
+
+/// The memo key of each of `exprs`, the conjuncts of a FILTER over rows
+/// laid out by `schema`; `None` for a conjunct that reads no slot or two.
+pub fn filter_verdict_keys(exprs: &[Expr], schema: &RowSchema) -> Box<[Option<VerdictKey>]> {
+    exprs
+        .iter()
+        .map(|e| {
+            let var = &schema.vars()[e.bind(Some(schema)).single_slot()?];
+            Some(VerdictKey(format!("?{} {e:?}", var.name()).into()))
+        })
+        .collect()
+}
+
+/// Appends the memo keys of `plan`'s node and of every node below it, in
+/// pre-order: a FILTER's conjuncts' keys, nothing for any other node.
+fn push_verdict_keys(
+    plan: &FedPlan,
+    schema: &RowSchema,
+    out: &mut Vec<Box<[Option<VerdictKey>]>>,
+) {
+    match plan {
+        FedPlan::Service(_) => out.push(Box::default()),
+        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
+            out.push(Box::default());
+            push_verdict_keys(left, schema, out);
+            push_verdict_keys(right, schema, out);
+        }
+        FedPlan::BindJoin { left, .. } => {
+            out.push(Box::default());
+            push_verdict_keys(left, schema, out);
+        }
+        FedPlan::Filter { input, exprs } => {
+            out.push(filter_verdict_keys(exprs, schema));
+            push_verdict_keys(input, schema, out);
+        }
+        FedPlan::Union(branches) => {
+            out.push(Box::default());
+            for b in branches {
+                push_verdict_keys(b, schema, out);
+            }
+        }
+    }
 }
 
 /// Walks a plan and decides, per service leaf, the replica endpoints to

@@ -697,6 +697,30 @@ fn federated_solution_modifiers() {
         })
         .collect();
     assert_eq!(names, vec!["disease 2", "disease 3", "disease 4"]);
+
+    // Without ORDER BY, LIMIT and OFFSET slice the answers in the order
+    // they arrived: one engine's pages, one past the end included, are the
+    // whole answer in order, and so is an OFFSET alone.
+    let all = engine.execute_sparql(&base).unwrap().rows;
+    assert_eq!(all.len(), 40);
+    let mut pages = Vec::new();
+    for offset in (0..=42).step_by(7) {
+        let page = engine
+            .execute_sparql(&format!("{base} LIMIT 7 OFFSET {offset}"))
+            .unwrap();
+        assert_eq!(
+            page.rows.len(),
+            7.min(all.len().saturating_sub(offset)),
+            "OFFSET {offset}"
+        );
+        pages.extend(page.rows);
+    }
+    assert_eq!(pages, all);
+    let tail = engine
+        .execute_sparql(&format!("{base} OFFSET 35"))
+        .unwrap()
+        .rows;
+    assert_eq!(tail, all[35..]);
 }
 
 #[test]

@@ -1,17 +1,23 @@
 //! The FILTER slice of the generative oracle: seeded expression trees over
 //! one or two variables run through `FilterOp`, over streams of rows whose
 //! ids repeat, collide in the verdict table (ids k, k + cells, k + 2·cells
-//! share a cell) and include unbound slots. The oracle is the path with no
-//! verdict table: `BoundExpr::test` on each row decoded back to terms with
-//! `decode_row`. What a row is charged may not depend on the table either:
-//! every expression is counted and timed on every row.
+//! share a cell) and include unbound slots. Each filter runs twice over one
+//! verdict memo, as two executions of one plan on a warm engine: the first
+//! decides each distinct id of a one-slot conjunct and publishes it, the
+//! second decides none. The oracle is the path with no verdicts at all:
+//! `BoundExpr::test` on each row decoded back to terms with `decode_row`.
+//! What a row is charged may not depend on the verdicts either: every
+//! expression is counted and timed on every row, in both runs.
 //!
 //! Constants and bindings are drawn from the value classes that have
 //! produced bugs: integers at and past 2^53, an `Int` beside the equal
 //! `Double`, NaN and ±0.0, language-tagged, malformed numeric and
 //! `xsd:boolean` literals, IRIs and unbound slots.
 
-use fedlake_core::operators::{ExecCtx, FilterOp, RowsOp, VERDICT_CELLS};
+use fedlake_core::operators::{
+    ExecCtx, FilterOp, RowsOp, SharedVerdictMemo, VerdictStats, VERDICT_CELLS,
+};
+use fedlake_core::planner::filter_verdict_keys;
 use fedlake_core::wrapper::drain;
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::CostModel;
@@ -20,6 +26,7 @@ use fedlake_rdf::vocab::xsd;
 use fedlake_rdf::{Literal, SharedInterner, Term, TermId};
 use fedlake_sparql::binding::{decode_row, RowId, RowSchema, Var};
 use fedlake_sparql::expr::{ArithOp, CmpOp, Expr};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The deepest expression tree generated. A harness constant, like the
@@ -204,36 +211,82 @@ fn filter_verdicts_match_the_row_path_and_charge_every_row() {
             *cell = Some(id);
         }
 
+        let keys = filter_verdict_keys(&exprs, &schema);
+        assert_eq!(
+            keys.iter().map(Option::is_some).collect::<Vec<_>>(),
+            exprs.iter().map(|e| slots_read(e) == 1).collect::<Vec<_>>(),
+            "case {case}: a key for each one-slot conjunct, and only for those"
+        );
+        // What the first run must decide: each distinct (key, `?x` id) a
+        // keyed conjunct meets — the conjuncts of a row are tried in order,
+        // up to the first that drops it.
+        let mut decided = HashSet::new();
         let want: Vec<usize> = {
             let dict = interner.lock();
-            let oracle: Vec<_> = exprs.iter().map(|e| (e.bind(None), slots_read(e) == 1)).collect();
+            let oracle: Vec<_> = exprs.iter().map(|e| e.bind(None)).collect();
             (0..rows.len())
                 .filter(|&i| {
                     let decoded =
                         decode_row(&schema, &dict, &rows[i]).expect("every id is interned");
-                    oracle.iter().fold(true, |keep, (e, one_slot)| {
+                    let mut keep = true;
+                    for (e, key) in oracle.iter().zip(&keys) {
                         let pass = e.test(&decoded);
-                        if *one_slot {
+                        if let Some(key) = key {
                             one_slot_verdicts[usize::from(pass)] += 1;
+                            if keep {
+                                decided.insert((key, rows[i][x]));
+                            }
                         }
-                        keep && pass
-                    })
+                        keep &= pass;
+                    }
+                    keep
                 })
                 .collect()
         };
-        let mut ctx = ExecCtx::new(shared_virtual(), cost, Arc::clone(&schema), interner.clone());
-        let ids: Vec<RowId> = rows.iter().map(|row| ctx.rows.push_with(|s| row[s])).collect();
-        let mut filter = FilterOp::new(Box::new(RowsOp::new(ids.clone())), &exprs, &schema);
-        let got = drain(&mut filter, &mut ctx).expect("a filter over rows cannot fail");
+        let memo = SharedVerdictMemo::default();
         let shown: Vec<String> = exprs.iter().map(ToString::to_string).collect();
-        // The kept rows are the rows it was handed, unchanged, in order.
-        let want_ids: Vec<RowId> = want.iter().map(|&i| ids[i]).collect();
-        assert_eq!(got, want_ids, "case {case}: {shown:?}");
-        assert!(got.iter().zip(&want).all(|(&id, &i)| ctx.rows.row(id) == rows[i]), "case {case}");
-        assert_eq!(ctx.rows.len(), ROWS, "case {case}: a filter writes no row");
-        let n = exprs.len() as u64;
-        assert_eq!(ctx.stats.engine_filter_evals, ROWS as u64 * n, "case {case}: {shown:?}");
-        assert_eq!(ctx.clock.now(), cost.engine_filter_time(n) * ROWS as u32, "case {case}: {shown:?}");
+        let mut stats = VerdictStats::default();
+        for run in 0..2 {
+            let mut ctx =
+                ExecCtx::new(shared_virtual(), cost, Arc::clone(&schema), interner.clone());
+            let ids: Vec<RowId> = rows.iter().map(|row| ctx.rows.push_with(|s| row[s])).collect();
+            let mut filter =
+                FilterOp::new(Box::new(RowsOp::new(ids.clone())), &exprs, &keys, &schema, &memo);
+            let got = drain(&mut filter, &mut ctx).expect("a filter over rows cannot fail");
+            drop(filter);
+            // The kept rows are the rows it was handed, unchanged, in order.
+            let want_ids: Vec<RowId> = want.iter().map(|&i| ids[i]).collect();
+            assert_eq!(got, want_ids, "case {case} run {run}: {shown:?}");
+            assert!(
+                got.iter().zip(&want).all(|(&id, &i)| ctx.rows.row(id) == rows[i]),
+                "case {case} run {run}"
+            );
+            assert_eq!(ctx.rows.len(), ROWS, "case {case} run {run}: a filter writes no row");
+            let n = exprs.len() as u64;
+            assert_eq!(
+                ctx.stats.engine_filter_evals,
+                ROWS as u64 * n,
+                "case {case} run {run}: {shown:?}"
+            );
+            assert_eq!(
+                ctx.clock.now(),
+                cost.engine_filter_time(n) * ROWS as u32,
+                "case {case} run {run}: {shown:?}"
+            );
+            let after = memo.stats();
+            if run == 0 {
+                // A conjunct no row reached decided nothing and publishes
+                // nothing.
+                let keys_held = decided.iter().map(|(k, _)| k).collect::<HashSet<_>>().len();
+                assert_eq!(after.keys, keys_held, "case {case}: {shown:?}");
+                assert_eq!(after.verdicts, decided.len(), "case {case}: {shown:?}");
+                assert_eq!(after.publishes, keys_held as u64, "case {case}: {shown:?}");
+            } else {
+                // A decision would have been published.
+                assert_eq!(after, stats, "case {case}: the second run decided an id: {shown:?}");
+            }
+            stats = after;
+        }
         kept += want.len();
         dropped += ROWS - want.len();
     }

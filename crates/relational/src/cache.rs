@@ -98,6 +98,12 @@ impl<K: Hash + Eq, V: Clone, S: BuildHasher> VersionedCache<K, V, S> {
         self.stats
     }
 
+    /// The resident values, in no particular order; touches no tick and no
+    /// counter.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.values().map(|s| &s.value)
+    }
+
     /// Drops every entry; the counters are lifetime counters and survive.
     pub fn clear(&mut self) {
         self.slots.clear();

@@ -64,6 +64,19 @@ git grep -n 'LiftPlan::new\|lift_plans(' -- crates/core/src/wrapper crates/core/
 git grep -q 'LiftPlan::new' -- crates/core/src/planner.rs \
     || { echo "planner.rs builds no LiftPlan: the gate above matches nothing"; exit 1; }
 
+# The key a kept FILTER's verdicts are memoized under is decided the same
+# way: rendered once per plan, by the planner, and cached with the plan
+# (DESIGN §20); a key rendered each time an execution builds its filter
+# would allocate a string per execution. So nothing under crates/*/src but
+# planner.rs builds a VerdictKey or calls the renderer.
+echo "== the verdict key is decided at plan time =="
+verdict_key_builders=0
+git grep -nE 'VerdictKey\(|filter_verdict_keys\(' -- 'crates/*/src/*' ':!crates/core/src/planner.rs' \
+    || verdict_key_builders=$?
+[ "$verdict_key_builders" -eq 1 ] || { echo "a verdict key is built outside the planner (or git grep failed)"; exit 1; }
+git grep -q 'Some(VerdictKey(' -- crates/core/src/planner.rs \
+    || { echo "planner.rs builds no VerdictKey: the gate above matches nothing"; exit 1; }
+
 # One table per join side: both joins keep a side's rows in one vector,
 # chained per folded key (operators.rs, BuildSide). A map from boxed key to a
 # vector of rows — one block per key to allocate and to free — is the

@@ -340,6 +340,11 @@ fn one_engine_shared_by_two_threads_answers_like_fresh_engines() {
                 assert_eq!(warm, expected, "thread {i}, second pass");
             }
         });
-        assert!(engine.cache_stats().delays.draws > 0, "the runs read their delays from tapes");
+        let caches = engine.cache_stats();
+        assert!(caches.delays.draws > 0, "the runs read their delays from tapes");
+        // Both threads' filters published what they decided, under one lock.
+        assert!(caches.verdicts.verdicts > 0, "the runs filled the verdict memo: {caches:?}");
+        assert_eq!(run_stock(engine), expected, "a third pass");
+        assert_eq!(engine.cache_stats().verdicts, caches.verdicts, "a warm pass publishes nothing");
     });
 }

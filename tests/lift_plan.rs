@@ -3,7 +3,9 @@
 //! send the same SQL but read different cells — another projection, or
 //! another engine FILTER over the same star — and every answer must equal
 //! the oracle's: two plans of one request that read different cells must
-//! not share a lift-cache entry.
+//! not share a lift-cache entry. Nor may two FILTERs share the verdicts the
+//! engine keeps for a one-slot conjunct unless they are one function of
+//! the slot's id (DESIGN §20).
 
 use fedlake::core::fedplan::{FedPlan, ServiceKind};
 use fedlake::core::{FederatedEngine, PlanConfig, PlanMode};
@@ -228,4 +230,32 @@ fn one_warm_engine_answers_q3_under_two_categories() {
     assert_eq!(sql_of(&unaware, &cat7), sql_of(&unaware, &cat12));
     let counts = in_turn_on_one_engine(datasets, &[cat7, cat12]);
     assert!(counts.iter().all(|n| *n > 0), "{counts:?}");
+}
+
+/// One FILTER text over two variables: `?a = "…" || BOUND(?b)` keeps the
+/// compounds of one name where the query binds `?a`, and every compound
+/// where it binds `?b` (the schema does not know `?a`, so it reads as
+/// unbound). Both read the same name terms, so a verdict memo keyed by the
+/// text alone would answer the second query with the first one's verdicts.
+#[test]
+fn one_warm_engine_keeps_one_filter_text_over_two_variables_apart() {
+    let lake = build_lake_with(&small(), &["chebi"]);
+    let (compound, name) = (
+        fedlake::datagen::vocab::class("chebi", "Compound"),
+        fedlake::datagen::vocab::pred("chebi", "name"),
+    );
+    let first = format!("SELECT ?n WHERE {{ ?c <{name}> ?n }} ORDER BY ?n LIMIT 1");
+    let first = evaluate(&parse_query(&first).unwrap(), &lake.oracle_graph()).unwrap();
+    let Some(Term::Literal(lit)) = first[0].get(&Var::new("n")) else {
+        panic!("{first:?}")
+    };
+    let binding = |var: &str| {
+        format!(
+            "SELECT ?c ?{var} WHERE {{ ?c a <{compound}> . ?c <{name}> ?{var} .\n\
+               FILTER(?a = \"{}\" || BOUND(?b)) }}",
+            lit.lexical
+        )
+    };
+    let counts = in_turn_on_one_engine(&["chebi"], &[binding("a"), binding("b")]);
+    assert!(0 < counts[0] && counts[0] < counts[1], "{counts:?}");
 }
