@@ -11,7 +11,7 @@ use crate::operators::{
 };
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
-use crate::wrapper::{links_for, open_leaf, route_for, source_failures, total_traffic};
+use crate::wrapper::{links_for, open_service, route_for, source_failures, total_traffic};
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
@@ -690,31 +690,29 @@ impl FederatedEngine {
         &self.delays
     }
 
-    // Node ids are assigned pre-order (node before children, children
-    // left to right) — the same order `crate::obs::plan_nodes` walks, so a
-    // trace's node `i` is line `i` of the analyzed tree and the recorder's
-    // node table has one row per operator built here. `planned.lifts` and
-    // `planned.verdict_keys` hold one entry per node, in the same order.
-    // `plan` is a node of `planned.plan`, and `ctx` the context it runs in.
+    // Node ids are assigned in `FedPlan::visit` order (node before inputs,
+    // inputs left to right) — the order `crate::obs::plan_nodes` walks, so
+    // a trace's node `i` is line `i` of the analyzed tree and the
+    // recorder's node table has one row per operator built here. `plan` is
+    // a node of `planned.plan`, and `ctx` the context it runs in.
     pub(crate) fn build_operator<'a>(
         &'a self,
         planned: &'a PlannedQuery,
-        plan: &FedPlan,
+        plan: &'a FedPlan,
         links: &HashMap<String, Arc<Link>>,
         ctx: &ExecCtx,
         next_node: &mut u32,
     ) -> Result<BoxedOp<'a>, FedError> {
         let node = *next_node;
         *next_node += 1;
-        let lift = planned.lifts.get(node as usize);
-        let build = |plan: &FedPlan, next_node: &mut u32| {
+        let build = |plan: &'a FedPlan, next_node: &mut u32| {
             self.build_operator(planned, plan, links, ctx, next_node)
         };
         let schema = &planned.schema;
         let op: BoxedOp<'a> = match plan {
             FedPlan::Service(node) => {
                 let route = route_for(&node.source_id, &node.route, links)?;
-                open_leaf(node, lift, &self.lake, route, self.config.rows_per_message)?
+                open_service(node, &self.lake, route, self.config.rows_per_message)?
             }
             FedPlan::Join { left, right, on } => {
                 let l = build(left, next_node)?;
@@ -729,18 +727,16 @@ impl FederatedEngine {
             FedPlan::BindJoin { left, right, batch_size } => {
                 let l = build(left, next_node)?;
                 let route = route_for(&right.source_id, &right.route, links)?;
-                Box::new(crate::wrapper::BindJoinOp::planned(
+                Box::new(crate::wrapper::BindJoinOp::new(
                     l,
                     right,
-                    lift,
                     &self.lake,
                     route,
                     self.config.rows_per_message,
                     *batch_size,
                 )?)
             }
-            FedPlan::Filter { input, exprs } => {
-                let keys = planned.verdict_keys.get(node as usize).map_or(&[][..], |k| k);
+            FedPlan::Filter { input, exprs, keys } => {
                 let i = build(input, next_node)?;
                 Box::new(FilterOp::new(i, exprs, keys, schema, &ctx.verdicts))
             }

@@ -1,7 +1,7 @@
 //! Human-readable rendering of federated plans — the textual counterpart
 //! of the paper's Figure 1 plan diagrams.
 
-use crate::fedplan::{FedPlan, ServiceKind, SqlRequest};
+use crate::fedplan::{FedPlan, ServiceKind, ServiceNode, SqlRequest};
 
 /// Renders a federated plan as an indented tree, one operator per line,
 /// with a summary header of the quantities Figure 1 contrasts.
@@ -12,7 +12,15 @@ pub fn explain_plan(plan: &FedPlan) -> String {
         plan.engine_operator_count(),
         plan.merged_service_count()
     );
-    render(plan, 0, &mut out);
+    plan.visit(0, &mut |node, depth| {
+        indent(&mut out, depth);
+        out.push_str(&node_line(node));
+        out.push('\n');
+        if let FedPlan::Service(ServiceNode { kind: ServiceKind::Sql { request, .. }, .. }) = node {
+            indent(&mut out, depth + 1);
+            out.push_str(&format!("query: {}\n", request.sql()));
+        }
+    });
     out
 }
 
@@ -80,35 +88,9 @@ pub(crate) fn node_line(plan: &FedPlan) -> String {
     }
 }
 
-fn render(plan: &FedPlan, depth: usize, out: &mut String) {
-    indent(out, depth);
-    out.push_str(&node_line(plan));
-    out.push('\n');
-    match plan {
-        FedPlan::Service(s) => {
-            if let ServiceKind::Sql { request, .. } = &s.kind {
-                indent(out, depth + 1);
-                out.push_str(&format!("query: {}\n", request.sql()));
-            }
-        }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            render(left, depth + 1, out);
-            render(right, depth + 1, out);
-        }
-        FedPlan::Filter { input, .. } => render(input, depth + 1, out),
-        FedPlan::Union(branches) => {
-            for b in branches {
-                render(b, depth + 1, out);
-            }
-        }
-        FedPlan::BindJoin { left, .. } => render(left, depth + 1, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fedplan::ServiceNode;
     use crate::translate::TranslatedQuery;
 
     #[test]
@@ -124,6 +106,7 @@ mod tests {
                 covers: vec!["?g".into()],
             },
             estimated_rows: 10.0,
+            lift: Default::default(),
         });
         let text = explain_plan(&plan);
         assert!(text.contains("# services: 1, engine operators: 0"));
@@ -147,6 +130,7 @@ mod tests {
                 covers: vec!["?g".into()],
             },
             estimated_rows: 10.0,
+            lift: Default::default(),
         });
         let text = explain_plan(&plan);
         assert!(text.contains(

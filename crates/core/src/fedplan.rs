@@ -8,9 +8,12 @@
 //! engine operators.
 
 use crate::decompose::StarSubquery;
+use crate::planner::VerdictKey;
 use crate::translate::TranslatedQuery;
+use crate::wrapper::LiftPlan;
 use fedlake_sparql::binding::Var;
 use fedlake_sparql::expr::Expr;
+use std::sync::Arc;
 
 /// The request a SQL wrapper sends to a relational source. Heuristic 1
 /// with Ontario's unoptimized translation is no request of its own: the
@@ -24,11 +27,16 @@ pub enum SqlRequest {
 }
 
 impl SqlRequest {
+    /// The translated query.
+    pub fn query(&self) -> &TranslatedQuery {
+        match self {
+            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => q,
+        }
+    }
+
     /// The SQL text.
     pub fn sql(&self) -> &str {
-        match self {
-            SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => &q.sql,
-        }
+        &self.query().sql
     }
 
     /// True for the merged form (Heuristic 1 applied).
@@ -98,6 +106,10 @@ pub struct BindTarget {
     pub covers: String,
     /// Optimizer's cardinality estimate of the unrestricted star.
     pub estimated_rows: f64,
+    /// What the plan reads of the target's answers, set by the planner's
+    /// lowering walk (the default lifts every cell). Shared, so a cached
+    /// plan's clone copies no lift plan.
+    pub lift: Arc<LiftPlan>,
 }
 
 /// A leaf of the federated plan.
@@ -111,6 +123,10 @@ pub struct ServiceNode {
     pub kind: ServiceKind,
     /// Optimizer's cardinality estimate (drives join ordering).
     pub estimated_rows: f64,
+    /// What the plan reads of a SQL leaf's answers, set by the planner's
+    /// lowering walk (the default lifts every cell). Shared, so a cached
+    /// plan's clone copies no lift plan.
+    pub lift: Arc<LiftPlan>,
 }
 
 /// A federated execution plan.
@@ -138,6 +154,9 @@ pub enum FedPlan {
         input: Box<FedPlan>,
         /// Conjunctive expressions.
         exprs: Vec<Expr>,
+        /// The verdict-memo key of each conjunct, set by the planner's
+        /// lowering walk: `None` for a conjunct that reads no slot or two.
+        keys: Box<[Option<VerdictKey>]>,
     },
     /// Union of alternative services for the same star.
     Union(Vec<FedPlan>),
@@ -165,17 +184,36 @@ pub enum FedPlan {
 }
 
 impl FedPlan {
-    /// Number of service leaves (= requests sent to sources).
-    pub fn service_count(&self) -> usize {
+    /// Calls `f` on this node and every node below it, with its depth
+    /// (this node's is `depth`): pre-order, a node before its inputs, the
+    /// inputs left to right. A bind join's target is part of its node, not
+    /// an input. The one walk every traversal of a plan folds over; the
+    /// executor numbers operators in the same order.
+    pub fn visit<'a>(&'a self, depth: usize, f: &mut impl FnMut(&'a FedPlan, usize)) {
+        f(self, depth);
         match self {
-            FedPlan::Service(_) => 1,
+            FedPlan::Service(_) => {}
             FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                left.service_count() + right.service_count()
+                left.visit(depth + 1, f);
+                right.visit(depth + 1, f);
             }
-            FedPlan::BindJoin { left, .. } => left.service_count() + 1,
-            FedPlan::Filter { input, .. } => input.service_count(),
-            FedPlan::Union(branches) => branches.iter().map(FedPlan::service_count).sum(),
+            FedPlan::BindJoin { left, .. } => left.visit(depth + 1, f),
+            FedPlan::Filter { input, .. } => input.visit(depth + 1, f),
+            FedPlan::Union(branches) => branches.iter().for_each(|b| b.visit(depth + 1, f)),
         }
+    }
+
+    /// The nodes `counts` says yes to.
+    fn count(&self, counts: impl Fn(&FedPlan) -> bool) -> usize {
+        let mut n = 0;
+        self.visit(0, &mut |node, _| n += usize::from(counts(node)));
+        n
+    }
+
+    /// Number of service leaves (= requests sent to sources), bind-join
+    /// targets included.
+    pub fn service_count(&self) -> usize {
+        self.count(|node| matches!(node, FedPlan::Service(_) | FedPlan::BindJoin { .. }))
     }
 
     /// Number of *independent* service fetches — those an overlapped
@@ -183,51 +221,21 @@ impl FedPlan {
     /// excluded: its requests depend on the left input's rows, so the
     /// fetch is inherently sequential.
     pub fn independent_service_count(&self) -> usize {
-        match self {
-            FedPlan::Service(_) => 1,
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                left.independent_service_count() + right.independent_service_count()
-            }
-            FedPlan::BindJoin { left, .. } => left.independent_service_count(),
-            FedPlan::Filter { input, .. } => input.independent_service_count(),
-            FedPlan::Union(branches) => {
-                branches.iter().map(FedPlan::independent_service_count).sum()
-            }
-        }
+        self.count(|node| matches!(node, FedPlan::Service(_)))
     }
 
     /// Number of engine-level operators (joins + filters + unions) — the
     /// quantity Figure 1 contrasts between the two plan types.
     pub fn engine_operator_count(&self) -> usize {
-        match self {
-            FedPlan::Service(_) => 0,
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                1 + left.engine_operator_count() + right.engine_operator_count()
-            }
-            FedPlan::BindJoin { left, .. } => 1 + left.engine_operator_count(),
-            FedPlan::Filter { input, .. } => 1 + input.engine_operator_count(),
-            FedPlan::Union(branches) => {
-                1 + branches.iter().map(FedPlan::engine_operator_count).sum::<usize>()
-            }
-        }
+        self.count(|node| !matches!(node, FedPlan::Service(_)))
     }
 
     /// Number of services whose request pushes a join down (Heuristic 1).
     pub fn merged_service_count(&self) -> usize {
-        match self {
-            FedPlan::Service(s) => match &s.kind {
-                ServiceKind::Sql { request, .. } if request.is_merged() => 1,
-                _ => 0,
-            },
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                left.merged_service_count() + right.merged_service_count()
-            }
-            FedPlan::BindJoin { left, .. } => left.merged_service_count(),
-            FedPlan::Filter { input, .. } => input.merged_service_count(),
-            FedPlan::Union(branches) => {
-                branches.iter().map(FedPlan::merged_service_count).sum()
-            }
-        }
+        self.count(|node| {
+            matches!(node, FedPlan::Service(s)
+                if matches!(&s.kind, ServiceKind::Sql { request, .. } if request.is_merged()))
+        })
     }
 
     /// Estimated output cardinality (used for join ordering).
@@ -252,8 +260,12 @@ mod tests {
     use super::*;
 
     fn service(est: f64) -> FedPlan {
+        named_service("s", est)
+    }
+
+    fn named_service(id: &str, est: f64) -> FedPlan {
         FedPlan::Service(ServiceNode {
-            source_id: "s".into(),
+            source_id: id.into(),
             route: None,
             kind: ServiceKind::Sql {
                 request: SqlRequest::Single(TranslatedQuery {
@@ -263,23 +275,89 @@ mod tests {
                 covers: vec!["?x".into()],
             },
             estimated_rows: est,
+            lift: Arc::default(),
         })
+    }
+
+    fn filter(input: FedPlan) -> FedPlan {
+        FedPlan::Filter { input: Box::new(input), exprs: Vec::new(), keys: Box::default() }
+    }
+
+    fn join(left: FedPlan, right: FedPlan) -> FedPlan {
+        FedPlan::Join { left: Box::new(left), right: Box::new(right), on: vec![Var::new("x")] }
+    }
+
+    fn bind_join(left: FedPlan, target: &str) -> FedPlan {
+        use crate::translate::{Lift, StarColumn, StarPart};
+        let right = BindTarget {
+            source_id: target.into(),
+            route: None,
+            part: StarPart {
+                table: "t".into(),
+                alias: "s0".into(),
+                select: Vec::new(),
+                wheres: Vec::new(),
+                outputs: Vec::new(),
+                distinct: false,
+            },
+            join_var: Var::new("x"),
+            column: StarColumn {
+                name: "id".into(),
+                lift: Lift::Literal(fedlake_relational::DataType::Int),
+            },
+            covers: "?x".into(),
+            estimated_rows: 1.0,
+            lift: Arc::default(),
+        };
+        FedPlan::BindJoin { left: Box::new(left), right, batch_size: 2 }
+    }
+
+    /// A node's kind, and its source when it is a leaf.
+    fn describe(node: &FedPlan) -> String {
+        match node {
+            FedPlan::Service(s) => format!("Service[{}]", s.source_id),
+            FedPlan::Join { .. } => "Join".into(),
+            FedPlan::LeftJoin { .. } => "LeftJoin".into(),
+            FedPlan::Filter { .. } => "Filter".into(),
+            FedPlan::Union(_) => "Union".into(),
+            FedPlan::BindJoin { right, .. } => format!("BindJoin[{}]", right.source_id),
+        }
     }
 
     #[test]
     fn counting() {
-        let plan = FedPlan::Filter {
-            input: Box::new(FedPlan::Join {
-                left: Box::new(service(10.0)),
-                right: Box::new(service(5.0)),
-                on: vec![Var::new("x")],
-            }),
-            exprs: Vec::new(),
-        };
+        let plan = filter(join(service(10.0), service(5.0)));
         assert_eq!(plan.service_count(), 2);
         assert_eq!(plan.engine_operator_count(), 2);
         assert_eq!(plan.merged_service_count(), 0);
         assert_eq!(plan.estimated_rows(), 2.5);
+
+        // A bind join under a union: its target is part of its node.
+        let plan = FedPlan::Union(vec![
+            bind_join(named_service("a", 1.0), "t"),
+            filter(join(named_service("b", 1.0), named_service("c", 1.0))),
+        ]);
+        let mut visited = Vec::new();
+        plan.visit(0, &mut |node, depth| visited.push((describe(node), depth)));
+        let want = [
+            ("Union", 0),
+            ("BindJoin[t]", 1),
+            ("Service[a]", 2),
+            ("Filter", 1),
+            ("Join", 2),
+            ("Service[b]", 3),
+            ("Service[c]", 3),
+        ];
+        let want: Vec<(String, usize)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        assert_eq!(visited, want, "pre-order, node before inputs, inputs left to right");
+        assert!(
+            visited.iter().all(|(n, _)| n != "Service[t]"),
+            "the bind target is not visited as an input"
+        );
+        assert_eq!(plan.service_count(), 4, "a, b, c and the bind target t");
+        assert_eq!(plan.independent_service_count(), 3, "the bind target depends on its left");
+        assert_eq!(plan.engine_operator_count(), 4, "union, bind join, filter, join");
+        assert_eq!(plan.merged_service_count(), 0);
     }
 
     #[test]
@@ -295,6 +373,7 @@ mod tests {
                 covers: vec!["?a".into(), "?b".into()],
             },
             estimated_rows: 1.0,
+            lift: Arc::default(),
         });
         assert_eq!(merged.merged_service_count(), 1);
         assert_eq!(merged.engine_operator_count(), 0);

@@ -183,7 +183,7 @@ impl LogicalPlan {
                 ),
                 on: format!("{}={}", right.join_var, right.column.name),
             },
-            FedPlan::Filter { input, exprs } => LogicalPlan::Filter {
+            FedPlan::Filter { input, exprs, .. } => LogicalPlan::Filter {
                 input: Box::new(Self::of(input)),
                 exprs: exprs.iter().map(|e| e.to_string()).collect(),
             },
@@ -397,6 +397,7 @@ mod tests {
                 covers: Vec::new(),
             },
             estimated_rows: 10.0,
+            lift: Default::default(),
         })
     }
 

@@ -3,54 +3,39 @@
 //! link traffic, retries and faults of every source the node talked to.
 //!
 //! The node order here is the contract between the recorder and the
-//! executor: [`plan_nodes`] walks the plan in pre-order (node before
-//! children, children left to right, a bind join recursing only into its
-//! left input), and `build_operator` assigns span node ids by incrementing
-//! a counter in exactly the same order, so node `i` in the report is line
-//! `i` of the analyzed tree.
+//! executor: [`plan_nodes`] is [`FedPlan::visit`]'s order (node before
+//! inputs, inputs left to right, a bind join's target part of its node),
+//! and `build_operator` assigns span node ids by incrementing a counter in
+//! exactly the same order, so node `i` in the report is line `i` of the
+//! analyzed tree.
 
 use crate::explain::{indent, node_line};
 use crate::fedplan::FedPlan;
 use crate::obs::span::{NodeReport, TraceReport};
 use std::time::Duration;
 
-/// The plan's node table in pre-order (the node-id order), actuals at zero.
+/// The plan's node table in [`FedPlan::visit`] order (the node-id order),
+/// actuals at zero.
 pub fn plan_nodes(plan: &FedPlan) -> Vec<NodeReport> {
     let mut nodes = Vec::new();
-    walk(plan, 0, &mut nodes);
-    nodes
-}
-
-fn walk(plan: &FedPlan, depth: usize, nodes: &mut Vec<NodeReport>) {
-    let source = match plan {
-        FedPlan::Service(s) => Some(s.source_id.clone()),
-        FedPlan::BindJoin { right, .. } => Some(right.source_id.clone()),
-        _ => None,
-    };
-    nodes.push(NodeReport {
-        depth,
-        label: node_line(plan),
-        source,
-        service: matches!(plan, FedPlan::Service(_)),
-        estimated: plan.estimated_rows(),
-        rows_out: 0,
-        first: None,
-        done: None,
+    plan.visit(0, &mut |node, depth| {
+        let source = match node {
+            FedPlan::Service(s) => Some(s.source_id.clone()),
+            FedPlan::BindJoin { right, .. } => Some(right.source_id.clone()),
+            _ => None,
+        };
+        nodes.push(NodeReport {
+            depth,
+            label: node_line(node),
+            source,
+            service: matches!(node, FedPlan::Service(_)),
+            estimated: node.estimated_rows(),
+            rows_out: 0,
+            first: None,
+            done: None,
+        });
     });
-    match plan {
-        FedPlan::Service(_) => {}
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            walk(left, depth + 1, nodes);
-            walk(right, depth + 1, nodes);
-        }
-        FedPlan::BindJoin { left, .. } => walk(left, depth + 1, nodes),
-        FedPlan::Filter { input, .. } => walk(input, depth + 1, nodes),
-        FedPlan::Union(branches) => {
-            for b in branches {
-                walk(b, depth + 1, nodes);
-            }
-        }
-    }
+    nodes
 }
 
 /// Milliseconds with fixed precision; deterministic for equal durations.
@@ -131,6 +116,7 @@ mod tests {
                 covers: vec!["?x".into()],
             },
             estimated_rows: 1.0,
+            lift: Default::default(),
         })
     }
 
@@ -141,6 +127,7 @@ mod tests {
             right: Box::new(FedPlan::Filter {
                 input: Box::new(service("b")),
                 exprs: Vec::new(),
+                keys: Box::default(),
             }),
             on: vec![Var::new("x")],
         };

@@ -165,23 +165,12 @@ impl PlanCache {
 /// health can change what planning would produce. Sorted and deduped so
 /// digests are order-independent.
 pub fn plan_sources(planned: &PlannedQuery) -> Vec<String> {
-    fn walk(plan: &FedPlan, out: &mut Vec<String>) {
-        match plan {
-            FedPlan::Service(s) => out.push(s.source_id.clone()),
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            FedPlan::BindJoin { left, right, .. } => {
-                walk(left, out);
-                out.push(right.source_id.clone());
-            }
-            FedPlan::Filter { input, .. } => walk(input, out),
-            FedPlan::Union(branches) => branches.iter().for_each(|b| walk(b, out)),
-        }
-    }
     let mut sources = Vec::new();
-    walk(&planned.plan, &mut sources);
+    planned.plan.visit(0, &mut |node, _| match node {
+        FedPlan::Service(s) => sources.push(s.source_id.clone()),
+        FedPlan::BindJoin { right, .. } => sources.push(right.source_id.clone()),
+        _ => {}
+    });
     sources.extend(planned.skipped_sources.iter().cloned());
     sources.sort_unstable();
     sources.dedup();
@@ -220,8 +209,6 @@ mod tests {
             order_by: Vec::new(),
             limit: None,
             offset: 0,
-            lifts: Arc::from(Vec::new()),
-            verdict_keys: Arc::from(Vec::new()),
             skipped_sources: vec![tag.to_string()],
             report: PlanReport::default(),
         }

@@ -117,16 +117,6 @@ pub struct PlannedQuery {
     pub limit: Option<usize>,
     /// `OFFSET`.
     pub offset: usize,
-    /// What each node's lift reads: one [`LiftPlan`] per plan node, in the
-    /// pre-order the executor numbers nodes in, decided once by
-    /// [`lift_plans`] and cached with the plan. A node past its end lifts
-    /// every cell.
-    pub lifts: Arc<[LiftPlan]>,
-    /// The memo key of each conjunct of each engine FILTER: one list per
-    /// plan node, in the pre-order of `lifts`, empty for a node that is no
-    /// FILTER. Rendered once, by [`filter_verdict_keys`], and cached with
-    /// the plan.
-    pub verdict_keys: Arc<[Box<[Option<VerdictKey>]>]>,
     /// Sources the health-aware selector skipped because every replica
     /// endpoint was past the failure threshold (only under `degraded_ok`;
     /// the engine marks such answers degraded).
@@ -173,17 +163,16 @@ pub fn plan_query_with_health(
     let mut plan = plan_tree(&dec, lake, config, health, &mut skipped, &mut report)?;
     report.estimated_rows = plan.estimated_rows();
     // The logical identity is fixed before physical lowering: replica
-    // routes are assigned below and deliberately do not shift it.
+    // routes, lift plans and verdict keys are set below and deliberately do
+    // not shift it.
     report.fingerprint = crate::ir::LogicalPlan::of(&plan).normalized().fingerprint();
-    assign_routes(&mut plan, lake, health);
     let projection = query.effective_projection();
     // The schema covers every variable an operator may bind or project.
     let schema = Arc::new(RowSchema::new(
         query.pattern.vars().into_iter().chain(projection.iter().cloned()),
     ));
-    let lifts = lift_plans(&plan, &schema, &projection, &query.order_by);
-    let mut verdict_keys = Vec::new();
-    push_verdict_keys(&plan, &schema, &mut verdict_keys);
+    let read = read_slots(&plan, &schema, &projection, &query.order_by);
+    lower(&mut plan, None, &Lowering { lake, health, schema: &schema, read: &read });
     Ok(PlannedQuery {
         plan,
         schema,
@@ -192,37 +181,47 @@ pub fn plan_query_with_health(
         order_by: query.order_by.clone(),
         limit: query.limit,
         offset: query.offset.unwrap_or(0),
-        lifts,
-        verdict_keys: verdict_keys.into(),
         skipped_sources: skipped,
         report,
     })
 }
 
-/// Decides, once per plan, which cells of each SQL leaf and bind-join
-/// target anything above it reads (DESIGN §19): one [`LiftPlan`] per plan
-/// node, in pre-order. A slot is read when it is projected or an ORDER BY
-/// key, an engine FILTER mentions it, it is a join variable, or two or
-/// more leaves bind it (`RowArena::merge` compares every slot both sides
-/// bind). An engine FILTER directly over a SQL leaf lends the leaf, as
-/// guards, its conjuncts that read exactly one slot the leaf binds. A
-/// SPARQL leaf, and every node that is no leaf, lifts everything.
-fn lift_plans(
+/// Which slots the engine reads above the leaves (DESIGN §19): a slot is
+/// read when it is projected or an ORDER BY key, an engine FILTER mentions
+/// it, it is a join variable, or two or more leaves bind it
+/// (`RowArena::merge` compares every slot both sides bind).
+fn read_slots(
     plan: &FedPlan,
     schema: &RowSchema,
     projection: &[Var],
     order_by: &[OrderKey],
-) -> Arc<[LiftPlan]> {
+) -> Vec<bool> {
     let mut read = vec![false; schema.len()];
     let mut binders = vec![0usize; schema.len()];
     mark_read(projection.iter().chain(order_by.iter().map(|k| &k.var)), schema, &mut read);
-    count_reads(plan, schema, &mut read, &mut binders);
+    plan.visit(0, &mut |node, _| match node {
+        FedPlan::Service(node) => match &node.kind {
+            ServiceKind::Sql { request, .. } => {
+                mark_bound(request.query().outputs.iter().map(|o| &o.var), schema, &mut binders)
+            }
+            ServiceKind::Sparql { star, .. } => mark_bound(&star.vars(), schema, &mut binders),
+        },
+        FedPlan::Join { on, .. } | FedPlan::LeftJoin { on, .. } => mark_read(on, schema, &mut read),
+        FedPlan::BindJoin { right, .. } => {
+            mark_read([&right.join_var], schema, &mut read);
+            mark_bound(right.part.outputs.iter().map(|o| &o.var), schema, &mut binders);
+        }
+        FedPlan::Filter { exprs, .. } => {
+            for e in exprs {
+                mark_read(&e.vars(), schema, &mut read);
+            }
+        }
+        FedPlan::Union(_) => {}
+    });
     for (read, n) in read.iter_mut().zip(&binders) {
         *read |= *n >= 2;
     }
-    let mut out = Vec::new();
-    push_lift_plans(plan, None, schema, &read, &mut out);
-    out.into()
+    read
 }
 
 fn mark_read<'v>(vars: impl IntoIterator<Item = &'v Var>, schema: &RowSchema, read: &mut [bool]) {
@@ -245,73 +244,49 @@ fn mark_bound<'v>(
     }
 }
 
-/// Marks the slots `plan`'s engine operators read and counts the leaves
-/// that bind each slot.
-fn count_reads(plan: &FedPlan, schema: &RowSchema, read: &mut [bool], binders: &mut [usize]) {
-    match plan {
-        FedPlan::Service(node) => match &node.kind {
-            ServiceKind::Sql {
-                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
-            } => mark_bound(q.outputs.iter().map(|o| &o.var), schema, binders),
-            ServiceKind::Sparql { star, .. } => mark_bound(&star.vars(), schema, binders),
-        },
-        FedPlan::Join { left, right, on } | FedPlan::LeftJoin { left, right, on } => {
-            mark_read(on, schema, read);
-            count_reads(left, schema, read, binders);
-            count_reads(right, schema, read, binders);
-        }
-        FedPlan::BindJoin { left, right, .. } => {
-            mark_read([&right.join_var], schema, read);
-            mark_bound(right.part.outputs.iter().map(|o| &o.var), schema, binders);
-            count_reads(left, schema, read, binders);
-        }
-        FedPlan::Filter { input, exprs } => {
-            for e in exprs {
-                mark_read(&e.vars(), schema, read);
-            }
-            count_reads(input, schema, read, binders);
-        }
-        FedPlan::Union(branches) => {
-            for b in branches {
-                count_reads(b, schema, read, binders);
-            }
-        }
-    }
+/// What the lowering walk decides from: the session's health snapshot and
+/// the slots the plan reads.
+struct Lowering<'a> {
+    lake: &'a DataLake,
+    health: &'a HealthView,
+    schema: &'a RowSchema,
+    read: &'a [bool],
 }
 
-/// Appends the [`LiftPlan`] of `plan` and of every node below it, in
-/// pre-order; `filter` is the engine FILTER directly over `plan`, if any.
-fn push_lift_plans(
-    plan: &FedPlan,
-    filter: Option<&[Expr]>,
-    schema: &RowSchema,
-    read: &[bool],
-    out: &mut Vec<LiftPlan>,
-) {
+/// The planner's one lowering walk: sets, on each node of `plan`, the
+/// physical decisions the executor reads, once per plan, to be cached with
+/// it. `filter` is the engine FILTER directly over `plan`, if any.
+///
+/// * A service leaf's or a bind-join target's replica route: the endpoints
+///   to contact, failures ascending (healthiest first), replica index
+///   breaking ties. An unreplicated source keeps `route: None`.
+/// * A SQL leaf's or a bind-join target's [`LiftPlan`] (DESIGN §19).
+///   A SPARQL leaf lifts everything.
+/// * An engine FILTER's verdict keys (DESIGN §20).
+fn lower(plan: &mut FedPlan, filter: Option<&[Expr]>, cx: &Lowering<'_>) {
     match plan {
-        FedPlan::Service(node) => out.push(match &node.kind {
-            ServiceKind::Sql {
-                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
-            } => sql_lift_plan(&q.outputs, filter, schema, read),
-            ServiceKind::Sparql { .. } => LiftPlan::default(),
-        }),
+        FedPlan::Service(node) => {
+            node.route = route_for_source(&node.source_id, cx.lake, cx.health);
+            if let ServiceKind::Sql { request, .. } = &node.kind {
+                node.lift = sql_lift_plan(&request.query().outputs, filter, cx);
+            }
+        }
         FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            out.push(LiftPlan::default());
-            push_lift_plans(left, None, schema, read, out);
-            push_lift_plans(right, None, schema, read, out);
+            lower(left, None, cx);
+            lower(right, None, cx);
         }
         FedPlan::BindJoin { left, right, .. } => {
-            out.push(sql_lift_plan(&right.part.outputs, None, schema, read));
-            push_lift_plans(left, None, schema, read, out);
+            right.route = route_for_source(&right.source_id, cx.lake, cx.health);
+            right.lift = sql_lift_plan(&right.part.outputs, None, cx);
+            lower(left, None, cx);
         }
-        FedPlan::Filter { input, exprs } => {
-            out.push(LiftPlan::default());
-            push_lift_plans(input, Some(exprs), schema, read, out);
+        FedPlan::Filter { input, exprs, keys } => {
+            *keys = filter_verdict_keys(exprs, cx.schema);
+            lower(input, Some(exprs), cx);
         }
         FedPlan::Union(branches) => {
-            out.push(LiftPlan::default());
             for b in branches {
-                push_lift_plans(b, None, schema, read, out);
+                lower(b, None, cx);
             }
         }
     }
@@ -322,12 +297,12 @@ fn push_lift_plans(
 fn sql_lift_plan(
     outputs: &[OutputBinding],
     filter: Option<&[Expr]>,
-    schema: &RowSchema,
-    read: &[bool],
-) -> LiftPlan {
+    cx: &Lowering<'_>,
+) -> Arc<LiftPlan> {
+    let schema = cx.schema;
     let mut unread: Vec<Var> = Vec::new();
     for o in outputs {
-        if schema.slot(&o.var).is_some_and(|s| !read[s]) && !unread.contains(&o.var) {
+        if schema.slot(&o.var).is_some_and(|s| !cx.read[s]) && !unread.contains(&o.var) {
             unread.push(o.var.clone());
         }
     }
@@ -338,7 +313,7 @@ fn sql_lift_plan(
         .filter(|e| e.bind(Some(schema)).single_slot().is_some_and(|s| bound.contains(&s)))
         .cloned()
         .collect();
-    LiftPlan::new(unread, guards)
+    Arc::new(LiftPlan::new(unread, guards))
 }
 
 /// What an engine's [`crate::operators::VerdictMemo`] keeps the verdicts
@@ -361,63 +336,6 @@ pub fn filter_verdict_keys(exprs: &[Expr], schema: &RowSchema) -> Box<[Option<Ve
             Some(VerdictKey(format!("?{} {e:?}", var.name()).into()))
         })
         .collect()
-}
-
-/// Appends the memo keys of `plan`'s node and of every node below it, in
-/// pre-order: a FILTER's conjuncts' keys, nothing for any other node.
-fn push_verdict_keys(
-    plan: &FedPlan,
-    schema: &RowSchema,
-    out: &mut Vec<Box<[Option<VerdictKey>]>>,
-) {
-    match plan {
-        FedPlan::Service(_) => out.push(Box::default()),
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            out.push(Box::default());
-            push_verdict_keys(left, schema, out);
-            push_verdict_keys(right, schema, out);
-        }
-        FedPlan::BindJoin { left, .. } => {
-            out.push(Box::default());
-            push_verdict_keys(left, schema, out);
-        }
-        FedPlan::Filter { input, exprs } => {
-            out.push(filter_verdict_keys(exprs, schema));
-            push_verdict_keys(input, schema, out);
-        }
-        FedPlan::Union(branches) => {
-            out.push(Box::default());
-            for b in branches {
-                push_verdict_keys(b, schema, out);
-            }
-        }
-    }
-}
-
-/// Walks a plan and decides, per service leaf, the replica endpoints to
-/// contact and in which order: failures ascending (healthiest first),
-/// replica index breaking ties. Unreplicated sources keep `route: None`
-/// and behave exactly as before replicas existed.
-pub fn assign_routes(plan: &mut FedPlan, lake: &DataLake, health: &HealthView) {
-    match plan {
-        FedPlan::Service(node) => {
-            node.route = route_for_source(&node.source_id, lake, health);
-        }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            assign_routes(left, lake, health);
-            assign_routes(right, lake, health);
-        }
-        FedPlan::BindJoin { left, right, .. } => {
-            assign_routes(left, lake, health);
-            right.route = route_for_source(&right.source_id, lake, health);
-        }
-        FedPlan::Filter { input, .. } => assign_routes(input, lake, health),
-        FedPlan::Union(branches) => {
-            for b in branches {
-                assign_routes(b, lake, health);
-            }
-        }
-    }
 }
 
 fn route_for_source(
@@ -517,9 +435,7 @@ fn plan_tree(
         .iter()
         .cloned()
         .partition(|f| f.vars().iter().all(|v| bound_vars.contains(v)));
-    if !pre.is_empty() {
-        plan = FedPlan::Filter { input: Box::new(plan), exprs: pre };
-    }
+    plan = wrap_engine_filters(plan, pre);
 
     // 4. OPTIONAL groups as streaming left joins.
     let mut seen_optional_vars: Vec<Var> = Vec::new();
@@ -559,10 +475,7 @@ fn plan_tree(
     }
 
     // 5. Filters that need conditionally-bound variables.
-    if !post.is_empty() {
-        plan = FedPlan::Filter { input: Box::new(plan), exprs: post };
-    }
-    Ok(plan)
+    Ok(wrap_engine_filters(plan, post))
 }
 
 /// Plans the conjunctive (required) part of a decomposition.
@@ -920,11 +833,13 @@ fn stats_estimate<'f>(
     stats.and_then(|ls| ls.source(source_id)).map(|ss| ss.estimate_star(star, filters))
 }
 
+/// `plan` under an engine FILTER of `filters`, when there are any; the
+/// lowering walk renders the FILTER's verdict keys.
 fn wrap_engine_filters(plan: FedPlan, filters: Vec<Expr>) -> FedPlan {
     if filters.is_empty() {
         plan
     } else {
-        FedPlan::Filter { input: Box::new(plan), exprs: filters }
+        FedPlan::Filter { input: Box::new(plan), exprs: filters, keys: Box::default() }
     }
 }
 
@@ -955,6 +870,7 @@ fn build_bind_join(
         column,
         covers: star.subject.to_string(),
         estimated_rows: est,
+        lift: Arc::default(),
     };
     let plan = FedPlan::BindJoin { left: Box::new(left), right: target, batch_size };
     Ok(Ok(wrap_engine_filters(plan, rs.engine_filters.clone())))
@@ -979,6 +895,7 @@ fn build_single_service(
             covers: vec![star.subject.to_string()],
         },
         estimated_rows: est,
+        lift: Arc::default(),
     });
     Ok(wrap_engine_filters(service, rs.engine_filters.clone()))
 }
@@ -1040,6 +957,7 @@ fn build_merged_service(
             covers: vec![sa.subject.to_string(), sb.subject.to_string()],
         },
         estimated_rows: est,
+        lift: Arc::default(),
     });
     let mut filters = a.engine_filters.clone();
     filters.extend(b.engine_filters.clone());
@@ -1072,6 +990,7 @@ fn plan_other_star(
                         filters: star.filters.clone(),
                     },
                     estimated_rows: est,
+                    lift: Arc::default(),
                 }));
             }
             DataSource::Relational { .. } => {
@@ -1160,7 +1079,7 @@ fn unit_fetch_cost(plan: &FedPlan, env: &CostEnv<'_>) -> (f64, f64, f64) {
             let net = env.transfer_us(env.fetch_messages(rows), rows);
             (rows * env.cost.engine_row_us, io, net)
         }
-        FedPlan::Filter { input, exprs } => {
+        FedPlan::Filter { input, exprs, .. } => {
             let (cpu, io, net) = unit_fetch_cost(input, env);
             let evals = input.estimated_rows().max(1.0) * exprs.len().max(1) as f64;
             (cpu + evals * env.cost.engine_filter_eval_us, io, net)

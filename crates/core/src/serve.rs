@@ -463,23 +463,17 @@ impl FederatedEngine {
         let obs = s.ctx.obs.trace_report(
             &HashMap::new(),
             &crate::engine::FedStats {
-                plan_label: config.mode.label(),
-                network: config.network.name,
                 execution_time: latency,
                 first_answer,
-                answers: rows.len() as u64,
-                messages: 0,
-                rows_transferred: 0,
-                network_delay: Duration::ZERO,
-                sql_queries: stats.engine.sql_queries,
-                engine_filter_evals: stats.engine.engine_filter_evals,
-                engine_join_probes: stats.engine.engine_join_probes,
-                services: job.planned.plan.service_count(),
-                engine_operators: job.planned.plan.engine_operator_count(),
-                merged_services: job.planned.plan.merged_service_count(),
-                retries: stats.engine.retries,
-                source_failures: Default::default(),
-                degraded: s.degraded,
+                ..crate::engine::FedStats::assemble(
+                    config,
+                    &job.planned,
+                    &HashMap::new(),
+                    &stats.engine,
+                    &s.trace,
+                    rows.len() as u64,
+                    s.degraded,
+                )
             },
         );
 

@@ -1,7 +1,7 @@
 //! The engine-level bind join and the SQL its batches ship.
 
 use super::leaf::{lifted, LeafRequest};
-use super::lift::{LiftPlan, LiftedSource};
+use super::lift::LiftedSource;
 use super::route::{
     message_size, schedule_rows_with_retry, schedule_transfer_with_retry, Landing, SourceRoute,
 };
@@ -56,9 +56,7 @@ pub fn bind_batch_query<'t>(
 pub struct BindJoinOp<'a> {
     left: BoxedOp<'a>,
     db: &'a Database,
-    target: BindTarget,
-    /// What the plan reads of the target's answers (`None`: every cell).
-    lift: Option<&'a LiftPlan>,
+    target: &'a BindTarget,
     /// The target's statement signature: the part of the cache key every
     /// batch of this operator shares.
     signature: Arc<str>,
@@ -83,26 +81,14 @@ enum BindStage {
 }
 
 impl<'a> BindJoinOp<'a> {
-    /// Creates the operator over `target`'s source in `lake`, every cell of
-    /// its answers lifted; the engine resolves the route from the target's
-    /// routing decision.
+    /// Creates the operator over `target`'s source in `lake`, lifting what
+    /// the target's [`LiftPlan`] says; the engine resolves the route from
+    /// the target's routing decision.
+    ///
+    /// [`LiftPlan`]: super::LiftPlan
     pub fn new(
         left: BoxedOp<'a>,
-        target: &BindTarget,
-        lake: &'a DataLake,
-        route: SourceRoute,
-        rows_per_message: usize,
-        batch_size: usize,
-    ) -> Result<Self, FedError> {
-        Self::planned(left, target, None, lake, route, rows_per_message, batch_size)
-    }
-
-    /// [`BindJoinOp::new`] lifting what the plan's [`LiftPlan`] for the
-    /// target says.
-    pub(crate) fn planned(
-        left: BoxedOp<'a>,
-        target: &BindTarget,
-        lift: Option<&'a LiftPlan>,
+        target: &'a BindTarget,
         lake: &'a DataLake,
         route: SourceRoute,
         rows_per_message: usize,
@@ -119,12 +105,11 @@ impl<'a> BindJoinOp<'a> {
             }
         };
         let signature =
-            LeafRequest::Batch { db, target, ids: &[], lift }.signature(route.logical()).into();
+            LeafRequest::Batch { db, target, ids: &[] }.signature(route.logical()).into();
         Ok(BindJoinOp {
             left,
             db,
-            target: target.clone(),
-            lift,
+            target,
             signature,
             version,
             route,
@@ -168,7 +153,7 @@ impl<'a> BindJoinOp<'a> {
         ids: &[TermId],
         ctx: &ExecCtx,
     ) -> Result<(Arc<LiftedSource>, Duration), FedError> {
-        let request = LeafRequest::Batch { db: self.db, target: &self.target, ids, lift: self.lift };
+        let request = LeafRequest::Batch { db: self.db, target: self.target, ids };
         let right = lifted(&request, &self.signature, self.version, ctx)?;
         let work = request.work(&right, &ctx.cost)?;
         Ok((right, work))

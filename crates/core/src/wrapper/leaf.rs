@@ -5,12 +5,12 @@ use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftPlan, LiftedSourc
 use super::bind::bind_batch_query;
 use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRoute};
 use crate::error::FedError;
-use crate::fedplan::{BindTarget, ServiceKind, ServiceNode, SqlRequest};
+use crate::fedplan::{BindTarget, ServiceKind, ServiceNode};
 use crate::lake::DataLake;
 use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
 use crate::source::DataSource;
-use crate::translate::{sql_single, Lift, OutputBinding};
+use crate::translate::{sql_single, Lift, OutputBinding, TranslatedQuery};
 use fedlake_rdf::TermId;
 use fedlake_relational::Database;
 use fedlake_sparql::binding::{encode_row, Row, RowArena, RowId};
@@ -19,21 +19,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Opens the operator streaming a service's answers, every cell lifted.
+/// Opens the operator streaming a service's answers, lifting what the
+/// node's [`LiftPlan`] says.
 pub fn open_service<'a>(
-    node: &ServiceNode,
-    lake: &'a DataLake,
-    route: SourceRoute,
-    rows_per_message: usize,
-) -> Result<BoxedOp<'a>, FedError> {
-    open_leaf(node, None, lake, route, rows_per_message)
-}
-
-/// [`open_service`] lifting what the plan's [`LiftPlan`] for the leaf says
-/// (`None`: every cell).
-pub(crate) fn open_leaf<'a>(
-    node: &ServiceNode,
-    lift: Option<&'a LiftPlan>,
+    node: &'a ServiceNode,
     lake: &'a DataLake,
     route: SourceRoute,
     rows_per_message: usize,
@@ -45,14 +34,11 @@ pub(crate) fn open_leaf<'a>(
         .ok_or_else(|| FedError::NoSuchSource(node.source_id.clone()))?;
     let request = match (&node.kind, source) {
         (ServiceKind::Sparql { star, filters }, DataSource::Sparql { graph, .. }) => {
-            LeafRequest::Sparql { graph, star: star.clone(), filters: filters.clone() }
+            LeafRequest::Sparql { graph, star, filters }
         }
-        (
-            ServiceKind::Sql {
-                request: SqlRequest::Single(q) | SqlRequest::MergedOptimized(q), ..
-            },
-            DataSource::Relational { db, .. },
-        ) => LeafRequest::Sql { db, sql: q.sql.clone(), outputs: q.outputs.clone(), lift },
+        (ServiceKind::Sql { request, .. }, DataSource::Relational { db, .. }) => {
+            LeafRequest::Sql { db, query: request.query(), lift: &node.lift }
+        }
         (kind, src) => {
             return Err(FedError::Internal(format!(
                 "service kind {kind:?} does not match source {}",
@@ -156,19 +142,18 @@ impl Delivery {
 }
 
 /// What a leaf asks of its source: a one-shot request, or one batch of a
-/// bind join. A SQL request lifts what its [`LiftPlan`] says (`None`:
-/// every cell).
+/// bind join. A SQL request lifts what its [`LiftPlan`] says; a batch what
+/// its target's says.
 pub(super) enum LeafRequest<'a> {
     Sql {
         db: &'a Database,
-        sql: String,
-        outputs: Vec<OutputBinding>,
-        lift: Option<&'a LiftPlan>,
+        query: &'a TranslatedQuery,
+        lift: &'a LiftPlan,
     },
     Sparql {
         graph: &'a fedlake_rdf::Graph,
-        star: crate::decompose::StarSubquery,
-        filters: Vec<fedlake_sparql::expr::Expr>,
+        star: &'a crate::decompose::StarSubquery,
+        filters: &'a [fedlake_sparql::expr::Expr],
     },
     /// `target`'s star restricted to the join terms `ids`, each of which a
     /// stored value lifts to (see [`bind_batch_query`]).
@@ -176,7 +161,6 @@ pub(super) enum LeafRequest<'a> {
         db: &'a Database,
         target: &'a BindTarget,
         ids: &'a [TermId],
-        lift: Option<&'a LiftPlan>,
     },
 }
 
@@ -196,9 +180,9 @@ impl LeafRequest<'_> {
             logical: &str,
             sql: &str,
             outputs: &[OutputBinding],
-            lift: Option<&LiftPlan>,
+            lift: &LiftPlan,
         ) -> String {
-            let key = lift.map_or("", LiftPlan::key);
+            let key = lift.key();
             let mut sig = String::with_capacity(sql.len() + logical.len() + key.len() + 32);
             for part in [kind, logical, ":", sql] {
                 sig.push_str(part);
@@ -211,12 +195,13 @@ impl LeafRequest<'_> {
             sig
         }
         match self {
-            LeafRequest::Sql { sql, outputs, lift, .. } => {
-                sql_signature("sql:", logical, sql, outputs, *lift)
+            LeafRequest::Sql { query, lift, .. } => {
+                sql_signature("sql:", logical, &query.sql, &query.outputs, lift)
             }
-            LeafRequest::Batch { target, lift, .. } => {
+            LeafRequest::Batch { target, .. } => {
                 let star = sql_single(&target.part);
-                let mut sig = sql_signature("bind:", logical, &star.sql, &star.outputs, *lift);
+                let mut sig =
+                    sql_signature("bind:", logical, &star.sql, &star.outputs, &target.lift);
                 let _ = write!(sig, ":{}.{} IN ", target.part.alias, target.column.name);
                 if let Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) = &target.column.lift {
                     let _ = write!(sig, "{tmpl}");
@@ -237,7 +222,7 @@ impl LeafRequest<'_> {
                         }
                     }
                 }
-                for f in filters {
+                for f in filters.iter() {
                     let _ = write!(sig, ":{f:?}");
                 }
                 sig
@@ -252,18 +237,19 @@ impl LeafRequest<'_> {
     /// cache of what a leaf fetched.
     fn evaluate(&self, ctx: &ExecCtx) -> Result<LiftedSource, FedError> {
         match self {
-            LeafRequest::Sql { db, sql, outputs, lift } => {
-                let rs = db.query_borrowed(sql)?;
-                Ok(lift_result_cols(&rs, outputs, *lift, &ctx.schema, &mut ctx.interner.lock()))
+            LeafRequest::Sql { db, query, lift } => {
+                let rs = db.query_borrowed(&query.sql)?;
+                let mut dict = ctx.interner.lock();
+                Ok(lift_result_cols(&rs, &query.outputs, lift, &ctx.schema, &mut dict))
             }
-            LeafRequest::Batch { db, target, ids, lift } => {
+            LeafRequest::Batch { db, target, ids } => {
                 let q = {
                     let dict = ctx.interner.lock();
                     bind_batch_query(target, ids.iter().filter_map(|id| dict.term(*id)))
                 };
                 let rs = db.query_borrowed(&q.sql)?;
                 let mut dict = ctx.interner.lock();
-                Ok(lift_result_cols(&rs, &q.outputs, *lift, &ctx.schema, &mut dict))
+                Ok(lift_result_cols(&rs, &q.outputs, &target.lift, &ctx.schema, &mut dict))
             }
             LeafRequest::Sparql { graph, star, filters } => {
                 let filters: Vec<_> = filters.iter().map(|f| f.bind(None)).collect();

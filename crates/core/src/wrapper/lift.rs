@@ -87,10 +87,11 @@ pub fn lift_result(
 }
 
 /// Which cells of a SQL leaf's answer the plan reads: decided once per plan
-/// by the planner (`planner::lift_plans`) and cached with it, one per plan
-/// node. A column no operator above the leaf reads is not lifted: its
-/// cells stay [`TermId::UNBOUND`]. The guards are the one-slot conjuncts of
-/// an engine FILTER directly over the leaf, on slots the leaf binds. Their
+/// by the planner's lowering walk (`planner::lower`) and cached with the
+/// plan, on the leaf or bind-join target it belongs to. A column no
+/// operator above the leaf reads is not lifted: its cells stay
+/// [`TermId::UNBOUND`]. The guards are the one-slot conjuncts of an engine
+/// FILTER directly over the leaf, on slots the leaf binds. Their
 /// columns are lifted for every row, and a row one of them rejects keeps
 /// only those cells: the FILTER drops it whatever the others hold, and
 /// still counts and charges every conjunct on it. The default plan lifts
@@ -136,20 +137,18 @@ impl LiftPlan {
 
 /// Columnar lift of a SQL result, read where it lies in the source's
 /// tables: one `TermId` buffer per slot, written column-at-a-time, and no
-/// `Value` copied on the way, under the leaf's [`LiftPlan`] (`None` lifts
-/// every cell). A cell that is lifted gets exactly the id [`lift_result`]
-/// would assign to it. Only the interning *order* (and therefore the raw
-/// id numbering) differs, which nothing downstream observes: ids never
-/// leave the execution, and every consumer compares or decodes them.
+/// `Value` copied on the way, under the leaf's [`LiftPlan`]. A cell that
+/// is lifted gets exactly the id [`lift_result`] would assign to it. Only
+/// the interning *order* (and therefore the raw id numbering) differs,
+/// which nothing downstream observes: ids never leave the execution, and
+/// every consumer compares or decodes them.
 pub(super) fn lift_result_cols(
     rs: &BorrowedResult<'_>,
     outputs: &[OutputBinding],
-    plan: Option<&LiftPlan>,
+    plan: &LiftPlan,
     schema: &RowSchema,
     dict: &mut Dictionary,
 ) -> LiftedSource {
-    let all = LiftPlan::default();
-    let plan = plan.unwrap_or(&all);
     let n = rs.rows.len();
     let mut cols = vec![vec![TermId::UNBOUND; n]; schema.len()];
     let mut scratch = LiftScratch::default();

@@ -21,7 +21,6 @@ mod lift;
 mod route;
 
 pub use bind::{bind_batch_query, BindJoinOp};
-pub(crate) use leaf::open_leaf;
 pub use leaf::open_service;
 pub(crate) use lift::schema_fingerprint;
 pub use lift::{lift_result, LiftCache, LiftPlan, LiftedSource, SharedLiftCache};
@@ -202,7 +201,8 @@ mod tests {
         let arena = lift_result(&rs, &outputs, &schema, &mut dict);
         let by_row: Vec<&[TermId]> = arena.rows().collect();
         let terms_after_rows = dict.len();
-        let by_col = lift_result_cols(&borrowed, &outputs, None, &schema, &mut dict);
+        let all = LiftPlan::default();
+        let by_col = lift_result_cols(&borrowed, &outputs, &all, &schema, &mut dict);
         assert_eq!(dict.len(), terms_after_rows, "the columnar lift met only known terms");
         assert_eq!((by_row.len(), by_col.rows), (rs.rows.len(), rs.rows.len()));
         for (r, row) in rs.rows.iter().enumerate() {
@@ -258,6 +258,7 @@ mod tests {
                 covers: vec!["?g".into()],
             },
             estimated_rows: 5.0,
+            lift: Arc::default(),
         }
     }
 
@@ -342,6 +343,7 @@ mod tests {
                 covers: Vec::new(),
             },
             estimated_rows: 0.0,
+            lift: Arc::default(),
         };
         let clock = shared_virtual();
         let link = Arc::new(Link::new(
@@ -385,6 +387,7 @@ mod tests {
                 filters: d.stars[0].filters.clone(),
             },
             estimated_rows: 1.0,
+            lift: Arc::default(),
         };
         let clock = shared_virtual();
         let link = Arc::new(Link::new(
@@ -423,6 +426,7 @@ mod tests {
             column: star_column(&Var::new("d"), &star, &tm, &schema).unwrap(),
             covers: "?d".into(),
             estimated_rows: 2.0,
+            lift: Arc::default(),
         }
     }
 
@@ -461,9 +465,10 @@ mod tests {
                 id
             })
             .collect();
+        let target = disease_target(lake);
         let mut op = BindJoinOp::new(
             Box::new(crate::operators::RowsOp::new(rows)),
-            &disease_target(lake),
+            &target,
             lake,
             SourceRoute::single("d", Arc::clone(&link)),
             1,

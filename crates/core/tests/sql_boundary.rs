@@ -535,6 +535,7 @@ fn bind_target(col: Col) -> BindTarget {
         column: star_column(&Var::new("v"), &star, &tm, &schema()).unwrap(),
         covers: star.subject.to_string(),
         estimated_rows: 1.0,
+        lift: Default::default(),
     }
 }
 

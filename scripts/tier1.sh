@@ -52,17 +52,33 @@ git grep -nE 'NaiveStream|MergedNaive|NaiveJoin' -- 'crates/*/src/*' || naive_wr
 [ "$naive_wrapper" -eq 1 ] || { echo "a naive N+1 wrapper is back under crates/*/src (or git grep failed)"; exit 1; }
 
 # A leaf lifts only the cells its plan reads, and what a plan reads is
-# decided once, by the planner, and cached with the plan (DESIGN §19):
-# deciding it each time a session opened the plan cost serve_open 3.5 %
-# host_qps. So nothing in the wrapper, the engine's sessions or the serve
-# loop builds a LiftPlan.
+# decided once, by the planner's lowering walk (planner::lower), and cached
+# with the plan (DESIGN §19): deciding it each time a session opened the
+# plan cost serve_open 3.5 % host_qps. So nothing in the wrapper, the
+# engine's sessions or the serve loop builds a LiftPlan or lowers a plan.
 echo "== the lift plan is decided at plan time =="
 lift_plan_builders=0
-git grep -n 'LiftPlan::new\|lift_plans(' -- crates/core/src/wrapper crates/core/src/engine.rs \
-    crates/core/src/serve.rs || lift_plan_builders=$?
+git grep -nE 'LiftPlan::new|(^|[^A-Za-z0-9_])lower\(' -- crates/core/src/wrapper \
+    crates/core/src/engine.rs crates/core/src/serve.rs || lift_plan_builders=$?
 [ "$lift_plan_builders" -eq 1 ] || { echo "a lift plan is built outside the planner (or git grep failed)"; exit 1; }
 git grep -q 'LiftPlan::new' -- crates/core/src/planner.rs \
     || { echo "planner.rs builds no LiftPlan: the gate above matches nothing"; exit 1; }
+git grep -q 'fn lower(' -- crates/core/src/planner.rs \
+    || { echo "planner.rs has no lowering walk: the gate above matches nothing"; exit 1; }
+
+# A plan node carries its own decisions (DESIGN §17): the lowering walk sets
+# each leaf's and bind-join target's route and lift plan and each FILTER's
+# verdict keys on the node, and open_service / BindJoinOp::new read them
+# there. A PlannedQuery side table of per-node LiftPlans or verdict keys,
+# indexed by a pre-order number that every walker must keep in step, or a
+# second constructor that takes an entry of one, is what that replaced.
+echo "== a plan node carries its own decisions =="
+side_tables=0
+git grep -nE '(^|[^A-Za-z0-9_])(open_leaf|verdict_keys)([^A-Za-z0-9_]|$)|BindJoinOp::planned|(\[|Vec<)(Arc<)?LiftPlan' \
+    -- 'crates/core/src/*' || side_tables=$?
+[ "$side_tables" -eq 1 ] || { echo "a per-node side table or a second constructor is back under crates/core/src (or git grep failed)"; exit 1; }
+git grep -q 'pub lift: Arc<LiftPlan>' -- crates/core/src/fedplan.rs \
+    || { echo "fedplan.rs carries no lift plan on a node: the gate above matches nothing"; exit 1; }
 
 # The key a kept FILTER's verdicts are memoized under is decided the same
 # way: rendered once per plan, by the planner, and cached with the plan

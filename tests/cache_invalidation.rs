@@ -226,23 +226,15 @@ fn oracle_answers(lake: &DataLake, queries: &[(&'static str, SelectQuery)]) -> V
 /// Adds the sources `plan` asks one-shot (`leaves`) and the ones it asks
 /// batch by batch as a bind join's target (`bound`).
 fn plan_sources(plan: &FedPlan, leaves: &mut BTreeSet<String>, bound: &mut BTreeSet<String>) {
-    match plan {
+    plan.visit(0, &mut |node, _| match node {
         FedPlan::Service(node) => {
             leaves.insert(node.source_id.clone());
         }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            plan_sources(left, leaves, bound);
-            plan_sources(right, leaves, bound);
-        }
-        FedPlan::BindJoin { left, right, .. } => {
-            plan_sources(left, leaves, bound);
+        FedPlan::BindJoin { right, .. } => {
             bound.insert(right.source_id.clone());
         }
-        FedPlan::Filter { input, .. } => plan_sources(input, leaves, bound),
-        FedPlan::Union(branches) => {
-            branches.iter().for_each(|b| plan_sources(b, leaves, bound));
-        }
-    }
+        _ => {}
+    });
 }
 
 fn serve_all(engine: &FederatedEngine, queries: &[(&'static str, SelectQuery)]) -> ServeOutcome {

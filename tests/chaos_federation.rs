@@ -582,18 +582,6 @@ fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
     use fedlake_core::wrapper::{BindJoinOp, SourceRoute};
     use fedlake_core::{EngineJoin, ServeConfig, ServeJob};
 
-    fn bind_target(plan: &FedPlan) -> Option<&fedlake_core::fedplan::BindTarget> {
-        match plan {
-            FedPlan::BindJoin { right, .. } => Some(right),
-            FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-                bind_target(left).or_else(|| bind_target(right))
-            }
-            FedPlan::Filter { input, .. } => bind_target(input),
-            FedPlan::Union(branches) => branches.iter().find_map(bind_target),
-            FedPlan::Service(_) => None,
-        }
-    }
-
     // Q1 joins its stars by hash either way; unaware Q3 under
     // `EngineJoin::Bind` ships its left bindings to a bind join.
     let queries = workload::experiment_queries();
@@ -634,7 +622,14 @@ fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
                 served.map(|s| s.outcomes.iter().map(|o| o.rows.len()).collect::<Vec<_>>())
             );
 
-            if let Some(target) = bind_target(&planned.plan) {
+            // The plan's first bind-join target, in pre-order.
+            let mut bind_target = None;
+            planned.plan.visit(0, &mut |node, _| {
+                if let (None, FedPlan::BindJoin { right, .. }) = (&bind_target, node) {
+                    bind_target = Some(right);
+                }
+            });
+            if let Some(target) = bind_target {
                 let link = std::sync::Arc::new(fedlake_netsim::Link::new(
                     config.network,
                     fedlake_netsim::clock::shared_virtual(),

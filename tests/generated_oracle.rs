@@ -345,38 +345,6 @@ fn difference(want: &[String], got: &[String]) -> String {
     format!("{counts}\nmissing {missing:?}\nextra {extra:?}")
 }
 
-/// The source ids a plan sends requests to.
-fn sources(plan: &FedPlan, out: &mut BTreeSet<String>) {
-    match plan {
-        FedPlan::Service(s) => {
-            out.insert(s.source_id.clone());
-        }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            sources(left, out);
-            sources(right, out);
-        }
-        FedPlan::BindJoin { left, right, .. } => {
-            sources(left, out);
-            out.insert(right.source_id.clone());
-        }
-        FedPlan::Filter { input, .. } => sources(input, out),
-        FedPlan::Union(branches) => branches.iter().for_each(|b| sources(b, out)),
-    }
-}
-
-/// Whether a plan evaluates a FILTER at the engine.
-fn engine_filter(plan: &FedPlan) -> bool {
-    match plan {
-        FedPlan::Service(_) => false,
-        FedPlan::Filter { .. } => true,
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            engine_filter(left) || engine_filter(right)
-        }
-        FedPlan::BindJoin { left, .. } => engine_filter(left),
-        FedPlan::Union(branches) => branches.iter().any(engine_filter),
-    }
-}
-
 /// Which side of each heuristic the aware runs reached, and which sides of
 /// the lift plan: a leaf that leaves a column unlifted, and one whose
 /// engine FILTER guards its rows.
@@ -457,17 +425,34 @@ fn generated_queries_match_the_oracle() {
                     );
                     if mode == PlanMode::AWARE {
                         coverage.merged |= result.stats.merged_services > 0;
+                        // Whether the plan keeps a FILTER at the engine, the
+                        // sources it sends requests to, and what its leaves
+                        // and bind-join targets lift.
+                        let (mut kept, mut ids) = (false, BTreeSet::new());
+                        planned.plan.visit(0, &mut |node, _| {
+                            let lift = match node {
+                                FedPlan::Service(s) => {
+                                    ids.insert(s.source_id.as_str());
+                                    &s.lift
+                                }
+                                FedPlan::BindJoin { right, .. } => {
+                                    ids.insert(right.source_id.as_str());
+                                    &right.lift
+                                }
+                                FedPlan::Filter { .. } => {
+                                    kept = true;
+                                    return;
+                                }
+                                _ => return,
+                            };
+                            coverage.unread_slot |= !lift.unread().is_empty();
+                            coverage.guarded_leaf |= !lift.guards().is_empty();
+                        });
                         if q.filtered {
-                            let kept = engine_filter(&planned.plan);
                             coverage.kept |= kept;
                             coverage.pushed |= !kept;
                         }
-                        let mut ids = BTreeSet::new();
-                        sources(&planned.plan, &mut ids);
                         coverage.multi_source |= ids.len() >= 2;
-                        let lifts = planned.lifts.iter();
-                        coverage.unread_slot |= lifts.clone().any(|l| !l.unread().is_empty());
-                        coverage.guarded_leaf |= lifts.clone().any(|l| !l.guards().is_empty());
                     }
                 }
             }

@@ -7,7 +7,7 @@
 //! engine keeps for a one-slot conjunct unless they are one function of
 //! the slot's id (DESIGN §20).
 
-use fedlake::core::fedplan::{FedPlan, ServiceKind};
+use fedlake::core::fedplan::{FedPlan, ServiceKind, ServiceNode};
 use fedlake::core::{FederatedEngine, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake_with, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
@@ -37,20 +37,11 @@ fn planners(network: NetworkProfile) -> [(&'static str, PlanConfig); 3] {
 
 /// The SQL text of every leaf of a plan.
 fn leaf_sql(plan: &FedPlan, out: &mut BTreeSet<String>) {
-    match plan {
-        FedPlan::Service(s) => {
-            if let ServiceKind::Sql { request, .. } = &s.kind {
-                out.insert(request.sql().to_string());
-            }
+    plan.visit(0, &mut |node, _| {
+        if let FedPlan::Service(ServiceNode { kind: ServiceKind::Sql { request, .. }, .. }) = node {
+            out.insert(request.sql().to_string());
         }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            leaf_sql(left, out);
-            leaf_sql(right, out);
-        }
-        FedPlan::BindJoin { left, .. } => leaf_sql(left, out),
-        FedPlan::Filter { input, .. } => leaf_sql(input, out),
-        FedPlan::Union(branches) => branches.iter().for_each(|b| leaf_sql(b, out)),
-    }
+    });
 }
 
 fn sql_of(engine: &FederatedEngine, sparql: &str) -> BTreeSet<String> {
@@ -156,17 +147,18 @@ fn stock_queries_lift_what_their_plans_read() {
                     .collect::<Vec<_>>()
                     .join(" ")
             };
-            let unread = names(
-                planned
-                    .lifts
-                    .iter()
-                    .flat_map(|l| l.unread())
-                    .map(|v| v.to_string())
-                    .collect(),
-            );
+            // Every lift plan of the plan: its leaves' and its bind-join
+            // targets'.
+            let mut lifts = Vec::new();
+            planned.plan.visit(0, &mut |node, _| match node {
+                FedPlan::Service(s) => lifts.push(&s.lift),
+                FedPlan::BindJoin { right, .. } => lifts.push(&right.lift),
+                _ => {}
+            });
+            let unread =
+                names(lifts.iter().flat_map(|l| l.unread()).map(|v| v.to_string()).collect());
             let guarded = names(
-                planned
-                    .lifts
+                lifts
                     .iter()
                     .flat_map(|l| l.guards())
                     .flat_map(|g| g.vars())

@@ -16,7 +16,7 @@
 //! BLESS_GOLDEN=1 cargo test --test sql_leaf_golden
 //! ```
 
-use fedlake::core::fedplan::{FedPlan, ServiceKind, SqlRequest};
+use fedlake::core::fedplan::{BindTarget, FedPlan, ServiceKind};
 use fedlake::core::translate::{sql_single, Lift};
 use fedlake::core::wrapper::bind_batch_query;
 use fedlake::core::{DataLake, DataSource, FederatedEngine, PlanConfig, PlanMode};
@@ -74,101 +74,91 @@ fn dump(out: &mut String, title: &str, db: &Database, sql: &str) {
 }
 
 /// Walks the plan left to right, dumping every SQL leaf; the first bind
-/// join met also contributes one `IN (…)` batch built the way
-/// `BindJoinOp` builds them.
-fn walk(
-    plan: &FedPlan,
-    lake: &DataLake,
-    label: &str,
-    leaf: &mut usize,
-    batch_done: &mut bool,
-    out: &mut String,
-) {
-    match plan {
-        FedPlan::Service(node) => {
-            if let ServiceKind::Sql { request, .. } = &node.kind {
-                if matches!(
-                    request,
-                    SqlRequest::Single(_) | SqlRequest::MergedOptimized(_)
-                ) {
-                    let title = format!("{label} leaf {leaf} @ {}", node.source_id);
-                    dump(
-                        out,
-                        &title,
-                        relational(lake, &node.source_id),
-                        request.sql(),
-                    );
-                }
-            }
-            *leaf += 1;
-        }
-        FedPlan::Join { left, right, .. } | FedPlan::LeftJoin { left, right, .. } => {
-            walk(left, lake, label, leaf, batch_done, out);
-            walk(right, lake, label, leaf, batch_done, out);
-        }
-        FedPlan::Filter { input, .. } => walk(input, lake, label, leaf, batch_done, out),
-        FedPlan::Union(branches) => {
-            for b in branches {
-                walk(b, lake, label, leaf, batch_done, out);
-            }
-        }
-        FedPlan::BindJoin { left, right, .. } => {
-            walk(left, lake, label, leaf, batch_done, out);
+/// join met also contributes, once its left input's leaves are out, one
+/// `IN (…)` batch built the way `BindJoinOp` builds them.
+fn walk(plan: &FedPlan, lake: &DataLake, label: &str, batch_done: &mut bool, out: &mut String) {
+    let mut leaf = 0;
+    // Bind joins whose left input is still being walked, with their depth:
+    // the walk has left a bind join's input when it meets a node no deeper.
+    let mut pending: Vec<(usize, &BindTarget)> = Vec::new();
+    let mut left_done = |depth, pending: &mut Vec<(usize, &BindTarget)>, out: &mut String| {
+        while pending.last().is_some_and(|&(d, _)| d >= depth) {
+            let (_, right) = pending.pop().unwrap();
             if !*batch_done {
                 *batch_done = true;
-                let db = relational(lake, &right.source_id);
-                let table = db.table(&right.part.table).expect("bind target table");
-                let pos = table
-                    .schema
-                    .column_index(&right.column.name)
-                    .expect("bind column");
-                let mut keys: Vec<String> = Vec::new();
-                let mut values: Vec<&Value> = Vec::new();
-                for (_, row) in table.iter() {
-                    let k = row[pos].to_string();
-                    if !row[pos].is_null() && !keys.contains(&k) {
-                        keys.push(k);
-                        values.push(&row[pos]);
-                    }
-                    if keys.len() == BATCH_KEYS {
-                        break;
-                    }
-                }
-                keys.push("'no-such-key'".to_string());
-                let mut part = right.part.clone();
-                part.wheres.push(format!(
-                    "{}.{} IN ({})",
-                    part.alias,
-                    right.column.name,
-                    keys.join(", ")
-                ));
-                let title = format!("{label} bind batch @ {}", right.source_id);
-                dump(out, &title, db, &sql_single(&part).sql);
-
-                // A second batch, rendered by `bind_batch_query` itself
-                // from join terms: the same keys last first, each arriving
-                // twice, among terms no stored value lifts to. Distinct
-                // keys in first-seen order, the rest dropped.
-                let keys_are_iris = !matches!(right.column.lift, Lift::Literal(_));
-                let term_of = |v: &Value| match &right.column.lift {
-                    Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) => Term::iri(tmpl.apply(&value_key(v))),
-                    Lift::Literal(dt) => value_to_term(v, *dt),
-                };
-                let mut terms = vec![Term::iri("http://elsewhere.example/not-minted-here")];
-                for v in values.iter().rev() {
-                    terms.push(term_of(v));
-                    if keys_are_iris {
-                        // The key as a literal is not an IRI the template minted.
-                        terms.push(Term::literal(value_key(v)));
-                    }
-                    terms.push(term_of(v));
-                }
-                let q = bind_batch_query(right, &terms);
-                let title = format!("{label} bind batch (duplicates, strays) @ {}", right.source_id);
-                dump(out, &title, db, &q.sql);
+                dump_batches(right, lake, label, out);
             }
         }
+    };
+    plan.visit(0, &mut |node, depth| {
+        left_done(depth, &mut pending, out);
+        match node {
+            FedPlan::Service(node) => {
+                if let ServiceKind::Sql { request, .. } = &node.kind {
+                    let title = format!("{label} leaf {leaf} @ {}", node.source_id);
+                    dump(out, &title, relational(lake, &node.source_id), request.sql());
+                }
+                leaf += 1;
+            }
+            FedPlan::BindJoin { right, .. } => pending.push((depth, right)),
+            _ => {}
+        }
+    });
+    left_done(0, &mut pending, out);
+}
+
+/// The two pinned batches of the bind join into `right`.
+fn dump_batches(right: &BindTarget, lake: &DataLake, label: &str, out: &mut String) {
+    let db = relational(lake, &right.source_id);
+    let table = db.table(&right.part.table).expect("bind target table");
+    let pos = table
+        .schema
+        .column_index(&right.column.name)
+        .expect("bind column");
+    let mut keys: Vec<String> = Vec::new();
+    let mut values: Vec<&Value> = Vec::new();
+    for (_, row) in table.iter() {
+        let k = row[pos].to_string();
+        if !row[pos].is_null() && !keys.contains(&k) {
+            keys.push(k);
+            values.push(&row[pos]);
+        }
+        if keys.len() == BATCH_KEYS {
+            break;
+        }
     }
+    keys.push("'no-such-key'".to_string());
+    let mut part = right.part.clone();
+    part.wheres.push(format!(
+        "{}.{} IN ({})",
+        part.alias,
+        right.column.name,
+        keys.join(", ")
+    ));
+    let title = format!("{label} bind batch @ {}", right.source_id);
+    dump(out, &title, db, &sql_single(&part).sql);
+
+    // A second batch, rendered by `bind_batch_query` itself
+    // from join terms: the same keys last first, each arriving
+    // twice, among terms no stored value lifts to. Distinct
+    // keys in first-seen order, the rest dropped.
+    let keys_are_iris = !matches!(right.column.lift, Lift::Literal(_));
+    let term_of = |v: &Value| match &right.column.lift {
+        Lift::SubjectIri(tmpl) | Lift::RefIri(tmpl) => Term::iri(tmpl.apply(&value_key(v))),
+        Lift::Literal(dt) => value_to_term(v, *dt),
+    };
+    let mut terms = vec![Term::iri("http://elsewhere.example/not-minted-here")];
+    for v in values.iter().rev() {
+        terms.push(term_of(v));
+        if keys_are_iris {
+            // The key as a literal is not an IRI the template minted.
+            terms.push(Term::literal(value_key(v)));
+        }
+        terms.push(term_of(v));
+    }
+    let q = bind_batch_query(right, &terms);
+    let title = format!("{label} bind batch (duplicates, strays) @ {}", right.source_id);
+    dump(out, &title, db, &q.sql);
 }
 
 #[test]
@@ -195,7 +185,6 @@ fn service_leaf_sql_matches_the_golden_rows_and_counters() {
                 &planned.plan,
                 engine.lake(),
                 &label,
-                &mut 0,
                 &mut batch_done,
                 &mut out,
             );
