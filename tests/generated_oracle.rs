@@ -43,7 +43,9 @@ mod pool;
 use common::{Cell, CELLS};
 use fedlake::core::explain::explain_plan;
 use fedlake::core::fedplan::FedPlan;
-use fedlake::core::{DataLake, FedError, FederatedEngine, PlanConfig, PlanMode};
+use fedlake::core::ir::Fnv64;
+use fedlake::core::planner::plan_query_with_health;
+use fedlake::core::{DataLake, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake, LakeConfig};
 use fedlake::netsim::NetworkProfile;
 use fedlake::rdf::{vocab, Graph, Term, TermId, Triple, TriplePattern};
@@ -467,4 +469,36 @@ fn generated_queries_match_the_oracle() {
     assert!(multi_source, "no aware plan spans two sources");
     assert!(unread_slot, "no aware plan left a column unlifted");
     assert!(guarded_leaf, "no aware plan guarded a leaf's rows with its FILTER");
+}
+
+/// The plan fingerprint (`PlanReport::fingerprint`) keeps its value over
+/// generated plans: one digest over the first 120 cases, whatever
+/// `ORACLE_QUERIES` says, × {unaware, aware, cost-based aware} × {NoDelay,
+/// Gamma2}. A documented refusal is folded as its message.
+#[test]
+fn generated_plan_fingerprints_keep_their_values() {
+    const PINNED_CASES: u64 = 120;
+    let lake = build_lake(&LakeConfig { scale: 0.1, ..Default::default() });
+    let oracle = lake.oracle_graph();
+    let walker = Walker::new(&oracle);
+    let mut digest = Fnv64::new();
+    for case in 0..PINNED_CASES {
+        let q = generate(&walker, &mut Prng::seed_from_u64(SEED + case));
+        let ast = parse_query(&q.sparql)
+            .unwrap_or_else(|e| panic!("case {case}: {e}\n{}", q.sparql));
+        for (mode, cost_based) in
+            [(PlanMode::Unaware, false), (PlanMode::AWARE, false), (PlanMode::AWARE, true)]
+        {
+            for network in [NetworkProfile::NO_DELAY, NetworkProfile::GAMMA2] {
+                let mut config = PlanConfig::new(mode, network);
+                config.cost_based = cost_based;
+                match plan_query_with_health(&ast, &lake, &config, &HealthView::empty()) {
+                    Ok(planned) => digest.push_u64(planned.report.fingerprint),
+                    Err(e) if documented(&e) => digest.push_str(&e.to_string()),
+                    Err(e) => panic!("case {case} {config:?}: planning fails: {e}\n{}", q.sparql),
+                };
+            }
+        }
+    }
+    assert_eq!(digest.finish(), 0xf1e2_53c5_f9ff_13b1, "the plan fingerprints moved");
 }

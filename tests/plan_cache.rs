@@ -9,10 +9,13 @@
 //! plans across runs on the same engine and reports the cache counters
 //! in its metrics rollup.
 
+use fedlake_core::fedplan::{FedPlan, ServiceKind, SqlRequest};
+use fedlake_core::ir::Fnv64;
 use fedlake_core::obs::Metric;
 use fedlake_core::planner::plan_query_with_health;
-use fedlake_core::{FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
-use fedlake_datagen::{build_lake_with, workload, LakeConfig};
+use fedlake_core::{DataLake, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
+use fedlake_datagen::vocab::{class, pred};
+use fedlake_datagen::{build_lake, build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
 use fedlake_serve::{run, solo_golden, sorted_csv, Mix, ServeSpec};
 use fedlake_sparql::parser::parse_query;
@@ -125,6 +128,133 @@ fn cached_execution_matches_cold_execution() {
             "{ctx}: EXPLAIN bodies must match"
         );
     }
+}
+
+// --- the plan fingerprint --------------------------------------------------
+
+/// Three queries over QM's three stars (probeset, gene, disease) that reach
+/// what the stock workload does not: an OPTIONAL (a left join), a UNION,
+/// and both at once.
+fn optional_union_queries() -> [String; 3] {
+    let (ps, gene, dis) = (
+        class("affymetrix", "Probeset"),
+        class("diseasome", "Gene"),
+        class("diseasome", "Disease"),
+    );
+    let (pgene, pspecies) = (pred("affymetrix", "gene"), pred("affymetrix", "scientificName"));
+    let (glabel, gdisease, dname) = (
+        pred("diseasome", "label"),
+        pred("diseasome", "associatedDisease"),
+        pred("diseasome", "name"),
+    );
+    [
+        format!(
+            "SELECT ?ps ?gl ?dn WHERE {{ ?ps a <{ps}> . ?ps <{pgene}> ?g . \
+             ?ps <{pspecies}> ?sp . ?g a <{gene}> . ?g <{glabel}> ?gl . \
+             ?g <{gdisease}> ?d . OPTIONAL {{ ?d a <{dis}> . ?d <{dname}> ?dn }} \
+             FILTER(CONTAINS(?sp, \"sapiens\")) }}"
+        ),
+        format!(
+            "SELECT ?g ?x WHERE {{ ?ps a <{ps}> . ?ps <{pgene}> ?g . \
+             {{ ?g a <{gene}> . ?g <{glabel}> ?x }} UNION \
+             {{ ?g <{gdisease}> ?d . ?d a <{dis}> . ?d <{dname}> ?x }} }}"
+        ),
+        format!(
+            "SELECT ?ps ?sp ?x ?dn WHERE {{ ?ps a <{ps}> . ?ps <{pspecies}> ?sp . \
+             ?ps <{pgene}> ?g . {{ ?g a <{gene}> . ?g <{glabel}> ?x }} UNION \
+             {{ ?g a <{gene}> . ?g <{gdisease}> ?x }} \
+             OPTIONAL {{ ?g <{gdisease}> ?d . ?d a <{dis}> . ?d <{dname}> ?dn }} }}"
+        ),
+    ]
+}
+
+/// Which kinds of plan node the pinned plans reach.
+#[derive(Debug, Default)]
+struct Reached {
+    single: bool,
+    merged: bool,
+    sparql: bool,
+    join: bool,
+    left_join: bool,
+    union: bool,
+    bind_join: bool,
+    filter: bool,
+}
+
+impl Reached {
+    fn note(&mut self, plan: &FedPlan) {
+        plan.visit(0, &mut |node, _| match node {
+            FedPlan::Service(s) => match &s.kind {
+                ServiceKind::Sparql { .. } => self.sparql = true,
+                ServiceKind::Sql { request: SqlRequest::Single(_), .. } => self.single = true,
+                ServiceKind::Sql { request: SqlRequest::MergedOptimized(_), .. } => {
+                    self.merged = true
+                }
+            },
+            FedPlan::Join { .. } => self.join = true,
+            FedPlan::LeftJoin { .. } => self.left_join = true,
+            FedPlan::Union(_) => self.union = true,
+            FedPlan::BindJoin { .. } => self.bind_join = true,
+            FedPlan::Filter { .. } => self.filter = true,
+        });
+    }
+
+    fn all(&self) -> bool {
+        let Reached { single, merged, sparql, join, left_join, union, bind_join, filter } = *self;
+        single && merged && sparql && join && left_join && union && bind_join && filter
+    }
+}
+
+/// The plan fingerprint (`PlanReport::fingerprint`, the label EXPLAIN and
+/// the flight recorder carry) keeps its value: one digest over
+/// - Q1–Q5 and QM × {unaware, aware, aware-H2, cost-based aware} × the four
+///   networks on the default lake, and
+/// - QM and three OPTIONAL/UNION queries × {unaware, aware, cost-based
+///   aware} × the four networks on the default lake and on one that mounts
+///   Diseasome as a SPARQL source,
+///
+/// whose plans reach every kind of plan node and both SQL request forms.
+#[test]
+fn plan_fingerprints_keep_their_values() {
+    const STOCK: [(PlanMode, bool); 4] = [
+        (PlanMode::Unaware, false),
+        (PlanMode::AWARE, false),
+        (PlanMode::AWARE_H2, false),
+        (PlanMode::AWARE, true),
+    ];
+    let three = [STOCK[0], STOCK[1], STOCK[3]];
+
+    let (mut digest, mut reached, mut plans) = (Fnv64::new(), Reached::default(), 0);
+    let mut pin = |lake: &DataLake, sparql: &str, planners: &[(PlanMode, bool)]| {
+        let ast = parse_query(sparql).unwrap();
+        for &(mode, cost_based) in planners {
+            for network in NetworkProfile::ALL {
+                let mut config = PlanConfig::new(mode, network);
+                config.cost_based = cost_based;
+                let planned = plan_query_with_health(&ast, lake, &config, &HealthView::empty())
+                    .unwrap_or_else(|e| panic!("{sparql}\n{config:?}: {e}"));
+                digest.push_u64(planned.report.fingerprint);
+                reached.note(&planned.plan);
+                plans += 1;
+            }
+        }
+    };
+
+    let lake = build_lake(&lake_cfg());
+    for q in workload::all() {
+        pin(&lake, &q.sparql, &STOCK);
+    }
+    let rdf = build_lake(&LakeConfig { rdf_sources: vec!["diseasome".into()], ..lake_cfg() });
+    for lake in [&lake, &rdf] {
+        pin(lake, &workload::motivating().sparql, &three);
+        for sparql in optional_union_queries() {
+            pin(lake, &sparql, &three);
+        }
+    }
+
+    assert_eq!(plans, 192);
+    assert!(reached.all(), "the pinned plans miss a kind of node: {reached:?}");
+    assert_eq!(digest.finish(), 0x6f88_1103_b3a4_5bd5, "the plan fingerprints moved");
 }
 
 // --- invalidation ----------------------------------------------------------
