@@ -163,8 +163,8 @@ pub struct FederatedEngine {
     /// query's detail under [`PlanConfig::tracing`]; with neither, every
     /// hook is one branch.
     recorder: crate::obs::Recorder,
-    /// Normalized plan cache (see [`crate::plancache`]): whole planned
-    /// queries memoized behind the canonical query/config fingerprint,
+    /// Plan cache (see [`crate::plancache`]): whole planned queries
+    /// memoized behind the query and config fingerprints,
     /// revalidated per lookup against the lake epoch and the relevant
     /// health inputs. Every planning call goes through it; behind a mutex
     /// so `&self` planning paths can populate it.
@@ -187,7 +187,7 @@ pub struct FederatedEngine {
 /// memo hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCacheStats {
-    /// The normalized plan cache.
+    /// The plan cache.
     pub plan: CacheStats,
     /// The source-result cache of lifted one-shot leaves and bind-join
     /// batches — every source request the engine makes.
@@ -514,7 +514,7 @@ impl FederatedEngine {
 
     /// Plans a query without executing it, consulting the session's
     /// health registry for replica routing and degraded-source demotion.
-    /// A repeat query is replayed from the normalized plan cache.
+    /// A repeat query is replayed from the plan cache.
     pub fn plan(&self, query: &SelectQuery) -> Result<PlannedQuery, FedError> {
         self.plan_cached(query).map(|(planned, _)| planned)
     }
@@ -538,11 +538,7 @@ impl FederatedEngine {
             if let Some(planned) = cache.lookup(key, epoch, view.generation, |sources| {
                 crate::plancache::health_digest(&self.lake, &view, sources)
             }) {
-                let fingerprint = planned.report.fingerprint;
-                return Ok((
-                    planned,
-                    crate::plancache::PlanOrigin { cached: true, fingerprint },
-                ));
+                return Ok((planned, crate::plancache::PlanOrigin { cached: true }));
             }
         }
         // Plan outside the lock: a planning failure must not poison the
@@ -550,7 +546,6 @@ impl FederatedEngine {
         let planned = plan_query_with_health(query, &self.lake, &self.config, &view)?;
         let sources = crate::plancache::plan_sources(&planned);
         let digest = crate::plancache::health_digest(&self.lake, &view, &sources);
-        let fingerprint = planned.report.fingerprint;
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
             key,
             epoch,
@@ -559,10 +554,10 @@ impl FederatedEngine {
             sources,
             planned.clone(),
         );
-        Ok((planned, crate::plancache::PlanOrigin { cached: false, fingerprint }))
+        Ok((planned, crate::plancache::PlanOrigin { cached: false }))
     }
 
-    /// Counter snapshot of the normalized plan cache.
+    /// Counter snapshot of the plan cache.
     pub fn plan_cache_stats(&self) -> crate::plancache::PlanCacheStats {
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
@@ -592,11 +587,7 @@ impl FederatedEngine {
 
     /// Executes an already-planned query.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<FedResult, FedError> {
-        let origin = crate::plancache::PlanOrigin {
-            cached: false,
-            fingerprint: planned.report.fingerprint,
-        };
-        self.execute_planned_with_origin(planned, origin)
+        self.execute_planned_with_origin(planned, crate::plancache::PlanOrigin { cached: false })
     }
 
     /// Executes an already-planned query, annotating the recorder event
@@ -668,7 +659,7 @@ impl FederatedEngine {
         explain.push_str(&format!(
             "plan: {}[fp={:016x}]\n",
             if origin.cached { "cached" } else { "cold" },
-            origin.fingerprint
+            planned.report.fingerprint
         ));
         Ok(FedResult {
             vars: Arc::clone(&planned.projection),

@@ -1,33 +1,21 @@
-//! FedQPL-style logical plan IR.
+//! Fingerprints: stable 64-bit FNV-1a identities built from term text,
+//! never interner ids.
 //!
-//! [`LogicalPlan`] is an explicit logical algebra for federated plans —
-//! `req` / `bgp-req` / `join` / `union` / `bind` over source-annotated
-//! sub-expressions, after the FedQPL formalization. It is lowered from a
-//! freshly built [`FedPlan`] *before* physical annotations (replica
-//! routes) are assigned, so two plans that request the same work from the
-//! same sources share one IR regardless of interner state or routing.
-//!
-//! The IR exists to be **serializable and hashable**:
-//!
-//! * [`LogicalPlan::normalized`] puts a plan in canonical normal form —
-//!   adjacent commutative operators (joins, unions) are flattened to
-//!   n-ary nodes and their children sorted by canonical text, so
-//!   syntactically different but logically identical shapes coincide.
-//! * [`LogicalPlan::canonical`] renders the normal form as a stable
-//!   S-expression built only from term *text* (never interner ids), so
-//!   fingerprints are interner-independent.
-//! * [`LogicalPlan::fingerprint`] folds that text through FNV-1a into a
-//!   stable 64-bit plan fingerprint — the identity used by EXPLAIN, the
-//!   flight recorder and the normalized-plan cache.
-//!
-//! [`query_fingerprint`] and [`config_fingerprint`] provide the matching
-//! *lookup-side* identities: a canonical rendering of the SPARQL AST and
-//! of the planner-relevant configuration. Both are conservative — any
-//! textual difference is a different key — so the plan cache can never
-//! return a plan for a query it was not built from.
+//! * [`plan_fingerprint`] folds a [`FedPlan`] into one S-expression (its
+//!   grammar is in DESIGN §17) and hashes it. Adjacent joins are one n-ary
+//!   `join` over their merged, sorted variables and adjacent unions one
+//!   `union`, each with its operands sorted by text, so commuted or
+//!   re-associated joins and unions share a fingerprint; a left join, a bind
+//!   join and a filter keep their order. The text leaves out what the
+//!   planner's lowering walk sets (routes, lift plans, verdict keys). The
+//!   fingerprint labels a plan in EXPLAIN and the flight recorder.
+//! * [`query_fingerprint`] and [`config_fingerprint`] are the plan cache's
+//!   key: the SPARQL AST and the planner configuration, each folded as
+//!   written, so any textual difference is a different key and the cache
+//!   never returns a plan for a query it was not built from.
 
 use crate::config::PlanConfig;
-use crate::fedplan::{FedPlan, ServiceKind, SqlRequest};
+use crate::fedplan::{FedPlan, ServiceKind};
 use fedlake_sparql::ast::{GroupGraphPattern, Order, PatternElement, SelectQuery};
 
 /// FNV-1a 64-bit offset basis.
@@ -79,237 +67,118 @@ impl Fnv64 {
     }
 }
 
-/// The logical plan algebra, per FedQPL: requests, joins, unions and
-/// dependent (bind) joins over source-annotated sub-expressions. All
-/// payloads are plain text extracted from the physical plan so the IR is
-/// trivially serializable and its hash interner-independent.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LogicalPlan {
-    /// `req`: one translated SQL request against one relational source.
-    Req {
-        /// Logical source id.
-        source: String,
-        /// The request text.
-        sql: String,
-    },
-    /// `bgp-req`: one star-shaped BGP evaluated natively at a SPARQL
-    /// source (the triple-pattern-fragment flavour of `req`).
-    BgpReq {
-        /// Logical source id.
-        source: String,
-        /// Canonical triple-pattern texts (query order).
-        patterns: Vec<String>,
-        /// Filters pushed to the endpoint.
-        filters: Vec<String>,
-    },
-    /// `join`: n-ary engine-level join on the given variables.
-    Join {
-        /// Sub-expressions, sorted canonically in normal form.
-        children: Vec<LogicalPlan>,
-        /// Union of the binary join variables, sorted + deduped.
-        on: Vec<String>,
-    },
-    /// Left (optional) join — not commutative, stays binary.
-    LeftJoin {
-        /// Required input.
-        left: Box<LogicalPlan>,
-        /// Optional input.
-        right: Box<LogicalPlan>,
-        /// Join variables.
-        on: Vec<String>,
-    },
-    /// `union`: n-ary union of alternative sub-expressions.
-    Union(Vec<LogicalPlan>),
-    /// `bind`: dependent join — the input's bindings parameterize a
-    /// request to the annotated source.
-    Bind {
-        /// The driving input.
-        input: Box<LogicalPlan>,
-        /// Logical source id of the parameterized request.
-        source: String,
-        /// The restricted star (table + selected columns + conjuncts).
-        req: String,
-        /// The shipped variable and restricted column.
-        on: String,
-    },
-    /// Engine-level filter.
-    Filter {
-        /// Input.
-        input: Box<LogicalPlan>,
-        /// Conjunct texts (query order).
-        exprs: Vec<String>,
-    },
+/// Stable 64-bit fingerprint of a plan: FNV-1a over its text (see the
+/// module doc). Routes, lift plans and verdict keys are not part of the
+/// text, so a plan fingerprints the same before and after lowering.
+pub fn plan_fingerprint(plan: &FedPlan) -> u64 {
+    Fnv64::new().push_str(&plan_text(plan)).finish()
 }
 
-impl LogicalPlan {
-    /// Lowers a physical plan to its logical IR. Routes and cardinality
-    /// estimates are physical annotations and are deliberately dropped;
-    /// every remaining payload is text.
-    pub fn of(plan: &FedPlan) -> Self {
-        match plan {
-            FedPlan::Service(s) => match &s.kind {
-                ServiceKind::Sparql { star, filters } => LogicalPlan::BgpReq {
-                    source: s.source_id.clone(),
-                    patterns: star.triples.iter().map(|t| t.to_string()).collect(),
-                    filters: filters.iter().map(|e| e.to_string()).collect(),
-                },
-                ServiceKind::Sql { request, .. } => LogicalPlan::Req {
-                    source: s.source_id.clone(),
-                    sql: match request {
-                        SqlRequest::Single(q) => format!("single:{}", q.sql),
-                        SqlRequest::MergedOptimized(q) => format!("merged:{}", q.sql),
-                    },
-                },
-            },
-            FedPlan::Join { left, right, on } => LogicalPlan::Join {
-                children: vec![Self::of(left), Self::of(right)],
-                on: on.iter().map(|v| v.to_string()).collect(),
-            },
-            FedPlan::LeftJoin { left, right, on } => LogicalPlan::LeftJoin {
-                left: Box::new(Self::of(left)),
-                right: Box::new(Self::of(right)),
-                on: on.iter().map(|v| v.to_string()).collect(),
-            },
-            FedPlan::Union(branches) => {
-                LogicalPlan::Union(branches.iter().map(Self::of).collect())
-            }
-            FedPlan::BindJoin { left, right, batch_size } => LogicalPlan::Bind {
-                input: Box::new(Self::of(left)),
-                source: right.source_id.clone(),
-                req: format!(
-                    "{}[{}] batch:{batch_size}",
-                    right.part.table,
-                    right.part.wheres.join(" AND ")
-                ),
-                on: format!("{}={}", right.join_var, right.column.name),
-            },
-            FedPlan::Filter { input, exprs, .. } => LogicalPlan::Filter {
-                input: Box::new(Self::of(input)),
-                exprs: exprs.iter().map(|e| e.to_string()).collect(),
-            },
-        }
-    }
+/// The plan's text, as an S-expression over term text only.
+fn plan_text(plan: &FedPlan) -> String {
+    let mut out = String::new();
+    write_plan(plan, &mut out);
+    out
+}
 
-    /// Canonical normal form: flattens nested joins/unions into n-ary
-    /// nodes (merging join variables) and sorts commutative children by
-    /// canonical text. Idempotent.
-    pub fn normalized(self) -> Self {
-        match self {
-            LogicalPlan::Join { children, on } => {
-                let mut flat = Vec::new();
-                let mut vars = on;
-                for child in children {
-                    match child.normalized() {
-                        LogicalPlan::Join { children: inner, on: inner_on } => {
-                            flat.extend(inner);
-                            vars.extend(inner_on);
-                        }
-                        other => flat.push(other),
-                    }
-                }
-                vars.sort_unstable();
-                vars.dedup();
-                flat.sort_by_key(|child| child.canonical());
-                LogicalPlan::Join { children: flat, on: vars }
-            }
-            LogicalPlan::Union(branches) => {
-                let mut flat = Vec::new();
-                for b in branches {
-                    match b.normalized() {
-                        LogicalPlan::Union(inner) => flat.extend(inner),
-                        other => flat.push(other),
-                    }
-                }
-                flat.sort_by_key(|child| child.canonical());
-                LogicalPlan::Union(flat)
-            }
-            LogicalPlan::LeftJoin { left, right, on } => LogicalPlan::LeftJoin {
-                left: Box::new(left.normalized()),
-                right: Box::new(right.normalized()),
-                on,
-            },
-            LogicalPlan::Bind { input, source, req, on } => LogicalPlan::Bind {
-                input: Box::new(input.normalized()),
-                source,
-                req,
-                on,
-            },
-            LogicalPlan::Filter { input, exprs } => {
-                LogicalPlan::Filter { input: Box::new(input.normalized()), exprs }
-            }
-            leaf @ (LogicalPlan::Req { .. } | LogicalPlan::BgpReq { .. }) => leaf,
-        }
-    }
-
-    /// The serializable canonical form: a stable S-expression over term
-    /// text only. Equal strings ⇔ equal normalized IR.
-    pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        self.write_canonical(&mut out);
-        out
-    }
-
-    fn write_canonical(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            LogicalPlan::Req { source, sql } => {
-                let _ = write!(out, "(req {source} {sql:?})");
-            }
-            LogicalPlan::BgpReq { source, patterns, filters } => {
-                let _ = write!(out, "(bgp-req {source}");
-                for p in patterns {
-                    let _ = write!(out, " {p:?}");
+fn write_plan(plan: &FedPlan, out: &mut String) {
+    use std::fmt::Write;
+    match plan {
+        FedPlan::Service(s) => match &s.kind {
+            ServiceKind::Sparql { star, filters } => {
+                let _ = write!(out, "(bgp-req {}", s.source_id);
+                for t in &star.triples {
+                    let _ = write!(out, " {:?}", t.to_string());
                 }
                 for f in filters {
-                    let _ = write!(out, " (filter {f:?})");
+                    let _ = write!(out, " (filter {:?})", f.to_string());
                 }
                 out.push(')');
             }
-            LogicalPlan::Join { children, on } => {
-                let _ = write!(out, "(join [{}]", on.join(","));
-                for c in children {
-                    out.push(' ');
-                    c.write_canonical(out);
-                }
-                out.push(')');
+            ServiceKind::Sql { request, .. } => {
+                let form = if request.is_merged() { "merged" } else { "single" };
+                let sql = format!("{form}:{}", request.sql());
+                let _ = write!(out, "(req {} {sql:?})", s.source_id);
             }
-            LogicalPlan::LeftJoin { left, right, on } => {
-                let _ = write!(out, "(leftjoin [{}] ", on.join(","));
-                left.write_canonical(out);
-                out.push(' ');
-                right.write_canonical(out);
-                out.push(')');
+        },
+        FedPlan::Join { .. } => {
+            let (mut on, mut operands) = (Vec::new(), Vec::new());
+            join_operands(plan, &mut on, &mut operands);
+            on.sort_unstable();
+            on.dedup();
+            let _ = write!(out, "(join [{}]", on.join(","));
+            write_sorted(operands, out);
+        }
+        FedPlan::Union(_) => {
+            let mut operands = Vec::new();
+            union_operands(plan, &mut operands);
+            out.push_str("(union");
+            write_sorted(operands, out);
+        }
+        FedPlan::LeftJoin { left, right, on } => {
+            let on: Vec<String> = on.iter().map(|v| v.to_string()).collect();
+            let _ = write!(out, "(leftjoin [{}] ", on.join(","));
+            write_plan(left, out);
+            out.push(' ');
+            write_plan(right, out);
+            out.push(')');
+        }
+        FedPlan::BindJoin { left, right, batch_size } => {
+            let req = format!(
+                "{}[{}] batch:{batch_size}",
+                right.part.table,
+                right.part.wheres.join(" AND ")
+            );
+            let _ = write!(
+                out,
+                "(bind {} {req:?} [{}={}] ",
+                right.source_id, right.join_var, right.column.name
+            );
+            write_plan(left, out);
+            out.push(')');
+        }
+        FedPlan::Filter { input, exprs, .. } => {
+            out.push_str("(filter");
+            for e in exprs {
+                let _ = write!(out, " {:?}", e.to_string());
             }
-            LogicalPlan::Union(branches) => {
-                out.push_str("(union");
-                for b in branches {
-                    out.push(' ');
-                    b.write_canonical(out);
-                }
-                out.push(')');
-            }
-            LogicalPlan::Bind { input, source, req, on } => {
-                let _ = write!(out, "(bind {source} {req:?} [{on}] ");
-                input.write_canonical(out);
-                out.push(')');
-            }
-            LogicalPlan::Filter { input, exprs } => {
-                out.push_str("(filter");
-                for e in exprs {
-                    let _ = write!(out, " {e:?}");
-                }
-                out.push(' ');
-                input.write_canonical(out);
-                out.push(')');
-            }
+            out.push(' ');
+            write_plan(input, out);
+            out.push(')');
         }
     }
+}
 
-    /// Stable 64-bit fingerprint of the canonical form. Call on a
-    /// [`normalized`](Self::normalized) plan for the canonical identity.
-    pub fn fingerprint(&self) -> u64 {
-        Fnv64::new().push_str(&self.canonical()).finish()
+/// The operands of the run of adjacent joins at `plan`, as text, and the
+/// run's join variables: joins commute and associate, so the run is one
+/// n-ary join.
+fn join_operands(plan: &FedPlan, on: &mut Vec<String>, operands: &mut Vec<String>) {
+    match plan {
+        FedPlan::Join { left, right, on: vars } => {
+            on.extend(vars.iter().map(|v| v.to_string()));
+            join_operands(left, on, operands);
+            join_operands(right, on, operands);
+        }
+        other => operands.push(plan_text(other)),
     }
+}
+
+/// The operands of the run of adjacent unions at `plan`, as text.
+fn union_operands(plan: &FedPlan, operands: &mut Vec<String>) {
+    match plan {
+        FedPlan::Union(branches) => branches.iter().for_each(|b| union_operands(b, operands)),
+        other => operands.push(plan_text(other)),
+    }
+}
+
+/// Writes commutative operands in sorted order, then closes the node.
+fn write_sorted(mut operands: Vec<String>, out: &mut String) {
+    operands.sort_unstable();
+    for operand in operands {
+        out.push(' ');
+        out.push_str(&operand);
+    }
+    out.push(')');
 }
 
 /// Canonical fingerprint of a SPARQL query AST — the lookup key the plan
@@ -380,8 +249,9 @@ pub fn config_fingerprint(config: &PlanConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fedplan::ServiceNode;
-    use crate::translate::TranslatedQuery;
+    use crate::fedplan::{BindTarget, ServiceNode, SqlRequest};
+    use crate::translate::{Lift, StarColumn, StarPart, TranslatedQuery};
+    use fedlake_relational::DataType;
     use fedlake_sparql::binding::Var;
     use fedlake_sparql::parser::parse_query;
 
@@ -409,50 +279,66 @@ mod tests {
         }
     }
 
+    fn left_join(left: FedPlan, right: FedPlan) -> FedPlan {
+        FedPlan::LeftJoin { left: Box::new(left), right: Box::new(right), on: vec![Var::new("x")] }
+    }
+
+    fn bind_join(left: FedPlan) -> FedPlan {
+        let right = BindTarget {
+            source_id: "t".into(),
+            route: None,
+            part: StarPart {
+                table: "t".into(),
+                alias: "s0".into(),
+                select: Vec::new(),
+                wheres: Vec::new(),
+                outputs: Vec::new(),
+                distinct: false,
+            },
+            join_var: Var::new("x"),
+            column: StarColumn { name: "id".into(), lift: Lift::Literal(DataType::Int) },
+            covers: "?x".into(),
+            estimated_rows: 1.0,
+            lift: Default::default(),
+        };
+        FedPlan::BindJoin { left: Box::new(left), right, batch_size: 2 }
+    }
+
     #[test]
     fn commuted_joins_share_a_fingerprint() {
-        let ab = LogicalPlan::of(&join(req("a", "SELECT 1"), req("b", "SELECT 2"), "x"));
-        let ba = LogicalPlan::of(&join(req("b", "SELECT 2"), req("a", "SELECT 1"), "x"));
-        assert_ne!(ab, ba, "raw lowering preserves order");
-        let (nab, nba) = (ab.normalized(), ba.normalized());
-        assert_eq!(nab, nba, "normal form is order-free");
-        assert_eq!(nab.fingerprint(), nba.fingerprint());
+        let (a, b) = (|| req("a", "SELECT 1"), || req("b", "SELECT 2"));
+        let ab = plan_fingerprint(&join(a(), b(), "x"));
+        assert_eq!(ab, plan_fingerprint(&join(b(), a(), "x")), "joins commute");
+        let union = plan_fingerprint(&FedPlan::Union(vec![a(), b()]));
+        assert_eq!(union, plan_fingerprint(&FedPlan::Union(vec![b(), a()])), "unions commute");
+        assert_ne!(
+            plan_fingerprint(&left_join(a(), b())),
+            plan_fingerprint(&left_join(b(), a())),
+            "a left join's sides are not interchangeable"
+        );
+        assert_ne!(
+            plan_fingerprint(&bind_join(a())),
+            plan_fingerprint(&bind_join(b())),
+            "a bind join's input distinguishes"
+        );
     }
 
     #[test]
     fn nested_joins_flatten_and_merge_variables() {
-        let nested = join(
-            join(req("a", "A"), req("b", "B"), "x"),
-            req("c", "C"),
-            "y",
+        let nested = join(join(req("c", "C"), req("a", "A"), "y"), req("b", "B"), "x");
+        assert_eq!(
+            plan_text(&nested),
+            r#"(join [?x,?y] (req a "single:A") (req b "single:B") (req c "single:C"))"#
         );
-        match LogicalPlan::of(&nested).normalized() {
-            LogicalPlan::Join { children, on } => {
-                assert_eq!(children.len(), 3);
-                assert_eq!(on, vec!["?x".to_string(), "?y".to_string()]);
-            }
-            other => panic!("expected flattened join, got {other:?}"),
-        }
+        let reassociated = join(req("a", "A"), join(req("b", "B"), req("c", "C"), "x"), "y");
+        assert_eq!(plan_fingerprint(&nested), plan_fingerprint(&reassociated));
     }
 
     #[test]
     fn different_requests_fingerprint_differently() {
-        let a = LogicalPlan::of(&req("a", "SELECT 1")).normalized();
-        let b = LogicalPlan::of(&req("a", "SELECT 2")).normalized();
-        let c = LogicalPlan::of(&req("b", "SELECT 1")).normalized();
-        assert_ne!(a.fingerprint(), b.fingerprint(), "sql text distinguishes");
-        assert_ne!(a.fingerprint(), c.fingerprint(), "source distinguishes");
-    }
-
-    #[test]
-    fn normalization_is_idempotent() {
-        let plan = LogicalPlan::of(&join(
-            join(req("c", "C"), req("a", "A"), "x"),
-            req("b", "B"),
-            "x",
-        ));
-        let once = plan.normalized();
-        assert_eq!(once.clone().normalized(), once);
+        let a = plan_fingerprint(&req("a", "SELECT 1"));
+        assert_ne!(a, plan_fingerprint(&req("a", "SELECT 2")), "sql text distinguishes");
+        assert_ne!(a, plan_fingerprint(&req("b", "SELECT 1")), "source distinguishes");
     }
 
     #[test]

@@ -91,7 +91,6 @@ pub use obs::{
     slow_queries, watch, FlightRecording, MetricsRegistry, SlowLogConfig, SlowQueryRecord,
     TraceReport, WatchdogConfig, WatchdogReport,
 };
-pub use ir::LogicalPlan;
 pub use plancache::{PlanCacheStats, PlanOrigin};
 pub use serve::{QueryOutcome, ServeConfig, ServeJob, ServeOutcome, ServeQueryStats};
 pub use source::DataSource;

@@ -98,9 +98,10 @@ pub enum FleetEventKind {
         bind_joins: u64,
         /// The planner's estimated answer cardinality (plan root).
         estimated_rows: f64,
-        /// The plan was replayed from the normalized plan cache.
+        /// The plan was replayed from the plan cache.
         cached: bool,
-        /// Stable logical-plan fingerprint (see [`crate::ir`]).
+        /// The plan's label, [`crate::planner::PlanReport::fingerprint`]
+        /// (not the plan cache's key).
         fingerprint: u64,
     },
     /// The first answer row left the engine.

@@ -1,4 +1,4 @@
-//! The normalized plan cache.
+//! The plan cache.
 //!
 //! Repeat traffic from the serving layer is dominated by a handful of
 //! templated query shapes, yet every job used to pay full decomposition +
@@ -7,9 +7,11 @@
 //! *byte-identical* plan a cold run would have built:
 //!
 //! * **Key** — `(query fingerprint, config fingerprint)` from
-//!   [`crate::ir`]: the canonical AST text and the full planner
-//!   configuration. Conservative by construction: different text ⇒
-//!   different key, so a hit can never cross queries or configs.
+//!   [`crate::ir`]: the SPARQL AST and the full planner configuration,
+//!   each folded as written. Conservative by construction: different text
+//!   ⇒ different key, so a hit can never cross queries or configs. The
+//!   plan's own fingerprint (`PlanReport::fingerprint`) is no part of the
+//!   key: it is a label EXPLAIN and the flight recorder carry.
 //! * **Validation** — the workspace's one cache contract
 //!   ([`fedlake_relational::cache`]): an entry is stamped with the lake
 //!   epoch it was planned under, and a lookup under another epoch
@@ -61,9 +63,6 @@ pub struct PlanCacheStats {
 pub struct PlanOrigin {
     /// True when the plan was replayed from the cache.
     pub cached: bool,
-    /// The plan's stable logical fingerprint (equals
-    /// `report.fingerprint`).
-    pub fingerprint: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -74,7 +73,7 @@ struct Entry {
     planned: PlannedQuery,
 }
 
-/// The bounded, deterministic normalized-plan cache.
+/// The bounded, deterministic plan cache.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: VersionedCache<(u64, u64), Entry, fedlake_rdf::BuildFastHasher>,

@@ -92,9 +92,10 @@ pub struct PlanReport {
     pub estimated_cost: Option<FederationCost>,
     /// Estimated output rows of the final plan.
     pub estimated_rows: f64,
-    /// Stable 64-bit fingerprint of the plan's normalized logical IR
-    /// (see [`crate::ir`]): identical for a cached replay and its cold
-    /// original, interner-independent.
+    /// The plan's label in EXPLAIN and the flight recorder: a stable
+    /// 64-bit hash of its text ([`crate::ir::plan_fingerprint`]),
+    /// interner-independent. The plan cache is keyed by the query and the
+    /// configuration, not by this.
     pub fingerprint: u64,
 }
 
@@ -162,10 +163,9 @@ pub fn plan_query_with_health(
     let mut report = PlanReport { cost_based: config.cost_based, ..PlanReport::default() };
     let mut plan = plan_tree(&dec, lake, config, health, &mut skipped, &mut report)?;
     report.estimated_rows = plan.estimated_rows();
-    // The logical identity is fixed before physical lowering: replica
-    // routes, lift plans and verdict keys are set below and deliberately do
-    // not shift it.
-    report.fingerprint = crate::ir::LogicalPlan::of(&plan).normalized().fingerprint();
+    // Taken before lowering; the routes, lift plans and verdict keys set
+    // below are not part of the fingerprint's text either way.
+    report.fingerprint = crate::ir::plan_fingerprint(&plan);
     let projection = query.effective_projection();
     // The schema covers every variable an operator may bind or project.
     let schema = Arc::new(RowSchema::new(

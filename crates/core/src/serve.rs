@@ -80,7 +80,7 @@ pub struct ServeJob {
     /// Per-job deadline override (relative to arrival); `None` falls back
     /// to [`ServeConfig::deadline`].
     pub deadline: Option<Duration>,
-    /// The planned query was replayed from the normalized plan cache
+    /// The planned query was replayed from the plan cache
     /// (`false` for cold plans and whenever the cache is off). Annotation
     /// only: execution is byte-identical either way.
     pub cached: bool,

@@ -108,7 +108,7 @@ impl StarColumn {
     /// lift *is* `term`, checked by lifting it back — or `None` when no
     /// stored value lifts to it (an IRI the template did not mint or would
     /// write differently, another datatype, a language tag, a lexical form
-    /// that is not the canonical one), so no row can match `term`. A key
+    /// other than the one the lift writes), so no row can match `term`. A key
     /// is stored as the text the template mints its IRI from.
     pub fn stored(&self, term: &Term) -> Option<Value> {
         match &self.lift {

@@ -80,6 +80,16 @@ git grep -nE '(^|[^A-Za-z0-9_])(open_leaf|verdict_keys)([^A-Za-z0-9_]|$)|BindJoi
 git grep -q 'pub lift: Arc<LiftPlan>' -- crates/core/src/fedplan.rs \
     || { echo "fedplan.rs carries no lift plan on a node: the gate above matches nothing"; exit 1; }
 
+# One plan tree: FedPlan is the plan, and the plan fingerprint is a fold
+# over it (ir::plan_fingerprint). A second plan enum mirroring FedPlan's
+# variants, kept in step with it by hand, is what that replaced. Exactly
+# one: zero would mean the gate no longer matches what it guards.
+echo "== one plan enum under crates/core/src =="
+plan_enums="$(git grep -cE 'enum [A-Za-z0-9_]*Plan([^A-Za-z0-9_]|$)' -- 'crates/core/src/*' | awk -F: '{ n += $2 } END { print n + 0 }')"
+[ "$plan_enums" -eq 1 ] || { echo "crates/core/src declares $plan_enums plan enums, want exactly one (FedPlan)"; exit 1; }
+git grep -q 'pub enum FedPlan ' -- crates/core/src/fedplan.rs \
+    || { echo "fedplan.rs no longer declares FedPlan: the gate above counts the wrong enum"; exit 1; }
+
 # The key a kept FILTER's verdicts are memoized under is decided the same
 # way: rendered once per plan, by the planner, and cached with the plan
 # (DESIGN §20); a key rendered each time an execution builds its filter
