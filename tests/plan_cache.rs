@@ -10,7 +10,7 @@
 //! in its metrics rollup.
 
 use fedlake_core::fedplan::{FedPlan, ServiceKind, SqlRequest};
-use fedlake_core::ir::Fnv64;
+use fedlake_core::ir::{plan_fingerprint, Fnv64};
 use fedlake_core::obs::Metric;
 use fedlake_core::planner::plan_query_with_health;
 use fedlake_core::{DataLake, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
@@ -238,6 +238,36 @@ fn plan_fingerprints_keep_their_values() {
     let every = ["sparql", "single", "merged", "join", "left_join", "union", "bind_join", "filter"];
     assert_eq!(reached, BTreeSet::from(every), "the pinned plans must reach every kind of node");
     assert_eq!(digest.finish(), 0x6f88_1103_b3a4_5bd5, "the plan fingerprints moved");
+}
+
+/// The fingerprint's text leaves out what the lowering walk sets (replica
+/// routes, lift plans, verdict keys): on a replicated lake, where every
+/// leaf gets a route, the lowered plan folds to the fingerprint the
+/// planner took before lowering.
+#[test]
+fn lowering_leaves_the_plan_fingerprint_alone() {
+    for q in workload::all() {
+        let mut lake = build_lake_with(&lake_cfg(), q.datasets);
+        for id in q.datasets {
+            lake.set_replicas(*id, 2);
+        }
+        let ast = parse_query(&q.sparql).unwrap();
+        for cost_based in [false, true] {
+            let config = config(cost_based, false);
+            let planned = plan_query_with_health(&ast, &lake, &config, &HealthView::empty()).unwrap();
+            let mut routed = false;
+            planned.plan.visit(0, &mut |node, _| {
+                routed |= matches!(node, FedPlan::Service(s) if s.route.is_some());
+            });
+            assert!(routed, "{} cost={cost_based}: no leaf was routed", q.id);
+            assert_eq!(
+                plan_fingerprint(&planned.plan),
+                planned.report.fingerprint,
+                "{} cost={cost_based}",
+                q.id
+            );
+        }
+    }
 }
 
 // --- invalidation ----------------------------------------------------------
