@@ -1468,7 +1468,7 @@ mod tests {
             for (from_left, row) in &arrivals {
                 // Each join is handed its own row: a handle passed up is
                 // moved.
-                let (a, b) = (c.rows.push_with(|s| row[s]), c.rows.push_with(|s| row[s]));
+                let (a, b) = (c.rows.push_row(row), c.rows.push_row(row));
                 given.extend([a, b]);
                 sym.tables.insert_and_probe(*from_left, a, &mut c);
                 if *from_left {
@@ -1539,7 +1539,7 @@ mod tests {
         rows: Vec<Vec<TermId>>,
     ) -> (Vec<Vec<TermId>>, Vec<u64>) {
         let (n, before) = (rows.len() as u64, c.stats.engine_filter_evals);
-        let ids = rows.iter().map(|r| c.rows.push_with(|s| r[s])).collect();
+        let ids = rows.iter().map(|r| c.rows.push_row(r)).collect();
         let mut f = FilterOp::new(Box::new(RowsOp::new(ids)), exprs, &[], &c.schema, &c.verdicts);
         let kept = drain(&mut f, c);
         assert_eq!(c.stats.engine_filter_evals - before, n * exprs.len() as u64);
@@ -1642,11 +1642,12 @@ mod tests {
             .map(|_| {
                 let (a, b) = (ids[rng.gen_range(0..3usize)], ids[rng.gen_range(0..3usize)]);
                 let unbound = rng.gen_bool(0.3);
-                c.rows.push_with(|s| match s {
-                    0 => a,
-                    1 if !unbound => b,
-                    _ => TermId::UNBOUND,
-                })
+                let mut row = [TermId::UNBOUND; VARS.len()];
+                row[0] = a;
+                if !unbound {
+                    row[1] = b;
+                }
+                c.rows.push_row(&row)
             })
             .collect();
         let mut seen = std::collections::HashSet::new();

@@ -159,16 +159,16 @@ impl<'a> BindJoinOp<'a> {
         Ok((right, work))
     }
 
-    /// Probes the batch against the fetched right rows — read in place
-    /// from the shared columns — charging the engine-side join work;
-    /// merged rows, new rows of the arena, land in the output queue. Same
-    /// interner on both sides makes id equality term equality.
+    /// Probes the batch against the fetched right rows, each read in place
+    /// and laid over a copy of its left row (`RowArena::merge_row`), charging
+    /// the engine-side join work; merged rows land in the output queue.
+    /// One interner on both sides makes id equality term equality.
     fn probe_batch(&mut self, batch: &[RowId], right: &LiftedSource, ctx: &mut ExecCtx) {
         let jslot = ctx.schema.slot(&self.target.join_var);
         // The right rows by join id, in row order within an id.
         let mut by_key: Vec<(TermId, usize)> = jslot
             .map(|s| {
-                let ids = right.cols[s].iter().copied().zip(0..);
+                let ids = (0..right.rows).map(|r| (right.row(r)[s], r));
                 ids.filter(|(id, _)| *id != TermId::UNBOUND).collect()
             })
             .unwrap_or_default();
@@ -179,7 +179,7 @@ impl<'a> BindJoinOp<'a> {
             let Some(id) = jslot.and_then(|s| ctx.rows.get(lrow, s)) else { continue };
             let first = by_key.partition_point(|(k, _)| *k < id);
             for (_, r) in by_key[first..].iter().take_while(|(k, _)| *k == id) {
-                if let Some(merged) = right.merge_row(&mut ctx.rows, lrow, *r) {
+                if let Some(merged) = ctx.rows.merge_row(lrow, right.row(*r)) {
                     ctx.clock.advance(ctx.cost.engine_row_time(1));
                     self.out.push_back(merged);
                 }

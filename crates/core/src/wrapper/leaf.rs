@@ -64,10 +64,10 @@ struct Flight {
     rows: usize,
 }
 
-/// Message-batched delivery of a leaf's lifted answer. Rows are handed out
-/// in order from the shared columns of `data`, at this stream's `cursor`;
-/// `ready` counts those whose message has landed. At most one message is
-/// on the link at a time, and a poll reports `Poll::Pending` while it is in
+/// Message-batched delivery of a leaf's lifted answer. Rows are copied out
+/// in order from the shared rows of `data`, at this stream's `cursor`, one
+/// slice each; `ready` counts those whose message has landed. At most one
+/// message is on the link at a time, and a poll reports `Poll::Pending` while it is in
 /// the air, letting the engine drain *other* sources in the meantime —
 /// unless the serialized policy sat the wait out when the message was
 /// sent. Message boundaries, the empty-result notification and the retry
@@ -94,9 +94,9 @@ impl Delivery {
         if self.cursor >= self.data.rows {
             return None;
         }
-        let (cols, at) = (&self.data.cols, self.cursor);
+        let row = self.data.row(self.cursor);
         self.cursor += 1;
-        Some(rows.push_with(|slot| cols[slot][at]))
+        Some(rows.push_row(row))
     }
 
     /// Lands the message in flight once it is due and sends the next one
@@ -257,12 +257,13 @@ impl LeafRequest<'_> {
                     .into_iter()
                     .filter(|r| filters.iter().all(|f| f.test(r)))
                     .collect();
-                let mut cols = vec![vec![TermId::UNBOUND; rows.len()]; ctx.schema.len()];
+                let width = ctx.schema.len();
+                let mut ids = vec![TermId::UNBOUND; rows.len() * width];
                 let mut dict = ctx.interner.lock();
                 for (i, r) in rows.iter().enumerate() {
-                    encode_row(r, &ctx.schema, &mut dict, |slot, id| cols[slot][i] = id);
+                    encode_row(r, &ctx.schema, &mut dict, |slot, id| ids[i * width + slot] = id);
                 }
-                Ok(LiftedSource { cols, rows: rows.len(), sql_cost: None })
+                Ok(LiftedSource { ids, width, rows: rows.len(), sql_cost: None })
             }
         }
     }
@@ -289,7 +290,8 @@ impl LeafRequest<'_> {
 /// of the source's data `version`, from the cache when it holds one under
 /// `signature` (and, for a batch, its join terms), evaluated at the source
 /// and cached otherwise. Every leaf stream and every bind-join batch, on
-/// both schedules, gets its rows here.
+/// both schedules, gets its rows here; a cached answer of another width
+/// than the execution's schema is `FedError::Internal`, not shifted rows.
 pub(super) fn lifted(
     request: &LeafRequest,
     signature: &Arc<str>,
@@ -302,7 +304,13 @@ pub(super) fn lifted(
     };
     let probe: &dyn LiftKeyParts = &(ctx.layout, &**signature, ids);
     if let Some(hit) = ctx.lifts.lock().lookup(probe, version) {
-        return Ok(hit);
+        // Once per answer, not per row: `evaluate` lifts at this width.
+        let (width, wide) = (ctx.schema.len(), hit.width);
+        if wide == width && hit.ids.len() == hit.rows * width {
+            return Ok(hit);
+        }
+        let msg = format!("a cached answer {wide} slots wide opened under {width} slots");
+        return Err(FedError::Internal(msg));
     }
     let fresh = Arc::new(request.evaluate(ctx)?);
     let key = LiftKey { layout: ctx.layout, signature: Arc::clone(signature), ids: ids.into() };

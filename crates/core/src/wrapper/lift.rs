@@ -9,7 +9,7 @@ use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{BorrowedResult, ResultSet, Value};
-use fedlake_sparql::binding::{RowArena, RowId, RowSchema, Var};
+use fedlake_sparql::binding::{RowArena, RowSchema, Var};
 use fedlake_sparql::expr::Expr;
 use std::sync::Arc;
 
@@ -63,9 +63,9 @@ fn lift_value(
 /// Lifts an owned SQL result set into a row arena of `schema`'s width,
 /// interning each lifted term; the slot of each output column is resolved
 /// once, not per row. No engine path calls it: every source request —
-/// one-shot leaves and bind-join batches — lifts column-major into the
-/// [`LiftCache`]. Its last callers are fedbench's `lift.*` probes, which
-/// time it by name.
+/// one-shot leaves and bind-join batches — lifts a column at a time into
+/// the [`LiftCache`]'s rows ([`LiftedSource`]). Its last callers are
+/// fedbench's `lift.*` probes, which time it by name.
 pub fn lift_result(
     rs: &ResultSet,
     outputs: &[OutputBinding],
@@ -135,13 +135,13 @@ impl LiftPlan {
     }
 }
 
-/// Columnar lift of a SQL result, read where it lies in the source's
-/// tables: one `TermId` buffer per slot, written column-at-a-time, and no
-/// `Value` copied on the way, under the leaf's [`LiftPlan`]. A cell that
-/// is lifted gets exactly the id [`lift_result`] would assign to it. Only
-/// the interning *order* (and therefore the raw id numbering) differs,
-/// which nothing downstream observes: ids never leave the execution, and
-/// every consumer compares or decodes them.
+/// Column-at-a-time lift of a SQL result, read where it lies in the
+/// source's tables, strided into rows of the schema's width, and no `Value`
+/// copied on the way, under the leaf's [`LiftPlan`]. A cell that is lifted
+/// gets exactly the id [`lift_result`] would assign to it. Only the
+/// interning *order* (and therefore the raw id numbering) differs, which
+/// nothing downstream observes: ids never leave the execution, and every
+/// consumer compares or decodes them.
 pub(super) fn lift_result_cols(
     rs: &BorrowedResult<'_>,
     outputs: &[OutputBinding],
@@ -149,8 +149,8 @@ pub(super) fn lift_result_cols(
     schema: &RowSchema,
     dict: &mut Dictionary,
 ) -> LiftedSource {
-    let n = rs.rows.len();
-    let mut cols = vec![vec![TermId::UNBOUND; n]; schema.len()];
+    let (n, width) = (rs.rows.len(), schema.len());
+    let mut ids = vec![TermId::UNBOUND; n * width];
     let mut scratch = LiftScratch::default();
     let mut guards: Vec<Conjunct> = plan.guards.iter().map(|e| Conjunct::new(e, schema)).collect();
     // The slot each column lifts into, and whether a guard reads it.
@@ -166,35 +166,37 @@ pub(super) fn lift_result_cols(
     if !guards.is_empty() {
         for (i, ob) in outputs.iter().enumerate() {
             if let Some((slot, true)) = targets[i] {
-                lift_column(rs, i, ob, None, &mut cols[slot], &mut scratch, dict);
+                let cells = ids.iter_mut().skip(slot).step_by(width);
+                lift_column(rs, i, ob, None, cells, &mut scratch, dict);
             }
         }
         let d: &Dictionary = dict;
         let keeps = |r: usize, guards: &mut [Conjunct]| {
-            guards.iter_mut().all(|g| g.slot().is_none_or(|s| g.keeps_id(cols[s][r], d)))
+            guards.iter_mut().all(|g| g.slot().is_none_or(|s| g.keeps_id(ids[r * width + s], d)))
         };
         kept = Some((0..n).map(|r| keeps(r, &mut guards)).collect());
     }
     for (i, ob) in outputs.iter().enumerate() {
         if let Some((slot, false)) = targets[i] {
-            lift_column(rs, i, ob, kept.as_deref(), &mut cols[slot], &mut scratch, dict);
+            let cells = ids.iter_mut().skip(slot).step_by(width);
+            lift_column(rs, i, ob, kept.as_deref(), cells, &mut scratch, dict);
         }
     }
-    LiftedSource { cols, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
+    LiftedSource { ids, width, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
 }
 
-/// Lifts column `i` of `rs` into `cells`: every non-NULL value, or only
-/// those of the rows `kept` keeps.
-fn lift_column(
+/// Lifts column `i` of `rs` into `cells`, a slot's cells strided through
+/// the rows: every non-NULL value, or only those of the rows `kept` keeps.
+fn lift_column<'c>(
     rs: &BorrowedResult<'_>,
     i: usize,
     ob: &OutputBinding,
     kept: Option<&[bool]>,
-    cells: &mut [TermId],
+    cells: impl Iterator<Item = &'c mut TermId>,
     scratch: &mut LiftScratch,
     dict: &mut Dictionary,
 ) {
-    for (r, (cell, v)) in cells.iter_mut().zip(rs.rows.column(i)).enumerate() {
+    for (r, (cell, v)) in cells.zip(rs.rows.column(i)).enumerate() {
         if !v.is_null() && kept.is_none_or(|kept| kept[r]) {
             *cell = lift_value(v, ob, scratch, dict);
         }
@@ -202,26 +204,27 @@ fn lift_column(
 }
 
 /// One source's answer to one request — a one-shot leaf or one bind-join
-/// batch — materialized and lifted: column-major `TermId` buffers, one per
-/// schema slot, plus the source-side cost counters the simulation charges
-/// per execution (`None` for a SPARQL source, whose charge follows from the
-/// star's shape and the row count). The ids stay valid for as long as the
-/// interner they were interned into — the engine's is append-only and
-/// shared with every execution. The default is the empty answer a failed
-/// request delivers.
+/// batch — materialized and lifted: `rows` rows of `width` ids in one
+/// buffer, the [`RowArena`]'s row layout (a warm leaf copies a row in with
+/// [`RowArena::push_row`], a probe lays one over its left row with
+/// [`RowArena::merge_row`]), plus the source-side cost counters the
+/// simulation charges per execution (`None` for a SPARQL source, whose
+/// charge follows from the star's shape and the row count). The ids stay
+/// valid for as long as the interner they were interned into — the
+/// engine's is append-only and shared with every execution. The default is
+/// the empty answer a failed request delivers.
 #[derive(Debug, Default)]
 pub struct LiftedSource {
-    pub(super) cols: Vec<Vec<TermId>>,
+    pub(super) ids: Vec<TermId>,
+    pub(super) width: usize,
     pub(super) rows: usize,
     pub(super) sql_cost: Option<fedlake_relational_cost::CostStats>,
 }
 
 impl LiftedSource {
-    /// Appends to `rows` the row `left` merged with row `r`, as
-    /// [`RowArena::merge`] merges two of its own: `None`, and `rows` as it
-    /// was, when a slot is bound to different ids on both sides.
-    pub(super) fn merge_row(&self, rows: &mut RowArena, left: RowId, r: usize) -> Option<RowId> {
-        rows.merge_cells(left, |slot| self.cols[slot][r])
+    /// Row `r`: one id per slot.
+    pub(super) fn row(&self, r: usize) -> &[TermId] {
+        &self.ids[r * self.width..(r + 1) * self.width]
     }
 }
 
@@ -326,11 +329,11 @@ impl LiftCache {
 pub type SharedLiftCache = Arc<LiftCache>;
 
 /// Fingerprint of a schema's slot layout: FNV-1a over the slot-ordered
-/// variable names. Cached column buffers are indexed by slot, so two
-/// schemas with the same fingerprint lay rows out identically and may
-/// share cache entries. An address-based key would be unsound here: a
-/// dropped schema's allocation can be reused by a *different* layout with
-/// the same stream signature, which would serve wrongly-slotted columns.
+/// variable names. Cached rows are laid out by slot, so two schemas with
+/// the same fingerprint lay rows out identically and may share cache
+/// entries. An address-based key would be unsound here: a dropped
+/// schema's allocation can be reused by a *different* layout with the
+/// same stream signature, which would serve wrongly-slotted rows.
 pub(crate) fn schema_fingerprint(schema: &RowSchema) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in schema.vars() {

@@ -50,7 +50,8 @@ pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<RowId>, FedErr
 
 #[cfg(test)]
 mod tests {
-    use super::lift::lift_result_cols;
+    use super::leaf::{lifted, LeafRequest};
+    use super::lift::{lift_result_cols, LiftKey};
     use super::*;
     use crate::decompose::decompose;
     use crate::fedplan::{BindTarget, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
@@ -133,7 +134,9 @@ mod tests {
     /// Both lifts assign the same id to every cell, and it is the id the
     /// whole-term route (`value_key` → `apply` → `Term` → `intern`, kept
     /// for the oracle lift in `mapping/lift.rs`) assigns — for every value
-    /// kind, repeated values, keys that need escaping, and NULLs.
+    /// kind, repeated values, keys that need escaping, and NULLs. A cached
+    /// row is the arena's row, slot for slot; under a guard, a row the
+    /// guard rejects keeps only the guard's cell.
     #[test]
     fn both_lifts_assign_the_ids_of_the_whole_term_route() {
         use fedlake_mapping::lift::{value_key, value_to_term};
@@ -220,13 +223,35 @@ mod tests {
                 let expected = expected
                     .map(|t| dict.id(&t).unwrap_or_else(|| panic!("{t} not interned")));
                 assert_eq!(by_row[r][slot].bound(), expected, "row-major, row {r} column {i}");
-                let cell = by_col.cols[slot][r];
-                let cell = (cell != TermId::UNBOUND).then_some(cell);
-                assert_eq!(cell, expected, "columnar, row {r} column {i}");
             }
             assert_eq!(by_row[r][0], TermId::UNBOUND);
-            assert_eq!(by_col.cols[0][r], TermId::UNBOUND);
+            // The whole row, the unused slot included.
+            assert_eq!(by_col.row(r), by_row[r], "cached, row {r}");
         }
+        assert_eq!(by_col.ids.len(), by_col.rows * schema.len());
+        let guards = decompose(
+            &parse_query("SELECT * WHERE { ?s <http://v/p> ?v3 FILTER(?v3 > 10) }").unwrap(),
+        )
+        .unwrap()
+        .stars
+        .remove(0)
+        .filters;
+        let guarded = LiftPlan::new(Vec::new(), guards);
+        let by_guard = lift_result_cols(&borrowed, &outputs, &guarded, &schema, &mut dict);
+        let v3 = schema.slot(&Var::new("v3")).unwrap();
+        let mut rejected_bound = 0;
+        for (r, row) in by_row.iter().enumerate() {
+            let kept = matches!(rs.rows[r][3], Value::Int(n) if n > 10);
+            let mut want = row.to_vec();
+            if !kept {
+                want.iter_mut().enumerate().filter(|(s, _)| *s != v3).for_each(|(_, id)| {
+                    *id = TermId::UNBOUND;
+                });
+                rejected_bound += usize::from(want[v3] != TermId::UNBOUND);
+            }
+            assert_eq!(by_guard.row(r), &want[..], "guarded, row {r} (kept: {kept})");
+        }
+        assert_eq!(rejected_bound, 2, "rows the guard rejects keep their guard cell");
         // Interning the whole terms afterwards adds nothing either.
         dict.intern(fedlake_rdf::Term::iri(gene.apply("a b/c%é")));
         dict.intern(value_to_term(&Value::Double(1e21), DataType::Double));
@@ -397,9 +422,71 @@ mod tests {
             1,
         ));
         let mut op = open_service(&node, &lake, SourceRoute::single("r", link), 1).unwrap();
-        let mut c = ctx(clock, &["s", "o"]);
+        let mut c = ctx(clock, &["s", "unused", "o"]);
         let rows = drain(op.as_mut(), &mut c).unwrap();
         assert_eq!(rows.len(), 1);
+        // The cached answer holds the arena's row, slot for slot.
+        let Some(DataSource::Sparql { graph, .. }) = lake.source("r") else {
+            unreachable!("the lake mounts one SPARQL source")
+        };
+        let (star, filters) = (&d.stars[0], &d.stars[0].filters);
+        let request = LeafRequest::Sparql { graph, star, filters };
+        let version = lake.source_version("r").unwrap();
+        let cached = lifted(&request, &request.signature("r").into(), version, &c).unwrap();
+        assert_eq!(c.lifts.stats().hits, 1, "the stream's own answer");
+        assert_eq!(cached.rows, 1);
+        assert_eq!(cached.row(0), c.rows.row(rows[0]));
+        assert_eq!(cached.row(0)[1], TermId::UNBOUND);
+    }
+
+    /// A cached answer of another width than the execution's schema is a
+    /// typed error where a leaf or a bind-join batch opens it — not rows
+    /// shifted out of their slots.
+    #[test]
+    fn an_answer_of_another_width_is_a_typed_error() {
+        let lake = lake();
+        let Some(DataSource::Relational { db, .. }) = lake.source("d") else {
+            unreachable!("lake() builds a relational source")
+        };
+        let version = lake.source_version("d").unwrap();
+        // One row, one slot wide, under the execution's own layout.
+        let narrow = || {
+            let sql_cost = Some(Default::default());
+            Arc::new(LiftedSource { ids: vec![TermId(0)], width: 1, rows: 1, sql_cost })
+        };
+        let link = |clock: &fedlake_netsim::SharedClock| {
+            let cost = CostModel::default();
+            Arc::new(Link::new(NetworkProfile::NO_DELAY, Arc::clone(clock), cost, 7))
+        };
+        let expect_internal = |got: Result<Vec<RowId>, FedError>| match got {
+            Err(FedError::Internal(msg)) => assert!(msg.contains("1 slots wide"), "{msg}"),
+            other => panic!("a misfit answer was opened: {other:?}"),
+        };
+
+        let node = gene_node(&lake);
+        let ServiceKind::Sql { request, .. } = &node.kind else { unreachable!("a SQL leaf") };
+        let leaf = LeafRequest::Sql { db, query: request.query(), lift: &node.lift };
+        let clock = shared_virtual();
+        let mut c = ctx(Arc::clone(&clock), &["g", "l"]);
+        let signature = leaf.signature("d").into();
+        let key = LiftKey { layout: c.layout, signature, ids: Box::default() };
+        c.lifts.lock().insert(key, version, narrow());
+        let mut op = open_service(&node, &lake, SourceRoute::single("d", link(&clock)), 1).unwrap();
+        expect_internal(drain(op.as_mut(), &mut c));
+
+        let target = disease_target(&lake);
+        let clock = shared_virtual();
+        let mut c = ctx(Arc::clone(&clock), &["d", "n"]);
+        let d0 = c.interner.lock().intern(disease("d0").unwrap());
+        let left = c.rows.push_row(&[d0, TermId::UNBOUND]);
+        let batch = LeafRequest::Batch { db, target: &target, ids: &[] };
+        let signature = batch.signature("d").into();
+        let key = LiftKey { layout: c.layout, signature, ids: Box::new([d0]) };
+        c.lifts.lock().insert(key, version, narrow());
+        let route = SourceRoute::single("d", link(&clock));
+        let rows = Box::new(crate::operators::RowsOp::new(vec![left]));
+        let mut op = BindJoinOp::new(rows, &target, &lake, route, 1, 1).unwrap();
+        expect_internal(drain(&mut op, &mut c));
     }
 
     /// The bind-join target of the test lake: the `disease` star, keyed by

@@ -249,7 +249,7 @@ fn filter_verdicts_match_the_row_path_and_charge_every_row() {
         for run in 0..2 {
             let mut ctx =
                 ExecCtx::new(shared_virtual(), cost, Arc::clone(&schema), interner.clone());
-            let ids: Vec<RowId> = rows.iter().map(|row| ctx.rows.push_with(|s| row[s])).collect();
+            let ids: Vec<RowId> = rows.iter().map(|row| ctx.rows.push_row(row)).collect();
             let mut filter =
                 FilterOp::new(Box::new(RowsOp::new(ids.clone())), &exprs, &keys, &schema, &memo);
             let got = drain(&mut filter, &mut ctx).expect("a filter over rows cannot fail");

@@ -339,16 +339,19 @@ impl RowArena {
         RowId(self.len - 1)
     }
 
-    /// Appends a row holding `cell(slot)` in each slot.
-    pub fn push_with(&mut self, cell: impl FnMut(usize) -> TermId) -> RowId {
+    /// Appends a copy of `row`, one id per slot, with one slice copy.
+    pub fn push_row(&mut self, row: &[TermId]) -> RowId {
+        debug_assert_eq!(row.len(), self.width, "a pushed row is one id per slot");
         let chunk = self.tail();
-        self.chunks[chunk].extend((0..self.width).map(cell));
+        self.chunks[chunk].extend_from_slice(row);
         self.appended()
     }
 
     /// Appends a row of unbound slots.
     pub fn push_unbound(&mut self) -> RowId {
-        self.push_with(|_| TermId::UNBOUND)
+        let chunk = self.tail();
+        self.chunks[chunk].extend(std::iter::repeat_n(TermId::UNBOUND, self.width));
+        self.appended()
     }
 
     /// Appends a copy of row `src`.
@@ -409,20 +412,19 @@ impl RowArena {
         let merged = if from == chunk {
             // `right` was written before `out`: it lies below `to`.
             let (before, dst) = self.chunks[chunk].split_at_mut(to);
-            overlay(&mut dst[..width], |s| before[at + s])
+            overlay(&mut dst[..width], &before[at..at + width])
         } else {
             let (done, tail) = self.chunks.split_at_mut(chunk);
-            let right = &done[from][at..at + width];
-            overlay(&mut tail[0][to..to + width], |s| right[s])
+            overlay(&mut tail[0][to..to + width], &done[from][at..at + width])
         };
         self.keep(merged, out)
     }
 
-    /// [`RowArena::merge`] of `left` with a row held elsewhere, whose
-    /// `slot` holds `cell(slot)`.
-    pub fn merge_cells(&mut self, left: RowId, cell: impl Fn(usize) -> TermId) -> Option<RowId> {
+    /// [`RowArena::merge`] of `left` with `right`, a row held elsewhere —
+    /// one id per slot, laid out as the arena's own rows are.
+    pub fn merge_row(&mut self, left: RowId, right: &[TermId]) -> Option<RowId> {
         let out = self.copy(left);
-        let merged = overlay(self.row_mut(out), cell);
+        let merged = overlay(self.row_mut(out), right);
         self.keep(merged, out)
     }
 
@@ -438,11 +440,11 @@ impl RowArena {
     }
 }
 
-/// Lays the bound ids of `cell(slot)` over `dst`; false when one differs
-/// from an id `dst` already binds in that slot.
-fn overlay(dst: &mut [TermId], cell: impl Fn(usize) -> TermId) -> bool {
-    for (slot, held) in dst.iter_mut().enumerate() {
-        match cell(slot) {
+/// Lays the bound ids of `src` over `dst`, slot by slot; false when one
+/// differs from an id `dst` already binds in that slot.
+fn overlay(dst: &mut [TermId], src: &[TermId]) -> bool {
+    for (held, &id) in dst.iter_mut().zip(src) {
+        match id {
             TermId::UNBOUND => {}
             id if *held == TermId::UNBOUND => *held = id,
             id if *held == id => {}

@@ -134,6 +134,22 @@ lift_boxes="$(git grep -c 'Box<\[TermId\]>' -- crates/core/src/wrapper/lift.rs |
 git grep -q 'pub struct RowArena' -- crates/sparql/src/binding.rs \
     || { echo "binding.rs no longer holds RowArena: the gates above match nothing"; exit 1; }
 
+# Cached answers are rows: a LiftedSource holds its rows at the schema's
+# width, the arena's own layout, so a warm leaf appends one with a slice
+# copy (RowArena::push_row) and a bind-join probe overlays one
+# (RowArena::merge_row). A column buffer per slot, and the arena's
+# closure-per-cell entry points that gathered a row from one, are the
+# layout they replaced, not a second one to keep beside it.
+echo "== cached answers are rows under crates/*/src =="
+cell_rows=0
+git grep -nE 'Vec<Vec<TermId>>|vec!\[vec!\[TermId' -- 'crates/core/src/wrapper/*' || cell_rows=$?
+[ "$cell_rows" -eq 1 ] || { echo "a per-slot column buffer is back under crates/core/src/wrapper (or git grep failed)"; exit 1; }
+cell_rows=0
+git grep -nE '\b(push_with|merge_cells)\b' -- 'crates/*/src/*' || cell_rows=$?
+[ "$cell_rows" -eq 1 ] || { echo "a closure-per-cell arena entry point is back under crates/*/src (or git grep failed)"; exit 1; }
+git grep -q 'pub fn push_row(&mut self, row: &\[TermId\])' -- crates/sparql/src/binding.rs \
+    || { echo "binding.rs no longer holds RowArena::push_row: the gates above match nothing"; exit 1; }
+
 # One recorder: every observability hook appends one event to one per-query
 # handle (obs/recorder.rs), the one NetObserver on links and the event queue,
 # and one node wrapper around the executor's operators feeds its node table.
