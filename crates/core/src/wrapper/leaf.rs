@@ -67,11 +67,11 @@ struct Flight {
 /// Message-batched delivery of a leaf's lifted answer. Rows are copied out
 /// in order from the shared rows of `data`, at this stream's `cursor`, one
 /// slice each; `ready` counts those whose message has landed. At most one
-/// message is on the link at a time, and a poll reports `Poll::Pending` while it is in
-/// the air, letting the engine drain *other* sources in the meantime —
-/// unless the serialized policy sat the wait out when the message was
-/// sent. Message boundaries, the empty-result notification and the retry
-/// accounting do not depend on the policy.
+/// message is on the link at a time, and a poll reports `Poll::Pending`
+/// while it is in the air, letting the engine drain *other* sources in the
+/// meantime — unless the serialized policy sat the wait out when the
+/// message was sent. Message boundaries, the empty-result notification and
+/// the retry accounting do not depend on the policy.
 struct Delivery {
     data: Arc<LiftedSource>,
     cursor: usize,

@@ -54,7 +54,7 @@ mod tests {
     use super::lift::{lift_result_cols, LiftKey};
     use super::*;
     use crate::decompose::decompose;
-    use crate::fedplan::{BindTarget, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
+    use crate::fedplan::{BindTarget, FedPlan, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
     use crate::lake::DataLake;
     use crate::source::DataSource;
     use crate::translate::{sql_single, Lift, OutputBinding};
@@ -229,33 +229,60 @@ mod tests {
             assert_eq!(by_col.row(r), by_row[r], "cached, row {r}");
         }
         assert_eq!(by_col.ids.len(), by_col.rows * schema.len());
-        let guards = decompose(
-            &parse_query("SELECT * WHERE { ?s <http://v/p> ?v3 FILTER(?v3 > 10) }").unwrap(),
-        )
-        .unwrap()
-        .stars
-        .remove(0)
-        .filters;
-        let guarded = LiftPlan::new(Vec::new(), guards);
-        let by_guard = lift_result_cols(&borrowed, &outputs, &guarded, &schema, &mut dict);
-        let v3 = schema.slot(&Var::new("v3")).unwrap();
-        let mut rejected_bound = 0;
-        for (r, row) in by_row.iter().enumerate() {
-            let kept = matches!(rs.rows[r][3], Value::Int(n) if n > 10);
-            let mut want = row.to_vec();
-            if !kept {
-                want.iter_mut().enumerate().filter(|(s, _)| *s != v3).for_each(|(_, id)| {
-                    *id = TermId::UNBOUND;
-                });
-                rejected_bound += usize::from(want[v3] != TermId::UNBOUND);
-            }
-            assert_eq!(by_guard.row(r), &want[..], "guarded, row {r} (kept: {kept})");
-        }
-        assert_eq!(rejected_bound, 2, "rows the guard rejects keep their guard cell");
         // Interning the whole terms afterwards adds nothing either.
         dict.intern(fedlake_rdf::Term::iri(gene.apply("a b/c%é")));
         dict.intern(value_to_term(&Value::Double(1e21), DataType::Double));
         assert_eq!(dict.len(), terms_after_rows);
+
+        // Under a guard the planner set (an engine FILTER straight over the
+        // leaf), a kept row is the arena's row and a rejected one keeps
+        // only its guard's cell.
+        let lake = lake();
+        let query =
+            parse_query("SELECT * WHERE { ?g <http://v/label> ?l . FILTER(?l = \"gene 3\") }")
+                .unwrap();
+        let config = crate::PlanConfig::unaware(NetworkProfile::NO_DELAY);
+        let planned = crate::planner::plan_query_with_health(
+            &query,
+            &lake,
+            &config,
+            &crate::health::HealthView::default(),
+        )
+        .unwrap();
+        let mut leaves = Vec::new();
+        planned.plan.visit(0, &mut |p, _| {
+            if let FedPlan::Service(node) = p {
+                leaves.push(node);
+            }
+        });
+        let [node] = leaves[..] else { panic!("one leaf: {:?}", planned.plan) };
+        let ServiceKind::Sql { request, .. } = &node.kind else { panic!("a SQL leaf") };
+        let (q, schema) = (request.query(), &planned.schema);
+        assert_eq!(node.lift.guards().len(), 1, "{:?}", node.lift);
+        let Some(DataSource::Relational { db, .. }) = lake.source("d") else {
+            unreachable!("lake() builds a relational source")
+        };
+        let (rs, mut dict) = (db.query(&q.sql).unwrap(), Dictionary::new());
+        let arena = lift_result(&rs, &q.outputs, schema, &mut dict);
+        let borrowed = db.query_borrowed(&q.sql).unwrap();
+        let guarded = lift_result_cols(&borrowed, &q.outputs, &node.lift, schema, &mut dict);
+        let l = schema.slot(&Var::new("l")).unwrap();
+        let at = q.outputs.iter().position(|o| o.var.name() == "l").unwrap();
+        let mut rejected = 0;
+        for (r, row) in arena.rows().enumerate() {
+            let mut want = row.to_vec();
+            if rs.rows[r][at] != Value::text("gene 3") {
+                rejected += 1;
+                for (s, id) in want.iter_mut().enumerate() {
+                    if s != l {
+                        *id = TermId::UNBOUND;
+                    }
+                }
+                assert_ne!(want[l], TermId::UNBOUND, "row {r}: the guard's cell is lifted");
+            }
+            assert_eq!(guarded.row(r), &want[..], "guarded, row {r}");
+        }
+        assert_eq!((rejected, guarded.rows), (4, 5));
     }
 
     /// The service leaf of the test lake's gene star (`?g`, `?l`).
