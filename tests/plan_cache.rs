@@ -9,14 +9,19 @@
 //! plans across runs on the same engine and reports the cache counters
 //! in its metrics rollup.
 
+use fedlake_core::explain::explain_plan;
 use fedlake_core::fedplan::{FedPlan, ServiceKind, SqlRequest};
 use fedlake_core::ir::{plan_fingerprint, Fnv64};
 use fedlake_core::obs::Metric;
-use fedlake_core::planner::plan_query_with_health;
-use fedlake_core::{DataLake, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
+use fedlake_core::planner::{plan_query_with_health, PlannedQuery, DP_UNIT_LIMIT};
+use fedlake_core::{
+    DataLake, DataSource, EngineJoin, FedError, FederatedEngine, FilterPlacement, HealthView,
+    MergeTranslation, PlanConfig, PlanMode,
+};
 use fedlake_datagen::vocab::{class, pred};
 use fedlake_datagen::{build_lake, build_lake_with, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
+use fedlake_rdf::{vocab, Graph, Term};
 use fedlake_serve::{run, solo_golden, sorted_csv, Mix, ServeSpec};
 use fedlake_sparql::parser::parse_query;
 use std::collections::BTreeSet;
@@ -268,6 +273,130 @@ fn lowering_leaves_the_plan_fingerprint_alone() {
             );
         }
     }
+}
+
+// --- the join order --------------------------------------------------------
+
+/// Folds what a plan's join order decides into `digest`: the EXPLAIN text,
+/// which keeps every join's operands in their order (the fingerprint sorts
+/// them), and the report's strategy, plans costed, bind joins and
+/// estimates. A `PlannedQuery`'s `Debug` text is no pin: its schema's map
+/// order is not stable.
+fn push_order(digest: &mut Fnv64, planned: &PlannedQuery) {
+    let report = &planned.report;
+    digest.push_str(&explain_plan(&planned.plan)).push_str(report.strategy.label());
+    digest.push_u64(report.plans_costed).push_u64(report.bind_joins);
+    digest.push_u64(report.estimated_rows.to_bits());
+    match report.estimated_cost {
+        Some(c) => {
+            for part in [c.cpu_us, c.io_us, c.network_us, c.parallelism_us] {
+                digest.push_u64(part.to_bits());
+            }
+        }
+        None => {
+            digest.push_str("no cost");
+        }
+    }
+}
+
+/// A chain of `DP_UNIT_LIMIT + 2` stars on one SPARQL source, three
+/// items per level: more ordering units than the DP takes, so cost mode
+/// orders them greedily.
+fn chain_query() -> (DataLake, String) {
+    let n = DP_UNIT_LIMIT + 2;
+    let mut g = Graph::new();
+    let mut pattern = String::new();
+    for level in 0..n {
+        for item in 0..3u32 {
+            let subject = Term::iri(format!("http://d/n{level}_{item}"));
+            let class = Term::iri(format!("http://v/C{level}"));
+            g.insert_terms(subject.clone(), Term::iri(vocab::rdf::TYPE), class);
+            if level + 1 < n {
+                let next = Term::iri(format!("http://d/n{}_{item}", level + 1));
+                g.insert_terms(subject, Term::iri(format!("http://v/next{level}")), next);
+            }
+        }
+        pattern.push_str(&format!("?x{level} a <http://v/C{level}> .\n"));
+        if level + 1 < n {
+            pattern.push_str(&format!("?x{level} <http://v/next{level}> ?x{} .\n", level + 1));
+        }
+    }
+    let mut lake = DataLake::new();
+    lake.add_source(DataSource::sparql("chain", g));
+    (lake, format!("SELECT ?x0 ?x{} WHERE {{ {pattern} }}", n - 1))
+}
+
+/// The join order both planners choose keeps its value: one digest
+/// ([`push_order`]) over Q1–Q5 and QM × five plan modes × the four
+/// networks × {heuristic, cost-based} × {hash, bind(8)} engine joins ×
+/// {optimized, naive} merges × {serialized, overlapped} × lake scales
+/// {0.05, 0.25}, and over the many-star chain (the greedy cost path) ×
+/// the four networks × both schedules × both engine joins.
+#[test]
+fn join_orders_keep_their_values() {
+    const MODES: [PlanMode; 5] = [
+        PlanMode::Unaware,
+        PlanMode::AWARE,
+        PlanMode::AWARE_H2,
+        PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
+        PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
+    ];
+    const JOINS: [EngineJoin; 2] = [EngineJoin::SymmetricHash, EngineJoin::Bind { batch_size: 8 }];
+    let (mut digest, mut plans) = (Fnv64::new(), 0);
+    let (mut bind_joins, mut strategies) = (0, BTreeSet::new());
+    let mut pin = |lake: &DataLake, sparql: &str, config: PlanConfig| {
+        let ast = parse_query(sparql).unwrap();
+        let planned = plan_query_with_health(&ast, lake, &config, &HealthView::empty())
+            .unwrap_or_else(|e| panic!("{sparql}\n{config:?}: {e}"));
+        push_order(&mut digest, &planned);
+        planned.plan.visit(0, &mut |node, _| {
+            bind_joins += usize::from(matches!(node, FedPlan::BindJoin { .. }));
+        });
+        strategies.insert(planned.report.strategy.label());
+        plans += 1;
+    };
+
+    for scale in [0.05, 0.25] {
+        let lake = build_lake(&LakeConfig { scale, ..Default::default() });
+        for q in workload::all() {
+            for mode in MODES {
+                for network in NetworkProfile::ALL {
+                    for cost_based in [false, true] {
+                        for engine_join in JOINS {
+                            for merge in [MergeTranslation::Optimized, MergeTranslation::Naive] {
+                                for overlap in [false, true] {
+                                    let mut config = PlanConfig::new(mode, network);
+                                    config.cost_based = cost_based;
+                                    config.engine_join = engine_join;
+                                    config.merge_translation = merge;
+                                    config.overlap = overlap;
+                                    pin(&lake, &q.sparql, config);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let (chain, sparql) = chain_query();
+    for network in NetworkProfile::ALL {
+        for engine_join in JOINS {
+            for overlap in [false, true] {
+                let mut config = PlanConfig::new(PlanMode::AWARE, network);
+                config.cost_based = true;
+                config.engine_join = engine_join;
+                config.overlap = overlap;
+                pin(&chain, &sparql, config);
+            }
+        }
+    }
+
+    assert_eq!(plans, 3840 + 16);
+    assert!(bind_joins > 0, "the pinned plans must reach a bind join");
+    let every = BTreeSet::from(["dp", "greedy-cost", "heuristic"]);
+    assert_eq!(strategies, every, "the pinned plans must take every strategy");
+    assert_eq!(digest.finish(), 0x8a2e_8ab2_8ba9_0ec0, "the join orders moved");
 }
 
 // --- invalidation ----------------------------------------------------------
