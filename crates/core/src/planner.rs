@@ -36,7 +36,7 @@ use crate::translate::{
 use crate::wrapper::LiftPlan;
 use fedlake_mapping::TableMapping;
 use fedlake_netsim::CostModel;
-use fedlake_relational::{DataType, TableSchema};
+use fedlake_relational::{DataType, Database, TableSchema};
 use fedlake_sparql::ast::{OrderKey, SelectQuery};
 use fedlake_sparql::binding::{RowSchema, Var};
 use fedlake_sparql::expr::Expr;
@@ -127,12 +127,14 @@ pub struct PlannedQuery {
 }
 
 /// One star bound to one relational source, with everything translation
-/// needs.
-struct RelStar {
+/// needs: the source's table mapping, table schema and database, looked
+/// up once ([`RelStar::resolve`]).
+struct RelStar<'l> {
     star_idx: usize,
-    source_id: String,
-    tm: TableMapping,
-    schema: TableSchema,
+    source_id: &'l str,
+    tm: &'l TableMapping,
+    schema: &'l TableSchema,
+    db: &'l Database,
     pushed: Vec<SqlFilter>,
     engine_filters: Vec<Expr>,
     cardinality: usize,
@@ -400,19 +402,13 @@ fn plan_tree(
             .iter()
             .map(|b| plan_tree(b, lake, config, health, skipped, report))
             .collect::<Result<Vec<_>, _>>()?;
-        let plan = if branches.len() == 1 {
-            branches.into_iter().next().expect("length checked")
-        } else {
-            FedPlan::Union(branches)
-        };
-        units.push((plan, crate::decompose::union_block_vars(block)));
+        units.push((union_of(branches), crate::decompose::union_block_vars(block)));
     }
-    if units.is_empty() {
-        return Err(FedError::Unsupported("empty basic graph pattern".into()));
-    }
-
     // 2. Join the units on their shared (always-bound) variables.
-    let (mut plan, mut bound_vars) = units.remove(0);
+    let mut units = units.into_iter();
+    let Some((mut plan, mut bound_vars)) = units.next() else {
+        return Err(FedError::Unsupported("empty basic graph pattern".into()));
+    };
     for (right, rvars) in units {
         let on: Vec<Var> = rvars
             .iter()
@@ -478,6 +474,19 @@ fn plan_tree(
     Ok(wrap_engine_filters(plan, post))
 }
 
+/// One join-ordering unit: a service request (a merged pair, a single
+/// relational star or any other star) and what joining it reads.
+struct Unit {
+    /// The decomposition's stars it covers.
+    stars: Vec<usize>,
+    plan: FedPlan,
+    /// The variables its stars bind.
+    vars: Vec<Var>,
+    /// Index into the relational stars when the unit is one star a bind
+    /// join can reach.
+    bindable: Option<usize>,
+}
+
 /// Plans the conjunctive (required) part of a decomposition.
 fn plan_conjunctive(
     dec: &crate::decompose::Decomposition,
@@ -505,15 +514,15 @@ fn plan_conjunctive(
     let mut rel_stars: Vec<RelStar> = Vec::new();
     let mut other_units: Vec<(usize, FedPlan)> = Vec::new();
     for (i, (star, cands)) in dec.stars.iter().zip(&candidates).enumerate() {
-        let single_relational = cands.len() == 1
-            && lake
-                .source(&cands[0].source_id)
-                .is_some_and(DataSource::is_relational)
-            && !star.has_variable_predicate();
-        if single_relational {
-            rel_stars.push(RelStar::new(i, star, &cands[0], lake, config)?);
-        } else {
-            other_units.push((i, plan_other_star(star, cands, lake, config, stats)?));
+        let single_relational = match cands.as_slice() {
+            [cand] if !star.has_variable_predicate() => {
+                RelStar::resolve(i, star, cand, lake, config)?
+            }
+            _ => None,
+        };
+        match single_relational {
+            Some(rs) => rel_stars.push(rs),
+            None => other_units.push((i, plan_other_star(star, cands, lake, config, stats)?)),
         }
     }
 
@@ -535,9 +544,7 @@ fn plan_conjunctive(
                 if rel_stars[i].source_id != rel_stars[j].source_id {
                     continue;
                 }
-                let source = lake.source(&rel_stars[i].source_id).expect("selected");
-                if find_merge_join(&dec.stars, &rel_stars[i], &rel_stars[j], source).is_some()
-                {
+                if find_merge_join(&dec.stars, &rel_stars[i], &rel_stars[j]).is_some() {
                     merged_away[i] = Some(j);
                     merged_away[j] = Some(i);
                 }
@@ -545,9 +552,21 @@ fn plan_conjunctive(
         }
     }
 
-    // Build service units. Single relational stars remember their
-    // RelStar index so the join loop can convert them into bind joins.
-    let mut units: Vec<(Vec<usize>, FedPlan, Option<usize>)> = Vec::new();
+    // Build the units. A single relational star remembers its RelStar
+    // index, so that a join order can bind-join into it.
+    let star_vars: Vec<Vec<Var>> = dec.stars.iter().map(StarSubquery::vars).collect();
+    let unit = |stars: Vec<usize>, plan: FedPlan, bindable: Option<usize>| {
+        let mut vars: Vec<Var> = Vec::new();
+        for &i in &stars {
+            for v in &star_vars[i] {
+                if !vars.contains(v) {
+                    vars.push(v.clone());
+                }
+            }
+        }
+        Unit { stars, plan, vars, bindable }
+    };
+    let mut units: Vec<Unit> = Vec::new();
     let mut consumed = vec![false; rel_stars.len()];
     for i in 0..rel_stars.len() {
         if consumed[i] {
@@ -557,96 +576,110 @@ fn plan_conjunctive(
         match merged_away[i] {
             Some(j) if !consumed[j] => {
                 consumed[j] = true;
-                let source = lake.source(&rel_stars[i].source_id).expect("selected");
-                let unit = build_merged_service(
-                    &dec.stars,
-                    &rel_stars[i],
-                    &rel_stars[j],
-                    source,
-                    config,
-                    stats,
-                )?;
-                units.push((vec![rel_stars[i].star_idx, rel_stars[j].star_idx], unit, None));
+                let (a, b) = (&rel_stars[i], &rel_stars[j]);
+                let plan = build_merged_service(&dec.stars, a, b, config, stats)?;
+                units.push(unit(vec![a.star_idx, b.star_idx], plan, None));
             }
             _ => {
-                let unit = build_single_service(&dec.stars, &rel_stars[i], stats)?;
-                units.push((vec![rel_stars[i].star_idx], unit, Some(i)));
+                let plan = build_single_service(&dec.stars, &rel_stars[i], stats)?;
+                units.push(unit(vec![rel_stars[i].star_idx], plan, Some(i)));
             }
         }
     }
     for (i, plan) in other_units {
-        units.push((vec![i], plan, None));
+        units.push(unit(vec![i], plan, None));
     }
 
     // Join ordering over units: cost-based (DP / greedy over the
-    // FederationCost model) or the paper's heuristic greedy.
-    let star_vars: Vec<Vec<Var>> = dec.stars.iter().map(StarSubquery::vars).collect();
-    let unit_vars = |star_idxs: &[usize]| -> Vec<Var> {
-        let mut out = Vec::new();
-        for &i in star_idxs {
-            for v in &star_vars[i] {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
+    // FederationCost model) or the paper's heuristic greedy. One builder
+    // joins either order. Cross-star filters are applied by `plan_tree`,
+    // which knows the union- and optional-bound variables.
+    let bind_batch = match config.engine_join {
+        EngineJoin::Bind { batch_size } => batch_size,
+        EngineJoin::SymmetricHash => DEFAULT_BIND_BATCH,
     };
-    if let Some(stats) = stats {
-        let unit_var_list: Vec<Vec<Var>> = units.iter().map(|(idxs, _, _)| unit_vars(idxs)).collect();
-        return order_units_by_cost(
-            dec,
-            lake,
-            config,
-            stats,
-            &candidates,
-            &rel_stars,
-            units,
-            unit_var_list,
-            report,
-        );
-    }
-    units.sort_by(|a, b| a.1.estimated_rows().total_cmp(&b.1.estimated_rows()));
-    let (first_idxs, mut plan, _) = units.remove(0);
-    let mut bound_vars = unit_vars(&first_idxs);
-    while !units.is_empty() {
-        // Prefer the smallest connected unit.
-        let pick = units
+    let order = match stats {
+        Some(stats) => {
+            let pricing =
+                Pricing::new(dec, config, stats, &candidates, &rel_stars, &units, bind_batch);
+            order_units_by_cost(&pricing, report)?
+        }
+        None => heuristic_order(&units, matches!(config.engine_join, EngineJoin::Bind { .. })),
+    };
+    join_in_order(units, &order, &dec.stars, &rel_stars, bind_batch, stats)
+}
+
+/// The paper's join order: the units by estimated rows, smallest first,
+/// each step taking the smallest unit that shares a variable with those
+/// before it (the smallest left when none does). Under bind joins
+/// (`bind`) a step into a single relational star asks for one.
+fn heuristic_order(units: &[Unit], bind: bool) -> Vec<(usize, StepKind)> {
+    let mut left: Vec<usize> = (0..units.len()).collect();
+    let rows = |j: usize| units[j].plan.estimated_rows();
+    left.sort_by(|&a, &b| rows(a).total_cmp(&rows(b)));
+    let mut bound: Vec<&Var> = Vec::new();
+    let mut order = Vec::with_capacity(units.len());
+    while !left.is_empty() {
+        let pick = left
             .iter()
-            .position(|(idxs, _, _)| {
-                unit_vars(idxs).iter().any(|v| bound_vars.contains(v))
-            })
+            .position(|&j| units[j].vars.iter().any(|v| bound.contains(&v)))
             .unwrap_or(0);
-        let (idxs, right, bindable) = units.remove(pick);
-        let right_vars = unit_vars(&idxs);
-        let on: Vec<Var> = right_vars
-            .iter()
-            .filter(|v| bound_vars.contains(v))
-            .cloned()
-            .collect();
-        for v in right_vars {
+        let j = left.remove(pick);
+        bound.extend(&units[j].vars);
+        let kind = match units[j].bindable {
+            Some(ri) if bind => StepKind::Bind(ri),
+            _ => StepKind::Hash,
+        };
+        order.push((j, kind));
+    }
+    order
+}
+
+/// Builds the left-deep plan that joins `units` in `order` (a permutation
+/// of their indices; the first step's kind is not read). Each later unit
+/// joins what is bound so far on the variables they share: by a bind join
+/// into its relational star where its step says so and the join has one
+/// variable that maps to a bindable column, by an engine hash join
+/// otherwise.
+fn join_in_order(
+    units: Vec<Unit>,
+    order: &[(usize, StepKind)],
+    stars: &[StarSubquery],
+    rel_stars: &[RelStar<'_>],
+    batch_size: usize,
+    stats: Option<&LakeStatistics>,
+) -> Result<FedPlan, FedError> {
+    // The units moved into `order`: each sorted on its step's position.
+    let mut position = vec![0; units.len()];
+    for (at, &(j, _)) in order.iter().enumerate() {
+        position[j] = at;
+    }
+    let mut in_order: Vec<(usize, Unit)> = position.into_iter().zip(units).collect();
+    in_order.sort_unstable_by_key(|&(at, _)| at);
+    let mut steps = in_order.into_iter().zip(order).map(|((_, unit), &(_, kind))| (unit, kind));
+    let Some((first, _)) = steps.next() else {
+        return Err(FedError::Internal("a join order of no units".into()));
+    };
+    let (mut plan, mut bound_vars) = (first.plan, first.vars);
+    for (unit, kind) in steps {
+        let on: Vec<Var> = unit.vars.iter().filter(|v| bound_vars.contains(v)).cloned().collect();
+        for v in unit.vars {
             if !bound_vars.contains(&v) {
                 bound_vars.push(v);
             }
         }
-        plan = match (config.engine_join, bindable) {
-            (crate::config::EngineJoin::Bind { batch_size }, Some(ri)) if on.len() == 1 => {
-                match build_bind_join(plan, &dec.stars, &rel_stars[ri], &on[0], batch_size, None)? {
+        let right = Box::new(unit.plan);
+        plan = match kind {
+            StepKind::Bind(ri) if on.len() == 1 => {
+                match build_bind_join(plan, stars, &rel_stars[ri], &on[0], batch_size, stats)? {
                     Ok(bound_plan) => bound_plan,
                     // The variable does not map to a column: fall back.
-                    Err(left) => FedPlan::Join {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        on,
-                    },
+                    Err(left) => FedPlan::Join { left: Box::new(left), right, on },
                 }
             }
-            _ => FedPlan::Join { left: Box::new(plan), right: Box::new(right), on },
+            _ => FedPlan::Join { left: Box::new(plan), right, on },
         };
     }
-
-    // Cross-star filters are applied by `plan_tree`, which knows the
-    // union- and optional-bound variables.
     Ok(plan)
 }
 
@@ -656,9 +689,7 @@ fn plan_conjunctive(
 /// depends on the placement, the filtered column's index and the network.
 fn split_filters(
     star: &StarSubquery,
-    tm: &TableMapping,
-    schema: &TableSchema,
-    source: &DataSource,
+    rs: &RelStar<'_>,
     config: &PlanConfig,
 ) -> (Vec<SqlFilter>, Vec<Expr>) {
     let mut pushed = Vec::new();
@@ -668,8 +699,8 @@ fn split_filters(
             // The unaware plan performs every operation it can at the
             // engine.
             PlanMode::Unaware => None,
-            PlanMode::Aware { filters, .. } => push_filter(f, star, tm, schema).filter(|sql| {
-                let indexed = source.has_index_on(&tm.table, &sql.column);
+            PlanMode::Aware { filters, .. } => push_filter(f, star, rs.tm, rs.schema).filter(|sql| {
+                let indexed = rs.indexed(&sql.column);
                 match filters {
                     crate::config::FilterPlacement::Engine => false,
                     crate::config::FilterPlacement::PushIndexed => indexed,
@@ -690,12 +721,7 @@ fn split_filters(
 
 /// The join columns Heuristic 1 would merge two stars on, when the paper's
 /// indexing condition holds. Returns `(left_col_on_a, right_col_on_b)`.
-fn find_merge_join(
-    stars: &[StarSubquery],
-    a: &RelStar,
-    b: &RelStar,
-    source: &DataSource,
-) -> Option<(String, String)> {
+fn find_merge_join(stars: &[StarSubquery], a: &RelStar, b: &RelStar) -> Option<(String, String)> {
     let sa = &stars[a.star_idx];
     let sb = &stars[b.star_idx];
     // Stars that read one row (a denormalized design) merge without a join
@@ -708,7 +734,7 @@ fn find_merge_join(
                 let col = a.tm.column_for_predicate(pred)?.column.clone();
                 let right = b.tm.subject_column.clone();
                 // The paper's condition: the join attribute is indexed.
-                if same_row(a, b, &col, &right) || source.has_index_on(&a.tm.table, &col) {
+                if same_row(a, b, &col, &right) || a.indexed(&col) {
                     return Some((col, right));
                 }
                 return None;
@@ -723,7 +749,7 @@ fn find_merge_join(
                 let col = b.tm.column_for_predicate(pred)?.column.clone();
                 // Keep `a` as the left table: left col is a's subject.
                 let left = a.tm.subject_column.clone();
-                if same_row(a, b, &left, &col) || source.has_index_on(&b.tm.table, &col) {
+                if same_row(a, b, &left, &col) || b.indexed(&col) {
                     return Some((left, col));
                 }
                 return None;
@@ -740,8 +766,8 @@ fn find_merge_join(
             continue;
         }
         let (Some(ca), Some(cb)) = (
-            star_column(v, sa, &a.tm, &a.schema),
-            star_column(v, sb, &b.tm, &b.schema),
+            star_column(v, sa, a.tm, a.schema),
+            star_column(v, sb, b.tm, b.schema),
         ) else {
             continue;
         };
@@ -749,10 +775,7 @@ fn find_merge_join(
             continue;
         }
         let (ca, cb) = (ca.name, cb.name);
-        if same_row(a, b, &ca, &cb)
-            || source.has_index_on(&a.tm.table, &ca)
-            || source.has_index_on(&b.tm.table, &cb)
-        {
+        if same_row(a, b, &ca, &cb) || a.indexed(&ca) || b.indexed(&cb) {
             return Some((ca, cb));
         }
     }
@@ -771,45 +794,55 @@ fn same_row(a: &RelStar, b: &RelStar, left_col: &str, right_col: &str) -> bool {
         && (left_col == a.tm.subject_column || right_col == b.tm.subject_column)
 }
 
-impl RelStar {
+impl<'l> RelStar<'l> {
     /// The filters Heuristic 2 pushed, as the query states them.
     fn pushed_exprs(&self) -> impl Iterator<Item = &Expr> {
         self.pushed.iter().map(|f| &f.expr)
     }
 
     /// `star`, the `star_idx`-th of its decomposition, bound to its
-    /// relational candidate `cand`, with Heuristic 2's split of its filters.
-    fn new(
+    /// candidate `cand` with Heuristic 2's split of its filters; `None`
+    /// when `cand` is a SPARQL source. The one place the planner looks a
+    /// star's source up.
+    fn resolve(
         star_idx: usize,
         star: &StarSubquery,
         cand: &Candidate,
-        lake: &DataLake,
+        lake: &'l DataLake,
         config: &PlanConfig,
-    ) -> Result<RelStar, FedError> {
-        let source = lake.source(&cand.source_id);
-        let Some(source @ DataSource::Relational { db, mapping, .. }) = source else {
+    ) -> Result<Option<RelStar<'l>>, FedError> {
+        let Some(source) = lake.source(&cand.source_id) else {
             let id = &cand.source_id;
-            return Err(FedError::Internal(format!("candidate source {id} is not relational")));
+            return Err(FedError::Internal(format!("candidate source {id} missing")));
+        };
+        let DataSource::Relational { id, db, mapping } = source else {
+            return Ok(None);
         };
         let tm = mapping
             .for_class(&cand.class)
-            .ok_or_else(|| FedError::Internal(format!("class {} not mapped", cand.class)))?
-            .clone();
-        let schema = db
+            .ok_or_else(|| FedError::Internal(format!("class {} not mapped", cand.class)))?;
+        let table = db
             .table(&tm.table)
-            .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?
-            .schema
-            .clone();
-        let (pushed, engine_filters) = split_filters(star, &tm, &schema, source, config);
-        Ok(RelStar {
+            .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?;
+        let mut rs = RelStar {
             star_idx,
-            source_id: cand.source_id.clone(),
+            source_id: id,
             tm,
-            schema,
-            pushed,
-            engine_filters,
+            schema: &table.schema,
+            db,
+            pushed: Vec::new(),
+            engine_filters: Vec::new(),
             cardinality: cand.cardinality,
-        })
+        };
+        (rs.pushed, rs.engine_filters) = split_filters(star, &rs, config);
+        Ok(Some(rs))
+    }
+
+    /// Whether `column` of the star's table leads an index at its source:
+    /// the physical-design test of both heuristics and of the cost
+    /// model's bind step.
+    fn indexed(&self, column: &str) -> bool {
+        self.db.has_index_on(&self.tm.table, column)
     }
 }
 
@@ -859,11 +892,11 @@ fn build_bind_join(
     let Some(column) = bindable_column(stars, rs, join_var) else {
         return Ok(Err(left));
     };
-    let part = star_part(star, &rs.tm, &rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, &rs.source_id, star, rs.pushed_exprs())
+    let part = star_part(star, rs.tm, rs.schema, &rs.pushed, "s0")?;
+    let est = stats_estimate(stats, rs.source_id, star, rs.pushed_exprs())
         .unwrap_or_else(|| estimate(rs.cardinality, &part));
     let target = crate::fedplan::BindTarget {
-        source_id: rs.source_id.clone(),
+        source_id: rs.source_id.to_string(),
         route: None,
         part,
         join_var: join_var.clone(),
@@ -883,12 +916,12 @@ fn build_single_service(
     stats: Option<&LakeStatistics>,
 ) -> Result<FedPlan, FedError> {
     let star = &stars[rs.star_idx];
-    let part = star_part(star, &rs.tm, &rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, &rs.source_id, star, rs.pushed_exprs())
+    let part = star_part(star, rs.tm, rs.schema, &rs.pushed, "s0")?;
+    let est = stats_estimate(stats, rs.source_id, star, rs.pushed_exprs())
         .unwrap_or_else(|| estimate(rs.cardinality, &part));
     let q = sql_single(&part);
     let service = FedPlan::Service(ServiceNode {
-        source_id: rs.source_id.clone(),
+        source_id: rs.source_id.to_string(),
         route: None,
         kind: ServiceKind::Sql {
             request: SqlRequest::Single(q),
@@ -904,11 +937,10 @@ fn build_merged_service(
     stars: &[StarSubquery],
     a: &RelStar,
     b: &RelStar,
-    source: &DataSource,
     config: &PlanConfig,
     stats: Option<&LakeStatistics>,
 ) -> Result<FedPlan, FedError> {
-    let (left_col, right_col) = find_merge_join(stars, a, b, source)
+    let (left_col, right_col) = find_merge_join(stars, a, b)
         .ok_or_else(|| FedError::Internal("merge pair lost its join".into()))?;
     let sa = &stars[a.star_idx];
     let sb = &stars[b.star_idx];
@@ -924,7 +956,7 @@ fn build_merged_service(
         let join_var = sa
             .vars()
             .into_iter()
-            .find(|v| star_column(v, sa, &a.tm, &a.schema).is_some_and(|c| c.name == left_col))
+            .find(|v| star_column(v, sa, a.tm, a.schema).is_some_and(|c| c.name == left_col))
             .ok_or_else(|| FedError::Internal("naive merge: join variable not found".into()))?;
         let left = build_single_service(stars, a, stats)?;
         return build_bind_join(left, stars, b, &join_var, 1, stats)?.map_err(|_| {
@@ -933,8 +965,8 @@ fn build_merged_service(
         });
     }
 
-    let pa = star_part(sa, &a.tm, &a.schema, &a.pushed, "s0")?;
-    let pb = star_part(sb, &b.tm, &b.schema, &b.pushed, if same_row { "s0" } else { "s1" })?;
+    let pa = star_part(sa, a.tm, a.schema, &a.pushed, "s0")?;
+    let pb = star_part(sb, b.tm, b.schema, &b.pushed, if same_row { "s0" } else { "s1" })?;
     let q = if same_row {
         crate::translate::sql_merged_same_table(&pa, &pb)
     } else {
@@ -943,14 +975,14 @@ fn build_merged_service(
     // Stats-based merged estimate: the classic equi-join formula over the
     // two star estimates (`None` outside cost mode).
     let est = match (
-        stats_estimate(stats, &a.source_id, sa, a.pushed_exprs()),
-        stats_estimate(stats, &b.source_id, sb, b.pushed_exprs()),
+        stats_estimate(stats, a.source_id, sa, a.pushed_exprs()),
+        stats_estimate(stats, b.source_id, sb, b.pushed_exprs()),
     ) {
         (Some(ea), Some(eb)) => join_estimate(ea, ea, eb, eb),
         _ => estimate(a.cardinality, &pa).min(estimate(b.cardinality, &pb)),
     };
     let service = FedPlan::Service(ServiceNode {
-        source_id: a.source_id.clone(),
+        source_id: a.source_id.to_string(),
         route: None,
         kind: ServiceKind::Sql {
             request: SqlRequest::MergedOptimized(q),
@@ -973,37 +1005,32 @@ fn plan_other_star(
     config: &PlanConfig,
     stats: Option<&LakeStatistics>,
 ) -> Result<FedPlan, FedError> {
-    let mut branches = Vec::new();
+    let mut branches = Vec::with_capacity(cands.len());
     for cand in cands {
-        let source = lake
-            .source(&cand.source_id)
-            .ok_or_else(|| FedError::Internal("candidate source missing".into()))?;
-        match source {
-            DataSource::Sparql { .. } => {
+        branches.push(match RelStar::resolve(0, star, cand, lake, config)? {
+            Some(rs) => build_single_service(std::slice::from_ref(star), &rs, stats)?,
+            None => {
                 let est = stats_estimate(stats, &cand.source_id, star, &star.filters)
                     .unwrap_or_else(|| (cand.cardinality as f64).max(1.0));
-                branches.push(FedPlan::Service(ServiceNode {
+                FedPlan::Service(ServiceNode {
                     source_id: cand.source_id.clone(),
                     route: None,
-                    kind: ServiceKind::Sparql {
-                        star: star.clone(),
-                        filters: star.filters.clone(),
-                    },
+                    kind: ServiceKind::Sparql { star: star.clone(), filters: star.filters.clone() },
                     estimated_rows: est,
                     lift: Arc::default(),
-                }));
+                })
             }
-            DataSource::Relational { .. } => {
-                let rs = RelStar::new(0, star, cand, lake, config)?;
-                branches.push(build_single_service(std::slice::from_ref(star), &rs, stats)?);
-            }
-        }
+        });
     }
-    Ok(if branches.len() == 1 {
-        branches.remove(0)
-    } else {
-        FedPlan::Union(branches)
-    })
+    Ok(union_of(branches))
+}
+
+/// One branch as itself, several as their union.
+fn union_of(branches: Vec<FedPlan>) -> FedPlan {
+    match <[FedPlan; 1]>::try_from(branches) {
+        Ok([only]) => only,
+        Err(branches) => FedPlan::Union(branches),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,12 +1073,8 @@ impl CostEnv<'_> {
     }
 }
 
-/// One join-ordering unit with its pricing inputs.
+/// A unit's pricing inputs.
 struct CostUnit {
-    plan: Option<FedPlan>,
-    /// Index into `rel_stars` when the unit is one bind-convertible star.
-    bindable: Option<usize>,
-    vars: Vec<Var>,
     est_rows: f64,
     /// Engine-side cpu of fetching the unit in full, µs.
     fetch_cpu_us: f64,
@@ -1153,13 +1176,15 @@ fn unit_var_distincts(
 
 /// How one unit joins onto the left-deep prefix. The derived order
 /// (`Hash < Bind`) is part of the deterministic tie-break key for
-/// equal-cost plans.
+/// equal-cost plans; a bind step's star index is fixed by its unit, so it
+/// never decides a tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum StepKind {
     /// Fetch in full and hash-join at the engine.
     Hash,
-    /// Ship the left join keys as SQL `IN` batches (dependent bind join).
-    Bind,
+    /// Ship the left join keys as SQL `IN` batches (dependent bind join)
+    /// into the relational star of this index.
+    Bind(usize),
 }
 
 /// A partial left-deep plan in the enumeration. Network is tracked in
@@ -1232,90 +1257,153 @@ impl DpState {
     }
 }
 
-/// Prices joining unit `j` onto `state` with `kind`. Returns the new
-/// state (without dedup against better states — the caller compares).
-#[allow(clippy::too_many_arguments)]
-fn apply_step(
-    state: &DpState,
-    j: usize,
-    kind: StepKind,
-    unit: &CostUnit,
-    on: &[Var],
-    env: &CostEnv<'_>,
-    stars: &[StarSubquery],
-    rel_stars: &[RelStar],
-    lake: &DataLake,
+/// One conjunctive group's units as the cost model prices them.
+struct Pricing<'a> {
+    env: CostEnv<'a>,
+    units: &'a [Unit],
+    /// Each unit's pricing inputs, by unit index.
+    costs: Vec<CostUnit>,
+    stars: &'a [StarSubquery],
+    rel_stars: &'a [RelStar<'a>],
     bind_batch: usize,
-) -> DpState {
-    let l_rows = state.est_rows.max(1.0);
-    let r_rows = unit.est_rows.max(1.0);
-    let out_rows = if on.is_empty() {
-        // Cartesian product: legal, but priced at its full size.
-        l_rows * r_rows
-    } else {
-        let dl = on.iter().map(|v| state.distinct_of(v)).fold(f64::MAX, f64::min);
-        let dr = on
+}
+
+impl<'a> Pricing<'a> {
+    fn new(
+        dec: &'a crate::decompose::Decomposition,
+        config: &'a PlanConfig,
+        stats: &LakeStatistics,
+        candidates: &[Vec<Candidate>],
+        rel_stars: &'a [RelStar<'a>],
+        units: &'a [Unit],
+        bind_batch: usize,
+    ) -> Self {
+        let env = CostEnv {
+            cost: &config.cost,
+            delay_us: config.network.delay.mean_ms() * 1_000.0,
+            rows_per_message: config.rows_per_message.max(1) as f64,
+            overlap: config.overlap,
+        };
+        let costs = units
             .iter()
-            .map(|v| {
-                unit.var_distinct
-                    .iter()
-                    .find(|(w, _)| w == v)
-                    .map_or(r_rows, |(_, d)| d.min(r_rows))
+            .map(|u| {
+                let est_rows = u.plan.estimated_rows();
+                let (fetch_cpu_us, fetch_io_us, fetch_net_us) = unit_fetch_cost(&u.plan, &env);
+                let mut var_distinct =
+                    unit_var_distincts(&u.stars, dec, candidates, stats, est_rows);
+                // Every unit variable gets an NDV entry (fallback: the row
+                // estimate), so the DP's shared-variable sets match the
+                // `on` keys the built joins will actually use.
+                for v in &u.vars {
+                    if !var_distinct.iter().any(|(w, _)| w == v) {
+                        var_distinct.push((v.clone(), est_rows.max(1.0)));
+                    }
+                }
+                CostUnit { est_rows, fetch_cpu_us, fetch_io_us, fetch_net_us, var_distinct }
             })
-            .fold(f64::MAX, f64::min);
-        join_estimate(l_rows, dl, r_rows, dr)
-    };
-    let mut next = state.clone();
-    match kind {
-        StepKind::Hash => {
-            next.cpu_us += unit.fetch_cpu_us
-                + (l_rows + r_rows) * env.cost.engine_join_probe_us
-                + out_rows * env.cost.engine_row_us;
-            next.io_us += unit.fetch_io_us;
-            next.net_sum_us += unit.fetch_net_us;
-            next.net_max_us = next.net_max_us.max(unit.fetch_net_us);
-        }
-        StepKind::Bind => {
-            let ri = unit.bindable.expect("bind step requires a bindable unit");
-            let rs = &rel_stars[ri];
-            let keys = state.distinct_of(&on[0]);
-            let batches = (keys / bind_batch as f64).ceil().max(1.0);
-            // One request message per batch, plus the matched rows coming
-            // back — all after the left side finished, hence sequential.
-            let messages = batches + (out_rows / env.rows_per_message).ceil();
-            next.net_seq_us += env.transfer_us(messages, out_rows);
-            let indexed = bindable_column(stars, rs, &on[0]).is_some_and(|col| {
-                lake.source(&rs.source_id)
-                    .is_some_and(|s| s.has_index_on(&rs.tm.table, &col.name))
-            });
-            next.io_us += if indexed {
-                keys * env.cost.rdb_index_probe_us + out_rows * env.cost.rdb_index_row_us
-            } else {
-                // Every batch rescans the (filtered) table.
-                batches * rs.cardinality as f64 * env.cost.rdb_row_scan_us
-            };
-            next.cpu_us +=
-                l_rows * env.cost.engine_join_probe_us + out_rows * env.cost.engine_row_us;
-        }
+            .collect();
+        Pricing { env, units, costs, stars: &dec.stars, rel_stars, bind_batch }
     }
-    next.est_rows = out_rows.max(1.0);
-    for (v, d) in &unit.var_distinct {
-        match next.var_distinct.iter_mut().find(|(w, _)| w == v) {
-            Some((_, old)) => *old = old.min(*d),
-            None => next.var_distinct.push((v.clone(), *d)),
+
+    /// `state` extended by unit `j` the cheaper way: by a hash join, or by
+    /// a bind join when `j` is one relational star whose column for the
+    /// one variable it shares with `state` is bindable. Each way priced
+    /// counts in `plans_costed`.
+    fn extend(&self, state: &DpState, j: usize, plans_costed: &mut u64) -> DpState {
+        let unit = &self.units[j];
+        let on: Vec<Var> = unit
+            .vars
+            .iter()
+            .filter(|v| state.var_distinct.iter().any(|(w, _)| w == *v))
+            .cloned()
+            .collect();
+        *plans_costed += 1;
+        let hash = self.apply_step(state, j, StepKind::Hash, &on);
+        if let (Some(ri), [var]) = (unit.bindable, on.as_slice()) {
+            if bindable_column(self.stars, &self.rel_stars[ri], var).is_some() {
+                *plans_costed += 1;
+                let bind = self.apply_step(state, j, StepKind::Bind(ri), &on);
+                if bind.beats(&hash, self.env.overlap) {
+                    return bind;
+                }
+            }
         }
+        hash
     }
-    for (_, d) in &mut next.var_distinct {
-        *d = d.min(next.est_rows);
+
+    /// Prices joining unit `j` onto `state` on `on` with `kind`. Returns
+    /// the new state (without dedup against better states — the caller
+    /// compares).
+    fn apply_step(&self, state: &DpState, j: usize, kind: StepKind, on: &[Var]) -> DpState {
+        let (unit, env) = (&self.costs[j], &self.env);
+        let l_rows = state.est_rows.max(1.0);
+        let r_rows = unit.est_rows.max(1.0);
+        let out_rows = if on.is_empty() {
+            // Cartesian product: legal, but priced at its full size.
+            l_rows * r_rows
+        } else {
+            let dl = on.iter().map(|v| state.distinct_of(v)).fold(f64::MAX, f64::min);
+            let dr = on
+                .iter()
+                .map(|v| {
+                    unit.var_distinct
+                        .iter()
+                        .find(|(w, _)| w == v)
+                        .map_or(r_rows, |(_, d)| d.min(r_rows))
+                })
+                .fold(f64::MAX, f64::min);
+            join_estimate(l_rows, dl, r_rows, dr)
+        };
+        let mut next = state.clone();
+        match kind {
+            StepKind::Hash => {
+                next.cpu_us += unit.fetch_cpu_us
+                    + (l_rows + r_rows) * env.cost.engine_join_probe_us
+                    + out_rows * env.cost.engine_row_us;
+                next.io_us += unit.fetch_io_us;
+                next.net_sum_us += unit.fetch_net_us;
+                next.net_max_us = next.net_max_us.max(unit.fetch_net_us);
+            }
+            StepKind::Bind(ri) => {
+                let rs = &self.rel_stars[ri];
+                let keys = state.distinct_of(&on[0]);
+                let batches = (keys / self.bind_batch as f64).ceil().max(1.0);
+                // One request message per batch, plus the matched rows
+                // coming back — all after the left side finished, hence
+                // sequential.
+                let messages = batches + (out_rows / env.rows_per_message).ceil();
+                next.net_seq_us += env.transfer_us(messages, out_rows);
+                let indexed = bindable_column(self.stars, rs, &on[0])
+                    .is_some_and(|col| rs.indexed(&col.name));
+                next.io_us += if indexed {
+                    keys * env.cost.rdb_index_probe_us + out_rows * env.cost.rdb_index_row_us
+                } else {
+                    // Every batch rescans the (filtered) table.
+                    batches * rs.cardinality as f64 * env.cost.rdb_row_scan_us
+                };
+                next.cpu_us +=
+                    l_rows * env.cost.engine_join_probe_us + out_rows * env.cost.engine_row_us;
+            }
+        }
+        next.est_rows = out_rows.max(1.0);
+        for (v, d) in &unit.var_distinct {
+            match next.var_distinct.iter_mut().find(|(w, _)| w == v) {
+                Some((_, old)) => *old = old.min(*d),
+                None => next.var_distinct.push((v.clone(), *d)),
+            }
+        }
+        for (_, d) in &mut next.var_distinct {
+            *d = d.min(next.est_rows);
+        }
+        next.steps.push((j, kind));
+        next
     }
-    next.steps.push((j, kind));
-    next
 }
 
 /// The column `join_var` maps to on the unit's star, when bind-joining on
 /// it is feasible at all: its `IN` list must select exactly the join terms.
 fn bindable_column(stars: &[StarSubquery], rs: &RelStar, join_var: &Var) -> Option<StarColumn> {
-    star_column(join_var, &stars[rs.star_idx], &rs.tm, &rs.schema)
+    star_column(join_var, &stars[rs.star_idx], rs.tm, rs.schema)
         .filter(sql_equality_is_identity)
 }
 
@@ -1327,119 +1415,28 @@ fn sql_equality_is_identity(column: &StarColumn) -> bool {
     column.lift != Lift::Literal(DataType::Double)
 }
 
-/// Cost-based replacement for the greedy ordering in `plan_conjunctive`:
-/// prices every left-deep order (DP up to [`DP_UNIT_LIMIT`] units, greedy
-/// beyond) with per-edge bind-vs-hash choice, rebuilds the chosen plan
-/// through the same construction paths the heuristic planner uses, and
-/// records what it did in `report`.
-#[allow(clippy::too_many_arguments)]
+/// The cost model's join order over the units: prices every left-deep
+/// order (DP up to [`DP_UNIT_LIMIT`] units, greedy beyond) with a per-edge
+/// bind-vs-hash choice, and records what it did in `report`.
 fn order_units_by_cost(
-    dec: &crate::decompose::Decomposition,
-    lake: &DataLake,
-    config: &PlanConfig,
-    stats: &LakeStatistics,
-    candidates: &[Vec<Candidate>],
-    rel_stars: &[RelStar],
-    units: Vec<(Vec<usize>, FedPlan, Option<usize>)>,
-    unit_var_list: Vec<Vec<Var>>,
+    pricing: &Pricing<'_>,
     report: &mut PlanReport,
-) -> Result<FedPlan, FedError> {
-    let env = CostEnv {
-        cost: &config.cost,
-        delay_us: config.network.delay.mean_ms() * 1_000.0,
-        rows_per_message: config.rows_per_message.max(1) as f64,
-        overlap: config.overlap,
-    };
-    let bind_batch = match config.engine_join {
-        EngineJoin::Bind { batch_size } => batch_size,
-        EngineJoin::SymmetricHash => DEFAULT_BIND_BATCH,
-    };
-    let mut cost_units: Vec<CostUnit> = Vec::with_capacity(units.len());
-    for ((idxs, plan, bindable), vars) in units.into_iter().zip(unit_var_list) {
-        let est_rows = plan.estimated_rows();
-        let (fetch_cpu_us, fetch_io_us, fetch_net_us) = unit_fetch_cost(&plan, &env);
-        let mut var_distinct = unit_var_distincts(&idxs, dec, candidates, stats, est_rows);
-        // Every unit variable gets an NDV entry (fallback: the row
-        // estimate), so the DP's shared-variable sets match the `on` keys
-        // the rebuilt joins will actually use.
-        for v in &vars {
-            if !var_distinct.iter().any(|(w, _)| w == v) {
-                var_distinct.push((v.clone(), est_rows.max(1.0)));
-            }
-        }
-        cost_units.push(CostUnit {
-            plan: Some(plan),
-            bindable,
-            vars,
-            est_rows,
-            fetch_cpu_us,
-            fetch_io_us,
-            fetch_net_us,
-            var_distinct,
-        });
-    }
-
-    let n = cost_units.len();
-    if n == 1 {
-        report.strategy = PlanStrategy::Dp;
-        let mut only = cost_units.into_iter().next().expect("one unit");
-        let state = DpState::of_unit(0, &only);
-        report.estimated_cost = Some(state.federation_cost(env.overlap));
-        return Ok(only.plan.take().expect("unit plan present"));
-    }
-
-    // Feasible (hash, bind) options for extending a state by unit `j`.
-    let options = |state: &DpState, j: usize| -> (Vec<Var>, Vec<StepKind>) {
-        let on: Vec<Var> = cost_units[j]
-            .vars
-            .iter()
-            .filter(|v| state.var_distinct.iter().any(|(w, _)| w == *v))
-            .cloned()
-            .collect();
-        let mut kinds = vec![StepKind::Hash];
-        if on.len() == 1 {
-            if let Some(ri) = cost_units[j].bindable {
-                if bindable_column(&dec.stars, &rel_stars[ri], &on[0]).is_some() {
-                    kinds.push(StepKind::Bind);
-                }
-            }
-        }
-        (on, kinds)
-    };
-
+) -> Result<Vec<(usize, StepKind)>, FedError> {
+    let (n, overlap) = (pricing.costs.len(), pricing.env.overlap);
     let mut plans_costed = 0u64;
     let best: DpState = if n <= DP_UNIT_LIMIT {
         report.strategy = PlanStrategy::Dp;
         let mut dp: Vec<Option<DpState>> = vec![None; 1 << n];
-        for (i, u) in cost_units.iter().enumerate() {
+        for (i, u) in pricing.costs.iter().enumerate() {
             dp[1 << i] = Some(DpState::of_unit(i, u));
         }
         for mask in 1usize..(1 << n) {
             let Some(state) = dp[mask].clone() else { continue };
-            for j in 0..n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let (on, kinds) = options(&state, j);
-                for kind in kinds {
-                    plans_costed += 1;
-                    let next = apply_step(
-                        &state,
-                        j,
-                        kind,
-                        &cost_units[j],
-                        &on,
-                        &env,
-                        &dec.stars,
-                        rel_stars,
-                        lake,
-                        bind_batch,
-                    );
-                    let slot = &mut dp[mask | (1 << j)];
-                    let better = slot.as_ref().is_none_or(|s| next.beats(s, env.overlap));
-                    if better {
-                        *slot = Some(next);
-                    }
+            for j in (0..n).filter(|j| mask & (1 << j) == 0) {
+                let next = pricing.extend(&state, j, &mut plans_costed);
+                let slot = &mut dp[mask | (1 << j)];
+                if slot.as_ref().is_none_or(|s| next.beats(s, overlap)) {
+                    *slot = Some(next);
                 }
             }
         }
@@ -1453,98 +1450,34 @@ fn order_units_by_cost(
         // unit index (`min_by` keeps the *last* minimum, which would tie-
         // break on position — backwards and easy to destabilize).
         let first = (1..n).fold(0, |best, i| {
-            let fi = DpState::of_unit(i, &cost_units[i]).total_us(env.overlap);
-            let fb = DpState::of_unit(best, &cost_units[best]).total_us(env.overlap);
+            let fi = DpState::of_unit(i, &pricing.costs[i]).total_us(overlap);
+            let fb = DpState::of_unit(best, &pricing.costs[best]).total_us(overlap);
             if fi.total_cmp(&fb) == std::cmp::Ordering::Less {
                 i
             } else {
                 best
             }
         });
-        let mut state = DpState::of_unit(first, &cost_units[first]);
+        let mut state = DpState::of_unit(first, &pricing.costs[first]);
         let mut used = vec![false; n];
         used[first] = true;
         for _ in 1..n {
-            let mut pick: Option<DpState> = None;
-            for j in 0..n {
-                if used[j] {
-                    continue;
-                }
-                let (on, kinds) = options(&state, j);
-                for kind in kinds {
-                    plans_costed += 1;
-                    let next = apply_step(
-                        &state,
-                        j,
-                        kind,
-                        &cost_units[j],
-                        &on,
-                        &env,
-                        &dec.stars,
-                        rel_stars,
-                        lake,
-                        bind_batch,
-                    );
-                    let better = pick.as_ref().is_none_or(|p| next.beats(p, env.overlap));
-                    if better {
-                        pick = Some(next);
-                    }
-                }
-            }
-            state = pick.expect("some unit remains");
-            used[state.steps.last().expect("step pushed").0] = true;
+            let (j, next) = (0..n)
+                .filter(|&j| !used[j])
+                .map(|j| (j, pricing.extend(&state, j, &mut plans_costed)))
+                .reduce(|pick, next| if next.1.beats(&pick.1, overlap) { next } else { pick })
+                .ok_or_else(|| FedError::Internal("greedy cost ordering ran out of units".into()))?;
+            used[j] = true;
+            state = next;
         }
         state
     };
 
     report.plans_costed += plans_costed;
-    report.estimated_cost = Some(best.federation_cost(env.overlap));
-
-    // Rebuild the chosen order through the same construction paths the
-    // heuristic planner uses, so plan nodes stay byte-identical for a
-    // given shape.
-    let mut steps = best.steps.iter();
-    let &(first, _) = steps.next().expect("at least one step");
-    let mut plan = cost_units[first].plan.take().expect("unit plan present");
-    let mut bound_vars = cost_units[first].vars.clone();
-    for &(j, kind) in steps {
-        let right_vars = cost_units[j].vars.clone();
-        let on: Vec<Var> =
-            right_vars.iter().filter(|v| bound_vars.contains(v)).cloned().collect();
-        for v in right_vars {
-            if !bound_vars.contains(&v) {
-                bound_vars.push(v);
-            }
-        }
-        let right = cost_units[j].plan.take().expect("unit plan present");
-        plan = match kind {
-            StepKind::Bind if on.len() == 1 => {
-                let ri = cost_units[j].bindable.expect("bind step requires bindable");
-                match build_bind_join(
-                    plan,
-                    &dec.stars,
-                    &rel_stars[ri],
-                    &on[0],
-                    bind_batch,
-                    Some(stats),
-                )? {
-                    Ok(bound_plan) => {
-                        report.bind_joins += 1;
-                        bound_plan
-                    }
-                    Err(left) => FedPlan::Join {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        on,
-                    },
-                }
-            }
-            _ => {
-                FedPlan::Join { left: Box::new(plan), right: Box::new(right), on }
-            }
-        };
-    }
-    Ok(plan)
+    let binds = best.steps.iter().filter(|(_, kind)| matches!(kind, StepKind::Bind(_))).count();
+    report.bind_joins += binds as u64;
+    report.estimated_cost = Some(best.federation_cost(overlap));
+    Ok(best.steps)
 }
 
 #[cfg(test)]
@@ -1555,12 +1488,8 @@ mod tests {
     use fedlake_relational::Database;
     use fedlake_sparql::parser::parse_query;
 
-    /// Under the naive translation a pair Heuristic 1 merges is the N+1
-    /// dependent join it stands for: the first star as one SQL service, the
-    /// second re-asked per binding — a bind join of batch 1 on the merge
-    /// column, with the key template that column's IRIs are minted by.
-    #[test]
-    fn a_naive_merge_plans_as_a_bind_join_of_batch_one() {
+    /// Source `d`: genes, each of one disease, with `gene.disease` indexed.
+    fn gene_disease_lake() -> DataLake {
         let mut db = Database::new("d");
         db.execute("CREATE TABLE gene (id TEXT PRIMARY KEY, label TEXT, disease TEXT)").unwrap();
         db.execute("CREATE TABLE disease (id TEXT PRIMARY KEY, name TEXT)").unwrap();
@@ -1576,11 +1505,48 @@ mod tests {
                     .with_reference("disease", "http://v/disease", disease_iri.clone()),
             )
             .with_table(
-                TableMapping::new("disease", "http://v/Disease", disease_iri.clone(), "id")
+                TableMapping::new("disease", "http://v/Disease", disease_iri, "id")
                     .with_literal("name", "http://v/name"),
             );
         let mut lake = DataLake::new();
         lake.add_source(DataSource::relational("d", db, mapping));
+        lake
+    }
+
+    /// A star looks its source up once: a relational candidate resolves to
+    /// its table's mapping and asks that table's indexes, a SPARQL one
+    /// resolves to no relational star, and a missing one is a typed error.
+    #[test]
+    fn a_star_resolves_its_source_once() {
+        let mut lake = gene_disease_lake();
+        lake.add_source(DataSource::sparql("r", fedlake_rdf::Graph::new()));
+        let query =
+            parse_query("SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d }")
+                .unwrap();
+        let star = &crate::decompose::decompose(&query).unwrap().stars[0];
+        let config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
+        let resolve = |source_id: &str| {
+            let class = "http://v/Gene".to_string();
+            let cand = Candidate { source_id: source_id.into(), class, cardinality: 1 };
+            RelStar::resolve(0, star, &cand, &lake, &config)
+        };
+        let rs = resolve("d").unwrap().unwrap();
+        assert_eq!((rs.source_id, rs.tm.table.as_str()), ("d", "gene"));
+        assert!(rs.indexed("id"), "the primary key leads an index");
+        assert!(rs.indexed("disease"));
+        assert!(!rs.indexed("label"));
+        assert!(resolve("r").unwrap().is_none());
+        assert!(matches!(resolve("gone"), Err(FedError::Internal(_))));
+    }
+
+    /// Under the naive translation a pair Heuristic 1 merges is the N+1
+    /// dependent join it stands for: the first star as one SQL service, the
+    /// second re-asked per binding — a bind join of batch 1 on the merge
+    /// column, with the key template that column's IRIs are minted by.
+    #[test]
+    fn a_naive_merge_plans_as_a_bind_join_of_batch_one() {
+        let lake = gene_disease_lake();
+        let disease_iri = IriTemplate::new("http://d/disease/{}");
         let query = parse_query(
             "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
              ?d <http://v/name> ?n . FILTER(?n != \"cancer\") }",

@@ -66,16 +66,6 @@ impl DataSource {
             }
         }
     }
-
-    /// For relational sources: true when `table.column` has an index with
-    /// that column as leading key — the physical-design test used by both
-    /// heuristics.
-    pub fn has_index_on(&self, table: &str, column: &str) -> bool {
-        match self {
-            DataSource::Sparql { .. } => false,
-            DataSource::Relational { db, .. } => db.has_index_on(table, column),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +113,5 @@ mod tests {
         assert_eq!(mts.len(), 1);
         assert_eq!(mts[0].class, "http://v/C");
         assert!(!s.is_relational());
-        assert!(!s.has_index_on("any", "col"));
-    }
-
-    #[test]
-    fn index_probe() {
-        let s = relational_source();
-        assert!(s.has_index_on("gene", "id"));
-        assert!(!s.has_index_on("gene", "label"));
     }
 }
