@@ -90,6 +90,31 @@ plan_enums="$(git grep -cE 'enum [A-Za-z0-9_]*Plan([^A-Za-z0-9_]|$)' -- 'crates/
 git grep -q 'pub enum FedPlan ' -- crates/core/src/fedplan.rs \
     || { echo "fedplan.rs no longer declares FedPlan: the gate above counts the wrong enum"; exit 1; }
 
+# The planner reads the physical design through one star (DESIGN §15):
+# RelStar::resolve looks a star's source up once, and Heuristic 1,
+# Heuristic 2 and the cost model's bind step ask RelStar::indexed. One
+# builder, join_in_order, joins the heuristic order and the cost order. An
+# index test on DataSource, a source looked up again per decision, or the
+# cost path's own rebuild of its order (taking unit plans out of their
+# slots) is what that replaced, not a second path to keep beside it.
+echo "== the planner reads the physical design through one star =="
+source_index=0
+git grep -n 'fn has_index_on' -- crates/core/src/source.rs || source_index=$?
+[ "$source_index" -eq 1 ] || { echo "DataSource::has_index_on is back in source.rs (or git grep failed)"; exit 1; }
+planner=crates/core/src/planner.rs
+# Each has_index_on( in planner.rs with the fn it sits in: only RelStar::indexed may ask.
+index_calls="$(awk '/^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ { name = $0; sub(/^ *(pub(\([a-z]+\))? )?fn /, "", name); sub(/[^a-z_0-9].*/, "", name) }
+    /has_index_on\(/ { print FNR ": " name }' "$planner")"
+[ -n "$index_calls" ] || { echo "planner.rs never calls has_index_on: the gate below matches nothing"; exit 1; }
+if echo "$index_calls" | grep -v ': indexed$'; then
+    echo "planner.rs calls has_index_on outside RelStar::indexed"; exit 1
+fi
+rebuilds=0
+git grep -nE 'expect\("selected"\)|\.plan\.take\(\)' -- "$planner" || rebuilds=$?
+[ "$rebuilds" -eq 1 ] || { echo "a second source lookup or the cost path's rebuild is back in planner.rs (or git grep failed)"; exit 1; }
+git grep -q 'fn join_in_order(' -- "$planner" \
+    || { echo "planner.rs has no join_in_order: the gate above matches nothing"; exit 1; }
+
 # The key a kept FILTER's verdicts are memoized under is decided the same
 # way: rendered once per plan, by the planner, and cached with the plan
 # (DESIGN §20); a key rendered each time an execution builds its filter
