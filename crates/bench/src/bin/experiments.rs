@@ -2,13 +2,12 @@
 //! the paper's evaluation against the synthetic lake.
 //!
 //! ```text
-//! experiments [--figure1] [--figure2] [--table1] [--q2-pushdown]
-//!             [--h2-study] [--ablation] [--all]
+//! experiments [--figure1] [--figure2] [--table1] … [--all]
 //!             [--scale S] [--seed N] [--out DIR]
 //! ```
 //!
-//! Without selection flags, `--all` is assumed. With `--out DIR`, CSV
-//! artifacts are written there.
+//! One flag per study; `--help` lists them all. Without selection flags,
+//! `--all` is assumed. With `--out DIR`, CSV artifacts are written there.
 
 use fedlake_bench::experiments::{
     ablation, batching_study, decomposition_study, figure1, figure2, h2_study,
@@ -20,14 +19,42 @@ use fedlake_datagen::LakeConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// A study's selector (its flag without the leading `--`) and the study.
+type Experiment = (&'static str, fn(&ExperimentSetup) -> ExperimentReport);
+
+/// Every study, in the order `--all` runs them.
+const EXPERIMENTS: [Experiment; 11] = [
+    ("figure1", figure1),
+    ("figure2", figure2),
+    ("table1", table1),
+    ("q2-pushdown", q2_pushdown),
+    ("h2-study", h2_study),
+    ("ablation", ablation),
+    ("decomposition-study", decomposition_study),
+    ("rdb-variants", rdb_variants),
+    ("normalization-study", normalization_study),
+    ("batching-study", batching_study),
+    ("join-strategy-study", join_strategy_study),
+];
+
+fn usage() -> String {
+    let flags: Vec<String> = EXPERIMENTS.iter().map(|(name, _)| format!("--{name}")).collect();
+    format!(
+        "usage: experiments [{}|--all] [--scale S] [--seed N] [--out DIR]\n\
+         Without selection flags, --all is assumed.",
+        flags.join("|")
+    )
+}
+
 struct Args {
-    which: Vec<&'static str>,
+    which: Vec<&'static Experiment>,
     scale: f64,
     seed: u64,
     out: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed arguments, or `None` when `--help` asked for the usage.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut which = Vec::new();
     let mut scale = 1.0;
     let mut seed = LakeConfig::default().seed;
@@ -35,30 +62,7 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--figure1" => which.push("figure1"),
-            "--figure2" => which.push("figure2"),
-            "--table1" => which.push("table1"),
-            "--q2-pushdown" => which.push("q2-pushdown"),
-            "--h2-study" => which.push("h2-study"),
-            "--ablation" => which.push("ablation"),
-            "--decomposition-study" => which.push("decomposition-study"),
-            "--rdb-variants" => which.push("rdb-variants"),
-            "--normalization-study" => which.push("normalization-study"),
-            "--batching-study" => which.push("batching-study"),
-            "--join-strategy-study" => which.push("join-strategy-study"),
-            "--all" => which.extend([
-                "figure1",
-                "figure2",
-                "table1",
-                "q2-pushdown",
-                "h2-study",
-                "ablation",
-                "decomposition-study",
-                "rdb-variants",
-                "normalization-study",
-                "batching-study",
-                "join-strategy-study",
-            ]),
+            "--all" => which.extend(&EXPERIMENTS),
             "--scale" => {
                 scale = argv
                     .next()
@@ -76,35 +80,28 @@ fn parse_args() -> Result<Args, String> {
             "--out" => {
                 out = Some(PathBuf::from(argv.next().ok_or("--out needs a value")?));
             }
-            "--help" | "-h" => {
-                return Err("usage: experiments [--figure1|--figure2|--table1|--q2-pushdown|\
-                            --h2-study|--ablation|--all] [--scale S] [--seed N] [--out DIR]"
-                    .to_string());
+            "--help" | "-h" => return Ok(None),
+            other => {
+                let selected = other
+                    .strip_prefix("--")
+                    .and_then(|flag| EXPERIMENTS.iter().find(|(name, _)| *name == flag));
+                which.push(selected.ok_or_else(|| format!("unknown argument {other:?}"))?);
             }
-            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     if which.is_empty() {
-        which.extend([
-            "figure1",
-            "figure2",
-            "table1",
-            "q2-pushdown",
-            "h2-study",
-            "ablation",
-            "decomposition-study",
-            "rdb-variants",
-            "normalization-study",
-            "batching-study",
-            "join-strategy-study",
-        ]);
+        which.extend(&EXPERIMENTS);
     }
-    Ok(Args { which, scale, seed, out })
+    Ok(Some(Args { which, scale, seed, out }))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -118,21 +115,8 @@ fn main() -> ExitCode {
         "FedLake experiment harness — scale {}, generator seed {:#x}\n",
         args.scale, args.seed
     );
-    for which in &args.which {
-        let report: ExperimentReport = match *which {
-            "figure1" => figure1(&setup),
-            "figure2" => figure2(&setup),
-            "table1" => table1(&setup),
-            "q2-pushdown" => q2_pushdown(&setup),
-            "h2-study" => h2_study(&setup),
-            "ablation" => ablation(&setup),
-            "decomposition-study" => decomposition_study(&setup),
-            "rdb-variants" => rdb_variants(&setup),
-            "normalization-study" => normalization_study(&setup),
-            "batching-study" => batching_study(&setup),
-            "join-strategy-study" => join_strategy_study(&setup),
-            other => unreachable!("validated flag {other}"),
-        };
+    for (_, study) in &args.which {
+        let report = study(&setup);
         println!("{}", report.text);
         if let Some(dir) = &args.out {
             if let Err(e) = std::fs::create_dir_all(dir) {

@@ -6,7 +6,6 @@
 //! differently from a full scan without depending on wall-clock noise.
 
 use crate::error::SqlError;
-use crate::optimizer::CatalogView;
 use crate::plan::{AccessPath, JoinAlgo, PhysicalPlan, ScanNode};
 use crate::sql::ast::{ColumnRef, Operand, Predicate, SortKey, SqlCmpOp};
 use crate::storage::Table;
@@ -168,9 +167,9 @@ impl std::hash::Hash for Cells<'_, '_> {
 }
 
 /// Executes a physical plan against a catalog.
-pub fn execute<'t, C: CatalogView>(
+pub fn execute<'t>(
     plan: &PhysicalPlan,
-    catalog: &'t C,
+    catalog: &'t HashMap<String, Table>,
 ) -> Result<(Relation<'t>, CostStats), SqlError> {
     let mut cost = CostStats::default();
     let rel = exec_output(plan, catalog, &mut cost)?;
@@ -180,9 +179,9 @@ pub fn execute<'t, C: CatalogView>(
 
 /// `Project` and the modifiers the optimizer stacks on it: which columns
 /// of which rows are the output. The rows stay borrowed.
-fn exec_output<'t, C: CatalogView>(
+fn exec_output<'t>(
     plan: &PhysicalPlan,
-    catalog: &'t C,
+    catalog: &'t HashMap<String, Table>,
     cost: &mut CostStats,
 ) -> Result<Relation<'t>, SqlError> {
     match plan {
@@ -224,9 +223,9 @@ fn exec_output<'t, C: CatalogView>(
 }
 
 /// Scans, joins, residual filters and sorts: everything below `Project`.
-fn exec_borrowed<'t, C: CatalogView>(
+fn exec_borrowed<'t>(
     plan: &PhysicalPlan,
-    catalog: &'t C,
+    catalog: &'t HashMap<String, Table>,
     cost: &mut CostStats,
 ) -> Result<Borrowed<'t>, SqlError> {
     match plan {
@@ -287,13 +286,13 @@ fn exec_borrowed<'t, C: CatalogView>(
 
 /// Runs a scan's access path and residual predicates; the rows stay in the
 /// table.
-fn exec_scan<'t, C: CatalogView>(
+fn exec_scan<'t>(
     scan: &ScanNode,
-    catalog: &'t C,
+    catalog: &'t HashMap<String, Table>,
     cost: &mut CostStats,
 ) -> Result<(Part<'t>, Vec<&'t [Value]>), SqlError> {
     let table = catalog
-        .table(&scan.table)
+        .get(&scan.table)
         .ok_or_else(|| SqlError::UnknownTable(scan.table.clone()))?;
     let part = Part { alias: scan.alias.to_lowercase(), table };
     let residual: Vec<Test> = scan
@@ -365,13 +364,13 @@ fn find_index<'t>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn exec_join<'t, C: CatalogView>(
+fn exec_join<'t>(
     left: Borrowed<'t>,
     right: &ScanNode,
     algo: JoinAlgo,
     left_key: &Option<ColumnRef>,
     right_key: &Option<ColumnRef>,
-    catalog: &'t C,
+    catalog: &'t HashMap<String, Table>,
     cost: &mut CostStats,
 ) -> Result<Borrowed<'t>, SqlError> {
     let keys = |what: &str| -> Result<(Pos, &ColumnRef), SqlError> {
@@ -430,7 +429,7 @@ fn exec_join<'t, C: CatalogView>(
         JoinAlgo::IndexNestedLoop => {
             let (li, rk) = keys("INLJ")?;
             let table = catalog
-                .table(&right.table)
+                .get(&right.table)
                 .ok_or_else(|| SqlError::UnknownTable(right.table.clone()))?;
             let part = Part { alias: right.alias.to_lowercase(), table };
             let idx = table

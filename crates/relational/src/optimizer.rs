@@ -9,9 +9,7 @@
 
 use crate::error::SqlError;
 use crate::plan::{AccessPath, JoinAlgo, PhysicalPlan, ScanNode};
-use crate::sql::ast::{
-    ColumnRef, JoinClause, Operand, Predicate, SelectItem, SelectStmt, SqlCmpOp,
-};
+use crate::sql::ast::{ColumnRef, Operand, Predicate, SelectItem, SelectStmt, SortKey, SqlCmpOp};
 use crate::stats::column_stats;
 use crate::storage::Table;
 use std::collections::HashMap;
@@ -21,244 +19,167 @@ const RANGE_SELECTIVITY: f64 = 0.33;
 const LIKE_SELECTIVITY: f64 = 0.25;
 const NULL_SELECTIVITY: f64 = 0.05;
 
-/// The catalog view the optimizer needs.
-pub trait CatalogView {
-    /// Resolves a table by name.
-    fn table(&self, name: &str) -> Option<&Table>;
+/// One FROM table, resolved once: the alias its columns are exposed
+/// under, its catalog name and the table. A statement's parts are in FROM
+/// order, the order of the executor's parts of a relation (`exec.rs`).
+struct Part<'a> {
+    alias: &'a str,
+    name: &'a str,
+    table: &'a Table,
 }
 
-impl CatalogView for HashMap<String, Table> {
-    fn table(&self, name: &str) -> Option<&Table> {
-        self.get(name)
-    }
-}
+/// A column reference qualified to the part that owns it: the part's
+/// index, and the reference as the plan spells it.
+type Qualified = (usize, ColumnRef);
 
-/// An equi-join edge between two aliases.
-#[derive(Debug, Clone)]
+/// An equi-join edge between two parts.
 struct JoinEdge {
-    left: ColumnRef,
-    right: ColumnRef,
+    left: Qualified,
+    right: Qualified,
+}
+
+/// The one column a selection tests.
+fn tested_column(p: &mut Predicate) -> &mut ColumnRef {
+    match p {
+        Predicate::Compare { left: col, .. }
+        | Predicate::Like { col, .. }
+        | Predicate::IsNull { col, .. }
+        | Predicate::InList { col, .. } => col,
+    }
 }
 
 /// Plans a `SELECT` statement into a physical plan.
-pub fn plan_select<C: CatalogView>(stmt: &SelectStmt, catalog: &C) -> Result<PhysicalPlan, SqlError> {
-    // 1. Resolve aliases.
-    let mut aliases: Vec<(String, String)> = Vec::new(); // (alias, table)
-    let mut register = |alias: &str, table: &str| -> Result<(), SqlError> {
-        if catalog.table(table).is_none() {
-            return Err(SqlError::UnknownTable(table.to_string()));
+pub fn plan_select(
+    stmt: &SelectStmt,
+    catalog: &HashMap<String, Table>,
+) -> Result<PhysicalPlan, SqlError> {
+    // 1. Resolve the FROM clause into parts; an alias names one part.
+    let from = std::iter::once(&stmt.from).chain(stmt.joins.iter().map(|j| &j.table));
+    let mut parts: Vec<Part> = Vec::with_capacity(1 + stmt.joins.len());
+    for t in from {
+        let table = catalog.get(&t.table).ok_or_else(|| SqlError::UnknownTable(t.table.clone()))?;
+        if parts.iter().any(|p| p.alias == t.alias) {
+            return Err(SqlError::AlreadyExists(format!("FROM alias {}", t.alias)));
         }
-        aliases.push((alias.to_string(), table.to_string()));
-        Ok(())
-    };
-    register(&stmt.from.alias, &stmt.from.table)?;
-    for j in &stmt.joins {
-        register(&j.table.alias, &j.table.table)?;
+        parts.push(Part { alias: &t.alias, name: &t.table, table });
     }
-    let alias_table: HashMap<&str, &str> = aliases
-        .iter()
-        .map(|(a, t)| (a.as_str(), t.as_str()))
-        .collect();
 
-    // 2. Qualify every column reference.
-    let qualify = |c: &ColumnRef| -> Result<ColumnRef, SqlError> {
-        if let Some(t) = &c.table {
-            let table = alias_table
-                .get(t.as_str())
-                .ok_or_else(|| SqlError::UnknownTable(t.clone()))?;
-            let tbl = catalog.table(table).expect("validated above");
-            if tbl.schema.column_index(&c.column).is_none() {
-                return Err(SqlError::UnknownColumn(format!("{t}.{}", c.column)));
+    // 2. Qualify a column reference to the part that owns it.
+    let qualify = |c: &ColumnRef| -> Result<Qualified, SqlError> {
+        let owns = |p: &Part| p.table.schema.column_index(&c.column).is_some();
+        let part = match &c.table {
+            Some(t) => {
+                let unknown = || SqlError::UnknownTable(t.clone());
+                let part = parts.iter().position(|p| p.alias == t).ok_or_else(unknown)?;
+                if !owns(&parts[part]) {
+                    return Err(SqlError::UnknownColumn(format!("{t}.{}", c.column)));
+                }
+                part
             }
-            return Ok(c.clone());
-        }
-        let mut owner: Option<&str> = None;
-        for (alias, table) in &aliases {
-            let tbl = catalog.table(table).expect("validated above");
-            if tbl.schema.column_index(&c.column).is_some() {
-                if owner.is_some() {
+            None => {
+                let mut owners = (0..parts.len()).filter(|&i| owns(&parts[i]));
+                let part =
+                    owners.next().ok_or_else(|| SqlError::UnknownColumn(c.column.clone()))?;
+                if owners.next().is_some() {
                     return Err(SqlError::AmbiguousColumn(c.column.clone()));
                 }
-                owner = Some(alias);
+                part
             }
-        }
-        match owner {
-            Some(alias) => Ok(ColumnRef::qualified(alias, &c.column)),
-            None => Err(SqlError::UnknownColumn(c.column.clone())),
-        }
+        };
+        Ok((part, ColumnRef::qualified(parts[part].alias, &c.column)))
     };
 
-    // 3. Classify predicates: per-alias selections vs. join edges.
-    let mut selections: HashMap<String, Vec<Predicate>> = HashMap::new();
+    // 3. Classify predicates: per-part selections vs. join edges.
+    let mut selections: Vec<Vec<Predicate>> = parts.iter().map(|_| Vec::new()).collect();
     let mut edges: Vec<JoinEdge> = Vec::new();
-    let push_pred = |p: Predicate,
-                         selections: &mut HashMap<String, Vec<Predicate>>,
-                         edges: &mut Vec<JoinEdge>|
-     -> Result<(), SqlError> {
-        match p {
-            Predicate::Compare { left, op, right } => {
-                let left = qualify(&left)?;
-                match right {
-                    Operand::Column(r) => {
-                        let r = qualify(&r)?;
-                        if op == SqlCmpOp::Eq {
-                            edges.push(JoinEdge { left, right: r });
-                        } else {
-                            return Err(SqlError::Internal(
-                                "non-equality join predicates are not supported".into(),
-                            ));
-                        }
-                    }
-                    Operand::Literal(v) => {
-                        let alias = left.table.clone().expect("qualified");
-                        selections.entry(alias).or_default().push(Predicate::Compare {
-                            left,
-                            op,
-                            right: Operand::Literal(v),
-                        });
-                    }
-                }
-            }
-            Predicate::Like { col, pattern, negated } => {
-                let col = qualify(&col)?;
-                let alias = col.table.clone().expect("qualified");
-                selections
-                    .entry(alias)
-                    .or_default()
-                    .push(Predicate::Like { col, pattern, negated });
-            }
-            Predicate::IsNull { col, negated } => {
-                let col = qualify(&col)?;
-                let alias = col.table.clone().expect("qualified");
-                selections
-                    .entry(alias)
-                    .or_default()
-                    .push(Predicate::IsNull { col, negated });
-            }
-            Predicate::InList { col, values } => {
-                let col = qualify(&col)?;
-                let alias = col.table.clone().expect("qualified");
-                selections
-                    .entry(alias)
-                    .or_default()
-                    .push(Predicate::InList { col, values });
-            }
+    let join_edge = |left: &ColumnRef, op: SqlCmpOp, right: &ColumnRef| {
+        let edge = JoinEdge { left: qualify(left)?, right: qualify(right)? };
+        if op != SqlCmpOp::Eq {
+            let msg = "non-equality join predicates are not supported";
+            return Err(SqlError::Internal(msg.into()));
         }
-        Ok(())
+        Ok(edge)
     };
     for j in &stmt.joins {
-        let jc: JoinClause = j.clone();
-        push_pred(
-            Predicate::Compare {
-                left: jc.left,
-                op: SqlCmpOp::Eq,
-                right: Operand::Column(jc.right),
-            },
-            &mut selections,
-            &mut edges,
-        )?;
+        edges.push(join_edge(&j.left, SqlCmpOp::Eq, &j.right)?);
     }
     for p in &stmt.predicates {
-        push_pred(p.clone(), &mut selections, &mut edges)?;
+        if let Predicate::Compare { left, op, right: Operand::Column(right) } = p {
+            edges.push(join_edge(left, *op, right)?);
+            continue;
+        }
+        let mut p = p.clone();
+        let col = tested_column(&mut p);
+        let (part, qualified) = qualify(col)?;
+        *col = qualified;
+        selections[part].push(p);
     }
 
-    // 4. Estimate filtered cardinality per alias and build scan nodes.
-    let mut scans: HashMap<String, ScanNode> = HashMap::new();
-    for (alias, table_name) in &aliases {
-        let table = catalog.table(table_name).expect("validated above");
-        let preds = selections.remove(alias).unwrap_or_default();
-        scans.insert(alias.clone(), build_scan(table, alias, table_name, preds));
-    }
+    // 4. Estimate filtered cardinality per part and build scan nodes.
+    let scans: Vec<ScanNode> =
+        parts.iter().zip(selections).map(|(part, preds)| build_scan(part, preds)).collect();
 
     // 5. Greedy left-deep join ordering: start at the smallest scan,
     //    repeatedly attach the connected table with the smallest estimate.
-    let mut remaining: Vec<String> = aliases.iter().map(|(a, _)| a.clone()).collect();
-    remaining.sort_by(|a, b| {
+    let mut remaining: Vec<usize> = (0..parts.len()).collect();
+    remaining.sort_by(|&a, &b| {
         scans[a]
             .estimated_rows
             .total_cmp(&scans[b].estimated_rows)
-            .then_with(|| a.cmp(b))
+            .then_with(|| parts[a].alias.cmp(parts[b].alias))
     });
     let first = remaining.remove(0);
-    let mut joined: Vec<String> = vec![first.clone()];
-    let mut plan = PhysicalPlan::Scan(scans[&first].clone());
+    let mut joined: Vec<bool> = vec![false; parts.len()];
+    joined[first] = true;
+    let mut plan = PhysicalPlan::Scan(scans[first].clone());
     let mut used_edges: Vec<bool> = vec![false; edges.len()];
 
     while !remaining.is_empty() {
-        // Find connectable aliases.
+        // Find connectable parts.
         let mut candidate: Option<(usize, usize, f64)> = None; // (remaining idx, edge idx, est)
-        for (ri, alias) in remaining.iter().enumerate() {
+        for (ri, &part) in remaining.iter().enumerate() {
             for (ei, edge) in edges.iter().enumerate() {
-                if used_edges[ei] {
-                    continue;
-                }
-                let la = edge.left.table.as_deref().expect("qualified");
-                let ra = edge.right.table.as_deref().expect("qualified");
-                let connects = (joined.iter().any(|j| j == la) && ra == alias)
-                    || (joined.iter().any(|j| j == ra) && la == alias);
-                if connects {
-                    let est = scans[alias].estimated_rows;
+                let (l, r) = (edge.left.0, edge.right.0);
+                if !used_edges[ei] && ((joined[l] && r == part) || (joined[r] && l == part)) {
+                    let est = scans[part].estimated_rows;
                     if candidate.is_none_or(|(_, _, best)| est < best) {
                         candidate = Some((ri, ei, est));
                     }
                 }
             }
         }
-        match candidate {
+        let (part, algo, left_key, right_key) = match candidate {
             Some((ri, ei, _)) => {
-                let alias = remaining.remove(ri);
+                let part = remaining.remove(ri);
                 used_edges[ei] = true;
-                let edge = &edges[ei];
+                let JoinEdge { left, right } = &edges[ei];
                 // Orient the edge: left side must belong to the joined set.
-                let (lk, rk) = if edge.right.table.as_deref() == Some(alias.as_str()) {
-                    (edge.left.clone(), edge.right.clone())
-                } else {
-                    (edge.right.clone(), edge.left.clone())
-                };
-                let right_scan = scans[&alias].clone();
-                let table = catalog
-                    .table(alias_table[alias.as_str()])
-                    .expect("validated above");
-                // Index nested loop when the inner join column is indexed
-                // and the inner scan isn't already narrowed by an index.
-                let algo = if table.has_index_on(&rk.column) {
+                let (lk, rk) = if right.0 == part { (left, right) } else { (right, left) };
+                // Index nested loop when the inner join column is indexed.
+                let algo = if parts[part].table.has_index_on(&rk.1.column) {
                     JoinAlgo::IndexNestedLoop
                 } else {
                     JoinAlgo::Hash
                 };
-                plan = PhysicalPlan::Join {
-                    left: Box::new(plan),
-                    right: right_scan,
-                    algo,
-                    left_key: Some(lk),
-                    right_key: Some(rk),
-                };
-                joined.push(alias);
+                (part, algo, Some(lk.1.clone()), Some(rk.1.clone()))
             }
-            None => {
-                // Disconnected: cross join the smallest remaining table.
-                let alias = remaining.remove(0);
-                plan = PhysicalPlan::Join {
-                    left: Box::new(plan),
-                    right: scans[&alias].clone(),
-                    algo: JoinAlgo::Cross,
-                    left_key: None,
-                    right_key: None,
-                };
-                joined.push(alias);
-            }
-        }
+            // Disconnected: cross join the smallest remaining table.
+            None => (remaining.remove(0), JoinAlgo::Cross, None, None),
+        };
+        let right = scans[part].clone();
+        plan = PhysicalPlan::Join { left: Box::new(plan), right, algo, left_key, right_key };
+        joined[part] = true;
     }
 
     // Any join edges not consumed by ordering become residual filters.
     let residual: Vec<Predicate> = edges
-        .iter()
-        .zip(&used_edges)
-        .filter(|(_, used)| !**used)
+        .into_iter()
+        .zip(used_edges)
+        .filter(|(_, used)| !used)
         .map(|(e, _)| Predicate::Compare {
-            left: e.left.clone(),
+            left: e.left.1,
             op: SqlCmpOp::Eq,
-            right: Operand::Column(e.right.clone()),
+            right: Operand::Column(e.right.1),
         })
         .collect();
     if !residual.is_empty() {
@@ -270,9 +191,7 @@ pub fn plan_select<C: CatalogView>(stmt: &SelectStmt, catalog: &C) -> Result<Phy
         let keys = stmt
             .order_by
             .iter()
-            .map(|k| {
-                Ok(crate::sql::ast::SortKey { col: qualify(&k.col)?, asc: k.asc })
-            })
+            .map(|k| Ok(SortKey { col: qualify(&k.col)?.1, asc: k.asc }))
             .collect::<Result<Vec<_>, SqlError>>()?;
         plan = PhysicalPlan::Sort { input: Box::new(plan), keys };
     }
@@ -282,16 +201,15 @@ pub fn plan_select<C: CatalogView>(stmt: &SelectStmt, catalog: &C) -> Result<Phy
     for item in &stmt.projection {
         match item {
             SelectItem::Star => {
-                for (alias, table_name) in &aliases {
-                    let table = catalog.table(table_name).expect("validated above");
-                    for col in &table.schema.columns {
-                        columns.push(ColumnRef::qualified(alias, &col.name));
+                for part in &parts {
+                    for col in &part.table.schema.columns {
+                        columns.push(ColumnRef::qualified(part.alias, &col.name));
                         names.push(col.name.clone());
                     }
                 }
             }
             SelectItem::Column(c, as_name) => {
-                let q = qualify(c)?;
+                let (_, q) = qualify(c)?;
                 names.push(as_name.clone().unwrap_or_else(|| q.column.clone()));
                 columns.push(q);
             }
@@ -324,12 +242,13 @@ fn literal_compatible(table: &Table, column: &str, v: &crate::value::Value) -> b
     )
 }
 
-/// Builds a scan node: chooses the access path among the alias's selection
+/// Builds a scan node: chooses the access path among the part's selection
 /// predicates and estimates the result cardinality.
-fn build_scan(table: &Table, alias: &str, table_name: &str, preds: Vec<Predicate>) -> ScanNode {
+fn build_scan(part: &Part, preds: Vec<Predicate>) -> ScanNode {
+    let table = part.table;
     let mut best: Option<(usize, AccessPath, f64)> = None; // (pred idx, path, selectivity)
     for (i, p) in preds.iter().enumerate() {
-        let (col, path, sel) = match p {
+        let (path, sel) = match p {
             Predicate::Compare { left, op: SqlCmpOp::Eq, right: Operand::Literal(v) } => {
                 if !literal_compatible(table, &left.column, v) {
                     continue;
@@ -338,11 +257,7 @@ fn build_scan(table: &Table, alias: &str, table_name: &str, preds: Vec<Predicate
                 let sel = column_stats(table, &left.column)
                     .map(|s| s.eq_selectivity())
                     .unwrap_or(0.1);
-                (
-                    left,
-                    AccessPath::IndexEq { index: idx.name.clone(), key: v.clone() },
-                    sel,
-                )
+                (AccessPath::IndexEq { index: idx.name.clone(), key: v.clone() }, sel)
             }
             Predicate::Compare { left, op, right: Operand::Literal(v) }
                 if matches!(op, SqlCmpOp::Lt | SqlCmpOp::Le | SqlCmpOp::Gt | SqlCmpOp::Ge) =>
@@ -357,11 +272,7 @@ fn build_scan(table: &Table, alias: &str, table_name: &str, preds: Vec<Predicate
                     SqlCmpOp::Lt => (None, Some((v.clone(), false))),
                     _ => (None, Some((v.clone(), true))),
                 };
-                (
-                    left,
-                    AccessPath::IndexRange { index: idx.name.clone(), low, high },
-                    RANGE_SELECTIVITY,
-                )
+                (AccessPath::IndexRange { index: idx.name.clone(), low, high }, RANGE_SELECTIVITY)
             }
             Predicate::InList { col, values } => {
                 if !values.iter().all(|v| literal_compatible(table, &col.column, v)) {
@@ -371,65 +282,47 @@ fn build_scan(table: &Table, alias: &str, table_name: &str, preds: Vec<Predicate
                 let sel = column_stats(table, &col.column)
                     .map(|s| s.eq_selectivity() * values.len() as f64)
                     .unwrap_or(0.2);
-                (
-                    col,
-                    AccessPath::IndexInList {
-                        index: idx.name.clone(),
-                        keys: values.clone(),
-                    },
-                    sel.min(1.0),
-                )
+                let keys = values.clone();
+                (AccessPath::IndexInList { index: idx.name.clone(), keys }, sel.min(1.0))
             }
             _ => continue,
         };
-        let _ = col;
         if best.as_ref().is_none_or(|(_, _, s)| sel < *s) {
             best = Some((i, path, sel));
         }
     }
 
     let mut residual = preds;
-    let (path, _path_sel) = match best {
-        Some((i, path, sel)) => {
+    let path = match best {
+        Some((i, path, _)) => {
             residual.remove(i);
-            (path, sel)
+            path
         }
-        None => (AccessPath::SeqScan, 1.0),
+        None => AccessPath::SeqScan,
     };
 
     // Cardinality estimate: rows × path selectivity × residual
     // selectivities.
-    let mut est = table.len() as f64;
-    if let Some((_, _, sel)) = &best_selectivity(&path, table) {
-        est *= sel;
-    }
+    let mut est = table.len() as f64 * path_selectivity(&path, table);
     for p in &residual {
         est *= predicate_selectivity(p, table);
     }
     ScanNode {
-        table: table_name.to_string(),
-        alias: alias.to_string(),
+        table: part.name.to_string(),
+        alias: part.alias.to_string(),
         path,
         residual,
         estimated_rows: est.max(1.0),
     }
 }
 
-fn best_selectivity<'a>(
-    path: &'a AccessPath,
-    table: &Table,
-) -> Option<(&'a str, &'a AccessPath, f64)> {
+/// The fraction of the table's rows an access path fetches.
+fn path_selectivity(path: &AccessPath, table: &Table) -> f64 {
     match path {
-        AccessPath::SeqScan => None,
-        AccessPath::IndexEq { index, .. } => {
-            let sel = index_selectivity(table, index, 1);
-            Some((index.as_str(), path, sel))
-        }
-        AccessPath::IndexRange { index, .. } => Some((index.as_str(), path, RANGE_SELECTIVITY)),
-        AccessPath::IndexInList { index, keys } => {
-            let sel = index_selectivity(table, index, keys.len());
-            Some((index.as_str(), path, sel))
-        }
+        AccessPath::SeqScan => 1.0,
+        AccessPath::IndexEq { index, .. } => index_selectivity(table, index, 1),
+        AccessPath::IndexRange { .. } => RANGE_SELECTIVITY,
+        AccessPath::IndexInList { index, keys } => index_selectivity(table, index, keys.len()),
     }
 }
 
@@ -612,6 +505,21 @@ mod tests {
             plan_select(&select("SELECT nope FROM gene"), &c),
             Err(SqlError::UnknownColumn(_))
         ));
+    }
+
+    #[test]
+    fn a_repeated_alias_is_rejected() {
+        // Regression: a second `a` used to shadow the first, so `gene` was
+        // never read and `SELECT *` failed with an internal error.
+        let c = catalog();
+        for (sql, alias) in [
+            ("SELECT a.id FROM gene a JOIN gene_disease a ON a.id = a.gene", "a"),
+            ("SELECT * FROM gene a JOIN gene_disease a ON a.id = a.gene", "a"),
+            ("SELECT gene.id FROM gene JOIN gene ON gene.id = gene.id", "gene"),
+        ] {
+            let err = plan_select(&select(sql), &c);
+            assert_eq!(err, Err(SqlError::AlreadyExists(format!("FROM alias {alias}"))), "{sql}");
+        }
     }
 
     #[test]

@@ -122,38 +122,6 @@ pub enum Predicate {
     },
 }
 
-impl Predicate {
-    /// The columns this predicate mentions.
-    pub fn columns(&self) -> Vec<&ColumnRef> {
-        match self {
-            Predicate::Compare { left, right, .. } => match right {
-                Operand::Column(r) => vec![left, r],
-                Operand::Literal(_) => vec![left],
-            },
-            Predicate::Like { col, .. }
-            | Predicate::IsNull { col, .. }
-            | Predicate::InList { col, .. } => vec![col],
-        }
-    }
-
-    /// True when this predicate is an equi-join between two columns.
-    pub fn is_equi_join(&self) -> bool {
-        matches!(
-            self,
-            Predicate::Compare { op: SqlCmpOp::Eq, right: Operand::Column(_), .. }
-        )
-    }
-
-    /// True when this predicate constrains a single column with a literal
-    /// (a *selection*, in the paper's terms an instantiation).
-    pub fn is_selection(&self) -> bool {
-        match self {
-            Predicate::Compare { right, .. } => matches!(right, Operand::Literal(_)),
-            Predicate::Like { .. } | Predicate::IsNull { .. } | Predicate::InList { .. } => true,
-        }
-    }
-}
-
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -272,26 +240,6 @@ mod tests {
     fn column_ref_display() {
         assert_eq!(ColumnRef::new("Name").to_string(), "name");
         assert_eq!(ColumnRef::qualified("T", "C").to_string(), "t.c");
-    }
-
-    #[test]
-    fn predicate_classification() {
-        let sel = Predicate::Compare {
-            left: ColumnRef::new("a"),
-            op: SqlCmpOp::Eq,
-            right: Operand::Literal(Value::Int(1)),
-        };
-        assert!(sel.is_selection());
-        assert!(!sel.is_equi_join());
-
-        let join = Predicate::Compare {
-            left: ColumnRef::qualified("t", "a"),
-            op: SqlCmpOp::Eq,
-            right: Operand::Column(ColumnRef::qualified("u", "b")),
-        };
-        assert!(join.is_equi_join());
-        assert!(!join.is_selection());
-        assert_eq!(join.columns().len(), 2);
     }
 
     #[test]

@@ -115,6 +115,24 @@ git grep -nE 'expect\("selected"\)|\.plan\.take\(\)' -- "$planner" || rebuilds=$
 git grep -q 'fn join_in_order(' -- "$planner" \
     || { echo "planner.rs has no join_in_order: the gate above matches nothing"; exit 1; }
 
+# The SQL optimizer resolves each FROM table once (DESIGN §19): plan_select
+# turns the FROM clause into parts (alias, catalog name, &Table) in FROM
+# order and qualifies every column reference to the index of the part that
+# owns it. A catalog trait over the one map, a table looked up again behind
+# expect("validated above"), an owner re-derived behind expect("qualified"),
+# or any other panic site in the optimizer's non-test code is what that
+# replaced, not a second path to keep beside it.
+echo "== the SQL optimizer resolves each FROM table once =="
+second_lookups=0
+git grep -nE 'trait CatalogView|expect\("(validated above|qualified)"\)' -- crates/relational/src \
+    || second_lookups=$?
+[ "$second_lookups" -eq 1 ] || { echo "a catalog trait or a second table lookup is back under crates/relational/src (or git grep failed)"; exit 1; }
+optimizer=crates/relational/src/optimizer.rs
+optimizer_panics="$(awk '/#\[cfg\(test\)\]/ { exit } /expect\(|unwrap\(\)|panic!|unreachable!/ { print FNR ": " $0 }' "$optimizer")"
+[ -z "$optimizer_panics" ] || { echo "$optimizer_panics"; echo "optimizer.rs has a panic site outside its tests"; exit 1; }
+git grep -q 'fn plan_select(' -- "$optimizer" \
+    || { echo "optimizer.rs has no plan_select: the gates above match nothing"; exit 1; }
+
 # The key a kept FILTER's verdicts are memoized under is decided the same
 # way: rendered once per plan, by the planner, and cached with the plan
 # (DESIGN §20); a key rendered each time an execution builds its filter
