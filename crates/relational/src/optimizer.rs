@@ -21,7 +21,8 @@ const NULL_SELECTIVITY: f64 = 0.05;
 
 /// One FROM table, resolved once: the alias its columns are exposed
 /// under, its catalog name and the table. A statement's parts are in FROM
-/// order, the order of the executor's parts of a relation (`exec.rs`).
+/// order; the executor's relation (`exec.rs`) holds the same parts, alias
+/// and table, in the order the plan joins them.
 struct Part<'a> {
     alias: &'a str,
     name: &'a str,
