@@ -51,6 +51,10 @@
 //! budget on the dark replica and fails over; re-running it shows the
 //! planner routing to the healthy replica up front.
 //!
+//! With `--query`, runs that one query and exits 1 when it fails (a parse
+//! error, a query no source can answer), as `--serve` does on an error. A
+//! flag value that does not parse, or `--replicas 0`, exits 2.
+//!
 //! Without `--query`, reads queries from stdin: each query is terminated
 //! by a blank line (or EOF). Meta-commands: `.explain on|off`,
 //! `.mode <m>`, `.network <n>`, `.workload <id>` (run a predefined
@@ -61,6 +65,7 @@ use fedlake_datagen::{build_lake, workload, LakeConfig};
 use fedlake_netsim::NetworkProfile;
 use fedlake_serve::{Mix, ServeSpec};
 use std::io::{BufRead, Write};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -95,9 +100,13 @@ fn parse_network(s: &str) -> Option<NetworkProfile> {
 }
 
 impl Shell {
-    fn run_query(&self, sparql: &str) {
+    /// Runs one query and prints its answers; false when it failed.
+    fn run_query(&self, sparql: &str) -> bool {
         match self.engine.execute_sparql(sparql) {
-            Err(e) => eprintln!("error: {e}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                false
+            }
             Ok(result) => {
                 if self.explain {
                     println!("{}", result.explain);
@@ -142,6 +151,7 @@ impl Shell {
                         result.stats.source_failures
                     );
                 }
+                true
             }
         }
     }
@@ -348,7 +358,7 @@ fn main() -> ExitCode {
     let mut one_shot: Option<String> = None;
     let mut analyze = false;
     let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut replicas: u32 = 1;
+    let mut replicas = NonZeroU32::MIN;
     let mut outages: Vec<String> = Vec::new();
     let mut cost_based = false;
     let mut recorder = false;
@@ -480,10 +490,10 @@ fn main() -> ExitCode {
 
     eprintln!("building the ten-dataset lake (scale {scale}) …");
     let mut lake = build_lake(&LakeConfig { scale, seed, ..Default::default() });
-    if replicas > 1 {
+    if replicas.get() > 1 {
         let ids: Vec<String> = lake.sources().iter().map(|s| s.id().to_string()).collect();
         for id in ids {
-            lake.set_replicas(id, replicas);
+            lake.set_replicas(id, replicas.get());
         }
         eprintln!("every source replicated {replicas} ways");
     }
@@ -530,8 +540,7 @@ fn main() -> ExitCode {
     let mut shell = Shell { engine, format, explain: false, analyze, trace_out };
 
     if let Some(q) = one_shot {
-        shell.run_query(&q);
-        return ExitCode::SUCCESS;
+        return if shell.run_query(&q) { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
     eprintln!(

@@ -534,9 +534,10 @@ pub fn join_strategy_study(setup: &ExperimentSetup) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlake_datagen::LakeConfig;
 
     fn setup() -> ExperimentSetup {
-        ExperimentSetup::at_scale(0.05)
+        ExperimentSetup { lake: LakeConfig { scale: 0.05, ..Default::default() }, run_seed: 7 }
     }
 
     #[test]

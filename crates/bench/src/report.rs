@@ -5,12 +5,12 @@ use fedlake_core::AnswerTrace;
 use std::time::Duration;
 
 /// Formats a duration in milliseconds with three decimals.
-pub fn ms(d: Duration) -> String {
+pub(crate) fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
 }
 
 /// Renders rows as an aligned text table.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -41,7 +41,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Serializes outcomes as CSV.
-pub fn outcomes_csv(outcomes: &[RunOutcome]) -> String {
+pub(crate) fn outcomes_csv(outcomes: &[RunOutcome]) -> String {
     let mut out = String::from(
         "query,plan,network,time_ms,first_answer_ms,answers,rows_transferred,messages,sql_queries\n",
     );
@@ -64,7 +64,7 @@ pub fn outcomes_csv(outcomes: &[RunOutcome]) -> String {
 
 /// ASCII plot of one or more answer traces on a shared time axis —
 /// the text rendition of the paper's Figure 2 panels.
-pub fn trace_plot(traces: &[(&str, &AnswerTrace)], width: usize, height: usize) -> String {
+pub(crate) fn trace_plot(traces: &[(&str, &AnswerTrace)], width: usize, height: usize) -> String {
     let t_max = traces
         .iter()
         .map(|(_, t)| t.total_time())

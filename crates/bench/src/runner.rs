@@ -6,7 +6,6 @@ use fedlake_core::{
 use fedlake_datagen::workload::WorkloadQuery;
 use fedlake_datagen::{build_lake_with, LakeConfig};
 use fedlake_netsim::NetworkProfile;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// The lake/scale setup an experiment runs against.
@@ -21,16 +20,6 @@ pub struct ExperimentSetup {
 impl Default for ExperimentSetup {
     fn default() -> Self {
         ExperimentSetup { lake: LakeConfig::default(), run_seed: 7 }
-    }
-}
-
-impl ExperimentSetup {
-    /// A setup at the given generator scale.
-    pub fn at_scale(scale: f64) -> Self {
-        ExperimentSetup {
-            lake: LakeConfig { scale, ..Default::default() },
-            run_seed: 7,
-        }
     }
 }
 
@@ -115,7 +104,7 @@ pub fn run_query(
 
 /// Runs a full (query × mode × network) matrix; the paper's eight
 /// configurations are `modes = [Unaware, AWARE]` × the four networks.
-pub fn run_matrix(
+pub(crate) fn run_matrix(
     setup: &ExperimentSetup,
     queries: &[WorkloadQuery],
     modes: &[PlanMode],
@@ -132,22 +121,6 @@ pub fn run_matrix(
     out
 }
 
-/// Groups outcomes by query id, preserving order.
-pub fn by_query<'a>(outcomes: &'a [RunOutcome]) -> Vec<(&'static str, Vec<&'a RunOutcome>)> {
-    let mut order: Vec<&'static str> = Vec::new();
-    let mut map: HashMap<&'static str, Vec<&'a RunOutcome>> = HashMap::new();
-    for o in outcomes {
-        if !order.contains(&o.query) {
-            order.push(o.query);
-        }
-        map.entry(o.query).or_default().push(o);
-    }
-    order
-        .into_iter()
-        .map(|q| (q, map.remove(q).unwrap_or_default()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +128,10 @@ mod tests {
 
     #[test]
     fn run_query_produces_outcome() {
-        let setup = ExperimentSetup::at_scale(0.1);
+        let setup = ExperimentSetup {
+            lake: LakeConfig { scale: 0.1, ..Default::default() },
+            run_seed: 7,
+        };
         let q = workload::q1();
         let o = run_query(
             &setup,
@@ -171,7 +147,10 @@ mod tests {
 
     #[test]
     fn matrix_covers_all_cells() {
-        let setup = ExperimentSetup::at_scale(0.05);
+        let setup = ExperimentSetup {
+            lake: LakeConfig { scale: 0.05, ..Default::default() },
+            run_seed: 7,
+        };
         let queries = vec![workload::q1()];
         let outcomes = run_matrix(
             &setup,
@@ -180,8 +159,5 @@ mod tests {
             &NetworkProfile::ALL,
         );
         assert_eq!(outcomes.len(), 8);
-        let grouped = by_query(&outcomes);
-        assert_eq!(grouped.len(), 1);
-        assert_eq!(grouped[0].1.len(), 8);
     }
 }

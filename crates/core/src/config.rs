@@ -35,19 +35,14 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, immediate failure).
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_attempts: 1, ..Default::default() }
-    }
-
     /// The attempt budget, never below one.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.max_attempts.max(1)
     }
 
     /// The backoff charged after the failed attempt `attempt` (0-based):
     /// `backoff * 2^attempt`, saturating.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_after(&self, attempt: u32) -> Duration {
         self.backoff.saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
     }
 }
@@ -310,7 +305,6 @@ mod tests {
         assert_eq!(p.backoff_after(3), Duration::from_millis(16));
         // Saturates instead of overflowing for absurd attempt counts.
         assert!(p.backoff_after(200) > Duration::from_secs(1));
-        assert_eq!(RetryPolicy::no_retries().attempts(), 1);
         assert_eq!(RetryPolicy { max_attempts: 0, ..p }.attempts(), 1);
     }
 

@@ -48,7 +48,7 @@ pub struct StarSubquery {
 
 impl StarSubquery {
     /// All variables bound by this star (subject first, then objects).
-    pub fn vars(&self) -> Vec<Var> {
+    pub(crate) fn vars(&self) -> Vec<Var> {
         let mut out = Vec::new();
         if let StarSubject::Var(v) = &self.subject {
             out.push(v.clone());
@@ -64,7 +64,7 @@ impl StarSubquery {
     }
 
     /// The star's predicate IRIs (ground predicates only).
-    pub fn predicates(&self) -> Vec<&str> {
+    pub(crate) fn predicates(&self) -> Vec<&str> {
         self.triples
             .iter()
             .filter_map(|t| t.p.as_term().and_then(Term::as_iri))
@@ -73,16 +73,8 @@ impl StarSubquery {
 
     /// True when any predicate position is a variable (precludes
     /// translation to SQL).
-    pub fn has_variable_predicate(&self) -> bool {
+    pub(crate) fn has_variable_predicate(&self) -> bool {
         self.triples.iter().any(|t| t.p.is_var())
-    }
-
-    /// The object variable of the (unique) pattern with predicate `p`.
-    pub fn object_var_of(&self, p: &str) -> Option<&Var> {
-        self.triples
-            .iter()
-            .find(|t| t.p.as_term().and_then(Term::as_iri) == Some(p))
-            .and_then(|t| t.o.as_var())
     }
 }
 
@@ -104,17 +96,11 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Join variables shared between stars `i` and `j`.
-    pub fn shared_vars(&self, i: usize, j: usize) -> Vec<Var> {
-        let a = self.stars[i].vars();
-        let b = self.stars[j].vars();
-        a.into_iter().filter(|v| b.contains(v)).collect()
-    }
 
     /// Variables bound on every answer of the required part: star
     /// variables plus the variables bound by **all** branches of each
     /// union block (optionals bind only conditionally).
-    pub fn vars(&self) -> Vec<Var> {
+    pub(crate) fn vars(&self) -> Vec<Var> {
         let mut out: Vec<Var> = Vec::new();
         for s in &self.stars {
             for v in s.vars() {
@@ -135,7 +121,7 @@ impl Decomposition {
 }
 
 /// The variables every branch of a union block binds.
-pub fn union_block_vars(block: &[Decomposition]) -> Vec<Var> {
+pub(crate) fn union_block_vars(block: &[Decomposition]) -> Vec<Var> {
     let mut iter = block.iter().map(Decomposition::vars);
     let Some(first) = iter.next() else { return Vec::new() };
     iter.fold(first, |acc, branch| {
@@ -167,7 +153,7 @@ pub fn decompose(query: &SelectQuery) -> Result<Decomposition, FedError> {
 }
 
 /// Decomposes a parsed query with an explicit strategy.
-pub fn decompose_as(
+pub(crate) fn decompose_as(
     query: &SelectQuery,
     strategy: DecompositionStrategy,
 ) -> Result<Decomposition, FedError> {
@@ -175,12 +161,12 @@ pub fn decompose_as(
 }
 
 /// Decomposes a group graph pattern (star-shaped).
-pub fn decompose_pattern(pattern: &GroupGraphPattern) -> Result<Decomposition, FedError> {
+pub(crate) fn decompose_pattern(pattern: &GroupGraphPattern) -> Result<Decomposition, FedError> {
     decompose_pattern_as(pattern, DecompositionStrategy::StarShaped)
 }
 
 /// Decomposes a group graph pattern with an explicit strategy.
-pub fn decompose_pattern_as(
+pub(crate) fn decompose_pattern_as(
     pattern: &GroupGraphPattern,
     strategy: DecompositionStrategy,
 ) -> Result<Decomposition, FedError> {
@@ -329,7 +315,7 @@ mod tests {
         assert_eq!(d.stars[0].filters.len(), 1);
         assert!(d.cross_filters.is_empty());
         // The stars share ?g.
-        assert_eq!(d.shared_vars(0, 1), vec![Var::new("g")]);
+        assert!(d.stars.iter().all(|s| s.vars().contains(&Var::new("g"))));
     }
 
     #[test]
@@ -356,8 +342,6 @@ mod tests {
         let star = &d.stars[0];
         assert_eq!(star.vars().len(), 3);
         assert_eq!(star.predicates(), vec!["http://v/label", "http://v/species"]);
-        assert_eq!(star.object_var_of("http://v/label"), Some(&Var::new("l")));
-        assert!(star.object_var_of("http://nope").is_none());
     }
 
     #[test]

@@ -457,7 +457,7 @@ impl FederatedEngine {
 
     /// The full fault schedule: the uniform default plus any per-source
     /// overrides plus the correlated-outage groups.
-    pub fn fault_plans(&self) -> fedlake_netsim::FaultPlans {
+    pub(crate) fn fault_plans(&self) -> fedlake_netsim::FaultPlans {
         fedlake_netsim::FaultPlans {
             default: self.config.faults,
             overrides: self.fault_overrides.clone(),

@@ -28,7 +28,7 @@ pub enum SqlRequest {
 
 impl SqlRequest {
     /// The translated query.
-    pub fn query(&self) -> &TranslatedQuery {
+    pub(crate) fn query(&self) -> &TranslatedQuery {
         match self {
             SqlRequest::Single(q) | SqlRequest::MergedOptimized(q) => q,
         }
@@ -40,7 +40,7 @@ impl SqlRequest {
     }
 
     /// True for the merged form (Heuristic 1 applied).
-    pub fn is_merged(&self) -> bool {
+    pub(crate) fn is_merged(&self) -> bool {
         !matches!(self, SqlRequest::Single(_))
     }
 }
@@ -81,7 +81,7 @@ pub struct ReplicaRoute {
 
 impl ReplicaRoute {
     /// The endpoint the service contacts first.
-    pub fn primary(&self) -> &str {
+    pub(crate) fn primary(&self) -> &str {
         &self.endpoints[0]
     }
 }
@@ -226,12 +226,12 @@ impl FedPlan {
 
     /// Number of engine-level operators (joins + filters + unions) — the
     /// quantity Figure 1 contrasts between the two plan types.
-    pub fn engine_operator_count(&self) -> usize {
+    pub(crate) fn engine_operator_count(&self) -> usize {
         self.count(|node| !matches!(node, FedPlan::Service(_)))
     }
 
     /// Number of services whose request pushes a join down (Heuristic 1).
-    pub fn merged_service_count(&self) -> usize {
+    pub(crate) fn merged_service_count(&self) -> usize {
         self.count(|node| {
             matches!(node, FedPlan::Service(s)
                 if matches!(&s.kind, ServiceKind::Sql { request, .. } if request.is_merged()))
@@ -239,7 +239,7 @@ impl FedPlan {
     }
 
     /// Estimated output cardinality (used for join ordering).
-    pub fn estimated_rows(&self) -> f64 {
+    pub(crate) fn estimated_rows(&self) -> f64 {
         match self {
             FedPlan::Service(s) => s.estimated_rows,
             FedPlan::Join { left, right, .. } => {

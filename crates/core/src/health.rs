@@ -46,7 +46,7 @@ pub struct SourceHealth {
 
 impl SourceHealth {
     /// An empty registry (every endpoint presumed healthy).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -67,42 +67,23 @@ impl SourceHealth {
 
     /// Folds a query's link counters into the registry, one entry per
     /// endpoint (the link map is keyed by endpoint id).
-    pub fn record_links(&self, links: &HashMap<String, Arc<Link>>) {
+    pub(crate) fn record_links(&self, links: &HashMap<String, Arc<Link>>) {
         for (endpoint, link) in links {
             let s = link.stats();
             self.observe(endpoint, s.messages, s.faults());
         }
     }
 
-    /// Failed attempts recorded against `endpoint`.
-    pub fn failures_of(&self, endpoint: &str) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .endpoints
-            .get(endpoint)
-            .map_or(0, |h| h.failures)
-    }
-
     /// A deterministic snapshot of all endpoint counters.
-    pub fn snapshot(&self) -> BTreeMap<String, EndpointHealth> {
+    pub(crate) fn snapshot(&self) -> BTreeMap<String, EndpointHealth> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).endpoints.clone()
     }
 
     /// Monotone generation of planning-relevant health state: moves when
-    /// failures are recorded or the registry is reset, never on
-    /// success-only traffic (successes cannot change a routing decision).
-    pub fn generation(&self) -> u64 {
+    /// failures are recorded, never on success-only traffic (successes
+    /// cannot change a routing decision).
+    pub(crate) fn generation(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).generation
-    }
-
-    /// Forgets everything (every endpoint presumed healthy again).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if !inner.endpoints.is_empty() {
-            inner.generation += 1;
-        }
-        inner.endpoints.clear();
     }
 
     /// Exports the registry into `metrics` as
@@ -110,7 +91,7 @@ impl SourceHealth {
     /// counters, so an exposition snapshot carries endpoint health next
     /// to the serve rollup. Read-only over the registry; iteration is the
     /// snapshot's `BTreeMap` order, so the export is deterministic.
-    pub fn fold_into(&self, metrics: &mut crate::obs::MetricsRegistry) {
+    pub(crate) fn fold_into(&self, metrics: &mut crate::obs::MetricsRegistry) {
         for (endpoint, h) in self.snapshot() {
             metrics.counter_add(&format!("health.{endpoint}.successes"), h.successes);
             metrics.counter_add(&format!("health.{endpoint}.failures"), h.failures);
@@ -140,18 +121,18 @@ impl HealthView {
     }
 
     /// Recorded failures for `endpoint`.
-    pub fn failures_of(&self, endpoint: &str) -> u64 {
+    pub(crate) fn failures_of(&self, endpoint: &str) -> u64 {
         self.endpoints.get(endpoint).map_or(0, |h| h.failures)
     }
 
     /// True when the endpoint has reached the demotion threshold.
-    pub fn is_degraded(&self, endpoint: &str) -> bool {
+    pub(crate) fn is_degraded(&self, endpoint: &str) -> bool {
         self.failures_of(endpoint) >= self.threshold
     }
 
     /// True when *every* endpoint in `endpoints` is degraded — the
     /// condition for skipping a whole logical source.
-    pub fn all_degraded<'a>(&self, mut endpoints: impl Iterator<Item = &'a str>) -> bool {
+    pub(crate) fn all_degraded<'a>(&self, mut endpoints: impl Iterator<Item = &'a str>) -> bool {
         endpoints.all(|e| self.is_degraded(e))
     }
 }
@@ -167,14 +148,10 @@ mod tests {
         h.observe("a#r0", 5, 1);
         h.observe("a#r1", 7, 0);
         h.observe("ghost", 0, 0); // no-op, no entry
-        assert_eq!(h.failures_of("a#r0"), 3);
-        assert_eq!(h.failures_of("a#r1"), 0);
-        assert_eq!(h.failures_of("missing"), 0);
         let snap = h.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap["a#r0"], EndpointHealth { successes: 15, failures: 3 });
-        h.reset();
-        assert!(h.snapshot().is_empty());
+        assert_eq!(snap["a#r1"], EndpointHealth { successes: 7, failures: 0 });
     }
 
     #[test]
@@ -187,10 +164,6 @@ mod tests {
         assert_eq!(h.generation(), 1);
         h.observe("b", 3, 2);
         assert_eq!(h.generation(), 2);
-        h.reset();
-        assert_eq!(h.generation(), 3);
-        h.reset(); // already empty: nothing forgotten, nothing bumped
-        assert_eq!(h.generation(), 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Fnv64 {
     }
 
     /// Fold raw bytes.
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
@@ -186,7 +186,7 @@ fn write_sorted(mut operands: Vec<String>, out: &mut String) {
 /// sorting): identical ASTs always collide, different ASTs practically
 /// never do, and a conservative key can only cause misses, never wrong
 /// hits.
-pub fn query_fingerprint(query: &SelectQuery) -> u64 {
+pub(crate) fn query_fingerprint(query: &SelectQuery) -> u64 {
     let mut h = Fnv64::new();
     h.push_str("select");
     for v in &query.projection {
@@ -242,7 +242,7 @@ fn fold_pattern(h: &mut Fnv64, pattern: &GroupGraphPattern) {
 /// cannot affect planning still separate entries) is safe — it only
 /// splits cache lines, never shares a plan across configs that would
 /// plan differently.
-pub fn config_fingerprint(config: &PlanConfig) -> u64 {
+pub(crate) fn config_fingerprint(config: &PlanConfig) -> u64 {
     Fnv64::new().push_str(&format!("{config:?}")).finish()
 }
 

@@ -22,7 +22,7 @@ pub fn logical_source_id(endpoint: &str) -> &str {
 }
 
 /// The replica endpoint id for replica `k` of a logical source.
-pub fn replica_endpoint_id(logical: &str, k: u32) -> String {
+pub(crate) fn replica_endpoint_id(logical: &str, k: u32) -> String {
     format!("{logical}#r{k}")
 }
 
@@ -122,11 +122,6 @@ impl DataLake {
     /// All molecule templates in the lake.
     pub fn molecule_templates(&self) -> &[RdfMoleculeTemplate] {
         &self.mts
-    }
-
-    /// Molecule templates offered by one source.
-    pub fn templates_of(&self, source_id: &str) -> Vec<&RdfMoleculeTemplate> {
-        self.mts.iter().filter(|m| m.source_id == source_id).collect()
     }
 
     /// Refreshes the molecule templates **and the statistics catalog**
@@ -286,7 +281,7 @@ impl DataLake {
 
     /// The endpoint ids serving the logical source `id`, in replica order:
     /// `["id"]` when unreplicated, `["id#r0", .., "id#rN-1"]` otherwise.
-    pub fn replica_endpoints(&self, id: &str) -> Vec<String> {
+    pub(crate) fn replica_endpoints(&self, id: &str) -> Vec<String> {
         let n = self.replica_count(id);
         if n <= 1 {
             vec![id.to_string()]
@@ -330,8 +325,10 @@ mod tests {
         assert!(lake.source("a").is_some());
         assert!(lake.source("zzz").is_none());
         assert_eq!(lake.molecule_templates().len(), 2);
-        assert_eq!(lake.templates_of("a").len(), 1);
-        assert_eq!(lake.templates_of("a")[0].class, "http://v/A");
+        let mts = lake.molecule_templates();
+        let of_a: Vec<_> = mts.iter().filter(|m| m.source_id == "a").collect();
+        assert_eq!(of_a.len(), 1);
+        assert_eq!(of_a[0].class, "http://v/A");
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn fmt_opt(t: Option<Duration>) -> String {
 /// (≥ 1) by which the estimate was off, in either direction. Actuals are
 /// floored at one row so an operator that emitted nothing still gets a
 /// finite error.
-pub fn q_error(estimated: f64, actual: u64) -> f64 {
+pub(crate) fn q_error(estimated: f64, actual: u64) -> f64 {
     let est = estimated.max(1.0);
     let act = (actual as f64).max(1.0);
     (est / act).max(act / est)

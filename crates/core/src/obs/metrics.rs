@@ -62,7 +62,7 @@ impl MetricsRegistry {
     }
 
     /// Adds `v` to the counter `name` (created at zero).
-    pub fn counter_add(&mut self, name: &str, v: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, v: u64) {
         match self.entries.get_mut(name) {
             Some(Metric::Counter(c)) => *c += v,
             Some(other) => panic!("metric {name} is not a counter: {other:?}"),
@@ -73,7 +73,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the gauge `name` to `v`, tracking its maximum.
-    pub fn gauge_set(&mut self, name: &str, v: u64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, v: u64) {
         match self.entries.get_mut(name) {
             Some(Metric::Gauge { last, max }) => {
                 *last = v;
@@ -87,7 +87,7 @@ impl MetricsRegistry {
     }
 
     /// Records one sample `v` in the histogram `name`.
-    pub fn observe(&mut self, name: &str, v: u64) {
+    pub(crate) fn observe(&mut self, name: &str, v: u64) {
         match self.entries.get_mut(name) {
             Some(Metric::Histogram { count, sum, min, max }) => {
                 *count += 1;
@@ -117,18 +117,8 @@ impl MetricsRegistry {
     }
 
     /// All metrics in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Folds every metric of `other` into this registry: counters add,
@@ -337,7 +327,6 @@ mod tests {
         b.counter_add("z", 1);
         assert_eq!(a.render(), b.render());
         assert!(a.render().starts_with("a 1\n"));
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
+        assert_eq!(a.entries.len(), 2);
     }
 }

@@ -70,7 +70,7 @@ pub enum CompletionKind {
 
 impl CompletionKind {
     /// Stable lowercase name for exports and logs.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CompletionKind::Ok => "ok",
             CompletionKind::Degraded => "degraded",
@@ -252,7 +252,7 @@ impl FlightRecording {
     }
 
     /// The metadata of `job`, when it is a real query id.
-    pub fn meta(&self, job: u32) -> Option<&JobMeta> {
+    pub(crate) fn meta(&self, job: u32) -> Option<&JobMeta> {
         if job == NO_JOB {
             return None;
         }
@@ -260,7 +260,7 @@ impl FlightRecording {
     }
 
     /// The retained events of one query, in order.
-    pub fn events_for(&self, job: u32) -> impl Iterator<Item = &FleetEvent> {
+    pub(crate) fn events_for(&self, job: u32) -> impl Iterator<Item = &FleetEvent> {
         self.events.iter().filter(move |e| e.job == job)
     }
 }

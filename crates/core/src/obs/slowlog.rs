@@ -173,7 +173,7 @@ impl SlowQueryRecord {
     /// Serializes the record as one stable JSON object (key order fixed,
     /// no whitespace beyond single spaces after colons... none at all, in
     /// fact — the bytes are the contract).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let sources: Vec<String> = self
             .sources
             .iter()

@@ -50,7 +50,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lowercase name (trace-export category).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Query => "query",
             SpanKind::Planning => "planning",

@@ -96,7 +96,7 @@ impl QErrorHistogram {
     }
 
     /// Total samples across all buckets.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 }
@@ -171,7 +171,7 @@ pub enum AnomalyKind {
 
 impl AnomalyKind {
     /// Stable wire name of the anomaly family.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AnomalyKind::Misestimate { .. } => "misestimate",
             AnomalyKind::LinkDegraded { .. } => "link-degraded",

@@ -150,7 +150,7 @@ impl ExecCtx {
     ///
     /// The policy is read in two places only: `ExecCtx::wait_until` and
     /// the child pick of the two-input joins.
-    pub fn serialized(mut self) -> Self {
+    pub(crate) fn serialized(mut self) -> Self {
         self.serialized = true;
         self
     }
@@ -189,13 +189,13 @@ impl ExecCtx {
     }
 
     /// Sets the retry policy wrapper streams consult.
-    pub fn with_retry(mut self, retry: crate::config::RetryPolicy) -> Self {
+    pub(crate) fn with_retry(mut self, retry: crate::config::RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
 
     /// Sets the deadline retry backoffs are clamped against.
-    pub fn with_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
+    pub(crate) fn with_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
         self.deadline = deadline;
         self
     }
@@ -466,7 +466,7 @@ struct SymTables {
 impl<'a> SymHashJoin<'a> {
     /// Creates a join of `left` and `right` on the slots `on_slots`
     /// (empty degenerates to a cartesian product).
-    pub fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
+    pub(crate) fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
         SymHashJoin {
             inputs: TwoInputs::new(left, right),
             tables: SymTables {
@@ -549,7 +549,7 @@ struct LeftTables {
 impl<'a> LeftHashJoin<'a> {
     /// Creates a left join of `left` (required) and `right` (optional) on
     /// the slots `on_slots`.
-    pub fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
+    pub(crate) fn new(left: BoxedOp<'a>, right: BoxedOp<'a>, on_slots: Vec<usize>) -> Self {
         LeftHashJoin {
             inputs: TwoInputs::new(left, right),
             tables: LeftTables {
@@ -1008,7 +1008,7 @@ pub struct UnionOp<'a>(Branches<BoxedOp<'a>>);
 
 impl<'a> UnionOp<'a> {
     /// Creates a union of `branches`.
-    pub fn new(branches: Vec<BoxedOp<'a>>) -> Self {
+    pub(crate) fn new(branches: Vec<BoxedOp<'a>>) -> Self {
         UnionOp(Branches::new(branches))
     }
 }
@@ -1029,7 +1029,7 @@ pub struct ProjectOp<'a> {
 impl<'a> ProjectOp<'a> {
     /// Creates a projection keeping only `keep_slots` of rows `width` slots
     /// wide.
-    pub fn new(input: BoxedOp<'a>, keep_slots: &[usize], width: usize) -> Self {
+    pub(crate) fn new(input: BoxedOp<'a>, keep_slots: &[usize], width: usize) -> Self {
         let drop_slots = (0..width).filter(|s| !keep_slots.contains(s)).collect();
         ProjectOp { input, drop_slots }
     }
@@ -1067,7 +1067,7 @@ pub struct DistinctOp<'a> {
 
 impl<'a> DistinctOp<'a> {
     /// Creates a distinct operator.
-    pub fn new(input: BoxedOp<'a>) -> Self {
+    pub(crate) fn new(input: BoxedOp<'a>) -> Self {
         DistinctOp { input, seen: BuildSide::default() }
     }
 }

@@ -81,27 +81,17 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot in the shared cache vocabulary.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.entries.stats()
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> PlanCacheStats {
+    pub(crate) fn stats(&self) -> PlanCacheStats {
         let s = self.entries.stats();
         PlanCacheStats {
             lookups: s.lookups,
@@ -114,7 +104,7 @@ impl PlanCache {
 
     /// Drops every entry (configuration change); counters are
     /// engine-lifetime and survive.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
@@ -122,7 +112,7 @@ impl PlanCache {
     /// health inputs. `digest` recomputes the health digest over the
     /// entry's relevant sources; it is skipped when `health_generation`
     /// has not moved since the entry was last validated.
-    pub fn lookup(
+    pub(crate) fn lookup(
         &mut self,
         key: (u64, u64),
         lake_epoch: u64,
@@ -142,7 +132,7 @@ impl PlanCache {
     }
 
     /// Inserts a cold-planned query.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         key: (u64, u64),
         lake_epoch: u64,
@@ -163,7 +153,7 @@ impl PlanCache {
 /// targets) plus the sources it skipped as degraded — everything whose
 /// health can change what planning would produce. Sorted and deduped so
 /// digests are order-independent.
-pub fn plan_sources(planned: &PlannedQuery) -> Vec<String> {
+pub(crate) fn plan_sources(planned: &PlannedQuery) -> Vec<String> {
     let mut sources = Vec::new();
     planned.plan.visit(0, &mut |node, _| match node {
         FedPlan::Service(s) => sources.push(s.source_id.clone()),
@@ -179,7 +169,7 @@ pub fn plan_sources(planned: &PlannedQuery) -> Vec<String> {
 /// FNV digest of every health input that can steer planning for the given
 /// logical sources: the view threshold plus, per replica endpoint in the
 /// lake's deterministic order, its recorded failure count.
-pub fn health_digest(lake: &DataLake, view: &HealthView, sources: &[String]) -> u64 {
+pub(crate) fn health_digest(lake: &DataLake, view: &HealthView, sources: &[String]) -> u64 {
     let mut h = crate::ir::Fnv64::new();
     h.push_u64(view.threshold);
     for source in sources {
@@ -232,7 +222,7 @@ mod tests {
         cache.insert((1, 1), 3, 0, 7, Vec::new(), planned("x"));
         assert!(cache.lookup((1, 1), 4, 0, |_| 7).is_none());
         assert_eq!(cache.stats().invalidations, 1);
-        assert!(cache.is_empty(), "stale entry must be dropped");
+        assert!(cache.entries.is_empty(), "stale entry must be dropped");
     }
 
     #[test]
@@ -257,7 +247,7 @@ mod tests {
         // Touch entry 0 so entry 1 becomes the LRU victim.
         assert!(cache.lookup((0, 0), 0, 0, |_| 0).is_some());
         cache.insert((u64::MAX, 0), 0, 0, 0, Vec::new(), planned("y"));
-        assert_eq!(cache.len(), CACHE_CAPACITY);
+        assert_eq!(cache.entries.len(), CACHE_CAPACITY);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup((0, 0), 0, 0, |_| 0).is_some(), "touched entry survives");
         assert!(cache.lookup((1, 0), 0, 0, |_| 0).is_none(), "LRU entry evicted");

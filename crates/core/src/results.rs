@@ -7,7 +7,7 @@ use fedlake_sparql::binding::{Row, Var};
 use std::fmt::Write as _;
 
 /// Serializes rows as SPARQL 1.1 Query Results JSON.
-pub fn to_sparql_json(vars: &[Var], rows: &[Row]) -> String {
+pub(crate) fn to_sparql_json(vars: &[Var], rows: &[Row]) -> String {
     let mut out = String::from("{\"head\":{\"vars\":[");
     for (i, v) in vars.iter().enumerate() {
         if i > 0 {
@@ -58,7 +58,7 @@ fn write_term_json(out: &mut String, term: &Term) {
 }
 
 /// Escapes a string for a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -25,7 +25,7 @@ pub struct Candidate {
 /// any, equals the template's class, and (b) the template offers every
 /// ground predicate of the star. Stars with variable predicates can only
 /// be answered by SPARQL sources (full triple stores).
-pub fn candidates_for(star: &StarSubquery, lake: &DataLake) -> Vec<Candidate> {
+pub(crate) fn candidates_for(star: &StarSubquery, lake: &DataLake) -> Vec<Candidate> {
     if star.has_variable_predicate() {
         // Only native RDF stores answer variable-predicate stars.
         return lake
@@ -76,7 +76,7 @@ pub fn select_sources(
 ///
 /// Returns the per-star candidate lists and the skipped source ids (in
 /// deterministic first-seen order, deduplicated).
-pub fn select_sources_with_health(
+pub(crate) fn select_sources_with_health(
     stars: &[StarSubquery],
     lake: &DataLake,
     health: &HealthView,

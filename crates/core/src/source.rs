@@ -56,7 +56,7 @@ impl DataSource {
 
     /// Computes this source's RDF Molecule Templates: scanned for RDF
     /// sources, derived from the mapping for relational ones.
-    pub fn molecule_templates(&self) -> Vec<RdfMoleculeTemplate> {
+    pub(crate) fn molecule_templates(&self) -> Vec<RdfMoleculeTemplate> {
         match self {
             DataSource::Sparql { id, graph } => mt::extract_from_graph(graph, id),
             DataSource::Relational { db, mapping, .. } => {

@@ -75,7 +75,7 @@ pub struct SourceStatistics {
 impl SourceStatistics {
     /// Collects the statistics of one source. Deterministic: every count
     /// is order-independent and the maps are ordered.
-    pub fn collect(source: &DataSource) -> Self {
+    pub(crate) fn collect(source: &DataSource) -> Self {
         match source {
             DataSource::Sparql { graph, .. } => collect_sparql(graph),
             DataSource::Relational { db, mapping, .. } => {
@@ -121,7 +121,7 @@ impl SourceStatistics {
 
     /// Average triples per subject for `pred` (≥ 1 when the predicate
     /// exists; 1.0 otherwise).
-    pub fn multiplicity(&self, pred: &str) -> f64 {
+    pub(crate) fn multiplicity(&self, pred: &str) -> f64 {
         match self.predicates.get(pred) {
             Some(ps) if ps.distinct_subjects > 0 => {
                 (ps.count as f64 / ps.distinct_subjects as f64).max(1.0)
@@ -131,18 +131,13 @@ impl SourceStatistics {
     }
 
     /// Distinct objects of `pred`, when known.
-    pub fn distinct_objects(&self, pred: &str) -> Option<f64> {
+    pub(crate) fn distinct_objects(&self, pred: &str) -> Option<f64> {
         self.predicates.get(pred).map(|ps| (ps.distinct_objects as f64).max(1.0))
-    }
-
-    /// Distinct subjects of `pred`, when known.
-    pub fn distinct_subjects(&self, pred: &str) -> Option<f64> {
-        self.predicates.get(pred).map(|ps| (ps.distinct_subjects as f64).max(1.0))
     }
 
     /// Selectivity of an equality constraint on the object of `pred`:
     /// `1 / NDV` under the uniformity assumption.
-    pub fn eq_selectivity(&self, pred: &str) -> f64 {
+    pub(crate) fn eq_selectivity(&self, pred: &str) -> f64 {
         self.distinct_objects(pred)
             .map_or(UNKNOWN_FILTER_SELECTIVITY, |d| (1.0 / d).min(1.0))
     }
@@ -155,7 +150,7 @@ impl SourceStatistics {
     /// the per-predicate multiplicities (one row per combination of
     /// multi-valued objects), then reduced by the selectivity of ground
     /// objects and of the given filters. Floored at one row.
-    pub fn estimate_star<'f>(
+    pub(crate) fn estimate_star<'f>(
         &self,
         star: &StarSubquery,
         filters: impl IntoIterator<Item = &'f Expr>,
@@ -186,7 +181,7 @@ impl SourceStatistics {
 
     /// Selectivity of one filter over `star`, priced from the statistics
     /// where possible (equality on a predicate's object → `1/NDV`).
-    pub fn filter_selectivity(&self, f: &Expr, star: &StarSubquery) -> f64 {
+    pub(crate) fn filter_selectivity(&self, f: &Expr, star: &StarSubquery) -> f64 {
         match f {
             Expr::Cmp(l, op, r) => {
                 let var = match (l.as_ref(), r.as_ref()) {
@@ -214,7 +209,7 @@ impl SourceStatistics {
 }
 
 /// The predicate whose object position binds `v` in `star`.
-pub fn predicate_of_var<'a>(star: &'a StarSubquery, v: &fedlake_sparql::binding::Var) -> Option<&'a str> {
+pub(crate) fn predicate_of_var<'a>(star: &'a StarSubquery, v: &fedlake_sparql::binding::Var) -> Option<&'a str> {
     star.triples
         .iter()
         .find(|t| t.o.as_var() == Some(v))
@@ -453,7 +448,7 @@ impl LakeStatistics {
     }
 
     /// The statistics of one source.
-    pub fn source(&self, id: &str) -> Option<&SourceStatistics> {
+    pub(crate) fn source(&self, id: &str) -> Option<&SourceStatistics> {
         self.sources.get(id)
     }
 
@@ -467,7 +462,7 @@ impl LakeStatistics {
 /// Classic equi-join estimate: `|L ⋈ R| = |L|·|R| / max(d_L, d_R)` where
 /// `d_L`/`d_R` are the distinct join-key counts of the two sides.
 /// Monotone in both input cardinalities; floored at one row.
-pub fn join_estimate(l_rows: f64, l_distinct: f64, r_rows: f64, r_distinct: f64) -> f64 {
+pub(crate) fn join_estimate(l_rows: f64, l_distinct: f64, r_rows: f64, r_distinct: f64) -> f64 {
     let d = l_distinct.max(r_distinct).max(1.0);
     ((l_rows.max(1.0) * r_rows.max(1.0)) / d).max(1.0)
 }
@@ -492,10 +487,6 @@ pub struct FederationCost {
 }
 
 impl FederationCost {
-    /// The zero cost.
-    pub const ZERO: FederationCost =
-        FederationCost { cpu_us: 0.0, io_us: 0.0, network_us: 0.0, parallelism_us: 0.0 };
-
     /// The scalar the planner minimizes.
     pub fn total_us(&self) -> f64 {
         self.cpu_us + self.io_us + (self.network_us - self.parallelism_us).max(0.0)
@@ -752,6 +743,5 @@ mod tests {
     fn federation_cost_total() {
         let c = FederationCost { cpu_us: 1.0, io_us: 2.0, network_us: 10.0, parallelism_us: 4.0 };
         assert!((c.total_us() - 9.0).abs() < 1e-9);
-        assert_eq!(FederationCost::ZERO.total_us(), 0.0);
     }
 }

@@ -27,7 +27,7 @@ impl AnswerTrace {
 
     /// Marks query completion at time `t` (the trace may end after the
     /// last answer: the engine only knows it is done once sources drain).
-    pub fn complete(&mut self, t: Duration) {
+    pub(crate) fn complete(&mut self, t: Duration) {
         self.completed_at = Some(t);
     }
 

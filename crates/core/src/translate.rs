@@ -133,7 +133,7 @@ impl StarColumn {
     }
 
     /// [`StarColumn::stored`]'s value as SQL: how a bind join writes a key.
-    pub fn sql_value(&self, term: &Term) -> Option<String> {
+    pub(crate) fn sql_value(&self, term: &Term) -> Option<String> {
         sql_literal(&self.stored(term)?)
     }
 
@@ -281,7 +281,7 @@ pub fn sql_single(part: &StarPart) -> TranslatedQuery {
 
 /// Renders the Heuristic-1 merged `SELECT` of two stars joined on
 /// `a.left_col = b.right_col`.
-pub fn sql_merged(
+pub(crate) fn sql_merged(
     a: &StarPart,
     b: &StarPart,
     left_col: &str,
@@ -333,7 +333,7 @@ pub fn sql_merged(
 /// Both parts must have been built with the same alias, and the two stars
 /// must join on one column of the row: the planner merges this way only
 /// then.
-pub fn sql_merged_same_table(a: &StarPart, b: &StarPart) -> TranslatedQuery {
+pub(crate) fn sql_merged_same_table(a: &StarPart, b: &StarPart) -> TranslatedQuery {
     assert_eq!(a.alias, b.alias, "same-table merge requires one alias");
     assert_eq!(a.table, b.table, "same-table merge requires one table");
     let mut combined = a.clone();
@@ -373,7 +373,7 @@ enum Test<'e> {
 /// filter stays at the engine. The classes that push are the `match` on
 /// the column's lift below (DESIGN §1 states them, `sql_boundary.rs`
 /// holds them); LIKE's `%` and `_` in a needle decline.
-pub fn push_filter(
+pub(crate) fn push_filter(
     expr: &Expr,
     star: &StarSubquery,
     tm: &TableMapping,

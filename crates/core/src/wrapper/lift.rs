@@ -320,7 +320,7 @@ impl LiftCache {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.lock().stats()
     }
 }

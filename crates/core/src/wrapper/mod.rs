@@ -412,6 +412,33 @@ mod tests {
         assert_eq!(link.stats().messages, 2);
     }
 
+    /// The route the engine ships rows on sends ceil(n / batch) messages
+    /// (one empty message for n = 0) and exactly n rows when no fault
+    /// plan is active.
+    #[test]
+    fn scheduled_rows_take_ceil_n_over_batch_messages() {
+        let mut meta = fedlake_prng::Prng::seed_from_u64(0x4e75_0041);
+        let seeded: Vec<(usize, usize)> =
+            (0..128).map(|_| (meta.gen_range(0usize..500), meta.gen_range(1usize..64))).collect();
+        let edges = [(0, 1), (0, 64), (1, 1), (64, 64), (65, 64)];
+        for (total, batch) in edges.into_iter().chain(seeded) {
+            let clock = shared_virtual();
+            let link = Arc::new(Link::new(
+                NetworkProfile::GAMMA1,
+                Arc::clone(&clock),
+                CostModel::default(),
+                1,
+            ));
+            let route = SourceRoute::single("d", Arc::clone(&link));
+            let mut c = ctx(clock, &["g"]);
+            route::schedule_rows_with_retry(&route, total, batch, Duration::ZERO, &mut c).unwrap();
+            let stats = link.stats();
+            let expected = if total == 0 { 1 } else { total.div_ceil(batch) as u64 };
+            assert_eq!(stats.messages, expected, "{total} rows in messages of {batch}");
+            assert_eq!(stats.rows, total as u64, "{total} rows in messages of {batch}");
+        }
+    }
+
     #[test]
     fn sparql_stream_evaluates_star() {
         let mut g = fedlake_rdf::Graph::new();

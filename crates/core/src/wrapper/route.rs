@@ -32,7 +32,7 @@ pub struct SourceRoute {
 impl SourceRoute {
     /// A route over explicit endpoints, preferred first. Panics on an
     /// empty endpoint list — a route must lead somewhere.
-    pub fn new(logical: impl Into<String>, endpoints: Vec<(String, Arc<Link>)>) -> Self {
+    pub(crate) fn new(logical: impl Into<String>, endpoints: Vec<(String, Arc<Link>)>) -> Self {
         // Invariant: `endpoints[active]` always exists. A plan reaches this
         // through `route_for`, which turns an empty replica route into a
         // typed error first; only a route written out by hand can trip it.
@@ -47,7 +47,7 @@ impl SourceRoute {
     }
 
     /// The logical source id this route serves.
-    pub fn logical(&self) -> &str {
+    pub(crate) fn logical(&self) -> &str {
         &self.logical
     }
 
@@ -69,12 +69,12 @@ impl SourceRoute {
     }
 
     /// The endpoint currently serving the stream.
-    pub fn active_endpoint(&self) -> &str {
+    pub(crate) fn active_endpoint(&self) -> &str {
         &self.endpoints[self.active()].0
     }
 
     /// The link currently serving the stream.
-    pub fn active_link(&self) -> &Link {
+    pub(crate) fn active_link(&self) -> &Link {
         &self.endpoints[self.active()].1
     }
 }

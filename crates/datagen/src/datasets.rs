@@ -17,7 +17,7 @@ use fedlake_relational::{Database, Value};
 
 /// Builds one dataset by id. Panics on unknown ids (the caller iterates
 /// [`crate::DATASET_IDS`]).
-pub fn build_dataset(config: &LakeConfig, id: &str) -> (Database, DatasetMapping) {
+pub(crate) fn build_dataset(config: &LakeConfig, id: &str) -> (Database, DatasetMapping) {
     match id {
         "chebi" => chebi(config),
         "kegg" => kegg(config),
@@ -35,17 +35,17 @@ pub fn build_dataset(config: &LakeConfig, id: &str) -> (Database, DatasetMapping
 
 /// Entity counts shared across datasets (referential integrity of the
 /// cross-dataset links depends on these).
-pub fn gene_count(config: &LakeConfig) -> usize {
+pub(crate) fn gene_count(config: &LakeConfig) -> usize {
     config.rows(1500)
 }
 
 /// Number of diseases minted by Diseasome.
-pub fn disease_count(config: &LakeConfig) -> usize {
+pub(crate) fn disease_count(config: &LakeConfig) -> usize {
     config.rows(400)
 }
 
 /// Number of drugs minted by DrugBank.
-pub fn drug_count(config: &LakeConfig) -> usize {
+pub(crate) fn drug_count(config: &LakeConfig) -> usize {
     config.rows(1200)
 }
 

@@ -26,7 +26,6 @@
 //! [`LakeConfig::seed`] and [`LakeConfig::scale`].
 
 pub mod datasets;
-pub mod export;
 pub mod vocab;
 pub mod workload;
 
@@ -90,7 +89,7 @@ impl LakeConfig {
     }
 
     /// Scales a base row count.
-    pub fn rows(&self, base: usize) -> usize {
+    pub(crate) fn rows(&self, base: usize) -> usize {
         ((base as f64) * self.scale).round().max(2.0) as usize
     }
 }

@@ -19,7 +19,7 @@ pub fn pred(dataset: &str, name: &str) -> String {
 
 /// The entity IRI template pattern for a dataset's entity type, e.g.
 /// `http://lake.example/diseasome/disease/{}`.
-pub fn entity_template(dataset: &str, entity: &str) -> String {
+pub(crate) fn entity_template(dataset: &str, entity: &str) -> String {
     format!("{BASE}{dataset}/{entity}/{{}}")
 }
 
@@ -30,17 +30,17 @@ pub mod shared {
     use super::entity_template;
 
     /// The gene namespace (owned by Diseasome).
-    pub fn gene_template() -> String {
+    pub(crate) fn gene_template() -> String {
         entity_template("diseasome", "gene")
     }
 
     /// The disease namespace (owned by Diseasome).
-    pub fn disease_template() -> String {
+    pub(crate) fn disease_template() -> String {
         entity_template("diseasome", "disease")
     }
 
     /// The drug namespace (owned by DrugBank).
-    pub fn drug_template() -> String {
+    pub(crate) fn drug_template() -> String {
         entity_template("drugbank", "drug")
     }
 }

@@ -47,7 +47,7 @@ pub struct PredicateMapping {
 
 impl PredicateMapping {
     /// A literal-valued predicate.
-    pub fn literal(column: impl Into<String>, predicate: impl Into<String>) -> Self {
+    pub(crate) fn literal(column: impl Into<String>, predicate: impl Into<String>) -> Self {
         PredicateMapping {
             column: column.into().to_lowercase(),
             predicate: predicate.into(),
@@ -56,7 +56,7 @@ impl PredicateMapping {
     }
 
     /// An object-reference predicate minted through `template`.
-    pub fn reference(
+    pub(crate) fn reference(
         column: impl Into<String>,
         predicate: impl Into<String>,
         template: IriTemplate,
@@ -117,11 +117,6 @@ impl TableMapping {
     /// The column mapped to `predicate`, if any.
     pub fn column_for_predicate(&self, predicate: &str) -> Option<&PredicateMapping> {
         self.predicates.iter().find(|p| p.predicate == predicate)
-    }
-
-    /// All predicate IRIs this mapping offers.
-    pub fn predicate_iris(&self) -> Vec<&str> {
-        self.predicates.iter().map(|p| p.predicate.as_str()).collect()
     }
 }
 
@@ -196,7 +191,6 @@ mod tests {
             .column_for_predicate("http://www.w3.org/2000/01/rdf-schema#label")
             .is_some());
         assert!(m.column_for_predicate("http://nope").is_none());
-        assert_eq!(m.predicate_iris().len(), 2);
     }
 
     #[test]

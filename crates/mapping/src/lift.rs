@@ -21,7 +21,7 @@ pub fn lift_database(db: &Database, mapping: &DatasetMapping) -> Graph {
 }
 
 /// Lifts one mapped table into `graph`.
-pub fn lift_table(db: &Database, tm: &TableMapping, graph: &mut Graph) {
+pub(crate) fn lift_table(db: &Database, tm: &TableMapping, graph: &mut Graph) {
     let Some(table) = db.table(&tm.table) else {
         return;
     };

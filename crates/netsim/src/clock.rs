@@ -16,7 +16,7 @@ pub struct Clock(AtomicU64);
 
 impl Clock {
     /// A virtual clock starting at zero.
-    pub fn virtual_clock() -> Self {
+    pub(crate) fn virtual_clock() -> Self {
         Clock(AtomicU64::new(0))
     }
 

@@ -80,7 +80,7 @@ impl CostModel {
     }
 
     /// Converts microseconds to a `Duration`.
-    pub fn us(v: f64) -> Duration {
+    pub(crate) fn us(v: f64) -> Duration {
         Duration::from_nanos((v * 1_000.0).max(0.0) as u64)
     }
 

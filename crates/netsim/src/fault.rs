@@ -83,7 +83,7 @@ impl FaultPlan {
     }
 
     /// True when `attempt` falls inside the outage window.
-    pub fn in_outage(&self, attempt: u64) -> bool {
+    pub(crate) fn in_outage(&self, attempt: u64) -> bool {
         match self.outage_after {
             Some(start) => attempt >= start && attempt - start < self.outage_len,
             None => false,
@@ -123,13 +123,13 @@ pub struct OutageGroup {
 impl OutageGroup {
     /// The attempt index at which every member's outage begins — a pure
     /// function of the group's seed, so re-runs observe the same window.
-    pub fn start(&self) -> u64 {
+    pub(crate) fn start(&self) -> u64 {
         let mut rng = fedlake_prng::Prng::seed_from_u64(self.seed ^ 0x9E6D_62C9_4D0C_F5A3);
         rng.next_u64() % self.window.max(1)
     }
 
     /// True when `link_id` belongs to this group.
-    pub fn applies_to(&self, link_id: &str) -> bool {
+    pub(crate) fn applies_to(&self, link_id: &str) -> bool {
         self.members.iter().any(|m| m == link_id)
     }
 }
@@ -154,29 +154,12 @@ pub struct FaultPlans {
 
 impl FaultPlans {
     /// The same plan on every link (the pre-per-source behaviour).
-    pub fn uniform(plan: FaultPlan) -> Self {
+    pub(crate) fn uniform(plan: FaultPlan) -> Self {
         FaultPlans {
             default: plan,
             overrides: std::collections::BTreeMap::new(),
             groups: Vec::new(),
         }
-    }
-
-    /// Adds (or replaces) the plan for one source id.
-    pub fn with_source(mut self, source_id: impl Into<String>, plan: FaultPlan) -> Self {
-        self.overrides.insert(source_id.into(), plan);
-        self
-    }
-
-    /// Adds a correlated outage group.
-    pub fn with_group(mut self, group: OutageGroup) -> Self {
-        self.groups.push(group);
-        self
-    }
-
-    /// The plan in effect for `source_id`.
-    pub fn for_source(&self, source_id: &str) -> FaultPlan {
-        self.for_endpoint(source_id, source_id)
     }
 
     /// The plan in effect for one replica endpoint of a logical source:
@@ -198,13 +181,6 @@ impl FaultPlans {
             }
         }
         plan
-    }
-
-    /// True when any source can ever observe a fault.
-    pub fn is_active(&self) -> bool {
-        self.default.is_active()
-            || self.overrides.values().any(FaultPlan::is_active)
-            || self.groups.iter().any(|g| g.len > 0 && !g.members.is_empty())
     }
 }
 
@@ -252,22 +228,21 @@ mod tests {
     #[test]
     fn plans_override_per_source() {
         let flaky = FaultPlan { drop_prob: 0.5, ..FaultPlan::NONE };
-        let plans = FaultPlans::uniform(FaultPlan::NONE).with_source("tcga", flaky);
-        assert_eq!(plans.for_source("tcga"), flaky);
-        assert_eq!(plans.for_source("chebi"), FaultPlan::NONE);
-        assert!(plans.is_active());
-        assert!(!FaultPlans::default().is_active());
+        let mut plans = FaultPlans::uniform(FaultPlan::NONE);
+        plans.overrides.insert("tcga".into(), flaky);
+        assert_eq!(plans.for_endpoint("tcga", "tcga"), flaky);
+        assert_eq!(plans.for_endpoint("chebi", "chebi"), FaultPlan::NONE);
         let uniform: FaultPlans = flaky.into();
-        assert_eq!(uniform.for_source("anything"), flaky);
+        assert_eq!(uniform.for_endpoint("anything", "anything"), flaky);
     }
 
     #[test]
     fn endpoint_resolution_falls_back_to_logical_override() {
         let flaky = FaultPlan { drop_prob: 0.5, ..FaultPlan::NONE };
         let targeted = FaultPlan { truncate_prob: 0.9, ..FaultPlan::NONE };
-        let plans = FaultPlans::uniform(FaultPlan::NONE)
-            .with_source("tcga", flaky)
-            .with_source("tcga#r1", targeted);
+        let mut plans = FaultPlans::uniform(FaultPlan::NONE);
+        plans.overrides.insert("tcga".into(), flaky);
+        plans.overrides.insert("tcga#r1".into(), targeted);
         // Endpoint override wins over the logical source's override.
         assert_eq!(plans.for_endpoint("tcga#r1", "tcga"), targeted);
         // A replica without its own override inherits the logical plan.
@@ -286,8 +261,7 @@ mod tests {
         let start = g.start();
         assert!(start < 50);
         assert_eq!(g.start(), start, "the shared start is a pure function of the seed");
-        let plans = FaultPlans::default().with_group(g.clone());
-        assert!(plans.is_active());
+        let plans = FaultPlans { groups: vec![g.clone()], ..FaultPlans::default() };
         for member in ["a#r0", "a#r1"] {
             let plan = plans.for_endpoint(member, "a");
             assert_eq!(plan.outage_after, Some(start), "every member shares the window");
@@ -299,13 +273,10 @@ mod tests {
         let pinned = OutageGroup { members: vec!["x".into()], seed: 999, window: 1, len: 1 };
         assert_eq!(pinned.start(), 0);
         // Matching on the logical id downs all of its replicas at once.
-        let by_logical =
-            FaultPlans::default().with_group(OutageGroup {
-                members: vec!["a".into()],
-                seed: 1,
-                window: 1,
-                len: 2,
-            });
+        let by_logical = FaultPlans {
+            groups: vec![OutageGroup { members: vec!["a".into()], seed: 1, window: 1, len: 2 }],
+            ..FaultPlans::default()
+        };
         assert_eq!(by_logical.for_endpoint("a#r1", "a").outage_after, Some(0));
     }
 

@@ -32,16 +32,6 @@ impl GammaSampler {
         GammaSampler { alpha, beta, d, c: 1.0 / (9.0 * d).sqrt() }
     }
 
-    /// The distribution mean `α·β`.
-    pub fn mean(&self) -> f64 {
-        self.alpha * self.beta
-    }
-
-    /// The distribution variance `α·β²`.
-    pub fn variance(&self) -> f64 {
-        self.alpha * self.beta * self.beta
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut Prng) -> f64 {
         if self.alpha < 1.0 {
@@ -76,7 +66,7 @@ impl GammaSampler {
 }
 
 /// One standard-normal draw via Box–Muller.
-pub fn standard_normal(rng: &mut Prng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut Prng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -50,11 +50,11 @@ mod parking_lot_shim {
     pub struct Mutex<T>(std::sync::Mutex<T>);
 
     impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
+        pub(crate) fn new(v: T) -> Self {
             Mutex(std::sync::Mutex::new(v))
         }
 
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, T> {
             self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
         }
     }

@@ -247,37 +247,24 @@ impl Link {
         self.state.lock().local
     }
 
-    /// Simulates the transfer of one message carrying `rows` rows:
-    /// advances the clock by a sampled latency plus the fixed per-message
-    /// cost, and records the traffic. Panics on an injected fault — use
-    /// [`Link::try_transfer_message`] on links with an active fault plan.
-    pub fn transfer_message(&self, rows: usize) {
-        if let Err(f) = self.try_transfer_message(rows) {
-            panic!("unhandled link fault ({f}); use try_transfer_message");
-        }
-    }
-
     /// Simulates transferring `total_rows` rows in messages of
     /// `rows_per_message` (the last message may be smaller). An empty
     /// result still costs one (empty) message — the source must answer.
+    /// Panics on an injected fault: the engine ships rows through
+    /// `schedule_rows_with_retry`, which retries; this is for links
+    /// without an active fault plan.
     pub fn transfer_rows(&self, total_rows: usize, rows_per_message: usize) {
         assert!(rows_per_message > 0, "message size must be positive");
-        if total_rows == 0 {
-            self.transfer_message(0);
-            return;
-        }
         let mut remaining = total_rows;
-        while remaining > 0 {
+        loop {
             let n = remaining.min(rows_per_message);
-            self.transfer_message(n);
+            self.try_transfer_message(n)
+                .expect("transfer_rows on a link with an active fault plan");
             remaining -= n;
+            if remaining == 0 {
+                return;
+            }
         }
-    }
-
-    /// The label this link reports to its observer (usually the source or
-    /// replica-endpoint id; empty when no observer was attached).
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Traffic accumulated so far.
@@ -306,7 +293,7 @@ mod tests {
     fn transfer_advances_clock() {
         let l = link(NetworkProfile::GAMMA3);
         let before = l.clock().now();
-        l.transfer_message(10);
+        l.try_transfer_message(10).unwrap();
         assert!(l.clock().now() > before);
         let s = l.stats();
         assert_eq!(s.messages, 1);
@@ -317,7 +304,7 @@ mod tests {
     #[test]
     fn no_delay_still_costs_transfer_time() {
         let l = link(NetworkProfile::NO_DELAY);
-        l.transfer_message(10);
+        l.try_transfer_message(10).unwrap();
         // No network delay, but serialization/transfer cost applies.
         assert_eq!(l.stats().delay, Duration::ZERO);
         assert!(l.clock().now() > Duration::ZERO);
@@ -413,8 +400,8 @@ mod tests {
         let spiked = faulty(NetworkProfile::GAMMA2, plan);
         let plain = link(NetworkProfile::GAMMA2);
         for _ in 0..32 {
-            spiked.transfer_message(1);
-            plain.transfer_message(1);
+            spiked.try_transfer_message(1).unwrap();
+            plain.try_transfer_message(1).unwrap();
         }
         assert_eq!(spiked.stats().spikes, 32);
         // The spiked link consumes one extra fault draw per message, so the
@@ -423,7 +410,7 @@ mod tests {
         // And identical seeds with identical plans stay identical.
         let again = faulty(NetworkProfile::GAMMA2, plan);
         for _ in 0..32 {
-            again.transfer_message(1);
+            again.try_transfer_message(1).unwrap();
         }
         assert_eq!(again.stats(), spiked.stats());
     }
@@ -442,10 +429,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unhandled link fault")]
+    #[should_panic(expected = "active fault plan")]
     fn infallible_transfer_panics_on_fault() {
         let plan = FaultPlan { outage_after: Some(0), outage_len: 1, ..FaultPlan::NONE };
-        faulty(NetworkProfile::NO_DELAY, plan).transfer_message(1);
+        faulty(NetworkProfile::NO_DELAY, plan).transfer_rows(1, 1);
     }
 
     #[test]
@@ -482,7 +469,7 @@ mod tests {
         let a = link(NetworkProfile::GAMMA3);
         let mut waited = Vec::new();
         for i in 0..32 {
-            a.transfer_message(i % 4);
+            a.try_transfer_message(i % 4).unwrap();
             waited.push(a.clock().now());
         }
         assert_eq!(waited[..4], first_four);
@@ -608,7 +595,7 @@ mod tests {
         let l = l.with_observer("src", Arc::clone(&rec) as Arc<dyn NetObserver>);
         let waited = (0..32)
             .map(|i| {
-                l.transfer_message(i % 4);
+                l.try_transfer_message(i % 4).unwrap();
                 l.clock().now()
             })
             .collect();

@@ -37,7 +37,7 @@ impl DelayModel {
     /// Prepares the model for repeated draws: a link samples one delay
     /// per message, so the gamma sampler's checks and constants are paid
     /// once per link instead.
-    pub fn sampler(&self) -> DelaySampler {
+    pub(crate) fn sampler(&self) -> DelaySampler {
         match self {
             DelayModel::None => DelaySampler::Fixed(Duration::ZERO),
             DelayModel::Gamma { alpha, beta_ms } => {
@@ -63,7 +63,7 @@ pub enum DelaySampler {
 
 impl DelaySampler {
     /// Draws one per-message delay.
-    pub fn sample(&self, rng: &mut Prng) -> Duration {
+    pub(crate) fn sample(&self, rng: &mut Prng) -> Duration {
         match self {
             DelaySampler::Fixed(d) => *d,
             DelaySampler::Gamma(g) => millis(g.sample(rng)),

@@ -9,9 +9,8 @@
 //! same instant are ordered by who was scheduled first, so a run is fully
 //! determined by the seed regardless of iteration order elsewhere.
 //!
-//! [`EventQueue`] is deliberately minimal: the executor only ever needs
-//! "when is the *earliest* pending completion?" (to jump the clock when
-//! every input is stalled) — the per-operator state machines hold their own
+//! [`EventQueue`] is deliberately minimal: it hands out handles and tracks
+//! which are in flight — the per-operator state machines hold their own
 //! event handles and complete them when polled past their due time.
 
 use crate::obs::NetObserver;
@@ -75,16 +74,6 @@ impl EventQueue {
         self.note_depth();
     }
 
-    /// The earliest pending event, if any.
-    pub fn next_pending(&self) -> Option<EventTime> {
-        self.pending.iter().min().copied()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// True when nothing is in flight.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
@@ -103,7 +92,6 @@ mod tests {
         let c = q.schedule(Duration::from_millis(3));
         assert!(c < a, "earlier time wins");
         assert!(a < b, "equal times break by scheduling order");
-        assert_eq!(q.next_pending(), Some(c));
     }
 
     #[test]
@@ -111,13 +99,12 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(Duration::from_millis(1));
         let b = q.schedule(Duration::from_millis(2));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.pending, vec![a, b]);
         q.complete(a);
-        assert_eq!(q.next_pending(), Some(b));
+        assert_eq!(q.pending, vec![b]);
         q.complete(a); // double-complete: no-op
         q.complete(b);
         assert!(q.is_empty());
-        assert_eq!(q.next_pending(), None);
     }
 
     #[test]

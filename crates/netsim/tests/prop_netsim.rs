@@ -77,7 +77,7 @@ fn link_accounting() {
         let mut last = Duration::ZERO;
         let mut total_rows = 0u64;
         for &n in &batches {
-            link.transfer_message(n);
+            assert!(link.try_transfer_message(n).is_ok());
             total_rows += n as u64;
             let now = clock.now();
             assert!(now >= last);

@@ -270,21 +270,6 @@ impl SharedInterner {
     pub fn intern(&self, term: Term) -> TermId {
         self.lock().intern(term)
     }
-
-    /// Resolves an id back to an owned term.
-    pub fn resolve(&self, id: TermId) -> Option<Term> {
-        self.lock().term(id).cloned()
-    }
-
-    /// Number of distinct interned terms.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True when no term has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -368,14 +353,14 @@ mod tests {
         let id_a = a.intern(Term::iri("http://x/a"));
         let id_b = b.intern(Term::iri("http://x/a"));
         assert_eq!(id_a, id_b);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.resolve(id_a), Some(Term::iri("http://x/a")));
+        assert_eq!(a.lock().len(), 1);
+        assert_eq!(b.lock().term(id_a), Some(&Term::iri("http://x/a")));
     }
 
     #[test]
     fn unbound_sentinel_never_resolves() {
         let i = SharedInterner::new();
         i.intern(Term::iri("a"));
-        assert_eq!(i.resolve(TermId::UNBOUND), None);
+        assert_eq!(i.lock().term(TermId::UNBOUND), None);
     }
 }

@@ -93,13 +93,8 @@ impl Graph {
         Self::default()
     }
 
-    /// The graph's term dictionary.
-    pub fn dict(&self) -> &Dictionary {
-        &self.dict
-    }
-
     /// Interns a term in this graph's dictionary.
-    pub fn intern(&mut self, term: Term) -> TermId {
+    pub(crate) fn intern(&mut self, term: Term) -> TermId {
         Arc::make_mut(&mut self.dict).intern(term)
     }
 
@@ -120,7 +115,7 @@ impl Graph {
     }
 
     /// Inserts a triple of already-interned ids. Returns true when new.
-    pub fn insert(&mut self, t: Triple) -> bool {
+    pub(crate) fn insert(&mut self, t: Triple) -> bool {
         let ix = Arc::make_mut(&mut self.triples);
         let added = ix.spo.insert((t.s.0, t.p.0, t.o.0));
         if added {
@@ -172,7 +167,7 @@ impl Graph {
     }
 
     /// Chooses the index that serves `pattern` with a contiguous range scan.
-    pub fn index_for(pattern: &TriplePattern) -> IndexChoice {
+    pub(crate) fn index_for(pattern: &TriplePattern) -> IndexChoice {
         match (pattern.s, pattern.p, pattern.o) {
             (Some(_), _, _) => IndexChoice::Spo,
             (None, Some(_), _) => IndexChoice::Pos,
@@ -240,19 +235,6 @@ impl Graph {
             }
             IndexChoice::FullScan => self.iter().collect(),
         }
-    }
-
-    /// All distinct predicates in the graph (useful for RDF-MT extraction).
-    pub fn predicates(&self) -> Vec<TermId> {
-        let mut out: Vec<TermId> = Vec::new();
-        let mut last: Option<u32> = None;
-        for &(p, _, _) in &self.triples.pos {
-            if last != Some(p) {
-                out.push(TermId(p));
-                last = Some(p);
-            }
-        }
-        out
     }
 
     /// All distinct subjects that have predicate `rdf:type` with object `class`.
@@ -381,12 +363,6 @@ mod tests {
         assert_eq!(Graph::index_for(&TriplePattern::any().with_p(s)), IndexChoice::Pos);
         assert_eq!(Graph::index_for(&TriplePattern::any().with_o(s)), IndexChoice::Osp);
         assert_eq!(Graph::index_for(&TriplePattern::any()), IndexChoice::FullScan);
-    }
-
-    #[test]
-    fn predicates_are_distinct() {
-        let g = sample();
-        assert_eq!(g.predicates().len(), 2);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! This crate provides the RDF substrate of the FedLake Semantic Data Lake:
 //! RDF terms ([`Term`]), triples ([`Triple`]), an interning dictionary
 //! ([`Dictionary`]) and an indexed, in-memory triple store ([`Graph`]) with
-//! `SPO`/`POS`/`OSP` indexes and triple-pattern matching. N-Triples parsing
-//! and serialization live in [`ntriples`].
+//! `SPO`/`POS`/`OSP` indexes and triple-pattern matching.
 //!
 //! The store is the storage layer behind the SPARQL-endpoint members of a
 //! data lake (see `fedlake-core`), and the target model for the RDF lifting
@@ -27,16 +26,13 @@
 //! ```
 
 pub mod dict;
-pub mod error;
 pub mod graph;
 pub mod hash;
-pub mod ntriples;
 pub mod term;
 pub mod vocab;
 
 pub use dict::{Dictionary, SharedInterner, TermId};
 pub use hash::{BuildFastHasher, FastMap, FastSet};
-pub use error::RdfError;
 pub use graph::{Graph, TriplePattern};
 pub use term::{Literal, Term};
 
@@ -54,7 +50,7 @@ pub struct Triple {
 
 impl Triple {
     /// Creates a triple from three interned term ids.
-    pub fn new(s: TermId, p: TermId, o: TermId) -> Self {
+    pub(crate) fn new(s: TermId, p: TermId, o: TermId) -> Self {
         Triple { s, p, o }
     }
 }

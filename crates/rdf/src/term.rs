@@ -34,12 +34,12 @@ impl Literal {
     }
 
     /// An `xsd:integer` literal.
-    pub fn integer(v: i64) -> Self {
+    pub(crate) fn integer(v: i64) -> Self {
         Literal::typed(v.to_string(), crate::vocab::xsd::INTEGER)
     }
 
     /// An `xsd:double` literal.
-    pub fn double(v: f64) -> Self {
+    pub(crate) fn double(v: f64) -> Self {
         Literal::typed(v.to_string(), crate::vocab::xsd::DOUBLE)
     }
 

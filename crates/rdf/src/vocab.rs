@@ -6,12 +6,6 @@ pub mod rdf {
     pub const TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 }
 
-/// RDFS vocabulary.
-pub mod rdfs {
-    /// `rdfs:label`.
-    pub const LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
-}
-
 /// XML Schema datatypes.
 pub mod xsd {
     /// `xsd:string`.
@@ -28,7 +22,7 @@ pub mod xsd {
     pub const DATE: &str = "http://www.w3.org/2001/XMLSchema#date";
 
     /// True when `dt` denotes `xsd:integer` or a type derived from it.
-    pub fn is_integer(dt: &str) -> bool {
+    pub(crate) fn is_integer(dt: &str) -> bool {
         dt == INTEGER
             || dt == "http://www.w3.org/2001/XMLSchema#int"
             || dt == "http://www.w3.org/2001/XMLSchema#long"

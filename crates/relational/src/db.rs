@@ -101,11 +101,6 @@ impl Database {
         self.memo().stats()
     }
 
-    /// The database name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Executes one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
         match parse(sql)? {
@@ -147,7 +142,7 @@ impl Database {
     }
 
     /// Plans and executes a `SELECT` statement.
-    pub fn run_select(&self, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
+    pub(crate) fn run_select(&self, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
         let plan = self.plan(stmt)?;
         self.run_plan(&plan)
     }

@@ -34,20 +34,6 @@ pub struct CostStats {
     pub rows_output: u64,
 }
 
-impl CostStats {
-    /// Accumulates another operator's counters.
-    pub fn merge(&mut self, other: &CostStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.index_probes += other.index_probes;
-        self.index_rows += other.index_rows;
-        self.filter_evals += other.filter_evals;
-        self.hash_build_rows += other.hash_build_rows;
-        self.hash_probe_rows += other.hash_probe_rows;
-        self.sort_rows += other.sort_rows;
-        self.rows_output += other.rows_output;
-    }
-}
-
 /// One base table taking part in an intermediate relation.
 struct Part<'t> {
     alias: String,
@@ -132,7 +118,7 @@ impl<'t> Relation<'t> {
     }
 
     /// The output columns' names as their tables spell them, unqualified.
-    pub fn column_names(&self) -> Vec<String> {
+    pub(crate) fn column_names(&self) -> Vec<String> {
         let name = |p: &Pos| self.rel.parts[p.part].table.schema.columns[p.col].name.clone();
         self.at.iter().map(name).collect()
     }
@@ -167,7 +153,7 @@ impl std::hash::Hash for Cells<'_, '_> {
 }
 
 /// Executes a physical plan against a catalog.
-pub fn execute<'t>(
+pub(crate) fn execute<'t>(
     plan: &PhysicalPlan,
     catalog: &'t HashMap<String, Table>,
 ) -> Result<(Relation<'t>, CostStats), SqlError> {
@@ -663,14 +649,5 @@ mod tests {
         assert!(!eval(&other_alias, &row));
         let no_column = Predicate::IsNull { col: ColumnRef::new("nope"), negated: true };
         assert!(!eval(&no_column, &row));
-    }
-
-    #[test]
-    fn cost_merge() {
-        let mut a = CostStats { rows_scanned: 1, ..Default::default() };
-        let b = CostStats { rows_scanned: 2, index_probes: 3, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.rows_scanned, 3);
-        assert_eq!(a.index_probes, 3);
     }
 }

@@ -28,18 +28,18 @@ pub struct BTreeIndex {
 
 impl BTreeIndex {
     /// Creates an empty index.
-    pub fn new(name: impl Into<String>, key_columns: Vec<usize>, unique: bool) -> Self {
+    pub(crate) fn new(name: impl Into<String>, key_columns: Vec<usize>, unique: bool) -> Self {
         BTreeIndex { name: name.into(), key_columns, unique, tree: BTreeMap::new() }
     }
 
     /// Extracts this index's key from a full table row.
-    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
+    pub(crate) fn key_of(&self, row: &[Value]) -> Vec<Value> {
         self.key_columns.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Inserts a row. Fails on UNIQUE violation (NULL keys are exempt, as
     /// in standard SQL unique indexes).
-    pub fn insert(&mut self, row: &[Value], rid: RowId) -> Result<(), SqlError> {
+    pub(crate) fn insert(&mut self, row: &[Value], rid: RowId) -> Result<(), SqlError> {
         let key = self.key_of(row);
         let has_null = key.iter().any(Value::is_null);
         let entry = self.tree.entry(key).or_default();
@@ -55,7 +55,7 @@ impl BTreeIndex {
 
     /// True when inserting `row` would violate this index's UNIQUE
     /// constraint. Lets the table validate all indexes before mutating any.
-    pub fn would_violate(&self, row: &[Value]) -> bool {
+    pub(crate) fn would_violate(&self, row: &[Value]) -> bool {
         if !self.unique {
             return false;
         }
@@ -76,7 +76,7 @@ impl BTreeIndex {
     /// zero finds both zeros and a NaN finds nothing.
     ///
     /// [`lookup`]: BTreeIndex::lookup
-    pub fn seek(&self, key: &Value) -> Cow<'_, [RowId]> {
+    pub(crate) fn seek(&self, key: &Value) -> Cow<'_, [RowId]> {
         match key {
             Value::Int(0) | Value::Double(0.0) => {
                 self.range(Some((key, true)), Some((key, true))).into()
@@ -89,7 +89,7 @@ impl BTreeIndex {
     /// Prefix lookup for composite indexes: row ids whose key starts with
     /// `prefix`, in key order. Borrows the prefix as the range bound, so a
     /// probe allocates nothing.
-    pub fn lookup_prefix<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
+    pub(crate) fn lookup_prefix<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
         self.tree
             .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
@@ -99,7 +99,7 @@ impl BTreeIndex {
     /// Range scan on a single-column index: keys in `[low, high]` with
     /// inclusivity flags, compared as [`Value::sql_cmp`] compares them.
     /// `None` bounds are open.
-    pub fn range(
+    pub(crate) fn range(
         &self,
         low: Option<(&Value, bool)>,
         high: Option<(&Value, bool)>,
@@ -126,13 +126,8 @@ impl BTreeIndex {
     }
 
     /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
+    pub(crate) fn distinct_keys(&self) -> usize {
         self.tree.len()
-    }
-
-    /// Total number of indexed entries.
-    pub fn entries(&self) -> usize {
-        self.tree.values().map(Vec::len).sum()
     }
 }
 
@@ -213,6 +208,6 @@ mod tests {
         idx.insert(&row(&[Value::Int(1)]), 1).unwrap();
         idx.insert(&row(&[Value::Int(2)]), 2).unwrap();
         assert_eq!(idx.distinct_keys(), 2);
-        assert_eq!(idx.entries(), 3);
+        assert_eq!(idx.tree.values().map(Vec::len).sum::<usize>(), 3);
     }
 }

@@ -50,7 +50,7 @@ fn tested_column(p: &mut Predicate) -> &mut ColumnRef {
 }
 
 /// Plans a `SELECT` statement into a physical plan.
-pub fn plan_select(
+pub(crate) fn plan_select(
     stmt: &SelectStmt,
     catalog: &HashMap<String, Table>,
 ) -> Result<PhysicalPlan, SqlError> {
@@ -343,7 +343,7 @@ fn index_selectivity(table: &Table, index_name: &str, keys: usize) -> f64 {
 }
 
 /// Heuristic selectivity of a residual predicate.
-pub fn predicate_selectivity(p: &Predicate, table: &Table) -> f64 {
+pub(crate) fn predicate_selectivity(p: &Predicate, table: &Table) -> f64 {
     match p {
         Predicate::Compare { left, op, right: Operand::Literal(_) } => match op {
             SqlCmpOp::Eq => column_stats(table, &left.column)
@@ -431,11 +431,22 @@ mod tests {
         }
     }
 
+    /// The access path of a one-table plan's scan.
+    fn scan_path(plan: &PhysicalPlan) -> &AccessPath {
+        match plan {
+            PhysicalPlan::Scan(s) => &s.path,
+            PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
+                scan_path(input)
+            }
+            other => panic!("not a one-table plan: {other:?}"),
+        }
+    }
+
     #[test]
     fn pk_equality_uses_index() {
         let c = catalog();
         let plan = plan_select(&select("SELECT * FROM gene WHERE id = 'g3'"), &c).unwrap();
-        assert_eq!(plan.indexed_scan_count(), 1);
+        assert!(matches!(scan_path(&plan), AccessPath::IndexEq { .. }));
     }
 
     #[test]
@@ -444,8 +455,7 @@ mod tests {
         let plan =
             plan_select(&select("SELECT * FROM gene WHERE species = 'Homo sapiens'"), &c)
                 .unwrap();
-        assert_eq!(plan.indexed_scan_count(), 0);
-        assert_eq!(plan.scan_count(), 1);
+        assert_eq!(scan_path(&plan), &AccessPath::SeqScan);
     }
 
     #[test]
@@ -544,7 +554,7 @@ mod tests {
         t.create_index("idx_a", &["a".to_string()], false).unwrap();
         c.insert("t".to_string(), t);
         let plan = plan_select(&select("SELECT id FROM t WHERE a > 0"), &c).unwrap();
-        assert_eq!(plan.indexed_scan_count(), 0);
+        assert_eq!(scan_path(&plan), &AccessPath::SeqScan);
         // And the residual predicate filters the row out.
         let (rel, _) = crate::exec::execute(&plan, &c).unwrap();
         assert!(rel.is_empty());

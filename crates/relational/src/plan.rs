@@ -38,13 +38,6 @@ pub enum AccessPath {
     },
 }
 
-impl AccessPath {
-    /// True when this path uses an index.
-    pub fn uses_index(&self) -> bool {
-        !matches!(self, AccessPath::SeqScan)
-    }
-}
-
 /// A base-table scan with residual predicates evaluated after access.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanNode {
@@ -122,87 +115,4 @@ pub enum PhysicalPlan {
         /// Maximum rows.
         n: usize,
     },
-}
-
-impl PhysicalPlan {
-    /// Number of base-table scans in the plan.
-    pub fn scan_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan(_) => 1,
-            PhysicalPlan::Join { left, .. } => 1 + left.scan_count(),
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => input.scan_count(),
-            PhysicalPlan::Distinct(input) => input.scan_count(),
-        }
-    }
-
-    /// Number of scans that use an index.
-    pub fn indexed_scan_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan(s) => usize::from(s.path.uses_index()),
-            PhysicalPlan::Join { left, right, algo, .. } => {
-                // An INLJ uses the right table's index even though the scan
-                // node itself may be a seq scan descriptor.
-                let right_indexed = right.path.uses_index()
-                    || *algo == JoinAlgo::IndexNestedLoop;
-                left.indexed_scan_count() + usize::from(right_indexed)
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => input.indexed_scan_count(),
-            PhysicalPlan::Distinct(input) => input.indexed_scan_count(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scan(table: &str, path: AccessPath) -> ScanNode {
-        ScanNode {
-            table: table.into(),
-            alias: table.into(),
-            path,
-            residual: Vec::new(),
-            estimated_rows: 1.0,
-        }
-    }
-
-    #[test]
-    fn access_path_classification() {
-        assert!(!AccessPath::SeqScan.uses_index());
-        assert!(AccessPath::IndexEq { index: "i".into(), key: Value::Int(1) }.uses_index());
-    }
-
-    #[test]
-    fn scan_counts() {
-        let plan = PhysicalPlan::Join {
-            left: Box::new(PhysicalPlan::Scan(scan("a", AccessPath::SeqScan))),
-            right: scan(
-                "b",
-                AccessPath::IndexEq { index: "i".into(), key: Value::Int(1) },
-            ),
-            algo: JoinAlgo::Hash,
-            left_key: Some(ColumnRef::qualified("a", "x")),
-            right_key: Some(ColumnRef::qualified("b", "y")),
-        };
-        assert_eq!(plan.scan_count(), 2);
-        assert_eq!(plan.indexed_scan_count(), 1);
-    }
-
-    #[test]
-    fn inlj_counts_as_indexed() {
-        let plan = PhysicalPlan::Join {
-            left: Box::new(PhysicalPlan::Scan(scan("a", AccessPath::SeqScan))),
-            right: scan("b", AccessPath::SeqScan),
-            algo: JoinAlgo::IndexNestedLoop,
-            left_key: Some(ColumnRef::qualified("a", "x")),
-            right_key: Some(ColumnRef::qualified("b", "y")),
-        };
-        assert_eq!(plan.indexed_scan_count(), 1);
-    }
 }

@@ -78,16 +78,6 @@ impl TableSchema {
         self
     }
 
-    /// Builder: adds a foreign key.
-    pub fn with_foreign_key(mut self, cols: &[&str], ref_table: &str, ref_cols: &[&str]) -> Self {
-        self.foreign_keys.push(ForeignKey {
-            columns: cols.iter().map(|c| c.to_lowercase()).collect(),
-            ref_table: ref_table.to_lowercase(),
-            ref_columns: ref_cols.iter().map(|c| c.to_lowercase()).collect(),
-        });
-        self
-    }
-
     /// Position of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         let name = name.to_lowercase();
@@ -100,7 +90,7 @@ impl TableSchema {
     }
 
     /// Number of columns.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.columns.len()
     }
 
@@ -124,7 +114,6 @@ mod tests {
             ],
         )
         .with_primary_key(&["ID"])
-        .with_foreign_key(&["name"], "other", &["id"])
     }
 
     #[test]
@@ -133,7 +122,6 @@ mod tests {
         assert_eq!(s.name, "drug");
         assert_eq!(s.columns[0].name, "id");
         assert_eq!(s.primary_key, vec!["id"]);
-        assert_eq!(s.foreign_keys[0].ref_table, "other");
     }
 
     #[test]

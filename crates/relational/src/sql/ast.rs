@@ -20,7 +20,7 @@ impl ColumnRef {
     }
 
     /// A qualified reference.
-    pub fn qualified(table: impl Into<String>, column: impl Into<String>) -> Self {
+    pub(crate) fn qualified(table: impl Into<String>, column: impl Into<String>) -> Self {
         ColumnRef {
             table: Some(table.into().to_lowercase()),
             column: column.into().to_lowercase(),

@@ -21,13 +21,13 @@ pub enum SqlToken {
 
 impl SqlToken {
     /// Case-insensitive keyword test.
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, SqlToken::Word(w) if w.eq_ignore_ascii_case(kw))
     }
 }
 
 /// Tokenizes a SQL statement.
-pub fn tokenize(input: &str) -> Result<Vec<SqlToken>, SqlError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<SqlToken>, SqlError> {
     let b = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

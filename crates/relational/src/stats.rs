@@ -32,7 +32,7 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Estimated selectivity of an equality predicate on this column:
     /// `1 / NDV` under the uniformity assumption.
-    pub fn eq_selectivity(&self) -> f64 {
+    pub(crate) fn eq_selectivity(&self) -> f64 {
         if self.distinct == 0 {
             0.0
         } else {
@@ -94,7 +94,7 @@ pub struct TableStats {
 }
 
 /// Computes statistics for every column of a table.
-pub fn table_stats(table: &Table) -> TableStats {
+pub(crate) fn table_stats(table: &Table) -> TableStats {
     let columns = table
         .schema
         .columns
@@ -110,18 +110,6 @@ impl TableStats {
         let name = name.to_lowercase();
         self.columns.iter().find(|c| c.column == name)
     }
-}
-
-/// Applies the paper's index-creation policy to a table: returns the
-/// columns that *should* carry an index — the primary key plus every
-/// requested attribute whose duplication ratio is within the threshold.
-pub fn indexable_columns<'a>(table: &Table, requested: &'a [String]) -> Vec<&'a String> {
-    requested
-        .iter()
-        .filter(|col| {
-            column_stats(table, col).is_some_and(|s| s.is_indexable())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -186,16 +174,6 @@ mod tests {
         let s = column_stats(&t, "species").unwrap();
         assert!(s.duplication_ratio > INDEXABLE_DUPLICATION_THRESHOLD);
         assert!(!s.is_indexable());
-    }
-
-    #[test]
-    fn indexable_columns_filters() {
-        let mut skewed: Vec<&str> = vec!["x"; 10];
-        skewed.extend(["a", "b"]);
-        let t = table_with(&skewed);
-        let requested = vec!["id".to_string(), "species".to_string()];
-        let cols = indexable_columns(&t, &requested);
-        assert_eq!(cols, vec![&"id".to_string()]);
     }
 
     #[test]

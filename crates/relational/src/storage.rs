@@ -99,7 +99,7 @@ impl Clone for Table {
 impl Table {
     /// Creates an empty table; builds the primary-key index if a key is
     /// declared.
-    pub fn new(schema: TableSchema) -> Result<Self, SqlError> {
+    pub(crate) fn new(schema: TableSchema) -> Result<Self, SqlError> {
         let profile = Mutex::new(Arc::new(TableProfile::empty(schema.arity())));
         let mut t = Table {
             schema,
@@ -133,7 +133,7 @@ impl Table {
     /// Inserts a row after validating arity, types and NOT NULL, updating
     /// all indexes. Returns the new row id. An `Int` in a DOUBLE column is
     /// stored as the double it rounds to, the value the column's lift reads.
-    pub fn insert(&mut self, mut row: Vec<Value>) -> Result<RowId, SqlError> {
+    pub(crate) fn insert(&mut self, mut row: Vec<Value>) -> Result<RowId, SqlError> {
         if row.len() != self.schema.arity() {
             return Err(SqlError::Constraint(format!(
                 "table {} expects {} values, got {}",
@@ -189,7 +189,7 @@ impl Table {
     }
 
     /// Adds a secondary index over `columns`, backfilling existing rows.
-    pub fn create_index(
+    pub(crate) fn create_index(
         &mut self,
         name: impl Into<String>,
         columns: &[String],
@@ -225,7 +225,7 @@ impl Table {
     }
 
     /// True when column `col` is covered by an index as its leading key.
-    pub fn has_index_on(&self, col: &str) -> bool {
+    pub(crate) fn has_index_on(&self, col: &str) -> bool {
         self.index_on(col).is_some()
     }
 

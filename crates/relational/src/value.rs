@@ -66,16 +66,6 @@ impl Value {
         Value::Text(s.into())
     }
 
-    /// Numeric view (ints widen to double, rounding past 2^53: compare
-    /// with [`Value::sql_cmp`] or `Ord`, which do not).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Double(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// String view.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -264,7 +254,7 @@ impl From<bool> for Value {
 }
 
 /// SQL LIKE matching with `%` and `_` wildcards.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     let s: Vec<char> = s.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
     // Classic two-pointer algorithm with backtracking on '%'.

@@ -163,7 +163,7 @@ impl Mix {
     }
 
     /// Draws one template id.
-    pub fn draw(&self, rng: &mut Prng) -> &str {
+    pub(crate) fn draw(&self, rng: &mut Prng) -> &str {
         let total: u64 = self.0.iter().map(|(_, w)| *w as u64).sum();
         let mut x = rng.gen_range(0..total);
         for (id, w) in &self.0 {

@@ -39,51 +39,8 @@ pub enum Algebra {
     },
 }
 
-impl Algebra {
-    /// All variables that can be bound by this plan.
-    pub fn vars(&self) -> Vec<Var> {
-        fn push_unique(out: &mut Vec<Var>, v: Var) {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
-        fn walk(a: &Algebra, out: &mut Vec<Var>) {
-            match a {
-                Algebra::Bgp(triples) => {
-                    for t in triples {
-                        for v in t.vars() {
-                            push_unique(out, v);
-                        }
-                    }
-                }
-                Algebra::Join(l, r) | Algebra::LeftJoin(l, r, _) => {
-                    walk(l, out);
-                    walk(r, out);
-                }
-                Algebra::Filter(_, inner)
-                | Algebra::Distinct(inner)
-                | Algebra::OrderBy(_, inner) => walk(inner, out),
-                Algebra::Union(branches) => {
-                    for b in branches {
-                        walk(b, out);
-                    }
-                }
-                Algebra::Project(vars, _) => {
-                    for v in vars {
-                        push_unique(out, v.clone());
-                    }
-                }
-                Algebra::Slice { input, .. } => walk(input, out),
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-}
-
 /// Lowers a group graph pattern to algebra (without solution modifiers).
-pub fn translate_pattern(group: &GroupGraphPattern) -> Algebra {
+pub(crate) fn translate_pattern(group: &GroupGraphPattern) -> Algebra {
     let mut current: Option<Algebra> = None;
     let mut bgp: Vec<TriplePattern> = Vec::new();
     let mut filters: Vec<Expr> = Vec::new();
@@ -229,12 +186,5 @@ mod tests {
             }
             other => panic!("expected Slice, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn algebra_vars() {
-        let q = parse_query("SELECT * WHERE { ?x <http://p> ?y . ?y <http://q> ?z }").unwrap();
-        let a = translate_pattern(&q.pattern);
-        assert_eq!(a.vars().len(), 3);
     }
 }

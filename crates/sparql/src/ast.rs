@@ -112,7 +112,7 @@ pub struct GroupGraphPattern {
 
 impl GroupGraphPattern {
     /// All triple patterns appearing (recursively) in this group.
-    pub fn triples(&self) -> Vec<&TriplePattern> {
+    pub(crate) fn triples(&self) -> Vec<&TriplePattern> {
         let mut out = Vec::new();
         self.collect_triples(&mut out);
         out
@@ -131,17 +131,6 @@ impl GroupGraphPattern {
                 PatternElement::Filter(_) => {}
             }
         }
-    }
-
-    /// All filters at the top level of this group.
-    pub fn filters(&self) -> Vec<&Expr> {
-        self.elements
-            .iter()
-            .filter_map(|el| match el {
-                PatternElement::Filter(e) => Some(e),
-                _ => None,
-            })
-            .collect()
     }
 
     /// All variables mentioned anywhere in the group.

@@ -74,7 +74,7 @@ impl Row {
     }
 
     /// [`Row::bind`] with a term someone already owns.
-    pub fn bind_shared(&mut self, var: Var, term: Arc<Term>) {
+    pub(crate) fn bind_shared(&mut self, var: Var, term: Arc<Term>) {
         match self.position(&var) {
             Ok(i) => self.slots[i].1 = term,
             Err(i) => self.slots.insert(i, (var, term)),

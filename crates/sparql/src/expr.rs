@@ -153,7 +153,7 @@ impl<'a> Value<'a> {
     /// SPARQL effective boolean value (SPARQL 1.1 §17.2.2): a number is
     /// false when it is zero or NaN, and a numeric- or boolean-typed literal
     /// with an invalid lexical form is false.
-    pub fn ebv(self) -> Result<bool, EvalError> {
+    pub(crate) fn ebv(self) -> Result<bool, EvalError> {
         match self {
             Value::Bool(b) => Ok(b),
             Value::Num(n) | Value::Term(_, Some(n)) => Ok(n != 0.0 && !n.is_nan()),
@@ -503,28 +503,6 @@ impl Expr {
             }
         }
     }
-
-    /// True when this expression is a *simple instantiation* of a single
-    /// variable — a pattern like `?v = const`, `CONTAINS(?v, "x")`,
-    /// `STRSTARTS(STR(?v), "x")` or a comparison against a constant. These
-    /// are the filters Heuristic 2 of the paper reasons about: they can be
-    /// pushed into a source query as a WHERE condition on one column.
-    pub fn is_simple_instantiation(&self) -> bool {
-        fn is_var(e: &Expr) -> bool {
-            matches!(e, Expr::Var(_)) || matches!(e, Expr::Str(inner) if is_var(inner))
-        }
-        fn is_const(e: &Expr) -> bool {
-            matches!(e, Expr::Const(_))
-        }
-        match self {
-            Expr::Cmp(a, _, b) => (is_var(a) && is_const(b)) || (is_const(a) && is_var(b)),
-            Expr::Regex(e, _) => is_var(e),
-            Expr::Contains(a, b) | Expr::StrStarts(a, b) | Expr::StrEnds(a, b) => {
-                is_var(a) && is_const(b)
-            }
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -546,14 +524,6 @@ impl fmt::Display for Expr {
             Expr::Lang(e) => write!(f, "LANG({e})"),
         }
     }
-}
-
-/// A minimal "regex" matcher supporting `^`/`$` anchors around literal text.
-/// This covers the instantiation patterns used by the paper's workload
-/// without pulling in a regex engine.
-pub fn simple_regex_match(s: &str, pattern: &str) -> bool {
-    let (starts, body, ends) = split_anchors(pattern);
-    anchored_match(s, starts, body, ends)
 }
 
 /// Splits a `REGEX` pattern into its `^` anchor, literal body and `$`
@@ -746,12 +716,13 @@ mod tests {
 
     #[test]
     fn regex_subset() {
-        assert!(simple_regex_match("Homo sapiens", "sapiens"));
-        assert!(simple_regex_match("Homo sapiens", "^Homo"));
-        assert!(simple_regex_match("Homo sapiens", "sapiens$"));
-        assert!(simple_regex_match("Homo sapiens", "^Homo sapiens$"));
-        assert!(!simple_regex_match("Homo sapiens", "^sapiens"));
-        assert!(Expr::Regex(var("s"), "^Homo".into()).test(&row()));
+        // ?s is "Homo sapiens".
+        let regex = |pattern: &str| Expr::Regex(var("s"), pattern.into()).test(&row());
+        assert!(regex("sapiens"));
+        assert!(regex("^Homo"));
+        assert!(regex("sapiens$"));
+        assert!(regex("^Homo sapiens$"));
+        assert!(!regex("^sapiens"));
     }
 
     #[test]
@@ -782,21 +753,6 @@ mod tests {
     fn bound() {
         assert!(Expr::Bound(Var::new("n")).test(&row()));
         assert!(!Expr::Bound(Var::new("zz")).test(&row()));
-    }
-
-    #[test]
-    fn simple_instantiation_detection() {
-        assert!(Expr::Cmp(var("s"), CmpOp::Eq, s("x")).is_simple_instantiation());
-        assert!(Expr::Cmp(s("x"), CmpOp::Eq, var("s")).is_simple_instantiation());
-        assert!(Expr::Contains(var("s"), s("x")).is_simple_instantiation());
-        assert!(Expr::Regex(var("s"), "x".into()).is_simple_instantiation());
-        assert!(
-            Expr::Cmp(Box::new(Expr::Str(var("s"))), CmpOp::Eq, s("x"))
-                .is_simple_instantiation()
-        );
-        // Joins of two variables are not instantiations.
-        assert!(!Expr::Cmp(var("a"), CmpOp::Eq, var("b")).is_simple_instantiation());
-        assert!(!Expr::Bound(Var::new("a")).is_simple_instantiation());
     }
 
     #[test]

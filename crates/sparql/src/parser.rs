@@ -454,6 +454,18 @@ mod tests {
     use super::*;
     use crate::ast::PatternElement as PE;
 
+    /// The filters at the top level of `q`'s group.
+    fn filters(q: &SelectQuery) -> Vec<&Expr> {
+        q.pattern
+            .elements
+            .iter()
+            .filter_map(|el| match el {
+                PE::Filter(e) => Some(e),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn parse_minimal() {
         let q = parse_query("SELECT ?x WHERE { ?x a <http://x/C> }").unwrap();
@@ -499,13 +511,13 @@ mod tests {
             "SELECT ?x WHERE { ?x <http://p> ?y . FILTER(?y > 3 && ?y < 10) }",
         )
         .unwrap();
-        assert_eq!(q.pattern.filters().len(), 1);
+        assert_eq!(filters(&q).len(), 1);
     }
 
     #[test]
     fn negative_doubles_with_an_exponent_parse_as_constants() {
         let q = parse_query("SELECT ?x WHERE { ?x <http://p> ?v . FILTER(?v > -1e5) }").unwrap();
-        match &q.pattern.filters()[0] {
+        match &filters(&q)[0] {
             Expr::Cmp(_, _, rhs) => assert_eq!(**rhs, Expr::Const(Term::double(-1e5))),
             other => panic!("expected a comparison, got {other:?}"),
         }
@@ -574,8 +586,8 @@ mod tests {
             r#"SELECT ?x WHERE { ?x <http://p> ?n . FILTER(CONTAINS(STR(?n), "sapiens")) }"#,
         )
         .unwrap();
-        assert_eq!(q.pattern.filters().len(), 1);
-        assert!(q.pattern.filters()[0].is_simple_instantiation());
+        assert_eq!(filters(&q).len(), 1);
+        assert!(matches!(filters(&q)[0], Expr::Contains(_, _)));
     }
 
     #[test]
@@ -584,7 +596,7 @@ mod tests {
             r#"SELECT ?x WHERE { ?x <http://p> ?n . FILTER(REGEX(?n, "^Homo")) }"#,
         )
         .unwrap();
-        assert!(matches!(q.pattern.filters()[0], Expr::Regex(_, _)));
+        assert!(matches!(filters(&q)[0], Expr::Regex(_, _)));
     }
 
     #[test]

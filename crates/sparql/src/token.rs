@@ -31,13 +31,13 @@ pub enum Token {
 
 impl Token {
     /// True when this is `Word` matching `kw` case-insensitively.
-    pub fn is_keyword(&self, kw: &str) -> bool {
+    pub(crate) fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, Token::Word(w) if w.eq_ignore_ascii_case(kw))
     }
 }
 
 /// Tokenizes a SPARQL query string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

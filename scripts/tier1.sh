@@ -315,6 +315,10 @@ expect_exit_2() {
 expect_exit_2 --watchdog
 expect_exit_2 --scale x
 
+# Clippy clean, warnings as errors. A function under crates/*/src is pub only
+# when something outside its crate calls it (DESIGN §6), so rustc's
+# dead_code lint sees every other caller: this step also fails on a
+# crate-internal function that has lost its last non-test caller.
 echo "== cargo clippy -D warnings (offline) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
