@@ -537,7 +537,10 @@ mod tests {
     use fedlake_datagen::LakeConfig;
 
     fn setup() -> ExperimentSetup {
-        ExperimentSetup { lake: LakeConfig { scale: 0.05, ..Default::default() }, run_seed: 7 }
+        ExperimentSetup {
+            lake: LakeConfig { scale: 0.05, ..Default::default() },
+            ..Default::default()
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ mod tests {
     fn run_query_produces_outcome() {
         let setup = ExperimentSetup {
             lake: LakeConfig { scale: 0.1, ..Default::default() },
-            run_seed: 7,
+            ..Default::default()
         };
         let q = workload::q1();
         let o = run_query(
@@ -149,7 +149,7 @@ mod tests {
     fn matrix_covers_all_cells() {
         let setup = ExperimentSetup {
             lake: LakeConfig { scale: 0.05, ..Default::default() },
-            run_seed: 7,
+            ..Default::default()
         };
         let queries = vec![workload::q1()];
         let outcomes = run_matrix(

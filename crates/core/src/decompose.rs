@@ -96,7 +96,6 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-
     /// Variables bound on every answer of the required part: star
     /// variables plus the variables bound by **all** branches of each
     /// union block (optionals bind only conditionally).
@@ -315,7 +314,9 @@ mod tests {
         assert_eq!(d.stars[0].filters.len(), 1);
         assert!(d.cross_filters.is_empty());
         // The stars share ?g.
-        assert!(d.stars.iter().all(|s| s.vars().contains(&Var::new("g"))));
+        let b = d.stars[1].vars();
+        let shared: Vec<Var> = d.stars[0].vars().into_iter().filter(|v| b.contains(v)).collect();
+        assert_eq!(shared, vec![Var::new("g")]);
     }
 
     #[test]
@@ -342,6 +343,14 @@ mod tests {
         let star = &d.stars[0];
         assert_eq!(star.vars().len(), 3);
         assert_eq!(star.predicates(), vec!["http://v/label", "http://v/species"]);
+        let object_of = |p: &str| {
+            star.triples
+                .iter()
+                .find(|t| t.p.as_term().and_then(Term::as_iri) == Some(p))
+                .and_then(|t| t.o.as_var())
+        };
+        assert_eq!(object_of("http://v/label"), Some(&Var::new("l")));
+        assert!(object_of("http://nope").is_none());
     }
 
     #[test]

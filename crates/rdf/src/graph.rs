@@ -132,17 +132,6 @@ impl Graph {
         t
     }
 
-    /// Removes a triple. Returns true when it was present.
-    pub fn remove(&mut self, t: Triple) -> bool {
-        let ix = Arc::make_mut(&mut self.triples);
-        let removed = ix.spo.remove(&(t.s.0, t.p.0, t.o.0));
-        if removed {
-            ix.pos.remove(&(t.p.0, t.o.0, t.s.0));
-            ix.osp.remove(&(t.o.0, t.s.0, t.p.0));
-        }
-        removed
-    }
-
     /// Number of triples.
     pub fn len(&self) -> usize {
         self.triples.spo.len()
@@ -273,17 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_updates_all_indexes() {
-        let mut g = Graph::new();
-        let t = g.insert_terms(Term::iri("s"), Term::iri("p"), Term::iri("o"));
-        assert!(g.remove(t));
-        assert!(!g.remove(t));
-        assert!(g.is_empty());
-        assert!(g.match_pattern(&TriplePattern::any().with_p(t.p)).is_empty());
-        assert!(g.match_pattern(&TriplePattern::any().with_o(t.o)).is_empty());
-    }
-
-    #[test]
     fn pattern_by_subject() {
         let g = sample();
         let s1 = g.id(&Term::iri("s1")).unwrap();
@@ -403,7 +381,7 @@ mod tests {
         // The other way round: the original moves on, the clone stays.
         g.insert_terms(Term::iri("s9"), Term::iri("p1"), Term::iri("o1"));
         assert!(c.id(&Term::iri("s9")).is_none());
-        assert!(!g.remove(t) && c.remove(t));
-        assert_eq!((g.len(), c.len()), (6, 5));
+        assert!(!g.contains(t) && c.contains(t));
+        assert_eq!((g.len(), c.len()), (6, 6));
     }
 }

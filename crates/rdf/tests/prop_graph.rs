@@ -68,30 +68,3 @@ fn pattern_matching_agrees_with_full_scan() {
     }
 }
 
-/// Insert/remove keeps all three indexes consistent.
-#[test]
-fn remove_restores_previous_state() {
-    let mut rng = Prng::seed_from_u64(0x9a7e_0002);
-    for _ in 0..128 {
-        let triples = arb_triples(&mut rng);
-        let mut g = Graph::new();
-        let mut inserted = Vec::new();
-        for (s, p, o) in &triples {
-            inserted.push(g.insert_terms(s.clone(), p.clone(), o.clone()));
-        }
-        let full_len = g.len();
-        // Remove every other triple, then verify matching still agrees.
-        let removed: Vec<_> = inserted.iter().copied().step_by(2).collect();
-        for t in &removed {
-            g.remove(*t);
-        }
-        assert!(g.len() <= full_len);
-        for t in &removed {
-            assert!(!g.contains(*t));
-            // All three index-backed access paths must agree it is gone.
-            assert!(!g.match_pattern(&TriplePattern::any().with_s(t.s)).contains(t));
-            assert!(!g.match_pattern(&TriplePattern::any().with_p(t.p)).contains(t));
-            assert!(!g.match_pattern(&TriplePattern::any().with_o(t.o)).contains(t));
-        }
-    }
-}

@@ -49,5 +49,5 @@ pub use cache::{CacheStats, VersionedCache};
 pub use db::{BorrowedResult, Database, ResultSet};
 pub use error::SqlError;
 pub use exec::CostStats;
-pub use schema::{Column, ForeignKey, IndexDef, TableSchema};
+pub use schema::{Column, IndexDef, TableSchema};
 pub use value::{DataType, Value};

@@ -25,18 +25,6 @@ impl Column {
     }
 }
 
-/// A foreign-key constraint: `columns` of this table reference
-/// `ref_columns` of `ref_table`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForeignKey {
-    /// Referencing columns.
-    pub columns: Vec<String>,
-    /// Referenced table.
-    pub ref_table: String,
-    /// Referenced columns.
-    pub ref_columns: Vec<String>,
-}
-
 /// A secondary-index definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
@@ -57,8 +45,6 @@ pub struct TableSchema {
     pub columns: Vec<Column>,
     /// Primary-key columns (always implicitly indexed).
     pub primary_key: Vec<String>,
-    /// Foreign keys.
-    pub foreign_keys: Vec<ForeignKey>,
 }
 
 impl TableSchema {
@@ -68,7 +54,6 @@ impl TableSchema {
             name: name.into().to_lowercase(),
             columns,
             primary_key: Vec::new(),
-            foreign_keys: Vec::new(),
         }
     }
 

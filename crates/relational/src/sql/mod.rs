@@ -3,7 +3,8 @@
 //! Supported statements:
 //!
 //! * `CREATE TABLE t (col TYPE [NOT NULL] [PRIMARY KEY], …,
-//!   [PRIMARY KEY (a, b)], [FOREIGN KEY (a) REFERENCES t2 (b)])`
+//!   [PRIMARY KEY (a, b)], [FOREIGN KEY (a) REFERENCES t2 (b)])`; a
+//!   foreign key is checked and dropped, since no plan reads one
 //! * `CREATE [UNIQUE] INDEX name ON t (col, …)`
 //! * `INSERT INTO t VALUES (…), (…)`
 //! * `SELECT [DISTINCT] cols | * FROM t [alias]

@@ -77,6 +77,17 @@ impl Parser {
         }
     }
 
+    /// A parenthesised, comma-separated identifier list: `(a, b)`.
+    fn ident_list(&mut self) -> Result<Vec<String>, SqlError> {
+        self.expect_punct("(")?;
+        let mut out = vec![self.ident()?];
+        while self.eat_punct(",") {
+            out.push(self.ident()?);
+        }
+        self.expect_punct(")")?;
+        Ok(out)
+    }
+
     fn statement(&mut self) -> Result<Statement, SqlError> {
         if self.eat_kw("EXPLAIN") {
             self.expect_kw("SELECT")?;
@@ -109,44 +120,15 @@ impl Parser {
             if self.peek().is_kw("PRIMARY") {
                 self.bump();
                 self.expect_kw("KEY")?;
-                self.expect_punct("(")?;
-                let mut pk = Vec::new();
-                loop {
-                    pk.push(self.ident()?);
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-                self.expect_punct(")")?;
-                schema.primary_key = pk;
+                schema.primary_key = self.ident_list()?;
             } else if self.peek().is_kw("FOREIGN") {
+                // Checked and dropped: no plan reads a foreign key.
                 self.bump();
                 self.expect_kw("KEY")?;
-                self.expect_punct("(")?;
-                let mut cols = Vec::new();
-                loop {
-                    cols.push(self.ident()?);
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-                self.expect_punct(")")?;
+                self.ident_list()?;
                 self.expect_kw("REFERENCES")?;
-                let ref_table = self.ident()?;
-                self.expect_punct("(")?;
-                let mut ref_cols = Vec::new();
-                loop {
-                    ref_cols.push(self.ident()?);
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-                self.expect_punct(")")?;
-                schema.foreign_keys.push(crate::schema::ForeignKey {
-                    columns: cols,
-                    ref_table,
-                    ref_columns: ref_cols,
-                });
+                self.ident()?;
+                self.ident_list()?;
             } else {
                 let col_name = self.ident()?;
                 let dt = match self.bump() {
@@ -197,15 +179,7 @@ impl Parser {
         let name = self.ident()?;
         self.expect_kw("ON")?;
         let table = self.ident()?;
-        self.expect_punct("(")?;
-        let mut columns = Vec::new();
-        loop {
-            columns.push(self.ident()?);
-            if !self.eat_punct(",") {
-                break;
-            }
-        }
-        self.expect_punct(")")?;
+        let columns = self.ident_list()?;
         Ok(Statement::CreateIndex { name, table, columns, unique })
     }
 
@@ -433,12 +407,13 @@ mod tests {
         .unwrap();
         match stmt {
             Statement::CreateTable(s) => {
-                assert_eq!(s.primary_key.len(), 2);
-                assert_eq!(s.foreign_keys.len(), 1);
-                assert_eq!(s.foreign_keys[0].ref_table, "gene");
+                assert_eq!(s.primary_key, vec!["gene", "disease"]);
+                assert_eq!(s.columns.len(), 2);
             }
             other => panic!("expected CreateTable, got {other:?}"),
         }
+        assert!(parse("CREATE TABLE gd (gene TEXT, FOREIGN KEY (gene) gene (id))").is_err());
+        assert!(parse("CREATE TABLE gd (gene TEXT, FOREIGN KEY () REFERENCES gene (id))").is_err());
     }
 
     #[test]

@@ -587,7 +587,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(filters(&q).len(), 1);
-        assert!(matches!(filters(&q)[0], Expr::Contains(_, _)));
+        match filters(&q)[0] {
+            Expr::Contains(a, b) => {
+                assert!(matches!(&**a, Expr::Str(inner) if matches!(**inner, Expr::Var(_))));
+                assert!(matches!(**b, Expr::Const(_)));
+            }
+            other => panic!("expected CONTAINS, got {other:?}"),
+        }
     }
 
     #[test]
