@@ -8,9 +8,8 @@
 //! engine operators.
 
 use crate::decompose::StarSubquery;
-use crate::planner::VerdictKey;
+use crate::planner::{LiftPlan, VerdictKey};
 use crate::translate::TranslatedQuery;
-use crate::wrapper::LiftPlan;
 use fedlake_sparql::binding::Var;
 use fedlake_sparql::expr::Expr;
 use std::sync::Arc;

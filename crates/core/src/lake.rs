@@ -243,12 +243,8 @@ impl DataLake {
                     &lifted
                 }
             };
-            for t in g.iter() {
-                out.insert_terms(
-                    g.term(t.s).expect("interned").clone(),
-                    g.term(t.p).expect("interned").clone(),
-                    g.term(t.o).expect("interned").clone(),
-                );
+            for [s, p, o] in g.iter_terms() {
+                out.insert_terms((**s).clone(), (**p).clone(), (**o).clone());
             }
         }
         out
@@ -421,7 +417,7 @@ mod tests {
             TableMapping::new(
                 "item",
                 format!("http://v/{id}/Item"),
-                IriTemplate::new(format!("http://d/{id}/item/{{}}")),
+                IriTemplate::new(format!("http://d/{id}/item/"), ""),
                 "id",
             )
             .with_literal("kind", "http://v/kind"),

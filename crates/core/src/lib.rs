@@ -53,6 +53,9 @@
 //! assert_eq!(result.rows.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod config;
 pub mod decompose;
 pub mod engine;

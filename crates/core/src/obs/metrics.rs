@@ -61,14 +61,13 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `v` to the counter `name` (created at zero).
+    /// Adds `v` to the counter `name` (created at zero). Like every write,
+    /// it names its kind: a key last written as another kind starts over
+    /// as this one.
     pub(crate) fn counter_add(&mut self, name: &str, v: u64) {
         match self.entries.get_mut(name) {
             Some(Metric::Counter(c)) => *c += v,
-            Some(other) => panic!("metric {name} is not a counter: {other:?}"),
-            None => {
-                self.entries.insert(name.to_string(), Metric::Counter(v));
-            }
+            _ => self.put(name, Metric::Counter(v)),
         }
     }
 
@@ -79,10 +78,7 @@ impl MetricsRegistry {
                 *last = v;
                 *max = (*max).max(v);
             }
-            Some(other) => panic!("metric {name} is not a gauge: {other:?}"),
-            None => {
-                self.entries.insert(name.to_string(), Metric::Gauge { last: v, max: v });
-            }
+            _ => self.put(name, Metric::Gauge { last: v, max: v }),
         }
     }
 
@@ -95,12 +91,13 @@ impl MetricsRegistry {
                 *min = (*min).min(v);
                 *max = (*max).max(v);
             }
-            Some(other) => panic!("metric {name} is not a histogram: {other:?}"),
-            None => {
-                self.entries
-                    .insert(name.to_string(), Metric::Histogram { count: 1, sum: v, min: v, max: v });
-            }
+            _ => self.put(name, Metric::Histogram { count: 1, sum: v, min: v, max: v }),
         }
+    }
+
+    /// Sets `name` to `metric`, whatever it held before.
+    fn put(&mut self, name: &str, metric: Metric) {
+        self.entries.insert(name.to_string(), metric);
     }
 
     /// The metric named `name`, if any.
@@ -127,34 +124,27 @@ impl MetricsRegistry {
     /// the merge of per-session registries equals the registry a single
     /// combined recording would have produced.
     ///
-    /// Panics when the same key names different metric kinds in the two
-    /// registries — the same contract as the typed accessors.
+    /// When the same key names different metric kinds in the two
+    /// registries, the other's metric replaces this one's — the rule of
+    /// the typed writers, where the later write decides the kind.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, metric) in other.iter() {
-            match self.entries.get_mut(name) {
-                None => {
-                    self.entries.insert(name.to_string(), *metric);
+            match (self.entries.get_mut(name), metric) {
+                (Some(Metric::Counter(c)), Metric::Counter(o)) => *c += o,
+                (Some(Metric::Gauge { last, max }), Metric::Gauge { last: ol, max: om }) => {
+                    *last = *ol;
+                    *max = (*max).max(*om);
                 }
-                Some(Metric::Counter(c)) => match metric {
-                    Metric::Counter(o) => *c += o,
-                    other => panic!("metric {name} is not a counter: {other:?}"),
-                },
-                Some(Metric::Gauge { last, max }) => match metric {
-                    Metric::Gauge { last: ol, max: om } => {
-                        *last = *ol;
-                        *max = (*max).max(*om);
-                    }
-                    other => panic!("metric {name} is not a gauge: {other:?}"),
-                },
-                Some(Metric::Histogram { count, sum, min, max }) => match metric {
-                    Metric::Histogram { count: oc, sum: os, min: omin, max: omax } => {
-                        *count += oc;
-                        *sum += os;
-                        *min = (*min).min(*omin);
-                        *max = (*max).max(*omax);
-                    }
-                    other => panic!("metric {name} is not a histogram: {other:?}"),
-                },
+                (
+                    Some(Metric::Histogram { count, sum, min, max }),
+                    Metric::Histogram { count: oc, sum: os, min: omin, max: omax },
+                ) => {
+                    *count += oc;
+                    *sum += os;
+                    *min = (*min).min(*omin);
+                    *max = (*max).max(*omax);
+                }
+                _ => self.put(name, *metric),
             }
         }
     }
@@ -275,12 +265,14 @@ mod tests {
         a.counter_add("c", 2);
         a.gauge_set("g", 5);
         a.observe("h", 10);
+        a.counter_add("k", 1);
         let mut b = MetricsRegistry::new();
         b.counter_add("c", 3);
         b.counter_add("only_b", 1);
         b.gauge_set("g", 3);
         b.observe("h", 2);
         b.observe("h", 20);
+        b.gauge_set("k", 4);
 
         let mut merged = a.clone();
         merged.merge(&b);
@@ -289,15 +281,19 @@ mod tests {
         combined.counter_add("c", 2);
         combined.gauge_set("g", 5);
         combined.observe("h", 10);
+        combined.counter_add("k", 1);
         combined.counter_add("c", 3);
         combined.counter_add("only_b", 1);
         combined.gauge_set("g", 3);
         combined.observe("h", 2);
         combined.observe("h", 20);
+        combined.gauge_set("k", 4);
         assert_eq!(merged, combined);
         assert_eq!(merged.counter("c"), 5);
         assert_eq!(merged.get("g"), Some(Metric::Gauge { last: 3, max: 5 }));
         assert_eq!(merged.get("h"), Some(Metric::Histogram { count: 3, sum: 32, min: 2, max: 20 }));
+        // A key of two kinds takes the later write's kind.
+        assert_eq!(merged.get("k"), Some(Metric::Gauge { last: 4, max: 4 }));
     }
 
     #[test]

@@ -787,7 +787,7 @@ impl Conjunct {
 impl<'a> FilterOp<'a> {
     /// Creates a filter over `input`, whose rows are laid out by `schema`.
     /// `keys` holds the planner's memo key of each of `exprs`
-    /// ([`crate::planner::filter_verdict_keys`]); an expression with one
+    /// (`planner::filter_verdict_keys`); an expression with one
     /// starts from what `memo` holds under it, and an expression without
     /// one (or past the end of `keys`) decides its ids for this filter
     /// alone.

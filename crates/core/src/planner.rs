@@ -33,7 +33,6 @@ use crate::translate::{
     push_filter, sql_merged, sql_single, star_column, star_part, Lift, OutputBinding, SqlFilter,
     StarColumn, StarPart,
 };
-use crate::wrapper::LiftPlan;
 use fedlake_mapping::TableMapping;
 use fedlake_netsim::CostModel;
 use fedlake_relational::{DataType, Database, TableSchema};
@@ -294,6 +293,55 @@ fn lower(plan: &mut FedPlan, filter: Option<&[Expr]>, cx: &Lowering<'_>) {
     }
 }
 
+/// Which cells of a SQL leaf's answer the plan reads: decided once per plan
+/// by the lowering walk (`lower`) and cached with the plan, on the leaf or
+/// bind-join target it belongs to. Only this module builds one other than
+/// the default: the fields are private, and so is `LiftPlan::new`. A
+/// column no operator above the leaf reads is not lifted: its cells stay
+/// `TermId::UNBOUND`. The guards are the one-slot conjuncts of an engine
+/// FILTER directly over the leaf, on slots the leaf binds. Their
+/// columns are lifted for every row, and a row one of them rejects keeps
+/// only those cells: the FILTER drops it whatever the others hold, and
+/// still counts and charges every conjunct on it. The default plan lifts
+/// everything.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LiftPlan {
+    unread: Vec<Var>,
+    guards: Vec<Expr>,
+    /// Both of the above as text: what the plan adds to its leaf's
+    /// lift-cache signature, since two plans of one request that lift
+    /// different cells must not share an entry. Empty for the default.
+    key: String,
+}
+
+impl LiftPlan {
+    /// The plan that leaves `unread` unlifted and lifts the other cells of
+    /// a row only when the row passes every guard.
+    fn new(unread: Vec<Var>, guards: Vec<Expr>) -> Self {
+        if unread.is_empty() && guards.is_empty() {
+            return LiftPlan::default();
+        }
+        let names: Vec<&str> = unread.iter().map(Var::name).collect();
+        let key = format!(":lift{names:?}{guards:?}");
+        LiftPlan { unread, guards, key }
+    }
+
+    /// The variables whose cells stay unbound.
+    pub fn unread(&self) -> &[Var] {
+        &self.unread
+    }
+
+    /// The conjuncts a row must pass to be lifted in full.
+    pub fn guards(&self) -> &[Expr] {
+        &self.guards
+    }
+
+    /// What the plan adds to its leaf's cache signature.
+    pub(crate) fn key(&self) -> &str {
+        &self.key
+    }
+}
+
 /// A SQL leaf's plan: the output variables nothing reads, and the
 /// conjuncts of `filter` that read exactly one slot the leaf binds.
 fn sql_lift_plan(
@@ -324,13 +372,14 @@ fn sql_lift_plan(
 /// because a variable the schema does not know reads as unbound, so one
 /// text can be two functions of the slot's id: `?a = "x" || BOUND(?b)` in
 /// a query that binds `?a`, and in one that binds `?b`. Only
-/// [`filter_verdict_keys`] renders one, once per plan.
+/// `filter_verdict_keys`, private to this module, renders one, once per
+/// plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerdictKey(Arc<str>);
 
 /// The memo key of each of `exprs`, the conjuncts of a FILTER over rows
 /// laid out by `schema`; `None` for a conjunct that reads no slot or two.
-pub fn filter_verdict_keys(exprs: &[Expr], schema: &RowSchema) -> Box<[Option<VerdictKey>]> {
+fn filter_verdict_keys(exprs: &[Expr], schema: &RowSchema) -> Box<[Option<VerdictKey>]> {
     exprs
         .iter()
         .map(|e| {
@@ -1481,6 +1530,9 @@ fn order_units_by_cost(
 }
 
 #[cfg(test)]
+mod filter_verdicts;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fedlake_mapping::{DatasetMapping, IriTemplate};
@@ -1497,7 +1549,7 @@ mod tests {
         db.execute("INSERT INTO disease VALUES ('d0', 'asthma')").unwrap();
         db.execute("CREATE INDEX idx_gene_disease ON gene (disease)").unwrap();
         let (gene_iri, disease_iri) =
-            (IriTemplate::new("http://d/gene/{}"), IriTemplate::new("http://d/disease/{}"));
+            (IriTemplate::new("http://d/gene/", ""), IriTemplate::new("http://d/disease/", ""));
         let mapping = DatasetMapping::new("d")
             .with_table(
                 TableMapping::new("gene", "http://v/Gene", gene_iri, "id")
@@ -1546,7 +1598,7 @@ mod tests {
     #[test]
     fn a_naive_merge_plans_as_a_bind_join_of_batch_one() {
         let lake = gene_disease_lake();
-        let disease_iri = IriTemplate::new("http://d/disease/{}");
+        let disease_iri = IriTemplate::new("http://d/disease/", "");
         let query = parse_query(
             "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
              ?d <http://v/name> ?n . FILTER(?n != \"cancer\") }",

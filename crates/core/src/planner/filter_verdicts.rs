@@ -14,11 +14,9 @@
 //! `Double`, NaN and ±0.0, language-tagged, malformed numeric and
 //! `xsd:boolean` literals, IRIs and unbound slots.
 
-use fedlake_core::operators::{
-    ExecCtx, FilterOp, RowsOp, SharedVerdictMemo, VerdictStats, VERDICT_CELLS,
-};
-use fedlake_core::planner::filter_verdict_keys;
-use fedlake_core::wrapper::drain;
+use super::filter_verdict_keys;
+use crate::operators::{ExecCtx, FilterOp, RowsOp, SharedVerdictMemo, VerdictStats, VERDICT_CELLS};
+use crate::wrapper::drain;
 use fedlake_netsim::clock::shared_virtual;
 use fedlake_netsim::CostModel;
 use fedlake_prng::Prng;

@@ -409,8 +409,12 @@ impl FederatedEngine {
         metrics.gauge_set("serve.liftcache.stale", lc.stale);
         metrics.gauge_set("serve.liftcache.evictions", lc.evictions);
 
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| o.ok_or_else(|| FedError::Internal("serve ended with a job not finalized".into())))
+            .collect::<Result<_, _>>()?;
         Ok(ServeOutcome {
-            outcomes: outcomes.into_iter().map(|o| o.expect("every job finalized")).collect(),
+            outcomes,
             makespan,
             metrics,
             recording: self.recorder().snapshot(),

@@ -82,7 +82,7 @@ mod tests {
             TableMapping::new(
                 "gene",
                 "http://v/Gene",
-                IriTemplate::new("http://d/gene/{}"),
+                IriTemplate::new("http://d/gene/", ""),
                 "id",
             )
             .with_literal("label", "http://v/label"),

@@ -526,9 +526,9 @@ mod tests {
         db.execute("INSERT INTO gene VALUES ('g2', 'TP53', 'd0')").unwrap();
         db.execute("INSERT INTO gene VALUES ('g3', 'EGFR', NULL)").unwrap();
         let mapping = DatasetMapping::new("d").with_table(
-            TableMapping::new("gene", "http://v/Gene", IriTemplate::new("http://d/gene/{}"), "id")
+            TableMapping::new("gene", "http://v/Gene", IriTemplate::new("http://d/gene/", ""), "id")
                 .with_literal("label", "http://v/label")
-                .with_reference("disease", "http://v/disease", IriTemplate::new("http://d/disease/{}")),
+                .with_reference("disease", "http://v/disease", IriTemplate::new("http://d/disease/", "")),
         );
         DataSource::relational("d", db, mapping)
     }
@@ -608,7 +608,7 @@ mod tests {
         }
         db.create_index("loose", "u_code", &["code".into()], true).unwrap();
         db.execute("INSERT INTO item VALUES ('k0', 'v0', 'v0', 1.5, NULL)").unwrap();
-        let iri = |t: &str| IriTemplate::new(format!("http://d/{t}/{{}}"));
+        let iri = |t: &str| IriTemplate::new(format!("http://d/{t}/"), "");
         let mapping = DatasetMapping::new("p")
             .with_table(
                 TableMapping::new("item", "http://v/Item", iri("item"), "id")

@@ -81,6 +81,9 @@ impl AnswerTrace {
     /// `n + 1`: the final point is always kept). `n == 0` disables
     /// downsampling and returns the full trace.
     pub fn downsample(&self, n: usize) -> Vec<(Duration, u64)> {
+        let Some(&last) = self.points.last() else {
+            return Vec::new();
+        };
         if self.points.len() <= n || n == 0 {
             return self.points.clone();
         }
@@ -88,7 +91,6 @@ impl AnswerTrace {
         let mut out: Vec<(Duration, u64)> = (0..n)
             .map(|i| self.points[(i as f64 * step) as usize])
             .collect();
-        let last = *self.points.last().expect("non-empty by length check");
         if out.last() != Some(&last) {
             out.push(last);
         }

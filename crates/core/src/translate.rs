@@ -482,7 +482,7 @@ mod tests {
         TableMapping::new(
             "gene",
             "http://v/Gene",
-            IriTemplate::new("http://d/gene/{}"),
+            IriTemplate::new("http://d/gene/", ""),
             "id",
         )
         .with_literal("label", "http://v/label")
@@ -490,7 +490,7 @@ mod tests {
         .with_reference(
             "disease",
             "http://v/disease",
-            IriTemplate::new("http://d/disease/{}"),
+            IriTemplate::new("http://d/disease/", ""),
         )
     }
 
@@ -651,7 +651,7 @@ mod tests {
         let disease_tm = TableMapping::new(
             "disease",
             "http://v/Disease",
-            IriTemplate::new("http://d/disease/{}"),
+            IriTemplate::new("http://d/disease/", ""),
             "id",
         )
         .with_literal("name", "http://v/name");

@@ -85,7 +85,7 @@ impl<'a> BindJoinOp<'a> {
     /// the target's [`LiftPlan`] says; the engine resolves the route from
     /// the target's routing decision.
     ///
-    /// [`LiftPlan`]: super::LiftPlan
+    /// [`LiftPlan`]: crate::planner::LiftPlan
     pub fn new(
         left: BoxedOp<'a>,
         target: &'a BindTarget,

@@ -1,7 +1,7 @@
 //! One-shot leaves: what a leaf asks of its source, the message-batched
 //! delivery of the answer, and the stream over both.
 
-use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftPlan, LiftedSource};
+use super::lift::{lift_result_cols, LiftKey, LiftKeyParts, LiftedSource};
 use super::bind::bind_batch_query;
 use super::route::{message_size, schedule_transfer_with_retry, Landing, SourceRoute};
 use crate::error::FedError;
@@ -9,6 +9,7 @@ use crate::fedplan::{BindTarget, ServiceKind, ServiceNode};
 use crate::lake::DataLake;
 use crate::obs::SourceSpan;
 use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
+use crate::planner::LiftPlan;
 use crate::source::DataSource;
 use crate::translate::{sql_single, Lift, OutputBinding, TranslatedQuery};
 use fedlake_rdf::TermId;

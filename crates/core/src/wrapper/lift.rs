@@ -2,6 +2,7 @@
 //! source results.
 
 use crate::operators::Conjunct;
+use crate::planner::LiftPlan;
 use crate::translate::{Lift, OutputBinding};
 use fedlake_mapping::lift::value_key_in;
 use fedlake_mapping::xsd_for;
@@ -9,8 +10,7 @@ use fedlake_netsim::cost::fedlake_relational_cost;
 use fedlake_rdf::{BuildFastHasher, Dictionary, TermId};
 use fedlake_relational::cache::{CacheStats, VersionedCache};
 use fedlake_relational::{BorrowedResult, ResultSet, Value};
-use fedlake_sparql::binding::{RowArena, RowSchema, Var};
-use fedlake_sparql::expr::Expr;
+use fedlake_sparql::binding::{RowArena, RowSchema};
 use std::sync::Arc;
 
 /// Converts the relational engine's counters to the netsim mirror type.
@@ -86,55 +86,6 @@ pub fn lift_result(
     out
 }
 
-/// Which cells of a SQL leaf's answer the plan reads: decided once per plan
-/// by the planner's lowering walk (`planner::lower`) and cached with the
-/// plan, on the leaf or bind-join target it belongs to. A column no
-/// operator above the leaf reads is not lifted: its cells stay
-/// [`TermId::UNBOUND`]. The guards are the one-slot conjuncts of an engine
-/// FILTER directly over the leaf, on slots the leaf binds. Their
-/// columns are lifted for every row, and a row one of them rejects keeps
-/// only those cells: the FILTER drops it whatever the others hold, and
-/// still counts and charges every conjunct on it. The default plan lifts
-/// everything.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LiftPlan {
-    unread: Vec<Var>,
-    guards: Vec<Expr>,
-    /// Both of the above as text: what the plan adds to its leaf's
-    /// [`LiftKey`] signature, since two plans of one request that lift
-    /// different cells must not share an entry. Empty for the default.
-    key: String,
-}
-
-impl LiftPlan {
-    /// The plan that leaves `unread` unlifted and lifts the other cells of
-    /// a row only when the row passes every guard. The planner builds it,
-    /// once per plan; nothing at execution time does.
-    pub(crate) fn new(unread: Vec<Var>, guards: Vec<Expr>) -> Self {
-        if unread.is_empty() && guards.is_empty() {
-            return LiftPlan::default();
-        }
-        let names: Vec<&str> = unread.iter().map(Var::name).collect();
-        let key = format!(":lift{names:?}{guards:?}");
-        LiftPlan { unread, guards, key }
-    }
-
-    /// The variables whose cells stay unbound.
-    pub fn unread(&self) -> &[Var] {
-        &self.unread
-    }
-
-    /// The conjuncts a row must pass to be lifted in full.
-    pub fn guards(&self) -> &[Expr] {
-        &self.guards
-    }
-
-    /// What the plan adds to its leaf's cache signature.
-    pub(super) fn key(&self) -> &str {
-        &self.key
-    }
-}
-
 /// Column-at-a-time lift of a SQL result, read where it lies in the
 /// source's tables, strided into rows of the schema's width, and no `Value`
 /// copied on the way, under the leaf's [`LiftPlan`]. A cell that is lifted
@@ -152,12 +103,12 @@ pub(super) fn lift_result_cols(
     let (n, width) = (rs.rows.len(), schema.len());
     let mut ids = vec![TermId::UNBOUND; n * width];
     let mut scratch = LiftScratch::default();
-    let mut guards: Vec<Conjunct> = plan.guards.iter().map(|e| Conjunct::new(e, schema)).collect();
+    let mut guards: Vec<Conjunct> = plan.guards().iter().map(|e| Conjunct::new(e, schema)).collect();
     // The slot each column lifts into, and whether a guard reads it.
     let targets: Vec<Option<(usize, bool)>> = outputs
         .iter()
         .map(|ob| {
-            let slot = schema.slot(&ob.var).filter(|_| !plan.unread.contains(&ob.var))?;
+            let slot = schema.slot(&ob.var).filter(|_| !plan.unread().contains(&ob.var))?;
             Some((slot, guards.iter().any(|g| g.slot() == Some(slot))))
         })
         .collect();

@@ -23,7 +23,7 @@ mod route;
 pub use bind::{bind_batch_query, BindJoinOp};
 pub use leaf::open_service;
 pub(crate) use lift::schema_fingerprint;
-pub use lift::{lift_result, LiftCache, LiftPlan, LiftedSource, SharedLiftCache};
+pub use lift::{lift_result, LiftCache, LiftedSource, SharedLiftCache};
 pub(crate) use route::links_for;
 pub use route::{
     route_for, schedule_rows_with_retry, schedule_transfer_with_retry, source_failures,
@@ -52,6 +52,7 @@ pub fn drain(op: &mut dyn FedOp, ctx: &mut ExecCtx) -> Result<Vec<RowId>, FedErr
 mod tests {
     use super::leaf::{lifted, LeafRequest};
     use super::lift::{lift_result_cols, LiftKey};
+    use crate::planner::LiftPlan;
     use super::*;
     use crate::decompose::decompose;
     use crate::fedplan::{BindTarget, FedPlan, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
@@ -93,21 +94,21 @@ mod tests {
                 TableMapping::new(
                     "gene",
                     "http://v/Gene",
-                    IriTemplate::new("http://d/gene/{}"),
+                    IriTemplate::new("http://d/gene/", ""),
                     "id",
                 )
                 .with_literal("label", "http://v/label")
                 .with_reference(
                     "disease",
                     "http://v/disease",
-                    IriTemplate::new("http://d/disease/{}"),
+                    IriTemplate::new("http://d/disease/", ""),
                 ),
             )
             .with_table(
                 TableMapping::new(
                     "disease",
                     "http://v/Disease",
-                    IriTemplate::new("http://d/disease/{}"),
+                    IriTemplate::new("http://d/disease/", ""),
                     "id",
                 )
                 .with_literal("name", "http://v/name"),
@@ -141,8 +142,8 @@ mod tests {
     fn both_lifts_assign_the_ids_of_the_whole_term_route() {
         use fedlake_mapping::lift::{value_key, value_to_term};
         use fedlake_relational::DataType;
-        let gene = IriTemplate::new("http://d/gene/{}");
-        let page = IriTemplate::new("http://d/{}.html");
+        let gene = IriTemplate::new("http://d/gene/", "");
+        let page = IriTemplate::new("http://d/", ".html");
         let lifts = [
             Lift::SubjectIri(gene.clone()),
             Lift::RefIri(page.clone()),

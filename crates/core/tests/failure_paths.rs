@@ -29,7 +29,7 @@ fn mapping_to_missing_table_fails_at_planning() {
         TableMapping::new(
             "nonexistent",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label")),
@@ -50,7 +50,7 @@ fn mapping_to_missing_column_fails_at_execution() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label"))
@@ -77,7 +77,7 @@ fn mapping_with_wrong_subject_column_errors() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "no_such_key",
         )
         .with_literal("label", &format!("{V}label")),
@@ -98,7 +98,7 @@ fn ground_subject_no_template_minted_answers_nothing() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label")),
@@ -118,7 +118,7 @@ fn plan_against_missing_source_yields_no_such_source() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label")),
@@ -146,7 +146,7 @@ fn parse_errors_surface_as_sparql_errors() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label")),
@@ -162,7 +162,7 @@ fn variable_class_over_relational_source_errors() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://f/gene/{}"),
+            IriTemplate::new("http://f/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label")),

@@ -43,7 +43,7 @@ fn build_lake(index_join_attr: bool) -> (DataLake, Graph) {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://lake.example/affymetrix/gene/{}"),
+            IriTemplate::new("http://lake.example/affymetrix/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label"))
@@ -51,7 +51,7 @@ fn build_lake(index_join_attr: bool) -> (DataLake, Graph) {
         .with_reference(
             "disease",
             &format!("{V}associatedDisease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
         ),
     );
 
@@ -69,7 +69,7 @@ fn build_lake(index_join_attr: bool) -> (DataLake, Graph) {
         TableMapping::new(
             "disease",
             format!("{V}Disease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
             "id",
         )
         .with_literal("name", &format!("{V}name"))
@@ -176,7 +176,7 @@ fn h2_pushes_indexed_filter_only_on_slow_networks() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://lake.example/affymetrix/gene/{}"),
+            IriTemplate::new("http://lake.example/affymetrix/gene/", ""),
             "id",
         )
         .with_literal("species", &format!("{V}species")),
@@ -228,7 +228,7 @@ fn an_integer_filter_answers_the_same_pushed_or_kept() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/counts/reading/{}"),
+            IriTemplate::new("http://lake.example/counts/reading/", ""),
             "id",
         )
         .with_literal("v", &format!("{V}value")),
@@ -270,7 +270,7 @@ fn a_double_filter_answers_the_same_pushed_or_kept() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            IriTemplate::new("http://lake.example/levels/reading/", ""),
             "id",
         )
         .with_literal("x", &format!("{V}level")),
@@ -324,7 +324,7 @@ fn a_not_equal_filter_keeps_a_stored_nan() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            IriTemplate::new("http://lake.example/levels/reading/", ""),
             "id",
         )
         .with_literal("x", &format!("{V}level")),
@@ -377,7 +377,7 @@ fn h1_merges_only_when_join_attribute_indexed() {
             TableMapping::new(
                 "gene",
                 format!("{V}Gene"),
-                IriTemplate::new("http://lake.example/diseasome/gene/{}"),
+                IriTemplate::new("http://lake.example/diseasome/gene/", ""),
                 "id",
             )
             .with_literal("label", &format!("{V}label"))
@@ -385,14 +385,14 @@ fn h1_merges_only_when_join_attribute_indexed() {
             .with_reference(
                 "disease",
                 &format!("{V}associatedDisease"),
-                IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+                IriTemplate::new("http://lake.example/diseasome/disease/", ""),
             ),
         )
         .with_table(
             TableMapping::new(
                 "disease",
                 format!("{V}Disease"),
-                IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+                IriTemplate::new("http://lake.example/diseasome/disease/", ""),
                 "id",
             )
             .with_literal("name", &format!("{V}name"))
@@ -497,12 +497,12 @@ fn naive_merge_translation_is_slower_than_optimized() {
     db.execute("CREATE INDEX idx_a_bref ON a (b_ref)").unwrap();
     let mapping = DatasetMapping::new("d")
         .with_table(
-            TableMapping::new("a", format!("{V}A"), IriTemplate::new("http://d/a/{}"), "id")
+            TableMapping::new("a", format!("{V}A"), IriTemplate::new("http://d/a/", ""), "id")
                 .with_literal("v", &format!("{V}v"))
-                .with_reference("b_ref", &format!("{V}toB"), IriTemplate::new("http://d/b/{}")),
+                .with_reference("b_ref", &format!("{V}toB"), IriTemplate::new("http://d/b/", "")),
         )
         .with_table(
-            TableMapping::new("b", format!("{V}B"), IriTemplate::new("http://d/b/{}"), "id")
+            TableMapping::new("b", format!("{V}B"), IriTemplate::new("http://d/b/", ""), "id")
                 .with_literal("w", &format!("{V}w")),
         );
     let mut lake = DataLake::new();
@@ -641,7 +641,7 @@ fn union_when_multiple_sources_offer_a_class() {
             TableMapping::new(
                 "gene",
                 format!("{V}Gene"),
-                IriTemplate::new(format!("http://lake.example/{id}/gene/{{}}")),
+                IriTemplate::new(format!("http://lake.example/{id}/gene/"), ""),
                 "id",
             )
             .with_literal("label", &format!("{V}label")),
@@ -806,14 +806,14 @@ fn optional_with_unmatched_rows() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://lake.example/affymetrix/gene/{}"),
+            IriTemplate::new("http://lake.example/affymetrix/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label"))
         .with_reference(
             "disease",
             &format!("{V}associatedDisease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
         ),
     );
     let mut dis = Database::new("diseasome");
@@ -826,7 +826,7 @@ fn optional_with_unmatched_rows() {
         TableMapping::new(
             "disease",
             format!("{V}Disease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
             "id",
         )
         .with_literal("name", &format!("{V}name")),
@@ -949,7 +949,7 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
         TableMapping::new(
             "gene",
             format!("{V}Gene"),
-            IriTemplate::new("http://lake.example/affymetrix/gene/{}"),
+            IriTemplate::new("http://lake.example/affymetrix/gene/", ""),
             "id",
         )
         .with_literal("label", &format!("{V}label"))
@@ -957,7 +957,7 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
         .with_reference(
             "disease",
             &format!("{V}associatedDisease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
         ),
     );
     let mut dis = Database::new("diseasome");
@@ -970,7 +970,7 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
         TableMapping::new(
             "disease",
             format!("{V}Disease"),
-            IriTemplate::new("http://lake.example/diseasome/disease/{}"),
+            IriTemplate::new("http://lake.example/diseasome/disease/", ""),
             "id",
         )
         .with_literal("name", &format!("{V}name")),
@@ -1091,7 +1091,7 @@ fn boundary_lake() -> (DataLake, Graph) {
     for c in ["i", "d", "s"] {
         db.execute(&format!("CREATE INDEX idx_t_{c} ON t ({c})")).unwrap();
     }
-    let mut tm = TableMapping::new("t", format!("{V}T"), IriTemplate::new(format!("{T}{{}}")), "id");
+    let mut tm = TableMapping::new("t", format!("{V}T"), IriTemplate::new(T, ""), "id");
     for c in ["i", "d", "s"] {
         tm = tm.with_literal(c, &format!("{V}{c}"));
     }
@@ -1219,7 +1219,7 @@ fn empty_key_lake() -> (DataLake, Graph) {
         db.insert_row("e", vec![Value::text(id), Value::text(s), Value::text(r)]).unwrap();
     }
     db.execute("CREATE INDEX idx_e_r ON e (r)").unwrap();
-    let template = || IriTemplate::new(format!("{E}{{}}"));
+    let template = || IriTemplate::new(E, "");
     let mapping = DatasetMapping::new("empty").with_table(
         TableMapping::new("e", format!("{V}E"), template(), "id")
             .with_literal("s", &format!("{V}s"))
@@ -1314,7 +1314,7 @@ fn a_double_column_is_joined_by_hash_not_bound() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            IriTemplate::new("http://lake.example/levels/reading/", ""),
             "id",
         )
         .with_literal("x", &format!("{V}level")),
@@ -1362,7 +1362,7 @@ fn boundary_h1_joins_no_double_column_in_sql() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            IriTemplate::new("http://lake.example/levels/reading/", ""),
             "id",
         )
         .with_literal("x", &format!("{V}level")),
@@ -1396,7 +1396,7 @@ fn an_int_stored_in_a_double_column_is_a_double() {
         TableMapping::new(
             "reading",
             format!("{V}Reading"),
-            IriTemplate::new("http://lake.example/levels/reading/{}"),
+            IriTemplate::new("http://lake.example/levels/reading/", ""),
             "id",
         )
         .with_literal("x", &format!("{V}level")),

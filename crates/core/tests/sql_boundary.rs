@@ -57,8 +57,8 @@ use fedlake_sparql::expr::{CmpOp, Expr};
 use std::collections::{BTreeMap, HashMap};
 
 const CLASS: &str = "http://lake.example/v/T";
-const SUBJECT: &str = "http://lake.example/t/{}.json";
-const REF: &str = "http://lake.example/r/{}/page";
+const SUBJECT: (&str, &str) = ("http://lake.example/t/", ".json");
+const REF: (&str, &str) = ("http://lake.example/r/", "/page");
 
 /// The columns of `t(id TEXT PRIMARY KEY, i INT, d DOUBLE, s TEXT, b BOOL,
 /// r TEXT)`, in table order: `id` mints the subject, `r` references.
@@ -97,8 +97,8 @@ impl Col {
 
     fn template(self) -> Option<IriTemplate> {
         match self {
-            Col::Subject => Some(IriTemplate::new(SUBJECT)),
-            Col::Ref => Some(IriTemplate::new(REF)),
+            Col::Subject => Some(IriTemplate::new(SUBJECT.0, SUBJECT.1)),
+            Col::Ref => Some(IriTemplate::new(REF.0, REF.1)),
             _ => None,
         }
     }
@@ -149,11 +149,11 @@ impl Col {
 }
 
 fn mapping() -> DatasetMapping {
-    let mut tm = TableMapping::new("t", CLASS, IriTemplate::new(SUBJECT), "id");
+    let mut tm = TableMapping::new("t", CLASS, IriTemplate::new(SUBJECT.0, SUBJECT.1), "id");
     for col in [Col::Int, Col::Double, Col::Text, Col::Bool] {
         tm = tm.with_literal(col.name(), &col.predicate());
     }
-    let tm = tm.with_reference("r", &Col::Ref.predicate(), IriTemplate::new(REF));
+    let tm = tm.with_reference("r", &Col::Ref.predicate(), IriTemplate::new(REF.0, REF.1));
     DatasetMapping::new("lake").with_table(tm)
 }
 
@@ -230,7 +230,7 @@ fn constants(cells: &[Cell]) -> Vec<Term> {
         out.extend(pool::restated(lift));
         out.push(lift.clone());
     }
-    for tmpl in [SUBJECT, REF].map(IriTemplate::new) {
+    for tmpl in [SUBJECT, REF].map(|(prefix, suffix)| IriTemplate::new(prefix, suffix)) {
         out.extend(["x", "a.d", "a0"].map(|k| Term::iri(tmpl.apply(k))));
     }
     out.extend(

@@ -10,7 +10,7 @@
 
 use crate::vocab::{class, entity_template, pred, shared};
 use crate::LakeConfig;
-use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
+use fedlake_mapping::{DatasetMapping, TableMapping};
 use fedlake_relational::stats::column_stats;
 use fedlake_prng::Prng;
 use fedlake_relational::{Database, Value};
@@ -140,7 +140,7 @@ fn chebi(config: &LakeConfig) -> (Database, DatasetMapping) {
         TableMapping::new(
             "compound",
             class("chebi", "Compound"),
-            IriTemplate::new(entity_template("chebi", "compound")),
+            entity_template("chebi", "compound"),
             "id",
         )
         .with_literal("name", &pred("chebi", "name"))
@@ -197,7 +197,7 @@ fn kegg(config: &LakeConfig) -> (Database, DatasetMapping) {
     if config.selection_indexes {
         selection_index(&mut db, "compound", "name");
     }
-    let compound_tmpl = IriTemplate::new(entity_template("kegg", "compound"));
+    let compound_tmpl = entity_template("kegg", "compound");
     let mapping = DatasetMapping::new("kegg")
         .with_table(
             TableMapping::new(
@@ -214,7 +214,7 @@ fn kegg(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "enzyme",
                 class("kegg", "Enzyme"),
-                IriTemplate::new(entity_template("kegg", "enzyme")),
+                entity_template("kegg", "enzyme"),
                 "id",
             )
             .with_literal("name", &pred("kegg", "name"))
@@ -277,7 +277,7 @@ fn drugbank(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "drug",
                 class("drugbank", "Drug"),
-                IriTemplate::new(shared::drug_template()),
+                shared::drug_template(),
                 "id",
             )
             .with_literal("name", &pred("drugbank", "name"))
@@ -288,11 +288,11 @@ fn drugbank(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "drug_target",
                 class("drugbank", "Target"),
-                IriTemplate::new(entity_template("drugbank", "target")),
+                entity_template("drugbank", "target"),
                 "id",
             )
-            .with_reference("drug", &pred("drugbank", "drug"), IriTemplate::new(shared::drug_template()))
-            .with_reference("gene", &pred("drugbank", "gene"), IriTemplate::new(shared::gene_template()))
+            .with_reference("drug", &pred("drugbank", "drug"), shared::drug_template())
+            .with_reference("gene", &pred("drugbank", "gene"), shared::gene_template())
             .with_literal("action", &pred("drugbank", "action")),
         );
     (db, mapping)
@@ -393,7 +393,7 @@ fn diseasome(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "disease",
                 class("diseasome", "Disease"),
-                IriTemplate::new(shared::disease_template()),
+                shared::disease_template(),
                 "id",
             )
             .with_literal("name", &pred("diseasome", "name"))
@@ -404,7 +404,7 @@ fn diseasome(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "gene",
                 class("diseasome", "Gene"),
-                IriTemplate::new(shared::gene_template()),
+                shared::gene_template(),
                 "id",
             )
             .with_literal("label", &pred("diseasome", "label"))
@@ -412,7 +412,7 @@ fn diseasome(config: &LakeConfig) -> (Database, DatasetMapping) {
             .with_reference(
                 "disease",
                 &pred("diseasome", "associatedDisease"),
-                IriTemplate::new(shared::disease_template()),
+                shared::disease_template(),
             ),
         );
     (db, mapping)
@@ -467,7 +467,7 @@ fn diseasome_denormalized(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "gene_disease",
                 class("diseasome", "Gene"),
-                IriTemplate::new(shared::gene_template()),
+                shared::gene_template(),
                 "id",
             )
             .with_literal("label", &pred("diseasome", "label"))
@@ -475,14 +475,14 @@ fn diseasome_denormalized(config: &LakeConfig) -> (Database, DatasetMapping) {
             .with_reference(
                 "disease",
                 &pred("diseasome", "associatedDisease"),
-                IriTemplate::new(shared::disease_template()),
+                shared::disease_template(),
             ),
         )
         .with_table(
             TableMapping::new(
                 "gene_disease",
                 class("diseasome", "Disease"),
-                IriTemplate::new(shared::disease_template()),
+                shared::disease_template(),
                 "disease",
             )
             .with_literal("disease_name", &pred("diseasome", "name"))
@@ -534,7 +534,7 @@ fn sider(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "side_effect",
                 class("sider", "SideEffect"),
-                IriTemplate::new(entity_template("sider", "effect")),
+                entity_template("sider", "effect"),
                 "id",
             )
             .with_literal("name", &pred("sider", "name")),
@@ -543,11 +543,11 @@ fn sider(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "drug_effect",
                 class("sider", "DrugEffect"),
-                IriTemplate::new(entity_template("sider", "drugeffect")),
+                entity_template("sider", "drugeffect"),
                 "id",
             )
-            .with_reference("drug", &pred("sider", "drug"), IriTemplate::new(shared::drug_template()))
-            .with_reference("effect", &pred("sider", "effect"), IriTemplate::new(entity_template("sider", "effect")))
+            .with_reference("drug", &pred("sider", "drug"), shared::drug_template())
+            .with_reference("effect", &pred("sider", "effect"), entity_template("sider", "effect"))
             .with_literal("frequency", &pred("sider", "frequency")),
         );
     (db, mapping)
@@ -606,7 +606,7 @@ fn tcga(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "patient",
                 class("tcga", "Patient"),
-                IriTemplate::new(entity_template("tcga", "patient")),
+                entity_template("tcga", "patient"),
                 "id",
             )
             .with_literal("gender", &pred("tcga", "gender"))
@@ -617,11 +617,11 @@ fn tcga(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "expression",
                 class("tcga", "Expression"),
-                IriTemplate::new(entity_template("tcga", "expression")),
+                entity_template("tcga", "expression"),
                 "id",
             )
-            .with_reference("patient", &pred("tcga", "patient"), IriTemplate::new(entity_template("tcga", "patient")))
-            .with_reference("gene", &pred("tcga", "gene"), IriTemplate::new(shared::gene_template()))
+            .with_reference("patient", &pred("tcga", "patient"), entity_template("tcga", "patient"))
+            .with_reference("gene", &pred("tcga", "gene"), shared::gene_template())
             .with_literal("value", &pred("tcga", "value")),
         );
     (db, mapping)
@@ -663,10 +663,10 @@ fn affymetrix(config: &LakeConfig) -> (Database, DatasetMapping) {
         TableMapping::new(
             "probeset",
             class("affymetrix", "Probeset"),
-            IriTemplate::new(entity_template("affymetrix", "probeset")),
+            entity_template("affymetrix", "probeset"),
             "id",
         )
-        .with_reference("gene", &pred("affymetrix", "gene"), IriTemplate::new(shared::gene_template()))
+        .with_reference("gene", &pred("affymetrix", "gene"), shared::gene_template())
         .with_literal("species", &pred("affymetrix", "scientificName"))
         .with_literal("chip", &pred("affymetrix", "chip")),
     );
@@ -709,7 +709,7 @@ fn linkedct(config: &LakeConfig) -> (Database, DatasetMapping) {
         TableMapping::new(
             "trial",
             class("linkedct", "Trial"),
-            IriTemplate::new(entity_template("linkedct", "trial")),
+            entity_template("linkedct", "trial"),
             "id",
         )
         .with_literal("title", &pred("linkedct", "title"))
@@ -718,7 +718,7 @@ fn linkedct(config: &LakeConfig) -> (Database, DatasetMapping) {
         .with_reference(
             "condition",
             &pred("linkedct", "condition"),
-            IriTemplate::new(shared::disease_template()),
+            shared::disease_template(),
         ),
     );
     (db, mapping)
@@ -772,7 +772,7 @@ fn medicare(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "provider",
                 class("medicare", "Provider"),
-                IriTemplate::new(entity_template("medicare", "provider")),
+                entity_template("medicare", "provider"),
                 "id",
             )
             .with_literal("name", &pred("medicare", "name"))
@@ -782,11 +782,11 @@ fn medicare(config: &LakeConfig) -> (Database, DatasetMapping) {
             TableMapping::new(
                 "prescription",
                 class("medicare", "Prescription"),
-                IriTemplate::new(entity_template("medicare", "prescription")),
+                entity_template("medicare", "prescription"),
                 "id",
             )
-            .with_reference("provider", &pred("medicare", "provider"), IriTemplate::new(entity_template("medicare", "provider")))
-            .with_reference("drug", &pred("medicare", "drug"), IriTemplate::new(shared::drug_template()))
+            .with_reference("provider", &pred("medicare", "provider"), entity_template("medicare", "provider"))
+            .with_reference("drug", &pred("medicare", "drug"), shared::drug_template())
             .with_literal("claim_count", &pred("medicare", "claimCount")),
         );
     (db, mapping)
@@ -821,10 +821,10 @@ fn dailymed(config: &LakeConfig) -> (Database, DatasetMapping) {
         TableMapping::new(
             "label",
             class("dailymed", "Label"),
-            IriTemplate::new(entity_template("dailymed", "label")),
+            entity_template("dailymed", "label"),
             "id",
         )
-        .with_reference("drug", &pred("dailymed", "drug"), IriTemplate::new(shared::drug_template()))
+        .with_reference("drug", &pred("dailymed", "drug"), shared::drug_template())
         .with_literal("dosage", &pred("dailymed", "dosage"))
         .with_literal("route", &pred("dailymed", "route")),
     );

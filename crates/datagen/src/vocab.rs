@@ -1,6 +1,8 @@
 //! The lake's vocabulary: class and predicate IRIs per dataset, plus the
 //! shared entity namespaces that interlink datasets LOD-style.
 
+use fedlake_mapping::IriTemplate;
+
 /// Base IRI of the lake.
 pub const BASE: &str = "http://lake.example/";
 
@@ -17,30 +19,30 @@ pub fn pred(dataset: &str, name: &str) -> String {
     format!("{V}{dataset}/{name}")
 }
 
-/// The entity IRI template pattern for a dataset's entity type, e.g.
+/// The entity IRI template of a dataset's entity type, e.g.
 /// `http://lake.example/diseasome/disease/{}`.
-pub(crate) fn entity_template(dataset: &str, entity: &str) -> String {
-    format!("{BASE}{dataset}/{entity}/{{}}")
+pub(crate) fn entity_template(dataset: &str, entity: &str) -> IriTemplate {
+    IriTemplate::new(format!("{BASE}{dataset}/{entity}/"), "")
 }
 
 /// Shared namespaces: genes and diseases are minted by Diseasome and
 /// referenced from Affymetrix/TCGA/DrugBank/LinkedCT; drugs are minted by
 /// DrugBank and referenced from SIDER/Medicare/DailyMed.
 pub mod shared {
-    use super::entity_template;
+    use super::{entity_template, IriTemplate};
 
     /// The gene namespace (owned by Diseasome).
-    pub(crate) fn gene_template() -> String {
+    pub(crate) fn gene_template() -> IriTemplate {
         entity_template("diseasome", "gene")
     }
 
     /// The disease namespace (owned by Diseasome).
-    pub(crate) fn disease_template() -> String {
+    pub(crate) fn disease_template() -> IriTemplate {
         entity_template("diseasome", "disease")
     }
 
     /// The drug namespace (owned by DrugBank).
-    pub(crate) fn drug_template() -> String {
+    pub(crate) fn drug_template() -> IriTemplate {
         entity_template("drugbank", "drug")
     }
 }
@@ -54,9 +56,9 @@ mod tests {
         assert_eq!(class("diseasome", "Disease"), "http://lake.example/vocab/diseasome/Disease");
         assert_eq!(pred("chebi", "mass"), "http://lake.example/vocab/chebi/mass");
         assert_eq!(
-            entity_template("diseasome", "gene"),
+            entity_template("diseasome", "gene").to_string(),
             "http://lake.example/diseasome/gene/{}"
         );
-        assert!(shared::drug_template().contains("drugbank/drug/"));
+        assert!(shared::drug_template().to_string().contains("drugbank/drug/"));
     }
 }

@@ -23,6 +23,9 @@
 //! over the relational source must return exactly the answers of a local
 //! SPARQL evaluation over the lifted graph.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod lift;
 pub mod mt;
 pub mod template;
@@ -172,14 +175,14 @@ mod tests {
         TableMapping::new(
             "gene",
             "http://lake/vocab/Gene",
-            IriTemplate::new("http://lake/diseasome/gene/{}"),
+            IriTemplate::new("http://lake/diseasome/gene/", ""),
             "id",
         )
         .with_literal("label", "http://www.w3.org/2000/01/rdf-schema#label")
         .with_reference(
             "disease",
             "http://lake/vocab/associatedWith",
-            IriTemplate::new("http://lake/diseasome/disease/{}"),
+            IriTemplate::new("http://lake/diseasome/disease/", ""),
         )
     }
 

@@ -142,7 +142,7 @@ mod tests {
                 TableMapping::new(
                     "gene",
                     "http://v/Gene",
-                    IriTemplate::new("http://d/gene/{}"),
+                    IriTemplate::new("http://d/gene/", ""),
                     "id",
                 )
                 .with_literal("label", "http://v/label")
@@ -152,13 +152,13 @@ mod tests {
                 TableMapping::new(
                     "gene_disease",
                     "http://v/GeneDisease",
-                    IriTemplate::new("http://d/gd/{}"),
+                    IriTemplate::new("http://d/gd/", ""),
                     "gene",
                 )
                 .with_reference(
                     "disease",
                     "http://v/disease",
-                    IriTemplate::new("http://d/disease/{}"),
+                    IriTemplate::new("http://d/disease/", ""),
                 ),
             );
         (db, mapping)

@@ -49,55 +49,43 @@ pub fn extract_from_graph(graph: &Graph, source_id: &str) -> Vec<RdfMoleculeTemp
     let Some(type_id) = graph.id(&Term::iri(fedlake_rdf::vocab::rdf::TYPE)) else {
         return Vec::new();
     };
-    // Collect classes.
-    let mut classes: Vec<fedlake_rdf::TermId> = Vec::new();
+    // A class or a predicate is an IRI: a triple that puts a literal there
+    // describes no molecule and is skipped.
+    let iri = |id| graph.term(id).and_then(Term::as_iri);
+    let mut classes: Vec<(fedlake_rdf::TermId, &str)> = Vec::new();
     for t in graph.match_pattern(&TriplePattern::any().with_p(type_id)) {
-        if !classes.contains(&t.o) {
-            classes.push(t.o);
+        if let Some(class) = iri(t.o) {
+            if !classes.iter().any(|(id, _)| *id == t.o) {
+                classes.push((t.o, class));
+            }
         }
     }
     let mut out = Vec::new();
-    for class in classes {
+    for (class, class_iri) in classes {
         let instances = graph.instances_of(class);
         let mut predicates: Vec<String> = Vec::new();
         let mut links: Vec<MtLink> = Vec::new();
         for s in &instances {
             for t in graph.match_pattern(&TriplePattern::any().with_s(*s)) {
-                let p = graph
-                    .term(t.p)
-                    .and_then(Term::as_iri)
-                    .expect("predicates are IRIs")
-                    .to_string();
+                let Some(p) = iri(t.p) else { continue };
+                let p = p.to_string();
                 if !predicates.contains(&p) {
                     predicates.push(p.clone());
                 }
                 // A link exists when the object is itself a typed instance.
-                if let Some(o_term) = graph.term(t.o) {
-                    if o_term.is_iri() {
-                        for tt in graph
-                            .match_pattern(&TriplePattern::any().with_s(t.o).with_p(type_id))
-                        {
-                            let target = graph
-                                .term(tt.o)
-                                .and_then(Term::as_iri)
-                                .expect("classes are IRIs")
-                                .to_string();
-                            let link = MtLink { predicate: p.clone(), target_class: target };
-                            if !links.contains(&link) {
-                                links.push(link);
-                            }
+                if iri(t.o).is_some() {
+                    let types = TriplePattern::any().with_s(t.o).with_p(type_id);
+                    for target in graph.match_pattern(&types).into_iter().filter_map(|tt| iri(tt.o)) {
+                        let link = MtLink { predicate: p.clone(), target_class: target.to_string() };
+                        if !links.contains(&link) {
+                            links.push(link);
                         }
                     }
                 }
             }
         }
-        let class_iri = graph
-            .term(class)
-            .and_then(Term::as_iri)
-            .expect("classes are IRIs")
-            .to_string();
         out.push(RdfMoleculeTemplate {
-            class: class_iri,
+            class: class_iri.to_string(),
             source_id: source_id.to_string(),
             predicates,
             links,
@@ -217,13 +205,13 @@ mod tests {
 
     #[test]
     fn derive_from_mapping_builds_links() {
-        let disease_tmpl = IriTemplate::new("http://d/disease/{}");
+        let disease_tmpl = IriTemplate::new("http://d/disease/", "");
         let m = DatasetMapping::new("diseasome")
             .with_table(
                 TableMapping::new(
                     "gene",
                     "http://v/Gene",
-                    IriTemplate::new("http://d/gene/{}"),
+                    IriTemplate::new("http://d/gene/", ""),
                     "id",
                 )
                 .with_literal("label", "http://v/label")
@@ -243,6 +231,23 @@ mod tests {
         assert_eq!(gene.links[0].target_class, "http://v/Disease");
         // rdf:type is always offered.
         assert!(gene.offers_all(&[fedlake_rdf::vocab::rdf::TYPE, "http://v/label"]));
+    }
+
+    #[test]
+    fn literal_classes_and_predicates_describe_nothing() {
+        let mut g = sample_graph();
+        let typ = Term::iri(fedlake_rdf::vocab::rdf::TYPE);
+        let (g0, g1, y) = (Term::iri("http://d/gene/g0"), Term::iri("http://d/gene/g1"), Term::iri("http://d/y"));
+        g.insert_terms(Term::iri("http://d/x"), typ.clone(), Term::literal("not a class"));
+        g.insert_terms(g0, Term::literal("not a predicate"), Term::iri("o"));
+        g.insert_terms(g1, Term::iri("http://v/kind"), y.clone());
+        g.insert_terms(y, typ, Term::literal("not a class either"));
+        let mts = extract_from_graph(&g, "src");
+        let classes: Vec<&str> = mts.iter().map(|m| m.class.as_str()).collect();
+        assert_eq!(classes, ["http://v/Disease", "http://v/Gene"]);
+        let gene = mts.iter().find(|m| m.class == "http://v/Gene").unwrap();
+        assert!(gene.predicates.iter().any(|p| p == "http://v/kind"));
+        assert!(!gene.links.iter().any(|l| l.predicate == "http://v/kind"));
     }
 
     #[test]

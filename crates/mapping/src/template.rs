@@ -3,8 +3,8 @@
 
 use std::fmt;
 
-/// An IRI template with exactly one `{}` placeholder, e.g.
-/// `http://lake/diseasome/gene/{}`.
+/// An IRI template: a fixed prefix and suffix around one key, e.g.
+/// `http://lake/diseasome/gene/{}` (displayed with `{}` for the key).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IriTemplate {
     prefix: String,
@@ -12,21 +12,9 @@ pub struct IriTemplate {
 }
 
 impl IriTemplate {
-    /// Creates a template. Panics when the pattern does not contain exactly
-    /// one `{}` placeholder.
-    pub fn new(pattern: impl AsRef<str>) -> Self {
-        let pattern = pattern.as_ref();
-        let mut parts = pattern.splitn(2, "{}");
-        let prefix = parts.next().unwrap_or_default().to_string();
-        let suffix = parts
-            .next()
-            .unwrap_or_else(|| panic!("IRI template {pattern:?} must contain '{{}}'"))
-            .to_string();
-        assert!(
-            !suffix.contains("{}"),
-            "IRI template {pattern:?} must contain exactly one '{{}}'"
-        );
-        IriTemplate { prefix, suffix }
+    /// The template minting `prefix`, the encoded key, then `suffix`.
+    pub fn new(prefix: impl Into<String>, suffix: impl Into<String>) -> Self {
+        IriTemplate { prefix: prefix.into(), suffix: suffix.into() }
     }
 
     /// Mints an IRI for `key`, percent-encoding characters unsafe in IRIs.
@@ -128,7 +116,7 @@ mod tests {
 
     #[test]
     fn apply_and_extract() {
-        let t = IriTemplate::new("http://lake/gene/{}");
+        let t = IriTemplate::new("http://lake/gene/", "");
         let iri = t.apply("g42");
         assert_eq!(iri, "http://lake/gene/g42");
         assert_eq!(t.extract(&iri), Some("g42".into()));
@@ -138,7 +126,7 @@ mod tests {
 
     #[test]
     fn suffix_templates() {
-        let t = IriTemplate::new("http://lake/{}.html");
+        let t = IriTemplate::new("http://lake/", ".html");
         assert_eq!(t.apply("x"), "http://lake/x.html");
         assert_eq!(t.extract("http://lake/x.html"), Some("x".into()));
         assert_eq!(t.extract("http://lake/x.json"), None);
@@ -146,7 +134,7 @@ mod tests {
 
     #[test]
     fn roundtrip_special_chars() {
-        let t = IriTemplate::new("http://lake/drug/{}");
+        let t = IriTemplate::new("http://lake/drug/", "");
         for key in ["a b", "x/y", "100%", "ü", "a#b?c"] {
             let iri = t.apply(key);
             assert!(!iri.contains(' '), "space must be encoded: {iri}");
@@ -156,24 +144,18 @@ mod tests {
 
     #[test]
     fn empty_key_roundtrips() {
-        let t = IriTemplate::new("http://lake/gene/{}");
+        let t = IriTemplate::new("http://lake/gene/", "");
         assert_eq!(t.apply(""), "http://lake/gene/");
         assert_eq!(t.extract("http://lake/gene/"), Some(String::new()));
         assert!(t.mints("http://lake/gene/"));
-        let t = IriTemplate::new("http://lake/{}.html");
+        let t = IriTemplate::new("http://lake/", ".html");
         assert_eq!(t.extract("http://lake/.html"), Some(String::new()));
         assert_eq!(t.extract("http://lake/.json"), None);
     }
 
     #[test]
-    #[should_panic(expected = "must contain")]
-    fn pattern_without_placeholder_panics() {
-        IriTemplate::new("http://lake/gene/");
-    }
-
-    #[test]
     fn display_roundtrips_pattern() {
-        let t = IriTemplate::new("http://lake/gene/{}");
+        let t = IriTemplate::new("http://lake/gene/", "");
         assert_eq!(t.to_string(), "http://lake/gene/{}");
     }
 }

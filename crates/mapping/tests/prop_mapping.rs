@@ -29,7 +29,7 @@ fn rand_safe_key(rng: &mut Prng, min: usize, max: usize) -> String {
 #[test]
 fn template_roundtrip() {
     let mut rng = Prng::seed_from_u64(0x3a99_0001);
-    let t = IriTemplate::new("http://lake/entity/{}");
+    let t = IriTemplate::new("http://lake/entity/", "");
     for _ in 0..256 {
         let key = rand_key(&mut rng, 1, 40);
         let iri = t.apply(&key);
@@ -48,7 +48,7 @@ fn template_roundtrip() {
 fn apply_into_equals_apply_and_truncated_escapes_roundtrip() {
     let mut rng = Prng::seed_from_u64(0x3a99_0006);
     let templates =
-        [IriTemplate::new("http://lake/entity/{}"), IriTemplate::new("http://lake/e/{}.html")];
+        [IriTemplate::new("http://lake/entity/", ""), IriTemplate::new("http://lake/e/", ".html")];
     let mut buf = String::new();
     for round in 0..256 {
         let t = &templates[round % 2];
@@ -82,7 +82,7 @@ fn apply_into_equals_apply_and_truncated_escapes_roundtrip() {
 #[test]
 fn suffixed_template_roundtrip() {
     let mut rng = Prng::seed_from_u64(0x3a99_0002);
-    let t = IriTemplate::new("http://lake/e/{}.html");
+    let t = IriTemplate::new("http://lake/e/", ".html");
     for _ in 0..256 {
         let key = rand_safe_key(&mut rng, 1, 20);
         let iri = t.apply(&key);
@@ -96,7 +96,7 @@ fn suffixed_template_roundtrip() {
 #[test]
 fn template_is_injective() {
     let mut rng = Prng::seed_from_u64(0x3a99_0003);
-    let t = IriTemplate::new("http://lake/entity/{}");
+    let t = IriTemplate::new("http://lake/entity/", "");
     for _ in 0..256 {
         let a = rand_key(&mut rng, 1, 20);
         let b = rand_key(&mut rng, 1, 20);

@@ -22,6 +22,9 @@
 //! model, so an engine memoizes them in [`tape::DelayTapes`] and its links
 //! read them back instead of drawing them again.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod clock;
 pub mod cost;
 pub mod fault;

@@ -250,19 +250,22 @@ impl Link {
     /// Simulates transferring `total_rows` rows in messages of
     /// `rows_per_message` (the last message may be smaller). An empty
     /// result still costs one (empty) message — the source must answer.
-    /// Panics on an injected fault: the engine ships rows through
-    /// `schedule_rows_with_retry`, which retries; this is for links
-    /// without an active fault plan.
-    pub fn transfer_rows(&self, total_rows: usize, rows_per_message: usize) {
+    /// Stops at the first injected fault and returns it: the engine ships
+    /// rows through `schedule_rows_with_retry`, which retries; this does
+    /// not.
+    pub fn transfer_rows(
+        &self,
+        total_rows: usize,
+        rows_per_message: usize,
+    ) -> Result<(), LinkFault> {
         assert!(rows_per_message > 0, "message size must be positive");
         let mut remaining = total_rows;
         loop {
             let n = remaining.min(rows_per_message);
-            self.try_transfer_message(n)
-                .expect("transfer_rows on a link with an active fault plan");
+            self.try_transfer_message(n)?;
             remaining -= n;
             if remaining == 0 {
-                return;
+                return Ok(());
             }
         }
     }
@@ -313,9 +316,9 @@ mod tests {
     #[test]
     fn batching_reduces_messages() {
         let a = link(NetworkProfile::GAMMA2);
-        a.transfer_rows(100, 1);
+        a.transfer_rows(100, 1).unwrap();
         let b = link(NetworkProfile::GAMMA2);
-        b.transfer_rows(100, 50);
+        b.transfer_rows(100, 50).unwrap();
         assert_eq!(a.stats().messages, 100);
         assert_eq!(b.stats().messages, 2);
         // Per-row messages accumulate far more delay.
@@ -325,7 +328,7 @@ mod tests {
     #[test]
     fn empty_result_costs_one_message() {
         let l = link(NetworkProfile::GAMMA1);
-        l.transfer_rows(0, 64);
+        l.transfer_rows(0, 64).unwrap();
         assert_eq!(l.stats().messages, 1);
     }
 
@@ -333,8 +336,8 @@ mod tests {
     fn deterministic_per_seed() {
         let a = link(NetworkProfile::GAMMA3);
         let b = link(NetworkProfile::GAMMA3);
-        a.transfer_rows(50, 1);
-        b.transfer_rows(50, 1);
+        a.transfer_rows(50, 1).unwrap();
+        b.transfer_rows(50, 1).unwrap();
         assert_eq!(a.clock().now(), b.clock().now());
     }
 
@@ -342,8 +345,8 @@ mod tests {
     fn slow_profile_dominates() {
         let fast = link(NetworkProfile::GAMMA1);
         let slow = link(NetworkProfile::GAMMA3);
-        fast.transfer_rows(500, 1);
-        slow.transfer_rows(500, 1);
+        fast.transfer_rows(500, 1).unwrap();
+        slow.transfer_rows(500, 1).unwrap();
         assert!(slow.clock().now() > fast.clock().now());
     }
 
@@ -421,18 +424,19 @@ mod tests {
         // pre-fault link: no extra RNG draws, identical clock.
         let a = link(NetworkProfile::GAMMA3);
         let b = faulty(NetworkProfile::GAMMA3, FaultPlan::NONE);
-        a.transfer_rows(100, 7);
-        b.transfer_rows(100, 7);
+        a.transfer_rows(100, 7).unwrap();
+        b.transfer_rows(100, 7).unwrap();
         assert_eq!(a.clock().now(), b.clock().now());
         assert_eq!(a.stats(), b.stats());
         assert_eq!(b.stats().attempts, 0, "inactive plans do not count attempts");
     }
 
     #[test]
-    #[should_panic(expected = "active fault plan")]
-    fn infallible_transfer_panics_on_fault() {
-        let plan = FaultPlan { outage_after: Some(0), outage_len: 1, ..FaultPlan::NONE };
-        faulty(NetworkProfile::NO_DELAY, plan).transfer_rows(1, 1);
+    fn a_transfer_stops_at_its_first_fault() {
+        let plan = FaultPlan { outage_after: Some(1), outage_len: 1, ..FaultPlan::NONE };
+        let l = faulty(NetworkProfile::NO_DELAY, plan);
+        assert_eq!(l.transfer_rows(10, 2), Err(LinkFault::SourceDown));
+        assert_eq!((l.stats().messages, l.stats().attempts), (1, 2));
     }
 
     #[test]

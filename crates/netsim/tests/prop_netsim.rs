@@ -111,7 +111,7 @@ fn batching_message_count() {
             CostModel::default(),
             1,
         );
-        link.transfer_rows(total, batch);
+        link.transfer_rows(total, batch).unwrap();
         let stats = link.stats();
         let expected = if total == 0 { 1 } else { total.div_ceil(batch) as u64 };
         assert_eq!(stats.messages, expected);

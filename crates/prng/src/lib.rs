@@ -6,6 +6,9 @@
 //! [splitmix64](https://prng.di.unimi.it/splitmix64.c)-based generator so
 //! the workspace builds fully offline with no external dependencies.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use std::ops::{Range, RangeInclusive};
 
 /// A seedable splitmix64 pseudo-random number generator.

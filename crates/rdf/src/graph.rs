@@ -8,7 +8,6 @@ use crate::dict::{Dictionary, TermId};
 use crate::term::Term;
 use crate::Triple;
 use std::collections::BTreeSet;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// A triple pattern over interned ids; `None` components are wildcards.
@@ -52,19 +51,6 @@ impl TriplePattern {
             && self.p.is_none_or(|p| p == t.p)
             && self.o.is_none_or(|o| o == t.o)
     }
-}
-
-/// Which index a pattern lookup used; exposed for tests and EXPLAIN output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexChoice {
-    /// Subject-predicate-object index.
-    Spo,
-    /// Predicate-object-subject index.
-    Pos,
-    /// Object-subject-predicate index.
-    Osp,
-    /// Full scan of the SPO index.
-    FullScan,
 }
 
 /// An in-memory RDF graph with its own term dictionary.
@@ -155,75 +141,54 @@ impl Graph {
             .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
     }
 
-    /// Chooses the index that serves `pattern` with a contiguous range scan.
-    pub(crate) fn index_for(pattern: &TriplePattern) -> IndexChoice {
+    /// Matches a triple pattern, returning the triples in an index-defined
+    /// order: the pattern's shape picks the index whose key prefix it
+    /// binds (SPO for a bound subject, else POS for a bound predicate, else
+    /// OSP), so every lookup is one contiguous range scan.
+    pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
+        let ix = &self.triples;
         match (pattern.s, pattern.p, pattern.o) {
-            (Some(_), _, _) => IndexChoice::Spo,
-            (None, Some(_), _) => IndexChoice::Pos,
-            (None, None, Some(_)) => IndexChoice::Osp,
-            (None, None, None) => IndexChoice::FullScan,
+            (Some(s), Some(p), Some(o)) => {
+                let t = Triple::new(s, p, o);
+                if self.contains(t) {
+                    vec![t]
+                } else {
+                    Vec::new()
+                }
+            }
+            (Some(s), p, o) => prefix_scan(&ix.spo, s, p)
+                .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
+                .filter(|t| o.is_none_or(|o| o == t.o))
+                .collect(),
+            (None, Some(p), o) => prefix_scan(&ix.pos, p, o)
+                .map(|&(p, o, s)| Triple::new(TermId(s), TermId(p), TermId(o)))
+                .collect(),
+            (None, None, Some(o)) => prefix_scan(&ix.osp, o, None)
+                .map(|&(o, s, p)| Triple::new(TermId(s), TermId(p), TermId(o)))
+                .collect(),
+            (None, None, None) => self.iter().collect(),
         }
     }
 
-    /// Matches a triple pattern, returning the triples in an index-defined
-    /// order. Uses a range scan on the most selective covering index.
-    pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        match Self::index_for(pattern) {
-            IndexChoice::Spo => {
-                let s = pattern.s.expect("SPO choice implies bound subject").0;
-                let range = match (pattern.p, pattern.o) {
-                    (Some(p), Some(o)) => {
-                        let t = Triple::new(TermId(s), p, o);
-                        return if self.contains(t) { vec![t] } else { Vec::new() };
-                    }
-                    (Some(p), None) => (
-                        Bound::Included((s, p.0, 0)),
-                        Bound::Included((s, p.0, u32::MAX)),
-                    ),
-                    (None, _) => (
-                        Bound::Included((s, 0, 0)),
-                        Bound::Included((s, u32::MAX, u32::MAX)),
-                    ),
-                };
-                self.triples
-                    .spo
-                    .range(range)
-                    .map(|&(s, p, o)| Triple::new(TermId(s), TermId(p), TermId(o)))
-                    .filter(|t| pattern.matches(t))
-                    .collect()
-            }
-            IndexChoice::Pos => {
-                let p = pattern.p.expect("POS choice implies bound predicate").0;
-                let range = match pattern.o {
-                    Some(o) => (
-                        Bound::Included((p, o.0, 0)),
-                        Bound::Included((p, o.0, u32::MAX)),
-                    ),
-                    None => (
-                        Bound::Included((p, 0, 0)),
-                        Bound::Included((p, u32::MAX, u32::MAX)),
-                    ),
-                };
-                self.triples
-                    .pos
-                    .range(range)
-                    .map(|&(p, o, s)| Triple::new(TermId(s), TermId(p), TermId(o)))
-                    .filter(|t| pattern.matches(t))
-                    .collect()
-            }
-            IndexChoice::Osp => {
-                let o = pattern.o.expect("OSP choice implies bound object").0;
-                self.triples
-                    .osp
-                    .range((
-                        Bound::Included((o, 0, 0)),
-                        Bound::Included((o, u32::MAX, u32::MAX)),
-                    ))
-                    .map(|&(o, s, p)| Triple::new(TermId(s), TermId(p), TermId(o)))
-                    .collect()
-            }
-            IndexChoice::FullScan => self.iter().collect(),
-        }
+    /// The terms of each triple [`Graph::match_pattern`] returns, in its
+    /// order: the dictionary's own handles, nothing copied.
+    pub fn match_terms(&self, pattern: &TriplePattern) -> impl Iterator<Item = [&Arc<Term>; 3]> {
+        self.match_pattern(pattern).into_iter().map(|t| self.terms_of(t))
+    }
+
+    /// The terms of every triple, in SPO order ([`Graph::iter`]).
+    pub fn iter_terms(&self) -> impl Iterator<Item = [&Arc<Term>; 3]> {
+        self.iter().map(|t| self.terms_of(t))
+    }
+
+    /// The terms of `t`, a triple of this graph's own index.
+    // Every id the index holds was interned in this graph's dictionary
+    // (`insert_terms` is the one public writer, `insert` is crate-private),
+    // and only this graph's triples are passed here, so each lookup resolves.
+    #[allow(clippy::expect_used)]
+    fn terms_of(&self, t: Triple) -> [&Arc<Term>; 3] {
+        let term = |id| self.dict.shared(id).expect("a graph's triples hold its own ids");
+        [term(t.s), term(t.p), term(t.o)]
     }
 
     /// All distinct subjects that have predicate `rdf:type` with object `class`.
@@ -237,6 +202,20 @@ impl Graph {
             .map(|t| t.s)
             .collect()
     }
+}
+
+/// The id triples of `index` whose first component is `a` and, when `b` is
+/// given, whose second is `b`: one range of the sorted set.
+fn prefix_scan(
+    index: &BTreeSet<(u32, u32, u32)>,
+    a: TermId,
+    b: Option<TermId>,
+) -> impl Iterator<Item = &(u32, u32, u32)> {
+    let (lo, hi) = match b {
+        Some(b) => ((a.0, b.0, 0), (a.0, b.0, u32::MAX)),
+        None => ((a.0, 0, 0), (a.0, u32::MAX, u32::MAX)),
+    };
+    index.range(lo..=hi)
 }
 
 #[cfg(test)]
@@ -332,15 +311,6 @@ mod tests {
     fn full_scan_returns_everything() {
         let g = sample();
         assert_eq!(g.match_pattern(&TriplePattern::any()).len(), g.len());
-    }
-
-    #[test]
-    fn index_choice() {
-        let s = TermId(0);
-        assert_eq!(Graph::index_for(&TriplePattern::any().with_s(s)), IndexChoice::Spo);
-        assert_eq!(Graph::index_for(&TriplePattern::any().with_p(s)), IndexChoice::Pos);
-        assert_eq!(Graph::index_for(&TriplePattern::any().with_o(s)), IndexChoice::Osp);
-        assert_eq!(Graph::index_for(&TriplePattern::any()), IndexChoice::FullScan);
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! assert_eq!(g.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod dict;
 pub mod graph;
 pub mod hash;

@@ -31,6 +31,9 @@
 //! assert_eq!(rs.rows.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod cache;
 pub mod db;
 pub mod error;

@@ -44,10 +44,9 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SqlToken>, SqlError> {
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    if i >= b.len() {
+                    let Some(ch) = input.get(i..).and_then(|rest| rest.chars().next()) else {
                         return Err(SqlError::Parse("unterminated string".into()));
-                    }
-                    let ch = input[i..].chars().next().expect("in bounds");
+                    };
                     i += ch.len_utf8();
                     if ch == '\'' {
                         // '' is an escaped quote.

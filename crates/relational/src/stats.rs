@@ -95,11 +95,8 @@ pub struct TableStats {
 
 /// Computes statistics for every column of a table.
 pub(crate) fn table_stats(table: &Table) -> TableStats {
-    let columns = table
-        .schema
-        .columns
-        .iter()
-        .map(|c| column_stats(table, &c.name).expect("schema column must exist"))
+    let columns = (0..table.schema.columns.len())
+        .map(|pos| table.column_stats_cached(pos, || scan_column(table, pos)))
         .collect();
     TableStats { rows: table.len(), columns }
 }

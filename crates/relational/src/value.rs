@@ -141,9 +141,6 @@ impl Ord for Value {
                 Value::Text(_) => 3,
             }
         }
-        if rank(self) != rank(other) {
-            return rank(self).cmp(&rank(other));
-        }
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
@@ -152,7 +149,8 @@ impl Ord for Value {
             (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
             (Value::Int(i), Value::Double(d)) => int_total_cmp(*i, *d),
             (Value::Double(d), Value::Int(i)) => int_total_cmp(*i, *d).reverse(),
-            _ => unreachable!("equal ranks are equal kinds, or both numeric"),
+            // Different kinds: each pair of one rank has its arm above.
+            _ => rank(self).cmp(&rank(other)),
         }
     }
 }

@@ -18,6 +18,9 @@
 //! executing its instantiated query alone (see [`solo_golden`]) — the
 //! contention changes when rows arrive, never which rows arrive.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod report;
 pub mod workload;
 
@@ -155,8 +158,8 @@ pub fn build_jobs(
     for slot in 0..spec.queries_per_client {
         for client in 0..spec.clients {
             let mut rng = Prng::seed_from_u64(job_seed(spec.seed, client, slot));
-            let id = spec.mix.draw(&mut rng).to_string();
-            let inst = workload::instantiate(&id, &mut rng)
+            let id = spec.mix.draw(&mut rng).ok_or_else(|| FedError::Internal("empty mix".into()))?;
+            let inst = workload::instantiate(id, &mut rng)
                 .ok_or_else(|| FedError::Internal(format!("no template for {id}")))?;
             let ast = parse_query(&inst.sparql)?;
             let (planned, origin) = engine.plan_cached(&ast)?;

@@ -28,15 +28,25 @@ pub struct InstantiatedQuery {
 
 /// Weighted draw mirroring the data generator's `pick`.
 fn pick<'a>(rng: &mut Prng, options: &[(&'a str, u32)]) -> &'a str {
-    let total: u64 = options.iter().map(|(_, w)| *w as u64).sum();
+    weighted(rng, options).map_or("", |&(v, _)| v)
+}
+
+/// The entry a weighted draw lands on: one uniform draw below the weights'
+/// sum falls in one entry's interval (the last entry's when every weight
+/// is zero). `None` only for no entries.
+fn weighted<'o, T>(rng: &mut Prng, options: &'o [(T, u32)]) -> Option<&'o (T, u32)> {
+    let last = options.last()?;
+    let total: u64 = options.iter().map(|(_, w)| u64::from(*w)).sum();
     let mut x = rng.gen_range(0..total);
-    for (v, w) in options {
-        if x < *w as u64 {
-            return v;
+    let hit = options.iter().find(|(_, w)| {
+        let w = u64::from(*w);
+        if x < w {
+            return true;
         }
-        x -= *w as u64;
-    }
-    options.last().expect("non-empty options").0
+        x -= w;
+        false
+    });
+    Some(hit.unwrap_or(last))
 }
 
 /// Instantiates template `id` with parameters drawn from `rng`.
@@ -162,17 +172,9 @@ impl Mix {
         Ok(Mix(out))
     }
 
-    /// Draws one template id.
-    pub(crate) fn draw(&self, rng: &mut Prng) -> &str {
-        let total: u64 = self.0.iter().map(|(_, w)| *w as u64).sum();
-        let mut x = rng.gen_range(0..total);
-        for (id, w) in &self.0 {
-            if x < *w as u64 {
-                return id;
-            }
-            x -= *w as u64;
-        }
-        &self.0.last().expect("non-empty mix").0
+    /// Draws one template id; `None` for a mix with no entry.
+    pub(crate) fn draw(&self, rng: &mut Prng) -> Option<&str> {
+        weighted(rng, &self.0).map(|(id, _)| id.as_str())
     }
 
     /// All dataset ids the mix can touch, deduplicated in first-use order
@@ -226,5 +228,13 @@ mod tests {
         assert!(Mix::parse("Q1=0").is_err());
         let ds = m.datasets();
         assert!(ds.contains(&"chebi") && ds.contains(&"linkedct"));
+    }
+
+    #[test]
+    fn a_mix_draws_by_weight_and_an_empty_one_draws_nothing() {
+        let mut rng = Prng::seed_from_u64(7);
+        assert_eq!(Mix(Vec::new()).draw(&mut rng), None);
+        let m = Mix(vec![("Q1".into(), 0), ("Q2".into(), 3), ("Q3".into(), 0)]);
+        assert!((0..50).all(|_| m.draw(&mut rng) == Some("Q2")));
     }
 }

@@ -122,19 +122,8 @@ impl Row {
         self.slots.iter().map(|(v, _)| v)
     }
 
-    /// Two rows are *compatible* when they agree on every shared variable.
-    pub fn compatible(&self, other: &Row) -> bool {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .iter()
-            .all(|(v, t)| large.get(v).is_none_or(|u| u == t))
-    }
-
-    /// Merges two compatible rows; `None` when they conflict.
+    /// Merges two *compatible* rows, which agree on every shared
+    /// variable; `None` when they conflict.
     pub fn merge(&self, other: &Row) -> Option<Row> {
         let mut slots = Vec::with_capacity(self.len() + other.len());
         let (mut a, mut b) = (self.slots.iter().peekable(), other.slots.iter().peekable());
@@ -512,7 +501,6 @@ mod tests {
     fn compatible_when_disjoint() {
         let a = Row::new().with("x", t("a"));
         let b = Row::new().with("y", t("b"));
-        assert!(a.compatible(&b));
         let m = a.merge(&b).unwrap();
         assert_eq!(m.len(), 2);
     }
@@ -521,7 +509,6 @@ mod tests {
     fn compatible_when_agreeing() {
         let a = Row::new().with("x", t("a")).with("y", t("b"));
         let b = Row::new().with("x", t("a")).with("z", t("c"));
-        assert!(a.compatible(&b));
         assert_eq!(a.merge(&b).unwrap().len(), 3);
     }
 
@@ -529,7 +516,6 @@ mod tests {
     fn incompatible_when_conflicting() {
         let a = Row::new().with("x", t("a"));
         let b = Row::new().with("x", t("b"));
-        assert!(!a.compatible(&b));
         assert!(a.merge(&b).is_none());
     }
 
@@ -551,7 +537,6 @@ mod tests {
     fn empty_row_compatible_with_all() {
         let a = Row::new();
         let b = Row::new().with("x", t("a"));
-        assert!(a.compatible(&b));
         assert_eq!(a.merge(&b).unwrap(), b);
     }
 

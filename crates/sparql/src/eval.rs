@@ -11,6 +11,7 @@ use crate::binding::{Row, Rows, Var};
 use crate::error::SparqlError;
 use fedlake_rdf::{Graph, Literal, Term};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Evaluates a parsed query against a graph.
 pub fn evaluate(query: &SelectQuery, graph: &Graph) -> Result<Rows, SparqlError> {
@@ -111,13 +112,12 @@ pub fn eval_bgp(patterns: &[TriplePattern], graph: &Graph, rows: Rows) -> Rows {
         bound.extend(first.vars().cloned());
     }
     let mut current = rows;
-    while !remaining.is_empty() {
-        // Pick the most selective next pattern: maximize bound positions.
-        let (idx, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, t)| pattern_boundness(t, &bound))
-            .expect("remaining is non-empty");
+    // Pick the most selective next pattern: maximize bound positions.
+    while let Some((idx, _)) = remaining
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, t)| pattern_boundness(t, &bound))
+    {
         let pattern = remaining.remove(idx);
         let mut next = Vec::new();
         for row in &current {
@@ -180,12 +180,11 @@ fn extend_row(pattern: &TriplePattern, graph: &Graph, row: &Row, out: &mut Rows)
     if let Resolution::Bound(id) = ro {
         gp = gp.with_o(id);
     }
-    for t in graph.match_pattern(&gp) {
+    for [s, p, o] in graph.match_terms(&gp) {
         let mut extended = row.clone();
         let mut ok = true;
-        let bind = |r: &Resolution, id: fedlake_rdf::TermId, ext: &mut Row| {
+        let bind = |r: &Resolution, term: &Arc<Term>, ext: &mut Row| {
             if let Resolution::Free(v) = r {
-                let term = graph.shared(id).expect("matched id must resolve");
                 match ext.get(v) {
                     // Repeated free variable within the pattern, e.g.
                     // `?x <p> ?x` — both occurrences must agree.
@@ -195,14 +194,14 @@ fn extend_row(pattern: &TriplePattern, graph: &Graph, row: &Row, out: &mut Rows)
                         }
                     }
                     // The graph's own handle: nothing is copied.
-                    None => ext.bind_shared(v.clone(), std::sync::Arc::clone(term)),
+                    None => ext.bind_shared(v.clone(), Arc::clone(term)),
                 }
             }
             true
         };
-        ok &= bind(&rs, t.s, &mut extended);
-        ok &= ok && bind(&rp, t.p, &mut extended);
-        ok &= ok && bind(&ro, t.o, &mut extended);
+        ok &= bind(&rs, s, &mut extended);
+        ok &= ok && bind(&rp, p, &mut extended);
+        ok &= ok && bind(&ro, o, &mut extended);
         if ok {
             out.push(extended);
         }

@@ -32,6 +32,9 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod algebra;
 pub mod ast;
 pub mod binding;

@@ -86,10 +86,9 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
                 let mut lexical = String::new();
                 i += 1;
                 loop {
-                    if i >= bytes.len() {
+                    let Some(ch) = input.get(i..).and_then(|rest| rest.chars().next()) else {
                         return Err(SparqlError::Lex { pos: i, message: "unterminated string".into() });
-                    }
-                    let ch = input[i..].chars().next().expect("in-bounds index");
+                    };
                     i += ch.len_utf8();
                     if ch == quote {
                         break;

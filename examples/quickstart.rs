@@ -29,14 +29,14 @@ fn main() {
         TableMapping::new(
             "gene",
             "http://example.org/vocab/Gene",
-            IriTemplate::new("http://example.org/gene/{}"),
+            IriTemplate::new("http://example.org/gene/", ""),
             "id",
         )
         .with_literal("label", "http://example.org/vocab/label")
         .with_reference(
             "disease",
             "http://example.org/vocab/associatedDisease",
-            IriTemplate::new("http://example.org/disease/{}"),
+            IriTemplate::new("http://example.org/disease/", ""),
         ),
     );
 

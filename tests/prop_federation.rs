@@ -80,19 +80,19 @@ fn build(spec: &LakeSpec) -> DataLake {
     }
     let mapping = DatasetMapping::new("src")
         .with_table(
-            TableMapping::new("gene", format!("{V}Gene"), IriTemplate::new("http://p/gene/{}"), "id")
+            TableMapping::new("gene", format!("{V}Gene"), IriTemplate::new("http://p/gene/", ""), "id")
                 .with_literal("label", &format!("{V}label"))
                 .with_reference(
                     "disease",
                     &format!("{V}disease"),
-                    IriTemplate::new("http://p/disease/{}"),
+                    IriTemplate::new("http://p/disease/", ""),
                 ),
         )
         .with_table(
             TableMapping::new(
                 "disease",
                 format!("{V}Disease"),
-                IriTemplate::new("http://p/disease/{}"),
+                IriTemplate::new("http://p/disease/", ""),
                 "id",
             )
             .with_literal("name", &format!("{V}name")),
