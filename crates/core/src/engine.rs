@@ -17,7 +17,7 @@ use fedlake_netsim::{DelayTapes, Link, TapeStats};
 use fedlake_rdf::SharedInterner;
 use fedlake_relational::cache::CacheStats;
 use fedlake_sparql::ast::SelectQuery;
-use fedlake_sparql::binding::{decode_row, Row, RowId, Var};
+use fedlake_sparql::binding::{decode_rows, Row, RowId, Var};
 use fedlake_sparql::eval::sort_rows;
 use fedlake_sparql::parser::parse_query;
 use std::collections::{BTreeMap, HashMap};
@@ -380,14 +380,11 @@ impl<'a> Session<'a> {
         };
         let n = self.answers.len();
         let kept = if ordered { &self.answers[..] } else { &self.answers[slice(n)] };
-        let mut rows: Vec<Row> = {
+        let mut rows = {
             let dict = self.ctx.interner.lock();
-            kept.iter()
-                .map(|&r| decode_row(&planned.schema, &dict, self.ctx.rows.row(r)))
-                .collect::<Option<_>>()
-                .ok_or_else(|| {
-                    FedError::Internal("an answer row holds an id its interner never assigned".into())
-                })?
+            decode_rows(&planned.schema, &dict, &self.ctx.rows, kept).ok_or_else(|| {
+                FedError::Internal("an answer row holds an id its interner never assigned".into())
+            })?
         };
         if ordered {
             sort_rows(&mut rows, &planned.order_by);

@@ -104,12 +104,12 @@ impl SourceHealth {
 /// healthy.
 #[derive(Debug, Clone, Default)]
 pub struct HealthView {
-    /// Endpoint id → counters, from [`SourceHealth::snapshot`].
+    /// Endpoint id → counters, from `SourceHealth::snapshot`.
     pub endpoints: BTreeMap<String, EndpointHealth>,
     /// Failure count at which an endpoint is considered degraded.
     pub threshold: u64,
     /// The registry generation the snapshot was taken at (see
-    /// [`SourceHealth::generation`]); the plan cache's fast-path guard.
+    /// `SourceHealth::generation`); the plan cache's fast-path guard.
     pub generation: u64,
 }
 

@@ -9,7 +9,7 @@
 //!   join and a filter keep their order. The text leaves out what the
 //!   planner's lowering walk sets (routes, lift plans, verdict keys). The
 //!   fingerprint labels a plan in EXPLAIN and the flight recorder.
-//! * [`query_fingerprint`] and [`config_fingerprint`] are the plan cache's
+//! * `query_fingerprint` and `config_fingerprint` are the plan cache's
 //!   key: the SPARQL AST and the planner configuration, each folded as
 //!   written, so any textual difference is a different key and the cache
 //!   never returns a plan for a query it was not built from.

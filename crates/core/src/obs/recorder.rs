@@ -1,6 +1,6 @@
 //! The one recorder: every observability hook appends one event to it.
 //!
-//! [`Recorder`] is the engine's session handle; [`QueryObs`] is the
+//! `Recorder` is the engine's session handle; `QueryObs` is the
 //! per-query handle it opens for every execution — solo or served. That
 //! handle is the one observability field of [`ExecCtx`], the one argument
 //! `Session::open`, `build_operator` and `links_for` take, and the one
@@ -16,7 +16,7 @@
 //!   memory stays constant under an arbitrarily long serve run. The
 //!   [`FlightRecording`] snapshot is what the watchdog, the slow-query log
 //!   and the serve exporters fold.
-//! * [`crate::PlanConfig::tracing`] keeps the query's detail [`Event`]s —
+//! * [`crate::PlanConfig::tracing`] keeps the query's detail `Event`s —
 //!   link attempts, timeouts, backoffs, source compute, bind batches,
 //!   queue depths, answers — which [`crate::obs::span`] folds into the
 //!   query's [`TraceReport`]. A link attempt is kept by both.
@@ -24,7 +24,7 @@
 //! Only ring events take sequence numbers, so keeping the detail too never
 //! moves a ring's `seq`s or evictions. Beside its events the per-query
 //! handle holds the plan's pre-order node table with live actuals, fed by
-//! the one node wrapper `NodeOp` that [`QueryObs::wrap`] puts around an
+//! the one node wrapper `NodeOp` that `QueryObs::wrap` puts around an
 //! operator whose actuals are read: they are the trace's operator spans and
 //! the ring's per-service `source-rows`.
 //!

@@ -5,7 +5,7 @@
 //! trace reflects *when* each answer became available — the measurement of
 //! Figure 2. There is one pull protocol, [`FedOp::poll_next`]; the paper's
 //! single-threaded wrapper loop is a schedule *policy* of it
-//! ([`ExecCtx::serialized`]), read where a wait on source work starts and
+//! (`ExecCtx::serialized`), read where a wait on source work starts and
 //! where a join picks the input to pull from. The join is ANAPSID's
 //! adaptive **symmetric hash join** (agjoin): it consumes from both inputs
 //! and emits matches as soon as probes succeed, producing answers
@@ -19,7 +19,7 @@
 //! resolves ids back to terms, lazily, for value comparisons. A handle
 //! passed up is moved: the receiver may change the row in place (as
 //! [`ProjectOp`] does), so no operator hands up a row it keeps while
-//! anything could still read it. A join side is one table ([`BuildSide`]):
+//! anything could still read it. A join side is one table (`BuildSide`):
 //! its handles in arrival order, chained per key through a parallel index
 //! vector — no key is stored and no key owns a vector, so a side grows by
 //! amortized pushes and is freed in a handful of blocks.
@@ -104,7 +104,7 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// Creates a context for one query execution with the default retry
-    /// policy (use [`ExecCtx::with_retry`] to override).
+    /// policy (use `ExecCtx::with_retry` to override).
     pub fn new(
         clock: SharedClock,
         cost: CostModel,
@@ -244,7 +244,7 @@ pub trait FedOp {
     /// Pulls once without blocking: yields a row, reports the earliest
     /// in-flight event the operator is waiting on, or is done. The clock
     /// advances by the work done. Under the serialized policy
-    /// ([`ExecCtx::serialized`]) every wait is sat out where it starts, so
+    /// (`ExecCtx::serialized`) every wait is sat out where it starts, so
     /// no operator ever answers [`Poll::Pending`].
     fn poll_next(&mut self, ctx: &mut ExecCtx) -> Result<Poll<RowId>, FedError>;
 }
@@ -870,7 +870,7 @@ type VerdictSet = FastMap<TermId, bool>;
 const VERDICT_STAMP: u64 = 0;
 
 /// The verdicts an engine's [`FilterOp`]s decided for their one-slot
-/// expressions, by [`VerdictKey`]: one immutable [`VerdictSet`] per key,
+/// expressions, by [`VerdictKey`]: one immutable `VerdictSet` per key,
 /// at most [`fedlake_relational::cache::CACHE_CAPACITY`] keys, the least
 /// recently used evicted first. A filter takes its sets once, when it is
 /// built, and publishes what it decided when it drops, merging copy on

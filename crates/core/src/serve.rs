@@ -18,7 +18,7 @@
 //! timings.
 //!
 //! The serve loop never asks for the serialized schedule policy
-//! ([`crate::operators::ExecCtx::serialized`]) — a wait sat out by one
+//! (`ExecCtx::serialized`) — a wait sat out by one
 //! session would stall the whole server on that session's I/O — and
 //! always steps row-at-a-time, because deadlines are checked between rows. Engine-side operator work advances
 //! the shared clock directly: the model is a single-threaded engine core

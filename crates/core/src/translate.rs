@@ -12,7 +12,7 @@
 //! Every term that enters SQL crosses one boundary, decided here: a star
 //! variable's column ([`star_column`]), the stored value whose lift *is* a
 //! term ([`StarColumn::stored`]) and what a FILTER may push
-//! ([`push_filter`]), all held by `crates/core/tests/sql_boundary.rs`.
+//! (`push_filter`), all held by `crates/core/tests/sql_boundary.rs`.
 
 use crate::decompose::{StarSubject, StarSubquery};
 use crate::error::FedError;
@@ -169,7 +169,7 @@ pub fn star_column(
     StarColumn::of(tm, schema, pred).ok()
 }
 
-/// A FILTER [`push_filter`] found pushable: the column it constrains, which
+/// A FILTER `push_filter` found pushable: the column it constrains, which
 /// Heuristic 2's index test reads, and the SQL condition [`star_part`]
 /// writes on it.
 #[derive(Debug, Clone, PartialEq)]

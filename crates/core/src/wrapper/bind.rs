@@ -50,7 +50,7 @@ pub fn bind_batch_query<'t>(
 /// shipped to a relational source as SQL `IN` lists — ANAPSID's adjoin
 /// lineage, and the classical alternative to fetching the right star in
 /// full when the left side is selective. Each batch is a leaf request of
-/// its own ([`LeafRequest::Batch`]): its answer comes through [`lifted`],
+/// its own (`LeafRequest::Batch`): its answer comes through `lifted`,
 /// so a batch the engine already answered at the target's current data
 /// version renders no SQL and runs no query.
 pub struct BindJoinOp<'a> {

@@ -181,8 +181,8 @@ impl LiftedSource {
 
 /// *The* source-result cache: every source request but the N+1 wrapper's —
 /// one-shot leaves and bind-join batches alike, on both schedules and in
-/// `serve` — reads its lifted result from here, through [`lifted`]. Keyed
-/// by [`LiftKey`] and held to the contract of
+/// `serve` — reads its lifted result from here, through `lifted`. Keyed
+/// by `LiftKey` and held to the contract of
 /// [`fedlake_relational::cache`]: an entry is stamped with the
 /// [`DataLake::source_version`] it was computed from, `source_mut(id)`
 /// bumps that version, and a lookup under another version is a counted
@@ -191,6 +191,8 @@ impl LiftedSource {
 /// counters, so the *simulated* execution is the one a miss would have
 /// produced — only host time changes. Must be paired with the interner its
 /// ids were interned into.
+///
+/// [`DataLake::source_version`]: crate::DataLake::source_version
 #[derive(Debug, Default)]
 pub struct LiftCache(std::sync::Mutex<LiftEntries>);
 

@@ -14,6 +14,8 @@
 //! Wrappers are the encode boundary of the slot-row representation: lifted
 //! terms are interned into the query-scoped dictionary here, so everything
 //! downstream of a wrapper handles `u32` ids only.
+//!
+//! [`Link`]: fedlake_netsim::Link
 
 mod bind;
 mod leaf;
@@ -320,12 +322,8 @@ mod tests {
         let lake = lake();
         let node = gene_node(&lake);
         let clock = shared_virtual();
-        let link = Arc::new(Link::new(
-            NetworkProfile::GAMMA2,
-            Arc::clone(&clock),
-            CostModel::default(),
-            7,
-        ));
+        let link =
+            Link::new(NetworkProfile::GAMMA2, Arc::clone(&clock), CostModel::default(), 7).shared();
         let route = SourceRoute::single("d", Arc::clone(&link));
         let mut op = open_service(&node, &lake, route, 1).unwrap();
         let mut c = ctx(clock, &["g", "l"]);
@@ -354,12 +352,9 @@ mod tests {
         let node = gene_node(&lake);
         let run = |serialized: bool, rows_per_message: usize| {
             let clock = shared_virtual();
-            let link = Arc::new(Link::new(
-                NetworkProfile::GAMMA2,
-                Arc::clone(&clock),
-                CostModel::default(),
-                7,
-            ));
+            let link =
+                Link::new(NetworkProfile::GAMMA2, Arc::clone(&clock), CostModel::default(), 7)
+                    .shared();
             let route = SourceRoute::single("d", Arc::clone(&link));
             let mut op = open_service(&node, &lake, route, rows_per_message).unwrap();
             let mut c = ctx(clock, &["g", "l"]);
@@ -399,12 +394,8 @@ mod tests {
             lift: Arc::default(),
         };
         let clock = shared_virtual();
-        let link = Arc::new(Link::new(
-            NetworkProfile::NO_DELAY,
-            Arc::clone(&clock),
-            CostModel::default(),
-            7,
-        ));
+        let link = Link::new(NetworkProfile::NO_DELAY, Arc::clone(&clock), CostModel::default(), 7)
+            .shared();
         let route = SourceRoute::single("d", Arc::clone(&link));
         let mut op = open_service(&node, &lake, route, 1).unwrap();
         let mut c = ctx(clock, &["g"]);
@@ -424,12 +415,9 @@ mod tests {
         let edges = [(0, 1), (0, 64), (1, 1), (64, 64), (65, 64)];
         for (total, batch) in edges.into_iter().chain(seeded) {
             let clock = shared_virtual();
-            let link = Arc::new(Link::new(
-                NetworkProfile::GAMMA1,
-                Arc::clone(&clock),
-                CostModel::default(),
-                1,
-            ));
+            let link =
+                Link::new(NetworkProfile::GAMMA1, Arc::clone(&clock), CostModel::default(), 1)
+                    .shared();
             let route = SourceRoute::single("d", Arc::clone(&link));
             let mut c = ctx(clock, &["g"]);
             route::schedule_rows_with_retry(&route, total, batch, Duration::ZERO, &mut c).unwrap();
@@ -470,12 +458,8 @@ mod tests {
             lift: Arc::default(),
         };
         let clock = shared_virtual();
-        let link = Arc::new(Link::new(
-            NetworkProfile::NO_DELAY,
-            Arc::clone(&clock),
-            CostModel::default(),
-            1,
-        ));
+        let link = Link::new(NetworkProfile::NO_DELAY, Arc::clone(&clock), CostModel::default(), 1)
+            .shared();
         let mut op = open_service(&node, &lake, SourceRoute::single("r", link), 1).unwrap();
         let mut c = ctx(clock, &["s", "unused", "o"]);
         let rows = drain(op.as_mut(), &mut c).unwrap();
@@ -511,7 +495,7 @@ mod tests {
         };
         let link = |clock: &fedlake_netsim::SharedClock| {
             let cost = CostModel::default();
-            Arc::new(Link::new(NetworkProfile::NO_DELAY, Arc::clone(clock), cost, 7))
+            Link::new(NetworkProfile::NO_DELAY, Arc::clone(clock), cost, 7).shared()
         };
         let expect_internal = |got: Result<Vec<RowId>, FedError>| match got {
             Err(FedError::Internal(msg)) => assert!(msg.contains("1 slots wide"), "{msg}"),
@@ -588,7 +572,7 @@ mod tests {
     ) -> BindRun {
         let clock = shared_virtual();
         let link =
-            Arc::new(Link::new(NetworkProfile::GAMMA1, Arc::clone(&clock), CostModel::default(), 7));
+            Link::new(NetworkProfile::GAMMA1, Arc::clone(&clock), CostModel::default(), 7).shared();
         let mut c = ctx(Arc::clone(&clock), vars).with_lifts(Arc::clone(&session.1));
         if !overlap {
             c = c.serialized();
@@ -725,13 +709,14 @@ mod tests {
             outage_len: 2,
             ..fedlake_netsim::FaultPlan::NONE
         };
-        let link = Arc::new(Link::with_faults(
+        let link = Link::with_faults(
             NetworkProfile::NO_DELAY,
             Arc::clone(&clock),
             CostModel::default(),
             1,
             plan,
-        ));
+        )
+        .shared();
         let route = SourceRoute::single("s", Arc::clone(&link));
         let mut c = ctx(Arc::clone(&clock), &["x"]);
         transfer_now(&route, 1, &mut c).unwrap();
@@ -751,13 +736,14 @@ mod tests {
             outage_len: u64::MAX,
             ..fedlake_netsim::FaultPlan::NONE
         };
-        let link = Arc::new(Link::with_faults(
+        let link = Link::with_faults(
             NetworkProfile::NO_DELAY,
             Arc::clone(&clock),
             CostModel::default(),
             1,
             plan,
-        ));
+        )
+        .shared();
         let route = SourceRoute::single("s", Arc::clone(&link));
         let mut c = ctx(clock, &["x"]);
         c.retry = crate::config::RetryPolicy { max_attempts: 3, ..Default::default() };
@@ -771,7 +757,7 @@ mod tests {
     }
 
     fn dead_link(clock: &fedlake_netsim::SharedClock, seed: u64) -> Arc<Link> {
-        Arc::new(Link::with_faults(
+        Link::with_faults(
             NetworkProfile::NO_DELAY,
             Arc::clone(clock),
             CostModel::default(),
@@ -781,16 +767,12 @@ mod tests {
                 outage_len: u64::MAX,
                 ..fedlake_netsim::FaultPlan::NONE
             },
-        ))
+        )
+        .shared()
     }
 
     fn live_link(clock: &fedlake_netsim::SharedClock, seed: u64) -> Arc<Link> {
-        Arc::new(Link::new(
-            NetworkProfile::NO_DELAY,
-            Arc::clone(clock),
-            CostModel::default(),
-            seed,
-        ))
+        Link::new(NetworkProfile::NO_DELAY, Arc::clone(clock), CostModel::default(), seed).shared()
     }
 
     #[test]
@@ -877,13 +859,14 @@ mod tests {
             outage_len: 1,
             ..fedlake_netsim::FaultPlan::NONE
         };
-        let link = Arc::new(Link::with_faults(
+        let link = Link::with_faults(
             NetworkProfile::NO_DELAY,
             Arc::clone(&clock),
             CostModel::default(),
             1,
             plan,
-        ));
+        )
+        .shared();
         let route = SourceRoute::single("s", Arc::clone(&link));
         let mut c = ctx(Arc::clone(&clock), &["x"]);
         c.retry = crate::config::RetryPolicy {

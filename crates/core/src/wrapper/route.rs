@@ -7,7 +7,7 @@ use crate::lake::{logical_source_id, DataLake};
 use crate::obs::SourceSpan;
 use crate::operators::{ExecCtx, Wait};
 use fedlake_netsim::{DelayTapes, EventTime, Link};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,7 +26,9 @@ use std::time::Duration;
 pub struct SourceRoute {
     logical: String,
     endpoints: Vec<(String, Arc<Link>)>,
-    active: AtomicUsize,
+    /// A plain cell: a route serves one stream of one session, on that
+    /// session's thread, like the links it holds.
+    active: Cell<usize>,
 }
 
 impl SourceRoute {
@@ -37,7 +39,7 @@ impl SourceRoute {
         // through `route_for`, which turns an empty replica route into a
         // typed error first; only a route written out by hand can trip it.
         assert!(!endpoints.is_empty(), "a route needs at least one endpoint");
-        SourceRoute { logical: logical.into(), endpoints, active: AtomicUsize::new(0) }
+        SourceRoute { logical: logical.into(), endpoints, active: Cell::new(0) }
     }
 
     /// The unreplicated route: one endpoint, named like the source.
@@ -56,11 +58,11 @@ impl SourceRoute {
     }
 
     fn active(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.active.get()
     }
 
     fn set_active(&self, idx: usize) {
-        self.active.store(idx, Ordering::Relaxed);
+        self.active.set(idx);
     }
 
     fn endpoint(&self, idx: usize) -> (&str, &Link) {
@@ -318,7 +320,7 @@ pub(crate) fn links_for(
             if let Some(obs) = &observer {
                 link = link.with_observer(&endpoint, Arc::clone(obs));
             }
-            links.insert(endpoint, Arc::new(link));
+            links.insert(endpoint, link.shared());
         }
     }
     links

@@ -9,10 +9,10 @@ use crate::clock::SharedClock;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, LinkFault};
 use crate::obs::NetObserver;
-use crate::parking_lot_shim::Mutex;
 use crate::profile::{DelaySampler, NetworkProfile};
 use crate::tape::{DelayTape, TapeReader};
 use fedlake_prng::Prng;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,6 +47,20 @@ impl LinkStats {
 
 /// A link from the engine to one source, with its own RNG stream so runs
 /// are reproducible regardless of how many sources a federation has.
+///
+/// One session makes its links and sends every message on them from one
+/// thread (DESIGN §22, *Threads*), so the link's state sits in a
+/// [`RefCell`], not behind a lock, and a link is not `Sync`:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<fedlake_netsim::Link>();
+/// ```
+///
+/// Every borrow of that state lies inside one method body below and calls
+/// nothing that can reach the link again (the delay draw takes the
+/// borrowed state, and the observer runs after the borrow ends), so no
+/// borrow can meet another one.
 #[derive(Debug)]
 pub struct Link {
     /// The network setting this link simulates.
@@ -57,7 +71,7 @@ pub struct Link {
     delay: DelaySampler,
     clock: SharedClock,
     cost: CostModel,
-    state: Mutex<LinkState>,
+    state: RefCell<LinkState>,
     /// Label reported to the observer (usually the source id).
     label: String,
     /// Passive transfer observer; never influences outcomes or RNG.
@@ -98,7 +112,7 @@ impl Link {
             delay: profile.delay.sampler(),
             clock,
             cost,
-            state: Mutex::new(LinkState {
+            state: RefCell::new(LinkState {
                 rng: Prng::seed_from_u64(seed),
                 tape: None,
                 stats: LinkStats::default(),
@@ -130,7 +144,7 @@ impl Link {
     /// fault draws on one stream, so it keeps drawing live.
     pub fn with_tape(self, tape: Option<Arc<DelayTape>>) -> Self {
         if !self.faults.is_active() {
-            self.state.lock().tape = tape.map(TapeReader::new);
+            self.state.borrow_mut().tape = tape.map(TapeReader::new);
         }
         self
     }
@@ -165,6 +179,9 @@ impl Link {
     /// policy); a truncated message pays its transit.
     pub fn schedule_message(&self, rows: usize, start: Duration) -> (Duration, Result<(), LinkFault>) {
         let (begin, done, result) = self.schedule_inner(rows, start);
+        // The state's borrow ended with `schedule_inner`, so an observer
+        // may read the link (its `stats`, its `local_time`) without
+        // meeting it.
         if let Some(observer) = &self.observer {
             observer.on_transfer(&self.label, rows, begin, done, result.err());
         }
@@ -178,7 +195,10 @@ impl Link {
         rows: usize,
         start: Duration,
     ) -> (Duration, Duration, Result<(), LinkFault>) {
-        let mut st = self.state.lock();
+        // The one borrow of a transfer. It lasts to the end of this body,
+        // which calls only the fault plan, the cost model and
+        // `next_delay` (handed the borrowed state): none can reach the link.
+        let st = &mut *self.state.borrow_mut();
         let begin = st.local.max(start);
         let mut spike = false;
         if self.faults.is_active() {
@@ -197,7 +217,7 @@ impl Link {
             }
             if u < self.faults.drop_prob + self.faults.truncate_prob {
                 st.stats.truncated += 1;
-                let delay = self.next_delay(&mut st);
+                let delay = self.next_delay(st);
                 st.stats.delay += delay;
                 let done = begin + delay + self.cost.message_time(rows);
                 st.local = done;
@@ -206,7 +226,7 @@ impl Link {
             spike = u
                 < self.faults.drop_prob + self.faults.truncate_prob + self.faults.spike_prob;
         }
-        let mut delay = self.next_delay(&mut st);
+        let mut delay = self.next_delay(st);
         if spike {
             st.stats.spikes += 1;
             delay = Duration::from_nanos(
@@ -235,7 +255,7 @@ impl Link {
     /// starting no earlier than `start`; returns the completion time. No
     /// traffic is recorded — this is occupancy, not transfer.
     pub fn schedule_busy(&self, work: Duration, start: Duration) -> Duration {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let done = st.local.max(start) + work;
         st.local = done;
         done
@@ -244,7 +264,7 @@ impl Link {
     /// The absolute time up to which this link's private timeline is
     /// occupied (zero until the first `schedule_*` call).
     pub fn local_time(&self) -> Duration {
-        self.state.lock().local
+        self.state.borrow().local
     }
 
     /// Simulates transferring `total_rows` rows in messages of
@@ -272,12 +292,23 @@ impl Link {
 
     /// Traffic accumulated so far.
     pub fn stats(&self) -> LinkStats {
-        self.state.lock().stats
+        self.state.borrow().stats
     }
 
     /// The shared clock this link advances.
     pub fn clock(&self) -> &SharedClock {
         &self.clock
+    }
+
+    /// This link behind the `Arc` a route holds it by. `Arc` and not `Rc`
+    /// because fedbench's probes hand one to `SourceRoute::single` by that
+    /// type; the count is touched when a stream opens, not per message.
+    #[allow(
+        clippy::arc_with_non_send_sync,
+        reason = "a session's links stay on its thread; fedbench's probes name the Arc"
+    )]
+    pub fn shared(self) -> Arc<Link> {
+        Arc::new(self)
     }
 }
 
@@ -285,6 +316,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::clock::shared_virtual;
+    use crate::parking_lot_shim::Mutex;
     use crate::profile::DelayModel;
     use crate::tape::{DelayTapes, TapeStats, WINDOW};
 

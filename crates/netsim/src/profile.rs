@@ -52,7 +52,7 @@ fn millis(ms: f64) -> Duration {
     Duration::from_nanos((ms * 1_000_000.0) as u64)
 }
 
-/// A [`DelayModel`] prepared by [`DelayModel::sampler`].
+/// A [`DelayModel`] prepared by `DelayModel::sampler`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelaySampler {
     /// Every message takes this long; draws nothing from the RNG.

@@ -148,7 +148,7 @@ impl Database {
     }
 
     /// Executes an already-built physical plan: the borrowed result of
-    /// [`execute`], cloned cell by cell — the one place a result's values
+    /// `execute`, cloned cell by cell — the one place a result's values
     /// are copied.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<ResultSet, SqlError> {
         let (rel, cost) = execute(plan, &self.tables)?;

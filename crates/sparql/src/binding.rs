@@ -480,6 +480,41 @@ pub fn decode_row(schema: &RowSchema, dict: &Dictionary, ids: &[TermId]) -> Opti
     Some(Row { slots })
 }
 
+/// The rows [`decode_rows`] reads ahead of the handles it takes. Measured
+/// on `paper_matrix` at 32, 64 and 256 rows (results/pr43_fedbench.md).
+const DECODE_BLOCK: usize = 64;
+
+/// [`decode_row`] over the rows `ids` of `rows`, in order, a block of
+/// `DECODE_BLOCK` (64) rows at a time. Each block is read twice. The first
+/// pass loads every bound cell's term count: the loads are independent, so
+/// the CPU overlaps their cache misses, and the counts fold into one
+/// [`std::hint::black_box`] so the pass is not optimized away. The second
+/// pass takes the handles, whose locked increments now hit cache. The
+/// answer is exactly the per-row one.
+///
+/// `None` when a bound id is missing from `dict`, as for [`decode_row`].
+pub fn decode_rows(
+    schema: &RowSchema,
+    dict: &Dictionary,
+    rows: &RowArena,
+    ids: &[RowId],
+) -> Option<Vec<Row>> {
+    let mut out = Vec::with_capacity(ids.len());
+    for block in ids.chunks(DECODE_BLOCK) {
+        let mut counts = 0usize;
+        for &r in block {
+            for id in rows.row(r).iter().filter_map(|id| id.bound()) {
+                counts = counts.wrapping_add(Arc::strong_count(dict.shared(id)?));
+            }
+        }
+        std::hint::black_box(counts);
+        for &r in block {
+            out.push(decode_row(schema, dict, rows.row(r))?);
+        }
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +611,64 @@ mod tests {
         }
         // An id the dictionary never assigned is an error, not a panic.
         assert_eq!(decode_row(&s, &Dictionary::new(), rows.row(enc)), None);
+    }
+
+    /// `n` rows over `?x ?y ?z` with every pattern of bound and unbound
+    /// cells, and their handles in an order that is not the arena's.
+    fn mixed_rows(n: usize, dict: &mut Dictionary) -> (RowSchema, RowArena, Vec<RowId>) {
+        let s = RowSchema::new(["x", "y", "z"].map(Var::new));
+        let mut rows = RowArena::new(s.len());
+        let mut ids: Vec<RowId> = (0..n)
+            .map(|i| {
+                let mut row = Row::new();
+                for (k, v) in ["x", "y", "z"].into_iter().enumerate() {
+                    if (i >> k) & 1 == 0 {
+                        row = row.with(v, t(&format!("{}", (i * 7 + k) % 11)));
+                    }
+                }
+                enc(&row, &s, dict, &mut rows)
+            })
+            .collect();
+        ids.reverse();
+        ids.rotate_left(n / 3);
+        (s, rows, ids)
+    }
+
+    #[test]
+    fn decode_rows_is_decode_row_per_row() {
+        let b = DECODE_BLOCK;
+        for n in [0, 1, b - 1, b, b + 1, 3 * b + 5] {
+            let mut dict = Dictionary::new();
+            let (s, rows, ids) = mixed_rows(n, &mut dict);
+            let per_row: Option<Vec<Row>> =
+                ids.iter().map(|&r| decode_row(&s, &dict, rows.row(r))).collect();
+            let blocked = decode_rows(&s, &dict, &rows, &ids);
+            assert_eq!(blocked.as_ref().map(Vec::len), Some(n), "{n} rows");
+            assert_eq!(blocked, per_row, "{n} rows");
+
+            // Width 0: every row is the empty mapping.
+            let (empty, mut zero) = (RowSchema::new([]), RowArena::new(0));
+            let ids: Vec<RowId> = (0..n).map(|_| zero.push_unbound()).collect();
+            assert_eq!(decode_rows(&empty, &dict, &zero, &ids), Some(vec![Row::new(); n]), "{n}");
+        }
+    }
+
+    #[test]
+    fn decode_rows_rejects_an_id_the_dictionary_never_assigned() {
+        let mut dict = Dictionary::new();
+        let (s, mut rows, mut ids) = mixed_rows(2 * DECODE_BLOCK, &mut dict);
+        assert!(decode_rows(&s, &dict, &rows, &ids).is_some());
+        // A row encoded through another dictionary, in the second block:
+        // its ids reach past everything `dict` assigned.
+        let mut other = Dictionary::new();
+        for i in 0..64 {
+            other.intern(t(&format!("other{i}")));
+        }
+        let stranger = enc(&Row::new().with("y", t("other63")), &s, &mut other, &mut rows);
+        assert_eq!(decode_row(&s, &dict, rows.row(stranger)), None);
+        ids.insert(DECODE_BLOCK + 1, stranger);
+        assert_eq!(decode_rows(&s, &dict, &rows, &ids), None);
+        assert_eq!(decode_rows(&s, &dict, &rows, &[stranger]), None);
     }
 
     #[test]

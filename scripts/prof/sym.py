@@ -5,6 +5,7 @@ under a chosen root.
 
     sym.py run.prof [--root SUBSTR] [--top N] [--depth D] [--min PCT]
     sym.py run.prof --callers-of SUBSTR
+    sym.py run.prof --locked
 
 Percentages are of all samples; the tree's are too, so a subtree reads as
 its share of the whole run. An address inside a mapped file but outside
@@ -19,6 +20,13 @@ root are a lower bound.
 contains SUBSTR it prints, instead of the three views, the first frame
 inside the profiled binary — the allocator's, memmove's or libm's quarter
 of a profile by the engine function that asked.
+
+--locked answers "how much of the run waits on a lock prefix": a locked
+read-modify-write (an `Arc` count, a mutex, an atomic counter) drains the
+store buffer, and a sample that interrupts it lands on the instruction right
+after it. For each function it prints the samples whose leaf sits right
+after a `lock`-prefixed instruction or an `xchg` with a memory operand
+(implicitly locked), found by disassembling each mapped file with `objdump`.
 """
 import argparse
 import bisect
@@ -114,6 +122,26 @@ class Symbolizer:
         return "[anon]"
 
 
+def locked_successors(path):
+    """-> the addresses (file virtual addresses) of `path`'s instructions
+    that directly follow a lock-prefixed instruction or a memory `xchg`."""
+    try:
+        out = subprocess.run(["objdump", "-d", "--no-show-raw-insn", path], capture_output=True, text=True).stdout
+    except OSError:
+        return set()
+    after, locked = set(), False
+    for line in out.splitlines():
+        m = re.match(r"\s*([0-9a-f]+):\t(.*)$", line)
+        if not m:
+            locked = False  # a label or a section break ends the run of code
+            continue
+        if locked:
+            after.add(int(m.group(1), 16))
+        text = m.group(2).strip()
+        locked = text.startswith("lock ") or (text.startswith("xchg") and "(" in text)
+    return after
+
+
 def shorten(name, width):
     # Drop the hash suffix rustc appends and clip what is left.
     if len(name) > 19 and name[-19:-16] == "::h" and all(c in "0123456789abcdef" for c in name[-16:]):
@@ -136,6 +164,7 @@ def main():
     ap.add_argument("--min", type=float, default=1.0, help="smallest tree node, in percent of all samples")
     ap.add_argument("--width", type=int, default=110, help="longest printed name")
     ap.add_argument("--callers-of", metavar="SUBSTR", help="only: the first frame inside the binary of the samples whose leaf matches")
+    ap.add_argument("--locked", action="store_true", help="only: per function, the samples whose leaf follows a locked instruction")
     args = ap.parse_args()
 
     mappings, stacks, recovered, binary = read_profile(args.profile)
@@ -154,6 +183,26 @@ def main():
         matched = sum(callers.values())
         print("%d samples, %d (%.2f%%) with a leaf matching %r" % (total, matched, 100.0 * matched / total, args.callers_of))
         table("first frame inside %s" % os.path.basename(binary or "?"), callers, total, args.top, args.width)
+        return
+    if args.locked:
+        successors, locked, leaves = {}, collections.Counter(), collections.Counter()
+        for stack in stacks:
+            name = sym.name(stack[0])
+            leaves[name] += 1
+            path = next((p for start, end, _, p in sym.mappings if start <= stack[0] < end), None)
+            if path is None:
+                continue
+            if path not in successors:
+                successors[path] = locked_successors(path) if os.path.exists(path) else set()
+            # Like Symbolizer.lookup: a position-independent file's addresses
+            # are relative to its load bias, a fixed-address one's are not.
+            if stack[0] - sym.base[path] in successors[path] or stack[0] in successors[path]:
+                locked[name] += 1
+        n = sum(locked.values())
+        print("%d samples, %d (%.2f%%) with a leaf right after a locked instruction" % (total, n, 100.0 * n / total))
+        print("\n== locked (share of all samples; of the function's self samples) ==")
+        for name, k in locked.most_common(args.top):
+            print("%6.2f%% %7d %5.1f%%  %s" % (100.0 * k / total, k, 100.0 * k / leaves[name], shorten(name, args.width)))
         return
     self_time, inclusive = collections.Counter(), collections.Counter()
     tree = {}  # name -> [count, children]

@@ -4,11 +4,17 @@
 #
 #   scripts/profile.sh <workload> [seed]
 #   PROF_ROOT=FederatedEngine::serve scripts/profile.sh serve_open 7
+#   python3 scripts/prof/sym.py .prof_build/paper_matrix.7.prof --locked
+#
+# The last line reads the same samples again: per function, the share whose
+# leaf sits right after a lock-prefixed instruction or an xchg (objdump),
+# i.e. time spent on atomic counts, locks and atomic counters.
 #
 # Builds fedbench with frame pointers and line tables into its own target
 # directory (.prof_build/, git-ignored), so neither the benchmark's nor the
-# workspace's build is touched. Needs gcc, nm and python3; nothing else in
-# the repository depends on this script. Environment: PROF_ROOT (tree root,
+# workspace's build is touched. Needs gcc, nm and python3 (and objdump for
+# --locked); nothing else in the repository depends on this script.
+# Environment: PROF_ROOT (tree root,
 # default "main"), PROF_HZ (samples per CPU second, default 250),
 # PROF_SECONDS (run length, default 20), PROF_ARGS (more sym.py options).
 set -euo pipefail

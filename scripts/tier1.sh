@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: offline release build, the source greps, one test pass,
 # fedbench's unit tests and its four workloads in smoke mode, the lake_shell
-# surfaces, clippy clean.
+# surfaces, rustdoc and clippy clean.
 # Run from anywhere; operates on the repository that contains this script.
 #
 # Prefer the compiler to a grep: the clippy step holds panic freedom (each
@@ -292,6 +292,11 @@ expect_exit_2 --scale x
 # unimplemented!) unless an item-level #[allow] carries its proof, an
 # environment read or a thread_local! under crates/, and a LiftPlan or a
 # VerdictKey built, or a plan lowered, outside the planner module.
+# Rustdoc clean, warnings as errors: an intra-doc link to an item that is
+# gone or private to its crate fails here. A compiler check, not a grep.
+echo "== cargo doc -D warnings (offline) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo clippy -D warnings (offline) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -630,12 +630,13 @@ fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
                 }
             });
             if let Some(target) = bind_target {
-                let link = std::sync::Arc::new(fedlake_netsim::Link::new(
+                let link = fedlake_netsim::Link::new(
                     config.network,
                     fedlake_netsim::clock::shared_virtual(),
                     config.cost,
                     config.seed,
-                ));
+                )
+                .shared();
                 let direct = BindJoinOp::new(
                     Box::new(RowsOp::new(Vec::new())),
                     target,
