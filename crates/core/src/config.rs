@@ -183,7 +183,9 @@ pub struct PlanConfig {
     pub faults: FaultPlan,
     /// Retry behaviour when a link attempt fails.
     pub retry: RetryPolicy,
-    /// Per-query deadline on the simulated clock; `None` disables it.
+    /// Per-query deadline on the simulated clock, relative to the query's
+    /// start (a served job's arrival); `None` disables it. A served job's
+    /// own `ServeJob::deadline` takes its place.
     pub deadline: Option<Duration>,
     /// Overlapped source I/O: drive the plan with the event scheduler so
     /// independent sources transfer concurrently. `false` keeps the

@@ -51,9 +51,6 @@ pub struct ServeConfig {
     /// Mean of the exponential inter-arrival distribution. `ZERO` makes
     /// every job arrive at simulated time zero (a closed batch).
     pub mean_interarrival: Duration,
-    /// Default per-query deadline, relative to the query's arrival;
-    /// individual jobs can override it. `None` disables deadlines.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -62,7 +59,6 @@ impl Default for ServeConfig {
             seed: 7,
             max_in_flight: 8,
             mean_interarrival: Duration::ZERO,
-            deadline: None,
         }
     }
 }
@@ -77,8 +73,8 @@ pub struct ServeJob {
     pub label: String,
     /// The planned query to execute.
     pub planned: PlannedQuery,
-    /// Per-job deadline override (relative to arrival); `None` falls back
-    /// to [`ServeConfig::deadline`].
+    /// The job's deadline, relative to its arrival; `None` falls back to
+    /// the engine's [`PlanConfig::deadline`], as a solo execution does.
     pub deadline: Option<Duration>,
     /// The planned query was replayed from the plan cache
     /// (`false` for cold plans and whenever the cache is off). Annotation
@@ -253,7 +249,7 @@ impl FederatedEngine {
                 && arrivals[next_job] <= clock.now()
             {
                 let job = &jobs[next_job];
-                let deadline = job.deadline.or(serve_cfg.deadline);
+                let deadline = job.deadline.or(config.deadline);
                 // The lifecycle: the submit event carries the arrival
                 // time, admit the FIFO wait, plan the planner's report —
                 // all stamped at points the unrecorded loop reaches anyway.

@@ -340,7 +340,8 @@ fn tally_table<'m>(table: &Table, subj_pos: usize, columns: &[MappedColumn<'m>])
 /// predicate has as many triples and subjects as rows set its column, as
 /// many objects as the column has distinct values, and a row's NULL pattern
 /// *is* its characteristic set. `None` when the key is not the subject, a
-/// subject is NULL, or the table is too wide to profile.
+/// subject is NULL, or the table is too wide for the profile's NULL
+/// patterns.
 fn derive_table<'m>(
     table: &Table,
     subj_pos: usize,
@@ -349,23 +350,23 @@ fn derive_table<'m>(
     if !table.indexes().iter().any(|i| i.unique && i.key_columns == [subj_pos]) {
         return None;
     }
-    let profile = table.profile()?;
-    if profile.non_null(subj_pos) != profile.rows as u64 {
+    let profile = table.profile();
+    let patterns = profile.patterns.as_ref()?;
+    if profile.non_null(subj_pos)? != profile.rows as u64 {
         return None;
     }
     let predicates = columns
         .iter()
         .map(|&(pos, _)| {
-            let set = profile.non_null(pos);
-            PredicateStats {
+            let set = profile.non_null(pos)?;
+            Some(PredicateStats {
                 count: set,
                 distinct_subjects: set,
                 distinct_objects: profile.distinct[pos],
-            }
+            })
         })
-        .collect();
-    let sets = profile
-        .patterns
+        .collect::<Option<_>>()?;
+    let sets = patterns
         .iter()
         .map(|(&pattern, &n)| {
             let mut set: Vec<&str> = columns
@@ -693,7 +694,7 @@ mod tests {
                     }
                     // A duplicate key: rejected, and the profile is not touched.
                     _ => {
-                        let profile = |db: &Database| db.table("item").unwrap().profile().unwrap();
+                        let profile = |db: &Database| db.table("item").unwrap().profile();
                         let before = profile(db);
                         let mut row = vec![Value::Null; 5];
                         (row[0], row[1]) = (Value::text("k0"), text(&mut rng, 3));

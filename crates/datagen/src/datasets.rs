@@ -846,8 +846,8 @@ mod tests {
         // was requested as a selection attribute.
         let (db, _) = affymetrix(&cfg());
         assert!(!db.has_index_on("probeset", "species"));
-        let stats = db.stats("probeset").unwrap();
-        assert!(stats.column("species").unwrap().duplication_ratio > 0.15);
+        let probeset = db.table("probeset").unwrap();
+        assert!(column_stats(probeset, "species").unwrap().duplication_ratio > 0.15);
         // The join attribute IS indexed.
         assert!(db.has_index_on("probeset", "gene"));
     }

@@ -2,10 +2,10 @@
 //!
 //! Every cache in the workspace — the engine's lifted source results (the
 //! one cache of what a leaf or a bind-join batch fetched), its normalized
-//! plans, each table's column statistics ([`crate::stats::column_stats`])
-//! and the SQL memo behind [`crate::Database::query_cached`], which no
-//! engine path reads any more (fedbench's `relational.*` probes are its
-//! last callers) — is a [`VersionedCache`]. An entry is stamped
+//! plans, its FILTER verdict memo and the SQL memo behind
+//! [`crate::Database::query_cached`], which no engine path reads any more
+//! (fedbench's `relational.*` probes are its last callers) — is a
+//! [`VersionedCache`]. An entry is stamped
 //! with the version of whatever it was computed from; a lookup presents the
 //! owner's *current* version, and an entry stamped with another one is a
 //! counted `stale` miss that drops the entry on the spot, so the refill

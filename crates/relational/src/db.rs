@@ -13,7 +13,6 @@ use crate::optimizer::plan_select;
 use crate::plan::PhysicalPlan;
 use crate::schema::TableSchema;
 use crate::sql::{parse, SelectStmt, Statement};
-use crate::stats::{table_stats, TableStats};
 use crate::storage::Table;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -246,11 +245,6 @@ impl Database {
         names
     }
 
-    /// Statistics for one table.
-    pub fn stats(&self, table: &str) -> Option<TableStats> {
-        self.table(table).map(table_stats)
-    }
-
     /// True when `table.column` carries an index with that column as the
     /// leading key — the physical-design question the paper's heuristics
     /// ask of each source.
@@ -463,13 +457,76 @@ mod tests {
 
     #[test]
     fn stats_and_has_index() {
+        use crate::stats::column_stats;
         let db = lake_db();
         assert!(db.has_index_on("gene", "id"));
         assert!(!db.has_index_on("gene", "species"));
-        let stats = db.stats("gene").unwrap();
+        let gene = db.table("gene").unwrap();
         // Mus musculus occurs in 2/3 of rows — above the 15 % threshold.
-        assert!(!stats.column("species").unwrap().is_indexable());
-        assert!(stats.column("id").unwrap().is_indexable());
+        assert!(!column_stats(gene, "species").unwrap().is_indexable());
+        assert!(column_stats(gene, "id").unwrap().is_indexable());
+    }
+
+    /// A table wider than a NULL pattern holds: its equalities are priced
+    /// from the profile's distinct counts, `1 / NDV` each, as on any table.
+    #[test]
+    fn a_wide_tables_equalities_are_priced_from_its_distinct_counts() {
+        let mut db = Database::new("wide");
+        let columns: Vec<String> = (0..65).map(|c| format!("c{c} INT")).collect();
+        db.execute(&format!("CREATE TABLE wide ({}, PRIMARY KEY (c0))", columns.join(", ")))
+            .unwrap();
+        for i in 0..120 {
+            let cell = |c| match c {
+                0 => i,
+                63 => i % 6,
+                64 => i % 4,
+                _ => i % 3,
+            };
+            db.insert_row("wide", (0..65).map(|c| Value::Int(cell(c))).collect()).unwrap();
+        }
+        let plan = |db: &Database, sql: &str| -> (String, f64) {
+            let plan = db.plan(&select_only(sql).unwrap()).unwrap();
+            let PhysicalPlan::Project { input, .. } = &plan else { panic!("{plan:?}") };
+            let PhysicalPlan::Scan(scan) = &**input else { panic!("{plan:?}") };
+            (explain(&plan), scan.estimated_rows)
+        };
+        let (text, est) = plan(&db, "SELECT c0 FROM wide WHERE c64 = 1");
+        let scan = "SeqScan wide AS wide (est 30.0 rows) filter: wide.c64 = 1";
+        assert_eq!((text, est), (format!("Project: wide.c0\n  {scan}\n"), 120.0 * 0.25));
+        let (text, est) = plan(&db, "SELECT c0 FROM wide WHERE c64 = 1 AND c63 IN (1, 2)");
+        let scan = "SeqScan wide AS wide (est 10.0 rows) filter: wide.c64 = 1 AND wide.c63 IN (1, 2)";
+        let sel = 0.25 * (1.0 / 6.0 * 2.0);
+        assert_eq!((text, est), (format!("Project: wide.c0\n  {scan}\n"), 120.0 * sel));
+        db.execute("CREATE INDEX by_c64 ON wide (c64)").unwrap();
+        let (text, est) = plan(&db, "SELECT c0 FROM wide WHERE c1 = 2 AND c64 = 1");
+        let scan = "IndexScan[by_c64 = 1] wide AS wide (est 10.0 rows) filter: wide.c1 = 2";
+        let sel = 0.25 * (1.0 / 3.0);
+        assert_eq!((text, est), (format!("Project: wide.c0\n  {scan}\n"), 120.0 * sel));
+    }
+
+    /// A column named twice — in the table or in its key, in SQL or in a
+    /// typed schema — is rejected: the second could never be reached by
+    /// name. The database is left as it was.
+    #[test]
+    fn a_column_named_twice_is_rejected() {
+        use crate::schema::Column;
+        use crate::value::DataType;
+        let mut db = Database::new("twice");
+        let twice = Err(SqlError::AlreadyExists("column a".into()));
+        for sql in [
+            "CREATE TABLE t (a INT, A TEXT)",
+            "CREATE TABLE t (a INT, b TEXT, PRIMARY KEY (a, b, a))",
+        ] {
+            assert_eq!(db.execute(sql).map(|_| ()), twice, "{sql}");
+        }
+        let columns = vec![Column::new("a", DataType::Int), Column::new("b", DataType::Text)];
+        let schema = TableSchema::new("t", columns);
+        assert_eq!(db.create_table(schema.clone().with_primary_key(&["a", "A"])), twice);
+        let mut doubled = schema.clone();
+        doubled.columns.push(Column::new("a", DataType::Bool));
+        assert_eq!(db.create_table(doubled), twice);
+        assert!(db.table_names().is_empty());
+        assert_eq!(db.create_table(schema.with_primary_key(&["a", "b"])), Ok(()));
     }
 
     #[test]
@@ -505,8 +562,9 @@ mod tests {
         let mut db = lake_db();
         let sql = "SELECT id FROM gene WHERE species = 'Homo sapiens'";
         let first = db.query_cached(sql).unwrap();
-        let passes = db.table("gene").unwrap().stats_cache_stats().misses;
-        assert!(passes > 0, "planning the equality consulted the column statistics");
+        // What planning the equality reads its distinct count from.
+        let profile = db.table("gene").unwrap().profile();
+        assert_eq!(profile.rows, 30);
 
         // Unknown table, arity, type, NOT NULL, unique, duplicate DDL.
         assert!(db.insert_row("nope", vec![Value::Int(1)]).is_err());
@@ -530,14 +588,9 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "the memo entry is still current");
         let s = db.cache_stats();
         assert_eq!((s.lookups, s.hits, s.stale), (2, 1, 0));
-        // The statistics are still served from the cache, not recomputed.
-        let gene = db.table("gene").unwrap();
-        let hits = gene.stats_cache_stats().hits;
+        // The profile is still the one planning read, not recomputed.
         db.query(sql).unwrap();
-        let after = gene.stats_cache_stats();
-        assert_eq!(after.misses, passes);
-        assert!(after.hits > hits);
-        assert_eq!(after.stale, 0);
+        assert!(Arc::ptr_eq(&profile, &db.table("gene").unwrap().profile()));
 
         // A multi-row INSERT that fails on its second row applied the first.
         assert!(db

@@ -8,6 +8,9 @@
 //! * a catalog with primary keys, foreign keys and **secondary indexes**
 //!   ([`schema`], [`Database::create_index`]);
 //! * B-tree indexes supporting point and range lookups ([`index`]);
+//! * one profile per table — distinct values per column, rows per NULL
+//!   pattern — kept current as rows are appended, that the optimizer
+//!   prices equalities from ([`storage::TableProfile`]);
 //! * per-column statistics including the *duplication ratio* that drives
 //!   the paper's "no index when a value occurs in more than 15 % of the
 //!   records" rule ([`stats`]);

@@ -10,7 +10,6 @@
 use crate::error::SqlError;
 use crate::plan::{AccessPath, JoinAlgo, PhysicalPlan, ScanNode};
 use crate::sql::ast::{ColumnRef, Operand, Predicate, SelectItem, SelectStmt, SortKey, SqlCmpOp};
-use crate::stats::column_stats;
 use crate::storage::Table;
 use std::collections::HashMap;
 
@@ -255,9 +254,7 @@ fn build_scan(part: &Part, preds: Vec<Predicate>) -> ScanNode {
                     continue;
                 }
                 let Some(idx) = table.index_on(&left.column) else { continue };
-                let sel = column_stats(table, &left.column)
-                    .map(|s| s.eq_selectivity())
-                    .unwrap_or(0.1);
+                let sel = equality_selectivity(table, &left.column).unwrap_or(0.1);
                 (AccessPath::IndexEq { index: idx.name.clone(), key: v.clone() }, sel)
             }
             Predicate::Compare { left, op, right: Operand::Literal(v) }
@@ -280,8 +277,8 @@ fn build_scan(part: &Part, preds: Vec<Predicate>) -> ScanNode {
                     continue;
                 }
                 let Some(idx) = table.index_on(&col.column) else { continue };
-                let sel = column_stats(table, &col.column)
-                    .map(|s| s.eq_selectivity() * values.len() as f64)
+                let sel = equality_selectivity(table, &col.column)
+                    .map(|s| s * values.len() as f64)
                     .unwrap_or(0.2);
                 let keys = values.clone();
                 (AccessPath::IndexInList { index: idx.name.clone(), keys }, sel.min(1.0))
@@ -342,13 +339,20 @@ fn index_selectivity(table: &Table, index_name: &str, keys: usize) -> f64 {
         .unwrap_or(0.1)
 }
 
+/// Estimated selectivity of an equality on `column`: `1 / NDV` under the
+/// uniformity assumption, the distinct count read from the table's profile;
+/// `None` for a column the table does not have.
+fn equality_selectivity(table: &Table, column: &str) -> Option<f64> {
+    let pos = table.schema.column_index(column)?;
+    let distinct = *table.profile().distinct.get(pos)?;
+    Some(if distinct == 0 { 0.0 } else { 1.0 / distinct as f64 })
+}
+
 /// Heuristic selectivity of a residual predicate.
 pub(crate) fn predicate_selectivity(p: &Predicate, table: &Table) -> f64 {
     match p {
         Predicate::Compare { left, op, right: Operand::Literal(_) } => match op {
-            SqlCmpOp::Eq => column_stats(table, &left.column)
-                .map(|s| s.eq_selectivity())
-                .unwrap_or(0.1),
+            SqlCmpOp::Eq => equality_selectivity(table, &left.column).unwrap_or(0.1),
             SqlCmpOp::Ne => 0.9,
             _ => RANGE_SELECTIVITY,
         },
@@ -368,9 +372,7 @@ pub(crate) fn predicate_selectivity(p: &Predicate, table: &Table) -> f64 {
             }
         }
         Predicate::InList { values, col } => {
-            let per = column_stats(table, &col.column)
-                .map(|s| s.eq_selectivity())
-                .unwrap_or(0.1);
+            let per = equality_selectivity(table, &col.column).unwrap_or(0.1);
             (per * values.len() as f64).min(1.0)
         }
     }

@@ -1,9 +1,8 @@
-//! Table and column statistics.
-//!
-//! These drive both the optimizer's cardinality estimates and the paper's
-//! physical-design policy: *"No index is created \[when\] there are values
-//! that are present in more than 15 % of the records"* (§1). The
-//! [`ColumnStats::duplication_ratio`] captures exactly that quantity.
+//! Column statistics for the paper's physical-design policy: *"No index is
+//! created \[when\] there are values that are present in more than 15 % of
+//! the records"* (§1). The [`ColumnStats::duplication_ratio`] captures
+//! exactly that quantity. The optimizer's distinct counts come from the
+//! table's profile (`Table::profile`), not from here.
 
 use crate::storage::Table;
 use crate::value::Value;
@@ -30,16 +29,6 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Estimated selectivity of an equality predicate on this column:
-    /// `1 / NDV` under the uniformity assumption.
-    pub(crate) fn eq_selectivity(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            1.0 / self.distinct as f64
-        }
-    }
-
     /// Whether the paper's physical-design policy permits an index on this
     /// column (§1: no value in more than 15 % of records).
     pub fn is_indexable(&self) -> bool {
@@ -47,17 +36,13 @@ impl ColumnStats {
     }
 }
 
-/// Statistics for one column of a table, served from the table's cache
-/// ([`crate::cache`]; the row count is the version) so that planning a
-/// query does not scan the data it is about to plan around. Equal to a
-/// fresh pass over the rows at every point.
+/// Statistics for one column of a table, by one pass over its rows.
 pub fn column_stats(table: &Table, column: &str) -> Option<ColumnStats> {
-    let pos = table.schema.column_index(column)?;
-    Some(table.column_stats_cached(pos, || scan_column(table, pos)))
+    Some(scan_column(table, table.schema.column_index(column)?))
 }
 
 /// One pass over the rows of the column at `pos`.
-fn scan_column(table: &Table, pos: usize) -> ColumnStats {
+pub(crate) fn scan_column(table: &Table, pos: usize) -> ColumnStats {
     let mut freq: HashMap<&Value, usize> = HashMap::new();
     let mut nulls = 0usize;
     for (_, row) in table.iter() {
@@ -81,31 +66,6 @@ fn scan_column(table: &Table, pos: usize) -> ColumnStats {
         } else {
             max_freq as f64 / total as f64
         },
-    }
-}
-
-/// Statistics for a whole table, computed on demand.
-#[derive(Debug, Clone)]
-pub struct TableStats {
-    /// Row count.
-    pub rows: usize,
-    /// Per-column statistics in schema order.
-    pub columns: Vec<ColumnStats>,
-}
-
-/// Computes statistics for every column of a table.
-pub(crate) fn table_stats(table: &Table) -> TableStats {
-    let columns = (0..table.schema.columns.len())
-        .map(|pos| table.column_stats_cached(pos, || scan_column(table, pos)))
-        .collect();
-    TableStats { rows: table.len(), columns }
-}
-
-impl TableStats {
-    /// Looks up a column's stats by name.
-    pub fn column(&self, name: &str) -> Option<&ColumnStats> {
-        let name = name.to_lowercase();
-        self.columns.iter().find(|c| c.column == name)
     }
 }
 
@@ -174,83 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn eq_selectivity() {
-        let t = table_with(&["a", "b", "a", "c"]);
-        let s = column_stats(&t, "species").unwrap();
-        assert!((s.eq_selectivity() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_stats_covers_all_columns() {
-        let t = table_with(&["a", "b"]);
-        let ts = table_stats(&t);
-        assert_eq!(ts.rows, 2);
-        assert_eq!(ts.columns.len(), 2);
-        assert!(ts.column("ID").is_some());
-        assert!(ts.column("nope").is_none());
-    }
-
-    /// After every insert of a seeded sequence — accepted or rejected —
-    /// the cached statistics equal a fresh pass, and each column is
-    /// scanned once per row count at which somebody asked.
-    #[test]
-    fn cached_stats_equal_a_fresh_pass_after_any_insert_sequence() {
-        use fedlake_prng::Prng;
-        let mut rng = Prng::seed_from_u64(0x57a7_0001);
-        for _ in 0..32 {
-            let mut t = table_with(&[]);
-            let mut asked_at: [Option<usize>; 2] = [None, None];
-            let mut passes = 0;
-            for _ in 0..rng.gen_range(1usize..40) {
-                // A small id range, so some inserts violate the key.
-                let id = Value::Int(rng.gen_range(0i64..24));
-                let species = match rng.gen_range(0u8..5) {
-                    0 => Value::Null,
-                    n => Value::text(format!("s{n}")),
-                };
-                let _ = t.insert(vec![id, species]);
-                for (pos, name) in ["id", "species"].into_iter().enumerate() {
-                    if rng.gen_bool(0.6) {
-                        assert_eq!(column_stats(&t, name).unwrap(), scan_column(&t, pos));
-                        if asked_at[pos] != Some(t.len()) {
-                            asked_at[pos] = Some(t.len());
-                            passes += 1;
-                        }
-                    }
-                }
-            }
-            let s = t.stats_cache_stats();
-            assert_eq!(s.misses, passes, "one pass per (column, row count) asked about");
-            assert_eq!(s.lookups, s.hits + s.misses);
-        }
-    }
-
-    #[test]
-    fn a_clone_answers_from_the_carried_cache_until_it_diverges() {
-        let t = table_with(&["a", "b", "a"]);
-        let original = column_stats(&t, "species").unwrap();
-        assert_eq!(t.stats_cache_stats().misses, 1);
-
-        let mut c = t.clone();
-        assert_eq!(column_stats(&c, "species").unwrap(), original);
-        assert_eq!(table_stats(&c).column("species"), Some(&original));
-        assert_eq!(c.stats_cache_stats().misses, 2, "only `id` was new to the clone");
-
-        // Diverge: the clone recomputes, the original is untouched.
-        c.insert(vec![Value::Int(99), Value::text("a")]).unwrap();
-        assert_eq!(column_stats(&c, "species").unwrap().count, 4);
-        assert_eq!(c.stats_cache_stats().stale, 1);
-        assert_eq!(column_stats(&t, "species").unwrap(), original);
-        assert_eq!(t.stats_cache_stats().misses, 1);
-    }
-
-    #[test]
     fn empty_table_stats() {
         let t = table_with(&[]);
         let s = column_stats(&t, "species").unwrap();
         assert_eq!(s.count, 0);
         assert_eq!(s.duplication_ratio, 0.0);
-        assert_eq!(s.eq_selectivity(), 0.0);
         assert!(s.is_indexable());
     }
 }

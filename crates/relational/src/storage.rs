@@ -1,10 +1,8 @@
 //! Row storage: one in-memory heap per table plus its indexes.
 
-use crate::cache::{CacheStats, VersionedCache};
 use crate::error::SqlError;
 use crate::index::{BTreeIndex, RowId};
 use crate::schema::TableSchema;
-use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -16,32 +14,26 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// shares the rows and the indexes with its original, and the first write
 /// to either value copies what it touches — the rows and the indexes for
 /// an insert, the indexes alone for index DDL — so the two diverge from
-/// there. What the table *caches* (the column statistics, the profile) is
-/// per value.
+/// there. What the table *caches*, its profile, travels as a pointer and is
+/// replaced, never written through.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
     rows: Arc<Vec<Vec<Value>>>,
     indexes: Arc<Vec<BTreeIndex>>,
-    /// Column statistics by column position, stamped with the row count
-    /// they were computed from. Rows are only ever appended — there is no
-    /// update or delete — so the count identifies the table's contents and
-    /// serves as the version: an insert makes every entry stale without
-    /// anyone having to say so.
-    stats: Mutex<StatsCache>,
-    /// The profile of the first `profile.rows` rows. Append-only makes an
-    /// old profile short, never wrong, so whoever asks extends it by the
-    /// rows it lacks instead of dropping it ([`Table::profile`]).
+    /// The profile of the first `profile.rows` rows. Rows are only ever
+    /// appended — there is no update or delete — so an old profile is
+    /// short, never wrong, and whoever asks extends it by the rows it lacks
+    /// instead of dropping it ([`Table::profile`]).
     profile: Mutex<Arc<TableProfile>>,
 }
 
-type StatsCache = VersionedCache<usize, ColumnStats>;
-
-/// A synopsis of a table's rows that knows nothing about mappings: how many
-/// distinct values each column holds and which columns the rows leave NULL.
-/// It is what the statistics catalog derives a mapped table's triples,
-/// subjects and characteristic sets from without a pass over the rows.
+/// The one synopsis of a table's rows, knowing nothing about mappings: how
+/// many distinct values each column holds and which columns the rows leave
+/// NULL. The SQL optimizer prices an equality from its distinct counts, and
+/// the statistics catalog derives a mapped table's triples, subjects and
+/// characteristic sets from it without a pass over the rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableProfile {
     /// Rows described.
@@ -49,21 +41,26 @@ pub struct TableProfile {
     /// Distinct non-NULL values per column, in schema order.
     pub distinct: Vec<u64>,
     /// Rows per NULL pattern; bit `c` of a pattern is set when the row's
-    /// column `c` is not NULL.
-    pub patterns: BTreeMap<u64, u64>,
+    /// column `c` is not NULL. `None` for a table wider than
+    /// [`TableProfile::MAX_COLUMNS`].
+    pub patterns: Option<BTreeMap<u64, u64>>,
 }
 
 impl TableProfile {
-    /// Most columns a profile describes: a NULL pattern is one `u64`.
+    /// Most columns whose NULL patterns a profile keeps: a pattern is one
+    /// `u64`.
     pub const MAX_COLUMNS: usize = 64;
 
     fn empty(arity: usize) -> Self {
-        TableProfile { rows: 0, distinct: vec![0; arity], patterns: BTreeMap::new() }
+        let patterns = (arity <= Self::MAX_COLUMNS).then(BTreeMap::new);
+        TableProfile { rows: 0, distinct: vec![0; arity], patterns }
     }
 
-    /// Rows whose column `pos` is not NULL.
-    pub fn non_null(&self, pos: usize) -> u64 {
-        self.patterns.iter().filter(|(p, _)| *p >> pos & 1 == 1).map(|(_, n)| n).sum()
+    /// Rows whose column `pos` is not NULL, when the profile keeps the NULL
+    /// patterns.
+    pub fn non_null(&self, pos: usize) -> Option<u64> {
+        let patterns = self.patterns.as_ref()?;
+        Some(patterns.iter().filter(|(p, _)| *p >> pos & 1 == 1).map(|(_, n)| n).sum())
     }
 }
 
@@ -81,16 +78,12 @@ const INDEX_PROBE_COST: usize = 24;
 
 impl Clone for Table {
     fn clone(&self) -> Self {
-        // The data is shared, the statistics are a snapshot that travels
-        // along: the clone holds the same rows, and once it diverges its
-        // own row count outdates them. A scan either value pays from here
-        // on is its own. The profile travels as a pointer; whoever extends
-        // it stores a profile of its own.
+        // The data is shared, and so is the profile: it travels as a
+        // pointer, and whoever extends it stores a profile of its own.
         Table {
             schema: self.schema.clone(),
             rows: Arc::clone(&self.rows),
             indexes: Arc::clone(&self.indexes),
-            stats: Mutex::new(self.stats_cache().clone()),
             profile: Mutex::new(Arc::clone(&self.profile_slot())),
         }
     }
@@ -98,18 +91,24 @@ impl Clone for Table {
 
 impl Table {
     /// Creates an empty table; builds the primary-key index if a key is
-    /// declared.
+    /// declared. A column named twice, in the table or in its key, is
+    /// rejected: the second could never be reached by name.
     pub(crate) fn new(schema: TableSchema) -> Result<Self, SqlError> {
+        for (at, column) in schema.columns.iter().enumerate() {
+            if schema.columns[..at].iter().any(|c| c.name == column.name) {
+                return Err(SqlError::AlreadyExists(format!("column {}", column.name)));
+            }
+        }
         let profile = Mutex::new(Arc::new(TableProfile::empty(schema.arity())));
-        let mut t = Table {
-            schema,
-            rows: Arc::default(),
-            indexes: Arc::default(),
-            stats: Mutex::default(),
-            profile,
-        };
+        let mut t = Table { schema, rows: Arc::default(), indexes: Arc::default(), profile };
         if !t.schema.primary_key.is_empty() {
             let cols = t.resolve_columns(&t.schema.primary_key.clone())?;
+            for (at, &col) in cols.iter().enumerate() {
+                if cols[..at].contains(&col) {
+                    let name = &t.schema.columns[col].name;
+                    return Err(SqlError::AlreadyExists(format!("column {name}")));
+                }
+            }
             t.indexes = Arc::new(vec![BTreeIndex::new(
                 format!("pk_{}", t.schema.name),
                 cols,
@@ -254,45 +253,15 @@ impl Table {
         self.rows.iter().enumerate().map(|(i, r)| (i, r.as_slice()))
     }
 
-    fn stats_cache(&self) -> MutexGuard<'_, StatsCache> {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The statistics of the column at `pos` as of the current rows: the
-    /// cached ones, or `fresh()` computed now and kept for the next caller.
-    pub(crate) fn column_stats_cached(
-        &self,
-        pos: usize,
-        fresh: impl FnOnce() -> ColumnStats,
-    ) -> ColumnStats {
-        let version = self.rows.len() as u64;
-        if let Some(hit) = self.stats_cache().lookup(&pos, version) {
-            return hit;
-        }
-        let stats = fresh();
-        self.stats_cache().insert(pos, version, stats.clone());
-        stats
-    }
-
-    /// Counters of the column-statistics cache; `misses` is the number of
-    /// full passes over the table's rows.
-    pub fn stats_cache_stats(&self) -> CacheStats {
-        self.stats_cache().stats()
-    }
-
     fn profile_slot(&self) -> MutexGuard<'_, Arc<TableProfile>> {
         self.profile.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The profile of the current rows, or `None` for a table wider than
-    /// [`TableProfile::MAX_COLUMNS`]. A profile that is behind is extended
-    /// by the rows appended since — equal to a full pass at every point —
-    /// and kept for the next caller; a clone carries the one it was cloned
-    /// with and extends it on its own from there.
-    pub fn profile(&self) -> Option<Arc<TableProfile>> {
-        if self.schema.arity() > TableProfile::MAX_COLUMNS {
-            return None;
-        }
+    /// The profile of the current rows. A profile that is behind is
+    /// extended by the rows appended since — equal to a full pass at every
+    /// point — and kept for the next caller; a clone carries the one it was
+    /// cloned with and extends it on its own from there.
+    pub fn profile(&self) -> Arc<TableProfile> {
         let mut slot = self.profile_slot();
         if slot.rows < self.rows.len() {
             // Built aside and stored whole: rows covered and counters move
@@ -300,7 +269,7 @@ impl Table {
             // short, not wrong — behind the poison-tolerant lock.
             *slot = Arc::new(self.profile_after(&slot));
         }
-        Some(Arc::clone(&slot))
+        Arc::clone(&slot)
     }
 
     /// `old` brought up to the current rows: extended when asking the table
@@ -322,7 +291,9 @@ impl Table {
         for at in profile.rows..len {
             let mut pattern = 0u64;
             for (c, v) in self.rows[at].iter().enumerate().filter(|(_, v)| !v.is_null()) {
-                pattern |= 1 << c;
+                if c < TableProfile::MAX_COLUMNS {
+                    pattern |= 1 << c;
+                }
                 let new = match (extend, probes[c]) {
                     (false, _) => seen[c].insert(v),
                     // The index already holds this row: the value is new
@@ -334,7 +305,9 @@ impl Table {
                 };
                 profile.distinct[c] += u64::from(new);
             }
-            *profile.patterns.entry(pattern).or_insert(0) += 1;
+            if let Some(patterns) = &mut profile.patterns {
+                *patterns.entry(pattern).or_insert(0) += 1;
+            }
         }
         profile.rows = len;
         profile
@@ -477,91 +450,125 @@ mod tests {
         for (_, row) in t.iter() {
             let mut pattern = 0;
             for (c, v) in row.iter().enumerate().filter(|(_, v)| !v.is_null()) {
-                pattern |= 1 << c;
+                if c < TableProfile::MAX_COLUMNS {
+                    pattern |= 1 << c;
+                }
                 seen[c].insert(v);
             }
-            *profile.patterns.entry(pattern).or_insert(0) += 1;
+            if let Some(patterns) = &mut profile.patterns {
+                *patterns.entry(pattern).or_insert(0) += 1;
+            }
         }
         profile.rows = t.len();
         profile.distinct = seen.iter().map(|s| s.len() as u64).collect();
         profile
     }
 
+    /// The drug table widened to `width` columns: `id`, `name` and `mass`
+    /// first, then TEXT and DOUBLE columns in turn.
+    fn table_of_width(width: usize) -> Table {
+        let mut columns = table().schema.columns;
+        columns.extend((3..width).map(|c| {
+            let data_type = if c % 2 == 1 { DataType::Text } else { DataType::Double };
+            Column::new(format!("c{c}"), data_type)
+        }));
+        Table::new(TableSchema::new("drug", columns).with_primary_key(&["id"])).unwrap()
+    }
+
     #[test]
     fn profile_counts_values_and_null_patterns() {
         let mut t = table();
-        assert_eq!(*t.profile().unwrap(), TableProfile::empty(3));
+        assert_eq!(*t.profile(), TableProfile::empty(3));
         t.insert(vec![Value::text("d1"), Value::text("Aspirin"), Value::Double(180.0)]).unwrap();
         t.insert(vec![Value::text("d2"), Value::text("Aspirin"), Value::Null]).unwrap();
         t.insert(vec![Value::text("d3"), Value::Null, Value::Int(180)]).unwrap();
-        let p = t.profile().unwrap();
+        let p = t.profile();
         assert_eq!((p.rows, &p.distinct[..]), (3, &[3, 1, 1][..]), "180 and 180.0 are one value");
-        assert_eq!(p.patterns, BTreeMap::from([(0b111, 1), (0b011, 1), (0b101, 1)]));
-        assert_eq!((p.non_null(0), p.non_null(1), p.non_null(2)), (3, 2, 2));
+        let patterns = BTreeMap::from([(0b111, 1), (0b011, 1), (0b101, 1)]);
+        assert_eq!(p.patterns, Some(patterns));
+        assert_eq!((p.non_null(0), p.non_null(1), p.non_null(2)), (Some(3), Some(2), Some(2)));
         assert_eq!(*p, full_pass(&t));
 
-        let wide: Vec<Column> = (0..=TableProfile::MAX_COLUMNS)
-            .map(|c| Column::new(format!("c{c}"), DataType::Int))
-            .collect();
-        assert!(Table::new(TableSchema::new("wide", wide)).unwrap().profile().is_none());
+        // Past `MAX_COLUMNS` the distinct counts are kept, the NULL
+        // patterns are not.
+        let mut wide = table_of_width(TableProfile::MAX_COLUMNS + 1);
+        let mut row = vec![Value::Null; TableProfile::MAX_COLUMNS + 1];
+        (row[0], row[64]) = (Value::text("d1"), Value::Double(1.5));
+        wide.insert(row).unwrap();
+        let p = wide.profile();
+        assert_eq!((p.rows, p.distinct[0], p.distinct[1], p.distinct[64]), (1, 1, 0, 1));
+        assert_eq!((&p.patterns, p.non_null(0)), (&None, None));
+        assert_eq!(*p, full_pass(&wide));
     }
 
     /// Whenever it is asked — after one append, after many, across an index
-    /// appearing and going under it — the kept profile equals a full pass;
-    /// a rejected insert leaves it as it is, and a clone starts from the
-    /// one it was cloned with.
+    /// appearing and going under it — the kept profile equals a full pass
+    /// and its distinct counts equal a scan of each column, on a table of
+    /// three columns and on one too wide for NULL patterns; a rejected
+    /// insert leaves it as it is, and a clone starts from the one it was
+    /// cloned with.
     #[test]
     fn an_extended_profile_equals_a_full_pass() {
+        use crate::stats::scan_column;
         use fedlake_prng::Prng;
-        let mut rng = Prng::seed_from_u64(0x9f0f_11e5);
-        let mut t = table();
-        let mut clone: Option<Table> = None;
-        for step in 0..400usize {
-            match step {
-                150 => t.create_index("by_name", &["name".into()], false).unwrap(),
-                200 => t.create_index("by_mass", &["mass".into()], false).unwrap(),
-                250 => assert!(t.drop_index("by_name")),
-                300 => {
-                    let c = t.clone();
-                    assert!(Arc::ptr_eq(&c.profile().unwrap(), &t.profile().unwrap()));
-                    clone = Some(c);
+        // The wide table takes fewer steps: each one scans 65 columns.
+        for (width, steps) in [(3, 400usize), (TableProfile::MAX_COLUMNS + 1, 80)] {
+            let mut rng = Prng::seed_from_u64(0x9f0f_11e5);
+            let mut t = table_of_width(width);
+            let mut clone: Option<Table> = None;
+            for step in 0..steps {
+                // In eighths of the run: an index appears, another, the
+                // first goes, the table is cloned.
+                match (step * 8 / steps, step * 8 % steps) {
+                    (3, 0) => t.create_index("by_name", &["name".into()], false).unwrap(),
+                    (4, 0) => t.create_index("by_mass", &["mass".into()], false).unwrap(),
+                    (5, 0) => assert!(t.drop_index("by_name")),
+                    (6, 0) => {
+                        let c = t.clone();
+                        assert!(Arc::ptr_eq(&c.profile(), &t.profile()));
+                        clone = Some(c);
+                    }
+                    _ => {}
                 }
-                _ => {}
-            }
-            let target = match &mut clone {
-                Some(c) if rng.gen_bool(0.5) => c,
-                _ => &mut t,
-            };
-            // Mostly one row per ask; now and then a load large enough to
-            // be cheaper as a full pass.
-            let rows = if rng.gen_bool(0.05) { rng.gen_range(20..120usize) } else { 1 };
-            for _ in 0..rows {
-                let name = match rng.gen_range(0u8..8) {
-                    0 => Value::Null,
-                    1..=4 => Value::text(format!("n{}", rng.gen_range(0..12))),
-                    _ => Value::text(format!("fresh{}", rng.next_u64())),
+                let target = match &mut clone {
+                    Some(c) if rng.gen_bool(0.5) => c,
+                    _ => &mut t,
                 };
-                let mass = match rng.gen_range(0u8..4) {
-                    0 => Value::Null,
-                    1 => Value::Int(rng.gen_range(0i64..30)),
-                    _ => Value::Double(rng.gen_range(0i64..60) as f64 / 2.0),
-                };
-                let id = Value::text(format!("d{}", rng.gen_range(0..2000)));
-                // Asking in the middle of a load would make it single appends.
-                let before = target.profile().filter(|_| rows == 1);
-                if target.insert(vec![id, name, mass]).is_err() {
-                    if let Some(before) = before {
-                        assert!(Arc::ptr_eq(&before, &target.profile().unwrap()));
+                // Mostly one row per ask; now and then a load large enough
+                // to be cheaper as a full pass.
+                let rows = if rng.gen_bool(0.05) { rng.gen_range(20..120usize) } else { 1 };
+                for _ in 0..rows {
+                    let mut row = vec![Value::text(format!("d{}", rng.gen_range(0..2000)))];
+                    for c in 1..width {
+                        row.push(match (c % 2, rng.gen_range(0u8..8)) {
+                            (_, 0) => Value::Null,
+                            (1, 1..=4) => Value::text(format!("n{}", rng.gen_range(0..12))),
+                            (1, _) => Value::text(format!("fresh{}", rng.next_u64())),
+                            (_, 1..=2) => Value::Int(rng.gen_range(0i64..30)),
+                            _ => Value::Double(rng.gen_range(0i64..60) as f64 / 2.0),
+                        });
+                    }
+                    // Asking in the middle of a load would make it single
+                    // appends.
+                    let before = (rows == 1).then(|| target.profile());
+                    if target.insert(row).is_err() {
+                        if let Some(before) = before {
+                            assert!(Arc::ptr_eq(&before, &target.profile()));
+                        }
                     }
                 }
+                let profile = target.profile();
+                let scanned: Vec<u64> =
+                    (0..width).map(|c| scan_column(target, c).distinct as u64).collect();
+                assert_eq!(profile.distinct, scanned, "width {width}, step {step}");
+                if rng.gen_bool(0.8) {
+                    assert_eq!(*profile, full_pass(target), "width {width}, step {step}");
+                }
             }
-            if rng.gen_bool(0.8) {
-                assert_eq!(*target.profile().unwrap(), full_pass(target), "step {step}");
-            }
+            let c = clone.unwrap();
+            assert_ne!(t.len(), c.len());
+            assert_eq!(*t.profile(), full_pass(&t));
+            assert_eq!(*c.profile(), full_pass(&c));
         }
-        let c = clone.unwrap();
-        assert_ne!(t.len(), c.len());
-        assert_eq!(*t.profile().unwrap(), full_pass(&t));
-        assert_eq!(*c.profile().unwrap(), full_pass(&c));
     }
 }

@@ -11,6 +11,7 @@ use fedlake_relational::sql::ast::{Operand, Predicate, SqlCmpOp};
 use fedlake_relational::{Column, DataType, Database, ResultSet, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A small value universe so predicates hit often.
 fn arb_value(rng: &mut Prng) -> Value {
@@ -182,28 +183,27 @@ fn eval_ref(p: &Pred, v: &Value) -> bool {
 }
 
 /// Runs the same statement on a database nobody has planned against yet
-/// (column statistics cold), then twice more on the now-warm one: the rows
-/// must come back in the same order with equal `CostStats`, and the warm
-/// runs must not scan for statistics again. The borrowed entry point must
-/// then hand out those very rows and counters. Returns the cold run.
+/// (table profiles not built), then twice more on the now-warm one: the
+/// rows must come back in the same order with equal `CostStats`, and the
+/// warm runs must read the very profiles the cold one left, not rebuild
+/// them. The borrowed entry point must then hand out those very rows and
+/// counters. Returns the cold run.
 fn cold_then_warm(db: &Database, sql: &str) -> ResultSet {
     let run = |db: &Database| db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-    let passes = |db: &Database| -> (u64, u64) {
-        db.table_names()
-            .into_iter()
-            .map(|t| db.table(t).unwrap().stats_cache_stats())
-            .fold((0, 0), |(l, m), s| (l + s.lookups, m + s.misses))
+    let profiles = |db: &Database| -> Vec<_> {
+        db.table_names().into_iter().map(|t| db.table(t).unwrap().profile()).collect()
     };
-    assert_eq!(passes(db), (0, 0), "the database must arrive statistics-cold");
     let cold = run(db);
-    let (_, scans) = passes(db);
+    let built = profiles(db);
     for _ in 0..2 {
         let warm = run(db);
         assert_eq!(warm.rows, cold.rows, "row order differs between cold and warm statistics");
         assert_eq!(warm.cost, cold.cost, "CostStats differ between cold and warm statistics");
         assert_eq!(warm.columns, cold.columns);
     }
-    assert_eq!(passes(db).1, scans, "a warm run recomputed column statistics");
+    for (before, after) in built.iter().zip(profiles(db)) {
+        assert!(Arc::ptr_eq(before, &after), "a warm run rebuilt a table profile");
+    }
     let borrowed = db.query_borrowed(sql).unwrap();
     let cells: Vec<Vec<&Value>> = borrowed.rows.rows().map(Iterator::collect).collect();
     let owned: Vec<Vec<&Value>> = cold.rows.iter().map(|row| row.iter().collect()).collect();

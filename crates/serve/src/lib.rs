@@ -48,7 +48,8 @@ pub struct ServeSpec {
     pub mean_interarrival: Duration,
     /// Admission bound (0 = unbounded).
     pub max_in_flight: usize,
-    /// Default per-query deadline, relative to arrival.
+    /// Per-query deadline, relative to arrival, written into every job;
+    /// `None` leaves the engine's `PlanConfig::deadline` in force.
     pub deadline: Option<Duration>,
 }
 
@@ -73,7 +74,6 @@ impl ServeSpec {
             seed: self.seed,
             max_in_flight: self.max_in_flight,
             mean_interarrival: self.mean_interarrival,
-            deadline: self.deadline,
         }
     }
 }
@@ -167,7 +167,7 @@ pub fn build_jobs(
                 client,
                 label: inst.label.clone(),
                 planned,
-                deadline: None,
+                deadline: spec.deadline,
                 cached: origin.cached,
             });
             instances.push(inst);

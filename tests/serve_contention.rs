@@ -16,7 +16,8 @@
 //!
 //! Also pinned here: a deadline-exceeded session reports
 //! [`FedError::Timeout`] in its own outcome without poisoning the other
-//! sessions, admission control never exceeds the in-flight bound
+//! sessions, a job without a deadline of its own keeps the engine's,
+//! admission control never exceeds the in-flight bound
 //! (asserted through the `serve.in_flight` gauge of the obs rollup), and
 //! the loop's work per job — `serve.polls` — does not grow with the number
 //! of sessions in flight.
@@ -75,7 +76,6 @@ fn shared_link_bounds_hold() {
                 seed: 9,
                 max_in_flight: 0, // unbounded: all K contend at once
                 mean_interarrival: Duration::ZERO,
-                deadline: None,
             },
         )
         .unwrap();
@@ -120,7 +120,6 @@ fn shared_link_bounds_hold() {
                 seed: 9,
                 max_in_flight: 0,
                 mean_interarrival: Duration::ZERO,
-                deadline: None,
             },
         )
         .unwrap();
@@ -150,7 +149,6 @@ fn deadline_timeout_does_not_poison_other_sessions() {
                 seed: 9,
                 max_in_flight: 0,
                 mean_interarrival: Duration::ZERO,
-                deadline: None,
             },
         )
         .unwrap();
@@ -173,6 +171,34 @@ fn deadline_timeout_does_not_poison_other_sessions() {
     assert_eq!(outcome.metrics.counter("serve.completed"), 2);
 }
 
+/// A job without a deadline of its own keeps the engine's
+/// `PlanConfig::deadline`, as the same query executed solo does; a job's
+/// own deadline takes its place.
+#[test]
+fn a_served_job_without_a_deadline_keeps_the_engines() {
+    let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
+    let lake = build_lake_with(&lake_cfg, workload::q1().datasets);
+    let solo = FederatedEngine::new(lake.clone(), config())
+        .execute_sparql(&workload::q1().sparql)
+        .unwrap();
+
+    let tight = Duration::from_micros(1);
+    let engine = FederatedEngine::new(lake, PlanConfig { deadline: Some(tight), ..config() });
+    let alone = engine.execute_sparql(&workload::q1().sparql);
+    assert!(matches!(alone, Err(FedError::Timeout(d)) if d == tight), "solo: {alone:?}");
+
+    let mut jobs = q1_jobs(&engine, 2);
+    jobs[1].deadline = Some(Duration::from_secs(3600));
+    let outcome = engine.serve(&jobs, &ServeConfig::default()).unwrap();
+    match &outcome.outcomes[0].error {
+        Some(FedError::Timeout(d)) => assert_eq!(*d, tight),
+        other => panic!("the engine's deadline must time the job out, got {other:?}"),
+    }
+    let own = &outcome.outcomes[1];
+    assert!(own.error.is_none(), "{}: {:?}", own.label, own.error);
+    assert_eq!(sorted_csv(&own.vars, &own.rows), sorted_csv(&solo.vars, &solo.rows));
+}
+
 #[test]
 fn admission_control_never_exceeds_the_bound() {
     let lake_cfg = LakeConfig { scale: 0.05, ..Default::default() };
@@ -189,7 +215,6 @@ fn admission_control_never_exceeds_the_bound() {
                 seed: 9,
                 max_in_flight: BOUND,
                 mean_interarrival: Duration::ZERO,
-                deadline: None,
             },
         )
         .unwrap();
@@ -233,7 +258,6 @@ fn polls_per_job_do_not_grow_with_the_admission_bound() {
                     seed: 9,
                     max_in_flight: bound,
                     mean_interarrival: Duration::ZERO,
-                    deadline: None,
                 },
             )
             .unwrap();
