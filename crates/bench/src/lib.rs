@@ -14,7 +14,7 @@
 //! | A3 | §5: RDB implementation variants       | [`experiments::rdb_variants`] |
 //! | A4 | §5: 3NF vs denormalized tables        | [`experiments::normalization_study`] |
 //! | A5 | message-granularity ablation          | [`experiments::batching_study`] |
-//! | A6 | symmetric-hash vs bind join ablation  | [`experiments::join_strategy_study`] |
+//! | A6 | heuristic vs cost-chosen engine joins | [`experiments::join_strategy_study`] |
 //!
 //! The `experiments` binary drives these from the command line and
 //! `lake_shell` is the interactive surface. Performance — simulated and

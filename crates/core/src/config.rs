@@ -1,5 +1,11 @@
 //! Planner configuration: plan modes, heuristics, network setting, and
 //! the executor's fault/retry/deadline behaviour.
+//!
+//! No field chooses how the engine joins two sub-queries. The heuristic
+//! planner joins them by symmetric hash joins; the cost-based planner
+//! ([`PlanConfig::cost_based`]) picks a hash or a bind join per edge from
+//! the statistics catalog. The only other bind join is
+//! [`MergeTranslation::Naive`]'s lowering of a merged pair, of batch 1.
 
 use crate::decompose::DecompositionStrategy;
 use fedlake_netsim::{CostModel, FaultPlan, NetworkProfile};
@@ -66,22 +72,6 @@ pub enum MergeTranslation {
     /// star per binding of the join variable. The join still happens at
     /// the source, but every binding pays a request round trip.
     Naive,
-}
-
-/// How the engine joins sub-query results across sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineJoin {
-    /// ANAPSID's adaptive symmetric hash join (the default): both inputs
-    /// are fetched in full and matched as they arrive.
-    #[default]
-    SymmetricHash,
-    /// Dependent (bind) join where possible: left bindings are shipped to
-    /// the right relational source in batches of `batch_size` as SQL `IN`
-    /// lists, trading extra queries for a smaller transferred result.
-    Bind {
-        /// Left rows per shipped batch.
-        batch_size: usize,
-    },
 }
 
 /// Where a star's instantiation filters are evaluated.
@@ -171,8 +161,6 @@ pub struct PlanConfig {
     /// How the basic graph pattern is decomposed into sub-queries
     /// (star-shaped per the paper; triple-based per its §5 future work).
     pub decomposition: DecompositionStrategy,
-    /// Engine-level join strategy (symmetric hash vs dependent bind join).
-    pub engine_join: EngineJoin,
     /// Rows per message on the wrapper links (the paper delays each
     /// retrieval of "the next answer", i.e. one row per message).
     pub rows_per_message: usize,
@@ -206,9 +194,11 @@ pub struct PlanConfig {
     /// star-shaped sub-queries by minimizing a [`crate::FederationCost`]
     /// estimate (DP enumeration, greedy above
     /// [`crate::planner::DP_UNIT_LIMIT`] units) and pick bind-join vs
-    /// hash-join per edge from estimated input cardinalities. `false`
-    /// keeps the paper's heuristic ordering. Answers are identical either
-    /// way; only the plan shape (and thus timing/traffic) differs.
+    /// hash-join per edge from estimated input cardinalities (a bind join
+    /// ships [`crate::planner::BIND_BATCH`] keys per batch). `false` keeps
+    /// the paper's heuristic ordering, all hash joins. Answers are
+    /// identical either way; only the plan shape (and thus timing/traffic)
+    /// differs.
     pub cost_based: bool,
     /// Fleet flight recording: keep the recorder's structured lifecycle
     /// events (submit/admit/plan/first-row/retry/failover/deadline/
@@ -228,7 +218,6 @@ impl Default for PlanConfig {
             cost: CostModel::default(),
             merge_translation: MergeTranslation::Optimized,
             decomposition: DecompositionStrategy::default(),
-            engine_join: EngineJoin::default(),
             rows_per_message: 1,
             seed: 0xFED_1A4E,
             faults: FaultPlan::NONE,

@@ -78,9 +78,7 @@ pub mod trace;
 pub mod translate;
 pub mod wrapper;
 
-pub use config::{
-    EngineJoin, FilterPlacement, MergeTranslation, PlanConfig, PlanMode, RetryPolicy,
-};
+pub use config::{FilterPlacement, MergeTranslation, PlanConfig, PlanMode, RetryPolicy};
 pub use decompose::DecompositionStrategy;
 pub use engine::{EngineCacheStats, FedResult, FedStats, FederatedEngine};
 pub use fedlake_relational::cache::CacheStats;

@@ -20,7 +20,7 @@
 //! classical always-push-selections plan, and disabling H1 keeps all joins
 //! at the engine while H2 still governs filters.
 
-use crate::config::{EngineJoin, MergeTranslation, PlanConfig, PlanMode};
+use crate::config::{MergeTranslation, PlanConfig, PlanMode};
 use crate::decompose::{decompose_as, StarSubject, StarSubquery};
 use crate::error::FedError;
 use crate::fedplan::{FedPlan, ReplicaRoute, ServiceKind, ServiceNode, SqlRequest};
@@ -46,9 +46,9 @@ use std::sync::Arc;
 /// left-deep DP enumeration to greedy cost-based ordering.
 pub const DP_UNIT_LIMIT: usize = 10;
 
-/// Bind-join batch size the cost-based planner assumes (and emits) when
-/// the config does not already force [`EngineJoin::Bind`].
-pub const DEFAULT_BIND_BATCH: usize = 16;
+/// Left rows per shipped batch of a bind join the cost-based planner
+/// chooses: the batch size it prices an edge at and the one it emits.
+pub const BIND_BATCH: usize = 16;
 
 /// How the planner ordered the joins of the conjunctive groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -643,26 +643,20 @@ fn plan_conjunctive(
     // FederationCost model) or the paper's heuristic greedy. One builder
     // joins either order. Cross-star filters are applied by `plan_tree`,
     // which knows the union- and optional-bound variables.
-    let bind_batch = match config.engine_join {
-        EngineJoin::Bind { batch_size } => batch_size,
-        EngineJoin::SymmetricHash => DEFAULT_BIND_BATCH,
-    };
     let order = match stats {
         Some(stats) => {
-            let pricing =
-                Pricing::new(dec, config, stats, &candidates, &rel_stars, &units, bind_batch);
+            let pricing = Pricing::new(dec, config, stats, &candidates, &rel_stars, &units);
             order_units_by_cost(&pricing, report)?
         }
-        None => heuristic_order(&units, matches!(config.engine_join, EngineJoin::Bind { .. })),
+        None => heuristic_order(&units),
     };
-    join_in_order(units, &order, &dec.stars, &rel_stars, bind_batch, stats)
+    join_in_order(units, &order, &dec.stars, &rel_stars, stats)
 }
 
 /// The paper's join order: the units by estimated rows, smallest first,
 /// each step taking the smallest unit that shares a variable with those
-/// before it (the smallest left when none does). Under bind joins
-/// (`bind`) a step into a single relational star asks for one.
-fn heuristic_order(units: &[Unit], bind: bool) -> Vec<(usize, StepKind)> {
+/// before it (the smallest left when none does), joined by hash joins.
+fn heuristic_order(units: &[Unit]) -> Vec<(usize, StepKind)> {
     let mut left: Vec<usize> = (0..units.len()).collect();
     let rows = |j: usize| units[j].plan.estimated_rows();
     left.sort_by(|&a, &b| rows(a).total_cmp(&rows(b)));
@@ -675,11 +669,7 @@ fn heuristic_order(units: &[Unit], bind: bool) -> Vec<(usize, StepKind)> {
             .unwrap_or(0);
         let j = left.remove(pick);
         bound.extend(&units[j].vars);
-        let kind = match units[j].bindable {
-            Some(ri) if bind => StepKind::Bind(ri),
-            _ => StepKind::Hash,
-        };
-        order.push((j, kind));
+        order.push((j, StepKind::Hash));
     }
     order
 }
@@ -695,7 +685,6 @@ fn join_in_order(
     order: &[(usize, StepKind)],
     stars: &[StarSubquery],
     rel_stars: &[RelStar<'_>],
-    batch_size: usize,
     stats: Option<&LakeStatistics>,
 ) -> Result<FedPlan, FedError> {
     // The units moved into `order`: each sorted on its step's position.
@@ -720,7 +709,7 @@ fn join_in_order(
         let right = Box::new(unit.plan);
         plan = match kind {
             StepKind::Bind(ri) if on.len() == 1 => {
-                match build_bind_join(plan, stars, &rel_stars[ri], &on[0], batch_size, stats)? {
+                match build_bind_join(plan, stars, &rel_stars[ri], &on[0], BIND_BATCH, stats)? {
                     Ok(bound_plan) => bound_plan,
                     // The variable does not map to a column: fall back.
                     Err(left) => FedPlan::Join { left: Box::new(left), right, on },
@@ -1314,7 +1303,6 @@ struct Pricing<'a> {
     costs: Vec<CostUnit>,
     stars: &'a [StarSubquery],
     rel_stars: &'a [RelStar<'a>],
-    bind_batch: usize,
 }
 
 impl<'a> Pricing<'a> {
@@ -1325,7 +1313,6 @@ impl<'a> Pricing<'a> {
         candidates: &[Vec<Candidate>],
         rel_stars: &'a [RelStar<'a>],
         units: &'a [Unit],
-        bind_batch: usize,
     ) -> Self {
         let env = CostEnv {
             cost: &config.cost,
@@ -1351,7 +1338,7 @@ impl<'a> Pricing<'a> {
                 CostUnit { est_rows, fetch_cpu_us, fetch_io_us, fetch_net_us, var_distinct }
             })
             .collect();
-        Pricing { env, units, costs, stars: &dec.stars, rel_stars, bind_batch }
+        Pricing { env, units, costs, stars: &dec.stars, rel_stars }
     }
 
     /// `state` extended by unit `j` the cheaper way: by a hash join, or by
@@ -1416,7 +1403,7 @@ impl<'a> Pricing<'a> {
             StepKind::Bind(ri) => {
                 let rs = &self.rel_stars[ri];
                 let keys = state.distinct_of(&on[0]);
-                let batches = (keys / self.bind_batch as f64).ceil().max(1.0);
+                let batches = (keys / BIND_BATCH as f64).ceil().max(1.0);
                 // One request message per batch, plus the matched rows
                 // coming back — all after the left side finished, hence
                 // sequential.

@@ -560,15 +560,16 @@ mod tests {
     /// engine counters, the simulated end time and the link's traffic.
     type BindRun = (Vec<Row>, EngineStats, Duration, (u64, u64, Duration));
 
-    /// Runs a bind join of `left` (one row per term, bound to `?d`, two
-    /// rows per batch) against the disease target on a fresh clock and
-    /// link, with the interner and lift cache of `session`.
+    /// Runs a bind join of `left` (one row per term, bound to `?d`,
+    /// `batch` rows per batch) against the disease target on a fresh clock
+    /// and link, with the interner and lift cache of `session`.
     fn run_bind(
         lake: &DataLake,
         session: &(SharedInterner, SharedLiftCache),
         vars: &[&str],
         left: &[Option<Term>],
         overlap: bool,
+        batch: usize,
     ) -> BindRun {
         let clock = shared_virtual();
         let link =
@@ -598,7 +599,7 @@ mod tests {
             lake,
             SourceRoute::single("d", Arc::clone(&link)),
             1,
-            2,
+            batch,
         )
         .unwrap();
         let out = drain(&mut op, &mut c).unwrap();
@@ -624,10 +625,10 @@ mod tests {
         let left = [disease("d0"), disease("d1"), disease("d1"), None, disease("d0"), disease("d1")];
         for overlap in [false, true] {
             let session = (SharedInterner::new(), SharedLiftCache::default());
-            let miss = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            let miss = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap, 2);
             let after_miss = session.1.stats();
             assert_eq!((after_miss.lookups, after_miss.misses, after_miss.hits), (3, 2, 1));
-            let hit = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+            let hit = run_bind(&lake, &session, &["g", "d", "n"], &left, overlap, 2);
             let after_hit = session.1.stats();
             assert_eq!((after_hit.lookups, after_hit.misses, after_hit.hits), (6, 2, 4));
             assert_eq!(miss, hit, "overlap={overlap}: a hit may only change host time");
@@ -640,14 +641,50 @@ mod tests {
         }
     }
 
+    /// A bind join finds the same rows whatever its batch size: each size
+    /// from 1 to 9, on both schedules, over a left side with repeated keys,
+    /// rows that leave `?d` unbound and a key no stored value lifts to.
+    #[test]
+    fn every_batch_size_finds_the_same_rows() {
+        let lake = lake();
+        let elsewhere = Some(Term::iri("http://elsewhere/disease/d0"));
+        let left = [
+            disease("d0"),
+            disease("d1"),
+            None,
+            disease("d1"),
+            elsewhere,
+            disease("d0"),
+            disease("d0"),
+            disease("d1"),
+            None,
+            disease("d1"),
+            disease("d0"),
+        ];
+        let mut first: Option<Vec<Row>> = None;
+        for batch in 1..=9 {
+            for overlap in [false, true] {
+                let session = (SharedInterner::new(), SharedLiftCache::default());
+                let (mut rows, ..) =
+                    run_bind(&lake, &session, &["g", "d", "n"], &left, overlap, batch);
+                rows.sort();
+                assert_eq!(rows.len(), 8, "batch {batch} overlap={overlap}: one row per stored key");
+                match &first {
+                    Some(want) => assert_eq!(&rows, want, "batch {batch} overlap={overlap}"),
+                    None => first = Some(rows),
+                }
+            }
+        }
+    }
+
     #[test]
     fn equal_key_ids_under_two_slot_layouts_do_not_share_an_entry() {
         let lake = lake();
         let session = (SharedInterner::new(), SharedLiftCache::default());
         let left = [disease("d0"), disease("d1")];
-        let a = run_bind(&lake, &session, &["g", "d", "n"], &left, false);
+        let a = run_bind(&lake, &session, &["g", "d", "n"], &left, false, 2);
         // The same terms — the same ids — with every slot somewhere else.
-        let b = run_bind(&lake, &session, &["n", "d", "g"], &left, false);
+        let b = run_bind(&lake, &session, &["n", "d", "g"], &left, false, 2);
         let stats = session.1.stats();
         assert_eq!((stats.lookups, stats.misses, stats.hits), (2, 2, 0), "{stats:?}");
         assert_eq!(a, b, "both layouts decode to the same answers");
@@ -664,7 +701,7 @@ mod tests {
         let left = [Some(Term::iri("http://elsewhere/disease/d0")), Some(Term::literal("d0")), None];
         for overlap in [false, true] {
             let (rows, stats, end, traffic) =
-                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap, 2);
             assert!(rows.is_empty());
             assert_eq!(stats, EngineStats::default(), "no request, no probe");
             assert_eq!((end, traffic), (Duration::ZERO, (0, 0, Duration::ZERO)));
@@ -681,7 +718,7 @@ mod tests {
         for overlap in [false, true] {
             let left = [Some(Term::iri("http://d/disease/"))];
             let (rows, stats, _, (messages, shipped, _)) =
-                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap);
+                run_bind(&lake, &session, &["g", "d", "n"], &left, overlap, 2);
             assert!(rows.is_empty());
             assert_eq!((stats.sql_queries, stats.service_rows, stats.engine_join_probes), (1, 0, 1));
             // The request and the empty-result notification.

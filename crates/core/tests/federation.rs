@@ -928,7 +928,6 @@ fn union_with_filter_and_optional_composes() {
 
 #[test]
 fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
-    use fedlake_core::EngineJoin;
     // A selective left (4 sapiens genes out of 40) against a large right
     // (200 diseases): the bind join ships only the 4 needed keys instead
     // of fetching the whole disease table.
@@ -980,16 +979,15 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
     lake.add_source(DataSource::relational("diseasome", dis, dis_mapping));
 
     let sparql = q_join_filter();
-    // This test exercises the *heuristic* EngineJoin knob: the cost-based
-    // planner picks bind joins itself and would blur the contrast.
-    let mut hash_cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
-    hash_cfg.cost_based = false;
+    // The heuristic planner joins the two sources by hash; the cost-based
+    // planner prices the edge from the statistics and binds it.
+    let hash_cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
     let hash = FederatedEngine::new(lake.clone(), hash_cfg)
         .execute_sparql(&sparql)
         .unwrap();
+    assert!(!hash.explain.contains("BindJoin"), "{}", hash.explain);
     let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
-    cfg.cost_based = false;
-    cfg.engine_join = EngineJoin::Bind { batch_size: 8 };
+    cfg.cost_based = true;
     let bind = FederatedEngine::new(lake, cfg)
         .execute_sparql(&sparql)
         .unwrap();
@@ -1013,7 +1011,6 @@ fn bind_join_agrees_with_hash_join_and_ships_fewer_rows() {
 
 #[test]
 fn bind_join_composes_with_optional_and_union() {
-    use fedlake_core::EngineJoin;
     let (lake, oracle) = build_lake(true);
     let sparql = format!(
         "SELECT ?g ?n WHERE {{\n\
@@ -1023,8 +1020,9 @@ fn bind_join_composes_with_optional_and_union() {
     );
     let expected = oracle_answers(&oracle, &sparql);
     let mut cfg = PlanConfig::aware(NetworkProfile::GAMMA1);
-    cfg.engine_join = EngineJoin::Bind { batch_size: 4 };
+    cfg.cost_based = true;
     let r = FederatedEngine::new(lake, cfg).execute_sparql(&sparql).unwrap();
+    assert!(r.explain.contains("BindJoin"), "{}", r.explain);
     assert_eq!(answers(&r.rows), expected, "{}", r.explain);
 }
 
@@ -1235,7 +1233,8 @@ const E: &str = "http://lake.example/e/";
 
 /// A stored empty key is named by the IRI it lifts to, the template's bare
 /// prefix: a ground subject or object, a FILTER on the key and a bind-join
-/// key all find its row, under every plan mode and under a bind join.
+/// key all find its row, under every plan mode and under the bind join the
+/// cost-based planner chooses for a selective left side.
 #[test]
 fn boundary_a_stored_empty_key_is_named_by_its_bare_iri() {
     let (lake, oracle) = empty_key_lake();
@@ -1246,9 +1245,13 @@ fn boundary_a_stored_empty_key_is_named_by_its_bare_iri() {
         format!("?x <{V}r> <{E}>"),
         format!("?x <{V}s> ?s . FILTER(?x = <{E}>)"),
         format!("?x <{V}r> ?y . ?y <{V}s> ?s"),
+        // A selective left side: the cost-based planner binds ?y, whose
+        // one key is the empty one.
+        format!("?x <{V}r> <{E}> . ?x <{V}r> ?y . ?y <{V}s> ?s"),
     ];
     let mut bind = PlanConfig::unaware(NetworkProfile::GAMMA2);
-    bind.engine_join = fedlake_core::EngineJoin::Bind { batch_size: 8 };
+    bind.cost_based = true;
+    let mut bound = false;
     for body in &bodies {
         let sparql = format!("SELECT * WHERE {{ {body} }}");
         let want = oracle_answers(&oracle, &sparql);
@@ -1256,19 +1259,21 @@ fn boundary_a_stored_empty_key_is_named_by_its_bare_iri() {
         let configs = [PlanMode::Unaware, PlanMode::AWARE, push_all]
             .map(|mode| PlanConfig::new(mode, NetworkProfile::GAMMA3));
         for cfg in configs.into_iter().chain([bind]) {
-            let label = format!("{} {:?}", cfg.mode.label(), cfg.engine_join);
+            let label = format!("{} cost={}", cfg.mode.label(), cfg.cost_based);
             let result = FederatedEngine::new(lake.clone(), cfg)
                 .execute_sparql(&sparql)
                 .unwrap_or_else(|e| panic!("{body} under {label}: {e}"));
             assert_eq!(answers(&result.rows), want, "{body} under {label}: {}", result.explain);
+            bound |= result.explain.contains("BindJoin");
         }
     }
+    assert!(bound, "no body was planned as a bind join");
 }
 
-/// A bind join under `EngineJoin::Bind` answers what the oracle answers.
+/// The cost-based plan answers what the oracle answers.
 fn bind_join_result(lake: DataLake, oracle: &Graph, sparql: &str) -> fedlake_core::FedResult {
     let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA2);
-    cfg.engine_join = fedlake_core::EngineJoin::Bind { batch_size: 8 };
+    cfg.cost_based = true;
     let result = FederatedEngine::new(lake, cfg).execute_sparql(sparql).unwrap();
     assert_eq!(answers(&result.rows), oracle_answers(oracle, sparql), "{}", result.explain);
     result

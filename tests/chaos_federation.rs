@@ -580,22 +580,20 @@ fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
     use fedlake_core::fedplan::FedPlan;
     use fedlake_core::operators::RowsOp;
     use fedlake_core::wrapper::{BindJoinOp, SourceRoute};
-    use fedlake_core::{EngineJoin, ServeConfig, ServeJob};
+    use fedlake_core::{ServeConfig, ServeJob};
 
-    // Q1 joins its stars by hash either way; unaware Q3 under
-    // `EngineJoin::Bind` ships its left bindings to a bind join.
+    // Heuristic Q1 joins its stars by hash; the cost-based planner ships
+    // unaware Q3's left bindings to a bind join.
     let queries = workload::experiment_queries();
-    for (id, engine_join) in
-        [("Q1", EngineJoin::SymmetricHash), ("Q3", EngineJoin::Bind { batch_size: 8 })]
-    {
+    for (id, cost_based) in [("Q1", false), ("Q3", true)] {
         let q = queries.iter().find(|q| q.id == id).unwrap();
         let lake = build_lake_with(&LakeConfig { scale: 0.05, ..Default::default() }, q.datasets);
         let ast = parse_query(&q.sparql).unwrap();
         for overlap in [false, true] {
             let mut config = PlanConfig::new(PlanMode::Unaware, NetworkProfile::GAMMA1);
-            config.engine_join = engine_join;
+            config.cost_based = cost_based;
             config.overlap = overlap;
-            let label = format!("{id}/{engine_join:?}/overlap={overlap}");
+            let label = format!("{id}/cost={cost_based}/overlap={overlap}");
             let sane = FederatedEngine::new(lake.clone(), config).execute(&ast).unwrap();
             assert!(sane.stats.answers > 0, "{label}: one row per message has answers");
 
@@ -650,7 +648,7 @@ fn zero_rows_per_message_is_a_typed_error_not_an_empty_answer() {
                     "{label}: a hand-built bind join accepted zero rows per message"
                 );
             } else {
-                assert_eq!(engine_join, EngineJoin::SymmetricHash, "{label}: no bind join planned");
+                assert!(!cost_based, "{label}: no bind join planned");
             }
         }
     }

@@ -14,13 +14,16 @@
 //! triples cover all pairs in six rows.
 
 //!
-//! Beside the matrix: [`copy_table`], for the suites that compare a lake
-//! with one built from nothing.
+//! Beside the matrix: [`plan_matrix`], the configurations the plan pins
+//! fold over, and [`copy_table`], for the suites that compare a lake with
+//! one built from nothing.
 
 // Each suite uses the part of the helper it needs.
 #![allow(dead_code)]
 
-use fedlake_core::{DataLake, PlanConfig};
+use fedlake_core::{DataLake, FilterPlacement, MergeTranslation, PlanConfig, PlanMode};
+use fedlake_datagen::{build_lake, workload, LakeConfig};
+use fedlake_netsim::NetworkProfile;
 use fedlake_relational::storage::Table;
 use fedlake_relational::Database;
 
@@ -37,6 +40,63 @@ pub fn copy_table(into: &mut Database, table: &Table) {
             index.key_columns.iter().map(|&c| table.schema.columns[c].name.clone()).collect();
         into.create_index(name, &index.name, &columns, index.unique).unwrap();
     }
+}
+
+/// The lake scales the plan pins walk.
+pub const PLAN_SCALES: [f64; 2] = [0.05, 0.25];
+
+/// The plan modes the plan pins walk: the paper's three planners and the
+/// two other placements of Heuristics 1 and 2.
+pub const PLAN_MODES: [PlanMode; 5] = [
+    PlanMode::Unaware,
+    PlanMode::AWARE,
+    PlanMode::AWARE_H2,
+    PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
+    PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
+];
+
+/// The lakes the plan pins plan over, one per [`PLAN_SCALES`] entry.
+pub fn plan_lakes() -> [DataLake; 2] {
+    PLAN_SCALES.map(|scale| build_lake(&LakeConfig { scale, ..Default::default() }))
+}
+
+/// One plan of [`plan_matrix`].
+#[derive(Debug, Clone, Copy)]
+pub struct PlanPoint {
+    /// The lake, as an index into [`PLAN_SCALES`] and [`plan_lakes`].
+    pub scale: usize,
+    /// The stock query, as an index into `workload::all()` (QM, Q1–Q5).
+    pub query: usize,
+    /// Everything else the plan depends on.
+    pub config: PlanConfig,
+}
+
+/// The plan matrix: lake scale × stock query × [`PLAN_MODES`] × the four
+/// networks × {heuristic, cost-based} × {optimized, naive} merges × the
+/// given schedules (`overlap` values), nested in that order, so that a
+/// digest folded over it in iteration order is stable.
+pub fn plan_matrix(schedules: &[bool]) -> impl Iterator<Item = PlanPoint> {
+    let mut points = Vec::new();
+    for scale in 0..PLAN_SCALES.len() {
+        for query in 0..workload::all().len() {
+            for mode in PLAN_MODES {
+                for network in NetworkProfile::ALL {
+                    for cost_based in [false, true] {
+                        for merge in [MergeTranslation::Optimized, MergeTranslation::Naive] {
+                            for &overlap in schedules {
+                                let mut config = PlanConfig::new(mode, network);
+                                config.cost_based = cost_based;
+                                config.merge_translation = merge;
+                                config.overlap = overlap;
+                                points.push(PlanPoint { scale, query, config });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    points.into_iter()
 }
 
 /// One combination of axis values.

@@ -15,8 +15,7 @@ use fedlake_core::ir::{plan_fingerprint, Fnv64};
 use fedlake_core::obs::Metric;
 use fedlake_core::planner::{plan_query_with_health, PlannedQuery, DP_UNIT_LIMIT};
 use fedlake_core::{
-    DataLake, DataSource, EngineJoin, FedError, FederatedEngine, FilterPlacement, HealthView,
-    MergeTranslation, PlanConfig, PlanMode,
+    DataLake, DataSource, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode,
 };
 use fedlake_datagen::vocab::{class, pred};
 use fedlake_datagen::{build_lake, build_lake_with, workload, LakeConfig};
@@ -26,6 +25,8 @@ use fedlake_serve::{run, solo_golden, sorted_csv, Mix, ServeSpec};
 use fedlake_sparql::parser::parse_query;
 use std::collections::BTreeSet;
 use std::time::Duration;
+
+mod common;
 
 fn lake_cfg() -> LakeConfig {
     LakeConfig { scale: 0.1, ..Default::default() }
@@ -327,21 +328,13 @@ fn chain_query() -> (DataLake, String) {
 }
 
 /// The join order both planners choose keeps its value: one digest
-/// ([`push_order`]) over Q1–Q5 and QM × five plan modes × the four
-/// networks × {heuristic, cost-based} × {hash, bind(8)} engine joins ×
-/// {optimized, naive} merges × {serialized, overlapped} × lake scales
-/// {0.05, 0.25}, and over the many-star chain (the greedy cost path) ×
-/// the four networks × both schedules × both engine joins.
+/// ([`push_order`]) over [`common::plan_matrix`] with both schedules (Q1–Q5
+/// and QM × five plan modes × the four networks × {heuristic, cost-based}
+/// × {optimized, naive} merges × {serialized, overlapped} × lake scales
+/// {0.05, 0.25}), and over the many-star chain (the greedy cost path) ×
+/// the four networks × both schedules.
 #[test]
 fn join_orders_keep_their_values() {
-    const MODES: [PlanMode; 5] = [
-        PlanMode::Unaware,
-        PlanMode::AWARE,
-        PlanMode::AWARE_H2,
-        PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
-        PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
-    ];
-    const JOINS: [EngineJoin; 2] = [EngineJoin::SymmetricHash, EngineJoin::Bind { batch_size: 8 }];
     let (mut digest, mut plans) = (Fnv64::new(), 0);
     let (mut bind_joins, mut strategies) = (0, BTreeSet::new());
     let mut pin = |lake: &DataLake, sparql: &str, config: PlanConfig| {
@@ -356,47 +349,25 @@ fn join_orders_keep_their_values() {
         plans += 1;
     };
 
-    for scale in [0.05, 0.25] {
-        let lake = build_lake(&LakeConfig { scale, ..Default::default() });
-        for q in workload::all() {
-            for mode in MODES {
-                for network in NetworkProfile::ALL {
-                    for cost_based in [false, true] {
-                        for engine_join in JOINS {
-                            for merge in [MergeTranslation::Optimized, MergeTranslation::Naive] {
-                                for overlap in [false, true] {
-                                    let mut config = PlanConfig::new(mode, network);
-                                    config.cost_based = cost_based;
-                                    config.engine_join = engine_join;
-                                    config.merge_translation = merge;
-                                    config.overlap = overlap;
-                                    pin(&lake, &q.sparql, config);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    let (lakes, queries) = (common::plan_lakes(), workload::all());
+    for point in common::plan_matrix(&[false, true]) {
+        pin(&lakes[point.scale], &queries[point.query].sparql, point.config);
     }
     let (chain, sparql) = chain_query();
     for network in NetworkProfile::ALL {
-        for engine_join in JOINS {
-            for overlap in [false, true] {
-                let mut config = PlanConfig::new(PlanMode::AWARE, network);
-                config.cost_based = true;
-                config.engine_join = engine_join;
-                config.overlap = overlap;
-                pin(&chain, &sparql, config);
-            }
+        for overlap in [false, true] {
+            let mut config = PlanConfig::new(PlanMode::AWARE, network);
+            config.cost_based = true;
+            config.overlap = overlap;
+            pin(&chain, &sparql, config);
         }
     }
 
-    assert_eq!(plans, 3840 + 16);
+    assert_eq!(plans, 1920 + 8);
     assert!(bind_joins > 0, "the pinned plans must reach a bind join");
     let every = BTreeSet::from(["dp", "greedy-cost", "heuristic"]);
     assert_eq!(strategies, every, "the pinned plans must take every strategy");
-    assert_eq!(digest.finish(), 0x8a2e_8ab2_8ba9_0ec0, "the join orders moved");
+    assert_eq!(digest.finish(), 0x32ec_f950_322a_e460, "the join orders moved");
 }
 
 // --- invalidation ----------------------------------------------------------

@@ -28,8 +28,7 @@ use fedlake::core::planner::plan_query_with_health;
 use fedlake::core::translate::{sql_single, Lift};
 use fedlake::core::wrapper::bind_batch_query;
 use fedlake::core::{
-    DataLake, DataSource, EngineJoin, FederatedEngine, FilterPlacement, HealthView,
-    MergeTranslation, PlanConfig, PlanMode,
+    DataLake, DataSource, FederatedEngine, HealthView, PlanConfig, PlanMode,
 };
 use fedlake::datagen::{build_lake, workload, LakeConfig};
 use fedlake::netsim::NetworkProfile;
@@ -42,6 +41,8 @@ use fedlake::sparql::parser::parse_query;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+mod common;
 
 /// Keys shipped in the pinned bind-join batch.
 const BATCH_KEYS: usize = 8;
@@ -314,82 +315,56 @@ const HAND_WRITTEN: [&str; 25] = [
 
 /// The physical plan of every SQL statement keeps its value: one digest
 /// ([`push_statement`]) over each distinct `(source, SQL)` the planner
-/// emits for Q1–Q5 and QM × five plan modes × the four networks ×
-/// {heuristic, cost-based} × {hash, bind(8)} engine joins × {optimized,
-/// naive} merges at lake scales {0.05, 0.25} — service leaves, and one
-/// `IN` batch per bind-join target — and over [`HAND_WRITTEN`].
-/// `sql_leaves.txt` pins the leaves' rows and counters, not their plans.
-/// Not blessable: a move means a SQL plan, an estimate or a counter changed.
+/// emits over [`common::plan_matrix`] with the serialized schedule (Q1–Q5
+/// and QM × five plan modes × the four networks × {heuristic, cost-based}
+/// × {optimized, naive} merges at lake scales {0.05, 0.25}) — service
+/// leaves, and one `IN` batch per bind-join target — and over
+/// [`HAND_WRITTEN`]. `sql_leaves.txt` pins the leaves' rows and counters,
+/// not their plans. Not blessable: a move means a SQL plan, an estimate or
+/// a counter changed.
 #[test]
 fn sql_plans_keep_their_values() {
-    const MODES: [PlanMode; 5] = [
-        PlanMode::Unaware,
-        PlanMode::AWARE,
-        PlanMode::AWARE_H2,
-        PlanMode::Aware { h1_join_pushdown: false, filters: FilterPlacement::PushIndexed },
-        PlanMode::Aware { h1_join_pushdown: true, filters: FilterPlacement::PushAll },
-    ];
-    const JOINS: [EngineJoin; 2] = [EngineJoin::SymmetricHash, EngineJoin::Bind { batch_size: 8 }];
-    let (mut digest, mut statements, mut batches) = (Fnv64::new(), 0, 0);
-    for scale in [0.05, 0.25] {
-        let lake = build_lake(&LakeConfig { scale, ..Default::default() });
-        let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-        for q in workload::all() {
-            let ast = parse_query(&q.sparql).unwrap();
-            for mode in MODES {
-                for network in NetworkProfile::ALL {
-                    for cost_based in [false, true] {
-                        for engine_join in JOINS {
-                            for merge in [MergeTranslation::Optimized, MergeTranslation::Naive] {
-                                let mut config = PlanConfig::new(mode, network);
-                                config.cost_based = cost_based;
-                                config.engine_join = engine_join;
-                                config.merge_translation = merge;
-                                let planned = plan_query_with_health(
-                                    &ast,
-                                    &lake,
-                                    &config,
-                                    &HealthView::empty(),
-                                )
-                                .unwrap_or_else(|e| panic!("{}\n{config:?}: {e}", q.id));
-                                planned.plan.visit(0, &mut |node, _| match node {
-                                    FedPlan::Service(node) => {
-                                        if let ServiceKind::Sql { request, .. } = &node.kind {
-                                            let sql = request.sql().to_string();
-                                            seen.insert((node.source_id.clone(), sql));
-                                        }
-                                    }
-                                    FedPlan::BindJoin { right, .. } => {
-                                        let db = relational(&lake, &right.source_id);
-                                        let terms: Vec<Term> = batch_values(right, db)
-                                            .into_iter()
-                                            .map(|v| term_of(right, v))
-                                            .collect();
-                                        let sql = bind_batch_query(right, &terms).sql;
-                                        if seen.insert((right.source_id.clone(), sql)) {
-                                            batches += 1;
-                                        }
-                                    }
-                                    _ => {}
-                                });
-                            }
-                        }
-                    }
+    let lakes = common::plan_lakes();
+    let queries: Vec<_> = workload::all().iter().map(|q| parse_query(&q.sparql).unwrap()).collect();
+    let mut seen: [BTreeSet<(String, String)>; 2] = Default::default();
+    let mut batches = 0;
+    for point in common::plan_matrix(&[false]) {
+        let (lake, config) = (&lakes[point.scale], &point.config);
+        let ast = &queries[point.query];
+        let planned = plan_query_with_health(ast, lake, config, &HealthView::empty())
+            .unwrap_or_else(|e| panic!("query {}\n{config:?}: {e}", point.query));
+        let seen = &mut seen[point.scale];
+        planned.plan.visit(0, &mut |node, _| match node {
+            FedPlan::Service(node) => {
+                if let ServiceKind::Sql { request, .. } = &node.kind {
+                    seen.insert((node.source_id.clone(), request.sql().to_string()));
                 }
             }
-        }
-        for (source, sql) in &seen {
-            push_statement(&mut digest, source, relational(&lake, source), sql);
-        }
-        statements += seen.len();
+            FedPlan::BindJoin { right, .. } => {
+                let db = relational(lake, &right.source_id);
+                let terms: Vec<Term> =
+                    batch_values(right, db).into_iter().map(|v| term_of(right, v)).collect();
+                let sql = bind_batch_query(right, &terms).sql;
+                if seen.insert((right.source_id.clone(), sql)) {
+                    batches += 1;
+                }
+            }
+            _ => {}
+        });
     }
-    let lake = build_lake(&LakeConfig { scale: 0.05, ..Default::default() });
-    let diseasome = relational(&lake, "diseasome");
+    let mut digest = Fnv64::new();
+    for (lake, seen) in lakes.iter().zip(&seen) {
+        for (source, sql) in seen {
+            push_statement(&mut digest, source, relational(lake, source), sql);
+        }
+    }
+    let statements: usize = seen.iter().map(BTreeSet::len).sum();
+    let diseasome = relational(&lakes[0], "diseasome");
     for sql in HAND_WRITTEN {
         push_statement(&mut digest, "diseasome", diseasome, sql);
     }
 
     assert!(batches > 0, "the pinned statements must reach an IN batch");
-    assert_eq!(statements, 74, "the planner emits another set of SQL statements");
-    assert_eq!(digest.finish(), 0x81e8_a1df_4aef_c60a, "a SQL plan, estimate or counter moved");
+    assert_eq!(statements, 72, "the planner emits another set of SQL statements");
+    assert_eq!(digest.finish(), 0x5d8d_d184_8e93_fcaa, "a SQL plan, estimate or counter moved");
 }

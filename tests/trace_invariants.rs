@@ -15,7 +15,7 @@
 //! ```
 
 use fedlake_core::obs::{FlightRecording, Span, SpanKind, NO_JOB};
-use fedlake_core::{EngineJoin, FedResult, FederatedEngine, PlanConfig, PlanMode};
+use fedlake_core::{FedResult, FederatedEngine, PlanConfig, PlanMode};
 use fedlake_datagen::{build_lake_with, workload, LakeConfig};
 use fedlake_netsim::{FaultPlan, NetworkProfile};
 use fedlake_sparql::parser::parse_query;
@@ -384,8 +384,8 @@ fn obs_views(title: &str, r: &FedResult, recording: &FlightRecording) -> String 
 
 /// The views of a traced and recorded solo run are pinned byte for byte:
 /// Q3 under Gamma2 with `diseasome#r0` dark (faults, timeouts, backoffs,
-/// retries and a failover) on both schedules, plus unaware Q3 under a bind
-/// join (bind-batch spans).
+/// retries and a failover) on both schedules, plus unaware Q3 under the
+/// cost-based planner, which binds its join (bind-batch spans).
 #[test]
 fn solo_views_match_golden_snapshot() {
     let q = workload::q3();
@@ -413,9 +413,10 @@ fn solo_views_match_golden_snapshot() {
         out.push_str(&obs_views(title, &r, &e.flight_recording().unwrap()));
     }
     let mut cfg = PlanConfig::unaware(NetworkProfile::GAMMA1);
-    cfg.engine_join = EngineJoin::Bind { batch_size: 8 };
+    cfg.cost_based = true;
     let e = engine(cfg, &lake);
     let r = e.execute_sparql(&q.sparql).unwrap();
+    assert!(r.explain.contains("BindJoin"), "the cost-based plan binds: {}", r.explain);
     out.push_str(&obs_views("Q3 unaware Gamma1 bind join", &r, &e.flight_recording().unwrap()));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_solo.txt");
