@@ -1527,14 +1527,21 @@ mod tests {
     use fedlake_relational::Database;
     use fedlake_sparql::parser::parse_query;
 
-    /// Source `d`: genes, each of one disease, with `gene.disease` indexed.
+    /// Source `d`: genes, each of one disease, with `gene.disease` and
+    /// `disease.name` indexed.
     fn gene_disease_lake() -> DataLake {
         let mut db = Database::new("d");
         db.execute("CREATE TABLE gene (id TEXT PRIMARY KEY, label TEXT, disease TEXT)").unwrap();
         db.execute("CREATE TABLE disease (id TEXT PRIMARY KEY, name TEXT)").unwrap();
-        db.execute("INSERT INTO gene VALUES ('g0', 'gene 0', 'd0')").unwrap();
-        db.execute("INSERT INTO disease VALUES ('d0', 'asthma')").unwrap();
+        for (id, disease) in [("g0", "d0"), ("g1", "d0"), ("g2", "d1"), ("g3", "d2")] {
+            db.execute(&format!("INSERT INTO gene VALUES ('{id}', 'gene {id}', '{disease}')"))
+                .unwrap();
+        }
+        for (id, name) in [("d0", "asthma"), ("d1", "cancer"), ("d2", "asthma")] {
+            db.execute(&format!("INSERT INTO disease VALUES ('{id}', '{name}')")).unwrap();
+        }
         db.execute("CREATE INDEX idx_gene_disease ON gene (disease)").unwrap();
+        db.execute("CREATE INDEX idx_disease_name ON disease (name)").unwrap();
         let (gene_iri, disease_iri) =
             (IriTemplate::new("http://d/gene/", ""), IriTemplate::new("http://d/disease/", ""));
         let mapping = DatasetMapping::new("d")
@@ -1576,6 +1583,44 @@ mod tests {
         assert!(!rs.indexed("label"));
         assert!(resolve("r").unwrap().is_none());
         assert!(matches!(resolve("gone"), Err(FedError::Internal(_))));
+    }
+
+    /// The SQL services of `plan`, each as the stars it covers, merged ones
+    /// first.
+    fn sql_covers(plan: &FedPlan) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
+        let (mut merged, mut single) = (Vec::new(), Vec::new());
+        plan.visit(0, &mut |node, _| {
+            if let FedPlan::Service(ServiceNode {
+                kind: ServiceKind::Sql { request, covers }, ..
+            }) = node
+            {
+                let side = if request.is_merged() { &mut merged } else { &mut single };
+                side.push(covers.clone());
+            }
+        });
+        (merged, single)
+    }
+
+    /// Heuristic 1 pairs first-fit in star order, each star in at most one
+    /// merge: of three stars on one endpoint where every pair qualifies
+    /// (`?g`–`?d` on the gene's disease key, `?g`–`?h` on the shared indexed
+    /// `gene.disease`, `?d`–`?h` on `?h`'s disease key), the first two merge
+    /// and the third stays a single service.
+    #[test]
+    fn heuristic_one_pairs_first_fit_in_star_order() {
+        let lake = gene_disease_lake();
+        let query = parse_query(
+            "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
+             ?d <http://v/name> ?n . ?h <http://v/disease> ?d }",
+        )
+        .unwrap();
+        let config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
+        let plan = plan_query_with_health(&query, &lake, &config, &HealthView::default())
+            .unwrap()
+            .plan;
+        let (merged, single) = sql_covers(&plan);
+        assert_eq!(merged, [["?g", "?d"]], "{plan:?}");
+        assert_eq!(single, [["?h"]], "{plan:?}");
     }
 
     /// Under the naive translation a pair Heuristic 1 merges is the N+1
