@@ -28,7 +28,7 @@ use crate::health::HealthView;
 use crate::lake::DataLake;
 use crate::selection::{select_sources_with_health, Candidate};
 use crate::source::DataSource;
-use crate::stats::{join_estimate, FederationCost, LakeStatistics};
+use crate::stats::{join_estimate, FederationCost, LakeStatistics, SourceStatistics};
 use crate::translate::{
     push_filter, sql_merged, sql_single, star_column, star_part, Lift, OutputBinding, SqlFilter,
     StarColumn, StarPart,
@@ -126,16 +126,17 @@ pub struct PlannedQuery {
 }
 
 /// One star bound to one relational source, with everything translation
-/// needs: the source's table mapping, table schema and database, looked
-/// up once ([`RelStar::resolve`]).
+/// needs: the star, its source's table mapping, table schema and database,
+/// looked up once ([`RelStar::resolve`]).
 struct RelStar<'l> {
     star_idx: usize,
+    star: &'l StarSubquery,
     source_id: &'l str,
     tm: &'l TableMapping,
     schema: &'l TableSchema,
     db: &'l Database,
-    pushed: Vec<SqlFilter>,
-    engine_filters: Vec<Expr>,
+    /// The statistics catalog's entry for the source, in cost mode.
+    stats: Option<&'l SourceStatistics>,
     cardinality: usize,
 }
 
@@ -536,7 +537,67 @@ struct Unit {
     bindable: Option<usize>,
 }
 
-/// Plans the conjunctive (required) part of a decomposition.
+/// What the planner decides for one conjunctive group (DESIGN §15): the
+/// paper's rule table decides Heuristics 1 and 2, and the rule table or
+/// the cost model the join order. [`Group::units`] and [`Group::join_in_order`],
+/// the one builder, read it and derive none of it again.
+#[derive(Debug, Clone)]
+struct Decisions {
+    /// Heuristic 2, per relational star: which of its filters its SQL
+    /// pushes.
+    filters: Vec<FilterSplit>,
+    /// Heuristic 1: the pairs of relational stars merged into one SQL
+    /// request, first-fit in star order, each star in at most one.
+    merges: Vec<Merge>,
+    /// The order the units of the two above join in, each step with its
+    /// kind (a permutation of their indices; the first step's kind is not
+    /// read).
+    order: Vec<(usize, StepKind)>,
+}
+
+/// Heuristic 2's decision for one relational star: its filters pushed into
+/// its SQL and those kept at the engine.
+#[derive(Debug, Clone, Default)]
+struct FilterSplit {
+    pushed: Vec<SqlFilter>,
+    engine: Vec<Expr>,
+}
+
+/// Heuristic 1's decision for two relational stars on one endpoint: one
+/// SQL request joining `a`'s `left_col` to `b`'s `right_col`, the columns
+/// their join variable `var` maps to.
+#[derive(Debug, Clone)]
+struct Merge {
+    /// The two stars, as indices into the group's relational stars, `a`
+    /// first in star order.
+    a: usize,
+    b: usize,
+    var: Var,
+    left_col: String,
+    right_col: String,
+    /// Whether both stars read one row of one table ([`same_row`]), so
+    /// that no join is translated at all.
+    same_row: bool,
+}
+
+/// One conjunctive group's stars, each bound to its sources once
+/// ([`Group::resolve`]).
+struct Group<'a> {
+    dec: &'a crate::decompose::Decomposition,
+    lake: &'a DataLake,
+    config: &'a PlanConfig,
+    /// The statistics catalog, in cost mode.
+    stats: Option<&'a LakeStatistics>,
+    /// Each star's candidate sources.
+    candidates: Vec<Vec<Candidate>>,
+    /// The stars one relational source answers.
+    rel: Vec<RelStar<'a>>,
+    /// The other stars' indices: a SPARQL source or several candidates.
+    others: Vec<usize>,
+}
+
+/// Plans the conjunctive (required) part of a decomposition: resolve,
+/// decide, build.
 fn plan_conjunctive(
     dec: &crate::decompose::Decomposition,
     lake: &DataLake,
@@ -545,112 +606,227 @@ fn plan_conjunctive(
     skipped: &mut Vec<String>,
     report: &mut PlanReport,
 ) -> Result<FedPlan, FedError> {
-    if dec.stars.is_empty() {
-        return Err(FedError::Unsupported("empty basic graph pattern".into()));
-    }
-    // Cost mode estimates service cardinalities from the statistics
-    // catalog; heuristic mode keeps the fixed per-constraint guesses.
-    let stats: Option<&LakeStatistics> = config.cost_based.then(|| lake.statistics());
-    let (candidates, newly_skipped) =
-        select_sources_with_health(&dec.stars, lake, health, config.degraded_ok)?;
-    for s in newly_skipped {
-        if !skipped.contains(&s) {
-            skipped.push(s);
+    let group = Group::resolve(dec, lake, config, health, skipped)?;
+    let (decisions, units) = group.decide(report)?;
+    group.join_in_order(units, &decisions)
+}
+
+impl<'a> Group<'a> {
+    /// `dec`'s stars bound to their candidate sources (adding the sources
+    /// the health-aware selector skipped to `skipped`), each star with one
+    /// relational candidate bound to that source.
+    fn resolve(
+        dec: &'a crate::decompose::Decomposition,
+        lake: &'a DataLake,
+        config: &'a PlanConfig,
+        health: &HealthView,
+        skipped: &mut Vec<String>,
+    ) -> Result<Self, FedError> {
+        if dec.stars.is_empty() {
+            return Err(FedError::Unsupported("empty basic graph pattern".into()));
         }
+        let (candidates, newly_skipped) =
+            select_sources_with_health(&dec.stars, lake, health, config.degraded_ok)?;
+        for s in newly_skipped {
+            if !skipped.contains(&s) {
+                skipped.push(s);
+            }
+        }
+        // Cost mode estimates service cardinalities from the statistics
+        // catalog; heuristic mode keeps the fixed per-constraint guesses.
+        let stats = config.cost_based.then(|| lake.statistics());
+        let (mut rel, mut others) = (Vec::new(), Vec::new());
+        for (i, (star, cands)) in dec.stars.iter().zip(&candidates).enumerate() {
+            let single_relational = match cands.as_slice() {
+                [cand] if !star.has_variable_predicate() => {
+                    RelStar::resolve(i, star, cand, lake, stats)?
+                }
+                _ => None,
+            };
+            match single_relational {
+                Some(rs) => rel.push(rs),
+                None => others.push(i),
+            }
+        }
+        Ok(Group { dec, lake, config, stats, candidates, rel, others })
     }
 
-    // Classify stars: single relational candidate vs. everything else.
-    let mut rel_stars: Vec<RelStar> = Vec::new();
-    let mut other_units: Vec<(usize, FedPlan)> = Vec::new();
-    for (i, (star, cands)) in dec.stars.iter().zip(&candidates).enumerate() {
-        let single_relational = match cands.as_slice() {
-            [cand] if !star.has_variable_predicate() => {
-                RelStar::resolve(i, star, cand, lake, config)?
-            }
-            _ => None,
+    /// The group's decisions, and the units they make: Heuristic 2 per
+    /// relational star and Heuristic 1's pairs by the rule table, then the
+    /// join order over those units by the cost model (DP / greedy over
+    /// [`FederationCost`]) in cost mode, by the paper's heuristic
+    /// otherwise. Cross-star filters are applied by `plan_tree`, which
+    /// knows the union- and optional-bound variables.
+    fn decide(&self, report: &mut PlanReport) -> Result<(Decisions, Vec<Unit>), FedError> {
+        let config = self.config;
+        let filters: Vec<FilterSplit> =
+            self.rel.iter().map(|rs| split_filters(rs, config)).collect();
+        let merges = match config.mode {
+            PlanMode::Aware { h1_join_pushdown: true, .. } => pair_stars(&self.rel),
+            _ => Vec::new(),
         };
-        match single_relational {
-            Some(rs) => rel_stars.push(rs),
-            None => other_units.push((i, plan_other_star(star, cands, lake, config, stats)?)),
-        }
+        let mut decided = Decisions { filters, merges, order: Vec::new() };
+        // The order is decided over the units the other two decisions make.
+        let units = self.units(&decided)?;
+        decided.order = match self.stats {
+            Some(stats) => order_units_by_cost(&Pricing::new(self, stats, &units), report)?,
+            None => heuristic_order(&units),
+        };
+        Ok((decided, units))
     }
 
-    // Heuristic 1: pairwise merging of relational stars on one endpoint.
-    let h1 = matches!(
-        config.mode,
-        PlanMode::Aware { h1_join_pushdown: true, .. }
-    );
-    let mut merged_away: Vec<Option<usize>> = vec![None; rel_stars.len()]; // partner index
-    if h1 {
-        for i in 0..rel_stars.len() {
-            if merged_away[i].is_some() {
-                continue;
+    /// The units `decided`'s filters and merges make, in the order its join
+    /// order indexes them: each merged pair where its first star is, each
+    /// other relational star as a single service, then the other stars.
+    fn units(&self, decided: &Decisions) -> Result<Vec<Unit>, FedError> {
+        let (filters, merges) = (&decided.filters, &decided.merges);
+        let unit = |stars: Vec<usize>, plan: FedPlan, bindable: Option<usize>| {
+            let mut vars: Vec<Var> = Vec::new();
+            for &i in &stars {
+                for v in self.dec.stars[i].vars() {
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
             }
-            for j in (i + 1)..rel_stars.len() {
-                if merged_away[j].is_some() || merged_away[i].is_some() {
-                    continue;
-                }
-                if rel_stars[i].source_id != rel_stars[j].source_id {
-                    continue;
-                }
-                if find_merge_join(&dec.stars, &rel_stars[i], &rel_stars[j]).is_some() {
-                    merged_away[i] = Some(j);
-                    merged_away[j] = Some(i);
-                }
+            Unit { stars, plan, vars, bindable }
+        };
+        let mut units = Vec::new();
+        for (i, rs) in self.rel.iter().enumerate() {
+            if let Some(m) = merges.iter().find(|m| m.a == i) {
+                let plan = self.merged_service(m, filters)?;
+                units.push(unit(vec![rs.star_idx, self.rel[m.b].star_idx], plan, None));
+            } else if !merges.iter().any(|m| m.b == i) {
+                units.push(unit(vec![rs.star_idx], single_service(rs, &filters[i])?, Some(i)));
             }
         }
+        for &i in &self.others {
+            units.push(unit(vec![i], self.other_star(i)?, None));
+        }
+        Ok(units)
     }
 
-    // Build the units. A single relational star remembers its RelStar
-    // index, so that a join order can bind-join into it.
-    let star_vars: Vec<Vec<Var>> = dec.stars.iter().map(StarSubquery::vars).collect();
-    let unit = |stars: Vec<usize>, plan: FedPlan, bindable: Option<usize>| {
-        let mut vars: Vec<Var> = Vec::new();
-        for &i in &stars {
-            for v in &star_vars[i] {
-                if !vars.contains(v) {
-                    vars.push(v.clone());
+    /// The left-deep plan that joins `units` (what [`Group::units`] made of
+    /// `decided`) in its order. Each later unit joins what is bound so far
+    /// on the variables they share: by a bind join into its relational star
+    /// where its step says so and the join has one variable that maps to a
+    /// bindable column, by an engine hash join otherwise.
+    fn join_in_order(&self, units: Vec<Unit>, decided: &Decisions) -> Result<FedPlan, FedError> {
+        let order = &decided.order;
+        // The units moved into `order`: each sorted on its step's position.
+        let mut position = vec![0; units.len()];
+        for (at, &(j, _)) in order.iter().enumerate() {
+            position[j] = at;
+        }
+        let mut in_order: Vec<(usize, Unit)> = position.into_iter().zip(units).collect();
+        in_order.sort_unstable_by_key(|&(at, _)| at);
+        let mut steps = in_order.into_iter().zip(order).map(|((_, unit), &(_, kind))| (unit, kind));
+        let Some((first, _)) = steps.next() else {
+            return Err(FedError::Internal("a join order of no units".into()));
+        };
+        let (mut plan, mut bound_vars) = (first.plan, first.vars);
+        for (unit, kind) in steps {
+            let on: Vec<Var> =
+                unit.vars.iter().filter(|v| bound_vars.contains(v)).cloned().collect();
+            for v in unit.vars {
+                if !bound_vars.contains(&v) {
+                    bound_vars.push(v);
                 }
             }
+            let bind = match (kind, on.as_slice()) {
+                (StepKind::Bind(ri), [var]) => {
+                    bindable_column(&self.rel[ri], var).map(|column| (ri, column))
+                }
+                _ => None,
+            };
+            plan = match bind {
+                Some((ri, column)) => {
+                    let (rs, split) = (&self.rel[ri], &decided.filters[ri]);
+                    bind_join(plan, rs, split, &on[0], column, BIND_BATCH)?
+                }
+                // A hash step, or a variable that maps to no bindable column.
+                None => FedPlan::Join { left: Box::new(plan), right: Box::new(unit.plan), on },
+            };
         }
-        Unit { stars, plan, vars, bindable }
-    };
-    let mut units: Vec<Unit> = Vec::new();
-    let mut consumed = vec![false; rel_stars.len()];
-    for i in 0..rel_stars.len() {
-        if consumed[i] {
-            continue;
-        }
-        consumed[i] = true;
-        match merged_away[i] {
-            Some(j) if !consumed[j] => {
-                consumed[j] = true;
-                let (a, b) = (&rel_stars[i], &rel_stars[j]);
-                let plan = build_merged_service(&dec.stars, a, b, config, stats)?;
-                units.push(unit(vec![a.star_idx, b.star_idx], plan, None));
-            }
-            _ => {
-                let plan = build_single_service(&dec.stars, &rel_stars[i], stats)?;
-                units.push(unit(vec![rel_stars[i].star_idx], plan, Some(i)));
-            }
-        }
-    }
-    for (i, plan) in other_units {
-        units.push(unit(vec![i], plan, None));
+        Ok(plan)
     }
 
-    // Join ordering over units: cost-based (DP / greedy over the
-    // FederationCost model) or the paper's heuristic greedy. One builder
-    // joins either order. Cross-star filters are applied by `plan_tree`,
-    // which knows the union- and optional-bound variables.
-    let order = match stats {
-        Some(stats) => {
-            let pricing = Pricing::new(dec, config, stats, &candidates, &rel_stars, &units);
-            order_units_by_cost(&pricing, report)?
+    /// A merged pair as one SQL service under both stars' engine filters,
+    /// or, under the naive translation, as the N+1 bind join it stands for.
+    fn merged_service(&self, m: &Merge, filters: &[FilterSplit]) -> Result<FedPlan, FedError> {
+        let (a, b) = (&self.rel[m.a], &self.rel[m.b]);
+        let (fa, fb) = (&filters[m.a], &filters[m.b]);
+        // Denormalized case: both stars read one row and combine under a
+        // single alias with no join — whatever the translation quality
+        // setting; there is no join to translate badly.
+        if self.config.merge_translation == MergeTranslation::Naive && !m.same_row {
+            // Ontario's unoptimized translation is an N+1 dependent join:
+            // `a`'s star once, then `b`'s once per binding of the join
+            // variable. That is a same-source bind join of batch 1.
+            let column = bindable_column(b, &m.var).ok_or_else(|| {
+                let (var, table) = (&m.var, &b.tm.table);
+                FedError::Internal(format!("naive merge: {var} maps to no column of {table}"))
+            })?;
+            return bind_join(single_service(a, fa)?, b, fb, &m.var, column, 1);
         }
-        None => heuristic_order(&units),
-    };
-    join_in_order(units, &order, &dec.stars, &rel_stars, stats)
+        let (pa, ea) = a.part(fa, "s0")?;
+        let (pb, eb) = b.part(fb, if m.same_row { "s0" } else { "s1" })?;
+        let q = if m.same_row {
+            crate::translate::sql_merged_same_table(&pa, &pb)
+        } else {
+            sql_merged(&pa, &pb, &m.left_col, &m.right_col)
+        };
+        // With statistics (both stars share a source, so both or neither
+        // have them), the classic equi-join formula over the two star
+        // estimates; without, the smaller of the two guesses.
+        let est = if a.stats.is_some() { join_estimate(ea, ea, eb, eb) } else { ea.min(eb) };
+        let covers = vec![a.star.subject.to_string(), b.star.subject.to_string()];
+        let service = sql_service(a, SqlRequest::MergedOptimized(q), covers, est);
+        Ok(wrap_engine_filters(service, [&fa.engine[..], &fb.engine[..]].concat()))
+    }
+
+    /// A star that is not a single-relational-candidate: SPARQL sources
+    /// evaluate natively, multiple candidates become a union.
+    fn other_star(&self, i: usize) -> Result<FedPlan, FedError> {
+        let star = &self.dec.stars[i];
+        let mut branches = Vec::with_capacity(self.candidates[i].len());
+        for cand in &self.candidates[i] {
+            branches.push(match RelStar::resolve(i, star, cand, self.lake, self.stats)? {
+                Some(rs) => single_service(&rs, &split_filters(&rs, self.config))?,
+                None => {
+                    let est = match self.stats.and_then(|ls| ls.source(&cand.source_id)) {
+                        Some(ss) => ss.estimate_star(star, &star.filters),
+                        None => (cand.cardinality as f64).max(1.0),
+                    };
+                    let filters = star.filters.clone();
+                    FedPlan::Service(ServiceNode {
+                        source_id: cand.source_id.clone(),
+                        route: None,
+                        kind: ServiceKind::Sparql { star: star.clone(), filters },
+                        estimated_rows: est,
+                        lift: Arc::default(),
+                    })
+                }
+            });
+        }
+        Ok(union_of(branches))
+    }
+}
+
+/// Heuristic 1's pairing: first-fit in star order, each relational star in
+/// at most one merge. Two stars merge when they share an endpoint and
+/// [`find_merge_join`] finds their join.
+fn pair_stars(rel: &[RelStar<'_>]) -> Vec<Merge> {
+    let mut merges: Vec<Merge> = Vec::new();
+    for i in 0..rel.len() {
+        for j in (i + 1)..rel.len() {
+            let taken = |k: usize| merges.iter().any(|m| m.a == k || m.b == k);
+            if !taken(i) && !taken(j) && rel[i].source_id == rel[j].source_id {
+                merges.extend(find_merge_join(rel, i, j));
+            }
+        }
+    }
+    merges
 }
 
 /// The paper's join order: the units by estimated rows, smallest first,
@@ -674,64 +850,13 @@ fn heuristic_order(units: &[Unit]) -> Vec<(usize, StepKind)> {
     order
 }
 
-/// Builds the left-deep plan that joins `units` in `order` (a permutation
-/// of their indices; the first step's kind is not read). Each later unit
-/// joins what is bound so far on the variables they share: by a bind join
-/// into its relational star where its step says so and the join has one
-/// variable that maps to a bindable column, by an engine hash join
-/// otherwise.
-fn join_in_order(
-    units: Vec<Unit>,
-    order: &[(usize, StepKind)],
-    stars: &[StarSubquery],
-    rel_stars: &[RelStar<'_>],
-    stats: Option<&LakeStatistics>,
-) -> Result<FedPlan, FedError> {
-    // The units moved into `order`: each sorted on its step's position.
-    let mut position = vec![0; units.len()];
-    for (at, &(j, _)) in order.iter().enumerate() {
-        position[j] = at;
-    }
-    let mut in_order: Vec<(usize, Unit)> = position.into_iter().zip(units).collect();
-    in_order.sort_unstable_by_key(|&(at, _)| at);
-    let mut steps = in_order.into_iter().zip(order).map(|((_, unit), &(_, kind))| (unit, kind));
-    let Some((first, _)) = steps.next() else {
-        return Err(FedError::Internal("a join order of no units".into()));
-    };
-    let (mut plan, mut bound_vars) = (first.plan, first.vars);
-    for (unit, kind) in steps {
-        let on: Vec<Var> = unit.vars.iter().filter(|v| bound_vars.contains(v)).cloned().collect();
-        for v in unit.vars {
-            if !bound_vars.contains(&v) {
-                bound_vars.push(v);
-            }
-        }
-        let right = Box::new(unit.plan);
-        plan = match kind {
-            StepKind::Bind(ri) if on.len() == 1 => {
-                match build_bind_join(plan, stars, &rel_stars[ri], &on[0], BIND_BATCH, stats)? {
-                    Ok(bound_plan) => bound_plan,
-                    // The variable does not map to a column: fall back.
-                    Err(left) => FedPlan::Join { left: Box::new(left), right, on },
-                }
-            }
-            _ => FedPlan::Join { left: Box::new(plan), right, on },
-        };
-    }
-    Ok(plan)
-}
-
 /// Heuristic 2's decision: split a relational star's filters into
 /// (pushed-to-source, kept-at-engine). Whether a filter *can* be pushed is
 /// [`push_filter`]'s one rule, asked once per filter; whether it *is*
 /// depends on the placement, the filtered column's index and the network.
-fn split_filters(
-    star: &StarSubquery,
-    rs: &RelStar<'_>,
-    config: &PlanConfig,
-) -> (Vec<SqlFilter>, Vec<Expr>) {
-    let mut pushed = Vec::new();
-    let mut engine = Vec::new();
+fn split_filters(rs: &RelStar<'_>, config: &PlanConfig) -> FilterSplit {
+    let star = rs.star;
+    let mut split = FilterSplit::default();
     for f in &star.filters {
         let decided = match config.mode {
             // The unaware plan performs every operation it can at the
@@ -750,71 +875,61 @@ fn split_filters(
             }),
         };
         match decided {
-            Some(sql) => pushed.push(sql),
-            None => engine.push(f.clone()),
+            Some(sql) => split.pushed.push(sql),
+            None => split.engine.push(f.clone()),
         }
     }
-    (pushed, engine)
+    split
 }
 
-/// The join columns Heuristic 1 would merge two stars on, when the paper's
-/// indexing condition holds. Returns `(left_col_on_a, right_col_on_b)`.
-fn find_merge_join(stars: &[StarSubquery], a: &RelStar, b: &RelStar) -> Option<(String, String)> {
-    let sa = &stars[a.star_idx];
-    let sb = &stars[b.star_idx];
-    // Stars that read one row (a denormalized design) merge without a join
-    // at all — no index condition applies, since there is nothing to join.
+/// Heuristic 1's merge of relational stars `a` and `b`, when the paper's
+/// indexing condition holds for the join it finds between them. Stars that
+/// read one row (a denormalized design) merge without a join at all — no
+/// index condition applies, since there is nothing to join.
+fn find_merge_join(rel: &[RelStar<'_>], a: usize, b: usize) -> Option<Merge> {
+    let (ra, rb) = (&rel[a], &rel[b]);
+    let merge = |var: &Var, left_col: String, right_col: String, indexed: bool| {
+        let same_row = same_row(ra, rb, &left_col, &right_col);
+        let var = var.clone();
+        (same_row || indexed).then_some(Merge { a, b, var, left_col, right_col, same_row })
+    };
     // Case 1: an object variable of `a` is the subject of `b` (FK → PK).
-    if let crate::decompose::StarSubject::Var(vb) = &sb.subject {
-        for t in &sa.triples {
-            if t.o.as_var() == Some(vb) {
-                let pred = t.p.as_term().and_then(Term::as_iri)?;
-                let col = a.tm.column_for_predicate(pred)?.column.clone();
-                let right = b.tm.subject_column.clone();
-                // The paper's condition: the join attribute is indexed.
-                if same_row(a, b, &col, &right) || a.indexed(&col) {
-                    return Some((col, right));
-                }
-                return None;
-            }
+    if let StarSubject::Var(vb) = &rb.star.subject {
+        if let Some(t) = ra.star.triples.iter().find(|t| t.o.as_var() == Some(vb)) {
+            let pred = t.p.as_term().and_then(Term::as_iri)?;
+            let col = ra.tm.column_for_predicate(pred)?.column.clone();
+            // The paper's condition: the join attribute is indexed.
+            let indexed = ra.indexed(&col);
+            return merge(vb, col, rb.tm.subject_column.clone(), indexed);
         }
     }
     // Case 1 reversed: an object variable of `b` is the subject of `a`.
-    if let crate::decompose::StarSubject::Var(va) = &sa.subject {
-        for t in &sb.triples {
-            if t.o.as_var() == Some(va) {
-                let pred = t.p.as_term().and_then(Term::as_iri)?;
-                let col = b.tm.column_for_predicate(pred)?.column.clone();
-                // Keep `a` as the left table: left col is a's subject.
-                let left = a.tm.subject_column.clone();
-                if same_row(a, b, &left, &col) || b.indexed(&col) {
-                    return Some((left, col));
-                }
-                return None;
-            }
+    if let StarSubject::Var(va) = &ra.star.subject {
+        if let Some(t) = rb.star.triples.iter().find(|t| t.o.as_var() == Some(va)) {
+            let pred = t.p.as_term().and_then(Term::as_iri)?;
+            let col = rb.tm.column_for_predicate(pred)?.column.clone();
+            // Keep `a` as the left table: left col is a's subject.
+            let indexed = rb.indexed(&col);
+            return merge(va, ra.tm.subject_column.clone(), col, indexed);
         }
     }
     // Case 2: a shared object variable (column–column join); at least one
     // side must be indexed. SQL's `=` joins what the variable joins only
     // between columns that lift alike.
-    let vars_a = sa.vars();
-    let vars_b = sb.vars();
-    for v in &vars_a {
-        if !vars_b.contains(v) {
-            continue;
-        }
+    let vars_b = rb.star.vars();
+    for v in ra.star.vars().iter().filter(|v| vars_b.contains(v)) {
         let (Some(ca), Some(cb)) = (
-            star_column(v, sa, a.tm, a.schema),
-            star_column(v, sb, b.tm, b.schema),
+            star_column(v, ra.star, ra.tm, ra.schema),
+            star_column(v, rb.star, rb.tm, rb.schema),
         ) else {
             continue;
         };
         if ca.lift != cb.lift || !sql_equality_is_identity(&ca) {
             continue;
         }
-        let (ca, cb) = (ca.name, cb.name);
-        if same_row(a, b, &ca, &cb) || a.indexed(&ca) || b.indexed(&cb) {
-            return Some((ca, cb));
+        let indexed = ra.indexed(&ca.name) || rb.indexed(&cb.name);
+        if let Some(m) = merge(v, ca.name, cb.name, indexed) {
+            return Some(m);
         }
     }
     None
@@ -833,21 +948,16 @@ fn same_row(a: &RelStar, b: &RelStar, left_col: &str, right_col: &str) -> bool {
 }
 
 impl<'l> RelStar<'l> {
-    /// The filters Heuristic 2 pushed, as the query states them.
-    fn pushed_exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.pushed.iter().map(|f| &f.expr)
-    }
-
     /// `star`, the `star_idx`-th of its decomposition, bound to its
-    /// candidate `cand` with Heuristic 2's split of its filters; `None`
-    /// when `cand` is a SPARQL source. The one place the planner looks a
-    /// star's source up.
+    /// candidate `cand` and, in cost mode, to the catalog's entry for it
+    /// in `stats`; `None` when `cand` is a SPARQL source. The one place
+    /// the planner looks a star's source up.
     fn resolve(
         star_idx: usize,
-        star: &StarSubquery,
+        star: &'l StarSubquery,
         cand: &Candidate,
         lake: &'l DataLake,
-        config: &PlanConfig,
+        stats: Option<&'l LakeStatistics>,
     ) -> Result<Option<RelStar<'l>>, FedError> {
         let Some(source) = lake.source(&cand.source_id) else {
             let id = &cand.source_id;
@@ -862,18 +972,16 @@ impl<'l> RelStar<'l> {
         let table = db
             .table(&tm.table)
             .ok_or_else(|| FedError::Internal(format!("table {} missing", tm.table)))?;
-        let mut rs = RelStar {
+        Ok(Some(RelStar {
             star_idx,
+            star,
             source_id: id,
             tm,
             schema: &table.schema,
             db,
-            pushed: Vec::new(),
-            engine_filters: Vec::new(),
+            stats: stats.and_then(|ls| ls.source(id)),
             cardinality: cand.cardinality,
-        };
-        (rs.pushed, rs.engine_filters) = split_filters(star, &rs, config);
-        Ok(Some(rs))
+        }))
     }
 
     /// Whether `column` of the star's table leads an index at its source:
@@ -882,26 +990,23 @@ impl<'l> RelStar<'l> {
     fn indexed(&self, column: &str) -> bool {
         self.db.has_index_on(&self.tm.table, column)
     }
-}
 
-fn estimate(cardinality: usize, part: &StarPart) -> f64 {
-    let constraints = part
-        .wheres
-        .iter()
-        .filter(|w| !w.ends_with("IS NOT NULL"))
-        .count();
-    ((cardinality as f64) * 0.4f64.powi(constraints as i32)).max(1.0)
-}
-
-/// The statistics-based cardinality estimate of `star` at `source_id`,
-/// when cost mode is on and the catalog knows the source.
-fn stats_estimate<'f>(
-    stats: Option<&LakeStatistics>,
-    source_id: &str,
-    star: &StarSubquery,
-    filters: impl IntoIterator<Item = &'f Expr>,
-) -> Option<f64> {
-    stats.and_then(|ls| ls.source(source_id)).map(|ss| ss.estimate_star(star, filters))
+    /// The star's SQL fragments under `split`'s pushed filters, aliased
+    /// `alias`, and its estimated rows: the statistics catalog's when there
+    /// is one, the fixed per-constraint guess over those fragments
+    /// otherwise.
+    fn part(&self, split: &FilterSplit, alias: &str) -> Result<(StarPart, f64), FedError> {
+        let part = star_part(self.star, self.tm, self.schema, &split.pushed, alias)?;
+        let est = match self.stats {
+            Some(ss) => ss.estimate_star(self.star, split.pushed.iter().map(|f| &f.expr)),
+            None => {
+                let constraints =
+                    part.wheres.iter().filter(|w| !w.ends_with("IS NOT NULL")).count();
+                ((self.cardinality as f64) * 0.4f64.powi(constraints as i32)).max(1.0)
+            }
+        };
+        Ok((part, est))
+    }
 }
 
 /// `plan` under an engine FILTER of `filters`, when there are any; the
@@ -914,153 +1019,49 @@ fn wrap_engine_filters(plan: FedPlan, filters: Vec<Expr>) -> FedPlan {
     }
 }
 
-/// Converts a single relational star into the right side of a dependent
-/// bind join on `join_var`. Returns `Err(left)` (giving the left plan
-/// back) when the variable does not map to a column of the star.
-#[allow(clippy::result_large_err)]
-fn build_bind_join(
+/// `left` bind-joined into relational star `rs` on `join_var`, bound at
+/// `column`, `batch_size` keys per shipped batch, under the star's engine
+/// filters.
+fn bind_join(
     left: FedPlan,
-    stars: &[StarSubquery],
     rs: &RelStar,
+    split: &FilterSplit,
     join_var: &Var,
+    column: StarColumn,
     batch_size: usize,
-    stats: Option<&LakeStatistics>,
-) -> Result<Result<FedPlan, FedPlan>, FedError> {
-    let star = &stars[rs.star_idx];
-    let Some(column) = bindable_column(stars, rs, join_var) else {
-        return Ok(Err(left));
-    };
-    let part = star_part(star, rs.tm, rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, rs.source_id, star, rs.pushed_exprs())
-        .unwrap_or_else(|| estimate(rs.cardinality, &part));
+) -> Result<FedPlan, FedError> {
+    let (part, estimated_rows) = rs.part(split, "s0")?;
     let target = crate::fedplan::BindTarget {
         source_id: rs.source_id.to_string(),
         route: None,
         part,
         join_var: join_var.clone(),
         column,
-        covers: star.subject.to_string(),
-        estimated_rows: est,
+        covers: rs.star.subject.to_string(),
+        estimated_rows,
         lift: Arc::default(),
     };
     let plan = FedPlan::BindJoin { left: Box::new(left), right: target, batch_size };
-    Ok(Ok(wrap_engine_filters(plan, rs.engine_filters.clone())))
+    Ok(wrap_engine_filters(plan, split.engine.clone()))
 }
 
 /// A single relational star as one SQL service under its engine filters.
-fn build_single_service(
-    stars: &[StarSubquery],
-    rs: &RelStar,
-    stats: Option<&LakeStatistics>,
-) -> Result<FedPlan, FedError> {
-    let star = &stars[rs.star_idx];
-    let part = star_part(star, rs.tm, rs.schema, &rs.pushed, "s0")?;
-    let est = stats_estimate(stats, rs.source_id, star, rs.pushed_exprs())
-        .unwrap_or_else(|| estimate(rs.cardinality, &part));
-    let q = sql_single(&part);
-    let service = FedPlan::Service(ServiceNode {
+fn single_service(rs: &RelStar, split: &FilterSplit) -> Result<FedPlan, FedError> {
+    let (part, est) = rs.part(split, "s0")?;
+    let covers = vec![rs.star.subject.to_string()];
+    let service = sql_service(rs, SqlRequest::Single(sql_single(&part)), covers, est);
+    Ok(wrap_engine_filters(service, split.engine.clone()))
+}
+
+/// The SQL service leaf of `request` at `rs`'s source.
+fn sql_service(rs: &RelStar, request: SqlRequest, covers: Vec<String>, est: f64) -> FedPlan {
+    FedPlan::Service(ServiceNode {
         source_id: rs.source_id.to_string(),
         route: None,
-        kind: ServiceKind::Sql {
-            request: SqlRequest::Single(q),
-            covers: vec![star.subject.to_string()],
-        },
+        kind: ServiceKind::Sql { request, covers },
         estimated_rows: est,
         lift: Arc::default(),
-    });
-    Ok(wrap_engine_filters(service, rs.engine_filters.clone()))
-}
-
-fn build_merged_service(
-    stars: &[StarSubquery],
-    a: &RelStar,
-    b: &RelStar,
-    config: &PlanConfig,
-    stats: Option<&LakeStatistics>,
-) -> Result<FedPlan, FedError> {
-    let (left_col, right_col) = find_merge_join(stars, a, b)
-        .ok_or_else(|| FedError::Internal("merge pair lost its join".into()))?;
-    let sa = &stars[a.star_idx];
-    let sb = &stars[b.star_idx];
-    // Denormalized case: both stars read one row and combine under a
-    // single alias with no join — whatever the translation quality setting;
-    // there is no join to translate badly.
-    let same_row = same_row(a, b, &left_col, &right_col);
-    if config.merge_translation == MergeTranslation::Naive && !same_row {
-        // Ontario's unoptimized translation is an N+1 dependent join: `a`'s
-        // star once, then `b`'s once per binding of the shared variable —
-        // the one mapped to `left_col` on `a`'s side. That is a same-source
-        // bind join of batch 1.
-        let join_var = sa
-            .vars()
-            .into_iter()
-            .find(|v| star_column(v, sa, a.tm, a.schema).is_some_and(|c| c.name == left_col))
-            .ok_or_else(|| FedError::Internal("naive merge: join variable not found".into()))?;
-        let left = build_single_service(stars, a, stats)?;
-        return build_bind_join(left, stars, b, &join_var, 1, stats)?.map_err(|_| {
-            let table = &b.tm.table;
-            FedError::Internal(format!("naive merge: {join_var} maps to no column of {table}"))
-        });
-    }
-
-    let pa = star_part(sa, a.tm, a.schema, &a.pushed, "s0")?;
-    let pb = star_part(sb, b.tm, b.schema, &b.pushed, if same_row { "s0" } else { "s1" })?;
-    let q = if same_row {
-        crate::translate::sql_merged_same_table(&pa, &pb)
-    } else {
-        sql_merged(&pa, &pb, &left_col, &right_col)
-    };
-    // Stats-based merged estimate: the classic equi-join formula over the
-    // two star estimates (`None` outside cost mode).
-    let est = match (
-        stats_estimate(stats, a.source_id, sa, a.pushed_exprs()),
-        stats_estimate(stats, b.source_id, sb, b.pushed_exprs()),
-    ) {
-        (Some(ea), Some(eb)) => join_estimate(ea, ea, eb, eb),
-        _ => estimate(a.cardinality, &pa).min(estimate(b.cardinality, &pb)),
-    };
-    let service = FedPlan::Service(ServiceNode {
-        source_id: a.source_id.to_string(),
-        route: None,
-        kind: ServiceKind::Sql {
-            request: SqlRequest::MergedOptimized(q),
-            covers: vec![sa.subject.to_string(), sb.subject.to_string()],
-        },
-        estimated_rows: est,
-        lift: Arc::default(),
-    });
-    let mut filters = a.engine_filters.clone();
-    filters.extend(b.engine_filters.clone());
-    Ok(wrap_engine_filters(service, filters))
-}
-
-/// Plans a star that is not a single-relational-candidate: SPARQL sources
-/// evaluate natively, multiple candidates become a union.
-fn plan_other_star(
-    star: &StarSubquery,
-    cands: &[Candidate],
-    lake: &DataLake,
-    config: &PlanConfig,
-    stats: Option<&LakeStatistics>,
-) -> Result<FedPlan, FedError> {
-    let mut branches = Vec::with_capacity(cands.len());
-    for cand in cands {
-        branches.push(match RelStar::resolve(0, star, cand, lake, config)? {
-            Some(rs) => build_single_service(std::slice::from_ref(star), &rs, stats)?,
-            None => {
-                let est = stats_estimate(stats, &cand.source_id, star, &star.filters)
-                    .unwrap_or_else(|| (cand.cardinality as f64).max(1.0));
-                FedPlan::Service(ServiceNode {
-                    source_id: cand.source_id.clone(),
-                    route: None,
-                    kind: ServiceKind::Sparql { star: star.clone(), filters: star.filters.clone() },
-                    estimated_rows: est,
-                    lift: Arc::default(),
-                })
-            }
-        });
-    }
-    Ok(union_of(branches))
+    })
 }
 
 /// One branch as itself, several as their union.
@@ -1074,7 +1075,7 @@ fn union_of(branches: Vec<FedPlan>) -> FedPlan {
 // ---------------------------------------------------------------------------
 // Cost-based join ordering (`PlanConfig::cost_based`).
 //
-// Units (the service requests `plan_conjunctive` built — merged or single
+// Units (the service requests `Group::units` builds — merged or single
 // relational stars plus the "other" stars) are ordered by minimizing a
 // `FederationCost` estimate: per-unit fetch costs priced from the
 // statistics catalog and the netsim link parameters, per-edge bind-join
@@ -1301,19 +1302,12 @@ struct Pricing<'a> {
     units: &'a [Unit],
     /// Each unit's pricing inputs, by unit index.
     costs: Vec<CostUnit>,
-    stars: &'a [StarSubquery],
     rel_stars: &'a [RelStar<'a>],
 }
 
 impl<'a> Pricing<'a> {
-    fn new(
-        dec: &'a crate::decompose::Decomposition,
-        config: &'a PlanConfig,
-        stats: &LakeStatistics,
-        candidates: &[Vec<Candidate>],
-        rel_stars: &'a [RelStar<'a>],
-        units: &'a [Unit],
-    ) -> Self {
+    fn new(group: &'a Group<'a>, stats: &LakeStatistics, units: &'a [Unit]) -> Self {
+        let config = group.config;
         let env = CostEnv {
             cost: &config.cost,
             delay_us: config.network.delay.mean_ms() * 1_000.0,
@@ -1326,7 +1320,7 @@ impl<'a> Pricing<'a> {
                 let est_rows = u.plan.estimated_rows();
                 let (fetch_cpu_us, fetch_io_us, fetch_net_us) = unit_fetch_cost(&u.plan, &env);
                 let mut var_distinct =
-                    unit_var_distincts(&u.stars, dec, candidates, stats, est_rows);
+                    unit_var_distincts(&u.stars, group.dec, &group.candidates, stats, est_rows);
                 // Every unit variable gets an NDV entry (fallback: the row
                 // estimate), so the DP's shared-variable sets match the
                 // `on` keys the built joins will actually use.
@@ -1338,7 +1332,7 @@ impl<'a> Pricing<'a> {
                 CostUnit { est_rows, fetch_cpu_us, fetch_io_us, fetch_net_us, var_distinct }
             })
             .collect();
-        Pricing { env, units, costs, stars: &dec.stars, rel_stars }
+        Pricing { env, units, costs, rel_stars: &group.rel }
     }
 
     /// `state` extended by unit `j` the cheaper way: by a hash join, or by
@@ -1356,7 +1350,7 @@ impl<'a> Pricing<'a> {
         *plans_costed += 1;
         let hash = self.apply_step(state, j, StepKind::Hash, &on);
         if let (Some(ri), [var]) = (unit.bindable, on.as_slice()) {
-            if bindable_column(self.stars, &self.rel_stars[ri], var).is_some() {
+            if bindable_column(&self.rel_stars[ri], var).is_some() {
                 *plans_costed += 1;
                 let bind = self.apply_step(state, j, StepKind::Bind(ri), &on);
                 if bind.beats(&hash, self.env.overlap) {
@@ -1409,7 +1403,7 @@ impl<'a> Pricing<'a> {
                 // sequential.
                 let messages = batches + (out_rows / env.rows_per_message).ceil();
                 next.net_seq_us += env.transfer_us(messages, out_rows);
-                let indexed = bindable_column(self.stars, rs, &on[0])
+                let indexed = bindable_column(rs, &on[0])
                     .is_some_and(|col| rs.indexed(&col.name));
                 next.io_us += if indexed {
                     keys * env.cost.rdb_index_probe_us + out_rows * env.cost.rdb_index_row_us
@@ -1438,9 +1432,8 @@ impl<'a> Pricing<'a> {
 
 /// The column `join_var` maps to on the unit's star, when bind-joining on
 /// it is feasible at all: its `IN` list must select exactly the join terms.
-fn bindable_column(stars: &[StarSubquery], rs: &RelStar, join_var: &Var) -> Option<StarColumn> {
-    star_column(join_var, &stars[rs.star_idx], rs.tm, rs.schema)
-        .filter(sql_equality_is_identity)
+fn bindable_column(rs: &RelStar, join_var: &Var) -> Option<StarColumn> {
+    star_column(join_var, rs.star, rs.tm, rs.schema).filter(sql_equality_is_identity)
 }
 
 /// Whether SQL's `=` on `column` is the identity of the terms it lifts to,
@@ -1570,11 +1563,10 @@ mod tests {
             parse_query("SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d }")
                 .unwrap();
         let star = &crate::decompose::decompose(&query).unwrap().stars[0];
-        let config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
         let resolve = |source_id: &str| {
             let class = "http://v/Gene".to_string();
             let cand = Candidate { source_id: source_id.into(), class, cardinality: 1 };
-            RelStar::resolve(0, star, &cand, &lake, &config)
+            RelStar::resolve(0, star, &cand, &lake, None)
         };
         let rs = resolve("d").unwrap().unwrap();
         assert_eq!((rs.source_id, rs.tm.table.as_str()), ("d", "gene"));
@@ -1621,6 +1613,104 @@ mod tests {
         let (merged, single) = sql_covers(&plan);
         assert_eq!(merged, [["?g", "?d"]], "{plan:?}");
         assert_eq!(single, [["?h"]], "{plan:?}");
+    }
+
+    /// A decision list the planner did not choose builds a plan that
+    /// answers alike. The query has a Heuristic 1 merge (`?g`–`?d`) and a
+    /// filter Heuristic 2 pushes (`disease.name` is indexed, the network
+    /// slow); its chosen decisions are built again with the merge dropped,
+    /// with the filter kept at the engine, and with the first two units of
+    /// the join order swapped, and each plan is executed.
+    #[test]
+    fn a_decision_list_the_planner_did_not_choose_answers_alike() {
+        let (lake, health) = (gene_disease_lake(), HealthView::default());
+        let query = parse_query(
+            "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
+             ?d <http://v/name> ?n . ?h <http://v/disease> ?d . FILTER(?n = \"asthma\") }",
+        )
+        .unwrap();
+        let config = PlanConfig::new(PlanMode::AWARE_H2, NetworkProfile::GAMMA2);
+        let dec = decompose_as(&query, config.decomposition).unwrap();
+        let group = Group::resolve(&dec, &lake, &config, &health, &mut Vec::new()).unwrap();
+        let (chosen, _) = group.decide(&mut PlanReport::default()).unwrap();
+        assert_eq!(chosen.merges.len(), 1, "{chosen:?}");
+        assert_eq!(chosen.filters.iter().map(|f| f.pushed.len()).sum::<usize>(), 1);
+        assert_eq!(chosen.order.len(), 2, "the merged pair and `?h`");
+
+        let engine = crate::FederatedEngine::new(gene_disease_lake(), config);
+        let planned = plan_query_with_health(&query, &lake, &config, &health).unwrap();
+        let run = |decided: &Decisions| {
+            let mut plan = group.join_in_order(group.units(decided).unwrap(), decided).unwrap();
+            let schema = &planned.schema;
+            let read = read_slots(&plan, schema, &planned.projection, &planned.order_by);
+            lower(&mut plan, None, &Lowering { lake: &lake, health: &health, schema, read: &read });
+            let planned = PlannedQuery { plan, ..planned.clone() };
+            let mut rows = engine.execute_planned(&planned).unwrap().rows;
+            rows.sort();
+            (planned.plan, rows)
+        };
+        let engine_filters = |plan: &FedPlan| {
+            let mut n = 0;
+            plan.visit(0, &mut |node, _| n += usize::from(matches!(node, FedPlan::Filter { .. })));
+            n
+        };
+        let (plan, answers) = run(&chosen);
+        assert_eq!(plan, planned.plan, "the chosen list builds the planner's plan");
+        assert_eq!(answers.len(), 5, "two asthma genes of d0 squared, one of d2");
+
+        let mut unmerged = chosen.clone();
+        unmerged.merges.clear();
+        unmerged.order = (0..3).map(|j| (j, StepKind::Hash)).collect();
+        let (unmerged_plan, unmerged_answers) = run(&unmerged);
+        assert_eq!(unmerged_plan.merged_service_count() + 1, plan.merged_service_count());
+        assert_eq!(unmerged_answers, answers, "{unmerged_plan:?}");
+
+        let mut at_engine = chosen.clone();
+        for split in &mut at_engine.filters {
+            split.engine.extend(split.pushed.drain(..).map(|f| f.expr));
+        }
+        let (at_engine_plan, at_engine_answers) = run(&at_engine);
+        assert_eq!(engine_filters(&at_engine_plan), engine_filters(&plan) + 1);
+        assert_eq!(at_engine_answers, answers, "{at_engine_plan:?}");
+
+        let mut swapped = chosen.clone();
+        swapped.order.swap(0, 1);
+        let (swapped_plan, swapped_answers) = run(&swapped);
+        let FedPlan::Join { left, .. } = &swapped_plan else { panic!("{swapped_plan:?}") };
+        assert_eq!(sql_covers(left), (vec![], vec![vec!["?h".to_string()]]), "`?h` goes first");
+        assert_ne!(swapped_plan, plan);
+        assert_eq!(swapped_answers, answers, "{swapped_plan:?}");
+    }
+
+    /// A naive merge binds on the merge's own join variable: with the gene's
+    /// disease named twice, that is `?e`, the disease star's subject, not
+    /// `?d`, the first variable on the same column, which the disease star
+    /// does not mention. The plan answers as the optimized merge does.
+    #[test]
+    fn a_naive_merge_binds_on_its_own_join_variable() {
+        let (lake, health) = (gene_disease_lake(), HealthView::default());
+        let query = parse_query(
+            "SELECT * WHERE { ?g <http://v/disease> ?d . ?g <http://v/disease> ?e . \
+             ?e <http://v/name> ?n }",
+        )
+        .unwrap();
+        let answers = |translation| {
+            let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
+            config.merge_translation = translation;
+            let planned = plan_query_with_health(&query, &lake, &config, &health).unwrap();
+            let engine = crate::FederatedEngine::new(gene_disease_lake(), config);
+            let mut rows = engine.execute_planned(&planned).unwrap().rows;
+            rows.sort();
+            (planned.plan, rows)
+        };
+        let (naive, naive_rows) = answers(MergeTranslation::Naive);
+        let FedPlan::BindJoin { right, batch_size: 1, .. } = &naive else {
+            panic!("a naive merge is a bind join of batch 1: {naive:?}");
+        };
+        assert_eq!(right.join_var.name(), "e");
+        let (optimized, rows) = answers(MergeTranslation::Optimized);
+        assert_eq!(optimized.merged_service_count(), 1, "{optimized:?}");
+        assert_eq!((naive_rows.len(), naive_rows), (4, rows));
     }
 
     /// Under the naive translation a pair Heuristic 1 merges is the N+1

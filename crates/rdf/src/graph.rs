@@ -64,8 +64,8 @@ pub struct Graph {
     triples: Arc<TripleIndexes>,
 }
 
-/// The three covering indexes, kept in step by [`Graph::insert`] and
-/// [`Graph::remove`].
+/// The three covering indexes, kept in step by [`Graph::insert`], the one
+/// write: a graph only grows.
 #[derive(Debug, Default, Clone)]
 struct TripleIndexes {
     spo: BTreeSet<(u32, u32, u32)>,
