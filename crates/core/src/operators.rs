@@ -813,11 +813,16 @@ impl<'a> FilterOp<'a> {
     }
 
     /// Counts and charges one row's evaluation, then decides it, locking
-    /// the interner at most once.
+    /// the interner at most once. A row the leaf below already dropped
+    /// (`RowId::DROPPED`: its guards, conjuncts of this filter, rejected
+    /// it) is counted and charged alike and rejected unread.
     fn keeps(&mut self, row: RowId, ctx: &mut ExecCtx) -> bool {
         let n = self.conjuncts.len() as u64;
         ctx.stats.engine_filter_evals += n;
         ctx.clock.advance(ctx.cost.engine_filter_time(n));
+        if row == RowId::DROPPED {
+            return false;
+        }
         let mut dict = None;
         let row = ctx.rows.row(row);
         self.conjuncts.iter_mut().all(|c| c.keeps(row, &ctx.interner, &mut dict))

@@ -302,9 +302,9 @@ fn lower(plan: &mut FedPlan, filter: Option<&[Expr]>, cx: &Lowering<'_>) {
 /// `TermId::UNBOUND`. The guards are the one-slot conjuncts of an engine
 /// FILTER directly over the leaf, on slots the leaf binds. Their
 /// columns are lifted for every row, and a row one of them rejects keeps
-/// only those cells: the FILTER drops it whatever the others hold, and
-/// still counts and charges every conjunct on it. The default plan lifts
-/// everything.
+/// no cells: the leaf hands it up as `RowId::DROPPED`, and the FILTER
+/// drops it unread and still counts and charges every conjunct on it. The
+/// default plan lifts everything.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LiftPlan {
     unread: Vec<Var>,
@@ -532,9 +532,18 @@ struct Unit {
     plan: FedPlan,
     /// The variables its stars bind.
     vars: Vec<Var>,
-    /// Index into the relational stars when the unit is one star a bind
-    /// join can reach.
-    bindable: Option<usize>,
+    /// Set when the unit is one relational star a bind join can reach.
+    bindable: Option<Bindable>,
+}
+
+/// A unit that is one relational star: what a bind step into it needs.
+struct Bindable {
+    /// Index into the relational stars.
+    rel: usize,
+    /// The star's SQL part and estimated rows, as the unit's leaf was built
+    /// from them: a bind step targets this part, not a second translation.
+    part: StarPart,
+    est: f64,
 }
 
 /// What the planner decides for one conjunctive group (DESIGN §15): the
@@ -680,7 +689,7 @@ impl<'a> Group<'a> {
     /// other relational star as a single service, then the other stars.
     fn units(&self, decided: &Decisions) -> Result<Vec<Unit>, FedError> {
         let (filters, merges) = (&decided.filters, &decided.merges);
-        let unit = |stars: Vec<usize>, plan: FedPlan, bindable: Option<usize>| {
+        let unit = |stars: Vec<usize>, plan: FedPlan, bindable: Option<Bindable>| {
             let mut vars: Vec<Var> = Vec::new();
             for &i in &stars {
                 for v in self.dec.stars[i].vars() {
@@ -697,7 +706,9 @@ impl<'a> Group<'a> {
                 let plan = self.merged_service(m, filters)?;
                 units.push(unit(vec![rs.star_idx, self.rel[m.b].star_idx], plan, None));
             } else if !merges.iter().any(|m| m.b == i) {
-                units.push(unit(vec![rs.star_idx], single_service(rs, &filters[i])?, Some(i)));
+                let (part, est) = rs.part(&filters[i], "s0")?;
+                let plan = single_service(rs, &filters[i], &part, est);
+                units.push(unit(vec![rs.star_idx], plan, Some(Bindable { rel: i, part, est })));
             }
         }
         for &i in &self.others {
@@ -733,16 +744,17 @@ impl<'a> Group<'a> {
                     bound_vars.push(v);
                 }
             }
-            let bind = match (kind, on.as_slice()) {
-                (StepKind::Bind(ri), [var]) => {
-                    bindable_column(&self.rel[ri], var).map(|column| (ri, column))
+            // A bind step's star is its unit's (`StepKind`).
+            let bind = match (kind, unit.bindable, on.as_slice()) {
+                (StepKind::Bind(_), Some(b), [var]) => {
+                    bindable_column(&self.rel[b.rel], var).map(|column| (b, column))
                 }
                 _ => None,
             };
             plan = match bind {
-                Some((ri, column)) => {
-                    let (rs, split) = (&self.rel[ri], &decided.filters[ri]);
-                    bind_join(plan, rs, split, &on[0], column, BIND_BATCH)?
+                Some((b, column)) => {
+                    let (rs, split) = (&self.rel[b.rel], &decided.filters[b.rel]);
+                    bind_join(plan, rs, split, &on[0], column, (b.part, b.est), BIND_BATCH)
                 }
                 // A hash step, or a variable that maps to no bindable column.
                 None => FedPlan::Join { left: Box::new(plan), right: Box::new(unit.plan), on },
@@ -759,6 +771,7 @@ impl<'a> Group<'a> {
         // Denormalized case: both stars read one row and combine under a
         // single alias with no join — whatever the translation quality
         // setting; there is no join to translate badly.
+        let (pa, ea) = a.part(fa, "s0")?;
         if self.config.merge_translation == MergeTranslation::Naive && !m.same_row {
             // Ontario's unoptimized translation is an N+1 dependent join:
             // `a`'s star once, then `b`'s once per binding of the join
@@ -767,9 +780,9 @@ impl<'a> Group<'a> {
                 let (var, table) = (&m.var, &b.tm.table);
                 FedError::Internal(format!("naive merge: {var} maps to no column of {table}"))
             })?;
-            return bind_join(single_service(a, fa)?, b, fb, &m.var, column, 1);
+            let left = single_service(a, fa, &pa, ea);
+            return Ok(bind_join(left, b, fb, &m.var, column, b.part(fb, "s0")?, 1));
         }
-        let (pa, ea) = a.part(fa, "s0")?;
         let (pb, eb) = b.part(fb, if m.same_row { "s0" } else { "s1" })?;
         let q = if m.same_row {
             crate::translate::sql_merged_same_table(&pa, &pb)
@@ -792,7 +805,11 @@ impl<'a> Group<'a> {
         let mut branches = Vec::with_capacity(self.candidates[i].len());
         for cand in &self.candidates[i] {
             branches.push(match RelStar::resolve(i, star, cand, self.lake, self.stats)? {
-                Some(rs) => single_service(&rs, &split_filters(&rs, self.config))?,
+                Some(rs) => {
+                    let split = split_filters(&rs, self.config);
+                    let (part, est) = rs.part(&split, "s0")?;
+                    single_service(&rs, &split, &part, est)
+                }
                 None => {
                     let est = match self.stats.and_then(|ls| ls.source(&cand.source_id)) {
                         Some(ss) => ss.estimate_star(star, &star.filters),
@@ -1028,9 +1045,9 @@ fn bind_join(
     split: &FilterSplit,
     join_var: &Var,
     column: StarColumn,
+    (part, estimated_rows): (StarPart, f64),
     batch_size: usize,
-) -> Result<FedPlan, FedError> {
-    let (part, estimated_rows) = rs.part(split, "s0")?;
+) -> FedPlan {
     let target = crate::fedplan::BindTarget {
         source_id: rs.source_id.to_string(),
         route: None,
@@ -1042,15 +1059,15 @@ fn bind_join(
         lift: Arc::default(),
     };
     let plan = FedPlan::BindJoin { left: Box::new(left), right: target, batch_size };
-    Ok(wrap_engine_filters(plan, split.engine.clone()))
+    wrap_engine_filters(plan, split.engine.clone())
 }
 
-/// A single relational star as one SQL service under its engine filters.
-fn single_service(rs: &RelStar, split: &FilterSplit) -> Result<FedPlan, FedError> {
-    let (part, est) = rs.part(split, "s0")?;
+/// A single relational star as one SQL service of `part` (the star's under
+/// `split`, estimated at `est` rows) under its engine filters.
+fn single_service(rs: &RelStar, split: &FilterSplit, part: &StarPart, est: f64) -> FedPlan {
     let covers = vec![rs.star.subject.to_string()];
-    let service = sql_service(rs, SqlRequest::Single(sql_single(&part)), covers, est);
-    Ok(wrap_engine_filters(service, split.engine.clone()))
+    let service = sql_service(rs, SqlRequest::Single(sql_single(part)), covers, est);
+    wrap_engine_filters(service, split.engine.clone())
 }
 
 /// The SQL service leaf of `request` at `rs`'s source.
@@ -1349,10 +1366,10 @@ impl<'a> Pricing<'a> {
             .collect();
         *plans_costed += 1;
         let hash = self.apply_step(state, j, StepKind::Hash, &on);
-        if let (Some(ri), [var]) = (unit.bindable, on.as_slice()) {
-            if bindable_column(&self.rel_stars[ri], var).is_some() {
+        if let (Some(b), [var]) = (&unit.bindable, on.as_slice()) {
+            if bindable_column(&self.rel_stars[b.rel], var).is_some() {
                 *plans_costed += 1;
-                let bind = self.apply_step(state, j, StepKind::Bind(ri), &on);
+                let bind = self.apply_step(state, j, StepKind::Bind(b.rel), &on);
                 if bind.beats(&hash, self.env.overlap) {
                     return bind;
                 }

@@ -168,7 +168,7 @@ impl<'a> BindJoinOp<'a> {
         // The right rows by join id, in row order within an id.
         let mut by_key: Vec<(TermId, usize)> = jslot
             .map(|s| {
-                let ids = (0..right.rows).map(|r| (right.row(r)[s], r));
+                let ids = (0..right.kept()).map(|r| (right.row(r)[s], r));
                 ids.filter(|(id, _)| *id != TermId::UNBOUND).collect()
             })
             .unwrap_or_default();

@@ -65,17 +65,22 @@ struct Flight {
     rows: usize,
 }
 
-/// Message-batched delivery of a leaf's lifted answer. Rows are copied out
-/// in order from the shared rows of `data`, at this stream's `cursor`, one
-/// slice each; `ready` counts those whose message has landed. At most one
-/// message is on the link at a time, and a poll reports `Poll::Pending`
-/// while it is in the air, letting the engine drain *other* sources in the
-/// meantime — unless the serialized policy sat the wait out when the
-/// message was sent. Message boundaries, the empty-result notification and
-/// the retry accounting do not depend on the policy.
+/// Message-batched delivery of a leaf's lifted answer. Rows are taken out
+/// in order from the shared rows of `data`, at this stream's `cursor`; a
+/// kept row is copied into the arena with one slice copy, and a row the
+/// guards rejected is handed up as [`RowId::DROPPED`] and copied nowhere.
+/// `ready` counts those whose message has landed. At most one message is
+/// on the link at a time, and a poll reports `Poll::Pending` while it is
+/// in the air, letting the engine drain *other* sources in the meantime —
+/// unless the serialized policy sat the wait out when the message was
+/// sent. Message boundaries, the empty-result notification and the retry
+/// accounting do not depend on the policy.
 struct Delivery {
     data: Arc<LiftedSource>,
+    /// Shipped rows taken.
     cursor: usize,
+    /// Kept rows taken: the next kept row's index in `data`.
+    kept: usize,
     ready: usize,
     inflight: Option<Flight>,
     empty_notified: bool,
@@ -83,20 +88,26 @@ struct Delivery {
 
 impl Delivery {
     fn of(data: Arc<LiftedSource>) -> Self {
-        Delivery { data, cursor: 0, ready: 0, inflight: None, empty_notified: false }
+        Delivery { data, cursor: 0, kept: 0, ready: 0, inflight: None, empty_notified: false }
     }
 
     fn remaining(&self) -> usize {
         self.data.rows - self.cursor
     }
 
-    /// The next row, written to `rows`; `None` when none remain.
+    /// The next row, written to `rows` unless the guards rejected it;
+    /// `None` when none remain.
     fn take_row(&mut self, rows: &mut RowArena) -> Option<RowId> {
         if self.cursor >= self.data.rows {
             return None;
         }
-        let row = self.data.row(self.cursor);
+        let dropped = self.data.is_dropped(self.cursor);
         self.cursor += 1;
+        if dropped {
+            return Some(RowId::DROPPED);
+        }
+        let row = self.data.row(self.kept);
+        self.kept += 1;
         Some(rows.push_row(row))
     }
 
@@ -264,7 +275,7 @@ impl LeafRequest<'_> {
                 for (i, r) in rows.iter().enumerate() {
                     encode_row(r, &ctx.schema, &mut dict, |slot, id| ids[i * width + slot] = id);
                 }
-                Ok(LiftedSource { ids, width, rows: rows.len(), sql_cost: None })
+                Ok(LiftedSource { ids, width, rows: rows.len(), ..Default::default() })
             }
         }
     }
@@ -307,7 +318,7 @@ pub(super) fn lifted(
     if let Some(hit) = ctx.lifts.lock().lookup(probe, version) {
         // Once per answer, not per row: `evaluate` lifts at this width.
         let (width, wide) = (ctx.schema.len(), hit.width);
-        if wide == width && hit.ids.len() == hit.rows * width {
+        if wide == width && hit.ids.len() == hit.kept() * width {
             return Ok(hit);
         }
         let msg = format!("a cached answer {wide} slots wide opened under {width} slots");

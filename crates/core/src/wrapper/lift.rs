@@ -93,6 +93,10 @@ pub fn lift_result(
 /// interning *order* (and therefore the raw id numbering) differs, which
 /// nothing downstream observes: ids never leave the execution, and every
 /// consumer compares or decodes them.
+///
+/// Under guards, their columns are lifted for every row first and decide
+/// each row's verdict; the rows they reject are then left out of the
+/// answer's cells, and only the verdict bits remember them.
 pub(super) fn lift_result_cols(
     rs: &BorrowedResult<'_>,
     outputs: &[OutputBinding],
@@ -112,54 +116,74 @@ pub(super) fn lift_result_cols(
             Some((slot, guards.iter().any(|g| g.slot() == Some(slot))))
         })
         .collect();
-    // The guards' columns for every row, then the rows every guard keeps.
-    let mut kept: Option<Vec<bool>> = None;
+    // The guards' columns for every row, the rows they reject, and the
+    // guard cells of the rows they keep moved down over the others'.
+    let mut dropped = Vec::new();
     if !guards.is_empty() {
         for (i, ob) in outputs.iter().enumerate() {
             if let Some((slot, true)) = targets[i] {
                 let cells = ids.iter_mut().skip(slot).step_by(width);
-                lift_column(rs, i, ob, None, cells, &mut scratch, dict);
+                lift_column(rs, i, ob, &[], cells, &mut scratch, dict);
             }
         }
         let d: &Dictionary = dict;
-        let keeps = |r: usize, guards: &mut [Conjunct]| {
-            guards.iter_mut().all(|g| g.slot().is_none_or(|s| g.keeps_id(ids[r * width + s], d)))
-        };
-        kept = Some((0..n).map(|r| keeps(r, &mut guards)).collect());
+        dropped = vec![0u64; n.div_ceil(64)];
+        let mut kept = 0;
+        for r in 0..n {
+            let row = r * width..(r + 1) * width;
+            let cell = |s: usize| ids[row.start + s];
+            if guards.iter_mut().all(|g| g.slot().is_none_or(|s| g.keeps_id(cell(s), d))) {
+                ids.copy_within(row, kept * width);
+                kept += 1;
+            } else {
+                dropped[r / 64] |= 1 << (r % 64);
+            }
+        }
+        ids.truncate(kept * width);
+        ids.shrink_to_fit();
     }
     for (i, ob) in outputs.iter().enumerate() {
         if let Some((slot, false)) = targets[i] {
             let cells = ids.iter_mut().skip(slot).step_by(width);
-            lift_column(rs, i, ob, kept.as_deref(), cells, &mut scratch, dict);
+            lift_column(rs, i, ob, &dropped, cells, &mut scratch, dict);
         }
     }
-    LiftedSource { ids, width, rows: n, sql_cost: Some(convert_cost(&rs.cost)) }
+    LiftedSource { ids, width, rows: n, dropped, sql_cost: Some(convert_cost(&rs.cost)) }
+}
+
+/// True when bit `r` of `bits` is set; a row past the bits' end is not.
+fn bit(bits: &[u64], r: usize) -> bool {
+    bits.get(r / 64).is_some_and(|w| w >> (r % 64) & 1 == 1)
 }
 
 /// Lifts column `i` of `rs` into `cells`, a slot's cells strided through
-/// the rows: every non-NULL value, or only those of the rows `kept` keeps.
+/// the rows `dropped` keeps: every non-NULL value of those rows.
 fn lift_column<'c>(
     rs: &BorrowedResult<'_>,
     i: usize,
     ob: &OutputBinding,
-    kept: Option<&[bool]>,
+    dropped: &[u64],
     cells: impl Iterator<Item = &'c mut TermId>,
     scratch: &mut LiftScratch,
     dict: &mut Dictionary,
 ) {
-    for (r, (cell, v)) in cells.zip(rs.rows.column(i)).enumerate() {
-        if !v.is_null() && kept.is_none_or(|kept| kept[r]) {
+    let values = rs.rows.column(i).enumerate().filter(|&(r, _)| !bit(dropped, r));
+    for (cell, (_, v)) in cells.zip(values) {
+        if !v.is_null() {
             *cell = lift_value(v, ob, scratch, dict);
         }
     }
 }
 
 /// One source's answer to one request — a one-shot leaf or one bind-join
-/// batch — materialized and lifted: `rows` rows of `width` ids in one
-/// buffer, the [`RowArena`]'s row layout (a warm leaf copies a row in with
-/// [`RowArena::push_row`], a probe lays one over its left row with
-/// [`RowArena::merge_row`]), plus the source-side cost counters the
-/// simulation charges per execution (`None` for a SPARQL source, whose
+/// batch — materialized and lifted: `rows` rows shipped, and in one
+/// buffer the rows of `width` ids that its guards keep (every row of an
+/// unguarded answer), the [`RowArena`]'s row layout (a warm leaf copies a
+/// row in with [`RowArena::push_row`], a probe lays one over its left row
+/// with [`RowArena::merge_row`]). `dropped` holds one bit per shipped row
+/// the guards rejected, and is empty for an unguarded answer: a rejected
+/// row's cells are kept nowhere. Then come the source-side cost counters
+/// the simulation charges per execution (`None` for a SPARQL source, whose
 /// charge follows from the star's shape and the row count). The ids stay
 /// valid for as long as the interner they were interned into — the
 /// engine's is append-only and shared with every execution. The default is
@@ -169,13 +193,25 @@ pub struct LiftedSource {
     pub(super) ids: Vec<TermId>,
     pub(super) width: usize,
     pub(super) rows: usize,
+    pub(super) dropped: Vec<u64>,
     pub(super) sql_cost: Option<fedlake_relational_cost::CostStats>,
 }
 
 impl LiftedSource {
-    /// Row `r`: one id per slot.
-    pub(super) fn row(&self, r: usize) -> &[TermId] {
-        &self.ids[r * self.width..(r + 1) * self.width]
+    /// Kept row `k`: one id per slot.
+    pub(super) fn row(&self, k: usize) -> &[TermId] {
+        &self.ids[k * self.width..(k + 1) * self.width]
+    }
+
+    /// The rows the guards keep: the number of [`LiftedSource::row`]s.
+    pub(super) fn kept(&self) -> usize {
+        let dropped: usize = self.dropped.iter().map(|w| w.count_ones() as usize).sum();
+        self.rows - dropped
+    }
+
+    /// True when shipped row `r` is one the guards rejected.
+    pub(super) fn is_dropped(&self, r: usize) -> bool {
+        bit(&self.dropped, r)
     }
 }
 

@@ -138,8 +138,9 @@ mod tests {
     /// whole-term route (`value_key` → `apply` → `Term` → `intern`, kept
     /// for the oracle lift in `mapping/lift.rs`) assigns — for every value
     /// kind, repeated values, keys that need escaping, and NULLs. A cached
-    /// row is the arena's row, slot for slot; under a guard, a row the
-    /// guard rejects keeps only the guard's cell.
+    /// row is the arena's row, slot for slot; under a guard, the cached
+    /// rows are the rows the guard keeps, and each row it rejects is a
+    /// verdict bit with no cells.
     #[test]
     fn both_lifts_assign_the_ids_of_the_whole_term_route() {
         use fedlake_mapping::lift::{value_key, value_to_term};
@@ -238,8 +239,8 @@ mod tests {
         assert_eq!(dict.len(), terms_after_rows);
 
         // Under a guard the planner set (an engine FILTER straight over the
-        // leaf), a kept row is the arena's row and a rejected one keeps
-        // only its guard's cell.
+        // leaf), the kept rows are the row-major lift's, in order, and the
+        // verdict bits are this test's own check of the label.
         let lake = lake();
         let query =
             parse_query("SELECT * WHERE { ?g <http://v/label> ?l . FILTER(?l = \"gene 3\") }")
@@ -269,23 +270,81 @@ mod tests {
         let arena = lift_result(&rs, &q.outputs, schema, &mut dict);
         let borrowed = db.query_borrowed(&q.sql).unwrap();
         let guarded = lift_result_cols(&borrowed, &q.outputs, &node.lift, schema, &mut dict);
-        let l = schema.slot(&Var::new("l")).unwrap();
         let at = q.outputs.iter().position(|o| o.var.name() == "l").unwrap();
-        let mut rejected = 0;
+        let mut kept = Vec::new();
         for (r, row) in arena.rows().enumerate() {
-            let mut want = row.to_vec();
-            if rs.rows[r][at] != Value::text("gene 3") {
-                rejected += 1;
-                for (s, id) in want.iter_mut().enumerate() {
-                    if s != l {
-                        *id = TermId::UNBOUND;
-                    }
-                }
-                assert_ne!(want[l], TermId::UNBOUND, "row {r}: the guard's cell is lifted");
+            let keeps = rs.rows[r][at] == Value::text("gene 3");
+            assert_eq!(guarded.is_dropped(r), !keeps, "row {r}: the verdict bit");
+            if keeps {
+                kept.push(row);
             }
-            assert_eq!(guarded.row(r), &want[..], "guarded, row {r}");
         }
-        assert_eq!((rejected, guarded.rows), (4, 5));
+        assert_eq!((guarded.rows, guarded.kept(), kept.len()), (5, 1, 1));
+        for (k, row) in kept.into_iter().enumerate() {
+            assert_eq!(guarded.row(k), row, "kept row {k}");
+        }
+        assert_eq!(guarded.ids.len(), schema.len(), "a rejected row's cells are kept nowhere");
+    }
+
+    /// A guarded leaf hands each row its guards rejected up as
+    /// `RowId::DROPPED`, so draining `Filter(Service)` leaves only the kept
+    /// rows in the arena. Everything else is what the same plan does when
+    /// its leaf lifts everything (`LiftPlan::default()`): the answers, the
+    /// filter's evaluations, the clock, the execution's statistics and the
+    /// leaf's actual rows.
+    #[test]
+    fn a_row_the_guards_drop_never_enters_the_arena() {
+        let lake = lake();
+        let query =
+            parse_query("SELECT * WHERE { ?g <http://v/label> ?l . FILTER(?l = \"gene 3\") }")
+                .unwrap();
+        let config = crate::PlanConfig {
+            tracing: true,
+            ..crate::PlanConfig::unaware(NetworkProfile::GAMMA2)
+        };
+        let health = crate::health::HealthView::default();
+        let guarded = crate::planner::plan_query_with_health(&query, &lake, &config, &health);
+        let guarded = guarded.unwrap();
+        let mut unguarded = guarded.clone();
+        let leaf = |plan: &mut FedPlan| -> Option<Arc<LiftPlan>> {
+            let FedPlan::Filter { input, .. } = plan else { return None };
+            let FedPlan::Service(node) = &mut **input else { return None };
+            Some(std::mem::take(&mut node.lift))
+        };
+        let lift = leaf(&mut unguarded.plan).expect("a FILTER straight over a SQL leaf");
+        assert_eq!(lift.guards().len(), 1, "{lift:?}");
+        let run = |planned: &crate::planner::PlannedQuery| {
+            let engine = crate::FederatedEngine::new(lake.clone(), config);
+            let result = engine.execute_planned(planned).unwrap();
+            // Node 1 is the leaf: the FILTER is node 0.
+            let leaf_rows = result.obs.as_ref().map(|obs| obs.nodes[1].rows_out);
+            // The same operators, drained by hand to see the arena.
+            let clock = shared_virtual();
+            let links = links_for(
+                &lake,
+                config.network,
+                Arc::clone(&clock),
+                config.cost,
+                config.seed,
+                &engine.fault_plans(),
+                engine.delays(),
+                &crate::obs::QueryObs::default(),
+            );
+            let (schema, interner) = (Arc::clone(&planned.schema), engine.interner().clone());
+            let mut c = ExecCtx::new(clock, config.cost, schema, interner)
+                .with_lifts(Arc::clone(engine.lifts()));
+            let mut op = engine.build_operator(planned, &planned.plan, &links, &c, &mut 0).unwrap();
+            let out = drain(op.as_mut(), &mut c).unwrap();
+            let drained = (decode(&c, &out), c.stats, c.clock.now());
+            (c.rows.len(), drained, result.rows, result.stats, leaf_rows)
+        };
+        let (arena, drained, answers, stats, leaf_rows) = run(&guarded);
+        let (all_arena, all_drained, all_answers, all_stats, all_leaf_rows) = run(&unguarded);
+        assert_eq!((arena, all_arena), (1, 5), "only the kept row is copied in");
+        assert_eq!(drained, all_drained);
+        assert_eq!((drained.0.len(), drained.1.engine_filter_evals), (1, 5));
+        assert_eq!((answers, stats), (all_answers, all_stats));
+        assert_eq!((leaf_rows, all_leaf_rows), (Some(5), Some(5)), "every shipped row counts");
     }
 
     /// The service leaf of the test lake's gene star (`?g`, `?l`).
@@ -491,7 +550,8 @@ mod tests {
         // One row, one slot wide, under the execution's own layout.
         let narrow = || {
             let sql_cost = Some(Default::default());
-            Arc::new(LiftedSource { ids: vec![TermId(0)], width: 1, rows: 1, sql_cost })
+            let ids = vec![TermId(0)];
+            Arc::new(LiftedSource { ids, width: 1, rows: 1, dropped: Vec::new(), sql_cost })
         };
         let link = |clock: &fedlake_netsim::SharedClock| {
             let cost = CostModel::default();

@@ -251,32 +251,36 @@ impl From<bool> for Value {
     }
 }
 
-/// SQL LIKE matching with `%` and `_` wildcards.
+/// SQL LIKE matching with `%` and `_` wildcards; `_` matches one Unicode
+/// scalar. The classic two-pointer walk with backtracking on `%`, over
+/// byte offsets into both strings, so a row's match allocates nothing.
 pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    // Classic two-pointer algorithm with backtracking on '%'.
+    // The char at byte offset `i` of `t`, if any.
+    let at = |t: &str, i: usize| t[i..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
+    // The offset of the last `%` seen, and where in `s` its match ends.
     let mut star: Option<(usize, usize)> = None;
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, si));
-            pi += 1;
-        } else if let Some((spi, ssi)) = star {
-            pi = spi + 1;
-            si = ssi + 1;
-            star = Some((spi, ssi + 1));
-        } else {
-            return false;
+    while let Some(c) = at(s, si) {
+        match at(pattern, pi) {
+            Some(p) if p == '_' || p == c => {
+                si += c.len_utf8();
+                pi += p.len_utf8();
+            }
+            Some('%') => {
+                star = Some((pi, si));
+                pi += 1;
+            }
+            _ => {
+                // Backtrack: the last `%` takes one more char of `s`.
+                let Some((spi, ssi)) = star else { return false };
+                let Some(taken) = at(s, ssi) else { return false };
+                pi = spi + 1;
+                si = ssi + taken.len_utf8();
+                star = Some((spi, si));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].chars().all(|p| p == '%')
 }
 
 #[cfg(test)]
@@ -340,6 +344,76 @@ mod tests {
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "abc"));
         assert!(!like_match("abc", "ab"));
+    }
+
+    /// The char-vector form `like_match` replaced: the reference it is
+    /// held to.
+    fn like_match_reference(s: &str, pattern: &str) -> bool {
+        let s: Vec<char> = s.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut si, mut pi) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None;
+        while si < s.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+                si += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some((pi, si));
+                pi += 1;
+            } else if let Some((spi, ssi)) = star {
+                pi = spi + 1;
+                si = ssi + 1;
+                star = Some((spi, ssi + 1));
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    /// Over seeded strings of ASCII and multi-byte chars and patterns of
+    /// those chars, `%` and `_` (half of them the string itself with some
+    /// chars turned into wildcards, so that matches are common), the
+    /// allocation-free walk answers as the reference does.
+    #[test]
+    fn like_match_agrees_with_the_reference() {
+        // ASCII, two- to four-byte chars and a literal `%` for the
+        // strings; patterns add `_`.
+        const CHARS: [char; 8] = ['a', 'b', 'é', 'ß', '中', '😀', '%', '_'];
+        let mut rng = fedlake_prng::Prng::seed_from_u64(0x4c49_4b45);
+        let word = |rng: &mut fedlake_prng::Prng, chars: usize| -> String {
+            let len = rng.gen_range(0usize..9);
+            (0..len).map(|_| CHARS[rng.gen_range(0..chars)]).collect()
+        };
+        let (mut cases, mut matched) = (0, 0);
+        for _ in 0..20_000 {
+            let s = word(&mut rng, CHARS.len() - 1);
+            let pattern = if rng.gen_bool(0.5) {
+                word(&mut rng, CHARS.len())
+            } else {
+                // The string with some chars turned into wildcards.
+                s.chars()
+                    .map(|c| match rng.gen_range(0usize..4) {
+                        0 => '%',
+                        1 => '_',
+                        _ => c,
+                    })
+                    .collect()
+            };
+            let want = like_match_reference(&s, &pattern);
+            assert_eq!(like_match(&s, &pattern), want, "{s:?} LIKE {pattern:?}");
+            cases += 1;
+            matched += usize::from(want);
+        }
+        assert!(matched > cases / 10 && matched < cases * 9 / 10, "{matched} of {cases}");
+        // A literal `%` or `_` in the string matches itself as well.
+        for (s, p) in [("100%", "100%"), ("a_b", "a_b"), ("%", "_"), ("é", "_"), ("中文", "_文")] {
+            assert_eq!(like_match(s, p), like_match_reference(s, p), "{s:?} LIKE {p:?}");
+            assert!(like_match(s, p), "{s:?} LIKE {p:?}");
+        }
     }
 
     #[test]

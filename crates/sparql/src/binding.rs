@@ -253,6 +253,15 @@ impl RowSchema {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(u32);
 
+impl RowId {
+    /// The handle of no row: what a guarded leaf hands up for a row its
+    /// engine FILTER's guards already rejected, so the row is never copied
+    /// into the arena. Only that FILTER receives one, and it drops it
+    /// unread (DESIGN §8). No arena hands it out: one holds at most
+    /// 2^32 - 1 rows, numbered from 0, so its last handle is `u32::MAX - 1`.
+    pub const DROPPED: RowId = RowId(u32::MAX);
+}
+
 /// What a chunk of a [`RowArena`] aims to hold, in ids: the largest
 /// power-of-two number of rows that fits, and at least one row. 2 KiB,
 /// so an execution leaves at most that much unused.
@@ -313,7 +322,8 @@ impl RowArena {
         // Handles are `u32`s. 2^32 rows of one slot or more are at least
         // 16 GiB of ids, so the allocator gives out first; the check keeps
         // a handle from wrapping onto a stored row regardless, and at
-        // width 0, where rows cost no ids.
+        // width 0, where rows cost no ids. It also keeps `RowId::DROPPED`
+        // out of reach.
         assert!(self.len < u32::MAX, "a row arena holds 2^32 - 1 rows");
         let chunk = (self.len >> self.shift) as usize;
         if chunk == self.chunks.len() {

@@ -145,6 +145,23 @@ lift_boxes="$(git grep -c 'Box<\[TermId\]>' -- crates/core/src/wrapper/lift.rs |
 git grep -q 'pub struct RowArena' -- crates/sparql/src/binding.rs \
     || { echo "binding.rs no longer holds RowArena: the gates above match nothing"; exit 1; }
 
+# A row a guarded leaf's guards reject never enters the arena: the leaf
+# hands it up as RowId::DROPPED, the handle of no row, and the engine FILTER
+# straight over the leaf (the only operator planner::lower lets a guarded
+# leaf feed) counts, charges and drops it unread. The compiler cannot hold
+# who names it: RowId is a plain Copy value and DROPPED a pub const of
+# another crate, so any operator could pass one on or read a row through
+# it. So exactly three code lines under crates/*/src name it (comments
+# aside): its definition in binding.rs, where it is made in wrapper/leaf.rs
+# and where FilterOp drops it in operators.rs.
+echo "== RowId::DROPPED is named in three places under crates/*/src =="
+dropped_sites="$(git grep -nw DROPPED -- 'crates/*/src/*' | grep -vE '^[^:]+:[0-9]+:\s*//' \
+    | cut -d: -f1 | sort | uniq -c | awk '{ printf "%s:%s ", $2, $1 }')"
+want_sites="crates/core/src/operators.rs:1 crates/core/src/wrapper/leaf.rs:1 crates/sparql/src/binding.rs:1 "
+[ "$dropped_sites" = "$want_sites" ] || {
+    echo "DROPPED is named at: ${dropped_sites:-nowhere}"; echo "want: $want_sites"; exit 1
+}
+
 # Cached answers are rows: a LiftedSource holds its rows at the schema's
 # width, the arena's own layout, so a warm leaf appends one with a slice
 # copy (RowArena::push_row) and a bind-join probe overlays one

@@ -52,20 +52,21 @@ static ALLOCATOR: CountingCalls = CountingCalls;
 /// Allocator calls (`alloc` + `realloc`) of one warm execution at scale
 /// 0.15 under Gamma1, as measured when the budget was set, in the order
 /// Q1..Q5 × (unaware, aware): with the row arena and the engine's FILTER
-/// verdict memo, in debug and release alike. A context opened on the
-/// engine's caches allocates no empty cache of its own first, one call
-/// fewer than 403 / 385, 418 / 343, 252 / 231, 472 / 410 and 445 / 384.
-/// With one box per row they were 700 / 620, 891 / 492, 609 / 298,
-/// 1 309 / 1 116 and 1 535 / 1 363; before that — boxed join keys owning a
-/// vector each, a second row per projection, a decode that cloned every
-/// string — 1 874 / 1 794, 2 254 / 938, 803 / 492, 2 657 / 2 134 and
-/// 2 576 / 1 847.
+/// verdict memo, in debug and release alike, and no arena row for a row a
+/// leaf's guards dropped. While every shipped row was copied in they were
+/// 402 / 384, 417 / 342, 251 / 230, 471 / 409 and 444 / 383, and one more
+/// each before a context opened on the engine's caches stopped allocating
+/// an empty cache of its own first. With one box per row they were
+/// 700 / 620, 891 / 492, 609 / 298, 1 309 / 1 116 and 1 535 / 1 363;
+/// before that — boxed join keys owning a vector each, a second row per
+/// projection, a decode that cloned every string — 1 874 / 1 794,
+/// 2 254 / 938, 803 / 492, 2 657 / 2 134 and 2 576 / 1 847.
 const MEASURED: [(&str, [u64; 2]); 5] = [
-    ("Q1", [402, 384]),
-    ("Q2", [417, 342]),
-    ("Q3", [251, 230]),
-    ("Q4", [471, 409]),
-    ("Q5", [444, 383]),
+    ("Q1", [393, 375]),
+    ("Q2", [403, 331]),
+    ("Q3", [240, 223]),
+    ("Q4", [449, 390]),
+    ("Q5", [419, 359]),
 ];
 
 /// What an execution may make: the measured count + 15 %.

@@ -17,6 +17,8 @@ use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
 use std::collections::BTreeSet;
 
+mod common;
+
 fn small() -> LakeConfig {
     LakeConfig {
         scale: 0.15,
@@ -168,6 +170,41 @@ fn stock_queries_lift_what_their_plans_read() {
             assert_eq!((unread.as_str(), guarded.as_str()), want, "{id} {label}");
         }
     }
+}
+
+/// Only an engine FILTER's direct input is guarded (`planner::lower`): a
+/// guarded leaf hands each row its guards reject up as `RowId::DROPPED`,
+/// which only a FILTER over it may receive. Over every plan of the plan
+/// matrix (QM and Q1–Q5), each leaf with guards sits straight under a
+/// FILTER, no bind-join target has guards, and some leaves do.
+#[test]
+fn only_a_filters_direct_input_is_guarded() {
+    use fedlake::core::planner::plan_query_with_health;
+    use fedlake::core::HealthView;
+    let (lakes, queries) = (common::plan_lakes(), workload::all());
+    let mut guarded = 0;
+    for point in common::plan_matrix(&[false, true]) {
+        let (lake, q) = (&lakes[point.scale], &queries[point.query]);
+        let ast = parse_query(&q.sparql).unwrap();
+        let planned = plan_query_with_health(&ast, lake, &point.config, &HealthView::empty())
+            .unwrap_or_else(|e| panic!("{} {:?}: {e}", q.id, point.config));
+        let (mut leaves, mut under_filter) = (0, 0);
+        planned.plan.visit(0, &mut |node, _| match node {
+            FedPlan::Service(s) if !s.lift.guards().is_empty() => leaves += 1,
+            FedPlan::Filter { input, .. } => {
+                if let FedPlan::Service(s) = &**input {
+                    under_filter += usize::from(!s.lift.guards().is_empty());
+                }
+            }
+            FedPlan::BindJoin { right, .. } => {
+                assert!(right.lift.guards().is_empty(), "{} {:?}", q.id, point.config);
+            }
+            _ => {}
+        });
+        assert_eq!(leaves, under_filter, "{} {:?}:\n{:?}", q.id, point.config, planned.plan);
+        guarded += leaves;
+    }
+    assert!(guarded > 0, "the matrix must reach a guarded leaf");
 }
 
 /// Q3-unaware keeps the trials of one category at the engine: the lift
