@@ -9,6 +9,7 @@ use crate::operators::{
     BoxedOp, DistinctOp, ExecCtx, FilterOp, LeftHashJoin, Poll, ProjectOp, SharedVerdictMemo,
     SymHashJoin, UnionOp, VerdictStats,
 };
+use crate::plancache::CachedPlan;
 use crate::planner::{plan_query_with_health, PlannedQuery};
 use crate::trace::AnswerTrace;
 use crate::wrapper::{links_for, open_service, route_for, source_failures, total_traffic};
@@ -21,6 +22,7 @@ use fedlake_sparql::binding::{decode_rows, Row, RowId, Var};
 use fedlake_sparql::eval::sort_rows;
 use fedlake_sparql::parser::parse_query;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -137,6 +139,9 @@ impl FedResult {
 pub struct FederatedEngine {
     lake: DataLake,
     config: PlanConfig,
+    /// `ir::config_fingerprint(&config)`, the config half of every plan
+    /// cache key: computed where `config` is set, not per lookup.
+    config_fp: u64,
     /// Per-source fault overrides layered over `config.faults` (which
     /// stays the uniform default so [`PlanConfig`] remains `Copy`).
     fault_overrides: BTreeMap<String, fedlake_netsim::FaultPlan>,
@@ -409,6 +414,7 @@ impl FederatedEngine {
         FederatedEngine {
             lake,
             config,
+            config_fp: crate::ir::config_fingerprint(&config),
             fault_overrides: BTreeMap::new(),
             outage_groups: Vec::new(),
             health: SourceHealth::new(),
@@ -489,14 +495,13 @@ impl FederatedEngine {
     /// Replaces the configuration (e.g. to switch plan mode or network).
     /// Toggling [`PlanConfig::recorder`] starts a fresh recording (or
     /// drops the current one); an already-enabled recorder keeps
-    /// recording across the switch.
+    /// recording across the switch. The plan cache keeps its entries: the
+    /// config fingerprint keys them, so a plan of the old configuration
+    /// never answers for the new one, and a switch back replays it.
     pub fn set_config(&mut self, config: PlanConfig) {
         self.recorder.configure(&config);
-        // The config fingerprint already keys cache entries, so old
-        // entries could never wrongly hit — but they would sit as dead
-        // weight. Drop them; counters survive (engine-lifetime).
-        self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).clear();
         self.config = config;
+        self.config_fp = crate::ir::config_fingerprint(&config);
     }
 
     /// The session's recorder.
@@ -524,11 +529,17 @@ impl FederatedEngine {
         &self,
         query: &SelectQuery,
     ) -> Result<(PlannedQuery, crate::plancache::PlanOrigin), FedError> {
+        self.plan_shared(query).map(|(cached, origin)| (cached.planned.clone(), origin))
+    }
+
+    /// The one planning path: the plan cache's own entry on a hit, a cold
+    /// plan (stored in the cache) on a miss.
+    fn plan_shared(
+        &self,
+        query: &SelectQuery,
+    ) -> Result<(Arc<CachedPlan>, crate::plancache::PlanOrigin), FedError> {
         let view = self.health_view();
-        let key = (
-            crate::ir::query_fingerprint(query),
-            crate::ir::config_fingerprint(&self.config),
-        );
+        let key = (crate::ir::query_fingerprint(query), self.config_fp);
         let epoch = self.lake.epoch();
         {
             let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -543,15 +554,19 @@ impl FederatedEngine {
         let planned = plan_query_with_health(query, &self.lake, &self.config, &view)?;
         let sources = crate::plancache::plan_sources(&planned);
         let digest = crate::plancache::health_digest(&self.lake, &view, &sources);
+        // The cache keeps a copy of the plan: a clone holds exactly what it
+        // needs, where planning's own vectors and strings keep the spare
+        // capacity they grew, for as long as the entry lives.
+        let cached = Arc::new(CachedPlan::new(planned.clone()));
         self.plan_cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
             key,
             epoch,
             view.generation,
             digest,
             sources,
-            planned.clone(),
+            Arc::clone(&cached),
         );
-        Ok((planned, crate::plancache::PlanOrigin { cached: false }))
+        Ok((cached, crate::plancache::PlanOrigin { cached: false }))
     }
 
     /// Counter snapshot of the plan cache.
@@ -578,22 +593,26 @@ impl FederatedEngine {
 
     /// Plans and executes a parsed query.
     pub fn execute(&self, query: &SelectQuery) -> Result<FedResult, FedError> {
-        let (planned, origin) = self.plan_cached(query)?;
-        self.execute_planned_with_origin(&planned, origin)
+        let (cached, origin) = self.plan_shared(query)?;
+        self.execute_planned_with_origin(&cached.planned, origin, || cached.explain())
     }
 
     /// Executes an already-planned query.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<FedResult, FedError> {
-        self.execute_planned_with_origin(planned, crate::plancache::PlanOrigin { cached: false })
+        let origin = crate::plancache::PlanOrigin { cached: false };
+        self.execute_planned_with_origin(planned, origin, || crate::explain::explain_plan(&planned.plan))
     }
 
     /// Executes an already-planned query, annotating the recorder event
     /// and EXPLAIN with where the plan came from. The plan's execution is
-    /// byte-identical either way.
-    fn execute_planned_with_origin(
+    /// byte-identical either way. `plan_text` gives EXPLAIN's text of the
+    /// plan, which a cached plan keeps; it is asked for once the plan has
+    /// run, so the first execution of a plan holds no text while it runs.
+    fn execute_planned_with_origin<T: AsRef<str>>(
         &self,
         planned: &PlannedQuery,
         origin: crate::plancache::PlanOrigin,
+        plan_text: impl FnOnce() -> T,
     ) -> Result<FedResult, FedError> {
         let clock = shared_virtual();
         // A solo query is client 0, submitted and admitted at simulated
@@ -652,12 +671,14 @@ impl FederatedEngine {
             degraded,
         );
         let obs = ctx.obs.trace_report(&links, &stats);
-        let mut explain = crate::explain::explain_plan(&planned.plan);
-        explain.push_str(&format!(
-            "plan: {}[fp={:016x}]\n",
-            if origin.cached { "cached" } else { "cold" },
-            planned.report.fingerprint
-        ));
+        // Only the origin line is this execution's own.
+        let plan_text = plan_text();
+        let plan_text = plan_text.as_ref();
+        const ORIGIN_LINE: usize = "plan: cached[fp=0123456789abcdef]\n".len();
+        let mut explain = String::with_capacity(plan_text.len() + ORIGIN_LINE);
+        explain.push_str(plan_text);
+        let origin = if origin.cached { "cached" } else { "cold" };
+        let _ = writeln!(explain, "plan: {origin}[fp={:016x}]", planned.report.fingerprint);
         Ok(FedResult {
             vars: Arc::clone(&planned.projection),
             rows,

@@ -60,7 +60,11 @@ impl SourceHealth {
         if failures > 0 {
             inner.generation += 1;
         }
-        let h = inner.endpoints.entry(endpoint.to_string()).or_default();
+        // The id is copied only the first time the endpoint is seen.
+        let h = match inner.endpoints.get_mut(endpoint) {
+            Some(h) => h,
+            None => inner.endpoints.entry(endpoint.to_string()).or_default(),
+        };
         h.successes += successes;
         h.failures += failures;
     }

@@ -9,10 +9,12 @@
 //!   join and a filter keep their order. The text leaves out what the
 //!   planner's lowering walk sets (routes, lift plans, verdict keys). The
 //!   fingerprint labels a plan in EXPLAIN and the flight recorder.
-//! * `query_fingerprint` and `config_fingerprint` are the plan cache's
+//! * [`query_fingerprint`] and `config_fingerprint` are the plan cache's
 //!   key: the SPARQL AST and the planner configuration, each folded as
 //!   written, so any textual difference is a different key and the cache
-//!   never returns a plan for a query it was not built from.
+//!   never returns a plan for a query it was not built from. The query's
+//!   text is streamed into the hash, never built as a string; the engine
+//!   folds its configuration once, when it is set.
 
 use crate::config::PlanConfig;
 use crate::fedplan::{FedPlan, ServiceKind};
@@ -56,6 +58,16 @@ impl Fnv64 {
         self
     }
 
+    /// Fold a value's `Display` text plus the separator: the bytes
+    /// `push_str(&value.to_string())` folds, streamed without the string.
+    pub(crate) fn push_display(&mut self, value: &impl std::fmt::Display) -> &mut Self {
+        use std::fmt::Write;
+        // Folding bytes cannot fail, and a `Display` that reports an error
+        // would have made `to_string` panic instead.
+        let _ = write!(self, "{value}");
+        self.push_bytes(&[0xff])
+    }
+
     /// Fold a 64-bit value (little-endian bytes).
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
         self.push_bytes(&v.to_le_bytes())
@@ -64,6 +76,14 @@ impl Fnv64 {
     /// The folded hash.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Folds text written into it, without a separator.
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.push_bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -186,16 +206,16 @@ fn write_sorted(mut operands: Vec<String>, out: &mut String) {
 /// sorting): identical ASTs always collide, different ASTs practically
 /// never do, and a conservative key can only cause misses, never wrong
 /// hits.
-pub(crate) fn query_fingerprint(query: &SelectQuery) -> u64 {
+pub fn query_fingerprint(query: &SelectQuery) -> u64 {
     let mut h = Fnv64::new();
     h.push_str("select");
     for v in &query.projection {
-        h.push_str(&v.to_string());
+        h.push_display(v);
     }
     h.push_str(if query.distinct { "distinct" } else { "all" });
     fold_pattern(&mut h, &query.pattern);
     for key in &query.order_by {
-        h.push_str(&key.var.to_string());
+        h.push_display(&key.var);
         h.push_str(match key.order {
             Order::Asc => "asc",
             Order::Desc => "desc",
@@ -211,12 +231,10 @@ fn fold_pattern(h: &mut Fnv64, pattern: &GroupGraphPattern) {
     for el in &pattern.elements {
         match el {
             PatternElement::Triple(t) => {
-                h.push_str("t");
-                h.push_str(&t.to_string());
+                h.push_str("t").push_display(t);
             }
             PatternElement::Filter(e) => {
-                h.push_str("f");
-                h.push_str(&e.to_string());
+                h.push_str("f").push_display(e);
             }
             PatternElement::Optional(g) => {
                 h.push_str("opt");

@@ -4,7 +4,8 @@
 //! templated query shapes, yet every job used to pay full decomposition +
 //! source selection + (cost-based) DP enumeration. [`PlanCache`] memoizes
 //! whole [`PlannedQuery`]s behind a conservative key so a hit replays the
-//! *byte-identical* plan a cold run would have built:
+//! *byte-identical* plan a cold run would have built — the very plan, shared
+//! behind an `Arc` (`CachedPlan`) with its EXPLAIN text:
 //!
 //! * **Key** — `(query fingerprint, config fingerprint)` from
 //!   [`crate::ir`]: the SPARQL AST and the full planner configuration,
@@ -36,7 +37,7 @@ use crate::health::HealthView;
 use crate::lake::DataLake;
 use crate::planner::PlannedQuery;
 use fedlake_relational::cache::{CacheStats, VersionedCache};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Monotone counters for every cache outcome. `lookups == hits + misses`
 /// always holds; `invalidations` counts misses caused by epoch/health
@@ -65,12 +66,34 @@ pub struct PlanOrigin {
     pub cached: bool,
 }
 
+/// A planned query as the cache keeps it: the plan, and EXPLAIN's text of
+/// it, rendered the first time the plan is executed and kept for every
+/// execution after. A plan that is only planned (a serve job's) renders
+/// none.
+#[derive(Debug)]
+pub(crate) struct CachedPlan {
+    pub(crate) planned: PlannedQuery,
+    explain: OnceLock<Box<str>>,
+}
+
+impl CachedPlan {
+    pub(crate) fn new(planned: PlannedQuery) -> Self {
+        CachedPlan { planned, explain: OnceLock::new() }
+    }
+
+    /// [`crate::explain::explain_plan`] of the plan, rendered once and kept
+    /// at its exact length.
+    pub(crate) fn explain(&self) -> &str {
+        self.explain.get_or_init(|| crate::explain::explain_plan(&self.planned.plan).into())
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     health_generation: u64,
     health_digest: u64,
     sources: Arc<[String]>,
-    planned: PlannedQuery,
+    planned: Arc<CachedPlan>,
 }
 
 /// The bounded, deterministic plan cache.
@@ -102,12 +125,6 @@ impl PlanCache {
         }
     }
 
-    /// Drops every entry (configuration change); counters are
-    /// engine-lifetime and survive.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Probes for `key`, revalidating against the current lake epoch and
     /// health inputs. `digest` recomputes the health digest over the
     /// entry's relevant sources; it is skipped when `health_generation`
@@ -118,7 +135,7 @@ impl PlanCache {
         lake_epoch: u64,
         health_generation: u64,
         digest: impl FnOnce(&[String]) -> u64,
-    ) -> Option<PlannedQuery> {
+    ) -> Option<Arc<CachedPlan>> {
         let entry = self.entries.lookup_if(&key, lake_epoch, |entry| {
             if entry.health_generation != health_generation {
                 if digest(&entry.sources) != entry.health_digest {
@@ -139,7 +156,7 @@ impl PlanCache {
         health_generation: u64,
         health_digest: u64,
         sources: Vec<String>,
-        planned: PlannedQuery,
+        planned: Arc<CachedPlan>,
     ) {
         self.entries.insert(
             key,
@@ -189,8 +206,8 @@ mod tests {
     use fedlake_relational::cache::CACHE_CAPACITY;
     use fedlake_sparql::binding::{RowSchema, Var};
 
-    fn planned(tag: &str) -> PlannedQuery {
-        PlannedQuery {
+    fn planned(tag: &str) -> Arc<CachedPlan> {
+        Arc::new(CachedPlan::new(PlannedQuery {
             plan: FedPlan::Union(Vec::new()),
             schema: Arc::new(RowSchema::new(Vec::<Var>::new())),
             projection: Arc::from(Vec::<Var>::new().into_boxed_slice()),
@@ -200,7 +217,7 @@ mod tests {
             offset: 0,
             skipped_sources: vec![tag.to_string()],
             report: PlanReport::default(),
-        }
+        }))
     }
 
     #[test]
@@ -210,7 +227,7 @@ mod tests {
         assert!(cache.lookup(key, 0, 0, |_| 0).is_none());
         cache.insert(key, 0, 0, 7, vec!["a".into()], planned("a"));
         let hit = cache.lookup(key, 0, 0, |_| unreachable!("generation unchanged"));
-        assert_eq!(hit.unwrap().skipped_sources, vec!["a".to_string()]);
+        assert_eq!(hit.unwrap().planned.skipped_sources, vec!["a".to_string()]);
         let s = cache.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
         assert_eq!(s.lookups, s.hits + s.misses);

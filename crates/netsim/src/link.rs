@@ -89,6 +89,10 @@ struct LinkState {
     /// this link is busy. Transfers scheduled on a link queue behind each
     /// other here instead of advancing the shared clock.
     local: Duration,
+    /// The last message size priced and its [`CostModel::message_time`]:
+    /// a link's messages are mostly one size (`rows_per_message`), so the
+    /// fixed cost is computed once per size, not once per message.
+    priced: (usize, Duration),
 }
 
 impl Link {
@@ -117,6 +121,7 @@ impl Link {
                 tape: None,
                 stats: LinkStats::default(),
                 local: Duration::ZERO,
+                priced: (0, cost.message_time(0)),
             }),
             label: String::new(),
             observer: None,
@@ -196,8 +201,9 @@ impl Link {
         start: Duration,
     ) -> (Duration, Duration, Result<(), LinkFault>) {
         // The one borrow of a transfer. It lasts to the end of this body,
-        // which calls only the fault plan, the cost model and
-        // `next_delay` (handed the borrowed state): none can reach the link.
+        // which calls only the fault plan, the cost model, `next_delay` and
+        // `message_time` (handed the borrowed state): none can reach the
+        // link.
         let st = &mut *self.state.borrow_mut();
         let begin = st.local.max(start);
         let mut spike = false;
@@ -219,7 +225,7 @@ impl Link {
                 st.stats.truncated += 1;
                 let delay = self.next_delay(st);
                 st.stats.delay += delay;
-                let done = begin + delay + self.cost.message_time(rows);
+                let done = begin + delay + self.message_time(st, rows);
                 st.local = done;
                 return (begin, done, Err(LinkFault::Truncated));
             }
@@ -236,9 +242,19 @@ impl Link {
         st.stats.messages += 1;
         st.stats.rows += rows as u64;
         st.stats.delay += delay;
-        let done = begin + delay + self.cost.message_time(rows);
+        let done = begin + delay + self.message_time(st, rows);
         st.local = done;
         (begin, done, Ok(()))
+    }
+
+    /// [`CostModel::message_time`] of a message of `rows` rows, priced
+    /// again only when the size differs from the last message's.
+    #[inline]
+    fn message_time(&self, st: &mut LinkState, rows: usize) -> Duration {
+        if st.priced.0 != rows {
+            st.priced = (rows, self.cost.message_time(rows));
+        }
+        st.priced.1
     }
 
     /// The link's next delay: the next entry of its tape, or a live draw.
@@ -415,6 +431,42 @@ mod tests {
         assert_eq!(s.messages + s.dropped, 64);
         // NoDelay + only drops: clock time comes from delivered messages only.
         assert_eq!(a.clock().now(), CostModel::default().message_time(1) * s.messages as u32);
+    }
+
+    /// Every completion is the message's begin, its delay and the fixed cost
+    /// of its own size, priced afresh here: the link prices a size again
+    /// only when it differs from the last message's, on the delivered and
+    /// on the truncated path alike.
+    #[test]
+    fn a_message_pays_the_fixed_cost_of_its_own_size() {
+        const SIZES: [usize; 7] = [0, 1, 1, 16, 3, 0, 1];
+        let cost = CostModel::default();
+        let truncating = FaultPlan { truncate_prob: 0.5, ..FaultPlan::NONE };
+        for plan in [FaultPlan::NONE, truncating] {
+            let l = faulty(NetworkProfile::GAMMA2, plan);
+            let (mut last, mut truncated_after_another_size) = (None, 0);
+            for rows in SIZES.repeat(4) {
+                let (begin, delay) = (l.local_time(), l.stats().delay);
+                let (done, result) = l.schedule_message(rows, begin);
+                let delay = l.stats().delay - delay;
+                assert_eq!(done, begin + delay + cost.message_time(rows), "{rows} rows, {plan:?}");
+                match result {
+                    Ok(()) => {}
+                    Err(LinkFault::Truncated) => {
+                        truncated_after_another_size += usize::from(last != Some(rows));
+                    }
+                    Err(fault) => panic!("{fault:?} under {plan:?}"),
+                }
+                last = Some(rows);
+            }
+            let s = l.stats();
+            assert_eq!(s.messages + s.truncated, 28);
+            if plan.is_active() {
+                assert!(truncated_after_another_size > 0, "no truncation changed the size");
+            } else {
+                assert_eq!(s.messages, 28);
+            }
+        }
     }
 
     #[test]

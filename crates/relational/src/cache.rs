@@ -104,11 +104,6 @@ impl<K: Hash + Eq, V: Clone, S: BuildHasher> VersionedCache<K, V, S> {
         self.slots.values().map(|s| &s.value)
     }
 
-    /// Drops every entry; the counters are lifetime counters and survive.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
     /// Probes for `key` at the owner's current `version`.
     pub fn lookup<Q>(&mut self, key: &Q, version: u64) -> Option<V>
     where

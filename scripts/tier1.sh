@@ -255,9 +255,18 @@ CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test -q --offline --workspace
 # (every cache empty: SQL execution, plan-time statistics and the lift).
 # None may fail an operation; building them is also the gate's proof that
 # fedbench/src/api.rs still compiles against the crates.
+#
+# A smoke's end-to-end sim_* values are a pure function of its seed (the
+# default, 7): they move only when the simulation does — a plan, a message
+# count, a delay, a cost constant. Each is diffed, to the last printed digit,
+# against results/fedbench_smoke_sim.txt, so a host-side change that claims
+# to leave the simulation alone is held to it. A change that moves the
+# simulation on purpose re-records the file (the lines this loop prints
+# after "== sim_* values ==") and gives the cause in CHANGES.md.
 echo "== fedbench unit tests =="
 cargo test -q --offline --manifest-path fedbench/Cargo.toml
 
+sim_values=""
 for workload in paper_matrix serve_open mutate_requery adhoc_cold; do
     echo "== fedbench smoke (run --quick --workload $workload) =="
     smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
@@ -267,7 +276,18 @@ for workload in paper_matrix serve_open mutate_requery adhoc_cold; do
         echo "fedbench smoke ($workload): failed operations"
         exit 1
     }
+    values="$(echo "$smoke" | tail -n 1 | grep -o '"sim_[a-z0-9_]*": {"value": [^,}]*' \
+        | sed -E "s/^\"(sim_[a-z0-9_]*)\": \{\"value\": (.*)\$/$workload \1 \2/")" || true
+    [ -n "$values" ] || { echo "fedbench smoke ($workload) printed no sim_* value"; exit 1; }
+    sim_values+="$values"$'\n'
 done
+echo "== fedbench smoke sim_* values equal results/fedbench_smoke_sim.txt =="
+diff results/fedbench_smoke_sim.txt <(printf '%s' "$sim_values") || {
+    echo "== sim_* values =="
+    printf '%s' "$sim_values"
+    echo "a smoke's simulated numbers moved (< recorded, > this tree)"
+    exit 1
+}
 
 echo "== serve smoke (lake_shell --serve, fixed seed) =="
 cargo run -q --offline --release -p fedlake-bench --bin lake_shell -- \

@@ -53,7 +53,11 @@ static ALLOCATOR: CountingCalls = CountingCalls;
 /// 0.15 under Gamma1, as measured when the budget was set, in the order
 /// Q1..Q5 × (unaware, aware): with the row arena and the engine's FILTER
 /// verdict memo, in debug and release alike, and no arena row for a row a
-/// leaf's guards dropped. While every shipped row was copied in they were
+/// leaf's guards dropped, and nothing fixed per engine or plan rebuilt:
+/// the plan cache's key streamed and its config half kept, the cached
+/// plan shared rather than cloned, its EXPLAIN text kept with it. Before
+/// that they were 393 / 375, 403 / 331, 240 / 223, 449 / 390 and
+/// 419 / 359. While every shipped row was copied in they were
 /// 402 / 384, 417 / 342, 251 / 230, 471 / 409 and 444 / 383, and one more
 /// each before a context opened on the engine's caches stopped allocating
 /// an empty cache of its own first. With one box per row they were
@@ -62,11 +66,11 @@ static ALLOCATOR: CountingCalls = CountingCalls;
 /// projection, a decode that cloned every string — 1 874 / 1 794,
 /// 2 254 / 938, 803 / 492, 2 657 / 2 134 and 2 576 / 1 847.
 const MEASURED: [(&str, [u64; 2]); 5] = [
-    ("Q1", [393, 375]),
-    ("Q2", [403, 331]),
-    ("Q3", [240, 223]),
-    ("Q4", [449, 390]),
-    ("Q5", [419, 359]),
+    ("Q1", [337, 333]),
+    ("Q2", [331, 275]),
+    ("Q3", [155, 151]),
+    ("Q4", [338, 295]),
+    ("Q5", [286, 242]),
 ];
 
 /// What an execution may make: the measured count + 15 %.

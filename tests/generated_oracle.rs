@@ -43,12 +43,13 @@ mod pool;
 use common::{Cell, CELLS};
 use fedlake::core::explain::explain_plan;
 use fedlake::core::fedplan::FedPlan;
-use fedlake::core::ir::Fnv64;
+use fedlake::core::ir::{query_fingerprint, Fnv64};
 use fedlake::core::planner::plan_query_with_health;
 use fedlake::core::{DataLake, FedError, FederatedEngine, HealthView, PlanConfig, PlanMode};
 use fedlake::datagen::{build_lake, LakeConfig};
 use fedlake::netsim::NetworkProfile;
 use fedlake::rdf::{vocab, Graph, Term, TermId, Triple, TriplePattern};
+use fedlake::sparql::ast::{GroupGraphPattern, Order, PatternElement, SelectQuery};
 use fedlake::sparql::eval::evaluate;
 use fedlake::sparql::parser::parse_query;
 use fedlake::sparql::Row;
@@ -501,4 +502,80 @@ fn generated_plan_fingerprints_keep_their_values() {
         }
     }
     assert_eq!(digest.finish(), 0xf1e2_53c5_f9ff_13b1, "the plan fingerprints moved");
+}
+
+/// The plan cache's query key as it was first written: each variable,
+/// triple and FILTER rendered to a `String`, then folded. The engine's
+/// `ir::query_fingerprint` streams the same text into the hash without the
+/// strings; this is the reference it must equal.
+fn string_fold(query: &SelectQuery) -> u64 {
+    fn fold_pattern(h: &mut Fnv64, pattern: &GroupGraphPattern) {
+        h.push_str("{");
+        for el in &pattern.elements {
+            match el {
+                PatternElement::Triple(t) => {
+                    h.push_str("t");
+                    h.push_str(&t.to_string());
+                }
+                PatternElement::Filter(e) => {
+                    h.push_str("f");
+                    h.push_str(&e.to_string());
+                }
+                PatternElement::Optional(g) => {
+                    h.push_str("opt");
+                    fold_pattern(h, g);
+                }
+                PatternElement::Union(branches) => {
+                    h.push_str("union");
+                    for g in branches {
+                        fold_pattern(h, g);
+                    }
+                }
+                PatternElement::Group(g) => {
+                    h.push_str("group");
+                    fold_pattern(h, g);
+                }
+            }
+        }
+        h.push_str("}");
+    }
+    let mut h = Fnv64::new();
+    h.push_str("select");
+    for v in &query.projection {
+        h.push_str(&v.to_string());
+    }
+    h.push_str(if query.distinct { "distinct" } else { "all" });
+    fold_pattern(&mut h, &query.pattern);
+    for key in &query.order_by {
+        h.push_str(&key.var.to_string());
+        h.push_str(match key.order {
+            Order::Asc => "asc",
+            Order::Desc => "desc",
+        });
+    }
+    h.push_u64(query.limit.map_or(u64::MAX, |l| l as u64));
+    h.push_u64(query.offset.map_or(u64::MAX, |o| o as u64));
+    h.finish()
+}
+
+/// The streamed query fingerprint keeps the string fold's values on the
+/// stock queries (QM, Q1–Q5) and on 300 generated ones, which reach
+/// FILTERs of every operator, OPTIONAL, UNION, DISTINCT and ORDER BY.
+#[test]
+fn query_fingerprints_equal_the_string_fold() {
+    const CASES: u64 = 300;
+    let lake = build_lake(&LakeConfig { scale: 0.1, ..Default::default() });
+    let oracle = lake.oracle_graph();
+    let walker = Walker::new(&oracle);
+    let stock = fedlake::datagen::workload::all().into_iter().map(|q| q.sparql);
+    let generated =
+        (0..CASES).map(|case| generate(&walker, &mut Prng::seed_from_u64(SEED + case)).sparql);
+    let mut keys = BTreeSet::new();
+    for sparql in stock.chain(generated) {
+        let ast = parse_query(&sparql).unwrap_or_else(|e| panic!("{e}\n{sparql}"));
+        let key = query_fingerprint(&ast);
+        assert_eq!(key, string_fold(&ast), "{sparql}");
+        keys.insert(key);
+    }
+    assert!(keys.len() > 250, "only {} distinct keys: the generator repeats itself", keys.len());
 }

@@ -100,6 +100,39 @@ fn cache_hits_replay_byte_identical_plans() {
     }
 }
 
+/// A config switch is a new key: `set_config` folds the config half of
+/// the key again, so the first plan under the new mode is cold and is
+/// that mode's plan, and the next one hits. The switch keeps the cache's
+/// entries, so switching back replays the first mode's plan.
+#[test]
+fn set_config_keys_plans_by_the_new_config() {
+    let q = workload::q2();
+    let ast = parse_query(&q.sparql).unwrap();
+    let unaware = PlanConfig::new(PlanMode::Unaware, NetworkProfile::GAMMA1);
+    let aware = PlanConfig { mode: PlanMode::AWARE, ..unaware };
+    let mut engine = FederatedEngine::new(build_lake_with(&lake_cfg(), q.datasets), unaware);
+    let (first, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(!origin.cached, "the first plan misses");
+
+    engine.set_config(aware);
+    let (switched, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(!origin.cached, "the first plan under the new config is cold");
+    let direct =
+        plan_query_with_health(&ast, engine.lake(), &aware, &HealthView::empty()).unwrap();
+    assert_eq!(switched, direct, "the new config's plan");
+    assert_ne!(switched.report.fingerprint, first.report.fingerprint, "the modes plan alike");
+    let (again, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(origin.cached, "the next plan under the new config hits");
+    assert_eq!(again, switched);
+
+    engine.set_config(unaware);
+    let (back, origin) = engine.plan_cached(&ast).unwrap();
+    assert!(origin.cached, "the switch kept the first config's entry");
+    assert_eq!(back, first);
+    let stats = engine.plan_cache_stats();
+    assert_eq!((stats.lookups, stats.hits, stats.misses), (4, 2, 2));
+}
+
 /// Executing a replayed plan produces the same answers, stats and
 /// EXPLAIN body as the cold run.
 #[test]
