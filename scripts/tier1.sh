@@ -263,10 +263,20 @@ CHAOS_ITERS="${CHAOS_ITERS:-32}" cargo test -q --offline --workspace
 # to leave the simulation alone is held to it. A change that moves the
 # simulation on purpose re-records the file (the lines this loop prints
 # after "== sim_* values ==") and gives the cause in CHANGES.md.
+#
+# Its per-layer values of unit count or rows (messages, rows shipped, SQL
+# queries, filter evaluations, bind joins planned, ...; 17 per smoke) are
+# diffed the same way against results/fedbench_smoke_counts.txt. They move
+# only when a plan, a message or a row does, so a change that leaves all
+# three alone leaves them alone. alloc.calls_per_op is left out: any code
+# change moves it. A change that moves one on purpose re-records the file
+# (the lines printed after "== count values ==") and gives the cause in
+# CHANGES.md.
 echo "== fedbench unit tests =="
 cargo test -q --offline --manifest-path fedbench/Cargo.toml
 
 sim_values=""
+count_values=""
 for workload in paper_matrix serve_open mutate_requery adhoc_cold; do
     echo "== fedbench smoke (run --quick --workload $workload) =="
     smoke="$(cargo run -q --offline --release --manifest-path fedbench/Cargo.toml -- \
@@ -280,12 +290,25 @@ for workload in paper_matrix serve_open mutate_requery adhoc_cold; do
         | sed -E "s/^\"(sim_[a-z0-9_]*)\": \{\"value\": (.*)\$/$workload \1 \2/")" || true
     [ -n "$values" ] || { echo "fedbench smoke ($workload) printed no sim_* value"; exit 1; }
     sim_values+="$values"$'\n'
+    values="$(echo "$smoke" | tail -n 1 \
+        | grep -oE '"[a-z0-9_.]+": \{"value": [^,}]*, "unit": "(count|rows)"\}' \
+        | grep -v '"alloc.calls_per_op"' \
+        | sed -E "s/^\"([a-z0-9_.]+)\": \{\"value\": ([^,]*), .*\$/$workload \1 \2/")" || true
+    [ -n "$values" ] || { echo "fedbench smoke ($workload) printed no count value"; exit 1; }
+    count_values+="$values"$'\n'
 done
 echo "== fedbench smoke sim_* values equal results/fedbench_smoke_sim.txt =="
 diff results/fedbench_smoke_sim.txt <(printf '%s' "$sim_values") || {
     echo "== sim_* values =="
     printf '%s' "$sim_values"
     echo "a smoke's simulated numbers moved (< recorded, > this tree)"
+    exit 1
+}
+echo "== fedbench smoke count values equal results/fedbench_smoke_counts.txt =="
+diff results/fedbench_smoke_counts.txt <(printf '%s' "$count_values") || {
+    echo "== count values =="
+    printf '%s' "$count_values"
+    echo "a smoke's counts moved (< recorded, > this tree)"
     exit 1
 }
 
