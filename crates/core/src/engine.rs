@@ -538,19 +538,22 @@ impl FederatedEngine {
         &self,
         query: &SelectQuery,
     ) -> Result<(Arc<CachedPlan>, crate::plancache::PlanOrigin), FedError> {
-        let view = self.health_view();
         let key = (crate::ir::query_fingerprint(query), self.config_fp);
         let epoch = self.lake.epoch();
         {
+            // A hit at an unmoved generation reads no health snapshot: one
+            // is taken only when the digest must be recomputed.
+            let generation = self.health.generation();
             let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(planned) = cache.lookup(key, epoch, view.generation, |sources| {
-                crate::plancache::health_digest(&self.lake, &view, sources)
+            if let Some(planned) = cache.lookup(key, epoch, generation, |sources| {
+                crate::plancache::health_digest(&self.lake, &self.health_view(), sources)
             }) {
                 return Ok((planned, crate::plancache::PlanOrigin { cached: true }));
             }
         }
         // Plan outside the lock: a planning failure must not poison the
         // cache, and concurrent serve jobs keep planning in parallel.
+        let view = self.health_view();
         let planned = plan_query_with_health(query, &self.lake, &self.config, &view)?;
         let sources = crate::plancache::plan_sources(&planned);
         let digest = crate::plancache::health_digest(&self.lake, &view, &sources);

@@ -109,6 +109,10 @@ pub struct BindTarget {
     /// lowering walk (the default lifts every cell). Shared, so a cached
     /// plan's clone copies no lift plan.
     pub lift: Arc<LiftPlan>,
+    /// The verdict-memo key of `column`'s verdicts on join terms (whether
+    /// it stores a value lifting to the term), set by the planner's
+    /// lowering walk: `None` decides them for one operator alone.
+    pub verdict_key: Option<VerdictKey>,
 }
 
 /// A leaf of the federated plan.
@@ -307,6 +311,7 @@ mod tests {
             covers: "?x".into(),
             estimated_rows: 1.0,
             lift: Arc::default(),
+            verdict_key: None,
         };
         FedPlan::BindJoin { left: Box::new(left), right, batch_size: 2 }
     }

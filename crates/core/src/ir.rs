@@ -318,6 +318,7 @@ mod tests {
             covers: "?x".into(),
             estimated_rows: 1.0,
             lift: Default::default(),
+            verdict_key: None,
         };
         FedPlan::BindJoin { left: Box::new(left), right, batch_size: 2 }
     }

@@ -97,8 +97,9 @@ pub struct ExecCtx {
     /// a fresh context gets an empty cache, which is trivially consistent.
     pub lifts: crate::wrapper::SharedLiftCache,
     /// The verdicts earlier executions of the engine decided for its
-    /// one-slot FILTER expressions (see [`VerdictMemo`]), paired with the
-    /// interner exactly as [`ExecCtx::lifts`] is.
+    /// one-slot FILTER expressions and its bind joins' targets (see
+    /// [`VerdictMemo`]), paired with the interner exactly as
+    /// [`ExecCtx::lifts`] is.
     pub verdicts: SharedVerdictMemo,
 }
 
@@ -695,11 +696,8 @@ pub(crate) struct Conjunct {
     /// decided there, or [`NO_VERDICT`]. Unused when `slot` is `None`.
     verdicts: [u64; VERDICT_CELLS],
     /// What the engine's memo held under the expression's key when its
-    /// filter was built. Immutable, so a row reads it without a lock.
-    known: Option<Arc<VerdictSet>>,
-    /// The verdicts decided here that `known` lacks, to publish; `None`
-    /// when there is no key to publish them under.
-    fresh: Option<VerdictSet>,
+    /// filter was built, and what the conjunct decided since.
+    memo: KeyedVerdicts,
     /// How often `expr` was evaluated.
     #[cfg(test)]
     evals: u64,
@@ -716,8 +714,7 @@ impl Conjunct {
             slot: expr.single_slot(),
             expr,
             verdicts: [NO_VERDICT; VERDICT_CELLS],
-            known: None,
-            fresh: None,
+            memo: KeyedVerdicts::default(),
             #[cfg(test)]
             evals: 0,
         }
@@ -752,21 +749,18 @@ impl Conjunct {
 
     /// The verdict on `id` from the table, the memo's set or what this
     /// conjunct decided before, in that order; or `decide`'s, which the
-    /// table keeps and `fresh` collects.
+    /// table keeps and `memo` collects.
     fn verdict(&mut self, id: TermId, decide: impl FnOnce(&mut Self) -> bool) -> bool {
         let tag = u64::from(id.0);
         let at = tag as usize % VERDICT_CELLS;
         if self.verdicts[at] >> 1 == tag {
             return self.verdicts[at] & 1 == 1;
         }
-        let held = self.known.as_ref().and_then(|k| k.get(&id));
-        let keep = match held.or_else(|| self.fresh.as_ref()?.get(&id)) {
-            Some(&keep) => keep,
+        let keep = match self.memo.get(id) {
+            Some(keep) => keep,
             None => {
                 let keep = decide(self);
-                if let Some(fresh) = &mut self.fresh {
-                    fresh.insert(id, keep);
-                }
+                self.memo.insert(id, keep);
                 keep
             }
         };
@@ -804,8 +798,7 @@ impl<'a> FilterOp<'a> {
             let mut sets = memo.lock();
             for (c, key) in conjuncts.iter_mut().zip(keys) {
                 if let Some(key) = key {
-                    c.known = sets.sets.lookup(key, VERDICT_STAMP);
-                    c.fresh = Some(VerdictSet::default());
+                    c.memo = KeyedVerdicts::take(&mut sets, key);
                 }
             }
         }
@@ -853,9 +846,7 @@ impl Drop for FilterOp<'_> {
             .conjuncts
             .iter_mut()
             .zip(self.keys)
-            .filter_map(|(c, key)| {
-                Some((key.as_ref()?, c.fresh.take().filter(|f| !f.is_empty())?))
-            })
+            .filter_map(|(c, key)| Some((key.as_ref()?, c.memo.fresh()?)))
             .peekable();
         if new.peek().is_some() {
             let mut memo = self.memo.lock();
@@ -874,13 +865,15 @@ type VerdictSet = FastMap<TermId, bool>;
 /// entry can go stale (DESIGN §18).
 const VERDICT_STAMP: u64 = 0;
 
-/// The verdicts an engine's [`FilterOp`]s decided for their one-slot
-/// expressions, by [`VerdictKey`]: one immutable `VerdictSet` per key,
-/// at most [`fedlake_relational::cache::CACHE_CAPACITY`] keys, the least
-/// recently used evicted first. A filter takes its sets once, when it is
-/// built, and publishes what it decided when it drops, merging copy on
-/// write, so a row never takes the lock. Must stay paired with the interner
-/// whose ids it holds, as the lift cache does.
+/// The verdicts an engine decided per id, by [`VerdictKey`]: a
+/// [`FilterOp`]'s for its one-slot expressions, and a
+/// [`crate::wrapper::BindJoinOp`]'s on which join terms its target's column
+/// can store. One immutable `VerdictSet` per key, at most
+/// [`fedlake_relational::cache::CACHE_CAPACITY`] keys, the least recently
+/// used evicted first. An operator takes its set once and publishes what it
+/// decided when it drops, merging copy on write, so a row never takes the
+/// lock. Must stay paired with the interner whose ids it holds, as the lift
+/// cache does.
 #[derive(Debug, Default)]
 pub struct VerdictMemo(Mutex<VerdictSets>);
 
@@ -898,7 +891,8 @@ pub struct VerdictStats {
     pub keys: usize,
     /// Verdicts held, summed over the keys.
     pub verdicts: usize,
-    /// Sets published: a filter's new verdicts merged into its key's set.
+    /// Sets published: an operator's new verdicts merged into its key's
+    /// set.
     pub publishes: u64,
 }
 
@@ -908,6 +902,20 @@ pub type SharedVerdictMemo = Arc<VerdictMemo>;
 impl VerdictMemo {
     fn lock(&self) -> MutexGuard<'_, VerdictSets> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// What the memo holds under `key`, for one operator to read and add
+    /// to.
+    pub(crate) fn verdicts(&self, key: &VerdictKey) -> KeyedVerdicts {
+        KeyedVerdicts::take(&mut self.lock(), key)
+    }
+
+    /// Publishes what `verdicts` decided under `key`, taking the lock only
+    /// when it decided something.
+    pub(crate) fn publish(&self, key: &VerdictKey, verdicts: &mut KeyedVerdicts) {
+        if let Some(fresh) = verdicts.fresh() {
+            self.lock().publish(key, fresh);
+        }
     }
 
     /// Counter snapshot.
@@ -921,10 +929,48 @@ impl VerdictMemo {
     }
 }
 
+/// One operator's verdicts under one [`VerdictKey`]: the set the engine's
+/// memo held under the key when the operator took it, and the verdicts
+/// decided since that the set lacks, to publish. The default, for an
+/// operator without a key, holds and collects nothing.
+#[derive(Default)]
+pub(crate) struct KeyedVerdicts {
+    /// Immutable, so a row reads it without a lock.
+    known: Option<Arc<VerdictSet>>,
+    /// `None` when there is no key to publish under.
+    fresh: Option<VerdictSet>,
+}
+
+impl KeyedVerdicts {
+    /// Starts from what `sets` holds under `key`.
+    fn take(sets: &mut VerdictSets, key: &VerdictKey) -> Self {
+        let known = sets.sets.lookup(key, VERDICT_STAMP);
+        KeyedVerdicts { known, fresh: Some(VerdictSet::default()) }
+    }
+
+    /// The verdict on `id`: the memo's, or one decided here before.
+    pub(crate) fn get(&self, id: TermId) -> Option<bool> {
+        let held = self.known.as_ref().and_then(|k| k.get(&id));
+        held.or_else(|| self.fresh.as_ref()?.get(&id)).copied()
+    }
+
+    /// Keeps `verdict`, just decided on `id`, to publish.
+    pub(crate) fn insert(&mut self, id: TermId, verdict: bool) {
+        if let Some(fresh) = &mut self.fresh {
+            fresh.insert(id, verdict);
+        }
+    }
+
+    /// What was decided here, once, when anything was.
+    fn fresh(&mut self) -> Option<VerdictSet> {
+        self.fresh.take().filter(|f| !f.is_empty())
+    }
+}
+
 impl VerdictSets {
     /// Merges `fresh` into the set under `key`: a copy of the current set
     /// with `fresh` added replaces it, unless it holds every id already
-    /// (another filter of the same key published them first).
+    /// (another operator of the same key published them first).
     fn publish(&mut self, key: &VerdictKey, fresh: VerdictSet) {
         let merged = match self.sets.lookup(key, VERDICT_STAMP) {
             Some(held) if fresh.keys().all(|id| held.contains_key(id)) => return,

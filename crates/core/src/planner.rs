@@ -264,7 +264,7 @@ struct Lowering<'a> {
 ///   breaking ties. An unreplicated source keeps `route: None`.
 /// * A SQL leaf's or a bind-join target's [`LiftPlan`] (DESIGN §19).
 ///   A SPARQL leaf lifts everything.
-/// * An engine FILTER's verdict keys (DESIGN §20).
+/// * An engine FILTER's verdict keys and a bind-join target's (DESIGN §20).
 fn lower(plan: &mut FedPlan, filter: Option<&[Expr]>, cx: &Lowering<'_>) {
     match plan {
         FedPlan::Service(node) => {
@@ -280,6 +280,7 @@ fn lower(plan: &mut FedPlan, filter: Option<&[Expr]>, cx: &Lowering<'_>) {
         FedPlan::BindJoin { left, right, .. } => {
             right.route = route_for_source(&right.source_id, cx.lake, cx.health);
             right.lift = sql_lift_plan(&right.part.outputs, None, cx);
+            right.verdict_key = Some(bind_verdict_key(&right.column.lift));
             lower(left, None, cx);
         }
         FedPlan::Filter { input, exprs, keys } => {
@@ -367,16 +368,31 @@ fn sql_lift_plan(
     Arc::new(LiftPlan::new(unread, guards))
 }
 
-/// What an engine's [`crate::operators::VerdictMemo`] keeps the verdicts
-/// of a FILTER conjunct that reads one slot under: the conjunct's text and
-/// the name of the variable in that slot. The variable belongs in the key
-/// because a variable the schema does not know reads as unbound, so one
-/// text can be two functions of the slot's id: `?a = "x" || BOUND(?b)` in
-/// a query that binds `?a`, and in one that binds `?b`. Only
-/// `filter_verdict_keys`, private to this module, renders one, once per
-/// plan.
+/// What an engine's [`crate::operators::VerdictMemo`] keeps a function of
+/// one id under, rendered once per plan by the lowering walk:
+///
+/// * A FILTER conjunct that reads one slot: the conjunct's text after the
+///   name of the variable in that slot, `?name`. The variable belongs in
+///   the key because a variable the schema does not know reads as unbound,
+///   so one text can be two functions of the slot's id: `?a = "x" ||
+///   BOUND(?b)` in a query that binds `?a`, and in one that binds `?b`.
+///   Rendered by `filter_verdict_keys`.
+/// * A bind-join target's column: whether it stores a value whose lift is
+///   the join term (`StarColumn::stores`), which reads the column's
+///   [`Lift`] alone, so the key is the lift's text after `bind `, and two
+///   targets on one template share their verdicts. No FILTER key starts
+///   so. Rendered by `bind_verdict_key`.
+///
+/// Only this module builds one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerdictKey(Arc<str>);
+
+/// The memo key of a bind-join target's verdicts on its join terms, for a
+/// column that lifts by `lift`. The lowering walk sets it on each target;
+/// a unit test's hand-built target takes it from here.
+pub(crate) fn bind_verdict_key(lift: &Lift) -> VerdictKey {
+    VerdictKey(format!("bind {lift:?}").into())
+}
 
 /// The memo key of each of `exprs`, the conjuncts of a FILTER over rows
 /// laid out by `schema`; `None` for a conjunct that reads no slot or two.
@@ -1057,6 +1073,7 @@ fn bind_join(
         covers: rs.star.subject.to_string(),
         estimated_rows,
         lift: Arc::default(),
+        verdict_key: None,
     };
     let plan = FedPlan::BindJoin { left: Box::new(left), right: target, batch_size };
     wrap_engine_filters(plan, split.engine.clone())
@@ -1770,5 +1787,74 @@ mod tests {
         assert_eq!(right.part.table, "disease");
         assert_eq!((right.join_var.name(), right.column.name.as_str()), ("d", "id"));
         assert_eq!(right.column.lift, Lift::SubjectIri(disease_iri));
+    }
+
+    /// A bind-join target's verdict key is its column's lift: equal lifts
+    /// share one, unequal lifts do not, and none is a FILTER conjunct's.
+    /// The lowering walk sets it on every target it plans.
+    #[test]
+    fn a_bind_key_is_its_lift_and_never_a_filter_key() {
+        use fedlake_sparql::expr::CmpOp;
+        let gene = IriTemplate::new("http://d/gene/", "");
+        let lifts = [
+            Lift::SubjectIri(gene.clone()),
+            Lift::RefIri(gene),
+            Lift::SubjectIri(IriTemplate::new("http://d/gene/", ".html")),
+            Lift::RefIri(IriTemplate::new("http://d/disease/", "")),
+            Lift::Literal(DataType::Int),
+            Lift::Literal(DataType::Text),
+        ];
+        for (i, a) in lifts.iter().enumerate() {
+            assert_eq!(bind_verdict_key(a), bind_verdict_key(&a.clone()), "{a:?}");
+            for (j, b) in lifts.iter().enumerate() {
+                assert_eq!(bind_verdict_key(a) == bind_verdict_key(b), i == j, "{a:?} {b:?}");
+            }
+        }
+
+        // FILTER keys over variables named like the bind keys' text.
+        let vars = ["bind", "SubjectIri", "x"].map(Var::new);
+        let schema = RowSchema::new(vars.iter().cloned());
+        let exprs: Vec<Expr> = vars
+            .iter()
+            .flat_map(|v| {
+                let var = || Box::new(Expr::Var(v.clone()));
+                [
+                    Expr::Bound(v.clone()),
+                    Expr::Cmp(var(), CmpOp::Eq, Box::new(Expr::Const(Term::integer(1)))),
+                    Expr::Cmp(var(), CmpOp::Ne, Box::new(Expr::Const(Term::literal("bind")))),
+                ]
+            })
+            .collect();
+        let filter_keys: Vec<VerdictKey> =
+            filter_verdict_keys(&exprs, &schema).into_vec().into_iter().flatten().collect();
+        assert_eq!(filter_keys.len(), exprs.len(), "each conjunct reads one slot");
+        for key in &filter_keys {
+            assert!(key.0.starts_with('?'), "{key:?}");
+            for lift in &lifts {
+                assert_ne!(*key, bind_verdict_key(lift));
+            }
+        }
+        for lift in &lifts {
+            assert!(!bind_verdict_key(lift).0.starts_with('?'), "{lift:?}");
+        }
+
+        let lake = gene_disease_lake();
+        let query = parse_query(
+            "SELECT * WHERE { ?g <http://v/label> ?l . ?g <http://v/disease> ?d . \
+             ?d <http://v/name> ?n }",
+        )
+        .unwrap();
+        let mut config = PlanConfig::new(PlanMode::AWARE, NetworkProfile::NO_DELAY);
+        config.merge_translation = MergeTranslation::Naive;
+        let health = HealthView::default();
+        let plan = plan_query_with_health(&query, &lake, &config, &health).unwrap().plan;
+        let mut targets = 0;
+        plan.visit(0, &mut |node, _| {
+            if let FedPlan::BindJoin { right, .. } = node {
+                targets += 1;
+                assert_eq!(right.verdict_key, Some(bind_verdict_key(&right.column.lift)));
+            }
+        });
+        assert_eq!(targets, 1, "{plan:?}");
     }
 }

@@ -178,8 +178,9 @@ impl Admitted<'_> {
 
 /// What one poll sweep did to a session.
 enum SweepStep {
-    /// Produced at least one answer row; poll again before advancing time.
-    Progress,
+    /// Produced at least one answer row, then went pending on the event;
+    /// poll again before advancing time, once the event is due.
+    Progress(fedlake_netsim::EventTime),
     /// Waiting on in-flight I/O.
     Pending(fedlake_netsim::EventTime),
     /// Finished (success, degradation or per-query failure).
@@ -322,7 +323,8 @@ impl FederatedEngine {
                     }
                 };
                 match step {
-                    SweepStep::Progress => {
+                    SweepStep::Progress(ev) => {
+                        active[i].waiting_on = Some(ev);
                         progressed = true;
                         i += 1;
                     }
@@ -425,7 +427,7 @@ impl FederatedEngine {
         loop {
             match s.step()? {
                 Step::Answered => produced = true,
-                Step::Pending(_) if produced => return Ok(SweepStep::Progress),
+                Step::Pending(ev) if produced => return Ok(SweepStep::Progress(ev)),
                 Step::Pending(ev) => return Ok(SweepStep::Pending(ev)),
                 Step::Finished => return Ok(SweepStep::Finished),
             }

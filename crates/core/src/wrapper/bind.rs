@@ -9,7 +9,7 @@ use crate::error::FedError;
 use crate::fedplan::BindTarget;
 use crate::lake::DataLake;
 use crate::obs::SourceSpan;
-use crate::operators::{BoxedOp, ExecCtx, FedOp, Poll};
+use crate::operators::{BoxedOp, ExecCtx, FedOp, KeyedVerdicts, Poll, SharedVerdictMemo};
 use crate::source::DataSource;
 use crate::translate::{sql_single, TranslatedQuery};
 use fedlake_rdf::{Term, TermId};
@@ -52,7 +52,10 @@ pub fn bind_batch_query<'t>(
 /// full when the left side is selective. Each batch is a leaf request of
 /// its own (`LeafRequest::Batch`): its answer comes through `lifted`,
 /// so a batch the engine already answered at the target's current data
-/// version renders no SQL and runs no query.
+/// version renders no SQL and runs no query. Which join terms the target's
+/// column can store is decided once per id, per engine: a function of the
+/// column's lift and the id, kept in the engine's verdict memo under the
+/// target's key (DESIGN §20).
 pub struct BindJoinOp<'a> {
     left: BoxedOp<'a>,
     db: &'a Database,
@@ -66,6 +69,12 @@ pub struct BindJoinOp<'a> {
     route: SourceRoute,
     rows_per_message: usize,
     batch_size: usize,
+    /// The engine's verdict memo, once the first batch took what it held
+    /// under the target's key into `verdicts`; `None` before, and for a
+    /// target without a key.
+    memo: Option<SharedVerdictMemo>,
+    /// Whether the target's column stores each join id met so far.
+    verdicts: KeyedVerdicts,
     left_done: bool,
     out: VecDeque<RowId>,
     stage: BindStage,
@@ -115,6 +124,8 @@ impl<'a> BindJoinOp<'a> {
             route,
             rows_per_message,
             batch_size: batch_size.max(1),
+            memo: None,
+            verdicts: KeyedVerdicts::default(),
             left_done: false,
             out: VecDeque::new(),
             stage: BindStage::Gather { batch: Vec::new() },
@@ -124,21 +135,32 @@ impl<'a> BindJoinOp<'a> {
     /// The join terms the batch asks the target about: the distinct ids its
     /// rows bind the join variable to, in first-seen order, less those no
     /// stored value lifts to ([`StarColumn::stores`]). Empty means no
-    /// traffic — the batch can never match. Read in place under one
-    /// interner lock.
+    /// traffic — the batch can never match. An id's verdict comes from the
+    /// memo's set or this operator's earlier batches; only an id neither
+    /// holds is read back from the interner, under one lock per batch.
     ///
     /// [`StarColumn::stores`]: crate::translate::StarColumn::stores
-    fn batch_ids(&self, batch: &[RowId], ctx: &ExecCtx) -> Vec<TermId> {
+    fn batch_ids(&mut self, batch: &[RowId], ctx: &ExecCtx) -> Vec<TermId> {
         let Some(jslot) = ctx.schema.slot(&self.target.join_var) else {
             return Vec::new();
         };
-        let dict = ctx.interner.lock();
+        if let (None, Some(key)) = (&self.memo, &self.target.verdict_key) {
+            self.verdicts = ctx.verdicts.verdicts(key);
+            self.memo = Some(Arc::clone(&ctx.verdicts));
+        }
+        let mut dict = None;
         let mut ids = Vec::with_capacity(batch.len());
         for id in batch.iter().filter_map(|&row| ctx.rows.get(row, jslot)) {
             if ids.contains(&id) {
                 continue;
             }
-            if dict.term(id).is_some_and(|t| self.target.column.stores(t)) {
+            let stored = self.verdicts.get(id).unwrap_or_else(|| {
+                let dict = dict.get_or_insert_with(|| ctx.interner.lock());
+                let stored = dict.term(id).is_some_and(|t| self.target.column.stores(t));
+                self.verdicts.insert(id, stored);
+                stored
+            });
+            if stored {
                 ids.push(id);
             }
         }
@@ -260,6 +282,15 @@ impl FedOp for BindJoinOp<'_> {
                     self.launch_batch(batch, ctx)?;
                 }
             }
+        }
+    }
+}
+
+impl Drop for BindJoinOp<'_> {
+    /// Publishes the verdicts the batches decided, when they decided one.
+    fn drop(&mut self) {
+        if let (Some(memo), Some(key)) = (&self.memo, &self.target.verdict_key) {
+            memo.publish(key, &mut self.verdicts);
         }
     }
 }

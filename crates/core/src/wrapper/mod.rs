@@ -68,7 +68,7 @@ mod tests {
     use fedlake_sparql::binding::{encode_row, Row, RowSchema};
     use std::sync::Arc;
     use std::time::Duration;
-    use crate::operators::EngineStats;
+    use crate::operators::{EngineStats, SharedVerdictMemo};
     use crate::translate::{star_column, star_part, TranslatedQuery};
     use fedlake_mapping::{DatasetMapping, IriTemplate, TableMapping};
     use fedlake_netsim::clock::shared_virtual;
@@ -604,12 +604,14 @@ mod tests {
         .unwrap()
         .stars
         .remove(0);
+        let column = star_column(&Var::new("d"), &star, &tm, &schema).unwrap();
         BindTarget {
             source_id: "d".into(),
             route: None,
             part: star_part(&star, &tm, &schema, &[], "s0").unwrap(),
             join_var: Var::new("d"),
-            column: star_column(&Var::new("d"), &star, &tm, &schema).unwrap(),
+            verdict_key: Some(crate::planner::bind_verdict_key(&column.lift)),
+            column,
             covers: "?d".into(),
             estimated_rows: 2.0,
             lift: Arc::default(),
@@ -622,10 +624,25 @@ mod tests {
 
     /// Runs a bind join of `left` (one row per term, bound to `?d`,
     /// `batch` rows per batch) against the disease target on a fresh clock
-    /// and link, with the interner and lift cache of `session`.
+    /// and link, with the interner and lift cache of `session` and a fresh
+    /// verdict memo.
     fn run_bind(
         lake: &DataLake,
         session: &(SharedInterner, SharedLiftCache),
+        vars: &[&str],
+        left: &[Option<Term>],
+        overlap: bool,
+        batch: usize,
+    ) -> BindRun {
+        let memo = SharedVerdictMemo::default();
+        run_bind_with(lake, session, &memo, vars, left, overlap, batch)
+    }
+
+    /// [`run_bind`] over the verdict memo `memo`.
+    fn run_bind_with(
+        lake: &DataLake,
+        session: &(SharedInterner, SharedLiftCache),
+        memo: &SharedVerdictMemo,
         vars: &[&str],
         left: &[Option<Term>],
         overlap: bool,
@@ -639,6 +656,7 @@ mod tests {
             c = c.serialized();
         }
         c.interner = session.0.clone();
+        c.verdicts = Arc::clone(memo);
         let rows = left
             .iter()
             .enumerate()
@@ -766,6 +784,48 @@ mod tests {
             assert_eq!(stats, EngineStats::default(), "no request, no probe");
             assert_eq!((end, traffic), (Duration::ZERO, (0, 0, Duration::ZERO)));
             assert_eq!(session.1.stats(), CacheStats::default(), "no lookup");
+        }
+    }
+
+    /// Whether the target's column stores a join id is decided once per
+    /// engine: the first run publishes each distinct id's verdict under the
+    /// target's one key, and a second run over the same memo decides none,
+    /// publishes nothing and ships and charges what the first did.
+    #[test]
+    fn a_bind_join_decides_each_join_id_once_per_engine() {
+        let lake = lake();
+        let target = disease_target(&lake);
+        let key = target.verdict_key.as_ref().unwrap();
+        let elsewhere = Term::iri("http://elsewhere/disease/d0");
+        let literal = Term::literal("d0");
+        let left = [
+            disease("d0"),
+            Some(elsewhere.clone()),
+            Some(literal.clone()),
+            disease("d1"),
+            disease("d0"),
+            None,
+            Some(elsewhere.clone()),
+        ];
+        let terms = [disease("d0").unwrap(), elsewhere, literal, disease("d1").unwrap()];
+        for overlap in [false, true] {
+            let session = (SharedInterner::new(), SharedLiftCache::default());
+            let memo = SharedVerdictMemo::default();
+            let vars = ["g", "d", "n"];
+            let cold = run_bind_with(&lake, &session, &memo, &vars, &left, overlap, 2);
+            let decided = memo.stats();
+            assert_eq!((decided.keys, decided.verdicts, decided.publishes), (1, 4, 1));
+            let held = memo.verdicts(key);
+            for term in &terms {
+                let id = session.0.lock().intern(term.clone());
+                let stores = target.column.stores(term);
+                assert_eq!(held.get(id), Some(stores), "{term}");
+                assert_eq!(stores, term.as_iri().is_some_and(|i| i.starts_with("http://d/")));
+            }
+            let warm = run_bind_with(&lake, &session, &memo, &vars, &left, overlap, 2);
+            assert_eq!(memo.stats(), decided, "overlap={overlap}: a warm run publishes nothing");
+            assert_eq!(warm, cold, "overlap={overlap}: the memo changes no batch");
+            assert_eq!(cold.0.len(), 3, "each left row binding a stored disease finds it");
         }
     }
 

@@ -536,6 +536,7 @@ fn bind_target(col: Col) -> BindTarget {
         covers: star.subject.to_string(),
         estimated_rows: 1.0,
         lift: Default::default(),
+        verdict_key: None,
     }
 }
 

@@ -26,12 +26,16 @@ impl Parser {
         &self.tokens[self.pos]
     }
 
+    /// The token at `pos`, moved out when `pos` advances past it: nothing
+    /// reads behind `pos`. The last token (`Eof`), which `peek` reads again,
+    /// is cloned.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1], Token::Eof)
+        } else {
+            self.tokens[self.pos].clone()
         }
-        t
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), SparqlError> {
