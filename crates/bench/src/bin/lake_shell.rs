@@ -201,7 +201,7 @@ impl Shell {
 }
 
 /// The engine's two caches, one line each, then its delay tapes and its
-/// FILTER verdict memo.
+/// verdict memo.
 fn print_caches(engine: &FederatedEngine) {
     let stats = engine.cache_stats();
     println!("== caches ==");

@@ -179,11 +179,12 @@ pub struct FederatedEngine {
     /// and never stale (see [`fedlake_netsim::tape`]). Every execution and
     /// serve run reads its links' delays here instead of drawing them.
     delays: DelayTapes,
-    /// The verdicts of the engine FILTERs' one-slot expressions, by the
-    /// planner's key (see [`crate::operators::VerdictMemo`]), paired with
-    /// `interner`: a verdict is a pure function of the expression and an
-    /// id, so like the delay tapes it is extended on demand and never
-    /// stale. Every execution and serve run starts its filters from here.
+    /// The verdicts of the engine FILTERs' one-slot expressions and of its
+    /// bind-join targets' columns, by the planner's key (see
+    /// [`crate::operators::VerdictMemo`]), paired with `interner`: a
+    /// verdict is a pure function of the key and an id, so like the delay
+    /// tapes it is extended on demand and never stale. Every execution and
+    /// serve run starts its filters and bind joins from here.
     verdicts: SharedVerdictMemo,
 }
 
@@ -200,8 +201,8 @@ pub struct EngineCacheStats {
     /// The links' delay tapes: extended, never looked up or invalidated,
     /// so they count what they hold.
     pub delays: TapeStats,
-    /// The FILTER verdict memo: extended, never stale, so it counts what
-    /// it holds and how often a filter published to it.
+    /// The verdict memo: extended, never stale, so it counts what it holds
+    /// and how often a filter or a bind join published to it.
     pub verdicts: VerdictStats,
 }
 

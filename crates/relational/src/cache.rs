@@ -2,7 +2,7 @@
 //!
 //! Every cache in the workspace — the engine's lifted source results (the
 //! one cache of what a leaf or a bind-join batch fetched), its normalized
-//! plans, its FILTER verdict memo and the SQL memo behind
+//! plans, its verdict memo and the SQL memo behind
 //! [`crate::Database::query_cached`], which no engine path reads any more
 //! (fedbench's `relational.*` probes are its last callers) — is a
 //! [`VersionedCache`]. An entry is stamped
