@@ -296,6 +296,10 @@ fn serve_schedule_is_pinned() {
             (Duration::from_nanos(261_384_386), 0x224e_ee86_7382_b235),
             "saturating run, {pass}"
         );
+        // How many session polls the loop made: a sweep that polls a
+        // session one sweep early or late moves this count even where the
+        // outcomes happen to match.
+        assert_eq!(r.outcome.metrics.counter("serve.polls"), 1196, "saturating run, {pass}: polls");
         let draws = engine.cache_stats().delays.draws - drawn;
         assert_eq!(draws == 0, pass == "warm", "saturating run, {pass}: {draws} draws");
     }
@@ -324,6 +328,7 @@ fn serve_schedule_is_pinned() {
             (Duration::from_nanos(122_729_408), 0x095c_22bc_c6b4_8639),
             "deadline run, {pass}"
         );
+        assert_eq!(r.outcome.metrics.counter("serve.polls"), 623, "deadline run, {pass}: polls");
         let draws = engine.cache_stats().delays.draws - drawn;
         assert_eq!(draws == 0, pass == "warm", "deadline run, {pass}: {draws} draws");
     }
