@@ -339,11 +339,11 @@ impl<'a> Session<'a> {
                 // A due event must be consumed by the poll that saw it;
                 // surfacing one here means an operator forgot to complete
                 // it and time would stand still.
-                let now = self.ctx.clock.now();
-                if ev.time <= now {
+                if ev.nanos() <= self.ctx.clock.now_nanos() {
                     return Err(FedError::Internal(format!(
-                        "scheduler stalled: pending event at {:?} is not in the future (now {now:?})",
+                        "scheduler stalled: pending event at {:?} is not in the future (now {:?})",
                         ev.time,
+                        self.ctx.clock.now(),
                     )));
                 }
                 Ok(Step::Pending(ev))

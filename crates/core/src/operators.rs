@@ -26,6 +26,7 @@
 
 use crate::error::FedError;
 use crate::planner::VerdictKey;
+use fedlake_netsim::clock::nanos;
 use fedlake_netsim::{CostModel, EventQueue, EventTime, SharedClock};
 use fedlake_rdf::{BuildFastHasher, Dictionary, FastMap, SharedInterner, TermId};
 use fedlake_relational::cache::VersionedCache;
@@ -58,8 +59,15 @@ pub struct EngineStats {
 pub struct ExecCtx {
     /// The simulation clock shared with every wrapper link.
     pub clock: SharedClock,
-    /// Cost model pricing engine-level work.
+    /// Cost model pricing engine-level work: the one source of prices,
+    /// fixed when the context is built.
     pub cost: CostModel,
+    /// `cost.engine_join_time(1)` in nanoseconds, priced once when the
+    /// context is built: what [`ExecCtx::charge_join_probe`] adds per probe.
+    join_probe_ns: u64,
+    /// `cost.engine_row_time(1)` in nanoseconds, priced alike: what
+    /// [`ExecCtx::charge_row`] adds per row.
+    row_ns: u64,
     /// Accumulated counters.
     pub stats: EngineStats,
     /// The query's slot layout, fixed at plan time.
@@ -127,6 +135,8 @@ impl ExecCtx {
     ) -> Self {
         ExecCtx {
             clock,
+            join_probe_ns: nanos(cost.engine_join_time(1)),
+            row_ns: nanos(cost.engine_row_time(1)),
             cost,
             stats: EngineStats::default(),
             layout: crate::wrapper::schema_fingerprint(&schema),
@@ -175,11 +185,26 @@ impl ExecCtx {
     /// event is completed here, by the poll that observes it.
     pub(crate) fn still_pending(&mut self, wait: Wait) -> Option<EventTime> {
         let ev = wait.0?;
-        if ev.time > self.clock.now() {
+        if ev.nanos() > self.clock.now_nanos() {
             return Some(ev);
         }
         self.sched.complete(ev);
         None
+    }
+
+    /// Charges the clock for one engine-side join probe. `Clock::advance`
+    /// adds exactly a `Duration`'s nanoseconds, so this ends where
+    /// `clock.advance(cost.engine_join_time(1))` would.
+    #[inline]
+    pub(crate) fn charge_join_probe(&self) {
+        self.clock.advance_nanos(self.join_probe_ns);
+    }
+
+    /// Charges the clock for one row the engine produces, passes on or
+    /// deduplicates: `cost.engine_row_time(1)`, priced once.
+    #[inline]
+    pub(crate) fn charge_row(&self) {
+        self.clock.advance_nanos(self.row_ns);
     }
 
     /// Installs the engine's source-result cache (see
@@ -341,7 +366,7 @@ impl<C> TwoInputs<C> {
         // first reported earlier in this round (e.g. a filter charging for
         // discarded rows). A due event must be consumed by its owner, so
         // go around again instead of surfacing a stale Pending.
-        Ok(wait.filter(|ev| !progressed && ev.time > ctx.clock.now()))
+        Ok(wait.filter(|ev| !progressed && ev.nanos() > ctx.clock.now_nanos()))
     }
 
     /// Polls input `side` once; the event it reports when it is waiting.
@@ -484,7 +509,7 @@ impl<'a> SymHashJoin<'a> {
 impl SymTables {
     fn insert_and_probe(&mut self, from_left: bool, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
-        ctx.clock.advance(ctx.cost.engine_join_time(1));
+        ctx.charge_join_probe();
         let Some(key) = (self.fold)(ctx.rows.row(row), &self.on_slots) else {
             // A row not binding every join variable can never match.
             return;
@@ -496,7 +521,7 @@ impl SymTables {
         };
         for (_, m) in other.chain(key) {
             if let Some(merged) = ctx.rows.merge(row, m) {
-                ctx.clock.advance(ctx.cost.engine_row_time(1));
+                ctx.charge_row();
                 self.out.push_back(merged);
             }
         }
@@ -569,14 +594,14 @@ impl<'a> LeftHashJoin<'a> {
 impl LeftTables {
     fn take_left(&mut self, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
-        ctx.clock.advance(ctx.cost.engine_join_time(1));
+        ctx.charge_join_probe();
         let key = (self.fold)(ctx.rows.row(row), &self.on_slots);
         let mut matched = false;
         if let Some(key) = key {
             for (_, m) in self.right.chain(key) {
                 if let Some(merged) = ctx.rows.merge(row, m) {
                     matched = true;
-                    ctx.clock.advance(ctx.cost.engine_row_time(1));
+                    ctx.charge_row();
                     self.out.push_back(merged);
                 }
             }
@@ -590,12 +615,12 @@ impl LeftTables {
 
     fn take_right(&mut self, row: RowId, ctx: &mut ExecCtx) {
         ctx.stats.engine_join_probes += 1;
-        ctx.clock.advance(ctx.cost.engine_join_time(1));
+        ctx.charge_join_probe();
         let Some(key) = (self.fold)(ctx.rows.row(row), &self.on_slots) else { return };
         for (i, lrow) in self.left.chain(key) {
             if let Some(merged) = ctx.rows.merge(lrow, row) {
                 self.matched[i] = true;
-                ctx.clock.advance(ctx.cost.engine_row_time(1));
+                ctx.charge_row();
                 self.out.push_back(merged);
             }
         }
@@ -1047,7 +1072,7 @@ impl<C> Branches<C> {
             // earlier one reported in this round; a due event must be
             // consumed by its owner, so go around again instead of
             // surfacing a stale Pending.
-            if let Some(ev) = wait.filter(|ev| !progressed && ev.time > ctx.clock.now()) {
+            if let Some(ev) = wait.filter(|ev| !progressed && ev.nanos() > ctx.clock.now_nanos()) {
                 return Ok(Poll::Pending(ev));
             }
         }
@@ -1088,7 +1113,7 @@ impl<'a> ProjectOp<'a> {
 
 impl ProjectOp<'_> {
     fn remap(&self, row: RowId, ctx: &mut ExecCtx) -> RowId {
-        ctx.clock.advance(ctx.cost.engine_row_time(1));
+        ctx.charge_row();
         let ids = ctx.rows.row_mut(row);
         for &s in &self.drop_slots {
             ids[s] = TermId::UNBOUND;
@@ -1128,7 +1153,7 @@ impl FedOp for DistinctOp<'_> {
         loop {
             match self.input.poll_next(ctx)? {
                 Poll::Ready(row) => {
-                    ctx.clock.advance(ctx.cost.engine_row_time(1));
+                    ctx.charge_row();
                     let ids = ctx.rows.row(row);
                     let key = BuildFastHasher.hash_one(ids);
                     if !self.seen.chain(key).any(|(_, kept)| ctx.rows.row(kept) == ids) {
@@ -1728,5 +1753,38 @@ mod tests {
         let right = RowsOp::new(vec![row(&mut c, &[("j", "x")])]);
         let mut j = SymHashJoin::new(Box::new(left), Box::new(right), vec![slot("j")]);
         assert!(drain(&mut j, &mut c).is_empty());
+    }
+
+    #[test]
+    fn the_per_row_charges_are_priced_once_and_land_where_the_priced_ones_do() {
+        // 0.0015 µs is 1.5 ns and 0.3337 µs is 333.7 ns: both truncate a
+        // fractional nanosecond when priced.
+        let truncating = CostModel {
+            engine_join_probe_us: 0.0015,
+            engine_row_us: 0.3337,
+            ..CostModel::default()
+        };
+        for cost in [CostModel::default(), CostModel::rdb_filter_favouring(), truncating] {
+            let schema = Arc::new(RowSchema::new(VARS.map(Var::new)));
+            let c = ExecCtx::new(shared_virtual(), cost, schema, SharedInterner::new());
+            let (join, row) = (cost.engine_join_time(1), cost.engine_row_time(1));
+            assert_eq!((c.join_probe_ns, c.row_ns), (nanos(join), nanos(row)), "{cost:?}");
+
+            // Charged alternately with the priced Durations on a second
+            // clock: every step ends at the same nanosecond.
+            let priced = shared_virtual();
+            for k in 0..1_000 {
+                if k % 3 == 0 {
+                    c.charge_join_probe();
+                    priced.advance(join);
+                } else {
+                    c.charge_row();
+                    priced.advance(row);
+                }
+                assert_eq!(c.clock.now(), priced.now(), "{cost:?}, step {k}");
+            }
+        }
+        assert_eq!(nanos(truncating.engine_join_time(1)), 1);
+        assert_eq!(nanos(truncating.engine_row_time(1)), 333);
     }
 }

@@ -31,7 +31,8 @@ use crate::obs::{FlightRecording, MetricsRegistry, TraceReport};
 use crate::operators::EngineStats;
 use crate::planner::PlannedQuery;
 use crate::wrapper::{links_for, total_traffic};
-use fedlake_netsim::clock::shared_virtual;
+use fedlake_netsim::clock::{nanos, shared_virtual};
+use fedlake_netsim::EventTime;
 use fedlake_prng::Prng;
 use fedlake_sparql::binding::{Row, Var};
 use std::collections::HashMap;
@@ -157,22 +158,42 @@ struct Admitted<'a> {
     job: usize,
     session: Session<'a>,
     admitted: Duration,
-    /// The event of the `Pending` the session last returned. Until it is
-    /// due (or the deadline passes) another poll could only return it
-    /// again, so the sweep does not make one.
-    waiting_on: Option<fedlake_netsim::EventTime>,
 }
 
-impl Admitted<'_> {
-    /// The event this session is still waiting on at `now`, if a poll
-    /// would be a no-op: the whole operator tree is pending on it — a
-    /// poll of a pending [`crate::operators::SymHashJoin`], `LeftHashJoin`,
-    /// `UnionOp`, `BindJoinOp`, leaf stream or delivery changes nothing and
-    /// returns the same earliest event until that event is due — and no
-    /// deadline has passed that the poll would have to notice.
-    fn still_waiting(&self, now: Duration) -> Option<fedlake_netsim::EventTime> {
-        let deadline = self.session.ctx.deadline;
-        self.waiting_on.filter(|ev| ev.time > now && deadline.is_none_or(|d| now < d))
+/// When an admitted session next needs a poll, in the clock's integer
+/// nanoseconds. The sweep keeps one per session in a dense array beside
+/// the sessions, so deciding to skip one reads 16 bytes and builds no
+/// `Duration`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wake {
+    /// `min(event_ns, deadline)`: until then another poll could only
+    /// return the same `Pending` — the whole operator tree is pending on
+    /// the event (a poll of a pending [`crate::operators::SymHashJoin`],
+    /// `LeftHashJoin`, `UnionOp`, `BindJoinOp`, leaf stream or delivery
+    /// changes nothing and returns the same earliest event until that
+    /// event is due) and no deadline has passed that the poll would have
+    /// to notice. 0 before the session's first poll.
+    wake_ns: u64,
+    /// The event of the `Pending` the session last returned.
+    event_ns: u64,
+}
+
+impl Wake {
+    /// A session not polled yet: due at once.
+    const UNPOLLED: Wake = Wake { wake_ns: 0, event_ns: 0 };
+
+    /// A session that last returned `Pending(ev)` under `deadline`.
+    fn on(ev: EventTime, deadline: Option<Duration>) -> Wake {
+        let event_ns = ev.nanos();
+        Wake { wake_ns: deadline.map_or(event_ns, |d| event_ns.min(nanos(d))), event_ns }
+    }
+
+    /// The event the session is still waiting on at `now`, when a poll
+    /// would be a no-op; `None` when it is due for one. A deadline makes
+    /// it due but is never returned: it does not pull the clock forward.
+    #[inline]
+    fn waiting(self, now: u64) -> Option<u64> {
+        (self.wake_ns > now).then_some(self.event_ns)
     }
 }
 
@@ -180,9 +201,9 @@ impl Admitted<'_> {
 enum SweepStep {
     /// Produced at least one answer row, then went pending on the event;
     /// poll again before advancing time, once the event is due.
-    Progress(fedlake_netsim::EventTime),
+    Progress(EventTime),
     /// Waiting on in-flight I/O.
-    Pending(fedlake_netsim::EventTime),
+    Pending(EventTime),
     /// Finished (success, degradation or per-query failure).
     Finished,
 }
@@ -217,18 +238,20 @@ impl FederatedEngine {
         );
 
         // Seeded arrival process: exponential inter-arrival gaps, rounded
-        // to integer nanoseconds. Job order is arrival order.
+        // to integer nanoseconds. Job order is arrival order. The loop
+        // keeps every time in the clock's nanoseconds; a `Duration` is
+        // made only where a job leaves it (admission, open, finalize).
         let mut rng = Prng::seed_from_u64(serve_cfg.seed);
         let mean_ns = serve_cfg.mean_interarrival.as_nanos() as f64;
         let mut at = 0u64;
-        let arrivals: Vec<Duration> = jobs
+        let arrivals: Vec<u64> = jobs
             .iter()
             .map(|_| {
                 if mean_ns > 0.0 {
                     let u = rng.next_f64();
                     at += (-(1.0 - u).ln() * mean_ns) as u64;
                 }
-                Duration::from_nanos(at)
+                at
             })
             .collect();
 
@@ -237,6 +260,8 @@ impl FederatedEngine {
         let mut next_job = 0usize; // FIFO admission cursor
         let mut polls = 0u64; // `sweep_session` calls: the loop's work count
         let mut active: Vec<Admitted<'_>> = Vec::new();
+        // Parallel to `active`: when each session next needs a poll.
+        let mut wakes: Vec<Wake> = Vec::new();
         let bound = if serve_cfg.max_in_flight == 0 {
             usize::MAX
         } else {
@@ -247,8 +272,9 @@ impl FederatedEngine {
             // Admission: FIFO, bounded, only once the arrival is due.
             while next_job < jobs.len()
                 && active.len() < bound
-                && arrivals[next_job] <= clock.now()
+                && arrivals[next_job] <= clock.now_nanos()
             {
+                let arrival = Duration::from_nanos(arrivals[next_job]);
                 let job = &jobs[next_job];
                 let deadline = job.deadline.or(config.deadline);
                 // The lifecycle: the submit event carries the arrival
@@ -256,7 +282,7 @@ impl FederatedEngine {
                 // all stamped at points the unrecorded loop reaches anyway.
                 let obs =
                     self.recorder().begin_query(job.client, &job.label, &job.planned, deadline);
-                obs.admit(arrivals[next_job], clock.now(), job.cached);
+                obs.admit(arrival, clock.now(), job.cached);
                 // Never serialized: a wait sat out by one session would
                 // stall the whole server.
                 let session = Session::open(
@@ -265,7 +291,7 @@ impl FederatedEngine {
                     &clock,
                     &links,
                     obs,
-                    arrivals[next_job],
+                    arrival,
                     deadline,
                     false,
                 )?;
@@ -273,8 +299,8 @@ impl FederatedEngine {
                     job: next_job,
                     session,
                     admitted: clock.now(),
-                    waiting_on: None,
                 });
+                wakes.push(Wake::UNPOLLED);
                 metrics.counter_add("serve.admitted", 1);
                 // Planner rollups: what the admitted plans' planner did.
                 let report = &job.planned.report;
@@ -301,50 +327,55 @@ impl FederatedEngine {
 
             if active.is_empty() {
                 // Nothing running: jump to the next arrival.
-                clock.advance_to(arrivals[next_job]);
+                clock.advance_to_nanos(arrivals[next_job]);
                 continue;
             }
 
             // One sweep: in admission order, poll every active session
-            // whose event is due, draining ready rows; a session still
-            // waiting on the event it last reported only contributes that
-            // event's time. Any answer may have advanced the shared clock
-            // (engine work), so sweeps repeat until every session is
-            // pending before time jumps forward.
+            // whose wake time has come, draining ready rows; a session
+            // still waiting on the event it last reported only contributes
+            // that event's time. Any answer may have advanced the shared
+            // clock (engine work), so sweeps repeat until every session is
+            // pending before time jumps forward. Only a poll or a
+            // finalize moves the clock inside a sweep, so `now` is read
+            // again after each and nowhere else.
             let mut progressed = false;
-            let mut min_pending: Option<Duration> = None;
+            let mut min_pending: Option<u64> = None;
+            let mut now = clock.now_nanos();
             let mut i = 0;
             while i < active.len() {
-                let step = match active[i].still_waiting(clock.now()) {
-                    Some(ev) => SweepStep::Pending(ev),
-                    None => {
-                        polls += 1;
-                        Self::sweep_session(&mut active[i].session)?
-                    }
-                };
+                if let Some(event_ns) = wakes[i].waiting(now) {
+                    min_pending = Some(min_pending.map_or(event_ns, |t| t.min(event_ns)));
+                    i += 1;
+                    continue;
+                }
+                polls += 1;
+                let step = Self::sweep_session(&mut active[i].session)?;
+                now = clock.now_nanos();
                 match step {
                     SweepStep::Progress(ev) => {
-                        active[i].waiting_on = Some(ev);
+                        wakes[i] = Wake::on(ev, active[i].session.ctx.deadline);
                         progressed = true;
                         i += 1;
                     }
                     SweepStep::Pending(ev) => {
-                        active[i].waiting_on = Some(ev);
-                        min_pending = Some(match min_pending {
-                            Some(t) if t <= ev.time => t,
-                            _ => ev.time,
-                        });
+                        let wake = Wake::on(ev, active[i].session.ctx.deadline);
+                        wakes[i] = wake;
+                        min_pending =
+                            Some(min_pending.map_or(wake.event_ns, |t| t.min(wake.event_ns)));
                         i += 1;
                     }
                     SweepStep::Finished => {
-                        let Admitted { job, session, admitted, .. } = active.remove(i);
+                        let Admitted { job, session, admitted } = active.remove(i);
+                        wakes.remove(i);
                         outcomes[job] = Some(self.finalize_session(
                             session,
                             &jobs[job],
-                            arrivals[job],
+                            Duration::from_nanos(arrivals[job]),
                             admitted,
                             &mut metrics,
                         )?);
+                        now = clock.now_nanos();
                         metrics.gauge_set("serve.in_flight", active.len() as u64);
                         progressed = true;
                     }
@@ -360,13 +391,10 @@ impl FederatedEngine {
             let mut next_time = min_pending;
             if next_job < jobs.len() && active.len() < bound {
                 let arr = arrivals[next_job];
-                next_time = Some(match next_time {
-                    Some(t) if t <= arr => t,
-                    _ => arr,
-                });
+                next_time = Some(next_time.map_or(arr, |t| t.min(arr)));
             }
             match next_time {
-                Some(t) => clock.advance_to(t),
+                Some(t) => clock.advance_to_nanos(t),
                 None => {
                     return Err(FedError::Internal(
                         "serve stalled: every session pending with no scheduled event".into(),
@@ -494,5 +522,72 @@ impl FederatedEngine {
             degraded: s.degraded,
             obs,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The skip check the dense wake times replaced, kept as the reference
+    /// they are held to: the event a session is still waiting on at `now`
+    /// when a poll would be a no-op — it last returned `Pending` on
+    /// `waiting_on`, that event is not due and no deadline has passed.
+    fn still_waiting(
+        waiting_on: Option<EventTime>,
+        deadline: Option<Duration>,
+        now: Duration,
+    ) -> Option<EventTime> {
+        waiting_on.filter(|ev| ev.time > now && deadline.is_none_or(|d| now < d))
+    }
+
+    #[test]
+    fn a_wake_time_skips_exactly_what_still_waiting_skipped() {
+        // Fixed instants (the clock's start and its saturated end among
+        // them) plus seeded draws: every event, deadline and `now` comes
+        // from one set, so each meets each of the others exactly, early
+        // and late.
+        let mut rng = Prng::seed_from_u64(51);
+        let mut times = vec![0, 1, 2, 999, 1_000, 1_001, 25_000_000];
+        times.extend([u64::MAX - 2, u64::MAX - 1, u64::MAX]);
+        times.extend((0..6).map(|_| rng.gen_range(0..30_000_000u64)));
+        times.extend((0..3).map(|_| u64::MAX - rng.gen_range(0..1_000u64)));
+        let at = Duration::from_nanos;
+        let events = std::iter::once(None).chain(times.iter().map(|&t| Some(t)));
+        // A deadline past the clock's last nanosecond never passes.
+        let deadlines: Vec<Option<Duration>> = std::iter::once(None)
+            .chain(times.iter().map(|&t| Some(at(t))))
+            .chain([Some(Duration::MAX)])
+            .collect();
+
+        let mut seen = [0usize; 6];
+        for ev in events {
+            for &deadline in &deadlines {
+                for &now in &times {
+                    let event = ev.map(|t| EventTime { time: at(t), seq: 3 });
+                    let wake = event.map_or(Wake::UNPOLLED, |e| Wake::on(e, deadline));
+                    let reference = still_waiting(event, deadline, at(now));
+                    assert_eq!(
+                        wake.waiting(now),
+                        reference.map(|e| e.time.as_nanos() as u64),
+                        "event {ev:?}, deadline {deadline:?}, now {now}"
+                    );
+                    let d = deadline.map(nanos);
+                    seen[0] += usize::from(ev == Some(now));
+                    seen[1] += usize::from(d == Some(now));
+                    seen[2] += usize::from(ev.zip(d).is_some_and(|(e, d)| d < e));
+                    seen[3] += usize::from(ev.is_some() && d.is_none());
+                    seen[4] += usize::from(ev.is_none());
+                    seen[5] += usize::from(ev.is_some_and(|e| e > u64::MAX - 1_000));
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "the grid misses a case: {seen:?}");
+
+        // A deadline makes a session due, but the next wake-up it offers
+        // is its event: the deadline never pulls the clock forward.
+        let wake = Wake::on(EventTime { time: at(900), seq: 0 }, Some(at(400)));
+        assert_eq!(wake.waiting(399), Some(900));
+        assert_eq!(wake.waiting(400), None);
     }
 }

@@ -197,12 +197,12 @@ impl<'a> BindJoinOp<'a> {
         by_key.sort_unstable();
         for &lrow in batch {
             ctx.stats.engine_join_probes += 1;
-            ctx.clock.advance(ctx.cost.engine_join_time(1));
+            ctx.charge_join_probe();
             let Some(id) = jslot.and_then(|s| ctx.rows.get(lrow, s)) else { continue };
             let first = by_key.partition_point(|(k, _)| *k < id);
             for (_, r) in by_key[first..].iter().take_while(|(k, _)| *k == id) {
                 if let Some(merged) = ctx.rows.merge_row(lrow, right.row(*r)) {
-                    ctx.clock.advance(ctx.cost.engine_row_time(1));
+                    ctx.charge_row();
                     self.out.push_back(merged);
                 }
             }

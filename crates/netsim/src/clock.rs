@@ -34,25 +34,53 @@ impl Clock {
     /// Elapsed simulated time since the clock started.
     #[inline]
     pub fn now(&self) -> Duration {
-        Duration::from_nanos(self.0.get())
+        Duration::from_nanos(self.now_nanos())
+    }
+
+    /// [`Clock::now`] as the integer nanoseconds the clock stores: no
+    /// conversion, so a check made per event or per row compares two
+    /// integers.
+    #[inline]
+    pub fn now_nanos(&self) -> u64 {
+        self.0.get()
     }
 
     /// Advances the clock by `d`, stopping at `u64::MAX` ns (about 584
     /// years) rather than wrapping to the past.
     #[inline]
     pub fn advance(&self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.advance_nanos(nanos(d));
+    }
+
+    /// [`Clock::advance`] by `ns` nanoseconds, saturating alike.
+    #[inline]
+    pub fn advance_nanos(&self, ns: u64) {
         self.0.set(self.0.get().saturating_add(ns));
     }
 
     /// Advances the clock *to* absolute time `t` if `t` is in the future;
     /// a clock never runs backwards, so an already-passed `t` is a no-op.
     /// This is the discrete-event counterpart of [`Clock::advance`]: the
-    /// scheduler jumps to the next event's completion time.
+    /// scheduler jumps to the next event's completion time. A `t` past
+    /// `u64::MAX` ns stops at it.
     #[inline]
     pub fn advance_to(&self, t: Duration) {
-        self.0.set(self.0.get().max(t.as_nanos() as u64));
+        self.advance_to_nanos(nanos(t));
     }
+
+    /// [`Clock::advance_to`] absolute time `t` in nanoseconds.
+    #[inline]
+    pub fn advance_to_nanos(&self, t: u64) {
+        self.0.set(self.0.get().max(t));
+    }
+}
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (the last instant a
+/// [`Clock`] can show): how a `Duration` time is compared with
+/// [`Clock::now_nanos`].
+#[inline]
+pub fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A clock shared by the engine and every wrapper of one session.
@@ -116,6 +144,42 @@ mod tests {
         let fresh = Clock::virtual_clock();
         fresh.advance(Duration::MAX);
         assert_eq!(fresh.now(), end);
+    }
+
+    #[test]
+    fn the_integer_methods_agree_with_the_duration_ones() {
+        let (a, b) = (Clock::virtual_clock(), Clock::virtual_clock());
+        let steps = [0u64, 1, 999, 1_000, 4_600, 1_234_567_891, 86_400_000_000_000];
+        for ns in steps {
+            a.advance(Duration::from_nanos(ns));
+            b.advance_nanos(ns);
+            assert_eq!((a.now(), a.now_nanos()), (b.now(), b.now_nanos()));
+            assert_eq!(b.now(), Duration::from_nanos(b.now_nanos()));
+        }
+        for ns in steps.iter().map(|s| s * 3 + 17) {
+            a.advance_to(Duration::from_nanos(ns));
+            b.advance_to_nanos(ns);
+            assert_eq!((a.now(), a.now_nanos()), (b.now(), b.now_nanos()));
+        }
+    }
+
+    #[test]
+    fn the_integer_methods_saturate_and_never_run_backwards() {
+        let c = Clock::virtual_clock();
+        c.advance_to_nanos(40);
+        c.advance_to_nanos(10);
+        assert_eq!(c.now_nanos(), 40, "jumping to an earlier time is a no-op");
+        c.advance_nanos(u64::MAX - 45);
+        assert_eq!(c.now_nanos(), u64::MAX - 5);
+        c.advance_nanos(7);
+        assert_eq!(c.now_nanos(), u64::MAX, "two nanoseconds past the end stop at it");
+        c.advance_to_nanos(3);
+        assert_eq!(c.now_nanos(), u64::MAX);
+        // A Duration past the last nanosecond reads as it, in either form.
+        assert_eq!(nanos(Duration::MAX), u64::MAX);
+        let fresh = Clock::virtual_clock();
+        fresh.advance_to(Duration::MAX);
+        assert_eq!(fresh.now_nanos(), u64::MAX);
     }
 
     #[test]

@@ -30,6 +30,16 @@ pub struct EventTime {
     pub seq: u64,
 }
 
+impl EventTime {
+    /// `time` in the integer nanoseconds of [`crate::Clock::now_nanos`]
+    /// (saturating, as the clock does): the event is due once
+    /// `ev.nanos() <= clock.now_nanos()`.
+    #[inline]
+    pub fn nanos(&self) -> u64 {
+        crate::clock::nanos(self.time)
+    }
+}
+
 /// The set of pending events, with a monotone sequence counter.
 #[derive(Debug, Default)]
 pub struct EventQueue {

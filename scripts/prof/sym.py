@@ -6,6 +6,7 @@ under a chosen root.
     sym.py run.prof [--root SUBSTR] [--top N] [--depth D] [--min PCT]
     sym.py run.prof --callers-of SUBSTR
     sym.py run.prof --locked
+    sym.py run.prof --lines SUBSTR
 
 Percentages are of all samples; the tree's are too, so a subtree reads as
 its share of the whole run. An address inside a mapped file but outside
@@ -27,10 +28,18 @@ store buffer, and a sample that interrupts it lands on the instruction right
 after it. For each function it prints the samples whose leaf sits right
 after a `lock`-prefixed instruction or an `xchg` with a memory operand
 (implicitly locked), found by disassembling each mapped file with `objdump`.
+
+--lines answers "where inside this function": for the samples whose leaf
+name contains SUBSTR it prints, instead of the three views, their count by
+the source line of the innermost inlined frame and that frame's function,
+read from the binary's line tables with `llvm-addr2line` (profile.sh builds
+them). A function's self time is mostly its inlined callees', and this is
+the view that tells them apart.
 """
 import argparse
 import bisect
 import collections
+import json
 import os
 import re
 import subprocess
@@ -142,6 +151,34 @@ def locked_successors(path):
     return after
 
 
+def inlined_lines(path, addrs):
+    """-> {addr: (file:line, function)} of the innermost inlined frame at
+    each file virtual address of `path`, from its line tables."""
+    try:
+        out = subprocess.run(
+            ["llvm-addr2line", "--output-style=JSON", "-f", "-i", "-C", "-e", path],
+            input="".join("0x%x\n" % a for a in addrs), capture_output=True, text=True,
+        ).stdout
+    except OSError:
+        sys.exit("--lines needs llvm-addr2line")
+    found, cwd = {}, os.getcwd() + os.sep
+    for line in out.splitlines():
+        entry = json.loads(line)
+        frames = entry.get("Symbol") or [{}]
+        inner = frames[0]
+        where = inner.get("FileName") or "??"
+        if where.startswith(cwd):
+            where = where[len(cwd):]
+        elif "/library/" in where:  # the standard library's sources
+            where = where[where.index("/library/") + 1 :]
+        # llvm-addr2line leaves a legacy Rust name's escapes in place.
+        name = inner.get("FunctionName") or "??"
+        for code, text in (("$LT$", "<"), ("$GT$", ">"), ("$u20$", " "), ("$RF$", "&"), ("$C$", ","), ("..", "::")):
+            name = name.replace(code, text)
+        found[int(entry["Address"], 16)] = ("%s:%s" % (where, inner.get("Line", 0)), name)
+    return found
+
+
 def shorten(name, width):
     # Drop the hash suffix rustc appends and clip what is left.
     if len(name) > 19 and name[-19:-16] == "::h" and all(c in "0123456789abcdef" for c in name[-16:]):
@@ -165,6 +202,7 @@ def main():
     ap.add_argument("--width", type=int, default=110, help="longest printed name")
     ap.add_argument("--callers-of", metavar="SUBSTR", help="only: the first frame inside the binary of the samples whose leaf matches")
     ap.add_argument("--locked", action="store_true", help="only: per function, the samples whose leaf follows a locked instruction")
+    ap.add_argument("--lines", metavar="SUBSTR", help="only: the self samples of the functions matching SUBSTR, by source line of the innermost inlined frame")
     args = ap.parse_args()
 
     mappings, stacks, recovered, binary = read_profile(args.profile)
@@ -183,6 +221,25 @@ def main():
         matched = sum(callers.values())
         print("%d samples, %d (%.2f%%) with a leaf matching %r" % (total, matched, 100.0 * matched / total, args.callers_of))
         table("first frame inside %s" % os.path.basename(binary or "?"), callers, total, args.top, args.width)
+        return
+    if args.lines is not None:
+        # File virtual addresses of the matching leaves: a position-independent
+        # binary's are relative to its load bias, as in Symbolizer.lookup.
+        hits = collections.Counter()
+        for stack in stacks:
+            if args.lines in sym.name(stack[0]) and sym.inside(stack[0], binary):
+                rel = stack[0] - sym.base[binary]
+                hits[rel if sym.symbols[binary].name(rel) else stack[0]] += 1
+        matched = sum(hits.values())
+        print("%d samples, %d (%.2f%%) with a leaf matching %r" % (total, matched, 100.0 * matched / total, args.lines))
+        lines = collections.Counter()
+        where = inlined_lines(binary, sorted(hits))
+        for addr, n in hits.items():
+            loc, name = where.get(addr, ("??:0", "??"))
+            lines["%s  %s" % (loc, name)] += n
+        print("\n== by source line (share of all samples; of the matched samples) ==")
+        for text, n in lines.most_common(args.top):
+            print("%6.2f%% %7d %5.1f%%  %s" % (100.0 * n / total, n, 100.0 * n / matched, shorten(text, args.width)))
         return
     if args.locked:
         successors, locked, leaves = {}, collections.Counter(), collections.Counter()
