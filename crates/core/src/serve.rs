@@ -336,23 +336,18 @@ impl FederatedEngine {
             // still waiting on the event it last reported only contributes
             // that event's time. Any answer may have advanced the shared
             // clock (engine work), so sweeps repeat until every session is
-            // pending before time jumps forward. Only a poll or a
-            // finalize moves the clock inside a sweep, so `now` is read
-            // again after each and nowhere else.
+            // pending before time jumps forward.
             let mut progressed = false;
             let mut min_pending: Option<u64> = None;
-            let mut now = clock.now_nanos();
             let mut i = 0;
             while i < active.len() {
-                if let Some(event_ns) = wakes[i].waiting(now) {
+                if let Some(event_ns) = wakes[i].waiting(clock.now_nanos()) {
                     min_pending = Some(min_pending.map_or(event_ns, |t| t.min(event_ns)));
                     i += 1;
                     continue;
                 }
                 polls += 1;
-                let step = Self::sweep_session(&mut active[i].session)?;
-                now = clock.now_nanos();
-                match step {
+                match Self::sweep_session(&mut active[i].session)? {
                     SweepStep::Progress(ev) => {
                         wakes[i] = Wake::on(ev, active[i].session.ctx.deadline);
                         progressed = true;
@@ -375,7 +370,6 @@ impl FederatedEngine {
                             admitted,
                             &mut metrics,
                         )?);
-                        now = clock.now_nanos();
                         metrics.gauge_set("serve.in_flight", active.len() as u64);
                         progressed = true;
                     }
